@@ -9,13 +9,13 @@ and the wire codec at least 2x whole-batch pickling (typically ~3x)
 with byte-identical frames back.
 """
 
+import pickle
 import random
 import time
 from dataclasses import replace
 
 from repro.net.frames import Frame, FrameKind, crc16, crc16_bitwise
 from repro.parallel.wire import decode_frame_batch, encode_frame_batch
-from repro.perf.baseline import pickle_frame_batch, unpickle_frame_batch
 from repro.queueing import OPERATING_POINTS, OpenQueueingModel, capacity_in_users
 
 from conftest import once, print_table
@@ -105,16 +105,19 @@ def _routed_batch(count=1000, seed=1983):
 
 def test_wire_format_vs_pickle(benchmark):
     """The pooled-DES barrier codec: flat struct records + one payload
-    pickle per batch must beat pickling the routed tuples wholesale."""
+    pickle per batch must beat pickling the routed tuples wholesale —
+    one full object graph per frame, what crossed the worker pipes
+    before the codec."""
     items = _routed_batch()
     blob = encode_frame_batch(items)
-    pickled = pickle_frame_batch(items)
+    pickled = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
 
     def wire_roundtrip():
         return decode_frame_batch(encode_frame_batch(items))
 
     def pickle_roundtrip():
-        return unpickle_frame_batch(pickle_frame_batch(items))
+        return pickle.loads(
+            pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL))
 
     decoded = wire_roundtrip()
     assert len(decoded) == len(items)

@@ -18,8 +18,9 @@ Commands:
 * ``chaos``       — run a fault campaign (scripted, from a file, or the
   seed-determined monkey) against a live workload and print the
   campaign report (see ``docs/CHAOS.md``);
-* ``perf``        — run the deterministic benchmark workloads and write
-  ``BENCH_publishing.json`` (see ``docs/PERFORMANCE.md``);
+* ``perf``        — run the clock-free determinism workloads and compare
+  them exactly against ``BENCH_publishing.json`` (see
+  ``docs/PERFORMANCE.md``; timing lives in ``bench/``);
 * ``sweep``       — shard an evaluation sweep (chaos seed matrix,
   capacity / utilization / figure57 grids, perf suite) over worker
   processes and merge the results deterministically
@@ -29,9 +30,9 @@ Commands:
   execution, and print the federation capacity model's knee against a
   measured gateway (see ``docs/FEDERATION.md``).
 
-``capacity``, ``utilization``, ``chaos`` (with ``--runs K``) and
-``perf`` accept ``--parallel N`` to shard their work over N worker
-processes; results are identical to serial execution by construction.
+``capacity``, ``utilization`` and ``chaos`` (with ``--runs K``) accept
+``--parallel N`` to shard their work over N worker processes; results
+are identical to serial execution by construction.
 """
 
 from __future__ import annotations
@@ -521,7 +522,6 @@ def _cmd_des(args: argparse.Namespace) -> int:
                            master_seed=args.seed,
                            forward_delays=forward_delays,
                            recorder_lps=args.recorder_lps,
-                           lockstep=args.lockstep,
                            batch_ms=args.batch_ms)
     counts = tuple(args.des_workers or [2])
     report = equivalence_report(scenario, worker_counts=counts,
@@ -651,20 +651,8 @@ def _cmd_federation(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf.harness import main as perf_main
 
-    output = args.output
-    if output is None:
-        # A partial run must not overwrite the canonical baseline by
-        # default; pass --output explicitly to write one anyway.
-        if args.workload:
-            output = ""
-            print("note: --workload selected, skipping default "
-                  "BENCH_publishing.json write (use --output to force)")
-        else:
-            output = "BENCH_publishing.json"
-    return perf_main(seed=args.seed, smoke=args.smoke, output=output,
-                     only=args.workload or None, compare=args.compare,
-                     tolerance=args.tolerance, parallel=args.parallel,
-                     best_of=args.best_of)
+    return perf_main(seed=args.seed, smoke=args.smoke, output=args.output,
+                     only=args.workload or None, compare=args.compare)
 
 
 def main(argv=None) -> int:
@@ -880,9 +868,6 @@ def main(argv=None) -> int:
     des.add_argument("--recorder-lps", action="store_true",
                      help="split each cluster's recorder onto its own "
                           "LP behind zero-lookahead bridge channels")
-    des.add_argument("--lockstep", action="store_true",
-                     help="use the global-min-window baseline protocol "
-                          "instead of next-event promises")
     des.add_argument("--batch-ms", type=float, default=None,
                      metavar="MS",
                      help="cap how far one barrier may advance any LP "
@@ -935,8 +920,8 @@ def main(argv=None) -> int:
     federation.set_defaults(fn=_cmd_federation)
 
     perf = sub.add_parser(
-        "perf", help="run the benchmark workloads, write "
-                     "BENCH_publishing.json")
+        "perf", help="run the determinism workloads, compare them "
+                     "exactly against BENCH_publishing.json")
     perf.add_argument("--smoke", action="store_true",
                       help="small workload sizes (seconds, for CI)")
     perf.add_argument("--seed", type=int, default=1983,
@@ -950,22 +935,10 @@ def main(argv=None) -> int:
                       help="run only this workload (repeatable); "
                            "default: all of " + ", ".join(WORKLOADS))
     perf.add_argument("--output", default=None,
-                      help="report path ('' to skip writing; default "
-                           "BENCH_publishing.json for full-suite runs)")
-    perf.add_argument("--compare", default=None, metavar="BASELINE.json",
-                      help="fail (exit 1) if any workload's ops/sec "
-                           "regressed more than --tolerance vs this "
-                           "earlier report")
-    perf.add_argument("--best-of", type=int, default=3, metavar="N",
-                      help="interleaved suite passes, fastest pass kept "
-                           "per workload: measures the noise floor "
-                           "instead of one scheduler sample, and spaces "
-                           "repetitions so one load burst cannot bias a "
-                           "workload's figure (default 3)")
-    perf.add_argument("--tolerance", type=float, default=0.25,
-                      help="allowed fractional throughput drop for "
-                           "--compare (default 0.25)")
-    add_parallel(perf, "the workloads (timings run under contention)")
+                      help="write the report to this path")
+    perf.add_argument("--compare", default=None, metavar="COMMITTED.json",
+                      help="fail (exit 1) naming every fact that differs "
+                           "from this earlier report")
     perf.set_defaults(fn=_cmd_perf)
 
     args = parser.parse_args(argv)

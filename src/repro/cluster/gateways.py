@@ -478,7 +478,6 @@ class ClusterFederation:
                  only_partition: Optional[int] = None,
                  forward_delays: Optional[Dict[Tuple[int, int], float]] = None,
                  recorder_lps: bool = False,
-                 lockstep: bool = False,
                  batch_ms: Optional[float] = None,
                  gateway_service_ms: float = 0.0):
         if not cluster_sizes:
@@ -527,7 +526,6 @@ class ClusterFederation:
         #: medium's interpacket-gap spacing (see repro.system). Ignored
         #: for the serial reference engine.
         self.recorder_lps = bool(recorder_lps and self.partitions is not None)
-        self.lockstep = lockstep
         self.batch_ms = batch_ms
         self.nodes_stride = nodes_stride
         self.gateway_service_ms = gateway_service_ms
@@ -655,8 +653,7 @@ class ClusterFederation:
         self.scheduler: Optional[PartitionedEngine] = None
         if self.partitions is not None and only_partition is None:
             self.scheduler = PartitionedEngine(
-                dict(self.engines), self.channels,
-                lockstep=lockstep, batch_ms=batch_ms)
+                dict(self.engines), self.channels, batch_ms=batch_ms)
 
     # ------------------------------------------------------------------
     def _note_gateway_drop(self, gateway_id: int, frame: Frame,

@@ -110,7 +110,7 @@ class ReplayDebugger:
             if record.checkpoint is None:
                 raise ReproError(f"{record.pid} has no checkpoint")
             self.program.restore(record.checkpoint.data["program_state"])
-            stream = record.replay_stream()
+            stream = record.messages_to_replay()
         else:
             # Full history: every recorded message, valid or invalidated.
             self.program.start(self.ctx)

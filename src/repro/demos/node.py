@@ -124,21 +124,15 @@ class Node:
         node's bounded buffer still holds. Supplies are unguaranteed —
         the recorder's next round retries whatever is still missing.
         Requests arrive as per-sender ``[lo, hi)`` sequence ranges
-        (``gossip.pull_ranges``); the explicit-id ``wanted`` list is
-        kept for compatibility with pre-range pull senders."""
+        (``gossip.pull_ranges``)."""
         buffer = self.gossip_buffer
         if buffer is None:
             return
-        ranges = control.get("ranges")
-        if ranges is not None:
-            wanted = ((sender, seq) for sender, lo, hi in ranges
-                      for seq in range(lo, hi))
-        else:
-            wanted = control["wanted"]
-        for sender, seq in wanted:
-            msg_id = MessageId(ProcessId(*sender), seq)
-            message = buffer.get(msg_id)
-            if message is not None:
-                self.kernel.send_control(
-                    src_node, Control("gossip_supply", {"message": message}),
-                    guaranteed=False, size_bytes=message.size_bytes + 32)
+        for sender, lo, hi in control["ranges"]:
+            for seq in range(lo, hi):
+                message = buffer.get(MessageId(ProcessId(*sender), seq))
+                if message is not None:
+                    self.kernel.send_control(
+                        src_node,
+                        Control("gossip_supply", {"message": message}),
+                        guaranteed=False, size_bytes=message.size_bytes + 32)

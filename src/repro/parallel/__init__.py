@@ -1,7 +1,7 @@
 """repro.parallel — multi-core sharding of independent deterministic runs.
 
 Shard an evaluation sweep (chaos seed matrices, queueing capacity /
-utilization / Figure 5.7 grids, perf repetitions) over a process pool
+utilization / Figure 5.7 grids, perf workloads) over a process pool
 and merge the results deterministically: per-shard seeds are derived
 from the root seed by *name* via :func:`repro.sim.rng.derive_seed`, and
 every shard carries a content digest so a parallel run can be proven

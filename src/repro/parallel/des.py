@@ -29,10 +29,7 @@ Three execution modes over one scenario:
   the parent grants promise-derived advance targets over pipes and
   routes the frames drained from cross-worker channels, batched per
   barrier in the compact wire format (:mod:`repro.parallel.wire`).
-  Digests must again be identical. ``lockstep=True`` retains the
-  historical global-min-window protocol as the measured baseline the
-  promise protocol is benchmarked against (``des_scaling`` in
-  :mod:`repro.perf.workloads`).
+  Digests must again be identical.
 
 The per-cluster digest covers the full trace-event stream and metrics
 snapshot, so "byte-identical" means every layer of every cluster saw
@@ -96,8 +93,6 @@ class DesScenario:
       the serial reference keeps one engine regardless).
     * ``batch_ms`` — cap how far one barrier may advance any LP; the
       default (None) lets quiet stretches fast-forward in one grant.
-    * ``lockstep`` — the historical global-min-window protocol, kept
-      as the measured baseline; incompatible with ``recorder_lps``.
     """
 
     clusters: int = 4
@@ -112,7 +107,6 @@ class DesScenario:
     master_seed: int = 1983
     forward_delays: Optional[Tuple[Tuple[Tuple[int, int], float], ...]] = None
     recorder_lps: bool = False
-    lockstep: bool = False
     batch_ms: Optional[float] = None
 
     def validate(self) -> None:
@@ -125,10 +119,6 @@ class DesScenario:
                 raise ReproError(
                     f"forward delay for edge {edge} must be positive, "
                     f"got {delay}")
-        if self.lockstep and self.recorder_lps:
-            raise ReproError(
-                "lockstep windows need every lookahead positive; "
-                "recorder bridges are zero-lookahead channels")
         if self.recorder_shards < 1:
             raise ReproError("recorder_shards must be >= 1")
         if self.recorder_shards > 1 and self.recorder_lps:
@@ -204,7 +194,6 @@ def build_federation(scenario: DesScenario,
         only_partition=only_partition,
         forward_delays=scenario.forward_delay_map() or None,
         recorder_lps=scenario.recorder_lps and partitions is not None,
-        lockstep=scenario.lockstep,
         batch_ms=scenario.batch_ms)
     for system in fed.clusters:
         register_chaos_programs(system)
@@ -476,7 +465,6 @@ class _PoolMaster:
             w: [] for w in range(partitions)}
         for src_lp, dst_lp, delay in cross:
             self.incoming[dst_lp].append((src_lp, delay))
-        self.window_ms = min((e[2] for e in cross), default=None)
         #: latest reported next-event bound per LP (inf = idle)
         self.bounds: Dict[int, float] = {lp: 0.0 for lp in lps}
         #: last granted target per worker
@@ -513,11 +501,6 @@ class _PoolMaster:
         (nondecreasing; the worker owning the globally-earliest bound
         always makes strict progress because every cross lookahead is
         strictly positive)."""
-        if self.scenario.lockstep:
-            now = min(self.granted.values())
-            step = (until if self.window_ms is None
-                    else min(until, now + self.window_ms))
-            return {w: max(step, self.granted[w]) for w in self.granted}
         node = self.relaxed_bounds()
         out: Dict[int, float] = {}
         batch_ms = self.scenario.batch_ms
@@ -596,9 +579,7 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
     provably-safe target (so quiet stretches fast-forward in a handful
     of barriers instead of one per lookahead window), ships each worker
     its routed frames as one compact wire-format batch, and gathers
-    what the workers' taps claimed. With ``scenario.lockstep`` the
-    parent instead steps fixed global-minimum windows — the historical
-    protocol, kept as the measured baseline.
+    what the workers' taps claimed.
     """
     scenario.validate()
     if workers < 1:
@@ -729,7 +710,6 @@ def equivalence_report(scenario: DesScenario,
             "forward_delays": [[list(edge), delay] for edge, delay
                                in (scenario.forward_delays or ())],
             "recorder_lps": scenario.recorder_lps,
-            "lockstep": scenario.lockstep,
             "batch_ms": scenario.batch_ms,
             "master_seed": scenario.master_seed,
         },

@@ -1,7 +1,7 @@
 """Process-pool sharded execution of independent deterministic runs.
 
 The evaluation sweeps — chaos seed matrices, queueing capacity and
-utilization grids, perf-suite repetitions — are embarrassingly parallel:
+utilization grids, the perf workloads — are embarrassingly parallel:
 every shard is a pure function of its parameters (and, where it draws
 randomness, of a seed derived from the sweep's root seed by *name*, via
 :func:`repro.sim.rng.derive_seed`). This module schedules those shards

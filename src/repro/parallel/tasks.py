@@ -141,25 +141,12 @@ def run_federation_shard(params: Dict[str, Any]) -> _Result:
     return payload, {"wall_ms": round(result["wall_ms"], 3)}
 
 
-#: result keys that vary run-to-run (wall clock and derivatives) — the
-#: same set ``tests/test_perf_harness.py`` strips for its determinism
-#: check.
-PERF_VOLATILE_KEYS = frozenset(
-    {"wall_ms", "ops_per_sec", "events_per_sec", "baseline",
-     "speedup_vs_baseline", "phases"})
-
-
 def run_perf_shard(params: Dict[str, Any]) -> _Result:
-    """One benchmark workload repetition, split into its deterministic
-    facts (digested) and its timing facts (reported, not digested)."""
+    """One determinism workload; every fact it reports is digested."""
     from repro.perf.harness import run_workload
 
-    result = run_workload(params["workload"], seed=params.get("seed", 1983),
-                          smoke=params.get("smoke", True))
-    payload = {k: v for k, v in result.items()
-               if k not in PERF_VOLATILE_KEYS}
-    timing = {k: v for k, v in result.items() if k in PERF_VOLATILE_KEYS}
-    return payload, timing
+    return run_workload(params["workload"], seed=params.get("seed", 1983),
+                        smoke=params.get("smoke", True)), {}
 
 
 #: kind -> executor; the registry :func:`repro.parallel.runner.execute_task`

@@ -1,14 +1,12 @@
-"""The ``repro.perf`` benchmark harness.
+"""The ``repro.perf`` determinism gate.
 
-Deterministic workload definitions (:mod:`repro.perf.workloads`), the
-pre-optimization reference engine they diff against
-(:mod:`repro.perf.baseline`), and the report/compare machinery
-(:mod:`repro.perf.harness`) behind ``python -m repro perf``.
+Deterministic workload definitions (:mod:`repro.perf.workloads`) and the
+report/compare machinery (:mod:`repro.perf.harness`) behind
+``python -m repro perf``. :mod:`repro.perf.baseline` holds the
+flat-list store reference that tests and ``benchmarks/`` diff against.
 """
 
-from repro.perf.baseline import BaselineEngine, BaselineEventHandle
 from repro.perf.harness import (
-    DEFAULT_TOLERANCE,
     SCHEMA_VERSION,
     compare_reports,
     format_report,
@@ -19,9 +17,6 @@ from repro.perf.harness import (
 from repro.perf.workloads import WORKLOADS, PerfDivergence
 
 __all__ = [
-    "BaselineEngine",
-    "BaselineEventHandle",
-    "DEFAULT_TOLERANCE",
     "SCHEMA_VERSION",
     "WORKLOADS",
     "PerfDivergence",

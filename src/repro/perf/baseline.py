@@ -1,138 +1,23 @@
-"""Pre-optimization reference implementations, kept as benchmark
-baselines.
+"""The pre-optimization recorder store, kept as a reference
+implementation.
 
-:class:`BaselineEngine` is the discrete-event engine exactly as it
-stood before the hot-path pass (one :class:`BaselineEventHandle` object
-per heap entry, Python-level ``__lt__`` comparisons during sifting, no
-handle reuse, O(n) ``pending()``). The ``engine_churn`` workload drives
-the same seeded operation sequence through this engine and the live
-:class:`repro.sim.engine.Engine`, records both throughputs, and reports
-the speedup — so ``BENCH_publishing.json`` always carries its own
-before/after evidence, and a silent behavioural divergence between the
-two engines fails the run.
-
-:class:`FlatProcessLog` is the same idea for the recorder store: the
-naive flat-list shape the log-structured engine replaced — one
-ever-growing arrivals list, full-rescan ``messages_to_replay``, and
-``consumed_ids`` that re-simulates the queue from process creation on
-every call. The ``recorder_scaling`` workload and the store-equivalence
-property test drive identical operation sequences through this and
-:class:`repro.publishing.database.ProcessRecord` and require identical
-answers.
-
-:func:`pickle_frame_batch` / :func:`unpickle_frame_batch` are the same
-idea for the pooled-DES barrier exchange: whole-object pickling of
-every routed frame tuple, exactly what crossed the worker pipes before
-the compact columnar codec (:mod:`repro.parallel.wire`) replaced it.
-The ``benchmarks/test_micro_hotpaths.py`` wire-format benchmark drives
-identical batches through both and requires identical frames back.
+:class:`FlatProcessLog` is the naive flat-list shape the log-structured
+engine replaced — one ever-growing arrivals list, full-rescan
+``messages_to_replay``, and ``consumed_ids`` that re-simulates the queue
+from process creation on every call. ``tests/test_store_equivalence.py``
+drives identical operation sequences through this and
+:class:`repro.publishing.database.ProcessRecord` and requires identical
+answers; ``benchmarks/test_recorder_store_scaling.py`` times the two.
+Nothing under ``src/`` calls it.
 
 Do not optimize this module: its slowness is the point.
 """
 
 from __future__ import annotations
 
-import heapq
-import pickle
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
-from repro.errors import RecorderError, SimulationError
-
-NEGATIVE_DELAY_EPSILON_MS = 1e-9
-
-
-def pickle_frame_batch(items: List[Tuple]) -> bytes:
-    """The pre-optimization barrier encoding: pickle the routed-frame
-    tuples wholesale, one full object graph per frame."""
-    return pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpickle_frame_batch(data: bytes) -> List[Tuple]:
-    return pickle.loads(data)
-
-
-class BaselineEventHandle:
-    """A cancellable reference to a scheduled event (pre-optimization)."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "BaselineEventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class BaselineEngine:
-    """The naive heap-of-handles engine (pre-optimization reference)."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._seq = 0
-        self._heap: List[BaselineEventHandle] = []
-        self._running = False
-        self._events_fired = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_fired(self) -> int:
-        return self._events_fired
-
-    def schedule(self, delay: float, fn: Callable[..., Any],
-                 *args: Any) -> BaselineEventHandle:
-        if delay < 0:
-            if delay >= -NEGATIVE_DELAY_EPSILON_MS:
-                delay = 0.0
-            else:
-                raise SimulationError(
-                    f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        handle = BaselineEventHandle(self._now + delay, self._seq, fn, args)
-        heapq.heappush(self._heap, handle)
-        return handle
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> BaselineEventHandle:
-        return self.schedule(0.0, fn, *args)
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        if self._running:
-            raise SimulationError("engine.run() is not reentrant")
-        self._running = True
-        fired = 0
-        try:
-            while self._heap:
-                head = self._heap[0]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and head.time > until:
-                    break
-                heapq.heappop(self._heap)
-                self._now = head.time
-                head.fn(*head.args)
-                self._events_fired += 1
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
+from repro.errors import RecorderError
 
 
 class FlatLogged:

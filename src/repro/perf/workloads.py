@@ -1,27 +1,24 @@
-"""The canonical benchmark workloads.
+"""The canonical determinism workloads.
 
-Each workload is a function ``(seed, smoke) -> dict`` returning at least
-``ops`` (its primary operation count), ``events`` (engine events fired)
-and ``sim_ms`` (simulated time covered). Workloads that time themselves
-(because only part of their work is the thing being measured) also
-return ``wall_ms``; otherwise the harness times the whole call.
+Each workload is a function ``(seed, smoke) -> dict`` whose first keys
+are ``ops`` (its primary operation count), ``events`` (engine events
+fired) and ``sim_ms`` (simulated time covered), followed by whatever
+counters and digests pin its behaviour.
 
-Every workload is a pure function of its seed: wall-clock figures vary
-between runs, but ``ops``, ``events`` and ``sim_ms`` must not — the
-harness's ``--verify`` users and ``tests/test_perf_harness.py`` rely on
+Every workload is a pure function of its seed and reads no clock: every
+value it returns must be identical on every run and every machine —
+``BENCH_publishing.json`` and ``tests/test_perf_harness.py`` rely on
 it. Workloads validate their own outcomes (message counts, counter
-totals) and raise on divergence, so a perf number can never be produced
-by a broken simulation.
+totals) and raise on divergence, so a committed fact can never describe
+a broken simulation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.perf.baseline import BaselineEngine
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -37,17 +34,16 @@ _HASH_MOD = (1 << 61) - 1
 
 
 class PerfDivergence(RuntimeError):
-    """A workload's outcome did not match its expectation — the perf
-    number would be describing a broken run, so the harness fails."""
+    """A workload's outcome did not match its expectation — the report
+    would be describing a broken run, so the harness fails."""
 
 
 # ----------------------------------------------------------------------
-# engine event churn, measured against the pre-PR baseline engine
+# engine event churn
 # ----------------------------------------------------------------------
 def _churn_script(seed: int, steps: int,
                   per_step: int) -> List[List[Tuple[Any, ...]]]:
-    """A seeded schedule/cancel/chain operation script, generated up
-    front so both engines replay exactly the same work."""
+    """A seeded schedule/cancel/chain operation script."""
     rng = random.Random(seed)
     script: List[List[Tuple[Any, ...]]] = []
     for _ in range(steps):
@@ -66,21 +62,19 @@ def _churn_script(seed: int, steps: int,
     return script
 
 
-def _run_churn(make_engine: Callable[[], Any],
-               script: List[List[Tuple[Any, ...]]]) -> Dict[str, Any]:
-    """Replay the churn script on one engine; returns timing plus an
-    order-sensitive event checksum for differential comparison."""
-    engine = make_engine()
-    fired = [0]
+def engine_churn(seed: int, smoke: bool) -> Dict[str, Any]:
+    """Seeded schedule/cancel/spawn churn through the live engine,
+    folded into an order-sensitive digest of the fired event stream."""
+    steps, per_step = _CHURN_SMOKE if smoke else _CHURN_FULL
+    script = _churn_script(seed, steps, per_step)
+    engine = Engine()
     digest = [0]
     handles: List[Any] = []
 
     def work(tag):
-        fired[0] += 1
         digest[0] = (digest[0] * 1000003 + tag) % _HASH_MOD
 
     def chain(tag, delay):
-        fired[0] += 1
         digest[0] = (digest[0] * 1000003 + tag) % _HASH_MOD
         if delay > 0.4:
             engine.schedule(delay, chain, tag ^ 0x5A5A, delay * 0.5)
@@ -100,40 +94,13 @@ def _run_churn(make_engine: Callable[[], Any],
         if k + 1 < len(script):
             engine.schedule(0.37, pump, k + 1)
 
-    start = time.perf_counter()
     engine.schedule(0.0, pump, 0)
     engine.run()
-    wall_s = time.perf_counter() - start
-    return {"wall_s": wall_s, "events": engine.events_fired,
-            "fired": fired[0], "digest": digest[0], "sim_ms": engine.now}
-
-
-def engine_churn(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Seeded schedule/cancel/spawn churn, run through both the live
-    engine and the pre-PR baseline engine. Doubles as a differential
-    check: both engines must fire the identical event stream."""
-    steps, per_step = _CHURN_SMOKE if smoke else _CHURN_FULL
-    script = _churn_script(seed, steps, per_step)
-    live = _run_churn(Engine, script)
-    base = _run_churn(BaselineEngine, script)
-    for key in ("events", "fired", "digest", "sim_ms"):
-        if live[key] != base[key]:
-            raise PerfDivergence(
-                f"engine_churn: optimized and baseline engines diverged "
-                f"on {key}: {live[key]!r} != {base[key]!r}")
-    live_rate = live["events"] / live["wall_s"] if live["wall_s"] else 0.0
-    base_rate = base["events"] / base["wall_s"] if base["wall_s"] else 0.0
     return {
         "ops": steps * per_step,
-        "events": live["events"],
-        "sim_ms": round(live["sim_ms"], 6),
-        "wall_ms": live["wall_s"] * 1000.0,
-        "baseline": {
-            "wall_ms": base["wall_s"] * 1000.0,
-            "events_per_sec": base_rate,
-        },
-        "speedup_vs_baseline": (live_rate / base_rate if base_rate else 0.0),
-        "event_digest": live["digest"],
+        "events": engine.events_fired,
+        "sim_ms": round(engine.now, 6),
+        "event_digest": digest[0],
     }
 
 
@@ -186,7 +153,9 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     stats = {
         "retransmissions": sum(t.stats.retransmissions for t in transports),
         "collisions": medium.stats.collisions,
-        "utilization": round(medium.stats.utilization(engine.now), 4),
+        # rounded in the two steps the committed figures went through
+        "utilization": round(
+            round(medium.stats.utilization(engine.now), 4), 3),
     }
     return {"ops": expected, "events": engine.events_fired,
             "sim_ms": round(engine.now, 6), **stats}
@@ -241,13 +210,11 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
 
     phases: Dict[str, Dict[str, Any]] = {}
 
-    def timed_phase(name: str, body: Callable[[], None]) -> None:
+    def phase(name: str, body: Callable[[], None]) -> None:
         before_events = system.engine.events_fired
         before_ms = system.engine.now
-        start = time.perf_counter()
         body()
         phases[name] = {
-            "wall_ms": (time.perf_counter() - start) * 1000.0,
             "events": system.engine.events_fired - before_events,
             "sim_ms": round(system.engine.now - before_ms, 6),
         }
@@ -279,7 +246,7 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
     # Checkpoint mid-stream so the post-crash recovery genuinely mixes
     # checkpoint restoration with replay of the messages consumed after
     # it — the §3.1 recovery recipe, not a checkpoint-only restore.
-    timed_phase("publish", lambda: publish_until(messages // 2))
+    phase("publish", lambda: publish_until(messages // 2))
 
     checkpoints = {}
 
@@ -287,9 +254,9 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
         checkpoints["count"] = system.checkpoint_all()
         system.run(1_000)
 
-    timed_phase("checkpoint", checkpoint_body)
-    timed_phase("publish_tail", lambda: publish_until(messages))
-    timed_phase("replay_recovery", recovery_phase)
+    phase("checkpoint", checkpoint_body)
+    phase("publish_tail", lambda: publish_until(messages))
+    phase("replay_recovery", recovery_phase)
     phases["checkpoint"]["checkpoints"] = checkpoints["count"]
 
     recorder = system.recorder
@@ -297,7 +264,6 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
         "ops": pairs * messages,
         "events": system.engine.events_fired,
         "sim_ms": round(system.engine.now, 6),
-        "wall_ms": sum(p["wall_ms"] for p in phases.values()),
         "phases": phases,
         "messages_recorded": recorder.messages_recorded,
         "recoveries": system.recovery.stats.recoveries_completed,
@@ -306,7 +272,7 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# recorder store scaling: segmented log vs the naive flat reference
+# recorder store scaling
 # ----------------------------------------------------------------------
 
 #: (processes, messages per process) grid points
@@ -325,8 +291,9 @@ def _recorder_script(seed: int, processes: int,
                      messages: int) -> List[Tuple[Any, ...]]:
     """A seeded recorder operation script: per-process arrivals,
     advisories generated against a model queue (so they always match
-    the log), cumulative checkpoints, and replay query points. The same
-    script drives the segmented store and the flat reference."""
+    the log), cumulative checkpoints, and replay query points
+    (``benchmarks/test_recorder_store_scaling.py`` times the same script
+    through the flat reference)."""
     from repro.demos.ids import MessageId, ProcessId
 
     rng = random.Random(seed)
@@ -391,8 +358,8 @@ def _digest_queries(digest: int, replay, ids) -> int:
 
 def _drive_segmented(script: List[Tuple[Any, ...]],
                      processes: int) -> Dict[str, Any]:
-    """Replay the script through the log-structured store; returns
-    timing, the replay digest, and per-query latencies."""
+    """Replay the script through the log-structured store; returns the
+    replay digest and the log's storage counters."""
     from repro.demos.ids import ProcessId
     from repro.demos.messages import Message
     from repro.publishing.database import CheckpointEntry, RecorderDatabase
@@ -402,10 +369,6 @@ def _drive_segmented(script: List[Tuple[Any, ...]],
     records = [db.create(ProcessId(2, p + 1), node=2, image="bench")
                for p in range(processes)]
     digest = 0
-    invalidated = 0
-    replay_wall_s = 0.0
-    latencies: List[float] = []
-    start = time.perf_counter()
     for op in script:
         kind, p = op[0], op[1]
         record = records[p]
@@ -418,70 +381,17 @@ def _drive_segmented(script: List[Tuple[Any, ...]],
         elif kind == "adv":
             record.add_advisory(op[2], op[3])
         elif kind == "ckpt":
-            invalidated += record.apply_checkpoint(CheckpointEntry(
+            record.apply_checkpoint(CheckpointEntry(
                 data=None, consumed=op[2], dtk_processed=op[3],
                 send_seq=0, pages=1, stored_at=0.0))
-        else:   # query: the replay path being optimized
-            t0 = time.perf_counter()
-            replay = record.messages_to_replay()
-            dt = time.perf_counter() - t0
-            replay_wall_s += dt
-            latencies.append(dt * 1000.0)
-            digest = _digest_queries(digest, replay,
+        else:   # query
+            digest = _digest_queries(digest, record.messages_to_replay(),
                                      record.consumed_ids(op[2]))
-    wall_s = time.perf_counter() - start
-    return {"wall_s": wall_s, "replay_wall_s": replay_wall_s,
-            "digest": digest, "invalidated": invalidated,
-            "latencies": latencies, "log_bytes": db.log.log_bytes,
+    return {"digest": digest, "log_bytes": db.log.log_bytes,
             "live_bytes": db.log.live_bytes,
             "compactions": db.log.compactions,
             "segments_retired": db.log.segments_retired,
             "segments": db.log.segments}
-
-
-def _drive_flat(script: List[Tuple[Any, ...]],
-                processes: int) -> Dict[str, Any]:
-    """Replay the same script through the naive flat-list reference."""
-    from repro.demos.ids import ProcessId
-    from repro.demos.messages import Message
-    from repro.perf.baseline import FlatProcessLog
-
-    logs = [FlatProcessLog() for _ in range(processes)]
-    dsts = [ProcessId(2, p + 1) for p in range(processes)]
-    digest = 0
-    invalidated = 0
-    next_arrival = 0
-    replay_wall_s = 0.0
-    start = time.perf_counter()
-    for op in script:
-        kind, p = op[0], op[1]
-        log = logs[p]
-        if kind == "msg":
-            _, _, msg_id, size, is_control = op
-            message = Message(msg_id=msg_id, src=msg_id.sender,
-                              dst=dsts[p], channel=1, code=0, body=None,
-                              size_bytes=size, deliver_to_kernel=is_control)
-            log.record_message(message, next_arrival)
-            next_arrival += 1
-        elif kind == "adv":
-            log.add_advisory(op[2], op[3])
-        elif kind == "ckpt":
-            invalidated += log.apply_checkpoint(op[2], op[3])
-        else:
-            t0 = time.perf_counter()
-            replay = log.messages_to_replay()
-            replay_wall_s += time.perf_counter() - t0
-            digest = _digest_queries(digest, replay, log.consumed_ids(op[2]))
-    wall_s = time.perf_counter() - start
-    return {"wall_s": wall_s, "replay_wall_s": replay_wall_s,
-            "digest": digest, "invalidated": invalidated}
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
 
 
 def _page_buffer_contrast(sizes: List[int]) -> Dict[str, Any]:
@@ -521,67 +431,32 @@ def _page_buffer_contrast(sizes: List[int]) -> Dict[str, Any]:
 
 
 def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The log-structured recorder store against the naive flat-list
-    reference over a processes × message-rate grid, plus the batched vs
-    unbatched disk-path contrast. Doubles as a differential check: both
-    stores must produce the identical replay order and consumed-id sets
-    at every query point, folded into ``replay_digest``."""
+    """The log-structured recorder store over a processes × message-rate
+    grid, plus the batched vs unbatched disk-path contrast. The replay
+    order and consumed-id set at every query point fold into
+    ``replay_digest``."""
     grid = _RECORDER_GRID_SMOKE if smoke else _RECORDER_GRID_FULL
     grid_out: Dict[str, Dict[str, Any]] = {}
     total_messages = 0
-    seg_wall_s = 0.0
     digest = 0
-    latencies: List[float] = []
-    speedup = 0.0
     for processes, messages in grid:
         script = _recorder_script(seed + processes, processes, messages)
         seg = _drive_segmented(script, processes)
-        flat = _drive_flat(script, processes)
-        if seg["digest"] != flat["digest"]:
-            raise PerfDivergence(
-                f"recorder_scaling[{processes}x{messages}]: segmented and "
-                f"flat stores diverged: {seg['digest']} != {flat['digest']}")
-        if seg["invalidated"] != flat["invalidated"]:
-            raise PerfDivergence(
-                f"recorder_scaling[{processes}x{messages}]: checkpoint "
-                f"invalidation diverged: {seg['invalidated']} != "
-                f"{flat['invalidated']}")
         total_messages += processes * messages
-        seg_wall_s += seg["wall_s"]
-        digest = (digest * 1000003 + seg["digest"]) % _HASH_MOD
-        latencies = seg["latencies"]        # keep the largest grid point's
-        speedup = ((flat["replay_wall_s"] / seg["replay_wall_s"])
-                   if seg["replay_wall_s"] else 0.0)
-        grid_out[f"{processes}x{messages}"] = {
-            "wall_ms": round(seg["wall_s"] * 1000.0, 3),
-            "flat_wall_ms": round(flat["wall_s"] * 1000.0, 3),
-            "replay_wall_ms": round(seg["replay_wall_s"] * 1000.0, 3),
-            "flat_replay_wall_ms": round(flat["replay_wall_s"] * 1000.0, 3),
-            "replay_speedup_vs_flat": round(speedup, 3),
-            "log_bytes": seg["log_bytes"],
-            "live_bytes": seg["live_bytes"],
-            "compactions": seg["compactions"],
-            "segments_retired": seg["segments_retired"],
-            "segments": seg["segments"],
-        }
+        digest = (digest * 1000003 + seg.pop("digest")) % _HASH_MOD
+        grid_out[f"{processes}x{messages}"] = seg
     rng = random.Random(seed ^ 0x5D15)
     contrast = _page_buffer_contrast(
         [rng.choice((128, 128, 256, 1024)) for _ in range(512)])
     events = contrast.pop("events")
     sim_ms = contrast.pop("sim_ms")
-    latencies.sort()
     return {
         "ops": total_messages,
         "events": events,
         "sim_ms": round(sim_ms, 6),
-        "wall_ms": seg_wall_s * 1000.0,
         "grid": grid_out,
         "page_buffer": contrast,
         "replay_digest": digest,
-        "speedup_vs_baseline": speedup,    # largest grid point, vs flat
-        "replay_p50_ms": round(_percentile(latencies, 0.50), 4),
-        "replay_p90_ms": round(_percentile(latencies, 0.90), 4),
-        "replay_p99_ms": round(_percentile(latencies, 0.99), 4),
     }
 
 
@@ -616,76 +491,65 @@ def chaos_campaign(seed: int, smoke: bool) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# multi-core sweep scaling (repro.parallel)
+# multi-core sweep sharding (repro.parallel)
 # ----------------------------------------------------------------------
 
 #: sweep_scaling knobs: (scenarios, messages per pair)
 _SWEEP_FULL = (16, 12)
 _SWEEP_SMOKE = (6, 8)
 
-#: the scaling curve's sample points
-_SWEEP_WORKER_COUNTS = (1, 2, 4)
-
 
 def sweep_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Scenarios/sec of a chaos seed matrix at 1, 2 and 4 workers.
+    """A chaos seed matrix run serially and sharded over two workers.
 
-    The same task list runs through :func:`repro.parallel.run_tasks` at
-    each worker count; every run must produce the identical digest
-    chain (the determinism contract of the sharded runner) and every
-    scenario must pass its campaign invariants, so the scaling figures
-    can never describe divergent or broken runs. The speedup is bounded
-    by the machine's core count — expect ~1x on a single-core box.
+    Both runs of the task list must produce the identical digest chain
+    (the determinism contract of the sharded runner) and every scenario
+    must pass its campaign invariants.
     """
-    from repro.parallel import chaos_matrix_tasks, run_tasks, sweep_digest
+    from repro.parallel import chaos_matrix_tasks, sweep_digest, verify_parallel
 
     runs, messages = _SWEEP_SMOKE if smoke else _SWEEP_FULL
     tasks = chaos_matrix_tasks(root_seed=seed, runs=runs, pairs=1,
                                messages=messages, duration_ms=2500.0,
                                settle_ms=6000.0)
-    workers_out: Dict[str, Dict[str, float]] = {}
-    digests = []
-    shards: List[Dict[str, Any]] = []
-    for workers in _SWEEP_WORKER_COUNTS:
-        start = time.perf_counter()
-        shards = run_tasks(tasks, max_workers=workers)
-        wall_s = time.perf_counter() - start
-        digests.append(sweep_digest(shards))
-        workers_out[str(workers)] = {
-            "wall_ms": round(wall_s * 1000.0, 3),
-            "scenarios_per_sec": round(runs / wall_s, 3) if wall_s else 0.0,
-        }
-    if len(set(digests)) != 1:
+    shards, mismatches = verify_parallel(tasks, max_workers=2)
+    if mismatches:
         raise PerfDivergence(
-            f"sweep_scaling: digest chain varied with worker count: "
-            f"{[d[:12] for d in digests]}")
+            f"sweep_scaling: sharded run diverged from serial: {mismatches}")
     broken = [s["name"] for s in shards if not s["payload"]["ok"]]
     if broken:
         raise PerfDivergence(
             f"sweep_scaling: scenarios failed their invariants: {broken}")
-
-    def rate(workers: int) -> float:
-        return workers_out[str(workers)]["scenarios_per_sec"]
-
-    serial = workers_out["1"]
     return {
         "ops": runs,
         "events": sum(s["payload"]["events_fired"] for s in shards),
         # parallel shards overlap in simulated time; report the longest
         "sim_ms": round(max(s["payload"]["sim_ms"] for s in shards), 6),
-        "wall_ms": serial["wall_ms"],   # ops/sec = serial scenarios/sec
-        "workers": workers_out,
-        "speedup_2_workers": (round(rate(2) / rate(1), 3)
-                              if rate(1) else 0.0),
-        "speedup_4_workers": (round(rate(4) / rate(1), 3)
-                              if rate(1) else 0.0),
-        "sweep_digest": digests[0][:16],
+        "sweep_digest": sweep_digest(shards)[:16],
     }
 
 
 _DES_SMOKE = (6, 4, 1500.0)     # clusters, messages, duration_ms
 _DES_FULL = (32, 6, 3000.0)
 _DES_WORKER_COUNTS = (1, 2, 4)
+
+
+def _pooled_cell(label: str, scenario, workers: int,
+                 serial_digest: str) -> Dict[str, int]:
+    """One pooled run, required to reproduce the serial digest and
+    complete its workload; returns its barrier/exchange counts."""
+    from repro.parallel.des import run_pooled
+
+    run = run_pooled(scenario, workers=workers)
+    if run["digest"] != serial_digest:
+        raise PerfDivergence(
+            f"{label}: pooled digest diverged at {workers} workers "
+            f"({run['digest'][:12]} != {serial_digest[:12]})")
+    if not run["workload_ok"]:
+        raise PerfDivergence(
+            f"{label}: pooled workload incomplete at {workers} workers")
+    return {"barriers": run["barriers"],
+            "messages_exchanged": run["messages_exchanged"]}
 
 
 def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
@@ -696,12 +560,10 @@ def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
     group, synchronized through gateway-lookahead windows
     (docs/PARALLEL_DES.md). The serial run and every pooled run must
     produce byte-identical per-cluster digests — the determinism
-    contract — so the scaling figures can never describe divergent
-    runs. The speedup is bounded by the machine's core count and the
-    barrier cadence — expect ~1x (or below, from barrier overhead) on a
-    single-core box.
+    contract. Barrier and exchange counts per worker count are facts of
+    the promise protocol, not of the machine.
     """
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
+    from repro.parallel.des import DesScenario, run_serial
 
     clusters, messages, duration_ms = _DES_SMOKE if smoke else _DES_FULL
     scenario = DesScenario(clusters=clusters, messages=messages,
@@ -709,93 +571,44 @@ def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
     serial = run_serial(scenario)
     if not serial["workload_ok"]:
         raise PerfDivergence("parallel_des: serial workload incomplete")
-    workers_out: Dict[str, Dict[str, float]] = {
-        "serial": {"wall_ms": round(serial["wall_ms"], 3)}}
-    digests = [serial["digest"]]
-    for workers in _DES_WORKER_COUNTS:
-        pooled = run_pooled(scenario, workers=workers)
-        digests.append(pooled["digest"])
-        workers_out[str(workers)] = {
-            "wall_ms": round(pooled["wall_ms"], 3),
-            "barriers": pooled["barriers"],
-            "messages_exchanged": pooled["messages_exchanged"],
-        }
-        if not pooled["workload_ok"]:
-            raise PerfDivergence(
-                f"parallel_des: pooled workload incomplete at "
-                f"{workers} workers")
-    if len(set(digests)) != 1:
-        raise PerfDivergence(
-            f"parallel_des: digests varied with execution mode: "
-            f"{[d[:12] for d in digests]}")
-
-    def speedup(workers: int) -> float:
-        wall = workers_out[str(workers)]["wall_ms"]
-        return round(serial["wall_ms"] / wall, 3) if wall else 0.0
-
     return {
         "ops": clusters * messages,     # completed request/reply pairs
         "events": serial["frames_forwarded"],
         "sim_ms": round(serial["sim_ms"], 6),
-        "wall_ms": workers_out["serial"]["wall_ms"],
-        # one serial run of a small federation: tens of ms, dominated
-        # by load jitter — the digest-equality check above is the gate,
-        # not the wall clock (same reasoning as des_scaling)
-        "throughput_gated": False,
-        "workers": workers_out,
-        "speedup_2_workers": speedup(2),
-        "speedup_4_workers": speedup(4),
-        "des_digest": digests[0][:16],
-        "event_digest": digests[0],
+        "workers": {
+            str(workers): _pooled_cell("parallel_des", scenario, workers,
+                                       serial["digest"])
+            for workers in _DES_WORKER_COUNTS},
+        "des_digest": serial["digest"][:16],
+        "event_digest": serial["digest"],
     }
 
 
 #: scaling grid: (cluster counts, messages, duration_ms, worker counts)
 _DES_SCALING_SMOKE = ((6,), 4, 3000.0, (1, 2))
 _DES_SCALING_FULL = ((8, 16), 6, 6000.0, (1, 2, 4, 8))
-#: serial reference repetitions: the best-of wall is the ops/sec
-#: denominator (one run is ~tens of ms — scheduler noise would
-#: dominate a single sample), and every repetition must reproduce the
-#: same digest (a free determinism check)
-_DES_SCALING_SERIAL_REPS = 3
-#: full-mode wall-clock gate: the promise protocol must beat the
-#: retained lockstep baseline by this factor at this worker count on
-#: the largest federation (measured ~2.6x on a 1-core container; the
-#: barrier collapse — ~150 vs ~2200 — is what the gate pins)
-_DES_SCALING_GATE_WORKERS = 4
-_DES_SCALING_GATE = 1.7
 
 
 def _des_scaling_delays(
         clusters: int) -> Tuple[Tuple[Tuple[int, int], float], ...]:
     """A deterministic heterogeneous lookahead assignment: every third
     ring edge gets a distinct delay so the per-channel lookahead path
-    (not just the uniform default) is what gets measured."""
+    (not just the uniform default) is what gets exercised."""
     return tuple(((i, (i + 1) % clusters), 3.0 + (i % 5) * 2.0)
                  for i in range(0, clusters, 3))
 
 
 def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The multi-core scaling curve of the pooled DES promise protocol.
+    """The pooled DES promise protocol over a clusters × workers grid.
 
     For each cluster count, one federation with heterogeneous
     per-channel lookaheads is run serially (the reference), then pooled
-    at each worker count under both sync protocols: the promise
-    protocol (per-channel lookahead + next-event promises + idle
-    fast-forward) and the retained ``lockstep`` global-min-window
-    baseline it replaced. Every cell must reproduce the serial digest
-    exactly — a scaling figure is only reported for byte-identical
-    runs — and the full-mode gate requires the promise protocol to beat
-    lockstep by :data:`_DES_SCALING_GATE` at
-    :data:`_DES_SCALING_GATE_WORKERS` workers on the largest
-    federation. ``speedup_vs_serial`` is informational: on a single
-    assignable core it sits below 1x (process + barrier overhead with
-    no parallel hardware); the protocol win shows up as barrier-count
-    collapse, which is core-count independent.
+    at each worker count under the promise protocol (per-channel
+    lookahead + next-event promises + idle fast-forward). Every cell
+    must reproduce the serial digest exactly; its barrier count shows
+    how few grants the promises need.
     """
-    import os
-
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
+    from repro.parallel.des import DesScenario, run_serial
     from repro.parallel.runner import canonical_json
 
     cluster_counts, messages, duration_ms, worker_counts = (
@@ -804,97 +617,29 @@ def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     digests: Dict[str, str] = {}
     ops = 0
     events = 0
-    wall_ms = 0.0
-    gate_ratio: float = 0.0
     for clusters in cluster_counts:
-        base = dict(clusters=clusters, messages=messages,
-                    duration_ms=duration_ms, master_seed=seed,
-                    forward_delays=_des_scaling_delays(clusters))
-        promise = DesScenario(**base)
-        lockstep = DesScenario(**base, lockstep=True)
-        serial = run_serial(promise)
+        scenario = DesScenario(clusters=clusters, messages=messages,
+                               duration_ms=duration_ms, master_seed=seed,
+                               forward_delays=_des_scaling_delays(clusters))
+        serial = run_serial(scenario)
         if not serial["workload_ok"]:
             raise PerfDivergence(
                 f"des_scaling[{clusters}]: serial workload incomplete")
-        for _ in range(_DES_SCALING_SERIAL_REPS - 1):
-            again = run_serial(promise)
-            if again["digest"] != serial["digest"]:
-                raise PerfDivergence(
-                    f"des_scaling[{clusters}]: serial run is not "
-                    f"deterministic ({again['digest'][:12]} != "
-                    f"{serial['digest'][:12]})")
-            if again["wall_ms"] < serial["wall_ms"]:
-                serial = again
         ops += clusters * messages
         events += serial["frames_forwarded"]
-        wall_ms += serial["wall_ms"]
         digests[str(clusters)] = serial["digest"]
-        cells: Dict[str, Any] = {
-            "serial": {"wall_ms": round(serial["wall_ms"], 3)}}
-        for workers in worker_counts:
-            row: Dict[str, Any] = {}
-            for label, scenario in (("promise", promise),
-                                    ("lockstep", lockstep)):
-                run = run_pooled(scenario, workers=workers)
-                if run["digest"] != serial["digest"]:
-                    raise PerfDivergence(
-                        f"des_scaling[{clusters}]: {label} digest "
-                        f"diverged at {workers} workers "
-                        f"({run['digest'][:12]} != "
-                        f"{serial['digest'][:12]})")
-                if not run["workload_ok"]:
-                    raise PerfDivergence(
-                        f"des_scaling[{clusters}]: {label} workload "
-                        f"incomplete at {workers} workers")
-                row[label] = {
-                    "wall_ms": round(run["wall_ms"], 3),
-                    "barriers": run["barriers"],
-                    "messages_exchanged": run["messages_exchanged"],
-                }
-                # the top-level wall accumulates every cell, not just
-                # the serial reference: pooled runs dominate the
-                # grid's cost, and a denominator of many independent
-                # runs keeps the derived ops/sec stable enough for the
-                # compare_reports tolerance on a noisy CI box
-                wall_ms += run["wall_ms"]
-            promise_wall = row["promise"]["wall_ms"]
-            row["speedup_vs_lockstep"] = (
-                round(row["lockstep"]["wall_ms"] / promise_wall, 3)
-                if promise_wall else 0.0)
-            row["speedup_vs_serial"] = (
-                round(serial["wall_ms"] / promise_wall, 3)
-                if promise_wall else 0.0)
-            cells[str(workers)] = row
-            if (clusters == cluster_counts[-1]
-                    and workers == _DES_SCALING_GATE_WORKERS):
-                gate_ratio = row["speedup_vs_lockstep"]
-        grid[str(clusters)] = cells
-    if not smoke and _DES_SCALING_GATE_WORKERS in worker_counts:
-        if gate_ratio < _DES_SCALING_GATE:
-            raise PerfDivergence(
-                f"des_scaling: promise protocol only "
-                f"{gate_ratio:.2f}x vs lockstep at "
-                f"{_DES_SCALING_GATE_WORKERS} workers on "
-                f"{cluster_counts[-1]} clusters "
-                f"(gate {_DES_SCALING_GATE}x)")
+        grid[str(clusters)] = {
+            str(workers): {"promise": _pooled_cell(
+                f"des_scaling[{clusters}]", scenario, workers,
+                serial["digest"])}
+            for workers in worker_counts}
     event_digest = hashlib.sha256(
         canonical_json(digests).encode()).hexdigest()
     return {
         "ops": ops,
         "events": events,
         "sim_ms": round(500.0 + duration_ms, 6),
-        "wall_ms": round(wall_ms, 6),
-        "cpu_count": os.cpu_count(),
-        # wall_ms sums dozens of short subprocess runs: the figure is
-        # dominated by process-spawn latency and load jitter, not by
-        # any hot path this suite optimises. The real gates are the
-        # per-cell digest equality, the internal >=1.7x
-        # promise-vs-lockstep ratio above, and the exact event_digest
-        # pin in compare_reports — so the generic ops/sec tolerance is
-        # opted out of rather than widened for everyone.
-        "throughput_gated": False,
         "grid": grid,
-        "gate_speedup_vs_lockstep": gate_ratio,
         "event_digest": event_digest,
     }
 
@@ -1025,12 +770,12 @@ _ADVERSARY_SMOKE = ((3, 1, 60), (5, 2, 60))
 
 
 def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Quorum-replay throughput against Byzantine recorder logs.
+    """Quorum replay against Byzantine recorder logs.
 
     Each cell feeds one ground-truth message stream into 2f+1 recorder
     databases — the last ``faulty`` of them through a seed-pure
     :class:`~repro.chaos.adversary.ByzantineRecorder` stage — then
-    wall-times the cross-recorder majority vote
+    takes the cross-recorder majority vote
     (:func:`~repro.publishing.multi_recorder.quorum_replay_stream`).
     The ≤f contract is enforced inline: the majority stream must digest
     to the fault-free state and only faulty recorders may be flagged;
@@ -1067,7 +812,6 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
     rows: List[Dict[str, Any]] = []
     digest = 0
     ops = 0
-    wall_ms = 0.0
     for index, (recorders, faulty, messages) in enumerate(cells):
         f = (recorders - 1) // 2
         truth = process_state_digest(build(messages).arrivals)
@@ -1079,10 +823,7 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
                     random.Random(seed * 1000003 + index * 131 + k),
                     rate=0.3)
             records.append((90 + k, build(messages, stage)))
-        start = time.perf_counter()
         verdict = quorum_replay_stream(records, f=f)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        wall_ms += elapsed
         majority = process_state_digest(verdict.stream)
         flagged = sorted(verdict.divergent)
         honest_flagged = [rid for rid in flagged
@@ -1107,10 +848,6 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
             "flagged": flagged,
             "stale_skips": verdict.stale_skips,
             "unresolved": verdict.unresolved,
-            "wall_ms": round(elapsed, 3),
-            "records_per_s": round(
-                verdict.replayed / (elapsed / 1000.0), 1)
-            if elapsed > 0 else 0.0,
         })
     # One live rig cell: Byzantine stage armed mid-traffic, node crash,
     # recovery through the shared quorum vote.  Its engine gives the
@@ -1142,7 +879,6 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
         "ops": ops + report["messages_replayed"],
         "events": rig.engine.events_fired,
         "sim_ms": round(report["sim_ms"], 6),
-        "wall_ms": round(wall_ms, 6),
         "replay_digest": digest,
         "cells": len(cells) + 1,
         "frontier": rows,
@@ -1188,7 +924,7 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     measured knee, with the relative error recorded per topology.
     """
     from repro.parallel import federation_tasks, run_tasks
-    from repro.parallel.des import DesScenario, run_pooled, run_serial
+    from repro.parallel.des import DesScenario, run_serial
     from repro.parallel.runner import canonical_json
     from repro.queueing import OPERATING_POINTS
     from repro.queueing.federation import (
@@ -1204,7 +940,6 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     digests: Dict[str, str] = {}
     ops = 0
     events = 0
-    wall_ms = 0.0
     for clusters in counts:
         scenario = DesScenario(clusters=clusters, cluster_size=cluster_size,
                                recorder_shards=shards, messages=messages,
@@ -1223,26 +958,16 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
                 f"federation_scaling[{clusters}]: sweep-runner digest "
                 f"diverged from serial ({shard['payload']['digest'][:12]} "
                 f"!= {serial['digest'][:12]})")
-        pooled = run_pooled(scenario, workers=2)
-        if pooled["digest"] != serial["digest"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: pooled digest diverged "
-                f"from serial ({pooled['digest'][:12]} != "
-                f"{serial['digest'][:12]})")
-        if not pooled["workload_ok"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: pooled workload incomplete")
+        pooled = _pooled_cell(f"federation_scaling[{clusters}]", scenario,
+                              2, serial["digest"])
         ops += clusters * messages
         events += serial["frames_forwarded"]
-        wall_ms += serial["wall_ms"] + pooled["wall_ms"]
         digests[str(clusters)] = serial["digest"]
         grid[str(clusters)] = {
             "nodes": clusters * cluster_size,
             "recorder_shards": shards,
             "frames_forwarded": serial["frames_forwarded"],
             "dead_letters": serial["dead_letters"],
-            "serial_wall_ms": round(serial["wall_ms"], 3),
-            "pooled_wall_ms": round(pooled["wall_ms"], 3),
             "pooled_barriers": pooled["barriers"],
             "digest": serial["digest"][:16],
         }
@@ -1270,13 +995,6 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
         "ops": ops,
         "events": events,
         "sim_ms": round(500.0 + duration_ms, 6),
-        "wall_ms": round(wall_ms, 6),
-        # wall_ms sums many short federation builds across process
-        # boundaries — spawn latency and load jitter dominate, so the
-        # gates are the three-way digest equality per cell and the
-        # exact event_digest pin, not the generic ops/sec tolerance
-        # (same reasoning as des_scaling).
-        "throughput_gated": False,
         "largest_federation": max(counts),
         "grid": grid,
         "capacity": capacity,

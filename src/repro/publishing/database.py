@@ -448,10 +448,6 @@ class ProcessRecord:
         """
         return [lm for lm in self._live if not lm._invalid]
 
-    def replay_stream(self) -> List[LoggedMessage]:
-        """Compatibility alias for :meth:`messages_to_replay`."""
-        return self.messages_to_replay()
-
     def valid_message_bytes(self) -> int:
         """Stored bytes still needed for recovery (storage accounting).
         O(1): maintained at record/invalidate time."""

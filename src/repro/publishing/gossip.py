@@ -246,7 +246,6 @@ class GossipCoordinator:
         self._pulls_sent = registry.counter("gossip.pulls_sent")
         self._pulls_lost = registry.counter("gossip.pulls_lost")
         self._pull_bytes = registry.counter("gossip.pull_bytes")
-        self._pull_bytes_flat = registry.counter("gossip.pull_bytes_flat")
         self._supplies_received = registry.counter("gossip.supplies_received")
         self._supplies_lost = registry.counter("gossip.supplies_lost")
         self._repaired = registry.counter("gossip.messages_repaired")
@@ -372,7 +371,6 @@ class GossipCoordinator:
                     self._pulls_lost.inc()
                     continue
                 self._pull_bytes.inc(size_bytes)
-                self._pull_bytes_flat.inc(32 + 8 * len(batch))
                 recorder.send_control(
                     peer.node_id,
                     Control("gossip_pull", {"ranges": ranges}),

@@ -16,9 +16,8 @@ so two runs that schedule the same events in the same order are
 bit-identical. Components must draw randomness only from
 :class:`repro.sim.rng.RngStreams`.
 
-Hot-path layout (the ``repro.perf`` engine-churn workload drives this,
-and ``tests/test_engine_equivalence.py`` pins the firing order against a
-naive reference implementation):
+Hot-path layout (``tests/test_engine_equivalence.py`` pins the firing
+order against a naive reference implementation):
 
 * heap entries are ``(time, seq, handle)`` tuples, so ``heapq`` sifting
   compares floats/ints in C instead of calling ``EventHandle.__lt__``;
@@ -472,19 +471,15 @@ class PartitionedEngine:
 
     Because targets are promise-based, a quiet federation fast-forwards
     in a handful of barriers instead of ``duration / min(lookahead)``
-    lock-step windows, and a cluster behind a slow gateway no longer
-    throttles LPs it has no edge to. ``lockstep=True`` restores the
-    historical fixed-window protocol (every LP advances by the global
-    minimum lookahead each barrier) — kept as the measured baseline for
-    the scaling benchmarks. ``batch_ms`` optionally caps how far any LP
-    may run past its current time in one round (the batch factor K in
-    time units); ``None`` means unbounded.
+    fixed windows, and a cluster behind a slow gateway does not
+    throttle LPs it has no edge to. ``batch_ms`` optionally caps how
+    far any LP may run past its current time in one round (the batch
+    factor K in time units); ``None`` means unbounded.
     """
 
     def __init__(self,
                  engines: Union[List[EngineCore], Dict[int, EngineCore]],
                  channels: List[PartitionChannel],
-                 lockstep: bool = False,
                  batch_ms: Optional[float] = None):
         if not engines:
             raise SimulationError("a partitioned engine needs at least one LP")
@@ -506,14 +501,6 @@ class PartitionedEngine:
                     f"channel {channel.key!r} routes to unknown LP "
                     f"{channel.dst}")
             self._incoming[channel.dst].append(channel)
-        positive = [c.lookahead_ms for c in channels if c.lookahead_ms > 0]
-        #: the historical barrier window: the tightest non-zero lookahead
-        self.window_ms = min(positive) if positive else None
-        if lockstep and any(c.lookahead_ms <= 0 for c in channels):
-            raise SimulationError(
-                "lockstep windows need every lookahead positive; "
-                "zero-lookahead channels require promise-based targets")
-        self.lockstep = lockstep
         self.batch_ms = batch_ms
         self._now = 0.0
         self.barriers = 0
@@ -593,8 +580,6 @@ class PartitionedEngine:
                 self.engines[lp].run(until=until)
             self._now = until
             return self._now
-        if self.lockstep:
-            return self._run_lockstep(until)
         while True:
             bounds = self.earliest_bounds()
             for lp in self._order:
@@ -610,17 +595,6 @@ class PartitionedEngine:
                    for engine in self.engines.values()):
                 break
         self._now = until
-        return self._now
-
-    def _run_lockstep(self, until: float) -> float:
-        """The historical protocol: global-min windows, every barrier."""
-        while self._now < until:
-            target = min(until, self._now + self.window_ms)
-            for lp in self._order:
-                self.engines[lp].run(until=target)
-            self._exchange()
-            self._now = target
-            self.barriers += 1
         return self._now
 
     def _exchange(self) -> int:

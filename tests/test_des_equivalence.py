@@ -124,24 +124,17 @@ class TestHeterogeneousLookahead:
 class TestPromiseFastForward:
     """Next-event promises must fast-forward idle stretches: barrier
     count tracks the *traffic*, not the window grid. The workload dies
-    out well before ``duration_ms``; a lockstep scheduler still pays
-    one barrier per min-lookahead window across the whole run."""
+    out well before ``duration_ms``; stepping fixed min-lookahead
+    windows would still pay one barrier per window across the whole
+    run."""
 
     def test_pooled_barriers_track_traffic_not_windows(self):
         pooled = run_pooled(SMALL, workers=2)
         windows = (SMALL.settle_ms + SMALL.duration_ms) / SMALL.forward_delay_ms
         assert pooled["digest"] == run_serial(SMALL)["digest"]
         assert pooled["barriers"] < windows / 4, (
-            f"{pooled['barriers']} barriers for {windows:.0f} lockstep "
+            f"{pooled['barriers']} barriers for {windows:.0f} min-lookahead "
             f"windows — idle fast-forward is not engaging")
-
-    def test_lockstep_baseline_pays_per_window(self):
-        lockstep = run_pooled(
-            DesScenario(clusters=4, messages=4, duration_ms=1500.0,
-                        lockstep=True), workers=2)
-        promise = run_pooled(SMALL, workers=2)
-        assert lockstep["digest"] == promise["digest"]
-        assert promise["barriers"] * 4 < lockstep["barriers"]
 
     def test_zero_traffic_completes_in_constant_barriers(self):
         # No workload at all: after settling, no frame ever crosses a
@@ -164,7 +157,7 @@ class TestPromiseFastForward:
         staged = run_staged(batched, partitions=4)
         assert staged["digest"] == run_serial(batched)["digest"]
         # ~20 batch windows over the 2000ms horizon; far fewer than
-        # the 400 lockstep windows, far more than the unbatched ~60.
+        # the 400 min-lookahead windows, far more than the unbatched ~60.
         assert staged["barriers"] >= (SMALL.settle_ms
                                       + SMALL.duration_ms) / 100.0
 

@@ -261,33 +261,14 @@ def test_pull_ranges_compresses_contiguous_runs():
 
 
 def test_range_pulls_cost_fewer_control_bytes_on_contiguous_holes():
-    """The satellite-1 before/after: a recorder outage opens one long
-    contiguous hole per sender, which the `[lo, hi)` encoding ships in
-    a handful of runs while the flat id list pays per message. The
-    shadow counter meters what the old format *would* have cost."""
+    """A recorder outage opens one long contiguous hole per sender,
+    which the `[lo, hi)` encoding (32 + 12 bytes per range) ships in a
+    handful of runs however many messages the hole spans."""
     result = run_outage(gossip=True)
     snap = result.system.metrics_snapshot()
-    assert snap["gossip.pull_bytes"] > 0
-    assert snap["gossip.pull_bytes"] < snap["gossip.pull_bytes_flat"]
-
-
-def test_node_supplies_legacy_explicit_id_pulls():
-    """Pre-range pullers send an explicit ``wanted`` list; the node
-    handler still serves them."""
-    from repro.demos.messages import Control
-    system = build_gossip_system()
-    counter_pid, driver_pid = run_counter_scenario(system, n=5)
-    drive_to_completion(system, driver_pid, 5)
-    node = next(n for n in system.nodes.values()
-                if len(n.gossip_buffer) > 0)
-    held = next(node.gossip_buffer.ids())
-    wanted = [((held.sender.node, held.sender.local), held.seq)]
-    supplied = []
-    node.kernel.send_control = (
-        lambda dst, control, **kw: supplied.append((dst, control.kind)))
-    node._on_gossip_pull(Control("gossip_pull", {"wanted": wanted}),
-                         src_node=system.config.recorder_node_id)
-    assert supplied == [(system.config.recorder_node_id, "gossip_supply")]
+    delivered = snap["gossip.pulls_sent"] - snap["gossip.pulls_lost"]
+    ranges_per_pull = (snap["gossip.pull_bytes"] / delivered - 32) / 12
+    assert 1 <= ranges_per_pull < snap["gossip.gaps_flagged"] / 4
 
 
 # ----------------------------------------------------------------------

@@ -149,5 +149,5 @@ def test_consumed_reconstruction_matches_ground_truth(channels, data):
                             dtk_processed=0, send_seq=0, pages=1,
                             stored_at=0.0)
     record.apply_checkpoint(entry)
-    valid = {lm.message.msg_id for lm in record.replay_stream()}
+    valid = {lm.message.msg_id for lm in record.messages_to_replay()}
     assert valid == {m.msg_id for m in queue}

@@ -113,7 +113,7 @@ class TestInvalidation:
         record = make_record([make_message(i) for i in range(1, 6)])
         invalidated = record.apply_checkpoint(checkpoint(consumed=3))
         assert invalidated == 3
-        valid = [lm.message.msg_id.seq for lm in record.replay_stream()]
+        valid = [lm.message.msg_id.seq for lm in record.messages_to_replay()]
         assert valid == [4, 5]
 
     def test_second_checkpoint_extends_invalidation(self):
@@ -121,7 +121,7 @@ class TestInvalidation:
         record.apply_checkpoint(checkpoint(consumed=2))
         invalidated = record.apply_checkpoint(checkpoint(consumed=5))
         assert invalidated == 3
-        valid = [lm.message.msg_id.seq for lm in record.replay_stream()]
+        valid = [lm.message.msg_id.seq for lm in record.messages_to_replay()]
         assert valid == [6, 7]
 
     def test_unconsumed_messages_survive_checkpoint(self):
@@ -129,7 +129,7 @@ class TestInvalidation:
         checkpoint was taken" must be replayed."""
         record = make_record([make_message(i) for i in range(1, 4)])
         record.apply_checkpoint(checkpoint(consumed=1))
-        valid = [lm.message.msg_id.seq for lm in record.replay_stream()]
+        valid = [lm.message.msg_id.seq for lm in record.messages_to_replay()]
         assert valid == [2, 3]
 
     def test_dtk_invalidated_by_count(self):
@@ -139,7 +139,7 @@ class TestInvalidation:
             make_message(3, dtk=True),
         ])
         record.apply_checkpoint(checkpoint(consumed=0, dtk=1))
-        valid = [lm.message.msg_id.seq for lm in record.replay_stream()]
+        valid = [lm.message.msg_id.seq for lm in record.messages_to_replay()]
         assert valid == [2, 3]
 
     def test_out_of_order_consumption_invalidated_correctly(self):
@@ -148,7 +148,7 @@ class TestInvalidation:
         ])
         record.add_advisory(MessageId(SENDER, 3), MessageId(SENDER, 1))
         record.apply_checkpoint(checkpoint(consumed=1))
-        valid = [lm.message.msg_id.seq for lm in record.replay_stream()]
+        valid = [lm.message.msg_id.seq for lm in record.messages_to_replay()]
         assert valid == [1, 2]          # 3 was consumed first
 
     def test_valid_bytes_accounting(self):

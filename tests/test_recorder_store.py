@@ -512,11 +512,13 @@ class TestPerfCliWorkloadSelection:
         assert "recorder_scaling" in err      # the available list
 
     def test_workload_selection_skips_default_baseline_write(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch):
+        """A report is written only where ``--output`` says."""
         from repro.__main__ import main
         monkeypatch.chdir(tmp_path)
-        assert main(["perf", "--smoke", "--seed", "7",
-                     "--workload", "engine_churn"]) == 0
-        out = capsys.readouterr().out
-        assert "skipping default" in out
-        assert not (tmp_path / "BENCH_publishing.json").exists()
+        argv = ["perf", "--smoke", "--seed", "7",
+                "--workload", "engine_churn"]
+        assert main(argv) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--output", "report.json"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
