@@ -40,7 +40,7 @@ def run_policy(name, policy):
     estimator = RecoveryTimeBoundPolicy()
     return {
         "policy": name,
-        "checkpoints": system.trace.count("checkpoint", str(counter_pid)),
+        "checkpoints": system.obs.bus.count("checkpoint", str(counter_pid)),
         "stored_bytes": record.valid_message_bytes(),
         "t_max_ms": estimator.estimate_t_max(pcb),
     }

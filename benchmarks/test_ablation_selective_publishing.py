@@ -45,8 +45,8 @@ def test_unrecoverable_process_not_published(benchmark):
         system.boot()
         counter_pid = system.spawn_program("test/counter", node=1,
                                            recoverable=False)
-        frames_before = system.medium.stats.frames_offered
-        recorded_before = system.recorder.messages_recorded
+        frames_before = system.medium.stats.frames_offered.value
+        recorded_before = system.recorder.messages_recorded.value
         driver_pid = system.spawn_program(
             "test/driver", args=(tuple(counter_pid), 10), node=1)
         system.run(20_000)

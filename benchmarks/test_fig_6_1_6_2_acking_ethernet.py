@@ -50,8 +50,8 @@ def run_load(medium_cls, interarrival_ms, seed=11):
     return {
         "offered": count,
         "delivered": delivered[0],
-        "collisions": medium.stats.collisions,
-        "ack_collisions": medium.ack_collisions,
+        "collisions": medium.stats.collisions.value,
+        "ack_collisions": medium.ack_collisions.value,
         "utilization": medium.stats.utilization(engine.now),
     }
 

@@ -52,8 +52,8 @@ def run_ring(with_recorder, messages=40, recorder_miss_every=0):
     return {
         "received": received[0],
         "recorded": recorded[0],
-        "invalidated": ring.frames_invalidated,
-        "busy_ms": ring.stats.busy_time_ms,
+        "invalidated": ring.frames_invalidated.value,
+        "busy_ms": ring.stats.busy_time_ms.value,
     }
 
 

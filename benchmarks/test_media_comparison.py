@@ -31,14 +31,14 @@ def run_medium(medium):
         if driver is not None and len(driver.replies) >= N:
             break
         system.run(500)
-    retx = sum(node.kernel.transport.stats.retransmissions
+    retx = sum(node.kernel.transport.stats.retransmissions.value
                for node in system.nodes.values())
     return {
         "medium": medium,
         "elapsed_ms": system.engine.now - start,
-        "frames": system.medium.stats.frames_offered,
+        "frames": system.medium.stats.frames_offered.value,
         "retransmissions": retx,
-        "recorded": system.recorder.messages_recorded,
+        "recorded": system.recorder.messages_recorded.value,
         "complete": len(system.program_of(driver_pid).replies) >= N,
     }
 

@@ -68,13 +68,13 @@ def drive_full_system(point):
         source(user, SHORT_BYTES, point.short_rate, f"short/{user}")
         source(user, LONG_BYTES, point.long_rate, f"long/{user}")
 
-    cpu_before = system.recorder.cpu_busy_ms
-    recorded_before = system.recorder.messages_recorded
+    cpu_before = system.recorder.cpu_busy_ms.value
+    recorded_before = system.recorder.messages_recorded.value
     system.engine.run(until=start + DURATION_MS)
     elapsed = system.engine.now - start
-    measured_cpu = (system.recorder.cpu_busy_ms - cpu_before) / elapsed
+    measured_cpu = (system.recorder.cpu_busy_ms.value - cpu_before) / elapsed
     disk_util = system.recorder.disks.utilization(elapsed)
-    recorded = system.recorder.messages_recorded - recorded_before
+    recorded = system.recorder.messages_recorded.value - recorded_before
     return measured_cpu, disk_util, recorded
 
 

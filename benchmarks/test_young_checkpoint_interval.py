@@ -49,8 +49,8 @@ def test_young_policy_interval_honoured_live(benchmark):
             install_policy(node.kernel, policy)
         counter_pid, _ = run_counter_scenario(system, n=200)
         system.run(30_000)
-        times = [r.time for r in system.trace.select("checkpoint",
-                                                     str(counter_pid))]
+        times = [r.time for r in system.obs.bus.select("checkpoint",
+                                                       str(counter_pid))]
         gaps = [b - a for a, b in zip(times, times[1:])]
         pcb = system.nodes[2].kernel.processes[counter_pid]
         return policy.interval_ms(pcb), gaps

@@ -521,8 +521,7 @@ def _cmd_des(args: argparse.Namespace) -> int:
                            topology=args.topology,
                            master_seed=args.seed,
                            forward_delays=forward_delays,
-                           recorder_lps=args.recorder_lps,
-                           batch_ms=args.batch_ms)
+                           recorder_lps=args.recorder_lps)
     counts = tuple(args.des_workers or [2])
     report = equivalence_report(scenario, worker_counts=counts,
                                 include_staged=True,
@@ -868,10 +867,6 @@ def main(argv=None) -> int:
     des.add_argument("--recorder-lps", action="store_true",
                      help="split each cluster's recorder onto its own "
                           "LP behind zero-lookahead bridge channels")
-    des.add_argument("--batch-ms", type=float, default=None,
-                     metavar="MS",
-                     help="cap how far one barrier may advance any LP "
-                          "(default: unbounded idle fast-forward)")
     des.add_argument("--spread-delays", action="store_true",
                      help="assign heterogeneous per-edge gateway "
                           "delays instead of one uniform lookahead")

@@ -43,7 +43,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
-from repro.sim.trace import TraceLog
 
 #: the fault repertoire of a ByzantineRecorder stage
 BYZANTINE_MODES = ("drop", "duplicate", "corrupt", "reorder", "bitrot")
@@ -59,7 +58,7 @@ _MODE_COUNTERS = {
 
 
 class _StageObs:
-    """Shared counter/trace plumbing for the adversary stages."""
+    """Shared counter/event plumbing for the adversary stages."""
 
     def __init__(self, obs, recorder_id: Optional[int]):
         self.recorder_id = recorder_id
@@ -68,19 +67,21 @@ class _StageObs:
         if obs is not None:
             self._registry = obs.registry
             self._faults = obs.registry.counter("adversary.faults_injected")
-            self.trace: Optional[TraceLog] = TraceLog(bus=obs.bus,
-                                                      scope="adversary")
+            self.events = obs.scope("adversary")
         else:
             self._registry = None
             self._faults = None
-            self.trace = None
+            self.events = None
 
     def note(self, mode: str, msg_id) -> None:
         if self._registry is None:
             return
         self._faults.inc()
+        # Looked up per fault on purpose: a mode's counter first appears
+        # in the snapshot when that mode first fires, and the snapshot's
+        # key set is hashed into every committed digest.
         self._registry.counter(_MODE_COUNTERS[mode]).inc()
-        self.trace.emit(mode, self.subject, msg=str(msg_id))
+        self.events.emit(mode, self.subject, msg=str(msg_id))
 
     def counter(self, name: str):
         if self._registry is None:
@@ -261,10 +262,10 @@ class BoundedBufferRecorder:
                 self.advisories += 1
                 if self._backpressure is not None:
                     self._backpressure.inc()
-                if self._obs.trace is not None:
-                    self._obs.trace.emit("backpressure", self._obs.subject,
-                                         live=log.live_records,
-                                         cap=self.max_records)
+                if self._obs.events is not None:
+                    self._obs.events.emit("backpressure", self._obs.subject,
+                                          live=log.live_records,
+                                          cap=self.max_records)
         else:
             self._advised = False
         while log.live_records > self.max_records:
@@ -277,9 +278,9 @@ class BoundedBufferRecorder:
             self.evictions += 1
             if self._evicted is not None:
                 self._evicted.inc()
-            if self._obs.trace is not None:
-                self._obs.trace.emit("evict", self._obs.subject,
-                                     msg=str(victim.message.msg_id))
+            if self._obs.events is not None:
+                self._obs.events.emit("evict", self._obs.subject,
+                                      msg=str(victim.message.msg_id))
 
 
 class AdversaryPipeline:
@@ -508,7 +509,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1,
                 modes=modes, rate=rate, obs=obs)
             if plan is not None:
                 install_equivocator(recorder, plan, obs=obs)
-        TraceLog(bus=obs.bus, scope="adversary").emit(
+        obs.scope("adversary").emit(
             "armed", "campaign", recorders=list(faulty_ids),
             rate=rate, modes=list(modes))
 

@@ -158,31 +158,20 @@ class GatewayForwarder:
         self._originals: Dict[int, Frame] = {}  # frame_id -> original frame
         obs = obs or Observability(lambda: engine.now)
         prefix = f"gateway.{gateway_id}"
-        self._forwarded = obs.registry.counter(f"{prefix}.frames_forwarded")
-        self._retried = obs.registry.counter(f"{prefix}.retries")
-        self._dropped = obs.registry.counter(f"{prefix}.frames_dropped")
+        self.frames_forwarded = obs.registry.counter(
+            f"{prefix}.frames_forwarded")
+        self.retries = obs.registry.counter(f"{prefix}.retries")
+        self.frames_dropped = obs.registry.counter(f"{prefix}.frames_dropped")
         if service_ms > 0.0:
-            self._serviced = obs.registry.counter(f"{prefix}.frames_serviced")
-            self._service_wait = obs.registry.counter(
+            self.frames_serviced = obs.registry.counter(
+                f"{prefix}.frames_serviced")
+            self.service_wait_ms = obs.registry.counter(
                 f"{prefix}.service_wait_ms")
-        self._scope = obs.scope("gateway")
+        self.events = obs.scope("gateway")
         self.far_iface = NetworkInterface(
             gateway_id + 1, lambda frame: None,
             on_delivered=self._on_far_delivered)
         far.attach(self.far_iface)
-
-    # -- the figures tests and benches read ----------------------------
-    @property
-    def frames_forwarded(self) -> int:
-        return self._forwarded.value
-
-    @property
-    def retries(self) -> int:
-        return self._retried.value
-
-    @property
-    def frames_dropped(self) -> int:
-        return self._dropped.value
 
     # ------------------------------------------------------------------
     def accept(self, frame: Frame) -> None:
@@ -199,8 +188,8 @@ class GatewayForwarder:
         start = self._busy_until if self._busy_until > now else now
         done = start + self.service_ms
         self._busy_until = done
-        self._serviced.inc()
-        self._service_wait.inc(done - now - self.service_ms)
+        self.frames_serviced.inc()
+        self.service_wait_ms.inc(done - now - self.service_ms)
         self.engine.schedule(done - now, self._forward, frame, 0)
 
     def _forward(self, frame: Frame, attempt: int) -> None:
@@ -217,7 +206,7 @@ class GatewayForwarder:
         clone.recorder_acked = False
         self._awaiting[clone.frame_id] = attempt
         self._originals[clone.frame_id] = frame
-        self._forwarded.inc()
+        self.frames_forwarded.inc()
         self.far_iface.send(clone)
 
     def _on_far_delivered(self, frame: Frame, ok: bool) -> None:
@@ -227,13 +216,13 @@ class GatewayForwarder:
         original = self._originals.pop(frame.frame_id, None)
         if ok or original is None:
             return
-        self._retried.inc()
+        self.retries.inc()
         self.engine.schedule(self.retry_ms, self._forward, original, attempt + 1)
 
     def _drop(self, frame: Frame, attempt: int, reason: str) -> None:
         """Dead-letter a custody frame, mirroring ``Transport.on_gave_up``."""
-        self._dropped.inc()
-        self._scope.emit("drop", f"gateway{self.gateway_id}",
+        self.frames_dropped.inc()
+        self.events.emit("drop", f"gateway{self.gateway_id}",
                          dst=frame.dst_node, attempts=attempt,
                          reason=reason, bytes=frame.size_bytes)
         if self.on_drop is not None:
@@ -280,15 +269,11 @@ class GatewayTap:
         self.gateway_id = gateway_id
         self.up = True
         obs = obs or Observability(lambda: engine.now)
-        self._claimed = obs.registry.counter(
+        self.frames_claimed = obs.registry.counter(
             f"gateway.{gateway_id}.frames_claimed")
         self.near_iface = NetworkInterface(
             gateway_id, self._on_near_frame, accept_extra=far_nodes)
         near.attach(self.near_iface)
-
-    @property
-    def frames_claimed(self) -> int:
-        return self._claimed.value
 
     def _on_near_frame(self, frame: Frame) -> None:
         if not self.up:
@@ -299,7 +284,7 @@ class GatewayTap:
             return
         if not frame.checksum_ok():
             return   # the near sender's transport will retry
-        self._claimed.inc()
+        self.frames_claimed.inc()
         self.channel.send(self.engine.now + self.forward_delay_ms, frame)
 
     def crash(self) -> None:
@@ -387,31 +372,6 @@ class Gateway:
         gateway.forwarder = forwarder
         return gateway
 
-    # -- compatibility attributes --------------------------------------
-    @property
-    def near_iface(self) -> Optional[NetworkInterface]:
-        return self.tap.near_iface if self.tap is not None else None
-
-    @property
-    def far_iface(self) -> Optional[NetworkInterface]:
-        return self.forwarder.far_iface if self.forwarder is not None else None
-
-    @property
-    def frames_claimed(self) -> int:
-        return self.tap.frames_claimed if self.tap is not None else 0
-
-    @property
-    def frames_forwarded(self) -> int:
-        return self.forwarder.frames_forwarded if self.forwarder else 0
-
-    @property
-    def retries(self) -> int:
-        return self.forwarder.retries if self.forwarder is not None else 0
-
-    @property
-    def frames_dropped(self) -> int:
-        return self.forwarder.frames_dropped if self.forwarder else 0
-
     @property
     def up(self) -> bool:
         return ((self.tap is None or self.tap.up)
@@ -478,7 +438,6 @@ class ClusterFederation:
                  only_partition: Optional[int] = None,
                  forward_delays: Optional[Dict[Tuple[int, int], float]] = None,
                  recorder_lps: bool = False,
-                 batch_ms: Optional[float] = None,
                  gateway_service_ms: float = 0.0):
         if not cluster_sizes:
             raise NetworkError("a federation needs at least one cluster")
@@ -526,7 +485,6 @@ class ClusterFederation:
         #: medium's interpacket-gap spacing (see repro.system). Ignored
         #: for the serial reference engine.
         self.recorder_lps = bool(recorder_lps and self.partitions is not None)
-        self.batch_ms = batch_ms
         self.nodes_stride = nodes_stride
         self.gateway_service_ms = gateway_service_ms
 
@@ -653,7 +611,7 @@ class ClusterFederation:
         self.scheduler: Optional[PartitionedEngine] = None
         if self.partitions is not None and only_partition is None:
             self.scheduler = PartitionedEngine(
-                dict(self.engines), self.channels, batch_ms=batch_ms)
+                dict(self.engines), self.channels)
 
     # ------------------------------------------------------------------
     def _note_gateway_drop(self, gateway_id: int, frame: Frame,
@@ -703,7 +661,7 @@ class ClusterFederation:
         local = dict(self.engines)
         channels = [c for c in self.channels
                     if c.src in local and c.dst in local]
-        return PartitionedEngine(local, channels, batch_ms=self.batch_ms)
+        return PartitionedEngine(local, channels)
 
     def cluster_of(self, node_id: int) -> System:
         for index, nodes in enumerate(self._node_sets):

@@ -41,7 +41,6 @@ from repro.net.media import Medium
 from repro.net.transport import Segment, Transport, TransportConfig
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -62,10 +61,9 @@ class NodeCpu:
 
     ``charge`` extends the busy horizon (synchronous work inside a
     kernel call); ``run`` schedules a callback for when the CPU reaches
-    it (asynchronous work like message delivery). The CPU clocks live in
-    the unified metrics registry (``<prefix>.kernel_ms`` /
-    ``<prefix>.user_ms``) so ``registry.snapshot()`` is the one read
-    path; ``cpu.kernel_ms`` stays available as a compatibility property.
+    it (asynchronous work like message delivery). The CPU clocks are the
+    ``kernel_ms`` / ``user_ms`` :class:`~repro.obs.Counter` attributes,
+    registered as ``<prefix>.kernel_ms`` / ``<prefix>.user_ms``.
     """
 
     def __init__(self, engine: Engine,
@@ -74,16 +72,8 @@ class NodeCpu:
         self.engine = engine
         self._busy_until = 0.0
         registry = registry or MetricsRegistry()
-        self._kernel_ms = registry.counter(f"{prefix}.kernel_ms")
-        self._user_ms = registry.counter(f"{prefix}.user_ms")
-
-    @property
-    def kernel_ms(self) -> float:
-        return self._kernel_ms.value
-
-    @property
-    def user_ms(self) -> float:
-        return self._user_ms.value
+        self.kernel_ms = registry.counter(f"{prefix}.kernel_ms")
+        self.user_ms = registry.counter(f"{prefix}.user_ms")
 
     @property
     def busy_until(self) -> float:
@@ -94,9 +84,9 @@ class NodeCpu:
         start = self.busy_until
         self._busy_until = start + duration
         if user:
-            self._user_ms.inc(duration)
+            self.user_ms.inc(duration)
         else:
-            self._kernel_ms.inc(duration)
+            self.kernel_ms.inc(duration)
         return self._busy_until
 
     def run(self, duration: float, fn: Callable[..., Any], *args: Any,
@@ -111,7 +101,7 @@ class NodeCpu:
 
     @property
     def total_ms(self) -> float:
-        return self.kernel_ms + self.user_ms
+        return self.kernel_ms.value + self.user_ms.value
 
 
 class ProcessContext:
@@ -169,7 +159,7 @@ class ProcessContext:
 
     def log(self, text: str, **detail: Any) -> None:
         """Emit a trace record attributed to this process."""
-        self._kernel.trace.emit("program", str(self.pid), text=text, **detail)
+        self._kernel.events.emit("program", str(self.pid), text=text, **detail)
 
 
 class MessageKernel:
@@ -177,7 +167,6 @@ class MessageKernel:
 
     def __init__(self, engine: Engine, node_id: int, medium: Medium,
                  config: KernelConfig, registry: ProgramRegistry,
-                 trace: Optional[TraceLog] = None,
                  obs: Optional[Observability] = None,
                  rng=None):
         self.engine = engine
@@ -188,11 +177,7 @@ class MessageKernel:
         #: otherwise rides the medium's (so standalone kernels still
         #: land on the same registry as their medium and transport)
         self.obs = obs if obs is not None else medium.obs
-        if trace is not None:
-            self.trace = trace
-        else:
-            self.trace = TraceLog(bus=self.obs.bus,
-                                  scope=f"kernel.{node_id}")
+        self.events = self.obs.scope(f"kernel.{node_id}")
         self.cpu = NodeCpu(engine, self.obs.registry,
                            f"kernel.{node_id}.cpu")
         self.processes: Dict[ProcessId, ProcessControlRecord] = {}
@@ -210,20 +195,12 @@ class MessageKernel:
         #: invoked on process crash reports, creation, destruction
         self.transport = Transport(engine, medium, node_id, self._on_segment,
                                    config.transport, obs=self.obs, rng=rng)
-        self._messages_sent = self.obs.registry.counter(
+        self.messages_sent = self.obs.registry.counter(
             f"kernel.{node_id}.messages_sent")
-        self._messages_delivered = self.obs.registry.counter(
+        self.messages_delivered = self.obs.registry.counter(
             f"kernel.{node_id}.messages_delivered")
-        self._processes_gauge = self.obs.registry.gauge_fn(
+        self.obs.registry.gauge_fn(
             f"kernel.{node_id}.processes", lambda: len(self.processes))
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent.value
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._messages_delivered.value
 
     # ------------------------------------------------------------------
     # process lifetime (primitives used by the kernel process)
@@ -260,7 +237,7 @@ class MessageKernel:
         for link in initial_links:
             pcb.links.insert(link)
         self.processes[pid] = pcb
-        self.trace.emit("process", str(pid), event="created", image=image)
+        self.events.emit("process", str(pid), event="created", image=image)
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(Control("process_created", {
                 "pid": pid, "image": image, "args": args,
@@ -289,7 +266,7 @@ class MessageKernel:
         self._marker_seen.pop(pid, None)
         self._held_live.pop(pid, None)
         self.cpu.charge(self.config.costs.destroy_process_cpu_ms)
-        self.trace.emit("process", str(pid), event="destroyed")
+        self.events.emit("process", str(pid), event="destroyed")
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(Control("process_destroyed",
                                                   {"pid": pid, "node": self.node_id}))
@@ -355,10 +332,10 @@ class MessageKernel:
             # process may still be re-executing queued inputs after the
             # replay stream ended, and stays suppressed "until the
             # process sends a message it had not sent before the crash".
-            self.trace.emit("recovery", str(from_pcb.pid),
-                            event="suppressed_send", seq=message.msg_id.seq)
+            self.events.emit("recovery", str(from_pcb.pid),
+                             event="suppressed_send", seq=message.msg_id.seq)
             return
-        self._messages_sent.inc()
+        self.messages_sent.inc()
         # The message leaves the kernel when the send call's CPU work is
         # done; scheduling through the engine keeps submissions FIFO.
         self.engine.schedule_at(done_at, self._submit, message, published)
@@ -439,7 +416,7 @@ class MessageKernel:
             self._execute_dtk(message)
             return
         if pcb is None or pcb.state is ProcessState.DEAD:
-            self.trace.emit("kernel", str(message.dst), event="drop_no_process")
+            self.events.emit("kernel", str(message.dst), event="drop_no_process")
             return
         if message.recovery_marker:
             return   # stale marker from a finished recovery; ignore
@@ -462,16 +439,16 @@ class MessageKernel:
             marker_epoch = message.body[1] if (
                 isinstance(message.body, tuple) and len(message.body) > 1) else 0
             if marker_epoch != pcb.recovery_epoch:
-                self.trace.emit("recovery", str(pid), event="stale_marker")
+                self.events.emit("recovery", str(pid), event="stale_marker")
                 return
             self._marker_seen[pid] = True
-            self.trace.emit("recovery", str(pid), event="marker_seen")
+            self.events.emit("recovery", str(pid), event="marker_seen")
             return
         if self._marker_seen.get(pid):
             self._held_live.setdefault(pid, []).append(message)
         else:
-            self.trace.emit("recovery", str(pid), event="discarded_live",
-                            msg=str(message.msg_id))
+            self.events.emit("recovery", str(pid), event="discarded_live",
+                             msg=str(message.msg_id))
 
     def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
         pcb.queue.append(message)
@@ -516,7 +493,7 @@ class MessageKernel:
         user_cost = pcb.program.handler_cpu_ms
         pcb.exec_ms_since_checkpoint += user_cost
         ctx = ProcessContext(self, pcb)
-        self._messages_delivered.inc()
+        self.messages_delivered.inc()
         self.cpu.charge(user_cost, user=True)
         try:
             pcb.program.deliver(ctx, delivered)
@@ -615,7 +592,7 @@ class MessageKernel:
         pcb.replay_bytes_since_checkpoint = 0
         pcb.msgs_since_checkpoint = 0
         pcb.last_checkpoint_time = self.engine.now
-        self.trace.emit("checkpoint", str(pid), pages=pages)
+        self.events.emit("checkpoint", str(pid), pages=pages)
         return True
 
     # ------------------------------------------------------------------
@@ -628,7 +605,7 @@ class MessageKernel:
             return
         pcb.state = ProcessState.CRASHED
         pcb.queue.clear()
-        self.trace.emit("crash", str(pid), scope="process")
+        self.events.emit("crash", str(pid), scope="process")
         if report:
             self.send_control_to_recorder(Control("process_crashed", {
                 "pid": pid, "node": self.node_id, "error": "fault",
@@ -644,14 +621,14 @@ class MessageKernel:
         self._held_live.clear()
         self.transport.crash()
         self.cpu.reset()
-        self.trace.emit("crash", f"node{self.node_id}", scope="node")
+        self.events.emit("crash", f"node{self.node_id}", scope="node")
 
     def restart_node(self) -> None:
         """The processor reboots with an empty kernel; the recovery
         manager will repopulate it."""
         self.up = True
         self.transport.restart()
-        self.trace.emit("restart", f"node{self.node_id}")
+        self.events.emit("restart", f"node{self.node_id}")
 
     def recreate_process(self, pid: ProcessId, image: str, args: Tuple,
                          initial_links: Tuple[Link, ...],
@@ -699,8 +676,8 @@ class MessageKernel:
             # the rest — the thesis's initial implementation.
             self.cpu.run(self.config.costs.create_process_cpu_ms,
                          self._start_program, pcb, ctx)
-        self.trace.emit("recovery", str(pid), event="recreated",
-                        from_checkpoint=checkpoint is not None)
+        self.events.emit("recovery", str(pid), event="recreated",
+                         from_checkpoint=checkpoint is not None)
 
     def inject_replay(self, message: Message, recovery_epoch: int = 0) -> None:
         """The recovery process's special call: feed one published
@@ -715,8 +692,8 @@ class MessageKernel:
         if pcb is None or pcb.state is not ProcessState.RECOVERING:
             return
         if recovery_epoch != pcb.recovery_epoch:
-            self.trace.emit("recovery", str(message.dst),
-                            event="stale_replay_dropped")
+            self.events.emit("recovery", str(message.dst),
+                             event="stale_replay_dropped")
             return
         if message.deliver_to_kernel:
             # Replayed process-control traffic executes at the kernel
@@ -739,7 +716,7 @@ class MessageKernel:
             else:
                 pcb.queue.append(message)
         self._marker_seen.pop(pid, None)
-        self.trace.emit("recovery", str(pid), event="live")
+        self.events.emit("recovery", str(pid), event="live")
         self._pump(pcb)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.demos.process import ProgramRegistry
 from repro.net.media import Medium
 from repro.obs import Observability
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceLog
 
 
 class Node:
@@ -31,13 +30,12 @@ class Node:
 
     def __init__(self, engine: Engine, node_id: int, medium: Medium,
                  config: KernelConfig, registry: ProgramRegistry,
-                 trace: Optional[TraceLog] = None,
                  obs: Optional[Observability] = None,
                  rng=None):
         self.engine = engine
         self.node_id = node_id
         self.kernel = MessageKernel(engine, node_id, medium, config,
-                                    registry, trace, obs=obs, rng=rng)
+                                    registry, obs=obs, rng=rng)
         self.booted = False
         #: bounded ring of recently published messages — attached by
         #: the gossip coordinator (publishing.gossip), None otherwise

@@ -44,23 +44,16 @@ class MeterReading:
 
 
 class KernelMeter:
-    """Reads a node's real and CPU clocks (Get_Real_Time / Get_Run_Time).
-
-    Reads go through the node's metrics registry — the same snapshot
-    surface every other instrument is published on — rather than poking
-    at :class:`~repro.demos.kernel.NodeCpu` attributes directly.
-    """
+    """Reads a node's real and CPU clocks (Get_Real_Time / Get_Run_Time)."""
 
     def __init__(self, kernel: MessageKernel):
         self.kernel = kernel
 
     def read(self) -> MeterReading:
-        kernel = self.kernel
-        snapshot = kernel.obs.registry.snapshot()
-        prefix = f"kernel.{kernel.node_id}.cpu"
-        return MeterReading(real_ms=kernel.engine.now,
-                            kernel_cpu_ms=snapshot[f"{prefix}.kernel_ms"],
-                            user_cpu_ms=snapshot[f"{prefix}.user_ms"])
+        cpu = self.kernel.cpu
+        return MeterReading(real_ms=self.kernel.engine.now,
+                            kernel_cpu_ms=cpu.kernel_ms.value,
+                            user_cpu_ms=cpu.user_ms.value)
 
 
 class SendToSelfProgram(GeneratorProgram):
@@ -191,14 +184,14 @@ def measure_publishing_time(path: str, messages: int = 512) -> Dict[str, object]
     system.registry.register("metrics/send_to_self", SendToSelfProgram)
     system.boot()
     recorder = system.recorder
-    cpu_before = recorder.cpu_busy_ms
-    recorded_before = recorder.messages_recorded
+    cpu_before = recorder.cpu_busy_ms.value
+    recorded_before = recorder.messages_recorded.value
     pid = system.spawn_program("metrics/send_to_self", args=(messages,), node=1)
     program = system.program_of(pid)
     _run_until(system, lambda: program.completed >= messages,
                max_ms=messages * 150.0 + 5000.0)
-    recorded = recorder.messages_recorded - recorded_before
-    cpu = recorder.cpu_busy_ms - cpu_before
+    recorded = recorder.messages_recorded.value - recorded_before
+    cpu = recorder.cpu_busy_ms.value - cpu_before
     return {
         "path": path,
         "messages_recorded": float(recorded),

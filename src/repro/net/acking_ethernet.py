@@ -43,15 +43,11 @@ class AckingEthernet(CsmaEthernet):
             params.auto_ack = False   # acks ride the reserved slot instead
         super().__init__(engine, rng, params, **kwargs)
         self.ack_slot_ms = ack_slot_ms
-        self._reserved_slots = self.obs.registry.counter(
+        #: acknowledgement slots reserved after data frames
+        self.reserved_slots = self.obs.registry.counter(
             f"media.{self.kind}.reserved_slots")
         # Bound once: one ack-slot delivery is scheduled per data frame.
         self._deliver_cb = self._deliver_to_receivers
-
-    @property
-    def reserved_slots(self) -> int:
-        """Acknowledgement slots reserved after data frames."""
-        return self._reserved_slots.value
 
     def _begin_transmission(self, iface: NetworkInterface, frame: Frame) -> None:
         duration = self.tx_time_ms(frame.size_bytes)
@@ -60,11 +56,11 @@ class AckingEthernet(CsmaEthernet):
             # it, so no station can start a frame that would collide with
             # the acknowledgement.
             duration_with_slot = duration + self.ack_slot_ms
-            self._reserved_slots.inc()
+            self.reserved_slots.inc()
         else:
             duration_with_slot = duration
         self._busy_until = self.engine.now + duration_with_slot
-        self.stats.busy_time_ms += duration_with_slot
+        self.stats.busy_time_ms.inc(duration_with_slot)
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:

@@ -58,19 +58,11 @@ class CsmaEthernet(Medium):
         self._resolve_cb = self._resolve
         self._complete_cb = self._complete
         prefix = f"media.{self.kind}"
-        self._acks_sent = self.obs.registry.counter(f"{prefix}.acks_sent")
-        self._ack_collisions = self.obs.registry.counter(
+        #: contending ACK frames emitted by receivers (auto_ack mode)
+        self.acks_sent = self.obs.registry.counter(f"{prefix}.acks_sent")
+        #: collisions in which at least one contender was an ACK frame
+        self.ack_collisions = self.obs.registry.counter(
             f"{prefix}.ack_collisions")
-
-    @property
-    def acks_sent(self) -> int:
-        """Contending ACK frames emitted by receivers (auto_ack mode)."""
-        return self._acks_sent.value
-
-    @property
-    def ack_collisions(self) -> int:
-        """Collisions in which at least one contender was an ACK frame."""
-        return self._ack_collisions.value
 
     # ------------------------------------------------------------------
     def transmit(self, iface: NetworkInterface, frame: Frame) -> None:
@@ -100,12 +92,12 @@ class CsmaEthernet(Medium):
             self._begin_transmission(iface, frame)
             return
         # Collision: one slot of wasted bus time, everyone backs off.
-        self.stats.collisions += len(contenders)
+        self.stats.collisions.inc(len(contenders))
         if any(f.kind is FrameKind.ACK for _, f, _ in contenders):
-            self._ack_collisions.inc()
+            self.ack_collisions.inc()
         self.events.emit("collision", "bus", contenders=len(contenders))
         self._busy_until = self.engine.now + self.params.slot_time_ms
-        self.stats.busy_time_ms += self.params.slot_time_ms
+        self.stats.busy_time_ms.inc(self.params.slot_time_ms)
         for iface, frame, attempt in contenders:
             attempt += 1
             if attempt >= self.params.max_attempts:
@@ -120,7 +112,7 @@ class CsmaEthernet(Medium):
     def _begin_transmission(self, iface: NetworkInterface, frame: Frame) -> None:
         duration = self.tx_time_ms(frame.size_bytes)
         self._busy_until = self.engine.now + duration
-        self.stats.busy_time_ms += duration
+        self.stats.busy_time_ms.inc(duration)
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:
@@ -139,6 +131,6 @@ class CsmaEthernet(Medium):
                 ack = Frame(kind=FrameKind.ACK, src_node=iface.node_id,
                             dst_node=frame.src_node,
                             payload=("ack", frame.frame_id), size_bytes=32)
-                self._acks_sent.inc()
+                self.acks_sent.inc()
                 self.transmit(iface, ack)
                 return

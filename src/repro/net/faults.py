@@ -9,12 +9,11 @@ drop *specific* frames (e.g. "the recorder misses the next data frame");
 standing **rules** model conditions that persist until removed — a
 network partition drops every frame crossing the cut until it heals.
 
-Fault totals live in the unified metrics registry (``faults.losses``,
-``faults.corruptions``, ``faults.partition_drops``): attaching the plan
-to a :class:`~repro.net.media.Medium` rebinds the counters into the
-medium's registry, so ``metrics`` CLI snapshots include injected faults.
-The ``losses`` / ``corruptions`` attributes remain available as
-compatibility properties, exactly as ``TransportStats`` does.
+Fault totals are the plan's ``losses`` / ``corruptions`` /
+``partition_drops`` :class:`~repro.obs.Counter` attributes, registered
+as ``faults.*``: attaching the plan to a :class:`~repro.net.media.Medium`
+moves them into the medium's registry, so ``metrics`` CLI snapshots
+include injected faults.
 """
 
 from __future__ import annotations
@@ -67,41 +66,16 @@ class FaultPlan:
         self._rules: List[FaultRule] = []
         self.bind(registry or MetricsRegistry())
 
-    def bind(self, registry: MetricsRegistry) -> "FaultPlan":
+    def bind(self, registry: MetricsRegistry) -> None:
         """(Re)register the fault counters in ``registry``, carrying any
         counts already accumulated. Media call this on construction so
         one shared plan lands in the cluster-wide registry."""
-        old = getattr(self, "_losses", None), getattr(self, "_corruptions", None), \
-            getattr(self, "_partition_drops", None)
-        self._losses = registry.counter("faults.losses")
-        self._corruptions = registry.counter("faults.corruptions")
-        self._partition_drops = registry.counter("faults.partition_drops")
-        for counter, previous in zip(
-                (self._losses, self._corruptions, self._partition_drops), old):
+        for name in ("losses", "corruptions", "partition_drops"):
+            counter = registry.counter(f"faults.{name}")
+            previous = getattr(self, name, None)
             if previous is not None and previous is not counter:
-                counter.value += previous.value
-        return self
-
-    # -- compatibility properties (the legacy attribute read path) -----
-    @property
-    def losses(self) -> int:
-        return self._losses.value
-
-    @losses.setter
-    def losses(self, value: int) -> None:
-        self._losses.value = value
-
-    @property
-    def corruptions(self) -> int:
-        return self._corruptions.value
-
-    @corruptions.setter
-    def corruptions(self, value: int) -> None:
-        self._corruptions.value = value
-
-    @property
-    def partition_drops(self) -> int:
-        return self._partition_drops.value
+                counter.inc(previous.value)
+            setattr(self, name, counter)
 
     # ------------------------------------------------------------------
     # targeted one-shot faults
@@ -162,9 +136,9 @@ class FaultPlan:
             if rule.predicate(frame, receiver_node):
                 rule.hits += 1
                 if rule.action == "lose":
-                    self._losses.inc()
+                    self.losses.inc()
                     if rule.name.startswith("partition:"):
-                        self._partition_drops.inc()
+                        self.partition_drops.inc()
                     return None
                 return self._corrupted_copy(frame)
         for fault in list(self._targeted):
@@ -173,20 +147,20 @@ class FaultPlan:
                 if fault.remaining == 0:
                     self._targeted.remove(fault)
                 if fault.action == "lose":
-                    self._losses.inc()
+                    self.losses.inc()
                     return None
                 return self._corrupted_copy(frame)
         if self.rng is not None:
             stream = self.rng.stream(f"faults/{receiver_node}")
             if self.loss_rate > 0 and stream.random() < self.loss_rate:
-                self._losses.inc()
+                self.losses.inc()
                 return None
             if self.corruption_rate > 0 and stream.random() < self.corruption_rate:
                 return self._corrupted_copy(frame)
         return frame
 
     def _corrupted_copy(self, frame: Frame) -> Frame:
-        self._corruptions.inc()
+        self.corruptions.inc()
         copy = Frame(
             kind=frame.kind,
             src_node=frame.src_node,

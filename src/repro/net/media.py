@@ -31,95 +31,36 @@ FRAME_SIZE_BUCKETS = (64, 128, 256, 512, 1024, 4096)
 
 
 class MediumStats:
-    """The medium's figures, registered in the unified metrics registry.
+    """The medium's counters, registered as ``media.<kind>.*``.
 
-    Benches and tests keep reading ``medium.stats.frames_offered`` etc.;
-    these are now thin properties over ``MetricsRegistry`` counters under
-    the medium's scope (``media.<kind>.*``), so ``registry.snapshot()``
-    reports the same values.
+    Each attribute is the :class:`~repro.obs.Counter` itself: the medium
+    writes ``stats.collisions.inc()``, readers take
+    ``stats.collisions.value``, and ``registry.snapshot()`` reports the
+    same objects.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "media"):
-        registry = registry or MetricsRegistry()
-        self._frames_offered = registry.counter(f"{prefix}.frames_offered")
-        self._frames_delivered = registry.counter(f"{prefix}.frames_delivered")
-        self._bytes_delivered = registry.counter(f"{prefix}.bytes_delivered")
-        self._collisions = registry.counter(f"{prefix}.collisions")
-        self._recorder_misses = registry.counter(f"{prefix}.recorder_misses")
-        self._recorder_copies_missed = registry.counter(
+    def __init__(self, registry: MetricsRegistry, prefix: str):
+        self.frames_offered = registry.counter(f"{prefix}.frames_offered")
+        self.frames_delivered = registry.counter(f"{prefix}.frames_delivered")
+        self.bytes_delivered = registry.counter(f"{prefix}.bytes_delivered")
+        self.collisions = registry.counter(f"{prefix}.collisions")
+        self.recorder_misses = registry.counter(f"{prefix}.recorder_misses")
+        self.recorder_copies_missed = registry.counter(
             f"{prefix}.recorder_copies_missed")
-        self._busy_time_ms = registry.counter(f"{prefix}.busy_time_ms")
-        self._frame_bytes = registry.histogram(f"{prefix}.frame_bytes",
-                                               buckets=FRAME_SIZE_BUCKETS)
+        self.busy_time_ms = registry.counter(f"{prefix}.busy_time_ms")
+        self.frame_bytes = registry.histogram(f"{prefix}.frame_bytes",
+                                              buckets=FRAME_SIZE_BUCKETS)
 
     def note_offered(self, size_bytes: int) -> None:
         """Count one offered frame and record its size."""
-        self._frames_offered.inc()
-        self._frame_bytes.observe(size_bytes)
-
-    # -- compatibility properties (the legacy attribute read path) -----
-    @property
-    def frames_offered(self) -> int:
-        return self._frames_offered.value
-
-    @frames_offered.setter
-    def frames_offered(self, value: int) -> None:
-        self._frames_offered.value = value
-
-    @property
-    def frames_delivered(self) -> int:
-        return self._frames_delivered.value
-
-    @frames_delivered.setter
-    def frames_delivered(self, value: int) -> None:
-        self._frames_delivered.value = value
-
-    @property
-    def bytes_delivered(self) -> int:
-        return self._bytes_delivered.value
-
-    @bytes_delivered.setter
-    def bytes_delivered(self, value: int) -> None:
-        self._bytes_delivered.value = value
-
-    @property
-    def collisions(self) -> int:
-        return self._collisions.value
-
-    @collisions.setter
-    def collisions(self, value: int) -> None:
-        self._collisions.value = value
-
-    @property
-    def recorder_misses(self) -> int:
-        return self._recorder_misses.value
-
-    @recorder_misses.setter
-    def recorder_misses(self, value: int) -> None:
-        self._recorder_misses.value = value
-
-    @property
-    def recorder_copies_missed(self) -> int:
-        return self._recorder_copies_missed.value
-
-    @recorder_copies_missed.setter
-    def recorder_copies_missed(self, value: int) -> None:
-        self._recorder_copies_missed.value = value
-
-    @property
-    def busy_time_ms(self) -> float:
-        return self._busy_time_ms.value
-
-    @busy_time_ms.setter
-    def busy_time_ms(self, value: float) -> None:
-        self._busy_time_ms.value = value
+        self.frames_offered.inc()
+        self.frame_bytes.observe(size_bytes)
 
     def utilization(self, elapsed_ms: float) -> float:
         """Fraction of elapsed time the medium was carrying bits."""
         if elapsed_ms <= 0:
             return 0.0
-        return min(1.0, self.busy_time_ms / elapsed_ms)
+        return min(1.0, self.busy_time_ms.value / elapsed_ms)
 
 
 class NetworkInterface:
@@ -281,7 +222,7 @@ class Medium:
             else:
                 stored_by_all = False
         if copies_missed and frame.kind is FrameKind.DATA:
-            self.stats.recorder_copies_missed += copies_missed
+            self.stats.recorder_copies_missed.inc(copies_missed)
             if any_healthy and stored_by_all:
                 # Survivors ack on the crashed recorder's behalf (§6.3);
                 # flag the hole instead of silently counting it stored.
@@ -299,12 +240,12 @@ class Medium:
                 # keep the frame in their gossip buffers and the
                 # recorder pulls the hole closed later.
                 if self._recorder_ifaces:
-                    self.stats.recorder_misses += 1
+                    self.stats.recorder_misses.inc()
                     self.events.emit("recorder_miss", f"node{frame.src_node}",
                                      dst=frame.dst_node,
                                      bytes=frame.size_bytes, tolerated=True)
             elif self.enforce_recorder_ack:
-                self.stats.recorder_misses += 1
+                self.stats.recorder_misses.inc()
                 self.events.emit("recorder_miss", f"node{frame.src_node}",
                                  dst=frame.dst_node, bytes=frame.size_bytes)
                 self._notify_sender(frame, False)
@@ -337,8 +278,8 @@ class Medium:
             delivered = any(r.node_id == frame.dst_node and r.up
                             for r in self._recorder_ifaces)
         if delivered:
-            self.stats.frames_delivered += 1
-            self.stats.bytes_delivered += frame.size_bytes
+            self.stats.frames_delivered.inc()
+            self.stats.bytes_delivered.inc(frame.size_bytes)
         self._notify_sender(frame, delivered)
 
     def _notify_recorders_of_delivery(self, frame: Frame) -> None:
@@ -406,7 +347,7 @@ class PerfectBroadcast(Medium):
         self._busy = True
         iface, frame = self._queue.popleft()
         duration = self.tx_time_ms(frame.size_bytes)
-        self.stats.busy_time_ms += duration
+        self.stats.busy_time_ms.inc(duration)
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:

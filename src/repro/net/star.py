@@ -70,7 +70,7 @@ class StarHub(Medium):
         duration = self.tx_time_ms(frame.size_bytes)
         start = max(self.engine.now, self._link_busy_until[station_id])
         self._link_busy_until[station_id] = start + duration
-        self.stats.busy_time_ms += duration
+        self.stats.busy_time_ms.inc(duration)
         self.engine.schedule_at(start + duration, self._link_done,
                                 station_id, frame, toward_hub)
 
@@ -84,7 +84,7 @@ class StarHub(Medium):
     def _arrive_at_hub(self, frame: Frame) -> None:
         if self.hub is None or not self.hub.up:
             # Hub down: nothing is forwarded; senders retransmit later.
-            self.stats.recorder_misses += 1
+            self.stats.recorder_misses.inc()
             self.events.emit("recorder_miss", f"node{frame.src_node}",
                              reason="hub_down")
             self._notify_sender(frame, False)
@@ -93,7 +93,7 @@ class StarHub(Medium):
         if seen is None or not seen.checksum_ok():
             # "Any messages received incorrectly by the recorder are not
             # passed on."
-            self.stats.recorder_misses += 1
+            self.stats.recorder_misses.inc()
             self.events.emit("recorder_miss", f"node{frame.src_node}",
                              reason="hub_receive_error")
             self._notify_sender(frame, False)
@@ -130,7 +130,7 @@ class StarHub(Medium):
             if seen is not None:
                 iface.on_frame(seen)
                 if seen.checksum_ok():
-                    self.stats.frames_delivered += 1
-                    self.stats.bytes_delivered += frame.size_bytes
+                    self.stats.frames_delivered.inc()
+                    self.stats.bytes_delivered.inc(frame.size_bytes)
                     self._notify_recorders_of_delivery(frame)
             return

@@ -51,13 +51,9 @@ class TokenRing(Medium):
         self._slot_busy = False
         # Bound once: a frame's circulation schedules one visit per hop.
         self._visit_cb = self._visit
-        self._frames_invalidated = self.obs.registry.counter(
+        #: frames whose checksum the recorder complemented (§6.1.2)
+        self.frames_invalidated = self.obs.registry.counter(
             f"media.{self.kind}.frames_invalidated")
-
-    @property
-    def frames_invalidated(self) -> int:
-        """Frames whose checksum the recorder complemented (§6.1.2)."""
-        return self._frames_invalidated.value
 
     # ------------------------------------------------------------------
     def transmit(self, iface: NetworkInterface, frame: Frame) -> None:
@@ -80,7 +76,8 @@ class TokenRing(Medium):
         # the ack field to be filled).
         ring = self._ring_order_from(iface)
         serialization = frame.size_bytes * 8.0 / self.bandwidth_bps * 1000.0
-        self.stats.busy_time_ms += serialization + self.params.hop_time_ms * len(ring)
+        self.stats.busy_time_ms.inc(
+            serialization + self.params.hop_time_ms * len(ring))
         self._advance(iface, frame, ring, index=0,
                       ack_filled=False, invalidated=False, delivered=False,
                       passes=0, delay=serialization)
@@ -112,7 +109,7 @@ class TokenRing(Medium):
                 # The destination sits upstream of the recorder: it saw an
                 # empty ack field on the first pass. Circulate once more
                 # with the field filled so it can read the message.
-                self.stats.busy_time_ms += self.params.hop_time_ms * len(ring)
+                self.stats.busy_time_ms.inc(self.params.hop_time_ms * len(ring))
                 self._advance(sender, frame, ring, 0, ack_filled,
                               invalidated, delivered, passes, delay=0.0)
                 return
@@ -121,8 +118,8 @@ class TokenRing(Medium):
             if sender.on_delivered is not None and frame.kind is FrameKind.DATA:
                 sender.on_delivered(frame, success)
             if success:
-                self.stats.frames_delivered += 1
-                self.stats.bytes_delivered += frame.size_bytes
+                self.stats.frames_delivered.inc()
+                self.stats.bytes_delivered.inc(frame.size_bytes)
             self._seize_token()
             return
         station = ring[index]
@@ -141,8 +138,8 @@ class TokenRing(Medium):
                         # Recorder complements the trailing checksum bytes
                         # so no downstream station can use the frame.
                         invalidated = True
-                        self._frames_invalidated.inc()
-                        self.stats.recorder_misses += 1
+                        self.frames_invalidated.inc()
+                        self.stats.recorder_misses.inc()
                         self.events.emit("invalidated",
                                          f"node{frame.src_node}",
                                          dst=frame.dst_node)

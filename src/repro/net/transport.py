@@ -91,44 +91,25 @@ class TransportConfig:
 
 
 class TransportStats:
-    """One node's transport figures, held in the unified registry.
+    """One node's transport counters, registered as ``transport.<node>.*``.
 
-    The attributes tests and benches read (``sent``, ``retransmissions``,
-    ...) are compatibility properties over ``MetricsRegistry`` counters
-    under ``transport.<node>.*``; ``registry.snapshot()`` reports the
-    same values.
+    Each attribute is the :class:`~repro.obs.Counter` itself
+    (``stats.sent.inc()``, ``stats.sent.value``); ``registry.snapshot()``
+    reports the same objects.
     """
 
-    _COUNTERS = ("sent", "delivered_up", "retransmissions",
-                 "duplicates_suppressed", "dropped_bad_checksum",
-                 "dropped_no_recorder_ack", "acks_sent", "gave_up")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "transport"):
-        registry = registry or MetricsRegistry()
-        for field_name in self._COUNTERS:
-            object.__setattr__(self, f"_{field_name}",
-                               registry.counter(f"{prefix}.{field_name}"))
-
-    def _make_property(field_name):  # noqa: N805 - class-body helper
-        def getter(self):
-            return getattr(self, f"_{field_name}").value
-
-        def setter(self, value):
-            getattr(self, f"_{field_name}").value = value
-
-        return property(getter, setter)
-
-    sent = _make_property("sent")
-    delivered_up = _make_property("delivered_up")
-    retransmissions = _make_property("retransmissions")
-    duplicates_suppressed = _make_property("duplicates_suppressed")
-    dropped_bad_checksum = _make_property("dropped_bad_checksum")
-    dropped_no_recorder_ack = _make_property("dropped_no_recorder_ack")
-    acks_sent = _make_property("acks_sent")
-    gave_up = _make_property("gave_up")
-
-    del _make_property
+    def __init__(self, registry: MetricsRegistry, prefix: str):
+        self.sent = registry.counter(f"{prefix}.sent")
+        self.delivered_up = registry.counter(f"{prefix}.delivered_up")
+        self.retransmissions = registry.counter(f"{prefix}.retransmissions")
+        self.duplicates_suppressed = registry.counter(
+            f"{prefix}.duplicates_suppressed")
+        self.dropped_bad_checksum = registry.counter(
+            f"{prefix}.dropped_bad_checksum")
+        self.dropped_no_recorder_ack = registry.counter(
+            f"{prefix}.dropped_no_recorder_ack")
+        self.acks_sent = registry.counter(f"{prefix}.acks_sent")
+        self.gave_up = registry.counter(f"{prefix}.gave_up")
 
 
 class _Outstanding:
@@ -225,7 +206,7 @@ class Transport:
                           stream_seq=stream_seq)
         total = size_bytes + self.config.header_bytes
         if not guaranteed:
-            self.stats.sent += 1
+            self.stats.sent.inc()
             self.iface.send(self._frame_for(segment, total))
             return
         self._outq.append(_Outstanding(segment, total))
@@ -348,8 +329,8 @@ class Transport:
             return
         out.attempts += 1
         if out.attempts > 1:
-            self.stats.retransmissions += 1
-        self.stats.sent += 1
+            self.stats.retransmissions.inc()
+        self.stats.sent.inc()
         self.iface.send(self._frame_for(out.segment, out.size_bytes))
         self._arm_retry(out)
 
@@ -362,7 +343,7 @@ class Transport:
             # The dead letter goes to `on_gave_up` instead of vanishing.
             del self._in_flight[out.segment.uid]
             self._queue_depth.update(self.queue_depth)
-            self.stats.gave_up += 1
+            self.stats.gave_up.inc()
             self.events.emit("gave_up", f"node{self.node_id}",
                              dst=out.segment.dst_node,
                              attempts=out.attempts)
@@ -390,7 +371,7 @@ class Transport:
     def _on_frame(self, frame: Frame) -> None:
         # Link layer: discard frames with bad checksums.
         if not frame.checksum_ok():
-            self.stats.dropped_bad_checksum += 1
+            self.stats.dropped_bad_checksum.inc()
             return
         if self.tap is not None:
             self.tap(frame)
@@ -406,11 +387,11 @@ class Transport:
             return
         if (self.config.require_recorder_ack and not frame.recorder_acked
                 and not self.iface.is_recorder):
-            self.stats.dropped_no_recorder_ack += 1
+            self.stats.dropped_no_recorder_ack.inc()
             return
         if segment.guaranteed:
             if segment.uid in self._dedup:
-                self.stats.duplicates_suppressed += 1
+                self.stats.duplicates_suppressed.inc()
                 self._ack(segment)     # re-ack: the first ack may have died
                 return
             self._remember(segment.uid)
@@ -423,7 +404,7 @@ class Transport:
             if segment.stream_seq is not None:
                 self._deliver_in_stream_order(segment)
                 return
-        self.stats.delivered_up += 1
+        self.stats.delivered_up.inc()
         self.on_receive(segment)
 
     def _deliver_in_stream_order(self, segment: Segment) -> None:
@@ -438,7 +419,7 @@ class Transport:
         while expected in held:
             ready = held.pop(expected)
             expected += 1
-            self.stats.delivered_up += 1
+            self.stats.delivered_up.inc()
             self.on_receive(ready)
         self._expected_seq[src] = expected
 
@@ -454,7 +435,7 @@ class Transport:
             return
         if segment.src_node == self.node_id:
             return
-        self.stats.acks_sent += 1
+        self.stats.acks_sent.inc()
         ack = Frame(kind=FrameKind.ACK, src_node=self.node_id,
                     dst_node=segment.src_node,
                     payload=("e2e-ack", segment.uid),

@@ -9,11 +9,11 @@ One :class:`Observability` object per simulated cluster carries:
 
 Layers reach their instruments through dotted scope names (``sim``,
 ``media.<kind>``, ``transport.<node>``, ``kernel.<node>``, ``recorder``,
-``recovery``); benches and the CLI read everything back through
-``registry.snapshot()`` and ``bus.to_jsonl()``. The legacy per-layer
-stats objects (``MediumStats``, ``TransportStats``, recovery counters,
-...) are thin compatibility views over this registry — no layer keeps a
-private counter path.
+``recovery``). There is one idiom: a layer holds the :class:`Counter`
+the registry returned and writes it with ``.inc()`` (readers take
+``.value``), holds the :class:`Scope` that ``obs.scope(name)`` returned
+and writes it with ``.emit()``; benches and the CLI read everything back
+through ``registry.snapshot()`` and ``obs.bus``.
 """
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple

@@ -91,8 +91,6 @@ class DesScenario:
     * ``recorder_lps`` — each cluster's recorder on its own engine,
       bridged by zero-lookahead channels (staged/pooled modes only;
       the serial reference keeps one engine regardless).
-    * ``batch_ms`` — cap how far one barrier may advance any LP; the
-      default (None) lets quiet stretches fast-forward in one grant.
     """
 
     clusters: int = 4
@@ -107,7 +105,6 @@ class DesScenario:
     master_seed: int = 1983
     forward_delays: Optional[Tuple[Tuple[Tuple[int, int], float], ...]] = None
     recorder_lps: bool = False
-    batch_ms: Optional[float] = None
 
     def validate(self) -> None:
         if self.clusters < 2:
@@ -125,8 +122,6 @@ class DesScenario:
             raise ReproError(
                 "recorder shards live on the cluster engine; they are "
                 "mutually exclusive with a dedicated recorder LP")
-        if self.batch_ms is not None and self.batch_ms <= 0:
-            raise ReproError("batch_ms must be positive when set")
 
     def forward_delay_map(self) -> Dict[Tuple[int, int], float]:
         return dict(self.forward_delays or ())
@@ -193,8 +188,7 @@ def build_federation(scenario: DesScenario,
         partitions=partitions,
         only_partition=only_partition,
         forward_delays=scenario.forward_delay_map() or None,
-        recorder_lps=scenario.recorder_lps and partitions is not None,
-        batch_ms=scenario.batch_ms)
+        recorder_lps=scenario.recorder_lps and partitions is not None)
     for system in fed.clusters:
         register_chaos_programs(system)
     return fed
@@ -259,13 +253,16 @@ def collect_local(fed: ClusterFederation,
         counters = _programs_of(system, ChaosCounter)
         replies[index] = len(drivers[0].replies) if drivers else 0
         totals[index] = counters[0].total if counters else 0
+    forwarders = [g.forwarder for g in fed.gateways
+                  if g.forwarder is not None]
     return {
         "per_cluster": per_cluster,
         "replies": replies,
         "totals": totals,
-        "frames_forwarded": sum(g.frames_forwarded for g in fed.gateways),
-        "frames_dropped": sum(g.frames_dropped for g in fed.gateways),
-        "gateway_retries": sum(g.retries for g in fed.gateways),
+        "frames_forwarded": sum(f.frames_forwarded.value
+                                for f in forwarders),
+        "frames_dropped": sum(f.frames_dropped.value for f in forwarders),
+        "gateway_retries": sum(f.retries.value for f in forwarders),
         "dead_letters": len(fed.dead_letters),
     }
 
@@ -431,7 +428,6 @@ class _PoolMaster:
     """
 
     def __init__(self, scenario: DesScenario, partitions: int):
-        self.scenario = scenario
         self.partitions = partitions
         count = scenario.clusters
         delays = scenario.forward_delay_map()
@@ -503,17 +499,12 @@ class _PoolMaster:
         strictly positive)."""
         node = self.relaxed_bounds()
         out: Dict[int, float] = {}
-        batch_ms = self.scenario.batch_ms
         for worker, edges in self.incoming.items():
             target = until
             for src_lp, delay in edges:
                 bound = node[src_lp] + delay
                 if bound < target:
                     target = bound
-            if batch_ms is not None:
-                cap = self.granted[worker] + batch_ms
-                if cap < target:
-                    target = cap
             out[worker] = max(target, self.granted[worker])
         return out
 
@@ -710,7 +701,6 @@ def equivalence_report(scenario: DesScenario,
             "forward_delays": [[list(edge), delay] for edge, delay
                                in (scenario.forward_delays or ())],
             "recorder_lps": scenario.recorder_lps,
-            "batch_ms": scenario.batch_ms,
             "master_seed": scenario.master_seed,
         },
         "reference_digest": reference,

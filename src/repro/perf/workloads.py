@@ -151,8 +151,9 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
             f"storm_{medium_name}: delivered {received[0]} of "
             f"{expected} guaranteed messages")
     stats = {
-        "retransmissions": sum(t.stats.retransmissions for t in transports),
-        "collisions": medium.stats.collisions,
+        "retransmissions": sum(t.stats.retransmissions.value
+                               for t in transports),
+        "collisions": medium.stats.collisions.value,
         # rounded in the two steps the committed figures went through
         "utilization": round(
             round(medium.stats.utilization(engine.now), 4), 3),
@@ -265,7 +266,7 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
         "events": system.engine.events_fired,
         "sim_ms": round(system.engine.now, 6),
         "phases": phases,
-        "messages_recorded": recorder.messages_recorded,
+        "messages_recorded": recorder.messages_recorded.value,
         "recoveries": system.recovery.stats.recoveries_completed,
         "messages_replayed": system.recovery.stats.messages_replayed,
     }

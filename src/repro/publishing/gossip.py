@@ -50,7 +50,6 @@ from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Control, Message
 from repro.net.frames import Frame
 from repro.net.transport import Segment
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "GossipConfig",
@@ -241,7 +240,7 @@ class GossipCoordinator:
         self.tracker = GapTracker()
         self.loss: Optional[ReceptionLoss] = None
         registry = system.obs.registry
-        self.trace = TraceLog(bus=system.obs.bus, scope="gossip")
+        self.events = system.obs.scope("gossip")
         self._rounds = registry.counter("gossip.rounds")
         self._pulls_sent = registry.counter("gossip.pulls_sent")
         self._pulls_lost = registry.counter("gossip.pulls_lost")
@@ -304,7 +303,7 @@ class GossipCoordinator:
         fresh = self.tracker.note_recorded(message.msg_id)
         for hole in fresh:
             self._gaps_flagged.inc()
-            self.trace.emit("gap", str(hole.sender), seq=hole.seq)
+            self.events.emit("gap", str(hole.sender), seq=hole.seq)
 
     def _sweep_advertisements(self) -> None:
         """Compare peer buffer contents against the recorder database:
@@ -330,8 +329,8 @@ class GossipCoordinator:
                         continue
                 if tracker.flag(msg_id):
                     self._gaps_flagged.inc()
-                    self.trace.emit("gap", str(msg_id.sender),
-                                    seq=msg_id.seq, via="advertisement")
+                    self.events.emit("gap", str(msg_id.sender),
+                                     seq=msg_id.seq, via="advertisement")
 
     # ------------------------------------------------------------------
     # pull rounds
@@ -351,7 +350,7 @@ class GossipCoordinator:
                        if tries >= self.config.max_retries]:
             tracker.abandon(msg_id)
             self._abandoned.inc()
-            self.trace.emit("gave_up", str(msg_id.sender), seq=msg_id.seq)
+            self.events.emit("gave_up", str(msg_id.sender), seq=msg_id.seq)
         wanted = tracker.outstanding()
         if not wanted:
             self._converged.fire(0)
@@ -376,8 +375,8 @@ class GossipCoordinator:
                     Control("gossip_pull", {"ranges": ranges}),
                     guaranteed=False,
                     size_bytes=size_bytes)
-        self.trace.emit("round", "recorder", missing=len(wanted),
-                        pulled=len(batch), peers=len(peers))
+        self.events.emit("round", "recorder", missing=len(wanted),
+                         pulled=len(batch), peers=len(peers))
         # A round is an attempt whether or not a peer was reachable:
         # with no peers left the id can never be supplied, and the
         # attempt cap is what keeps recovery waits bounded.
@@ -401,8 +400,8 @@ class GossipCoordinator:
             return
         if recorder.record_repair(message):
             self._repaired.inc()
-            self.trace.emit("repair", str(message.dst),
-                            msg=str(message.msg_id), src_node=src_node)
+            self.events.emit("repair", str(message.dst),
+                             msg=str(message.msg_id), src_node=src_node)
         # A supply is recorded knowledge like any overheard frame: it
         # resolves its own hole and may expose earlier ones.
         self.note_recorded(message)

@@ -39,7 +39,6 @@ from repro.demos.messages import Control
 from repro.errors import QuorumDivergenceError, RecordCorruptionError, RecoveryError
 from repro.publishing.store import payload_digest
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -421,11 +420,11 @@ class QuorumReplay:
             self._divergences = registry.counter("quorum.divergences")
             self._unresolved = registry.counter("quorum.unresolved")
             self._stale = registry.counter("quorum.stale_skips")
-            self.trace = TraceLog(bus=self.obs.bus, scope="quorum")
+            self.events = self.obs.scope("quorum")
         else:                          # offline harness use
             self._replays = self._divergences = None
             self._unresolved = self._stale = None
-            self.trace = None
+            self.events = None
 
     # ------------------------------------------------------------------
     def cursor(self, primary, record, epoch=None) -> QuorumReplayCursor:
@@ -477,14 +476,14 @@ class QuorumReplay:
         key = (rid, pid, reason)
         if key not in self._emitted:
             self._emitted.add(key)
-            self.trace.emit("divergence", f"recorder{rid}",
-                            reason=reason, pid=str(pid), **detail)
+            self.events.emit("divergence", f"recorder{rid}",
+                             reason=reason, pid=str(pid), **detail)
 
     def note_unresolved(self, pid, candidates: int) -> None:
         if self._unresolved is None:
             return
         self._unresolved.inc()
-        self.trace.emit("unresolved", str(pid), candidates=candidates)
+        self.events.emit("unresolved", str(pid), candidates=candidates)
 
 
 @dataclass

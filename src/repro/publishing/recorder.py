@@ -51,7 +51,6 @@ from repro.publishing.disk import DiskArray, DiskParams, PageBuffer
 from repro.publishing.stable_storage import StableStorage
 from repro.publishing.store import SegmentedLog
 from repro.sim.engine import Engine, Signal
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -88,7 +87,6 @@ class Recorder:
     def __init__(self, engine: Engine, medium: Medium,
                  config: Optional[RecorderConfig] = None,
                  stable: Optional[StableStorage] = None,
-                 trace: Optional[TraceLog] = None,
                  obs: Optional[Observability] = None,
                  rng=None):
         self.engine = engine
@@ -97,10 +95,7 @@ class Recorder:
         #: instrumentation spine: the System's when given, else the
         #: medium's, so recorder figures share the registry either way
         self.obs = obs if obs is not None else medium.obs
-        if trace is not None:
-            self.trace = trace
-        else:
-            self.trace = TraceLog(bus=self.obs.bus, scope="recorder")
+        self.events = self.obs.scope("recorder")
         self.stable = stable or StableStorage()
         db = self.stable.get("db")
         if db is None:
@@ -115,9 +110,9 @@ class Recorder:
                                  flush_deadline_ms=self.config.flush_deadline_ms)
         self.up = True
         registry = self.obs.registry
-        self._cpu_busy_ms = registry.counter("recorder.cpu_busy_ms")
-        self._messages_recorded = registry.counter("recorder.messages_recorded")
-        self._duplicates_ignored = registry.counter("recorder.duplicates_ignored")
+        self.cpu_busy_ms = registry.counter("recorder.cpu_busy_ms")
+        self.messages_recorded = registry.counter("recorder.messages_recorded")
+        self.duplicates_ignored = registry.counter("recorder.duplicates_ignored")
         # Storage-engine gauges read through `self` so they survive a
         # restart rebinding `self.db` to the stable-storage copy.
         registry.gauge_fn("recorder.log_bytes", lambda: self.db.log.log_bytes)
@@ -168,19 +163,6 @@ class Recorder:
         self.transport.iface.on_delivery = self.observe_delivery
         self._register_builtin_handlers()
 
-    # -- compatibility properties over the unified registry -------------
-    @property
-    def cpu_busy_ms(self) -> float:
-        return self._cpu_busy_ms.value
-
-    @property
-    def messages_recorded(self) -> int:
-        return self._messages_recorded.value
-
-    @property
-    def duplicates_ignored(self) -> int:
-        return self._duplicates_ignored.value
-
     # ------------------------------------------------------------------
     # passive listening
     # ------------------------------------------------------------------
@@ -221,7 +203,7 @@ class Recorder:
         """Stage one overheard message: database entry, CPU cost, disk
         bytes. The message joins the replay log when its delivery is
         observed (:meth:`observe_delivery`), in reception order."""
-        self._cpu_busy_ms.inc(self._publish_cost_ms)
+        self.cpu_busy_ms.inc(self._publish_cost_ms)
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_sent(message.msg_id.seq)
@@ -240,7 +222,7 @@ class Recorder:
         if self.config.selective and not record.recoverable:
             return    # §6.6.1: not published, not recovered
         if not record.stage_message(message):
-            self._duplicates_ignored.inc()
+            self.duplicates_ignored.inc()
             return
         self.buffer.add(message.size_bytes)
 
@@ -291,11 +273,11 @@ class Recorder:
             if not record.confirm_message(message, index):
                 return None          # duplicate delivery observation
             lm = record._live[-1]
-        self._messages_recorded.inc()
+        self.messages_recorded.inc()
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_send_confirmed(message.msg_id.seq)
-        self.trace.emit("publish", str(message.dst), msg=str(message.msg_id))
+        self.events.emit("publish", str(message.dst), msg=str(message.msg_id))
         signal = self._arrival_signals.get(message.dst)
         if signal is not None:
             signal.fire(message.msg_id)
@@ -321,7 +303,7 @@ class Recorder:
         """
         if not self.up or message.recovery_marker:
             return False
-        self._cpu_busy_ms.inc(self._publish_cost_ms)
+        self.cpu_busy_ms.inc(self._publish_cost_ms)
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_sent(message.msg_id.seq)
@@ -335,13 +317,13 @@ class Recorder:
             return False
         if not record.confirm_message(message,
                                       self.db.allocate_arrival_index()):
-            self._duplicates_ignored.inc()
+            self.duplicates_ignored.inc()
             return False
-        self._messages_recorded.inc()
+        self.messages_recorded.inc()
         self.buffer.add(message.size_bytes)
         if sender is not None:
             sender.note_send_confirmed(message.msg_id.seq)
-        self.trace.emit("repair", str(message.dst), msg=str(message.msg_id))
+        self.events.emit("repair", str(message.dst), msg=str(message.msg_id))
         signal = self._arrival_signals.get(message.dst)
         if signal is not None:
             signal.fire(message.msg_id)
@@ -389,7 +371,7 @@ class Recorder:
             record.recoverable = control.get("recoverable", True)
             record.state_pages = control.get("state_pages", 4)
             record.node = control["node"]
-        self.trace.emit("recorder", str(pid), event="created_notice")
+        self.events.emit("recorder", str(pid), event="created_notice")
 
     def _on_process_destroyed(self, control: Control, src_node: int) -> None:
         pid = ProcessId(*control["pid"])
@@ -401,7 +383,7 @@ class Recorder:
         # "When the process is terminated, all messages queued for it are
         # also discarded" — and so is its published history.
         record.invalidate_all()
-        self.trace.emit("recorder", str(pid), event="destroyed_notice")
+        self.events.emit("recorder", str(pid), event="destroyed_notice")
 
     def _on_checkpoint(self, control: Control, src_node: int) -> None:
         pid = ProcessId(*control["pid"])
@@ -426,8 +408,8 @@ class Recorder:
         if not self.up or record.destroyed:
             return
         invalidated = record.apply_checkpoint(entry)
-        self.trace.emit("recorder", str(record.pid), event="checkpoint_stored",
-                        invalidated=invalidated)
+        self.events.emit("recorder", str(record.pid), event="checkpoint_stored",
+                         invalidated=invalidated)
 
     def _on_read_order(self, control: Control, src_node: int) -> None:
         record = self.db.get(ProcessId(*control["pid"]))
@@ -474,8 +456,8 @@ class Recorder:
                             uid=tuple(marker.msg_id))
 
     def _on_dead_letter(self, segment: Segment, attempts: int) -> None:
-        self.trace.emit("dead_letter", "recorder", dst=segment.dst_node,
-                        attempts=attempts)
+        self.events.emit("dead_letter", "recorder", dst=segment.dst_node,
+                         attempts=attempts)
 
     # ------------------------------------------------------------------
     # failure injection
@@ -489,7 +471,7 @@ class Recorder:
         lost = self.buffer.crash()
         self.transport.crash()
         self._arrival_signals.clear()
-        self.trace.emit("crash", "recorder", buffer_bytes_lost=lost)
+        self.events.emit("crash", "recorder", buffer_bytes_lost=lost)
 
     def restart(self) -> "int":
         """Power back up; returns the new restart number (§3.4). The
@@ -499,7 +481,7 @@ class Recorder:
         self.transport.restart()
         self.db = self.stable.get("db")
         self.db.log.attach_io(self.disks.submit)
-        self.trace.emit("restart", "recorder", restart_number=restart_number)
+        self.events.emit("restart", "recorder", restart_number=restart_number)
         return restart_number
 
     # ------------------------------------------------------------------
@@ -508,6 +490,6 @@ class Recorder:
         if elapsed_ms <= 0:
             return {"cpu": 0.0, "disk": 0.0}
         return {
-            "cpu": min(1.0, self.cpu_busy_ms / elapsed_ms),
+            "cpu": min(1.0, self.cpu_busy_ms.value / elapsed_ms),
             "disk": self.disks.utilization(elapsed_ms),
         }

@@ -42,7 +42,6 @@ from repro.publishing.database import ProcessRecord
 from repro.publishing.recorder import Recorder
 from repro.publishing.watchdog import Watchdog
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -86,7 +85,7 @@ class RecoveryManager:
         self.watchdogs: Dict[int, Watchdog] = {}
         self.stats = RecoveryStats()
         self.obs = recorder.obs
-        self.trace = TraceLog(bus=self.obs.bus, scope="recovery")
+        self.events = self.obs.scope("recovery")
         for name in RecoveryStats.FIELDS:
             self.obs.registry.gauge_fn(
                 f"recovery.{name}",
@@ -152,7 +151,7 @@ class RecoveryManager:
         """The watchdog timed out: treat as a crash of every process on
         the node (§1.1.2)."""
         self.stats.node_crashes_detected += 1
-        self.trace.emit("watchdog", f"node{node_id}", event="silent")
+        self.events.emit("watchdog", f"node{node_id}", event="silent")
         if self.coordinator is not None and not self.coordinator.claim(node_id):
             return   # a higher-priority recorder is handling it (§6.3)
         self.recover_node(node_id)
@@ -250,8 +249,8 @@ class RecoveryManager:
         # recovered process also sees messages the recorder itself
         # missed. The wait is bounded by max_retries gossip rounds.
         if self.gossip is not None and self.gossip.outstanding_count():
-            self.trace.emit("recovery", str(pid), event="gossip_repair_wait",
-                            holes=self.gossip.outstanding_count())
+            self.events.emit("recovery", str(pid), event="gossip_repair_wait",
+                             holes=self.gossip.outstanding_count())
             yield self.gossip.request_urgent()
             if self._superseded(record, epoch):
                 return
@@ -279,8 +278,8 @@ class RecoveryManager:
                 logged = cursor.next()
             except RecordCorruptionError as exc:
                 self.stats.corrupt_records_skipped += 1
-                self.trace.emit("recovery", str(pid),
-                                event="corrupt_record", error=str(exc))
+                self.events.emit("recovery", str(pid),
+                                 event="corrupt_record", error=str(exc))
                 continue
             if logged is not None:
                 message = logged.message
@@ -309,8 +308,8 @@ class RecoveryManager:
         record.recovering = False
         record.node = node
         self.stats.recoveries_completed += 1
-        self.trace.emit("recovery", str(pid), event="complete",
-                        replayed=replayed)
+        self.events.emit("recovery", str(pid), event="complete",
+                         replayed=replayed)
         signal = self._completion_signals.get(pid)
         if signal is not None:
             signal.fire(pid)

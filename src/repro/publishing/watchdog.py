@@ -23,10 +23,9 @@ from repro.sim.engine import Engine, EventHandle
 class Watchdog:
     """One watch process: pings a node, reports silence.
 
-    ``pings_sent`` / ``replies_seen`` live in the unified metrics
-    registry under ``watchdog.<node>.*`` when an instrumentation spine
-    is supplied, so chaos-campaign reports and ``metrics`` snapshots see
-    them; the attributes remain as compatibility properties.
+    ``pings_sent`` / ``replies_seen`` are :class:`~repro.obs.Counter`
+    attributes registered as ``watchdog.<node>.*``, so chaos-campaign
+    reports and ``metrics`` snapshots see them.
     """
 
     def __init__(self, engine: Engine, node_id: int,
@@ -49,16 +48,8 @@ class Watchdog:
         obs = obs or Observability(lambda: engine.now)
         prefix = f"watchdog.{node_id}"
         self.events = obs.scope(prefix)
-        self._pings_sent = obs.registry.counter(f"{prefix}.pings_sent")
-        self._replies_seen = obs.registry.counter(f"{prefix}.replies_seen")
-
-    @property
-    def pings_sent(self) -> int:
-        return self._pings_sent.value
-
-    @property
-    def replies_seen(self) -> int:
-        return self._replies_seen.value
+        self.pings_sent = obs.registry.counter(f"{prefix}.pings_sent")
+        self.replies_seen = obs.registry.counter(f"{prefix}.replies_seen")
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -88,14 +79,14 @@ class Watchdog:
         if control.get("node") != self.node_id:
             return
         self._last_reply = self.engine.now
-        self._replies_seen.inc()
+        self.replies_seen.inc()
         self._fired = False
 
     def _tick(self) -> None:
         if not self._running:
             return
         self._nonce += 1
-        self._pings_sent.inc()
+        self.pings_sent.inc()
         self._send_ping(self.node_id, Control("are_you_alive", {
             "nonce": self._nonce, "watched": self.node_id,
         }))

@@ -15,7 +15,6 @@ from repro.sim.engine import (
     Signal,
 )
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Engine",
@@ -25,6 +24,4 @@ __all__ = [
     "PartitionedEngine",
     "Signal",
     "RngStreams",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -472,15 +472,12 @@ class PartitionedEngine:
     Because targets are promise-based, a quiet federation fast-forwards
     in a handful of barriers instead of ``duration / min(lookahead)``
     fixed windows, and a cluster behind a slow gateway does not
-    throttle LPs it has no edge to. ``batch_ms`` optionally caps how
-    far any LP may run past its current time in one round (the batch
-    factor K in time units); ``None`` means unbounded.
+    throttle LPs it has no edge to.
     """
 
     def __init__(self,
                  engines: Union[List[EngineCore], Dict[int, EngineCore]],
-                 channels: List[PartitionChannel],
-                 batch_ms: Optional[float] = None):
+                 channels: List[PartitionChannel]):
         if not engines:
             raise SimulationError("a partitioned engine needs at least one LP")
         if isinstance(engines, dict):
@@ -501,7 +498,6 @@ class PartitionedEngine:
                     f"channel {channel.key!r} routes to unknown LP "
                     f"{channel.dst}")
             self._incoming[channel.dst].append(channel)
-        self.batch_ms = batch_ms
         self._now = 0.0
         self.barriers = 0
         self.messages_exchanged = 0
@@ -561,10 +557,6 @@ class PartitionedEngine:
                     bound = floor
             if bound < target:
                 target = bound
-        if self.batch_ms is not None:
-            cap = engine.now + self.batch_ms
-            if cap < target:
-                target = cap
         if target < engine.now:
             target = engine.now
         return target

@@ -57,7 +57,6 @@ from repro.publishing.recovery_manager import RecoveryManager
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceLog
 
 #: Media selectable by name in :class:`SystemConfig`.
 MEDIA = ("broadcast", "acking_ethernet", "csma_ethernet", "star", "token_ring")
@@ -177,7 +176,7 @@ class System:
         #: one instrumentation spine (event bus + metrics registry)
         #: shared by every layer of the cluster
         self.obs = Observability(lambda: self.engine.now)
-        self.trace = TraceLog(bus=self.obs.bus, scope="sim")
+        self.events = self.obs.scope("sim")
         self.obs.registry.gauge_fn("sim.now", lambda: self.engine.now)
         self.obs.registry.gauge_fn("sim.events_fired",
                                    lambda: self.engine.events_fired)
@@ -413,9 +412,9 @@ class System:
 
     def _note_dead_letter(self, node_id: int, segment, attempts: int) -> None:
         self.dead_letters.append(DeadLetter(node_id, segment, attempts))
-        self.trace.emit("dead_letter", f"node{node_id}",
-                        dst=getattr(segment, "dst_node", None),
-                        attempts=attempts)
+        self.events.emit("dead_letter", f"node{node_id}",
+                         dst=getattr(segment, "dst_node", None),
+                         attempts=attempts)
 
     def install_reception_loss(self, rate: Optional[float] = None) -> ReceptionLoss:
         """Install (or re-rate) seed-pure loss on the recording path.
@@ -472,7 +471,7 @@ class System:
         if self.gossip is not None:
             # The spare starts with an empty (not absent) gossip buffer.
             self.gossip.attach_node(spare)
-        self.trace.emit("spare", f"node{node_id}", event="takeover")
+        self.events.emit("spare", f"node{node_id}", event="takeover")
         return spare
 
     # ------------------------------------------------------------------
@@ -660,8 +659,8 @@ class System:
         while publishing continues to observe whatever still flows."""
         rule = self.faults.partition(*groups)
         self._partitions.append(rule)
-        self.trace.emit("partition", "net",
-                        groups=[sorted(g) for g in groups])
+        self.events.emit("partition", "net",
+                         groups=[sorted(g) for g in groups])
         return rule
 
     def heal(self, rule) -> None:
@@ -669,7 +668,7 @@ class System:
         self.faults.remove_rule(rule)
         if rule in self._partitions:
             self._partitions.remove(rule)
-        self.trace.emit("partition_healed", "net")
+        self.events.emit("partition_healed", "net")
 
     def heal_partitions(self) -> int:
         """Lift every active partition; returns how many were healed."""
@@ -685,7 +684,7 @@ class System:
         if self.recorder is None:
             raise ReproError("this system has no recorder")
         ends = self.recorder.disks.stall(duration_ms)
-        self.trace.emit("disk_stall", "recorder", until=ends)
+        self.events.emit("disk_stall", "recorder", until=ends)
         return ends
 
     def slow_disks(self, factor: float) -> None:
@@ -693,7 +692,7 @@ class System:
         if self.recorder is None:
             raise ReproError("this system has no recorder")
         self.recorder.disks.set_slowdown(factor)
-        self.trace.emit("disk_slowdown", "recorder", factor=factor)
+        self.events.emit("disk_slowdown", "recorder", factor=factor)
 
     def crash_recorder(self, shard: int = 0) -> None:
         """Fail the recorder (or one shard of it); published traffic to

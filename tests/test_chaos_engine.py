@@ -115,9 +115,8 @@ def test_monkey_recorder_crashes_are_paired_with_restarts():
 # ----------------------------------------------------------------------
 
 def test_fault_counters_live_in_the_medium_registry():
-    """Satellite fix: FaultPlan losses/corruptions are registry counters
-    (faults.*), visible in snapshots, with the attributes kept as
-    compatibility properties."""
+    """FaultPlan losses/corruptions are registry counters (faults.*):
+    the plan's attributes and the snapshot read the same objects."""
     engine = Engine()
     faults = FaultPlan()
     faults.lose_next(lambda f, node: node == 2, count=2)
@@ -128,7 +127,7 @@ def test_fault_counters_live_in_the_medium_registry():
     engine.run(until=2000)
     snapshot = medium.obs.registry.snapshot()
     assert snapshot["faults.losses"] == 2
-    assert faults.losses == 2              # compat property, same counter
+    assert faults.losses.value == 2        # the same counter
     assert snapshot["faults.corruptions"] == 0
 
 
@@ -145,12 +144,12 @@ def test_partition_drops_cross_cut_frames_only():
     t2.send(3, "same-side", 64, uid=("a", 1))
     engine.run(until=300)
     assert got[3] == ["same-side"]
-    assert faults.partition_drops == 0
+    assert faults.partition_drops.value == 0
     # node1 -> node2 crosses the cut: dropped until the rule lifts.
     t1.send(2, "cross", 64, uid=("b", 1))
     engine.run(until=600)
     assert got[2] == []
-    assert faults.partition_drops >= 1
+    assert faults.partition_drops.value >= 1
     assert rule.hits >= 1
     faults.remove_rule(rule)
     engine.run(until=30_000)

@@ -101,7 +101,7 @@ class TestPoliciesInSystem:
                                                       save_ms_per_page=1.0))
         counter_pid, _ = run_counter_scenario(system, n=50)
         system.run(10_000)
-        assert system.trace.count("checkpoint", str(counter_pid)) >= 2
+        assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 2
 
     def test_storage_balance_policy_limits_stored_bytes(self):
         system = self.make_system(StorageBalancePolicy())
@@ -134,9 +134,9 @@ class TestPoliciesInSystem:
                        only=lambda pcb: False)
         counter_pid, _ = run_counter_scenario(system, n=20,
                                               counter_node=1, driver_node=1)
-        before = system.trace.count("checkpoint")
+        before = system.obs.bus.count("checkpoint")
         system.run(10_000)
-        assert system.trace.count("checkpoint") == before
+        assert system.obs.bus.count("checkpoint") == before
 
     def test_bound_can_be_set_per_process(self):
         policy = RecoveryTimeBoundPolicy(default_bound_ms=1e12)
@@ -144,4 +144,4 @@ class TestPoliciesInSystem:
         counter_pid, _ = run_counter_scenario(system, n=40)
         policy.set_bound(counter_pid, 200.0)
         system.run(20_000)
-        assert system.trace.count("checkpoint", str(counter_pid)) >= 1
+        assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 1

@@ -91,7 +91,7 @@ class TestFederation:
                                      args=(tuple(counter_pid), 5), node=1)
         driver = wait_replies(fed, a, driver_pid, 5)
         assert driver.replies == [sum(range(1, k + 1)) for k in range(1, 6)]
-        assert any(g.retries > 0 for g in fed.gateways)
+        assert any(g.forwarder.retries.value > 0 for g in fed.gateways)
 
     def test_three_clusters_full_mesh(self):
         fed = build_federation((1, 1, 1))
@@ -124,14 +124,14 @@ class TestGatewayUnits:
                                       dst_node=2, payload="local",
                                       size_bytes=64))
         engine.run()
-        assert gateway.frames_forwarded == 0
+        assert gateway.forwarder.frames_forwarded.value == 0
         assert got_far == []
         # Foreign frame: crosses with the forwarding delay.
         near.interfaces[0].send(Frame(kind=FrameKind.DATA, src_node=1,
                                       dst_node=101, payload="remote",
                                       size_bytes=64))
         engine.run()
-        assert gateway.frames_forwarded == 1
+        assert gateway.forwarder.frames_forwarded.value == 1
         assert [f.payload for f in got_far] == ["remote"]
 
     def test_gateway_gives_up_after_max_retries(self):
@@ -155,8 +155,8 @@ class TestGatewayUnits:
         engine.run(until=10_000)
         # Four transmissions (attempt 0..3) each fail and schedule a
         # retry; the fifth would exceed max_retries and is abandoned.
-        assert gateway.retries == 4
-        assert gateway.frames_forwarded == 4
+        assert gateway.forwarder.retries.value == 4
+        assert gateway.forwarder.frames_forwarded.value == 4
 
 
 class TestGatewayIds:
@@ -248,9 +248,9 @@ class TestGatewayDeadLetters:
                                       dst_node=101, payload="void",
                                       size_bytes=64))
         engine.run(until=10_000)
-        assert gateway.frames_forwarded == 4
-        assert gateway.retries == 4
-        assert gateway.frames_dropped == 1
+        assert gateway.forwarder.frames_forwarded.value == 4
+        assert gateway.forwarder.retries.value == 4
+        assert gateway.forwarder.frames_dropped.value == 1
         assert drops == [(9000, 101, 4)]
         snapshot = obs.snapshot()
         assert snapshot["gateway.9000.frames_dropped"] == 1
@@ -271,21 +271,21 @@ class TestGatewayDeadLetters:
                                       dst_node=101, payload="doomed",
                                       size_bytes=64))
         engine.run(until=12.0)          # claimed, forwarded, retrying
-        assert gateway.retries >= 1
-        assert gateway.frames_dropped == 0
+        assert gateway.forwarder.retries.value >= 1
+        assert gateway.forwarder.frames_dropped.value == 0
         gateway.crash()
         assert not gateway.up
-        engine.run(until=10_000)        # the pending retry fires into a
-        assert gateway.frames_dropped == 1   # down gateway and drops
+        engine.run(until=10_000)   # the pending retry fires into a down
+        assert gateway.forwarder.frames_dropped.value == 1   # gateway and drops
         events = [e for e in obs.bus.events if e.category == "drop"]
         assert events and events[-1].detail["reason"] == "gateway_down"
         # Down gateway claims nothing new.
-        claimed_before = gateway.frames_claimed
+        claimed_before = gateway.tap.frames_claimed.value
         near.interfaces[0].send(Frame(kind=FrameKind.DATA, src_node=1,
                                       dst_node=101, payload="ignored",
                                       size_bytes=64))
         engine.run(until=11_000)
-        assert gateway.frames_claimed == claimed_before
+        assert gateway.tap.frames_claimed.value == claimed_before
 
     def test_federation_records_gateway_dead_letters(self):
         fed = build_federation((2, 1))
@@ -300,7 +300,7 @@ class TestGatewayDeadLetters:
                                      args=(tuple(counter_pid), 3), node=1)
         fed.run(120)
         gateway = next(g for g in fed.gateways if g.gateway_id == 9000)
-        assert gateway.retries >= 1        # custody held, retrying
+        assert gateway.forwarder.retries.value >= 1   # custody held, retrying
         gateway.crash()
         fed.run(2000)                      # pending retry drops
         gateway.restart()

@@ -59,8 +59,8 @@ class TestNodeCpu:
         cpu = NodeCpu(Engine())
         cpu.charge(4.0)
         cpu.charge(2.0, user=True)
-        assert cpu.kernel_ms == 4.0
-        assert cpu.user_ms == 2.0
+        assert cpu.kernel_ms.value == 4.0
+        assert cpu.user_ms.value == 2.0
 
     def test_run_fires_at_completion(self):
         engine = Engine()
@@ -76,7 +76,7 @@ class TestNodeCpu:
         cpu.charge(100.0)
         cpu.reset()
         assert cpu.charge(1.0) == 1.0
-        assert cpu.kernel_ms == 101.0
+        assert cpu.kernel_ms.value == 101.0
 
 
 class TestKernelEdgeCases:
@@ -90,7 +90,7 @@ class TestKernelEdgeCases:
         link = k1.forge_link(sender, Link(dst=pid))
         k1.syscall_send(sender, link, ("add", 1), None, 64)
         system.run(2000)
-        assert system.trace.count("kernel", str(pid)) >= 1   # drop trace
+        assert system.obs.bus.count("kernel", str(pid)) >= 1   # drop trace
 
     def test_keep_link_duplicates(self, two_node_system):
         system = two_node_system

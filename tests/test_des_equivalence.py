@@ -151,16 +151,6 @@ class TestPromiseFastForward:
             f"{fed.scheduler.barriers - settle_barriers} barriers to "
             f"cross an idle horizon")
 
-    def test_batch_ms_bounds_a_single_grant(self):
-        batched = DesScenario(clusters=4, messages=4, duration_ms=1500.0,
-                              batch_ms=100.0)
-        staged = run_staged(batched, partitions=4)
-        assert staged["digest"] == run_serial(batched)["digest"]
-        # ~20 batch windows over the 2000ms horizon; far fewer than
-        # the 400 min-lookahead windows, far more than the unbatched ~60.
-        assert staged["barriers"] >= (SMALL.settle_ms
-                                      + SMALL.duration_ms) / 100.0
-
 
 def _silent_death_worker(conn):
     conn.close()
@@ -224,14 +214,14 @@ class TestLargeFederation:
             assert run["frames_dropped"] == 0
 
     def test_32_clusters_all_knobs_enabled(self):
-        # Heterogeneous lookaheads + window batching + recorder LPs,
-        # all at once: serial == staged == pooled, byte-for-byte.
+        # Heterogeneous lookaheads + recorder LPs at once: serial ==
+        # staged == pooled, byte-for-byte.
         scenario = DesScenario(
             clusters=32, messages=6, duration_ms=3000.0,
             forward_delays=tuple(
                 ((i, (i + 1) % 32), 3.0 + (i % 5) * 2.0)
                 for i in range(0, 32, 3)),
-            recorder_lps=True, batch_ms=250.0)
+            recorder_lps=True)
         report = equivalence_report(scenario, worker_counts=(4,))
         assert report["equivalent"], report["mismatches"]
         for run in report["runs"]:

@@ -84,7 +84,7 @@ class TestLossyNetworks:
         counter_pid, driver_pid = run_counter_scenario(system, n=20)
         driver = drive(system, driver_pid, 20)
         assert driver.replies == expected_totals(20)
-        assert system.nodes[1].kernel.transport.stats.retransmissions > 0
+        assert system.nodes[1].kernel.transport.stats.retransmissions.value > 0
 
     def test_random_corruption_masked(self):
         system = build("broadcast", corruption_rate=0.05)
@@ -114,7 +114,7 @@ class TestLossyNetworks:
         counter_pid, driver_pid = run_counter_scenario(system, n=10)
         driver = drive(system, driver_pid, 10)
         assert driver.replies == expected_totals(10)
-        assert system.medium.stats.recorder_misses >= 1
+        assert system.medium.stats.recorder_misses.value >= 1
         # Every delivered message is in the log exactly once.
         record = system.recorder.db.get(counter_pid)
         assert len(record.arrivals) == 10

@@ -87,7 +87,7 @@ class TestDeterminism:
         driver = system.program_of(driver_pid)
         counter = system.program_of(counter_pid)
         return (tuple(driver.replies), tuple(counter.seen),
-                system.engine.events_fired, system.recorder.messages_recorded)
+                system.engine.events_fired, system.recorder.messages_recorded.value)
 
     def test_identical_seeds_identical_runs(self):
         assert self.run_once() == self.run_once()

@@ -43,7 +43,7 @@ class TestCsmaEthernet:
         ether.interfaces[0].send(data_frame(1, 3))
         ether.interfaces[1].send(data_frame(2, 3))
         engine.run()
-        assert ether.stats.collisions >= 2
+        assert ether.stats.collisions.value >= 2
         assert len(inboxes[3]) == 2      # both eventually delivered
 
     def test_busy_carrier_defers(self):
@@ -56,7 +56,7 @@ class TestCsmaEthernet:
         engine.schedule(0.2, lambda: ether.interfaces[1].send(data_frame(2, 3)))
         engine.run()
         assert len(arrival_times) == 2
-        assert ether.stats.collisions == 0    # deferral, not collision
+        assert ether.stats.collisions.value == 0    # deferral, not collision
 
     def test_auto_ack_frames_contend(self):
         params = EthernetParams(auto_ack=True)
@@ -65,7 +65,7 @@ class TestCsmaEthernet:
         attach_stations(ether, (1, 2))
         ether.interfaces[0].send(data_frame(1, 2))
         engine.run()
-        assert ether.acks_sent == 1
+        assert ether.acks_sent.value == 1
 
     def test_heavy_load_acks_collide_more_than_acking_variant(self):
         """The Figure 6.1/6.2 contrast: under load, contending acks
@@ -89,9 +89,9 @@ class TestCsmaEthernet:
 
         standard = run_medium(CsmaEthernet)
         acking = run_medium(AckingEthernet)
-        assert standard.ack_collisions > 0
-        assert acking.ack_collisions == 0
-        assert acking.stats.collisions < standard.stats.collisions
+        assert standard.ack_collisions.value > 0
+        assert acking.ack_collisions.value == 0
+        assert acking.stats.collisions.value < standard.stats.collisions.value
 
 
 class TestAckingEthernet:
@@ -101,7 +101,7 @@ class TestAckingEthernet:
         attach_stations(ether, (1, 2))
         ether.interfaces[0].send(data_frame(1, 2))
         engine.run()
-        assert ether.reserved_slots == 1
+        assert ether.reserved_slots.value == 1
 
     def test_sender_learns_delivery(self):
         engine = Engine()
@@ -185,7 +185,7 @@ class TestTokenRing:
         ring.interfaces[0].send(data_frame(1, 3))
         engine.run()
         assert inboxes[3] == []
-        assert ring.frames_invalidated == 1
+        assert ring.frames_invalidated.value == 1
         assert delivered == [False]
 
     def test_sender_gets_positive_ack_on_success(self):
@@ -225,7 +225,7 @@ class TestStarHub:
         star.interfaces[0].send(data_frame(1, 2))
         engine.run()
         assert inboxes[2] == []
-        assert star.stats.recorder_misses == 1
+        assert star.stats.recorder_misses.value == 1
 
     def test_intranode_frame_loops_via_hub(self):
         engine = Engine()

@@ -139,7 +139,7 @@ class TestFaultPlan:
         assert plan.apply(frame, 3) is frame        # wrong receiver
         assert plan.apply(frame, 2) is None         # lost
         assert plan.apply(frame, 2) is frame        # budget spent
-        assert plan.losses == 1
+        assert plan.losses.value == 1
 
     def test_targeted_corruption_returns_bad_copy(self):
         plan = FaultPlan()

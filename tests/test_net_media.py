@@ -86,7 +86,7 @@ def test_recorder_miss_blocks_data_frame_when_enforced():
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert inboxes[2] == []
-    assert bus.stats.recorder_misses == 1
+    assert bus.stats.recorder_misses.value == 1
 
 
 def test_downed_recorder_stalls_all_data():
@@ -182,7 +182,7 @@ def test_utilization_accounting():
     bus.interfaces[0].send(data_frame(1, 2, size=1250))   # 1 ms on wire
     engine.run()
     elapsed = engine.now
-    assert bus.stats.busy_time_ms == pytest.approx(bus.tx_time_ms(1250))
+    assert bus.stats.busy_time_ms.value == pytest.approx(bus.tx_time_ms(1250))
     assert 0 < bus.stats.utilization(elapsed) <= 1.0
 
 
@@ -201,7 +201,7 @@ def test_down_recorder_copy_is_counted_and_surfaced():
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert len(inboxes[2]) == 1             # delivered, not wedged
-    assert bus.stats.recorder_copies_missed == 1
+    assert bus.stats.recorder_copies_missed.value == 1
     flagged = [e for e in bus.obs.bus.events
                if e.category == "recorder_copy_missed"]
     assert len(flagged) == 1
@@ -222,7 +222,7 @@ def test_all_recorders_down_still_stalls_without_counting_as_acked():
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert inboxes[2] == []
-    assert bus.stats.recorder_copies_missed == 2
+    assert bus.stats.recorder_copies_missed.value == 2
     # no survivor supplied the ack, so no misleading "copy missed but
     # acked anyway" event fires
     assert not [e for e in bus.obs.bus.events

@@ -38,7 +38,7 @@ def test_lost_frame_retransmitted():
     t1.send(2, "persistent", 128, uid=("p", 1))
     engine.run()
     assert got[2] == ["persistent"]
-    assert t1.stats.retransmissions >= 1
+    assert t1.stats.retransmissions.value >= 1
 
 
 def test_corrupted_frame_dropped_then_retransmitted():
@@ -49,7 +49,7 @@ def test_corrupted_frame_dropped_then_retransmitted():
     t1.send(2, "x", 128, uid=("p", 1))
     engine.run()
     assert got[2] == ["x"]
-    assert t2.stats.dropped_bad_checksum == 2
+    assert t2.stats.dropped_bad_checksum.value == 2
 
 
 def test_duplicates_suppressed_on_explicit_ack_medium():
@@ -67,7 +67,7 @@ def test_duplicates_suppressed_on_explicit_ack_medium():
     t1.send(2, "once", 128, uid=("p", 1))
     engine.run(until=5000)
     assert got[2] == ["once"]
-    assert t2.stats.duplicates_suppressed >= 1
+    assert t2.stats.duplicates_suppressed.value >= 1
 
 
 def test_in_order_delivery_with_window_one():
@@ -169,7 +169,7 @@ def test_permanently_dead_interface_reaches_dead_letter_hook():
     t1.send(2, "doomed", 128, uid=("p", 1))
     engine.run()
     assert dead == [("doomed", 4)]
-    assert t1.stats.gave_up == 1
+    assert t1.stats.gave_up.value == 1
     assert t1.queue_depth == 0
     assert got[2] == []
 
@@ -297,7 +297,7 @@ def test_require_recorder_ack_drops_unrecorded_frames():
     medium.faults.corrupt_next(lambda f, node: node == 99, count=1)
     t1.send(2, "needs-recorder", 128, uid=("p", 1))
     engine.run(until=2000)
-    assert t2.stats.dropped_no_recorder_ack >= 1
+    assert t2.stats.dropped_no_recorder_ack.value >= 1
     assert got == ["needs-recorder"]     # retransmission recovered it
 
 

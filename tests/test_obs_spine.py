@@ -2,14 +2,19 @@
 
 Covers the `repro.obs` primitives in isolation and the end-to-end
 guarantees the spine makes: two identical runs produce bit-identical
-event streams and metric snapshots, a disabled scope emits nothing, and
-the legacy stats surfaces are views over the shared registry.
+event streams and metric snapshots, a disabled scope emits nothing, the
+counters layers hold are the objects the registry snapshots, and the
+whole snapshot + stream surface is pinned per medium.
 """
+
+import ast
+import hashlib
+from pathlib import Path
 
 import pytest
 
-from repro.obs import EventBus, MetricsRegistry, Observability
-from repro.sim.trace import TraceLog
+import repro
+from repro.obs import EventBus, MetricsRegistry
 from repro.system import System, SystemConfig
 
 
@@ -66,6 +71,8 @@ class TestEventBus:
         bus.enabled = True
         scope.emit("spare", "node1")
         assert len(bus) == 1
+        bus.clear()
+        assert len(bus) == 0
 
     def test_select_filters(self):
         bus = EventBus()
@@ -180,9 +187,9 @@ class TestScopedSystemTracing:
         scopes = {e.scope for e in system.obs.bus}
         assert any(s.startswith("kernel.") for s in scopes)
         assert "recovery" in scopes
-        # the sim-wide TraceLog still sees every layer's events
-        assert system.trace.count() == len(system.obs.bus)
-        assert system.trace.count("watchdog", "node2") >= 1
+        # bus-wide reads see every layer's events
+        assert system.obs.bus.count() == len(system.obs.bus)
+        assert system.obs.bus.count("watchdog", "node2") >= 1
 
     def test_disabled_scope_emits_nothing(self):
         from repro.metrics.metering import SendToSelfProgram
@@ -205,23 +212,16 @@ class TestLegacyStatsAreRegistryViews:
         snap = system.metrics_snapshot()
         medium = system.medium
         assert snap[f"media.{medium.kind}.frames_delivered"] == \
-            medium.stats.frames_delivered
+            medium.stats.frames_delivered.value
         assert snap["recorder.messages_recorded"] == \
-            system.recorder.messages_recorded
+            system.recorder.messages_recorded.value
         t1 = system.nodes[1].kernel.transport
-        assert snap["transport.1.sent"] == t1.stats.sent
+        assert snap["transport.1.sent"] == t1.stats.sent.value
         assert snap["kernel.1.cpu.kernel_ms"] == \
-            system.nodes[1].kernel.cpu.kernel_ms
+            system.nodes[1].kernel.cpu.kernel_ms.value
         assert snap["recovery.recoveries_completed"] == \
             system.recovery.stats.recoveries_completed
         assert snap["sim.events_fired"] == system.engine.events_fired
-
-    def test_legacy_writes_surface_in_registry(self):
-        system = System(SystemConfig(nodes=1))
-        medium = system.medium
-        medium.stats.collisions += 7     # old in-place mutation style
-        assert system.metrics_snapshot()[
-            f"media.{medium.kind}.collisions"] == 7
 
     def test_standalone_components_default_to_medium_obs(self):
         from repro.net.media import PerfectBroadcast
@@ -236,16 +236,85 @@ class TestLegacyStatsAreRegistryViews:
         assert "transport.1.sent" in medium.obs.registry.snapshot()
 
 
-class TestTraceLogCompat:
-    def test_standalone_tracelog_still_works(self):
-        trace = TraceLog(lambda: 4.0)
-        trace.emit("publish", "1.2", msg="1.2#9")
-        assert trace.count("publish") == 1
-        assert trace.records[0].time == 4.0
 
-    def test_tracelog_shares_bus(self):
-        obs = Observability(lambda: 0.0)
-        kernel_trace = TraceLog(bus=obs.bus, scope="kernel.1")
-        sim_trace = TraceLog(bus=obs.bus, scope="sim")
-        kernel_trace.emit("checkpoint", "1.2")
-        assert sim_trace.count("checkpoint", "1.2") == 1
+# ----------------------------------------------------------------------
+# the observable surface, pinned
+# ----------------------------------------------------------------------
+#: sha256(canonical_json(metrics_snapshot()) + event_stream()) of the
+#: seed-1983 `chaos --scenario demo` run per (medium, gossip): pins every
+#: snapshot key, value and first-appearance point and every event on
+#: every medium (the committed perf digests only cover the snapshot on
+#: broadcast federations).
+SURFACE_PINS = {
+    ("broadcast", False):
+        "db4e3f45c5c93666979a70591c378e3088b2a89c00e9c5c9decf0afc4a783804",
+    ("csma_ethernet", False):
+        "984c6054d550ea5db1eb1d3fc25d10a38c1b3ef9a340d4a3e16b8c2f281488e7",
+    ("acking_ethernet", False):
+        "db0911ef00da3cb4d6b964755359997b741dffc673c4d32577960dbd494ba0bb",
+    ("token_ring", False):
+        "164f294d00884230b304cc1367cb77a6bf9c211237cfa58437acb529643eb4f9",
+    ("star", False):
+        "28744c606252ecd1f20f815d307a9936306b9aa2510752cb6eb870f9d6064346",
+    ("csma_ethernet", True):
+        "25ffde037ac35aaf004e488935fe086af5735cb9dbb491d080f53f00289958a0",
+}
+
+
+def test_snapshot_and_stream_surface_is_pinned():
+    from repro.__main__ import _build_demo_campaign
+    from repro.chaos import run_scenario
+    from repro.parallel.runner import canonical_json
+
+    moved = []
+    for (medium, gossip), pinned in sorted(SURFACE_PINS.items()):
+        result = run_scenario(
+            _build_demo_campaign(3), master_seed=1983, medium=medium,
+            config_overrides={"gossip": True} if gossip else None)
+        assert result.ok, (medium, gossip)
+        surface = (canonical_json(result.system.metrics_snapshot())
+                   + result.event_stream())
+        if hashlib.sha256(surface.encode()).hexdigest() != pinned:
+            moved.append((medium, gossip))
+    assert not moved
+
+
+def _wraps_a_counter(function: ast.FunctionDef) -> bool:
+    """``@property`` whose body is ``return self.<attr>.value``."""
+    if not any(isinstance(d, ast.Name) and d.id == "property"
+               for d in function.decorator_list):
+        return False
+    body = [stmt for stmt in function.body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant))]   # docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    value = body[0].value
+    return (isinstance(value, ast.Attribute) and value.attr == "value"
+            and isinstance(value.value, ast.Attribute)
+            and isinstance(value.value.value, ast.Name)
+            and value.value.value.id == "self")
+
+
+def test_no_counter_backed_properties():
+    """One way to count: a layer holds its ``Counter`` and readers take
+    ``.value`` — no ``@property`` returning ``self.<attr>.value``, and
+    nothing imports the deleted ``repro.sim.trace``."""
+    offenders = []
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and _wraps_a_counter(node):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno} "
+                                 f"property {node.name} wraps a counter")
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "repro.sim.trace" in imported:
+                offenders.append(f"{path.relative_to(root)}:{node.lineno} "
+                                 f"imports repro.sim.trace")
+    assert not offenders, "\n".join(offenders)

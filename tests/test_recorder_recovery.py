@@ -142,13 +142,13 @@ class TestRecorderObservability:
 
     def test_publish_cpu_charged_per_message(self, two_node_system):
         system = two_node_system
-        before = system.recorder.cpu_busy_ms
+        before = system.recorder.cpu_busy_ms.value
         run_counter_scenario(system, n=5)
         system.run(5000)
-        recorded = system.recorder.messages_recorded
-        assert system.recorder.cpu_busy_ms - before == pytest.approx(
-            recorded and (system.recorder.cpu_busy_ms - before), rel=1.0)
-        assert system.recorder.cpu_busy_ms > before
+        recorded = system.recorder.messages_recorded.value
+        assert system.recorder.cpu_busy_ms.value - before == pytest.approx(
+            recorded and (system.recorder.cpu_busy_ms.value - before), rel=1.0)
+        assert system.recorder.cpu_busy_ms.value > before
 
     def test_disk_receives_message_bytes(self, two_node_system):
         system = two_node_system

@@ -151,7 +151,7 @@ class TestProcessCrash:
         system.crash_process(driver_pid)
         counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver)
-        suppressed = system.trace.count("recovery", str(driver_pid))
+        suppressed = system.obs.bus.count("recovery", str(driver_pid))
         assert suppressed > 0
 
     def test_both_parties_crash_sequentially(self, two_node_system):
@@ -356,7 +356,7 @@ class TestRecoveryMechanics:
         system.crash_process(counter_pid)
         counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver)
-        marker_events = system.trace.count("recovery", str(counter_pid))
+        marker_events = system.obs.bus.count("recovery", str(counter_pid))
         assert marker_events > 0
 
     def test_recovery_completion_signal_fires(self, two_node_system):

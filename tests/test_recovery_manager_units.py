@@ -85,10 +85,10 @@ class TestControlRouting:
     def test_alive_reply_routed_to_right_watchdog(self, system):
         system.run(300)
         dog1 = system.recovery.watchdogs[1]
-        seen_before = dog1.replies_seen
+        seen_before = dog1.replies_seen.value
         system.recovery._on_alive_reply(
             Control("alive_reply", {"node": 1}), 1)
-        assert dog1.replies_seen == seen_before + 1
+        assert dog1.replies_seen.value == seen_before + 1
 
     def test_completion_signal_is_cached(self, system):
         pid = ProcessId(1, 3)

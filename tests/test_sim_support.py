@@ -1,6 +1,6 @@
-"""Unit tests for RNG streams and the trace log."""
+"""Unit tests for RNG streams."""
 
-from repro.sim import Engine, RngStreams, TraceLog
+from repro.sim import RngStreams
 
 
 class TestRngStreams:
@@ -43,38 +43,3 @@ class TestRngStreams:
         rng = RngStreams(42)
         options = ["a", "b", "c"]
         assert all(rng.choice("c", options) in options for _ in range(20))
-
-
-class TestTraceLog:
-    def test_records_carry_clock_time(self):
-        engine = Engine()
-        trace = TraceLog(lambda: engine.now)
-        engine.schedule(4.0, trace.emit, "cat", "subj")
-        engine.run()
-        assert trace.records[0].time == 4.0
-
-    def test_select_filters_by_category_and_subject(self):
-        trace = TraceLog()
-        trace.emit("a", "x")
-        trace.emit("a", "y")
-        trace.emit("b", "x")
-        assert trace.count("a") == 2
-        assert trace.count(subject="x") == 2
-        assert trace.count("a", "x") == 1
-
-    def test_detail_preserved(self):
-        trace = TraceLog()
-        trace.emit("cat", "subj", answer=42)
-        assert trace.records[0].detail["answer"] == 42
-
-    def test_disabled_trace_drops_records(self):
-        trace = TraceLog()
-        trace.enabled = False
-        trace.emit("cat", "subj")
-        assert len(trace) == 0
-
-    def test_clear(self):
-        trace = TraceLog()
-        trace.emit("cat", "subj")
-        trace.clear()
-        assert len(trace) == 0

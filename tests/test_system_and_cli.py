@@ -110,7 +110,7 @@ class TestCheckpointPolicyConfig:
         system.boot()
         counter_pid, _ = run_counter_scenario(system, n=60)
         system.run(20_000)
-        assert system.trace.count("checkpoint", str(counter_pid)) >= 1
+        assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 1
         record = system.recorder.db.get(counter_pid)
         assert record.valid_message_bytes() <= 2 * 4 * 1024
 
@@ -127,4 +127,4 @@ class TestCheckpointPolicyConfig:
         system.boot()
         counter_pid, _ = run_counter_scenario(system, n=100)
         system.run(15_000)
-        assert system.trace.count("checkpoint", str(counter_pid)) >= 2
+        assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 2

@@ -79,7 +79,7 @@ def test_concurrent_messages_keep_independent_schedules():
                       for k in range(1, cfg.max_retries + 1))
     assert sorted(dead) == [(f"m{i}", offset + schedule_ms, cfg.max_retries)
                             for i, offset in enumerate(offsets)]
-    assert t1.stats.gave_up == 3
+    assert t1.stats.gave_up.value == 3
     assert not t1._timers and t1._wheel is None
 
 
@@ -93,8 +93,8 @@ def test_ack_leaves_stale_wheel_entry_without_extra_retry():
     t1.send(2, "once", 128, uid=("p", 1))
     engine.run()
     assert got[2] == ["once"]
-    assert t1.stats.retransmissions == 1   # the one real loss, no ghosts
-    assert t1.stats.sent == 2              # original + that single retry
+    assert t1.stats.retransmissions.value == 1   # the one real loss, no ghosts
+    assert t1.stats.sent.value == 2              # original + that single retry
     # Drained transport: no live wheel, engine fully idle (a leaked
     # wheel timer would have kept `run()` spinning through empty pops).
     assert t1._wheel is None
@@ -174,7 +174,7 @@ def test_lossy_run_retry_stats_are_deterministic():
             engine.schedule(i * 7.0, t1.send, 2, ("m", i), 128, ("p", i))
         engine.run()
         assert [b for (m, b) in got[2]] == list(range(25))
-        return (t1.stats.retransmissions, t1.stats.sent,
+        return (t1.stats.retransmissions.value, t1.stats.sent.value,
                 t1._backoff_ms.count, t1._backoff_ms.total,
                 engine.events_fired, engine.now)
 
@@ -195,6 +195,6 @@ def test_system_level_retry_behaviour_unchanged():
            and system.engine.now < deadline):
         system.run(500)
     assert system.program_of(counter_pid).total == 15 * 16 // 2
-    retrans = sum(node.kernel.transport.stats.retransmissions
+    retrans = sum(node.kernel.transport.stats.retransmissions.value
                   for node in system.nodes.values())
     assert retrans > 0
