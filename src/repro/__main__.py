@@ -505,27 +505,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_des(args: argparse.Namespace) -> int:
-    from repro.parallel.des import DesScenario, equivalence_report
+    from repro.parallel.des import (
+        DesScenario,
+        equivalence_report,
+        spread_forward_delays,
+    )
 
-    forward_delays = None
-    if args.spread_delays:
-        # A deterministic heterogeneous lookahead assignment: every
-        # third ring edge gets its own delay.
-        forward_delays = tuple(
-            ((i, (i + 1) % args.clusters), 3.0 + (i % 5) * 2.0)
-            for i in range(0, args.clusters, 3))
     scenario = DesScenario(clusters=args.clusters,
                            cluster_size=args.cluster_size,
                            messages=args.messages,
                            duration_ms=args.duration,
                            topology=args.topology,
                            master_seed=args.seed,
-                           forward_delays=forward_delays,
-                           recorder_lps=args.recorder_lps)
+                           forward_delays=(
+                               spread_forward_delays(args.clusters)
+                               if args.spread_delays else None))
     counts = tuple(args.des_workers or [2])
-    report = equivalence_report(scenario, worker_counts=counts,
-                                include_staged=True,
-                                include_pooled=not args.no_pool)
+    report = equivalence_report(scenario, worker_counts=counts)
     ok = report["equivalent"] or not args.check
     if args.json or args.output:
         _write_or_print(json.dumps(report, indent=2, sort_keys=True),
@@ -543,7 +539,7 @@ def _cmd_des(args: argparse.Namespace) -> int:
                   f"barriers {run['barriers']:<6} "
                   f"workload {'ok' if run['workload_ok'] else 'INCOMPLETE'}")
         print("equivalence: "
-              + ("byte-identical across all modes"
+              + ("byte-identical across all runs"
                  if report["equivalent"] else "DIVERGED"))
     return 0 if ok else 1
 
@@ -555,13 +551,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     paired with a driven gateway's measured saturation rate."""
     from repro.parallel import federation_tasks, run_tasks
     from repro.parallel.des import DesScenario, run_pooled, run_serial
-    from repro.queueing import OPERATING_POINTS
-    from repro.queueing.federation import (
-        FederationCapacityModel,
-        FederationShape,
-        measure_gateway_knee,
-        modeled_gateway_knee_per_s,
-    )
+    from repro.queueing.federation import capacity_section
 
     counts = sorted(set(args.clusters or [4, 8]))
     workers = args.workers or 2
@@ -603,19 +593,8 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             "pooled_wall_ms": round(pooled["wall_ms"], 3),
             "pooled_barriers": pooled["barriers"],
         })
-    modeled_rate = modeled_gateway_knee_per_s(args.service_ms)
-    gateway = measure_gateway_knee(
-        args.service_ms,
-        rates_per_s=tuple(round(modeled_rate * f, 1)
-                          for f in (0.6, 0.8, 0.95, 1.05, 1.1, 1.25, 1.5)))
-    capacity = {}
-    for topology in ("ring", "mesh"):
-        shape = FederationShape(clusters=max(max(counts), 2),
-                                topology=topology,
-                                recorder_shards=args.shards,
-                                gateway_service_ms=args.service_ms)
-        model = FederationCapacityModel(OPERATING_POINTS["mean"], shape)
-        capacity[topology] = model.knee_report()
+    capacity, gateway = capacity_section(
+        max(max(counts), 2), args.shards, args.service_ms)
     report = {
         "cells": cells,
         "capacity": capacity,
@@ -845,8 +824,9 @@ def main(argv=None) -> int:
     sweep.set_defaults(fn=_cmd_sweep)
 
     des = sub.add_parser(
-        "des", help="run one federation serially and conservatively "
-                    "partitioned (parallel DES) and compare digests")
+        "des", help="run one federation serially and on a process "
+                    "pool (conservative parallel DES) and compare "
+                    "digests")
     des.add_argument("--clusters", type=int, default=8,
                      help="clusters in the federation")
     des.add_argument("--cluster-size", type=int, default=1,
@@ -860,18 +840,13 @@ def main(argv=None) -> int:
     des.add_argument("--seed", type=int, default=1983)
     des.add_argument("--des-workers", type=int, action="append",
                      default=None, metavar="N",
-                     help="partition/worker count to test (repeatable; "
+                     help="pool worker count to test (repeatable; "
                           "default 2)")
-    des.add_argument("--no-pool", action="store_true",
-                     help="skip the process-pool runs (staged only)")
-    des.add_argument("--recorder-lps", action="store_true",
-                     help="split each cluster's recorder onto its own "
-                          "LP behind zero-lookahead bridge channels")
     des.add_argument("--spread-delays", action="store_true",
                      help="assign heterogeneous per-edge gateway "
                           "delays instead of one uniform lookahead")
     des.add_argument("--check", action="store_true",
-                     help="exit 1 unless every mode's digest matches "
+                     help="exit 1 unless every pooled digest matches "
                           "the serial run byte-for-byte")
     des.add_argument("--json", action="store_true",
                      help="emit the full report as JSON")

@@ -31,10 +31,10 @@ lookahead is exactly ``forward_delay_ms`` (see ``docs/PARALLEL_DES.md``).
 
 :class:`ClusterFederation` builds N :class:`repro.system.System`
 clusters with disjoint node-id ranges and gateway routing over a
-``mesh`` (default) or ``ring`` topology — on one engine
-(``partitions=None``), or on one engine per logical process
-(``partitions=P``) driven by a
-:class:`~repro.sim.engine.PartitionedEngine`.
+``mesh`` (default) or ``ring`` topology — all on one engine
+(``partitions=None``), or just the slice one logical process owns
+(``partitions=P, only_partition=k``) for a pool worker of
+:mod:`repro.parallel.des`.
 
 Gateway/interface ids are deterministic: federation gateways derive
 them from the topology (edge rank and direction, starting at
@@ -54,7 +54,7 @@ from repro.errors import NetworkError
 from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import Observability, merge_event_streams, merge_snapshots
-from repro.sim.engine import Engine, EngineCore, PartitionChannel, PartitionedEngine
+from repro.sim.engine import Engine, EngineCore, PartitionChannel
 from repro.system import System, SystemConfig
 
 #: First gateway/interface id; each gateway consumes two ids (near and
@@ -107,6 +107,12 @@ def gateway_id_base(clusters: int, nodes_stride: int = 100) -> int:
     if top < GATEWAY_ID_BASE:
         return GATEWAY_ID_BASE
     return ((top // GATEWAY_ID_BASE) + 1) * GATEWAY_ID_BASE
+
+
+def lp_of(index: int, partitions: int, clusters: int) -> int:
+    """The logical process that owns cluster ``index`` when ``clusters``
+    clusters are grouped into ``partitions`` contiguous blocks."""
+    return index * partitions // clusters
 
 
 def directed_gateways(clusters: int, topology: str = "mesh",
@@ -414,20 +420,20 @@ class ClusterFederation:
     node-id ranges so pids are globally unambiguous.
 
     ``partitions=None`` (default) runs every cluster on one shared
-    engine. ``partitions=P`` groups the clusters into P logical
-    processes, one engine each, with every cross-LP gateway split into
-    a tap + forwarder joined by a lookahead-stamped
-    :class:`~repro.sim.engine.PartitionChannel`; a
-    :class:`~repro.sim.engine.PartitionedEngine` advances the LPs in
-    lookahead-bounded windows. Event order is byte-identical to the
-    serial engine (see ``docs/PARALLEL_DES.md`` and
-    ``tests/test_des_equivalence.py``).
+    engine — the serial reference.
 
-    ``only_partition=k`` builds just LP *k*'s slice — its clusters,
-    taps for outgoing edges and forwarders for incoming ones — for
-    process-pool workers that rebuild their shard from config and
-    exchange frames at barriers (:mod:`repro.parallel.des`). A slice
-    cannot :meth:`run` itself; its pool master drives the windows.
+    ``partitions=P, only_partition=k`` groups the clusters into P
+    logical processes and builds just LP *k*'s slice on its one engine:
+    its clusters, whole gateways for edges inside the slice, and for
+    every cross-LP edge the half it owns — a tap for outgoing edges, a
+    forwarder for incoming ones — joined to the absent half by a
+    lookahead-stamped :class:`~repro.sim.engine.PartitionChannel`. Pool
+    workers rebuild their slice from config this way and exchange
+    frames at barriers (:mod:`repro.parallel.des`); event order is
+    byte-identical to the serial engine (see ``docs/PARALLEL_DES.md``
+    and ``tests/test_des_equivalence.py``). A slice cannot :meth:`run`
+    itself — its pool master grants the windows — so ``partitions``
+    without ``only_partition`` has no runner and is rejected.
     """
 
     def __init__(self, cluster_sizes: List[int], nodes_stride: int = 100,
@@ -437,7 +443,6 @@ class ClusterFederation:
                  topology: str = "mesh",
                  only_partition: Optional[int] = None,
                  forward_delays: Optional[Dict[Tuple[int, int], float]] = None,
-                 recorder_lps: bool = False,
                  gateway_service_ms: float = 0.0):
         if not cluster_sizes:
             raise NetworkError("a federation needs at least one cluster")
@@ -452,6 +457,11 @@ class ClusterFederation:
                 f"choose from {TOPOLOGIES}")
         if partitions is not None and partitions < 1:
             raise NetworkError(f"partitions must be >= 1, got {partitions}")
+        if (partitions is None) != (only_partition is None):
+            raise NetworkError(
+                "partitions and only_partition go together: a partitioned "
+                "federation exists only as the slices its pool workers "
+                "build (see repro.parallel.des.run_pooled)")
         self.topology = topology
         self.forward_delay_ms = forward_delay_ms
         #: directed (src_cluster, dst_cluster) -> forwarding delay;
@@ -470,21 +480,11 @@ class ClusterFederation:
         self.partitions = (None if partitions is None
                            else min(partitions, count))
         lps = self.partitions or 1
-        if only_partition is not None:
-            if self.partitions is None:
-                raise NetworkError("only_partition requires partitions")
-            if not 0 <= only_partition < lps:
-                raise NetworkError(
-                    f"only_partition {only_partition} out of range "
-                    f"(partitions={lps})")
+        if only_partition is not None and not 0 <= only_partition < lps:
+            raise NetworkError(
+                f"only_partition {only_partition} out of range "
+                f"(partitions={lps})")
         self.only_partition = only_partition
-        #: recorder LPs: when partitioned, each cluster's recorder runs
-        #: on its own engine (LP id ``partitions + cluster_index``)
-        #: bridged to the cluster medium by zero-lookahead channels
-        #: whose safety comes from next-event promises plus the
-        #: medium's interpacket-gap spacing (see repro.system). Ignored
-        #: for the serial reference engine.
-        self.recorder_lps = bool(recorder_lps and self.partitions is not None)
         self.nodes_stride = nodes_stride
         self.gateway_service_ms = gateway_service_ms
 
@@ -526,42 +526,17 @@ class ClusterFederation:
             self.configs.append(config)
             self._node_sets.append(nodes)
 
-        def lp_of(index: int) -> int:
-            return index * lps // count
-
-        self.lp_of = lp_of
-        local_lps = (tuple(range(lps)) if only_partition is None
-                     else (only_partition,))
-        self.engines: Dict[int, Engine] = {lp: Engine() for lp in local_lps}
-        #: serial-compat handle (LP 0's engine when partitioned)
-        self.engine = self.engines[min(self.engines)]
+        #: the one engine every local cluster runs on
+        self.engine = Engine()
         #: cluster index -> System, local clusters only (all of them
         #: unless this is a slice)
         self.systems: Dict[int, System] = {}
-        #: bridge channels of local recorder LPs (a subset of
-        #: ``self.channels``); the recorder LP of cluster ``i`` has LP
-        #: id ``partitions + i``
-        self.bridge_channels: List[PartitionChannel] = []
         for index, config in enumerate(self.configs):
-            lp = lp_of(index)
-            if lp in self.engines:
-                recorder_engine = None
-                if self.recorder_lps and config.publishing:
-                    recorder_engine = Engine()
-                system = System(config, engine=self.engines[lp],
-                                recorder_engine=recorder_engine)
+            if only_partition in (None, lp_of(index, lps, count)):
+                system = System(config, engine=self.engine)
                 system.federation = self
                 system.cluster_index = index
                 self.systems[index] = system
-                if recorder_engine is not None:
-                    recorder_lp = lps + index
-                    self.engines[recorder_lp] = recorder_engine
-                    for channel in system.bridge_channels:
-                        channel.src = (lp if channel.src == 0
-                                       else recorder_lp)
-                        channel.dst = (lp if channel.dst == 0
-                                       else recorder_lp)
-                        self.bridge_channels.append(channel)
         self.clusters: List[System] = [self.systems[i]
                                        for i in sorted(self.systems)]
         #: one :class:`DeadLetter` (gateway_id, frame, attempts) for
@@ -571,16 +546,15 @@ class ClusterFederation:
         self.dead_letters: List[DeadLetter] = []
 
         self.gateways: List[Gateway] = []
-        self.channels: List[PartitionChannel] = list(self.bridge_channels)
+        #: cross-LP edges with one end in this slice (empty when serial)
+        self.channels: List[PartitionChannel] = []
         for gid, src, dst in directed_gateways(count, topology, nodes_stride):
-            src_lp, dst_lp = lp_of(src), lp_of(dst)
+            src_local, dst_local = src in self.systems, dst in self.systems
             delay = self.forward_delays.get((src, dst), forward_delay_ms)
             far_nodes = (lambda node, _far=self._node_sets[dst]: node in _far)
-            if src_lp == dst_lp:
-                if src_lp not in self.engines:
-                    continue
+            if src_local and dst_local:
                 self.gateways.append(Gateway(
-                    self.engines[src_lp], self.systems[src].medium,
+                    self.engine, self.systems[src].medium,
                     self.systems[dst].medium, far_nodes,
                     forward_delay_ms=delay, gateway_id=gid,
                     service_ms=gateway_service_ms,
@@ -588,30 +562,26 @@ class ClusterFederation:
                     far_obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop))
                 continue
-            if src_lp not in self.engines and dst_lp not in self.engines:
+            if not src_local and not dst_local:
                 continue
-            channel = PartitionChannel(f"gw{gid}", src_lp, dst_lp,
-                                       lookahead_ms=delay)
+            channel = PartitionChannel(
+                f"gw{gid}", lp_of(src, lps, count), lp_of(dst, lps, count),
+                lookahead_ms=delay)
             forwarder = tap = None
-            if dst_lp in self.engines:
+            if dst_local:
                 forwarder = GatewayForwarder(
-                    self.engines[dst_lp], self.systems[dst].medium, gid,
+                    self.engine, self.systems[dst].medium, gid,
                     service_ms=gateway_service_ms,
                     obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop)
                 channel.deliver = forwarder.accept
-            if src_lp in self.engines:
+            else:
                 tap = GatewayTap(
-                    self.engines[src_lp], self.systems[src].medium,
+                    self.engine, self.systems[src].medium,
                     far_nodes, channel, delay, gid,
                     obs=self.systems[src].obs)
             self.gateways.append(Gateway.from_parts(gid, tap, forwarder))
             self.channels.append(channel)
-
-        self.scheduler: Optional[PartitionedEngine] = None
-        if self.partitions is not None and only_partition is None:
-            self.scheduler = PartitionedEngine(
-                dict(self.engines), self.channels)
 
     # ------------------------------------------------------------------
     def _note_gateway_drop(self, gateway_id: int, frame: Frame,
@@ -627,9 +597,7 @@ class ClusterFederation:
 
     @property
     def now(self) -> float:
-        """Current federation time (the last barrier when partitioned)."""
-        if self.scheduler is not None:
-            return self.scheduler.now
+        """Current federation time."""
         return self.engine.now
 
     def boot(self, settle_ms: float = 500.0) -> None:
@@ -645,23 +613,7 @@ class ClusterFederation:
             raise NetworkError(
                 "a federation slice is driven by its pool master, "
                 "not run() (see repro.parallel.des)")
-        if self.scheduler is not None:
-            return self.scheduler.run(until=self.scheduler.now + duration_ms)
         return self.engine.run(until=self.engine.now + duration_ms)
-
-    def local_scheduler(self) -> PartitionedEngine:
-        """A scheduler over this slice's engines and fully-local channels.
-
-        Pool workers drive their slice with this: the parent's window
-        grants bound how far the whole group may run, while the local
-        scheduler handles the intra-worker micro-windows (cluster medium
-        <-> recorder LP bridges) without any pipe traffic. Channels with
-        a remote end are excluded — the pool master exchanges those.
-        """
-        local = dict(self.engines)
-        channels = [c for c in self.channels
-                    if c.src in local and c.dst in local]
-        return PartitionedEngine(local, channels)
 
     def cluster_of(self, node_id: int) -> System:
         for index, nodes in enumerate(self._node_sets):

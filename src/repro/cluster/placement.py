@@ -150,8 +150,8 @@ class RangeShardPolicy:
     """Split a cluster's node range into ``shards`` contiguous slices.
 
     Shard j claims ``[first + j*n//k, first + (j+1)*n//k)`` — the same
-    integer arithmetic as the partitioned engine's
-    :func:`~repro.cluster.gateways.ClusterFederation.lp_of`, so slice
+    integer arithmetic as a partitioned federation's
+    :func:`~repro.cluster.gateways.lp_of`, so slice
     widths differ by at most one node and the map depends only on
     ``(first_node_id, nodes, shards)``.
     """

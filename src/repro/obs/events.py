@@ -63,31 +63,23 @@ class Scope:
     per-emit cost of a disabled scope is a single boolean test.
     """
 
-    __slots__ = ("name", "_bus", "_on", "_scope_clock")
+    __slots__ = ("name", "_bus", "_on")
 
     def __init__(self, bus: "EventBus", name: str):
         self._bus = bus
         self.name = name
         self._on = bus._scope_enabled(name)
-        self._scope_clock = bus._scope_clock(name)
 
     @property
     def enabled(self) -> bool:
         return self._on
 
     def emit(self, category: str, subject: str, **detail: Any) -> None:
-        """Append an event stamped with the bus clock's current time.
-
-        A scope whose name falls under a :meth:`EventBus.set_scope_clock`
-        prefix stamps with that clock instead — this is how a recorder
-        running on its own logical process keeps emitting events at its
-        engine's time while sharing the cluster's bus.
-        """
+        """Append an event stamped with the bus clock's current time."""
         if not self._on:
             return
         bus = self._bus
-        clock = self._scope_clock or bus._clock
-        bus.events.append(Event(clock(), self.name, category,
+        bus.events.append(Event(bus._clock(), self.name, category,
                                 subject, detail))
 
     def child(self, suffix: str) -> "Scope":
@@ -103,7 +95,6 @@ class EventBus:
         self.events: List[Event] = []
         self._scopes: Dict[str, Scope] = {}
         self._disabled: set = set()
-        self._clock_overrides: Dict[str, Callable[[], float]] = {}
         self._master_enabled = True
 
     # ------------------------------------------------------------------
@@ -124,32 +115,9 @@ class EventBus:
                 return False
         return True
 
-    def _scope_clock(self, name: str) -> Optional[Callable[[], float]]:
-        best = None
-        best_len = -1
-        for prefix, clock in self._clock_overrides.items():
-            if name == prefix or name.startswith(prefix + "."):
-                if len(prefix) > best_len:
-                    best, best_len = clock, len(prefix)
-        return best
-
     def _refresh(self) -> None:
         for scope in self._scopes.values():
             scope._on = self._scope_enabled(scope.name)
-            scope._scope_clock = self._scope_clock(scope.name)
-
-    def set_scope_clock(self, prefix: str,
-                        clock: Optional[Callable[[], float]]) -> None:
-        """Stamp events from ``prefix`` (and descendants) with ``clock``.
-
-        The longest matching prefix wins; passing ``None`` removes the
-        override. Existing scopes are refreshed immediately.
-        """
-        if clock is None:
-            self._clock_overrides.pop(prefix, None)
-        else:
-            self._clock_overrides[prefix] = clock
-        self._refresh()
 
     def disable(self, prefix: str) -> None:
         """Silence a scope and all its descendants."""

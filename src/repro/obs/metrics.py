@@ -154,31 +154,6 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._metrics: Dict[str, Any] = {}
-        self._clock_overrides: Dict[str, Callable[[], float]] = {}
-
-    def set_prefix_clock(self, prefix: str,
-                         clock: Optional[Callable[[], float]]) -> None:
-        """Time-weighted instruments under ``prefix`` integrate over
-        ``clock`` instead of the registry clock.
-
-        Must be called before the instruments are first registered (the
-        clock is captured at creation). Used when a layer — e.g. a
-        recorder on its own logical process — runs on a different engine
-        than the registry's owner but shares the registry.
-        """
-        if clock is None:
-            self._clock_overrides.pop(prefix, None)
-        else:
-            self._clock_overrides[prefix] = clock
-
-    def _clock_for(self, name: str) -> Callable[[], float]:
-        best = self._clock
-        best_len = -1
-        for prefix, clock in self._clock_overrides.items():
-            if name == prefix or name.startswith(prefix + "."):
-                if len(prefix) > best_len:
-                    best, best_len = clock, len(prefix)
-        return best
 
     # ------------------------------------------------------------------
     # registration (get-or-create; a name keeps its first kind)
@@ -209,7 +184,7 @@ class MetricsRegistry:
     def timeavg(self, name: str) -> TimeWeightedAverage:
         return self._get_or_create(
             name, TimeWeightedAverage,
-            lambda: TimeWeightedAverage(name, self._clock_for(name)))
+            lambda: TimeWeightedAverage(name, self._clock))
 
     def histogram(self, name: str,
                   buckets: Optional[Sequence[float]] = None) -> Histogram:

@@ -21,7 +21,6 @@ from repro.parallel.des import (
     federation_digest,
     run_pooled,
     run_serial,
-    run_staged,
 )
 from repro.parallel.runner import (
     ShardTask,
@@ -64,7 +63,6 @@ __all__ = [
     "federation_tasks",
     "run_pooled",
     "run_serial",
-    "run_staged",
     "execute_task",
     "figure57_tasks",
     "make_task",

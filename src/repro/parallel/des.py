@@ -6,30 +6,22 @@ frame re-enters the world on the far medium. That delay is the
 *lookahead* of its channel — and each channel carries its **own**
 lookahead, so a slow edge widens its destination's safe window instead
 of throttling everyone to the global minimum. On top of the static
-lookaheads, every logical process (LP) publishes a *next-event promise*
-(the earliest simulated time anything can happen there, relaxed over
-the channel graph — see
-:meth:`~repro.sim.engine.PartitionedEngine.earliest_bounds`), which is
-what lets idle stretches fast-forward in one barrier and lets
-zero-lookahead edges (a recorder bridged to its cluster medium) exist
-at all.
+lookaheads, every logical process (LP) reports a *next-event promise*
+(the earliest simulated time anything can happen there), which the pool
+master relaxes over the channel graph (:class:`_PoolMaster` — the one
+place that knows how far an LP may safely run); that is what lets idle
+stretches fast-forward in one barrier.
 
-Three execution modes over one scenario:
+Two execution modes over one scenario:
 
 * :func:`run_serial` — the reference: every cluster on one engine.
-* :func:`run_staged` — one engine per LP in a single process, driven by
-  :class:`~repro.sim.engine.PartitionedEngine`. No parallelism, but it
-  exercises the exact promise/barrier protocol; its digests must equal
-  the serial run's.
-* :func:`run_pooled` — one OS process per LP group. Each worker
-  deterministically rebuilds its shard (``ClusterFederation(...,
-  partitions=P, only_partition=k)`` — the same wiring code as staged
-  mode) and drives it with the slice's own
-  :meth:`~repro.cluster.gateways.ClusterFederation.local_scheduler`;
-  the parent grants promise-derived advance targets over pipes and
-  routes the frames drained from cross-worker channels, batched per
-  barrier in the compact wire format (:mod:`repro.parallel.wire`).
-  Digests must again be identical.
+* :func:`run_pooled` — the proof: one OS process per LP. Each worker
+  deterministically rebuilds its slice (``ClusterFederation(...,
+  partitions=P, only_partition=k)``) on one engine and runs it to the
+  targets the parent grants over pipes; the parent routes the frames
+  drained from cross-worker channels, batched per barrier in the
+  compact wire format (:mod:`repro.parallel.wire`). Digests must be
+  identical to the serial run's.
 
 The per-cluster digest covers the full trace-event stream and metrics
 snapshot, so "byte-identical" means every layer of every cluster saw
@@ -54,11 +46,14 @@ from repro.chaos.workload import (
     expected_total,
     register_chaos_programs,
 )
-from repro.cluster.gateways import ClusterFederation, directed_gateways
+from repro.cluster.gateways import (
+    ClusterFederation,
+    directed_gateways,
+    lp_of,
+)
 from repro.errors import ReproError
 from repro.parallel.runner import _mp_context, canonical_json
 from repro.parallel.wire import decode_frame_batch, encode_frame_batch
-from repro.publishing.recorder_lp import recorder_side_prefixes
 from repro.system import System, SystemConfig
 
 #: Metrics that legitimately differ between one-engine and N-engine
@@ -70,6 +65,10 @@ DES_VOLATILE_METRICS = frozenset({"sim.events_fired"})
 #: the child dead (wall-clock seconds; generous — a reply normally
 #: arrives in milliseconds).
 POOL_REPLY_TIMEOUT_S = 120.0
+
+#: How long ``run_pooled`` waits for each worker to exit once it has
+#: been told to (or terminated) before giving up on it.
+POOL_JOIN_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,9 @@ class DesScenario:
     (``stagger_ms``) so distinct channels never collide on exact event
     timestamps.
 
-    The partitioning knobs (all preserved digest-identically):
-
-    * ``forward_delays`` — per-directed-edge gateway delays as
-      ``(((src, dst), delay_ms), ...)``; unlisted edges fall back to
-      ``forward_delay_ms``. Each delay is that channel's lookahead.
-    * ``recorder_lps`` — each cluster's recorder on its own engine,
-      bridged by zero-lookahead channels (staged/pooled modes only;
-      the serial reference keeps one engine regardless).
+    ``forward_delays`` gives per-directed-edge gateway delays as
+    ``(((src, dst), delay_ms), ...)``; unlisted edges fall back to
+    ``forward_delay_ms``. Each delay is that channel's lookahead.
     """
 
     clusters: int = 4
@@ -104,7 +98,6 @@ class DesScenario:
     forward_delay_ms: float = 5.0
     master_seed: int = 1983
     forward_delays: Optional[Tuple[Tuple[Tuple[int, int], float], ...]] = None
-    recorder_lps: bool = False
 
     def validate(self) -> None:
         if self.clusters < 2:
@@ -118,30 +111,43 @@ class DesScenario:
                     f"got {delay}")
         if self.recorder_shards < 1:
             raise ReproError("recorder_shards must be >= 1")
-        if self.recorder_shards > 1 and self.recorder_lps:
-            raise ReproError(
-                "recorder shards live on the cluster engine; they are "
-                "mutually exclusive with a dedicated recorder LP")
 
     def forward_delay_map(self) -> Dict[Tuple[int, int], float]:
         return dict(self.forward_delays or ())
 
 
+def spread_forward_delays(
+        clusters: int) -> Tuple[Tuple[Tuple[int, int], float], ...]:
+    """A deterministic heterogeneous lookahead assignment: every third
+    ring edge gets a distinct delay so the per-channel lookahead path
+    (not just the uniform default) is what gets exercised."""
+    return tuple(((i, (i + 1) % clusters), 3.0 + (i % 5) * 2.0)
+                 for i in range(0, clusters, 3))
+
+
 # ----------------------------------------------------------------------
 # digests
 # ----------------------------------------------------------------------
+#: Scope prefixes :func:`cluster_digest` hashes as its second
+#: sub-stream: the recorder and everything that runs beside it.
+RECORDER_SIDE_SCOPES = ("recorder", "recovery", "quorum", "watchdog")
+
+
+def recorder_side_prefixes(recorder_node_id: int) -> Tuple[str, ...]:
+    """Every scope prefix on the recorder side of a cluster's digest."""
+    return RECORDER_SIDE_SCOPES + (f"transport.{recorder_node_id}",)
+
+
 def cluster_digest(system: System) -> str:
     """SHA-256 over one cluster's full event stream + metrics snapshot
     (minus :data:`DES_VOLATILE_METRICS`).
 
-    The event stream is hashed as two sub-streams — medium-side scopes
-    and recorder-side scopes (:func:`recorder_side_prefixes`) — because
-    the shared bus appends in execution order: when the recorder runs
-    as its own LP its appends interleave with the medium's by barrier
-    window rather than strictly by time, while each side's own order
-    (and every timestamp, and the metrics) is identical to the serial
-    run. Hashing per side makes the digest a pure function of what each
-    component observed, in every execution mode.
+    The event stream is hashed as two sub-streams — medium-side scopes,
+    then ``=recorder=``, then recorder-side scopes
+    (:func:`recorder_side_prefixes`) — each in bus order. The byte
+    layout is frozen: every ``*_digest`` committed under
+    ``parallel_des``, ``des_scaling`` and ``federation_scaling`` in
+    ``BENCH_publishing.json`` is built on it.
     """
     snapshot = {key: value for key, value in system.metrics_snapshot().items()
                 if key not in DES_VOLATILE_METRICS}
@@ -187,8 +193,7 @@ def build_federation(scenario: DesScenario,
         configs=configs,
         partitions=partitions,
         only_partition=only_partition,
-        forward_delays=scenario.forward_delay_map() or None,
-        recorder_lps=scenario.recorder_lps and partitions is not None)
+        forward_delays=scenario.forward_delay_map() or None)
     for system in fed.clusters:
         register_chaos_programs(system)
     return fed
@@ -298,87 +303,67 @@ def _merge_collected(parts: Sequence[Dict[str, Any]],
 
 
 # ----------------------------------------------------------------------
-# in-process modes
+# the serial reference
 # ----------------------------------------------------------------------
-def _run_inprocess(scenario: DesScenario,
-                   partitions: Optional[int]) -> Dict[str, Any]:
+def run_serial(scenario: DesScenario) -> Dict[str, Any]:
+    """The reference execution: one engine, no windows."""
     started = time.perf_counter()
-    fed = build_federation(scenario, partitions=partitions)
+    fed = build_federation(scenario)
     fed.boot(settle_ms=scenario.settle_ms)
     spawn_workload(fed, scenario)
     fed.run(scenario.duration_ms)
     result = _merge_collected([collect_local(fed, scenario)], scenario)
     result.update({
-        "mode": "serial" if partitions is None else "staged",
-        "partitions": partitions or 0,
+        "mode": "serial",
+        "partitions": 0,
         "clusters": scenario.clusters,
         "sim_ms": scenario.settle_ms + scenario.duration_ms,
         "wall_ms": (time.perf_counter() - started) * 1000.0,
-        "barriers": fed.scheduler.barriers if fed.scheduler else 0,
-        "messages_exchanged": (fed.scheduler.messages_exchanged
-                               if fed.scheduler else 0),
+        "barriers": 0,
+        "messages_exchanged": 0,
     })
     return result
-
-
-def run_serial(scenario: DesScenario) -> Dict[str, Any]:
-    """The reference execution: one engine, no windows."""
-    return _run_inprocess(scenario, partitions=None)
-
-
-def run_staged(scenario: DesScenario, partitions: int) -> Dict[str, Any]:
-    """One engine per LP, promise-based barrier sync, single process."""
-    return _run_inprocess(scenario, partitions=partitions)
 
 
 # ----------------------------------------------------------------------
 # process-pool mode
 # ----------------------------------------------------------------------
-def _worker_bounds(fed: ClusterFederation) -> Dict[int, Optional[float]]:
-    """Each local LP's next pending event time (None = idle) — the raw
-    material of the parent's global next-event promises."""
-    return {lp: engine.peek_time() for lp, engine in fed.engines.items()}
-
-
 def _pool_worker(conn, scenario: DesScenario, partitions: int,
                  shard: int) -> None:
-    """One LP group in its own process: rebuild the shard, then follow
-    the parent's grant protocol over the pipe.
+    """One LP in its own process: rebuild the slice, then follow the
+    parent's grant protocol over the pipe.
 
-    Every reply carries fresh per-LP next-event bounds, so the parent's
-    promises can never go stale across boot/checkpoint/spawn commands.
-    An uncaught exception is reported as ``("error", traceback)`` so
-    the parent can surface the child's stack instead of hanging.
+    Every reply carries the engine's fresh next-event bound (``None`` =
+    idle), so the parent's promises can never go stale across
+    boot/checkpoint/spawn commands. An uncaught exception is reported as
+    ``("error", traceback)`` so the parent can surface the child's stack
+    instead of hanging.
     """
     try:
         fed = build_federation(scenario, partitions=partitions,
                                only_partition=shard)
-        scheduler = fed.local_scheduler()
+        engine = fed.engine
         in_channels = {channel.key: channel for channel in fed.channels
-                       if channel.dst in fed.engines
-                       and channel.src not in fed.engines}
+                       if channel.dst == shard}
         out_channels = [channel for channel in fed.channels
-                        if channel.src in fed.engines
-                        and channel.dst not in fed.engines]
+                        if channel.src == shard]
         while True:
             command = conn.recv()
             kind = command[0]
             if kind == "boot":
                 for system in fed.clusters:
                     system.boot(settle_ms=0.0)
-                conn.send(("ok", _worker_bounds(fed)))
+                conn.send(("ok", engine.peek_time()))
             elif kind == "advance":
                 _, target, blob = command
                 if blob:
                     # inbound arrives pre-sorted by (fire_time, key,
-                    # seq) — the same order PartitionedEngine._exchange
-                    # injects in
+                    # seq) — see _PoolMaster.route
                     for fire_time, key, _seq, frame, _dst in \
                             decode_frame_batch(blob):
-                        channel = in_channels[key]
-                        fed.engines[channel.dst].schedule_abs(
-                            fire_time, channel.deliver, frame)
-                scheduler.run(until=target)
+                        engine.schedule_abs(
+                            fire_time, in_channels[key].deliver, frame)
+                engine.run(until=target)
                 outbound = []
                 for channel in out_channels:
                     for fire_time, seq, frame in channel.drain():
@@ -387,15 +372,15 @@ def _pool_worker(conn, scenario: DesScenario, partitions: int,
                              channel.dst))
                 conn.send(("out",
                            encode_frame_batch(outbound) if outbound else b"",
-                           _worker_bounds(fed)))
+                           engine.peek_time()))
             elif kind == "checkpoint":
                 for system in fed.clusters:
                     if system.config.publishing:
                         system.checkpoint_all()
-                conn.send(("ok", _worker_bounds(fed)))
+                conn.send(("ok", engine.peek_time()))
             elif kind == "spawn":
                 spawn_workload(fed, scenario)
-                conn.send(("ok", _worker_bounds(fed)))
+                conn.send(("ok", engine.peek_time()))
             elif kind == "collect":
                 conn.send(("result", collect_local(fed, scenario)))
             elif kind == "exit":
@@ -413,80 +398,57 @@ def _pool_worker(conn, scenario: DesScenario, partitions: int,
 
 
 class _PoolMaster:
-    """The parent half of the pooled promise protocol.
+    """The parent half of the pooled promise protocol, and the only
+    place that knows how far an LP may safely run.
 
-    Knows the complete abstract channel graph — cross-worker gateway
-    edges (where frames are exchanged) plus worker-internal relaxation
-    edges (the zero-lookahead recorder bridges) — derived from the
-    scenario alone, without building a single cluster. Each round it
-    relaxes the workers' reported next-event bounds over that graph
-    (mirroring :meth:`PartitionedEngine.earliest_bounds`), grants every
-    worker the largest provably-safe advance target, and routes drained
-    frames. Interpacket spacing floors are local knowledge the workers
-    apply themselves; ignoring them here only *lowers* bounds, which is
-    always conservative-safe.
+    Knows the complete cross-worker channel graph — one edge per
+    gateway whose two clusters live on different workers — derived from
+    the scenario alone, without building a single cluster. Each round it
+    relaxes the workers' reported next-event bounds over that graph,
+    grants every worker the largest provably-safe advance target, and
+    routes drained frames.
     """
 
     def __init__(self, scenario: DesScenario, partitions: int):
-        self.partitions = partitions
         count = scenario.clusters
         delays = scenario.forward_delay_map()
-
-        def lp_of(index: int) -> int:
-            return index * partitions // count
-
-        #: every relaxation edge as (src_lp, dst_lp, lookahead_ms)
+        #: every cross-worker edge as (src_worker, dst_worker, lookahead_ms)
         self.edges: List[Tuple[int, int, float]] = []
-        cross: List[Tuple[int, int, float]] = []
-        lps = set(range(partitions))
         for _gid, src, dst in directed_gateways(count, scenario.topology):
-            src_lp, dst_lp = lp_of(src), lp_of(dst)
-            if src_lp == dst_lp:
-                continue
-            delay = delays.get((src, dst), scenario.forward_delay_ms)
-            cross.append((src_lp, dst_lp, delay))
-            self.edges.append((src_lp, dst_lp, delay))
-        if scenario.recorder_lps:
-            for index in range(count):
-                medium, recorder = lp_of(index), partitions + index
-                lps.add(recorder)
-                self.edges.append((medium, recorder, 0.0))
-                self.edges.append((recorder, medium, 0.0))
-        #: LP -> owning worker (recorder LPs live with their medium)
-        self.worker_of: Dict[int, int] = {
-            lp: (lp if lp < partitions else lp_of(lp - partitions))
-            for lp in lps}
-        #: per-worker incoming cross edges: worker -> [(src_lp, L)]
-        self.incoming: Dict[int, List[Tuple[int, float]]] = {
-            w: [] for w in range(partitions)}
-        for src_lp, dst_lp, delay in cross:
-            self.incoming[dst_lp].append((src_lp, delay))
-        #: latest reported next-event bound per LP (inf = idle)
-        self.bounds: Dict[int, float] = {lp: 0.0 for lp in lps}
+            src_lp = lp_of(src, partitions, count)
+            dst_lp = lp_of(dst, partitions, count)
+            if src_lp != dst_lp:
+                self.edges.append((
+                    src_lp, dst_lp,
+                    delays.get((src, dst), scenario.forward_delay_ms)))
+        workers = range(partitions)
+        #: latest reported next-event bound per worker (inf = idle)
+        self.bounds: Dict[int, float] = {w: 0.0 for w in workers}
         #: last granted target per worker
-        self.granted: Dict[int, float] = {w: 0.0 for w in range(partitions)}
+        self.granted: Dict[int, float] = {w: 0.0 for w in workers}
         #: frames routed to a worker but not yet shipped
-        self.pending: Dict[int, List[Tuple]] = {
-            w: [] for w in range(partitions)}
+        self.pending: Dict[int, List[Tuple]] = {w: [] for w in workers}
 
-    def note_bounds(self, reply_bounds: Dict[int, Optional[float]]) -> None:
-        for lp, bound in reply_bounds.items():
-            self.bounds[lp] = math.inf if bound is None else bound
+    def note_bound(self, worker: int, bound: Optional[float]) -> None:
+        self.bounds[worker] = math.inf if bound is None else bound
 
     def relaxed_bounds(self) -> Dict[int, float]:
-        """Bellman-Ford fixed point of ``bound[dst] <= bound[src] + L``
-        over reported bounds and not-yet-shipped frame fire times."""
+        """Per-worker lower bounds on the next event that can occur
+        there: the Bellman-Ford fixed point of ``bound[dst] <=
+        bound[src] + L`` over reported bounds and not-yet-shipped frame
+        fire times, which folds transitive chains — the
+        null-message-style "no event before T" promise."""
         node = dict(self.bounds)
         for items in self.pending.values():
-            for fire_time, _key, _seq, _frame, dst_lp in items:
-                if fire_time < node[dst_lp]:
-                    node[dst_lp] = fire_time
+            for fire_time, _key, _seq, _frame, dst in items:
+                if fire_time < node[dst]:
+                    node[dst] = fire_time
         for _ in range(len(node)):
             changed = False
-            for src_lp, dst_lp, delay in self.edges:
-                bound = node[src_lp] + delay
-                if bound < node[dst_lp]:
-                    node[dst_lp] = bound
+            for src, dst, delay in self.edges:
+                bound = node[src] + delay
+                if bound < node[dst]:
+                    node[dst] = bound
                     changed = True
             if not changed:
                 break
@@ -495,18 +457,16 @@ class _PoolMaster:
     def targets(self, until: float) -> Dict[int, float]:
         """The largest provably-safe advance target per worker
         (nondecreasing; the worker owning the globally-earliest bound
-        always makes strict progress because every cross lookahead is
+        always makes strict progress because every lookahead is
         strictly positive)."""
         node = self.relaxed_bounds()
-        out: Dict[int, float] = {}
-        for worker, edges in self.incoming.items():
-            target = until
-            for src_lp, delay in edges:
-                bound = node[src_lp] + delay
-                if bound < target:
-                    target = bound
-            out[worker] = max(target, self.granted[worker])
-        return out
+        out = {worker: until for worker in self.granted}
+        for src, dst, delay in self.edges:
+            bound = node[src] + delay
+            if bound < out[dst]:
+                out[dst] = bound
+        return {worker: max(target, self.granted[worker])
+                for worker, target in out.items()}
 
     def route(self, drained: List[Tuple]) -> int:
         """Sort one barrier's drained frames globally and queue them
@@ -514,7 +474,7 @@ class _PoolMaster:
         set, so injection order never depends on worker timing."""
         drained.sort(key=lambda item: (item[0], item[1], item[2]))
         for item in drained:
-            self.pending[self.worker_of[item[4]]].append(item)
+            self.pending[item[4]].append(item)
         return len(drained)
 
     def done(self, until: float) -> bool:
@@ -563,7 +523,7 @@ def _pool_recv(pipe, process, shard: int,
 
 
 def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
-    """One OS process per LP group, the parent granting safe targets.
+    """One OS process per LP, the parent granting safe targets.
 
     Each round the parent relaxes the workers' reported next-event
     bounds over the channel graph, grants every worker the largest
@@ -600,9 +560,9 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
             replies = [_pool_recv(pipe, process, shard)
                        for shard, (pipe, process)
                        in enumerate(zip(pipes, processes))]
-            for reply in replies:
+            for shard, reply in enumerate(replies):
                 if reply[0] == "ok":
-                    master.note_bounds(reply[1])
+                    master.note_bound(shard, reply[1])
             return replies
 
         def advance(duration: float) -> None:
@@ -619,12 +579,12 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
                 drained: List[Tuple] = []
                 for shard, (pipe, process) in enumerate(
                         zip(pipes, processes)):
-                    tag, blob, bounds = _pool_recv(pipe, process, shard)
+                    tag, blob, bound = _pool_recv(pipe, process, shard)
                     if tag != "out":   # pragma: no cover - protocol error
                         raise ReproError(f"unexpected worker reply {tag!r}")
                     if blob:
                         drained.extend(decode_frame_batch(blob))
-                    master.note_bounds(bounds)
+                    master.note_bound(shard, bound)
                 barriers += 1
                 moved = master.route(drained)
                 messages_exchanged += moved
@@ -641,9 +601,16 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
         parts = [reply[1] for reply in broadcast(("collect",))]
         for pipe in pipes:
             pipe.send(("exit",))
+    except BaseException:
+        # The survivors sit in conn.recv() waiting for a command that
+        # will never come; joining them first would cost one full join
+        # timeout each before the error surfaced.
+        for process in processes:
+            process.terminate()
+        raise
     finally:
         for process in processes:
-            process.join(timeout=30)
+            process.join(timeout=POOL_JOIN_TIMEOUT_S)
             if process.is_alive():   # pragma: no cover - hung worker
                 process.terminate()
         for pipe in pipes:
@@ -667,22 +634,17 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
 # equivalence reports
 # ----------------------------------------------------------------------
 def equivalence_report(scenario: DesScenario,
-                       worker_counts: Sequence[int] = (1, 2),
-                       include_staged: bool = True,
-                       include_pooled: bool = True) -> Dict[str, Any]:
-    """Run the scenario serially and partitioned, and compare digests.
+                       worker_counts: Sequence[int] = (1, 2)
+                       ) -> Dict[str, Any]:
+    """Run the scenario serially and pooled, and compare digests.
 
     Returns a report with every run's summary, the reference digest,
-    and ``equivalent`` — True iff every mode produced byte-identical
+    and ``equivalent`` — True iff every run produced byte-identical
     per-cluster digests and a correct workload outcome.
     """
     runs = [run_serial(scenario)]
-    if include_staged:
-        for count in worker_counts:
-            runs.append(run_staged(scenario, partitions=count))
-    if include_pooled:
-        for count in worker_counts:
-            runs.append(run_pooled(scenario, workers=count))
+    for count in worker_counts:
+        runs.append(run_pooled(scenario, workers=count))
     reference = runs[0]["digest"]
     mismatches = [
         {"mode": run["mode"], "partitions": run["partitions"],
@@ -700,7 +662,6 @@ def equivalence_report(scenario: DesScenario,
             "forward_delay_ms": scenario.forward_delay_ms,
             "forward_delays": [[list(edge), delay] for edge, delay
                                in (scenario.forward_delays or ())],
-            "recorder_lps": scenario.recorder_lps,
             "master_seed": scenario.master_seed,
         },
         "reference_digest": reference,

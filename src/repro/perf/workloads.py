@@ -590,15 +590,6 @@ _DES_SCALING_SMOKE = ((6,), 4, 3000.0, (1, 2))
 _DES_SCALING_FULL = ((8, 16), 6, 6000.0, (1, 2, 4, 8))
 
 
-def _des_scaling_delays(
-        clusters: int) -> Tuple[Tuple[Tuple[int, int], float], ...]:
-    """A deterministic heterogeneous lookahead assignment: every third
-    ring edge gets a distinct delay so the per-channel lookahead path
-    (not just the uniform default) is what gets exercised."""
-    return tuple(((i, (i + 1) % clusters), 3.0 + (i % 5) * 2.0)
-                 for i in range(0, clusters, 3))
-
-
 def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     """The pooled DES promise protocol over a clusters × workers grid.
 
@@ -609,7 +600,11 @@ def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     must reproduce the serial digest exactly; its barrier count shows
     how few grants the promises need.
     """
-    from repro.parallel.des import DesScenario, run_serial
+    from repro.parallel.des import (
+        DesScenario,
+        run_serial,
+        spread_forward_delays,
+    )
     from repro.parallel.runner import canonical_json
 
     cluster_counts, messages, duration_ms, worker_counts = (
@@ -621,7 +616,7 @@ def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     for clusters in cluster_counts:
         scenario = DesScenario(clusters=clusters, messages=messages,
                                duration_ms=duration_ms, master_seed=seed,
-                               forward_delays=_des_scaling_delays(clusters))
+                               forward_delays=spread_forward_delays(clusters))
         serial = run_serial(scenario)
         if not serial["workload_ok"]:
             raise PerfDivergence(
@@ -898,11 +893,8 @@ _FEDERATION_FULL = ((4, 16, 32, 64, 100), 2, 2, 3, 2000.0)
 _FEDERATION_SMOKE = ((4, 16, 64), 2, 2, 3, 2000.0)
 
 #: the gateway station's uplink serialisation time for the capacity
-#: section, and the probe grid around its modeled knee (fractions of
-#: 1000/service_ms — dense enough that the measured knee lands within
-#: ~10% of the model)
+#: section
 _FEDERATION_SERVICE_MS = 2.0
-_FEDERATION_PROBE_FRACTIONS = (0.6, 0.8, 0.95, 1.05, 1.1, 1.25, 1.5)
 
 
 def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
@@ -927,13 +919,7 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     from repro.parallel import federation_tasks, run_tasks
     from repro.parallel.des import DesScenario, run_serial
     from repro.parallel.runner import canonical_json
-    from repro.queueing import OPERATING_POINTS
-    from repro.queueing.federation import (
-        FederationCapacityModel,
-        FederationShape,
-        measure_gateway_knee,
-        modeled_gateway_knee_per_s,
-    )
+    from repro.queueing.federation import capacity_section
 
     counts, cluster_size, shards, messages, duration_ms = (
         _FEDERATION_SMOKE if smoke else _FEDERATION_FULL)
@@ -973,23 +959,15 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
             "digest": serial["digest"][:16],
         }
     # -- capacity section: modeled knee per topology vs a driven gateway
-    modeled_rate = modeled_gateway_knee_per_s(_FEDERATION_SERVICE_MS)
-    gateway = measure_gateway_knee(
-        _FEDERATION_SERVICE_MS,
-        rates_per_s=tuple(round(modeled_rate * f, 1)
-                          for f in _FEDERATION_PROBE_FRACTIONS))
-    capacity: Dict[str, Any] = {}
-    for topology in ("ring", "mesh"):
-        shape = FederationShape(clusters=max(counts), topology=topology,
-                                recorder_shards=shards,
-                                gateway_service_ms=_FEDERATION_SERVICE_MS)
-        model = FederationCapacityModel(OPERATING_POINTS["mean"], shape)
-        capacity[topology] = {
-            "model": model.knee_report(),
+    knees, gateway = capacity_section(max(counts), shards,
+                                      _FEDERATION_SERVICE_MS)
+    capacity = {
+        topology: {
+            "model": knee,
             "measured_gateway_knee_per_s": gateway["measured_knee_per_s"],
             "modeled_gateway_knee_per_s": gateway["modeled_knee_per_s"],
             "relative_error": gateway.get("relative_error"),
-        }
+        } for topology, knee in knees.items()}
     event_digest = hashlib.sha256(
         canonical_json(digests).encode()).hexdigest()
     return {

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import QueueingModelError
 from repro.queueing.hardware import HardwareParams
 from repro.queueing.model import OpenQueueingModel, StationLoad
-from repro.queueing.workload import OperatingPoint
+from repro.queueing.workload import OPERATING_POINTS, OperatingPoint
 
 
 @dataclass(frozen=True)
@@ -249,3 +249,34 @@ def measure_gateway_knee(service_ms: float,
         result["relative_error"] = round(
             abs(measured - modeled) / modeled, 4)
     return result
+
+
+#: The offered rates the capacity section probes a driven gateway at,
+#: as fractions of its modeled knee (1000/service_ms) — dense enough
+#: around 1.0 that the measured knee lands within ~10% of the model.
+GATEWAY_PROBE_FRACTIONS = (0.6, 0.8, 0.95, 1.05, 1.1, 1.25, 1.5)
+
+
+def capacity_section(clusters: int, recorder_shards: int, service_ms: float
+                     ) -> Tuple[Dict[str, Dict[str, object]],
+                                Dict[str, object]]:
+    """The federation capacity section, model against measurement.
+
+    Returns ``(knees, gateway)``: the modeled :meth:`knee_report
+    <FederationCapacityModel.knee_report>` per topology at the mean
+    operating point, and :func:`measure_gateway_knee` of a gateway
+    driven at :data:`GATEWAY_PROBE_FRACTIONS` of the modeled knee.
+    """
+    modeled_rate = modeled_gateway_knee_per_s(service_ms)
+    gateway = measure_gateway_knee(
+        service_ms,
+        rates_per_s=tuple(round(modeled_rate * fraction, 1)
+                          for fraction in GATEWAY_PROBE_FRACTIONS))
+    knees: Dict[str, Dict[str, object]] = {}
+    for topology in ("ring", "mesh"):
+        shape = FederationShape(clusters=clusters, topology=topology,
+                                recorder_shards=recorder_shards,
+                                gateway_service_ms=service_ms)
+        knees[topology] = FederationCapacityModel(
+            OPERATING_POINTS["mean"], shape).knee_report()
+    return knees, gateway

@@ -11,7 +11,6 @@ from repro.sim.engine import (
     EngineCore,
     EventHandle,
     PartitionChannel,
-    PartitionedEngine,
     Signal,
 )
 from repro.sim.rng import RngStreams
@@ -21,7 +20,6 @@ __all__ = [
     "EngineCore",
     "EventHandle",
     "PartitionChannel",
-    "PartitionedEngine",
     "Signal",
     "RngStreams",
 ]

@@ -30,21 +30,20 @@ order against a naive reference implementation):
 
 Partitioning: the heap/scheduling internals live in :class:`EngineCore`
 (:class:`Engine` adds the Signal/coroutine layer on top), so a
-federation can run one core per logical process (LP) and advance them
-in lookahead-bounded windows under a :class:`PartitionedEngine` — the
-conservative parallel-DES scheme where the only cross-LP edges are
-:class:`PartitionChannel`\\ s whose ``lookahead_ms`` (a gateway's
-``forward_delay_ms``, §6.2) bounds how far one LP's present can reach
-into another's future. See ``docs/PARALLEL_DES.md``.
+federation can run one core per logical process (LP), each in its own
+OS process, advanced in safe windows by the pool master in
+:mod:`repro.parallel.des` — the conservative parallel-DES scheme where
+the only cross-LP edges are :class:`PartitionChannel`\\ s whose
+``lookahead_ms`` (a gateway's ``forward_delay_ms``, §6.2) bounds how far
+one LP's present can reach into another's future. See
+``docs/PARALLEL_DES.md``.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from heapq import heapify, heappop, heappush
-from typing import (Any, Callable, Dict, Generator, List, Optional, Tuple,
-                    Union)
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -129,8 +128,7 @@ class EngineCore:
     Everything a logical process needs to advance simulated time:
     schedule / cancel / run / step over the ``(time, seq, handle)``
     heap. :class:`Engine` layers the Signal and coroutine-activity API
-    on top; a :class:`PartitionedEngine` drives several cores in
-    lookahead-bounded windows.
+    on top.
     """
 
     def __init__(self) -> None:
@@ -196,7 +194,7 @@ class EngineCore:
         ``schedule_at`` computes ``now + (time - now)``, which can land
         an ulp away from ``time``; cross-partition injection needs the
         fire time bit-identical to the one the sending LP stamped, so
-        the partition scheduler uses this primitive instead.
+        channel delivery uses this primitive instead.
         """
         if time < self._now:
             if time < self._now - NEGATIVE_DELAY_EPSILON_MS:
@@ -390,49 +388,28 @@ class PartitionChannel:
     """One directed cross-partition edge with a fixed lookahead.
 
     The sending LP stamps each message with its absolute fire time
-    (``claim time + lookahead_ms``) and appends it to the outbox; the
-    :class:`PartitionedEngine` drains outboxes at every barrier and
-    injects the messages into the destination LP at their exact stamped
-    times. A message claimed while the source is at time ``t`` fires at
+    (``claim time + lookahead_ms``) and appends it to the outbox; whoever
+    drives the LPs drains outboxes at every barrier and injects the
+    messages into the destination LP at their exact stamped times. A
+    message claimed while the source is at time ``t`` fires at
     ``>= t + lookahead_ms``, which is what lets the destination safely
-    run ahead of the source by up to the lookahead.
-
-    ``lookahead_ms`` may be zero (e.g. a recorder LP bridged to its
-    cluster's medium, where a tap fires at the exact completion time).
-    A zero-lookahead channel contributes no static slack, so the
-    destination can only outrun the source by what the source's
-    *next-event promise* allows — see
-    :meth:`PartitionedEngine.earliest_bounds`.
-
-    ``spacing_ms`` is an optional extra promise: any two messages on
-    this channel with distinct fire times are at least ``spacing_ms``
-    apart. A serialized broadcast medium guarantees exactly this for
-    completion-timed taps (consecutive completions differ by at least
-    the interpacket gap), which restores usable slack to an otherwise
-    zero-lookahead edge. ``last_fire`` tracks the latest drained fire
-    time so the scheduler can apply the spacing floor.
+    run ahead of the source by up to the lookahead — so the lookahead
+    must be strictly positive, or no LP could ever advance past another.
     """
 
-    __slots__ = ("key", "src", "dst", "lookahead_ms", "spacing_ms",
-                 "last_fire", "outbox", "deliver", "_seq")
+    __slots__ = ("key", "src", "dst", "lookahead_ms", "outbox", "deliver",
+                 "_seq")
 
     def __init__(self, key: str, src: int, dst: int, lookahead_ms: float,
-                 deliver: Optional[Callable[[Any], None]] = None,
-                 spacing_ms: float = 0.0):
-        if lookahead_ms < 0:
+                 deliver: Optional[Callable[[Any], None]] = None):
+        if not lookahead_ms > 0:
             raise SimulationError(
-                f"channel {key!r} needs a non-negative lookahead, "
+                f"channel {key!r} needs a positive lookahead, "
                 f"got {lookahead_ms}")
-        if lookahead_ms == 0 and spacing_ms < 0:
-            raise SimulationError(
-                f"channel {key!r} needs a non-negative spacing, "
-                f"got {spacing_ms}")
         self.key = key
         self.src = src              # source LP index
         self.dst = dst              # destination LP index
         self.lookahead_ms = lookahead_ms
-        self.spacing_ms = spacing_ms
-        self.last_fire = -math.inf
         #: (fire_time, channel_seq, payload), in send order
         self.outbox: List[Tuple[float, int, Any]] = []
         #: destination-side sink, bound where the receiving half lives
@@ -447,162 +424,7 @@ class PartitionChannel:
     def drain(self) -> List[Tuple[float, int, Any]]:
         """Take every queued message (called at window barriers)."""
         out, self.outbox = self.outbox, []
-        if out:
-            last = out[-1][0]
-            if last > self.last_fire:
-                self.last_fire = last
         return out
-
-
-class PartitionedEngine:
-    """A conservative barrier scheduler over several logical processes.
-
-    Each :class:`EngineCore` is one logical process (LP); the only edges
-    between them are :class:`PartitionChannel`\\ s. Every round the
-    scheduler computes, per LP, a *safe-advance target* from the
-    incoming channels' individual lookaheads plus each source LP's
-    next-event promise (see :meth:`earliest_bounds`), runs every LP to
-    its own target, then drains every channel's outbox, sorts by
-    ``(fire_time, channel key, channel seq)``, and injects the messages
-    into the destination cores at the exact stamped fire times. The
-    sort makes the injection order a pure function of the message set —
-    never of which LP ran first — so an in-process staged pass and a
-    process pool produce bit-identical schedules.
-
-    Because targets are promise-based, a quiet federation fast-forwards
-    in a handful of barriers instead of ``duration / min(lookahead)``
-    fixed windows, and a cluster behind a slow gateway does not
-    throttle LPs it has no edge to.
-    """
-
-    def __init__(self,
-                 engines: Union[List[EngineCore], Dict[int, EngineCore]],
-                 channels: List[PartitionChannel]):
-        if not engines:
-            raise SimulationError("a partitioned engine needs at least one LP")
-        if isinstance(engines, dict):
-            self.engines: Dict[int, EngineCore] = dict(engines)
-        else:
-            self.engines = dict(enumerate(engines))
-        self.channels = channels
-        self._order = sorted(self.engines)
-        self._incoming: Dict[int, List[PartitionChannel]] = {
-            lp: [] for lp in self.engines}
-        for channel in channels:
-            if channel.src not in self.engines:
-                raise SimulationError(
-                    f"channel {channel.key!r} originates at unknown LP "
-                    f"{channel.src}")
-            if channel.dst not in self.engines:
-                raise SimulationError(
-                    f"channel {channel.key!r} routes to unknown LP "
-                    f"{channel.dst}")
-            self._incoming[channel.dst].append(channel)
-        self._now = 0.0
-        self.barriers = 0
-        self.messages_exchanged = 0
-
-    @property
-    def now(self) -> float:
-        """The last completed target (every LP's clock has reached it)."""
-        return self._now
-
-    def earliest_bounds(self) -> Dict[int, float]:
-        """Per-LP lower bounds on the next event that can occur there.
-
-        Starting from each LP's own next pending event (and any
-        undrained outbox messages headed its way), relax over every
-        channel: an event on the destination caused *through* channel
-        ``c`` cannot occur before ``bound(src) + lookahead``, nor — when
-        the channel promises a spacing — before ``last_fire + spacing``.
-        Iterating to the fixed point (Bellman-Ford over non-negative
-        edge weights) folds transitive chains, including zero-lookahead
-        cycles such as a medium bridged to its recorder LP. The result
-        is the null-message-style "no event before T" promise that
-        safe-advance targets and the pooled window grants are built on.
-        """
-        bounds: Dict[int, float] = {}
-        for lp in self._order:
-            head = self.engines[lp].peek_time()
-            bounds[lp] = math.inf if head is None else head
-        for channel in self.channels:
-            if channel.outbox:
-                first = channel.outbox[0][0]
-                if first < bounds[channel.dst]:
-                    bounds[channel.dst] = first
-        for _ in range(len(self._order)):
-            changed = False
-            for channel in self.channels:
-                bound = bounds[channel.src] + channel.lookahead_ms
-                if channel.spacing_ms > 0.0:
-                    floor = channel.last_fire + channel.spacing_ms
-                    if floor > bound:
-                        bound = floor
-                if bound < bounds[channel.dst]:
-                    bounds[channel.dst] = bound
-                    changed = True
-            if not changed:
-                break
-        return bounds
-
-    def _target_for(self, lp: int, bounds: Dict[int, float],
-                    until: float) -> float:
-        engine = self.engines[lp]
-        target = until
-        for channel in self._incoming[lp]:
-            bound = bounds[channel.src] + channel.lookahead_ms
-            if channel.spacing_ms > 0.0:
-                floor = channel.last_fire + channel.spacing_ms
-                if floor > bound:
-                    bound = floor
-            if bound < target:
-                target = bound
-        if target < engine.now:
-            target = engine.now
-        return target
-
-    def run(self, until: float) -> float:
-        """Advance every LP to ``until`` behind promise-based barriers."""
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run backwards (until={until}, now={self._now})")
-        if not self.channels:
-            # No cross-LP edges: the LPs are independent simulations.
-            for lp in self._order:
-                self.engines[lp].run(until=until)
-            self._now = until
-            return self._now
-        while True:
-            bounds = self.earliest_bounds()
-            for lp in self._order:
-                self.engines[lp].run(
-                    until=self._target_for(lp, bounds, until))
-            moved = self._exchange()
-            self.barriers += 1
-            if moved:
-                continue
-            if all(engine.now >= until and
-                   (engine.peek_time() is None
-                    or engine.peek_time() > until)
-                   for engine in self.engines.values()):
-                break
-        self._now = until
-        return self._now
-
-    def _exchange(self) -> int:
-        """Drain every outbox and inject at exact stamped times."""
-        pending: List[Tuple[float, str, int, PartitionChannel, Any]] = []
-        for channel in self.channels:
-            for fire_time, seq, payload in channel.drain():
-                pending.append((fire_time, channel.key, seq, channel, payload))
-        if not pending:
-            return 0
-        pending.sort(key=lambda item: (item[0], item[1], item[2]))
-        for fire_time, _key, _seq, channel, payload in pending:
-            self.engines[channel.dst].schedule_abs(
-                fire_time, channel.deliver, payload)
-        self.messages_exchanged += len(pending)
-        return len(pending)
 
 
 def run_simulation(setup: Callable[[Engine], Any], until: float) -> Tuple[Engine, Any]:

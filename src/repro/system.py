@@ -145,29 +145,9 @@ class System:
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  registry: Optional[ProgramRegistry] = None,
-                 engine: Optional[Engine] = None,
-                 recorder_engine: Optional[Engine] = None):
+                 engine: Optional[Engine] = None):
         self.config = config or SystemConfig()
         self.engine = engine or Engine()
-        #: when set, the recorder (and its recovery manager, watchdogs,
-        #: disks) runs on this engine as its own logical process,
-        #: bridged to the cluster medium by zero-lookahead channels
-        #: (see repro.publishing.recorder_lp). Requires publishing on a
-        #: broadcast medium without gossip; recorder crash/restart is
-        #: not supported in this mode.
-        self.recorder_engine = recorder_engine
-        if recorder_engine is not None:
-            if not self.config.publishing:
-                raise ReproError(
-                    "a recorder LP needs publishing enabled")
-            if self.config.medium != "broadcast":
-                raise ReproError(
-                    "recorder LPs require the broadcast medium "
-                    f"(got {self.config.medium!r})")
-            if self.config.gossip:
-                raise ReproError(
-                    "recorder LPs and gossip repair are mutually "
-                    "exclusive (gossip pulls run on the cluster engine)")
         #: set by ClusterFederation when this cluster lives in one —
         #: lets chaos actions reach federation-level subjects (gateways)
         self.federation = None
@@ -180,16 +160,6 @@ class System:
         self.obs.registry.gauge_fn("sim.now", lambda: self.engine.now)
         self.obs.registry.gauge_fn("sim.events_fired",
                                    lambda: self.engine.events_fired)
-        if recorder_engine is not None:
-            # Recorder-side scopes stamp (and recorder-side
-            # time-weighted instruments integrate over) the recorder
-            # LP's clock, exactly as the shared-engine layout does.
-            from repro.publishing.recorder_lp import recorder_side_prefixes
-            rec_clock = lambda: recorder_engine.now  # noqa: E731
-            for prefix in recorder_side_prefixes(
-                    self.config.recorder_node_id):
-                self.obs.bus.set_scope_clock(prefix, rec_clock)
-                self.obs.registry.set_prefix_clock(prefix, rec_clock)
         self.registry = registry or ProgramRegistry()
         self._register_builtin_images()
         self.faults = FaultPlan(rng=self.rng,
@@ -213,12 +183,6 @@ class System:
         self.placement = None
         self.recorders: List[Recorder] = []
         self.recoveries: List[RecoveryManager] = []
-        #: medium<->recorder bridge channels when the recorder has its
-        #: own LP (a federation renumbers their src/dst into its LP
-        #: space); empty otherwise
-        self.bridge = None
-        self.bridge_channels: List = []
-        self._split_scheduler = None
         if self.config.publishing:
             self._build_recorder()
         self.nodes: Dict[int, Node] = {}
@@ -228,15 +192,7 @@ class System:
         if self.config.services_node not in self.nodes:
             self.config.services_node = first
         for recovery in self.recoveries:
-            if self.bridge is not None:
-                # The restarter schedules medium-side work; when the
-                # recovery manager runs on the recorder LP the call
-                # crosses the cut at its exact claim time.
-                recovery.node_restarter = (
-                    lambda node_id: self.bridge.defer_to_medium(
-                        self._restart_node_later, node_id))
-            else:
-                recovery.node_restarter = self._restart_node_later
+            recovery.node_restarter = self._restart_node_later
         #: epidemic repair layer (publishing.gossip) — built only when
         #: enabled, so legacy configurations register no gossip metrics
         #: and draw from no gossip RNG streams
@@ -307,19 +263,10 @@ class System:
             self._build_recorder_shards()
             return
         recorder_config = self._recorder_config(cfg.recorder_node_id)
-        recorder_engine = self.recorder_engine
-        if recorder_engine is not None:
-            from repro.publishing.recorder_lp import RecorderMediumBridge
-            self.bridge = RecorderMediumBridge(
-                self.medium, recorder_engine, cfg.recorder_node_id)
-            self.bridge_channels = list(self.bridge.channels)
-            rec_engine, rec_medium = recorder_engine, self.bridge
-        else:
-            rec_engine, rec_medium = self.engine, self.medium
-        self.recorder = Recorder(rec_engine, rec_medium, recorder_config,
+        self.recorder = Recorder(self.engine, self.medium, recorder_config,
                                  obs=self.obs, rng=self.rng)
         self.recovery = RecoveryManager(
-            rec_engine, self.recorder,
+            self.engine, self.recorder,
             node_ids=list(range(cfg.first_node_id,
                                 cfg.first_node_id + cfg.nodes)),
             ping_interval_ms=cfg.watchdog_ping_ms,
@@ -336,10 +283,6 @@ class System:
         kernels' crash reports, which it dispatches to the owning
         shard's manager."""
         cfg = self.config
-        if self.recorder_engine is not None:
-            raise ReproError(
-                "recorder shards and a recorder LP are mutually "
-                "exclusive (shards attach to the cluster medium)")
         if cfg.gossip:
             raise ReproError(
                 "recorder shards and gossip repair are mutually "
@@ -534,29 +477,8 @@ class System:
         return policy
 
     def run(self, duration_ms: float) -> float:
-        """Advance the simulation ``duration_ms`` milliseconds.
-
-        With a recorder LP, both engines advance behind a local
-        partitioned scheduler (standalone use; a federation drives its
-        own scheduler over every LP instead and never calls this).
-        """
-        if self.recorder_engine is not None:
-            scheduler = self._ensure_split_scheduler()
-            return scheduler.run(until=scheduler.now + duration_ms)
+        """Advance the simulation ``duration_ms`` milliseconds."""
         return self.engine.run(until=self.engine.now + duration_ms)
-
-    def run_until_idle(self, max_ms: float = 60_000.0) -> float:
-        """Run until no events remain or the guard expires."""
-        return self.run(max_ms)
-
-    def _ensure_split_scheduler(self):
-        if self._split_scheduler is None:
-            from repro.sim.engine import PartitionedEngine
-            m2r, r2m = self.bridge_channels
-            self._split_scheduler = PartitionedEngine(
-                {m2r.src: self.engine, m2r.dst: self.recorder_engine},
-                list(self.bridge_channels))
-        return self._split_scheduler
 
     # ------------------------------------------------------------------
     # observability
@@ -699,11 +621,6 @@ class System:
         its claimed range suspends while sibling shards keep acking."""
         if not self.recorders:
             raise ReproError("this system has no recorder")
-        if self.recorder_engine is not None:
-            raise ReproError(
-                "recorder crash/restart is not supported with a "
-                "recorder LP; use the serial engine for recorder-fault "
-                "scenarios")
         self.recorders[shard].crash()
         self.recoveries[shard].stop()
 
@@ -712,11 +629,6 @@ class System:
         reconciliation."""
         if not self.recoveries:
             raise ReproError("this system has no recorder")
-        if self.recorder_engine is not None:
-            raise ReproError(
-                "recorder crash/restart is not supported with a "
-                "recorder LP; use the serial engine for recorder-fault "
-                "scenarios")
         return self.recoveries[shard].restart_recorder()
 
 

@@ -4,62 +4,74 @@ The whole value of the conservative partitioning (gateway lookahead
 windows, barrier exchange — docs/PARALLEL_DES.md) is that it is *not*
 an approximation: every cluster's full event stream and metrics
 snapshot must hash identically whether the federation ran on one
-engine, on N staged engines in one process, or on a process pool.
+engine or on a process pool with one engine per worker.
 """
+
+import multiprocessing
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster.gateways import directed_gateways
-from repro.errors import ReproError
+import repro.parallel.des as des
+from repro.cluster.gateways import ClusterFederation, directed_gateways
+from repro.errors import NetworkError, ReproError, SimulationError
 from repro.parallel.des import (
     DES_VOLATILE_METRICS,
+    POOL_JOIN_TIMEOUT_S,
     DesScenario,
     _pool_recv,
     build_federation,
     equivalence_report,
     run_pooled,
     run_serial,
-    run_staged,
     spawn_workload,
+    spread_forward_delays,
 )
 from repro.parallel.runner import _mp_context
+from repro.sim.engine import PartitionChannel
 
 SMALL = DesScenario(clusters=4, messages=4, duration_ms=1500.0)
 
 
 class TestStagedEquivalence:
+    """Partition-count and topology cells, on the pool. (The class and
+    test names predate the removal of the in-process staged runner;
+    they are kept so the test ids stay stable.)"""
+
     def test_staged_matches_serial_small(self):
         serial = run_serial(SMALL)
-        staged = run_staged(SMALL, partitions=2)
+        pooled = run_pooled(SMALL, workers=2)
         assert serial["workload_ok"]
-        assert staged["workload_ok"]
-        assert staged["per_cluster"] == serial["per_cluster"]
-        assert staged["digest"] == serial["digest"]
+        assert pooled["workload_ok"]
+        assert pooled["per_cluster"] == serial["per_cluster"]
+        assert pooled["digest"] == serial["digest"]
         # 2 LPs over a 4-ring: the two cross-LP drivers' request+reply
         # traffic crosses the partition cut.
-        assert staged["messages_exchanged"] > 0
-        assert staged["barriers"] > 0
+        assert pooled["messages_exchanged"] > 0
+        assert pooled["barriers"] > 0
 
     def test_single_partition_degenerates_to_serial(self):
         serial = run_serial(SMALL)
-        staged = run_staged(SMALL, partitions=1)
-        assert staged["digest"] == serial["digest"]
-        assert staged["messages_exchanged"] == 0   # no cross-LP edges
+        pooled = run_pooled(SMALL, workers=1)
+        assert pooled["digest"] == serial["digest"]
+        assert pooled["messages_exchanged"] == 0   # no cross-LP edges
 
     def test_one_lp_per_cluster(self):
         serial = run_serial(SMALL)
-        staged = run_staged(SMALL, partitions=SMALL.clusters)
-        assert staged["digest"] == serial["digest"]
-        assert staged["workload_ok"]
+        pooled = run_pooled(SMALL, workers=SMALL.clusters)
+        assert pooled["partitions"] == SMALL.clusters
+        assert pooled["digest"] == serial["digest"]
+        assert pooled["workload_ok"]
 
     def test_mesh_topology_also_equivalent(self):
         scenario = DesScenario(clusters=3, messages=3, duration_ms=1200.0,
                                topology="mesh")
         serial = run_serial(scenario)
-        staged = run_staged(scenario, partitions=3)
+        pooled = run_pooled(scenario, workers=3)
         assert serial["workload_ok"]
-        assert staged["digest"] == serial["digest"]
+        assert pooled["digest"] == serial["digest"]
 
 
 class TestPooledEquivalence:
@@ -79,9 +91,9 @@ class TestPooledEquivalence:
 
 class TestHeterogeneousLookahead:
     """Per-channel lookaheads: each gateway edge carries its own delay,
-    and the partitioned schedules must still replay the serial run
-    byte-for-byte — for any delay assignment, topology, partition
-    count, and with the recorder split onto its own LP or not."""
+    and the pooled schedule must still replay the serial run
+    byte-for-byte — for any delay assignment, topology, cluster count
+    and worker count."""
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -99,13 +111,12 @@ class TestHeterogeneousLookahead:
             for edge in edges)
         scenario = DesScenario(
             clusters=clusters, messages=3, duration_ms=800.0,
-            topology=topology, forward_delays=delays,
-            recorder_lps=data.draw(st.booleans(), label="recorder_lps"))
-        partitions = data.draw(st.integers(2, clusters), label="partitions")
+            topology=topology, forward_delays=delays)
+        workers = data.draw(st.integers(2, clusters), label="workers")
         serial = run_serial(scenario)
-        staged = run_staged(scenario, partitions=partitions)
+        pooled = run_pooled(scenario, workers=workers)
         assert serial["workload_ok"]
-        assert staged["per_cluster"] == serial["per_cluster"]
+        assert pooled["per_cluster"] == serial["per_cluster"]
 
     def test_mixed_delays_pooled_matches_serial(self):
         scenario = DesScenario(
@@ -119,6 +130,12 @@ class TestHeterogeneousLookahead:
     def test_nonpositive_delay_rejected(self):
         with pytest.raises(ReproError):
             DesScenario(forward_delays=(((0, 1), 0.0),)).validate()
+
+    @pytest.mark.parametrize("lookahead_ms", [0.0, -1.0, float("nan")])
+    def test_channel_lookahead_must_be_positive(self, lookahead_ms):
+        # A zero-lookahead edge would let no LP ever outrun another.
+        with pytest.raises(SimulationError, match="positive lookahead"):
+            PartitionChannel("gw0", 0, 1, lookahead_ms=lookahead_ms)
 
 
 class TestPromiseFastForward:
@@ -137,23 +154,26 @@ class TestPromiseFastForward:
             f"windows — idle fast-forward is not engaging")
 
     def test_zero_traffic_completes_in_constant_barriers(self):
-        # No workload at all: after settling, no frame ever crosses a
-        # gateway (only each cluster's own housekeeping timers fire).
-        # The promise loop must cross the whole horizon in a small
-        # constant number of barriers — not one per lookahead window
-        # (300 for this scenario).
-        fed = build_federation(SMALL, partitions=4)
-        fed.boot(settle_ms=SMALL.settle_ms)
-        settle_barriers = fed.scheduler.barriers
-        fed.run(SMALL.duration_ms)
-        assert fed.scheduler.messages_exchanged == 0
-        assert fed.scheduler.barriers - settle_barriers <= 8, (
-            f"{fed.scheduler.barriers - settle_barriers} barriers to "
-            f"cross an idle horizon")
+        # Drivers that send nothing: no frame ever crosses a gateway
+        # (only each cluster's own housekeeping timers fire). The
+        # promise loop must cross settle + horizon in a small constant
+        # number of barriers — not one per lookahead window (400 for
+        # this scenario).
+        pooled = run_pooled(replace(SMALL, messages=0), workers=4)
+        assert pooled["workload_ok"]
+        assert pooled["messages_exchanged"] == 0
+        assert pooled["barriers"] <= 16, (
+            f"{pooled['barriers']} barriers to cross an idle horizon")
 
 
 def _silent_death_worker(conn):
     conn.close()
+
+
+def _spawn_workload_failing_on_shard_1(fed, scenario):
+    if fed.only_partition == 1:
+        raise RuntimeError("injected spawn failure")
+    spawn_workload(fed, scenario)
 
 
 class TestPoolRobustness:
@@ -197,6 +217,27 @@ class TestPoolRobustness:
             parent_conn.close()
 
 
+    def test_failing_worker_surfaces_without_waiting_out_survivors(
+            self, monkeypatch):
+        # Shard 1 raises while shards 0 and 2 sit in conn.recv(); the
+        # parent must stop them rather than join each for a full
+        # timeout before the error gets out. Under fork the children
+        # inherit the patched module.
+        monkeypatch.setattr(des, "_mp_context",
+                            lambda: multiprocessing.get_context("fork"))
+        monkeypatch.setattr(des, "spawn_workload",
+                            _spawn_workload_failing_on_shard_1)
+        started = time.monotonic()
+        with pytest.raises(
+                ReproError,
+                match="(?s)worker 1 failed.*injected spawn failure"):
+            run_pooled(SMALL, workers=3)
+        elapsed = time.monotonic() - started
+        assert multiprocessing.active_children() == []
+        assert elapsed < POOL_JOIN_TIMEOUT_S, (
+            f"the worker failure took {elapsed:.1f}s to surface")
+
+
 class TestLargeFederation:
     """The acceptance-criteria configuration: 32 clusters."""
 
@@ -206,22 +247,18 @@ class TestLargeFederation:
         report = equivalence_report(self.SCENARIO, worker_counts=(1, 4))
         assert report["equivalent"], report["mismatches"]
         modes = {(run["mode"], run["partitions"]) for run in report["runs"]}
-        assert modes == {("serial", 0), ("staged", 1), ("staged", 4),
-                         ("pooled", 1), ("pooled", 4)}
+        assert modes == {("serial", 0), ("pooled", 1), ("pooled", 4)}
         for run in report["runs"]:
             assert run["workload_ok"]
             assert run["replies"] == [6] * 32
             assert run["frames_dropped"] == 0
 
     def test_32_clusters_all_knobs_enabled(self):
-        # Heterogeneous lookaheads + recorder LPs at once: serial ==
-        # staged == pooled, byte-for-byte.
+        # Heterogeneous lookaheads at scale: serial == pooled,
+        # byte-for-byte.
         scenario = DesScenario(
             clusters=32, messages=6, duration_ms=3000.0,
-            forward_delays=tuple(
-                ((i, (i + 1) % 32), 3.0 + (i % 5) * 2.0)
-                for i in range(0, 32, 3)),
-            recorder_lps=True)
+            forward_delays=spread_forward_delays(32))
         report = equivalence_report(scenario, worker_counts=(4,))
         assert report["equivalent"], report["mismatches"]
         for run in report["runs"]:
@@ -245,14 +282,13 @@ class TestDigestScope:
 
 class TestSliceConstruction:
     def test_slice_owns_only_its_partition(self):
-        full = build_federation(SMALL, partitions=2)
+        full = build_federation(SMALL)
         slice0 = build_federation(SMALL, partitions=2, only_partition=0)
         slice1 = build_federation(SMALL, partitions=2, only_partition=1)
         assert set(slice0.systems) | set(slice1.systems) == set(full.systems)
         assert not set(slice0.systems) & set(slice1.systems)
 
     def test_slice_refuses_to_run_itself(self):
-        from repro.errors import NetworkError
         fed = build_federation(SMALL, partitions=2, only_partition=0)
         with pytest.raises(NetworkError):
             fed.run(100.0)
@@ -265,5 +301,9 @@ class TestSliceConstruction:
                                    only_partition=shard)
             for system in fed.clusters:
                 system.boot(settle_ms=0.0)
-            fed.engines[shard].run(until=SMALL.settle_ms)
+            fed.engine.run(until=SMALL.settle_ms)
             spawn_workload(fed, SMALL)
+
+    def test_partitions_without_a_slice_has_no_runner(self):
+        with pytest.raises(NetworkError, match="only_partition"):
+            ClusterFederation([1, 1], partitions=2)

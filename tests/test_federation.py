@@ -35,8 +35,8 @@ from repro.cluster.placement import (
     placement_priority_vectors,
     policy_from_name,
 )
-from repro.errors import PlacementError, ReproError
-from repro.parallel.des import DesScenario, run_serial, run_staged
+from repro.errors import PlacementError
+from repro.parallel.des import DesScenario, run_pooled, run_serial
 from repro.publishing.multi_recorder import process_state_digest
 
 from conftest import CounterProgram, DriverProgram
@@ -134,14 +134,9 @@ class TestShardedFederationDigests:
                                recorder_shards=2, messages=3,
                                duration_ms=2000.0)
         serial = run_serial(scenario)
-        staged = run_staged(scenario, partitions=2)
-        assert serial["workload_ok"] and staged["workload_ok"]
-        assert staged["digest"] == serial["digest"]
-
-    def test_recorder_shards_and_recorder_lps_are_exclusive(self):
-        with pytest.raises(ReproError):
-            DesScenario(clusters=2, recorder_shards=2,
-                        recorder_lps=True).validate()
+        pooled = run_pooled(scenario, workers=2)
+        assert serial["workload_ok"] and pooled["workload_ok"]
+        assert pooled["digest"] == serial["digest"]
 
     @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 2),
            st.sampled_from(["ring", "mesh"]))

@@ -10,6 +10,7 @@ import repro.debugger
 import repro.demos
 import repro.metrics
 import repro.net
+import repro.parallel
 import repro.publishing
 import repro.queueing
 import repro.sim
@@ -20,10 +21,22 @@ from repro import errors
 @pytest.mark.parametrize("module", [
     repro, repro.sim, repro.net, repro.demos, repro.publishing,
     repro.queueing, repro.txn, repro.debugger, repro.cluster, repro.metrics,
+    repro.parallel,
 ])
 def test_all_exports_resolve(module):
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module.__name__}.{name} missing"
+
+
+def test_partitioned_des_exports_two_modes():
+    # One reference, one proof: the in-process second implementation of
+    # the promise protocol is gone from both packages.
+    runners = {name for name in repro.parallel.__all__
+               if name.startswith("run_") and "task" not in name}
+    assert runners == {"run_serial", "run_pooled", "run_sweep"}
+    assert "PartitionChannel" in repro.sim.__all__
+    assert "PartitionedEngine" not in repro.sim.__all__
+    assert not hasattr(repro.sim, "PartitionedEngine")
 
 
 def test_error_hierarchy():
