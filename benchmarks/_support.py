@@ -14,7 +14,11 @@ _tests_dir = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
 if _tests_dir not in sys.path:
     sys.path.insert(0, _tests_dir)
 
-from fixtures import register_test_programs, run_counter_scenario  # noqa: E402
+from fixtures import (  # noqa: E402,F401  (re-exported for the benches)
+    crc16_bitwise,
+    register_test_programs,
+    run_counter_scenario,
+)
 
 
 def build_counter_system(n: int = 100):

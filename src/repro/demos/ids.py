@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.net.frames import register_payload
+
 #: Local id reserved for the kernel process on every node (§4.2.1).
 KERNEL_LOCAL_ID = 0
 
 
+@register_payload("pid")
 class ProcessId(NamedTuple):
     """A network-wide process name: (creating node, local id)."""
 
@@ -34,6 +37,7 @@ class ProcessId(NamedTuple):
         return f"{self.node}.{self.local}"
 
 
+@register_payload("mid")
 class MessageId(NamedTuple):
     """A network-unique message identifier: (sender pid, send sequence)."""
 

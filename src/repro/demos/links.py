@@ -21,8 +21,10 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.demos.ids import ProcessId
 from repro.errors import LinkError
+from repro.net.frames import register_payload
 
 
+@register_payload("link")
 @dataclass(frozen=True)
 class Link:
     """An immutable capability to send messages to ``dst``.

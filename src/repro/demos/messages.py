@@ -23,6 +23,7 @@ from typing import Any, Dict, Optional
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
+from repro.net.frames import register_payload
 
 # Messages are the highest-volume allocation in a busy simulation, so
 # the classes below are slotted where the runtime supports it (slotted
@@ -39,9 +40,22 @@ DEFAULT_BODY_BYTES = 128
 MAX_BODY_BYTES = 1024
 
 
+@register_payload("msg")
 @_frozen()
 class Message:
-    """One DEMOS message in flight or in a queue."""
+    """One DEMOS message in flight or in a queue.
+
+    ``body`` is whatever the program sent, and it crosses the wire: it
+    must be built from ``None``, ``bool``, ``int``, ``float``, ``str``,
+    ``bytes``, ``tuple``, ``list``, ``dict``, ``set``/``frozenset`` and
+    registered payload classes (:class:`ProcessId`, :class:`Link`, ...),
+    nested freely. Anything else raises
+    :class:`~repro.errors.EncodingError` when the sender's frame is
+    built. To send a record type of your own, make it a dataclass or a
+    ``NamedTuple`` and decorate it with
+    ``@repro.net.frames.register_payload("tag")`` in the module that
+    defines it.
+    """
 
     msg_id: MessageId            # (sender pid, sender's send sequence)
     src: ProcessId
@@ -82,6 +96,7 @@ class DeliveredMessage:
 _control_counter = itertools.count(1)
 
 
+@register_payload("ctl")
 @_frozen()
 class Control:
     """A kernel-level protocol datagram.
@@ -100,6 +115,10 @@ class Control:
       stamped with the restart number so stale replies are ignored (§3.4);
     * ``recover_offer`` / ``recover_answer`` — multi-recorder coordination
       (§6.3).
+
+    ``fields`` values are wire payload like :attr:`Message.body` and take
+    the same types; the order the keys were inserted in does not reach
+    the frame checksum.
     """
 
     kind: str

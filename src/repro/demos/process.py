@@ -89,9 +89,11 @@ class ProgramBase:
 class Program(ProgramBase):
     """Actor-style program: explicit state on ``self``, push delivery.
 
-    Subclasses override :meth:`setup` and :meth:`on_message`; any
-    deep-copyable attributes they set on ``self`` become the checkpointed
-    state. Channel selectivity is controlled with
+    Subclasses override :meth:`setup` and :meth:`on_message`; the
+    attributes they set on ``self`` become the checkpointed state, which
+    is deep-copied and shipped to the recorder, so it must be built from
+    the wire-encodable types (see :class:`~repro.demos.messages.Message`).
+    Channel selectivity is controlled with
     ``ctx.set_channels(...)``.
     """
 

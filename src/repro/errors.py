@@ -20,6 +20,16 @@ class NetworkError(ReproError):
     """A network component was configured or driven incorrectly."""
 
 
+class EncodingError(ReproError, TypeError):
+    """A payload holds a value the wire encoding does not cover.
+
+    Raised by :func:`repro.net.frames.canonical_bytes` — in practice
+    when the sender builds the :class:`~repro.net.frames.Frame` — for
+    any type outside the builtin values and the registered payload
+    classes. Also a ``TypeError``, which is what it is.
+    """
+
+
 class KernelError(ReproError):
     """A DEMOS kernel call failed in a way the caller cannot recover from.
 

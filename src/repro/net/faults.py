@@ -161,15 +161,7 @@ class FaultPlan:
 
     def _corrupted_copy(self, frame: Frame) -> Frame:
         self.corruptions.inc()
-        copy = Frame(
-            kind=frame.kind,
-            src_node=frame.src_node,
-            dst_node=frame.dst_node,
-            payload=frame.payload,
-            size_bytes=frame.size_bytes,
-            checksum=frame.checksum,
-            recorder_acked=frame.recorder_acked,
-        )
+        copy = frame.clone_for(frame.dst_node)
         copy.corrupt()
         return copy
 

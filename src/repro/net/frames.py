@@ -1,4 +1,4 @@
-"""Frames and checksums.
+"""Frames, the wire encoding, and checksums.
 
 The DEMOS/MP link layer "wraps all messages with a rotating checksum and
 checks the message type for validity. Any messages with an incorrect
@@ -7,20 +7,33 @@ carries a CRC computed over a canonical encoding of its payload, and the
 receiving link layer recomputes and compares it. Fault injection corrupts
 the stored CRC, which is indistinguishable from bit rot on the wire.
 
-The CRC runs on every frame send *and* every receive, which makes it one
-of the hottest per-frame code paths in the simulator. It is therefore
-table-driven (one precomputed 256-entry table, one lookup per byte)
-rather than the classic bit-at-a-time loop; :func:`crc16_bitwise` keeps
-the reference implementation, and ``tests/test_net_frames.py`` pins the
-two to byte-for-byte identical outputs so published-frame checksums are
-unchanged.
+A checksum only helps if two processes compute the same value from the
+same payload, so the encoding is explicit: :func:`canonical_bytes` walks
+a closed set of types (the builtin values plus the payload classes their
+owning modules register with :func:`register_payload`) and raises
+:class:`~repro.errors.EncodingError` for anything else. It never looks
+at ``repr``, ``hash`` or an address. The recorder's per-record checksum
+(:func:`repro.publishing.store.payload_digest`) is computed over the
+same encoding.
+
+The CRC runs on every frame send *and* every receive, so it runs in C:
+:func:`crc16` is ``binascii.crc_hqx`` (CRC-16/CCITT, initial value
+``0xFFFF``). ``tests/fixtures.py`` keeps the bit-at-a-time loop as the
+oracle and ``tests/test_net_frames.py`` pins the two to identical
+outputs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from binascii import crc_hqx
 from enum import Enum
-from typing import Any, NamedTuple, Optional
+from operator import attrgetter, itemgetter
+from struct import pack
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+
+from repro.errors import EncodingError
 
 #: Destination id meaning "every attached interface".
 BROADCAST = -1
@@ -43,56 +56,143 @@ class DeadLetter(NamedTuple):
     attempts: int
 
 
-def crc16_bitwise(data: bytes) -> int:
-    """CRC-16/CCITT over ``data``, one bit at a time.
+def crc16(data: bytes) -> int:
+    """CRC-16/CCITT over ``data`` — the frame checksum.
 
-    The reference implementation the table version is checked against.
     A real rotating checksum rather than Python's ``hash`` so that the
     value is stable across runs and processes.
     """
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    return crc_hqx(data, 0xFFFF)
 
 
-def _build_crc16_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
+# ----------------------------------------------------------------------
+# the wire encoding
+# ----------------------------------------------------------------------
+#: payload class -> (header bytes, field getter or None for a NamedTuple,
+#: which is iterated directly)
+_PAYLOAD_CLASSES: Dict[type, Tuple[bytes, Optional[Callable]]] = {}
+_FIRST = itemgetter(0)
+#: node ids, channels, codes and most sequence numbers: nine ints in ten
+#: on the wire are below 256, and a lookup is half the cost of a format
+_SMALL_INTS = tuple(b"i%d;" % n for n in range(256))
 
 
-_CRC16_TABLE = _build_crc16_table()
+def register_payload(tag: str):
+    """Class decorator: make a dataclass or ``NamedTuple`` encodable.
+
+    The module that owns a payload class registers it (so ``net`` never
+    imports the layers above it)::
+
+        @register_payload("seg")
+        @dataclass(frozen=True)
+        class Segment: ...
+
+    An instance encodes as ``@tag;`` followed by every field in
+    declaration order, so a field added later is covered without
+    touching the encoder. ``tag`` is the class's name on the wire: it
+    must be unique, and renaming the class does not change the bytes.
+    """
+    if not (tag.isascii() and tag.isidentifier()):
+        raise ValueError(f"payload tag must be an ASCII identifier: {tag!r}")
+    header = b"@%b;" % tag.encode("ascii")
+
+    def register(cls: type) -> type:
+        if any(header == taken for taken, _ in _PAYLOAD_CLASSES.values()):
+            raise ValueError(f"payload tag {tag!r} is already registered")
+        if dataclasses.is_dataclass(cls):
+            names = [f.name for f in dataclasses.fields(cls)]
+            fields = attrgetter(*names)
+            if len(names) == 1:
+                only = fields           # one name: attrgetter returns no tuple
+
+                def fields(value):
+                    return (only(value),)
+        elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+            fields = None
+        else:
+            raise TypeError(f"{cls.__qualname__} is neither a dataclass "
+                            f"nor a NamedTuple")
+        _PAYLOAD_CLASSES[cls] = (header, fields)
+        return cls
+    return register
 
 
-def crc16(data: bytes) -> int:
-    """CRC-16/CCITT over ``data`` — the frame checksum (table-driven)."""
-    crc = 0xFFFF
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
-    return crc
+def payload_classes() -> Tuple[type, ...]:
+    """Every class registered with :func:`register_payload`."""
+    return tuple(_PAYLOAD_CLASSES)
 
 
 def canonical_bytes(payload: Any) -> bytes:
-    """A deterministic byte encoding of a payload object.
+    """The deterministic byte encoding every checksum is computed over.
 
-    ``repr`` of the payload is stable for the dataclass payloads used by
-    the transport and DEMOS layers (no ids or addresses appear in them).
+    Encodable values: ``None``, ``bool``, ``int``, ``float``, ``str``,
+    ``bytes``, ``tuple``, ``list``, ``dict``, ``set``, ``frozenset`` and
+    instances of classes registered with :func:`register_payload`,
+    nested to any depth. Types are matched exactly and tagged, so ``1``,
+    ``True``, ``1.0`` and ``"1"`` all differ; dict entries are ordered
+    by their encoded key and set members by their encoding, so
+    insertion order and ``PYTHONHASHSEED`` never reach a checksum.
+    Anything else raises :class:`~repro.errors.EncodingError`. Payloads
+    are trees: a container that contains itself has no encoding and
+    must not be sent.
+
+    Layout: a scalar is a tag and a terminated number or a
+    length-prefixed run. A container writes its header (tag and member
+    count, or ``@tag;`` for a payload class, whose count is fixed) where
+    it stands and its members after everything already waiting, so the
+    whole encoder is this one loop — no recursion, no call per value.
+    Every piece is self-delimiting and the order is fixed by the
+    headers, so equal bytes mean equal values of equal types.
     """
-    return repr(payload).encode("utf-8", errors="replace")
+    classes = _PAYLOAD_CLASSES
+    out = bytearray()
+    queue = [payload]           # values not yet written, in order
+    for value in queue:         # grows while it is walked
+        kind = type(value)      # exact: a subclass is a different type
+        if kind is int:
+            out += (_SMALL_INTS[value] if 0 <= value < 256
+                    else b"i%d;" % value)
+        elif kind is bool:
+            out += b"T" if value else b"F"
+        elif kind is str:
+            text = value.encode("utf-8", "surrogatepass")
+            out += b"s%d:" % len(text)
+            out += text
+        elif kind in classes:
+            header, fields = classes[kind]
+            out += header
+            queue += value if fields is None else fields(value)
+        elif value is None:
+            out += b"N"
+        elif kind is tuple:
+            out += b"(%d:" % len(value)
+            queue += value
+        elif kind is dict:
+            # keys whole and in place, in encoded order; values wait
+            out += b"{%d:" % len(value)
+            for key, item in sorted(zip(map(canonical_bytes, value),
+                                        value.values()), key=_FIRST):
+                out += key
+                queue.append(item)
+        elif kind is list:
+            out += b"[%d:" % len(value)
+            queue += value
+        elif kind is float:
+            out += b"f"
+            out += pack(">d", value)
+        elif kind is bytes:
+            out += b"b%d:" % len(value)
+            out += value
+        elif kind is set or kind is frozenset:
+            out += (b"<%d:" if kind is set else b"#%d:") % len(value)
+            for member in sorted(map(canonical_bytes, value)):
+                out += member
+        else:
+            raise EncodingError(
+                f"cannot encode {kind.__module__}.{kind.__qualname__} for "
+                f"the wire: send builtin values or a class registered "
+                f"with repro.net.frames.register_payload")
+    return bytes(out)
 
 
 class FrameKind(Enum):

@@ -31,13 +31,14 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.net.frames import BROADCAST, Frame, FrameKind
+from repro.net.frames import BROADCAST, Frame, FrameKind, register_payload
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.rng import RngStreams
 
 
+@register_payload("seg")
 @dataclass(frozen=True)
 class Segment:
     """The transport payload carried inside a frame."""

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from zlib import crc32
 
 from repro.errors import RecordCorruptionError
+from repro.net.frames import canonical_bytes
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
     from repro.publishing.database import LoggedMessage
@@ -52,16 +53,13 @@ IoSubmit = Callable[[str, int], float]
 def payload_digest(message) -> int:
     """A deterministic checksum over everything replay depends on.
 
-    crc32 over the canonical repr of the message fields — cheap enough
-    to stamp on every append, stable across processes and platforms
+    crc32 over the message's wire encoding — the encoding the frame
+    checksum is computed over, every field included. Cheap enough to
+    stamp on every append, stable across processes and platforms
     (unlike ``hash()``, which is salted for strings). Two messages agree
     on the digest iff a replayed process could not tell them apart.
     """
-    return crc32(repr((message.msg_id, message.src, message.dst,
-                       message.channel, message.code, message.body,
-                       message.size_bytes, message.deliver_to_kernel,
-                       message.recovery_marker))
-                 .encode("utf-8", "backslashreplace"))
+    return crc32(canonical_bytes(message))
 
 
 class LogSegment:

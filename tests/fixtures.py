@@ -19,6 +19,20 @@ from repro.demos.ids import ProcessId
 from repro.demos.links import Link
 
 
+def crc16_bitwise(data: bytes) -> int:
+    """CRC-16/CCITT (initial value 0xFFFF) over ``data``, one bit at a
+    time: the oracle ``repro.net.frames.crc16`` is checked against."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 class CounterProgram(Program):
     """Accumulates 'add' values, replies with the running total."""
 

@@ -44,6 +44,7 @@ def test_error_hierarchy():
         errors.SimulationError, errors.NetworkError, errors.KernelError,
         errors.RecorderError, errors.RecoveryError, errors.StorageError,
         errors.TransactionError, errors.QueueingModelError,
+        errors.EncodingError,
     ]
     for exc in roots:
         assert issubclass(exc, errors.ReproError)
@@ -51,6 +52,8 @@ def test_error_hierarchy():
     assert issubclass(errors.ProcessError, errors.KernelError)
     # Library errors are catchable without swallowing TypeError etc.
     assert not issubclass(errors.ReproError, (TypeError, ValueError))
+    # ... except the one that is a wrong-type report by nature.
+    assert issubclass(errors.EncodingError, TypeError)
 
 
 def test_version_string():

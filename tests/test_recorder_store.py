@@ -296,6 +296,30 @@ class TestVerifiedReplay:
         assert seen == [1, 3, 5]
         assert corrupt == 2
 
+    def test_digest_covers_the_passed_link(self):
+        """Bugfix regression: the digest skipped ``passed_link``, so two
+        logged messages handing over different capabilities agreed."""
+        from dataclasses import replace
+        from repro.demos.links import Link
+        from repro.publishing.store import payload_digest
+        bare = make_message(1)
+        linked = replace(bare, passed_link=Link(SENDER, channel=2, code=7))
+        assert payload_digest(bare) != payload_digest(linked)
+        assert payload_digest(linked) != payload_digest(
+            replace(bare, passed_link=Link(SENDER, channel=2, code=8)))
+
+    def test_verified_cursor_sees_a_swapped_passed_link(self):
+        from dataclasses import replace
+        from repro.demos.links import Link
+        from repro.errors import RecordCorruptionError
+        record = make_record()
+        record.record_message(
+            replace(make_message(1), passed_link=Link(SENDER, code=7)), 0)
+        lm = record._live[0]
+        lm.message = replace(lm.message, passed_link=None)  # link-less twin
+        with pytest.raises(RecordCorruptionError):
+            record.replay_cursor(verify=True).next()
+
     def test_unverified_cursor_does_not_checksum(self):
         record = make_record(3)
         self.corrupt(record, 2)
