@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.frames import BROADCAST, Frame, FrameKind, register_payload
@@ -80,13 +80,19 @@ class TransportConfig:
     #: guaranteed segment with a per-destination stream sequence and the
     #: receiver buffers out-of-order arrivals, releasing them in order —
     #: the windowing scheme §4.3.3 anticipates. Keeps in-order delivery
-    #: while allowing `window` messages in flight concurrently.
+    #: while allowing `window` messages in flight concurrently. Every
+    #: stamped segment the receiver acknowledges consumes its sequence
+    #: number — a suppressed duplicate too (a recovering process
+    #: regenerates a send under its old uid but a fresh number), or the
+    #: stream would wait on that number for ever.
     ordered_window: bool = False
-    #: With per_destination=True the window applies per destination node
-    #: instead of globally, and in-order delivery is still preserved
-    #: per destination (at most one outstanding message each). The
-    #: recorder uses this so a recreate bound for a still-rebooting node
-    #: does not head-of-line-block replay streams to healthy nodes.
+    #: Guaranteed messages wait in *lanes*: a FIFO plus the count of its
+    #: messages in flight, at most `window` of them. A transport has one
+    #: lane; with per_destination=True it has one per destination node,
+    #: so the window — and in-order delivery, at window 1 — holds per
+    #: destination instead of globally. The recorder uses this so a
+    #: recreate bound for a still-rebooting node does not
+    #: head-of-line-block replay streams to healthy nodes.
     per_destination: bool = False
     require_recorder_ack: bool = False
 
@@ -113,19 +119,32 @@ class TransportStats:
         self.gave_up = registry.counter(f"{prefix}.gave_up")
 
 
+class _Lane:
+    """One FIFO of guaranteed messages waiting to start, and how many
+    of its messages are in flight (``busy``, at most ``window``)."""
+
+    __slots__ = ("queue", "busy")
+
+    def __init__(self) -> None:
+        self.queue: "deque[_Outstanding]" = deque()
+        self.busy = 0
+
+
 class _Outstanding:
     """A guaranteed message awaiting acknowledgement.
 
     ``stamp`` identifies the message's *latest* retry arming: the
     coalesced timer wheel leaves superseded heap entries in place and
     recognises them as stale because their tick no longer matches.
+    ``lane`` is where it queued, and whose slot it holds once started.
     """
 
-    __slots__ = ("segment", "size_bytes", "attempts", "stamp")
+    __slots__ = ("segment", "size_bytes", "lane", "attempts", "stamp")
 
-    def __init__(self, segment: Segment, size_bytes: int):
+    def __init__(self, segment: Segment, size_bytes: int, lane: _Lane):
         self.segment = segment
         self.size_bytes = size_bytes
+        self.lane = lane
         self.attempts = 0
         self.stamp = 0
 
@@ -162,7 +181,11 @@ class Transport:
         self.stats = TransportStats(self.obs.registry, prefix)
         self._queue_depth = self.obs.registry.timeavg(f"{prefix}.queue_depth")
         self._backoff_ms = self.obs.registry.histogram(f"{prefix}.backoff_ms")
-        self._outq: Deque[_Outstanding] = deque()
+        #: the one lane, or None when every destination has its own
+        self._lane: Optional[_Lane] = (None if self.config.per_destination
+                                       else _Lane())
+        self._lanes: Dict[int, _Lane] = {}
+        self._queued = 0          # messages waiting in lanes, all told
         self._in_flight: Dict[Tuple, _Outstanding] = {}
         #: coalesced retransmission timer wheel: all retry deadlines live
         #: in this local heap of ``(deadline, tick, out)`` and a single
@@ -181,7 +204,7 @@ class Transport:
         #: receiver side: next expected stream seq and held-out-of-order
         #: segments, per source node
         self._expected_seq: Dict[int, int] = {}
-        self._reorder: Dict[int, Dict[int, Segment]] = {}
+        self._reorder: Dict[int, Dict[int, Optional[Segment]]] = {}
         self.iface = NetworkInterface(node_id, self._on_frame,
                                       is_recorder=is_recorder,
                                       on_delivered=self._on_media_ack)
@@ -210,44 +233,45 @@ class Transport:
             self.stats.sent.inc()
             self.iface.send(self._frame_for(segment, total))
             return
-        self._outq.append(_Outstanding(segment, total))
-        self._queue_depth.update(self.queue_depth)
-        self._pump()
+        lane = self._lane
+        if lane is None:
+            lane = self._lanes.get(dst_node)
+            if lane is None:
+                lane = self._lanes[dst_node] = _Lane()
+        lane.queue.append(_Outstanding(segment, total, lane))
+        self._queued += 1
+        self._queue_depth.update(self._queued + len(self._in_flight))
+        self._pump(lane)
 
     def _frame_for(self, segment: Segment, size_bytes: int) -> Frame:
         return Frame(kind=FrameKind.DATA, src_node=self.node_id,
                      dst_node=segment.dst_node, payload=segment,
                      size_bytes=size_bytes)
 
-    def _pump(self) -> None:
-        """Start transmissions up to the window limit."""
-        if not self.config.per_destination:
-            while self._outq and len(self._in_flight) < self.config.window:
-                out = self._outq.popleft()
-                self._in_flight[out.segment.uid] = out
-                self._transmit(out)
-            return
-        # Per-destination windows: at most `window` outstanding per
-        # destination node, preserving per-destination FIFO order. One
-        # pass over the queue: startable messages move to `started`,
-        # everything else is kept in order — no per-item remove().
-        busy_dsts: Dict[int, int] = {}
-        for inflight in self._in_flight.values():
-            dst = inflight.segment.dst_node
-            busy_dsts[dst] = busy_dsts.get(dst, 0) + 1
-        started = []
-        remaining: Deque[_Outstanding] = deque()
-        for out in self._outq:
-            dst = out.segment.dst_node
-            if busy_dsts.get(dst, 0) >= self.config.window:
-                remaining.append(out)   # keep FIFO order within a destination
-                continue
-            busy_dsts[dst] = busy_dsts.get(dst, 0) + 1
-            started.append(out)
-        self._outq = remaining
-        for out in started:
-            self._in_flight[out.segment.uid] = out
+    def _pump(self, lane: _Lane) -> None:
+        """Start the lane's queued messages, in order, while it has a
+        free slot. Every state change fills or frees one lane — a send
+        queues on one, an ack or a dead letter frees a slot of one — and
+        a pumped lane is left empty or full, so no other lane ever has
+        anything to start."""
+        queue = lane.queue
+        in_flight = self._in_flight
+        window = self.config.window
+        while queue and lane.busy < window:
+            out = queue.popleft()
+            self._queued -= 1
+            uid = out.segment.uid
+            superseded = in_flight.get(uid)
+            if superseded is not None:
+                # A regenerated send of a uid still awaiting its ack
+                # takes over the entry: the ack will complete `out`, so
+                # the message it replaces gives its slot back.
+                superseded.lane.busy -= 1
+            in_flight[uid] = out
+            lane.busy += 1
             self._transmit(out)
+            if superseded is not None and superseded.lane is not lane:
+                self._pump(superseded.lane)
 
     def _retry_delay_ms(self, attempts: int) -> float:
         """The wait before declaring attempt ``attempts`` unacknowledged:
@@ -343,6 +367,7 @@ class Transport:
             # failures, which max_retries bounds for simulation hygiene.
             # The dead letter goes to `on_gave_up` instead of vanishing.
             del self._in_flight[out.segment.uid]
+            out.lane.busy -= 1
             self._queue_depth.update(self.queue_depth)
             self.stats.gave_up.inc()
             self.events.emit("gave_up", f"node{self.node_id}",
@@ -350,7 +375,7 @@ class Transport:
                              attempts=out.attempts)
             if self.on_gave_up is not None:
                 self.on_gave_up(out.segment, out.attempts)
-            self._pump()
+            self._pump(out.lane)
             return
         self.events.emit("retransmit", f"node{self.node_id}",
                          dst=out.segment.dst_node, attempt=out.attempts)
@@ -360,8 +385,9 @@ class Transport:
         out = self._in_flight.pop(uid, None)
         if out is None:
             return
+        out.lane.busy -= 1
         self._queue_depth.update(self.queue_depth)
-        self._pump()
+        self._pump(out.lane)
         # The acked message's wheel entry is now stale; re-aiming prunes
         # it when it is the head, so a drained transport stops waking up.
         self._rearm_wheel()
@@ -394,6 +420,8 @@ class Transport:
             if segment.uid in self._dedup:
                 self.stats.duplicates_suppressed.inc()
                 self._ack(segment)     # re-ack: the first ack may have died
+                if segment.stream_seq is not None:
+                    self._deliver_in_stream_order(segment, suppressed=True)
                 return
             self._remember(segment.uid)
             if segment.src_node == self.node_id:
@@ -408,20 +436,31 @@ class Transport:
         self.stats.delivered_up.inc()
         self.on_receive(segment)
 
-    def _deliver_in_stream_order(self, segment: Segment) -> None:
+    def _deliver_in_stream_order(self, segment: Segment,
+                                 suppressed: bool = False) -> None:
         """Windowed mode: hold out-of-order arrivals and release runs
-        in stream-sequence order per source node."""
+        in stream-sequence order per source node.
+
+        A ``suppressed`` duplicate is never delivered, but it was
+        acknowledged, so the sender will not fill its sequence number
+        again: a number neither passed nor held is marked consumed (a
+        plain retransmission carries its original number, which is one
+        or the other, and changes nothing)."""
         src = segment.src_node
         expected = self._expected_seq.get(src, 0)
         if segment.stream_seq < expected:
             return          # stale duplicate beyond the dedup horizon
         held = self._reorder.setdefault(src, {})
-        held[segment.stream_seq] = segment
+        if suppressed:
+            held.setdefault(segment.stream_seq, None)
+        else:
+            held[segment.stream_seq] = segment
         while expected in held:
             ready = held.pop(expected)
             expected += 1
-            self.stats.delivered_up.inc()
-            self.on_receive(ready)
+            if ready is not None:
+                self.stats.delivered_up.inc()
+                self.on_receive(ready)
         self._expected_seq[src] = expected
 
     def _remember(self, uid: Tuple) -> None:
@@ -476,7 +515,10 @@ class Transport:
             self._wheel.cancel()
             self._wheel = None
         self._in_flight.clear()
-        self._outq.clear()
+        self._lanes.clear()
+        if self._lane is not None:
+            self._lane = _Lane()
+        self._queued = 0
         self._dedup.clear()
         self._next_stream_seq.clear()
         self._expected_seq.clear()
@@ -492,4 +534,4 @@ class Transport:
     @property
     def queue_depth(self) -> int:
         """Messages queued or in flight (diagnostics)."""
-        return len(self._outq) + len(self._in_flight)
+        return self._queued + len(self._in_flight)

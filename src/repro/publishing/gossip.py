@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Control, Message
@@ -101,32 +101,41 @@ class GossipBuffer:
     """A bounded ring of recently published messages, keyed by msg_id.
 
     Re-sighting a buffered id refreshes its position (retransmissions
-    keep hot messages resident); eviction is oldest-first.
+    keep hot messages resident); eviction is oldest-first. The ids
+    sighted since the last :meth:`take_sightings` are kept a second
+    time, in the same order and under the same bound — they are the
+    ring's tail, which is all a gossip round has to read.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
         self._ring: "OrderedDict[MessageId, Message]" = OrderedDict()
+        self._sighted: "OrderedDict[MessageId, Message]" = OrderedDict()
 
     def note(self, message: Message) -> None:
-        ring = self._ring
         key = message.msg_id
-        if key in ring:
-            ring.move_to_end(key)
-            return
-        ring[key] = message
-        while len(ring) > self.depth:
-            ring.popitem(last=False)
+        for ring in (self._ring, self._sighted):
+            if key in ring:
+                ring.move_to_end(key)
+            else:
+                ring[key] = message
+                if len(ring) > self.depth:
+                    ring.popitem(last=False)
 
     def get(self, msg_id: MessageId) -> Optional[Message]:
         return self._ring.get(msg_id)
 
-    def ids(self) -> Iterator[MessageId]:
-        return iter(self._ring)
+    def take_sightings(self) -> "OrderedDict[MessageId, Message]":
+        """Hand over, and forget, what was sighted — for the first time
+        or again — since the previous call: still-buffered messages
+        only, least recently sighted first (the ring's own order)."""
+        sighted, self._sighted = self._sighted, OrderedDict()
+        return sighted
 
     def clear(self) -> None:
         """A node crash loses its volatile buffer."""
         self._ring.clear()
+        self._sighted.clear()
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -308,7 +317,13 @@ class GossipCoordinator:
     def _sweep_advertisements(self) -> None:
         """Compare peer buffer contents against the recorder database:
         a buffered publication the recorder never recorded is a hole
-        even if no later sequence ever exposed it (tail loss)."""
+        even if no later sequence ever exposed it (tail loss).
+
+        Only what a buffer sighted since the last sweep is read. The
+        sweep leaves every id it examines flagged, abandoned, recorded
+        or unpublished, and each of those lasts until the id is on the
+        wire again: a flagged id the recorder then overhears is a new
+        sighting, a supply records it (docs/GOSSIP.md)."""
         recorder = self.system.recorder
         db = recorder.db
         tracker = self.tracker
@@ -316,10 +331,9 @@ class GossipCoordinator:
             buffer = getattr(node, "gossip_buffer", None)
             if buffer is None or not node.up:
                 continue
-            for msg_id in buffer.ids():
+            for msg_id, message in buffer.take_sightings().items():
                 if msg_id in tracker.missing or msg_id in tracker.gave_up:
                     continue
-                message = buffer.get(msg_id)
                 record = db.get(message.dst)
                 if record is not None:
                     if msg_id in record.recorded_ids:

@@ -14,6 +14,8 @@ test needs to bootstrap traffic without the full NLS rendezvous dance.
 
 from __future__ import annotations
 
+import sys
+
 from repro import Program, System
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link
@@ -31,6 +33,28 @@ def crc16_bitwise(data: bytes) -> int:
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc
+
+
+def count_calls(fn, within=None) -> int:
+    """Call events (Python and C) raised while ``fn()`` runs: the
+    deterministic stand-in for host time that lets tier-1 assert how
+    work scales without reading a clock. ``within`` narrows the count
+    to calls of, and made from, that module's own code."""
+    path = within.__file__ if within is not None else None
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call") and (
+                path is None or frame.f_code.co_filename == path):
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 class CounterProgram(Program):

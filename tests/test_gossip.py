@@ -16,7 +16,7 @@ from repro.chaos import (
     run_scenario,
 )
 from repro.demos.ids import MessageId, ProcessId
-from repro.demos.messages import Message
+from repro.demos.messages import Control, Message
 from repro.publishing.gossip import GapTracker, GossipBuffer, pull_ranges
 
 from conftest import (
@@ -24,6 +24,7 @@ from conftest import (
     register_test_programs,
     run_counter_scenario,
 )
+from fixtures import count_calls
 
 SENDER = ProcessId(1, 1)
 DEST = ProcessId(2, 1)
@@ -44,7 +45,7 @@ class TestGossipBuffer:
             buffer.note(msg(seq))
         assert len(buffer) == 3
         assert buffer.get(MessageId(SENDER, 1)) is None
-        assert [m.seq for m in buffer.ids()] == [2, 3, 4]
+        assert [m.seq for m in buffer.take_sightings()] == [2, 3, 4]
 
     def test_resighting_refreshes_position(self):
         buffer = GossipBuffer(depth=2)
@@ -60,6 +61,18 @@ class TestGossipBuffer:
         buffer.note(msg(1))
         buffer.clear()
         assert len(buffer) == 0
+        assert not buffer.take_sightings()
+
+    def test_sightings_are_handed_over_once_in_ring_order(self):
+        buffer = GossipBuffer(depth=3)
+        for seq in (1, 2, 3, 1):     # 1 is re-sighted: it moves last
+            buffer.note(msg(seq))
+        assert [m.seq for m in buffer.take_sightings()] == [2, 3, 1]
+        assert not buffer.take_sightings()           # forgotten
+        buffer.note(msg(2))          # a re-sighting is a sighting too
+        buffer.note(msg(4))          # evicts 3; nothing taken is lost
+        assert [m.seq for m in buffer.take_sightings()] == [2, 4]
+        assert len(buffer) == 3
 
 
 class TestGapTracker:
@@ -331,3 +344,219 @@ def test_lossy_gossip_converges_to_lossless_recorded_sets(
     assume(snap["gossip.outstanding"] == 0 and snap["gossip.gave_up"] == 0)
     assert recorded_sets(lossy.system) == recorded_sets(lossless.system)
     assert lossy.totals == lossless.totals == [lossless.expected]
+
+
+# ----------------------------------------------------------------------
+# the incremental sweep against the full rescan it replaced
+# ----------------------------------------------------------------------
+def full_rescan(coordinator):
+    """The deleted ``_sweep_advertisements``, transcribed as a query:
+    the messages a walk over every up node's *whole* ring would flag
+    now, by id, in the order it would flag them."""
+    system = coordinator.system
+    recorder, tracker = system.recorder, coordinator.tracker
+    flagged = {}
+    for node in system.nodes.values():
+        buffer = node.gossip_buffer
+        if buffer is None or not node.up:
+            continue
+        for msg_id, message in buffer._ring.items():
+            if (msg_id in tracker.missing or msg_id in tracker.gave_up
+                    or msg_id in flagged):
+                continue
+            record = recorder.db.get(message.dst)
+            if record is not None:
+                if msg_id in record.recorded_ids:
+                    continue
+                if recorder.config.selective and not record.recoverable:
+                    continue
+            flagged[msg_id] = message
+    return flagged
+
+
+class SweepWitness:
+    """Runs :func:`full_rescan` beside every sweep of a system.
+
+    An id is *settled* once a sweep has run since it was last on the
+    wire. The incremental sweep must flag exactly the unsettled ids the
+    rescan would, in its order; and the rescan may re-open a settled id
+    only when the destination's database entry was created after that
+    sighting — history addressed to a *previous* entry, which a repair
+    would log into the wrong incarnation (``reopened`` counts them).
+    ``resighted`` counts the flags that took a *repeat* sighting: ids an
+    earlier sweep had already examined.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self.coordinator = coordinator = system.gossip
+        self.clock = 0            # orders sightings, creations, sweeps
+        self.first, self.sighted, self.created, self.swept = {}, {}, {}, 0
+        self.rounds = self.flagged = self.reopened = self.resighted = 0
+        self._sweep = coordinator._sweep_advertisements
+        coordinator._sweep_advertisements = self.sweep
+        system.medium.gossip_tap = self.tap
+        self._create = system.recorder.db.create
+        system.recorder.db.create = self.create
+
+    def tick(self):
+        self.clock += 1
+        return self.clock
+
+    def tap(self, frame):
+        body = getattr(frame.payload, "body", None)
+        if isinstance(body, Message):
+            self.sighted[body.msg_id] = self.tick()
+            self.first.setdefault(body.msg_id, self.clock)
+        self.coordinator.observe_wire(frame)
+
+    def create(self, pid, *args, **kwargs):
+        existing = self.system.recorder.db.get(pid)
+        record = self._create(pid, *args, **kwargs)
+        if record is not existing:
+            self.created[pid] = self.tick()
+        return record
+
+    def sweep(self):
+        oracle = full_rescan(self.coordinator)
+        settled = [m for m in oracle if self.sighted[m] < self.swept]
+        for msg_id in settled:
+            assert (self.created.get(oracle[msg_id].dst, 0)
+                    > self.sighted[msg_id]), \
+                f"{msg_id} re-opened although its record was not replaced"
+        tracker, flagged = self.coordinator.tracker, []
+        flag = tracker.flag
+        tracker.flag = lambda m: flag(m) and not flagged.append(m)
+        try:
+            self._sweep()
+        finally:
+            tracker.flag = flag
+        assert flagged == [m for m in oracle if m not in settled]
+        self.resighted += sum(self.first[m] < self.swept for m in flagged)
+        self.swept = self.tick()
+        self.rounds += 1
+        self.flagged += len(flagged)
+        self.reopened += len(settled)
+
+
+def notify_recreated(system, pid, recoverable):
+    """The recorder is told ``pid`` was destroyed and created again
+    (the notices a kernel sends; the process itself runs on)."""
+    kernel = system.nodes[1].kernel
+    kernel.send_control_to_recorder(Control(
+        "process_destroyed", {"pid": pid, "node": pid.node}))
+    kernel.send_control_to_recorder(Control("process_created", {
+        "pid": pid, "image": "test/counter", "args": (),
+        "initial_links": (), "recoverable": recoverable,
+        "state_pages": 4, "node": pid.node}))
+
+
+def witnessed_system(seed, medium, loss, depth, n=60):
+    """Three nodes, two closed loops from node 1: one to a published
+    counter on node 2, one to an unpublished (``recoverable=False``,
+    so ``selective`` skips it) counter on node 3."""
+    system = System(SystemConfig(
+        nodes=3, master_seed=seed, medium=medium, gossip=True,
+        gossip_loss_rate=loss, gossip_round_ms=100.0,
+        gossip_buffer_depth=depth))
+    register_test_programs(system)
+    system.boot()
+    witness = SweepWitness(system)
+    published, _ = run_counter_scenario(system, n=n)
+    unpublished = system.spawn_program("test/counter", node=3,
+                                       recoverable=False)
+    system.spawn_program("test/driver", args=(tuple(unpublished), n), node=1)
+    return system, witness, {"published": published,
+                             "unpublished": unpublished}
+
+
+AT_MS = st.floats(300.0, 3000.0)
+SWEEP_EVENTS = st.one_of(
+    st.tuples(AT_MS, st.just("crash_node"), st.sampled_from([2, 3])),
+    st.tuples(AT_MS, st.just("recorder_outage"), st.floats(100.0, 1500.0)),
+    st.tuples(AT_MS, st.just("recreate"),
+              st.tuples(st.sampled_from(["published", "unpublished"]),
+                        st.booleans())),
+)
+
+
+def run_witnessed(seed, medium, loss, depth, events):
+    system, witness, pids = witnessed_system(seed, medium, loss, depth)
+    for at, kind, arg in sorted(events):
+        system.run(max(0.0, at - system.engine.now))
+        if kind == "crash_node" and system.nodes[arg].up:
+            system.crash_node(arg)
+        elif kind == "recorder_outage" and system.recorder.up:
+            system.crash_recorder()
+            system.engine.schedule(arg, system.restart_recorder)
+        elif kind == "recreate":
+            notify_recreated(system, pids[arg[0]], recoverable=arg[1])
+    system.run(3000)
+    assert witness.rounds > 0
+    return witness
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(1, 10_000),
+       medium=st.sampled_from(["broadcast", "csma_ethernet"]),
+       loss=st.sampled_from([0.0, 0.1, 0.3]),
+       depth=st.sampled_from([4, 8, 64]),
+       events=st.lists(SWEEP_EVENTS, max_size=5))
+def test_incremental_sweep_flags_what_the_full_rescan_flagged(
+        seed, medium, loss, depth, events):
+    """Reception loss, node crashes (the watchdog reboots and recovers
+    them), recorder outages, buffers small enough to evict, a
+    destination destroyed and re-created (published or not, either
+    way round): every round satisfies :class:`SweepWitness`."""
+    run_witnessed(seed, medium, loss, depth, events)
+
+
+def test_flagged_id_overheard_again_undelivered_is_reexamined():
+    """Why a *repeat* sighting counts as a sighting. The recorder misses
+    a message to a node that has just crashed; the sweep flags it. The
+    sender, unacknowledged, retransmits; this time the recorder hears
+    it, which resolves the flag — but no delivery is observed, so the
+    message is staged, not recorded, and a full rescan flags it again.
+    A sweep that read first sightings only would stay silent."""
+    witness = run_witnessed(seed=1, medium="broadcast", loss=0.3, depth=64,
+                            events=[(1500.0, "crash_node", 2)])
+    assert witness.resighted >= 1
+
+
+def test_replaced_record_does_not_reopen_settled_history():
+    """Where the two sweeps part, and why the new side is right. The
+    recorder learns that the counter was destroyed and created again:
+    the entry that held its history is replaced by an empty one. The
+    full rescan then takes every still-buffered message to the *old*
+    incarnation for a hole, and its repairs would log them into the
+    new one, to be replayed to a process that never received them. The
+    incremental sweep re-reads only what is on the wire again."""
+    system, witness, pids = witnessed_system(seed=7, medium="broadcast",
+                                             loss=0.0, depth=64, n=15)
+    system.run(1500)
+    assert witness.flagged == 0 and witness.reopened == 0
+    before = set(system.recorder.db.get(pids["published"]).recorded_ids)
+    assert before
+    notify_recreated(system, pids["published"], recoverable=True)
+    system.run(1000)
+    assert witness.reopened > 0                 # the rescan's holes
+    assert system.metrics_snapshot()["gossip.gaps_flagged"] == 0
+    assert not before & system.recorder.db.get(
+        pids["published"]).recorded_ids
+
+
+def test_idle_sweep_cost_does_not_depend_on_buffer_depth():
+    """With full buffers and nothing new on the wire, a gossip round
+    costs the same host work whatever the buffers hold (it used to
+    re-read every id of every buffer, every round)."""
+    def idle_round_calls(depth):
+        system = build_gossip_system(gossip_buffer_depth=depth)
+        _, driver_pid = run_counter_scenario(system, n=40)
+        drive_to_completion(system, driver_pid, 40)
+        system.run(1000)
+        assert all(len(node.gossip_buffer) == depth
+                   for node in system.nodes.values())
+        return count_calls(system.gossip._run_round)
+
+    assert idle_round_calls(8) == idle_round_calls(64)

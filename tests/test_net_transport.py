@@ -2,6 +2,14 @@
 
 import pytest
 
+from fixtures import (
+    count_calls,
+    expected_totals,
+    register_test_programs,
+    run_counter_scenario,
+)
+from repro import System, SystemConfig
+from repro.net import transport
 from repro.net.faults import FaultPlan
 from repro.net.media import NetworkInterface, PerfectBroadcast
 from repro.net.ethernet import CsmaEthernet
@@ -208,42 +216,39 @@ def test_backoff_jitter_bounded_and_seed_deterministic():
 
 
 def test_per_destination_pump_is_linear_in_queue_depth():
-    """Benchmark-style regression for the O(n²) pump: starting n queued
-    messages to n distinct destinations used to cost one deque.remove()
-    (O(n)) per start. A single pass is linear, so quadrupling the queue
-    must not blow the cost up ~16x."""
-    import time
-
-    from repro.net.transport import _Outstanding, Segment
-
-    def pump_seconds(depth):
+    """Draining n queued messages costs the transport O(n) host work,
+    whether they all wait behind one in-flight message to a single
+    destination (a §4.7 replay stream: every completion used to re-file
+    the whole queue, 13.8x the calls for 4x the depth) or go to n
+    destinations. Call events stand in for time: tier-1 reads no clock."""
+    def drain_calls(depth, destinations):
         engine = Engine()
         medium = PerfectBroadcast(engine)
-        cfg = TransportConfig(per_destination=True, window=1)
-        t = Transport(engine, medium, 1, lambda s: None, cfg)
-        best = float("inf")
-        for _ in range(3):
-            t._outq.clear()
-            t._in_flight.clear()
-            for i in range(depth):
-                segment = Segment(uid=("p", i), src_node=1, dst_node=2 + i,
-                                  body=i, guaranteed=True)
-                t._outq.append(_Outstanding(segment, 160))
-            start = time.perf_counter()
-            t._pump()
-            best = min(best, time.perf_counter() - start)
-            t._in_flight.clear()
-            t._timers.clear()
-            if t._wheel is not None:
-                t._wheel.cancel()
-                t._wheel = None
-        return best
+        # n frames offered at once outlast the default retry timer on
+        # the serialized bus; retransmissions are not what is measured
+        t = Transport(engine, medium, 1, lambda s: None,
+                      TransportConfig(per_destination=True, window=1,
+                                      retransmit_timeout_ms=1e6))
+        delivered = []
+        for node_id in range(2, 2 + destinations):
+            Transport(engine, medium, node_id,
+                      lambda s: delivered.append(s.body))
 
-    small, large = pump_seconds(500), pump_seconds(2000)
-    # Linear ⇒ ~4x; the old quadratic pump is ~16x. Leave slack for
-    # noisy CI machines.
-    assert large < max(10 * small, 0.005), \
-        f"pump scaled superlinearly: {small:.6f}s -> {large:.6f}s"
+        def drain():
+            for i in range(depth):
+                t.send(2 + i % destinations, i, 128, uid=("p", i))
+            engine.run()
+
+        calls = count_calls(drain, within=transport)
+        assert sorted(delivered) == list(range(depth))
+        assert t.queue_depth == 0
+        return calls
+
+    for destinations in (1, None):
+        small = drain_calls(200, destinations or 200)
+        large = drain_calls(800, destinations or 800)
+        assert large < 6 * small, \
+            f"drain scaled superlinearly: {small} -> {large} calls"
 
 
 def test_per_destination_window_avoids_head_of_line_blocking():
@@ -385,6 +390,47 @@ class TestOrderedWindow:
         assert from_1 == list(range(5))
         assert from_3 == list(range(5))
 
+    def test_suppressed_duplicate_consumes_its_stream_sequence(self):
+        """A recovering process regenerates a send under its old uid
+        but a fresh stream sequence number. The receiver suppresses and
+        acks it, so nothing will ever fill that number again: it must
+        count as consumed, or every later segment from that node is
+        acked, parked and never delivered."""
+        engine = Engine()
+        t1, t2, got = self.build(engine)
+        t1.send(2, "a", 128, uid=("U",))
+        engine.run()
+        t1.send(2, "a", 128, uid=("U",))     # same uid, stream_seq 1
+        t1.send(2, "b", 128, uid=("V",))     # stream_seq 2
+        engine.run()
+        assert got == ["a", "b"]
+        assert t2.stats.duplicates_suppressed.value == 1
+        assert t1.queue_depth == 0
+
+    def test_retransmitted_duplicate_leaves_the_stream_alone(self):
+        """A plain retransmission carries its original sequence number:
+        suppressing it must neither skip nor displace what is held."""
+        engine = Engine()
+        faults = FaultPlan()
+        # the head is lost three times, so 1..5 are held behind it; the
+        # first ack back (of a held segment) is lost too, so that
+        # segment arrives a second time while still held
+        faults.lose_next(lambda f, node: node == 2 and f.kind.value == "data"
+                         and f.payload.stream_seq == 0, count=3)
+        faults.lose_next(lambda f, node: node == 1 and f.kind.value == "ack")
+        medium = CsmaEthernet(engine, RngStreams(5), faults=faults)
+        got = []
+        cfg = TransportConfig(window=8, ordered_window=True,
+                              retransmit_timeout_ms=20.0)
+        t1 = Transport(engine, medium, 1, lambda s: None, cfg)
+        t2 = Transport(engine, medium, 2, lambda s: got.append(s.body), cfg)
+        for i in range(6):
+            t1.send(2, i, 128, uid=("p", i))
+        engine.run(until=100.0)
+        assert got == [] and t2.stats.duplicates_suppressed.value >= 1
+        engine.run(until=5000)
+        assert got == list(range(6))
+
 
 class TestWindowedFullStack:
     """The windowing scheme under the complete publishing system: more
@@ -411,6 +457,29 @@ class TestWindowedFullStack:
             system.run(1000)
         assert system.program_of(driver_pid).replies == expected_totals(40)
         assert system.program_of(counter_pid).seen == list(range(1, 41))
+
+    def test_client_crash_mid_stream_does_not_wedge_its_streams(self):
+        """The sender side of the same scheme: a crashed *client* is
+        recovered, replays, and regenerates its last unconfirmed send —
+        a duplicate to the server's transport. The stream behind it
+        must keep flowing (it used to stop at 23 of 40, silently)."""
+        system = System(SystemConfig(nodes=2, transport_window=4))
+        register_test_programs(system)
+        system.boot()
+        counter_pid, driver_pid = run_counter_scenario(system, n=40)
+        system.run(1500)
+        system.crash_process(driver_pid)
+        deadline = system.engine.now + 120_000
+        while system.engine.now < deadline:
+            driver = system.program_of(driver_pid)
+            if driver is not None and len(driver.replies) >= 40:
+                break
+            system.run(1000)
+        # the crash landed where the regenerated send is a duplicate
+        assert sum(node.kernel.transport.stats.duplicates_suppressed.value
+                   for node in system.nodes.values()) >= 1
+        assert system.program_of(driver_pid).replies == expected_totals(40)
+        assert system.dead_letters == []
 
     def test_windowed_recovery_with_loss(self):
         import sys, os

@@ -7,14 +7,20 @@ per-message timer would follow), plus regression cases for behaviours
 the per-message implementation guaranteed: retry counts, backoff
 histograms, dead-letter timing, crash cleanup, and the PR 2 wedged-retry
 case where the sender's own interface drops mid-retry.
+
+The same for the sender's queue: per-lane FIFOs must start what the
+whole-queue pump they replaced started, in the same order (the oracle
+at the end of this file).
 """
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from fixtures import register_test_programs, run_counter_scenario
 from repro import System, SystemConfig
 from repro.net.faults import FaultPlan
-from repro.net.media import PerfectBroadcast
+from repro.net.media import Medium, PerfectBroadcast
 from repro.net.transport import Transport, TransportConfig
 from repro.sim import Engine, RngStreams
 
@@ -198,3 +204,172 @@ def test_system_level_retry_behaviour_unchanged():
     retrans = sum(node.kernel.transport.stats.retransmissions.value
                   for node in system.nodes.values())
     assert retrans > 0
+
+
+# ----------------------------------------------------------------------
+# lanes vs the one-pass pump they replaced
+# ----------------------------------------------------------------------
+def one_pass_pump(queue, in_flight, window, per_destination):
+    """The deleted ``Transport._pump`` as a pure function: which of the
+    queued ``(uid, dst)`` start given the uids in flight, and what
+    stays queued. Its per-destination branch re-counted the in-flight
+    messages of every destination and re-filed the whole queue on every
+    call — the quadratic the lanes remove."""
+    if not per_destination:
+        occupied = set(in_flight)
+        started = []
+        for uid, dst in queue:
+            if len(occupied) >= window:
+                break
+            occupied.add(uid)
+            started.append((uid, dst))
+        return started, queue[len(started):]
+    busy = {}
+    for dst in in_flight.values():
+        busy[dst] = busy.get(dst, 0) + 1
+    started, remaining = [], []
+    for uid, dst in queue:
+        if busy.get(dst, 0) >= window:
+            remaining.append((uid, dst))
+            continue
+        busy[dst] = busy.get(dst, 0) + 1
+        started.append((uid, dst))
+    return started, remaining
+
+
+class OnePassSender:
+    """The sender-side state the deleted pump worked on, stepped by the
+    same sends and completions as the transport under test.
+
+    The pass is repeated until it starts nothing. Once was enough for
+    the parent except just after a start overwrote an in-flight entry
+    of the same uid: its per-destination pass had already counted both,
+    so it left the freed slot idle until the next event of any kind.
+    Lanes (like the parent's own shared-window loop) use it at once.
+    """
+
+    def __init__(self, window, per_destination):
+        self.window = window
+        self.per_destination = per_destination
+        self.queue = []
+        self.in_flight = {}
+        self.started = []
+
+    def pump(self):
+        while True:
+            started, self.queue = one_pass_pump(
+                self.queue, self.in_flight, self.window,
+                self.per_destination)
+            if not started:
+                return
+            self.in_flight.update(started)
+            self.started += started
+
+    def send(self, uid, dst):
+        self.queue.append((uid, dst))
+        self.pump()
+
+    def complete(self, uid):
+        if self.in_flight.pop(uid, None) is not None:
+            self.pump()
+
+
+class HeldAckMedium(Medium):
+    """Carries nothing: keeps every frame offered and leaves its
+    hardware acknowledgement to the test."""
+
+    provides_delivery_ack = True
+    kind = "held"
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.offered = []
+
+    def transmit(self, iface, frame):
+        self.offered.append(frame)
+
+    def ack(self, frame):
+        self._notify_sender(frame, True)
+
+
+SENDER_OPS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 5), st.integers(2, 5)),
+    st.tuples(st.just("ack"), st.integers(0, 7)),
+    st.tuples(st.just("expire"), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(SENDER_OPS, max_size=40),
+       window=st.sampled_from([1, 2, 4]),
+       per_destination=st.booleans())
+@example(ops=[("send", 0, 2), ("send", 1, 3), ("send", 2, 3), ("send", 0, 2),
+              ("send", 2, 3), ("send", 3, 3), ("ack", 1), ("ack", 0)],
+         window=2, per_destination=True)   # uid 2 overwritten in flight
+def test_lanes_start_what_the_one_pass_pump_started(ops, window,
+                                                    per_destination):
+    """Sends over four destinations, acks in any order, give-ups with
+    the interface up or down, uids re-sent while still queued or in
+    flight: the transport hands the medium the same uids in the same
+    order as the one-pass pump, and ends with every slot free."""
+    engine = Engine()
+    medium = HeldAckMedium(engine)
+    # max_retries=1: a message is offered once and dies at its first
+    # timeout, so every frame the medium sees is a start, not a retry
+    transport = Transport(engine, medium, 1, lambda s: None, TransportConfig(
+        window=window, per_destination=per_destination, max_retries=1))
+    model = OnePassSender(window, per_destination)
+    visible = []         # the model's starts while the interface is up
+
+    def model_step(step, *args):
+        before = len(model.started)
+        step(*args)
+        if transport.iface.up:
+            visible.extend(uid for uid, _ in model.started[before:])
+
+    transport.on_gave_up = lambda segment, attempts: model_step(
+        model.complete, segment.uid)
+
+    def ack(uid):
+        frame = next(f for f in reversed(medium.offered)
+                     if f.payload.uid == uid)
+        model_step(model.complete, uid)
+        medium.ack(frame)
+
+    def check():
+        assert [f.payload.uid for f in medium.offered] == visible
+        assert transport.queue_depth == \
+            len(model.queue) + len(model.in_flight)
+
+    for op in ops:
+        if op[0] == "send":
+            _, uid, dst = op
+            model_step(model.send, (uid,), dst)
+            transport.send(dst, "x", 64, uid=(uid,))
+        elif op[0] == "ack":
+            if model.in_flight:
+                ack(list(model.in_flight)[op[1] % len(model.in_flight)])
+        elif op[1]:
+            # a dead interface: everything queued starts unseen and
+            # dies in turn, one dead letter freeing the next start
+            transport.iface.up = False
+            engine.run()
+            transport.iface.up = True
+            assert not model.queue and not model.in_flight
+        else:
+            # a silent peer: what is in flight now times out; what
+            # those dead letters start is offered and stays in flight
+            engine.run(until=engine.now
+                       + transport.config.retransmit_timeout_ms)
+        check()
+    while model.in_flight:
+        ack(next(iter(model.in_flight)))
+    check()
+    assert transport.queue_depth == 0
+    # no slot leaked: every lane takes a full window of fresh sends
+    offered = len(medium.offered)
+    for dst in (2, 3, 4, 5) if per_destination else (2,):
+        for k in range(window):
+            transport.send(dst, "x", 64, uid=("fresh", dst, k))
+        offered += window
+        assert len(medium.offered) == offered
