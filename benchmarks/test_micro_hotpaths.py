@@ -1,6 +1,7 @@
 """Micro-benchmarks for the per-frame hot spots: the frame checksum
-(checked against the bit-loop oracle), the frame CRC cache, the capacity
-sweep's model-reuse probe (vs rebuilding the model per probe), and the
+(checked against the bit-loop oracle), the frame CRC cache, the message
+image (vs walking the message at every checksum), the capacity sweep's
+model-reuse probe (vs rebuilding the model per probe), and the
 pooled-DES compact wire format (vs pickling every routed frame).
 
 The checksum must equal the oracle's byte for byte (``bench/probes.py``
@@ -13,8 +14,13 @@ import random
 import time
 from dataclasses import replace
 
-from repro.net.frames import Frame, FrameKind, crc16
+from repro.demos.ids import MessageId, ProcessId
+from repro.demos.links import Link
+from repro.demos.messages import Message
+from repro.net.frames import Frame, FrameKind, canonical_bytes, crc16
+from repro.net.transport import Segment
 from repro.parallel.wire import decode_frame_batch, encode_frame_batch
+from repro.publishing.store import payload_digest
 from repro.queueing import OPERATING_POINTS, OpenQueueingModel, capacity_in_users
 
 from _support import crc16_bitwise
@@ -72,6 +78,37 @@ def test_frame_checksum_cache(benchmark):
                  ["cached", f"{t_warm * 1000:.3f}",
                   f"{t_cold / t_warm:.2f}x"]])
     assert t_warm < t_cold
+
+
+def test_message_image_walked_once(benchmark):
+    """A message whose body cannot change is encoded on its first frame
+    and read back at every later checksum: the recorder's digest, the
+    verified replay read, a retransmission. Times those reads against
+    equal twins that carry no image yet and have to be walked; asserts
+    only that both give the same bytes and digests."""
+    pid = ProcessId(1, 1)
+    warm = [Message(MessageId(pid, i), pid, ProcessId(2, 1), 0, 3,
+                    ("add", i, "x" * 64), Link(pid, code=i))
+            for i in range(500)]
+    for i, m in enumerate(warm):        # the sender's frame
+        Frame(FrameKind.DATA, 1, 2, Segment(("m", i), 1, 2, m), 128)
+    repeats = 5
+    twins = [[replace(m) for m in warm] for _ in range(repeats + 2)]
+
+    def digests(messages):
+        return [payload_digest(m) for m in messages]
+
+    assert digests(warm) == digests(twins.pop())
+    assert ([canonical_bytes(m) for m in warm]
+            == [canonical_bytes(m) for m in twins.pop()])
+    t_walked = _best_of(lambda: digests(twins.pop()), repeats)
+    t_image = _best_of(lambda: digests(warm), repeats)
+    once(benchmark, digests, warm)
+    print_table("payload_digest: kept image vs walking the message",
+                ["variant", "ms / 500 messages", "speedup"],
+                [["walked", f"{t_walked * 1000:.3f}", "1.00x"],
+                 ["image", f"{t_image * 1000:.3f}",
+                  f"{t_walked / t_image:.2f}x"]])
 
 
 def _routed_batch(count=1000, seed=1983):

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
-from repro.net.frames import register_payload
+from repro.net.frames import WireImage, register_payload
 
 # Messages are the highest-volume allocation in a busy simulation, so
 # the classes below are slotted where the runtime supports it (slotted
@@ -42,7 +42,7 @@ MAX_BODY_BYTES = 1024
 
 @register_payload("msg")
 @_frozen()
-class Message:
+class Message(WireImage):
     """One DEMOS message in flight or in a queue.
 
     ``body`` is whatever the program sent, and it crosses the wire: it
@@ -55,6 +55,16 @@ class Message:
     ``NamedTuple`` and decorate it with
     ``@repro.net.frames.register_payload("tag")`` in the module that
     defines it.
+
+    A message is checksummed at every hop: each transmission attempt,
+    the recorder's append, the verified replay read, the ``replay``
+    control. A body built from scalars, tuples, frozensets and frozen
+    registered classes cannot change, so it is walked once and the
+    message carries its encoding from then on
+    (:class:`~repro.net.frames.WireImage`). A body holding a ``list``,
+    a ``dict`` or a ``set`` at any depth is just as legal and is walked
+    again at every checksum — which is how a container changed after
+    the message was logged fails the record's digest.
     """
 
     msg_id: MessageId            # (sender pid, sender's send sequence)

@@ -26,7 +26,8 @@ class EncodingError(ReproError, TypeError):
     Raised by :func:`repro.net.frames.canonical_bytes` — in practice
     when the sender builds the :class:`~repro.net.frames.Frame` — for
     any type outside the builtin values and the registered payload
-    classes. Also a ``TypeError``, which is what it is.
+    classes, and for a payload that contains itself or is larger than
+    ``MAX_WIRE_VALUES``. Also a ``TypeError``, which is what it is.
     """
 
 

@@ -16,6 +16,11 @@ at ``repr``, ``hash`` or an address. The recorder's per-record checksum
 (:func:`repro.publishing.store.payload_digest`) is computed over the
 same encoding.
 
+A message is stored once and read back byte for byte (§3.2.3, §4.4.3),
+so its encoding is computed once as well: a :class:`WireImage` instance
+(a ``Message``) that holds nothing that can change keeps its bytes, and
+its frames, its record digest and its replays all read them.
+
 The CRC runs on every frame send *and* every receive, so it runs in C:
 :func:`crc16` is ``binascii.crc_hqx`` (CRC-16/CCITT, initial value
 ``0xFFFF``). ``tests/fixtures.py`` keeps the bit-at-a-time loop as the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from binascii import crc_hqx
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -68,13 +74,53 @@ def crc16(data: bytes) -> int:
 # ----------------------------------------------------------------------
 # the wire encoding
 # ----------------------------------------------------------------------
+#: The walk refuses a payload past this many values, or nested past this
+#: many whole-value encodings: a container that contains itself has no
+#: encoding and would otherwise be walked for ever. Every cycle passes
+#: through a ``list``, a ``dict``, a non-frozen instance or a nested
+#: encode, so only those are counted.
+MAX_WIRE_VALUES = 1 << 16
+MAX_WIRE_NESTING = 32
+
+#: what a registered class is to the walk
+_PLAIN, _KEEPS_IMAGE, _MUTABLE = 0, 1, 2
 #: payload class -> (header bytes, field getter or None for a NamedTuple,
-#: which is iterated directly)
-_PAYLOAD_CLASSES: Dict[type, Tuple[bytes, Optional[Callable]]] = {}
+#: which is iterated directly, one of the three natures above)
+_PAYLOAD_CLASSES: Dict[type, Tuple[bytes, Optional[Callable], int]] = {}
 _FIRST = itemgetter(0)
 #: node ids, channels, codes and most sequence numbers: nine ints in ten
 #: on the wire are below 256, and a lookup is half the cost of a format
 _SMALL_INTS = tuple(b"i%d;" % n for n in range(256))
+#: encoded ``str`` dict keys. Control field names and checkpoint keys
+#: are a few dozen strings written over and over; past the bound a new
+#: key is simply encoded each time.
+_KEY_IMAGES: Dict[str, bytes] = {}
+_KEY_MEMO_SIZE = 256
+_keep_image = object.__setattr__        # past a frozen dataclass's own
+
+
+class WireImage:
+    """Base of a payload class whose instances carry their encoding.
+
+    "The message is its bytes": an instance of a registered subclass
+    that :func:`canonical_bytes` walked without meeting anything mutable
+    keeps the result (its *image*), and every later checksum of it — the
+    frame of each transmission attempt, the recorder's record digest,
+    the verified replay read, the ``replay`` control — reads the image
+    instead of walking the fields again. The image is one slot, not a
+    dataclass field: ``==``, ``hash``, ``repr``, ``fields()``,
+    ``replace()`` and pickling never see it, so a twin made by
+    ``replace()`` or by unpickling starts without one. (Python 3.9
+    has no slotted dataclasses; there the subclass has an instance dict,
+    the image lives in it and a pickle carries it along — the bytes of
+    an equal message, so still the right ones.)
+
+    Only :class:`~repro.demos.messages.Message` opts in. ``Segment`` and
+    ``Control`` keep no image: a Control holds a dict and is built per
+    send, and a Segment is read a second time only by a retransmission.
+    """
+
+    __slots__ = ("_wire_image",) if sys.version_info >= (3, 10) else ()
 
 
 def register_payload(tag: str):
@@ -91,13 +137,14 @@ def register_payload(tag: str):
     declaration order, so a field added later is covered without
     touching the encoder. ``tag`` is the class's name on the wire: it
     must be unique, and renaming the class does not change the bytes.
+    A frozen dataclass that inherits :class:`WireImage` keeps its image.
     """
     if not (tag.isascii() and tag.isidentifier()):
         raise ValueError(f"payload tag must be an ASCII identifier: {tag!r}")
     header = b"@%b;" % tag.encode("ascii")
 
     def register(cls: type) -> type:
-        if any(header == taken for taken, _ in _PAYLOAD_CLASSES.values()):
+        if any(header == entry[0] for entry in _PAYLOAD_CLASSES.values()):
             raise ValueError(f"payload tag {tag!r} is already registered")
         if dataclasses.is_dataclass(cls):
             names = [f.name for f in dataclasses.fields(cls)]
@@ -107,12 +154,16 @@ def register_payload(tag: str):
 
                 def fields(value):
                     return (only(value),)
+            frozen = cls.__dataclass_params__.frozen
         elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
             fields = None
+            frozen = True
         else:
             raise TypeError(f"{cls.__qualname__} is neither a dataclass "
                             f"nor a NamedTuple")
-        _PAYLOAD_CLASSES[cls] = (header, fields)
+        nature = (_MUTABLE if not frozen
+                  else _KEEPS_IMAGE if issubclass(cls, WireImage) else _PLAIN)
+        _PAYLOAD_CLASSES[cls] = (header, fields, nature)
         return cls
     return register
 
@@ -132,19 +183,46 @@ def canonical_bytes(payload: Any) -> bytes:
     ``True``, ``1.0`` and ``"1"`` all differ; dict entries are ordered
     by their encoded key and set members by their encoding, so
     insertion order and ``PYTHONHASHSEED`` never reach a checksum.
-    Anything else raises :class:`~repro.errors.EncodingError`. Payloads
-    are trees: a container that contains itself has no encoding and
-    must not be sent.
+    Anything else raises :class:`~repro.errors.EncodingError`, and so
+    does a payload of more than :data:`MAX_WIRE_VALUES` values or one
+    that contains itself.
 
     Layout: a scalar is a tag and a terminated number or a
     length-prefixed run. A container writes its header (tag and member
     count, or ``@tag;`` for a payload class, whose count is fixed) where
     it stands and its members after everything already waiting, so the
-    whole encoder is this one loop — no recursion, no call per value.
-    Every piece is self-delimiting and the order is fixed by the
-    headers, so equal bytes mean equal values of equal types.
+    walk is one loop with no call per value. Three kinds of value are
+    instead written whole where they stand, by one nested walk each: a
+    dict key that is not a ``str``, a set member, and an instance of an
+    image-keeping class (:class:`WireImage`) inside another payload —
+    whose bytes are therefore the same contiguous run wherever it
+    travels, the run ``canonical_bytes`` of it alone returns. Every
+    piece is self-delimiting and the order is fixed by the headers (a
+    reader that meets an image-keeping header below the root reads one
+    complete value there, and a complete value says where it ends), so
+    equal bytes mean equal values of equal types.
+
+    The image is kept only when the walk met nothing that can change —
+    no ``list``, ``dict`` or ``set``, no instance of a registered class
+    that is not frozen, no nested instance that could not keep its own.
+    A message with such a body is legal and is walked again at every
+    checksum, so a container mutated after the message was logged still
+    fails the record's digest.
     """
+    if isinstance(payload, WireImage):
+        image = getattr(payload, "_wire_image", None)
+        if image is not None:
+            return image
+    return _walk(payload, 0)[0]
+
+
+def _walk(payload: Any, depth: int) -> Tuple[bytes, bool]:
+    """``payload``'s encoding, and whether nothing in it can change;
+    leaves the encoding in a root that keeps its image."""
+    if depth > MAX_WIRE_NESTING:
+        raise _unbounded()
     classes = _PAYLOAD_CLASSES
+    keeps, immutable = False, True
     out = bytearray()
     queue = [payload]           # values not yet written, in order
     for value in queue:         # grows while it is walked
@@ -159,7 +237,22 @@ def canonical_bytes(payload: Any) -> bytes:
             out += b"s%d:" % len(text)
             out += text
         elif kind in classes:
-            header, fields = classes[kind]
+            header, fields, nature = classes[kind]
+            if nature:
+                if nature == _MUTABLE:
+                    immutable = False
+                    if len(queue) > MAX_WIRE_VALUES:
+                        raise _unbounded()
+                elif value is payload:
+                    keeps = True
+                else:
+                    # whole and in place: the bytes it carries
+                    image = getattr(value, "_wire_image", None)
+                    if image is None:
+                        image, kept = _walk(value, depth + 1)
+                        immutable = immutable and kept
+                    out += image
+                    continue
             out += header
             queue += value if fields is None else fields(value)
         elif value is None:
@@ -169,12 +262,21 @@ def canonical_bytes(payload: Any) -> bytes:
             queue += value
         elif kind is dict:
             # keys whole and in place, in encoded order; values wait
+            immutable = False
+            if len(queue) > MAX_WIRE_VALUES:
+                raise _unbounded()
             out += b"{%d:" % len(value)
-            for key, item in sorted(zip(map(canonical_bytes, value),
-                                        value.values()), key=_FIRST):
+            entries = [((_KEY_IMAGES.get(key) or _key_image(key))
+                        if type(key) is str else _walk(key, depth + 1)[0],
+                        item) for key, item in value.items()]
+            entries.sort(key=_FIRST)
+            for key, item in entries:
                 out += key
                 queue.append(item)
         elif kind is list:
+            immutable = False
+            if len(queue) > MAX_WIRE_VALUES:
+                raise _unbounded()
             out += b"[%d:" % len(value)
             queue += value
         elif kind is float:
@@ -184,15 +286,36 @@ def canonical_bytes(payload: Any) -> bytes:
             out += b"b%d:" % len(value)
             out += value
         elif kind is set or kind is frozenset:
+            if kind is set:
+                immutable = False
             out += (b"<%d:" if kind is set else b"#%d:") % len(value)
-            for member in sorted(map(canonical_bytes, value)):
+            for member, kept in sorted([_walk(member, depth + 1)
+                                        for member in value]):
                 out += member
+                immutable = immutable and kept
         else:
             raise EncodingError(
                 f"cannot encode {kind.__module__}.{kind.__qualname__} for "
                 f"the wire: send builtin values or a class registered "
                 f"with repro.net.frames.register_payload")
-    return bytes(out)
+    image = bytes(out)
+    if keeps and immutable:
+        _keep_image(payload, "_wire_image", image)
+    return image, immutable
+
+
+def _key_image(key: str) -> bytes:
+    text = key.encode("utf-8", "surrogatepass")
+    image = b"s%d:%b" % (len(text), text)
+    if len(_KEY_IMAGES) < _KEY_MEMO_SIZE:
+        _KEY_IMAGES[key] = image
+    return image
+
+
+def _unbounded() -> EncodingError:
+    return EncodingError(
+        f"cannot encode a payload that is larger than {MAX_WIRE_VALUES} "
+        f"values or contains itself")
 
 
 class FrameKind(Enum):
@@ -217,7 +340,11 @@ class Frame:
     to the *payload*, not the stored ``checksum``: :meth:`corrupt` models
     bit rot by flipping the stored checksum **and** drops the cache, so a
     corrupted frame always fails :meth:`checksum_ok` by recomputation —
-    the cache can never mask injected rot.
+    the cache can never mask injected rot. The recomputation walks the
+    ``Segment`` or ``Control`` the frame carries and splices in the image
+    of a message inside it (:class:`WireImage`), which is the bytes of
+    that very object: a frame given another message, however similar,
+    reads another image or walks.
     """
 
     __slots__ = ("kind", "src_node", "dst_node", "payload", "size_bytes",
@@ -247,7 +374,9 @@ class Frame:
         """The CRC of the payload's canonical encoding, computed once."""
         crc = self._payload_crc
         if crc is None:
-            crc = self._payload_crc = crc16(canonical_bytes(self.payload))
+            # a frame carries a Segment, a Control or a bare value: none
+            # of them keeps an image for canonical_bytes to look up
+            crc = self._payload_crc = crc16(_walk(self.payload, 0)[0])
         return crc
 
     def checksum_ok(self) -> bool:

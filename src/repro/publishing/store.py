@@ -58,6 +58,9 @@ def payload_digest(message) -> int:
     stamp on every append, stable across processes and platforms
     (unlike ``hash()``, which is salted for strings). Two messages agree
     on the digest iff a replayed process could not tell them apart.
+    A message that holds nothing mutable carries that encoding from its
+    first frame on (:class:`~repro.net.frames.WireImage`), so here it is
+    read, not recomputed; any other message is walked, every time.
     """
     return crc32(canonical_bytes(message))
 

@@ -152,6 +152,44 @@ def test_beyond_f_faulty_is_flagged_never_silent(
         "beyond-f corruption passed without a divergence flag"
 
 
+@pytest.mark.parametrize("fault", ["corrupt", "bitrot", "equivocate"])
+def test_warm_images_do_not_hide_a_faulty_recorder(fault):
+    """On the medium every recorder hears the same ``Message`` object,
+    and by replay time it carries its image: framed by the sender,
+    digested at each append, verified by each cursor. The faulty
+    recorder's copy still loses the vote."""
+    from repro.net.frames import Frame, FrameKind
+    from repro.net.transport import Segment
+    n = 12
+    messages = [make_message(i) for i in range(1, n + 1)]
+    for m in messages:
+        Frame(FrameKind.DATA, 1, 2,
+              Segment(("m", m.msg_id.seq), 1, 2, m), m.size_bytes)
+    plan = EquivocationPlan(random.Random(5), rate=1.0)
+    members = []
+    for k in range(3):
+        stage = None
+        if k == 2 and fault == "equivocate":
+            stage = EquivocatingSender(plan)
+        elif k == 2:
+            stage = ByzantineRecorder(random.Random(7), modes=(fault,),
+                                      rate=1.0)
+        db = RecorderDatabase()
+        record = db.create(TARGET, node=TARGET.node, image="test/counter")
+        for m in messages:
+            feed_record(record, db, m, stage=stage)
+        members.append((90 + k, record))
+    for _, record in members[:2]:
+        cursor = record.replay_cursor(verify=True)
+        while cursor.next() is not None:
+            pass
+    assert all(m._wire_image for m in messages)
+    verdict = quorum_replay_stream(members, f=1)
+    assert process_state_digest(verdict.stream) == truth_digest(n)
+    assert verdict.replayed == n and verdict.unresolved == 0
+    assert set(verdict.divergent) == {92}
+
+
 def test_quorum_survives_markers_interleaved():
     """Recovery markers ride the same logs; an adversary touching data
     records must not unseat marker agreement (markers are exempt from

@@ -1,6 +1,8 @@
 """Unit tests for frames, the wire encoding, checksums, and fault
 injection."""
 
+import contextlib
+import copy
 import dataclasses
 import os
 import pickle
@@ -14,13 +16,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import repro.demos.ids
 import repro.demos.links
 import repro.demos.messages
+import repro.net.frames
 import repro.net.transport
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
 from repro.demos.messages import Control, DeliveredMessage, Message
-from repro.errors import EncodingError, ReproError
+from repro.errors import EncodingError, RecordCorruptionError, ReproError
 from repro.net.frames import (
     BROADCAST,
+    MAX_WIRE_VALUES,
     Frame,
     FrameKind,
     canonical_bytes,
@@ -30,14 +34,61 @@ from repro.net.frames import (
 )
 from repro.net.faults import FaultPlan
 from repro.net.transport import Segment
+from repro.publishing.database import ProcessRecord
+from repro.publishing.store import SegmentedLog, payload_digest
 from repro.sim.rng import RngStreams
 
-from fixtures import crc16_bitwise
+from fixtures import count_calls, crc16_bitwise
 
 
 def make_frame(payload="hello", dst=2):
     return Frame(kind=FrameKind.DATA, src_node=1, dst_node=dst,
                  payload=payload, size_bytes=128)
+
+
+def make_message(body, seq=1, passed_link=None):
+    pid = ProcessId(1, 2)
+    return Message(MessageId(pid, seq), pid, ProcessId(2, 1), 0, 0, body,
+                   passed_link)
+
+
+def in_segment(body):
+    return Segment(("u", 1), 1, 2, body)
+
+
+def image_of(message):
+    """The encoding ``message`` carries, or None."""
+    return getattr(message, "_wire_image", None)
+
+
+def logged(message):
+    """A process record holding ``message``, appended and verified."""
+    record = ProcessRecord(pid=message.dst, node=2, image="img",
+                           log=SegmentedLog(4))
+    record.record_message(message, 0)
+    assert record.replay_cursor(verify=True).next().message is message
+    return record
+
+
+@contextlib.contextmanager
+def registered(tag, cls):
+    """``cls`` on the wire for one test: the registry is process-wide."""
+    try:
+        yield register_payload(tag)(cls)
+    finally:
+        repro.net.frames._PAYLOAD_CLASSES.pop(cls, None)
+
+
+@dataclasses.dataclass(frozen=True)
+class Holder:
+    """A frozen record like ``Link``, whose field may hold anything."""
+    held: object
+
+
+@dataclasses.dataclass(eq=False)
+class Cell:
+    """A record that is not frozen: its field can be assigned."""
+    value: object
 
 
 class TestCrc:
@@ -118,6 +169,20 @@ class TestFrame:
                 assert isinstance(exc.value, TypeError)
                 assert type(stray).__qualname__ in str(exc.value)
 
+    def test_unencodable_value_inside_a_message_leaves_no_image(self):
+        """The image is written when the walk ends, so a walk that
+        raises — from ``Frame(...)``, at any depth — leaves none."""
+        for stray in (object(), lambda: None):
+            for body in (stray, ("ok", (stray,)), ("ok", [1, {"k": stray}]),
+                         frozenset({("ok", stray)})):
+                inner = make_message(body)
+                outer = make_message(("forwarded", inner), seq=2)
+                for message in (inner, outer):
+                    with pytest.raises(EncodingError) as exc:
+                        make_frame(in_segment(message))
+                    assert type(stray).__qualname__ in str(exc.value)
+                assert image_of(inner) is None and image_of(outer) is None
+
     def test_subclass_of_an_encodable_type_is_rejected(self):
         class Celsius(int):
             pass
@@ -160,6 +225,9 @@ def _containers(inner):
 
 
 _values = st.recursive(_hashable, _containers, max_leaves=12)
+_messages = st.builds(Message, _mids, _pids, _pids, _ints, _ints, _values,
+                      st.none() | _links, st.integers(1, 1024),
+                      st.booleans(), st.booleans())
 
 
 def _reinserted(value, rng):
@@ -204,6 +272,32 @@ def _typed(value):
     else:
         body = value
     return (kind.__qualname__, body)
+
+
+def _deep_immutable(value):
+    """Nothing in ``value`` can change: the independent notion of which
+    messages may keep their image."""
+    kind = type(value)
+    if kind in (list, dict, set):
+        return False
+    if dataclasses.is_dataclass(value):
+        return (kind.__dataclass_params__.frozen
+                and all(_deep_immutable(getattr(value, f.name))
+                        for f in dataclasses.fields(value)))
+    if isinstance(value, (tuple, frozenset)):
+        return all(_deep_immutable(m) for m in value)
+    return True
+
+
+def _self_containing():
+    """Payloads that contain themselves, by every kind of edge."""
+    own_list = []
+    own_list.append(own_list)
+    own_dict = {}
+    own_dict["self"] = own_dict
+    two_cycle = []
+    two_cycle.append({"back": two_cycle})
+    return {"list": own_list, "dict": own_dict, "list-dict": two_cycle}
 
 
 _OTHER_HASHSEED = """
@@ -297,18 +391,13 @@ class TestCanonicalBytes:
         assert DeliveredMessage not in payload_classes()
 
     def test_one_field_dataclass_encodes_its_field(self):
-        from repro.net import frames
-
         @dataclasses.dataclass(frozen=True)
         class Lone:
             only: tuple
 
-        try:
-            register_payload("lone")(Lone)
+        with registered("lone", Lone):
             assert (canonical_bytes(Lone((1, 2)))
                     == b"@lone;" + canonical_bytes((1, 2)))
-        finally:                # the registry is process-wide
-            frames._PAYLOAD_CLASSES.pop(Lone, None)
 
     def test_message_encoding_covers_every_field(self):
         """One field changed at a time, each must move the bytes."""
@@ -322,6 +411,130 @@ class TestCanonicalBytes:
                        {"recovery_marker": True}):
             seen.add(canonical_bytes(dataclasses.replace(base, **change)))
         assert len(seen) == 1 + len(dataclasses.fields(Message))
+
+    @given(_messages)
+    def test_a_message_has_one_encoding_however_it_is_first_met(
+            self, message):
+        """Alone, nested in a Segment or a Control, unpickled or
+        ``replace``d: the same bytes, spliced whole where the message is
+        nested, and an image that is kept equals a fresh walk."""
+        def fresh():                    # ``message`` itself is never walked
+            twin = copy.deepcopy(message)
+            assert twin == message and image_of(twin) is None
+            return twin
+
+        alone, segmented, controlled = fresh(), fresh(), fresh()
+        image = canonical_bytes(alone)
+        assert image in canonical_bytes(in_segment(segmented))
+        assert image in canonical_bytes(
+            Control("replay", {"message": controlled, "epoch": 1}, 7))
+        unpickled = pickle.loads(pickle.dumps(alone))
+        replaced = dataclasses.replace(alone)
+        assert image_of(replaced) is None
+        if sys.version_info >= (3, 10):     # 3.9 pickles the instance dict
+            assert image_of(unpickled) is None
+        twins = (alone, segmented, controlled, unpickled, replaced)
+        for twin in twins:
+            assert canonical_bytes(twin) == image
+            assert payload_digest(twin) == payload_digest(alone)
+        kept = image if _deep_immutable(message) else None
+        assert [image_of(twin) for twin in twins] == [kept] * len(twins)
+
+    def test_the_image_is_no_part_of_the_value(self):
+        warm, cold = make_message(("add", 1)), make_message(("add", 1))
+        canonical_bytes(warm)
+        assert image_of(warm) is not None and image_of(cold) is None
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert "_wire_image" not in {f.name for f in dataclasses.fields(warm)}
+        # frozen: FrozenInstanceError, or the TypeError 3.10/3.11 raise
+        # for a name that is no field of a slotted dataclass
+        with pytest.raises((AttributeError, TypeError)):
+            warm._wire_image = b""
+        assert image_of(warm) == canonical_bytes(cold)
+
+    @pytest.mark.parametrize("empty, fill", [
+        (list, lambda c: c.append(1)),
+        (dict, lambda c: c.update(k=1)),
+        (set, lambda c: c.add(1)),
+    ], ids=["list", "dict", "set"])
+    @pytest.mark.parametrize("wrap", [
+        lambda c: c,
+        lambda c: ("deep", ((c,),)),
+        lambda c: frozenset({("member", Cell(c))}),
+        lambda c: Link(ProcessId(1, 1), code=Holder(c)),
+        lambda c: ("forwarded", make_message(c, seq=9)),
+    ], ids=["body", "in-tuples", "in-a-frozenset", "in-frozen-records",
+            "in-a-nested-message"])
+    def test_a_mutable_container_at_any_depth_keeps_no_image(
+            self, wrap, empty, fill):
+        """...and so a change made to it after the message was framed,
+        logged and verified reaches every checksum."""
+        container = empty()
+        with registered("holder", Holder), registered("cell", Cell):
+            message = make_message(wrap(container))
+            assert make_frame(in_segment(message)).checksum_ok()
+            record = logged(message)
+            assert image_of(message) is None
+            before = canonical_bytes(message), payload_digest(message)
+            fill(container)
+            assert canonical_bytes(message) != before[0]
+            assert payload_digest(message) != before[1]
+            with pytest.raises(RecordCorruptionError):
+                record.replay_cursor(verify=True).next()
+
+    def test_an_instance_that_is_not_frozen_keeps_no_image(self):
+        with registered("cell", Cell):
+            cell = Cell(1)
+            message = make_message(("state", cell))
+            before = canonical_bytes(message)
+            assert image_of(message) is None
+            cell.value = 2
+            assert canonical_bytes(message) != before
+
+    @pytest.mark.parametrize("kind", sorted(_self_containing()))
+    def test_a_payload_that_contains_itself_is_a_typed_error(self, kind):
+        """Bugfix regression: the walk used to queue such a payload's
+        members for ever; inside a message the error surfaces from
+        ``Frame(...)``, on the sender's stack."""
+        payload = _self_containing()[kind]
+        with pytest.raises(EncodingError, match="contains itself"):
+            canonical_bytes(payload)
+        message = make_message(payload)
+        with pytest.raises(EncodingError, match="contains itself"):
+            make_frame(in_segment(message))
+        assert image_of(message) is None
+
+    def test_cycles_through_whole_value_encodings_are_typed_errors(self):
+        """A message in its own body, two messages in each other's, a
+        record in its own set: each turn of these is a nested walk, not
+        a longer queue."""
+        own_body = []
+        own_body.append(make_message(own_body))
+        first_body, second_body = [], []
+        first_body.append(make_message(second_body))
+        second_body.append(make_message(first_body))
+        with registered("cell", Cell):
+            cell = Cell(None)
+            cell.value = frozenset({cell})
+            keyed = Cell(None)
+            keyed.value = {(keyed,): 1}
+            for payload in (own_body, first_body, cell, keyed):
+                with pytest.raises(EncodingError, match="contains itself"):
+                    make_frame(in_segment(make_message(payload)))
+
+    def test_a_64_page_checkpoint_is_well_inside_the_bound(self):
+        pages = [list(range(page, page + 128)) for page in range(64)]
+        checkpoint = Control("checkpoint", {
+            "pid": ProcessId(2, 1), "pages": 64, "send_seq": 9,
+            "data": {"program_state": {"pages": pages, "seen": set(range(99))},
+                     "links": {1: Link(ProcessId(1, 1))}, "channels": None}})
+        assert 64 * 128 < MAX_WIRE_VALUES // 4
+        assert make_frame(in_segment(checkpoint)).checksum_ok()
+        deep = None
+        for _ in range(2000):               # depth alone is no obstacle
+            deep = [deep]
+        assert canonical_bytes(deep).startswith(b"[1:" * 2000)
 
 
 class TestChecksumCache:
@@ -362,6 +575,76 @@ class TestChecksumCache:
         assert cached is not None
         frame.checksum_ok()
         assert frame._payload_crc is cached
+
+    def test_a_warm_message_image_never_masks_rot(self):
+        message = make_message(("add", 3), passed_link=Link(ProcessId(1, 2)))
+        frame = make_frame(in_segment(message))
+        assert frame.checksum_ok() and image_of(message) is not None
+        frame.corrupt()
+        assert not frame.checksum_ok()
+        frame.corrupt()
+        assert frame.checksum_ok()
+        plan = FaultPlan()
+        plan.corrupt_next(lambda f, node: True)
+        seen = plan.apply(frame, 2)
+        assert seen.payload.body is message
+        assert not seen.checksum_ok() and not seen.checksum_ok()
+        assert frame.checksum_ok()
+        again = make_frame(in_segment(message))     # a retransmission
+        assert again.checksum == frame.checksum and again.checksum_ok()
+        for twin in (dataclasses.replace(message, body=("add", 4)),
+                     dataclasses.replace(message, passed_link=None)):
+            forged = Frame(FrameKind.DATA, 1, 2, in_segment(twin), 128,
+                           checksum=frame.checksum)
+            assert not forged.checksum_ok()
+
+
+class TestWalkedOnce:
+    """Host cost without a clock: call events of, and made from,
+    ``net/frames.py`` (each string walked costs two)."""
+
+    @staticmethod
+    def costs(body):
+        """(first frame, then: retransmission, record digest, verified
+        replay read, the replay control's frame)."""
+        message = make_message(body)
+        canonical_bytes(Control("replay", {"pid": 0, "message": 0,
+                                           "epoch": 0}))   # key memo warm
+        first = count_calls(lambda: make_frame(in_segment(message)),
+                            within=repro.net.frames)
+        record = logged(message)
+        cursor = record.replay_cursor(verify=True)
+        replay = Control("replay", {"pid": (2, 1), "message": message,
+                                    "epoch": 1})
+        return first, [
+            count_calls(fn, within=repro.net.frames) for fn in (
+                lambda: make_frame(in_segment(message)),
+                lambda: payload_digest(message),
+                cursor.next,
+                lambda: make_frame(in_segment(replay)))]
+
+    def test_an_immutable_body_is_walked_once(self):
+        first, later = self.costs(tuple(f"word {i}" for i in range(200)))
+        assert first > 400
+        assert max(later) < 40              # 10, 3, 3, 24; before: > 400 each
+        assert self.costs(tuple(f"word {i}" for i in range(800)))[1] == later
+
+    def test_a_list_body_is_walked_at_every_checksum(self):
+        _, short = self.costs([f"word {i}" for i in range(200)])
+        _, long = self.costs([f"word {i}" for i in range(800)])
+        assert min(short) > 400
+        assert all(b - a >= 2 * 600 for a, b in zip(short, long))
+
+    def test_string_keys_cost_no_nested_walk(self, monkeypatch):
+        walk, depths = repro.net.frames._walk, []
+        monkeypatch.setattr(
+            repro.net.frames, "_walk",
+            lambda payload, depth: depths.append(depth) or walk(payload, depth))
+        canonical_bytes(Control("state_reply",
+                                {f"field_{i}": i for i in range(8)}, 1))
+        assert depths == [0]
+        canonical_bytes({(i,): i for i in range(8)})    # the contrast
+        assert depths == [0] + [0] + [1] * 8
 
 
 class TestFaultPlan:

@@ -320,6 +320,44 @@ class TestVerifiedReplay:
         with pytest.raises(RecordCorruptionError):
             record.replay_cursor(verify=True).next()
 
+    def test_warm_images_mask_nothing(self):
+        """Every message framed, logged and verified once, so each
+        carries its image; then the same tampering as above, plus two
+        intact records trading places."""
+        from dataclasses import replace
+        from repro.demos.links import Link
+        from repro.errors import RecordCorruptionError
+        from repro.net.frames import Frame, FrameKind
+        from repro.net.transport import Segment
+        record = make_record()
+        for seq in range(1, 7):
+            message = replace(make_message(seq), body=("add", seq),
+                              passed_link=Link(SENDER, code=seq))
+            Frame(FrameKind.DATA, 1, 2, Segment(("m", seq), 1, 2, message),
+                  message.size_bytes)
+            record.record_message(message, seq)
+        cursor = record.replay_cursor(verify=True)
+        originals = [cursor.next().message for _ in range(6)]
+        assert all(m._wire_image for m in originals)
+
+        live = record._live
+        live[1].message = replace(originals[1], body=("add", 20))
+        live[2].message = replace(originals[2], passed_link=None)
+        live[3].message, live[4].message = originals[4], originals[3]
+        cursor = record.replay_cursor(verify=True)
+        seen, corrupt = [], 0
+        for _ in range(6):
+            try:
+                seen.append(cursor.next().message.msg_id.seq)
+            except RecordCorruptionError:
+                corrupt += 1
+        assert (seen, corrupt) == ([1, 6], 4)
+
+        for lm, message in zip(live, originals):    # the rot undone
+            lm.message = message
+        cursor = record.replay_cursor(verify=True)
+        assert [cursor.next().message for _ in range(6)] == originals
+
     def test_unverified_cursor_does_not_checksum(self):
         record = make_record(3)
         self.corrupt(record, 2)
