@@ -127,6 +127,20 @@ def load_campaign(source) -> ChaosCampaign:
     return ChaosCampaign(actions, name=source.get("name", "campaign"))
 
 
+def demo_campaign(nodes: int) -> ChaosCampaign:
+    """The fixed demo campaign: one of everything, well spaced."""
+    node_ids = list(range(1, nodes + 1))
+    actions: List[ChaosAction] = [CrashNode(2000.0, node=node_ids[-1])]
+    if len(node_ids) >= 2:
+        actions.append(Partition(4500.0,
+                                 groups=(tuple(node_ids[:1]),
+                                         tuple(node_ids[1:])),
+                                 duration_ms=1200.0))
+    actions += [DiskStall(7000.0, duration_ms=300.0),
+                CrashRecorder(9000.0), RestartRecorder(10500.0)]
+    return ChaosCampaign(actions, name="demo")
+
+
 # ----------------------------------------------------------------------
 # the monkey: a seed-determined random campaign
 # ----------------------------------------------------------------------
@@ -278,25 +292,30 @@ class CampaignReport:
         }
 
     def format(self) -> str:
-        lines = [f"chaos campaign {self.name!r} "
-                 f"— {'PASS' if self.ok else 'FAIL'} "
-                 f"at t={self.now_ms:.1f}ms",
-                 f"  faults injected: {self.faults_injected}"
-                 + (f" (+{self.faults_skipped} skipped)"
-                    if self.faults_skipped else "")]
-        for at_ms, kind, subject, applied in (
-                (f["at_ms"], f["kind"], f["subject"], f["applied"])
-                for f in self.fired):
-            mark = "*" if applied else "-"
-            lines.append(f"    {mark} {at_ms:>9.1f}ms  {kind:<16} {subject}")
-        lines.append("  figures:")
-        for key in sorted(self.figures):
-            lines.append(f"    {key:<24} {self.figures[key]}")
-        lines.append("  invariants:")
-        for check in self.invariants:
-            lines.append(f"    [{'ok' if check.ok else 'FAIL'}] "
-                         f"{check.name:<20} {check.detail}")
-        return "\n".join(lines)
+        return format_report(self.to_dict())
+
+
+def format_report(report: Dict[str, Any]) -> str:
+    """Render :meth:`CampaignReport.to_dict` for the terminal — from the
+    dict, so a report out of a shard or a JSON file prints the same."""
+    lines = [f"chaos campaign {report['name']!r} "
+             f"— {'PASS' if report['ok'] else 'FAIL'} "
+             f"at t={report['now_ms']:.1f}ms",
+             f"  faults injected: {report['faults_injected']}"
+             + (f" (+{report['faults_skipped']} skipped)"
+                if report['faults_skipped'] else "")]
+    for fired in report["fired"]:
+        mark = "*" if fired["applied"] else "-"
+        lines.append(f"    {mark} {fired['at_ms']:>9.1f}ms  "
+                     f"{fired['kind']:<16} {fired['subject']}")
+    lines.append("  figures:")
+    for key in sorted(report["figures"]):
+        lines.append(f"    {key:<24} {report['figures'][key]}")
+    lines.append("  invariants:")
+    for check in report["invariants"]:
+        lines.append(f"    [{'ok' if check['ok'] else 'FAIL'}] "
+                     f"{check['name']:<20} {check['detail']}")
+    return "\n".join(lines)
 
 
 def build_report(system, campaign: ChaosCampaign,

@@ -25,8 +25,34 @@ from repro.net.acking_ethernet import AckingEthernet
 from repro.net.token_ring import TokenRing, TokenRingParams
 from repro.net.star import StarHub
 from repro.net.transport import Transport, TransportConfig, TransportStats
+from repro.errors import ReproError
+
+#: medium name -> class: the one statement of which media exist (read by
+#: ``SystemConfig.medium``, every ``--medium`` flag, the storm workloads)
+MEDIA = {
+    "broadcast": PerfectBroadcast,
+    "acking_ethernet": AckingEthernet,
+    "csma_ethernet": CsmaEthernet,
+    "star": StarHub,
+    "token_ring": TokenRing,
+}
+
+
+def build_medium(name: str, engine, rng, **kwargs) -> Medium:
+    """Construct the medium called ``name``; only the contending
+    Ethernets draw randomness (backoff), so only they take ``rng``."""
+    cls = MEDIA.get(name)
+    if cls is None:
+        raise ReproError(
+            f"unknown medium {name!r}; choose from {tuple(MEDIA)}")
+    if issubclass(cls, CsmaEthernet):
+        return cls(engine, rng, **kwargs)
+    return cls(engine, **kwargs)
+
 
 __all__ = [
+    "MEDIA",
+    "build_medium",
     "Frame",
     "FrameKind",
     "crc16",

@@ -211,8 +211,7 @@ class MetricsRegistry:
                 for name in sorted(self._metrics)}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True,
-                          default=str)
+        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def export_json(self, path: str) -> int:
         """Write the snapshot to ``path``; returns the metric count."""

@@ -1,8 +1,8 @@
 """repro.parallel — multi-core sharding of independent deterministic runs.
 
-Shard an evaluation sweep (chaos seed matrices, queueing capacity /
-utilization / Figure 5.7 grids, perf workloads) over a process pool
-and merge the results deterministically: per-shard seeds are derived
+:mod:`repro.parallel.rigs` declares every acceptance rig once; shard a
+rig's grid (chaos seed matrices, queueing and Figure 5.7 grids, perf
+workloads) over a process pool and merge deterministically: seeds derive
 from the root seed by *name* via :func:`repro.sim.rng.derive_seed`, and
 every shard carries a content digest so a parallel run can be proven
 byte-identical to serial execution. See ``docs/PERFORMANCE.md``.
@@ -22,6 +22,15 @@ from repro.parallel.des import (
     run_pooled,
     run_serial,
 )
+from repro.parallel.rigs import (
+    RIGS,
+    capacity_tasks,
+    chaos_matrix_tasks,
+    figure57_tasks,
+    perf_tasks,
+    run_sweep,
+    utilization_tasks,
+)
 from repro.parallel.runner import (
     ShardTask,
     canonical_json,
@@ -29,30 +38,16 @@ from repro.parallel.runner import (
     execute_task,
     make_task,
     merge_results,
-    resolve_workers,
     run_tasks,
     shard_seed,
-    strip_timing,
     sweep_digest,
     verify_parallel,
 )
-from repro.parallel.sweeps import (
-    SWEEP_BUILDERS,
-    capacity_tasks,
-    chaos_matrix_tasks,
-    federation_tasks,
-    figure57_tasks,
-    perf_tasks,
-    run_sweep,
-    utilization_tasks,
-)
-from repro.parallel.tasks import TASK_KINDS
 
 __all__ = [
     "DesScenario",
-    "SWEEP_BUILDERS",
+    "RIGS",
     "ShardTask",
-    "TASK_KINDS",
     "canonical_json",
     "capacity_tasks",
     "chaos_matrix_tasks",
@@ -60,7 +55,6 @@ __all__ = [
     "digest_of",
     "equivalence_report",
     "federation_digest",
-    "federation_tasks",
     "run_pooled",
     "run_serial",
     "execute_task",
@@ -68,11 +62,9 @@ __all__ = [
     "make_task",
     "merge_results",
     "perf_tasks",
-    "resolve_workers",
     "run_sweep",
     "run_tasks",
     "shard_seed",
-    "strip_timing",
     "sweep_digest",
     "utilization_tasks",
     "verify_parallel",

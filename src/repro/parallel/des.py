@@ -33,9 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+# The only clock in src/ (tests/test_perf_harness.py holds the line):
+# run_serial / run_pooled return ``wall_ms`` because bench/probes.py
+# times pooled against serial with it, and the pool master needs
+# wall-clock deadlines to surface a dead worker instead of hanging.
+# Neither reaches a digest; equivalence_report drops ``wall_ms``.
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.workload import (
@@ -52,7 +57,7 @@ from repro.cluster.gateways import (
     lp_of,
 )
 from repro.errors import ReproError
-from repro.parallel.runner import _mp_context, canonical_json
+from repro.parallel.runner import _mp_context, canonical_json, digest_of
 from repro.parallel.wire import decode_frame_batch, encode_frame_batch
 from repro.system import System, SystemConfig
 
@@ -170,9 +175,7 @@ def cluster_digest(system: System) -> str:
 
 def federation_digest(per_cluster: Dict[int, str]) -> str:
     """One digest over all per-cluster digests, order-independent."""
-    canon = canonical_json({str(k): per_cluster[k]
-                            for k in sorted(per_cluster)})
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return digest_of({str(k): per_cluster[k] for k in per_cluster})
 
 
 # ----------------------------------------------------------------------
@@ -638,13 +641,17 @@ def equivalence_report(scenario: DesScenario,
                        ) -> Dict[str, Any]:
     """Run the scenario serially and pooled, and compare digests.
 
-    Returns a report with every run's summary, the reference digest,
-    and ``equivalent`` — True iff every run produced byte-identical
-    per-cluster digests and a correct workload outcome.
+    Returns a report with every run's summary (minus ``wall_ms``: the
+    report is pure facts), the reference digest, and ``equivalent`` —
+    True iff every run produced byte-identical per-cluster digests and
+    a correct workload outcome. The one pooled-vs-serial gate: the
+    ``des`` / ``federation`` rigs and their workloads go through it.
     """
     runs = [run_serial(scenario)]
     for count in worker_counts:
         runs.append(run_pooled(scenario, workers=count))
+    for run in runs:
+        del run["wall_ms"]
     reference = runs[0]["digest"]
     mismatches = [
         {"mode": run["mode"], "partitions": run["partitions"],
@@ -652,18 +659,8 @@ def equivalence_report(scenario: DesScenario,
         for run in runs if run["digest"] != reference]
     equivalent = not mismatches and all(run["workload_ok"] for run in runs)
     return {
-        "scenario": {
-            "clusters": scenario.clusters,
-            "cluster_size": scenario.cluster_size,
-            "recorder_shards": scenario.recorder_shards,
-            "messages": scenario.messages,
-            "duration_ms": scenario.duration_ms,
-            "topology": scenario.topology,
-            "forward_delay_ms": scenario.forward_delay_ms,
-            "forward_delays": [[list(edge), delay] for edge, delay
-                               in (scenario.forward_delays or ())],
-            "master_seed": scenario.master_seed,
-        },
+        "scenario": dict(asdict(scenario),
+                         forward_delays=scenario.forward_delays or ()),
         "reference_digest": reference,
         "equivalent": equivalent,
         "mismatches": mismatches,

@@ -16,11 +16,11 @@ Determinism contract:
 * shards never share mutable state (each builds its own ``System``);
 * results are merged in submission order, regardless of completion
   order;
-* every shard carries ``digest`` — SHA-256 over its canonical JSON
-  (kind, name, params, deterministic payload; wall-clock timing is
-  excluded) — and the merged report carries the digest chain, so
+* a shard record is pure facts — nothing in it reads a clock — and
+  carries ``digest``, SHA-256 over its canonical JSON (kind, name,
+  params, payload); the merged report carries the digest chain, so
   ``run_tasks(tasks, max_workers=1)`` and ``run_tasks(tasks, N)`` must
-  agree digest-for-digest.
+  agree record for record.
 
 Scheduling: tasks are grouped into chunks (default ~4 chunks per
 worker) and the chunks are fed to a warm pool — each worker process is
@@ -50,9 +50,10 @@ def shard_seed(root_seed: int, name: str) -> int:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    """Deterministic JSON: sorted keys, no whitespace variance. A value
+    JSON cannot encode is a ``TypeError``, never stringified: a default
+    ``repr`` would put a memory address into a determinism digest."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def digest_of(obj: Any) -> str:
@@ -79,28 +80,46 @@ def make_task(kind: str, name: str, **params: Any) -> ShardTask:
                      params=tuple(sorted(params.items())))
 
 
+def _unencodable(obj: Any, path: str) -> str:
+    """Key path of the value under ``obj`` that JSON cannot encode
+    (``obj``'s own path when one of its keys is at fault)."""
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    for key, value in children:
+        try:
+            json.dumps(value)
+        except TypeError:
+            return _unencodable(value, f"{path}.{key}")
+    return path
+
+
 def execute_task(task: ShardTask) -> Dict[str, Any]:
-    """Run one shard in the current process; returns the shard record.
+    """Run one shard in the current process; returns the shard record
+    (kind, name, params, payload, and the digest over those four)."""
+    from repro.parallel.rigs import RIGS
 
-    The record's ``digest`` covers only the deterministic facts; the
-    executor's wall-clock figures ride in ``timing`` outside it.
-    """
-    from repro.parallel.tasks import TASK_KINDS
-
-    fn = TASK_KINDS.get(task.kind)
-    if fn is None:
+    rig = RIGS.get(task.kind)
+    if rig is None:
         raise ReproError(f"unknown shard kind {task.kind!r} "
-                         f"(known: {', '.join(sorted(TASK_KINDS))})")
+                         f"(known: {', '.join(sorted(RIGS))})")
     params = dict(task.params)
-    payload, timing = fn(params)
+    try:
+        payload = rig.run(params)
+    except KeyError as exc:     # most often a parameter the task lacks
+        raise ReproError(f"shard {task.name!r}: the {task.kind} rig found "
+                         f"no {exc} in or under {params}") from exc
     shard: Dict[str, Any] = {
         "kind": task.kind,
         "name": task.name,
         "params": params,
         "payload": payload,
     }
-    shard["digest"] = digest_of(shard)
-    shard["timing"] = timing
+    try:
+        shard["digest"] = digest_of(shard)
+    except TypeError as exc:
+        raise ReproError(
+            f"shard {task.name!r}: {_unencodable(shard, 'shard')} is not "
+            f"JSON-encodable, so the record has no digest ({exc})") from exc
     return shard
 
 
@@ -108,15 +127,6 @@ def _execute_chunk(chunk: List[Tuple[int, ShardTask]]
                    ) -> List[Tuple[int, Dict[str, Any]]]:
     """Worker entry point: run one chunk, keep the submission indices."""
     return [(index, execute_task(task)) for index, task in chunk]
-
-
-def resolve_workers(max_workers: Optional[int]) -> int:
-    """``None`` means one worker per core."""
-    if max_workers is None:
-        return os.cpu_count() or 1
-    if max_workers < 1:
-        raise ReproError(f"max_workers must be >= 1, got {max_workers}")
-    return max_workers
 
 
 def _mp_context():
@@ -140,7 +150,9 @@ def run_tasks(tasks: Iterable[ShardTask],
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ReproError(f"shard names must be unique, repeated: {dupes}")
-    workers = min(resolve_workers(max_workers), max(len(tasks), 1))
+    if max_workers is not None and max_workers < 1:
+        raise ReproError(f"max_workers must be >= 1, got {max_workers}")
+    workers = min(max_workers or os.cpu_count() or 1, max(len(tasks), 1))
     if workers <= 1 or len(tasks) <= 1:
         return [execute_task(task) for task in tasks]
 
@@ -170,24 +182,9 @@ def sweep_digest(shards: Sequence[Dict[str, Any]]) -> str:
 
 def merge_results(shards: Sequence[Dict[str, Any]],
                   **meta: Any) -> Dict[str, Any]:
-    """The merged sweep report: deterministic apart from ``timing``."""
-    merged: Dict[str, Any] = {
-        "count": len(shards),
-        "digest": sweep_digest(shards),
-        "shards": list(shards),
-    }
-    for key in sorted(meta):
-        merged[key] = meta[key]
-    return merged
-
-
-def strip_timing(merged: Dict[str, Any]) -> Dict[str, Any]:
-    """The merged report minus wall-clock noise — the part that must be
-    identical between serial and parallel execution."""
-    out = {k: v for k, v in merged.items() if k != "shards"}
-    out["shards"] = [{k: v for k, v in shard.items() if k != "timing"}
-                     for shard in merged["shards"]]
-    return out
+    """The merged sweep report: a pure function of the shard records."""
+    return {"count": len(shards), "digest": sweep_digest(shards),
+            "shards": list(shards), **meta}
 
 
 def verify_parallel(tasks: Sequence[ShardTask],
@@ -204,6 +201,4 @@ def verify_parallel(tasks: Sequence[ShardTask],
         f"serial {s['digest'][:12]}"
         for p, s in zip(parallel, serial) if p["digest"] != s["digest"]
     ]
-    if sweep_digest(parallel) != sweep_digest(serial) and not mismatches:
-        mismatches.append("sweep digest chain diverged (ordering)")
     return parallel, mismatches

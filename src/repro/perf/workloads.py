@@ -15,8 +15,8 @@ a broken simulation.
 
 from __future__ import annotations
 
-import hashlib
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.sim.engine import Engine
@@ -110,22 +110,13 @@ def engine_churn(seed: int, smoke: bool) -> Dict[str, Any]:
 def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     """N stations exchange guaranteed messages over one medium model
     until every message is acknowledged and the event heap drains."""
+    from repro.net import build_medium
     from repro.net.transport import Transport, TransportConfig
 
     stations, msgs = _STORM_SMOKE if smoke else _STORM_FULL
     engine = Engine()
     rng = RngStreams(seed)
-    if medium_name == "csma":
-        from repro.net.ethernet import CsmaEthernet
-        medium = CsmaEthernet(engine, rng)
-    elif medium_name == "acking":
-        from repro.net.acking_ethernet import AckingEthernet
-        medium = AckingEthernet(engine, rng)
-    elif medium_name == "token_ring":
-        from repro.net.token_ring import TokenRing
-        medium = TokenRing(engine)
-    else:
-        raise ValueError(f"unknown storm medium {medium_name!r}")
+    medium = build_medium(medium_name, engine, rng)
 
     received = [0]
 
@@ -148,7 +139,7 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     expected = stations * msgs
     if received[0] != expected:
         raise PerfDivergence(
-            f"storm_{medium_name}: delivered {received[0]} of "
+            f"storm[{medium_name}]: delivered {received[0]} of "
             f"{expected} guaranteed messages")
     stats = {
         "retransmissions": sum(t.stats.retransmissions.value
@@ -160,21 +151,6 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     }
     return {"ops": expected, "events": engine.events_fired,
             "sim_ms": round(engine.now, 6), **stats}
-
-
-def storm_csma(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Message storm over the contending CSMA/CD Ethernet (§6.1.1)."""
-    return _storm("csma", seed, smoke)
-
-
-def storm_acking(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Message storm over the Acknowledging Ethernet's reserved slots."""
-    return _storm("acking", seed, smoke)
-
-
-def storm_token_ring(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Message storm over the single-slot token ring (§6.1.2)."""
-    return _storm("token_ring", seed, smoke)
 
 
 # ----------------------------------------------------------------------
@@ -535,22 +511,23 @@ _DES_FULL = (32, 6, 3000.0)
 _DES_WORKER_COUNTS = (1, 2, 4)
 
 
-def _pooled_cell(label: str, scenario, workers: int,
-                 serial_digest: str) -> Dict[str, int]:
-    """One pooled run, required to reproduce the serial digest and
-    complete its workload; returns its barrier/exchange counts."""
-    from repro.parallel.des import run_pooled
+def _gated(label: str, rig: str, **params: Any) -> Dict[str, Any]:
+    """Run the ``des`` or ``federation`` rig (serial reference vs pooled
+    proofs, compared by ``equivalence_report``) and fail the workload
+    unless it passed: no committed leaf describes divergent runs."""
+    from repro.parallel.rigs import RIGS
 
-    run = run_pooled(scenario, workers=workers)
-    if run["digest"] != serial_digest:
-        raise PerfDivergence(
-            f"{label}: pooled digest diverged at {workers} workers "
-            f"({run['digest'][:12]} != {serial_digest[:12]})")
-    if not run["workload_ok"]:
-        raise PerfDivergence(
-            f"{label}: pooled workload incomplete at {workers} workers")
-    return {"barriers": run["barriers"],
-            "messages_exchanged": run["messages_exchanged"]}
+    report = RIGS[rig](**params)
+    if not RIGS[rig].ok(report):
+        # the rig's text names each run's workers, digest and verdict
+        raise PerfDivergence(f"{label}: serial vs pooled gate failed\n"
+                             + RIGS[rig].render(report))
+    return report
+
+
+def _exchange(run: Dict[str, Any]) -> Dict[str, int]:
+    """The facts of the promise protocol one pooled run commits."""
+    return {key: run[key] for key in ("barriers", "messages_exchanged")}
 
 
 def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
@@ -564,22 +541,16 @@ def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
     contract. Barrier and exchange counts per worker count are facts of
     the promise protocol, not of the machine.
     """
-    from repro.parallel.des import DesScenario, run_serial
-
     clusters, messages, duration_ms = _DES_SMOKE if smoke else _DES_FULL
-    scenario = DesScenario(clusters=clusters, messages=messages,
-                           duration_ms=duration_ms, master_seed=seed)
-    serial = run_serial(scenario)
-    if not serial["workload_ok"]:
-        raise PerfDivergence("parallel_des: serial workload incomplete")
+    serial, *pooled = _gated(
+        "parallel_des", "des", clusters=clusters, messages=messages,
+        duration_ms=duration_ms, seed=seed,
+        des_workers=_DES_WORKER_COUNTS)["runs"]
     return {
         "ops": clusters * messages,     # completed request/reply pairs
         "events": serial["frames_forwarded"],
         "sim_ms": round(serial["sim_ms"], 6),
-        "workers": {
-            str(workers): _pooled_cell("parallel_des", scenario, workers,
-                                       serial["digest"])
-            for workers in _DES_WORKER_COUNTS},
+        "workers": {str(run["workers"]): _exchange(run) for run in pooled},
         "des_digest": serial["digest"][:16],
         "event_digest": serial["digest"],
     }
@@ -600,43 +571,28 @@ def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     must reproduce the serial digest exactly; its barrier count shows
     how few grants the promises need.
     """
-    from repro.parallel.des import (
-        DesScenario,
-        run_serial,
-        spread_forward_delays,
-    )
-    from repro.parallel.runner import canonical_json
+    from repro.parallel.runner import digest_of
 
     cluster_counts, messages, duration_ms, worker_counts = (
         _DES_SCALING_SMOKE if smoke else _DES_SCALING_FULL)
     grid: Dict[str, Any] = {}
     digests: Dict[str, str] = {}
-    ops = 0
     events = 0
     for clusters in cluster_counts:
-        scenario = DesScenario(clusters=clusters, messages=messages,
-                               duration_ms=duration_ms, master_seed=seed,
-                               forward_delays=spread_forward_delays(clusters))
-        serial = run_serial(scenario)
-        if not serial["workload_ok"]:
-            raise PerfDivergence(
-                f"des_scaling[{clusters}]: serial workload incomplete")
-        ops += clusters * messages
+        serial, *pooled = _gated(
+            f"des_scaling[{clusters}]", "des", clusters=clusters,
+            messages=messages, duration_ms=duration_ms, seed=seed,
+            des_workers=worker_counts, spread_delays=True)["runs"]
         events += serial["frames_forwarded"]
         digests[str(clusters)] = serial["digest"]
-        grid[str(clusters)] = {
-            str(workers): {"promise": _pooled_cell(
-                f"des_scaling[{clusters}]", scenario, workers,
-                serial["digest"])}
-            for workers in worker_counts}
-    event_digest = hashlib.sha256(
-        canonical_json(digests).encode()).hexdigest()
+        grid[str(clusters)] = {str(run["workers"]): {"promise": _exchange(run)}
+                               for run in pooled}
     return {
-        "ops": ops,
+        "ops": sum(cluster_counts) * messages,
         "events": events,
         "sim_ms": round(500.0 + duration_ms, 6),
         "grid": grid,
-        "event_digest": event_digest,
+        "event_digest": digest_of(digests),
     }
 
 
@@ -902,12 +858,11 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
 
     Each cell is one ring federation of two-node clusters, every
     cluster's recorder split into two claim-filtered shards
-    (``cluster.placement``), run three ways: the single-engine serial
-    reference, the same scenario as an independent shard through the
-    :mod:`repro.parallel` sweep runner (a separate OS process — the
-    cross-process determinism check), and the promise-sync pooled
-    parallel DES. All three must produce byte-identical federation
-    digests, so a scaling figure can never describe divergent runs.
+    (``cluster.placement``), run two ways by the ``federation`` rig:
+    the single-engine serial reference, which supplies the cell's
+    facts, and the promise-sync pooled DES on two worker processes —
+    the cross-process determinism proof, which supplies
+    ``pooled_barriers``. Their federation digests must be identical.
 
     The capacity section pairs the federation-level queueing model
     (:class:`~repro.queueing.federation.FederationCapacityModel`) with a
@@ -916,78 +871,52 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     against a *driven* :class:`~repro.cluster.gateways.Gateway`'s
     measured knee, with the relative error recorded per topology.
     """
-    from repro.parallel import federation_tasks, run_tasks
-    from repro.parallel.des import DesScenario, run_serial
-    from repro.parallel.runner import canonical_json
-    from repro.queueing.federation import capacity_section
+    from repro.parallel.runner import digest_of
 
     counts, cluster_size, shards, messages, duration_ms = (
         _FEDERATION_SMOKE if smoke else _FEDERATION_FULL)
-    grid: Dict[str, Any] = {}
-    digests: Dict[str, str] = {}
-    ops = 0
-    events = 0
-    for clusters in counts:
-        scenario = DesScenario(clusters=clusters, cluster_size=cluster_size,
-                               recorder_shards=shards, messages=messages,
-                               duration_ms=duration_ms, master_seed=seed)
-        serial = run_serial(scenario)
-        if not serial["workload_ok"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: serial workload incomplete")
-        tasks = federation_tasks(cluster_counts=(clusters,),
-                                 cluster_size=cluster_size,
-                                 recorder_shards=shards, messages=messages,
-                                 duration_ms=duration_ms, seed=seed)
-        shard = run_tasks(tasks, max_workers=2)[0]
-        if shard["payload"]["digest"] != serial["digest"]:
-            raise PerfDivergence(
-                f"federation_scaling[{clusters}]: sweep-runner digest "
-                f"diverged from serial ({shard['payload']['digest'][:12]} "
-                f"!= {serial['digest'][:12]})")
-        pooled = _pooled_cell(f"federation_scaling[{clusters}]", scenario,
-                              2, serial["digest"])
-        ops += clusters * messages
-        events += serial["frames_forwarded"]
-        digests[str(clusters)] = serial["digest"]
-        grid[str(clusters)] = {
-            "nodes": clusters * cluster_size,
-            "recorder_shards": shards,
-            "frames_forwarded": serial["frames_forwarded"],
-            "dead_letters": serial["dead_letters"],
-            "pooled_barriers": pooled["barriers"],
-            "digest": serial["digest"][:16],
-        }
-    # -- capacity section: modeled knee per topology vs a driven gateway
-    knees, gateway = capacity_section(max(counts), shards,
-                                      _FEDERATION_SERVICE_MS)
+    report = _gated(
+        "federation_scaling", "federation", clusters=counts,
+        cluster_size=cluster_size, recorder_shards=shards,
+        messages=messages, duration_ms=duration_ms, seed=seed,
+        service_ms=_FEDERATION_SERVICE_MS)
+    cells = report["cells"]
+    gateway = report["gateway_knee"]
     capacity = {
         topology: {
             "model": knee,
             "measured_gateway_knee_per_s": gateway["measured_knee_per_s"],
             "modeled_gateway_knee_per_s": gateway["modeled_knee_per_s"],
             "relative_error": gateway.get("relative_error"),
-        } for topology, knee in knees.items()}
-    event_digest = hashlib.sha256(
-        canonical_json(digests).encode()).hexdigest()
+        } for topology, knee in report["capacity"].items()}
     return {
-        "ops": ops,
-        "events": events,
+        "ops": sum(cell["clusters"] * messages for cell in cells),
+        "events": sum(cell["frames_forwarded"] for cell in cells),
         "sim_ms": round(500.0 + duration_ms, 6),
         "largest_federation": max(counts),
-        "grid": grid,
+        "grid": {str(cell["clusters"]): {
+            "nodes": cell["nodes"],
+            "recorder_shards": cell["recorder_shards"],
+            "frames_forwarded": cell["frames_forwarded"],
+            "dead_letters": cell["dead_letters"],
+            "pooled_barriers": cell["pooled_barriers"],
+            "digest": cell["digest"][:16],
+        } for cell in cells},
         "capacity": capacity,
         "gateway_probes": gateway["probes"],
-        "event_digest": event_digest,
+        "event_digest": digest_of({str(cell["clusters"]): cell["digest"]
+                                   for cell in cells}),
     }
 
 
 #: name -> workload function, in canonical report order
 WORKLOADS: Dict[str, Callable[[int, bool], Dict[str, Any]]] = {
     "engine_churn": engine_churn,
-    "storm_csma": storm_csma,
-    "storm_acking": storm_acking,
-    "storm_token_ring": storm_token_ring,
+    # the same storm over the contending CSMA/CD Ethernet (§6.1.1), the
+    # Acknowledging Ethernet's reserved slots, the token ring (§6.1.2)
+    "storm_csma": partial(_storm, "csma_ethernet"),
+    "storm_acking": partial(_storm, "acking_ethernet"),
+    "storm_token_ring": partial(_storm, "token_ring"),
     "recorder_pipeline": recorder_pipeline,
     "recorder_scaling": recorder_scaling,
     "chaos_campaign": chaos_campaign,

@@ -38,13 +38,9 @@ from repro.demos.sysprocs import (
     ProcessManager,
 )
 from repro.errors import ReproError
-from repro.net.acking_ethernet import AckingEthernet
-from repro.net.ethernet import CsmaEthernet
+from repro.net import build_medium
 from repro.net.faults import FaultPlan
 from repro.net.frames import DeadLetter
-from repro.net.media import Medium, PerfectBroadcast
-from repro.net.star import StarHub
-from repro.net.token_ring import TokenRing
 from repro.net.transport import TransportConfig
 from repro.publishing.checkpoints import CheckpointPolicy, install_policy
 from repro.publishing.gossip import (
@@ -58,9 +54,6 @@ from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
-#: Media selectable by name in :class:`SystemConfig`.
-MEDIA = ("broadcast", "acking_ethernet", "csma_ethernet", "star", "token_ring")
-
 
 @dataclass
 class SystemConfig:
@@ -71,6 +64,7 @@ class SystemConfig:
     #: here (clusters use disjoint ranges, §6.2)
     first_node_id: int = 1
     publishing: bool = True
+    #: a key of :data:`repro.net.MEDIA`
     medium: str = "broadcast"
     recorder_node_id: int = 99
     #: recorder shards (cluster.placement): 1 keeps the single §3.3
@@ -166,7 +160,9 @@ class System:
                                 loss_rate=self.config.loss_rate,
                                 corruption_rate=self.config.corruption_rate,
                                 registry=self.obs.registry)
-        self.medium = self._build_medium()
+        self.medium = build_medium(
+            self.config.medium, self.engine, self.rng, faults=self.faults,
+            enforce_recorder_ack=self.config.publishing, obs=self.obs)
         #: dead letters: one :class:`DeadLetter` (origin node, segment,
         #: attempts) for every guaranteed message some transport
         #: finally gave up on — same shape as the federation-level
@@ -222,23 +218,6 @@ class System:
             reg.register(PM_IMAGE, ProcessManager)
         if not reg.known(MS_IMAGE):
             reg.register(MS_IMAGE, MemoryScheduler)
-
-    def _build_medium(self) -> Medium:
-        cfg = self.config
-        kwargs = dict(faults=self.faults,
-                      enforce_recorder_ack=cfg.publishing,
-                      obs=self.obs)
-        if cfg.medium == "broadcast":
-            return PerfectBroadcast(self.engine, **kwargs)
-        if cfg.medium == "acking_ethernet":
-            return AckingEthernet(self.engine, self.rng, **kwargs)
-        if cfg.medium == "csma_ethernet":
-            return CsmaEthernet(self.engine, self.rng, **kwargs)
-        if cfg.medium == "star":
-            return StarHub(self.engine, **kwargs)
-        if cfg.medium == "token_ring":
-            return TokenRing(self.engine, **kwargs)
-        raise ReproError(f"unknown medium {cfg.medium!r}; choose from {MEDIA}")
 
     def _recorder_config(self, node_id: int) -> RecorderConfig:
         cfg = self.config

@@ -11,11 +11,11 @@ model, with per-medium mechanisms for the recorder acknowledgement.
 import pytest
 
 from repro import System, SystemConfig
+from repro.net import MEDIA
 
 from conftest import expected_totals, register_test_programs, run_counter_scenario
 
-ALL_MEDIA = ["broadcast", "acking_ethernet", "csma_ethernet", "star",
-             "token_ring"]
+ALL_MEDIA = list(MEDIA)
 
 
 def build(medium, **kwargs):

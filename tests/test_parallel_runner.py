@@ -2,9 +2,9 @@
 serial-vs-parallel determinism guarantee (see docs/PERFORMANCE.md).
 
 The load-bearing test here is the 9-point chaos sweep run both serially
-and on 3 workers: per-shard digests, the merged report JSON (minus
-wall-clock timing) and shard ordering must all be identical, which is
-the contract every ``--parallel`` CLI flag relies on.
+and on 3 workers: per-shard digests, the merged report JSON and shard
+ordering must all be identical — a shard record is pure facts — which
+is the contract ``sweep --parallel`` relies on.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.parallel import (
     run_sweep,
     run_tasks,
     shard_seed,
-    strip_timing,
     sweep_digest,
     utilization_tasks,
     verify_parallel,
@@ -81,11 +80,10 @@ class TestRunTasks:
         task = capacity_tasks(points=["mean"])[0]
         first = execute_task(task)
         second = execute_task(task)
-        assert first["digest"] == second["digest"]
-        assert first["payload"] == second["payload"]
-        # timing may differ run to run; stripping it equalises the rest
-        assert {k: v for k, v in first.items() if k != "timing"} \
-            == {k: v for k, v in second.items() if k != "timing"}
+        # a shard record is pure facts: no timing rides along, so two
+        # executions are equal record for record
+        assert first == second
+        assert set(first) == {"kind", "name", "params", "payload", "digest"}
 
 
 # ----------------------------------------------------------------------
@@ -103,12 +101,10 @@ class TestSerialParallelEquality:
         # per-shard digests
         assert [s["digest"] for s in serial] \
             == [s["digest"] for s in parallel]
-        # merged report JSON, wall-clock stripped, must be bit-identical
+        # the merged report JSON must be bit-identical
         from repro.parallel import merge_results
-        assert json.dumps(strip_timing(merge_results(serial)),
-                          sort_keys=True) \
-            == json.dumps(strip_timing(merge_results(parallel)),
-                          sort_keys=True)
+        assert json.dumps(merge_results(serial), sort_keys=True) \
+            == json.dumps(merge_results(parallel), sort_keys=True)
         # and the event streams inside really were exercised
         assert all(s["payload"]["events_fired"] > 0 for s in parallel)
         assert sweep_digest(serial) == sweep_digest(parallel)
@@ -128,8 +124,8 @@ class TestSerialParallelEquality:
         assert merged["digest"] == merged["serial_check"]["serial_digest"]
 
     def test_perf_shard_payload_is_deterministic(self):
-        """A perf shard carries no timing: the whole record, digest
-        included, is identical across runs."""
+        """A perf shard's whole record, digest included, is identical
+        across runs."""
         task = perf_tasks(names=["storm_token_ring"], smoke=True)[0]
         assert execute_task(task) == execute_task(task)
 
@@ -151,8 +147,10 @@ class TestSweepCli:
     def test_chaos_runs_matrix_exit_code(self, tmp_path):
         from repro.__main__ import main as cli_main
         out = tmp_path / "matrix.json"
-        assert cli_main(["chaos", "--runs", "3", "--parallel", "2",
-                         "--messages", "8", "--duration", "2000",
-                         "--json", "--output", str(out)]) == 0
+        assert cli_main(["sweep", "--kind", "chaos", "--runs", "3",
+                         "--parallel", "2", "--messages", "8",
+                         "--duration", "2000", "--json",
+                         "--output", str(out)]) == 0
         matrix = json.loads(out.read_text())
-        assert matrix["runs"] == 3 and matrix["ok"]
+        assert matrix["count"] == 3 and matrix["ok"]
+        assert all(s["payload"]["ok"] for s in matrix["shards"])

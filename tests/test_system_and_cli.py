@@ -101,6 +101,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "crash-free run: True" in out
 
+    #: medium -> (replies in at the crash, messages replayed), as the
+    #: demo printed them at PR 18 with its own two inline programs; it
+    #: now drives the chaos counter/driver pair and must say the same
+    DEMO_FACTS = {"broadcast": (15, 17), "acking_ethernet": (15, 16),
+                  "csma_ethernet": (15, 16), "star": (14, 15),
+                  "token_ring": (16, 17)}
+
+    @pytest.mark.parametrize("medium", sorted(DEMO_FACTS))
+    def test_demo_output_is_pinned(self, medium, capsys):
+        replies, replayed = self.DEMO_FACTS[medium]
+        assert cli_main(["demo", "--medium", medium]) == 0
+        assert capsys.readouterr().out == (
+            f"[t=   1700 ms] workload running ({replies} replies in)\n"
+            "[t=   1700 ms] server CRASHED\n"
+            "[t=   3700 ms] workload complete\n"
+            "replies exactly match the crash-free run: True\n"
+            f"recoveries: 1, messages replayed: {replayed}\n")
+
+    def test_demo_covers_every_medium(self):
+        from repro.net import MEDIA
+        assert sorted(self.DEMO_FACTS) == sorted(MEDIA)
+
 
 class TestCheckpointPolicyConfig:
     def test_storage_policy_via_config(self):
