@@ -5,8 +5,13 @@ model-reuse probe (vs rebuilding the model per probe), and the
 pooled-DES compact wire format (vs pickling every routed frame).
 
 The checksum must equal the oracle's byte for byte (``bench/probes.py``
-is the only timer of that path); the wire codec must be at least 2x
-whole-batch pickling (typically ~3x) with byte-identical frames back.
+is the only timer of that path) and the wire codec must give
+byte-identical frames back. Every timing table is printed; none is
+asserted on, because CI runs this file on three interpreters and a
+clock must not decide a build. Where the two sides differ in the work
+they do (a cached CRC, a reused model) the assert compares call counts
+(``count_calls``); the codec's advantage over pickle is C time that no
+call count shows, so its ratio (typically ~3x) is printed only.
 """
 
 import pickle
@@ -23,7 +28,7 @@ from repro.parallel.wire import decode_frame_batch, encode_frame_batch
 from repro.publishing.store import payload_digest
 from repro.queueing import OPERATING_POINTS, OpenQueueingModel, capacity_in_users
 
-from _support import crc16_bitwise
+from _support import count_calls, crc16_bitwise
 from conftest import once, print_table
 
 
@@ -77,7 +82,7 @@ def test_frame_checksum_cache(benchmark):
                 [["recompute", f"{t_cold * 1000:.3f}", "1.00x"],
                  ["cached", f"{t_warm * 1000:.3f}",
                   f"{t_cold / t_warm:.2f}x"]])
-    assert t_warm < t_cold
+    assert count_calls(validate_warm) < count_calls(validate_cold)
 
 
 def test_message_image_walked_once(benchmark):
@@ -129,9 +134,9 @@ def _routed_batch(count=1000, seed=1983):
 
 def test_wire_format_vs_pickle(benchmark):
     """The pooled-DES barrier codec: flat struct records + one payload
-    pickle per batch must beat pickling the routed tuples wholesale —
-    one full object graph per frame, what crossed the worker pipes
-    before the codec."""
+    pickle per batch, timed against pickling the routed tuples wholesale
+    — one full object graph per frame, what crossed the worker pipes
+    before the codec. Asserts the round trip and the blob size."""
     items = _routed_batch()
     blob = encode_frame_batch(items)
     pickled = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
@@ -160,12 +165,12 @@ def test_wire_format_vs_pickle(benchmark):
                  ["compact wire format", f"{t_wire * 1000:.3f}",
                   str(len(blob)), f"{speedup:.2f}x"]])
     assert len(blob) < len(pickled)
-    assert speedup >= 2.0, f"wire codec only {speedup:.2f}x vs pickle"
 
 
 def test_capacity_sweep_model_reuse(benchmark):
-    """The capacity bisection reuses one model per probe; it must beat
-    (and agree exactly with) rebuilding the model for every probe."""
+    """The capacity bisection reuses one model per probe; it must do
+    less work than (and agree exactly with) rebuilding the model for
+    every probe."""
 
     def reuse_sweep():
         return [(name, capacity_in_users(p))
@@ -200,4 +205,4 @@ def test_capacity_sweep_model_reuse(benchmark):
                  ["reused model", f"{t_reuse * 1000:.3f}",
                   f"{t_rebuild / t_reuse:.2f}x"]])
     assert dict(rows)["mean"] >= 110
-    assert t_reuse < t_rebuild
+    assert count_calls(reuse_sweep) < count_calls(rebuild_sweep)

@@ -302,14 +302,8 @@ class MessageKernel:
                 passed = pcb.links.get(pass_link_id)
             else:
                 passed = pcb.links.remove(pass_link_id)
-        pcb.send_seq += 1
-        message = Message(
-            msg_id=MessageId(pcb.pid, pcb.send_seq),
-            src=pcb.pid, dst=link.dst, channel=link.channel, code=link.code,
-            body=body, passed_link=passed, size_bytes=size_bytes,
-            deliver_to_kernel=link.deliver_to_kernel,
-        )
-        self.send_message(message, from_pcb=pcb)
+        self._send_from(pcb, link.dst, link.channel, link.code, body, passed,
+                        size_bytes, link.deliver_to_kernel)
         return True
 
     def syscall_exit(self, pcb: ProcessControlRecord) -> None:
@@ -318,27 +312,39 @@ class MessageKernel:
     # ------------------------------------------------------------------
     # message routing
     # ------------------------------------------------------------------
-    def send_message(self, message: Message,
-                     from_pcb: Optional[ProcessControlRecord] = None) -> None:
-        """Route a message: onto the network, or directly for the cases
+    def _send_from(self, pcb: ProcessControlRecord, dst: ProcessId,
+                   channel: int, code: int, body: Any,
+                   passed_link: Optional[Link], size_bytes: int,
+                   deliver_to_kernel: bool) -> None:
+        """``pcb``'s next send: sequence it, charge the send call, and
+        route the message — onto the network, or directly for the cases
         publishing does not require on the wire."""
-        published = self._is_published(message)
-        done_at = self.cpu.charge(self.config.costs.message_cpu_ms(published, "send"))
-        if (from_pcb is not None
-                and message.msg_id.seq <= from_pcb.suppress_send_through):
+        pcb.send_seq += 1
+        seq = pcb.send_seq
+        published = self._is_published(dst)
+        cost = self.config.costs.message_cpu_ms(published, "send")
+        if seq <= pcb.suppress_send_through:
             # A regenerated message the original already sent: the new
             # kernel "will not send any messages with ids less than this
             # id" (§4.7). The rule outlives the RECOVERING state — the
             # process may still be re-executing queued inputs after the
             # replay stream ended, and stays suppressed "until the
             # process sends a message it had not sent before the crash".
-            self.events.emit("recovery", str(from_pcb.pid),
-                             event="suppressed_send", seq=message.msg_id.seq)
+            # It is refused and charged as the original was, never built.
+            Message.check_size(size_bytes)
+            self.cpu.charge(cost)
+            self.events.emit("recovery", str(pcb.pid),
+                             event="suppressed_send", seq=seq)
             return
+        message = Message(
+            msg_id=MessageId(pcb.pid, seq), src=pcb.pid, dst=dst,
+            channel=channel, code=code, body=body, passed_link=passed_link,
+            size_bytes=size_bytes, deliver_to_kernel=deliver_to_kernel)
         self.messages_sent.inc()
         # The message leaves the kernel when the send call's CPU work is
         # done; scheduling through the engine keeps submissions FIFO.
-        self.engine.schedule_at(done_at, self._submit, message, published)
+        self.engine.schedule_at(self.cpu.charge(cost), self._submit,
+                                message, published)
 
     def _submit(self, message: Message, published: bool) -> None:
         if not self.up:
@@ -351,15 +357,16 @@ class MessageKernel:
                             size_bytes=message.size_bytes,
                             uid=tuple(message.msg_id))
 
-    def _is_published(self, message: Message) -> bool:
-        """Does this message have to travel the network for the recorder?"""
+    def _is_published(self, dst: ProcessId) -> bool:
+        """Does a message to ``dst`` have to travel the network for the
+        recorder?"""
         if not self.config.publishing:
             return False
-        if message.dst.node != self.node_id:
+        if dst.node != self.node_id:
             return True
         if self.config.broadcast_unrecoverable_intranode:
             return True
-        dst_pcb = self.processes.get(message.dst)
+        dst_pcb = self.processes.get(dst)
         if dst_pcb is not None and not dst_pcb.recoverable:
             return False        # §6.6.1: don't pay for the unrecoverable
         return True
@@ -484,9 +491,8 @@ class MessageKernel:
         passed_link_id: Optional[int] = None
         if message.passed_link is not None:
             passed_link_id = pcb.links.insert(message.passed_link)
-        delivered = DeliveredMessage(code=message.code, channel=message.channel,
-                                     body=message.body, src=message.src,
-                                     passed_link_id=passed_link_id)
+        delivered = DeliveredMessage(message.code, message.channel,
+                                     message.body, message.src, passed_link_id)
         pcb.consumed += 1
         pcb.msgs_since_checkpoint += 1
         pcb.replay_bytes_since_checkpoint += message.size_bytes
@@ -529,14 +535,8 @@ class MessageKernel:
         the controlled process's send sequence keeps the suppression
         rule correct if that process is ever recovered mid-exchange.
         """
-        pcb.send_seq += 1
-        message = Message(
-            msg_id=MessageId(pcb.pid, pcb.send_seq),
-            src=pcb.pid, dst=dst, channel=channel, code=code, body=body,
-            passed_link=passed_link, size_bytes=size_bytes,
-            deliver_to_kernel=deliver_to_kernel,
-        )
-        self.send_message(message, from_pcb=pcb)
+        self._send_from(pcb, dst, channel, code, body, passed_link,
+                        size_bytes, deliver_to_kernel)
 
     def stop_process(self, pid: ProcessId) -> bool:
         """Stop a process; its queue keeps accumulating messages."""

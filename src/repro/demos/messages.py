@@ -19,7 +19,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
@@ -81,19 +81,25 @@ class Message(WireImage):
     recovery_marker: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.size_bytes <= MAX_BODY_BYTES:
+        self.check_size(self.size_bytes)
+
+    @staticmethod
+    def check_size(size_bytes: int) -> None:
+        """Refuse a body size no message, built or not, may have."""
+        if not 0 < size_bytes <= MAX_BODY_BYTES:
             raise ValueError(
                 f"message body must be 1..{MAX_BODY_BYTES} bytes, "
-                f"got {self.size_bytes}")
+                f"got {size_bytes}")
 
 
-@_frozen()
-class DeliveredMessage:
+class DeliveredMessage(NamedTuple):
     """What a program's ``on_message`` handler sees.
 
     The kernel has already moved any passed link into the receiver's
     link table; ``passed_link_id`` is its id there ("the receiver is
-    told the link id of the link").
+    told the link id of the link"). One is built per delivery and read
+    by name, so it is a ``NamedTuple``; it is not a registered payload
+    class and never crosses the wire.
     """
 
     code: int

@@ -73,6 +73,6 @@ class AckingEthernet(CsmaEthernet):
         # `on_delivered` hardware acknowledgement (provides_delivery_ack).
         if frame.kind is FrameKind.DATA:
             self.engine.schedule(self.ack_slot_ms, self._deliver_cb,
-                                 frame, recorder_ok)
+                                 frame, recorder_ok, stored is not None)
         else:
             self._deliver_to_receivers(frame, recorder_ok)

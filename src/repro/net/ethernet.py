@@ -18,7 +18,7 @@ Acknowledging Ethernet removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
@@ -52,6 +52,8 @@ class CsmaEthernet(Medium):
         #: transmissions waiting to start, grouped by their start slot
         self._starting: List[Tuple[NetworkInterface, Frame, int]] = []
         self._resolution_pending = False
+        #: node id -> its backoff stream's ``randrange``, resolved once
+        self._backoff_draws: Dict[int, Callable[[int, int], int]] = {}
         # Bound once: deferred attempts, slot resolution and completions
         # are scheduled for every frame on the bus.
         self._attempt_cb = self._attempt
@@ -105,7 +107,11 @@ class CsmaEthernet(Medium):
                                  reason="excessive_collisions")
                 continue          # excessive collisions: frame dropped
             exp = min(attempt, self.params.max_backoff_exp)
-            slots = self.rng.stream(f"ether/{iface.node_id}").randrange(0, 2 ** exp)
+            draw = self._backoff_draws.get(iface.node_id)
+            if draw is None:
+                draw = self._backoff_draws[iface.node_id] = self.rng.stream(
+                    f"ether/{iface.node_id}").randrange
+            slots = draw(0, 2 ** exp)
             delay = self.params.slot_time_ms * (1 + slots)
             self.engine.schedule(delay, self._attempt_cb, iface, frame, attempt)
 
@@ -120,17 +126,16 @@ class CsmaEthernet(Medium):
             return
         stored = self._record_frame(frame)
         recorder_ok = stored or not self._recorder_ifaces
-        self._deliver_to_receivers(frame, recorder_ok)
+        self._deliver_to_receivers(frame, recorder_ok, stored is not None)
         if self.params.auto_ack and frame.kind is FrameKind.DATA:
             self._send_auto_ack(frame)
 
     def _send_auto_ack(self, frame: Frame) -> None:
         """Model the receiver's acknowledgement as a contending frame."""
-        for iface in self.interfaces:
-            if iface.node_id == frame.dst_node and iface.up:
-                ack = Frame(kind=FrameKind.ACK, src_node=iface.node_id,
-                            dst_node=frame.src_node,
-                            payload=("ack", frame.frame_id), size_bytes=32)
-                self.acks_sent.inc()
-                self.transmit(iface, ack)
-                return
+        iface = self._stations.get(frame.dst_node)
+        if iface is not None and iface.up:
+            ack = Frame(kind=FrameKind.ACK, src_node=iface.node_id,
+                        dst_node=frame.src_node,
+                        payload=("ack", frame.frame_id), size_bytes=32)
+            self.acks_sent.inc()
+            self.transmit(iface, ack)

@@ -53,7 +53,9 @@ class FaultPlan:
 
     ``loss_rate`` and ``corruption_rate`` apply independently per receiver
     (a broadcast frame can reach some receivers and miss others, exactly
-    the case the recorder-acknowledgement machinery exists for).
+    the case the recorder-acknowledgement machinery exists for). Both
+    rates, ``rng``, the rules and the targeted faults may be changed at
+    any time; the next delivery attempt sees the change.
     """
 
     def __init__(self, rng: Optional[RngStreams] = None,
@@ -64,6 +66,9 @@ class FaultPlan:
         self.corruption_rate = corruption_rate
         self._targeted: List[_TargetedFault] = []
         self._rules: List[FaultRule] = []
+        #: receiver node -> ``random`` of its stream, looked up once in
+        #: ``_draws_from`` — which ``rng`` is until someone replaces it
+        self._draws_from, self._draws = rng, {}
         self.bind(registry or MetricsRegistry())
 
     def bind(self, registry: MetricsRegistry) -> None:
@@ -130,8 +135,14 @@ class FaultPlan:
         """Decide the fate of ``frame`` at ``receiver_node``.
 
         Returns the frame to deliver (possibly a corrupted copy) or None
-        if the frame is lost.
+        if the frame is lost. Every frame comes here once per receiver:
+        a plan with no rule, no targeted fault and no rate looks nothing
+        up, and with a rate set each attempt draws from the receiver's
+        own stream, loss first.
         """
+        loss, corruption = self.loss_rate, self.corruption_rate
+        if not (self._rules or self._targeted or loss > 0 or corruption > 0):
+            return frame
         for rule in self._rules:
             if rule.predicate(frame, receiver_node):
                 rule.hits += 1
@@ -141,7 +152,8 @@ class FaultPlan:
                         self.partition_drops.inc()
                     return None
                 return self._corrupted_copy(frame)
-        for fault in list(self._targeted):
+        # copied: a one-shot fault that fires leaves the list
+        for fault in list(self._targeted) if self._targeted else ():
             if fault.remaining > 0 and fault.predicate(frame, receiver_node):
                 fault.remaining -= 1
                 if fault.remaining == 0:
@@ -150,12 +162,17 @@ class FaultPlan:
                     self.losses.inc()
                     return None
                 return self._corrupted_copy(frame)
-        if self.rng is not None:
-            stream = self.rng.stream(f"faults/{receiver_node}")
-            if self.loss_rate > 0 and stream.random() < self.loss_rate:
+        if self.rng is not None and (loss > 0 or corruption > 0):
+            if self._draws_from is not self.rng:
+                self._draws_from, self._draws = self.rng, {}
+            draw = self._draws.get(receiver_node)
+            if draw is None:
+                draw = self._draws[receiver_node] = self.rng.stream(
+                    f"faults/{receiver_node}").random
+            if loss > 0 and draw() < loss:
                 self.losses.inc()
                 return None
-            if self.corruption_rate > 0 and stream.random() < self.corruption_rate:
+            if corruption > 0 and draw() < corruption:
                 return self._corrupted_copy(frame)
         return frame
 
@@ -164,9 +181,3 @@ class FaultPlan:
         copy = frame.clone_for(frame.dst_node)
         copy.corrupt()
         return copy
-
-
-#: A fault plan that never interferes — the default for most tests.
-def no_faults() -> FaultPlan:
-    """A plan with zero loss and corruption."""
-    return FaultPlan()

@@ -18,7 +18,8 @@ relies on (§3.2.4, §6.1):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.faults import FaultPlan
@@ -28,6 +29,7 @@ from repro.sim.engine import Engine
 
 #: Frame-size histogram bucket bounds (bytes).
 FRAME_SIZE_BUCKETS = (64, 128, 256, 512, 1024, 4096)
+_ATTACH_ORDER = attrgetter("attach_order")
 
 
 class MediumStats:
@@ -90,12 +92,7 @@ class NetworkInterface:
         self.on_delivery = None
         self.up = True
         self.medium: Optional["Medium"] = None
-
-    def accepts(self, dst_node: int) -> bool:
-        """Should this station take a frame addressed to ``dst_node``?"""
-        if dst_node == self.node_id:
-            return True
-        return self.accept_extra is not None and self.accept_extra(dst_node)
+        self.attach_order = 0       # position on the medium, set by attach
 
     def send(self, frame: Frame) -> None:
         """Hand a frame to the attached medium for transmission."""
@@ -129,9 +126,12 @@ class Medium:
         self.faults = faults or FaultPlan()
         self.enforce_recorder_ack = enforce_recorder_ack
         self.interfaces: List[NetworkInterface] = []
-        #: cached view of the recorder interfaces (attach/detach rebuild
-        #: it), so per-frame paths don't rescan every station
+        #: what the per-frame paths read instead of scanning the bus,
+        #: kept by attach/detach: every interface by its (unique) node
+        #: id, the recorders, the claimers of other ids (gateways, §6.2)
+        self._stations: Dict[int, NetworkInterface] = {}
         self._recorder_ifaces: List[NetworkInterface] = []
+        self._claimers: List[NetworkInterface] = []
         #: epidemic repair wiring (publishing.gossip). ``gossip_backup``
         #: makes a recorder miss tolerable — receivers keep the frame
         #: and the hole is repaired by pull rounds instead of sender
@@ -140,7 +140,6 @@ class Medium:
         self.gossip_backup = False
         self.gossip_tap: Optional[Callable[[Frame], None]] = None
         self.recorder_loss: Optional[Callable[[Frame], bool]] = None
-        self._frame_lost_to_recorder: Optional[Frame] = None
         self.obs = obs or Observability(lambda: engine.now)
         self.events = self.obs.scope(f"media.{self.kind}")
         self.stats = MediumStats(self.obs.registry, f"media.{self.kind}")
@@ -150,22 +149,33 @@ class Medium:
 
     # ------------------------------------------------------------------
     def attach(self, iface: NetworkInterface) -> NetworkInterface:
-        """Attach a station; returns the interface for chaining."""
-        if any(i.node_id == iface.node_id for i in self.interfaces):
+        """Attach a station; returns the interface for chaining. A node
+        id is attached once (a spare takes it over after the failed
+        station is detached), which is what lets a frame look its
+        station up; whether the station claims other destinations
+        (``accept_extra``) is read here, not per frame."""
+        if iface.node_id in self._stations:
             raise NetworkError(f"node id {iface.node_id} already attached")
         iface.medium = self
+        iface.attach_order = (self.interfaces[-1].attach_order + 1
+                              if self.interfaces else 0)
         self.interfaces.append(iface)
+        self._stations[iface.node_id] = iface
         if iface.is_recorder:
             self._recorder_ifaces.append(iface)
+        if iface.accept_extra is not None:
+            self._claimers.append(iface)
         return iface
 
     def detach(self, iface: NetworkInterface) -> None:
         """Remove a station (a failed processor being replaced by a
         spare that assumes its identity, §3.3.3/§4.6)."""
-        if iface in self.interfaces:
-            self.interfaces.remove(iface)
-            if iface in self._recorder_ifaces:
-                self._recorder_ifaces.remove(iface)
+        if self._stations.get(iface.node_id) is iface:
+            del self._stations[iface.node_id]
+            for held in (self.interfaces, self._recorder_ifaces,
+                         self._claimers):
+                if iface in held:
+                    held.remove(iface)
             iface.medium = None
             iface.up = False
 
@@ -184,7 +194,7 @@ class Medium:
         return self._recorder_ifaces
 
     # ------------------------------------------------------------------
-    def _record_frame(self, frame: Frame) -> bool:
+    def _record_frame(self, frame: Frame) -> Optional[bool]:
         """Offer the frame to every healthy recorder.
 
         Returns True only if **every** healthy recorder stored the frame
@@ -192,7 +202,8 @@ class Medium:
         before it can be used", with a failed recorder's acknowledgement
         supplied by the survivors. With all recorders down, nothing can
         be stored and guaranteed traffic stalls until one returns
-        (§3.3.4).
+        (§3.3.4). None, not False, means the ``recorder_loss`` hook
+        dropped the frame before any recorder interface heard it.
 
         A crashed recorder's missing copy is never silent: each one is
         counted (``recorder_copies_missed``) and, when survivors supply
@@ -200,14 +211,12 @@ class Medium:
         event — that log hole is exactly what the gossip repair path
         must fill when the recorder restarts.
         """
-        self._frame_lost_to_recorder = None
         if (frame.kind is FrameKind.DATA and self.recorder_loss is not None
                 and self.recorder_loss(frame)):
             # Injected reception loss: the frame never reached any
             # recorder interface, and the delivery observation (§4.4.1)
             # for this frame is suppressed with it.
-            self._frame_lost_to_recorder = frame
-            return False
+            return None
         any_healthy = False
         stored_by_all = True
         copies_missed = 0
@@ -231,9 +240,12 @@ class Medium:
                                  dst=frame.dst_node, copies=copies_missed)
         return any_healthy and stored_by_all
 
-    def _deliver_to_receivers(self, frame: Frame, recorder_ok: bool) -> None:
+    def _deliver_to_receivers(self, frame: Frame, recorder_ok: bool,
+                              heard: bool = True) -> None:
         """Deliver the frame to its destination(s), honouring the
-        recorder-acknowledgement rule for data frames."""
+        recorder-acknowledgement rule for data frames. The deliveries of
+        a frame no recorder ``heard`` are not reported to the recorders."""
+        dst = frame.dst_node
         if frame.kind is FrameKind.DATA and not recorder_ok:
             if self.gossip_backup:
                 # Epidemic repair mode: the miss is tolerated — peers
@@ -242,27 +254,37 @@ class Medium:
                 if self._recorder_ifaces:
                     self.stats.recorder_misses.inc()
                     self.events.emit("recorder_miss", f"node{frame.src_node}",
-                                     dst=frame.dst_node,
-                                     bytes=frame.size_bytes, tolerated=True)
+                                     dst=dst, bytes=frame.size_bytes,
+                                     tolerated=True)
             elif self.enforce_recorder_ack:
                 self.stats.recorder_misses.inc()
                 self.events.emit("recorder_miss", f"node{frame.src_node}",
-                                 dst=frame.dst_node, bytes=frame.size_bytes)
+                                 dst=dst, bytes=frame.size_bytes)
                 self._notify_sender(frame, False)
                 return
         if frame.kind is FrameKind.DATA and self.gossip_tap is not None:
             self.gossip_tap(frame)
+        # Who may take the frame, in attach order: a broadcast walks the
+        # bus, a unicast frame only its own station and the claimers.
+        station = self._stations.get(dst)
+        if dst == BROADCAST:
+            takers = self.interfaces
+        elif station is None or station.accept_extra is not None:
+            takers = self._claimers
+        else:
+            takers = (sorted(self._claimers + [station], key=_ATTACH_ORDER)
+                      if self._claimers else (station,))
         delivered = False
-        for iface in self.interfaces:
+        for iface in takers:
             if iface.is_recorder or not iface.up:
                 continue
             # A node receives its own transmission when it addresses
             # itself — published intranode messages travel the wire and
             # come back (§4.4.1) — but never its own true broadcasts.
-            if frame.dst_node == BROADCAST:
+            if dst == BROADCAST:
                 if iface.node_id == frame.src_node:
                     continue
-            elif not iface.accepts(frame.dst_node):
+            elif iface is not station and not iface.accept_extra(dst):
                 continue
             seen = self.faults.apply(frame, iface.node_id)
             if seen is None:
@@ -271,12 +293,13 @@ class Medium:
             iface.on_frame(seen)
             if seen.checksum_ok():
                 delivered = True
-                self._notify_recorders_of_delivery(frame)
+                if heard:
+                    self._notify_recorders_of_delivery(frame)
         if not delivered and recorder_ok:
             # Traffic addressed to the recorder node itself (checkpoints,
             # notices) was already handed over during recording.
-            delivered = any(r.node_id == frame.dst_node and r.up
-                            for r in self._recorder_ifaces)
+            delivered = (station is not None and station.is_recorder
+                         and station.up)
         if delivered:
             self.stats.frames_delivered.inc()
             self.stats.bytes_delivered.inc(frame.size_bytes)
@@ -288,9 +311,6 @@ class Medium:
         reflect reception order rather than recording order."""
         if frame.kind is not FrameKind.DATA:
             return
-        if frame is self._frame_lost_to_recorder:
-            return          # the recorders never heard this frame
-
         for rec in self._recorder_ifaces:
             if rec.up and rec.on_delivery is not None:
                 rec.on_delivery(frame)
@@ -298,10 +318,9 @@ class Medium:
     def _notify_sender(self, frame: Frame, ok: bool) -> None:
         if not self.provides_delivery_ack:
             return
-        for iface in self.interfaces:
-            if iface.node_id == frame.src_node and iface.on_delivered is not None:
-                iface.on_delivered(frame, ok)
-                return
+        iface = self._stations.get(frame.src_node)
+        if iface is not None and iface.on_delivered is not None:
+            iface.on_delivered(frame, ok)
 
 
 class PerfectBroadcast(Medium):
@@ -359,7 +378,8 @@ class PerfectBroadcast(Medium):
             if self.ack_latency_ms > 0:
                 self.engine.schedule(self.ack_latency_ms,
                                      self._deliver_cb,
-                                     frame, recorder_ok)
+                                     frame, recorder_ok, stored is not None)
             else:
-                self._deliver_to_receivers(frame, recorder_ok)
+                self._deliver_to_receivers(frame, recorder_ok,
+                                           stored is not None)
         self._start_next()

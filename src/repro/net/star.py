@@ -121,16 +121,13 @@ class StarHub(Medium):
         self._notify_sender(frame, True)
 
     def _arrive_at_station(self, station_id: int, frame: Frame) -> None:
-        for iface in self.interfaces:
-            if iface.node_id != station_id or iface.is_recorder:
-                continue
-            if not iface.up:
-                return
-            seen = self.faults.apply(frame, station_id)
-            if seen is not None:
-                iface.on_frame(seen)
-                if seen.checksum_ok():
-                    self.stats.frames_delivered.inc()
-                    self.stats.bytes_delivered.inc(frame.size_bytes)
-                    self._notify_recorders_of_delivery(frame)
+        iface = self._stations.get(station_id)
+        if iface is None or iface.is_recorder or not iface.up:
             return
+        seen = self.faults.apply(frame, station_id)
+        if seen is not None:
+            iface.on_frame(seen)
+            if seen.checksum_ok():
+                self.stats.frames_delivered.inc()
+                self.stats.bytes_delivered.inc(frame.size_bytes)
+                self._notify_recorders_of_delivery(frame)

@@ -26,9 +26,9 @@ contend for the bus.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.frames import BROADCAST, Frame, FrameKind, register_payload
@@ -39,9 +39,10 @@ from repro.sim.rng import RngStreams
 
 
 @register_payload("seg")
-@dataclass(frozen=True)
-class Segment:
-    """The transport payload carried inside a frame."""
+class Segment(NamedTuple):
+    """The transport payload carried inside a frame: one per message
+    sent, read at every hop, so a ``NamedTuple`` (built in C, immutable).
+    On the wire it is ``@seg;`` and its six fields in this order."""
 
     uid: Tuple            # network-unique message identifier
     src_node: int
@@ -225,9 +226,8 @@ class Transport:
         if guaranteed and self.config.ordered_window:
             stream_seq = self._next_stream_seq.get(dst_node, 0)
             self._next_stream_seq[dst_node] = stream_seq + 1
-        segment = Segment(uid=uid, src_node=self.node_id, dst_node=dst_node,
-                          body=body, guaranteed=guaranteed,
-                          stream_seq=stream_seq)
+        segment = Segment(uid, self.node_id, dst_node, body, guaranteed,
+                          stream_seq)
         total = size_bytes + self.config.header_bytes
         if not guaranteed:
             self.stats.sent.inc()

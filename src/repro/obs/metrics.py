@@ -21,6 +21,7 @@ uniform read path the benchmarks and the CLI use.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
@@ -127,11 +128,9 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
         if self.buckets:
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+            # the first bound the value does not exceed, else the last
+            # (overflow) bucket; bounds ascend
+            self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

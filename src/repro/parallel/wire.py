@@ -24,8 +24,8 @@ validation behave exactly as if the object had crossed by reference.
 The payload-CRC cache is deliberately not shipped — it is recomputed
 lazily on first use and can never change an observable value.
 
-``benchmarks/test_micro_hotpaths.py`` pins the speedup over pickling
-the routed tuples wholesale at >= 2x.
+``benchmarks/test_micro_hotpaths.py`` pins the round trip and prints
+the speedup over pickling the routed tuples wholesale (about 3x).
 """
 
 from __future__ import annotations

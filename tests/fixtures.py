@@ -14,11 +14,14 @@ test needs to bootstrap traffic without the full NLS rendezvous dance.
 
 from __future__ import annotations
 
+import random
 import sys
 
 from repro import Program, System
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link
+from repro.net.frames import BROADCAST
+from repro.sim.rng import RngStreams, derive_seed
 
 
 def crc16_bitwise(data: bytes) -> int:
@@ -55,6 +58,97 @@ def count_calls(fn, within=None) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def scan_takers(medium, frame):
+    """Who takes ``frame`` on ``medium``, found the way every medium
+    found it before the station table: one pass over the whole bus, in
+    attach order. Returns ``(stations handed the frame, interface whose
+    on_delivered hears its fate or None)`` — the oracle the table is
+    checked against."""
+    takers = []
+    for iface in medium.interfaces:
+        if iface.is_recorder or not iface.up:
+            continue
+        if frame.dst_node == BROADCAST:
+            if iface.node_id == frame.src_node:
+                continue
+        elif iface.node_id != frame.dst_node and not (
+                iface.accept_extra is not None
+                and iface.accept_extra(frame.dst_node)):
+            continue
+        takers.append(iface)
+    sender = None
+    if medium.provides_delivery_ack:
+        sender = next((iface for iface in medium.interfaces
+                       if iface.node_id == frame.src_node
+                       and iface.on_delivered is not None), None)
+    return takers, sender
+
+
+def reference_apply(plan, frame, receiver_node):
+    """``FaultPlan.apply`` as it was before it learned to skip what is
+    not configured and to keep each receiver's draw: every attempt walks
+    the rules, copies the targeted faults and, given streams, looks its
+    receiver's stream up by name. Works on ``plan``'s own state, so a
+    second plan driven by this must end up equal to one driven by
+    ``apply``."""
+    for rule in plan._rules:
+        if rule.predicate(frame, receiver_node):
+            rule.hits += 1
+            if rule.action == "lose":
+                plan.losses.inc()
+                if rule.name.startswith("partition:"):
+                    plan.partition_drops.inc()
+                return None
+            return plan._corrupted_copy(frame)
+    for fault in list(plan._targeted):
+        if fault.remaining > 0 and fault.predicate(frame, receiver_node):
+            fault.remaining -= 1
+            if fault.remaining == 0:
+                plan._targeted.remove(fault)
+            if fault.action == "lose":
+                plan.losses.inc()
+                return None
+            return plan._corrupted_copy(frame)
+    if plan.rng is not None:
+        stream = plan.rng.stream(f"faults/{receiver_node}")
+        if plan.loss_rate > 0 and stream.random() < plan.loss_rate:
+            plan.losses.inc()
+            return None
+        if (plan.corruption_rate > 0
+                and stream.random() < plan.corruption_rate):
+            return plan._corrupted_copy(frame)
+    return frame
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class CountingStreams(RngStreams):
+    """``RngStreams`` that counts its lookups (``lookups``) and every
+    stream's ``random()`` draws (``draws()``); same seeds, same values."""
+
+    def __init__(self, master_seed=1983):
+        super().__init__(master_seed)
+        self.lookups = 0
+
+    def stream(self, name):
+        self.lookups += 1
+        if name not in self._streams:
+            self._streams[name] = _CountingRandom(
+                derive_seed(self.master_seed, name))
+        return self._streams[name]
+
+    def draws(self):
+        """Stream name -> draws made, for every stream drawn from."""
+        return {name: stream.draws
+                for name, stream in self._streams.items() if stream.draws}
 
 
 class CounterProgram(Program):

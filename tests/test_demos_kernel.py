@@ -6,11 +6,13 @@ import pytest
 from repro import Program, Recv, GeneratorProgram, System, SystemConfig
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
+from repro.demos.messages import MAX_BODY_BYTES, Message
 from repro.demos.process import ProcessState
 from repro.errors import ProcessError
 
 from conftest import (
     CounterProgram,
+    expected_totals,
     register_test_programs,
     run_counter_scenario,
     wire_driver,
@@ -215,3 +217,84 @@ def test_generator_program_not_checkpointable(two_node_system):
     pid = system.spawn_program("test/gen", node=1)
     system.run(100)
     assert system.nodes[1].kernel.checkpoint_process(pid) is False
+
+
+# ----------------------------------------------------------------------
+# §4.7: regenerated sends at or below suppress_send_through
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built_messages(monkeypatch):
+    """The msg_id of every ``Message`` constructed, by anyone."""
+    built, check = [], Message.__post_init__
+    monkeypatch.setattr(
+        Message, "__post_init__",
+        lambda message: built.append(message.msg_id) or check(message))
+    return built
+
+
+def suppressed_sends(system, pid):
+    return [e.detail["seq"]
+            for e in system.obs.bus.select("recovery", str(pid))
+            if e.detail["event"] == "suppressed_send"]
+
+
+def test_suppressed_send_does_everything_but_build_the_message(
+        two_node_system, built_messages):
+    """A send the original already made is sequenced, charged, traced,
+    moves its passed link and is refused for a bad size exactly as the
+    original was — through ``syscall_send`` and ``send_as`` alike — and
+    constructs nothing."""
+    system = two_node_system
+    pid = system.spawn_program("test/counter", node=1)
+    system.run(100)
+    kernel = system.nodes[1].kernel
+    pcb = kernel.processes[pid]
+    remote = ProcessId(2, 1)
+    to = kernel.forge_link(pcb, Link(dst=remote, channel=3, code=4))
+    reply = kernel.syscall_create_link(pcb, 0, 1)
+    first = pcb.send_seq + 1
+    pcb.suppress_send_through = first + 3
+    del built_messages[:]
+    sent, cpu_ms = kernel.messages_sent.value, kernel.cpu.kernel_ms.value
+    send_cost = kernel.config.costs.message_cpu_ms(True, "send")
+
+    assert kernel.syscall_send(pcb, to, ("again",), reply, 64) is True
+    assert not pcb.links.has(reply)                 # moved out, as before
+    kernel.send_as(pcb, remote, ("again",), size_bytes=64)
+    assert pcb.send_seq == first + 1
+    assert kernel.cpu.kernel_ms.value == pytest.approx(cpu_ms + 2 * send_cost)
+    for size in (0, MAX_BODY_BYTES + 1):            # costs a number, no CPU
+        with pytest.raises(ValueError, match="message body must be 1..1024"):
+            kernel.syscall_send(pcb, to, ("again",), None, size)
+    assert pcb.send_seq == first + 3
+    assert kernel.cpu.kernel_ms.value == pytest.approx(cpu_ms + 2 * send_cost)
+    system.run(500)
+    assert kernel.messages_sent.value == sent
+    assert suppressed_sends(system, pid) == [first, first + 1]
+    assert built_messages == []
+
+    kernel.send_as(pcb, remote, ("new",), size_bytes=64)    # past the mark
+    assert [tuple(mid) for mid in built_messages] == [(pid, first + 4)]
+    assert kernel.messages_sent.value == sent + 1
+
+
+def test_replay_builds_no_message_for_the_replies_it_suppresses(
+        two_node_system, built_messages):
+    """Recovering the counter replays its N logged requests; it answers
+    each one again and every answer is suppressed. N sends charged and
+    traced, no ``Message`` constructed for any of them."""
+    system = two_node_system
+    n = 12
+    counter_pid, driver_pid = run_counter_scenario(system, n=n)
+    system.run(6000)
+    assert system.program_of(driver_pid).replies == expected_totals(n)
+    kernel = system.nodes[2].kernel
+    sent = kernel.messages_sent.value
+    del built_messages[:]
+    system.crash_process(counter_pid)
+    system.run(8000)
+    assert system.program_of(counter_pid).total == sum(range(1, n + 1))
+    assert suppressed_sends(system, counter_pid) == list(range(1, n + 1))
+    assert system.program_of(driver_pid).replies == expected_totals(n)
+    assert kernel.messages_sent.value == sent
+    assert [mid for mid in built_messages if mid.sender == counter_pid] == []

@@ -34,11 +34,17 @@ from repro.net.frames import (
 )
 from repro.net.faults import FaultPlan
 from repro.net.transport import Segment
+from repro.parallel.wire import decode_frame_batch, encode_frame_batch
 from repro.publishing.database import ProcessRecord
 from repro.publishing.store import SegmentedLog, payload_digest
 from repro.sim.rng import RngStreams
 
-from fixtures import count_calls, crc16_bitwise
+from fixtures import (
+    CountingStreams,
+    count_calls,
+    crc16_bitwise,
+    reference_apply,
+)
 
 
 def make_frame(payload="hello", dst=2):
@@ -647,6 +653,89 @@ class TestWalkedOnce:
         assert depths == [0] + [0] + [1] * 8
 
 
+class TestSegmentRecord:
+    """``Segment`` is a ``NamedTuple`` now; nothing that reads one, and
+    no byte it puts on the wire, may tell."""
+
+    P1, P2 = ProcessId(1, 2), ProcessId(2, 1)
+    MESSAGE = Message(MessageId(P1, 7), P1, P2, 3, 4, ("add", 5),
+                      Link(P1, channel=0, code=1), 128)
+    SHAPES = {
+        "bare": Segment(("probe", 1), 1, 2, "x"),
+        "unguaranteed_broadcast": Segment(("ctl", 3, 9), 3, BROADCAST, None,
+                                          guaranteed=False),
+        "stamped": Segment((1, 2, 7), 1, 2, ("req", 1, 2.5, b"\x00\xff"),
+                           True, 41),
+        "message": Segment(tuple(MESSAGE.msg_id), 1, 2, MESSAGE),
+        "control": Segment(("ctl", 2, 1), 2, 99, Control(
+            "checkpoint", {"pid": P2, "data": {"k": [1, 2]}, "pages": 4},
+            uid=12)),
+        "containers": Segment((300, -1), 256, 0,
+                              {"s": frozenset({1, 2}), "l": [True, None]},
+                              False, 0),
+    }
+    #: canonical_bytes of each shape at the commit where Segment was
+    #: still a frozen dataclass
+    PINNED = {
+        "bare": b'@seg;(2:i1;i2;s1:xTNs5:probei1;',
+        "unguaranteed_broadcast": b'@seg;(3:i3;i-1;NFNs3:ctli3;i9;',
+        "stamped": b'@seg;(3:i1;i2;(4:Ti41;i1;i2;i7;s3:reqi1;'
+                   b'f@\x04\x00\x00\x00\x00\x00\x00b2:\x00\xff',
+        "message": b'@seg;(2:i1;i2;@msg;@mid;@pid;@pid;i3;i4;(2:@link;i128;'
+                   b'FF@pid;i7;i1;i2;i2;i1;s3:addi5;@pid;i0;i1;Fi1;i2;i1;'
+                   b'i2;TN@pid;i7;i1;i2;',
+        "control": b'@seg;(3:i2;i99;@ctl;TNs3:ctli2;i1;s10:checkpoint{3:'
+                   b's3:pids4:datas5:pagesi12;@pid;{1:s1:ki4;i2;i1;[2:i1;i2;',
+        "containers": b'@seg;(2:i256;i0;{2:s1:ls1:sFi0;i300;i-1;[2:#2:i1;i2;'
+                      b'TN',
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bytes_are_the_dataclass_bytes(self, shape):
+        assert canonical_bytes(self.SHAPES[shape]) == self.PINNED[shape]
+
+    def test_a_bare_tuple_of_the_same_fields_encodes_differently(self):
+        segment = self.SHAPES["stamped"]
+        assert tuple(segment) == segment        # equal as tuples, and yet
+        assert canonical_bytes(tuple(segment)) != canonical_bytes(segment)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_survives_pickle_and_the_pool_wire(self, shape):
+        segment = self.SHAPES[shape]
+        twin = pickle.loads(pickle.dumps(segment))
+        assert type(twin) is Segment and twin == segment
+        assert twin.uid == segment.uid and twin.stream_seq == segment.stream_seq
+        frame = Frame(FrameKind.DATA, 1, 2, segment, 160)
+        (_, _, _, landed, _), = decode_frame_batch(
+            encode_frame_batch([(1.5, "gw", 3, frame, 1)]))
+        assert type(landed.payload) is Segment and landed == frame
+        assert landed.checksum_ok()
+
+    def test_fields_read_by_name_and_cannot_be_set(self):
+        segment = Segment(("u", 1), 1, 2, "body")
+        assert (segment.guaranteed, segment.stream_seq) == (True, None)
+        assert segment._replace(stream_seq=3).stream_seq == 3
+        with pytest.raises(AttributeError):
+            segment.body = "other"
+
+
+_RECEIVERS = st.integers(1, 4)
+_FAULT_OPS = st.one_of(
+    st.tuples(st.just("deliver"), st.integers(0, 2), _RECEIVERS),
+    st.tuples(st.just("deliver"), st.integers(0, 2), _RECEIVERS),
+    st.tuples(st.sampled_from(["lose_next", "corrupt_next"]), _RECEIVERS,
+              st.integers(1, 3)),
+    st.tuples(st.just("partition"),
+              st.sampled_from([([1], [2]), ([1, 2], [3, 4]), ([3], [1, 4])])),
+    st.tuples(st.just("corrupt_rule"), _RECEIVERS),
+    st.tuples(st.just("lift"), st.integers(0, 5)),
+    st.tuples(st.just("rate"),
+              st.sampled_from(["loss_rate", "corruption_rate"]),
+              st.sampled_from([0.0, 0.0, 0.4, 1.0])),
+    st.tuples(st.just("rng"), st.sampled_from([None, 7, 8])),
+)
+
+
 class TestFaultPlan:
     def test_default_plan_is_transparent(self):
         plan = FaultPlan()
@@ -681,3 +770,70 @@ class TestFaultPlan:
         plan = FaultPlan(rng=RngStreams(1), corruption_rate=1.0)
         seen = plan.apply(make_frame(), 2)
         assert seen is not None and not seen.checksum_ok()
+
+    def test_a_plan_with_nothing_configured_looks_no_stream_up(self):
+        """The plan every ``System`` carries has streams but, on most
+        runs, no rate: a frame must not pay for a stream lookup."""
+        streams = CountingStreams(1)
+        plan = FaultPlan(rng=streams)
+        frame = make_frame()
+        assert all(plan.apply(frame, node) is frame for node in range(8))
+        rule = plan.partition([1], [3])             # rules draw nothing
+        assert plan.apply(frame, 2) is frame and plan.apply(frame, 3) is None
+        plan.remove_rule(rule)
+        assert streams.lookups == 0
+        plan.loss_rate = 1.0                        # and now it must
+        assert plan.apply(frame, 2) is None
+        assert streams.lookups == 1 and streams.draws() == {"faults/2": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_FAULT_OPS, max_size=40))
+    @example([("rate", "loss_rate", 0.4), ("deliver", 0, 2), ("rng", 8),
+              ("deliver", 0, 2), ("deliver", 1, 3), ("rng", None),
+              ("deliver", 0, 2), ("rng", 7), ("deliver", 0, 2),
+              ("rate", "loss_rate", 0.0), ("rate", "corruption_rate", 1.0),
+              ("lose_next", 2, 1), ("deliver", 2, 2), ("deliver", 2, 2)])
+    def test_apply_decides_and_draws_as_the_uncached_apply_did(self, ops):
+        """Rates, ``rng``, rules and targeted faults all change between
+        deliveries (chaos adds and lifts partitions, tests set rates):
+        the kept draw and the nothing-configured exit may never show.
+        Two plans get the same changes; one decides with ``apply``, the
+        other with the transcribed original. Same fates, same counters,
+        and every stream of every ``rng`` drawn from equally often."""
+        frames = [Frame(FrameKind.DATA, src, 2, "p", 64) for src in (1, 2, 3)]
+        plans = [FaultPlan(rng=CountingStreams(7)) for _ in range(2)]
+        decide = [FaultPlan.apply, reference_apply]
+        streams = [[plan.rng] for plan in plans]
+        rules = [[], []]
+        for op in ops:
+            fates = []
+            for side, plan in enumerate(plans):
+                if op[0] == "deliver":
+                    seen = decide[side](plan, frames[op[1]], op[2])
+                    fates.append("lost" if seen is None else
+                                 "intact" if seen is frames[op[1]] else
+                                 "corrupt" if not seen.checksum_ok() else seen)
+                elif op[0] in ("lose_next", "corrupt_next"):
+                    getattr(plan, op[0])(
+                        lambda f, node, want=op[1]: node == want, op[2])
+                elif op[0] == "partition":
+                    rules[side].append(plan.partition(*op[1]))
+                elif op[0] == "corrupt_rule":
+                    rules[side].append(plan.add_rule(
+                        lambda f, node, want=op[1]: node == want, "corrupt"))
+                elif op[0] == "lift" and rules[side]:
+                    plan.remove_rule(rules[side].pop(op[1] % len(rules[side])))
+                elif op[0] == "rate":
+                    setattr(plan, op[1], op[2])
+                elif op[0] == "rng":
+                    plan.rng = None if op[1] is None else CountingStreams(op[1])
+                    streams[side].append(plan.rng)
+            assert len(set(fates)) <= 1, (op, fates)
+        for name in ("losses", "corruptions", "partition_drops"):
+            assert getattr(plans[0], name).value == getattr(plans[1], name).value
+        assert ([(r.name, r.hits) for r in plans[0]._rules]
+                == [(r.name, r.hits) for r in plans[1]._rules])
+        assert ([(f.action, f.remaining) for f in plans[0]._targeted]
+                == [(f.action, f.remaining) for f in plans[1]._targeted])
+        assert ([s and s.draws() for s in streams[0]]
+                == [s and s.draws() for s in streams[1]])

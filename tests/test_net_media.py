@@ -1,12 +1,16 @@
 """Tests for the broadcast bus and the recorder-acknowledgement rule."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.net.media
 from repro.errors import NetworkError
 from repro.net.faults import FaultPlan
 from repro.net.frames import BROADCAST, Frame, FrameKind
 from repro.net.media import NetworkInterface, PerfectBroadcast
 from repro.sim import Engine
+
+from fixtures import count_calls, scan_takers
 
 
 def data_frame(src, dst, payload="p", size=128):
@@ -227,3 +231,126 @@ def test_all_recorders_down_still_stalls_without_counting_as_acked():
     # acked anyway" event fires
     assert not [e for e in bus.obs.bus.events
                 if e.category == "recorder_copy_missed"]
+
+
+def test_a_frame_lost_to_the_recorders_is_not_reported_delivered_later():
+    """Bugfix regression: "lost to the recorder" was one slot on the
+    medium, overwritten when the next frame was recorded. With delivery
+    deferred past the end of transmission (``ack_latency_ms``) the
+    second frame is recorded before the first is delivered, and the
+    recorders were told of the delivery of a frame they never heard —
+    it went into the replay log. The fact now travels with the frame's
+    own delivery."""
+    engine = Engine()
+    bus = PerfectBroadcast(engine, ack_latency_ms=5.0)
+    sender = bus.attach(NetworkInterface(1, lambda f: None))
+    got = []
+    bus.attach(NetworkInterface(2, lambda f: got.append(f.payload)))
+    heard, told = [], []
+    recorder = bus.attach(NetworkInterface(
+        99, lambda f: heard.append(f.payload), is_recorder=True))
+    recorder.on_delivery = lambda f: told.append(f.payload)
+    bus.recorder_loss = lambda frame: frame.payload == 1
+    sender.send(data_frame(1, 2, payload=1))
+    sender.send(data_frame(1, 2, payload=2))
+    engine.run()
+    assert got == [1, 2]            # no ack rule enforced: both arrive
+    assert heard == [2]
+    assert told == [2]              # was [1, 2]
+
+
+# ----------------------------------------------------------------------
+# the station table against the bus scan it replaced
+# ----------------------------------------------------------------------
+_NODE_IDS = st.integers(0, 6)
+_BUS_OPS = st.one_of(
+    st.tuples(st.just("attach"), _NODE_IDS,
+              st.sampled_from(["station", "station", "recorder", "gateway"]),
+              st.frozensets(st.integers(0, 7), max_size=6)),
+    st.tuples(st.just("detach"), st.integers(0, 30)),
+    st.tuples(st.just("flip"), st.integers(0, 30)),
+    st.tuples(st.just("frame"), st.integers(0, 7),
+              st.one_of(st.just(BROADCAST), st.integers(0, 7)),
+              st.sampled_from([FrameKind.DATA, FrameKind.CONTROL])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BUS_OPS, max_size=40))
+@example([("attach", 1, "gateway", frozenset({2})),     # claimed first,
+          ("attach", 2, "station", frozenset()),        # attached second
+          ("attach", 3, "gateway", frozenset({2, 3})),
+          ("frame", 1, 2, FrameKind.DATA), ("frame", 2, 3, FrameKind.DATA)])
+def test_station_table_hands_frames_to_whom_the_scan_did(ops):
+    """Attach, detach, re-attach under the same id (spare takeover),
+    ``up`` flips, gateways claiming extra destinations — their own id
+    and other stations' among them — and unicast, self-addressed and
+    broadcast frames: the same stations get the frame, in the same
+    order, and the same interface hears its fate."""
+    bus = PerfectBroadcast(Engine())
+    made, got, acked = [], [], []
+    for op in ops:
+        if op[0] == "attach":
+            _, node, role, claims = op
+            iface = NetworkInterface(
+                node, None, is_recorder=role == "recorder",
+                accept_extra=claims.__contains__ if role == "gateway" else None)
+            iface.on_frame = lambda frame, me=iface: got.append(me)
+            iface.on_delivered = (
+                None if node == 6
+                else lambda frame, ok, me=iface: acked.append((me, ok)))
+            if any(i.node_id == node for i in bus.interfaces):
+                with pytest.raises(NetworkError):
+                    bus.attach(iface)
+            else:
+                assert bus.attach(iface) is iface and iface.medium is bus
+                made.append(iface)
+        elif op[0] == "detach" and made:
+            iface = made[op[1] % len(made)]     # attached or long gone
+            was_attached = iface in bus.interfaces
+            bus.detach(iface)
+            assert iface not in bus.interfaces
+            if was_attached:
+                assert iface.medium is None and not iface.up
+        elif op[0] == "flip" and made:
+            iface = made[op[1] % len(made)]
+            if iface in bus.interfaces:
+                iface.up = not iface.up
+        elif op[0] == "frame":
+            _, src, dst, kind = op
+            frame = Frame(kind, src, dst, "p", 64)
+            takers, sender = scan_takers(bus, frame)
+            ok = bool(takers) or any(r.node_id == dst and r.up
+                                     for r in bus.recorders())
+            del got[:], acked[:]
+            bus._deliver_to_receivers(frame, True)
+            assert got == takers
+            assert acked == ([(sender, ok)] if sender is not None else [])
+        assert bus.recorders() == [i for i in bus.interfaces if i.is_recorder]
+
+
+def _bus_of(stations):
+    engine = Engine()
+    bus = PerfectBroadcast(engine)
+    for node in range(1, stations + 1):
+        bus.attach(NetworkInterface(node, lambda frame: None))
+    return engine, bus
+
+
+def test_frame_and_attach_cost_do_not_grow_with_the_bus():
+    """No clock: calls made by the medium's own code. One unicast frame
+    costs the same on 8 stations and on 800 (the scan called ``accepts``
+    once per station), and attaching is linear (the duplicate check
+    walked the bus)."""
+    def one_frame(stations):
+        engine, bus = _bus_of(stations)
+
+        def send():
+            bus.interfaces[0].send(data_frame(1, 2))
+            engine.run()
+        return count_calls(send, within=repro.net.media)
+
+    assert one_frame(8) == one_frame(800)
+    attach_200 = count_calls(lambda: _bus_of(200), within=repro.net.media)
+    attach_800 = count_calls(lambda: _bus_of(800), within=repro.net.media)
+    assert attach_800 < 5 * attach_200

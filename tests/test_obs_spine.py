@@ -139,6 +139,25 @@ class TestMetricsRegistry:
         assert snap["min"] == 32 and snap["max"] == 4000
         assert snap["buckets"] == {"le_64": 2, "le_512": 1, "inf": 1}
 
+    def test_histogram_finds_the_bucket_the_loop_found(self):
+        """``observe`` bisects; the reference is the loop it replaced —
+        the first bound the value does not exceed, else the overflow
+        bucket — on every bound, below, between and above them."""
+        from repro.net.media import FRAME_SIZE_BUCKETS as bounds
+        values = [bounds[0] - 1, bounds[-1] + 1, 0, -5, 2.5, 1e9]
+        for low, high in zip(bounds, bounds[1:]):
+            values += [low, (low + high) / 2, high]
+        h = MetricsRegistry().histogram("frame_bytes", buckets=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            h.observe(value)
+            expected[next((i for i, bound in enumerate(bounds)
+                           if value <= bound), len(bounds))] += 1
+        assert h.bucket_counts == expected and sum(expected) == len(values)
+        bare = MetricsRegistry().histogram("no_buckets")
+        bare.observe(3)
+        assert bare.bucket_counts == [0] and "buckets" not in bare.snapshot_value()
+
     def test_snapshot_is_name_sorted(self):
         reg = MetricsRegistry()
         reg.counter("zeta")
