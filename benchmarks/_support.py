@@ -15,6 +15,7 @@ if _tests_dir not in sys.path:
     sys.path.insert(0, _tests_dir)
 
 from fixtures import (  # noqa: E402,F401  (re-exported for the benches)
+    FlatProcessLog,
     count_calls,
     crc16_bitwise,
     register_test_programs,

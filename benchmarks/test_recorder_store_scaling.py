@@ -13,7 +13,6 @@ import time
 
 from repro.demos.ids import ProcessId
 from repro.demos.messages import Message
-from repro.perf.baseline import FlatProcessLog
 from repro.perf.workloads import (
     _RECORDER_GRID_FULL,
     _recorder_script,
@@ -22,6 +21,7 @@ from repro.perf.workloads import (
 from repro.publishing.database import CheckpointEntry, RecorderDatabase
 from repro.publishing.store import SegmentedLog
 
+from _support import FlatProcessLog
 from conftest import once, print_table
 
 SEED = 1983

@@ -4,7 +4,7 @@ lists the commands).
 * Plain commands, declared here: ``demo``, ``example3_1``, ``trace`` /
   ``metrics`` (one small crash/recovery scenario's event stream /
   metrics snapshot) and ``perf`` (the clock-free determinism gate).
-* Rigs: one subcommand per entry of :data:`repro.parallel.rigs.RIGS`,
+* Rigs: one subcommand per entry of :data:`repro.rigs.RIGS`,
   plus ``sweep --kind <rig>``, which shards a rig's grid over worker
   processes. This module knows the report protocol, not the rigs: a
   rig's flags come from its declaration, and ``--json`` / ``--output``
@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 
-# repro.parallel (the rig table: every subsystem a rig measures, the
-# process pool) and repro.chaos load in the commands that use them, so
-# ``example3_1`` or ``trace`` start as fast as ``import repro`` does.
+# repro.rigs (the rig table: every subsystem a rig measures, the process
+# pools of repro.parallel) and repro.chaos load in the commands that use
+# them, so ``example3_1`` or ``trace`` start as fast as ``import repro``.
 from repro import System, SystemConfig
 from repro.metrics.metering import SendToSelfProgram
 from repro.net import MEDIA
@@ -137,7 +137,8 @@ def _given(args: argparse.Namespace, params) -> dict:
 
 def _cmd_rig(args: argparse.Namespace) -> int:
     """The CLI driver: run the rig, re-prove determinism if asked."""
-    from repro.parallel import RIGS, digest_of
+    from repro.digest import digest_of
+    from repro.rigs import RIGS
 
     rig = RIGS[args.command]
     params = _given(args, rig.params)
@@ -156,7 +157,7 @@ def _cmd_rig(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """The sweep driver: shard the rig's grid, re-run serially under
     ``--check``, pass iff every shard's payload does."""
-    from repro.parallel import RIGS, run_sweep
+    from repro.rigs import RIGS, run_sweep
 
     rig = RIGS[args.kind]
     merged = run_sweep(args.kind, max_workers=args.parallel,
@@ -252,7 +253,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
     if argv and argv[0] in sub.choices:
         return parser       # a plain command: no rig, no table import
-    from repro.parallel import RIGS
+    from repro.rigs import RIGS
 
     # the report protocol's flags, declared once for every rig and sweep
     protocol = argparse.ArgumentParser(add_help=False)

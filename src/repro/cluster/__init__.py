@@ -17,7 +17,6 @@ from repro.cluster.placement import (
     LoadBalancedShardPolicy,
     RangeShardPolicy,
     RecorderShard,
-    placement_digest,
     placement_priority_vectors,
     policy_from_name,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "directed_gateways",
     "federation_edges",
     "gateway_id_base",
-    "placement_digest",
     "placement_priority_vectors",
     "policy_from_name",
 ]

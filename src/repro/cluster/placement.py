@@ -24,17 +24,15 @@ A placement answers three questions:
 
 Determinism contract: :meth:`ClusterPlacement.serialize` is canonical
 (sorted keys, no floats, no timestamps); equal layouts produce
-byte-identical serializations and therefore equal
-:meth:`ClusterPlacement.digest` values.
+byte-identical serializations.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from repro.digest import canonical_json
 from repro.errors import PlacementError
 
 #: shard 0 of a cluster sits at ``first_node_id + RECORDER_ID_OFFSET``;
@@ -129,20 +127,7 @@ class ClusterPlacement:
 
     def serialize(self) -> bytes:
         """Canonical byte-stable encoding (determinism test surface)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.serialize()).hexdigest()
-
-
-def placement_digest(placements: Sequence[ClusterPlacement]) -> str:
-    """One digest over a whole federation's shard maps."""
-    h = hashlib.sha256()
-    for placement in placements:
-        h.update(placement.serialize())
-        h.update(b"\n")
-    return h.hexdigest()
+        return canonical_json(self.to_dict()).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

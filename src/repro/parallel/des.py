@@ -30,7 +30,6 @@ the same events at the same simulated times in the same order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 # The only clock in src/ (tests/test_perf_harness.py holds the line):
@@ -56,8 +55,9 @@ from repro.cluster.gateways import (
     directed_gateways,
     lp_of,
 )
+from repro.digest import canonical_json, digest_of, text_digest
 from repro.errors import ReproError
-from repro.parallel.runner import _mp_context, canonical_json, digest_of
+from repro.parallel.runner import _mp_context
 from repro.parallel.wire import decode_frame_batch, encode_frame_batch
 from repro.system import System, SystemConfig
 
@@ -170,7 +170,7 @@ def cluster_digest(system: System) -> str:
          else medium_lines).append(line)
     blob = ("\n".join(medium_lines) + "\n=recorder=\n"
             + "\n".join(recorder_lines) + "\n" + canonical_json(snapshot))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return text_digest(blob)
 
 
 def federation_digest(per_cluster: Dict[int, str]) -> str:

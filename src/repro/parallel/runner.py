@@ -30,7 +30,6 @@ paid ``max_workers`` times, not ``len(tasks)`` times.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import multiprocessing
@@ -39,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.digest import digest_of, text_digest
 from repro.errors import ReproError
 from repro.sim.rng import derive_seed
 
@@ -47,18 +47,6 @@ def shard_seed(root_seed: int, name: str) -> int:
     """The master seed shard ``name`` uses in a sweep rooted at
     ``root_seed`` — ``derive_seed`` under a fixed ``sweep/`` prefix."""
     return derive_seed(root_seed, f"sweep/{name}")
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance. A value
-    JSON cannot encode is a ``TypeError``, never stringified: a default
-    ``repr`` would put a memory address into a determinism digest."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def digest_of(obj: Any) -> str:
-    """SHA-256 hex digest of ``obj``'s canonical JSON."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -96,7 +84,7 @@ def _unencodable(obj: Any, path: str) -> str:
 def execute_task(task: ShardTask) -> Dict[str, Any]:
     """Run one shard in the current process; returns the shard record
     (kind, name, params, payload, and the digest over those four)."""
-    from repro.parallel.rigs import RIGS
+    from repro.rigs import RIGS     # the table imports this module
 
     rig = RIGS.get(task.kind)
     if rig is None:
@@ -177,7 +165,7 @@ def run_tasks(tasks: Iterable[ShardTask],
 def sweep_digest(shards: Sequence[Dict[str, Any]]) -> str:
     """Digest of the whole sweep: the ordered chain of shard digests."""
     joined = "\n".join(shard["digest"] for shard in shards)
-    return hashlib.sha256(joined.encode()).hexdigest()
+    return text_digest(joined)
 
 
 def merge_results(shards: Sequence[Dict[str, Any]],

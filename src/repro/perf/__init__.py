@@ -2,8 +2,8 @@
 
 Deterministic workload definitions (:mod:`repro.perf.workloads`) and the
 report/compare machinery (:mod:`repro.perf.harness`) behind
-``python -m repro perf``. :mod:`repro.perf.baseline` holds the
-flat-list store reference that tests and ``benchmarks/`` diff against.
+``python -m repro perf``. A workload that is a rig at a point reaches
+the table :data:`repro.rigs.RIGS` through ``workloads._gated`` only.
 """
 
 from repro.perf.harness import (

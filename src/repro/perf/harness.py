@@ -13,29 +13,39 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.errors import ReproError
 from repro.perf.workloads import WORKLOADS
 
 SCHEMA_VERSION = 1
 
 
-def run_workload(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
-    """Run one workload; its facts, under its name, are the report entry."""
-    return {"name": name, **WORKLOADS[name](seed, smoke)}
+def selected(only: Optional[Iterable[str]] = None) -> List[str]:
+    """The workload names a selection means — all of them, in suite
+    order, when it is empty. The one place a name is checked: the
+    suite, the CLI and the ``perf`` rig's grid all select through it."""
+    names = list(only) if only else list(WORKLOADS)
+    unknown = [n for n in names if n not in WORKLOADS]
+    if unknown:
+        raise ReproError(f"unknown workload(s): {', '.join(unknown)}\n"
+                         f"available: {', '.join(WORKLOADS)}")
+    return names
+
+
+def run_workload(workload: str, seed: int, smoke: bool) -> Dict[str, Any]:
+    """Run one workload; its facts, under its name, are the report entry
+    (and, as the ``perf`` rig's ``run``, one shard's payload)."""
+    return {"name": workload, **WORKLOADS[workload](seed, smoke)}
 
 
 def run_suite(seed: int = 1983, smoke: bool = False,
               only: Optional[Iterable[str]] = None) -> Dict[str, Any]:
     """Run the selected workloads and assemble the full report."""
-    names = list(only) if only else list(WORKLOADS)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        raise KeyError(f"unknown workload(s): {', '.join(unknown)} "
-                       f"(known: {', '.join(WORKLOADS)})")
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "publishing",
         "meta": {"seed": seed, "mode": "smoke" if smoke else "full"},
-        "workloads": [run_workload(name, seed, smoke) for name in names],
+        "workloads": [run_workload(name, seed, smoke)
+                      for name in selected(only)],
     }
 
 
@@ -97,13 +107,11 @@ def main(seed: int, smoke: bool, output: Optional[str],
     """CLI entry point shared by ``python -m repro perf``. Returns an
     exit code: 0 on success, 1 when a fact differs from the compare
     file, 2 for an unknown ``--workload`` name."""
-    if only:
-        unknown = [n for n in only if n not in WORKLOADS]
-        if unknown:
-            print(f"unknown workload(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"available: {', '.join(WORKLOADS)}", file=sys.stderr)
-            return 2
+    try:
+        only = selected(only)
+    except ReproError as error:
+        print(error, file=sys.stderr)
+        return 2
     report = run_suite(seed=seed, smoke=smoke, only=only)
     print(format_report(report))
     if output:

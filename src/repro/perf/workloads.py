@@ -19,6 +19,8 @@ import random
 from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.digest import digest_of, fold
+from repro.errors import ReproError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -30,10 +32,8 @@ _CHURN_SMOKE = (60, 100)
 _STORM_FULL = (5, 240)
 _STORM_SMOKE = (5, 30)
 
-_HASH_MOD = (1 << 61) - 1
 
-
-class PerfDivergence(RuntimeError):
+class PerfDivergence(ReproError, RuntimeError):
     """A workload's outcome did not match its expectation — the report
     would be describing a broken run, so the harness fails."""
 
@@ -72,10 +72,10 @@ def engine_churn(seed: int, smoke: bool) -> Dict[str, Any]:
     handles: List[Any] = []
 
     def work(tag):
-        digest[0] = (digest[0] * 1000003 + tag) % _HASH_MOD
+        digest[0] = fold(digest[0], tag)
 
     def chain(tag, delay):
-        digest[0] = (digest[0] * 1000003 + tag) % _HASH_MOD
+        digest[0] = fold(digest[0], tag)
         if delay > 0.4:
             engine.schedule(delay, chain, tag ^ 0x5A5A, delay * 0.5)
 
@@ -326,10 +326,10 @@ def _digest_queries(digest: int, replay, ids) -> int:
     set (folded in sorted order)."""
     for lm in replay:
         pid, seq = tuple(lm.message.msg_id)
-        digest = (digest * 1000003 + pid[0] * 131 + pid[1] * 31 + seq) % _HASH_MOD
-    digest = (digest * 1000003 + 0x9E37) % _HASH_MOD
+        digest = fold(digest, pid[0] * 131 + pid[1] * 31 + seq)
+    digest = fold(digest, 0x9E37)
     for pid, seq in sorted(tuple(m) for m in ids):
-        digest = (digest * 1000003 + pid[0] * 131 + pid[1] * 31 + seq) % _HASH_MOD
+        digest = fold(digest, pid[0] * 131 + pid[1] * 31 + seq)
     return digest
 
 
@@ -420,7 +420,7 @@ def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
         script = _recorder_script(seed + processes, processes, messages)
         seg = _drive_segmented(script, processes)
         total_messages += processes * messages
-        digest = (digest * 1000003 + seg.pop("digest")) % _HASH_MOD
+        digest = fold(digest, seg.pop("digest"))
         grid_out[f"{processes}x{messages}"] = seg
     rng = random.Random(seed ^ 0x5D15)
     contrast = _page_buffer_contrast(
@@ -438,38 +438,56 @@ def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# chaos campaign
+# workloads that are a rig at a point (repro.rigs)
 # ----------------------------------------------------------------------
-def chaos_campaign(seed: int, smoke: bool) -> Dict[str, Any]:
-    """A seeded monkey campaign against the counter workload — the
-    heaviest integration path: faults, retries, replays, watchdogs."""
-    from repro.chaos import monkey_campaign, run_scenario
+def _gated(label: str, rig: str, sharded: bool = False,
+           **params: Any) -> Dict[str, Any]:
+    """The one door from a workload to the rig table: rig ``rig``'s
+    report at ``params`` — or, ``sharded``, its grid's merged report,
+    run on two workers beside the serial re-run. The workload fails
+    unless every payload passed the rig's own ``ok`` and every shard
+    matched its serial digest: no committed leaf describes a run that
+    failed or diverged."""
+    from repro.rigs import RIGS, run_sweep
 
+    declared = RIGS[rig]
+    if sharded:
+        report = run_sweep(rig, max_workers=2, check=True, **params)
+        shards = report["shards"]
+        failures = list(report["serial_check"]["mismatches"])
+    else:
+        report = declared(**params)
+        shards = [{"name": rig, "payload": report}]
+        failures = []
+    # the rig's text names what failed: a campaign's broken invariant,
+    # each DES run's workers, digest and verdict
+    failures += [f"{shard['name']}:\n{declared.render(shard['payload'])}"
+                 for shard in shards if not declared.ok(shard["payload"])]
+    if failures:
+        raise PerfDivergence(f"{label}: the {rig} rig's gate failed\n"
+                             + "\n".join(failures))
+    return report
+
+
+def chaos_campaign(seed: int, smoke: bool) -> Dict[str, Any]:
+    """The ``chaos`` rig at a seeded monkey campaign against the counter
+    workload — the heaviest integration path: faults, retries, replays,
+    watchdogs."""
     messages = 10 if smoke else 30
     horizon = 4_000.0 if smoke else 10_000.0
-    campaign = monkey_campaign(RngStreams(seed), [1, 2, 3],
-                               duration_ms=horizon)
     # A short horizon can cut the campaign right after a late fault;
     # give recoveries room to settle before the invariants are judged.
-    result = run_scenario(campaign, nodes=3, pairs=2, messages=messages,
-                          master_seed=seed, medium="broadcast",
-                          settle_ms=8_000.0)
-    if not result.ok:
-        raise PerfDivergence("chaos_campaign: campaign invariants failed:\n"
-                             + result.report.format())
-    system = result.system
+    payload = _gated("chaos_campaign", "chaos", scenario="monkey",
+                     seed=seed, nodes=3, pairs=2, messages=messages,
+                     duration_ms=horizon, settle_ms=8_000.0)
     return {
         "ops": 2 * messages,
-        "events": system.engine.events_fired,
-        "sim_ms": round(system.engine.now, 6),
-        "actions": len(campaign.actions),
-        "recoveries": system.recovery.stats.recoveries_completed,
+        "events": payload["events_fired"],
+        "sim_ms": payload["sim_ms"],
+        "actions": len(payload["report"]["fired"]),
+        "recoveries": payload["report"]["figures"]["recoveries_completed"],
     }
 
-
-# ----------------------------------------------------------------------
-# multi-core sweep sharding (repro.parallel)
-# ----------------------------------------------------------------------
 
 #: sweep_scaling knobs: (scenarios, messages per pair)
 _SWEEP_FULL = (16, 12)
@@ -477,52 +495,29 @@ _SWEEP_SMOKE = (6, 8)
 
 
 def sweep_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """A chaos seed matrix run serially and sharded over two workers.
+    """The ``chaos`` rig's seed matrix, sharded over two workers.
 
-    Both runs of the task list must produce the identical digest chain
-    (the determinism contract of the sharded runner) and every scenario
-    must pass its campaign invariants.
+    The sharded run and its serial re-run must produce the identical
+    digest chain (the determinism contract of the sharded runner) and
+    every scenario must pass its campaign invariants.
     """
-    from repro.parallel import chaos_matrix_tasks, sweep_digest, verify_parallel
-
     runs, messages = _SWEEP_SMOKE if smoke else _SWEEP_FULL
-    tasks = chaos_matrix_tasks(root_seed=seed, runs=runs, pairs=1,
-                               messages=messages, duration_ms=2500.0,
-                               settle_ms=6000.0)
-    shards, mismatches = verify_parallel(tasks, max_workers=2)
-    if mismatches:
-        raise PerfDivergence(
-            f"sweep_scaling: sharded run diverged from serial: {mismatches}")
-    broken = [s["name"] for s in shards if not s["payload"]["ok"]]
-    if broken:
-        raise PerfDivergence(
-            f"sweep_scaling: scenarios failed their invariants: {broken}")
+    merged = _gated("sweep_scaling", "chaos", sharded=True, root_seed=seed,
+                    runs=runs, pairs=1, messages=messages,
+                    duration_ms=2500.0, settle_ms=6000.0)
+    payloads = [shard["payload"] for shard in merged["shards"]]
     return {
         "ops": runs,
-        "events": sum(s["payload"]["events_fired"] for s in shards),
+        "events": sum(payload["events_fired"] for payload in payloads),
         # parallel shards overlap in simulated time; report the longest
-        "sim_ms": round(max(s["payload"]["sim_ms"] for s in shards), 6),
-        "sweep_digest": sweep_digest(shards)[:16],
+        "sim_ms": max(payload["sim_ms"] for payload in payloads),
+        "sweep_digest": merged["digest"][:16],
     }
 
 
 _DES_SMOKE = (6, 4, 1500.0)     # clusters, messages, duration_ms
 _DES_FULL = (32, 6, 3000.0)
 _DES_WORKER_COUNTS = (1, 2, 4)
-
-
-def _gated(label: str, rig: str, **params: Any) -> Dict[str, Any]:
-    """Run the ``des`` or ``federation`` rig (serial reference vs pooled
-    proofs, compared by ``equivalence_report``) and fail the workload
-    unless it passed: no committed leaf describes divergent runs."""
-    from repro.parallel.rigs import RIGS
-
-    report = RIGS[rig](**params)
-    if not RIGS[rig].ok(report):
-        # the rig's text names each run's workers, digest and verdict
-        raise PerfDivergence(f"{label}: serial vs pooled gate failed\n"
-                             + RIGS[rig].render(report))
-    return report
 
 
 def _exchange(run: Dict[str, Any]) -> Dict[str, int]:
@@ -571,8 +566,6 @@ def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     must reproduce the serial digest exactly; its barrier count shows
     how few grants the promises need.
     """
-    from repro.parallel.runner import digest_of
-
     cluster_counts, messages, duration_ms, worker_counts = (
         _DES_SCALING_SMOKE if smoke else _DES_SCALING_FULL)
     grid: Dict[str, Any] = {}
@@ -627,10 +620,9 @@ def _recorded_set_digest(system) -> int:
     db = system.recorder.db
     for pid in sorted(db.records):
         record = db.records[pid]
-        digest = (digest * 1000003 + pid.node * 131 + pid.local * 31 + 7) % _HASH_MOD
+        digest = fold(digest, pid.node * 131 + pid.local * 31 + 7)
         for sender, seq in sorted(record.recorded_ids):
-            digest = (digest * 1000003
-                      + sender.node * 131 + sender.local * 31 + seq) % _HASH_MOD
+            digest = fold(digest, sender.node * 131 + sender.local * 31 + seq)
     return digest
 
 
@@ -680,7 +672,7 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
                       if k.startswith("transport.")
                       and k.endswith(".retransmissions"))
         cell_digest = _recorded_set_digest(system)
-        digest = (digest * 1000003 + cell_digest) % _HASH_MOD
+        digest = fold(digest, cell_digest)
         if mode == "recorder" and loss_rate == 0.0:
             lossless_digest = cell_digest
         gave_up = int(snap.get("gossip.gave_up", 0))
@@ -772,8 +764,7 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
             stage = None
             if k >= recorders - faulty:
                 stage = ByzantineRecorder(
-                    random.Random(seed * 1000003 + index * 131 + k),
-                    rate=0.3)
+                    random.Random(fold(seed, index * 131 + k)), rate=0.3)
             records.append((90 + k, build(messages, stage)))
         verdict = quorum_replay_stream(records, f=f)
         majority = process_state_digest(verdict.stream)
@@ -788,10 +779,10 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
                 f"flagged {honest_flagged}, unresolved "
                 f"{verdict.unresolved})")
         ops += verdict.replayed
-        digest = (digest * 1000003 + majority) % _HASH_MOD
+        digest = fold(digest, majority)
         for rid in flagged:
-            digest = (digest * 1000003 + rid) % _HASH_MOD
-        digest = (digest * 1000003 + verdict.unresolved) % _HASH_MOD
+            digest = fold(digest, rid)
+        digest = fold(digest, verdict.unresolved)
         rows.append({
             "recorders": recorders,
             "faulty": faulty,
@@ -814,9 +805,9 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
             "adversary_quorum rig: scenario invariants failed "
             f"(total {report['total']} expected {report['expected']}, "
             f"flagged honest {report['flagged_honest']})")
-    digest = (digest * 1000003 + report["total"]) % _HASH_MOD
+    digest = fold(digest, report["total"])
     for rid in report["outvoted"]:
-        digest = (digest * 1000003 + rid) % _HASH_MOD
+        digest = fold(digest, rid)
     rows.append({
         "recorders": report["recorders"],
         "faulty": report["byzantine"],
@@ -871,8 +862,6 @@ def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
     against a *driven* :class:`~repro.cluster.gateways.Gateway`'s
     measured knee, with the relative error recorded per topology.
     """
-    from repro.parallel.runner import digest_of
-
     counts, cluster_size, shards, messages, duration_ms = (
         _FEDERATION_SMOKE if smoke else _FEDERATION_FULL)
     report = _gated(

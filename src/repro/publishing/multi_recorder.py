@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.demos.messages import Control
+from repro.digest import fold
 from repro.errors import QuorumDivergenceError, RecordCorruptionError, RecoveryError
 from repro.publishing.store import payload_digest
 from repro.sim.engine import Engine
@@ -179,9 +180,6 @@ class MultiRecorderCoordinator:
 # ----------------------------------------------------------------------
 # 2f+1 quorum replay
 # ----------------------------------------------------------------------
-_HASH_MOD = (1 << 61) - 1
-
-
 def _replay_key(lm) -> Tuple[object, int, bool]:
     """What the members vote on: a record's identity *and* content.
 
@@ -199,7 +197,7 @@ def process_state_digest(stream: Iterable) -> int:
     for lm in stream:
         if lm.is_marker or lm.invalid:
             continue
-        digest = (digest * 1000003 + payload_digest(lm.message)) % _HASH_MOD
+        digest = fold(digest, payload_digest(lm.message))
     return digest
 
 

@@ -7,16 +7,19 @@ workload. :data:`RIGS` declares each once (:class:`Rig`); what *drives*
 a rig knows that protocol and not the rigs: the CLI (one subcommand per
 entry, ``repro.__main__``), the sweep driver (:func:`run_sweep` — a
 shard is one ``run`` call), the determinism gate
-(``repro.perf.workloads`` commits leaves of the ``des`` / ``federation``
-payloads), and CI with ``tests/test_rigs.py`` (:func:`ci_commands`).
+(``repro.perf.workloads._gated`` commits leaves of the ``chaos`` /
+``des`` / ``federation`` payloads), and CI with ``tests/test_rigs.py``
+(:func:`ci_commands`).
 
 A payload is a JSON-able dict of deterministic facts: no rig reads a
 clock, so two runs must agree on ``digest_of(payload)``.
+
+Nothing the table imports imports it back at module level:
+``runner.execute_task`` and the gate look a rig up when they are called.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,6 +34,7 @@ from repro.chaos import (
     run_scenario,
 )
 from repro.chaos.campaign import demo_campaign, format_report
+from repro.digest import text_digest
 from repro.errors import ReproError
 from repro.metrics import measure_send_to_self
 from repro.net import MEDIA
@@ -47,8 +51,7 @@ from repro.parallel.runner import (
     shard_seed,
     verify_parallel,
 )
-from repro.perf.harness import run_workload
-from repro.perf.workloads import WORKLOADS
+from repro.perf.harness import run_workload, selected
 from repro.queueing import (
     OPERATING_POINTS,
     OpenQueueingModel,
@@ -120,10 +123,6 @@ class Rig:
 def _csv(kind: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
     return lambda text: tuple(kind(part.strip())
                               for part in text.split(",") if part.strip())
-
-
-def _event_digest(result) -> str:
-    return hashlib.sha256(result.event_stream().encode()).hexdigest()
 
 
 def _rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -266,7 +265,7 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
         "report": result.report.to_dict(),
         "events_fired": result.system.engine.events_fired,
         "sim_ms": round(result.system.engine.now, 6),
-        "event_digest": _event_digest(result),
+        "event_digest": text_digest(result.event_stream()),
     }
 
 
@@ -322,7 +321,7 @@ def run_gossip(params: Dict[str, Any]) -> Dict[str, Any]:
         gossip={key.split(".", 1)[1]: value for key, value
                 in sorted(result.system.metrics_snapshot().items())
                 if key.startswith("gossip.")},
-        event_digest=_event_digest(result))
+        event_digest=text_digest(result.event_stream()))
     if not params["no_contrast"]:
         contrast = arm(False)
         payload["contrast"] = {
@@ -365,7 +364,7 @@ def run_adversary(params: Dict[str, Any]) -> Dict[str, Any]:
         messages=params["messages"], master_seed=params["seed"],
         modes=tuple(params["modes"]), rate=params["rate"],
         equivocate=params["equivocate"])
-    return dict(result.report, event_digest=_event_digest(result))
+    return dict(result.report, event_digest=text_digest(result.event_stream()))
 
 
 def render_adversary(r: Dict[str, Any]) -> str:
@@ -492,22 +491,14 @@ def render_federation(report: Dict[str, Any]) -> str:
 # perf: one determinism workload per shard (sweep only: the subcommand
 # is repro.perf.harness, which owns --compare)
 # ----------------------------------------------------------------------
-def run_perf(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One determinism workload; every fact it reports is digested."""
-    return run_workload(params["workload"], seed=params["seed"],
-                        smoke=params["smoke"])
-
-
 def perf_tasks(names: Optional[Sequence[str]] = None, seed: int = 1983,
                smoke: bool = True) -> List[ShardTask]:
-    """One shard per benchmark workload (suite order preserved)."""
-    chosen = list(names) if names else list(WORKLOADS)
-    unknown = [n for n in chosen if n not in WORKLOADS]
-    if unknown:
-        raise ReproError(f"unknown workload(s): {unknown}")
+    """One shard per determinism workload (suite order preserved); a
+    shard is one :func:`~repro.perf.harness.run_workload` call, every
+    fact it reports digested."""
     return [make_task("perf", f"perf/{name}", workload=name, seed=seed,
                       smoke=smoke)
-            for name in chosen]
+            for name in selected(names)]
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +561,7 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                 Param("seed", parse=int, on="grid",
                       help="master seed for every workload"),
                 Param("smoke", False, "smoke-size workloads", on="grid")),
-        run=run_perf, grid=perf_tasks,
+        run=lambda params: run_workload(**params), grid=perf_tasks,
         ci_grid=("--smoke", "--workload", "engine_churn",
                  "--workload", "storm_token_ring")),
     Rig("gossip", "epidemic-repair acceptance scenario: recorder outage "

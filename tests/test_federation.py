@@ -31,7 +31,6 @@ from repro.cluster.placement import (
     RECORDER_ID_OFFSET,
     LoadBalancedShardPolicy,
     RangeShardPolicy,
-    placement_digest,
     placement_priority_vectors,
     policy_from_name,
 )
@@ -117,8 +116,6 @@ class TestPlacementPolicies:
             recorder_base=201 + RECORDER_ID_OFFSET)
         first, second = place(), place()
         assert first.serialize() == second.serialize()
-        assert first.digest() == second.digest()
-        assert placement_digest([first]) == placement_digest([second])
         # every node is claimed by exactly one shard
         for node in range(201, 201 + nodes):
             owners = [s.index for s in first.shards if s.claims_node(node)]

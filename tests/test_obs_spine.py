@@ -283,7 +283,7 @@ SURFACE_PINS = {
 def test_snapshot_and_stream_surface_is_pinned():
     from repro.__main__ import _build_demo_campaign
     from repro.chaos import run_scenario
-    from repro.parallel.runner import canonical_json
+    from repro.digest import canonical_json
 
     moved = []
     for (medium, gossip), pinned in sorted(SURFACE_PINS.items()):

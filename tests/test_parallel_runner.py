@@ -13,19 +13,60 @@ import pytest
 
 from repro.errors import ReproError
 from repro.parallel import (
-    capacity_tasks,
-    chaos_matrix_tasks,
     execute_task,
     make_task,
-    perf_tasks,
-    run_sweep,
     run_tasks,
     shard_seed,
     sweep_digest,
-    utilization_tasks,
     verify_parallel,
 )
+from repro.rigs import (
+    capacity_tasks,
+    chaos_matrix_tasks,
+    perf_tasks,
+    run_sweep,
+    utilization_tasks,
+)
 from repro.sim.rng import RngStreams, derive_seed
+
+
+# ----------------------------------------------------------------------
+# the digest encodings (repro.digest), pinned by values computed before
+# they were gathered there — not by BENCH_publishing.json alone
+# ----------------------------------------------------------------------
+def test_literal_values_pin_each_digest_encoding():
+    from types import SimpleNamespace
+
+    from repro.demos.ids import MessageId, ProcessId
+    from repro.demos.messages import Message
+    from repro.digest import canonical_json, digest_of
+    from repro.publishing.multi_recorder import process_state_digest
+
+    obj = {"b": [1, 2.5, None, True], "a": {"z": "é", "y": 0}}
+    assert canonical_json(obj) == (
+        '{"a":{"y":0,"z":"\\u00e9"},"b":[1,2.5,null,true]}')
+    assert digest_of(obj) == ("c595c61f41578ad8c03f781b9ab44e48"
+                              "e3189159333bc7d6eab20a41cfe186f8")
+    # sha-256 of a text: the chain of two shard digests
+    assert sweep_digest([{"digest": "aa"}, {"digest": "bb"}]) == (
+        "80c0d5c7137871baa75af2038f350bf60a4d45a131a653d0eb93f3cda3d28609")
+
+    src, dst = ProcessId(1, 5), ProcessId(2, 9)
+
+    def logged(seq, marker=False, invalid=False):
+        message = Message(msg_id=MessageId(src, seq), src=src, dst=dst,
+                          channel=0, code=1, body=("add", seq),
+                          size_bytes=24, recovery_marker=marker)
+        return SimpleNamespace(message=message, is_marker=marker,
+                               invalid=invalid)
+
+    # the fold: three messages (past the modulus), order-sensitive, a
+    # marker and an invalid record skipped
+    assert process_state_digest(
+        [logged(1), logged(2, marker=True), logged(3),
+         logged(4, invalid=True), logged(5)]) == 480458094417928604
+    assert process_state_digest(
+        [logged(5), logged(3), logged(1)]) == 334958682900272130
 
 
 # ----------------------------------------------------------------------

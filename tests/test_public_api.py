@@ -13,6 +13,7 @@ import repro.net
 import repro.parallel
 import repro.publishing
 import repro.queueing
+import repro.rigs
 import repro.sim
 import repro.txn
 from repro import errors
@@ -33,7 +34,13 @@ def test_partitioned_des_exports_two_modes():
     # the promise protocol is gone from both packages.
     runners = {name for name in repro.parallel.__all__
                if name.startswith("run_") and "task" not in name}
-    assert runners == {"run_serial", "run_pooled", "run_sweep"}
+    assert runners == {"run_serial", "run_pooled"}
+    # the sweep driver lives with the table it drives, and the package
+    # of execution mechanisms re-exports nothing from it
+    assert repro.rigs.run_sweep.__module__ == "repro.rigs"
+    for name in repro.parallel.__all__:
+        assert getattr(repro.parallel, name).__module__.startswith(
+            "repro.parallel."), name
     assert "PartitionChannel" in repro.sim.__all__
     assert "PartitionedEngine" not in repro.sim.__all__
     assert not hasattr(repro.sim, "PartitionedEngine")

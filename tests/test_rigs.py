@@ -1,6 +1,6 @@
 """The rig table and its drivers (docs/PERFORMANCE.md, "Rigs").
 
-Every acceptance rig is declared once in ``repro.parallel.rigs.RIGS``;
+Every acceptance rig is declared once in ``repro.rigs.RIGS``;
 the CLI, the sweep runner, the determinism gate and CI are drivers over
 that table. These tests are parametrised over it, so a new rig is
 covered by adding its entry: its CI cell must pass in-process on every
@@ -23,7 +23,7 @@ import repro.parallel.des as des
 from repro.__main__ import build_parser, main
 from repro.errors import ReproError
 from repro.parallel import execute_task, make_task
-from repro.parallel.rigs import RIGS, Rig, ci_commands
+from repro.rigs import RIGS, Rig, ci_commands
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID_RIGS = sorted(name for name, rig in RIGS.items() if rig.grid)
@@ -95,6 +95,14 @@ def test_output_is_json_and_stdout_stays_text_without_json(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("adversary quorum — PASS")
 
 
+def run_probe(probe):
+    """Run ``probe`` in a fresh interpreter: what it imports is its own."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_plain_command_does_not_import_the_rig_table():
     """The table pulls in every subsystem a rig measures and the process
     pool; ``example3_1`` / ``trace`` / ``metrics`` must not pay for it
@@ -106,13 +114,24 @@ def test_a_plain_command_does_not_import_the_rig_table():
         "             ['trace', '--duration', '200'], ['demo']):\n"
         "    assert main(argv) == 0\n"
         "    heavy = [m for m in sys.modules if m.startswith(\n"
-        "        ('repro.parallel', 'repro.queueing', 'concurrent',\n"
-        "         'multiprocessing') + (('repro.chaos',) * (argv != ['demo'])))]\n"
+        "        ('repro.rigs', 'repro.parallel', 'repro.queueing',\n"
+        "         'concurrent', 'multiprocessing')\n"
+        "        + (('repro.chaos',) * (argv != ['demo'])))]\n"
         "    assert not heavy, (argv, heavy)\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    run_probe(probe)
+
+
+def test_the_pool_package_does_not_import_the_table():
+    """``repro.parallel`` is the two execution mechanisms: a ``des`` user,
+    ``bench/probes.py`` and a spawn-start pool worker import it without
+    the table, the determinism workloads or the queueing models."""
+    probe = (
+        "import sys\n"
+        "import repro.parallel\n"
+        "heavy = [m for m in sys.modules if m.startswith(\n"
+        "    ('repro.rigs', 'repro.perf', 'repro.queueing'))]\n"
+        "assert not heavy, heavy\n")
+    run_probe(probe)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +226,7 @@ def test_an_absent_bool_flag_is_passed_as_false_not_left_to_the_builder():
     """``perf_tasks()`` builds smoke-size shards, as it always did, and
     ``sweep --kind perf`` without ``--smoke`` still means full size."""
     from repro.__main__ import _given
-    from repro.parallel import perf_tasks
+    from repro.rigs import perf_tasks
 
     assert dict(perf_tasks()[0].params)["smoke"] is True
     perf = RIGS["perf"].params
@@ -255,7 +274,7 @@ def test_no_add_argument_call_names_a_rig_parameter():
             if literal_flags(func)] == ["build_parser"]
     table_import = next(n.lineno for n in ast.walk(funcs["build_parser"])
                         if isinstance(n, ast.ImportFrom)
-                        and n.module == "repro.parallel")
+                        and n.module == "repro.rigs")
     assert literal_flags(funcs["build_parser"], table_import) == {
         "--json", "--output", "--verify-determinism",
         "--kind", "--parallel", "--check"}
@@ -360,7 +379,7 @@ def test_sweep_check_fails_a_shard_that_differs_serially(monkeypatch,
 
 
 def test_run_sweep_keeps_chunk_size():
-    from repro.parallel import run_sweep
+    from repro.rigs import run_sweep
 
     merged = run_sweep("capacity", max_workers=2, chunk_size=1, check=True)
     assert merged["count"] == 4 and merged["serial_check"]["matches"]
@@ -411,6 +430,63 @@ def test_a_failed_gate_names_the_leg_the_workers_and_both_digests(
     serial_line = next(line for line in str(error.value).splitlines()
                        if line.lstrip().startswith("serial"))
     assert "INCOMPLETE" in serial_line and "DIVERGED" in str(error.value)
+
+
+def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
+    import repro.perf.workloads as workloads
+    import repro.rigs as rigs
+    from repro.chaos.campaign import InvariantCheck
+    from repro.perf.workloads import PerfDivergence
+
+    real = rigs.run_scenario
+
+    def breaking(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.report.invariants.append(
+            InvariantCheck("injected", False, "patched in by the test"))
+        return result
+
+    monkeypatch.setattr(rigs, "run_scenario", breaking)
+    with pytest.raises(PerfDivergence) as error:
+        workloads.chaos_campaign(seed=1983, smoke=True)
+    text = str(error.value)
+    assert text.startswith("chaos_campaign:")
+    # the chaos rig's own rendered report, not a summary of it
+    assert "chaos campaign 'monkey' — FAIL" in text
+    assert "[FAIL] injected" in text and "patched in by the test" in text
+    assert "[ok] workload_exact" in text
+
+    # pool workers are forked, so they inherit the patched table; the
+    # pid makes every pooled shard differ from its serial re-run
+    monkeypatch.setitem(RIGS, "chaos", dataclasses.replace(
+        RIGS["chaos"], run=lambda params: {"ok": True, "pid": os.getpid()}))
+    with pytest.raises(PerfDivergence) as error:
+        workloads.sweep_scaling(seed=1983, smoke=True)
+    text = str(error.value)
+    assert text.startswith("sweep_scaling:")
+    assert "chaos/000: parallel " in text and "chaos/005: parallel " in text
+
+
+def test_perf_reaches_the_table_through_the_gate_and_nowhere_else():
+    import ast
+
+    import repro.perf
+
+    imports = []
+    for path in sorted(Path(repro.perf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            for name in names:
+                if name.startswith(("repro.rigs", "repro.parallel")):
+                    imports.append((path.name, name,
+                                    getattr(parents[node], "name", None)))
+    assert imports == [("workloads.py", "repro.rigs", "_gated")]
 
 
 def test_federation_scaling_runs_each_leg_once_per_cluster_count(monkeypatch):

@@ -3,7 +3,7 @@ flat-list reference.
 
 :class:`repro.publishing.database.ProcessRecord` (backed by a
 :class:`~repro.publishing.store.SegmentedLog`) and
-:class:`repro.perf.baseline.FlatProcessLog` must give byte-identical
+:class:`fixtures.FlatProcessLog` must give byte-identical
 answers for every query — ``messages_to_replay`` order, ``consumed_ids``
 sets, checkpoint invalidation counts (including the jump-ahead quirk),
 ``first_valid_id`` and ``valid_message_bytes`` — across arbitrary
@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.errors import RecorderError
-from repro.perf.baseline import FlatProcessLog
 from repro.publishing.database import CheckpointEntry, ProcessRecord
 from repro.publishing.store import SegmentedLog
+
+from fixtures import FlatProcessLog
 
 PID = ProcessId(2, 1)
 SENDER = ProcessId(1, 1)
