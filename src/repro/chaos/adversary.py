@@ -29,9 +29,10 @@ ground-truth message stream through :func:`feed_record` per recorder,
 then hand the records to
 :func:`repro.publishing.multi_recorder.quorum_replay_stream`.
 
-:func:`run_quorum_scenario` is the end-to-end acceptance rig: a 2f+1
-recorder cluster with quorum replay attached, Byzantine stages armed
-mid-traffic, and a node crash that forces a recovery through the vote.
+:func:`run_quorum_scenario` is the end-to-end acceptance rig: a
+:class:`~repro.system.System` laid out with 2f+1 ``replica`` recorders
+(so quorum replay is attached), Byzantine stages armed mid-traffic, and
+a node crash that forces a recovery through the vote.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
+from repro.errors import ReproError
+
+
+class AdversaryConfigError(ReproError, ValueError):
+    """An adversary stage or the quorum rig was given a value outside
+    its domain (an unknown Byzantine mode, a non-positive cap, f < 1,
+    more faulty recorders than recorders). Also a ``ValueError``,
+    which is what it is."""
+
 
 #: the fault repertoire of a ByzantineRecorder stage
 BYZANTINE_MODES = ("drop", "duplicate", "corrupt", "reorder", "bitrot")
@@ -114,7 +124,8 @@ class ByzantineRecorder:
         modes = tuple(modes)
         bad = [m for m in modes if m not in BYZANTINE_MODES]
         if bad or not modes:
-            raise ValueError(f"unknown byzantine modes {bad or modes}")
+            raise AdversaryConfigError(
+                f"unknown byzantine modes {bad or modes}")
         self.rng = rng
         self.modes = modes
         self.rate = rate
@@ -235,7 +246,7 @@ class BoundedBufferRecorder:
     def __init__(self, recorder, max_records: int,
                  advisory_fraction: float = 0.8, obs=None):
         if max_records < 1:
-            raise ValueError("max_records must be >= 1")
+            raise AdversaryConfigError("max_records must be >= 1")
         self.recorder = recorder
         self.max_records = max_records
         self.advisory_fraction = advisory_fraction
@@ -322,27 +333,24 @@ def install_stage(recorder, stage):
 
 def install_byzantine(recorder, rng: random.Random,
                       modes: Sequence[str] = BYZANTINE_MODES,
-                      rate: float = 0.25, obs=None) -> ByzantineRecorder:
-    stage = ByzantineRecorder(rng, modes=modes, rate=rate,
-                              obs=obs if obs is not None else recorder.obs,
+                      rate: float = 0.25) -> ByzantineRecorder:
+    stage = ByzantineRecorder(rng, modes=modes, rate=rate, obs=recorder.obs,
                               recorder_id=recorder.config.node_id)
     return install_stage(recorder, stage)
 
 
-def install_equivocator(recorder, plan: EquivocationPlan,
-                        obs=None) -> EquivocatingSender:
-    stage = EquivocatingSender(plan,
-                               obs=obs if obs is not None else recorder.obs,
+def install_equivocator(recorder,
+                        plan: EquivocationPlan) -> EquivocatingSender:
+    stage = EquivocatingSender(plan, obs=recorder.obs,
                                recorder_id=recorder.config.node_id)
     return install_stage(recorder, stage)
 
 
 def install_bounded(recorder, max_records: int,
-                    advisory_fraction: float = 0.8,
-                    obs=None) -> BoundedBufferRecorder:
+                    advisory_fraction: float = 0.8) -> BoundedBufferRecorder:
     stage = BoundedBufferRecorder(
         recorder, max_records, advisory_fraction=advisory_fraction,
-        obs=obs if obs is not None else recorder.obs)
+        obs=recorder.obs)
     return install_stage(recorder, stage)
 
 
@@ -372,43 +380,27 @@ def feed_record(record, db, message: Message, stage=None) -> None:
 # the acceptance rig: 2f+1 recorders, quorum replay, a mid-traffic
 # Byzantine window, and a node crash that forces recovery to vote
 # ----------------------------------------------------------------------
-class QuorumScenarioResult:
-    """Everything the CLI / CI gate / tests need from one rig run."""
-
-    def __init__(self, engine, obs, recorders, managers, nodes, quorum,
-                 report: Dict[str, Any]):
-        self.engine = engine
-        self.obs = obs
-        self.recorders = recorders
-        self.managers = managers
-        self.nodes = nodes
-        self.quorum = quorum
-        self.report = report
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.report["ok"])
-
-    def event_stream(self) -> str:
-        return self.obs.bus.to_jsonl()
+#: the rig's schedule (ms of simulated time) and its driver's patience
+_BYZANTINE_AT_MS = 900.0
+_CRASH_AT_MS = 2800.0
+_DEADLINE_MS = 240_000.0
+_SETTLE_MS = 6000.0
 
 
-def run_quorum_scenario(f: int = 1, byzantine: int = 1,
-                        node_count: int = 2, messages: int = 30,
+def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
                         master_seed: int = 1983,
                         modes: Sequence[str] = ("drop", "corrupt",
                                                 "duplicate", "reorder"),
                         rate: float = 0.3, equivocate: bool = False,
-                        byzantine_at_ms: float = 900.0,
-                        crash_at_ms: float = 2800.0,
-                        deadline_ms: float = 240_000.0,
-                        settle_ms: float = 6000.0) -> QuorumScenarioResult:
-    """Run the quorum acceptance scenario.
+                        ) -> Tuple[Any, Dict[str, Any]]:
+    """Run the quorum acceptance scenario; returns the settled
+    :class:`~repro.system.System` and the report dict.
 
-    2f+1 recorders acknowledge all traffic; at ``byzantine_at_ms`` the
+    A two-node :class:`~repro.system.System` with 2f+1 ``replica``
+    recorders (90, 91, ...) acknowledging all traffic; at 900 ms the
     *last* ``byzantine`` recorders turn Byzantine (priority vectors put
-    the honest ones first); at ``crash_at_ms`` the counter's node
-    crashes and its recovery replays through the quorum cursor.
+    the honest ones first); at 2800 ms the counter's node crashes and
+    its recovery replays through the quorum cursor.
 
     ``ok`` means: with ``byzantine <= f`` the workload finished exactly
     and every flagged recorder really was faulty; with ``byzantine >
@@ -417,130 +409,68 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1,
     silent wrong total.
     """
     from repro.chaos.workload import (
-        ChaosCounter, ChaosDriver, expected_total)
-    from repro.demos.costs import CostModel
-    from repro.demos.ids import kernel_pid
-    from repro.demos.kernel import KernelConfig
-    from repro.demos.kernel_process import (
-        KERNEL_PROCESS_IMAGE, KernelProcessProgram)
-    from repro.demos.node import Node
-    from repro.demos.process import ProgramRegistry
-    from repro.net.media import PerfectBroadcast
-    from repro.net.transport import TransportConfig
-    from repro.publishing.multi_recorder import (
-        MultiRecorderCoordinator, PriorityVectors, QuorumReplay)
-    from repro.publishing.recorder import Recorder, RecorderConfig
-    from repro.publishing.recovery_manager import RecoveryManager
-    from repro.sim.engine import Engine
-    from repro.sim.rng import RngStreams
+        CHAOS_COUNTER_IMAGE, CHAOS_DRIVER_IMAGE, expected_total,
+        register_chaos_programs)
+    from repro.system import System, SystemConfig
 
-    if byzantine > 2 * f + 1:
-        raise ValueError("cannot have more faulty recorders than recorders")
     total = 2 * f + 1
-    engine = Engine()
-    medium = PerfectBroadcast(engine, enforce_recorder_ack=True)
-    obs = medium.obs
-    rng = RngStreams(master_seed)
+    if f < 1 or byzantine > total:
+        raise AdversaryConfigError(
+            f"a quorum needs f >= 1 and at most 2f+1 faulty recorders "
+            f"(f={f}, byzantine={byzantine})")
+    system = System(SystemConfig(
+        nodes=2, recorder_node_id=90, recorder_shards=total,
+        placement_policy="replica", master_seed=master_seed))
+    register_chaos_programs(system)
+    system.boot()
+    engine, obs, rng = system.engine, system.obs, system.rng
 
-    registry = ProgramRegistry()
-    registry.register(KERNEL_PROCESS_IMAGE, KernelProcessProgram)
-    registry.register("chaos/counter", ChaosCounter)
-    registry.register("chaos/driver", ChaosDriver)
-
-    recorder_ids = list(range(90, 90 + total))
-    node_ids = list(range(1, node_count + 1))
-    vectors = PriorityVectors({nid: list(recorder_ids)
-                               for nid in node_ids})
-    recorders, managers = [], []
-    for rid in recorder_ids:
-        recorder = Recorder(engine, medium, RecorderConfig(
-            node_id=rid, transport=TransportConfig(per_destination=True)))
-        manager = RecoveryManager(engine, recorder, node_ids=node_ids)
-        manager.coordinator = MultiRecorderCoordinator(engine, manager,
-                                                       vectors)
-        recorders.append(recorder)
-        managers.append(manager)
-    quorum = QuorumReplay(recorders, f=f, obs=obs)
-    for manager in managers:
-        manager.coordinator.quorum = quorum
-
-    nodes = {}
-    for nid in node_ids:
-        config = KernelConfig(publishing=True, recorder_node=recorder_ids[0],
-                              costs=CostModel(),
-                              transport=TransportConfig(
-                                  require_recorder_ack=True))
-        nodes[nid] = Node(engine, nid, medium, config, registry)
-        nodes[nid].boot()
-    for manager in managers:
-        manager.start()
-        manager.node_restarter = lambda nid: engine.schedule(
-            1000.0, nodes[nid].restart)
-    engine.run(until=500.0)
-
-    # -- workload: a counter on the last node, driven from node 1 ------
-    counter_node = node_ids[-1]
-    kp_c = nodes[counter_node].kernel.processes[
-        kernel_pid(counter_node)].program
-    counter_pid = kp_c._allocate(counter_node)
-    nodes[counter_node].kernel.create_process(
-        "chaos/counter", pid=counter_pid,
-        initial_links=kp_c._with_nls(()))
-    kp_d = nodes[node_ids[0]].kernel.processes[
-        kernel_pid(node_ids[0])].program
-    driver_pid = kp_d._allocate(node_ids[0])
-    nodes[node_ids[0]].kernel.create_process(
-        "chaos/driver", args=(tuple(counter_pid), messages),
-        pid=driver_pid, initial_links=kp_d._with_nls(()))
-    engine.run(until=engine.now + 200.0)
+    # -- workload: a counter on node 2, driven from node 1 -------------
+    counter_pid = system.spawn_program(CHAOS_COUNTER_IMAGE, node=2)
+    driver_pid = system.spawn_program(
+        CHAOS_DRIVER_IMAGE, args=(tuple(counter_pid), messages), node=1)
+    system.run(200.0)
 
     # -- the faults -----------------------------------------------------
-    faulty_ids = recorder_ids[total - byzantine:] if byzantine else []
+    faulty = system.recorders[total - byzantine:] if byzantine else []
+    faulty_ids = [recorder.config.node_id for recorder in faulty]
 
     def _arm():
         plan = (EquivocationPlan(rng.stream("adversary/equivocation"),
                                  rate=rate) if equivocate else None)
-        for recorder in recorders:
-            if recorder.config.node_id not in faulty_ids:
-                continue
+        for recorder in faulty:
             install_byzantine(
                 recorder,
                 rng.stream(f"adversary/recorder/{recorder.config.node_id}"),
-                modes=modes, rate=rate, obs=obs)
+                modes=modes, rate=rate)
             if plan is not None:
-                install_equivocator(recorder, plan, obs=obs)
+                install_equivocator(recorder, plan)
         obs.scope("adversary").emit(
             "armed", "campaign", recorders=list(faulty_ids),
             rate=rate, modes=list(modes))
 
-    if faulty_ids:
-        engine.schedule_at(max(byzantine_at_ms, engine.now), _arm)
-    engine.schedule_at(max(crash_at_ms, engine.now),
-                       nodes[counter_node].crash)
+    if faulty:
+        engine.schedule_at(max(_BYZANTINE_AT_MS, engine.now), _arm)
+    engine.schedule_at(max(_CRASH_AT_MS, engine.now), system.crash_node, 2)
 
     # -- drive ----------------------------------------------------------
-    def driver_program():
-        pcb = nodes[node_ids[0]].kernel.processes.get(driver_pid)
-        return pcb.program if pcb is not None else None
-
-    deadline = engine.now + deadline_ms
+    deadline = engine.now + _DEADLINE_MS
     while engine.now < deadline:
-        driver = driver_program()
+        driver = system.program_of(driver_pid)
         if driver is not None and len(driver.replies) >= messages:
             break
-        engine.run(until=engine.now + 250.0)
-    engine.run(until=engine.now + settle_ms)
+        system.run(250.0)
+    system.run(_SETTLE_MS)
 
     # -- judge ----------------------------------------------------------
-    counter_pcb = nodes[counter_node].kernel.processes.get(counter_pid)
-    total_seen = (counter_pcb.program.total
-                  if counter_pcb is not None else -1)
+    counter = system.program_of(counter_pid)
+    total_seen = counter.total if counter is not None else -1
     expected = expected_total(messages)
     exact = total_seen == expected
-    snap = obs.registry.snapshot()
+    snap = system.metrics_snapshot()
     divergences = int(snap.get("quorum.divergences", 0))
     unresolved = int(snap.get("quorum.unresolved", 0))
-    outvoted = sorted(quorum.divergent)
+    outvoted = sorted(system.quorum.divergent)
     flagged_honest = [rid for rid in outvoted if rid not in faulty_ids]
     if byzantine <= f:
         ok = exact and not flagged_honest and unresolved == 0
@@ -552,7 +482,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1,
         "f": f,
         "recorders": total,
         "byzantine": byzantine,
-        "faulty_ids": list(faulty_ids),
+        "faulty_ids": faulty_ids,
         "messages": messages,
         "modes": list(modes),
         "rate": rate,
@@ -566,14 +496,11 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1,
         "quorum_unresolved": unresolved,
         "quorum_stale_skips": int(snap.get("quorum.stale_skips", 0)),
         "outvoted": outvoted,
-        "outvoted_reasons": dict(sorted(quorum.divergent.items())),
+        "outvoted_reasons": dict(sorted(system.quorum.divergent.items())),
         "flagged_honest": flagged_honest,
-        "recoveries_completed": sum(m.stats.recoveries_completed
-                                    for m in managers),
-        "messages_replayed": sum(m.stats.messages_replayed
-                                 for m in managers),
+        "recoveries_completed": snap["recovery.recoveries_completed"],
+        "messages_replayed": snap["recovery.messages_replayed"],
         "sim_ms": engine.now,
         "ok": ok,
     }
-    return QuorumScenarioResult(engine, obs, recorders, managers, nodes,
-                                quorum, report)
+    return system, report

@@ -217,10 +217,18 @@ def check_invariants(system) -> List[InvariantCheck]:
         "nodes_up", not down,
         f"down: {down}" if down else "all processing nodes up"))
 
-    if system.recorder is not None:
+    # Every recorder of the layout is judged, not just the primary; a
+    # lone recorder keeps its bare label.
+    recorders = {
+        ("recorder" if len(system.recorders) == 1
+         else f"recorder{recorder.config.node_id}"): recorder
+        for recorder in system.recorders}
+    if recorders:
+        down = [label for label, recorder in recorders.items()
+                if not recorder.up]
         checks.append(InvariantCheck(
-            "recorder_up", system.recorder.up,
-            "recorder up" if system.recorder.up else "recorder down"))
+            "recorder_up", not down,
+            ", ".join(f"{label} down" for label in down) or "recorder up"))
 
     # No transport may be wedged: with traffic quiesced, every queue
     # (outbound + in-flight) must have drained to zero.
@@ -228,9 +236,9 @@ def check_invariants(system) -> List[InvariantCheck]:
     for node_id, node in sorted(system.nodes.items()):
         if node.up and node.kernel.transport.queue_depth:
             depths[f"node{node_id}"] = node.kernel.transport.queue_depth
-    if system.recorder is not None and system.recorder.up:
-        if system.recorder.transport.queue_depth:
-            depths["recorder"] = system.recorder.transport.queue_depth
+    for label, recorder in recorders.items():
+        if recorder.up and recorder.transport.queue_depth:
+            depths[label] = recorder.transport.queue_depth
     checks.append(InvariantCheck(
         "transports_drained", not depths,
         f"stuck queues: {depths}" if depths else "all queues empty"))
@@ -246,9 +254,9 @@ def check_invariants(system) -> List[InvariantCheck]:
          + (f" ({gateway_dead} gateway custody losses)" if gateway_dead else "")
          if total_dead else "every guaranteed message delivered")))
 
-    if system.recorder is not None:
-        stuck = sorted(str(r.pid) for r in system.recorder.db.live_records()
-                       if r.recovering)
+    if recorders:
+        stuck = sorted({str(r.pid) for recorder in recorders.values()
+                        for r in recorder.db.live_records() if r.recovering})
         checks.append(InvariantCheck(
             "recoveries_settled", not stuck,
             (f"still recovering: {stuck}" if stuck
@@ -349,13 +357,10 @@ def build_report(system, campaign: ChaosCampaign,
             "gossip_outstanding": snapshot.get("gossip.outstanding", 0),
         })
     if system.recovery is not None:
-        stats = system.recovery.stats
-        figures.update({
-            "recoveries_started": stats.recoveries_started,
-            "recoveries_completed": stats.recoveries_completed,
-            "messages_replayed": stats.messages_replayed,
-            "node_crashes_detected": stats.node_crashes_detected,
-        })
+        # the registry's figures: summed over every recorder's manager
+        for name in ("recoveries_started", "recoveries_completed",
+                     "messages_replayed", "node_crashes_detected"):
+            figures[name] = snapshot[f"recovery.{name}"]
     # Adversary / quorum figures appear only when those faults ran, so
     # reports from campaigns that never armed them stay byte-identical.
     if "adversary.faults_injected" in snapshot:

@@ -17,6 +17,7 @@ from repro.cluster.placement import (
     LoadBalancedShardPolicy,
     RangeShardPolicy,
     RecorderShard,
+    ReplicaPolicy,
     placement_priority_vectors,
     policy_from_name,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "LoadBalancedShardPolicy",
     "RangeShardPolicy",
     "RecorderShard",
+    "ReplicaPolicy",
     "bridge",
     "directed_gateways",
     "federation_edges",

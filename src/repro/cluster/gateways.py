@@ -626,10 +626,6 @@ class ClusterFederation:
                 return system
         raise NetworkError(f"node {node_id} is in no cluster")
 
-    def placements(self) -> List[object]:
-        """Each local cluster's shard map (None for unsharded clusters)."""
-        return [system.placement for system in self.clusters]
-
     # ------------------------------------------------------------------
     # cross-cluster recovery (§6.2 autonomous control, sharded)
     # ------------------------------------------------------------------
@@ -684,17 +680,14 @@ class ClusterFederation:
         if recorder is None or not recorder.up or manager is None:
             raise NetworkError(
                 f"cluster {helper} has no live recorder to replay from")
-        # The home shard's database survives on stable storage even
-        # when the recorder process is down (§4.5).
-        if home.placement is not None:
-            home_recorder = home.recorders[
-                home.placement.shard_for(node_id).index]
-        else:
-            home_recorder = home.recorder
-        if home_recorder is None:
+        if not home.recorders:
             raise NetworkError(
                 f"cluster {home.cluster_index} has no recorder database "
                 f"to read process metadata from")
+        # The home shard's database survives on stable storage even
+        # when the recorder process is down (§4.5).
+        home_recorder = home.recorders[
+            home.placement.shard_for(node_id).index]
         home.restart_node(node_id)
         started = 0
         for record in home_recorder.db.processes_on(node_id):

@@ -1,12 +1,15 @@
 """Deterministic recorder placement for clusters and federations.
 
-PR 10 tentpole #2: a cluster may host *several* recorders, each
+A cluster may host *several* recorders, laid out one of two ways: each
 claiming a contiguous range of processing-node ids — the sharded
-analogue of the single §3.3 recorder. Placement is a pure function of
+analogue of the single §3.3 recorder (``range`` / ``balanced``) — or
+each recording the whole cluster, the paper's own §6.3 availability
+extension (``replica``). Placement is a pure function of
 the cluster layout (first node id, node count, shard count), so every
 worker process of the parallel DES, the serial reference engine and
 the capacity model all derive byte-identical shard maps without
-coordination.
+coordination. :class:`~repro.system.System` builds whatever a placement
+lays out; the recorder-layout table is in docs/TUTORIAL.md.
 
 A placement answers three questions:
 
@@ -30,10 +33,11 @@ byte-identical serializations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.digest import canonical_json
 from repro.errors import PlacementError
+from repro.publishing.multi_recorder import PriorityVectors
 
 #: shard 0 of a cluster sits at ``first_node_id + RECORDER_ID_OFFSET``;
 #: shard j at the next id up. With the federation node stride of 100
@@ -87,21 +91,22 @@ class ClusterPlacement:
         return tuple(shard.node_id for shard in self.shards)
 
     @property
-    def primary(self) -> RecorderShard:
-        return self.shards[0]
+    def replicated(self) -> bool:
+        """§6.3: every recorder records every node."""
+        return self.policy == ReplicaPolicy.name
 
-    def is_local_node(self, node_id: int) -> bool:
-        return self.first_node_id <= node_id < self.first_node_id + self.nodes
-
-    def claim_of(self, shard_index: int) -> Callable[[int], bool]:
+    def claim_of(self, shard_index: int) -> Optional[Callable[[int], bool]]:
         """The claim predicate installed on shard ``shard_index``'s
-        recorder (:attr:`repro.publishing.recorder.Recorder.claim`).
+        recorder (:attr:`repro.publishing.recorder.Recorder.claim`);
+        None — claim everything — for a lone recorder and for replicas.
 
         A shard claims destinations inside its own range; the primary
         shard additionally claims every destination *outside* the local
         node range — gateway-bound cross-cluster traffic — so one
         recorder per cluster holds the passive remote replay log.
         """
+        if self.replicated or len(self.shards) == 1:
+            return None
         shard = self.shards[shard_index]
         if shard_index == 0:
             lo, hi = shard.lo, shard.hi
@@ -168,13 +173,17 @@ class RangeShardPolicy:
                 f"[{first_node_id}, {first_node_id + nodes})")
         shards = []
         for j in range(count):
-            lo = first_node_id + j * nodes // count
-            hi = first_node_id + (j + 1) * nodes // count
+            lo, hi = self.span(j, count, nodes)
             shards.append(RecorderShard(index=j, node_id=recorder_base + j,
-                                        lo=lo, hi=hi))
+                                        lo=first_node_id + lo,
+                                        hi=first_node_id + hi))
         return ClusterPlacement(cluster_index=cluster_index,
                                 first_node_id=first_node_id, nodes=nodes,
                                 policy=self.name, shards=tuple(shards))
+
+    def span(self, j: int, count: int, nodes: int) -> Tuple[int, int]:
+        """Shard ``j`` of ``count``'s slice of ``range(nodes)``."""
+        return j * nodes // count, (j + 1) * nodes // count
 
 
 class LoadBalancedShardPolicy(RangeShardPolicy):
@@ -189,12 +198,29 @@ class LoadBalancedShardPolicy(RangeShardPolicy):
         if nodes_per_shard < 1:
             raise PlacementError(
                 f"nodes_per_shard must be positive, got {nodes_per_shard}")
-        super().__init__(shards=max(1, max_shards))
+        super().__init__(shards=max_shards)
         self.nodes_per_shard = nodes_per_shard
 
     def shard_count(self, nodes: int) -> int:
         wanted = (nodes + self.nodes_per_shard - 1) // self.nodes_per_shard
         return max(1, min(self.shards, wanted, nodes))
+
+
+class ReplicaPolicy(RangeShardPolicy):
+    """§6.3's *m* recorders on one medium: every recorder records the
+    whole cluster (no claim filter) and any of them can recover any
+    node, in the order of the node's priority vector. The count is the
+    availability wanted, not a function of the load, so it is not
+    capped by the node count: 2f+1 replicas outvote f Byzantine ones
+    on a two-node cluster."""
+
+    name = "replica"
+
+    def shard_count(self, nodes: int) -> int:
+        return self.shards
+
+    def span(self, j: int, count: int, nodes: int) -> Tuple[int, int]:
+        return 0, nodes
 
 
 def policy_from_name(name: str, shards: int = 1,
@@ -204,9 +230,11 @@ def policy_from_name(name: str, shards: int = 1,
         return RangeShardPolicy(shards=shards)
     if name == "balanced":
         return LoadBalancedShardPolicy(nodes_per_shard=nodes_per_shard,
-                                       max_shards=max(shards, 1))
+                                       max_shards=shards)
+    if name == "replica":
+        return ReplicaPolicy(shards=shards)
     raise PlacementError(f"unknown placement policy {name!r} "
-                             "(expected 'range' or 'balanced')")
+                         "(expected 'range', 'balanced' or 'replica')")
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +244,10 @@ def placement_priority_vectors(placement: ClusterPlacement):
     Every node's priority vector ranks its *owning* shard first, then
     the remaining shards by index — so the multi-recorder claim
     protocol elects the shard that actually holds the node's records,
-    and falls back deterministically when it is down.
+    and falls back deterministically when it is down. Replicas all
+    hold every node's records; ``shard_for`` names the first, so their
+    vectors are the recorders in index order.
     """
-    from repro.publishing.multi_recorder import PriorityVectors
     vectors: Dict[int, List[int]] = {}
     for node in range(placement.first_node_id,
                       placement.first_node_id + placement.nodes):

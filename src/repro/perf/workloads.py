@@ -796,10 +796,9 @@ def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
     # recovery through the shared quorum vote.  Its engine gives the
     # workload real event/sim figures, and folding its totals into the
     # digest pins the end-to-end path, not just the offline vote.
-    rig = run_quorum_scenario(f=1, byzantine=1,
-                              messages=8 if smoke else 30,
-                              master_seed=seed)
-    report = rig.report
+    rig, report = run_quorum_scenario(f=1, byzantine=1,
+                                      messages=8 if smoke else 30,
+                                      master_seed=seed)
     if not report["ok"]:
         raise PerfDivergence(
             "adversary_quorum rig: scenario invariants failed "

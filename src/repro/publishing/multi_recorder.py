@@ -48,17 +48,6 @@ class PriorityVectors:
 
     vectors: Dict[int, List[int]] = field(default_factory=dict)
 
-    @classmethod
-    def from_placement(cls, placement) -> "PriorityVectors":
-        """V_i derived from a sharded-recorder placement
-        (:class:`repro.cluster.placement.ClusterPlacement`): each node
-        ranks its owning shard first, then the remaining shards in
-        index order — so a crashed shard's nodes fail over to the
-        next shard of the same cluster before anything leaves it."""
-        from repro.cluster.placement import placement_priority_vectors
-
-        return placement_priority_vectors(placement)
-
     def for_node(self, node_id: int) -> List[int]:
         try:
             return self.vectors[node_id]
@@ -76,8 +65,9 @@ class PriorityVectors:
 class MultiRecorderCoordinator:
     """The per-recorder side of the §6.3 protocol.
 
-    Wire it to a :class:`RecoveryManager` by assigning it to
-    ``manager.coordinator``; the manager consults :meth:`claim` before
+    Wired to a :class:`RecoveryManager` through ``manager.coordinator``
+    (:class:`~repro.system.System` does it for every recorder of a
+    ``replica`` layout); the manager consults :meth:`claim` before
     recovering a silent node.
     """
 
@@ -392,37 +382,26 @@ class QuorumReplayCursor:
 class QuorumReplay:
     """A 2f+1 recorder ensemble sharing one agreement checker.
 
-    Build one per cluster and hang it on every coordinator
-    (``manager.coordinator.quorum = ensemble``); recoveries then replay
-    through :meth:`cursor` instead of the primary's private log.
+    One per cluster, hung on every coordinator
+    (``manager.coordinator.quorum = ensemble`` — ``System`` does it for
+    three or more replicas); recoveries then replay through
+    :meth:`cursor` instead of the primary's private log.
     """
 
-    def __init__(self, recorders: Sequence, f: Optional[int] = None,
-                 obs=None):
+    def __init__(self, recorders: Sequence):
         self.recorders = list(recorders)
-        if f is None:
-            f = (len(self.recorders) - 1) // 2
-        if len(self.recorders) < 2 * f + 1:
-            raise QuorumDivergenceError(
-                f"{len(self.recorders)} recorders cannot tolerate f={f} "
-                f"faults; need {2 * f + 1}")
-        self.f = f
-        self.obs = obs if obs is not None else (
-            self.recorders[0].obs if self.recorders else None)
+        #: faults outvoted — derived from the count, never configured
+        self.f = (len(self.recorders) - 1) // 2
+        self.obs = self.recorders[0].obs
         #: every recorder ever outvoted, with the first reason
         self.divergent: Dict[int, str] = {}
         self._emitted: Set[Tuple] = set()
-        if self.obs is not None:
-            registry = self.obs.registry
-            self._replays = registry.counter("quorum.replays")
-            self._divergences = registry.counter("quorum.divergences")
-            self._unresolved = registry.counter("quorum.unresolved")
-            self._stale = registry.counter("quorum.stale_skips")
-            self.events = self.obs.scope("quorum")
-        else:                          # offline harness use
-            self._replays = self._divergences = None
-            self._unresolved = self._stale = None
-            self.events = None
+        registry = self.obs.registry
+        self._replays = registry.counter("quorum.replays")
+        self._divergences = registry.counter("quorum.divergences")
+        self._unresolved = registry.counter("quorum.unresolved")
+        self._stale = registry.counter("quorum.stale_skips")
+        self.events = self.obs.scope("quorum")
 
     # ------------------------------------------------------------------
     def cursor(self, primary, record, epoch=None) -> QuorumReplayCursor:
@@ -458,18 +437,14 @@ class QuorumReplay:
 
     # ------------------------------------------------------------------
     def note_replayed(self) -> None:
-        if self._replays is not None:
-            self._replays.inc()
+        self._replays.inc()
 
     def note_stale(self) -> None:
-        if self._stale is not None:
-            self._stale.inc()
+        self._stale.inc()
 
     def note_divergence(self, rid: int, reason: str, pid,
                         first: bool = True, **detail) -> None:
         self.divergent.setdefault(rid, reason)
-        if self._divergences is None:
-            return
         self._divergences.inc()
         key = (rid, pid, reason)
         if key not in self._emitted:
@@ -478,8 +453,6 @@ class QuorumReplay:
                              reason=reason, pid=str(pid), **detail)
 
     def note_unresolved(self, pid, candidates: int) -> None:
-        if self._unresolved is None:
-            return
         self._unresolved.inc()
         self.events.emit("unresolved", str(pid), candidates=candidates)
 
@@ -499,8 +472,8 @@ class QuorumVerdict:
         return not self.divergent and not self.unresolved
 
 
-def quorum_replay_stream(records: Sequence, f: Optional[int] = None,
-                         quorum: Optional[QuorumReplay] = None) -> QuorumVerdict:
+def quorum_replay_stream(records: Sequence,
+                         f: Optional[int] = None) -> QuorumVerdict:
     """Drive a full offline quorum replay over per-recorder records.
 
     ``records`` holds each recorder's :class:`ProcessRecord` for one
@@ -522,7 +495,7 @@ def quorum_replay_stream(records: Sequence, f: Optional[int] = None,
         raise QuorumDivergenceError(
             f"tolerating f={f} faults takes {2 * f + 1} recorder streams; "
             f"got {len(pairs)}")
-    cursor = QuorumReplayCursor(pairs, f=f, live=False, quorum=quorum,
+    cursor = QuorumReplayCursor(pairs, f=f, live=False,
                                 pid=getattr(pairs[0][1], "pid", None))
     stream: List = []
     guard = sum(len(r._seqs) for _, r in pairs if r is not None) * 2 + 16

@@ -359,12 +359,12 @@ def run_adversary(params: Dict[str, Any]) -> Dict[str, Any]:
     With ``byzantine <= f`` the run must land exactly and flag only the
     faulty recorders; beyond f the corruption must be *detected* —
     divergence or unresolved-vote events, never a silent wrong total."""
-    result = run_quorum_scenario(
+    system, report = run_quorum_scenario(
         f=params["f"], byzantine=params["byzantine"],
         messages=params["messages"], master_seed=params["seed"],
         modes=tuple(params["modes"]), rate=params["rate"],
         equivocate=params["equivocate"])
-    return dict(result.report, event_digest=text_digest(result.event_stream()))
+    return dict(report, event_digest=text_digest(system.obs.bus.to_jsonl()))
 
 
 def render_adversary(r: Dict[str, Any]) -> str:

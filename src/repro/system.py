@@ -48,11 +48,22 @@ from repro.publishing.gossip import (
     GossipCoordinator,
     ReceptionLoss,
 )
+from repro.publishing.multi_recorder import (
+    MultiRecorderCoordinator,
+    QuorumReplay,
+)
 from repro.publishing.recorder import Recorder, RecorderConfig
-from repro.publishing.recovery_manager import RecoveryManager
+from repro.publishing.recovery_manager import RecoveryManager, RecoveryStats
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
+
+#: the per-recorder ``recorder.<name>`` / ``recorder.disk_<name>``
+#: computed gauges (publishing.recorder), by the attribute each reads
+_LOG_GAUGES = ("log_bytes", "live_bytes", "segments", "compactions",
+               "segments_retired")
+_DISK_GAUGES = ("busy_ms", "stall_ms", "stall_wait_ms")
+REBOOT_POLICIES = ("restart", "spare", "none")
 
 
 @dataclass
@@ -67,14 +78,16 @@ class SystemConfig:
     #: a key of :data:`repro.net.MEDIA`
     medium: str = "broadcast"
     recorder_node_id: int = 99
-    #: recorder shards (cluster.placement): 1 keeps the single §3.3
+    #: recorders (cluster.placement): 1 keeps the single §3.3
     #: recorder, byte-identical to the pre-sharding behaviour; >1
-    #: splits the node range into contiguous slices, one claim-filtered
-    #: recorder + recovery manager per slice, with shard j attached at
-    #: ``recorder_node_id + j``
+    #: builds one recorder + recovery manager per placed shard, with
+    #: recorder j attached at ``recorder_node_id + j``
     recorder_shards: int = 1
-    #: shard layout policy: "range" (fixed shard count) or "balanced"
-    #: (shard count grows with the node count; see cluster.placement)
+    #: recorder layout policy: "range" (that many claim-filtered
+    #: recorders splitting the node range), "balanced" (as "range",
+    #: the count growing with the node count) or "replica" (§6.3: that
+    #: many recorders each recording everything, priority-vector
+    #: takeover, majority replay from three up; see cluster.placement)
     placement_policy: str = "range"
     master_seed: int = 1983
     costs: CostModel = field(default_factory=CostModel)
@@ -141,6 +154,10 @@ class System:
                  registry: Optional[ProgramRegistry] = None,
                  engine: Optional[Engine] = None):
         self.config = config or SystemConfig()
+        if self.config.reboot_policy not in REBOOT_POLICIES:
+            raise ReproError(
+                f"unknown reboot policy {self.config.reboot_policy!r}; "
+                f"choose from {', '.join(REBOOT_POLICIES)}")
         self.engine = engine or Engine()
         #: set by ClusterFederation when this cluster lives in one —
         #: lets chaos actions reach federation-level subjects (gateways)
@@ -172,15 +189,15 @@ class System:
         self._partitions: List[object] = []
         self.recorder: Optional[Recorder] = None
         self.recovery: Optional[RecoveryManager] = None
-        #: sharded placement (cluster.placement): the shard map plus
-        #: one recorder / recovery manager per shard. With one shard,
-        #: the lists alias [self.recorder] / [self.recovery] and
-        #: ``placement`` stays None — no new metrics, no new ids.
+        #: the recorder layout (cluster.placement) and one recorder /
+        #: recovery manager per placed shard; ``recorder`` / ``recovery``
+        #: are the primary's (index 0)
         self.placement = None
         self.recorders: List[Recorder] = []
         self.recoveries: List[RecoveryManager] = []
-        if self.config.publishing:
-            self._build_recorder()
+        #: the replicas' shared majority vote (three or more replicas)
+        self.quorum: Optional[QuorumReplay] = None
+        self._build_recorders()
         self.nodes: Dict[int, Node] = {}
         first = self.config.first_node_id
         for node_id in range(first, first + self.config.nodes):
@@ -236,48 +253,36 @@ class System:
                 per_destination=True, window=1),
         )
 
-    def _build_recorder(self) -> None:
-        cfg = self.config
-        if cfg.recorder_shards > 1:
-            self._build_recorder_shards()
-            return
-        recorder_config = self._recorder_config(cfg.recorder_node_id)
-        self.recorder = Recorder(self.engine, self.medium, recorder_config,
-                                 obs=self.obs, rng=self.rng)
-        self.recovery = RecoveryManager(
-            self.engine, self.recorder,
-            node_ids=list(range(cfg.first_node_id,
-                                cfg.first_node_id + cfg.nodes)),
-            ping_interval_ms=cfg.watchdog_ping_ms,
-            watchdog_timeout_ms=cfg.watchdog_timeout_ms,
+    def _build_recorders(self) -> None:
+        """Place (cluster.placement), then build one recorder + recovery
+        manager per placed shard. A sharded layout claim-filters each
+        recorder to its slice and has shard 0, the primary — which
+        also claims cross-cluster traffic and receives the kernels'
+        crash reports — dispatch each report to the owning shard's
+        manager. A replicated layout (§6.3) leaves every recorder
+        recording everything and gives each manager a coordinator over
+        the placement's priority vectors; from three replicas up
+        (f >= 1) recoveries replay the cross-recorder majority."""
+        from repro.cluster.placement import (
+            placement_priority_vectors,
+            policy_from_name,
         )
-        self.recorders = [self.recorder]
-        self.recoveries = [self.recovery]
-
-    def _build_recorder_shards(self) -> None:
-        """Sharded placement: several claim-filtered recorders split the
-        node range (cluster.placement), each with its own recovery
-        manager watching only its slice. Shard 0 is the primary — it
-        additionally claims cross-cluster traffic and receives the
-        kernels' crash reports, which it dispatches to the owning
-        shard's manager."""
         cfg = self.config
-        if cfg.gossip:
+        placement = self.placement = policy_from_name(
+            cfg.placement_policy, shards=cfg.recorder_shards).place(
+                cluster_index=0, first_node_id=cfg.first_node_id,
+                nodes=cfg.nodes, recorder_base=cfg.recorder_node_id)
+        if not cfg.publishing:
+            return
+        if len(placement.shards) > 1 and cfg.gossip:
             raise ReproError(
-                "recorder shards and gossip repair are mutually "
+                "several recorders and gossip repair are mutually "
                 "exclusive (the gossip coordinator assumes one recorder)")
-        from repro.cluster.placement import policy_from_name
-        policy = policy_from_name(cfg.placement_policy,
-                                  shards=cfg.recorder_shards)
-        self.placement = policy.place(
-            cluster_index=self.cluster_index or 0,
-            first_node_id=cfg.first_node_id, nodes=cfg.nodes,
-            recorder_base=cfg.recorder_node_id)
-        for shard in self.placement.shards:
+        for shard in placement.shards:
             recorder = Recorder(self.engine, self.medium,
                                 self._recorder_config(shard.node_id),
                                 obs=self.obs, rng=self.rng)
-            recorder.claim = self.placement.claim_of(shard.index)
+            recorder.claim = placement.claim_of(shard.index)
             manager = RecoveryManager(
                 self.engine, recorder,
                 node_ids=list(range(shard.lo, shard.hi)),
@@ -288,23 +293,45 @@ class System:
             self.recoveries.append(manager)
         self.recorder = self.recorders[0]
         self.recovery = self.recoveries[0]
-        # Kernels address crash reports to the primary shard's node id;
-        # route each to the manager owning the crashed pid's range.
-        placement = self.placement
-
-        def _route_process_crashed(control, src_node: int) -> None:
-            pid = ProcessId(*control["pid"])
-            shard = placement.shard_for(pid.node)
-            self.recoveries[shard.index]._on_process_crashed(
-                control, src_node)
-        self.recorder.on_control("process_crashed", _route_process_crashed)
+        if len(self.recorders) == 1:
+            return       # §3.3 as published: no new metrics, no new ids
+        if placement.replicated:
+            vectors = placement_priority_vectors(placement)
+            if len(self.recorders) >= 3:
+                self.quorum = QuorumReplay(self.recorders)
+            for manager in self.recoveries:
+                manager.coordinator = MultiRecorderCoordinator(
+                    self.engine, manager, vectors)
+                manager.coordinator.quorum = self.quorum
+        else:
+            # Kernels address crash reports to the primary shard's node
+            # id; route each to the manager owning the crashed pid.
+            def _route_process_crashed(control, src_node: int) -> None:
+                pid = ProcessId(*control["pid"])
+                shard = placement.shard_for(pid.node)
+                self.recoveries[shard.index]._on_process_crashed(
+                    control, src_node)
+            self.recorder.on_control("process_crashed",
+                                     _route_process_crashed)
         registry = self.obs.registry
         registry.gauge_fn("recorder.placement.shards",
                           lambda: len(self.recorders))
-        for shard in self.placement.shards:
+        for shard in placement.shards:
             registry.gauge_fn(
                 f"recorder.placement.shard.{shard.node_id}.nodes",
                 lambda _s=shard: _s.width)
+        # Every recorder and manager registered these on the one shared
+        # registry and the last registration won; a cluster's figure is
+        # the sum over its recorders.
+        for name in RecoveryStats.FIELDS:
+            registry.gauge_fn(f"recovery.{name}", lambda _n=name: sum(
+                getattr(m.stats, _n) for m in self.recoveries))
+        for name in _LOG_GAUGES:
+            registry.gauge_fn(f"recorder.{name}", lambda _n=name: sum(
+                getattr(r.db.log, _n) for r in self.recorders))
+        for name in _DISK_GAUGES:
+            registry.gauge_fn(f"recorder.disk_{name}", lambda _n=name: sum(
+                getattr(r.disks, _n) for r in self.recorders))
 
     def _build_node(self, node_id: int) -> Node:
         cfg = self.config

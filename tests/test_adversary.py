@@ -263,6 +263,21 @@ def test_unknown_byzantine_mode_rejected():
         ByzantineRecorder(random.Random(1), modes=("gaslight",))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ByzantineRecorder(random.Random(1), modes=("gaslight",)),
+    lambda: BoundedBufferRecorder(make_recorder(), max_records=0),
+    lambda: run_quorum_scenario(f=1, byzantine=4),
+    lambda: run_quorum_scenario(f=0, byzantine=0),
+], ids=["unknown_mode", "zero_cap", "more_faulty_than_recorders",
+        "no_quorum_to_run"])
+def test_adversary_misconfiguration_is_a_typed_error(build):
+    """In the library's tree (``except ReproError`` sees it) and still
+    the ``ValueError`` it always was."""
+    with pytest.raises(ReproError) as error:
+        build()
+    assert isinstance(error.value, ValueError)
+
+
 # ----------------------------------------------------------------------
 # bounded buffers: advisories fire, eviction spares markers/controls
 # ----------------------------------------------------------------------
@@ -406,47 +421,54 @@ class TestAdversaryActions:
 # ----------------------------------------------------------------------
 class TestQuorumScenario:
     def test_fault_free_baseline_exact(self):
-        result = run_quorum_scenario(f=1, byzantine=0, messages=20,
-                                     master_seed=7)
-        r = result.report
+        system, r = run_quorum_scenario(f=1, byzantine=0, messages=20,
+                                        master_seed=7)
         assert r["ok"] and r["exact"], r
         assert r["quorum_divergences"] == 0
         assert r["outvoted"] == []
 
     def test_one_byzantine_of_three_recovers_exactly(self):
-        result = run_quorum_scenario(f=1, byzantine=1, messages=20,
-                                     master_seed=7)
-        r = result.report
+        system, r = run_quorum_scenario(f=1, byzantine=1, messages=20,
+                                        master_seed=7)
         assert r["ok"] and r["exact"], r
         assert r["faults_injected"] > 0
         assert r["outvoted"] == [92]             # only the faulty one
         assert r["flagged_honest"] == []
         # the spine events name the outvoted recorder
-        divergence = [e for e in result.obs.bus.events
+        divergence = [e for e in system.obs.bus.events
                       if e.scope == "quorum" and e.category == "divergence"]
         assert divergence
         assert {e.subject for e in divergence} == {"recorder92"}
 
     def test_equivocating_recorder_outvoted(self):
-        result = run_quorum_scenario(f=1, byzantine=1, messages=20,
-                                     master_seed=11, equivocate=True)
-        r = result.report
+        system, r = run_quorum_scenario(f=1, byzantine=1, messages=20,
+                                        master_seed=11, equivocate=True)
         assert r["ok"] and r["exact"], r
         assert r["outvoted"] == [92]
 
     def test_beyond_f_detected_never_silent(self):
-        result = run_quorum_scenario(f=1, byzantine=2, messages=20,
-                                     master_seed=7)
-        r = result.report
+        system, r = run_quorum_scenario(f=1, byzantine=2, messages=20,
+                                        master_seed=7)
         assert r["ok"], r
         if not r["exact"]:
             assert (r["quorum_divergences"] > 0
                     or r["quorum_unresolved"] > 0)
 
+    def test_two_byzantine_of_five_recover_exactly(self):
+        system, r = run_quorum_scenario(f=2, byzantine=2, messages=20,
+                                        master_seed=7)
+        assert r["recorders"] == 5 and r["faulty_ids"] == [93, 94]
+        assert len(system.recorders) == 5
+        assert system.quorum.f == 2       # derived, not configured
+        assert r["ok"] and r["exact"], r
+        assert r["faults_injected"] > 0
+        assert r["outvoted"] and set(r["outvoted"]) <= {93, 94}
+        assert r["flagged_honest"] == []
+
     def test_two_runs_bit_identical(self):
-        a = run_quorum_scenario(f=1, byzantine=1, messages=15,
-                                master_seed=42)
-        b = run_quorum_scenario(f=1, byzantine=1, messages=15,
-                                master_seed=42)
-        assert a.event_stream() == b.event_stream()
-        assert a.report == b.report
+        a, report_a = run_quorum_scenario(f=1, byzantine=1, messages=15,
+                                          master_seed=42)
+        b, report_b = run_quorum_scenario(f=1, byzantine=1, messages=15,
+                                          master_seed=42)
+        assert a.obs.bus.to_jsonl() == b.obs.bus.to_jsonl()
+        assert report_a == report_b

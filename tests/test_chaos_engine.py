@@ -169,6 +169,26 @@ def test_partition_action_heals_itself_after_duration():
     assert checks["partitions_healed"]
 
 
+@pytest.mark.parametrize("layout, index, label", [
+    ({"recorder_shards": 2}, 1, "recorder100"),
+    ({"recorder_shards": 3, "placement_policy": "replica"}, 2,
+     "recorder101"),
+], ids=["shard_1_of_2", "replica_2_of_3"])
+def test_invariants_judge_every_recorder_not_just_the_primary(
+        layout, index, label):
+    system = System(SystemConfig(nodes=4, **layout))
+    system.boot()
+    checks = {c.name: c for c in check_invariants(system)}
+    assert checks["recorder_up"].ok
+    assert checks["recorder_up"].detail == "recorder up"
+    system.crash_recorder(index)         # ... and never restarted
+    system.run(3000)
+    assert system.recorder.up
+    checks = {c.name: c for c in check_invariants(system)}
+    assert not checks["recorder_up"].ok
+    assert checks["recorder_up"].detail == f"{label} down"
+
+
 # ----------------------------------------------------------------------
 # disk chaos hooks
 # ----------------------------------------------------------------------

@@ -151,24 +151,34 @@ class TestShardedFederationDigests:
         assert first["per_cluster"] == second["per_cluster"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known gap (docs/OBSERVABILITY.md): every shard registers recovery.* "
-    "and recorder.log_bytes/... through gauge_fn on the shared registry, "
-    "so the last shard wins; fixing it moves the committed "
-    "federation_scaling grid digests"))
-def test_sharded_snapshot_sums_every_shard():
+def _assert_snapshot_sums_every_recorder(layout):
+    """Every recorder and manager registers ``recorder.*`` /
+    ``recovery.*`` gauges on the one shared registry; the snapshot must
+    report the cluster's sum, not whichever registered last."""
     from repro.chaos import ChaosCampaign, CrashNode, run_scenario
 
     result = run_scenario(ChaosCampaign([CrashNode(2000.0, node=2)]),
-                          nodes=4, config_overrides={"recorder_shards": 2})
+                          nodes=4, config_overrides=layout)
     assert result.ok
     system = result.system
     completed = [m.stats.recoveries_completed for m in system.recoveries]
     assert sum(completed) > 0
     snapshot = system.metrics_snapshot()
     assert snapshot["recovery.recoveries_completed"] == sum(completed)
-    assert snapshot["recorder.log_bytes"] == sum(
-        recorder.db.log.log_bytes for recorder in system.recorders)
+    logs = [recorder.db.log.log_bytes for recorder in system.recorders]
+    assert all(logs)                  # no single recorder holds the sum
+    assert snapshot["recorder.log_bytes"] == sum(logs)
+    assert snapshot["recorder.disk_busy_ms"] == sum(
+        recorder.disks.busy_ms for recorder in system.recorders)
+
+
+def test_sharded_snapshot_sums_every_shard():
+    _assert_snapshot_sums_every_recorder({"recorder_shards": 2})
+
+
+def test_replicated_snapshot_sums_every_replica():
+    _assert_snapshot_sums_every_recorder(
+        {"recorder_shards": 3, "placement_policy": "replica"})
 
 
 # ----------------------------------------------------------------------

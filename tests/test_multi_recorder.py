@@ -3,75 +3,42 @@ priority-vector recovery coordination, and takeover on recorder death."""
 
 import pytest
 
-from repro.demos.costs import CostModel
-from repro.demos.ids import ProcessId, kernel_pid
-from repro.demos.kernel import KernelConfig
-from repro.demos.links import Link
-from repro.demos.node import Node
-from repro.demos.process import ProgramRegistry
-from repro.net.media import PerfectBroadcast
-from repro.net.transport import TransportConfig
-from repro.publishing.multi_recorder import MultiRecorderCoordinator, PriorityVectors
-from repro.publishing.recorder import Recorder, RecorderConfig
-from repro.publishing.recovery_manager import RecoveryManager
-from repro.sim.engine import Engine
+from repro import System, SystemConfig
+from repro.publishing.multi_recorder import PriorityVectors
 from repro.errors import RecoveryError
 
-from conftest import CounterProgram, DriverProgram
+from conftest import expected_totals, register_test_programs
 
 
-def build_dual_recorder_system():
-    """Two recorders (90, 91), two nodes (1, 2), full publishing."""
-    engine = Engine()
-    medium = PerfectBroadcast(engine, enforce_recorder_ack=True)
-    registry = ProgramRegistry()
-    from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE, KernelProcessProgram
-    registry.register(KERNEL_PROCESS_IMAGE, KernelProcessProgram)
-    registry.register("test/counter", CounterProgram)
-    registry.register("test/driver", DriverProgram)
-
-    recorders = []
-    managers = []
-    vectors = PriorityVectors({1: [90, 91], 2: [91, 90]})
-    for recorder_id in (90, 91):
-        config = RecorderConfig(node_id=recorder_id,
-                                transport=TransportConfig(per_destination=True))
-        recorder = Recorder(engine, medium, config)
-        manager = RecoveryManager(engine, recorder, node_ids=[1, 2])
-        manager.coordinator = MultiRecorderCoordinator(engine, manager, vectors)
-        recorders.append(recorder)
-        managers.append(manager)
-
-    nodes = {}
-    for node_id in (1, 2):
-        kernel_config = KernelConfig(publishing=True, recorder_node=90,
-                                     costs=CostModel(),
-                                     transport=TransportConfig(
-                                         require_recorder_ack=True))
-        nodes[node_id] = Node(engine, node_id, medium, kernel_config, registry)
-        nodes[node_id].boot()
-
-    for manager in managers:
-        manager.start()
-        manager.node_restarter = lambda nid: engine.schedule(
-            1000.0, nodes[nid].restart)
-    engine.run(until=500.0)
-    return engine, medium, recorders, managers, nodes, registry
+def build_dual_recorder_system(recorders=2, node_2_ranks=(91, 90)):
+    """Replicated recorders (90, 91, ...), two nodes (1, 2), full
+    publishing — through the one builder. The placement ranks the
+    recorders by index for every node; node 2's vector is overridden
+    unless ``node_2_ranks`` is None (the coordinators share the one
+    vectors object)."""
+    system = System(SystemConfig(nodes=2, recorder_node_id=90,
+                                 recorder_shards=recorders,
+                                 placement_policy="replica"))
+    register_test_programs(system)
+    if node_2_ranks is not None:
+        system.recovery.coordinator.vectors.vectors[2] = list(node_2_ranks)
+    system.boot()
+    return system
 
 
-def spawn_pair(engine, nodes, n=30):
+def spawn_pair(system, n=30):
     """A counter on node 2 driven from node 1."""
-    k2, k1 = nodes[2].kernel, nodes[1].kernel
-    kp2 = k2.processes[kernel_pid(2)].program
-    counter_pid = kp2._allocate(2)
-    k2.create_process("test/counter", pid=counter_pid,
-                      initial_links=kp2._with_nls(()))
-    kp1 = k1.processes[kernel_pid(1)].program
-    driver_pid = kp1._allocate(1)
-    k1.create_process("test/driver", args=(tuple(counter_pid), n),
-                      pid=driver_pid, initial_links=kp1._with_nls(()))
-    engine.run(until=engine.now + 200)
+    counter_pid = system.spawn_program("test/counter", node=2)
+    driver_pid = system.spawn_program("test/driver",
+                                      args=(tuple(counter_pid), n), node=1)
+    system.run(200)
     return counter_pid, driver_pid
+
+
+def run_until(system, done, deadline_ms):
+    deadline = system.engine.now + deadline_ms
+    while system.engine.now < deadline and not done():
+        system.run(1000)
 
 
 class TestPriorityVectors:
@@ -92,68 +59,84 @@ class TestPriorityVectors:
 
 class TestDualRecorders:
     def test_both_recorders_record_everything(self):
-        engine, medium, recorders, managers, nodes, _ = \
-            build_dual_recorder_system()
-        counter_pid, driver_pid = spawn_pair(engine, nodes, n=10)
-        engine.run(until=engine.now + 10_000)
-        rec_a = recorders[0].db.get(counter_pid)
-        rec_b = recorders[1].db.get(counter_pid)
+        system = build_dual_recorder_system()
+        counter_pid, driver_pid = spawn_pair(system, n=10)
+        system.run(10_000)
+        rec_a = system.recorders[0].db.get(counter_pid)
+        rec_b = system.recorders[1].db.get(counter_pid)
         assert rec_a is not None and rec_b is not None
         assert len(rec_a.arrivals) == len(rec_b.arrivals) == 10
 
     def test_top_priority_recorder_recovers_node(self):
-        engine, medium, recorders, managers, nodes, _ = \
-            build_dual_recorder_system()
-        counter_pid, driver_pid = spawn_pair(engine, nodes, n=60)
-        engine.run(until=engine.now + 1000)
-        nodes[2].crash()
+        system = build_dual_recorder_system()
+        managers = system.recoveries
+        counter_pid, driver_pid = spawn_pair(system, n=60)
+        system.run(1000)
+        system.crash_node(2)
         # Node 2's vector is [91, 90]: recorder 91 should do the work.
-        deadline = engine.now + 120_000
-        while engine.now < deadline:
-            pcb = nodes[2].kernel.processes.get(counter_pid)
-            if pcb is not None and pcb.state.value == "running":
-                break
-            engine.run(until=engine.now + 1000)
-        assert nodes[2].kernel.processes[counter_pid].state.value == "running"
+        run_until(system,
+                  lambda: system.process_state(counter_pid) == "running",
+                  120_000)
+        assert system.process_state(counter_pid) == "running"
         assert managers[1].stats.recoveries_completed >= 1
         assert managers[0].coordinator.offers_sent >= 1
         assert managers[0].stats.recoveries_completed == 0
 
     def test_lower_priority_takes_over_when_top_is_dead(self):
-        engine, medium, recorders, managers, nodes, _ = \
-            build_dual_recorder_system()
-        counter_pid, driver_pid = spawn_pair(engine, nodes, n=60)
-        engine.run(until=engine.now + 1000)
+        system = build_dual_recorder_system()
+        managers = system.recoveries
+        counter_pid, driver_pid = spawn_pair(system, n=60)
+        system.run(1000)
         # Kill recorder 91 — the top-priority recorder for node 2. The
         # survivor (90) must supply its acknowledgements and recover.
-        recorders[1].crash()
-        managers[1].stop()
-        nodes[2].crash()
-        deadline = engine.now + 180_000
-        while engine.now < deadline:
-            pcb = nodes[2].kernel.processes.get(counter_pid)
-            if pcb is not None and pcb.state.value == "running":
-                break
-            engine.run(until=engine.now + 1000)
-        assert nodes[2].kernel.processes[counter_pid].state.value == "running"
+        system.crash_recorder(1)
+        system.crash_node(2)
+        run_until(system,
+                  lambda: system.process_state(counter_pid) == "running",
+                  180_000)
+        assert system.process_state(counter_pid) == "running"
         assert managers[0].coordinator.takeovers >= 1
         assert managers[0].stats.recoveries_completed >= 1
 
+    def test_next_recorder_in_the_vector_takes_over_a_dead_primary(self):
+        """§6.3 takeover from a `SystemConfig`: the primary (90, the
+        recorder every kernel addresses) is down when the counter's
+        node fails; 91 and 92 offer the job up the placement's vector
+        [90, 91, 92], 90 stays silent, 91 takes over, and the workload
+        lands exactly."""
+        system = build_dual_recorder_system(recorders=3, node_2_ranks=None)
+        vectors = system.recovery.coordinator.vectors
+        assert vectors.for_node(2) == [90, 91, 92]
+        managers = system.recoveries
+        counter_pid, driver_pid = spawn_pair(system, n=40)
+        system.run(600)
+        system.crash_recorder(0)
+        system.crash_node(2)
+        run_until(system,
+                  lambda: len(system.program_of(driver_pid).replies) >= 40,
+                  180_000)
+        assert system.program_of(driver_pid).replies == expected_totals(40)
+        assert system.program_of(counter_pid).total == sum(range(1, 41))
+        assert managers[1].coordinator.takeovers >= 1
+        assert managers[1].stats.recoveries_completed >= 1
+        assert managers[0].stats.recoveries_completed == 0
+        assert managers[2].stats.recoveries_completed == 0
+        assert not system.dead_letters
+
     def test_one_recorder_miss_blocks_frame_for_everyone(self):
-        engine, medium, recorders, managers, nodes, _ = \
-            build_dual_recorder_system()
+        system = build_dual_recorder_system()
         # Corrupt the next data frame at recorder 91 only.
-        medium.faults.corrupt_next(
+        system.faults.corrupt_next(
             lambda f, node: node == 91 and f.kind.value == "data")
-        counter_pid, driver_pid = spawn_pair(engine, nodes, n=5)
-        engine.run(until=engine.now + 30_000)
+        counter_pid, driver_pid = spawn_pair(system, n=5)
+        system.run(30_000)
         # Retransmission healed it: both recorders hold identical logs.
-        rec_a = recorders[0].db.get(counter_pid)
-        rec_b = recorders[1].db.get(counter_pid)
+        rec_a = system.recorders[0].db.get(counter_pid)
+        rec_b = system.recorders[1].db.get(counter_pid)
         a_ids = [lm.message.msg_id for lm in rec_a.arrivals]
         b_ids = [lm.message.msg_id for lm in rec_b.arrivals]
         assert a_ids == b_ids
-        driver = nodes[1].kernel.processes[driver_pid].program
+        driver = system.program_of(driver_pid)
         assert len(driver.replies) == 5
 
 
@@ -161,24 +144,20 @@ def test_crashed_recorder_window_is_counted_not_silent():
     """Bugfix regression: while recorder 91 is down, the survivor keeps
     publish acks flowing (no wedge) but every missing copy is tallied —
     the outage window is observable, never silently 'stored'."""
-    engine, medium, recorders, managers, nodes, _ = \
-        build_dual_recorder_system()
-    counter_pid, driver_pid = spawn_pair(engine, nodes, n=40)
-    engine.run(until=engine.now + 800)
-    recorders[1].crash()
-    managers[1].stop()
+    system = build_dual_recorder_system()
+    medium = system.medium
+    counter_pid, driver_pid = spawn_pair(system, n=40)
+    system.run(800)
+    system.crash_recorder(1)
     before = medium.stats.recorder_copies_missed.value
-    deadline = engine.now + 180_000
-    while engine.now < deadline:
-        driver = nodes[1].kernel.processes.get(driver_pid)
-        if driver is not None and len(driver.program.replies) >= 40:
-            break
-        engine.run(until=engine.now + 1000)
-    driver = nodes[1].kernel.processes[driver_pid].program
+    run_until(system,
+              lambda: len(system.program_of(driver_pid).replies) >= 40,
+              180_000)
+    driver = system.program_of(driver_pid)
     assert len(driver.replies) == 40            # traffic never wedged
     assert medium.stats.recorder_copies_missed.value > before
     # and the survivor's log is complete for the whole window
-    record = recorders[0].db.get(counter_pid)
+    record = system.recorders[0].db.get(counter_pid)
     seqs = sorted(lm.message.msg_id.seq for lm in record.arrivals
                   if not lm.message.deliver_to_kernel)
     assert seqs == sorted(set(seqs))            # no duplicates either

@@ -150,3 +150,115 @@ class TestCheckpointPolicyConfig:
         counter_pid, _ = run_counter_scenario(system, n=100)
         system.run(15_000)
         assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 2
+
+
+# ----------------------------------------------------------------------
+# recorder layouts: one builder, every layout (docs/TUTORIAL.md table)
+# ----------------------------------------------------------------------
+class TestRecorderLayouts:
+    def test_one_recorder_is_the_paper_as_published(self):
+        system = System(SystemConfig(nodes=2))
+        assert system.placement.recorder_ids() == (99,)
+        assert system.recorders == [system.recorder]
+        assert system.recorder.claim is None
+        assert system.recovery.coordinator is None and system.quorum is None
+        assert not [name for name in system.metrics_snapshot()
+                    if name.startswith(("recorder.placement.", "quorum."))]
+
+    def test_replicas_all_claim_everything_and_rank_by_index(self):
+        system = System(SystemConfig(nodes=2, recorder_node_id=90,
+                                     recorder_shards=3,
+                                     placement_policy="replica"))
+        assert system.placement.recorder_ids() == (90, 91, 92)
+        assert [r.claim for r in system.recorders] == [None] * 3
+        assert [m.node_ids for m in system.recoveries] == [[1, 2]] * 3
+        vectors = system.recovery.coordinator.vectors
+        assert all(m.coordinator.vectors is vectors
+                   and m.coordinator.quorum is system.quorum
+                   for m in system.recoveries)
+        assert vectors.for_node(1) == vectors.for_node(2) == [90, 91, 92]
+        assert system.quorum.f == 1
+        assert system.metrics_snapshot()["recorder.placement.shards"] == 3
+
+    def test_two_replicas_coordinate_without_a_vote(self):
+        # f is derived from the count: (2 - 1) // 2 == 0, and a vote
+        # nobody can lose is not held
+        system = System(SystemConfig(nodes=2, recorder_node_id=90,
+                                     recorder_shards=2,
+                                     placement_policy="replica"))
+        assert system.quorum is None
+        assert all(m.coordinator is not None and m.coordinator.quorum is None
+                   for m in system.recoveries)
+
+    @pytest.mark.parametrize("overrides", [
+        {"reboot_policy": "sapre"},
+        {"placement_policy": "bogus"},
+        {"recorder_shards": 0},
+        {"recorder_shards": 0, "placement_policy": "balanced"},
+        {"recorder_shards": 2, "gossip": True},
+        {"recorder_shards": 2, "placement_policy": "replica", "gossip": True},
+    ], ids=["reboot_policy", "placement_policy", "zero_recorders",
+            "zero_recorders_balanced", "shards_with_gossip",
+            "replicas_with_gossip"])
+    def test_mistyped_layouts_and_policies_are_rejected(self, overrides):
+        with pytest.raises(ReproError):
+            System(SystemConfig(nodes=2, **overrides))
+
+    def test_layout_names_are_checked_without_a_recorder_too(self):
+        from repro.errors import PlacementError
+        with pytest.raises(PlacementError):
+            System(SystemConfig(nodes=2, publishing=False,
+                                placement_policy="bogus"))
+
+    @pytest.mark.parametrize("crash", ["node", "process"])
+    @pytest.mark.parametrize("nodes, layout", [
+        (3, {}),
+        (4, {"recorder_shards": 2}),
+        (17, {"recorder_shards": 2, "placement_policy": "balanced"}),
+        (3, {"recorder_shards": 3, "placement_policy": "replica"}),
+    ], ids=["one", "range_x2", "balanced", "replica_x3"])
+    def test_every_layout_recovers_the_workload_exactly(self, nodes, layout,
+                                                        crash):
+        """The layout axis of the recovery oracle: whatever lays the
+        recorders out, a crashed node or process comes back and every
+        counter lands on 1+2+...+n."""
+        from repro.chaos import (ChaosCampaign, CrashNode, CrashProcess,
+                                 run_scenario)
+
+        # pair 0's counter is the first process spawned on node 2
+        action = (CrashNode(2000.0, node=2) if crash == "node"
+                  else CrashProcess(2000.0, pid=(2, 1)))
+        campaign = ChaosCampaign([action])
+        result = run_scenario(campaign, nodes=nodes, pairs=2, messages=30,
+                              config_overrides=dict(layout))
+        assert result.pairs[0][1] == (2, 1) and campaign.injected == 1
+        system = result.system
+        assert len(system.recorders) == layout.get("recorder_shards", 1)
+        checks = {c.name: (c.ok, c.detail) for c in result.report.invariants}
+        for name in ("workload_exact", "no_dead_letters",
+                     "transports_drained"):
+            assert checks[name][0], checks[name]
+        assert result.ok, result.report.format()
+        assert result.report.figures["recoveries_completed"] >= 1
+
+
+def test_clusters_are_built_in_system_and_nowhere_else():
+    """One way to stand up a cluster: under ``src/`` the recorder, its
+    recovery manager, the §6.3 coordinator and the processing node are
+    constructed by ``System`` only."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    builders = {"Recorder", "RecoveryManager", "MultiRecorderCoordinator",
+                "Node"}
+    calls = set()
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in builders:
+                    calls.add((path.relative_to(root).as_posix(), name))
+    assert calls == {("system.py", name) for name in builders}
