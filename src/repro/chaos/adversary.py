@@ -44,14 +44,13 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
-from repro.errors import ReproError
+from repro.errors import ConfigError
 
 
-class AdversaryConfigError(ReproError, ValueError):
+class AdversaryConfigError(ConfigError):
     """An adversary stage or the quorum rig was given a value outside
     its domain (an unknown Byzantine mode, a non-positive cap, f < 1,
-    more faulty recorders than recorders). Also a ``ValueError``,
-    which is what it is."""
+    more faulty recorders than recorders)."""
 
 
 #: the fault repertoire of a ByzantineRecorder stage
@@ -360,20 +359,11 @@ def install_bounded(recorder, max_records: int,
 def feed_record(record, db, message: Message, stage=None) -> None:
     """Deliver one message into a recorder database through an optional
     adversary stage — the engine-less analog of
-    ``Recorder.observe_delivery`` the differential harness and the perf
-    workload both use."""
-    if stage is None or message.recovery_marker:
-        record.confirm_message(message, db.allocate_arrival_index())
-        return
-    for replacement, forced in stage.deliveries(message):
-        index = db.allocate_arrival_index()
-        if forced:
-            lm = record.force_append(replacement, index)
-        else:
-            if not record.confirm_message(replacement, index):
-                continue
-            lm = record._live[-1]
-        stage.note_confirmed(lm)
+    ``Recorder.observe_delivery``, through the same door
+    (:meth:`~repro.publishing.database.RecorderDatabase.deliver`); the
+    differential harness and the perf workload both use it."""
+    for _ in db.deliver(message, lambda _message: record, stage):
+        pass
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 
 @dataclass
 class CostModel:
@@ -69,7 +71,7 @@ class CostModel:
             if published:
                 cost += self.net_protocol_recv_cpu_ms
         else:
-            raise ValueError(f"side must be 'send' or 'recv', got {side!r}")
+            raise ConfigError(f"side must be 'send' or 'recv', got {side!r}")
         return cost
 
     def publish_cpu_ms(self, path: str = "inlined") -> float:
@@ -82,6 +84,6 @@ class CostModel:
         try:
             return paths[path]
         except KeyError:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown publish path {path!r}; expected one of {sorted(paths)}"
             ) from None

@@ -23,6 +23,7 @@ from typing import Any, Dict, NamedTuple, Optional
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
+from repro.errors import ConfigError
 from repro.net.frames import WireImage, register_payload
 
 # Messages are the highest-volume allocation in a busy simulation, so
@@ -87,7 +88,7 @@ class Message(WireImage):
     def check_size(size_bytes: int) -> None:
         """Refuse a body size no message, built or not, may have."""
         if not 0 < size_bytes <= MAX_BODY_BYTES:
-            raise ValueError(
+            raise ConfigError(
                 f"message body must be 1..{MAX_BODY_BYTES} bytes, "
                 f"got {size_bytes}")
 

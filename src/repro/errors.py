@@ -31,6 +31,19 @@ class EncodingError(ReproError, TypeError):
     """
 
 
+class ConfigError(ReproError, ValueError):
+    """A model, cost table, message or component was built with a
+    value outside its domain (a size or rate out of range, an unknown
+    side or path name, masses that do not sum to one, a payload tag
+    already taken). Also a ``ValueError``, which is what it is."""
+
+
+class MetricKindError(ReproError, TypeError):
+    """A metric name was asked for as one kind (counter, gauge,
+    histogram) after being registered as another. Also a ``TypeError``,
+    which is what it is."""
+
+
 class KernelError(ReproError):
     """A DEMOS kernel call failed in a way the caller cannot recover from.
 
@@ -55,7 +68,7 @@ class RecorderError(ReproError):
 class RecordCorruptionError(RecorderError):
     """A logged record failed its checksum on a verified read.
 
-    Raised by :class:`repro.publishing.store.ReplayCursor` when opened
+    Raised by :class:`repro.publishing.database.ReplayCursor` when opened
     with ``verify=True``; the cursor position has already advanced past
     the bad record, so callers may skip it and keep reading.
     """

@@ -39,7 +39,7 @@ from operator import attrgetter, itemgetter
 from struct import pack
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.errors import EncodingError
+from repro.errors import ConfigError, EncodingError
 
 #: Destination id meaning "every attached interface".
 BROADCAST = -1
@@ -140,12 +140,12 @@ def register_payload(tag: str):
     A frozen dataclass that inherits :class:`WireImage` keeps its image.
     """
     if not (tag.isascii() and tag.isidentifier()):
-        raise ValueError(f"payload tag must be an ASCII identifier: {tag!r}")
+        raise ConfigError(f"payload tag must be an ASCII identifier: {tag!r}")
     header = b"@%b;" % tag.encode("ascii")
 
     def register(cls: type) -> type:
         if any(header == entry[0] for entry in _PAYLOAD_CLASSES.values()):
-            raise ValueError(f"payload tag {tag!r} is already registered")
+            raise ConfigError(f"payload tag {tag!r} is already registered")
         if dataclasses.is_dataclass(cls):
             names = [f.name for f in dataclasses.fields(cls)]
             fields = attrgetter(*names)
@@ -159,7 +159,7 @@ def register_payload(tag: str):
             fields = None
             frozen = True
         else:
-            raise TypeError(f"{cls.__qualname__} is neither a dataclass "
+            raise EncodingError(f"{cls.__qualname__} is neither a dataclass "
                             f"nor a NamedTuple")
         nature = (_MUTABLE if not frozen
                   else _KEEPS_IMAGE if issubclass(cls, WireImage) else _PLAIN)
@@ -356,7 +356,7 @@ class Frame:
                  checksum: Optional[int] = None,
                  recorder_acked: bool = False):
         if size_bytes <= 0:
-            raise ValueError(f"frame size must be positive, got {size_bytes}")
+            raise ConfigError(f"frame size must be positive, got {size_bytes}")
         self.kind = kind
         self.src_node = src_node
         self.dst_node = dst_node

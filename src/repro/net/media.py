@@ -83,7 +83,7 @@ class NetworkInterface:
         self.on_frame = on_frame
         self.is_recorder = is_recorder
         self.on_delivered = on_delivered
-        #: extra destinations this station claims (gateways, §6.2)
+        self.medium: Optional["Medium"] = None
         self.accept_extra = accept_extra
         #: recorder-only: invoked when the medium observes a data frame
         #: being successfully received by its destination — the §4.4.1
@@ -91,8 +91,22 @@ class NetworkInterface:
         #: the true reception order at the nodes
         self.on_delivery = None
         self.up = True
-        self.medium: Optional["Medium"] = None
         self.attach_order = 0       # position on the medium, set by attach
+
+    @property
+    def accept_extra(self) -> Optional[Callable[[int], bool]]:
+        """Extra destinations this station claims (gateways, §6.2).
+        The medium reads it once, at ``attach``, so it can be set only
+        while the station is off the medium."""
+        return self._accept_extra
+
+    @accept_extra.setter
+    def accept_extra(self, claims: Optional[Callable[[int], bool]]) -> None:
+        if self.medium is not None:
+            raise NetworkError(
+                f"station {self.node_id} is attached: accept_extra is read "
+                "at attach and a later assignment would be ignored")
+        self._accept_extra = claims
 
     def send(self, frame: Frame) -> None:
         """Hand a frame to the attached medium for transmission."""

@@ -24,6 +24,8 @@ import json
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.errors import MetricKindError
+
 
 class Counter:
     """A monotonically increasing total (ints or float milliseconds)."""
@@ -161,7 +163,7 @@ class MetricsRegistry:
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, kind):
-                raise TypeError(
+                raise MetricKindError(
                     f"metric {name!r} is a {type(existing).__name__}, "
                     f"not a {kind.__name__}")
             return existing

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional
 from repro.demos.ids import ProcessId
 from repro.demos.kernel import MessageKernel
 from repro.demos.process import ProcessControlRecord
+from repro.errors import ConfigError
 from repro.publishing.recovery_time import RecoveryTimeModel
 
 
@@ -39,7 +40,7 @@ def young_interval(save_time: float, mtbf: float) -> float:
     failures, in any consistent unit.
     """
     if save_time <= 0 or mtbf <= 0:
-        raise ValueError("save time and MTBF must be positive")
+        raise ConfigError("save time and MTBF must be positive")
     return math.sqrt(2.0 * save_time * mtbf)
 
 

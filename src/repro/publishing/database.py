@@ -24,36 +24,44 @@ Two reconstruction problems are solved here:
   arrival positions (§4.4.3: "their ordering is preserved with respect
   to all other messages").
 
-Storage is the log-structured engine of :mod:`repro.publishing.store`:
-all processes' records append into one shared
-:class:`~repro.publishing.store.SegmentedLog`; each
-:class:`ProcessRecord` keeps a per-process index (the sequence numbers
-of its records, with sparse ``(arrival_index, position)`` anchors) so
-:meth:`messages_to_replay` and :meth:`consumed_ids` cost O(records
-replayed), and checkpoint invalidation drives segment retirement and
-the §4.5 compaction pass instead of holding dead records forever.
+**Where a logged record lives and how it is found** is decided here
+and nowhere else. It lives in one place, its process's arrival-ordered
+view :attr:`ProcessRecord._live` — §4.5's "list of ids of messages
+received by the process" — which drops its dead entries wholesale once
+half of them are dead, so it holds at most 2× the live records. It is
+found by walking that view: :meth:`~ProcessRecord.messages_to_replay`,
+:attr:`~ProcessRecord.arrivals`, :meth:`~ProcessRecord.first_valid_id`
+and :class:`ReplayCursor` are reads of it, each O(records replayed).
+It gets there one way: :meth:`RecorderDatabase.deliver` takes a
+confirmed delivery to :meth:`ProcessRecord.record_message`. The shared
+:class:`~repro.publishing.store.SegmentedLog` numbers and checksums
+every record and keeps the modeled disk's accounting — §4.5's "list of
+disk pages" — so checkpoint invalidation still drives segment
+retirement and the §4.5 compaction pass; it holds no record.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional, Set,
+                    Tuple)
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
 from repro.demos.messages import Message
-from repro.errors import RecorderError
-from repro.publishing.store import ANCHOR_EVERY, ReplayCursor, SegmentedLog
+from repro.errors import RecordCorruptionError, RecorderError
+from repro.publishing.store import SegmentedLog, payload_digest
 
 
 class LoggedMessage:
     """One published message in a process's stream.
 
-    Lives inside a :class:`~repro.publishing.store.SegmentedLog`
-    segment; flipping :attr:`invalid` routes through the owning record
-    so live-byte accounting and segment GC stay exact no matter who
-    performs the invalidation.
+    Lives in its :class:`ProcessRecord`'s view, numbered and accounted
+    for by the :class:`~repro.publishing.store.SegmentedLog`; flipping
+    :attr:`invalid` routes through the owning record so live-byte
+    accounting and segment GC stay exact no matter who performs the
+    invalidation — once: a repeat is ignored, a re-validation refused.
     """
 
     __slots__ = ("message", "arrival_index", "_invalid", "seq", "_record",
@@ -95,6 +103,65 @@ class LoggedMessage:
     def __repr__(self) -> str:    # pragma: no cover - debugging aid
         return (f"LoggedMessage({self.message!r}, {self.arrival_index}, "
                 f"invalid={self._invalid})")
+
+
+class ReplayCursor:
+    """Iterates one process's surviving records in arrival order.
+
+    The cursor walks the record's view remembering, beside its
+    position, the last *sequence number* it passed — so it stays
+    correct while new records append and while a prune drops dead ones
+    from under it: when the entry before its position is no longer the
+    record it passed, it finds its place again by bisecting the view
+    (append order, so ascending) on ``seq``. It starts at the first
+    valid record; ``next()`` returns each surviving record once (valid
+    or not — the §4.4.3 replay loop decides what to skip, and the
+    quorum vote must see an invalidated head to know a checkpoint
+    covers it) and None when it has caught up with the head of the log.
+
+    With ``verify=True`` every returned record is re-checksummed against
+    the digest stamped at append time; a mismatch raises
+    :class:`~repro.errors.RecordCorruptionError` *after* the cursor has
+    advanced past the bad record, so a caller may catch, count, and keep
+    reading — a mangled record is never silently yielded.
+    """
+
+    __slots__ = ("_record", "_pos", "_last_seq", "_verify")
+
+    def __init__(self, record: "ProcessRecord", verify: bool = False):
+        live = record._live
+        pos = 0
+        while pos < len(live) and live[pos]._invalid:
+            pos += 1
+        self._record = record
+        self._pos = pos               # index into the record's view
+        self._last_seq = live[pos - 1].seq if pos else -1
+        self._verify = verify
+
+    def next(self) -> Optional[LoggedMessage]:
+        live = self._record._live
+        pos = self._pos
+        last_seq = self._last_seq
+        if pos and (pos > len(live) or live[pos - 1].seq != last_seq):
+            # pruned since the last call: the first record past last_seq
+            pos, hi = 0, len(live)
+            while pos < hi:
+                mid = (pos + hi) // 2
+                if live[mid].seq <= last_seq:
+                    pos = mid + 1
+                else:
+                    hi = mid
+        if pos == len(live):
+            self._pos = pos
+            return None
+        lm = live[pos]
+        self._pos = pos + 1
+        self._last_seq = lm.seq
+        if self._verify and lm.checksum != payload_digest(lm.message):
+            raise RecordCorruptionError(
+                f"record seq={lm.seq} for {lm.message.msg_id} failed "
+                "its checksum")
+        return lm
 
 
 @dataclass
@@ -141,30 +208,17 @@ class ProcessRecord:
     #: standalone record (unit tests) lazily creates a private one
     log: Optional[SegmentedLog] = field(default=None, repr=False, compare=False)
 
-    # -- per-process index over the shared log -------------------------
-    # `_seqs` holds the log sequence numbers of this process's records
-    # in arrival order (append-only), `_anchors` a sparse
-    # (arrival_index, position) pair every ANCHOR_EVERY records for
-    # seek-by-arrival-index, `_live_bytes` the O(1) storage accounting,
-    # and `_valid_cursor` the first-maybe-valid position — checkpoints
-    # invalidate (mostly) prefixes and validity only ever goes
-    # valid→invalid, so it advances monotonically and never rescans.
-    _seqs: List[int] = field(default_factory=list, init=False, repr=False,
-                             compare=False)
-    _anchors: List[Tuple[int, int]] = field(default_factory=list, init=False,
-                                            repr=False, compare=False)
-    _live_bytes: int = field(default=0, init=False, repr=False, compare=False)
-    _valid_cursor: int = field(default=0, init=False, repr=False,
-                               compare=False)
-    # -- the pruned replay view ----------------------------------------
-    # `_live` is the per-process index's own compaction: an
-    # arrival-ordered list of this process's records that drops dead
-    # entries wholesale once half the list is invalid (`_live_dead`
-    # counts them). `messages_to_replay` is then a single pass over
-    # ~live records, and pruning un-pins compacted records' memory.
+    # -- the one per-process view ---------------------------------------
+    # `_live` holds this process's records in arrival order (so in
+    # ascending `seq` order too) and drops dead entries wholesale once
+    # half of 16 or more are invalid (`_live_dead` counts them), letting
+    # go of their memory: at most 2x the live records, and every read
+    # below is one pass over them. `_live_bytes` is the O(1) storage
+    # accounting.
     _live: List[LoggedMessage] = field(default_factory=list, init=False,
                                        repr=False, compare=False)
     _live_dead: int = field(default=0, init=False, repr=False, compare=False)
+    _live_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- incremental queue re-simulation (see consumed_ids) ------------
     # New arrivals route eagerly: queue messages into `_sim_queue`,
@@ -174,7 +228,7 @@ class ProcessRecord:
     # counts only grow), so `_consumed_ids` accumulates it permanently
     # while `_consumed_tail` keeps (ordinal, record) pairs only until a
     # checkpoint invalidates them — after which the records themselves
-    # may be compacted away without this record pinning their memory.
+    # may be pruned from the view without this pinning their memory.
     _sim_queue: Deque[LoggedMessage] = field(
         default_factory=deque, init=False, repr=False, compare=False)
     _sim_adv_cursor: int = field(default=0, init=False, repr=False,
@@ -201,42 +255,31 @@ class ProcessRecord:
     def arrivals(self) -> List[LoggedMessage]:
         """The surviving records of this process, in arrival order.
 
-        A materialised view over the segmented log: records dropped by
-        compaction (necessarily invalid) no longer appear. Mutating a
-        returned record's ``invalid`` flag feeds back into the store's
-        accounting — the flag is a property routed through the log.
+        A copy of the view: records a prune dropped (necessarily
+        invalid) no longer appear. Mutating a returned record's
+        ``invalid`` flag feeds back into the store's accounting — the
+        flag is a property routed through the log.
         """
-        log = self.log
-        out = []
-        for seq in self._seqs:
-            lm = log.get(seq)
-            if lm is not None:
-                out.append(lm)
-        return out
+        return list(self._live)
 
     # ------------------------------------------------------------------
-    def record_message(self, message: Message, arrival_index: int) -> bool:
-        """Store one overheard message; returns False for duplicates."""
-        if message.msg_id in self.recorded_ids:
-            return False
-        self.force_append(message, arrival_index)
-        return True
+    def record_message(self, message: Message, arrival_index: int,
+                       forced: bool = False) -> Optional[LoggedMessage]:
+        """The destination received this message: append it to the
+        replay log in reception order (releasing its staged copy) and
+        return the logged record — None for a duplicate.
 
-    def force_append(self, message: Message,
-                     arrival_index: int) -> LoggedMessage:
-        """Append unconditionally, bypassing duplicate suppression.
-
-        This is the raw append path ``record_message`` guards; only the
-        adversarial actors call it directly, to model a Byzantine
-        recorder that double-logs a record.
+        ``forced`` appends even a duplicate. Only an adversary stage's
+        verdict, carried here by :meth:`RecorderDatabase.deliver`, may
+        pass it: it models a Byzantine recorder that double-logs.
         """
+        self.staged.pop(message.msg_id, None)
+        if message.msg_id in self.recorded_ids and not forced:
+            return None
         self.recorded_ids.add(message.msg_id)
         lm = LoggedMessage(message, arrival_index)
         lm._record = self
         lm.seq = self.log.append(lm)
-        if len(self._seqs) % ANCHOR_EVERY == 0:
-            self._anchors.append((arrival_index, len(self._seqs)))
-        self._seqs.append(lm.seq)
         self._live.append(lm)
         self._live_bytes += message.size_bytes
         # Route into the queue re-simulation eagerly (same order the
@@ -262,12 +305,6 @@ class ProcessRecord:
         self.staged[message.msg_id] = message
         return True
 
-    def confirm_message(self, message: Message, arrival_index: int) -> bool:
-        """The destination received this message: append it to the
-        replay log in reception order. Returns False if already there."""
-        self.staged.pop(message.msg_id, None)
-        return self.record_message(message, arrival_index)
-
     def note_send_confirmed(self, seq: int) -> None:
         """One of this process's sends reached its destination; advance
         the contiguous confirmed prefix."""
@@ -284,8 +321,8 @@ class ProcessRecord:
     def _note_invalidated(self, lm: LoggedMessage) -> None:
         """A record went valid→invalid (checkpoint coverage, process
         destruction, or a direct flip): keep the O(1) byte accounting
-        and the segment GC in step, and prune the replay view once half
-        of it is dead (amortized O(1) per invalidation)."""
+        and the segment GC in step, and prune the view once half of it
+        is dead (amortized O(1) per invalidation)."""
         self._live_bytes -= lm.message.size_bytes
         self.log.invalidate(lm.seq, lm.message.size_bytes)
         self._live_dead += 1
@@ -385,23 +422,6 @@ class ProcessRecord:
         return invalidated
 
     # ------------------------------------------------------------------
-    def _skip_invalid_prefix(self) -> int:
-        """Position (into the per-process index) of the first surviving,
-        non-invalid record. Checkpoints invalidate (mostly) prefixes and
-        validity only ever goes valid→invalid, so the cursor advances
-        monotonically and never rescans the front."""
-        seqs = self._seqs
-        log_get = self.log.get
-        i = self._valid_cursor
-        n = len(seqs)
-        while i < n:
-            lm = log_get(seqs[i])
-            if lm is not None and not lm._invalid:
-                break
-            i += 1
-        self._valid_cursor = i
-        return i
-
     def replay_cursor(self, verify: bool = False) -> ReplayCursor:
         """A cursor over the records to inspect for replay, starting at
         the first valid one — the §4.7 recovery loop walks this instead
@@ -412,39 +432,15 @@ class ProcessRecord:
         recovery read path); corruption raises
         :class:`~repro.errors.RecordCorruptionError` instead of handing
         back a mangled record."""
-        return ReplayCursor(self, self._skip_invalid_prefix(),
-                            verify=verify)
-
-    def cursor_at_arrival(self, arrival_index: int) -> ReplayCursor:
-        """A cursor positioned at the first record whose arrival index
-        is ≥ ``arrival_index``, found through the sparse per-process
-        index — the "(process, arrival_index)" seek path."""
-        anchors = self._anchors
-        lo, hi = 0, len(anchors)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if anchors[mid][0] < arrival_index:
-                lo = mid + 1
-            else:
-                hi = mid
-        pos = anchors[lo - 1][1] if lo else 0
-        seqs = self._seqs
-        log = self.log
-        n = len(seqs)
-        while pos < n:
-            lm = log.get(seqs[pos])
-            if lm is not None and lm.arrival_index >= arrival_index:
-                break
-            pos += 1
-        return ReplayCursor(self, pos)
+        return ReplayCursor(self, verify=verify)
 
     def messages_to_replay(self) -> List[LoggedMessage]:
         """The valid messages to replay, in arrival order.
 
         Markers are included so the recovery process can find its own
         hand-back marker; it skips any others. Costs O(records replayed):
-        one pass over the pruned replay view, which holds at most ~2x
-        the live records.
+        one pass over the view, which holds at most ~2x the live
+        records.
         """
         return [lm for lm in self._live if not lm._invalid]
 
@@ -504,6 +500,38 @@ class RecorderDatabase:
         index = self.next_arrival_index
         self.next_arrival_index += 1
         return index
+
+    def deliver(self, message: Message,
+                record_for: Callable[[Message], Optional[ProcessRecord]],
+                intercept=None) -> Iterator[LoggedMessage]:
+        """The one way a confirmed delivery enters the log.
+
+        Without ``intercept`` (or for a recovery marker — the recovery
+        protocol's own traffic, never intercepted) the message is
+        recorded as it is. With one, the adversary stage decides what is
+        logged in its place: nothing, a rewritten copy, the message
+        twice, or a message it held back from an *earlier* delivery —
+        possibly another process's, which is why ``record_for`` is asked
+        per logged message, not once. ``record_for`` returns the record
+        to append to, or None to leave the message out.
+
+        Yields each record appended; the stage's ``note_confirmed``
+        (where ``bitrot`` mangles the stored copy) runs when the caller
+        comes back for the next, i.e. after it has announced this one.
+        """
+        stage = None if message.recovery_marker else intercept
+        batch = (stage.deliveries(message) if stage is not None
+                 else ((message, False),))
+        for replacement, forced in batch:
+            record = record_for(replacement)
+            if record is None:
+                continue
+            lm = record.record_message(
+                replacement, self.allocate_arrival_index(), forced)
+            if lm is not None:
+                yield lm
+                if stage is not None:
+                    stage.note_confirmed(lm)
 
     def processes_on(self, node: int) -> List[ProcessRecord]:
         """Live, recoverable records located on ``node``."""

@@ -498,7 +498,7 @@ def quorum_replay_stream(records: Sequence,
     cursor = QuorumReplayCursor(pairs, f=f, live=False,
                                 pid=getattr(pairs[0][1], "pid", None))
     stream: List = []
-    guard = sum(len(r._seqs) for _, r in pairs if r is not None) * 2 + 16
+    guard = sum(len(r._live) for _, r in pairs if r is not None) * 2 + 16
     while True:
         if guard <= 0:               # pragma: no cover - runaway backstop
             raise QuorumDivergenceError("quorum replay failed to converge")

@@ -84,6 +84,22 @@ class Recorder:
         "process_created", "process_destroyed", "checkpoint", "read_order",
     })
 
+    #: The computed ``recorder.<name>`` gauges, by how each is read off
+    #: a recorder — through ``recorder.db``, so a restart rebinding it
+    #: to the stable-storage copy is followed. A recorder registers
+    #: these; a :class:`~repro.system.System` of several registers their
+    #: sums over the same table.
+    GAUGES: Dict[str, Callable[["Recorder"], float]] = {
+        "log_bytes": lambda r: r.db.log.log_bytes,
+        "live_bytes": lambda r: r.db.log.live_bytes,
+        "segments": lambda r: r.db.log.segments,
+        "compactions": lambda r: r.db.log.compactions,
+        "segments_retired": lambda r: r.db.log.segments_retired,
+        "disk_busy_ms": lambda r: r.disks.busy_ms,
+        "disk_stall_ms": lambda r: r.disks.stall_ms,
+        "disk_stall_wait_ms": lambda r: r.disks.stall_wait_ms,
+    }
+
     def __init__(self, engine: Engine, medium: Medium,
                  config: Optional[RecorderConfig] = None,
                  stable: Optional[StableStorage] = None,
@@ -113,19 +129,8 @@ class Recorder:
         self.cpu_busy_ms = registry.counter("recorder.cpu_busy_ms")
         self.messages_recorded = registry.counter("recorder.messages_recorded")
         self.duplicates_ignored = registry.counter("recorder.duplicates_ignored")
-        # Storage-engine gauges read through `self` so they survive a
-        # restart rebinding `self.db` to the stable-storage copy.
-        registry.gauge_fn("recorder.log_bytes", lambda: self.db.log.log_bytes)
-        registry.gauge_fn("recorder.live_bytes", lambda: self.db.log.live_bytes)
-        registry.gauge_fn("recorder.segments", lambda: self.db.log.segments)
-        registry.gauge_fn("recorder.compactions",
-                          lambda: self.db.log.compactions)
-        registry.gauge_fn("recorder.segments_retired",
-                          lambda: self.db.log.segments_retired)
-        registry.gauge_fn("recorder.disk_busy_ms", lambda: self.disks.busy_ms)
-        registry.gauge_fn("recorder.disk_stall_ms", lambda: self.disks.stall_ms)
-        registry.gauge_fn("recorder.disk_stall_wait_ms",
-                          lambda: self.disks.stall_wait_ms)
+        for name, read in self.GAUGES.items():
+            registry.gauge_fn(f"recorder.{name}", lambda _r=read: _r(self))
         self._control_handlers: Dict[str, Callable[[Control, int], None]] = {}
         self._arrival_signals: Dict[ProcessId, Signal] = {}
         #: epidemic repair back-reference (publishing.gossip): when set,
@@ -199,28 +204,39 @@ class Recorder:
             if handler is not None:
                 handler(body, frame.src_node)
 
-    def record_message(self, message: Message) -> None:
-        """Stage one overheard message: database entry, CPU cost, disk
-        bytes. The message joins the replay log when its delivery is
-        observed (:meth:`observe_delivery`), in reception order."""
+    def _admit(self, message: Message) -> Optional[ProcessRecord]:
+        """What hearing a message costs and teaches, whichever way it
+        was heard: the publishing CPU charge and the sender's send
+        sequence. Returns the destination's database entry — created if
+        no notice announced it yet — or None when the message is not
+        this recorder's to store."""
         self.cpu_busy_ms.inc(self._publish_cost_ms)
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_sent(message.msg_id.seq)
-        if self.gossip is not None:
-            self.gossip.note_recorded(message)
         if self.claim is not None and not self.claim(message.dst.node):
             # Another shard of this cluster owns the destination's
             # range; the send-sequence note above stays global so the
             # sender's owning shard tracks suppression horizons.
-            return
+            return None
         record = self.db.get(message.dst)
         if record is None:
             # Message overheard before (or without) a creation notice —
             # keep it anyway; the notice will fill in the metadata.
             record = self.db.create(message.dst, node=message.dst.node, image="")
         if self.config.selective and not record.recoverable:
-            return    # §6.6.1: not published, not recovered
+            return None    # §6.6.1: not published, not recovered
+        return record
+
+    def record_message(self, message: Message) -> None:
+        """Stage one overheard message: database entry, CPU cost, disk
+        bytes. The message joins the replay log when its delivery is
+        observed (:meth:`observe_delivery`), in reception order."""
+        if self.gossip is not None:
+            self.gossip.note_recorded(message)
+        record = self._admit(message)
+        if record is None:
+            return
         if not record.stage_message(message):
             self.duplicates_ignored.inc()
             return
@@ -238,21 +254,13 @@ class Recorder:
         message = segment.body
         if not isinstance(message, Message):
             return
-        intercept = self.intercept
-        if intercept is not None and not message.recovery_marker:
-            for replacement, forced in intercept.deliveries(message):
-                lm = self._confirm_recorded(replacement, forced=forced)
-                if lm is not None:
-                    intercept.note_confirmed(lm)
-            return
-        self._confirm_recorded(message)
+        for lm in self.db.deliver(message, self._delivery_record,
+                                  self.intercept):
+            self._logged(lm, "publish")
 
-    def _confirm_recorded(self, message: Message,
-                          forced: bool = False) -> Optional["LoggedMessage"]:
-        """Append one confirmed delivery to the replay log; returns the
-        logged record, or None when it was filtered or a duplicate.
-        ``forced`` bypasses duplicate suppression (Byzantine
-        double-logging)."""
+    def _delivery_record(self, message: Message) -> Optional[ProcessRecord]:
+        """The entry a confirmed delivery of ``message`` appends to, or
+        None when this recorder does not log it."""
         if self.claim is not None and not self.claim(message.dst.node):
             # Not this shard's destination — but the delivery still
             # confirms the *sender's* send, and the sender's record may
@@ -265,23 +273,22 @@ class Recorder:
         record = self.db.get(message.dst)
         if record is None or (self.config.selective and not record.recoverable):
             return None
-        index = self.db.allocate_arrival_index()
-        if forced:
-            record.staged.pop(message.msg_id, None)
-            lm = record.force_append(message, index)
-        else:
-            if not record.confirm_message(message, index):
-                return None          # duplicate delivery observation
-            lm = record._live[-1]
+        return record
+
+    def _logged(self, lm: LoggedMessage, event: str) -> None:
+        """A message joined the replay log (``event``: ``publish`` for
+        an observed delivery, ``repair`` for a gossip supply): count it,
+        credit the sender's confirmed prefix, wake a recovery waiting on
+        the destination's arrivals."""
+        message = lm.message
         self.messages_recorded.inc()
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_send_confirmed(message.msg_id.seq)
-        self.events.emit("publish", str(message.dst), msg=str(message.msg_id))
+        self.events.emit(event, str(message.dst), msg=str(message.msg_id))
         signal = self._arrival_signals.get(message.dst)
         if signal is not None:
             signal.fire(message.msg_id)
-        return lm
 
     def arrival_signal(self, pid: ProcessId) -> Signal:
         """A signal fired whenever a new message for ``pid`` is recorded
@@ -303,30 +310,15 @@ class Recorder:
         """
         if not self.up or message.recovery_marker:
             return False
-        self.cpu_busy_ms.inc(self._publish_cost_ms)
-        sender = self.db.get(message.src)
-        if sender is not None:
-            sender.note_sent(message.msg_id.seq)
-        if self.claim is not None and not self.claim(message.dst.node):
-            return False
-        record = self.db.get(message.dst)
+        record = self._admit(message)
         if record is None:
-            record = self.db.create(message.dst, node=message.dst.node,
-                                    image="")
-        if self.config.selective and not record.recoverable:
             return False
-        if not record.confirm_message(message,
-                                      self.db.allocate_arrival_index()):
+        lm = record.record_message(message, self.db.allocate_arrival_index())
+        if lm is None:
             self.duplicates_ignored.inc()
             return False
-        self.messages_recorded.inc()
         self.buffer.add(message.size_bytes)
-        if sender is not None:
-            sender.note_send_confirmed(message.msg_id.seq)
-        self.events.emit("repair", str(message.dst), msg=str(message.msg_id))
-        signal = self._arrival_signals.get(message.dst)
-        if signal is not None:
-            signal.fire(message.msg_id)
+        self._logged(lm, "repair")
         return True
 
     # ------------------------------------------------------------------

@@ -221,9 +221,10 @@ class RecoveryManager:
         # must be re-sent by the recovered process (receivers and the
         # recorder deduplicate any that do arrive twice).
         suppress = record.confirmed_prefix
+        page_bytes = rec.config.costs.page_bytes
         if record.checkpoint is not None:
             entry = record.checkpoint
-            done_at = rec.disks.submit("read", entry.pages * 1024)
+            done_at = rec.disks.submit("read", entry.pages * page_bytes)
             if done_at > engine.now:
                 yield done_at - engine.now
             if self._superseded(record, epoch):
@@ -239,7 +240,7 @@ class RecoveryManager:
             "recoverable": record.recoverable,
             "state_pages": record.state_pages,
             "epoch": epoch,
-        }), size_bytes=max(64, (record.checkpoint.pages * 1024
+        }), size_bytes=max(64, (record.checkpoint.pages * page_bytes
                                 if record.checkpoint else 64)))
 
         # 2.5 Epidemic repair: if the gossip layer knows of log holes

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class RecoveryTimeParams:
@@ -36,7 +38,7 @@ class RecoveryTimeParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.f_cpu <= 1:
-            raise ValueError(f"f_cpu must be in (0, 1], got {self.f_cpu}")
+            raise ConfigError(f"f_cpu must be in (0, 1], got {self.f_cpu}")
 
 
 class RecoveryTimeModel:

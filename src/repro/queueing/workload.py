@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.errors import ConfigError
 from repro.sim.rng import RngStreams
 
 #: Message sizes of the two traffic classes (§5.1).
@@ -52,7 +53,7 @@ class StateSizeDistribution:
     def __init__(self) -> None:
         total = sum(p for _, p in self.TABLE)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"state-size masses sum to {total}, not 1")
+            raise ConfigError(f"state-size masses sum to {total}, not 1")
 
     def mean_kb(self) -> float:
         """Expected state size in KB."""

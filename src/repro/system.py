@@ -58,11 +58,6 @@ from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
-#: the per-recorder ``recorder.<name>`` / ``recorder.disk_<name>``
-#: computed gauges (publishing.recorder), by the attribute each reads
-_LOG_GAUGES = ("log_bytes", "live_bytes", "segments", "compactions",
-               "segments_retired")
-_DISK_GAUGES = ("busy_ms", "stall_ms", "stall_wait_ms")
 REBOOT_POLICIES = ("restart", "spare", "none")
 
 
@@ -326,12 +321,9 @@ class System:
         for name in RecoveryStats.FIELDS:
             registry.gauge_fn(f"recovery.{name}", lambda _n=name: sum(
                 getattr(m.stats, _n) for m in self.recoveries))
-        for name in _LOG_GAUGES:
-            registry.gauge_fn(f"recorder.{name}", lambda _n=name: sum(
-                getattr(r.db.log, _n) for r in self.recorders))
-        for name in _DISK_GAUGES:
-            registry.gauge_fn(f"recorder.disk_{name}", lambda _n=name: sum(
-                getattr(r.disks, _n) for r in self.recorders))
+        for name, read in Recorder.GAUGES.items():
+            registry.gauge_fn(f"recorder.{name}", lambda _r=read: sum(
+                _r(r) for r in self.recorders))
 
     def _build_node(self, node_id: int) -> Node:
         cfg = self.config

@@ -7,6 +7,7 @@ benchmarks can import them without pytest; tests keep their historical
 
 from __future__ import annotations
 
+import hypothesis
 import pytest
 
 from fixtures import (  # noqa: F401  (re-exported for the test modules)
@@ -19,6 +20,13 @@ from fixtures import (  # noqa: F401  (re-exported for the test modules)
     wire_driver,
 )
 from repro import System, SystemConfig
+
+# Tier-1 is a pure function of the code: every @given property runs the
+# same examples on every run of one commit — no fresh seed, no example
+# database carried over from earlier runs on this machine.
+hypothesis.settings.register_profile(
+    "tier1", derandomize=True, database=None)
+hypothesis.settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -258,6 +258,44 @@ def test_pipeline_chains_stages():
     assert [forced for _, forced in out] == [False, True]
 
 
+def test_deliver_files_a_held_back_message_under_its_own_process():
+    """A ``reorder`` stage releases what it held on a *later* delivery,
+    which may be another process's: the one door looks the record up
+    per logged message, not per incoming one."""
+    from dataclasses import replace
+    db = RecorderDatabase()
+    other = ProcessId(2, 10)
+    ours = db.create(TARGET, node=TARGET.node, image="t")
+    theirs = db.create(other, node=other.node, image="t")
+    stage = ByzantineRecorder(random.Random(0), modes=("reorder",), rate=1.0)
+    to_ours = make_message(1)
+    to_theirs = replace(make_message(2), dst=other)
+
+    def entry_of(message):
+        return db.get(message.dst)
+
+    assert list(db.deliver(to_ours, entry_of, stage)) == []    # held back
+    logged = list(db.deliver(to_theirs, entry_of, stage))
+    assert [lm.message for lm in logged] == [to_theirs, to_ours]
+    assert [lm.message for lm in theirs.arrivals] == [to_theirs]
+    assert [lm.message for lm in ours.arrivals] == [to_ours]
+
+
+def test_deliver_notifies_the_stage_after_its_caller_saw_the_record():
+    """``bitrot`` mangles the stored copy in ``note_confirmed``: the
+    caller announces the record (arrival signal, ``publish`` event)
+    first and the rot sets in when it comes back for the next."""
+    db = RecorderDatabase()
+    record = db.create(TARGET, node=TARGET.node, image="t")
+    stage = ByzantineRecorder(random.Random(0), modes=("bitrot",), rate=1.0)
+    message = make_message(1)
+    door = db.deliver(message, lambda _message: record, stage)
+    lm = next(door)
+    assert lm.message is message
+    assert next(door, None) is None
+    assert lm.message.body == ("bitrot", message.body)
+
+
 def test_unknown_byzantine_mode_rejected():
     with pytest.raises(ValueError):
         ByzantineRecorder(random.Random(1), modes=("gaslight",))

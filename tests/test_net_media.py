@@ -148,6 +148,24 @@ def test_duplicate_node_id_rejected():
         bus.attach(NetworkInterface(1, lambda f: None))
 
 
+def test_accept_extra_is_fixed_while_the_station_is_attached():
+    """The medium reads a station's claims once, at attach: a later
+    assignment used to be silently ignored and is now refused."""
+    engine = Engine()
+    bus, inboxes, _ = build_bus(engine, (1,))
+    gateway_box = []
+    gateway = NetworkInterface(7, gateway_box.append)
+    gateway.accept_extra = {50}.__contains__       # before attach: honoured
+    bus.attach(gateway)
+    bus.interfaces[0].send(data_frame(1, 50))
+    engine.run()
+    assert [f.dst_node for f in gateway_box] == [50]
+    with pytest.raises(NetworkError, match="accept_extra"):
+        gateway.accept_extra = {60}.__contains__
+    bus.detach(gateway)
+    gateway.accept_extra = None                    # off the medium again
+
+
 def test_multi_recorder_requires_all_healthy_recorders():
     """§6.3: every healthy recorder must store the frame."""
     engine = Engine()

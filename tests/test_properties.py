@@ -22,6 +22,13 @@ def queue_message(seq, channel):
                    channel=channel, code=0, body=("b", seq))
 
 
+def test_properties_run_the_same_examples_every_time():
+    """Tier-1 is a pure function of the code: ``conftest.py`` loads a
+    profile that draws no fresh seed and keeps no example database."""
+    assert settings.default.derandomize
+    assert settings.default.database is None
+
+
 @given(st.binary(max_size=256))
 def test_crc_deterministic(data):
     assert crc16(data) == crc16(data)

@@ -63,6 +63,30 @@ def test_error_hierarchy():
     assert issubclass(errors.EncodingError, TypeError)
 
 
+def test_src_raises_no_bare_builtin_error():
+    """Every deliberate failure is a ``ReproError``: a value or type
+    complaint dual-inherits (``ConfigError``, ``EncodingError``,
+    ``MetricKindError``, ``AdversaryConfigError``), so ``except
+    ValueError`` / ``TypeError`` callers keep working."""
+    import ast
+    from pathlib import Path
+
+    bare = {"ValueError", "TypeError", "RuntimeError", "KeyError"}
+    found = []
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if getattr(exc, "id", None) in bare:
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+    for exc, builtin in ((errors.ConfigError, ValueError),
+                         (errors.MetricKindError, TypeError)):
+        assert issubclass(exc, errors.ReproError) and issubclass(exc, builtin)
+
+
 def test_version_string():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") == 2

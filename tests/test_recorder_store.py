@@ -1,7 +1,7 @@
 """Tests for the log-structured storage engine: segment lifecycle
-(retire vs compact), io cost accounting, replay cursors, the sparse
-arrival-index seek, group-commit deadlines and crash loss, the disk
-stall/busy split, and the recorder.* storage gauges.
+(retire vs compact), io cost accounting, replay cursors, group-commit
+deadlines and crash loss, the disk stall/busy split, and the
+recorder.* storage gauges.
 """
 
 import pytest
@@ -56,8 +56,6 @@ class TestSegmentedLog:
         records = fill_log(log, 10)
         assert [lm.seq for lm in records] == list(range(10))
         assert log.segments == 3          # 4 + 4 + 2
-        assert all(log.get(lm.seq) is lm for lm in records)
-        assert log.get(99) is None
 
     def test_accounting_tracks_appends_and_invalidations(self):
         log = SegmentedLog(segment_records=8)
@@ -77,8 +75,6 @@ class TestSegmentedLog:
             kill(log, lm)
         assert log.segments_retired == 1
         assert log.segments == 1           # only the second remains
-        assert all(log.get(lm.seq) is None for lm in records[:4])
-        assert all(log.get(lm.seq) is lm for lm in records[4:])
 
     def test_head_segment_is_never_collected(self):
         log = SegmentedLog(segment_records=8)
@@ -96,20 +92,23 @@ class TestSegmentedLog:
         assert log.compactions == 0        # 3/4 live: above threshold
         kill(log, records[1])
         assert log.compactions == 1        # 2/4 live: §4.5 pass fires
-        # survivors stay addressable at their original seqs
-        assert log.get(records[2].seq) is records[2]
-        assert log.get(records[3].seq) is records[3]
-        assert log.get(records[0].seq) is None
         assert log.log_bytes == 300        # 2 survivors + unsealed head
 
     def test_invalidate_tolerates_compacted_records(self):
-        log = SegmentedLog(segment_records=4)
-        records = fill_log(log, 5)
-        kill(log, records[0])
-        kill(log, records[1])              # compaction drops both
+        """The guard against double invalidation is the record's own:
+        the log is told once however often the flag is set."""
+        record = make_record(5, segment_records=4)
+        log = record.log
+        first, second = record.arrivals[:2]
+        first.invalid = True
+        second.invalid = True              # compaction drops both
+        assert log.compactions == 1
         before = (log.live_records, log.live_bytes)
-        log.invalidate(records[0].seq, records[0].message.size_bytes)
+        assert before == (3, 300)
+        first.invalid = True
         assert (log.live_records, log.live_bytes) == before
+        with pytest.raises(RecorderError):
+            first.invalid = False
 
     def test_compaction_charges_modeled_read_and_write(self):
         ops = []
@@ -189,7 +188,8 @@ class TestReplayCursor:
         assert record.log.segments_retired == 2
         seen = []
         while (lm := cursor.next()) is not None:
-            seen.append(lm.message.msg_id.seq)
+            if not lm.invalid:
+                seen.append(lm.message.msg_id.seq)
         assert seen == [9, 10, 11, 12]
 
     def test_exactly_once_across_retirement_with_appends(self):
@@ -206,7 +206,8 @@ class TestReplayCursor:
         assert record.log.segments_retired == 1
         record.record_message(make_message(9), 8)   # catch-up arrival
         while (lm := cursor.next()) is not None:
-            seen.append(lm.message.msg_id.seq)
+            if not lm.invalid:
+                seen.append(lm.message.msg_id.seq)
         assert seen == [1, 2, 5, 6, 7, 8, 9]
         assert len(seen) == len(set(seen))
 
@@ -217,7 +218,9 @@ class TestReplayCursor:
             cursor.next()
         record.apply_checkpoint(ckpt(8))   # retires segments 0 and 1
         assert record.log.segments_retired == 2
-        assert cursor.next().message.msg_id.seq == 9
+        while (lm := cursor.next()).invalid:
+            pass
+        assert lm.message.msg_id.seq == 9
 
     def test_partial_compaction_keeps_cursor_position(self):
         """A mostly-dead segment compacts (live records rewritten at
@@ -238,14 +241,6 @@ class TestReplayCursor:
             if not lm.invalid:
                 survivors.append(lm.message.msg_id.seq)
         assert survivors == [7, 8, 9]
-
-    def test_cursor_at_arrival_uses_sparse_anchors(self):
-        record = make_record(100)
-        assert len(record._anchors) > 1     # sparse index actually built
-        cursor = record.cursor_at_arrival(57)
-        assert cursor.next().arrival_index == 57
-        assert record.cursor_at_arrival(0).next().arrival_index == 0
-        assert record.cursor_at_arrival(1000).next() is None
 
 
 class TestVerifiedReplay:

@@ -214,6 +214,31 @@ class TestNodeCrash:
         counter, driver = finish(system, counter_pid, driver_pid, n=30)
         assert_exact(counter, driver, n=30)
 
+    @pytest.mark.parametrize("window", [
+        1,
+        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1 (ii): a restarted node's transport numbers "
+            "its streams from 0 while its peers keep _expected_seq, so "
+            "with transport_window > 1 its fresh segments are acked and "
+            "dropped as stale duplicates — 12 of 40 replies, total 78 of "
+            "820, no dead letter, no counter"))),
+    ])
+    def test_sender_node_crash_loses_nothing_at_any_window(self, window):
+        """In-order delivery per processor and transparent node recovery
+        must compose: crash the driver's node mid-conversation."""
+        system = System(SystemConfig(nodes=2, transport_window=window))
+        register_test_programs(system)
+        system.boot()
+        counter_pid, driver_pid = run_counter_scenario(system, n=40)
+        system.run(700)
+        system.crash_node(1)
+        system.run(60_000)
+        counter = system.program_of(counter_pid)
+        driver = system.program_of(driver_pid)
+        assert system.obs.bus.count("dead_letter") == 0
+        assert_exact(counter, driver, n=40)
+        assert counter.total == 820
+
 
 class TestChannelsAndRecovery:
     class PriorityWorker(Program):
@@ -345,6 +370,32 @@ class TestRecoveryMechanics:
         assert_exact(counter, driver)
         # Replay count is bounded by what happened after the checkpoint.
         assert system.recovery.stats.messages_replayed < N
+
+    def test_recovery_reads_the_checkpoint_at_the_size_it_was_written(self):
+        """Bugfix regression: the recorder stored a checkpoint as
+        ``pages * costs.page_bytes`` and recovery read it back (and
+        sized the recreate frame) as ``pages * 1024``."""
+        from repro.demos.costs import CostModel
+        system = System(SystemConfig(nodes=2, costs=CostModel(page_bytes=2048)))
+        register_test_programs(system)
+        system.boot()
+        counter_pid, driver_pid = run_counter_scenario(system, n=20)
+        system.run(1500)
+        ops = []
+        disks = system.recorder.disks
+        submit = disks.submit
+        disks.submit = lambda op, size, on_done=None: (
+            ops.append((op, size)), submit(op, size, on_done))[1]
+        assert system.checkpoint(counter_pid)
+        system.run(500)
+        pages = system.recorder.db.get(counter_pid).checkpoint.pages
+        assert ("write", pages * 2048) in ops
+        ops.clear()
+        system.crash_process(counter_pid)
+        assert wait_recovered(system, counter_pid)
+        assert ("read", pages * 2048) in ops
+        counter, driver = finish(system, counter_pid, driver_pid, n=20)
+        assert_exact(counter, driver, n=20)
 
     def test_marker_hand_back_loses_nothing_under_live_traffic(
             self, two_node_system):

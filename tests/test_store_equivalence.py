@@ -10,7 +10,9 @@ sets, checkpoint invalidation counts (including the jump-ahead quirk),
 interleavings of arrivals, in-order and advised consumptions,
 checkpoints, and direct invalidations. The segmented side runs with
 tiny segments (4 records) so retirement and compaction fire constantly
-underneath the queries.
+underneath the queries. The path recovery actually reads is in the
+comparison too: a fresh ``replay_cursor()`` at every probe, and one
+long-lived cursor parked mid-walk while the view is pruned under it.
 """
 
 import random
@@ -49,10 +51,21 @@ def checkpoint(consumed, dtk=0):
 
 
 def record_both(record, flat, message, arrival_index):
-    assert record.record_message(message, arrival_index)
+    seg_lm = record.record_message(message, arrival_index)
+    assert seg_lm
     flat_lm = flat.record_message(message, arrival_index)
-    seg_lm = record.log.get(record._seqs[-1])
     return seg_lm, flat_lm
+
+
+def drain(cursor, limit=None):
+    """Up to ``limit`` records off a cursor (all it has, by default)."""
+    out = []
+    while limit is None or len(out) < limit:
+        lm = cursor.next()
+        if lm is None:
+            break
+        out.append(lm)
+    return out
 
 
 def assert_equivalent(record, flat, consumed, probe_beyond=False):
@@ -69,6 +82,12 @@ def assert_equivalent(record, flat, consumed, probe_beyond=False):
     seg_replay = [lm.message.msg_id for lm in record.messages_to_replay()]
     flat_replay = [lm.message.msg_id for lm in flat.messages_to_replay()]
     assert seg_replay == flat_replay
+    # a fresh cursor starts at the first valid record and yields the
+    # survivors, valid or not, each once: its valid yield is the replay
+    walked = drain(record.replay_cursor())
+    assert len({lm.seq for lm in walked}) == len(walked)
+    assert [lm for lm in walked if not lm.invalid] \
+        == record.messages_to_replay()
     assert record.first_valid_id() == flat.first_valid_id()
     assert record.valid_message_bytes() == flat.valid_message_bytes()
     counts = {0, consumed // 2, consumed}
@@ -81,7 +100,10 @@ def assert_equivalent(record, flat, consumed, probe_beyond=False):
 def _run_pair(seed, ops):
     """Drive both stores through one seeded operation interleaving."""
     rng = random.Random(seed)
+    walk_rng = random.Random(seed + 1)    # leaves the interleaving alone
     record, flat = make_pair()
+    cursor = record.replay_cursor()       # opened before anything arrives
+    walked = []
     seg_lms, flat_lms = [], []
     model_queue = []          # msg_ids of queue-eligible messages, FIFO
     consumed = 0
@@ -92,6 +114,10 @@ def _run_pair(seed, ops):
     advisories_ok = True      # cleared after a jump-ahead checkpoint
 
     for _ in range(ops):
+        if walk_rng.random() < 0.2:
+            # slower than arrivals come in: the cursor stays parked
+            # mid-walk while prunes and compactions run under it
+            walked += drain(cursor, limit=walk_rng.randrange(1, 4))
         roll = rng.random()
         if roll < 0.45 or not model_queue:
             # arrival: queue message, control, or marker
@@ -146,6 +172,13 @@ def _run_pair(seed, ops):
 
     assert_equivalent(record, flat, consumed, probe_beyond=True)
     assert record.log.live_records == len(flat.messages_to_replay())
+    # everything arrived after the parked cursor opened: whatever is
+    # valid now it yielded exactly once, and nothing twice
+    walked += drain(cursor)
+    seqs = [lm.seq for lm in walked]
+    assert seqs == sorted(set(seqs))
+    assert [lm for lm in walked if not lm.invalid] \
+        == record.messages_to_replay()
 
 
 @settings(max_examples=40, deadline=None)
