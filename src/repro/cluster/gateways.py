@@ -55,7 +55,7 @@ from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import Observability, merge_event_streams, merge_snapshots
 from repro.sim.engine import Engine, EngineCore, PartitionChannel
-from repro.system import System, SystemConfig
+from repro.system import System, SystemConfig, check_config, recorder_count
 
 #: First gateway/interface id; each gateway consumes two ids (near and
 #: far side). Cluster node ranges stay far below this.
@@ -494,7 +494,7 @@ class ClusterFederation:
         # the cluster's stride block, so they stay globally unique at
         # any cluster count (the old ``90 + index`` scheme collided with
         # node ranges beyond ~10 clusters). Cluster 0 keeps id 90.
-        from repro.cluster.placement import RECORDER_ID_OFFSET, policy_from_name
+        from repro.cluster.placement import RECORDER_ID_OFFSET
         self.configs: List[SystemConfig] = []
         self._node_sets: List[Set[int]] = []
         for index, size in enumerate(cluster_sizes):
@@ -505,24 +505,22 @@ class ClusterFederation:
             config.first_node_id = 1 + index * nodes_stride
             config.recorder_node_id = config.first_node_id + RECORDER_ID_OFFSET
             config.services_node = config.first_node_id
+            check_config(config, federated=True)
             if config.nodes > RECORDER_ID_OFFSET:
                 raise NetworkError(
                     f"cluster {index} has {config.nodes} nodes; the id "
                     f"layout fits at most {RECORDER_ID_OFFSET} per cluster")
             nodes = set(range(
                 config.first_node_id, config.first_node_id + config.nodes))
-            if config.publishing:
-                policy = policy_from_name(config.placement_policy,
-                                          shards=config.recorder_shards)
-                shard_count = policy.shard_count(config.nodes)
-                if RECORDER_ID_OFFSET + shard_count > nodes_stride:
-                    raise NetworkError(
-                        f"cluster {index}: {shard_count} recorder shards "
-                        f"do not fit in a node stride of {nodes_stride}")
-                # Routable across gateways: a remote cluster can address
-                # this cluster's recorders (cross-cluster recovery).
-                nodes |= set(range(config.recorder_node_id,
-                                   config.recorder_node_id + shard_count))
+            shard_count = recorder_count(config)
+            if shard_count and RECORDER_ID_OFFSET + shard_count > nodes_stride:
+                raise NetworkError(
+                    f"cluster {index}: {shard_count} recorder shards "
+                    f"do not fit in a node stride of {nodes_stride}")
+            # Routable across gateways: a remote cluster can address
+            # this cluster's recorders (cross-cluster recovery).
+            nodes |= set(range(config.recorder_node_id,
+                               config.recorder_node_id + shard_count))
             self.configs.append(config)
             self._node_sets.append(nodes)
 

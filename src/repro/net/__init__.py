@@ -5,7 +5,8 @@ overhear every message. This package provides that substrate:
 
 * :mod:`repro.net.frames` — frames with real checksums;
 * :mod:`repro.net.faults` — loss/corruption injection;
-* :mod:`repro.net.media` — the medium interface and a perfect broadcast bus;
+* :mod:`repro.net.media` — the medium interface, the publishing rule every
+  medium shares, and a perfect broadcast bus;
 * :mod:`repro.net.ethernet` — standard CSMA/CD Ethernet;
 * :mod:`repro.net.acking_ethernet` — the Tokoro & Tamaru Acknowledging
   Ethernet with a reserved recorder-acknowledgement slot (§6.1.1);

@@ -46,33 +46,21 @@ class AckingEthernet(CsmaEthernet):
         #: acknowledgement slots reserved after data frames
         self.reserved_slots = self.obs.registry.counter(
             f"media.{self.kind}.reserved_slots")
-        # Bound once: one ack-slot delivery is scheduled per data frame.
-        self._deliver_cb = self._deliver_to_receivers
 
     def _begin_transmission(self, iface: NetworkInterface, frame: Frame) -> None:
-        duration = self.tx_time_ms(frame.size_bytes)
+        reserved_ms = 0.0
         if frame.kind is FrameKind.DATA:
             # Reserve the acknowledgement slot: the bus stays busy through
             # it, so no station can start a frame that would collide with
             # the acknowledgement.
-            duration_with_slot = duration + self.ack_slot_ms
+            reserved_ms = self.ack_slot_ms
             self.reserved_slots.inc()
-        else:
-            duration_with_slot = duration
-        self._busy_until = self.engine.now + duration_with_slot
-        self.stats.busy_time_ms.inc(duration_with_slot)
-        self.engine.schedule(duration, self._complete_cb, iface, frame)
+        super()._begin_transmission(iface, frame, reserved_ms)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:
-        if not iface.up:
-            return
-        stored = self._record_frame(frame)
-        recorder_ok = stored or not self._recorder_ifaces
-        # Receivers learn the frame's fate at the end of the reserved
-        # slot; `_deliver_to_receivers` also raises the sender's
-        # `on_delivered` hardware acknowledgement (provides_delivery_ack).
-        if frame.kind is FrameKind.DATA:
-            self.engine.schedule(self.ack_slot_ms, self._deliver_cb,
-                                 frame, recorder_ok, stored is not None)
-        else:
-            self._deliver_to_receivers(frame, recorder_ok)
+        # Receivers (and through them the sender's hardware
+        # acknowledgement) learn a data frame's fate at the end of the
+        # reserved slot.
+        if iface.up:
+            self._publish(
+                frame, self.ack_slot_ms if frame.kind is FrameKind.DATA else 0.0)

@@ -115,18 +115,18 @@ class CsmaEthernet(Medium):
             delay = self.params.slot_time_ms * (1 + slots)
             self.engine.schedule(delay, self._attempt_cb, iface, frame, attempt)
 
-    def _begin_transmission(self, iface: NetworkInterface, frame: Frame) -> None:
+    def _begin_transmission(self, iface: NetworkInterface, frame: Frame,
+                            reserved_ms: float = 0.0) -> None:
+        """Carry the frame; the bus stays busy ``reserved_ms`` longer."""
         duration = self.tx_time_ms(frame.size_bytes)
-        self._busy_until = self.engine.now + duration
-        self.stats.busy_time_ms.inc(duration)
+        self._busy_until = self.engine.now + (duration + reserved_ms)
+        self.stats.busy_time_ms.inc(duration + reserved_ms)
         self.engine.schedule(duration, self._complete_cb, iface, frame)
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:
         if not iface.up:
             return
-        stored = self._record_frame(frame)
-        recorder_ok = stored or not self._recorder_ifaces
-        self._deliver_to_receivers(frame, recorder_ok, stored is not None)
+        self._publish(frame)
         if self.params.auto_ack and frame.kind is FrameKind.DATA:
             self._send_auto_ack(frame)
 

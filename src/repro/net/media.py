@@ -1,18 +1,17 @@
-"""Media layer: the medium interface and a perfect broadcast bus.
+"""Media layer: the medium interface, the publishing rule and a perfect bus.
 
 "The lowest layer in the network is the media layer. The media layer
 creates an abstract network device for the rest of the system" (§4.3.3).
 
-Every medium model shares these semantics, which is what publishing
-relies on (§3.2.4, §6.1):
-
-* the bus is serialized — one frame occupies it at a time, so all
-  listeners observe the **same total order** of frames;
-* a passive **recorder** interface overhears every frame;
-* when publishing is enforced, a data frame is usable by its receiver
-  only if the recorder stored it: the medium sets ``frame.recorder_acked``
-  after a successful recorder reception, and receivers drop data frames
-  without the flag (the transport layer re-sends them).
+Every medium serializes its frames, so all listeners observe the **same
+total order**, and a passive **recorder** interface overhears each one.
+What publishing adds is one rule (§4.4.1, §6.1; all recorders, §6.3): a
+station may use a data frame only if the recorders stored it. The rule
+lives here, in :class:`Medium`, as the steps ``_record_frame`` /
+``_withhold`` / ``_takes`` / ``_hand`` / ``_settle``; a medium model
+calls them at its own instants — the reserved slot, the ring's
+acknowledge field, the hub's forward-after-store — and does nothing
+else to a station, a frame or a delivery counter.
 """
 
 from __future__ import annotations
@@ -160,6 +159,8 @@ class Medium:
         # Fault totals belong in the same registry as the medium's own
         # figures, so `metrics` snapshots include injected faults.
         self.faults.bind(self.obs.registry)
+        # Bound once: a deferred delivery is scheduled per frame.
+        self._deliver_cb = self._deliver_to_receivers
 
     # ------------------------------------------------------------------
     def attach(self, iface: NetworkInterface) -> NetworkInterface:
@@ -254,70 +255,117 @@ class Medium:
                                  dst=frame.dst_node, copies=copies_missed)
         return any_healthy and stored_by_all
 
-    def _deliver_to_receivers(self, frame: Frame, recorder_ok: bool,
-                              heard: bool = True) -> None:
-        """Deliver the frame to its destination(s), honouring the
-        recorder-acknowledgement rule for data frames. The deliveries of
-        a frame no recorder ``heard`` are not reported to the recorders."""
-        dst = frame.dst_node
-        if frame.kind is FrameKind.DATA and not recorder_ok:
+    def _withhold(self, frame: Frame, recorder_ok: bool) -> bool:
+        """The miss policy, decided and counted once per frame: must the
+        stations be kept from reading a data frame the recorders did not
+        store? Tolerated under ``gossip_backup`` (see ``__init__``),
+        withheld under ``enforce_recorder_ack`` — the sender re-sends it.
+        A data frame that goes ahead also feeds the gossip buffers (the
+        broadcast *is* the push phase)."""
+        if frame.kind is not FrameKind.DATA:
+            return False
+        if not recorder_ok:
             if self.gossip_backup:
-                # Epidemic repair mode: the miss is tolerated — peers
-                # keep the frame in their gossip buffers and the
-                # recorder pulls the hole closed later.
-                if self._recorder_ifaces:
-                    self.stats.recorder_misses.inc()
-                    self.events.emit("recorder_miss", f"node{frame.src_node}",
-                                     dst=dst, bytes=frame.size_bytes,
-                                     tolerated=True)
+                self.stats.recorder_misses.inc()
+                self.events.emit("recorder_miss", f"node{frame.src_node}",
+                                 dst=frame.dst_node, bytes=frame.size_bytes,
+                                 tolerated=True)
             elif self.enforce_recorder_ack:
                 self.stats.recorder_misses.inc()
                 self.events.emit("recorder_miss", f"node{frame.src_node}",
-                                 dst=dst, bytes=frame.size_bytes)
-                self._notify_sender(frame, False)
-                return
-        if frame.kind is FrameKind.DATA and self.gossip_tap is not None:
+                                 dst=frame.dst_node, bytes=frame.size_bytes)
+                return True
+        if self.gossip_tap is not None:
             self.gossip_tap(frame)
-        # Who may take the frame, in attach order: a broadcast walks the
-        # bus, a unicast frame only its own station and the claimers.
-        station = self._stations.get(dst)
+        return False
+
+    def _candidates(self, frame: Frame):
+        """The stations worth asking :meth:`_takes`, in attach order: a
+        broadcast walks the bus, a unicast frame only its own station
+        and the claimers."""
+        if frame.dst_node == BROADCAST:
+            return self.interfaces
+        station = self._stations.get(frame.dst_node)
+        if station is None or station.accept_extra is not None:
+            return self._claimers
+        if not self._claimers:
+            return (station,)
+        return sorted(self._claimers + [station], key=_ATTACH_ORDER)
+
+    def _takes(self, iface: NetworkInterface, frame: Frame) -> bool:
+        """May this station read the frame: it is up, not a recorder,
+        and the frame is addressed to it, to a destination it claims
+        (gateways, §6.2), or to everyone by someone else. A node
+        receives its own transmission when it addresses itself —
+        published intranode messages travel the wire and come back
+        (§4.4.1) — but never its own true broadcasts."""
+        if iface.is_recorder or not iface.up:
+            return False
+        dst = frame.dst_node
         if dst == BROADCAST:
-            takers = self.interfaces
-        elif station is None or station.accept_extra is not None:
-            takers = self._claimers
-        else:
-            takers = (sorted(self._claimers + [station], key=_ATTACH_ORDER)
-                      if self._claimers else (station,))
-        delivered = False
-        for iface in takers:
-            if iface.is_recorder or not iface.up:
-                continue
-            # A node receives its own transmission when it addresses
-            # itself — published intranode messages travel the wire and
-            # come back (§4.4.1) — but never its own true broadcasts.
-            if dst == BROADCAST:
-                if iface.node_id == frame.src_node:
-                    continue
-            elif iface is not station and not iface.accept_extra(dst):
-                continue
-            seen = self.faults.apply(frame, iface.node_id)
-            if seen is None:
-                continue
-            seen.recorder_acked = recorder_ok
-            iface.on_frame(seen)
-            if seen.checksum_ok():
-                delivered = True
-                if heard:
-                    self._notify_recorders_of_delivery(frame)
+            return iface.node_id != frame.src_node
+        return iface.node_id == dst or (iface.accept_extra is not None
+                                        and iface.accept_extra(dst))
+
+    def _hand(self, iface: NetworkInterface, frame: Frame,
+              recorder_ok: bool, heard: bool = True) -> bool:
+        """Give one station its copy — what the fault plan leaves of it,
+        stamped with the recorders' acknowledgement. True only for a
+        copy that passes its checksum, which is also the moment the
+        recorders learn the reception order (§4.4.1) — unless no
+        recorder ``heard`` the frame."""
+        seen = self.faults.apply(frame, iface.node_id)
+        if seen is None:
+            return False
+        seen.recorder_acked = recorder_ok
+        iface.on_frame(seen)
+        if not seen.checksum_ok():
+            return False
+        if heard:
+            self._notify_recorders_of_delivery(frame)
+        return True
+
+    def _addressed_to_recorder(self, frame: Frame) -> bool:
+        """Traffic for a recorder node itself (checkpoints, notices) is
+        handed over during recording, not by :meth:`_hand`."""
+        station = self._stations.get(frame.dst_node)
+        return station is not None and station.is_recorder and station.up
+
+    def _settle(self, frame: Frame, delivered: bool, recorder_ok: bool) -> None:
+        """Close the frame's account: count it delivered if some copy
+        arrived intact (or the recorder it was addressed to stored it)
+        and tell its sender."""
         if not delivered and recorder_ok:
-            # Traffic addressed to the recorder node itself (checkpoints,
-            # notices) was already handed over during recording.
-            delivered = (station is not None and station.is_recorder
-                         and station.up)
+            delivered = self._addressed_to_recorder(frame)
         if delivered:
             self.stats.frames_delivered.inc()
             self.stats.bytes_delivered.inc(frame.size_bytes)
         self._notify_sender(frame, delivered)
+
+    def _deliver_to_receivers(self, frame: Frame, recorder_ok: bool,
+                              heard: bool = True) -> None:
+        """The steps above for a medium whose stations all see the frame
+        at one instant."""
+        delivered = False
+        if not self._withhold(frame, recorder_ok):
+            for iface in self._candidates(frame):
+                if self._takes(iface, frame) and self._hand(
+                        iface, frame, recorder_ok, heard):
+                    delivered = True
+        self._settle(frame, delivered, recorder_ok)
+
+    def _publish(self, frame: Frame, delay_ms: float = 0.0) -> None:
+        """A frame has crossed a bus: the recorders read it, then — now,
+        or ``delay_ms`` later when the acknowledgement takes that long
+        to appear — the stations do. With no recorder attached
+        (publishing disabled) the rule is vacuous and frames flow."""
+        stored = self._record_frame(frame)
+        recorder_ok = stored or not self._recorder_ifaces
+        if delay_ms > 0:
+            self.engine.schedule(delay_ms, self._deliver_cb,
+                                 frame, recorder_ok, stored is not None)
+        else:
+            self._deliver_to_receivers(frame, recorder_ok, stored is not None)
 
     def _notify_recorders_of_delivery(self, frame: Frame) -> None:
         """§4.4.1 ack tracing: tell every healthy recorder that the
@@ -365,7 +413,6 @@ class PerfectBroadcast(Medium):
         # Bound once: scheduling `self._complete` per frame would build
         # a fresh bound-method object for every event on the bus.
         self._complete_cb = self._complete
-        self._deliver_cb = self._deliver_to_receivers
 
     def transmit(self, iface: NetworkInterface, frame: Frame) -> None:
         self.stats.note_offered(frame.size_bytes)
@@ -385,15 +432,5 @@ class PerfectBroadcast(Medium):
 
     def _complete(self, iface: NetworkInterface, frame: Frame) -> None:
         if iface.up:
-            stored = self._record_frame(frame)
-            # With no recorder attached (publishing disabled) the ack rule
-            # is vacuous and frames flow normally.
-            recorder_ok = stored or not self._recorder_ifaces
-            if self.ack_latency_ms > 0:
-                self.engine.schedule(self.ack_latency_ms,
-                                     self._deliver_cb,
-                                     frame, recorder_ok, stored is not None)
-            else:
-                self._deliver_to_receivers(frame, recorder_ok,
-                                           stored is not None)
+            self._publish(frame, self.ack_latency_ms)
         self._start_next()

@@ -6,19 +6,19 @@ recorder are not passed on."
 
 Model: every station has a point-to-point link to the hub; each link is
 serialized independently. A frame travels station → hub, the hub (a
-recorder interface) stores it, and only then forwards it to the
-destination link. A frame the hub receives corrupted is dropped — the
-transport layer's retransmission recovers it. By construction every
-frame the receiver sees has been recorded, so ``recorder_acked`` is
-always set on forwarded data frames.
+recorder interface) reads it and, after its processing delay, sends a
+copy down the link of every station that takes it. The hub is the only
+path, so the publishing rule is not a setting here: what the hub did
+not store goes nowhere. What reading, taking and telling the sender
+mean is :class:`~repro.net.media.Medium`'s; this module is the timing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import NetworkError
-from repro.net.frames import BROADCAST, Frame, FrameKind
+from repro.net.frames import Frame
 from repro.net.media import Medium, NetworkInterface
 from repro.sim.engine import Engine
 
@@ -32,20 +32,19 @@ class StarHub(Medium):
 
     def __init__(self, engine: Engine, hub_processing_ms: float = 0.8, **kwargs):
         super().__init__(engine, **kwargs)
+        self.enforce_recorder_ack = True    # structural, see the module doc
         self.hub_processing_ms = hub_processing_ms
         self.hub: Optional[NetworkInterface] = None
         self._link_busy_until: Dict[int, float] = {}
-        self._link_queues: Dict[int, List[Tuple[Frame, bool]]] = {}
 
     # ------------------------------------------------------------------
     def attach(self, iface: NetworkInterface) -> NetworkInterface:
+        if iface.is_recorder and self.hub is not None:
+            raise NetworkError("a star has exactly one hub/recorder")
         iface = super().attach(iface)
         if iface.is_recorder:
-            if self.hub is not None:
-                raise NetworkError("a star has exactly one hub/recorder")
             self.hub = iface
         else:
-            self._link_queues[iface.node_id] = []
             self._link_busy_until[iface.node_id] = 0.0
         return iface
 
@@ -55,79 +54,50 @@ class StarHub(Medium):
         self.stats.note_offered(frame.size_bytes)
         if iface.is_recorder:
             # The hub itself is sending (watchdog pings, recovery
-            # traffic, markers): it is already "at the hub", so record
-            # and forward directly down the destination link.
+            # traffic, markers): it is already "at the hub".
             self._arrive_at_hub(frame)
-            return
-        self._send_on_link(iface.node_id, frame, toward_hub=True)
+        else:
+            self._send_on_link(iface.node_id, frame, self._arrive_at_hub)
 
     # ------------------------------------------------------------------
-    def _send_on_link(self, station_id: int, frame: Frame, toward_hub: bool) -> None:
-        """Serialize a transfer on the station↔hub link."""
-        queue = self._link_queues.get(station_id)
-        if queue is None:
-            return   # destination not attached; hub drops the frame
+    def _send_on_link(self, station_id: int, frame: Frame, arrive, *args) -> None:
+        """Serialize a transfer on the station↔hub link;
+        ``arrive(frame, *args)`` runs at its far end."""
         duration = self.tx_time_ms(frame.size_bytes)
         start = max(self.engine.now, self._link_busy_until[station_id])
         self._link_busy_until[station_id] = start + duration
         self.stats.busy_time_ms.inc(duration)
-        self.engine.schedule_at(start + duration, self._link_done,
-                                station_id, frame, toward_hub)
+        self.engine.schedule_at(start + duration, arrive, frame, *args)
 
-    def _link_done(self, station_id: int, frame: Frame, toward_hub: bool) -> None:
-        if toward_hub:
-            self._arrive_at_hub(frame)
-        else:
-            self._arrive_at_station(station_id, frame)
-
-    # ------------------------------------------------------------------
     def _arrive_at_hub(self, frame: Frame) -> None:
-        if self.hub is None or not self.hub.up:
-            # Hub down: nothing is forwarded; senders retransmit later.
-            self.stats.recorder_misses.inc()
-            self.events.emit("recorder_miss", f"node{frame.src_node}",
-                             reason="hub_down")
-            self._notify_sender(frame, False)
-            return
-        seen = self.faults.apply(frame, self.hub.node_id)
-        if seen is None or not seen.checksum_ok():
+        recorder_ok = bool(self._record_frame(frame))
+        if self._withhold(frame, recorder_ok) or not recorder_ok:
             # "Any messages received incorrectly by the recorder are not
-            # passed on."
-            self.stats.recorder_misses.inc()
-            self.events.emit("recorder_miss", f"node{frame.src_node}",
-                             reason="hub_receive_error")
-            self._notify_sender(frame, False)
+            # passed on" — nor any that reach a hub that is down, of
+            # whatever kind and whatever the miss policy says.
+            self._settle(frame, False, False)
             return
-        self.hub.on_frame(seen)
         self.engine.schedule(self.hub_processing_ms, self._forward, frame)
 
     def _forward(self, frame: Frame) -> None:
-        frame = frame.clone_for(frame.dst_node)
-        frame.recorder_acked = True
-        if frame.dst_node == BROADCAST:
-            for iface in self.interfaces:
-                if iface.is_recorder or iface.node_id == frame.src_node:
-                    continue
-                self._send_on_link(iface.node_id, frame.clone_for(iface.node_id),
-                                   toward_hub=False)
-            self._notify_sender(frame, True)
+        takers = [iface for iface in self._candidates(frame)
+                  if self._takes(iface, frame)]
+        if not takers:
+            self._settle(frame, False, True)
             return
-        if frame.dst_node == frame.src_node:
-            # Intranode message published via the hub loops straight back.
-            self._send_on_link(frame.src_node, frame, toward_hub=False)
-            self._notify_sender(frame, True)
-            return
-        self._send_on_link(frame.dst_node, frame, toward_hub=False)
-        self._notify_sender(frame, True)
+        # [copies still on their links, did one arrive intact]
+        fate = [len(takers), False]
+        for iface in takers:
+            self._send_on_link(iface.node_id, frame,
+                               self._arrive_at_station, iface, fate)
 
-    def _arrive_at_station(self, station_id: int, frame: Frame) -> None:
-        iface = self._stations.get(station_id)
-        if iface is None or iface.is_recorder or not iface.up:
-            return
-        seen = self.faults.apply(frame, station_id)
-        if seen is not None:
-            iface.on_frame(seen)
-            if seen.checksum_ok():
-                self.stats.frames_delivered.inc()
-                self.stats.bytes_delivered.inc(frame.size_bytes)
-                self._notify_recorders_of_delivery(frame)
+    def _arrive_at_station(self, frame: Frame, iface: NetworkInterface,
+                           fate: List) -> None:
+        # still up, still attached: a spare that took the id over since
+        # is another machine and does not get this copy
+        if self._takes(iface, frame) and self._hand(iface, frame, True):
+            fate[1] = True
+        fate[0] -= 1
+        if not fate[0]:
+            # The sender hears once the last copy has arrived.
+            self._settle(frame, fate[1], True)

@@ -12,18 +12,19 @@ message."
 
 Model: a single slot circulates visiting stations in attachment order,
 taking ``hop_time_ms`` per hop. A station holding the token fills the
-slot; the frame then travels the ring, is acknowledged (or invalidated)
-at the recorder, is read by its destination only after the recorder hop,
-and is drained when it returns to the sender, which reinserts the token.
+slot; the frame then travels the ring and is drained when it returns to
+the sender, which reinserts the token. This module is the circulation
+only — when the recorders read the slot, when each station may, when
+the sender hears; what they then do is :class:`~repro.net.media.Medium`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from repro.errors import NetworkError
-from repro.net.frames import BROADCAST, Frame, FrameKind
+from repro.net.frames import Frame
 from repro.net.media import Medium, NetworkInterface
 from repro.sim.engine import Engine
 
@@ -72,97 +73,69 @@ class TokenRing(Medium):
             self.engine.call_soon(self._seize_token)
             return
         # The frame occupies the slot for one full circulation (two, when
-        # the destination sits upstream of the recorder and must wait for
+        # a destination sits upstream of the recorder and must wait for
         # the ack field to be filled).
-        ring = self._ring_order_from(iface)
+        # Ring order: the stations after the sender, then the sender.
+        i = self.interfaces.index(iface) + 1
+        ring = self.interfaces[i:] + self.interfaces[:i]
         serialization = frame.size_bytes * 8.0 / self.bandwidth_bps * 1000.0
         self.stats.busy_time_ms.inc(
             serialization + self.params.hop_time_ms * len(ring))
-        self._advance(iface, frame, ring, index=0,
-                      ack_filled=False, invalidated=False, delivered=False,
-                      passes=0, delay=serialization)
+        # The slot. ``ack`` is its acknowledge field: None while empty
+        # (without a recorder on the ring it has nothing to wait for),
+        # then what the recorders made of the frame, stamped on every
+        # copy read. ``heard`` turns False for a frame lost before any
+        # recorder, ``invalidated`` True once its checksum is complemented.
+        # ``served`` holds the stations that have an intact copy — none is
+        # handed a second on the second pass — and ``skipped`` says a
+        # taker saw the field still empty.
+        slot = SimpleNamespace(
+            frame=frame, ring=ring, heard=True, invalidated=False, served=[],
+            skipped=False, passes=0,
+            ack=None if self._recorder_ifaces else True)
+        self.engine.schedule(serialization + self.params.hop_time_ms,
+                             self._visit_cb, slot, 0)
 
-    def _ring_order_from(self, sender: NetworkInterface) -> List[NetworkInterface]:
-        """Stations in ring order starting after the sender."""
-        if sender not in self.interfaces:
-            raise NetworkError("sender is not attached to the ring")
-        i = self.interfaces.index(sender)
-        n = len(self.interfaces)
-        return [self.interfaces[(i + k) % n] for k in range(1, n + 1)]
-
-    def _advance(self, sender: NetworkInterface, frame: Frame,
-                 ring: List[NetworkInterface], index: int,
-                 ack_filled: bool, invalidated: bool, delivered: bool,
-                 passes: int, delay: float) -> None:
-        self.engine.schedule(delay + self.params.hop_time_ms, self._visit_cb,
-                             sender, frame, ring, index, ack_filled,
-                             invalidated, delivered, passes)
-
-    def _visit(self, sender: NetworkInterface, frame: Frame,
-               ring: List[NetworkInterface], index: int,
-               ack_filled: bool, invalidated: bool, delivered: bool,
-               passes: int) -> None:
+    def _visit(self, slot: SimpleNamespace, index: int) -> None:
+        frame, ring = slot.frame, slot.ring
         if index >= len(ring):
-            passes += 1
-            ok = (ack_filled or not self._recorder_ifaces) and not invalidated
-            if ok and not delivered and passes < 2:
-                # The destination sits upstream of the recorder: it saw an
+            slot.passes += 1
+            readable = slot.ack is not None and not slot.invalidated
+            if (readable and slot.passes < 2
+                    and (slot.skipped or not slot.served)):
+                # A destination sits upstream of the recorder: it saw an
                 # empty ack field on the first pass. Circulate once more
                 # with the field filled so it can read the message.
                 self.stats.busy_time_ms.inc(self.params.hop_time_ms * len(ring))
-                self._advance(sender, frame, ring, 0, ack_filled,
-                              invalidated, delivered, passes, delay=0.0)
+                self.engine.schedule(self.params.hop_time_ms,
+                                     self._visit_cb, slot, 0)
                 return
             # Back at the sender: drain the slot, reinsert the token.
-            success = ok and delivered
-            if sender.on_delivered is not None and frame.kind is FrameKind.DATA:
-                sender.on_delivered(frame, success)
-            if success:
-                self.stats.frames_delivered.inc()
-                self.stats.bytes_delivered.inc(frame.size_bytes)
+            self._settle(frame, bool(slot.served), bool(slot.ack))
             self._seize_token()
             return
         station = ring[index]
-        if station.up:
-            if station.is_recorder:
-                if not ack_filled and not invalidated:
-                    seen = self.faults.apply(frame, station.node_id)
-                    if seen is not None and seen.checksum_ok():
-                        station.on_frame(seen)
-                        ack_filled = True
-                        if frame.dst_node == station.node_id:
-                            # Traffic addressed to the recorder itself
-                            # (checkpoints, notices) is consumed here.
-                            delivered = True
-                    else:
-                        # Recorder complements the trailing checksum bytes
-                        # so no downstream station can use the frame.
-                        invalidated = True
-                        self.frames_invalidated.inc()
-                        self.stats.recorder_misses.inc()
-                        self.events.emit("invalidated",
-                                         f"node{frame.src_node}",
-                                         dst=frame.dst_node)
-            elif ((not delivered or frame.dst_node == BROADCAST)
-                    and frame.dst_node in (station.node_id, BROADCAST)
-                    and (station.node_id != frame.src_node
-                         # published intranode messages loop back to
-                         # their own station (§4.4.1)
-                         or frame.dst_node == frame.src_node)):
-                usable = not invalidated
-                if self._recorder_ifaces and not ack_filled:
-                    usable = False   # empty ack field: ignore (publishing rule)
-                if usable:
-                    seen = self.faults.apply(frame, station.node_id)
-                    if seen is not None:
-                        seen.recorder_acked = (ack_filled
-                                               or not self._recorder_ifaces)
-                        station.on_frame(seen)
-                        delivered = True
-                        self._notify_recorders_of_delivery(frame)
-        elif (frame.dst_node == station.node_id and not station.is_recorder):
-            # Destination down: the slot completes its circulation(s) and
-            # the sender sees failure.
-            pass
-        self._advance(sender, frame, ring, index + 1, ack_filled, invalidated,
-                      delivered, passes, delay=0.0)
+        if station.is_recorder:
+            if station.up and slot.ack is None:
+                # The first live recorder the slot passes fills the field
+                # for all of them (§6.3: every recorder or none).
+                stored = self._record_frame(frame)
+                slot.heard = stored is not None
+                slot.ack = bool(stored)
+                if self._withhold(frame, slot.ack):
+                    # Complement the trailing checksum bytes so no
+                    # downstream station can use the frame.
+                    slot.invalidated = True
+                    self.frames_invalidated.inc()
+                    self.events.emit("invalidated", f"node{frame.src_node}",
+                                     dst=frame.dst_node)
+                elif slot.ack and self._addressed_to_recorder(frame):
+                    slot.served.append(self._stations[frame.dst_node])
+        elif (not slot.invalidated and station not in slot.served
+                and self._takes(station, frame)):
+            if slot.ack is None:
+                slot.skipped = True     # empty ack field: ignore the slot
+            elif self._hand(station, frame, slot.ack, slot.heard):
+                slot.served.append(station)
+        self.engine.schedule(self.params.hop_time_ms, self._visit_cb,
+                             slot, index + 1)

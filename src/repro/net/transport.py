@@ -55,6 +55,18 @@ class Segment(NamedTuple):
     stream_seq: Optional[int] = None
 
 
+def guaranteed_body(frame: Frame, of) -> Optional[Any]:
+    """The body of the guaranteed segment a data frame carries when it
+    is an instance of ``of`` (a class or a tuple of classes), else None.
+    The one place a frame is opened to ask "does this carry a published
+    message?" — the caller passes ``Message``, which lives a layer up."""
+    segment = frame.payload
+    if (frame.kind is FrameKind.DATA and isinstance(segment, Segment)
+            and segment.guaranteed and isinstance(segment.body, of)):
+        return segment.body
+    return None
+
+
 @dataclass
 class TransportConfig:
     """Tunables for one node's transport layer."""

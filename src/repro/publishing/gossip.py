@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Set
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Control, Message
 from repro.net.frames import Frame
-from repro.net.transport import Segment
+from repro.net.transport import guaranteed_body
 
 __all__ = [
     "GossipConfig",
@@ -214,11 +214,8 @@ class ReceptionLoss:
     def lose_reception(self, frame: Frame) -> bool:
         if self.rate <= 0.0:
             return False
-        payload = frame.payload
-        if not isinstance(payload, Segment) or not payload.guaranteed:
-            return False
-        body = payload.body
-        if not isinstance(body, Message) or body.recovery_marker:
+        body = guaranteed_body(frame, Message)
+        if body is None or body.recovery_marker:
             return False
         if self._rng.random() < self.rate:
             self._receptions_dropped.inc()
@@ -287,11 +284,8 @@ class GossipCoordinator:
     def observe_wire(self, frame: Frame) -> None:
         """Medium tap: every delivered publication lands in every up
         node's buffer (the broadcast *is* the push phase)."""
-        payload = frame.payload
-        if not isinstance(payload, Segment) or not payload.guaranteed:
-            return
-        body = payload.body
-        if not isinstance(body, Message) or body.recovery_marker:
+        body = guaranteed_body(frame, Message)
+        if body is None or body.recovery_marker:
             return
         for node in self.system.nodes.values():
             buffer = getattr(node, "gossip_buffer", None)

@@ -37,9 +37,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.demos.costs import CostModel
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Control, Message
-from repro.net.frames import Frame, FrameKind
+from repro.net.frames import Frame
 from repro.net.media import Medium
-from repro.net.transport import Segment, Transport, TransportConfig
+from repro.net.transport import (Segment, Transport, TransportConfig,
+                                 guaranteed_body)
 from repro.obs import Observability
 from repro.publishing.database import (
     CheckpointEntry,
@@ -177,15 +178,10 @@ class Recorder:
         regardless of which recorder it was addressed to."""
         if not self.up:
             return
-        if frame.kind is not FrameKind.DATA:
-            return
-        segment = frame.payload
-        if not isinstance(segment, Segment) or not segment.guaranteed:
-            return
-        body = segment.body
+        body = guaranteed_body(frame, (Message, Control))
         if isinstance(body, Message):
             self.record_message(body)
-        elif isinstance(body, Control) and body.kind in self.DB_CONTROL_KINDS:
+        elif body is not None and body.kind in self.DB_CONTROL_KINDS:
             # The tap fires before transport dedup, so retransmitted
             # notices must be filtered here (a duplicate read_order
             # advisory would corrupt the consumption simulation).
@@ -246,13 +242,10 @@ class Recorder:
         """§4.4.1: the destination received this frame — append the
         staged message to the replay log and credit the sender's
         delivery-confirmed prefix."""
-        if not self.up or frame.kind is not FrameKind.DATA:
+        if not self.up:
             return
-        segment = frame.payload
-        if not isinstance(segment, Segment) or not segment.guaranteed:
-            return
-        message = segment.body
-        if not isinstance(message, Message):
+        message = guaranteed_body(frame, Message)
+        if message is None:
             return
         for lm in self.db.deliver(message, self._delivery_record,
                                   self.intercept):

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.demos.costs import CostModel
 from repro.demos.ids import ProcessId, kernel_pid
@@ -37,8 +37,8 @@ from repro.demos.sysprocs import (
     NamedLinkServer,
     ProcessManager,
 )
-from repro.errors import ReproError
-from repro.net import build_medium
+from repro.errors import ConfigError, ReproError
+from repro.net import MEDIA, build_medium
 from repro.net.faults import FaultPlan
 from repro.net.frames import DeadLetter
 from repro.net.transport import TransportConfig
@@ -142,6 +142,47 @@ class SystemConfig:
     gossip_loss_rate: float = 0.0
 
 
+def recorder_count(c: SystemConfig) -> int:
+    """How many recorders the configured layout places (0: none)."""
+    from repro.cluster.placement import policy_from_name
+    return policy_from_name(c.placement_policy, shards=c.recorder_shards
+                            ).shard_count(c.nodes) if c.publishing else 0
+
+
+#: The one table of what does not compose, checked before anything is
+#: built: (applies to this config, message formatted with ``c`` = the
+#: config, binds only inside a :class:`~repro.cluster.ClusterFederation`).
+#: ``docs/TUTORIAL.md`` lists the same rows and a test compares.
+UNSUPPORTED: Tuple[Tuple[Callable[[SystemConfig], bool], str, bool], ...] = (
+    (lambda c: c.reboot_policy not in REBOOT_POLICIES,
+     "unknown reboot policy {c.reboot_policy!r}; choose from "
+     + ", ".join(REBOOT_POLICIES), False),
+    (lambda c: c.medium == "star" and not c.publishing,
+     "medium='star' needs publishing: its hub is the recorder (§4.1)", False),
+    (lambda c: c.medium == "star" and recorder_count(c) > 1,
+     "medium='star' has one hub, the recorder (§4.1): it cannot carry "
+     "{c.recorder_shards} recorders", False),
+    (lambda c: c.medium == "star" and c.publishing and c.gossip,
+     "medium='star' and gossip repair are mutually exclusive (every frame "
+     "passes through the recorder: no peer holds what it missed)", False),
+    (lambda c: c.gossip and recorder_count(c) > 1,
+     "several recorders and gossip repair are mutually exclusive (the "
+     "gossip coordinator assumes one recorder)", False),
+    (lambda c: c.medium in MEDIA and not MEDIA[c.medium].provides_delivery_ack,
+     "medium={c.medium!r} cannot be federated: a gateway learns a frame's "
+     "fate from the hardware acknowledgement and it has none to give", True),
+)
+
+
+def check_config(config: SystemConfig, federated: bool = False) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for the first row of
+    :data:`UNSUPPORTED` the configuration matches — the cluster rows,
+    or the rows that only bind inside a federation."""
+    for applies, message, in_federation in UNSUPPORTED:
+        if in_federation is federated and applies(config):
+            raise ConfigError(message.format(c=config))
+
+
 class System:
     """A complete simulated publishing cluster."""
 
@@ -149,10 +190,7 @@ class System:
                  registry: Optional[ProgramRegistry] = None,
                  engine: Optional[Engine] = None):
         self.config = config or SystemConfig()
-        if self.config.reboot_policy not in REBOOT_POLICIES:
-            raise ReproError(
-                f"unknown reboot policy {self.config.reboot_policy!r}; "
-                f"choose from {', '.join(REBOOT_POLICIES)}")
+        check_config(self.config)
         self.engine = engine or Engine()
         #: set by ClusterFederation when this cluster lives in one —
         #: lets chaos actions reach federation-level subjects (gateways)
@@ -269,10 +307,6 @@ class System:
                 nodes=cfg.nodes, recorder_base=cfg.recorder_node_id)
         if not cfg.publishing:
             return
-        if len(placement.shards) > 1 and cfg.gossip:
-            raise ReproError(
-                "several recorders and gossip repair are mutually "
-                "exclusive (the gossip coordinator assumes one recorder)")
         for shard in placement.shards:
             recorder = Recorder(self.engine, self.medium,
                                 self._recorder_config(shard.node_id),

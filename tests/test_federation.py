@@ -34,7 +34,7 @@ from repro.cluster.placement import (
     placement_priority_vectors,
     policy_from_name,
 )
-from repro.errors import PlacementError
+from repro.errors import ConfigError, PlacementError
 from repro.parallel.des import DesScenario, run_pooled, run_serial
 from repro.publishing.multi_recorder import process_state_digest
 
@@ -179,6 +179,43 @@ def test_sharded_snapshot_sums_every_shard():
 def test_replicated_snapshot_sums_every_replica():
     _assert_snapshot_sums_every_recorder(
         {"recorder_shards": 3, "placement_policy": "replica"})
+
+
+# ----------------------------------------------------------------------
+# federations of media other than the bus
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("medium", ["token_ring", "star"])
+def test_ring_federation_round_trips_on_media_with_their_own_timing(medium):
+    """A gateway tap is a claimer (``accept_extra``) and a forwarder
+    hears a frame's fate through ``on_delivered``. The ring and the
+    star each carried their own delivery code, which asked no claimer
+    (and the star acknowledged a copy under another frame id): three
+    clusters in a ring exchanged nothing, with no dead letter."""
+    fed = build_federation((1, 1, 1), topology="ring", configs=[
+        SystemConfig(nodes=1, medium=medium) for _ in range(3)])
+    drivers = []
+    for index, cluster in enumerate(fed.clusters):
+        far = fed.clusters[(index + 1) % 3]
+        counter = far.spawn_program("test/counter",
+                                    node=far.config.first_node_id)
+        drivers.append(cluster.spawn_program(
+            "test/driver", args=(tuple(counter), 5),
+            node=cluster.config.first_node_id))
+    for cluster, driver_pid in zip(fed.clusters, drivers):
+        driver = wait_replies(fed, cluster, driver_pid, 5)
+        assert driver.replies == [sum(range(1, k + 1)) for k in range(1, 6)]
+    assert all(g.tap.frames_claimed.value > 0 for g in fed.gateways)
+    assert not fed.dead_letters
+    assert not any(cluster.dead_letters for cluster in fed.clusters)
+
+
+def test_a_medium_without_a_hardware_ack_cannot_be_federated():
+    """On ``csma_ethernet`` the end-to-end ACK frames are not data, so
+    no gateway carries them back: 0 replies and 14 retransmissions a
+    node, for ever. Refused at construction instead."""
+    with pytest.raises(ConfigError, match="csma_ethernet"):
+        ClusterFederation([1, 1], configs=[
+            SystemConfig(nodes=1, medium="csma_ethernet") for _ in range(2)])
 
 
 # ----------------------------------------------------------------------

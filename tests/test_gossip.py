@@ -499,7 +499,7 @@ def run_witnessed(seed, medium, loss, depth, events):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(1, 10_000),
-       medium=st.sampled_from(["broadcast", "csma_ethernet"]),
+       medium=st.sampled_from(["broadcast", "csma_ethernet", "token_ring"]),
        loss=st.sampled_from([0.0, 0.1, 0.3]),
        depth=st.sampled_from([4, 8, 64]),
        events=st.lists(SWEEP_EVENTS, max_size=5))
@@ -510,6 +510,21 @@ def test_incremental_sweep_flags_what_the_full_rescan_flagged(
     destination destroyed and re-created (published or not, either
     way round): every round satisfies :class:`SweepWitness`."""
     run_witnessed(seed, medium, loss, depth, events)
+
+
+def test_reception_loss_and_the_tap_reach_the_ring():
+    """Both gossip hooks used to be wired to the bus media's shared
+    delivery loop only: on ``token_ring`` no reception was ever dropped
+    and no buffer ever filled, silently."""
+    system, witness, pids = witnessed_system(seed=1983, medium="token_ring",
+                                             loss=0.2, depth=64, n=20)
+    system.run(6000)
+    snapshot = system.metrics_snapshot()
+    assert snapshot["gossip.receptions_dropped"] > 0
+    assert snapshot["gossip.buffered"] > 0
+    assert snapshot["gossip.messages_repaired"] > 0
+    assert witness.rounds > 0
+    assert len(system.recorder.db.get(pids["published"]).arrivals) == 20
 
 
 def test_flagged_id_overheard_again_undelivered_is_reexamined():

@@ -274,9 +274,12 @@ SURFACE_PINS = {
     ("token_ring", False):
         "164f294d00884230b304cc1367cb77a6bf9c211237cfa58437acb529643eb4f9",
     ("star", False):
-        "28744c606252ecd1f20f815d307a9936306b9aa2510752cb6eb870f9d6064346",
+        "520444f8e4fc070853d95aa108ce241067c00ef1cd9b7140e9dc9ffec6ef0f8a",
     ("csma_ethernet", True):
         "25ffde037ac35aaf004e488935fe086af5735cb9dbb491d080f53f00289958a0",
+    # the ring's gossip hooks were inert before the media shared one rule
+    ("token_ring", True):
+        "9525a129f50efeb65b9345da80da091f0b884b28ddfcec872e796b9f9a994f72",
 }
 
 

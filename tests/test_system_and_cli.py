@@ -105,7 +105,7 @@ class TestCli:
     #: demo printed them at PR 18 with its own two inline programs; it
     #: now drives the chaos counter/driver pair and must say the same
     DEMO_FACTS = {"broadcast": (15, 17), "acking_ethernet": (15, 16),
-                  "csma_ethernet": (15, 16), "star": (14, 15),
+                  "csma_ethernet": (15, 16), "star": (14, 16),
                   "token_ring": (16, 17)}
 
     @pytest.mark.parametrize("medium", sorted(DEMO_FACTS))
@@ -197,9 +197,14 @@ class TestRecorderLayouts:
         {"recorder_shards": 0, "placement_policy": "balanced"},
         {"recorder_shards": 2, "gossip": True},
         {"recorder_shards": 2, "placement_policy": "replica", "gossip": True},
+        {"medium": "star", "recorder_shards": 2},
+        {"medium": "star", "recorder_shards": 3, "placement_policy": "replica"},
+        {"medium": "star", "gossip": True},
+        {"medium": "star", "publishing": False},
     ], ids=["reboot_policy", "placement_policy", "zero_recorders",
             "zero_recorders_balanced", "shards_with_gossip",
-            "replicas_with_gossip"])
+            "replicas_with_gossip", "star_with_shards", "star_with_replicas",
+            "star_with_gossip", "star_without_publishing"])
     def test_mistyped_layouts_and_policies_are_rejected(self, overrides):
         with pytest.raises(ReproError):
             System(SystemConfig(nodes=2, **overrides))
@@ -209,6 +214,29 @@ class TestRecorderLayouts:
         with pytest.raises(PlacementError):
             System(SystemConfig(nodes=2, publishing=False,
                                 placement_policy="bogus"))
+
+    @staticmethod
+    def _recovers_the_workload_exactly(nodes, layout, crash,
+                                       medium="broadcast"):
+        from repro.chaos import (ChaosCampaign, CrashNode, CrashProcess,
+                                 run_scenario)
+
+        # pair 0's counter is the first process spawned on node 2
+        action = (CrashNode(2000.0, node=2) if crash == "node"
+                  else CrashProcess(2000.0, pid=(2, 1)))
+        campaign = ChaosCampaign([action])
+        result = run_scenario(campaign, nodes=nodes, pairs=2, messages=30,
+                              medium=medium, config_overrides=dict(layout))
+        assert result.pairs[0][1] == (2, 1) and campaign.injected == 1
+        system = result.system
+        assert len(system.recorders) == layout.get("recorder_shards", 1)
+        checks = {c.name: (c.ok, c.detail) for c in result.report.invariants}
+        for name in ("workload_exact", "no_dead_letters",
+                     "transports_drained"):
+            assert checks[name][0], checks[name]
+        assert result.ok, result.report.format()
+        assert result.report.figures["recoveries_completed"] >= 1
+        return system
 
     @pytest.mark.parametrize("crash", ["node", "process"])
     @pytest.mark.parametrize("nodes, layout", [
@@ -222,24 +250,24 @@ class TestRecorderLayouts:
         """The layout axis of the recovery oracle: whatever lays the
         recorders out, a crashed node or process comes back and every
         counter lands on 1+2+...+n."""
-        from repro.chaos import (ChaosCampaign, CrashNode, CrashProcess,
-                                 run_scenario)
+        self._recovers_the_workload_exactly(nodes, layout, crash)
 
-        # pair 0's counter is the first process spawned on node 2
-        action = (CrashNode(2000.0, node=2) if crash == "node"
-                  else CrashProcess(2000.0, pid=(2, 1)))
-        campaign = ChaosCampaign([action])
-        result = run_scenario(campaign, nodes=nodes, pairs=2, messages=30,
-                              config_overrides=dict(layout))
-        assert result.pairs[0][1] == (2, 1) and campaign.injected == 1
-        system = result.system
-        assert len(system.recorders) == layout.get("recorder_shards", 1)
-        checks = {c.name: (c.ok, c.detail) for c in result.report.invariants}
-        for name in ("workload_exact", "no_dead_letters",
-                     "transports_drained"):
-            assert checks[name][0], checks[name]
-        assert result.ok, result.report.format()
-        assert result.report.figures["recoveries_completed"] >= 1
+    @pytest.mark.parametrize("crash", ["node", "process"])
+    @pytest.mark.parametrize("nodes, layout", [
+        (4, {"recorder_shards": 2}),
+        (3, {"recorder_shards": 3, "placement_policy": "replica"}),
+    ], ids=["range_x2", "replica_x3"])
+    def test_several_recorders_recover_the_workload_on_the_ring(
+            self, nodes, layout, crash):
+        """The same body on ``token_ring``: the slot's acknowledge field
+        used to be filled by the first recorder alone — the others never
+        saw the frame — so a replica could not recover a node (1 of 20
+        replies)."""
+        system = self._recovers_the_workload_exactly(nodes, layout, crash,
+                                                     medium="token_ring")
+        if layout.get("placement_policy") == "replica":
+            logged = [r.messages_recorded.value for r in system.recorders]
+            assert logged[0] > 0 and len(set(logged)) == 1
 
 
 def test_clusters_are_built_in_system_and_nowhere_else():
