@@ -90,7 +90,7 @@ class _StageObs:
         # in the snapshot when that mode first fires, and the snapshot's
         # key set is hashed into every committed digest.
         self._registry.counter(_MODE_COUNTERS[mode]).inc()
-        self.events.emit(mode, self.subject, msg=str(msg_id))
+        self.events.emit(mode, self.subject, msg=msg_id)
 
     def counter(self, name: str):
         if self._registry is None:
@@ -290,7 +290,7 @@ class BoundedBufferRecorder:
                 self._evicted.inc()
             if self._obs.events is not None:
                 self._obs.events.emit("evict", self._obs.subject,
-                                      msg=str(victim.message.msg_id))
+                                      msg=victim.message.msg_id)
 
 
 class AdversaryPipeline:

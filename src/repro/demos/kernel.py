@@ -159,7 +159,7 @@ class ProcessContext:
 
     def log(self, text: str, **detail: Any) -> None:
         """Emit a trace record attributed to this process."""
-        self._kernel.events.emit("program", str(self.pid), text=text, **detail)
+        self._kernel.events.emit("program", self.pid, text=text, **detail)
 
 
 class MessageKernel:
@@ -237,7 +237,7 @@ class MessageKernel:
         for link in initial_links:
             pcb.links.insert(link)
         self.processes[pid] = pcb
-        self.events.emit("process", str(pid), event="created", image=image)
+        self.events.emit("process", pid, event="created", image=image)
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(Control("process_created", {
                 "pid": pid, "image": image, "args": args,
@@ -266,7 +266,7 @@ class MessageKernel:
         self._marker_seen.pop(pid, None)
         self._held_live.pop(pid, None)
         self.cpu.charge(self.config.costs.destroy_process_cpu_ms)
-        self.events.emit("process", str(pid), event="destroyed")
+        self.events.emit("process", pid, event="destroyed")
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(Control("process_destroyed",
                                                   {"pid": pid, "node": self.node_id}))
@@ -333,7 +333,7 @@ class MessageKernel:
             # It is refused and charged as the original was, never built.
             Message.check_size(size_bytes)
             self.cpu.charge(cost)
-            self.events.emit("recovery", str(pcb.pid),
+            self.events.emit("recovery", pcb.pid,
                              event="suppressed_send", seq=seq)
             return
         message = Message(
@@ -423,7 +423,7 @@ class MessageKernel:
             self._execute_dtk(message)
             return
         if pcb is None or pcb.state is ProcessState.DEAD:
-            self.events.emit("kernel", str(message.dst), event="drop_no_process")
+            self.events.emit("kernel", message.dst, event="drop_no_process")
             return
         if message.recovery_marker:
             return   # stale marker from a finished recovery; ignore
@@ -446,16 +446,16 @@ class MessageKernel:
             marker_epoch = message.body[1] if (
                 isinstance(message.body, tuple) and len(message.body) > 1) else 0
             if marker_epoch != pcb.recovery_epoch:
-                self.events.emit("recovery", str(pid), event="stale_marker")
+                self.events.emit("recovery", pid, event="stale_marker")
                 return
             self._marker_seen[pid] = True
-            self.events.emit("recovery", str(pid), event="marker_seen")
+            self.events.emit("recovery", pid, event="marker_seen")
             return
         if self._marker_seen.get(pid):
             self._held_live.setdefault(pid, []).append(message)
         else:
-            self.events.emit("recovery", str(pid), event="discarded_live",
-                             msg=str(message.msg_id))
+            self.events.emit("recovery", pid, event="discarded_live",
+                             msg=message.msg_id)
 
     def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
         pcb.queue.append(message)
@@ -592,7 +592,7 @@ class MessageKernel:
         pcb.replay_bytes_since_checkpoint = 0
         pcb.msgs_since_checkpoint = 0
         pcb.last_checkpoint_time = self.engine.now
-        self.events.emit("checkpoint", str(pid), pages=pages)
+        self.events.emit("checkpoint", pid, pages=pages)
         return True
 
     # ------------------------------------------------------------------
@@ -605,7 +605,7 @@ class MessageKernel:
             return
         pcb.state = ProcessState.CRASHED
         pcb.queue.clear()
-        self.events.emit("crash", str(pid), scope="process")
+        self.events.emit("crash", pid, scope="process")
         if report:
             self.send_control_to_recorder(Control("process_crashed", {
                 "pid": pid, "node": self.node_id, "error": "fault",
@@ -676,7 +676,7 @@ class MessageKernel:
             # the rest — the thesis's initial implementation.
             self.cpu.run(self.config.costs.create_process_cpu_ms,
                          self._start_program, pcb, ctx)
-        self.events.emit("recovery", str(pid), event="recreated",
+        self.events.emit("recovery", pid, event="recreated",
                          from_checkpoint=checkpoint is not None)
 
     def inject_replay(self, message: Message, recovery_epoch: int = 0) -> None:
@@ -692,7 +692,7 @@ class MessageKernel:
         if pcb is None or pcb.state is not ProcessState.RECOVERING:
             return
         if recovery_epoch != pcb.recovery_epoch:
-            self.events.emit("recovery", str(message.dst),
+            self.events.emit("recovery", message.dst,
                              event="stale_replay_dropped")
             return
         if message.deliver_to_kernel:
@@ -716,7 +716,7 @@ class MessageKernel:
             else:
                 pcb.queue.append(message)
         self._marker_seen.pop(pid, None)
-        self.events.emit("recovery", str(pid), event="live")
+        self.events.emit("recovery", pid, event="live")
         self._pump(pcb)
 
     # ------------------------------------------------------------------

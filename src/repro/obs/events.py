@@ -10,26 +10,62 @@ with the same seeds produce bit-identical streams.
 Emission is cheap when it matters: a scope caches its enabled flag, so a
 disabled scope's ``emit`` is one attribute read and a return — the detail
 kwargs are never materialised into an event and nothing is formatted.
-Formatting happens only in :meth:`Event.__str__`, i.e. lazily, when a
-human actually looks at a record.
+An enabled scope formats nothing either: an event keeps the subject and
+detail values the emitter handed over (a ``ProcessId``, a ``MessageId``)
+and formats them only when read: ``subject``, ``detail``, ``to_dict``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+#: returned as handed by ``Event.detail``, as are exact lists and tuples
+_AS_HANDED = (str, int, float, dict, type(None))
 
-@dataclass(frozen=True)
+
 class Event:
-    """One event: when, which layer, what happened, to whom."""
+    """One event: when, which layer, what happened, to whom. Immutable;
+    ``subject`` and ``detail`` format what was stored when read."""
 
-    time: float
-    scope: str
-    category: str
-    subject: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("_time", "_scope", "_category", "_subject", "_keys",
+                 "_values")
+    time = property(attrgetter("_time"))
+    scope = property(attrgetter("_scope"))
+    category = property(attrgetter("_category"))
+
+    def __init__(self, time: float, scope: str, category: str,
+                 subject: Any, detail: Optional[Dict[str, Any]] = None):
+        detail = detail or {}
+        self._fill(time, scope, category, subject, tuple(detail),
+                   tuple(detail.values()))
+
+    def _fill(self, *fields: Any) -> None:
+        (self._time, self._scope, self._category, self._subject,
+         self._keys, self._values) = fields
+
+    @property
+    def subject(self) -> str:
+        return str(self._subject)
+
+    @property
+    def detail(self) -> Dict[str, Any]:
+        return {k: v if isinstance(v, _AS_HANDED) or type(v) in (list, tuple)
+                else str(v) for k, v in zip(self._keys, self._values)}
+
+    def _fields(self) -> tuple:
+        return (self.time, self.scope, self.category, self.subject,
+                self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("Event(time={!r}, scope={!r}, category={!r}, subject={!r}, "
+                "detail={!r})".format(*self._fields()))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extras = " ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -41,13 +77,13 @@ class Event:
         only when they are not already JSON-serializable)."""
         return {"time": self.time, "scope": self.scope,
                 "category": self.category, "subject": self.subject,
-                "detail": {k: _jsonable(v) for k, v in self.detail.items()}}
+                "detail": dict(zip(self._keys, map(_jsonable, self._values)))}
 
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -74,13 +110,16 @@ class Scope:
     def enabled(self) -> bool:
         return self._on
 
-    def emit(self, category: str, subject: str, **detail: Any) -> None:
+    def emit(self, category: str, subject: Any, **detail: Any) -> None:
         """Append an event stamped with the bus clock's current time."""
         if not self._on:
             return
         bus = self._bus
-        bus.events.append(Event(bus._clock(), self.name, category,
-                                subject, detail))
+        event = object.__new__(Event)
+        event._fill(bus._clock(), self.name, category, subject,
+                    bus._detail_keys.setdefault(keys := tuple(detail), keys),
+                    tuple(detail.values()))
+        bus.events.append(event)
 
     def child(self, suffix: str) -> "Scope":
         """The scope ``<this>.<suffix>``."""
@@ -96,6 +135,7 @@ class EventBus:
         self._scopes: Dict[str, Scope] = {}
         self._disabled: set = set()
         self._master_enabled = True
+        self._detail_keys: Dict[tuple, tuple] = {}   # one per event shape
 
     # ------------------------------------------------------------------
     # scopes

@@ -306,7 +306,7 @@ class GossipCoordinator:
         fresh = self.tracker.note_recorded(message.msg_id)
         for hole in fresh:
             self._gaps_flagged.inc()
-            self.events.emit("gap", str(hole.sender), seq=hole.seq)
+            self.events.emit("gap", hole.sender, seq=hole.seq)
 
     def _sweep_advertisements(self) -> None:
         """Compare peer buffer contents against the recorder database:
@@ -337,7 +337,7 @@ class GossipCoordinator:
                         continue
                 if tracker.flag(msg_id):
                     self._gaps_flagged.inc()
-                    self.events.emit("gap", str(msg_id.sender),
+                    self.events.emit("gap", msg_id.sender,
                                      seq=msg_id.seq, via="advertisement")
 
     # ------------------------------------------------------------------
@@ -358,7 +358,7 @@ class GossipCoordinator:
                        if tries >= self.config.max_retries]:
             tracker.abandon(msg_id)
             self._abandoned.inc()
-            self.events.emit("gave_up", str(msg_id.sender), seq=msg_id.seq)
+            self.events.emit("gave_up", msg_id.sender, seq=msg_id.seq)
         wanted = tracker.outstanding()
         if not wanted:
             self._converged.fire(0)
@@ -408,8 +408,8 @@ class GossipCoordinator:
             return
         if recorder.record_repair(message):
             self._repaired.inc()
-            self.events.emit("repair", str(message.dst),
-                             msg=str(message.msg_id), src_node=src_node)
+            self.events.emit("repair", message.dst,
+                             msg=message.msg_id, src_node=src_node)
         # A supply is recorded knowledge like any overheard frame: it
         # resolves its own hole and may expose earlier ones.
         self.note_recorded(message)

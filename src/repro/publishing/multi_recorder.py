@@ -450,11 +450,11 @@ class QuorumReplay:
         if key not in self._emitted:
             self._emitted.add(key)
             self.events.emit("divergence", f"recorder{rid}",
-                             reason=reason, pid=str(pid), **detail)
+                             reason=reason, pid=pid, **detail)
 
     def note_unresolved(self, pid, candidates: int) -> None:
         self._unresolved.inc()
-        self.events.emit("unresolved", str(pid), candidates=candidates)
+        self.events.emit("unresolved", pid, candidates=candidates)
 
 
 @dataclass

@@ -278,7 +278,7 @@ class Recorder:
         sender = self.db.get(message.src)
         if sender is not None:
             sender.note_send_confirmed(message.msg_id.seq)
-        self.events.emit(event, str(message.dst), msg=str(message.msg_id))
+        self.events.emit(event, message.dst, msg=message.msg_id)
         signal = self._arrival_signals.get(message.dst)
         if signal is not None:
             signal.fire(message.msg_id)
@@ -356,7 +356,7 @@ class Recorder:
             record.recoverable = control.get("recoverable", True)
             record.state_pages = control.get("state_pages", 4)
             record.node = control["node"]
-        self.events.emit("recorder", str(pid), event="created_notice")
+        self.events.emit("recorder", pid, event="created_notice")
 
     def _on_process_destroyed(self, control: Control, src_node: int) -> None:
         pid = ProcessId(*control["pid"])
@@ -368,7 +368,7 @@ class Recorder:
         # "When the process is terminated, all messages queued for it are
         # also discarded" — and so is its published history.
         record.invalidate_all()
-        self.events.emit("recorder", str(pid), event="destroyed_notice")
+        self.events.emit("recorder", pid, event="destroyed_notice")
 
     def _on_checkpoint(self, control: Control, src_node: int) -> None:
         pid = ProcessId(*control["pid"])
@@ -393,7 +393,7 @@ class Recorder:
         if not self.up or record.destroyed:
             return
         invalidated = record.apply_checkpoint(entry)
-        self.events.emit("recorder", str(record.pid), event="checkpoint_stored",
+        self.events.emit("recorder", record.pid, event="checkpoint_stored",
                          invalidated=invalidated)
 
     def _on_read_order(self, control: Control, src_node: int) -> None:

@@ -250,7 +250,7 @@ class RecoveryManager:
         # recovered process also sees messages the recorder itself
         # missed. The wait is bounded by max_retries gossip rounds.
         if self.gossip is not None and self.gossip.outstanding_count():
-            self.events.emit("recovery", str(pid), event="gossip_repair_wait",
+            self.events.emit("recovery", pid, event="gossip_repair_wait",
                              holes=self.gossip.outstanding_count())
             yield self.gossip.request_urgent()
             if self._superseded(record, epoch):
@@ -279,7 +279,7 @@ class RecoveryManager:
                 logged = cursor.next()
             except RecordCorruptionError as exc:
                 self.stats.corrupt_records_skipped += 1
-                self.events.emit("recovery", str(pid),
+                self.events.emit("recovery", pid,
                                  event="corrupt_record", error=str(exc))
                 continue
             if logged is not None:
@@ -309,7 +309,7 @@ class RecoveryManager:
         record.recovering = False
         record.node = node
         self.stats.recoveries_completed += 1
-        self.events.emit("recovery", str(pid), event="complete",
+        self.events.emit("recovery", pid, event="complete",
                          replayed=replayed)
         signal = self._completion_signals.get(pid)
         if signal is not None:

@@ -44,13 +44,18 @@ def count_calls(fn, within=None) -> int:
     """Call events (Python and C) raised while ``fn()`` runs: the
     deterministic stand-in for host time that lets tier-1 assert how
     work scales without reading a clock. ``within`` narrows the count
-    to calls of, and made from, that module's own code."""
-    path = within.__file__ if within is not None else None
+    to calls of, and made from, that module's own code; a tuple of
+    functions narrows it to calls of those functions."""
+    codes = ({function.__code__ for function in within}
+             if isinstance(within, tuple) else None)
+    path = within.__file__ if within is not None and codes is None else None
     calls = 0
 
     def on_event(frame, event, arg):
         nonlocal calls
-        if event in ("call", "c_call") and (
+        if codes is not None:
+            calls += event == "call" and frame.f_code in codes
+        elif event in ("call", "c_call") and (
                 path is None or frame.f_code.co_filename == path):
             calls += 1
 
