@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.digest import canonical_json
 from repro.errors import PlacementError
-from repro.publishing.multi_recorder import PriorityVectors
 
 #: shard 0 of a cluster sits at ``first_node_id + RECORDER_ID_OFFSET``;
 #: shard j at the next id up. With the federation node stride of 100
@@ -248,6 +247,7 @@ def placement_priority_vectors(placement: ClusterPlacement):
     hold every node's records; ``shard_for`` names the first, so their
     vectors are the recorders in index order.
     """
+    from repro.publishing.multi_recorder import PriorityVectors
     vectors: Dict[int, List[int]] = {}
     for node in range(placement.first_node_id,
                       placement.first_node_id + placement.nodes):

@@ -8,9 +8,10 @@ over some value; the byte layouts are frozen. The message checksum,
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
+
+from repro.sim.rng import sha256
 
 _HASH_MOD = (1 << 61) - 1
 
@@ -24,7 +25,7 @@ def canonical_json(obj: Any) -> str:
 
 def text_digest(text: str) -> str:
     """SHA-256 hex digest of ``text``'s UTF-8 bytes."""
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def digest_of(obj: Any) -> str:

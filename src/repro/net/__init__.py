@@ -16,60 +16,77 @@ overhear every message. This package provides that substrate:
   (the Z8000 configuration of §4.1);
 * :mod:`repro.net.transport` — guaranteed/unguaranteed messages, duplicate
   suppression, end-to-end acknowledgements, and in-order delivery (§4.3.3).
+
+Every ``System`` builds frames, faults, a medium and transports, so
+those load with the package; the other media load when first named, so
+a process compiles only the medium it runs (docs/PERFORMANCE.md).
 """
 
-from repro.net.frames import Frame, FrameKind, crc16, BROADCAST
-from repro.net.faults import FaultPlan
-from repro.net.media import Medium, NetworkInterface, PerfectBroadcast, MediumStats
-from repro.net.ethernet import CsmaEthernet, EthernetParams
-from repro.net.acking_ethernet import AckingEthernet
-from repro.net.token_ring import TokenRing, TokenRingParams
-from repro.net.star import StarHub
-from repro.net.transport import Transport, TransportConfig, TransportStats
-from repro.errors import ReproError
+from importlib import import_module
 
-#: medium name -> class: the one statement of which media exist (read by
-#: ``SystemConfig.medium``, every ``--medium`` flag, the storm workloads)
+from repro.errors import ReproError
+from repro.net import faults, frames, media, transport  # noqa: F401
+
+#: medium name -> where its class lives: the one statement of which
+#: media exist (read by ``SystemConfig.medium``, every ``--medium`` flag,
+#: the storm workloads); naming one imports only its own module
 MEDIA = {
-    "broadcast": PerfectBroadcast,
-    "acking_ethernet": AckingEthernet,
-    "csma_ethernet": CsmaEthernet,
-    "star": StarHub,
-    "token_ring": TokenRing,
+    "broadcast": "repro.net.media.PerfectBroadcast",
+    "acking_ethernet": "repro.net.acking_ethernet.AckingEthernet",
+    "csma_ethernet": "repro.net.ethernet.CsmaEthernet",
+    "star": "repro.net.star.StarHub",
+    "token_ring": "repro.net.token_ring.TokenRing",
 }
 
 
-def build_medium(name: str, engine, rng, **kwargs) -> Medium:
+def medium_class(name: str) -> type:
+    """The class of the medium called ``name``."""
+    if name not in MEDIA:
+        raise ReproError(f"unknown medium {name!r}; choose from {tuple(MEDIA)}")
+    module, _, cls = MEDIA[name].rpartition(".")
+    return getattr(import_module(module), cls)
+
+
+def build_medium(name: str, engine, rng, **kwargs) -> media.Medium:
     """Construct the medium called ``name``; only the contending
     Ethernets draw randomness (backoff), so only they take ``rng``."""
-    cls = MEDIA.get(name)
-    if cls is None:
-        raise ReproError(
-            f"unknown medium {name!r}; choose from {tuple(MEDIA)}")
-    if issubclass(cls, CsmaEthernet):
+    cls = medium_class(name)
+    if name in ("acking_ethernet", "csma_ethernet"):
         return cls(engine, rng, **kwargs)
     return cls(engine, **kwargs)
 
 
-__all__ = [
-    "MEDIA",
-    "build_medium",
-    "Frame",
-    "FrameKind",
-    "crc16",
-    "BROADCAST",
-    "FaultPlan",
-    "Medium",
-    "NetworkInterface",
-    "PerfectBroadcast",
-    "MediumStats",
-    "CsmaEthernet",
-    "EthernetParams",
-    "AckingEthernet",
-    "TokenRing",
-    "TokenRingParams",
-    "StarHub",
-    "Transport",
-    "TransportConfig",
-    "TransportStats",
-]
+#: export -> the submodule defining it; a submodule not yet imported
+#: loads when one of its names is first read
+_EXPORTS = {
+    "Frame": "frames",
+    "FrameKind": "frames",
+    "crc16": "frames",
+    "BROADCAST": "frames",
+    "FaultPlan": "faults",
+    "Medium": "media",
+    "NetworkInterface": "media",
+    "PerfectBroadcast": "media",
+    "MediumStats": "media",
+    "CsmaEthernet": "ethernet",
+    "EthernetParams": "ethernet",
+    "AckingEthernet": "acking_ethernet",
+    "TokenRing": "token_ring",
+    "TokenRingParams": "token_ring",
+    "StarHub": "star",
+    "Transport": "transport",
+    "TransportConfig": "transport",
+    "TransportStats": "transport",
+}
+
+__all__ = ["MEDIA", "build_medium", "medium_class", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -19,55 +19,56 @@
 * :mod:`repro.publishing.gossip` — epidemic repair: bounded peer
   buffers, gap tracking, and pull-based hole repair on top of the
   passive recorder (see ``docs/GOSSIP.md``).
+
+Every publishing ``System`` builds a recorder, its disks and database,
+a recovery manager and checkpoints, so those load with the package;
+gossip and the multi-recorder load when first named.
 """
 
-from repro.publishing.disk import DiskModel, DiskParams, DiskArray
-from repro.publishing.stable_storage import StableStorage
-from repro.publishing.database import ProcessRecord, LoggedMessage, RecorderDatabase
-from repro.publishing.recovery_time import RecoveryTimeModel, RecoveryTimeParams
-from repro.publishing.checkpoints import (
-    young_interval,
-    CheckpointPolicy,
-    YoungIntervalPolicy,
-    RecoveryTimeBoundPolicy,
-    StorageBalancePolicy,
-)
-from repro.publishing.watchdog import Watchdog
-from repro.publishing.gossip import (
-    GapTracker,
-    GossipBuffer,
-    GossipConfig,
-    GossipCoordinator,
-    ReceptionLoss,
-)
-from repro.publishing.recorder import Recorder, RecorderConfig
-from repro.publishing.recovery_manager import RecoveryManager
-from repro.publishing.multi_recorder import PriorityVectors, MultiRecorderCoordinator
+from importlib import import_module
 
-__all__ = [
-    "DiskModel",
-    "DiskParams",
-    "DiskArray",
-    "StableStorage",
-    "ProcessRecord",
-    "LoggedMessage",
-    "RecorderDatabase",
-    "RecoveryTimeModel",
-    "RecoveryTimeParams",
-    "young_interval",
-    "CheckpointPolicy",
-    "YoungIntervalPolicy",
-    "RecoveryTimeBoundPolicy",
-    "StorageBalancePolicy",
-    "Watchdog",
-    "GapTracker",
-    "GossipBuffer",
-    "GossipConfig",
-    "GossipCoordinator",
-    "ReceptionLoss",
-    "Recorder",
-    "RecorderConfig",
-    "RecoveryManager",
-    "PriorityVectors",
-    "MultiRecorderCoordinator",
-]
+from repro.publishing import (  # noqa: F401
+    checkpoints, database, disk, recorder, recovery_manager, recovery_time,
+    stable_storage, watchdog)
+
+#: export -> the submodule defining it; a submodule not yet imported
+#: loads when one of its names is first read
+_EXPORTS = {
+    "DiskModel": "disk",
+    "DiskParams": "disk",
+    "DiskArray": "disk",
+    "StableStorage": "stable_storage",
+    "ProcessRecord": "database",
+    "LoggedMessage": "database",
+    "RecorderDatabase": "database",
+    "RecoveryTimeModel": "recovery_time",
+    "RecoveryTimeParams": "recovery_time",
+    "young_interval": "checkpoints",
+    "CheckpointPolicy": "checkpoints",
+    "YoungIntervalPolicy": "checkpoints",
+    "RecoveryTimeBoundPolicy": "checkpoints",
+    "StorageBalancePolicy": "checkpoints",
+    "Watchdog": "watchdog",
+    "GapTracker": "gossip",
+    "GossipBuffer": "gossip",
+    "GossipConfig": "gossip",
+    "GossipCoordinator": "gossip",
+    "ReceptionLoss": "gossip",
+    "Recorder": "recorder",
+    "RecorderConfig": "recorder",
+    "RecoveryManager": "recovery_manager",
+    "PriorityVectors": "multi_recorder",
+    "MultiRecorderCoordinator": "multi_recorder",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -11,48 +11,45 @@ Figure 5.2 hardware parameters and the Figure 5.4 operating points, and
 search for the user capacity behind the thesis's headline claim that
 "the recorder, constructed from current technology, can support a system
 of up to 115 users".
+
+No ``System`` uses the model, so nothing loads with the package: a
+name loads its submodule when first accessed.
 """
 
-from repro.queueing.hardware import HardwareParams
-from repro.queueing.workload import (
-    OperatingPoint,
-    OPERATING_POINTS,
-    StateSizeDistribution,
-    checkpoint_traffic,
-)
-from repro.queueing.model import OpenQueueingModel, StationLoad
-from repro.queueing.solver import StationSolution, solve_station, solve_model
-from repro.queueing.simulate import SimulationResult, simulate_model
-from repro.queueing.capacity import (
-    capacity_in_users,
-    capacity_in_nodes,
-    storage_requirement_bytes,
-)
-from repro.queueing.federation import (
-    FederationCapacityModel,
-    FederationShape,
-    measure_gateway_knee,
-    modeled_gateway_knee_per_s,
-)
+from importlib import import_module
 
-__all__ = [
-    "HardwareParams",
-    "OperatingPoint",
-    "OPERATING_POINTS",
-    "StateSizeDistribution",
-    "checkpoint_traffic",
-    "OpenQueueingModel",
-    "StationLoad",
-    "StationSolution",
-    "solve_station",
-    "solve_model",
-    "SimulationResult",
-    "simulate_model",
-    "capacity_in_users",
-    "capacity_in_nodes",
-    "storage_requirement_bytes",
-    "FederationCapacityModel",
-    "FederationShape",
-    "measure_gateway_knee",
-    "modeled_gateway_knee_per_s",
-]
+#: export -> the submodule defining it; a submodule not yet imported
+#: loads when one of its names is first read
+_EXPORTS = {
+    "HardwareParams": "hardware",
+    "OperatingPoint": "workload",
+    "OPERATING_POINTS": "workload",
+    "StateSizeDistribution": "workload",
+    "checkpoint_traffic": "workload",
+    "OpenQueueingModel": "model",
+    "StationLoad": "model",
+    "StationSolution": "solver",
+    "solve_station": "solver",
+    "solve_model": "solver",
+    "SimulationResult": "simulate",
+    "simulate_model": "simulate",
+    "capacity_in_users": "capacity",
+    "capacity_in_nodes": "capacity",
+    "storage_requirement_bytes": "capacity",
+    "FederationCapacityModel": "federation",
+    "FederationShape": "federation",
+    "measure_gateway_knee": "federation",
+    "modeled_gateway_knee_per_s": "federation",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

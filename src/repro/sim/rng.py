@@ -9,9 +9,18 @@ a new consumer of randomness never perturbs the draws of existing ones.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+# CPython's own sha256: hashlib would map OpenSSL's libcrypto (3.6 MiB
+# resident). Builds without the built-in module fall back to hashlib.
+try:
+    from _sha2 import sha256                # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256          # 3.9-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -24,7 +33,7 @@ def derive_seed(master_seed: int, name: str) -> int:
     never of scheduling order — so results are identical whether shards
     run serially or spread over N worker processes.
     """
-    digest = hashlib.sha256(f"{master_seed}/{name}".encode()).digest()
+    digest = sha256(f"{master_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.demos.costs import CostModel
 from repro.demos.ids import ProcessId, kernel_pid
@@ -38,25 +38,20 @@ from repro.demos.sysprocs import (
     ProcessManager,
 )
 from repro.errors import ConfigError, ReproError
-from repro.net import MEDIA, build_medium
+from repro.net import MEDIA, build_medium, medium_class
 from repro.net.faults import FaultPlan
 from repro.net.frames import DeadLetter
 from repro.net.transport import TransportConfig
 from repro.publishing.checkpoints import CheckpointPolicy, install_policy
-from repro.publishing.gossip import (
-    GossipConfig,
-    GossipCoordinator,
-    ReceptionLoss,
-)
-from repro.publishing.multi_recorder import (
-    MultiRecorderCoordinator,
-    QuorumReplay,
-)
 from repro.publishing.recorder import Recorder, RecorderConfig
 from repro.publishing.recovery_manager import RecoveryManager, RecoveryStats
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:   # imported where built: a run without them loads neither
+    from repro.publishing.gossip import GossipCoordinator, ReceptionLoss
+    from repro.publishing.multi_recorder import QuorumReplay
 
 REBOOT_POLICIES = ("restart", "spare", "none")
 
@@ -168,7 +163,8 @@ UNSUPPORTED: Tuple[Tuple[Callable[[SystemConfig], bool], str, bool], ...] = (
     (lambda c: c.gossip and recorder_count(c) > 1,
      "several recorders and gossip repair are mutually exclusive (the "
      "gossip coordinator assumes one recorder)", False),
-    (lambda c: c.medium in MEDIA and not MEDIA[c.medium].provides_delivery_ack,
+    (lambda c: c.medium in MEDIA
+     and not medium_class(c.medium).provides_delivery_ack,
      "medium={c.medium!r} cannot be federated: a gateway learns a frame's "
      "fate from the hardware acknowledgement and it has none to give", True),
 )
@@ -247,6 +243,7 @@ class System:
         if self.config.publishing and self.config.gossip_loss_rate > 0.0:
             self.install_reception_loss(self.config.gossip_loss_rate)
         if self.config.publishing and self.config.gossip:
+            from repro.publishing.gossip import GossipConfig, GossipCoordinator
             self.gossip = GossipCoordinator(self, GossipConfig(
                 buffer_depth=self.config.gossip_buffer_depth,
                 round_ms=self.config.gossip_round_ms,
@@ -325,6 +322,8 @@ class System:
         if len(self.recorders) == 1:
             return       # §3.3 as published: no new metrics, no new ids
         if placement.replicated:
+            from repro.publishing.multi_recorder import (
+                MultiRecorderCoordinator, QuorumReplay)
             vectors = placement_priority_vectors(placement)
             if len(self.recorders) >= 3:
                 self.quorum = QuorumReplay(self.recorders)
@@ -399,6 +398,7 @@ class System:
         action lands here mid-run.
         """
         if self.reception_loss is None:
+            from repro.publishing.gossip import ReceptionLoss
             self.reception_loss = ReceptionLoss(
                 self.rng.stream("gossip/loss"),
                 self.config.gossip_loss_rate if rate is None else rate,

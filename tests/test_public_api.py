@@ -27,6 +27,21 @@ from repro import errors
 def test_all_exports_resolve(module):
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module.__name__}.{name} missing"
+    # The packages that load submodules on first access (docs/
+    # PERFORMANCE.md, "Start-up"): an export is its defining module's
+    # own object, listed by dir(), bound by a star import, and an
+    # unknown name is an AttributeError naming the package.
+    if module not in (repro.net, repro.publishing, repro.queueing):
+        return
+    for name, submodule in module._EXPORTS.items():
+        defining = importlib.import_module(f"{module.__name__}.{submodule}")
+        assert getattr(module, name) is getattr(defining, name), name
+    assert set(module.__all__) <= set(dir(module))
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match=module.__name__):
+        module.no_such_export
 
 
 def test_partitioned_des_exports_two_modes():
