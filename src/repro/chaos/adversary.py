@@ -30,9 +30,10 @@ then hand the records to
 :func:`repro.publishing.multi_recorder.quorum_replay_stream`.
 
 :func:`run_quorum_scenario` is the end-to-end acceptance rig: a
-:class:`~repro.system.System` laid out with 2f+1 ``replica`` recorders
-(so quorum replay is attached), Byzantine stages armed mid-traffic, and
-a node crash that forces a recovery through the vote.
+:class:`~repro.system.SystemConfig` with 2f+1 ``replica`` recorders (so
+quorum replay is attached) and a :class:`~repro.chaos.ChaosCampaign`
+that turns some of them Byzantine mid-traffic and then crashes a node,
+forcing a recovery through the vote.
 """
 
 from __future__ import annotations
@@ -370,13 +371,6 @@ def feed_record(record, db, message: Message, stage=None) -> None:
 # the acceptance rig: 2f+1 recorders, quorum replay, a mid-traffic
 # Byzantine window, and a node crash that forces recovery to vote
 # ----------------------------------------------------------------------
-#: the rig's schedule (ms of simulated time) and its driver's patience
-_BYZANTINE_AT_MS = 900.0
-_CRASH_AT_MS = 2800.0
-_DEADLINE_MS = 240_000.0
-_SETTLE_MS = 6000.0
-
-
 def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
                         master_seed: int = 1983,
                         modes: Sequence[str] = ("drop", "corrupt",
@@ -386,11 +380,13 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
     """Run the quorum acceptance scenario; returns the settled
     :class:`~repro.system.System` and the report dict.
 
-    A two-node :class:`~repro.system.System` with 2f+1 ``replica``
-    recorders (90, 91, ...) acknowledging all traffic; at 900 ms the
-    *last* ``byzantine`` recorders turn Byzantine (priority vectors put
-    the honest ones first); at 2800 ms the counter's node crashes and
-    its recovery replays through the quorum cursor.
+    A config and a campaign, run by
+    :func:`~repro.chaos.workload.run_scenario`: a two-node system with
+    2f+1 ``replica`` recorders (90, 91, ...) acknowledging all traffic;
+    at 900 ms the *last* ``byzantine`` recorders turn Byzantine
+    (priority vectors put the honest ones first); at 2800 ms the
+    counter's node crashes and its recovery replays through the quorum
+    cursor.
 
     ``ok`` means: with ``byzantine <= f`` the workload finished exactly
     and every flagged recorder really was faulty; with ``byzantine >
@@ -398,70 +394,43 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
     unresolved events) or the majority happened to stay right — never a
     silent wrong total.
     """
-    from repro.chaos.workload import (
-        CHAOS_COUNTER_IMAGE, CHAOS_DRIVER_IMAGE, expected_total,
-        register_chaos_programs)
-    from repro.system import System, SystemConfig
+    from repro.chaos.actions import (ByzantineRecorderFault, ChaosAction,
+                                     CrashNode, EquivocateSender)
+    from repro.chaos.campaign import ChaosCampaign
+    from repro.chaos.workload import run_scenario
+    from repro.system import SystemConfig
 
     total = 2 * f + 1
     if f < 1 or byzantine > total:
         raise AdversaryConfigError(
             f"a quorum needs f >= 1 and at most 2f+1 faulty recorders "
             f"(f={f}, byzantine={byzantine})")
-    system = System(SystemConfig(
-        nodes=2, recorder_node_id=90, recorder_shards=total,
-        placement_policy="replica", master_seed=master_seed))
-    register_chaos_programs(system)
-    system.boot()
-    engine, obs, rng = system.engine, system.obs, system.rng
-
-    # -- workload: a counter on node 2, driven from node 1 -------------
-    counter_pid = system.spawn_program(CHAOS_COUNTER_IMAGE, node=2)
-    driver_pid = system.spawn_program(
-        CHAOS_DRIVER_IMAGE, args=(tuple(counter_pid), messages), node=1)
-    system.run(200.0)
-
-    # -- the faults -----------------------------------------------------
-    faulty = system.recorders[total - byzantine:] if byzantine else []
-    faulty_ids = [recorder.config.node_id for recorder in faulty]
-
-    def _arm():
-        plan = (EquivocationPlan(rng.stream("adversary/equivocation"),
-                                 rate=rate) if equivocate else None)
-        for recorder in faulty:
-            install_byzantine(
-                recorder,
-                rng.stream(f"adversary/recorder/{recorder.config.node_id}"),
-                modes=modes, rate=rate)
-            if plan is not None:
-                install_equivocator(recorder, plan)
-        obs.scope("adversary").emit(
-            "armed", "campaign", recorders=list(faulty_ids),
-            rate=rate, modes=list(modes))
-
+    config = SystemConfig(nodes=2, recorder_node_id=90, recorder_shards=total,
+                          placement_policy="replica", master_seed=master_seed)
+    faulty = tuple(config.recorder_node_id + j    # replica j's node id
+                   for j in range(total - byzantine, total))
+    actions: List[ChaosAction] = []
     if faulty:
-        engine.schedule_at(max(_BYZANTINE_AT_MS, engine.now), _arm)
-    engine.schedule_at(max(_CRASH_AT_MS, engine.now), system.crash_node, 2)
-
-    # -- drive ----------------------------------------------------------
-    deadline = engine.now + _DEADLINE_MS
-    while engine.now < deadline:
-        driver = system.program_of(driver_pid)
-        if driver is not None and len(driver.replies) >= messages:
-            break
-        system.run(250.0)
-    system.run(_SETTLE_MS)
+        actions.append(ByzantineRecorderFault(
+            900.0, recorders=faulty, modes=tuple(modes), rate=rate))
+        if equivocate:
+            actions.append(EquivocateSender(900.0, recorders=faulty,
+                                            rate=rate))
+    actions.append(CrashNode(2800.0, node=2))
+    result = run_scenario(ChaosCampaign(actions, name="adversary_quorum"),
+                          config, pairs=1, messages=messages,
+                          deadline_ms=240_000.0, settle_ms=6000.0)
+    system = result.system
 
     # -- judge ----------------------------------------------------------
-    counter = system.program_of(counter_pid)
-    total_seen = counter.total if counter is not None else -1
-    expected = expected_total(messages)
+    total_seen, = result.totals
+    expected = result.expected
     exact = total_seen == expected
     snap = system.metrics_snapshot()
     divergences = int(snap.get("quorum.divergences", 0))
     unresolved = int(snap.get("quorum.unresolved", 0))
     outvoted = sorted(system.quorum.divergent)
-    flagged_honest = [rid for rid in outvoted if rid not in faulty_ids]
+    flagged_honest = [rid for rid in outvoted if rid not in faulty]
     if byzantine <= f:
         ok = exact and not flagged_honest and unresolved == 0
     else:
@@ -472,7 +441,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
         "f": f,
         "recorders": total,
         "byzantine": byzantine,
-        "faulty_ids": faulty_ids,
+        "faulty_ids": list(faulty),
         "messages": messages,
         "modes": list(modes),
         "rate": rate,
@@ -490,7 +459,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
         "flagged_honest": flagged_honest,
         "recoveries_completed": snap["recovery.recoveries_completed"],
         "messages_replayed": snap["recovery.messages_replayed"],
-        "sim_ms": engine.now,
+        "sim_ms": system.engine.now,
         "ok": ok,
     }
     return system, report

@@ -6,15 +6,16 @@ suite uses) so campaigns exercise real guaranteed messages, recorder
 logging, checkpoints and replay — without importing anything from the
 tests.
 
-:func:`run_scenario` is the one-call driver: build a system, spawn the
-workload, arm the campaign, run until the workload completes (or a
-deadline), settle, and return the report.
+:func:`run_scenario` is the one-call driver: build a system from a
+:class:`~repro.system.SystemConfig`, spawn the workload, arm the
+campaign, run until the workload completes (or a deadline), settle, and
+return the report. A scenario is a config plus a campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.chaos.campaign import (
     CampaignReport,
@@ -121,32 +122,26 @@ class ScenarioResult:
 
 
 def run_scenario(campaign: ChaosCampaign,
-                 nodes: int = 3,
+                 config: SystemConfig,
                  pairs: int = 3,
                  messages: int = 40,
-                 master_seed: int = 1983,
-                 medium: str = "broadcast",
-                 checkpoint_policy: Optional[str] = "storage",
                  deadline_ms: float = 120_000.0,
                  settle_ms: float = 3_000.0,
-                 config_overrides: Optional[Dict[str, Any]] = None,
                  ) -> ScenarioResult:
-    """Run one campaign against a counter/driver workload.
+    """Run one campaign against a counter/driver workload on a system
+    built from ``config``.
 
-    Drivers live on node 1, counters spread over the remaining nodes
-    (so node crashes hit counters and partitions cut request paths).
-    Runs in 250 ms slices until every driver has its ``messages``
-    replies or ``deadline_ms`` simulated time elapses, then settles,
-    heals any partition the campaign left standing, and reports.
+    Drivers live on the first node, counters spread over the remaining
+    nodes (so node crashes hit counters and partitions cut request
+    paths). Runs in 250 ms slices until every driver has its
+    ``messages`` replies or ``deadline_ms`` simulated time elapses, runs
+    on to the campaign's last action, then settles, heals any partition
+    the campaign left standing, and reports.
 
     The workload-correctness invariant — every counter ended at
     1+2+...+n exactly once — is appended to the report's checks.
     """
-    overrides = dict(config_overrides or {})
-    system = System(SystemConfig(nodes=nodes, master_seed=master_seed,
-                                 medium=medium,
-                                 checkpoint_policy=checkpoint_policy,
-                                 **overrides))
+    system = System(config)
     register_chaos_programs(system)
     system.boot()
 

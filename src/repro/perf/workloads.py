@@ -640,6 +640,7 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
     the fanout draws, and the repair order.
     """
     from repro.chaos import ChaosCampaign, run_scenario
+    from repro.system import SystemConfig
 
     cells = _GOSSIP_SMOKE if smoke else _GOSSIP_FULL
     messages = 8 if smoke else 18
@@ -649,19 +650,13 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
     sim_ms = 0.0
     lossless_digest = None
     for mode, loss_rate, depth in cells:
-        overrides: Dict[str, Any] = {
-            "gossip": mode == "gossip",
-            "gossip_loss_rate": loss_rate,
-            "gossip_round_ms": 120.0,
-            "gossip_max_retries": 6,
-        }
-        if depth:
-            overrides["gossip_buffer_depth"] = depth
+        config = SystemConfig(
+            nodes=2, master_seed=seed, gossip=mode == "gossip",
+            gossip_loss_rate=loss_rate, gossip_round_ms=120.0,
+            gossip_max_retries=6, gossip_buffer_depth=depth or 256)
         result = run_scenario(
-            ChaosCampaign([], name=f"gossip_{mode}_{loss_rate}"),
-            nodes=2, pairs=1, messages=messages, master_seed=seed,
-            checkpoint_policy=None, settle_ms=4000.0,
-            config_overrides=overrides)
+            ChaosCampaign([], name=f"gossip_{mode}_{loss_rate}"), config,
+            pairs=1, messages=messages, settle_ms=4000.0)
         if not result.ok:
             raise PerfDivergence(
                 f"gossip_repair[{mode} loss={loss_rate}]: invariants failed:\n"

@@ -540,12 +540,3 @@ class RecorderDatabase:
 
     def live_records(self) -> List[ProcessRecord]:
         return [r for r in self.records.values() if not r.destroyed]
-
-    def total_valid_bytes(self) -> int:
-        """Message + checkpoint storage still held (§5.1's 2.76 MB stat)."""
-        total = 0
-        for record in self.records.values():
-            total += record.valid_message_bytes()
-            if record.checkpoint is not None:
-                total += record.checkpoint.pages * 1024
-        return total

@@ -60,6 +60,7 @@ from repro.queueing import (
 from repro.queueing.capacity import bottleneck
 from repro.queueing.federation import capacity_section
 from repro.sim.rng import RngStreams
+from repro.system import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -255,9 +256,10 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
     # takes run_scenario's
     settle = ({"settle_ms": params["settle_ms"]}
               if "settle_ms" in params else {})
-    result = run_scenario(campaign, nodes=nodes, pairs=params["pairs"],
-                          messages=params["messages"], master_seed=seed,
-                          medium=params["medium"], **settle)
+    config = SystemConfig(nodes=nodes, master_seed=seed,
+                          medium=params["medium"], checkpoint_policy="storage")
+    result = run_scenario(campaign, config, pairs=params["pairs"],
+                          messages=params["messages"], **settle)
     return {
         "ok": result.ok,
         "totals": result.totals,
@@ -309,10 +311,11 @@ def run_gossip(params: Dict[str, Any]) -> Dict[str, Any]:
             name="gossip_repair")
         # Node recovery replays the whole log through the recorder's
         # disk path; give the settle phase room for it.
-        return run_scenario(
-            campaign, nodes=nodes, pairs=1, messages=params["messages"],
-            master_seed=params["seed"], settle_ms=8000.0,
-            config_overrides={"gossip": gossip, "transport_max_retries": 6})
+        config = SystemConfig(nodes=nodes, master_seed=params["seed"],
+                              checkpoint_policy="storage", gossip=gossip,
+                              transport_max_retries=6)
+        return run_scenario(campaign, config, pairs=1,
+                            messages=params["messages"], settle_ms=8000.0)
 
     result = arm(True)
     payload = result.report.to_dict()

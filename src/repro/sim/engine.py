@@ -425,15 +425,3 @@ class PartitionChannel:
         """Take every queued message (called at window barriers)."""
         out, self.outbox = self.outbox, []
         return out
-
-
-def run_simulation(setup: Callable[[Engine], Any], until: float) -> Tuple[Engine, Any]:
-    """Convenience wrapper: build an engine, run ``setup``, run to ``until``.
-
-    Returns ``(engine, setup_result)`` so tests can assert on the objects
-    the setup function created.
-    """
-    engine = Engine()
-    result = setup(engine)
-    engine.run(until=until)
-    return engine, result

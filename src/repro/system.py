@@ -54,6 +54,10 @@ if TYPE_CHECKING:   # imported where built: a run without them loads neither
     from repro.publishing.multi_recorder import QuorumReplay
 
 REBOOT_POLICIES = ("restart", "spare", "none")
+#: every transport's first retransmission timer (TransportConfig's own
+#: default is 100 ms) and the wait before a dead node reboots
+RETRANSMIT_TIMEOUT_MS = 50.0
+REBOOT_DELAY_MS = 1000.0
 
 
 @dataclass
@@ -82,30 +86,15 @@ class SystemConfig:
     master_seed: int = 1983
     costs: CostModel = field(default_factory=CostModel)
     publish_path: str = "media_tap"
-    disks: int = 1
-    buffered_writes: bool = True
     #: start NLS / process manager / memory scheduler on this node
     boot_system_processes: bool = True
     services_node: int = 1
-    reboot_delay_ms: float = 1000.0
     #: what happens when the watchdog declares a node dead (§4.6's
     #: operator choices): "restart" reboots the same processor; "spare"
     #: swaps in a fresh processor that assumes the failed one's
     #: identity; "none" leaves the node down (recovery stalls until the
     #: operator intervenes via restart_node/spare_takeover).
     reboot_policy: str = "restart"
-    watchdog_ping_ms: float = 500.0
-    watchdog_timeout_ms: float = 1500.0
-    retransmit_timeout_ms: float = 50.0
-    #: adaptive retransmission: retries back off exponentially by this
-    #: factor (1.0 = the original fixed timer), capped at
-    #: ``backoff_max_ms``, with optional multiplicative jitter drawn
-    #: from the cluster's named RNG streams (deterministic per
-    #: master_seed, but seed-*dependent* — so it defaults off, keeping
-    #: fault-free runs on randomness-free media seed-independent)
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 2000.0
-    backoff_jitter: float = 0.0
     #: transport window per node: 1 = the thesis's stop-and-wait ("only
     #: one unacknowledged message in transit from each processor"); >1
     #: enables the anticipated windowing scheme with receiver-side
@@ -127,7 +116,6 @@ class SystemConfig:
     gossip: bool = False
     gossip_buffer_depth: int = 256
     gossip_round_ms: float = 150.0
-    gossip_fanout: int = 2
     gossip_max_retries: int = 8
     #: seed-pure loss probability on the recording/repair path (frames
     #: missing every recorder; pull/supply datagrams dropped). Works
@@ -247,7 +235,6 @@ class System:
             self.gossip = GossipCoordinator(self, GossipConfig(
                 buffer_depth=self.config.gossip_buffer_depth,
                 round_ms=self.config.gossip_round_ms,
-                fanout=self.config.gossip_fanout,
                 max_retries=self.config.gossip_max_retries))
             self.gossip.loss = self.reception_loss
             self.recovery.gossip = self.gossip
@@ -271,14 +258,9 @@ class System:
         return RecorderConfig(
             node_id=node_id,
             publish_path=cfg.publish_path,
-            disks=cfg.disks,
-            buffered_writes=cfg.buffered_writes,
             costs=cfg.costs,
             transport=TransportConfig(
-                retransmit_timeout_ms=cfg.retransmit_timeout_ms,
-                backoff_factor=cfg.backoff_factor,
-                backoff_max_ms=cfg.backoff_max_ms,
-                backoff_jitter=cfg.backoff_jitter,
+                retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
                 max_retries=cfg.transport_max_retries,
                 per_destination=True, window=1),
         )
@@ -311,10 +293,7 @@ class System:
             recorder.claim = placement.claim_of(shard.index)
             manager = RecoveryManager(
                 self.engine, recorder,
-                node_ids=list(range(shard.lo, shard.hi)),
-                ping_interval_ms=cfg.watchdog_ping_ms,
-                watchdog_timeout_ms=cfg.watchdog_timeout_ms,
-            )
+                node_ids=list(range(shard.lo, shard.hi)))
             self.recorders.append(recorder)
             self.recoveries.append(manager)
         self.recorder = self.recorders[0]
@@ -365,10 +344,7 @@ class System:
             recorder_node=cfg.recorder_node_id if cfg.publishing else None,
             costs=cfg.costs,
             transport=TransportConfig(
-                retransmit_timeout_ms=cfg.retransmit_timeout_ms,
-                backoff_factor=cfg.backoff_factor,
-                backoff_max_ms=cfg.backoff_max_ms,
-                backoff_jitter=cfg.backoff_jitter,
+                retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
                 max_retries=cfg.transport_max_retries,
                 # With the epidemic repair layer on, receivers keep
                 # frames the recorder missed: the gossip pull closes
@@ -418,10 +394,9 @@ class System:
         if node is None or node.up:
             return
         if policy == "spare":
-            self.engine.schedule(self.config.reboot_delay_ms,
-                                 self.spare_takeover, node_id)
+            self.engine.schedule(REBOOT_DELAY_MS, self.spare_takeover, node_id)
         else:
-            self.engine.schedule(self.config.reboot_delay_ms, node.restart)
+            self.engine.schedule(REBOOT_DELAY_MS, node.restart)
 
     def spare_takeover(self, node_id: int) -> "Node":
         """Replace a failed processor with a spare that assumes its

@@ -33,6 +33,7 @@ from repro.chaos.actions import (
     EquivocateSender,
     action_from_dict,
 )
+from repro.chaos.campaign import ChaosCampaign, load_campaign
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.errors import ReproError
@@ -392,16 +393,15 @@ class TestBoundedBufferRecorder:
 # set-convergence contract of tests/test_gossip.py
 # ----------------------------------------------------------------------
 def run_gossip(seed, n, loss_rate, depth):
+    from repro import SystemConfig
     from repro.chaos import ChaosCampaign, run_scenario
-    return run_scenario(
-        ChaosCampaign([], name="bounded_gossip"), nodes=2, pairs=1,
-        messages=n, master_seed=seed, checkpoint_policy=None,
-        settle_ms=4000.0,
-        config_overrides={"gossip": loss_rate is not None,
-                          "gossip_loss_rate": loss_rate or 0.0,
-                          "gossip_buffer_depth": depth,
-                          "gossip_round_ms": 100.0,
-                          "gossip_max_retries": 16})
+    config = SystemConfig(nodes=2, master_seed=seed,
+                          gossip=loss_rate is not None,
+                          gossip_loss_rate=loss_rate or 0.0,
+                          gossip_buffer_depth=depth, gossip_round_ms=100.0,
+                          gossip_max_retries=16)
+    return run_scenario(ChaosCampaign([], name="bounded_gossip"), config,
+                        pairs=1, messages=n, settle_ms=4000.0)
 
 
 def gossip_recorded_sets(system):
@@ -438,9 +438,13 @@ class TestAdversaryActions:
             ByzantineRecorderFault(900.0, modes=("drop", "bitrot")),
             EquivocateSender(1400.0, rate=0.5, sender=(1, 4)),
             BoundRecorderBuffers(700.0, max_records=32),
+            ByzantineRecorderFault(900.0, rate=0.3, recorders=(91, 92)),
+            EquivocateSender(900.0, rate=0.3, recorders=(92,)),
         ]
         for action in actions:
             assert action_from_dict(action.to_dict()) == action
+        campaign = ChaosCampaign(actions)
+        assert load_campaign(campaign.to_dict()).actions == campaign.actions
 
     def test_modes_coerced_from_json_lists(self):
         action = action_from_dict({
@@ -448,6 +452,10 @@ class TestAdversaryActions:
             "modes": ["drop", "corrupt"], "rate": 0.1,
             "duration_ms": None})
         assert action.modes == ("drop", "corrupt")
+        for kind in ("byzantine_recorder", "equivocate_sender"):
+            targeted = action_from_dict({"kind": kind, "at_ms": 10.0,
+                                         "recorders": [91, 92]})
+            assert targeted.recorders == (91, 92)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReproError):
@@ -477,6 +485,15 @@ class TestQuorumScenario:
                       if e.scope == "quorum" and e.category == "divergence"]
         assert divergence
         assert {e.subject for e in divergence} == {"recorder92"}
+
+    def test_thirty_messages_at_seed_1983_pinned(self):
+        system, r = run_quorum_scenario(f=1, byzantine=1, messages=30,
+                                        master_seed=1983)
+        assert (r["total"], r["outvoted"], r["messages_replayed"],
+                r["quorum_stale_skips"], r["quorum_unresolved"]) \
+            == (465, [92], 30, 1, 0)
+        assert system.engine.events_fired == 778
+        assert r["sim_ms"] == 8950.0
 
     def test_equivocating_recorder_outvoted(self):
         system, r = run_quorum_scenario(f=1, byzantine=1, messages=20,

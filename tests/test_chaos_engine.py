@@ -235,8 +235,10 @@ def test_scenario_with_faults_passes_and_replays_bit_identically():
     }
 
     def once():
-        return run_scenario(load_campaign(campaign_spec), nodes=2, pairs=2,
-                            messages=25, master_seed=99)
+        return run_scenario(load_campaign(campaign_spec),
+                            SystemConfig(nodes=2, master_seed=99,
+                                         checkpoint_policy="storage"),
+                            pairs=2, messages=25)
 
     first = once()
     assert first.ok, first.report.format()
@@ -254,8 +256,10 @@ def test_report_flags_missing_workload_and_json_shape():
     # Tiny deadline: the partition is still standing when we give up,
     # but run_scenario heals leftovers before reporting — the workload
     # shortfall is what must flag the failure.
-    result = run_scenario(campaign, nodes=2, pairs=1, messages=30,
-                          master_seed=3, deadline_ms=2000.0,
+    result = run_scenario(campaign,
+                          SystemConfig(nodes=2, master_seed=3,
+                                       checkpoint_policy="storage"),
+                          pairs=1, messages=30, deadline_ms=2000.0,
                           settle_ms=1.0)
     assert not result.ok
     payload = result.report.to_dict()

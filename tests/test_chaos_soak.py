@@ -158,8 +158,10 @@ CAMPAIGN_MATRIX = {
 @pytest.mark.parametrize("scenario", sorted(CAMPAIGN_MATRIX))
 def test_seeded_campaign_matrix(scenario):
     def once():
-        return run_scenario(CAMPAIGN_MATRIX[scenario](), nodes=3, pairs=2,
-                            messages=30, master_seed=77)
+        return run_scenario(CAMPAIGN_MATRIX[scenario](),
+                            SystemConfig(nodes=3, master_seed=77,
+                                         checkpoint_policy="storage"),
+                            pairs=2, messages=30)
 
     first = once()
     assert first.ok, f"{scenario}:\n{first.report.format()}"

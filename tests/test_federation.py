@@ -158,7 +158,8 @@ def _assert_snapshot_sums_every_recorder(layout):
     from repro.chaos import ChaosCampaign, CrashNode, run_scenario
 
     result = run_scenario(ChaosCampaign([CrashNode(2000.0, node=2)]),
-                          nodes=4, config_overrides=layout)
+                          SystemConfig(nodes=4, checkpoint_policy="storage",
+                                       **layout))
     assert result.ok
     system = result.system
     completed = [m.stats.recoveries_completed for m in system.recoveries]

@@ -224,10 +224,11 @@ def outage_campaign():
 
 
 def run_outage(gossip: bool):
-    return run_scenario(outage_campaign(), nodes=2, pairs=1, messages=30,
-                        master_seed=1983, settle_ms=8000.0,
-                        config_overrides={"gossip": gossip,
-                                          "transport_max_retries": 6})
+    config = SystemConfig(nodes=2, master_seed=1983,
+                          checkpoint_policy="storage", gossip=gossip,
+                          transport_max_retries=6)
+    return run_scenario(outage_campaign(), config, pairs=1, messages=30,
+                        settle_ms=8000.0)
 
 
 def test_recorder_outage_heals_by_pull_and_recovery_is_exact():
@@ -291,9 +292,10 @@ def test_gossip_loss_action_sets_and_restores_rate():
     campaign = ChaosCampaign([GossipLoss(800.0, rate=0.5,
                                          duration_ms=1000.0)],
                              name="loss_window")
-    result = run_scenario(campaign, nodes=2, pairs=1, messages=25,
-                          master_seed=5, settle_ms=6000.0,
-                          config_overrides={"gossip": True})
+    config = SystemConfig(nodes=2, master_seed=5,
+                          checkpoint_policy="storage", gossip=True)
+    result = run_scenario(campaign, config, pairs=1, messages=25,
+                          settle_ms=6000.0)
     assert result.ok, result.report.format()
     system = result.system
     assert system.reception_loss is not None
@@ -316,16 +318,13 @@ def test_gossip_loss_action_round_trips_json():
 # ----------------------------------------------------------------------
 def run_plain(seed, n, loss_rate, depth):
     campaign = ChaosCampaign([], name="differential")
-    return run_scenario(campaign, nodes=2, pairs=1, messages=n,
-                        master_seed=seed, checkpoint_policy=None,
-                        settle_ms=4000.0,
-                        config_overrides={
-                            "gossip": loss_rate is not None,
-                            "gossip_loss_rate": loss_rate or 0.0,
-                            "gossip_buffer_depth": depth,
-                            "gossip_round_ms": 100.0,
-                            "gossip_max_retries": 16,
-                        })
+    config = SystemConfig(nodes=2, master_seed=seed,
+                          gossip=loss_rate is not None,
+                          gossip_loss_rate=loss_rate or 0.0,
+                          gossip_buffer_depth=depth, gossip_round_ms=100.0,
+                          gossip_max_retries=16)
+    return run_scenario(campaign, config, pairs=1, messages=n,
+                        settle_ms=4000.0)
 
 
 @settings(max_examples=8, deadline=None,

@@ -391,8 +391,9 @@ def test_snapshot_and_stream_surface_is_pinned():
     moved = []
     for (medium, gossip), pinned in sorted(SURFACE_PINS.items()):
         result = run_scenario(
-            _build_demo_campaign(3), master_seed=1983, medium=medium,
-            config_overrides={"gossip": True} if gossip else None)
+            _build_demo_campaign(3),
+            SystemConfig(nodes=3, master_seed=1983, medium=medium,
+                         checkpoint_policy="storage", gossip=gossip))
         assert result.ok, (medium, gossip)
         surface = (canonical_json(result.system.metrics_snapshot())
                    + result.event_stream())

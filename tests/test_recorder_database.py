@@ -185,10 +185,3 @@ class TestDatabase:
         db = RecorderDatabase()
         with pytest.raises(RecorderError):
             db.require(PID)
-
-    def test_total_valid_bytes_includes_checkpoints(self):
-        db = RecorderDatabase()
-        record = db.create(PID, node=2, image="img")
-        record.record_message(make_message(1), db.allocate_arrival_index())
-        record.checkpoint = checkpoint(consumed=0)
-        assert db.total_valid_bytes() == 128 + 4 * 1024

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.engine import run_simulation
 
 
 def test_events_fire_in_time_order():
@@ -190,17 +189,6 @@ def test_activity_rejects_bad_yield():
     engine.spawn(bad())
     with pytest.raises(SimulationError):
         engine.run()
-
-
-def test_run_simulation_helper():
-    def setup(engine):
-        acc = []
-        engine.schedule(2.0, acc.append, 1)
-        return acc
-
-    engine, acc = run_simulation(setup, until=10.0)
-    assert acc == [1]
-    assert engine.now == 10.0
 
 
 def test_max_events_limit():

@@ -225,8 +225,9 @@ class TestRecorderLayouts:
         action = (CrashNode(2000.0, node=2) if crash == "node"
                   else CrashProcess(2000.0, pid=(2, 1)))
         campaign = ChaosCampaign([action])
-        result = run_scenario(campaign, nodes=nodes, pairs=2, messages=30,
-                              medium=medium, config_overrides=dict(layout))
+        config = SystemConfig(nodes=nodes, medium=medium,
+                              checkpoint_policy="storage", **layout)
+        result = run_scenario(campaign, config, pairs=2, messages=30)
         assert result.pairs[0][1] == (2, 1) and campaign.injected == 1
         system = result.system
         assert len(system.recorders) == layout.get("recorder_shards", 1)
@@ -290,3 +291,48 @@ def test_clusters_are_built_in_system_and_nowhere_else():
                 if name in builders:
                     calls.add((path.relative_to(root).as_posix(), name))
     assert calls == {("system.py", name) for name in builders}
+
+
+def test_every_system_config_field_is_set_by_some_caller():
+    """An option no caller sets is an option nothing exercises: every
+    ``SystemConfig`` field is set somewhere outside ``system.py``. Set
+    means a keyword to ``SystemConfig(...)`` or ``dataclasses.replace``,
+    a key of a dict in a module that splats one into either, or a
+    ``config.<field> =`` assignment."""
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for top in ("src", "tests", "benchmarks", "examples", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            if path == root / "src" / "repro" / "system.py":
+                continue
+            splats, dict_keys = False, set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    keywords = {k.arg for k in node.keywords}
+                    if name in ("SystemConfig", "replace"):
+                        found |= keywords - {None}
+                        splats = splats or None in keywords
+                    elif name == "dict":
+                        dict_keys |= keywords - {None}
+                elif isinstance(node, ast.Dict):
+                    dict_keys |= {k.value for k in node.keys
+                                  if isinstance(k, ast.Constant)}
+                elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    for target in targets:
+                        owner = getattr(target, "value", None)
+                        if (isinstance(target, ast.Attribute) and getattr(
+                                owner, "id", getattr(owner, "attr", None))
+                                == "config"):
+                            found.add(target.attr)
+            if splats:
+                found |= dict_keys
+    unset = {f.name for f in dataclasses.fields(SystemConfig)} - found
+    assert not unset, f"SystemConfig fields no caller sets: {sorted(unset)}"
