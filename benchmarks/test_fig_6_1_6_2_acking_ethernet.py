@@ -12,7 +12,7 @@ network will be better utilized" (Figure 6.2).
 import pytest
 
 from repro.net.acking_ethernet import AckingEthernet
-from repro.net.ethernet import CsmaEthernet, EthernetParams
+from repro.net.ethernet import CsmaEthernet
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import NetworkInterface
 from repro.sim import Engine, RngStreams
@@ -27,7 +27,7 @@ def run_load(medium_cls, interarrival_ms, seed=11):
     engine = Engine()
     rng = RngStreams(seed)
     if medium_cls is CsmaEthernet:
-        medium = medium_cls(engine, rng, EthernetParams(auto_ack=True))
+        medium = medium_cls(engine, rng, auto_ack=True)
     else:
         medium = medium_cls(engine, rng)
     delivered = [0]

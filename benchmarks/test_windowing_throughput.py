@@ -33,7 +33,7 @@ def bulk_transfer_time(window, ack_latency_ms=0.0):
         got.append(segment.body)
         done_at[0] = engine.now
 
-    cfg = TransportConfig(window=window, ordered_window=window > 1)
+    cfg = TransportConfig(window=window)
     t1 = Transport(engine, medium, 1, lambda s: None, cfg)
     t2 = Transport(engine, medium, 2, receive, cfg)
     for i in range(MESSAGES):

@@ -6,7 +6,6 @@ from repro.cluster.gateways import (
     Gateway,
     GatewayForwarder,
     GatewayTap,
-    bridge,
     directed_gateways,
     federation_edges,
     gateway_id_base,
@@ -34,7 +33,6 @@ __all__ = [
     "RangeShardPolicy",
     "RecorderShard",
     "ReplicaPolicy",
-    "bridge",
     "directed_gateways",
     "federation_edges",
     "gateway_id_base",

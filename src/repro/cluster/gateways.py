@@ -61,6 +61,15 @@ from repro.system import System, SystemConfig, check_config, recorder_count
 #: far side). Cluster node ranges stay far below this.
 GATEWAY_ID_BASE = 9000
 
+#: Federation cluster ``i`` numbers its nodes from ``1 + i * NODES_STRIDE``.
+NODES_STRIDE = 100
+
+#: A custody frame the far medium refused is re-offered after
+#: ``GATEWAY_RETRY_MS``, and dead-lettered after ``GATEWAY_MAX_RETRIES``
+#: attempts.
+GATEWAY_RETRY_MS = 50.0
+GATEWAY_MAX_RETRIES = 100
+
 #: Federation gateway topologies.
 TOPOLOGIES = ("mesh", "ring")
 
@@ -94,16 +103,16 @@ def federation_edges(clusters: int, topology: str = "mesh") -> List[Tuple[int, i
         f"unknown federation topology {topology!r}; choose from {TOPOLOGIES}")
 
 
-def gateway_id_base(clusters: int, nodes_stride: int = 100) -> int:
+def gateway_id_base(clusters: int) -> int:
     """The first gateway id for a federation of this size.
 
     Small federations keep the historic :data:`GATEWAY_ID_BASE`;
     planet-scale ones (whose node ranges would run past 9000 — e.g.
-    100 clusters at the default stride) bump the base to the next
-    multiple of it above the node-id ceiling, so gateway ids never
-    collide with node or recorder ids at any scale.
+    100 clusters) bump the base to the next multiple of it above the
+    node-id ceiling, so gateway ids never collide with node or recorder
+    ids at any scale.
     """
-    top = 1 + clusters * nodes_stride
+    top = 1 + clusters * NODES_STRIDE
     if top < GATEWAY_ID_BASE:
         return GATEWAY_ID_BASE
     return ((top // GATEWAY_ID_BASE) + 1) * GATEWAY_ID_BASE
@@ -115,15 +124,15 @@ def lp_of(index: int, partitions: int, clusters: int) -> int:
     return index * partitions // clusters
 
 
-def directed_gateways(clusters: int, topology: str = "mesh",
-                      nodes_stride: int = 100) -> List[Tuple[int, int, int]]:
+def directed_gateways(clusters: int, topology: str = "mesh"
+                      ) -> List[Tuple[int, int, int]]:
     """Every directed gateway as ``(gateway_id, src_cluster, dst_cluster)``.
 
     Ids are a pure function of the topology and the id layout — every
     process (and every pool worker rebuilding only its shard) computes
     the same ids.
     """
-    first = gateway_id_base(clusters, nodes_stride)
+    first = gateway_id_base(clusters)
     out: List[Tuple[int, int, int]] = []
     for rank, (a, b) in enumerate(federation_edges(clusters, topology)):
         base = first + 4 * rank
@@ -141,7 +150,8 @@ class GatewayForwarder:
     """
 
     def __init__(self, engine: EngineCore, far: Medium, gateway_id: int,
-                 retry_ms: float = 50.0, max_retries: int = 100,
+                 retry_ms: float = GATEWAY_RETRY_MS,
+                 max_retries: int = GATEWAY_MAX_RETRIES,
                  service_ms: float = 0.0,
                  obs: Optional[Observability] = None,
                  on_drop: Optional[Callable[[int, Frame, int], None]] = None):
@@ -331,7 +341,8 @@ class Gateway:
     def __init__(self, engine: EngineCore, near: Medium, far: Medium,
                  far_nodes: Callable[[int], bool],
                  forward_delay_ms: float = 5.0,
-                 retry_ms: float = 50.0, max_retries: int = 100,
+                 retry_ms: float = GATEWAY_RETRY_MS,
+                 max_retries: int = GATEWAY_MAX_RETRIES,
                  service_ms: float = 0.0,
                  gateway_id: Optional[int] = None,
                  near_obs: Optional[Observability] = None,
@@ -398,19 +409,6 @@ class Gateway:
             self.forwarder.restart()
 
 
-def bridge(engine: Engine, medium_a: Medium, medium_b: Medium,
-           a_nodes: Set[int], b_nodes: Set[int],
-           forward_delay_ms: float = 5.0) -> Tuple[Gateway, Gateway]:
-    """A bidirectional gateway pair between two cluster media."""
-    a_to_b = Gateway(engine, medium_a, medium_b,
-                     far_nodes=lambda n: n in b_nodes,
-                     forward_delay_ms=forward_delay_ms)
-    b_to_a = Gateway(engine, medium_b, medium_a,
-                     far_nodes=lambda n: n in a_nodes,
-                     forward_delay_ms=forward_delay_ms)
-    return a_to_b, b_to_a
-
-
 class ClusterFederation:
     """Several publishing clusters, fully bridged.
 
@@ -436,14 +434,13 @@ class ClusterFederation:
     without ``only_partition`` has no runner and is rejected.
     """
 
-    def __init__(self, cluster_sizes: List[int], nodes_stride: int = 100,
-                 forward_delay_ms: float = 5.0, publishing: bool = True,
+    def __init__(self, cluster_sizes: List[int],
+                 forward_delay_ms: float = 5.0,
                  configs: Optional[List[SystemConfig]] = None,
                  partitions: Optional[int] = None,
                  topology: str = "mesh",
                  only_partition: Optional[int] = None,
-                 forward_delays: Optional[Dict[Tuple[int, int], float]] = None,
-                 gateway_service_ms: float = 0.0):
+                 forward_delays: Optional[Dict[Tuple[int, int], float]] = None):
         if not cluster_sizes:
             raise NetworkError("a federation needs at least one cluster")
         count = len(cluster_sizes)
@@ -485,8 +482,6 @@ class ClusterFederation:
                 f"only_partition {only_partition} out of range "
                 f"(partitions={lps})")
         self.only_partition = only_partition
-        self.nodes_stride = nodes_stride
-        self.gateway_service_ms = gateway_service_ms
 
         # Per-cluster configs: copied before the federation assigns the
         # id layout, so caller-owned config objects are never mutated.
@@ -501,8 +496,8 @@ class ClusterFederation:
             if configs is not None:
                 config = replace(configs[index])
             else:
-                config = SystemConfig(nodes=size, publishing=publishing)
-            config.first_node_id = 1 + index * nodes_stride
+                config = SystemConfig(nodes=size)
+            config.first_node_id = 1 + index * NODES_STRIDE
             config.recorder_node_id = config.first_node_id + RECORDER_ID_OFFSET
             config.services_node = config.first_node_id
             check_config(config, federated=True)
@@ -513,10 +508,10 @@ class ClusterFederation:
             nodes = set(range(
                 config.first_node_id, config.first_node_id + config.nodes))
             shard_count = recorder_count(config)
-            if shard_count and RECORDER_ID_OFFSET + shard_count > nodes_stride:
+            if shard_count and RECORDER_ID_OFFSET + shard_count > NODES_STRIDE:
                 raise NetworkError(
                     f"cluster {index}: {shard_count} recorder shards "
-                    f"do not fit in a node stride of {nodes_stride}")
+                    f"do not fit in a node stride of {NODES_STRIDE}")
             # Routable across gateways: a remote cluster can address
             # this cluster's recorders (cross-cluster recovery).
             nodes |= set(range(config.recorder_node_id,
@@ -546,7 +541,7 @@ class ClusterFederation:
         self.gateways: List[Gateway] = []
         #: cross-LP edges with one end in this slice (empty when serial)
         self.channels: List[PartitionChannel] = []
-        for gid, src, dst in directed_gateways(count, topology, nodes_stride):
+        for gid, src, dst in directed_gateways(count, topology):
             src_local, dst_local = src in self.systems, dst in self.systems
             delay = self.forward_delays.get((src, dst), forward_delay_ms)
             far_nodes = (lambda node, _far=self._node_sets[dst]: node in _far)
@@ -555,7 +550,6 @@ class ClusterFederation:
                     self.engine, self.systems[src].medium,
                     self.systems[dst].medium, far_nodes,
                     forward_delay_ms=delay, gateway_id=gid,
-                    service_ms=gateway_service_ms,
                     near_obs=self.systems[src].obs,
                     far_obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop))
@@ -569,7 +563,6 @@ class ClusterFederation:
             if dst_local:
                 forwarder = GatewayForwarder(
                     self.engine, self.systems[dst].medium, gid,
-                    service_ms=gateway_service_ms,
                     obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop)
                 channel.deliver = forwarder.accept
@@ -591,7 +584,7 @@ class ClusterFederation:
         directed edge of the topology — including edges whose gateway
         object lives on a remote slice."""
         return {gid: (src, dst) for gid, src, dst in directed_gateways(
-            len(self.configs), self.topology, self.nodes_stride)}
+            len(self.configs), self.topology)}
 
     @property
     def now(self) -> float:

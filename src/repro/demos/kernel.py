@@ -51,9 +51,6 @@ class KernelConfig:
     recorder_node: Optional[int] = None
     costs: CostModel = field(default_factory=CostModel)
     transport: TransportConfig = field(default_factory=TransportConfig)
-    #: §6.6.1 — if False, messages to non-recoverable processes on the
-    #: same node skip the network entirely.
-    broadcast_unrecoverable_intranode: bool = False
 
 
 class NodeCpu:
@@ -167,8 +164,7 @@ class MessageKernel:
 
     def __init__(self, engine: Engine, node_id: int, medium: Medium,
                  config: KernelConfig, registry: ProgramRegistry,
-                 obs: Optional[Observability] = None,
-                 rng=None):
+                 obs: Optional[Observability] = None):
         self.engine = engine
         self.node_id = node_id
         self.config = config
@@ -194,7 +190,7 @@ class MessageKernel:
         self.after_delivery: Optional[Callable[[ProcessControlRecord], None]] = None
         #: invoked on process crash reports, creation, destruction
         self.transport = Transport(engine, medium, node_id, self._on_segment,
-                                   config.transport, obs=self.obs, rng=rng)
+                                   config.transport, obs=self.obs)
         self.messages_sent = self.obs.registry.counter(
             f"kernel.{node_id}.messages_sent")
         self.messages_delivered = self.obs.registry.counter(
@@ -359,12 +355,11 @@ class MessageKernel:
 
     def _is_published(self, dst: ProcessId) -> bool:
         """Does a message to ``dst`` have to travel the network for the
-        recorder?"""
+        recorder? Not one to a non-recoverable process on this node
+        (§6.6.1): it skips the network entirely."""
         if not self.config.publishing:
             return False
         if dst.node != self.node_id:
-            return True
-        if self.config.broadcast_unrecoverable_intranode:
             return True
         dst_pcb = self.processes.get(dst)
         if dst_pcb is not None and not dst_pcb.recoverable:

@@ -30,12 +30,11 @@ class Node:
 
     def __init__(self, engine: Engine, node_id: int, medium: Medium,
                  config: KernelConfig, registry: ProgramRegistry,
-                 obs: Optional[Observability] = None,
-                 rng=None):
+                 obs: Optional[Observability] = None):
         self.engine = engine
         self.node_id = node_id
         self.kernel = MessageKernel(engine, node_id, medium, config,
-                                    registry, obs=obs, rng=rng)
+                                    registry, obs=obs)
         self.booted = False
         #: bounded ring of recently published messages — attached by
         #: the gossip coordinator (publishing.gossip), None otherwise

@@ -69,10 +69,8 @@ _EXPORTS = {
     "PerfectBroadcast": "media",
     "MediumStats": "media",
     "CsmaEthernet": "ethernet",
-    "EthernetParams": "ethernet",
     "AckingEthernet": "acking_ethernet",
     "TokenRing": "token_ring",
-    "TokenRingParams": "token_ring",
     "StarHub": "star",
     "Transport": "transport",
     "TransportConfig": "transport",

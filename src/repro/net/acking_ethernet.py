@@ -18,9 +18,7 @@ with queued data frames — the Figure 6.1/6.2 comparison.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.net.ethernet import CsmaEthernet, EthernetParams
+from repro.net.ethernet import SLOT_TIME_MS, CsmaEthernet
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import NetworkInterface
 from repro.sim.engine import Engine
@@ -28,21 +26,16 @@ from repro.sim.rng import RngStreams
 
 
 class AckingEthernet(CsmaEthernet):
-    """CSMA/CD with a reserved per-frame acknowledgement slot."""
+    """CSMA/CD with a reserved per-frame acknowledgement slot, one
+    Ethernet slot long; acknowledgements ride it, never a contending
+    frame."""
 
     provides_delivery_ack = True
 
     kind = "acking"
 
-    def __init__(self, engine: Engine, rng: RngStreams,
-                 params: Optional[EthernetParams] = None,
-                 ack_slot_ms: float = 0.0512, **kwargs):
-        if params is None:
-            params = EthernetParams(auto_ack=False)
-        else:
-            params.auto_ack = False   # acks ride the reserved slot instead
-        super().__init__(engine, rng, params, **kwargs)
-        self.ack_slot_ms = ack_slot_ms
+    def __init__(self, engine: Engine, rng: RngStreams, **kwargs):
+        super().__init__(engine, rng, **kwargs)
         #: acknowledgement slots reserved after data frames
         self.reserved_slots = self.obs.registry.counter(
             f"media.{self.kind}.reserved_slots")
@@ -53,7 +46,7 @@ class AckingEthernet(CsmaEthernet):
             # Reserve the acknowledgement slot: the bus stays busy through
             # it, so no station can start a frame that would collide with
             # the acknowledgement.
-            reserved_ms = self.ack_slot_ms
+            reserved_ms = SLOT_TIME_MS
             self.reserved_slots.inc()
         super()._begin_transmission(iface, frame, reserved_ms)
 
@@ -63,4 +56,4 @@ class AckingEthernet(CsmaEthernet):
         # reserved slot.
         if iface.up:
             self._publish(
-                frame, self.ack_slot_ms if frame.kind is FrameKind.DATA else 0.0)
+                frame, SLOT_TIME_MS if frame.kind is FrameKind.DATA else 0.0)

@@ -17,37 +17,36 @@ Acknowledging Ethernet removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
-
-@dataclass
-class EthernetParams:
-    """Timing constants for the CSMA/CD model."""
-
-    slot_time_ms: float = 0.0512      # classic Ethernet slot (51.2 µs)
-    max_backoff_exp: int = 10         # truncated binary exponential backoff
-    max_attempts: int = 16            # give up (frame lost) after this many
-    auto_ack: bool = False            # receivers emit contending ACK frames
+#: classic Ethernet slot (51.2 µs)
+SLOT_TIME_MS = 0.0512
+#: truncated binary exponential backoff: at most 2**10 slots
+MAX_BACKOFF_EXP = 10
+#: a frame that collides this many times is dropped
+MAX_ATTEMPTS = 16
 
 
 class CsmaEthernet(Medium):
-    """A slotted CSMA/CD broadcast medium with collisions."""
+    """A slotted CSMA/CD broadcast medium with collisions.
+
+    With ``auto_ack`` every receiver of a data frame answers with an ACK
+    frame that contends for the bus (the Figure 6.2 contrast)."""
 
     provides_delivery_ack = False
 
     kind = "csma"
 
     def __init__(self, engine: Engine, rng: RngStreams,
-                 params: Optional[EthernetParams] = None, **kwargs):
+                 auto_ack: bool = False, **kwargs):
         super().__init__(engine, **kwargs)
         self.rng = rng
-        self.params = params or EthernetParams()
+        self.auto_ack = auto_ack
         self._busy_until = 0.0
         #: transmissions waiting to start, grouped by their start slot
         self._starting: List[Tuple[NetworkInterface, Frame, int]] = []
@@ -82,7 +81,7 @@ class CsmaEthernet(Medium):
         if not self._resolution_pending:
             self._resolution_pending = True
             # All stations starting within one slot time collide.
-            self.engine.schedule(self.params.slot_time_ms, self._resolve_cb)
+            self.engine.schedule(SLOT_TIME_MS, self._resolve_cb)
 
     def _resolve(self) -> None:
         self._resolution_pending = False
@@ -98,21 +97,21 @@ class CsmaEthernet(Medium):
         if any(f.kind is FrameKind.ACK for _, f, _ in contenders):
             self.ack_collisions.inc()
         self.events.emit("collision", "bus", contenders=len(contenders))
-        self._busy_until = self.engine.now + self.params.slot_time_ms
-        self.stats.busy_time_ms.inc(self.params.slot_time_ms)
+        self._busy_until = self.engine.now + SLOT_TIME_MS
+        self.stats.busy_time_ms.inc(SLOT_TIME_MS)
         for iface, frame, attempt in contenders:
             attempt += 1
-            if attempt >= self.params.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 self.events.emit("frame_dropped", f"node{iface.node_id}",
                                  reason="excessive_collisions")
                 continue          # excessive collisions: frame dropped
-            exp = min(attempt, self.params.max_backoff_exp)
+            exp = min(attempt, MAX_BACKOFF_EXP)
             draw = self._backoff_draws.get(iface.node_id)
             if draw is None:
                 draw = self._backoff_draws[iface.node_id] = self.rng.stream(
                     f"ether/{iface.node_id}").randrange
             slots = draw(0, 2 ** exp)
-            delay = self.params.slot_time_ms * (1 + slots)
+            delay = SLOT_TIME_MS * (1 + slots)
             self.engine.schedule(delay, self._attempt_cb, iface, frame, attempt)
 
     def _begin_transmission(self, iface: NetworkInterface, frame: Frame,
@@ -127,7 +126,7 @@ class CsmaEthernet(Medium):
         if not iface.up:
             return
         self._publish(frame)
-        if self.params.auto_ack and frame.kind is FrameKind.DATA:
+        if self.auto_ack and frame.kind is FrameKind.DATA:
             self._send_auto_ack(frame)
 
     def _send_auto_ack(self, frame: Frame) -> None:

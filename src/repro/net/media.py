@@ -28,6 +28,10 @@ from repro.sim.engine import Engine
 
 #: Frame-size histogram bucket bounds (bytes).
 FRAME_SIZE_BUCKETS = (64, 128, 256, 512, 1024, 4096)
+#: The paper's medium (Figure 5.2): a 10 Mb/s Ethernet whose interface
+#: waits 1.6 ms between packets.
+BANDWIDTH_BPS = 10_000_000
+INTERPACKET_DELAY_MS = 1.6
 _ATTACH_ORDER = attrgetter("attach_order")
 
 
@@ -128,14 +132,11 @@ class Medium:
     #: short name used for the medium's scope: ``media.<kind>``
     kind = "medium"
 
-    def __init__(self, engine: Engine, bandwidth_bps: float = 10_000_000,
-                 interpacket_delay_ms: float = 1.6,
+    def __init__(self, engine: Engine,
                  faults: Optional[FaultPlan] = None,
                  enforce_recorder_ack: bool = False,
                  obs: Optional[Observability] = None):
         self.engine = engine
-        self.bandwidth_bps = bandwidth_bps
-        self.interpacket_delay_ms = interpacket_delay_ms
         self.faults = faults or FaultPlan()
         self.enforce_recorder_ack = enforce_recorder_ack
         self.interfaces: List[NetworkInterface] = []
@@ -201,7 +202,7 @@ class Medium:
     # ------------------------------------------------------------------
     def tx_time_ms(self, size_bytes: int) -> float:
         """Time the frame occupies the wire, plus the interpacket gap."""
-        return size_bytes * 8.0 / self.bandwidth_bps * 1000.0 + self.interpacket_delay_ms
+        return size_bytes * 8.0 / BANDWIDTH_BPS * 1000.0 + INTERPACKET_DELAY_MS
 
     def recorders(self) -> List[NetworkInterface]:
         """All attached recorder interfaces (healthy or not). The list

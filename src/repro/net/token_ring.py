@@ -11,7 +11,7 @@ message is incorrectly received, the last few bytes of the message
 message."
 
 Model: a single slot circulates visiting stations in attachment order,
-taking ``hop_time_ms`` per hop. A station holding the token fills the
+taking :data:`HOP_TIME_MS` per hop. A station holding the token fills the
 slot; the frame then travels the ring and is drained when it returns to
 the sender, which reinserts the token. This module is the circulation
 only — when the recorders read the slot, when each station may, when
@@ -20,21 +20,15 @@ the sender hears; what they then do is :class:`~repro.net.media.Medium`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.net.frames import Frame
-from repro.net.media import Medium, NetworkInterface
+from repro.net.media import BANDWIDTH_BPS, Medium, NetworkInterface
 from repro.sim.engine import Engine
 
-
-@dataclass
-class TokenRingParams:
-    """Timing constants for the ring model."""
-
-    hop_time_ms: float = 0.05      # per-station forwarding latency
-    slot_header_bytes: int = 16    # token + ack field overhead
+#: per-station forwarding latency of the circulating slot
+HOP_TIME_MS = 0.05
 
 
 class TokenRing(Medium):
@@ -44,10 +38,8 @@ class TokenRing(Medium):
 
     kind = "token_ring"
 
-    def __init__(self, engine: Engine, params: Optional[TokenRingParams] = None,
-                 **kwargs):
+    def __init__(self, engine: Engine, **kwargs):
         super().__init__(engine, **kwargs)
-        self.params = params or TokenRingParams()
         self._waiting: List[Tuple[NetworkInterface, Frame]] = []
         self._slot_busy = False
         # Bound once: a frame's circulation schedules one visit per hop.
@@ -78,9 +70,8 @@ class TokenRing(Medium):
         # Ring order: the stations after the sender, then the sender.
         i = self.interfaces.index(iface) + 1
         ring = self.interfaces[i:] + self.interfaces[:i]
-        serialization = frame.size_bytes * 8.0 / self.bandwidth_bps * 1000.0
-        self.stats.busy_time_ms.inc(
-            serialization + self.params.hop_time_ms * len(ring))
+        serialization = frame.size_bytes * 8.0 / BANDWIDTH_BPS * 1000.0
+        self.stats.busy_time_ms.inc(serialization + HOP_TIME_MS * len(ring))
         # The slot. ``ack`` is its acknowledge field: None while empty
         # (without a recorder on the ring it has nothing to wait for),
         # then what the recorders made of the frame, stamped on every
@@ -93,7 +84,7 @@ class TokenRing(Medium):
             frame=frame, ring=ring, heard=True, invalidated=False, served=[],
             skipped=False, passes=0,
             ack=None if self._recorder_ifaces else True)
-        self.engine.schedule(serialization + self.params.hop_time_ms,
+        self.engine.schedule(serialization + HOP_TIME_MS,
                              self._visit_cb, slot, 0)
 
     def _visit(self, slot: SimpleNamespace, index: int) -> None:
@@ -106,9 +97,8 @@ class TokenRing(Medium):
                 # A destination sits upstream of the recorder: it saw an
                 # empty ack field on the first pass. Circulate once more
                 # with the field filled so it can read the message.
-                self.stats.busy_time_ms.inc(self.params.hop_time_ms * len(ring))
-                self.engine.schedule(self.params.hop_time_ms,
-                                     self._visit_cb, slot, 0)
+                self.stats.busy_time_ms.inc(HOP_TIME_MS * len(ring))
+                self.engine.schedule(HOP_TIME_MS, self._visit_cb, slot, 0)
                 return
             # Back at the sender: drain the slot, reinsert the token.
             self._settle(frame, bool(slot.served), bool(slot.ack))
@@ -137,5 +127,4 @@ class TokenRing(Medium):
                 slot.skipped = True     # empty ack field: ignore the slot
             elif self._hand(station, frame, slot.ack, slot.heard):
                 slot.served.append(station)
-        self.engine.schedule(self.params.hop_time_ms, self._visit_cb,
-                             slot, index + 1)
+        self.engine.schedule(HOP_TIME_MS, self._visit_cb, slot, index + 1)

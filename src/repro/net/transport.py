@@ -11,7 +11,7 @@ Provides, per node:
 * **in-order delivery** — "message ordering between processors is
   currently preserved by allowing only one unacknowledged message to be
   in transit from each processor", modelled literally with a window of 1
-  (configurable for the windowing scheme the thesis anticipates);
+  (a wider window is the windowing scheme the thesis anticipates);
 * the publishing rule — a received data frame lacking the recorder's
   acknowledgement is discarded "exactly as if it had received a bad
   packet" and is later re-sent by the sender (§6.1.1).
@@ -35,7 +35,14 @@ from repro.net.frames import BROADCAST, Frame, FrameKind, register_payload
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import MetricsRegistry, Observability
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.rng import RngStreams
+
+#: Guaranteed-message uids a receiver remembers for duplicate
+#: suppression, oldest forgotten first: the dedup horizon.
+DEDUP_HORIZON = 4096
+#: Bytes the transport adds to a message body, and the size of an
+#: end-to-end acknowledgement frame.
+HEADER_BYTES = 32
+ACK_BYTES = 32
 
 
 @register_payload("seg")
@@ -80,25 +87,17 @@ class TransportConfig:
     #: A factor of 1.0 restores the fixed timer.
     backoff_factor: float = 2.0
     backoff_max_ms: float = 2000.0
-    #: multiplicative jitter on each retry delay, drawn from a named RNG
-    #: stream when the transport has one (decorrelates retry storms
-    #: after a partition heals; 0 disables it)
-    backoff_jitter: float = 0.0
     max_retries: int = 1000
-    dedup_cache_size: int = 4096
-    header_bytes: int = 32
-    ack_bytes: int = 32
+    #: With window > 1 the sender stamps each guaranteed segment with a
+    #: per-destination stream sequence and the receiver buffers
+    #: out-of-order arrivals, releasing them in order — the windowing
+    #: scheme §4.3.3 anticipates. Keeps in-order delivery while allowing
+    #: `window` messages in flight concurrently. Every stamped segment
+    #: the receiver acknowledges consumes its sequence number — a
+    #: suppressed duplicate too (a recovering process regenerates a send
+    #: under its old uid but a fresh number), or the stream would wait on
+    #: that number for ever.
     window: int = 1
-    #: With ordered_window=True (and window > 1) the sender stamps each
-    #: guaranteed segment with a per-destination stream sequence and the
-    #: receiver buffers out-of-order arrivals, releasing them in order —
-    #: the windowing scheme §4.3.3 anticipates. Keeps in-order delivery
-    #: while allowing `window` messages in flight concurrently. Every
-    #: stamped segment the receiver acknowledges consumes its sequence
-    #: number — a suppressed duplicate too (a recovering process
-    #: regenerates a send under its old uid but a fresh number), or the
-    #: stream would wait on that number for ever.
-    ordered_window: bool = False
     #: Guaranteed messages wait in *lanes*: a FIFO plus the count of its
     #: messages in flight, at most `window` of them. A transport has one
     #: lane; with per_destination=True it has one per destination node,
@@ -170,8 +169,7 @@ class Transport:
                  config: Optional[TransportConfig] = None,
                  is_recorder: bool = False,
                  tap: Optional[Callable[[Frame], None]] = None,
-                 obs: Optional[Observability] = None,
-                 rng: Optional[RngStreams] = None):
+                 obs: Optional[Observability] = None):
         self.engine = engine
         self.medium = medium
         self.node_id = node_id
@@ -186,9 +184,6 @@ class Transport:
         self.on_gave_up: Optional[Callable[[Segment, int], None]] = None
         #: instrumentation rides the medium's spine unless given its own
         self.obs = obs if obs is not None else medium.obs
-        #: named stream for retry jitter; None keeps retries jitter-free
-        self._jitter_rng = (rng.stream(f"transport/backoff/{node_id}")
-                            if rng is not None else None)
         prefix = f"transport.{node_id}"
         self.events = self.obs.scope(prefix)
         self.stats = TransportStats(self.obs.registry, prefix)
@@ -235,12 +230,12 @@ class Transport:
         if guaranteed and dst_node == BROADCAST:
             raise NetworkError("guaranteed messages must be unicast")
         stream_seq = None
-        if guaranteed and self.config.ordered_window:
+        if guaranteed and self.config.window > 1:
             stream_seq = self._next_stream_seq.get(dst_node, 0)
             self._next_stream_seq[dst_node] = stream_seq + 1
         segment = Segment(uid, self.node_id, dst_node, body, guaranteed,
                           stream_seq)
-        total = size_bytes + self.config.header_bytes
+        total = size_bytes + HEADER_BYTES
         if not guaranteed:
             self.stats.sent.inc()
             self.iface.send(self._frame_for(segment, total))
@@ -287,14 +282,12 @@ class Transport:
 
     def _retry_delay_ms(self, attempts: int) -> float:
         """The wait before declaring attempt ``attempts`` unacknowledged:
-        exponential backoff with a cap, plus optional jitter."""
+        exponential backoff with a cap."""
         cfg = self.config
         delay = cfg.retransmit_timeout_ms
         if cfg.backoff_factor > 1.0 and attempts > 1:
             delay = min(cfg.backoff_max_ms,
                         delay * cfg.backoff_factor ** (attempts - 1))
-        if self._jitter_rng is not None and cfg.backoff_jitter > 0.0:
-            delay *= 1.0 + cfg.backoff_jitter * self._jitter_rng.random()
         self._backoff_ms.observe(delay)
         return delay
 
@@ -477,7 +470,7 @@ class Transport:
 
     def _remember(self, uid: Tuple) -> None:
         self._dedup[uid] = None
-        while len(self._dedup) > self.config.dedup_cache_size:
+        while len(self._dedup) > DEDUP_HORIZON:
             self._dedup.popitem(last=False)
 
     def _ack(self, segment: Segment) -> None:
@@ -491,7 +484,7 @@ class Transport:
         ack = Frame(kind=FrameKind.ACK, src_node=self.node_id,
                     dst_node=segment.src_node,
                     payload=("e2e-ack", segment.uid),
-                    size_bytes=self.config.ack_bytes)
+                    size_bytes=ACK_BYTES)
         self.iface.send(ack)
 
     def _on_media_ack(self, frame: Frame, ok: bool) -> None:

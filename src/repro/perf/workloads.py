@@ -124,8 +124,7 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
         received[0] += 1
 
     config = TransportConfig()
-    transports = [Transport(engine, medium, node, on_receive, config,
-                            rng=rng)
+    transports = [Transport(engine, medium, node, on_receive, config)
                   for node in range(1, stations + 1)]
     spacing = rng.stream("perf/storm")
     for index, transport in enumerate(transports):

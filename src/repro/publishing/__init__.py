@@ -35,7 +35,6 @@ from repro.publishing import (  # noqa: F401
 #: loads when one of its names is first read
 _EXPORTS = {
     "DiskModel": "disk",
-    "DiskParams": "disk",
     "DiskArray": "disk",
     "StableStorage": "stable_storage",
     "ProcessRecord": "database",

@@ -14,24 +14,16 @@ and the buffer is compacted."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import StorageError
 from repro.sim.engine import Engine
 
-
-@dataclass
-class DiskParams:
-    """Timing and geometry of one disk (Figure 5.2)."""
-
-    latency_ms: float = 3.0
-    transfer_bytes_per_ms: float = 2000.0   # 2 MB/s
-    page_bytes: int = 4096
-
-    def op_time_ms(self, size_bytes: int) -> float:
-        """Latency plus transfer time for one operation."""
-        return self.latency_ms + size_bytes / self.transfer_bytes_per_ms
+#: One disk (Figure 5.2): an operation takes the latency plus its
+#: transfer at 2 MB/s; messages are written in 4 KB pages.
+LATENCY_MS = 3.0
+TRANSFER_BYTES_PER_MS = 2000.0
+PAGE_BYTES = 4096
 
 
 class DiskModel:
@@ -46,10 +38,8 @@ class DiskModel:
     the metrics spine.
     """
 
-    def __init__(self, engine: Engine, params: Optional[DiskParams] = None,
-                 name: str = "disk0"):
+    def __init__(self, engine: Engine, name: str = "disk0"):
         self.engine = engine
-        self.params = params or DiskParams()
         self.name = name
         self._busy_until = 0.0
         self.busy_ms = 0.0
@@ -87,7 +77,7 @@ class DiskModel:
             raise StorageError(f"unknown disk op {op!r}")
         if size_bytes <= 0:
             raise StorageError("disk operations must move at least one byte")
-        duration = self.params.op_time_ms(size_bytes) * self.slowdown
+        duration = (LATENCY_MS + size_bytes / TRANSFER_BYTES_PER_MS) * self.slowdown
         ready = max(self.engine.now, self._busy_until)
         start = max(ready, self.stalled_until)
         if start > ready:
@@ -127,12 +117,11 @@ class DiskArray:
     assumption that message pages stripe across the available spindles.
     """
 
-    def __init__(self, engine: Engine, count: int = 1,
-                 params: Optional[DiskParams] = None):
+    def __init__(self, engine: Engine, count: int = 1):
         if count < 1:
             raise StorageError("a disk array needs at least one disk")
         self.engine = engine
-        self.disks = [DiskModel(engine, params, name=f"disk{i}")
+        self.disks = [DiskModel(engine, name=f"disk{i}")
                       for i in range(count)]
 
     def submit(self, op: str, size_bytes: int,
@@ -208,7 +197,7 @@ class PageBuffer:
     not staging — as the durability point.
     """
 
-    def __init__(self, disks: DiskArray, page_bytes: int = 4096,
+    def __init__(self, disks: DiskArray, page_bytes: int = PAGE_BYTES,
                  buffered: bool = True,
                  flush_deadline_ms: Optional[float] = None):
         self.disks = disks

@@ -79,6 +79,12 @@ def pull_ranges(msg_ids: List[MessageId]) -> List[tuple]:
     return [(sender, lo, hi) for sender, lo, hi in runs]
 
 
+#: peers pulled from per round
+FANOUT = 2
+#: ids packed into one pull control
+PULL_BATCH = 32
+
+
 @dataclass
 class GossipConfig:
     """Tunables for the epidemic repair layer."""
@@ -89,12 +95,8 @@ class GossipConfig:
     buffer_depth: int = 256
     #: gossip round period
     round_ms: float = 150.0
-    #: peers pulled from per round
-    fanout: int = 2
     #: rounds a missing id may be attempted before it is abandoned
     max_retries: int = 8
-    #: ids packed into one pull control
-    pull_batch: int = 32
 
 
 class GossipBuffer:
@@ -318,8 +320,7 @@ class GossipCoordinator:
         or unpublished, and each of those lasts until the id is on the
         wire again: a flagged id the recorder then overhears is a new
         sighting, a supply records it (docs/GOSSIP.md)."""
-        recorder = self.system.recorder
-        db = recorder.db
+        db = self.system.recorder.db
         tracker = self.tracker
         for node in self.system.nodes.values():
             buffer = getattr(node, "gossip_buffer", None)
@@ -329,12 +330,9 @@ class GossipCoordinator:
                 if msg_id in tracker.missing or msg_id in tracker.gave_up:
                     continue
                 record = db.get(message.dst)
-                if record is not None:
-                    if msg_id in record.recorded_ids:
-                        continue
-                    if (recorder.config.selective
-                            and not record.recoverable):
-                        continue
+                if record is not None and (msg_id in record.recorded_ids
+                                           or not record.recoverable):
+                    continue
                 if tracker.flag(msg_id):
                     self._gaps_flagged.inc()
                     self.events.emit("gap", msg_id.sender,
@@ -364,11 +362,11 @@ class GossipCoordinator:
             self._converged.fire(0)
             return
         self._rounds.inc()
-        batch = wanted[:self.config.pull_batch]
+        batch = wanted[:PULL_BATCH]
         peers = [node for node in self.system.nodes.values()
                  if node.up and getattr(node, "gossip_buffer", None)]
         if peers:
-            k = min(self.config.fanout, len(peers))
+            k = min(FANOUT, len(peers))
             chosen = self._fanout_rng.sample(peers, k)
             ranges = pull_ranges(batch)
             size_bytes = 32 + 12 * len(ranges)

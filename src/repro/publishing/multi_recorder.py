@@ -41,6 +41,12 @@ from repro.errors import QuorumDivergenceError, RecordCorruptionError, RecoveryE
 from repro.publishing.store import payload_digest
 from repro.sim.engine import Engine
 
+#: how long a recorder waits for a higher-priority one to accept a
+#: recovery it offered, and how long it then waits before checking that
+#: the node came back
+ANSWER_TIMEOUT_MS = 800.0
+REQUERY_INTERVAL_MS = 4000.0
+
 
 @dataclass
 class PriorityVectors:
@@ -71,16 +77,12 @@ class MultiRecorderCoordinator:
     recovering a silent node.
     """
 
-    def __init__(self, engine: Engine, manager, vectors: PriorityVectors,
-                 answer_timeout_ms: float = 800.0,
-                 requery_interval_ms: float = 4000.0):
+    def __init__(self, engine: Engine, manager, vectors: PriorityVectors):
         self.engine = engine
         self.manager = manager
         self.recorder = manager.recorder
         self.my_id = self.recorder.config.node_id
         self.vectors = vectors
-        self.answer_timeout_ms = answer_timeout_ms
-        self.requery_interval_ms = requery_interval_ms
         self._accepts: Dict[int, Set[int]] = {}     # node -> accepting recorders
         self._negotiating: Set[int] = set()
         #: when set to a :class:`QuorumReplay`, this recorder's
@@ -116,7 +118,7 @@ class MultiRecorderCoordinator:
             self.recorder.send_control(recorder_id, Control("recover_offer", {
                 "node": node_id, "from": self.my_id,
             }), guaranteed=False)
-        yield self.answer_timeout_ms
+        yield ANSWER_TIMEOUT_MS
         accepted = self._accepts.get(node_id, set())
         if not accepted & set(higher):
             # "If they are not, or they do not answer in a set interval,
@@ -127,7 +129,7 @@ class MultiRecorderCoordinator:
             return
         # Someone better took the job; keep watching in case it dies
         # during the recovery.
-        yield self.requery_interval_ms
+        yield REQUERY_INTERVAL_MS
         self._negotiating.discard(node_id)
         if self._node_still_silent(node_id):
             self.claim(node_id) and self.manager.recover_node(node_id)

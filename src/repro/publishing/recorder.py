@@ -48,10 +48,15 @@ from repro.publishing.database import (
     ProcessRecord,
     RecorderDatabase,
 )
-from repro.publishing.disk import DiskArray, DiskParams, PageBuffer
+from repro.publishing.disk import DiskArray, PageBuffer
 from repro.publishing.stable_storage import StableStorage
 from repro.publishing.store import SegmentedLog
 from repro.sim.engine import Engine, Signal
+
+#: Database notices (creation, destruction, checkpoint, read order) the
+#: passive tap remembers by sender and uid, oldest forgotten first: only
+#: a retransmission inside this horizon is known to be one.
+CONTROL_DEDUP_HORIZON = 8192
 
 
 @dataclass
@@ -61,18 +66,10 @@ class RecorderConfig:
     node_id: int = 99
     #: recorder software path (§5.2.2): full_protocol | inlined | media_tap
     publish_path: str = "media_tap"
-    disks: int = 1
-    disk_params: DiskParams = field(default_factory=DiskParams)
-    buffered_writes: bool = True
-    #: group commit: flush a partial page once its oldest staged byte
-    #: has waited this long (None = fill-triggered flushes only)
-    flush_deadline_ms: Optional[float] = None
     #: records per segment of the log-structured store
     segment_records: int = 64
     costs: CostModel = field(default_factory=CostModel)
     transport: TransportConfig = field(default_factory=TransportConfig)
-    #: §6.6.1 — pids registered as unrecoverable are not published
-    selective: bool = True
 
 
 class Recorder:
@@ -104,8 +101,7 @@ class Recorder:
     def __init__(self, engine: Engine, medium: Medium,
                  config: Optional[RecorderConfig] = None,
                  stable: Optional[StableStorage] = None,
-                 obs: Optional[Observability] = None,
-                 rng=None):
+                 obs: Optional[Observability] = None):
         self.engine = engine
         self.medium = medium
         self.config = config or RecorderConfig()
@@ -119,12 +115,11 @@ class Recorder:
             db = RecorderDatabase(SegmentedLog(self.config.segment_records))
             self.stable.put("db", db)
         self.db: RecorderDatabase = db
-        self.disks = DiskArray(engine, self.config.disks, self.config.disk_params)
+        self.disks = DiskArray(engine)
         # Compaction passes charge their read/write traffic to this
         # recorder's modeled disks (§4.5).
         self.db.log.attach_io(self.disks.submit)
-        self.buffer = PageBuffer(self.disks, buffered=self.config.buffered_writes,
-                                 flush_deadline_ms=self.config.flush_deadline_ms)
+        self.buffer = PageBuffer(self.disks)
         self.up = True
         registry = self.obs.registry
         self.cpu_busy_ms = registry.counter("recorder.cpu_busy_ms")
@@ -159,7 +154,7 @@ class Recorder:
         self.transport = Transport(engine, medium, self.config.node_id,
                                    self._on_segment, self.config.transport,
                                    is_recorder=True, tap=self.observe_frame,
-                                   obs=self.obs, rng=rng)
+                                   obs=self.obs)
         # Graceful degradation: a guaranteed send that exhausts its
         # retries (a node that never came back) is traced as a dead
         # letter rather than silently dropped.
@@ -189,7 +184,7 @@ class Recorder:
             if key in self._seen_control_uids:
                 return
             self._seen_control_uids[key] = None
-            while len(self._seen_control_uids) > 8192:
+            while len(self._seen_control_uids) > CONTROL_DEDUP_HORIZON:
                 self._seen_control_uids.popitem(last=False)
             if self.claim is not None and \
                     not self.claim(ProcessId(*body["pid"]).node):
@@ -220,7 +215,7 @@ class Recorder:
             # Message overheard before (or without) a creation notice —
             # keep it anyway; the notice will fill in the metadata.
             record = self.db.create(message.dst, node=message.dst.node, image="")
-        if self.config.selective and not record.recoverable:
+        if not record.recoverable:
             return None    # §6.6.1: not published, not recovered
         return record
 
@@ -264,7 +259,7 @@ class Recorder:
                 sender.note_send_confirmed(message.msg_id.seq)
             return None
         record = self.db.get(message.dst)
-        if record is None or (self.config.selective and not record.recoverable):
+        if record is None or not record.recoverable:
             return None
         return record
 

@@ -72,16 +72,10 @@ class RecoveryManager:
     """Directs all recovery operations from the recording node."""
 
     def __init__(self, engine: Engine, recorder: Recorder,
-                 node_ids: List[int],
-                 ping_interval_ms: float = 500.0,
-                 watchdog_timeout_ms: float = 1500.0,
-                 requery_interval_ms: float = 2000.0):
+                 node_ids: List[int]):
         self.engine = engine
         self.recorder = recorder
         self.node_ids = list(node_ids)
-        self.ping_interval_ms = ping_interval_ms
-        self.watchdog_timeout_ms = watchdog_timeout_ms
-        self.requery_interval_ms = requery_interval_ms
         self.watchdogs: Dict[int, Watchdog] = {}
         self.stats = RecoveryStats()
         self.obs = recorder.obs
@@ -120,8 +114,6 @@ class RecoveryManager:
             self.engine, node_id,
             send_ping=lambda n, c: self.recorder.send_control(n, c, guaranteed=False),
             on_crash=self._on_node_silent,
-            ping_interval_ms=self.ping_interval_ms,
-            timeout_ms=self.watchdog_timeout_ms,
             obs=self.obs,
         )
         self.watchdogs[node_id] = dog

@@ -20,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.demos.costs import CostModel
@@ -173,7 +173,9 @@ class System:
     def __init__(self, config: Optional[SystemConfig] = None,
                  registry: Optional[ProgramRegistry] = None,
                  engine: Optional[Engine] = None):
-        self.config = config or SystemConfig()
+        # A copy: resolving the layout below (``services_node``) must not
+        # write into the caller's object.
+        self.config = replace(config) if config is not None else SystemConfig()
         check_config(self.config)
         self.engine = engine or Engine()
         #: set by ClusterFederation when this cluster lives in one —
@@ -289,7 +291,7 @@ class System:
         for shard in placement.shards:
             recorder = Recorder(self.engine, self.medium,
                                 self._recorder_config(shard.node_id),
-                                obs=self.obs, rng=self.rng)
+                                obs=self.obs)
             recorder.claim = placement.claim_of(shard.index)
             manager = RecoveryManager(
                 self.engine, recorder,
@@ -350,11 +352,10 @@ class System:
                 # frames the recorder missed: the gossip pull closes
                 # the log hole instead of a sender retransmission.
                 require_recorder_ack=cfg.publishing and not cfg.gossip,
-                window=cfg.transport_window,
-                ordered_window=cfg.transport_window > 1),
+                window=cfg.transport_window),
         )
         node = Node(self.engine, node_id, self.medium, kernel_config,
-                    self.registry, obs=self.obs, rng=self.rng)
+                    self.registry, obs=self.obs)
         node.kernel.transport.on_gave_up = (
             lambda segment, attempts, _n=node_id:
             self._note_dead_letter(_n, segment, attempts))

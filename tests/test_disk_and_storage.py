@@ -5,7 +5,7 @@ import pytest
 
 from repro.demos.messages import Control
 from repro.errors import StorageError
-from repro.publishing.disk import DiskArray, DiskModel, DiskParams, PageBuffer
+from repro.publishing.disk import DiskArray, DiskModel, PageBuffer
 from repro.publishing.stable_storage import StableStorage
 from repro.publishing.watchdog import Watchdog
 from repro.sim import Engine

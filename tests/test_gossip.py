@@ -367,7 +367,7 @@ def full_rescan(coordinator):
             if record is not None:
                 if msg_id in record.recorded_ids:
                     continue
-                if recorder.config.selective and not record.recoverable:
+                if not record.recoverable:
                     continue
             flagged[msg_id] = message
     return flagged

@@ -4,7 +4,7 @@ ring, and the star hub."""
 import pytest
 
 from repro.net.acking_ethernet import AckingEthernet
-from repro.net.ethernet import CsmaEthernet, EthernetParams
+from repro.net.ethernet import CsmaEthernet
 from repro.net.faults import FaultPlan
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import NetworkInterface
@@ -59,9 +59,8 @@ class TestCsmaEthernet:
         assert ether.stats.collisions.value == 0    # deferral, not collision
 
     def test_auto_ack_frames_contend(self):
-        params = EthernetParams(auto_ack=True)
         engine = Engine()
-        ether = CsmaEthernet(engine, RngStreams(1), params)
+        ether = CsmaEthernet(engine, RngStreams(1), auto_ack=True)
         attach_stations(ether, (1, 2))
         ether.interfaces[0].send(data_frame(1, 2))
         engine.run()
@@ -74,7 +73,7 @@ class TestCsmaEthernet:
             engine = Engine()
             rng = RngStreams(5)
             if cls is CsmaEthernet:
-                medium = cls(engine, rng, EthernetParams(auto_ack=True), **kw)
+                medium = cls(engine, rng, auto_ack=True, **kw)
             else:
                 medium = cls(engine, rng, **kw)
             attach_stations(medium, tuple(range(1, 7)))

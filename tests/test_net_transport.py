@@ -78,6 +78,24 @@ def test_duplicates_suppressed_on_explicit_ack_medium():
     assert t2.stats.duplicates_suppressed.value >= 1
 
 
+def test_dedup_horizon_bounds_what_a_receiver_suppresses():
+    """Duplicate suppression remembers the last ``DEDUP_HORIZON`` uids:
+    a re-sent uid inside that horizon is suppressed, one that has left
+    it is delivered again."""
+    engine = Engine()
+    _, t1, t2, got = build_pair(engine)
+    horizon = transport.DEDUP_HORIZON
+    for i in range(horizon + 1):
+        t1.send(2, i, 16, uid=("p", i))
+    engine.run()
+    assert got[2] == list(range(horizon + 1))
+    t1.send(2, "inside", 16, uid=("p", 1))
+    t1.send(2, "outside", 16, uid=("p", 0))
+    engine.run()
+    assert got[2][horizon + 1:] == ["outside"]
+    assert t2.stats.duplicates_suppressed.value == 1
+
+
 def test_in_order_delivery_with_window_one():
     engine = Engine()
     faults = FaultPlan()
@@ -198,23 +216,6 @@ def test_backoff_factor_one_restores_fixed_timer():
     assert [t1._retry_delay_ms(k) for k in range(1, 5)] == [25.0] * 4
 
 
-def test_backoff_jitter_bounded_and_seed_deterministic():
-    def delays(seed):
-        engine = Engine()
-        medium = PerfectBroadcast(engine)
-        cfg = TransportConfig(retransmit_timeout_ms=10.0, backoff_factor=2.0,
-                              backoff_max_ms=80.0, backoff_jitter=0.5)
-        t = Transport(engine, medium, 1, lambda s: None, cfg,
-                      rng=RngStreams(seed))
-        return [t._retry_delay_ms(k) for k in range(1, 5)]
-
-    first = delays(7)
-    for base, got in zip([10.0, 20.0, 40.0, 80.0], first):
-        assert base <= got <= base * 1.5
-    assert first == delays(7)              # same seed, same jitter
-    assert first != delays(8)
-
-
 def test_per_destination_pump_is_linear_in_queue_depth():
     """Draining n queued messages costs the transport O(n) host work,
     whether they all wait behind one in-flight message to a single
@@ -326,8 +327,7 @@ class TestOrderedWindow:
     def build(self, engine, window=4, faults=None):
         medium = PerfectBroadcast(engine, faults=faults or FaultPlan())
         got = []
-        cfg = TransportConfig(window=window, ordered_window=True,
-                              retransmit_timeout_ms=20.0)
+        cfg = TransportConfig(window=window, retransmit_timeout_ms=20.0)
         t1 = Transport(engine, medium, 1, lambda s: None, cfg)
         t2 = Transport(engine, medium, 2, lambda s: got.append(s.body), cfg)
         return t1, t2, got
@@ -354,11 +354,11 @@ class TestOrderedWindow:
 
     def test_windowed_faster_than_stop_and_wait(self):
         """The point of the scheme: amortize the round trip."""
-        def elapsed(window, ordered):
+        def elapsed(window):
             engine = Engine()
             medium = PerfectBroadcast(engine)
             done = []
-            cfg = TransportConfig(window=window, ordered_window=ordered)
+            cfg = TransportConfig(window=window)
             t1 = Transport(engine, medium, 1, lambda s: None, cfg)
             t2 = Transport(engine, medium, 2, lambda s: done.append(s.body),
                            cfg)
@@ -368,15 +368,15 @@ class TestOrderedWindow:
             assert done == list(range(30))
             return engine.now
 
-        stop_and_wait = elapsed(window=1, ordered=False)
-        windowed = elapsed(window=8, ordered=True)
+        stop_and_wait = elapsed(window=1)
+        windowed = elapsed(window=8)
         assert windowed <= stop_and_wait
 
     def test_streams_independent_per_source(self):
         engine = Engine()
         medium = PerfectBroadcast(engine)
         got = []
-        cfg = TransportConfig(window=4, ordered_window=True)
+        cfg = TransportConfig(window=4)
         t1 = Transport(engine, medium, 1, lambda s: None, cfg)
         t3 = Transport(engine, medium, 3, lambda s: None, cfg)
         t2 = Transport(engine, medium, 2,
@@ -420,8 +420,7 @@ class TestOrderedWindow:
         faults.lose_next(lambda f, node: node == 1 and f.kind.value == "ack")
         medium = CsmaEthernet(engine, RngStreams(5), faults=faults)
         got = []
-        cfg = TransportConfig(window=8, ordered_window=True,
-                              retransmit_timeout_ms=20.0)
+        cfg = TransportConfig(window=8, retransmit_timeout_ms=20.0)
         t1 = Transport(engine, medium, 1, lambda s: None, cfg)
         t2 = Transport(engine, medium, 2, lambda s: got.append(s.body), cfg)
         for i in range(6):

@@ -15,7 +15,8 @@ from repro.publishing.database import (
     LoggedMessage,
     ProcessRecord,
 )
-from repro.publishing.disk import DiskArray, DiskModel, PageBuffer
+from repro.publishing.disk import (LATENCY_MS, TRANSFER_BYTES_PER_MS,
+                                   DiskArray, DiskModel, PageBuffer)
 from repro.publishing.recorder import Recorder, RecorderConfig
 from repro.publishing.store import SegmentedLog
 from repro.sim.engine import Engine
@@ -424,7 +425,7 @@ class TestDiskStallAccounting:
     def test_stall_wait_is_not_busy_time(self):
         engine = Engine()
         disk = DiskModel(engine)
-        service = disk.params.op_time_ms(2000)
+        service = LATENCY_MS + 2000 / TRANSFER_BYTES_PER_MS
         done_free = disk.submit("write", 2000)
         assert disk.busy_ms == pytest.approx(service)
         assert disk.stall_wait_ms == 0.0

@@ -37,6 +37,15 @@ class TestSystemConfig:
                                      services_node=1))
         assert system.config.services_node == 10
 
+    def test_callers_config_is_left_as_it_was_given(self):
+        from dataclasses import asdict
+        config = SystemConfig(nodes=2, first_node_id=101)
+        before = asdict(config)
+        system = System(config)
+        assert system.config.services_node == 101
+        assert system.config is not config
+        assert asdict(config) == before and config.services_node == 1
+
     def test_boot_without_system_processes(self):
         system = System(SystemConfig(nodes=1, boot_system_processes=False))
         system.boot()
@@ -294,36 +303,60 @@ def test_clusters_are_built_in_system_and_nowhere_else():
 
 
 def test_every_system_config_field_is_set_by_some_caller():
-    """An option no caller sets is an option nothing exercises: every
-    ``SystemConfig`` field is set somewhere outside ``system.py``. Set
-    means a keyword to ``SystemConfig(...)`` or ``dataclasses.replace``,
-    a key of a dict in a module that splats one into either, or a
-    ``config.<field> =`` assignment."""
+    """An option no caller turns is an option nothing exercises: every
+    field of ``SystemConfig`` and of the configs it builds is set to a
+    value other than its default somewhere outside its defining module.
+    Set means a keyword to the config's constructor whose value is not
+    the default written as a literal; for ``SystemConfig`` also a
+    keyword to ``dataclasses.replace``, a key of a dict in a module that
+    splats one into either, or a ``config.<field> =`` assignment."""
     import ast
     import dataclasses
     from pathlib import Path
 
-    root = Path(__file__).resolve().parents[1]
-    found = set()
+    from repro.demos.kernel import KernelConfig
+    from repro.net.transport import TransportConfig
+    from repro.publishing.gossip import GossipConfig
+    from repro.publishing.recorder import RecorderConfig
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    #: config -> its defining module
+    table = {SystemConfig: src / "system.py",
+             TransportConfig: src / "net" / "transport.py",
+             KernelConfig: src / "demos" / "kernel.py",
+             RecorderConfig: src / "publishing" / "recorder.py",
+             GossipConfig: src / "publishing" / "gossip.py"}
+    defaults = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+                for cls in table}
+    found = {cls: set() for cls in table}
     for top in ("src", "tests", "benchmarks", "examples", "bench"):
-        for path in sorted((root / top).rglob("*.py")):
-            if path == root / "src" / "repro" / "system.py":
-                continue
+        for path in sorted((src.parents[1] / top).rglob("*.py")):
+            owners = {cls.__name__: cls for cls, home in table.items()
+                      if path != home}
             splats, dict_keys = False, set()
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id",
                                    getattr(node.func, "attr", None))
-                    keywords = {k.arg for k in node.keywords}
-                    if name in ("SystemConfig", "replace"):
-                        found |= keywords - {None}
-                        splats = splats or None in keywords
+                    if name == "replace":
+                        name = "SystemConfig"
+                    cls = owners.get(name)
+                    if cls is not None:
+                        found[cls] |= {
+                            k.arg for k in node.keywords
+                            if k.arg is not None and not (
+                                isinstance(k.value, ast.Constant)
+                                and k.value.value == defaults[cls].get(
+                                    k.arg, dataclasses.MISSING))}
+                        splats = splats or (cls is SystemConfig and any(
+                            k.arg is None for k in node.keywords))
                     elif name == "dict":
-                        dict_keys |= keywords - {None}
+                        dict_keys |= {k.arg for k in node.keywords} - {None}
                 elif isinstance(node, ast.Dict):
                     dict_keys |= {k.value for k in node.keys
                                   if isinstance(k, ast.Constant)}
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                elif (isinstance(node, (ast.Assign, ast.AugAssign))
+                        and "SystemConfig" in owners):
                     targets = (node.targets if isinstance(node, ast.Assign)
                                else [node.target])
                     for target in targets:
@@ -331,8 +364,9 @@ def test_every_system_config_field_is_set_by_some_caller():
                         if (isinstance(target, ast.Attribute) and getattr(
                                 owner, "id", getattr(owner, "attr", None))
                                 == "config"):
-                            found.add(target.attr)
+                            found[SystemConfig].add(target.attr)
             if splats:
-                found |= dict_keys
-    unset = {f.name for f in dataclasses.fields(SystemConfig)} - found
-    assert not unset, f"SystemConfig fields no caller sets: {sorted(unset)}"
+                found[SystemConfig] |= dict_keys
+    unset = {f"{cls.__name__}.{name}" for cls in table
+             for name in sorted(set(defaults[cls]) - found[cls])}
+    assert not unset, f"config fields no caller sets: {sorted(unset)}"
