@@ -1,7 +1,7 @@
 """The log-structured recorder store vs the flat-list reference.
 
-Times the ``recorder_scaling`` workload's seeded operation scripts (the
-ones ``BENCH_publishing.json`` pins a replay digest for) through both
+Times the ``store`` rig's ``recorder_scaling`` seeded operation scripts
+(the ones ``BENCH_publishing.json`` pins a replay digest for) through both
 stores and asserts the storage engine actually pays: the replay path at
 the largest grid point must be at least 2x the naive full-rescan
 reference, with identical replay order and consumed-id answers at every
@@ -13,13 +13,9 @@ import time
 
 from repro.demos.ids import ProcessId
 from repro.demos.messages import Message
-from repro.perf.workloads import (
-    _RECORDER_GRID_FULL,
-    _recorder_script,
-    recorder_scaling,
-)
 from repro.publishing.database import CheckpointEntry, RecorderDatabase
 from repro.publishing.store import SegmentedLog
+from repro.rigs import _RECORDER_GRID_FULL, _recorder_script, recorder_scaling
 
 from _support import FlatProcessLog
 from conftest import once, print_table

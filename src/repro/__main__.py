@@ -3,7 +3,8 @@ lists the commands).
 
 * Plain commands, declared here: ``demo``, ``example3_1``, ``trace`` /
   ``metrics`` (one small crash/recovery scenario's event stream /
-  metrics snapshot) and ``perf`` (the clock-free determinism gate).
+  metrics snapshot) and ``facts`` (the clock-free determinism gate:
+  every rig's facts against ``BENCH_publishing.json``).
 * Rigs: one subcommand per entry of :data:`repro.rigs.RIGS`,
   plus ``sweep --kind <rig>``, which shards a rig's grid over worker
   processes. This module knows the report protocol, not the rigs: a
@@ -24,8 +25,6 @@ import sys
 from repro import System, SystemConfig
 from repro.metrics.metering import SendToSelfProgram
 from repro.net import MEDIA
-from repro.perf.harness import main as perf_main
-from repro.perf.workloads import WORKLOADS
 from repro.publishing.recovery_time import figure_3_1_example
 
 
@@ -110,9 +109,35 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    return perf_main(seed=args.seed, smoke=args.smoke, output=args.output,
-                     only=args.workload or None, compare=args.compare)
+def _cmd_facts(args: argparse.Namespace) -> int:
+    """The determinism gate: exit 0 on success, 1 when a fact differs
+    from the ``--compare`` file, 2 for an unknown ``--rig``."""
+    from repro.digest import digest_of
+    from repro.errors import ReproError
+    from repro.rigs import compare_facts, facts_report
+
+    try:
+        report = facts_report(args.seed, args.smoke, args.rig)
+    except ReproError as error:
+        print(error, file=sys.stderr)
+        return 2
+    for name, facts in report["rigs"].items():
+        print(f"{name:<12} {digest_of(facts)[:16]}")
+    if args.output:
+        _write_or_print(json.dumps(report, indent=2), args.output)
+        print(f"wrote {args.output}")
+    if args.compare:
+        with open(args.compare, "r", encoding="utf-8") as fh:
+            committed = json.load(fh)
+        failures = compare_facts(report, committed, selected=bool(args.rig))
+        if failures:
+            print(f"determinism broken vs {args.compare} "
+                  "(committed -> current):", file=sys.stderr)
+            for failure in failures:
+                print(f"  - {failure}", file=sys.stderr)
+            return 1
+        print(f"identical to {args.compare}")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -230,26 +255,22 @@ def build_parser(argv) -> argparse.ArgumentParser:
                                   "prefix (e.g. 'transport', 'kernel.1')")
         cmd.set_defaults(fn=fn)
 
-    perf = sub.add_parser(
-        "perf", help="run the determinism workloads, compare them "
-                     "exactly against BENCH_publishing.json")
-    perf.add_argument("--smoke", action="store_true",
-                      help="small workload sizes (seconds, for CI)")
-    perf.add_argument("--seed", type=int, default=1983,
-                      help="master seed for every workload")
-    # choices= is deliberately not used: the harness validates names
-    # itself (exit 2 with the full list), which keeps the repeatable
-    # flag's error identical however the workload set grows.
-    perf.add_argument("--workload", action="append", default=None,
-                      metavar="NAME",
-                      help="run only this workload (repeatable); "
-                           "default: all of " + ", ".join(WORKLOADS))
-    perf.add_argument("--output", default=None,
-                      help="write the report to this path")
-    perf.add_argument("--compare", default=None, metavar="COMMITTED.json",
-                      help="fail (exit 1) naming every fact that differs "
-                           "from this earlier report")
-    perf.set_defaults(fn=_cmd_perf)
+    facts = sub.add_parser(
+        "facts", help="run every rig's deterministic facts, compare them "
+                      "exactly against BENCH_publishing.json")
+    facts.add_argument("--smoke", action="store_true",
+                       help="small sizes (seconds, for CI)")
+    facts.add_argument("--seed", type=int, default=1983,
+                       help="master seed for every rig")
+    # no choices=: the names are the table's, which a plain command does
+    # not import; an unknown one exits 2 with the available list
+    facts.add_argument("--rig", action="append", metavar="NAME",
+                       help="run only this rig's facts (repeatable)")
+    facts.add_argument("--output", help="write the report to this path")
+    facts.add_argument("--compare", metavar="COMMITTED.json",
+                       help="fail (exit 1) naming every fact that differs "
+                            "from this earlier report")
+    facts.set_defaults(fn=_cmd_facts)
 
     if argv and argv[0] in sub.choices:
         return parser       # a plain command: no rig, no table import

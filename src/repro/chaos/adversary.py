@@ -362,7 +362,8 @@ def feed_record(record, db, message: Message, stage=None) -> None:
     adversary stage — the engine-less analog of
     ``Recorder.observe_delivery``, through the same door
     (:meth:`~repro.publishing.database.RecorderDatabase.deliver`); the
-    differential harness and the perf workload both use it."""
+    differential harness and the ``adversary`` rig's facts both use
+    it."""
     for _ in db.deliver(message, lambda _message: record, stage):
         pass
 

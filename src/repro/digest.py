@@ -4,12 +4,13 @@ Every committed digest (``BENCH_publishing.json``, a sweep's shard
 records, the partitioned DES's per-cluster digests) is one of these
 over some value; the byte layouts are frozen. The message checksum,
 ``repro.publishing.store.payload_digest``, lives with the store.
+:func:`leaf_diff` is how a committed value is held against a fresh one.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, List
 
 from repro.sim.rng import sha256
 
@@ -37,3 +38,20 @@ def fold(digest: int, value: int) -> int:
     """``digest`` (0 to start) with ``value`` folded in: an
     order-sensitive polynomial hash modulo a Mersenne prime."""
     return (digest * 1000003 + value) % _HASH_MOD
+
+
+def leaf_diff(path: str, committed: Any, current: Any) -> List[str]:
+    """``path: committed -> current`` for every leaf that differs, nested
+    leaves named by their path (``a.b[2].c``); a key on one side only
+    reads ``None`` on the other."""
+    if isinstance(committed, dict) and isinstance(current, dict):
+        keys = dict.fromkeys([*committed, *current])
+        return [line for key in keys for line in leaf_diff(
+            f"{path}.{key}", committed.get(key), current.get(key))]
+    if (isinstance(committed, list) and isinstance(current, list)
+            and len(committed) == len(current)):
+        return [line for index, (old, new) in enumerate(zip(committed,
+                                                             current))
+                for line in leaf_diff(f"{path}[{index}]", old, new)]
+    return [] if committed == current else [
+        f"{path}: {committed!r} -> {current!r}"]

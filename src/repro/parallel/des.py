@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-# The only clock in src/ (tests/test_perf_harness.py holds the line):
+# The only clock in src/ (tests/test_facts.py holds the line):
 # run_serial / run_pooled return ``wall_ms`` because bench/probes.py
 # times pooled against serial with it, and the pool master needs
 # wall-clock deadlines to surface a dead worker instead of hanging.

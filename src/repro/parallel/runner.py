@@ -1,7 +1,7 @@
 """Process-pool sharded execution of independent deterministic runs.
 
 The evaluation sweeps — chaos seed matrices, queueing capacity and
-utilization grids, the perf workloads — are embarrassingly parallel:
+utilization grids, Figure 5.7 probes — are embarrassingly parallel:
 every shard is a pure function of its parameters (and, where it draws
 randomness, of a seed derived from the sweep's root seed by *name*, via
 :func:`repro.sim.rng.derive_seed`). This module schedules those shards
@@ -87,9 +87,10 @@ def execute_task(task: ShardTask) -> Dict[str, Any]:
     from repro.rigs import RIGS     # the table imports this module
 
     rig = RIGS.get(task.kind)
-    if rig is None:
+    if rig is None or rig.run is None:     # a facts-only rig has no shard
+        known = sorted(name for name, rig in RIGS.items() if rig.run)
         raise ReproError(f"unknown shard kind {task.kind!r} "
-                         f"(known: {', '.join(sorted(RIGS))})")
+                         f"(known: {', '.join(known)})")
     params = dict(task.params)
     try:
         payload = rig.run(params)

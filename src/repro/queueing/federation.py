@@ -18,8 +18,8 @@ federation-wide user population for which every station keeps ρ < 1 —
 and which station saturates first. :func:`measure_gateway_knee` drives
 a **real** :class:`~repro.cluster.gateways.Gateway` (the same component
 the DES federations route through) at increasing offered rates and
-reports where its delivered fraction collapses, so the perf workload
-can print modeled-vs-measured relative error instead of trusting the
+reports where its delivered fraction collapses, so the ``federation``
+rig can print modeled-vs-measured relative error instead of trusting the
 algebra.
 """
 

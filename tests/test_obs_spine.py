@@ -362,7 +362,7 @@ class TestLegacyStatsAreRegistryViews:
 #: sha256(canonical_json(metrics_snapshot()) + event_stream()) of the
 #: seed-1983 `chaos --scenario demo` run per (medium, gossip): pins every
 #: snapshot key, value and first-appearance point and every event on
-#: every medium (the committed perf digests only cover the snapshot on
+#: every medium (the committed facts' digests only cover the snapshot on
 #: broadcast federations).
 SURFACE_PINS = {
     ("broadcast", False):

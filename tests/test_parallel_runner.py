@@ -23,7 +23,6 @@ from repro.parallel import (
 from repro.rigs import (
     capacity_tasks,
     chaos_matrix_tasks,
-    perf_tasks,
     run_sweep,
     utilization_tasks,
 )
@@ -164,11 +163,15 @@ class TestSerialParallelEquality:
         assert merged["count"] == 15
         assert merged["digest"] == merged["serial_check"]["serial_digest"]
 
-    def test_perf_shard_payload_is_deterministic(self):
-        """A perf shard's whole record, digest included, is identical
-        across runs."""
-        task = perf_tasks(names=["storm_token_ring"], smoke=True)[0]
-        assert execute_task(task) == execute_task(task)
+    def test_chaos_shard_payload_is_deterministic(self):
+        """A chaos shard — the kind the ``chaos.sweep`` facts run — gives
+        the same whole record, digest included, when one process runs it
+        twice: no state of one run leaks into the next."""
+        task = chaos_matrix_tasks(root_seed=1983, runs=1, pairs=1,
+                                  messages=8, duration_ms=2500.0)[0]
+        first = execute_task(task)
+        assert first["payload"]["events_fired"] > 0
+        assert execute_task(task) == first
 
 
 # ----------------------------------------------------------------------

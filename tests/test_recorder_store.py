@@ -560,23 +560,3 @@ class TestRecorderStorageGauges:
         # the compacted segment — 400 bytes rewritten
         assert recorder.db.log.compaction_written_bytes == 400
 
-
-class TestPerfCliWorkloadSelection:
-    def test_unknown_workload_exits_2_and_lists_available(self, capsys):
-        from repro.__main__ import main
-        assert main(["perf", "--smoke", "--workload", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown workload(s): nope" in err
-        assert "recorder_scaling" in err      # the available list
-
-    def test_workload_selection_skips_default_baseline_write(
-            self, tmp_path, monkeypatch):
-        """A report is written only where ``--output`` says."""
-        from repro.__main__ import main
-        monkeypatch.chdir(tmp_path)
-        argv = ["perf", "--smoke", "--seed", "7",
-                "--workload", "engine_churn"]
-        assert main(argv) == 0
-        assert list(tmp_path.iterdir()) == []
-        assert main(argv + ["--output", "report.json"]) == 0
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

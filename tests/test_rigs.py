@@ -124,12 +124,12 @@ def test_a_plain_command_does_not_import_the_rig_table():
 def test_the_pool_package_does_not_import_the_table():
     """``repro.parallel`` is the two execution mechanisms: a ``des`` user,
     ``bench/probes.py`` and a spawn-start pool worker import it without
-    the table, the determinism workloads or the queueing models."""
+    the table or the queueing models."""
     probe = (
         "import sys\n"
         "import repro.parallel\n"
         "heavy = [m for m in sys.modules if m.startswith(\n"
-        "    ('repro.rigs', 'repro.perf', 'repro.queueing'))]\n"
+        "    ('repro.rigs', 'repro.queueing'))]\n"
         "assert not heavy, heavy\n")
     run_probe(probe)
 
@@ -168,8 +168,8 @@ FLAGS_BEFORE = {
                    "--service-ms", "--json", "--output"},
     "sweep": {"--kind", "--parallel", "--check", "--seed", "--runs",
               "--nodes", "--pairs", "--messages", "--medium", "--duration",
-              "--file", "--disks", "--point", "--iterations", "--workload",
-              "--smoke", "--json", "--output"},
+              "--file", "--disks", "--point", "--iterations", "--json",
+              "--output"},
 }
 
 
@@ -223,18 +223,15 @@ def test_a_flag_of_another_kind_is_an_argparse_error(capsys):
 
 
 def test_an_absent_bool_flag_is_passed_as_false_not_left_to_the_builder():
-    """``perf_tasks()`` builds smoke-size shards, as it always did, and
-    ``sweep --kind perf`` without ``--smoke`` still means full size."""
+    """``des`` without ``--spread-delays`` passes ``False``, not the
+    absence the declaration would fill in."""
     from repro.__main__ import _given
-    from repro.rigs import perf_tasks
 
-    assert dict(perf_tasks()[0].params)["smoke"] is True
-    perf = RIGS["perf"].params
-    assert _given(parse(["sweep", "--kind", "perf", "--workload",
-                         "engine_churn"]), perf) == {
-        "names": ["engine_churn"], "smoke": False}
-    assert _given(parse(["sweep", "--kind", "perf", "--smoke"]),
-                  perf) == {"smoke": True}
+    des_params = RIGS["des"].params
+    assert _given(parse(["des", "--clusters", "4"]), des_params) == {
+        "clusters": 4, "spread_delays": False}
+    assert _given(parse(["des", "--spread-delays"]),
+                  des_params) == {"spread_delays": True}
     # a value flag left out is left to the declaration
     assert _given(parse(["sweep", "--kind", "chaos", "--runs", "3"]),
                   RIGS["chaos"].params) == {"runs": 3}
@@ -397,27 +394,27 @@ def test_a_task_missing_a_parameter_is_a_typed_error_naming_the_shard():
 # ----------------------------------------------------------------------
 def test_a_failed_gate_names_the_leg_the_workers_and_both_digests(
         monkeypatch):
-    import repro.perf.workloads as workloads
-    from repro.perf.workloads import PerfDivergence
+    import repro.rigs as rigs
+    from repro.rigs import FactDivergence
 
     real_serial, real_pooled = des.run_serial, des.run_pooled
-    monkeypatch.setattr(workloads, "_DES_SMOKE", (2, 1, 300.0))
-    monkeypatch.setattr(workloads, "_DES_WORKER_COUNTS", (2,))
-    monkeypatch.setattr(workloads, "_FEDERATION_SMOKE",
+    monkeypatch.setattr(rigs, "_DES_SMOKE", (2, 1, 300.0))
+    monkeypatch.setattr(rigs, "_DES_WORKER_COUNTS", (2,))
+    monkeypatch.setattr(rigs, "_FEDERATION_SMOKE",
                         ((2,), 2, 2, 1, 400.0))
     monkeypatch.setattr(
         des, "run_pooled", lambda scenario, workers: dict(
             real_pooled(scenario, workers), digest="0" * 64))
-    with pytest.raises(PerfDivergence) as error:
-        workloads.parallel_des(seed=1983, smoke=True)
+    with pytest.raises(FactDivergence) as error:
+        rigs.parallel_des(seed=1983, smoke=True)
     text = str(error.value)
     reference = real_serial(des.DesScenario(
         clusters=2, messages=1, duration_ms=300.0))["digest"]
-    assert "parallel_des" in text and "pooled(2)" in text
+    assert "des.partitioned" in text and "pooled(2)" in text
     assert "0" * 16 in text and reference[:16] in text
     assert "INCOMPLETE" not in text
-    with pytest.raises(PerfDivergence) as error:
-        workloads.federation_scaling(seed=1983, smoke=True)
+    with pytest.raises(FactDivergence) as error:
+        rigs.federation_scaling(seed=1983, smoke=True)
     assert "DIVERGED (pooled " + "0" * 16 in str(error.value)
 
     # an incomplete serial run reads differently from a pooled divergence
@@ -425,18 +422,17 @@ def test_a_failed_gate_names_the_leg_the_workers_and_both_digests(
     monkeypatch.setattr(
         des, "run_serial", lambda scenario: dict(
             real_serial(scenario), workload_ok=False))
-    with pytest.raises(PerfDivergence) as error:
-        workloads.parallel_des(seed=1983, smoke=True)
+    with pytest.raises(FactDivergence) as error:
+        rigs.parallel_des(seed=1983, smoke=True)
     serial_line = next(line for line in str(error.value).splitlines()
                        if line.lstrip().startswith("serial"))
     assert "INCOMPLETE" in serial_line and "DIVERGED" in str(error.value)
 
 
 def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
-    import repro.perf.workloads as workloads
     import repro.rigs as rigs
     from repro.chaos.campaign import InvariantCheck
-    from repro.perf.workloads import PerfDivergence
+    from repro.rigs import FactDivergence
 
     real = rigs.run_scenario
 
@@ -447,10 +443,10 @@ def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
         return result
 
     monkeypatch.setattr(rigs, "run_scenario", breaking)
-    with pytest.raises(PerfDivergence) as error:
-        workloads.chaos_campaign(seed=1983, smoke=True)
+    with pytest.raises(FactDivergence) as error:
+        rigs.chaos_campaign(seed=1983, smoke=True)
     text = str(error.value)
-    assert text.startswith("chaos_campaign:")
+    assert text.startswith("chaos.campaign:")
     # the chaos rig's own rendered report, not a summary of it
     assert "chaos campaign 'monkey' — FAIL" in text
     assert "[FAIL] injected" in text and "patched in by the test" in text
@@ -460,40 +456,45 @@ def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
     # pid makes every pooled shard differ from its serial re-run
     monkeypatch.setitem(RIGS, "chaos", dataclasses.replace(
         RIGS["chaos"], run=lambda params: {"ok": True, "pid": os.getpid()}))
-    with pytest.raises(PerfDivergence) as error:
-        workloads.sweep_scaling(seed=1983, smoke=True)
+    with pytest.raises(FactDivergence) as error:
+        rigs.sweep_scaling(seed=1983, smoke=True)
     text = str(error.value)
-    assert text.startswith("sweep_scaling:")
+    assert text.startswith("chaos.sweep:")
     assert "chaos/000: parallel " in text and "chaos/005: parallel " in text
 
 
-def test_perf_reaches_the_table_through_the_gate_and_nowhere_else():
+def test_facts_reach_the_table_through_the_gate_and_nowhere_else():
+    """A facts workload runs a rig only through ``_gated``, so no
+    committed leaf describes a run that failed the rig's own ``ok``: in
+    ``rigs.py`` the table — ``RIGS``, ``run_sweep`` and every rig's
+    ``run`` — is named by the table's own machinery (and the federation
+    rig, which runs the des rig), and ``_gated`` by facts workloads only."""
     import ast
 
-    import repro.perf
+    import repro.rigs as rigs
 
-    imports = []
-    for path in sorted(Path(repro.perf.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        parents = {child: node for node in ast.walk(tree)
-                   for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            names = ([alias.name for alias in node.names]
-                     if isinstance(node, ast.Import)
-                     else [node.module or ""]
-                     if isinstance(node, ast.ImportFrom) else [])
-            for name in names:
-                if name.startswith(("repro.rigs", "repro.parallel")):
-                    imports.append((path.name, name,
-                                    getattr(parents[node], "name", None)))
-    assert imports == [("workloads.py", "repro.rigs", "_gated")]
+    table = {"RIGS", "run_sweep", "_gated"} | {
+        rig.run.__name__ for rig in RIGS.values() if rig.run}
+    users = {}
+    for node in ast.walk(ast.parse(Path(rigs.__file__).read_text())):
+        if isinstance(node, ast.FunctionDef):
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and name.id in table:
+                    users.setdefault(name.id, set()).add(node.name)
+    assert users == {
+        "RIGS": {"_gated", "run_federation", "ci_commands", "run_sweep",
+                 "facts_report"},
+        "run_sweep": {"__call__", "_gated"},
+        "_gated": {"chaos_campaign", "sweep_scaling", "parallel_des",
+                   "des_scaling", "federation_scaling"},
+    }
 
 
 def test_federation_scaling_runs_each_leg_once_per_cluster_count(monkeypatch):
-    import repro.perf.workloads as workloads
+    import repro.rigs as rigs
 
     counts = (2, 3)
-    monkeypatch.setattr(workloads, "_FEDERATION_SMOKE",
+    monkeypatch.setattr(rigs, "_FEDERATION_SMOKE",
                         (counts, 2, 2, 1, 400.0))
     calls = {"serial": [], "pooled": []}
     real_serial, real_pooled = des.run_serial, des.run_pooled
@@ -508,7 +509,7 @@ def test_federation_scaling_runs_each_leg_once_per_cluster_count(monkeypatch):
 
     monkeypatch.setattr(des, "run_serial", spy_serial)
     monkeypatch.setattr(des, "run_pooled", spy_pooled)
-    facts = workloads.federation_scaling(seed=1983, smoke=True)
+    facts = rigs.federation_scaling(seed=1983, smoke=True)
     assert calls["serial"] == list(counts)
     assert calls["pooled"] == [(count, 2) for count in counts]
     assert sorted(facts["grid"]) == [str(count) for count in counts]
