@@ -50,9 +50,9 @@ def test_checkpoint_policy_tradeoffs(benchmark):
     def sweep():
         return [
             run_policy("none (replay everything)", None),
-            run_policy("Young interval (Tf=20s)",
-                       YoungIntervalPolicy(mtbf_ms=20_000.0,
-                                           save_ms_per_page=2.0)),
+            # T_s is Figure 3.1's 10 ms/page
+            run_policy("Young interval (Tf=4s)",
+                       YoungIntervalPolicy(mtbf_ms=4_000.0)),
             run_policy("recovery bound 600 ms",
                        RecoveryTimeBoundPolicy(default_bound_ms=600.0)),
             run_policy("storage balance",

@@ -12,7 +12,6 @@ import pytest
 
 from repro.publishing.recovery_time import (
     RecoveryTimeModel,
-    RecoveryTimeParams,
     figure_3_1_example,
 )
 
@@ -40,7 +39,7 @@ def test_fig_3_1_worked_example(benchmark):
 def test_t_max_growth_curve(benchmark):
     """The bound grows linearly in replay volume — the curve behind the
     checkpoint-when-bound-exceeded policy."""
-    model = RecoveryTimeModel(RecoveryTimeParams())
+    model = RecoveryTimeModel()
 
     def sweep():
         return [(n, model.t_max_ms(4, n, n * 256, n * 5.0))

@@ -16,7 +16,7 @@ from repro import Program, System, SystemConfig
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
 from repro.queueing import OPERATING_POINTS, OpenQueueingModel
-from repro.queueing.workload import LONG_BYTES, SHORT_BYTES
+from repro.costs import LONG_MSG_BYTES as LONG_BYTES, SHORT_MSG_BYTES as SHORT_BYTES
 
 from conftest import once, print_table
 

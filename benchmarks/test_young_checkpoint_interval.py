@@ -44,7 +44,8 @@ def test_young_policy_interval_honoured_live(benchmark):
         system = System(SystemConfig(nodes=2))
         register_test_programs(system)
         system.boot()
-        policy = YoungIntervalPolicy(mtbf_ms=40_000.0, save_ms_per_page=2.0)
+        # T_s is Figure 3.1's 10 ms/page
+        policy = YoungIntervalPolicy(mtbf_ms=8_000.0)
         for node in system.nodes.values():
             install_policy(node.kernel, policy)
         counter_pid, _ = run_counter_scenario(system, n=200)

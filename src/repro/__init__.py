@@ -11,13 +11,15 @@ Public API highlights:
 * :mod:`repro.publishing` — the recorder, checkpoint policies, the
   §3.2.3 recovery-time model, multi-recorder coordination;
 * :mod:`repro.queueing` — the Chapter 5 queuing evaluation;
+* :mod:`repro.costs` — the paper's numbers (Figure 5.2's hardware, the
+  Chapter 5 kernel and recorder costs, Figure 3.1's recovery terms),
+  which the simulated cluster and the queuing model both read;
 * :mod:`repro.txn` — transactions over published communications (§6.4);
 * :mod:`repro.debugger` — the replay debugger (§6.5).
 """
 
 from repro.demos import (
     Control,
-    CostModel,
     DeliveredMessage,
     GeneratorProgram,
     Link,
@@ -36,7 +38,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Control",
-    "CostModel",
     "DeliveredMessage",
     "GeneratorProgram",
     "Link",

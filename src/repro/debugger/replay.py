@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.demos.ids import ProcessId
-from repro.demos.messages import DeliveredMessage, Message
+from repro.demos.messages import DEFAULT_BODY_BYTES, DeliveredMessage, Message
 from repro.demos.process import ProgramBase, ProgramRegistry
 from repro.demos.queue import MessageQueue
 from repro.errors import ReproError
@@ -59,7 +59,7 @@ class DebugContext:
         return self.pid if link_id in self.links else None
 
     def send(self, link_id: int, body: Any, pass_link_id: Optional[int] = None,
-             size_bytes: int = 128, keep_link: bool = False) -> bool:
+             size_bytes: int = DEFAULT_BODY_BYTES, keep_link: bool = False) -> bool:
         self.sent.append((link_id, body))
         if pass_link_id is not None and not keep_link:
             self.links.pop(pass_link_id, None)

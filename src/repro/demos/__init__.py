@@ -12,14 +12,13 @@ thesis added publishing to:
 * the memory scheduler and process manager (§4.2.3, §4.3.2) — the
   three-process control chain, one message hop per stage;
 * network-wide process names (§4.3.1) — ``ProcessId = (node, local)``;
-* nodes, a CPU model, and the cost model reproducing the Figure 5.7/5.8
-  measurements.
+* nodes and a CPU model, charged the Chapter 5 kernel costs of
+  :mod:`repro.costs` that reproduce the Figure 5.7/5.8 measurements.
 """
 
 from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
 from repro.demos.links import Link, LinkTable
 from repro.demos.messages import Control, DeliveredMessage, Message
-from repro.demos.costs import CostModel
 from repro.demos.process import (
     GeneratorProgram,
     ProcessState,
@@ -50,7 +49,6 @@ __all__ = [
     "Control",
     "DeliveredMessage",
     "Message",
-    "CostModel",
     "GeneratorProgram",
     "ProcessState",
     "Program",

@@ -17,7 +17,7 @@ the publishing hooks:
   regenerated sends, and the hand-back to live traffic.
 
 CPU time is charged to the node per kernel call according to the
-:class:`~repro.demos.costs.CostModel`, which is what makes the
+Chapter 5's kernel costs in :mod:`repro.costs`, which is what makes the
 Figure 5.7/5.8 measurement programs reproducible.
 """
 
@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.demos.costs import CostModel
+from repro import costs
 from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
 from repro.demos.links import Link, LinkTable
-from repro.demos.messages import Control, DeliveredMessage, Message
+from repro.demos.messages import (DEFAULT_BODY_BYTES, Control,
+                                  DeliveredMessage, Message)
 from repro.demos.process import (
     ProcessControlRecord,
     ProcessState,
@@ -49,7 +50,6 @@ class KernelConfig:
 
     publishing: bool = True
     recorder_node: Optional[int] = None
-    costs: CostModel = field(default_factory=CostModel)
     transport: TransportConfig = field(default_factory=TransportConfig)
 
 
@@ -135,7 +135,8 @@ class ProcessContext:
 
     # -- messaging ---------------------------------------------------------
     def send(self, link_id: int, body: Any, pass_link_id: Optional[int] = None,
-             size_bytes: int = 128, keep_link: bool = False) -> bool:
+             size_bytes: int = DEFAULT_BODY_BYTES,
+             keep_link: bool = False) -> bool:
         """Send ``body`` over a held link; returns a condition code.
 
         ``pass_link_id`` moves a held link into the message (§4.2.2.3);
@@ -242,7 +243,7 @@ class MessageKernel:
                 "node": self.node_id,
             }))
         ctx = ProcessContext(self, pcb)
-        self.cpu.run(self.config.costs.create_process_cpu_ms,
+        self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
                      self._start_program, pcb, ctx)
         return pid
 
@@ -261,7 +262,7 @@ class MessageKernel:
         pcb.queue.clear()
         self._marker_seen.pop(pid, None)
         self._held_live.pop(pid, None)
-        self.cpu.charge(self.config.costs.destroy_process_cpu_ms)
+        self.cpu.charge(costs.DESTROY_PROCESS_CPU_MS)
         self.events.emit("process", pid, event="destroyed")
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(Control("process_destroyed",
@@ -272,11 +273,11 @@ class MessageKernel:
     # ------------------------------------------------------------------
     def syscall_create_link(self, pcb: ProcessControlRecord,
                             channel: int, code: int) -> int:
-        self.cpu.charge(self.config.costs.link_call_cpu_ms)
+        self.cpu.charge(costs.LINK_CALL_CPU_MS)
         return pcb.links.insert(Link(dst=pcb.pid, channel=channel, code=code))
 
     def syscall_destroy_link(self, pcb: ProcessControlRecord, link_id: int) -> bool:
-        self.cpu.charge(self.config.costs.link_call_cpu_ms)
+        self.cpu.charge(costs.LINK_CALL_CPU_MS)
         if not pcb.links.has(link_id):
             return False
         pcb.links.remove(link_id)
@@ -318,7 +319,8 @@ class MessageKernel:
         pcb.send_seq += 1
         seq = pcb.send_seq
         published = self._is_published(dst)
-        cost = self.config.costs.message_cpu_ms(published, "send")
+        cost = (costs.SEND_CPU_MS + costs.NET_PROTOCOL_SEND_CPU_MS
+                if published else costs.SEND_CPU_MS)
         if seq <= pcb.suppress_send_through:
             # A regenerated message the original already sent: the new
             # kernel "will not send any messages with ids less than this
@@ -391,9 +393,10 @@ class MessageKernel:
             return
         body = segment.body
         if isinstance(body, Message):
-            published = self.config.publishing
-            self.cpu.charge(self.config.costs.message_cpu_ms(published, "recv")
-                            - self.config.costs.recv_cpu_ms)
+            # publishing's protocol tax; the receive call is charged
+            # when the message is delivered
+            self.cpu.charge(costs.NET_PROTOCOL_RECV_CPU_MS
+                            if self.config.publishing else 0.0)
             self.deliver_local(body)
         elif isinstance(body, Control):
             handler = self.control_handlers.get(body.kind)
@@ -477,8 +480,7 @@ class MessageKernel:
                 "head": head.msg_id if head is not None else None,
             }))
         pcb.busy = True
-        cost = self.config.costs.recv_cpu_ms
-        self.cpu.run(cost, self._invoke_handler, pcb, message)
+        self.cpu.run(costs.RECV_CPU_MS, self._invoke_handler, pcb, message)
 
     def _invoke_handler(self, pcb: ProcessControlRecord, message: Message) -> None:
         if not pcb.alive():
@@ -522,7 +524,7 @@ class MessageKernel:
                 channel: int = 0, code: int = 0,
                 passed_link: Optional[Link] = None,
                 deliver_to_kernel: bool = False,
-                size_bytes: int = 128) -> None:
+                size_bytes: int = DEFAULT_BODY_BYTES) -> None:
         """Send a message attributed to ``pcb`` without using a link.
 
         "While performing process control operations ... any messages it
@@ -574,15 +576,15 @@ class MessageKernel:
             "channels": getattr(pcb.program, "_channels", None),
         }
         pages = pcb.state_pages
-        self.cpu.charge(self.config.costs.checkpoint_cpu_per_page_ms * pages)
-        size = pages * self.config.costs.page_bytes
+        self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * pages)
+        size = pages * costs.CHECKPOINT_PAGE_BYTES
         self.send_control_to_recorder(
             Control("checkpoint", {
                 "pid": pid, "data": checkpoint, "consumed": pcb.consumed,
                 "dtk_processed": pcb.dtk_processed,
                 "send_seq": pcb.send_seq, "pages": pages,
             }),
-            size_bytes=min(size, 1024))
+            size_bytes=min(size, costs.CHECKPOINT_PAGE_BYTES))
         pcb.exec_ms_since_checkpoint = 0.0
         pcb.replay_bytes_since_checkpoint = 0
         pcb.msgs_since_checkpoint = 0
@@ -663,13 +665,11 @@ class MessageKernel:
             pcb.dtk_processed = checkpoint.get("dtk_processed", 0)
             if checkpoint.get("channels") is not None:
                 pcb.program._channels = checkpoint["channels"]
-            reload_ms = (self.config.costs.checkpoint_cpu_per_page_ms
-                         * state_pages)
-            self.cpu.charge(reload_ms)
+            self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * state_pages)
         else:
             # Restart from the initial image (binary) and let replay do
             # the rest — the thesis's initial implementation.
-            self.cpu.run(self.config.costs.create_process_cpu_ms,
+            self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
                          self._start_program, pcb, ctx)
         self.events.emit("recovery", pid, event="recreated",
                          from_checkpoint=checkpoint is not None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, NamedTuple, Optional
 
+from repro import costs
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
 from repro.errors import ConfigError
@@ -35,10 +36,10 @@ if sys.version_info >= (3, 10):
 else:                                           # pragma: no cover
     _frozen = partial(dataclass, frozen=True)
 
-#: Default and maximum body sizes, matching the queuing model's short
-#: (128-byte) and long (1024-byte) message classes (§5.1).
-DEFAULT_BODY_BYTES = 128
-MAX_BODY_BYTES = 1024
+#: Default and maximum body sizes: the queuing model's short and long
+#: message classes (§5.1).
+DEFAULT_BODY_BYTES = costs.SHORT_MSG_BYTES
+MAX_BODY_BYTES = costs.LONG_MSG_BYTES
 
 
 @register_payload("msg")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro import costs
 from repro.demos.ids import MessageId, ProcessId, kernel_pid
 from repro.demos.kernel import KernelConfig, MessageKernel
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE
@@ -132,4 +133,5 @@ class Node:
                     self.kernel.send_control(
                         src_node,
                         Control("gossip_supply", {"message": message}),
-                        guaranteed=False, size_bytes=message.size_bytes + 32)
+                        guaranteed=False,
+                        size_bytes=message.size_bytes + costs.HEADER_BYTES)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+from repro import costs
 from repro.net.frames import Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.sim.engine import Engine
@@ -135,6 +136,7 @@ class CsmaEthernet(Medium):
         if iface is not None and iface.up:
             ack = Frame(kind=FrameKind.ACK, src_node=iface.node_id,
                         dst_node=frame.src_node,
-                        payload=("ack", frame.frame_id), size_bytes=32)
+                        payload=("ack", frame.frame_id),
+                        size_bytes=costs.ACK_BYTES)
             self.acks_sent.inc()
             self.transmit(iface, ack)

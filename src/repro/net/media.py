@@ -20,6 +20,7 @@ from collections import deque
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro import costs
 from repro.errors import NetworkError
 from repro.net.faults import FaultPlan
 from repro.net.frames import BROADCAST, Frame, FrameKind
@@ -28,10 +29,6 @@ from repro.sim.engine import Engine
 
 #: Frame-size histogram bucket bounds (bytes).
 FRAME_SIZE_BUCKETS = (64, 128, 256, 512, 1024, 4096)
-#: The paper's medium (Figure 5.2): a 10 Mb/s Ethernet whose interface
-#: waits 1.6 ms between packets.
-BANDWIDTH_BPS = 10_000_000
-INTERPACKET_DELAY_MS = 1.6
 _ATTACH_ORDER = attrgetter("attach_order")
 
 
@@ -201,8 +198,10 @@ class Medium:
 
     # ------------------------------------------------------------------
     def tx_time_ms(self, size_bytes: int) -> float:
-        """Time the frame occupies the wire, plus the interpacket gap."""
-        return size_bytes * 8.0 / BANDWIDTH_BPS * 1000.0 + INTERPACKET_DELAY_MS
+        """Time the frame occupies the wire, plus the interpacket gap
+        (Figure 5.2's Ethernet)."""
+        return (size_bytes * 8.0 / costs.BANDWIDTH_BPS * 1000.0
+                + costs.INTERPACKET_DELAY_MS)
 
     def recorders(self) -> List[NetworkInterface]:
         """All attached recorder interfaces (healthy or not). The list

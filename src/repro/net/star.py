@@ -6,17 +6,19 @@ recorder are not passed on."
 
 Model: every station has a point-to-point link to the hub; each link is
 serialized independently. A frame travels station → hub, the hub (a
-recorder interface) reads it and, after its processing delay, sends a
-copy down the link of every station that takes it. The hub is the only
-path, so the publishing rule is not a setting here: what the hub did
-not store goes nowhere. What reading, taking and telling the sender
-mean is :class:`~repro.net.media.Medium`'s; this module is the timing.
+recorder interface) reads it and, after the recording node's packet
+time (Figure 5.2, :mod:`repro.costs`), sends a copy down the link of
+every station that takes it. The hub is the only path, so the
+publishing rule is not a setting here: what the hub did not store goes
+nowhere. What reading, taking and telling the sender mean is
+:class:`~repro.net.media.Medium`'s; this module is the timing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import costs
 from repro.errors import NetworkError
 from repro.net.frames import Frame
 from repro.net.media import Medium, NetworkInterface
@@ -30,10 +32,9 @@ class StarHub(Medium):
 
     kind = "star"
 
-    def __init__(self, engine: Engine, hub_processing_ms: float = 0.8, **kwargs):
+    def __init__(self, engine: Engine, **kwargs):
         super().__init__(engine, **kwargs)
         self.enforce_recorder_ack = True    # structural, see the module doc
-        self.hub_processing_ms = hub_processing_ms
         self.hub: Optional[NetworkInterface] = None
         self._link_busy_until: Dict[int, float] = {}
 
@@ -77,7 +78,7 @@ class StarHub(Medium):
             # whatever kind and whatever the miss policy says.
             self._settle(frame, False, False)
             return
-        self.engine.schedule(self.hub_processing_ms, self._forward, frame)
+        self.engine.schedule(costs.PACKET_CPU_MS, self._forward, frame)
 
     def _forward(self, frame: Frame) -> None:
         takers = [iface for iface in self._candidates(frame)

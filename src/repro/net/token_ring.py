@@ -23,8 +23,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import List, Tuple
 
+from repro import costs
 from repro.net.frames import Frame
-from repro.net.media import BANDWIDTH_BPS, Medium, NetworkInterface
+from repro.net.media import Medium, NetworkInterface
 from repro.sim.engine import Engine
 
 #: per-station forwarding latency of the circulating slot
@@ -70,7 +71,7 @@ class TokenRing(Medium):
         # Ring order: the stations after the sender, then the sender.
         i = self.interfaces.index(iface) + 1
         ring = self.interfaces[i:] + self.interfaces[:i]
-        serialization = frame.size_bytes * 8.0 / BANDWIDTH_BPS * 1000.0
+        serialization = frame.size_bytes * 8.0 / costs.BANDWIDTH_BPS * 1000.0
         self.stats.busy_time_ms.inc(serialization + HOP_TIME_MS * len(ring))
         # The slot. ``ack`` is its acknowledge field: None while empty
         # (without a recorder on the ring it has nothing to wait for),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro import costs
 from repro.errors import NetworkError
 from repro.net.frames import BROADCAST, Frame, FrameKind, register_payload
 from repro.net.media import Medium, NetworkInterface
@@ -39,10 +40,6 @@ from repro.sim.engine import Engine, EventHandle
 #: Guaranteed-message uids a receiver remembers for duplicate
 #: suppression, oldest forgotten first: the dedup horizon.
 DEDUP_HORIZON = 4096
-#: Bytes the transport adds to a message body, and the size of an
-#: end-to-end acknowledgement frame.
-HEADER_BYTES = 32
-ACK_BYTES = 32
 
 
 @register_payload("seg")
@@ -235,7 +232,7 @@ class Transport:
             self._next_stream_seq[dst_node] = stream_seq + 1
         segment = Segment(uid, self.node_id, dst_node, body, guaranteed,
                           stream_seq)
-        total = size_bytes + HEADER_BYTES
+        total = size_bytes + costs.HEADER_BYTES
         if not guaranteed:
             self.stats.sent.inc()
             self.iface.send(self._frame_for(segment, total))
@@ -484,7 +481,7 @@ class Transport:
         ack = Frame(kind=FrameKind.ACK, src_node=self.node_id,
                     dst_node=segment.src_node,
                     payload=("e2e-ack", segment.uid),
-                    size_bytes=ACK_BYTES)
+                    size_bytes=costs.ACK_BYTES)
         self.iface.send(ack)
 
     def _on_media_ack(self, frame: Frame, ok: bool) -> None:

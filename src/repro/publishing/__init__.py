@@ -41,7 +41,6 @@ _EXPORTS = {
     "LoggedMessage": "database",
     "RecorderDatabase": "database",
     "RecoveryTimeModel": "recovery_time",
-    "RecoveryTimeParams": "recovery_time",
     "young_interval": "checkpoints",
     "CheckpointPolicy": "checkpoints",
     "YoungIntervalPolicy": "checkpoints",

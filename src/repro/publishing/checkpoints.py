@@ -20,9 +20,10 @@ after every message delivery and decide per process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro import costs
 from repro.demos.ids import ProcessId
 from repro.demos.kernel import MessageKernel
 from repro.demos.process import ProcessControlRecord
@@ -59,14 +60,14 @@ class CheckpointPolicy:
 class YoungIntervalPolicy(CheckpointPolicy):
     """Checkpoint every sqrt(2·T_s·T_f) ms of wall time.
 
-    ``save_ms_per_page`` × the process's state pages estimates T_s.
+    T_s is the time to load the process's state pages, t_page each
+    (Figure 3.1).
     """
 
     mtbf_ms: float = 60_000.0
-    save_ms_per_page: float = 10.0
 
     def interval_ms(self, pcb: ProcessControlRecord) -> float:
-        save_ms = self.save_ms_per_page * pcb.state_pages
+        save_ms = costs.T_PAGE_MS * pcb.state_pages
         return young_interval(save_ms, self.mtbf_ms)
 
     def should_checkpoint(self, kernel: MessageKernel,
@@ -86,15 +87,9 @@ class RecoveryTimeBoundPolicy(CheckpointPolicy):
     recovered in that amount of time."
     """
 
-    model: RecoveryTimeModel = None          # type: ignore[assignment]
+    model = RecoveryTimeModel()
     default_bound_ms: float = 2_000.0
-    bounds: Dict[ProcessId, float] = None    # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.model is None:
-            self.model = RecoveryTimeModel()
-        if self.bounds is None:
-            self.bounds = {}
+    bounds: Dict[ProcessId, float] = field(default_factory=dict)
 
     def set_bound(self, pid: ProcessId, bound_ms: float) -> None:
         """Set one process's maximum recovery time."""
@@ -119,11 +114,9 @@ class StorageBalancePolicy(CheckpointPolicy):
     """§5.1's policy: checkpoint when the bytes of published messages
     accumulated since the last checkpoint exceed the checkpoint size."""
 
-    page_bytes: int = 1024
-
     def should_checkpoint(self, kernel: MessageKernel,
                           pcb: ProcessControlRecord) -> bool:
-        checkpoint_bytes = pcb.state_pages * self.page_bytes
+        checkpoint_bytes = pcb.state_pages * costs.CHECKPOINT_PAGE_BYTES
         return pcb.replay_bytes_since_checkpoint > checkpoint_bytes
 
 

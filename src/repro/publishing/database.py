@@ -12,11 +12,12 @@ Two reconstruction problems are solved here:
 
 * **Which recorded messages were consumed before a checkpoint?** The
   kernel's out-of-order-read advisories (§4.4.2) plus the consumed count
-  carried in the checkpoint control let :meth:`ProcessRecord.consumed_ids`
-  re-simulate the process's queue: non-advised receives take the queue
-  head; an advisory ``(read, head)`` fires when its recorded head matches
-  the simulated head. Those messages are invalid — checkpointed state
-  already reflects them.
+  carried in the checkpoint control let
+  :meth:`ProcessRecord.apply_checkpoint` re-simulate the process's
+  queue: non-advised receives take the queue head; an advisory
+  ``(read, head)`` fires when its recorded head matches the simulated
+  head. Those messages are invalid — checkpointed state already
+  reflects them.
 * **What must be replayed, in what order?** Valid queue messages in
   arrival order (the recovering process's own deterministic channel
   selections then reproduce the original consumption pattern), with
@@ -220,21 +221,21 @@ class ProcessRecord:
     _live_dead: int = field(default=0, init=False, repr=False, compare=False)
     _live_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
-    # -- incremental queue re-simulation (see consumed_ids) ------------
+    # -- incremental queue re-simulation (see _advance_simulation) ------
     # New arrivals route eagerly: queue messages into `_sim_queue`,
     # DELIVERTOKERNEL controls into `_controls` (tagged with their
     # control ordinal), markers into neither. The consumption order
     # already established never changes (arrivals only append, advisory
-    # counts only grow), so `_consumed_ids` accumulates it permanently
-    # while `_consumed_tail` keeps (ordinal, record) pairs only until a
+    # counts only grow), so `_consumed_count` only grows, while
+    # `_consumed_tail` keeps (ordinal, record) pairs only until a
     # checkpoint invalidates them — after which the records themselves
     # may be pruned from the view without this pinning their memory.
     _sim_queue: Deque[LoggedMessage] = field(
         default_factory=deque, init=False, repr=False, compare=False)
     _sim_adv_cursor: int = field(default=0, init=False, repr=False,
                                  compare=False)
-    _consumed_ids: List[MessageId] = field(default_factory=list, init=False,
-                                           repr=False, compare=False)
+    _consumed_count: int = field(default=0, init=False, repr=False,
+                                 compare=False)
     _consumed_tail: Deque[Tuple[int, LoggedMessage]] = field(
         default_factory=deque, init=False, repr=False, compare=False)
     _controls: Deque[Tuple[int, LoggedMessage]] = field(
@@ -349,11 +350,11 @@ class ProcessRecord:
         without advancing its cursor, so the error repeats on retry —
         and resolves if the missing message arrives later."""
         queue = self._sim_queue
-        consumed_ids = self._consumed_ids
         tail = self._consumed_tail
         advisories = self.advisories
         cursor = self._sim_adv_cursor
-        while len(consumed_ids) < target and queue:
+        count = self._consumed_count
+        while count < target and queue:
             if (cursor < len(advisories)
                     and advisories[cursor][1] == queue[0].message.msg_id):
                 read_id = advisories[cursor][0]
@@ -368,20 +369,9 @@ class ProcessRecord:
                 self._sim_adv_cursor = cursor
             else:
                 lm = queue.popleft()
-            tail.append((len(consumed_ids), lm))
-            consumed_ids.append(lm.message.msg_id)
-
-    def consumed_ids(self, consumed_count: int) -> Set[MessageId]:
-        """Re-simulate the process's queue to find which of the recorded
-        messages were the first ``consumed_count`` consumptions.
-
-        The simulation runs incrementally: the consumption order already
-        established never changes (arrivals only append, advisory counts
-        only grow), so each call extends the previous one instead of
-        replaying from process creation.
-        """
-        self._advance_simulation(consumed_count)
-        return set(self._consumed_ids[:consumed_count])
+            tail.append((count, lm))
+            count += 1
+            self._consumed_count = count
 
     def apply_checkpoint(self, entry: CheckpointEntry) -> int:
         """Install a new checkpoint and invalidate the messages its state

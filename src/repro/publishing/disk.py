@@ -1,11 +1,12 @@
 """The recorder's disk subsystem.
 
-Hardware parameters come from Figure 5.2: 3 ms latency and a 2 MB/s
-transfer rate. The queuing evaluation found that writing one message per
-disk operation saturates the disk at the maximum long-message rate, and
-that "this saturation was removed by allowing messages to be written out
-in 4k byte buffers rather than forcing one disk write per message"
-(§5.1) — both modes are supported so the benches can show the contrast.
+Hardware parameters come from Figure 5.2 (:mod:`repro.costs`): 3 ms
+latency and a 2 MB/s transfer rate. The queuing evaluation found that
+writing one message per disk operation saturates the disk at the
+maximum long-message rate, and that "this saturation was removed by
+allowing messages to be written out in 4k byte buffers rather than
+forcing one disk write per message" (§5.1) — both modes are supported so
+the benches can show the contrast.
 
 Compaction follows §4.5: "Before allocating a buffer to a disk page, the
 disk page is read in. Any messages that are no longer valid are removed
@@ -16,14 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro import costs
 from repro.errors import StorageError
 from repro.sim.engine import Engine
-
-#: One disk (Figure 5.2): an operation takes the latency plus its
-#: transfer at 2 MB/s; messages are written in 4 KB pages.
-LATENCY_MS = 3.0
-TRANSFER_BYTES_PER_MS = 2000.0
-PAGE_BYTES = 4096
 
 
 class DiskModel:
@@ -77,7 +73,7 @@ class DiskModel:
             raise StorageError(f"unknown disk op {op!r}")
         if size_bytes <= 0:
             raise StorageError("disk operations must move at least one byte")
-        duration = (LATENCY_MS + size_bytes / TRANSFER_BYTES_PER_MS) * self.slowdown
+        duration = costs.disk_op_ms(size_bytes) * self.slowdown
         ready = max(self.engine.now, self._busy_until)
         start = max(ready, self.stalled_until)
         if start > ready:
@@ -197,11 +193,9 @@ class PageBuffer:
     not staging — as the durability point.
     """
 
-    def __init__(self, disks: DiskArray, page_bytes: int = PAGE_BYTES,
-                 buffered: bool = True,
+    def __init__(self, disks: DiskArray, buffered: bool = True,
                  flush_deadline_ms: Optional[float] = None):
         self.disks = disks
-        self.page_bytes = page_bytes
         self.buffered = buffered
         self.flush_deadline_ms = flush_deadline_ms
         self._fill = 0
@@ -218,12 +212,13 @@ class PageBuffer:
             return
         self._fill += size_bytes
         self.max_fill = max(self.max_fill, self._fill)
-        while self._fill >= self.page_bytes:
+        page_bytes = costs.DISK_PAGE_BYTES
+        while self._fill >= page_bytes:
             # §4.5 compaction: the page is read in, invalid messages are
             # dropped, then the compacted page is written back.
-            self.disks.submit("read", self.page_bytes)
-            self.disks.submit("write", self.page_bytes)
-            self._fill -= self.page_bytes
+            self.disks.submit("read", page_bytes)
+            self.disks.submit("write", page_bytes)
+            self._fill -= page_bytes
             self.pages_flushed += 1
         if self._fill == 0:
             self._cancel_deadline()

@@ -34,9 +34,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.demos.costs import CostModel
+from repro import costs
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Control, Message
+from repro.errors import ConfigError
 from repro.net.frames import Frame
 from repro.net.media import Medium
 from repro.net.transport import (Segment, Transport, TransportConfig,
@@ -68,7 +69,6 @@ class RecorderConfig:
     publish_path: str = "media_tap"
     #: records per segment of the log-structured store
     segment_records: int = 64
-    costs: CostModel = field(default_factory=CostModel)
     transport: TransportConfig = field(default_factory=TransportConfig)
 
 
@@ -149,8 +149,13 @@ class Recorder:
         # Resolved once: the per-message CPU charge is fixed by the
         # configured software path, and record_message is the hottest
         # recorder entry point (every guaranteed frame on the medium).
-        self._publish_cost_ms = self.config.costs.publish_cpu_ms(
-            self.config.publish_path)
+        try:
+            self._publish_cost_ms = costs.PUBLISH_CPU_MS[
+                self.config.publish_path]
+        except KeyError:
+            raise ConfigError(
+                f"unknown publish path {self.config.publish_path!r}; "
+                f"expected one of {sorted(costs.PUBLISH_CPU_MS)}") from None
         self.transport = Transport(engine, medium, self.config.node_id,
                                    self._on_segment, self.config.transport,
                                    is_recorder=True, tap=self.observe_frame,
@@ -378,7 +383,7 @@ class Recorder:
             pages=control["pages"],
             stored_at=self.engine.now,
         )
-        size_bytes = entry.pages * self.config.costs.page_bytes
+        size_bytes = entry.pages * costs.CHECKPOINT_PAGE_BYTES
         # Only after the checkpoint "has been reliably stored" may older
         # messages be discarded (§3.3.1).
         self.disks.submit("write", size_bytes,

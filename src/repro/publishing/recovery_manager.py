@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro import costs
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.messages import Control
 from repro.errors import RecordCorruptionError
@@ -213,7 +214,7 @@ class RecoveryManager:
         # must be re-sent by the recovered process (receivers and the
         # recorder deduplicate any that do arrive twice).
         suppress = record.confirmed_prefix
-        page_bytes = rec.config.costs.page_bytes
+        page_bytes = costs.CHECKPOINT_PAGE_BYTES
         if record.checkpoint is not None:
             entry = record.checkpoint
             done_at = rec.disks.submit("read", entry.pages * page_bytes)

@@ -7,9 +7,10 @@
 
 The thesis's worked example (Figure 3.1) uses t_cfix = 100 ms,
 t_mfix = 2 ms, t_page = 10 ms/page, t_byte = 0.01 ms/byte, f_cpu = 0.5
-and a 4-page checkpoint, giving 140 ms immediately after the checkpoint,
-340 ms after 100 ms of computation, and 340 + 2 + 0.01·l ms after one
-further message of length l.
+(the ``T_*`` / ``F_CPU`` entries of :mod:`repro.costs`) and a 4-page
+checkpoint, giving 140 ms immediately after the checkpoint, 340 ms after
+100 ms of computation, and 340 + 2 + 0.01·l ms after one further
+message of length l.
 
 The same model drives the :class:`RecoveryTimeBoundPolicy`: "if the
 system checkpoints a process whenever its t_max exceeds its specified
@@ -19,47 +20,29 @@ time."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from repro.errors import ConfigError
-
-
-@dataclass(frozen=True)
-class RecoveryTimeParams:
-    """Load-dependent parameters, "determined empirically by measuring
-    the system under various loads" — defaults are Figure 3.1's."""
-
-    t_cfix_ms: float = 100.0        # fixed table-building time per process
-    t_page_ms: float = 10.0         # per checkpoint page loaded
-    t_mfix_ms: float = 2.0          # per replayed message, fixed
-    t_byte_ms: float = 0.01         # per replayed byte
-    f_cpu: float = 0.5              # CPU fraction available while recovering
-
-    def __post_init__(self) -> None:
-        if not 0 < self.f_cpu <= 1:
-            raise ConfigError(f"f_cpu must be in (0, 1], got {self.f_cpu}")
+from repro import costs
 
 
 class RecoveryTimeModel:
-    """Computes t_max and its components for a process."""
-
-    def __init__(self, params: RecoveryTimeParams = RecoveryTimeParams()):
-        self.params = params
+    """Computes t_max and its components for a process from the
+    Figure 3.1 terms — load-dependent parameters, "determined
+    empirically by measuring the system under various loads"."""
 
     # -- components -------------------------------------------------------
     def t_reload_ms(self, checkpoint_pages: int) -> float:
         """Time to rebuild tables and load the checkpoint."""
-        return self.params.t_cfix_ms + self.params.t_page_ms * checkpoint_pages
+        return costs.T_CFIX_MS + costs.T_PAGE_MS * checkpoint_pages
 
     def t_replay_ms(self, message_count: int, message_bytes: int) -> float:
         """Time to look up and re-send the published messages."""
-        return (self.params.t_mfix_ms * message_count
-                + self.params.t_byte_ms * message_bytes)
+        return (costs.T_MFIX_MS * message_count
+                + costs.T_BYTE_MS * message_bytes)
 
     def t_compute_ms(self, exec_ms_since_checkpoint: float) -> float:
         """Time to re-execute from the checkpoint to the crash point."""
-        return exec_ms_since_checkpoint / self.params.f_cpu
+        return exec_ms_since_checkpoint / costs.F_CPU
 
     # -- the bound ----------------------------------------------------------
     def t_max_ms(self, checkpoint_pages: int, message_count: int,
@@ -87,7 +70,7 @@ def figure_3_1_example() -> dict:
     4-page checkpoint, after 100 ms of computation, and after receiving
     one further 200-byte message.
     """
-    model = RecoveryTimeModel(RecoveryTimeParams())
+    model = RecoveryTimeModel()
     after_checkpoint = model.t_max_ms(4, 0, 0, 0.0)
     after_compute = model.t_max_ms(4, 0, 0, 100.0)
     message_len = 200

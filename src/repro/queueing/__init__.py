@@ -21,7 +21,6 @@ from importlib import import_module
 #: export -> the submodule defining it; a submodule not yet imported
 #: loads when one of its names is first read
 _EXPORTS = {
-    "HardwareParams": "hardware",
     "OperatingPoint": "workload",
     "OPERATING_POINTS": "workload",
     "StateSizeDistribution": "workload",

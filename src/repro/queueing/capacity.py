@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from repro.queueing.hardware import HardwareParams
 from repro.queueing.model import OpenQueueingModel
 from repro.queueing.workload import (
     OperatingPoint,
@@ -24,8 +23,8 @@ from repro.queueing.workload import (
 )
 
 
-def _probe_model(point: OperatingPoint, disks: int, buffered: bool,
-                 hardware: HardwareParams) -> OpenQueueingModel:
+def _probe_model(point: OperatingPoint, disks: int,
+                 buffered: bool) -> OpenQueueingModel:
     """The single-node model a capacity probe sweeps user counts through.
 
     Per-class arrival rates are per-user figures times the user count
@@ -36,16 +35,13 @@ def _probe_model(point: OperatingPoint, disks: int, buffered: bool,
     (pinned by ``tests/test_queueing.py``).
     """
     return OpenQueueingModel(point=point, nodes=1, disks=disks,
-                             buffered_writes=buffered, hardware=hardware)
+                             buffered_writes=buffered)
 
 
 def capacity_in_users(point: OperatingPoint, disks: int = 1,
-                      buffered: bool = True,
-                      hardware: Optional[HardwareParams] = None,
-                      limit: int = 2000) -> int:
+                      buffered: bool = True, limit: int = 2000) -> int:
     """Largest user count for which every station keeps ρ < 1."""
-    hardware = hardware or HardwareParams()
-    model = _probe_model(point, disks, buffered, hardware)
+    model = _probe_model(point, disks, buffered)
     lo, hi = 0, 1
     while hi < limit and model.stable(users=hi):
         lo, hi = hi, hi * 2
@@ -59,27 +55,23 @@ def capacity_in_users(point: OperatingPoint, disks: int = 1,
 
 
 def capacity_in_nodes(point: OperatingPoint, disks: int = 1,
-                      buffered: bool = True,
-                      hardware: Optional[HardwareParams] = None) -> float:
+                      buffered: bool = True) -> float:
     """Capacity expressed in processing nodes of ``users_per_node``."""
-    users = capacity_in_users(point, disks, buffered, hardware)
+    users = capacity_in_users(point, disks, buffered)
     return users / point.users_per_node
 
 
 def bottleneck(point: OperatingPoint, users: int, disks: int = 1,
-               buffered: bool = True,
-               hardware: Optional[HardwareParams] = None) -> str:
+               buffered: bool = True) -> str:
     """Which station has the highest utilization at ``users``."""
-    hardware = hardware or HardwareParams()
-    model = _probe_model(point, disks, buffered, hardware)
+    model = _probe_model(point, disks, buffered)
     utils = model.utilizations(users=users)
     return max(utils, key=utils.get)
 
 
 def selective_publishing_gain(point: OperatingPoint,
                               unrecoverable_share: float = 0.15,
-                              disks: int = 1, buffered: bool = True,
-                              hardware: Optional[HardwareParams] = None
+                              disks: int = 1, buffered: bool = True
                               ) -> Dict[str, float]:
     """§6.6.1: capacity with and without publishing the unrecoverable
     processes. "Most prominent among these were the disk to tape
@@ -88,11 +80,11 @@ def selective_publishing_gain(point: OperatingPoint,
     recoverable, the recorder would be able to support one more VAX on
     the network." Marking them unrecoverable removes their share of all
     recorder traffic (messages and the checkpoints they drive)."""
-    base_users = capacity_in_users(point, disks, buffered, hardware)
+    base_users = capacity_in_users(point, disks, buffered)
     trimmed = replace(point,
                       short_rate=point.short_rate * (1.0 - unrecoverable_share),
                       long_rate=point.long_rate * (1.0 - unrecoverable_share))
-    trimmed_users = capacity_in_users(trimmed, disks, buffered, hardware)
+    trimmed_users = capacity_in_users(trimmed, disks, buffered)
     return {
         "baseline_users": base_users,
         "selective_users": trimmed_users,
@@ -115,8 +107,7 @@ def storage_requirement_bytes(point: OperatingPoint, nodes: int = 5,
     return processes * 2.0 * mean_state_bytes
 
 
-def checkpoint_interval_extremes(hardware: Optional[HardwareParams] = None
-                                 ) -> Tuple[float, float]:
+def checkpoint_interval_extremes() -> Tuple[float, float]:
     """§5.1: "checkpoint intervals between 1 second for 4k byte
     processes during high message rates and 2 minutes for 64k byte
     processes during low message rates."

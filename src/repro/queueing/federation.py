@@ -25,11 +25,11 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import costs
 from repro.errors import QueueingModelError
-from repro.queueing.hardware import HardwareParams
 from repro.queueing.model import OpenQueueingModel, StationLoad
 from repro.queueing.workload import OPERATING_POINTS, OperatingPoint
 
@@ -89,14 +89,13 @@ class FederationCapacityModel:
     shape: FederationShape
     disks: int = 1
     buffered_writes: bool = True
-    hardware: HardwareParams = field(default_factory=HardwareParams)
 
     def __post_init__(self) -> None:
         #: one single-cluster model reused for every probe (the
         #: capacity bisection pattern of repro.queueing.capacity)
         self._cluster_model = OpenQueueingModel(
             point=self.point, nodes=1, disks=self.disks,
-            buffered_writes=self.buffered_writes, hardware=self.hardware)
+            buffered_writes=self.buffered_writes)
 
     # ------------------------------------------------------------------
     def _cluster_users(self, users: int) -> float:
@@ -225,7 +224,8 @@ def measure_gateway_knee(service_ms: float,
 
         def send_one(_iface=src_iface, _dst=dst_id):
             _iface.send(Frame(FrameKind.DATA, _iface.node_id, _dst,
-                              payload=("probe",), size_bytes=128))
+                              payload=("probe",),
+                              size_bytes=costs.SHORT_MSG_BYTES))
         for i in range(offered):
             engine.schedule(i * interval, send_one)
         engine.run(until=window_ms + forward_delay_ms + service_ms)

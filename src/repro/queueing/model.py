@@ -6,7 +6,7 @@ do not appear in the model. A return path was included from the recovery
 node to the network to take care of acknowledgments from the recording
 process."
 
-Three stations:
+Three stations, timed by Figure 5.2's hardware (:mod:`repro.costs`):
 
 * **network** — the broadcast channel (one server);
 * **cpu** — the recording node's processor, 0.8 ms per packet;
@@ -22,21 +22,24 @@ per data frame on the network station.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
+from repro import costs
 from repro.errors import QueueingModelError
-from repro.queueing.hardware import HardwareParams
-from repro.queueing.workload import (
-    CHECKPOINT_MSG_BYTES,
-    LONG_BYTES,
-    SHORT_BYTES,
-    OperatingPoint,
-    checkpoint_traffic,
-)
+from repro.queueing.workload import OperatingPoint, checkpoint_traffic
 
-#: Size of the recorder's acknowledgement frame on the return path.
-ACK_BYTES = 32
+
+def wire_ms(message_bytes: int) -> float:
+    """Channel occupancy of one frame: its bits at Figure 5.2's
+    bandwidth, header included, plus the arbitration gap."""
+    bits = (message_bytes + costs.HEADER_BYTES) * 8.0
+    return bits / costs.BANDWIDTH_BPS * 1000.0 + costs.CHANNEL_GAP_MS
+
+
+def disk_ms_per_byte_buffered() -> float:
+    """Amortized disk time per stored byte with whole-page writes."""
+    return costs.disk_op_ms(costs.DISK_PAGE_BYTES) / costs.DISK_PAGE_BYTES
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class OpenQueueingModel:
     nodes: int = 5
     disks: int = 1
     buffered_writes: bool = True
-    hardware: HardwareParams = field(default_factory=HardwareParams)
 
     def __post_init__(self) -> None:
         if self.nodes < 1 or self.disks < 1:
@@ -103,17 +105,16 @@ class OpenQueueingModel:
 
     # ------------------------------------------------------------------
     def network_load(self, users: Optional[int] = None) -> StationLoad:
-        hw = self.hardware
         rates = self.class_rates_per_s(users)
         total = sum(rates.values())
         if total <= 0:
             raise QueueingModelError("operating point generates no traffic")
         service = (
-            rates["short"] * hw.wire_ms(SHORT_BYTES)
-            + rates["long"] * hw.wire_ms(LONG_BYTES)
-            + rates["checkpoint"] * hw.wire_ms(CHECKPOINT_MSG_BYTES)
+            rates["short"] * wire_ms(costs.SHORT_MSG_BYTES)
+            + rates["long"] * wire_ms(costs.LONG_MSG_BYTES)
+            + rates["checkpoint"] * wire_ms(costs.CHECKPOINT_MSG_BYTES)
             # the acknowledgment return path: one ack frame per data frame
-            + total * hw.wire_ms(ACK_BYTES)
+            + total * wire_ms(costs.ACK_BYTES)
         ) / (2 * total)
         return StationLoad("network", arrival_rate_per_s=2 * total,
                            mean_service_ms=service)
@@ -121,24 +122,24 @@ class OpenQueueingModel:
     def cpu_load(self, users: Optional[int] = None) -> StationLoad:
         total = self.total_packet_rate_per_s(users)
         return StationLoad("cpu", arrival_rate_per_s=total,
-                           mean_service_ms=self.hardware.packet_cpu_ms)
+                           mean_service_ms=costs.PACKET_CPU_MS)
 
     def disk_load(self, users: Optional[int] = None) -> StationLoad:
-        hw = self.hardware
         rates = self.class_rates_per_s(users)
         total = sum(rates.values())
         if self.buffered_writes:
-            per_byte = hw.disk_ms_per_byte_buffered()
+            per_byte = disk_ms_per_byte_buffered()
             service = (
-                rates["short"] * SHORT_BYTES
-                + rates["long"] * LONG_BYTES
-                + rates["checkpoint"] * CHECKPOINT_MSG_BYTES
+                rates["short"] * costs.SHORT_MSG_BYTES
+                + rates["long"] * costs.LONG_MSG_BYTES
+                + rates["checkpoint"] * costs.CHECKPOINT_MSG_BYTES
             ) * per_byte / total
         else:
             service = (
-                rates["short"] * hw.disk_op_ms(SHORT_BYTES)
-                + rates["long"] * hw.disk_op_ms(LONG_BYTES)
-                + rates["checkpoint"] * hw.disk_op_ms(CHECKPOINT_MSG_BYTES)
+                rates["short"] * costs.disk_op_ms(costs.SHORT_MSG_BYTES)
+                + rates["long"] * costs.disk_op_ms(costs.LONG_MSG_BYTES)
+                + rates["checkpoint"]
+                * costs.disk_op_ms(costs.CHECKPOINT_MSG_BYTES)
             ) / total
         return StationLoad("disk", arrival_rate_per_s=total,
                            mean_service_ms=service, servers=self.disks)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.queueing.hardware import HardwareParams
-from repro.queueing.model import ACK_BYTES, OpenQueueingModel
-from repro.queueing.workload import CHECKPOINT_MSG_BYTES, LONG_BYTES, SHORT_BYTES
+from repro import costs
+from repro.queueing.model import (OpenQueueingModel, disk_ms_per_byte_buffered,
+                                  wire_ms)
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -92,7 +92,6 @@ def simulate_model(model: OpenQueueingModel, duration_ms: float = 60_000.0,
     """Run the Figure 5.1 pipeline for ``duration_ms`` simulated ms."""
     engine = Engine()
     rng = RngStreams(seed)
-    hw = model.hardware
     network = _Station(engine, "network")
     cpu = _Station(engine, "cpu")
     disk = _Station(engine, "disk", servers=model.disks)
@@ -103,20 +102,20 @@ def simulate_model(model: OpenQueueingModel, duration_ms: float = 60_000.0,
 
     def disk_service(size_bytes: int) -> float:
         if buffered:
-            return hw.disk_ms_per_byte_buffered() * size_bytes
-        return hw.disk_op_ms(size_bytes)
+            return disk_ms_per_byte_buffered() * size_bytes
+        return costs.disk_op_ms(size_bytes)
 
     def arrive(size_bytes: int) -> None:
         nonlocal packets
         packets += 1
         born = engine.now
-        network.submit(hw.wire_ms(size_bytes), size_bytes,
+        network.submit(wire_ms(size_bytes), size_bytes,
                        on_done=lambda: after_network(size_bytes, born))
 
     def after_network(size_bytes: int, born: float) -> None:
         # the acknowledgment return path occupies the channel too
-        network.submit(hw.wire_ms(ACK_BYTES), ACK_BYTES)
-        cpu.submit(hw.packet_cpu_ms, size_bytes,
+        network.submit(wire_ms(costs.ACK_BYTES), costs.ACK_BYTES)
+        cpu.submit(costs.PACKET_CPU_MS, size_bytes,
                    on_done=lambda: disk.submit(
                        disk_service(size_bytes), size_bytes,
                        on_done=lambda: _retire(born)))
@@ -139,9 +138,9 @@ def simulate_model(model: OpenQueueingModel, duration_ms: float = 60_000.0,
         engine.schedule(rng.exponential(f"arrivals/{name}", mean_gap_ms), fire)
 
     rates = model.class_rates_per_s()
-    source("short", rates["short"], SHORT_BYTES)
-    source("long", rates["long"], LONG_BYTES)
-    source("checkpoint", rates["checkpoint"], CHECKPOINT_MSG_BYTES)
+    source("short", rates["short"], costs.SHORT_MSG_BYTES)
+    source("long", rates["long"], costs.LONG_MSG_BYTES)
+    source("checkpoint", rates["checkpoint"], costs.CHECKPOINT_MSG_BYTES)
 
     engine.run(until=duration_ms)
     return SimulationResult(

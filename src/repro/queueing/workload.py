@@ -31,13 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro import costs
 from repro.errors import ConfigError
 from repro.sim.rng import RngStreams
-
-#: Message sizes of the two traffic classes (§5.1).
-SHORT_BYTES = 128
-LONG_BYTES = 1024
-CHECKPOINT_MSG_BYTES = 1024
 
 
 class StateSizeDistribution:
@@ -94,7 +90,8 @@ class OperatingPoint:
 
     def message_bytes_per_user(self) -> float:
         """Published message bytes per user-second (drives checkpoints)."""
-        return self.short_rate * SHORT_BYTES + self.long_rate * LONG_BYTES
+        return (self.short_rate * costs.SHORT_MSG_BYTES
+                + self.long_rate * costs.LONG_MSG_BYTES)
 
 
 def checkpoint_traffic(point: OperatingPoint) -> Tuple[float, float]:
@@ -107,7 +104,7 @@ def checkpoint_traffic(point: OperatingPoint) -> Tuple[float, float]:
     the 1024-byte checkpoint message.
     """
     byte_rate = point.message_bytes_per_user()
-    return byte_rate / CHECKPOINT_MSG_BYTES, byte_rate
+    return byte_rate / costs.CHECKPOINT_MSG_BYTES, byte_rate
 
 
 def checkpoint_interval_s(state_kb: float, message_bytes_per_s: float) -> float:

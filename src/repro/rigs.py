@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.chaos import (
     CHAOS_COUNTER_IMAGE,
@@ -1090,7 +1091,8 @@ def _recorder_script(seed: int, processes: int,
 def _digest_queries(digest: int, replay, ids) -> int:
     """Fold one query point's results into an order-sensitive digest.
     ``replay`` is the replay list (order matters), ``ids`` the consumed
-    set (folded in sorted order)."""
+    set — the queue messages checkpoints invalidated so far (folded in
+    sorted order)."""
     for lm in replay:
         pid, seq = tuple(lm.message.msg_id)
         digest = fold(digest, pid[0] * 131 + pid[1] * 31 + seq)
@@ -1107,6 +1109,7 @@ def _drive_segmented(script: List[Tuple[Any, ...]],
     db = RecorderDatabase(SegmentedLog(64))
     records = [db.create(ProcessId(2, p + 1), node=2, image="bench")
                for p in range(processes)]
+    consumed: List[Set[MessageId]] = [set() for _ in range(processes)]
     digest = 0
     for op in script:
         kind, p = op[0], op[1]
@@ -1120,12 +1123,15 @@ def _drive_segmented(script: List[Tuple[Any, ...]],
         elif kind == "adv":
             record.add_advisory(op[2], op[3])
         elif kind == "ckpt":
+            live = record.messages_to_replay()
             record.apply_checkpoint(CheckpointEntry(
                 data=None, consumed=op[2], dtk_processed=op[3],
                 send_seq=0, pages=1, stored_at=0.0))
-        else:   # query
+            consumed[p].update(lm.message.msg_id for lm in live
+                               if lm.invalid and not lm.is_control)
+        else:   # query: a checkpoint at the same count came first
             digest = _digest_queries(digest, record.messages_to_replay(),
-                                     record.consumed_ids(op[2]))
+                                     consumed[p])
     return {"digest": digest, "log_bytes": db.log.log_bytes,
             "live_bytes": db.log.live_bytes,
             "compactions": db.log.compactions,

@@ -20,10 +20,9 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.demos.costs import CostModel
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.kernel import KernelConfig
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE, KernelProcessProgram
@@ -84,7 +83,6 @@ class SystemConfig:
     #: takeover, majority replay from three up; see cluster.placement)
     placement_policy: str = "range"
     master_seed: int = 1983
-    costs: CostModel = field(default_factory=CostModel)
     publish_path: str = "media_tap"
     #: start NLS / process manager / memory scheduler on this node
     boot_system_processes: bool = True
@@ -260,7 +258,6 @@ class System:
         return RecorderConfig(
             node_id=node_id,
             publish_path=cfg.publish_path,
-            costs=cfg.costs,
             transport=TransportConfig(
                 retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
                 max_retries=cfg.transport_max_retries,
@@ -344,7 +341,6 @@ class System:
         kernel_config = KernelConfig(
             publishing=cfg.publishing,
             recorder_node=cfg.recorder_node_id if cfg.publishing else None,
-            costs=cfg.costs,
             transport=TransportConfig(
                 retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
                 max_retries=cfg.transport_max_retries,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro import Program, System
 from repro.demos.ids import ProcessId
@@ -152,7 +152,7 @@ class FlatProcessLog:
     :class:`repro.publishing.database.ProcessRecord` — consumption
     order, the advisory-mismatch error, the cumulative-checkpoint
     invalidation rule and its jump-ahead quirk — but every query pays
-    the naive price: ``consumed_ids`` re-simulates the queue from
+    the naive price: each checkpoint re-simulates the queue from
     process creation, ``messages_to_replay`` rescans the whole arrivals
     list, and nothing is ever reclaimed.
     """
@@ -197,9 +197,6 @@ class FlatProcessLog:
                 lm = queue.pop(0)
             consumed.append(lm)
         return consumed
-
-    def consumed_ids(self, consumed_count: int) -> Set[Any]:
-        return {lm.message.msg_id for lm in self._simulate(consumed_count)}
 
     def apply_checkpoint(self, consumed: int, dtk_processed: int = 0) -> int:
         """Invalidate the messages a checkpoint's state already covers;

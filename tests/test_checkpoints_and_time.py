@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import System, SystemConfig
+from repro import System, SystemConfig, costs
 from repro.publishing.checkpoints import (
     RecoveryTimeBoundPolicy,
     StorageBalancePolicy,
@@ -14,7 +14,6 @@ from repro.publishing.checkpoints import (
 )
 from repro.publishing.recovery_time import (
     RecoveryTimeModel,
-    RecoveryTimeParams,
     figure_3_1_example,
 )
 
@@ -39,17 +38,14 @@ class TestRecoveryTimeModel:
             model.t_reload_ms(4) + model.t_replay_ms(10, 2000)
             + model.t_compute_ms(500.0))
 
-    def test_f_cpu_scales_compute(self):
-        half = RecoveryTimeModel(RecoveryTimeParams(f_cpu=0.5))
-        full = RecoveryTimeModel(RecoveryTimeParams(f_cpu=1.0))
-        assert half.t_compute_ms(100.0) == 200.0
-        assert full.t_compute_ms(100.0) == 100.0
+    def test_f_cpu_scales_compute(self, monkeypatch):
+        model = RecoveryTimeModel()
+        assert model.t_compute_ms(100.0) == 200.0      # Figure 3.1's 0.5
+        monkeypatch.setattr(costs, "F_CPU", 1.0)
+        assert model.t_compute_ms(100.0) == 100.0
 
-    def test_invalid_f_cpu_rejected(self):
-        with pytest.raises(ValueError):
-            RecoveryTimeParams(f_cpu=0.0)
-        with pytest.raises(ValueError):
-            RecoveryTimeParams(f_cpu=1.5)
+    def test_f_cpu_is_a_fraction(self):
+        assert 0 < costs.F_CPU <= 1
 
     def test_message_length_form_matches(self):
         model = RecoveryTimeModel()
@@ -97,8 +93,8 @@ class TestPoliciesInSystem:
         return system
 
     def test_young_policy_checkpoints_periodically(self):
-        system = self.make_system(YoungIntervalPolicy(mtbf_ms=10_000.0,
-                                                      save_ms_per_page=1.0))
+        # T_s·T_f as with 1 ms/page and a 10 s MTBF: t_page is 10 ms/page
+        system = self.make_system(YoungIntervalPolicy(mtbf_ms=1_000.0))
         counter_pid, _ = run_counter_scenario(system, n=50)
         system.run(10_000)
         assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 2
@@ -122,11 +118,11 @@ class TestPoliciesInSystem:
         # having just checkpointed it must sit at/below the bound plus
         # one message's worth of slack.
         estimate = policy.estimate_t_max(pcb)
-        slack = policy.model.params.t_mfix_ms + 0.01 * 1024 + 10
+        slack = costs.T_MFIX_MS + 0.01 * 1024 + 10
         assert estimate <= 400.0 + slack
 
     def test_policy_respects_only_filter(self):
-        policy = YoungIntervalPolicy(mtbf_ms=100.0, save_ms_per_page=0.1)
+        policy = YoungIntervalPolicy(mtbf_ms=1.0)
         system = System(SystemConfig(nodes=1))
         register_test_programs(system)
         system.boot()

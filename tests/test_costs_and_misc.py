@@ -1,9 +1,9 @@
-"""Unit tests for the cost model, NodeCpu, and assorted edge cases."""
+"""Unit tests for the cost table, NodeCpu, and assorted edge cases."""
 
 import pytest
 
-from repro import Program, System, SystemConfig
-from repro.demos.costs import CostModel
+from repro import Program, System, SystemConfig, costs
+from repro.errors import ConfigError
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.kernel import NodeCpu
 from repro.demos.links import Link
@@ -12,30 +12,31 @@ from repro.sim import Engine
 from conftest import register_test_programs, run_counter_scenario
 
 
-class TestCostModel:
+class TestCostTable:
     def test_figure_5_7_decomposition(self):
-        costs = CostModel()
-        without = (costs.message_cpu_ms(False, "send")
-                   + costs.message_cpu_ms(False, "recv"))
-        with_pub = (costs.message_cpu_ms(True, "send")
-                    + costs.message_cpu_ms(True, "recv"))
+        without = costs.SEND_CPU_MS + costs.RECV_CPU_MS
+        with_pub = (without + costs.NET_PROTOCOL_SEND_CPU_MS
+                    + costs.NET_PROTOCOL_RECV_CPU_MS)
         assert without == pytest.approx(9.0)
         assert with_pub == pytest.approx(35.0)
         assert with_pub - without == pytest.approx(26.0)
 
     def test_publish_paths(self):
-        costs = CostModel()
-        assert costs.publish_cpu_ms("full_protocol") == 57.0
-        assert costs.publish_cpu_ms("inlined") == 12.0
-        assert costs.publish_cpu_ms("media_tap") == 0.8
+        assert costs.PUBLISH_CPU_MS == {
+            "full_protocol": 57.0, "inlined": 12.0, "media_tap": 0.8}
+        # the media-layer path is Figure 5.2's time to process a packet
+        assert costs.PUBLISH_CPU_MS["media_tap"] == costs.PACKET_CPU_MS
 
     def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel().publish_cpu_ms("quantum")
+        with pytest.raises(ConfigError, match="unknown publish path"):
+            System(SystemConfig(nodes=1, publish_path="quantum"))
 
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel().message_cpu_ms(True, "sideways")
+    def test_the_table_imports_nothing_from_repro(self):
+        import ast
+        tree = ast.parse(open(costs.__file__).read())
+        imported = [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert imported == []
 
 
 class TestNodeCpu:

@@ -3,7 +3,7 @@ advisories, CPU accounting, and crash primitives."""
 
 import pytest
 
-from repro import Program, Recv, GeneratorProgram, System, SystemConfig
+from repro import Program, Recv, GeneratorProgram, System, SystemConfig, costs
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
 from repro.demos.messages import MAX_BODY_BYTES, Message
@@ -256,7 +256,7 @@ def test_suppressed_send_does_everything_but_build_the_message(
     pcb.suppress_send_through = first + 3
     del built_messages[:]
     sent, cpu_ms = kernel.messages_sent.value, kernel.cpu.kernel_ms.value
-    send_cost = kernel.config.costs.message_cpu_ms(True, "send")
+    send_cost = costs.SEND_CPU_MS + costs.NET_PROTOCOL_SEND_CPU_MS
 
     assert kernel.syscall_send(pcb, to, ("again",), reply, 64) is True
     assert not pcb.links.has(reply)                 # moved out, as before

@@ -82,7 +82,7 @@ class TestPageBuffer:
     def test_buffered_mode_coalesces(self):
         engine = Engine()
         array = DiskArray(engine, count=1)
-        buffer = PageBuffer(array, page_bytes=4096, buffered=True)
+        buffer = PageBuffer(array, buffered=True)
         for _ in range(31):
             buffer.add(128)             # 3968 bytes: under a page
         assert array.writes == 0

@@ -11,7 +11,7 @@ from repro.demos.queue import MessageQueue
 from repro.net.frames import Frame, FrameKind, crc16
 from repro.publishing.checkpoints import young_interval
 from repro.publishing.database import CheckpointEntry, ProcessRecord
-from repro.publishing.recovery_time import RecoveryTimeModel, RecoveryTimeParams
+from repro.publishing.recovery_time import RecoveryTimeModel
 
 PID = ProcessId(2, 1)
 SENDER = ProcessId(1, 1)
@@ -149,12 +149,12 @@ def test_consumed_reconstruction_matches_ground_truth(channels, data):
         queue.remove(chosen)
         consumed_truth.append(chosen.msg_id)
 
-    reconstructed = record.consumed_ids(len(consumed_truth))
-    assert reconstructed == set(consumed_truth)
-    # And invalidation leaves exactly the unconsumed messages valid.
+    # A checkpoint at the consumed count invalidates exactly the consumed
+    # messages, and leaves exactly the unconsumed ones valid.
     entry = CheckpointEntry(data={}, consumed=len(consumed_truth),
                             dtk_processed=0, send_seq=0, pages=1,
                             stored_at=0.0)
-    record.apply_checkpoint(entry)
+    assert record.apply_checkpoint(entry) == len(consumed_truth)
     valid = {lm.message.msg_id for lm in record.messages_to_replay()}
+    assert record.recorded_ids - valid == set(consumed_truth)
     assert valid == {m.msg_id for m in queue}

@@ -3,9 +3,9 @@ cross-check, and the headline claims."""
 
 import pytest
 
+from repro import costs
 from repro.queueing import (
     OPERATING_POINTS,
-    HardwareParams,
     OpenQueueingModel,
     StateSizeDistribution,
     capacity_in_nodes,
@@ -21,7 +21,7 @@ from repro.queueing.capacity import (
     selective_publishing_gain,
     storage_requirement_bytes,
 )
-from repro.queueing.model import StationLoad
+from repro.queueing.model import StationLoad, disk_ms_per_byte_buffered, wire_ms
 from repro.queueing.solver import recorder_buffer_bytes
 from repro.errors import QueueingModelError
 from repro.sim.rng import RngStreams
@@ -29,27 +29,23 @@ from repro.sim.rng import RngStreams
 
 class TestHardware:
     def test_figure_5_2_values(self):
-        hw = HardwareParams()
-        assert hw.interpacket_delay_ms == 1.6
-        assert hw.network_bandwidth_bps == 10_000_000
-        assert hw.disk_latency_ms == 3.0
-        assert hw.disk_transfer_bytes_per_ms == 2000.0
-        assert hw.packet_cpu_ms == 0.8
+        assert costs.INTERPACKET_DELAY_MS == 1.6
+        assert costs.BANDWIDTH_BPS == 10_000_000
+        assert costs.DISK_LATENCY_MS == 3.0
+        assert costs.DISK_TRANSFER_BYTES_PER_MS == 2000.0
+        assert costs.PACKET_CPU_MS == 0.8
 
     def test_wire_time_scales_with_size(self):
-        hw = HardwareParams()
-        assert hw.wire_ms(1024) > hw.wire_ms(128)
-        # 10 Mb/s: (128+32) bytes = 0.128 ms of bits.
-        assert hw.wire_ms(128) == pytest.approx(0.128 + hw.channel_gap_ms)
+        assert wire_ms(1024) > wire_ms(128)
+        # 10 Mb/s: 128 bytes + the 32-byte header = 0.128 ms of bits.
+        assert wire_ms(128) == pytest.approx(0.128 + costs.CHANNEL_GAP_MS)
 
     def test_disk_op_time(self):
-        hw = HardwareParams()
-        assert hw.disk_op_ms(2000) == pytest.approx(3.0 + 1.0)
+        assert costs.disk_op_ms(2000) == pytest.approx(3.0 + 1.0)
 
     def test_buffered_rate_beats_per_message(self):
-        hw = HardwareParams()
-        per_message = hw.disk_op_ms(128) / 128       # ms per byte
-        assert hw.disk_ms_per_byte_buffered() < per_message
+        per_message = costs.disk_op_ms(128) / 128       # ms per byte
+        assert disk_ms_per_byte_buffered() < per_message
 
 
 class TestStateSizes:
@@ -202,12 +198,10 @@ class TestCapacityProbeReuse:
         from dataclasses import replace
 
         point = OPERATING_POINTS[name]
-        hardware = HardwareParams()
-
         def rebuild_stable(users):
             adjusted = replace(point, users_per_node=users)
-            return OpenQueueingModel(point=adjusted, nodes=1, disks=disks,
-                                     hardware=hardware).stable()
+            return OpenQueueingModel(point=adjusted, nodes=1,
+                                     disks=disks).stable()
 
         def rebuild_capacity(limit=2000):
             lo, hi = 0, 1

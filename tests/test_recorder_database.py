@@ -34,6 +34,15 @@ def checkpoint(consumed, dtk=0, send_seq=0):
                            send_seq=send_seq, pages=4, stored_at=0.0)
 
 
+def consumed_ids(record, count):
+    """The messages the queue re-simulation finds were the first
+    ``count`` consumptions: the ones a checkpoint at ``count``
+    invalidates (with no control messages covered)."""
+    record.apply_checkpoint(checkpoint(count))
+    return record.recorded_ids - {lm.message.msg_id
+                                  for lm in record.messages_to_replay()}
+
+
 class TestRecording:
     def test_duplicates_rejected(self):
         record = make_record()
@@ -58,7 +67,7 @@ class TestRecording:
 class TestConsumedSimulation:
     def test_in_order_consumption(self):
         record = make_record([make_message(i) for i in range(1, 5)])
-        consumed = record.consumed_ids(2)
+        consumed = consumed_ids(record, 2)
         assert consumed == {MessageId(SENDER, 1), MessageId(SENDER, 2)}
 
     def test_single_out_of_order_read(self):
@@ -70,26 +79,26 @@ class TestConsumedSimulation:
             make_message(3, channel=5),
         ])
         record.add_advisory(MessageId(SENDER, 3), MessageId(SENDER, 1))
-        assert record.consumed_ids(1) == {MessageId(SENDER, 3)}
-        assert record.consumed_ids(2) == {MessageId(SENDER, 3),
-                                          MessageId(SENDER, 1)}
+        assert consumed_ids(record, 1) == {MessageId(SENDER, 3)}
+        assert consumed_ids(record, 2) == {MessageId(SENDER, 3),
+                                           MessageId(SENDER, 1)}
 
     def test_consecutive_skips_same_head(self):
         record = make_record([make_message(i) for i in range(1, 6)])
         record.add_advisory(MessageId(SENDER, 4), MessageId(SENDER, 1))
         record.add_advisory(MessageId(SENDER, 5), MessageId(SENDER, 1))
-        assert record.consumed_ids(3) == {MessageId(SENDER, 4),
-                                          MessageId(SENDER, 5),
-                                          MessageId(SENDER, 1)}
+        assert consumed_ids(record, 3) == {MessageId(SENDER, 4),
+                                           MessageId(SENDER, 5),
+                                           MessageId(SENDER, 1)}
 
     def test_interleaved_plain_and_skip_reads(self):
         """Read 1 plain, skip to 4 (head 2), read 2, read 3."""
         record = make_record([make_message(i) for i in range(1, 5)])
         record.add_advisory(MessageId(SENDER, 4), MessageId(SENDER, 2))
-        assert record.consumed_ids(2) == {MessageId(SENDER, 1),
-                                          MessageId(SENDER, 4)}
-        assert record.consumed_ids(4) == {MessageId(SENDER, i)
-                                          for i in range(1, 5)}
+        assert consumed_ids(record, 2) == {MessageId(SENDER, 1),
+                                           MessageId(SENDER, 4)}
+        assert consumed_ids(record, 4) == {MessageId(SENDER, i)
+                                           for i in range(1, 5)}
 
     def test_dtk_and_markers_excluded_from_queue(self):
         record = make_record([
@@ -98,14 +107,14 @@ class TestConsumedSimulation:
             make_message(3, marker=True),
             make_message(4),
         ])
-        assert record.consumed_ids(2) == {MessageId(SENDER, 1),
-                                          MessageId(SENDER, 4)}
+        assert consumed_ids(record, 2) == {MessageId(SENDER, 1),
+                                           MessageId(SENDER, 4)}
 
     def test_mismatched_advisory_raises(self):
         record = make_record([make_message(1), make_message(2)])
         record.add_advisory(MessageId(SENDER, 99), MessageId(SENDER, 1))
         with pytest.raises(RecorderError):
-            record.consumed_ids(1)
+            consumed_ids(record, 1)
 
 
 class TestInvalidation:

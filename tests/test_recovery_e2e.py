@@ -371,12 +371,14 @@ class TestRecoveryMechanics:
         # Replay count is bounded by what happened after the checkpoint.
         assert system.recovery.stats.messages_replayed < N
 
-    def test_recovery_reads_the_checkpoint_at_the_size_it_was_written(self):
+    def test_recovery_reads_the_checkpoint_at_the_size_it_was_written(
+            self, monkeypatch):
         """Bugfix regression: the recorder stored a checkpoint as
-        ``pages * costs.page_bytes`` and recovery read it back (and
-        sized the recreate frame) as ``pages * 1024``."""
-        from repro.demos.costs import CostModel
-        system = System(SystemConfig(nodes=2, costs=CostModel(page_bytes=2048)))
+        ``pages`` checkpoint pages and recovery read it back (and sized
+        the recreate frame) as ``pages * 1024``."""
+        from repro import costs
+        monkeypatch.setattr(costs, "CHECKPOINT_PAGE_BYTES", 2048)
+        system = System(SystemConfig(nodes=2))
         register_test_programs(system)
         system.boot()
         counter_pid, driver_pid = run_counter_scenario(system, n=20)

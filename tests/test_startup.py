@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: the ``repro`` modules of ``System(SystemConfig())`` booted and run
 DEFAULT_RUN = {
     "repro", "repro.cluster", "repro.cluster.gateways",
-    "repro.cluster.placement", "repro.demos", "repro.demos.costs",
+    "repro.cluster.placement", "repro.costs", "repro.demos",
     "repro.demos.ids", "repro.demos.kernel", "repro.demos.kernel_process",
     "repro.demos.links", "repro.demos.messages", "repro.demos.node",
     "repro.demos.process", "repro.demos.queue", "repro.demos.sysprocs",

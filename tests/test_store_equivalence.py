@@ -4,8 +4,8 @@ flat-list reference.
 :class:`repro.publishing.database.ProcessRecord` (backed by a
 :class:`~repro.publishing.store.SegmentedLog`) and
 :class:`fixtures.FlatProcessLog` must give byte-identical
-answers for every query — ``messages_to_replay`` order, ``consumed_ids``
-sets, checkpoint invalidation counts (including the jump-ahead quirk),
+answers for every query — ``messages_to_replay`` order, checkpoint
+invalidation counts (including the jump-ahead quirk),
 ``first_valid_id`` and ``valid_message_bytes`` — across arbitrary
 interleavings of arrivals, in-order and advised consumptions,
 checkpoints, and direct invalidations. The segmented side runs with
@@ -68,17 +68,8 @@ def drain(cursor, limit=None):
     return out
 
 
-def assert_equivalent(record, flat, consumed, probe_beyond=False):
-    """Every observable answer must agree between the two stores.
-
-    ``probe_beyond`` additionally asks for more consumptions than the
-    advisories cover — that speculatively extends the incremental
-    simulation, so it is only sound once no further advisories will be
-    added (both stores freeze the established prefix identically from
-    there on, but an advisory added *afterwards* cannot rewrite the
-    segmented store's already-established order, by design: checkpoint
-    consumed-counts in production never run ahead of their advisories).
-    """
+def assert_equivalent(record, flat):
+    """Every observable answer must agree between the two stores."""
     seg_replay = [lm.message.msg_id for lm in record.messages_to_replay()]
     flat_replay = [lm.message.msg_id for lm in flat.messages_to_replay()]
     assert seg_replay == flat_replay
@@ -90,11 +81,6 @@ def assert_equivalent(record, flat, consumed, probe_beyond=False):
         == record.messages_to_replay()
     assert record.first_valid_id() == flat.first_valid_id()
     assert record.valid_message_bytes() == flat.valid_message_bytes()
-    counts = {0, consumed // 2, consumed}
-    if probe_beyond:
-        counts.add(consumed + 3)
-    for count in sorted(counts):
-        assert record.consumed_ids(count) == flat.consumed_ids(count)
 
 
 def _run_pair(seed, ops):
@@ -168,9 +154,9 @@ def _run_pair(seed, ops):
             seg_lms[i].invalid = True
             flat_lms[i].invalid = True
         else:
-            assert_equivalent(record, flat, consumed)
+            assert_equivalent(record, flat)
 
-    assert_equivalent(record, flat, consumed, probe_beyond=True)
+    assert_equivalent(record, flat)
     assert record.log.live_records == len(flat.messages_to_replay())
     # everything arrived after the parked cursor opened: whatever is
     # valid now it yielded exactly once, and nothing twice
@@ -203,16 +189,19 @@ class TestAdvisoryMismatch:
         record.add_advisory(m3.msg_id, m1.msg_id)
         flat.add_advisory(m3.msg_id, m1.msg_id)
         with pytest.raises(RecorderError):
-            record.consumed_ids(1)
+            record.apply_checkpoint(checkpoint(1))
         with pytest.raises(RecorderError):
-            flat.consumed_ids(1)
+            flat.apply_checkpoint(1)
         # retry must fail identically: the mismatch does not advance
         with pytest.raises(RecorderError):
-            record.consumed_ids(1)
+            record.apply_checkpoint(checkpoint(1))
         # ...and resolves once the missing message arrives
         record_both(record, flat, m3, 2)
-        assert record.consumed_ids(2) == flat.consumed_ids(2) \
-            == {m3.msg_id, m1.msg_id}
+        assert record.apply_checkpoint(checkpoint(2)) \
+            == flat.apply_checkpoint(2) == 2
+        assert [lm.message.msg_id for lm in record.messages_to_replay()] \
+            == [lm.message.msg_id for lm in flat.messages_to_replay()] \
+            == [m2.msg_id]
 
 
 class TestJumpAheadQuirk:
@@ -230,7 +219,7 @@ class TestJumpAheadQuirk:
             == flat.apply_checkpoint(4) == 0
         assert record.apply_checkpoint(checkpoint(6)) \
             == flat.apply_checkpoint(6) == 2
-        assert_equivalent(record, flat, 6)
+        assert_equivalent(record, flat)
 
 
 class TestCompactionTransparency:
@@ -245,4 +234,4 @@ class TestCompactionTransparency:
             == flat.apply_checkpoint(30) == 30
         assert record.log.segments < segments_before
         assert record.log.segments_retired > 0
-        assert_equivalent(record, flat, 30)
+        assert_equivalent(record, flat)
