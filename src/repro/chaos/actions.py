@@ -414,12 +414,14 @@ class ByzantineRecorderFault(ChaosAction):
         targets = _recorders_up(system, self.recorders)
         if not targets:
             return False
-        from repro.chaos.adversary import install_byzantine
+        from repro.chaos.adversary import ByzantineRecorder
         for recorder in targets:
-            stage = install_byzantine(
-                recorder, system.rng.stream(
-                    f"adversary/recorder/{recorder.config.node_id}"),
-                modes=self.modes, rate=self.rate)
+            node_id = recorder.config.node_id
+            stage = ByzantineRecorder(
+                system.rng.stream(f"adversary/recorder/{node_id}"),
+                modes=self.modes, rate=self.rate, obs=recorder.obs,
+                recorder_id=node_id)
+            recorder.stages.append(stage)
             if self.duration_ms is not None:
                 system.engine.schedule(self.duration_ms, stage.set_rate, 0.0)
         return True
@@ -454,12 +456,13 @@ class EquivocateSender(ChaosAction):
         targets = _recorders_up(system, self.recorders)
         if not targets:
             return False
-        from repro.chaos.adversary import (EquivocationPlan,
-                                           install_equivocator)
+        from repro.chaos.adversary import (EquivocatingSender,
+                                           EquivocationPlan)
         plan = EquivocationPlan(system.rng.stream("adversary/equivocation"),
                                 rate=self.rate, sender=self.sender)
         for recorder in targets:
-            install_equivocator(recorder, plan)
+            recorder.stages.append(EquivocatingSender(
+                plan, obs=recorder.obs, recorder_id=recorder.config.node_id))
         if self.duration_ms is not None:
             system.engine.schedule(self.duration_ms, setattr, plan, "rate", 0.0)
         return True
@@ -488,9 +491,11 @@ class BoundRecorderBuffers(ChaosAction):
     def apply(self, system) -> bool:
         if system.recorder is None or not system.recorder.up:
             return False
-        from repro.chaos.adversary import install_bounded
-        install_bounded(system.recorder, self.max_records,
-                        advisory_fraction=self.advisory_fraction)
+        from repro.chaos.adversary import BoundedBufferRecorder
+        recorder = system.recorder
+        recorder.stages.append(BoundedBufferRecorder(
+            recorder, self.max_records,
+            advisory_fraction=self.advisory_fraction, obs=recorder.obs))
         return True
 
     def subject(self) -> str:

@@ -19,10 +19,11 @@ Byzantine Reliable Broadcast literature:
 Every stage draws all randomness from one :mod:`random.Random` handed
 in by the caller (a named :class:`~repro.sim.rng.RngStreams` stream in
 simulations), so campaigns stay seed-pure: two same-seed runs inject
-byte-identical faults. Stages plug into ``Recorder.intercept`` (see
-:meth:`repro.publishing.recorder.Recorder.observe_delivery`); recovery
-markers are never intercepted — they are the recovery protocol's own
-traffic, not published records.
+byte-identical faults. A stage is armed by appending it to
+``Recorder.stages``; :meth:`repro.publishing.database.RecorderDatabase.deliver`
+folds that list over every record the recorder logs, observed
+deliveries and gossip repairs alike. Recovery markers pass untouched —
+they are the recovery protocol's own traffic, not published records.
 
 The same stage objects drive the *offline* differential harness: feed a
 ground-truth message stream through :func:`feed_record` per recorder,
@@ -57,13 +58,19 @@ class AdversaryConfigError(ConfigError):
 #: the fault repertoire of a ByzantineRecorder stage
 BYZANTINE_MODES = ("drop", "duplicate", "corrupt", "reorder", "bitrot")
 
-_MODE_COUNTERS = {
-    "drop": "adversary.drops",
-    "duplicate": "adversary.duplicates",
-    "corrupt": "adversary.corruptions",
-    "reorder": "adversary.reorders",
-    "bitrot": "adversary.bitrot",
-    "equivocate": "adversary.equivocations",
+#: every adversary figure, keyed by the event a stage emits: its
+#: registry counter and its campaign-report figure
+#: (:func:`repro.chaos.campaign.build_report`), in report order
+COUNTERS = {
+    "drop": ("adversary.drops", "adversary_drops"),
+    "duplicate": ("adversary.duplicates", "adversary_duplicates"),
+    "corrupt": ("adversary.corruptions", "adversary_corruptions"),
+    "reorder": ("adversary.reorders", "adversary_reorders"),
+    "bitrot": ("adversary.bitrot", "adversary_bitrot"),
+    "equivocate": ("adversary.equivocations", "adversary_equivocations"),
+    "evict": ("adversary.evictions", "adversary_evictions"),
+    "backpressure": ("adversary.backpressure_advisories",
+                     "adversary_backpressure"),
 }
 
 
@@ -90,13 +97,13 @@ class _StageObs:
         # Looked up per fault on purpose: a mode's counter first appears
         # in the snapshot when that mode first fires, and the snapshot's
         # key set is hashed into every committed digest.
-        self._registry.counter(_MODE_COUNTERS[mode]).inc()
+        self._registry.counter(COUNTERS[mode][0]).inc()
         self.events.emit(mode, self.subject, msg=msg_id)
 
-    def counter(self, name: str):
+    def counter(self, event: str):
         if self._registry is None:
             return None
-        return self._registry.counter(name)
+        return self._registry.counter(COUNTERS[event][0])
 
 
 class ByzantineRecorder:
@@ -255,9 +262,8 @@ class BoundedBufferRecorder:
         self.evictions = 0
         self.advisories = 0
         self._obs = _StageObs(obs, recorder.config.node_id)
-        self._evicted = self._obs.counter("adversary.evictions")
-        self._backpressure = self._obs.counter(
-            "adversary.backpressure_advisories")
+        self._evicted = self._obs.counter("evict")
+        self._backpressure = self._obs.counter("backpressure")
 
     def deliveries(self, message: Message) -> List[Tuple[Message, bool]]:
         return [(message, False)]
@@ -294,66 +300,6 @@ class BoundedBufferRecorder:
                                       msg=victim.message.msg_id)
 
 
-class AdversaryPipeline:
-    """Chains stages on one recorder: each stage transforms the
-    delivery batch the previous one produced."""
-
-    def __init__(self):
-        self.stages: List[Any] = []
-
-    def add(self, stage) -> None:
-        self.stages.append(stage)
-
-    def deliveries(self, message: Message) -> List[Tuple[Message, bool]]:
-        batch: List[Tuple[Message, bool]] = [(message, False)]
-        for stage in self.stages:
-            out: List[Tuple[Message, bool]] = []
-            for msg, forced in batch:
-                for replacement, extra_forced in stage.deliveries(msg):
-                    out.append((replacement, forced or extra_forced))
-            batch = out
-        return batch
-
-    def note_confirmed(self, lm) -> None:
-        for stage in self.stages:
-            stage.note_confirmed(lm)
-
-
-# ----------------------------------------------------------------------
-# installation
-# ----------------------------------------------------------------------
-def install_stage(recorder, stage):
-    """Hang ``stage`` on ``recorder.intercept`` (chaining if one is
-    already armed) and return it."""
-    if recorder.intercept is None:
-        recorder.intercept = AdversaryPipeline()
-    recorder.intercept.add(stage)
-    return stage
-
-
-def install_byzantine(recorder, rng: random.Random,
-                      modes: Sequence[str] = BYZANTINE_MODES,
-                      rate: float = 0.25) -> ByzantineRecorder:
-    stage = ByzantineRecorder(rng, modes=modes, rate=rate, obs=recorder.obs,
-                              recorder_id=recorder.config.node_id)
-    return install_stage(recorder, stage)
-
-
-def install_equivocator(recorder,
-                        plan: EquivocationPlan) -> EquivocatingSender:
-    stage = EquivocatingSender(plan, obs=recorder.obs,
-                               recorder_id=recorder.config.node_id)
-    return install_stage(recorder, stage)
-
-
-def install_bounded(recorder, max_records: int,
-                    advisory_fraction: float = 0.8) -> BoundedBufferRecorder:
-    stage = BoundedBufferRecorder(
-        recorder, max_records, advisory_fraction=advisory_fraction,
-        obs=recorder.obs)
-    return install_stage(recorder, stage)
-
-
 # ----------------------------------------------------------------------
 # the offline half: feed records through stages without an engine
 # ----------------------------------------------------------------------
@@ -362,9 +308,10 @@ def feed_record(record, db, message: Message, stage=None) -> None:
     adversary stage — the engine-less analog of
     ``Recorder.observe_delivery``, through the same door
     (:meth:`~repro.publishing.database.RecorderDatabase.deliver`); the
-    differential harness and the ``adversary`` rig's facts both use
-    it."""
-    for _ in db.deliver(message, lambda _message: record, stage):
+    differential harness, the ``adversary`` rig's facts and the
+    ``store`` rig's script all use it."""
+    stages = () if stage is None else (stage,)
+    for _ in db.deliver(message, lambda _message: record, stages):
         pass
 
 

@@ -34,6 +34,7 @@ from repro.chaos.actions import (
     RestartRecorder,
     action_from_dict,
 )
+from repro.chaos.adversary import COUNTERS as ADVERSARY_COUNTERS
 from repro.errors import ReproError
 from repro.sim.rng import RngStreams
 
@@ -365,17 +366,9 @@ def build_report(system, campaign: ChaosCampaign,
     # reports from campaigns that never armed them stay byte-identical.
     if "adversary.faults_injected" in snapshot:
         figures["adversary_faults"] = snapshot["adversary.faults_injected"]
-        for mode, counter in (("drops", "adversary.drops"),
-                              ("duplicates", "adversary.duplicates"),
-                              ("corruptions", "adversary.corruptions"),
-                              ("reorders", "adversary.reorders"),
-                              ("bitrot", "adversary.bitrot"),
-                              ("equivocations", "adversary.equivocations"),
-                              ("evictions", "adversary.evictions"),
-                              ("backpressure",
-                               "adversary.backpressure_advisories")):
+        for counter, figure in ADVERSARY_COUNTERS.values():
             if counter in snapshot:
-                figures[f"adversary_{mode}"] = snapshot[counter]
+                figures[figure] = snapshot[counter]
     if "quorum.replays" in snapshot:
         figures.update({
             "quorum_replays": snapshot.get("quorum.replays", 0),

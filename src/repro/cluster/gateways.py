@@ -684,20 +684,13 @@ class ClusterFederation:
         for record in home_recorder.db.processes_on(node_id):
             if record.image == "" or record.recovering:
                 continue
+            # Fills a placeholder the helper created from passive
+            # message traffic before any metadata was known.
             mine = recorder.db.create(
                 record.pid, node=record.node, image=record.image,
                 args=record.args, initial_links=record.initial_links,
                 recoverable=record.recoverable,
                 state_pages=record.state_pages)
-            if mine.image == "":
-                # Fill a placeholder the helper created from passive
-                # message traffic before any metadata was known.
-                mine.image = record.image
-                mine.args = record.args
-                mine.initial_links = record.initial_links
-                mine.recoverable = record.recoverable
-                mine.state_pages = record.state_pages
-                mine.node = record.node
             if manager.start_recovery(mine, target_node=node_id):
                 started += 1
         helper_sys.obs.registry.counter(

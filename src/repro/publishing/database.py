@@ -45,8 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
@@ -60,7 +60,7 @@ class LoggedMessage:
 
     Lives in its :class:`ProcessRecord`'s view, numbered and accounted
     for by the :class:`~repro.publishing.store.SegmentedLog`; flipping
-    :attr:`invalid` routes through the owning record so live-byte
+    :attr:`invalid` routes through the owning record so the log's
     accounting and segment GC stay exact no matter who performs the
     invalidation — once: a repeat is ignored, a re-validation refused.
     """
@@ -214,12 +214,10 @@ class ProcessRecord:
     # ascending `seq` order too) and drops dead entries wholesale once
     # half of 16 or more are invalid (`_live_dead` counts them), letting
     # go of their memory: at most 2x the live records, and every read
-    # below is one pass over them. `_live_bytes` is the O(1) storage
-    # accounting.
+    # below is one pass over them.
     _live: List[LoggedMessage] = field(default_factory=list, init=False,
                                        repr=False, compare=False)
     _live_dead: int = field(default=0, init=False, repr=False, compare=False)
-    _live_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- incremental queue re-simulation (see _advance_simulation) ------
     # New arrivals route eagerly: queue messages into `_sim_queue`,
@@ -282,7 +280,6 @@ class ProcessRecord:
         lm._record = self
         lm.seq = self.log.append(lm)
         self._live.append(lm)
-        self._live_bytes += message.size_bytes
         # Route into the queue re-simulation eagerly (same order the
         # lazy feed used to establish): controls and markers never
         # enter the queue.
@@ -321,10 +318,9 @@ class ProcessRecord:
     # ------------------------------------------------------------------
     def _note_invalidated(self, lm: LoggedMessage) -> None:
         """A record went valid→invalid (checkpoint coverage, process
-        destruction, or a direct flip): keep the O(1) byte accounting
-        and the segment GC in step, and prune the view once half of it
-        is dead (amortized O(1) per invalidation)."""
-        self._live_bytes -= lm.message.size_bytes
+        destruction, or a direct flip): keep the segment GC in step,
+        and prune the view once half of it is dead (amortized O(1) per
+        invalidation)."""
         self.log.invalidate(lm.seq, lm.message.size_bytes)
         self._live_dead += 1
         live = self._live
@@ -435,9 +431,10 @@ class ProcessRecord:
         return [lm for lm in self._live if not lm._invalid]
 
     def valid_message_bytes(self) -> int:
-        """Stored bytes still needed for recovery (storage accounting).
-        O(1): maintained at record/invalidate time."""
-        return self._live_bytes
+        """Stored bytes still needed for recovery (storage accounting):
+        one pass over the view, like every read of it."""
+        return sum(lm.message.size_bytes for lm in self._live
+                   if not lm._invalid)
 
     def first_valid_id(self) -> Optional[MessageId]:
         """'The id of the first valid message' (§4.5)."""
@@ -466,9 +463,17 @@ class RecorderDatabase:
     def create(self, pid: ProcessId, node: int, image: str, args: Tuple = (),
                initial_links: Tuple[Link, ...] = (), recoverable: bool = True,
                state_pages: int = 4) -> ProcessRecord:
-        """Register a process from its creation notice; idempotent."""
+        """Register a process from its creation notice; idempotent. A
+        placeholder (``image`` "", made from traffic heard before any
+        notice) takes the notice's metadata and keeps its log."""
         existing = self.records.get(pid)
         if existing is not None and not existing.destroyed:
+            if existing.image == "":
+                existing.node, existing.image = node, image
+                existing.args = tuple(args)
+                existing.initial_links = tuple(initial_links)
+                existing.recoverable = recoverable
+                existing.state_pages = state_pages
             return existing
         record = ProcessRecord(pid=pid, node=node, image=image, args=tuple(args),
                                initial_links=tuple(initial_links),
@@ -493,25 +498,32 @@ class RecorderDatabase:
 
     def deliver(self, message: Message,
                 record_for: Callable[[Message], Optional[ProcessRecord]],
-                intercept=None) -> Iterator[LoggedMessage]:
-        """The one way a confirmed delivery enters the log.
+                stages: Sequence[Any] = ()) -> Iterator[LoggedMessage]:
+        """The one way a record enters the log — a confirmed delivery
+        or a gossip repair alike.
 
-        Without ``intercept`` (or for a recovery marker — the recovery
-        protocol's own traffic, never intercepted) the message is
-        recorded as it is. With one, the adversary stage decides what is
-        logged in its place: nothing, a rewritten copy, the message
-        twice, or a message it held back from an *earlier* delivery —
-        possibly another process's, which is why ``record_for`` is asked
-        per logged message, not once. ``record_for`` returns the record
-        to append to, or None to leave the message out.
+        With no ``stages`` (or for a recovery marker — the recovery
+        protocol's own traffic, never tampered with) the message is
+        recorded as it is. Otherwise each adversary stage in turn
+        decides what is logged in place of what the previous one
+        passed on: nothing, a rewritten copy, the message twice, or a
+        message it held back from an *earlier* delivery — possibly
+        another process's, which is why ``record_for`` is asked per
+        logged message, not once. ``record_for`` returns the record to
+        append to, or None to leave the message out.
 
-        Yields each record appended; the stage's ``note_confirmed``
-        (where ``bitrot`` mangles the stored copy) runs when the caller
-        comes back for the next, i.e. after it has announced this one.
+        Yields each record appended; the stages' ``note_confirmed``
+        (where ``bitrot`` mangles the stored copy, and a bounded buffer
+        evicts) runs, in stage order, when the caller comes back for
+        the next, i.e. after it has announced this one.
         """
-        stage = None if message.recovery_marker else intercept
-        batch = (stage.deliveries(message) if stage is not None
-                 else ((message, False),))
+        if message.recovery_marker:
+            stages = ()
+        batch = ((message, False),)
+        for stage in stages:
+            batch = tuple((replacement, forced or extra)
+                          for passed, forced in batch
+                          for replacement, extra in stage.deliveries(passed))
         for replacement, forced in batch:
             record = record_for(replacement)
             if record is None:
@@ -520,7 +532,7 @@ class RecorderDatabase:
                 replacement, self.allocate_arrival_index(), forced)
             if lm is not None:
                 yield lm
-                if stage is not None:
+                for stage in stages:
                     stage.note_confirmed(lm)
 
     def processes_on(self, node: int) -> List[ProcessRecord]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import MessageId, ProcessId
@@ -138,12 +138,13 @@ class Recorder:
         #: for it. None claims everything — the single-recorder §3.3
         #: behaviour, byte-identical to the pre-sharding code path.
         self.claim: Optional[Callable[[int], bool]] = None
-        #: adversarial interception seam (chaos.adversary): when set,
-        #: every confirmed delivery routes through the stage pipeline,
-        #: which may drop, reorder, duplicate, or corrupt what this
-        #: recorder logs. Recovery markers are exempt — a marker is the
-        #: recovery protocol's own traffic, not a published record.
-        self.intercept = None
+        #: adversary stages (chaos.adversary), in the order armed: every
+        #: record this recorder logs — a confirmed delivery or a gossip
+        #: repair — passes them in :meth:`RecorderDatabase.deliver`,
+        #: which may drop, reorder, duplicate, corrupt or evict it.
+        #: Empty: an honest recorder. Recovery markers are exempt — a
+        #: marker is the recovery protocol's own traffic.
+        self.stages: List[Any] = []
         self._seen_control_uids: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self._marker_seq = itertools.count(1)
         # Resolved once: the per-message CPU charge is fixed by the
@@ -248,7 +249,7 @@ class Recorder:
         if message is None:
             return
         for lm in self.db.deliver(message, self._delivery_record,
-                                  self.intercept):
+                                  self.stages):
             self._logged(lm, "publish")
 
     def _delivery_record(self, message: Message) -> Optional[ProcessRecord]:
@@ -299,20 +300,26 @@ class Recorder:
         Repaired messages append at a fresh arrival index — after
         everything that arrived while they were missing — so replay
         interleave differs from true reception order while the
-        per-process recorded set converges (docs/GOSSIP.md).
+        per-process recorded set converges (docs/GOSSIP.md). They enter
+        the log through the same door as an observed delivery, so the
+        armed adversary stages see them too. Returns whether anything
+        was logged.
         """
         if not self.up or message.recovery_marker:
             return False
         record = self._admit(message)
         if record is None:
             return False
-        lm = record.record_message(message, self.db.allocate_arrival_index())
-        if lm is None:
+        if message.msg_id in record.recorded_ids:
             self.duplicates_ignored.inc()
             return False
-        self.buffer.add(message.size_bytes)
-        self._logged(lm, "repair")
-        return True
+        repaired = False
+        for lm in self.db.deliver(message, self._delivery_record,
+                                  self.stages):
+            self.buffer.add(lm.message.size_bytes)
+            self._logged(lm, "repair")
+            repaired = True
+        return repaired
 
     # ------------------------------------------------------------------
     # control plane
@@ -341,21 +348,11 @@ class Recorder:
 
     def _on_process_created(self, control: Control, src_node: int) -> None:
         pid = ProcessId(*control["pid"])
-        record = self.db.get(pid)
-        if record is None or record.destroyed:
-            self.db.create(pid, node=control["node"], image=control["image"],
-                           args=tuple(control["args"]),
-                           initial_links=tuple(control.get("initial_links", ())),
-                           recoverable=control.get("recoverable", True),
-                           state_pages=control.get("state_pages", 4))
-        elif record.image == "":
-            # Fill in a placeholder created by an early message.
-            record.image = control["image"]
-            record.args = tuple(control["args"])
-            record.initial_links = tuple(control.get("initial_links", ()))
-            record.recoverable = control.get("recoverable", True)
-            record.state_pages = control.get("state_pages", 4)
-            record.node = control["node"]
+        self.db.create(pid, node=control["node"], image=control["image"],
+                       args=control["args"],
+                       initial_links=control.get("initial_links", ()),
+                       recoverable=control.get("recoverable", True),
+                       state_pages=control.get("state_pages", 4))
         self.events.emit("recorder", pid, event="created_notice")
 
     def _on_process_destroyed(self, control: Control, src_node: int) -> None:

@@ -1119,7 +1119,7 @@ def _drive_segmented(script: List[Tuple[Any, ...]],
             message = Message(msg_id=msg_id, src=msg_id.sender,
                               dst=record.pid, channel=1, code=0, body=None,
                               size_bytes=size, deliver_to_kernel=is_control)
-            record.record_message(message, db.allocate_arrival_index())
+            feed_record(record, db, message)
         elif kind == "adv":
             record.add_advisory(op[2], op[3])
         elif kind == "ckpt":

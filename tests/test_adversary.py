@@ -18,13 +18,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.adversary import (
     BYZANTINE_MODES,
-    AdversaryPipeline,
     BoundedBufferRecorder,
     ByzantineRecorder,
     EquivocatingSender,
     EquivocationPlan,
     feed_record,
-    install_bounded,
     run_quorum_scenario,
 )
 from repro.chaos.actions import (
@@ -246,17 +244,22 @@ def test_colluding_equivocators_log_identical_wrong_bodies():
                for lm in rec_a.arrivals)
 
 
-def test_pipeline_chains_stages():
+def test_recorder_stages_chain_in_order():
+    """Each armed stage transforms what the previous one passed on:
+    equivocated first, then doubled (the second copy forced past
+    dedup)."""
+    recorder = make_recorder()
     plan = EquivocationPlan(random.Random(4), rate=1.0)
-    pipeline = AdversaryPipeline()
-    pipeline.add(EquivocatingSender(plan))
-    byz = ByzantineRecorder(random.Random(8), modes=("duplicate",),
-                            rate=1.0)
-    pipeline.add(byz)
-    out = pipeline.deliveries(make_message(1))
-    assert len(out) == 2                       # equivocated, then doubled
-    assert all(m.body[0] == "equivocate" for m, _ in out)
-    assert [forced for _, forced in out] == [False, True]
+    recorder.stages.append(EquivocatingSender(plan))
+    recorder.stages.append(ByzantineRecorder(random.Random(8),
+                                             modes=("duplicate",), rate=1.0))
+    record = recorder.db.create(TARGET, node=TARGET.node, image="t")
+    logged = list(recorder.db.deliver(make_message(1),
+                                      lambda _message: record,
+                                      recorder.stages))
+    assert len(logged) == 2                    # equivocated, then doubled
+    assert all(lm.message.body[0] == "equivocate" for lm in logged)
+    assert [lm.message for lm in record.arrivals] == [logged[0].message] * 2
 
 
 def test_deliver_files_a_held_back_message_under_its_own_process():
@@ -275,8 +278,8 @@ def test_deliver_files_a_held_back_message_under_its_own_process():
     def entry_of(message):
         return db.get(message.dst)
 
-    assert list(db.deliver(to_ours, entry_of, stage)) == []    # held back
-    logged = list(db.deliver(to_theirs, entry_of, stage))
+    assert list(db.deliver(to_ours, entry_of, [stage])) == []  # held back
+    logged = list(db.deliver(to_theirs, entry_of, [stage]))
     assert [lm.message for lm in logged] == [to_theirs, to_ours]
     assert [lm.message for lm in theirs.arrivals] == [to_theirs]
     assert [lm.message for lm in ours.arrivals] == [to_ours]
@@ -290,7 +293,7 @@ def test_deliver_notifies_the_stage_after_its_caller_saw_the_record():
     record = db.create(TARGET, node=TARGET.node, image="t")
     stage = ByzantineRecorder(random.Random(0), modes=("bitrot",), rate=1.0)
     message = make_message(1)
-    door = db.deliver(message, lambda _message: record, stage)
+    door = db.deliver(message, lambda _message: record, [stage])
     lm = next(door)
     assert lm.message is message
     assert next(door, None) is None
@@ -334,8 +337,10 @@ def make_recorder():
 class TestBoundedBufferRecorder:
     def test_cap_evicts_oldest_and_advises(self):
         recorder = make_recorder()
-        stage = install_bounded(recorder, max_records=10,
-                                advisory_fraction=0.8)
+        stage = BoundedBufferRecorder(recorder, max_records=10,
+                                      advisory_fraction=0.8,
+                                      obs=recorder.obs)
+        recorder.stages.append(stage)
         db = recorder.db
         record = db.create(TARGET, node=TARGET.node, image="t")
         for i in range(1, 26):
@@ -356,7 +361,9 @@ class TestBoundedBufferRecorder:
 
     def test_markers_survive_eviction(self):
         recorder = make_recorder()
-        stage = install_bounded(recorder, max_records=6)
+        stage = BoundedBufferRecorder(recorder, max_records=6,
+                                      obs=recorder.obs)
+        recorder.stages.append(stage)
         db = recorder.db
         record = db.create(TARGET, node=TARGET.node, image="t")
         for i in range(1, 5):
@@ -382,6 +389,21 @@ class TestBoundedBufferRecorder:
         feed_record(record, db, make_message(3), stage=stage)
         feed_record(record, db, make_message(4), stage=stage)
         assert stage.advisories == 2             # re-armed after the dip
+
+    def test_gossip_repairs_pass_the_cap(self):
+        """A repaired record enters the log through the same door as an
+        observed delivery, so an armed cap holds it too."""
+        recorder = make_recorder()
+        cap = 6
+        stage = BoundedBufferRecorder(recorder, max_records=cap,
+                                      obs=recorder.obs)
+        recorder.stages.append(stage)
+        for i in range(1, cap + 6):
+            assert recorder.record_repair(make_message(i))
+        assert recorder.db.log.live_records <= cap
+        assert stage.evictions == 5
+        assert not recorder.record_repair(make_message(1))   # duplicate
+        assert recorder.duplicates_ignored.value == 1
 
     def test_rejects_zero_cap(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,22 @@ class TestDatabase:
         b = db.create(PID, node=2, image="img2")
         assert b is not a and b.image == "img2"
 
+    def test_a_notice_fills_a_placeholder_and_keeps_its_log(self):
+        """Traffic heard before the creation notice makes a placeholder
+        (image ""); the notice, or a federation's remote recovery,
+        fills in all six metadata fields through ``create`` — once."""
+        db = RecorderDatabase()
+        placeholder = db.create(PID, node=PID.node, image="")
+        placeholder.record_message(make_message(1), 0)
+        record = db.create(PID, node=7, image="img", args=[1],
+                           initial_links=[], recoverable=False,
+                           state_pages=9)
+        assert record is placeholder and len(record.arrivals) == 1
+        assert (record.node, record.image, record.args, record.initial_links,
+                record.recoverable, record.state_pages) == (
+                    7, "img", (1,), (), False, 9)
+        assert db.create(PID, node=2, image="other").image == "img"
+
     def test_processes_on_filters(self):
         db = RecorderDatabase()
         db.create(ProcessId(1, 1), node=1, image="a")

@@ -580,3 +580,23 @@ class TestRecorderStorageGauges:
         # the compacted segment — 400 bytes rewritten
         assert recorder.db.log.compaction_written_bytes == 400
 
+
+
+def test_only_the_database_allocates_arrival_indices():
+    """One door into the log: every record in ``src/`` enters through
+    ``RecorderDatabase.deliver``, so no other module numbers arrivals
+    itself (a direct ``record_message(m, db.allocate_arrival_index())``
+    would bypass the recorder's adversary stages)."""
+    import ast
+    import pathlib
+    import repro
+    root = pathlib.Path(repro.__file__).parent
+    naming = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.FunctionDef)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "allocate_arrival_index":
+                naming.add(path.relative_to(root).as_posix())
+    assert naming == {"publishing/database.py"}
