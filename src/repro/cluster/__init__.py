@@ -13,7 +13,6 @@ from repro.cluster.gateways import (
 from repro.cluster.placement import (
     RECORDER_ID_OFFSET,
     ClusterPlacement,
-    LoadBalancedShardPolicy,
     RangeShardPolicy,
     RecorderShard,
     ReplicaPolicy,
@@ -29,7 +28,6 @@ __all__ = [
     "Gateway",
     "GatewayForwarder",
     "GatewayTap",
-    "LoadBalancedShardPolicy",
     "RangeShardPolicy",
     "RecorderShard",
     "ReplicaPolicy",

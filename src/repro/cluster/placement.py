@@ -2,9 +2,9 @@
 
 A cluster may host *several* recorders, laid out one of two ways: each
 claiming a contiguous range of processing-node ids — the sharded
-analogue of the single §3.3 recorder (``range`` / ``balanced``) — or
-each recording the whole cluster, the paper's own §6.3 availability
-extension (``replica``). Placement is a pure function of
+analogue of the single §3.3 recorder (``range``) — or each recording
+the whole cluster, the paper's own §6.3 availability extension
+(``replica``). Placement is a pure function of
 the cluster layout (first node id, node count, shard count), so every
 worker process of the parallel DES, the serial reference engine and
 the capacity model all derive byte-identical shard maps without
@@ -24,10 +24,6 @@ A placement answers three questions:
   :func:`placement_priority_vectors` bridges a placement into the
   §multi-recorder :class:`~repro.publishing.multi_recorder.PriorityVectors`
   (owning shard first, then the remaining shards by index).
-
-Determinism contract: :meth:`ClusterPlacement.serialize` is canonical
-(sorted keys, no floats, no timestamps); equal layouts produce
-byte-identical serializations.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.digest import canonical_json
 from repro.errors import PlacementError
 
 #: shard 0 of a cluster sits at ``first_node_id + RECORDER_ID_OFFSET``;
@@ -59,10 +54,6 @@ class RecorderShard:
     @property
     def width(self) -> int:
         return self.hi - self.lo
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"index": self.index, "node_id": self.node_id,
-                "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -119,20 +110,6 @@ class ClusterPlacement:
             return claim
         return shard.claims_node
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cluster_index": self.cluster_index,
-            "first_node_id": self.first_node_id,
-            "nodes": self.nodes,
-            "policy": self.policy,
-            "shards": [shard.to_dict() for shard in self.shards],
-        }
-
-    def serialize(self) -> bytes:
-        """Canonical byte-stable encoding (determinism test surface)."""
-        return canonical_json(self.to_dict()).encode("utf-8")
-
 
 # ----------------------------------------------------------------------
 class RangeShardPolicy:
@@ -185,26 +162,6 @@ class RangeShardPolicy:
         return j * nodes // count, (j + 1) * nodes // count
 
 
-class LoadBalancedShardPolicy(RangeShardPolicy):
-    """Size the shard count to the cluster's load instead of fixing it:
-    one shard per ``nodes_per_shard`` processing nodes (rounded up),
-    capped at ``max_shards``. Bigger clusters automatically grow more
-    recorder shards — the "load balanced" placement of ISSUE 10."""
-
-    name = "balanced"
-
-    def __init__(self, nodes_per_shard: int = 16, max_shards: int = 8):
-        if nodes_per_shard < 1:
-            raise PlacementError(
-                f"nodes_per_shard must be positive, got {nodes_per_shard}")
-        super().__init__(shards=max_shards)
-        self.nodes_per_shard = nodes_per_shard
-
-    def shard_count(self, nodes: int) -> int:
-        wanted = (nodes + self.nodes_per_shard - 1) // self.nodes_per_shard
-        return max(1, min(self.shards, wanted, nodes))
-
-
 class ReplicaPolicy(RangeShardPolicy):
     """§6.3's *m* recorders on one medium: every recorder records the
     whole cluster (no claim filter) and any of them can recover any
@@ -222,18 +179,14 @@ class ReplicaPolicy(RangeShardPolicy):
         return 0, nodes
 
 
-def policy_from_name(name: str, shards: int = 1,
-                     nodes_per_shard: int = 16) -> RangeShardPolicy:
+def policy_from_name(name: str, shards: int = 1) -> RangeShardPolicy:
     """CLI/workload bridge: build a placement policy from its name."""
     if name == "range":
         return RangeShardPolicy(shards=shards)
-    if name == "balanced":
-        return LoadBalancedShardPolicy(nodes_per_shard=nodes_per_shard,
-                                       max_shards=shards)
     if name == "replica":
         return ReplicaPolicy(shards=shards)
     raise PlacementError(f"unknown placement policy {name!r} "
-                         "(expected 'range', 'balanced' or 'replica')")
+                         "(expected 'range' or 'replica')")
 
 
 # ----------------------------------------------------------------------

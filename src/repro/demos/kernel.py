@@ -248,8 +248,9 @@ class MessageKernel:
         return pid
 
     def _start_program(self, pcb: ProcessControlRecord, ctx: ProcessContext) -> None:
-        if pcb.state is ProcessState.DEAD:
-            return
+        if (self.processes.get(pcb.pid) is not pcb
+                or pcb.state is ProcessState.DEAD):
+            return     # destroyed, or its node crashed, before it started
         pcb.program.start(ctx)
         self._pump(pcb)
 

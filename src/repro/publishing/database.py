@@ -12,12 +12,12 @@ Two reconstruction problems are solved here:
 
 * **Which recorded messages were consumed before a checkpoint?** The
   kernel's out-of-order-read advisories (§4.4.2) plus the consumed count
-  carried in the checkpoint control let
-  :meth:`ProcessRecord.apply_checkpoint` re-simulate the process's
-  queue: non-advised receives take the queue head; an advisory
-  ``(read, head)`` fires when its recorded head matches the simulated
-  head. Those messages are invalid — checkpointed state already
-  reflects them.
+  carried in the checkpoint control let :class:`ProcessRecord`
+  re-simulate the process's queue: non-advised receives take the queue
+  head; an advisory ``(read, head)`` fires when its recorded head
+  matches the simulated head. The first ``consumed`` messages it
+  consumes are invalid — checkpointed state already reflects them —
+  whether the checkpoint or the record reached the recorder second.
 * **What must be replayed, in what order?** Valid queue messages in
   arrival order (the recovering process's own deterministic channel
   selections then reproduce the original consumption pattern), with
@@ -188,7 +188,6 @@ class ProcessRecord:
     initial_links: Tuple[Link, ...] = ()
     recoverable: bool = True
     state_pages: int = 4
-    last_sent_seq: int = 0
     recorded_ids: Set[MessageId] = field(default_factory=set)
     #: messages overheard and durably stored but whose delivery to the
     #: destination node has not yet been observed (§4.4.1 ack tracing)
@@ -199,8 +198,11 @@ class ProcessRecord:
     #: by the recovered process (receivers deduplicate).
     confirmed_send_seqs: Set[int] = field(default_factory=set)
     confirmed_prefix: int = 0
-    #: (read_id, head_id) pairs in the temporal order they were reported
-    advisories: List[Tuple[MessageId, MessageId]] = field(default_factory=list)
+    #: (read_id, head_id) pairs in the temporal order they were reported;
+    #: each retires once the re-simulation matches it, so only reads the
+    #: checkpoints do not cover yet are held
+    advisories: Deque[Tuple[MessageId, MessageId]] = field(
+        default_factory=deque)
     checkpoint: Optional[CheckpointEntry] = None
     recovering: bool = False
     recovery_epoch: int = 0    # bumped to cancel a superseded recovery (§3.5)
@@ -219,31 +221,23 @@ class ProcessRecord:
                                        repr=False, compare=False)
     _live_dead: int = field(default=0, init=False, repr=False, compare=False)
 
-    # -- incremental queue re-simulation (see _advance_simulation) ------
-    # New arrivals route eagerly: queue messages into `_sim_queue`,
-    # DELIVERTOKERNEL controls into `_controls` (tagged with their
-    # control ordinal), markers into neither. The consumption order
-    # already established never changes (arrivals only append, advisory
-    # counts only grow), so `_consumed_count` only grows, while
-    # `_consumed_tail` keeps (ordinal, record) pairs only until a
-    # checkpoint invalidates them — after which the records themselves
-    # may be pruned from the view without this pinning their memory.
+    # -- checkpoint coverage (§4.4.2), see _cover ------------------------
+    # One rule, whichever of a record and its checkpoint arrives second:
+    # the covered counts are the largest `consumed` / `dtk_processed`
+    # any checkpoint has named. `_sim_queue` holds the queue messages the
+    # re-simulation has not consumed yet and `_controls` the controls
+    # not yet walked, both in arrival order (markers enter neither).
     _sim_queue: Deque[LoggedMessage] = field(
         default_factory=deque, init=False, repr=False, compare=False)
-    _sim_adv_cursor: int = field(default=0, init=False, repr=False,
-                                 compare=False)
-    _consumed_count: int = field(default=0, init=False, repr=False,
-                                 compare=False)
-    _consumed_tail: Deque[Tuple[int, LoggedMessage]] = field(
+    _consumed: int = field(default=0, init=False, repr=False, compare=False)
+    _covered_consumed: int = field(default=0, init=False, repr=False,
+                                   compare=False)
+    _controls: Deque[LoggedMessage] = field(
         default_factory=deque, init=False, repr=False, compare=False)
-    _controls: Deque[Tuple[int, LoggedMessage]] = field(
-        default_factory=deque, init=False, repr=False, compare=False)
-    _controls_seen: int = field(default=0, init=False, repr=False,
-                                compare=False)
-    _ckpt_consumed_done: int = field(default=0, init=False, repr=False,
-                                     compare=False)
-    _ckpt_ctrl_done: int = field(default=0, init=False, repr=False,
-                                 compare=False)
+    _controls_walked: int = field(default=0, init=False, repr=False,
+                                  compare=False)
+    _covered_controls: int = field(default=0, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if self.log is None:
@@ -266,7 +260,8 @@ class ProcessRecord:
                        forced: bool = False) -> Optional[LoggedMessage]:
         """The destination received this message: append it to the
         replay log in reception order (releasing its staged copy) and
-        return the logged record — None for a duplicate.
+        return the logged record — None for a duplicate. A record that a
+        stored checkpoint already covers comes back invalid.
 
         ``forced`` appends even a duplicate. Only an adversary stage's
         verdict, carried here by :meth:`RecorderDatabase.deliver`, may
@@ -280,20 +275,14 @@ class ProcessRecord:
         lm._record = self
         lm.seq = self.log.append(lm)
         self._live.append(lm)
-        # Route into the queue re-simulation eagerly (same order the
-        # lazy feed used to establish): controls and markers never
-        # enter the queue.
         if lm.is_control:
-            self._controls.append((self._controls_seen, lm))
-            self._controls_seen += 1
+            self._controls.append(lm)
         elif not lm.is_marker:
             self._sim_queue.append(lm)
+        if (self._consumed < self._covered_consumed
+                or self._controls_walked < self._covered_controls):
+            self._cover()      # logged after a checkpoint that may cover it
         return lm
-
-    def note_sent(self, seq: int) -> None:
-        """Track the highest send sequence seen from this process."""
-        if seq > self.last_sent_seq:
-            self.last_sent_seq = seq
 
     def stage_message(self, message: Message) -> bool:
         """Durably store an overheard message ahead of its delivery
@@ -340,34 +329,40 @@ class ProcessRecord:
         return count
 
     # ------------------------------------------------------------------
-    def _advance_simulation(self, target: int) -> None:
-        """Push the queue re-simulation until ``target`` consumptions are
-        known (or the queue runs dry). A mismatched advisory raises
-        without advancing its cursor, so the error repeats on retry —
-        and resolves if the missing message arrives later."""
+    def _cover(self) -> int:
+        """Walk the queue re-simulation and the control stream up to the
+        covered counts, invalidating each record as it is passed; returns
+        how many were newly invalidated. A non-advised receive takes the
+        queue head; an advisory ``(read, head)`` fires, and retires, when
+        its head is the simulated head. The walk stops at an advisory
+        whose read is not logged yet and resumes when it arrives."""
+        invalidated = 0
         queue = self._sim_queue
-        tail = self._consumed_tail
         advisories = self.advisories
-        cursor = self._sim_adv_cursor
-        count = self._consumed_count
-        while count < target and queue:
-            if (cursor < len(advisories)
-                    and advisories[cursor][1] == queue[0].message.msg_id):
-                read_id = advisories[cursor][0]
+        while self._consumed < self._covered_consumed and queue:
+            if advisories and advisories[0][1] == queue[0].message.msg_id:
+                read_id = advisories[0][0]
                 for index, lm in enumerate(queue):
                     if lm.message.msg_id == read_id:
                         del queue[index]
                         break
                 else:
-                    raise RecorderError(
-                        f"advisory for {read_id} does not match the log of {self.pid}")
-                cursor += 1
-                self._sim_adv_cursor = cursor
+                    break
+                advisories.popleft()
             else:
                 lm = queue.popleft()
-            tail.append((count, lm))
-            count += 1
-            self._consumed_count = count
+            self._consumed += 1
+            if not lm._invalid:
+                lm.invalid = True
+                invalidated += 1
+        controls = self._controls
+        while self._controls_walked < self._covered_controls and controls:
+            lm = controls.popleft()
+            self._controls_walked += 1
+            if not lm._invalid:
+                lm.invalid = True
+                invalidated += 1
+        return invalidated
 
     def apply_checkpoint(self, entry: CheckpointEntry) -> int:
         """Install a new checkpoint and invalidate the messages its state
@@ -375,36 +370,21 @@ class ProcessRecord:
         "after the checkpoint has been reliably stored, older checkpoints
         and messages can be discarded" (§3.3.1).
 
-        Checkpoint consumed/control counts are cumulative, so each pass
-        only walks the newly covered consumptions, not the whole log —
-        and invalidation feeds the segment GC, which retires fully-dead
-        segments and compacts mostly-dead ones (§4.5).
+        Checkpoint counts are cumulative, so each pass walks only what
+        the larger count newly covers, and invalidation feeds the
+        segment GC, which retires fully-dead segments and compacts
+        mostly-dead ones (§4.5). An advisory whose read is not logged
+        raises :class:`~repro.errors.RecorderError` here, and again on
+        every retry, until the read arrives.
         """
         self.checkpoint = entry
-        self._advance_simulation(entry.consumed)
-        invalidated = 0
-        start = self._ckpt_consumed_done
-        tail = self._consumed_tail
-        while tail and tail[0][0] < entry.consumed:
-            ordinal, lm = tail.popleft()
-            if ordinal < start:
-                continue      # covered by an earlier (larger) checkpoint
-            if not lm.invalid:
-                lm.invalid = True
-                invalidated += 1
-        self._ckpt_consumed_done = max(start, entry.consumed)
-        start = self._ckpt_ctrl_done
-        controls = self._controls
-        while controls and controls[0][0] < entry.dtk_processed:
-            ordinal, lm = controls.popleft()
-            if ordinal < start:
-                continue
-            if not lm.invalid:
-                lm.invalid = True
-                invalidated += 1
-        self._ckpt_ctrl_done = max(start, entry.dtk_processed)
-        # Advisories are kept: checkpoint consumed-counts are cumulative,
-        # so later invalidation passes continue the same simulation.
+        self._covered_consumed = max(self._covered_consumed, entry.consumed)
+        self._covered_controls = max(self._covered_controls,
+                                     entry.dtk_processed)
+        invalidated = self._cover()
+        if self._consumed < self._covered_consumed and self._sim_queue:
+            raise RecorderError(f"advisory for {self.advisories[0][0]} "
+                                f"does not match the log of {self.pid}")
         return invalidated
 
     # ------------------------------------------------------------------

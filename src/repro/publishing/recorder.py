@@ -13,7 +13,7 @@ message correctly. The transport-level ``tap`` hands each valid frame to
 * records guaranteed DEMOS messages into the destination process's
   database entry, charging the configured per-message publishing CPU
   cost (§5.2.2: 57 ms full protocol / 12 ms inlined / 0.8 ms media tap);
-* tracks the highest send sequence per sender (for send suppression);
+* tracks each sender's confirmed send prefix (for send suppression);
 * buffers message bytes toward 4 KB disk pages (§4.5).
 
 Controls addressed to the recorder node (creation/destruction notices,
@@ -202,20 +202,13 @@ class Recorder:
                 handler(body, frame.src_node)
 
     def _admit(self, message: Message) -> Optional[ProcessRecord]:
-        """What hearing a message costs and teaches, whichever way it
-        was heard: the publishing CPU charge and the sender's send
-        sequence. Returns the destination's database entry — created if
-        no notice announced it yet — or None when the message is not
-        this recorder's to store."""
+        """What hearing a message costs, whichever way it was heard:
+        the publishing CPU charge. Returns the destination's database
+        entry — created if no notice announced it yet — or None when the
+        message is not this recorder's to store."""
         self.cpu_busy_ms.inc(self._publish_cost_ms)
-        sender = self.db.get(message.src)
-        if sender is not None:
-            sender.note_sent(message.msg_id.seq)
         if self.claim is not None and not self.claim(message.dst.node):
-            # Another shard of this cluster owns the destination's
-            # range; the send-sequence note above stays global so the
-            # sender's owning shard tracks suppression horizons.
-            return None
+            return None    # another shard of this cluster owns the range
         record = self.db.get(message.dst)
         if record is None:
             # Message overheard before (or without) a creation notice —

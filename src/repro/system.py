@@ -77,8 +77,7 @@ class SystemConfig:
     #: recorder j attached at ``recorder_node_id + j``
     recorder_shards: int = 1
     #: recorder layout policy: "range" (that many claim-filtered
-    #: recorders splitting the node range), "balanced" (as "range",
-    #: the count growing with the node count) or "replica" (§6.3: that
+    #: recorders splitting the node range) or "replica" (§6.3: that
     #: many recorders each recording everything, priority-vector
     #: takeover, majority replay from three up; see cluster.placement)
     placement_policy: str = "range"

@@ -150,38 +150,47 @@ class FlatProcessLog:
 
     Semantics are byte-identical to
     :class:`repro.publishing.database.ProcessRecord` — consumption
-    order, the advisory-mismatch error, the cumulative-checkpoint
-    invalidation rule and its jump-ahead quirk — but every query pays
-    the naive price: each checkpoint re-simulates the queue from
-    process creation, ``messages_to_replay`` rescans the whole arrivals
-    list, and nothing is ever reclaimed.
+    order, the advisory-mismatch error, and the one coverage rule: the
+    first ``max(consumed)`` consumptions of the re-simulated queue and
+    the first ``max(dtk_processed)`` controls are invalid, whichever of
+    the record and the checkpoint arrived second. But every call pays
+    the naive price: each arrival and each checkpoint states the rule
+    from scratch, re-simulating the queue from process creation over an
+    advisory list that is never trimmed; ``messages_to_replay`` rescans
+    the whole arrivals list, and nothing is ever reclaimed.
     """
 
     def __init__(self) -> None:
         self.arrivals: List[FlatLogged] = []
         self.advisories: List[Tuple[Any, Any]] = []
-        self._ckpt_consumed_done = 0
-        self._ckpt_ctrl_done = 0
+        self.covered_consumed = 0
+        self.covered_controls = 0
 
     def record_message(self, message: Any, arrival_index: int) -> FlatLogged:
         lm = FlatLogged(message, arrival_index)
         self.arrivals.append(lm)
+        self._cover()
         return lm
 
     def add_advisory(self, read_id: Any, head_id: Any) -> None:
         self.advisories.append((read_id, head_id))
 
     # ------------------------------------------------------------------
-    def _simulate(self, target: int) -> List[FlatLogged]:
-        """Re-run the queue simulation from scratch up to ``target``
-        consumptions (or queue exhaustion); returns the consumed
-        records in consumption order."""
+    def _cover(self) -> Tuple[int, Optional[Any]]:
+        """Re-run the queue simulation from scratch up to the covered
+        count (or queue exhaustion) and invalidate what it consumes and
+        the covered controls. Returns how many records were newly
+        invalidated, and the read of the advisory the simulation
+        stopped at because that read is not logged (else None)."""
         queue = [lm for lm in self.arrivals
                  if not lm.message.deliver_to_kernel
                  and not lm.message.recovery_marker]
-        consumed: List[FlatLogged] = []
+        covered = [lm for lm in self.arrivals
+                   if lm.message.deliver_to_kernel][:self.covered_controls]
+        consumed = 0
         cursor = 0
-        while len(consumed) < target and queue:
+        missing = None
+        while consumed < self.covered_consumed and queue:
             if (cursor < len(self.advisories)
                     and self.advisories[cursor][1] == queue[0].message.msg_id):
                 read_id = self.advisories[cursor][0]
@@ -190,39 +199,30 @@ class FlatProcessLog:
                         del queue[index]
                         break
                 else:
-                    raise RecorderError(
-                        f"advisory for {read_id} does not match the log")
+                    missing = read_id
+                    break
                 cursor += 1
             else:
                 lm = queue.pop(0)
-            consumed.append(lm)
-        return consumed
+            covered.append(lm)
+            consumed += 1
+        invalidated = 0
+        for lm in covered:
+            if not lm.invalid:
+                lm.invalid = True
+                invalidated += 1
+        return invalidated, missing
 
     def apply_checkpoint(self, consumed: int, dtk_processed: int = 0) -> int:
-        """Invalidate the messages a checkpoint's state already covers;
-        counts are cumulative, and ordinals first covered by an earlier
-        checkpoint are never revisited (the jump-ahead quirk)."""
-        order = self._simulate(consumed)
-        invalidated = 0
-        start = self._ckpt_consumed_done
-        for ordinal, lm in enumerate(order):
-            if ordinal < start:
-                continue
-            if not lm.invalid:
-                lm.invalid = True
-                invalidated += 1
-        self._ckpt_consumed_done = max(start, consumed)
-        start = self._ckpt_ctrl_done
-        controls = [lm for lm in self.arrivals if lm.message.deliver_to_kernel]
-        for ordinal, lm in enumerate(controls):
-            if ordinal >= dtk_processed:
-                break
-            if ordinal < start:
-                continue
-            if not lm.invalid:
-                lm.invalid = True
-                invalidated += 1
-        self._ckpt_ctrl_done = max(start, dtk_processed)
+        """Raise the covered counts (each the largest any checkpoint
+        named) and invalidate what they cover; an advisory whose read is
+        not logged raises."""
+        self.covered_consumed = max(self.covered_consumed, consumed)
+        self.covered_controls = max(self.covered_controls, dtk_processed)
+        invalidated, missing = self._cover()
+        if missing is not None:
+            raise RecorderError(
+                f"advisory for {missing} does not match the log")
         return invalidated
 
     def messages_to_replay(self) -> List[FlatLogged]:

@@ -12,7 +12,7 @@ interleaving and reconstruct a state the rest of the system never saw.
 import pytest
 
 from repro import Program, System, SystemConfig
-from repro.demos.ids import ProcessId, kernel_pid
+from repro.demos.ids import MessageId, ProcessId, kernel_pid
 from repro.demos.links import Link
 
 from conftest import register_test_programs
@@ -105,4 +105,6 @@ def test_staged_but_undelivered_message_not_suppressed():
     k1.syscall_send(a, link_a, ("item", "X2"), None, 64)
     system.run(500)
     assert record.confirmed_prefix == sent_seq      # X2 not confirmed
-    assert record.last_sent_seq == sent_seq + 1     # but it was recorded
+    # ...but it was overheard and stored, staged at its destination
+    x2 = MessageId(kernel_pid(1), sent_seq + 1)
+    assert x2 in system.recorder.db.get(pid).staged

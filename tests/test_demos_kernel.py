@@ -169,6 +169,52 @@ def test_crash_node_clears_everything(two_node_system):
     assert kernel.transport.queue_depth == 0
 
 
+@pytest.mark.parametrize("boundary", [1, 6])
+def test_a_process_whose_node_crashed_before_it_started_never_starts(
+        boundary):
+    """``create_process`` queues the program's start on the CPU. A node
+    crash at an early event boundary clears the process table before
+    the start runs; the start must then do nothing — it used to run the
+    driver's ``setup`` against the empty table and raise ``KeyError``
+    out of ``System.run``."""
+    system = System(SystemConfig(nodes=2))
+    register_test_programs(system)
+    system.boot()
+    counter_pid = system.spawn_program("test/counter", node=2)
+    system.spawn_program("test/driver", args=(tuple(counter_pid), 20), node=1)
+    system.engine.run(max_events=boundary)
+    system.crash_node(1)
+    system.run(120_000)
+    assert system.program_of(counter_pid).seen == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known gap (ROADMAP item 10): crash_node clears the process table, "
+    "but handler work already queued on the node's CPU still runs"))
+def test_a_crashed_nodes_queued_handlers_do_not_run():
+    system = System(SystemConfig(nodes=1))
+    handled = []                  # (time, node up) per on_message
+
+    class Sink(Program):
+        def on_message(self, ctx, m):
+            handled.append((system.engine.now, system.nodes[1].up))
+
+    system.registry.register("test/sink", Sink)
+    system.boot()
+    pid = system.spawn_program("test/sink", node=1)
+    system.run(200)
+    kernel = system.nodes[1].kernel
+    sender = kernel.processes[kernel_pid(1)]
+    link = kernel.forge_link(sender, Link(dst=pid))
+    for i in range(10):
+        kernel.syscall_send(sender, link, ("m", i), None, 64)
+    while not handled:
+        system.engine.run(max_events=1)
+    system.crash_node(1)          # nine handlers are queued on its CPU
+    system.run(5000)
+    assert all(up for _, up in handled)
+
+
 def test_cpu_accounting_separates_kernel_and_user(two_node_system):
     system = two_node_system
     counter_pid, _ = run_counter_scenario(system, n=5)

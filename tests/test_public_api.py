@@ -5,11 +5,13 @@ import importlib
 import pytest
 
 import repro
+import repro.chaos
 import repro.cluster
 import repro.debugger
 import repro.demos
 import repro.metrics
 import repro.net
+import repro.obs
 import repro.parallel
 import repro.publishing
 import repro.queueing
@@ -22,7 +24,7 @@ from repro import errors
 @pytest.mark.parametrize("module", [
     repro, repro.sim, repro.net, repro.demos, repro.publishing,
     repro.queueing, repro.txn, repro.debugger, repro.cluster, repro.metrics,
-    repro.parallel,
+    repro.parallel, repro.chaos, repro.obs,
 ])
 def test_all_exports_resolve(module):
     for name in getattr(module, "__all__", []):

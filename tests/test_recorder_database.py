@@ -51,12 +51,6 @@ class TestRecording:
         assert not record.record_message(m, 1)
         assert len(record.arrivals) == 1
 
-    def test_note_sent_keeps_maximum(self):
-        record = make_record()
-        record.note_sent(5)
-        record.note_sent(3)
-        assert record.last_sent_seq == 5
-
     def test_first_valid_id(self):
         record = make_record([make_message(1), make_message(2)])
         assert record.first_valid_id() == MessageId(SENDER, 1)

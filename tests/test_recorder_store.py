@@ -388,10 +388,9 @@ class TestLoggedMessageInvalidation:
 
 
 class TestRecordLoggedUnderItsCheckpoint:
-    @pytest.mark.xfail(strict=True, reason=(
-        "known gap (docs/RECORDER_STORAGE.md): apply_checkpoint skips "
-        "ordinals below the last checkpoint's count without invalidating "
-        "them, so a record logged after its checkpoint is replayed"))
+    """Checkpoint coverage is one rule, whichever of the record and the
+    checkpoint reaches the recorder second (docs/RECORDER_STORAGE.md)."""
+
     def test_a_late_record_is_not_replayed_on_top_of_its_checkpoint(self):
         """The recorder logs a message after its destination consumed it
         (gossip repair after a recorder miss): messages 4 and 5 arrive
@@ -404,6 +403,35 @@ class TestRecordLoggedUnderItsCheckpoint:
         for seq in (4, 5):
             record.record_message(make_message(seq), seq - 1)
         record.apply_checkpoint(ckpt(6))
+        assert record.messages_to_replay() == []
+
+    def test_a_late_control_is_not_replayed_on_top_of_its_checkpoint(self):
+        """The control half: the checkpoint says the process handled 3
+        DELIVERTOKERNEL messages, but only the first is logged when it
+        is stored. The other two are covered the moment they arrive."""
+        record = make_record()
+        record.record_message(make_message(1, control=True), 0)
+        assert record.apply_checkpoint(ckpt(0, dtk=3)) == 1
+        late = [record.record_message(make_message(seq, control=True), seq - 1)
+                for seq in (2, 3)]
+        assert all(lm.invalid for lm in late)
+        fresh = record.record_message(make_message(4, control=True), 3)
+        assert record.messages_to_replay() == [fresh]
+        assert record.apply_checkpoint(ckpt(0, dtk=4)) == 1
+        assert record.messages_to_replay() == []
+
+    def test_advisories_retire_once_a_checkpoint_covers_their_reads(self):
+        """A matched advisory is dropped: after a checkpoint that covers
+        every consumption the record holds none, so the list is bounded
+        by the reads since the last checkpoint, not the process's life."""
+        record = make_record(6)
+        for read, head in ((3, 1), (5, 1), (6, 2)):
+            record.add_advisory(make_message(read).msg_id,
+                                make_message(head).msg_id)
+        assert record.apply_checkpoint(ckpt(2)) == 2   # 3, then 5
+        assert len(record.advisories) == 1
+        assert record.apply_checkpoint(ckpt(6)) == 4   # 1, 6, 2, 4
+        assert not record.advisories
         assert record.messages_to_replay() == []
 
 

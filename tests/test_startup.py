@@ -33,7 +33,7 @@ DEFAULT_RUN = {
     "repro.demos.ids", "repro.demos.kernel", "repro.demos.kernel_process",
     "repro.demos.links", "repro.demos.messages", "repro.demos.node",
     "repro.demos.process", "repro.demos.queue", "repro.demos.sysprocs",
-    "repro.digest", "repro.errors", "repro.net", "repro.net.faults",
+    "repro.errors", "repro.net", "repro.net.faults",
     "repro.net.frames", "repro.net.media", "repro.net.transport",
     "repro.obs", "repro.obs.events", "repro.obs.metrics",
     "repro.publishing", "repro.publishing.checkpoints",
@@ -87,7 +87,7 @@ def test_a_default_run_loads_its_pinned_modules_and_no_openssl():
      {"repro.net.ethernet", "repro.net.acking_ethernet"}),
     ("gossip=True", "", {"repro.publishing.gossip"}),
     ("recorder_shards=3, placement_policy='replica'", "",
-     {"repro.publishing.multi_recorder"}),
+     {"repro.publishing.multi_recorder", "repro.digest"}),
     ("", "import repro.queueing.workload",
      {"repro.queueing", "repro.queueing.workload"}),
 ])

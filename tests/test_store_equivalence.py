@@ -5,12 +5,12 @@ flat-list reference.
 :class:`~repro.publishing.store.SegmentedLog`) and
 :class:`fixtures.FlatProcessLog` must give byte-identical
 answers for every query — ``messages_to_replay`` order, checkpoint
-invalidation counts (including the jump-ahead quirk),
-``first_valid_id`` and ``valid_message_bytes`` — across arbitrary
-interleavings of arrivals, in-order and advised consumptions,
-checkpoints, and direct invalidations. The segmented side runs with
-tiny segments (4 records) so retirement and compaction fire constantly
-underneath the queries. The path recovery actually reads is in the
+invalidation counts, ``first_valid_id`` and ``valid_message_bytes`` —
+across arbitrary interleavings of arrivals, in-order and advised
+consumptions, checkpoints (including ones that run ahead of the log,
+so later arrivals land under them), and direct invalidations. The
+segmented side runs with tiny segments (4 records) so retirement and
+compaction fire constantly underneath the queries. The path recovery actually reads is in the
 comparison too: a fresh ``replay_cursor()`` at every probe, and one
 long-lived cursor parked mid-walk while the view is pruned under it.
 """
@@ -134,7 +134,7 @@ def _run_pair(seed, ops):
         elif roll < 0.88:
             # checkpoint: usually the true consumed count, sometimes a
             # regression (no-op territory) or a jump ahead of what the
-            # advisories can establish (the quirk path)
+            # log holds, which later arrivals are covered by
             shape = rng.random()
             if shape < 0.70:
                 target = consumed
@@ -148,6 +148,9 @@ def _run_pair(seed, ops):
             seg_count = record.apply_checkpoint(checkpoint(target, dtk))
             flat_count = flat.apply_checkpoint(target, dtk)
             assert seg_count == flat_count
+            if advisories_ok and target == consumed:
+                # every consumption is covered: every advisory retired
+                assert not record.advisories
         elif roll < 0.94 and seg_lms:
             # direct invalidation (process destruction path)
             i = rng.randrange(len(seg_lms))
@@ -195,16 +198,18 @@ class TestAdvisoryMismatch:
         # retry must fail identically: the mismatch does not advance
         with pytest.raises(RecorderError):
             record.apply_checkpoint(checkpoint(1))
-        # ...and resolves once the missing message arrives
-        record_both(record, flat, m3, 2)
+        # ...and resolves once the missing message arrives: it is the
+        # first consumption, under the count, so covered on arrival
+        seg_m3, flat_m3 = record_both(record, flat, m3, 2)
+        assert seg_m3.invalid and flat_m3.invalid
         assert record.apply_checkpoint(checkpoint(2)) \
-            == flat.apply_checkpoint(2) == 2
+            == flat.apply_checkpoint(2) == 1
         assert [lm.message.msg_id for lm in record.messages_to_replay()] \
             == [lm.message.msg_id for lm in flat.messages_to_replay()] \
             == [m2.msg_id]
 
 
-class TestJumpAheadQuirk:
+class TestCoveredCountIsTheLargest:
     def test_regressing_checkpoint_is_inert_on_both(self):
         record, flat = make_pair()
         for i in range(1, 7):

@@ -203,7 +203,6 @@ class TestRecorderLayouts:
         {"reboot_policy": "sapre"},
         {"placement_policy": "bogus"},
         {"recorder_shards": 0},
-        {"recorder_shards": 0, "placement_policy": "balanced"},
         {"recorder_shards": 2, "gossip": True},
         {"recorder_shards": 2, "placement_policy": "replica", "gossip": True},
         {"medium": "star", "recorder_shards": 2},
@@ -211,9 +210,9 @@ class TestRecorderLayouts:
         {"medium": "star", "gossip": True},
         {"medium": "star", "publishing": False},
     ], ids=["reboot_policy", "placement_policy", "zero_recorders",
-            "zero_recorders_balanced", "shards_with_gossip",
-            "replicas_with_gossip", "star_with_shards", "star_with_replicas",
-            "star_with_gossip", "star_without_publishing"])
+            "shards_with_gossip", "replicas_with_gossip", "star_with_shards",
+            "star_with_replicas", "star_with_gossip",
+            "star_without_publishing"])
     def test_mistyped_layouts_and_policies_are_rejected(self, overrides):
         with pytest.raises(ReproError):
             System(SystemConfig(nodes=2, **overrides))
@@ -252,9 +251,9 @@ class TestRecorderLayouts:
     @pytest.mark.parametrize("nodes, layout", [
         (3, {}),
         (4, {"recorder_shards": 2}),
-        (17, {"recorder_shards": 2, "placement_policy": "balanced"}),
+        (17, {"recorder_shards": 2}),
         (3, {"recorder_shards": 3, "placement_policy": "replica"}),
-    ], ids=["one", "range_x2", "balanced", "replica_x3"])
+    ], ids=["one", "range_x2", "range_x2_17_nodes", "replica_x3"])
     def test_every_layout_recovers_the_workload_exactly(self, nodes, layout,
                                                         crash):
         """The layout axis of the recovery oracle: whatever lays the
