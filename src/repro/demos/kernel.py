@@ -24,7 +24,7 @@ Figure 5.7/5.8 measurement programs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
@@ -178,15 +178,11 @@ class MessageKernel:
         self.cpu = NodeCpu(engine, self.obs.registry,
                            f"kernel.{node_id}.cpu")
         self.processes: Dict[ProcessId, ProcessControlRecord] = {}
-        self._next_local_id = 1
         self._control_seq = 0
         self.control_handlers: Dict[str, Callable[[Control, int], None]] = {}
         #: handler for DELIVERTOKERNEL messages, set by the kernel process
         self.dtk_handler: Optional[Callable[[Message], None]] = None
         self.up = True
-        #: recovery hand-back bookkeeping, per recovering pid
-        self._marker_seen: Dict[ProcessId, bool] = {}
-        self._held_live: Dict[ProcessId, List[Message]] = {}
         #: invoked after each delivery; the checkpoint policy hooks in here
         self.after_delivery: Optional[Callable[[ProcessControlRecord], None]] = None
         #: invoked on process crash reports, creation, destruction
@@ -202,28 +198,15 @@ class MessageKernel:
     # ------------------------------------------------------------------
     # process lifetime (primitives used by the kernel process)
     # ------------------------------------------------------------------
-    def allocate_pid(self) -> ProcessId:
-        """A fresh network-wide pid named after this node (§4.3.1)."""
-        pid = ProcessId(self.node_id, self._next_local_id)
-        self._next_local_id += 1
-        return pid
-
-    def create_process(self, image: str, args: Tuple = (),
-                       pid: Optional[ProcessId] = None,
-                       initial_links: Tuple[Link, ...] = (),
-                       recoverable: bool = True,
-                       state_pages: int = 4,
-                       notify_recorder: bool = True) -> ProcessId:
-        """Instantiate a program and start it running.
+    def _new_pcb(self, pid: ProcessId, image: str, args: Tuple,
+                 initial_links: Tuple[Link, ...], recoverable: bool,
+                 state_pages: int) -> ProcessControlRecord:
+        """Instantiate ``image``'s program and enter its pcb in the table.
 
         ``initial_links`` are inserted into the new process's table
         before it runs ("the creating process may insert a number of
         initial links into the new process's link table").
         """
-        if pid is None:
-            pid = self.allocate_pid()
-        if pid in self.processes and self.processes[pid].state is not ProcessState.DEAD:
-            raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
         program = self.registry.instantiate(image, args)
         if hasattr(program, "attach_kernel"):
             program.attach_kernel(self)     # kernel-resident programs only
@@ -234,8 +217,20 @@ class MessageKernel:
         for link in initial_links:
             pcb.links.insert(link)
         self.processes[pid] = pcb
+        return pcb
+
+    def create_process(self, image: str, pid: ProcessId, args: Tuple = (),
+                       initial_links: Tuple[Link, ...] = (),
+                       recoverable: bool = True,
+                       state_pages: int = 4) -> ProcessId:
+        """Start a new process named ``pid``, which the node's kernel
+        process allocated (§4.3.1)."""
+        if pid in self.processes and self.processes[pid].state is not ProcessState.DEAD:
+            raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
+        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
+                            state_pages)
         self.events.emit("process", pid, event="created", image=image)
-        if notify_recorder and self.config.publishing:
+        if self.config.publishing:
             self.send_control_to_recorder(Control("process_created", {
                 "pid": pid, "image": image, "args": args,
                 "initial_links": tuple(initial_links),
@@ -248,9 +243,8 @@ class MessageKernel:
         return pid
 
     def _start_program(self, pcb: ProcessControlRecord, ctx: ProcessContext) -> None:
-        if (self.processes.get(pcb.pid) is not pcb
-                or pcb.state is ProcessState.DEAD):
-            return     # destroyed, or its node crashed, before it started
+        if pcb.state in (ProcessState.DEAD, ProcessState.CRASHED):
+            return     # destroyed, crashed or its node crashed before it started
         pcb.program.start(ctx)
         self._pump(pcb)
 
@@ -261,8 +255,6 @@ class MessageKernel:
             return
         pcb.state = ProcessState.DEAD
         pcb.queue.clear()
-        self._marker_seen.pop(pid, None)
-        self._held_live.pop(pid, None)
         self.cpu.charge(costs.DESTROY_PROCESS_CPU_MS)
         self.events.emit("process", pid, event="destroyed")
         if notify_recorder and self.config.publishing:
@@ -438,22 +430,21 @@ class MessageKernel:
     def _live_message_while_recovering(self, pcb: ProcessControlRecord,
                                        message: Message) -> None:
         """§4.7: live traffic for a recovering process is discarded (the
-        recorder replays it); after the marker passes, it is held and
-        appended once replay completes, preserving arrival order."""
-        pid = pcb.pid
+        recorder replays it); after the marker passes, it is held on the
+        pcb and appended once replay completes, preserving arrival order."""
         if message.recovery_marker:
-            marker_epoch = message.body[1] if (
-                isinstance(message.body, tuple) and len(message.body) > 1) else 0
-            if marker_epoch != pcb.recovery_epoch:
-                self.events.emit("recovery", pid, event="stale_marker")
+            # the body is Recorder.make_marker's ("recovery_marker", epoch)
+            if message.body[1] != pcb.recovery_epoch:
+                self.events.emit("recovery", pcb.pid, event="stale_marker")
                 return
-            self._marker_seen[pid] = True
-            self.events.emit("recovery", pid, event="marker_seen")
+            if pcb.held_live is None:
+                pcb.held_live = []
+            self.events.emit("recovery", pcb.pid, event="marker_seen")
             return
-        if self._marker_seen.get(pid):
-            self._held_live.setdefault(pid, []).append(message)
+        if pcb.held_live is not None:
+            pcb.held_live.append(message)
         else:
-            self.events.emit("recovery", pid, event="discarded_live",
+            self.events.emit("recovery", pcb.pid, event="discarded_live",
                              msg=message.msg_id)
 
     def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
@@ -596,7 +587,7 @@ class MessageKernel:
     # ------------------------------------------------------------------
     # crash injection and recovery support (§4.6, §4.7)
     # ------------------------------------------------------------------
-    def crash_process(self, pid: ProcessId, report: bool = True) -> None:
+    def crash_process(self, pid: ProcessId) -> None:
         """Halt one process on a detected fault and report the crash."""
         pcb = self.processes.get(pid)
         if pcb is None or not pcb.alive():
@@ -604,19 +595,18 @@ class MessageKernel:
         pcb.state = ProcessState.CRASHED
         pcb.queue.clear()
         self.events.emit("crash", pid, scope="process")
-        if report:
-            self.send_control_to_recorder(Control("process_crashed", {
-                "pid": pid, "node": self.node_id, "error": "fault",
-            }))
+        self.send_control_to_recorder(Control("process_crashed", {
+            "pid": pid, "node": self.node_id, "error": "fault",
+        }))
 
     def crash_node(self) -> None:
         """The whole processor fails: every process and all volatile
-        kernel state is lost (§1.1.2 "rounding up")."""
+        kernel state is lost (§1.1.2 "rounding up"). Each pcb dies with
+        it, so CPU work already queued for one returns without running."""
         self.up = False
+        for pcb in self.processes.values():
+            pcb.state = ProcessState.DEAD
         self.processes.clear()
-        self._next_local_id = 1
-        self._marker_seen.clear()
-        self._held_live.clear()
         self.transport.crash()
         self.cpu.reset()
         self.events.emit("crash", f"node{self.node_id}", scope="node")
@@ -632,29 +622,16 @@ class MessageKernel:
                          initial_links: Tuple[Link, ...],
                          checkpoint: Optional[Dict[str, Any]],
                          suppress_send_through: int,
-                         recoverable: bool = True,
-                         state_pages: int = 4,
-                         recovery_epoch: int = 0) -> None:
+                         recoverable: bool, state_pages: int,
+                         recovery_epoch: int) -> None:
         """§4.7's recreate request: (re)build the process in the
         recovering state. If it already exists, it is destroyed first."""
-        existing = self.processes.get(pid)
-        if existing is not None:
-            self.destroy_process(pid, notify_recorder=False)
-        program = self.registry.instantiate(image, args)
-        if hasattr(program, "attach_kernel"):
-            program.attach_kernel(self)
-        pcb = ProcessControlRecord(pid=pid, image=image, args=args,
-                                   program=program, recoverable=recoverable,
-                                   state_pages=state_pages)
+        self.destroy_process(pid, notify_recorder=False)
+        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
+                            state_pages)
         pcb.state = ProcessState.RECOVERING
         pcb.suppress_send_through = suppress_send_through
         pcb.recovery_epoch = recovery_epoch
-        pcb.last_checkpoint_time = self.engine.now
-        for link in initial_links:
-            pcb.links.insert(link)
-        self.processes[pid] = pcb
-        self._marker_seen[pid] = False
-        self._held_live[pid] = []
         ctx = ProcessContext(self, pcb)
         if checkpoint is not None:
             pcb.program.restore(checkpoint["program_state"])
@@ -675,7 +652,7 @@ class MessageKernel:
         self.events.emit("recovery", pid, event="recreated",
                          from_checkpoint=checkpoint is not None)
 
-    def inject_replay(self, message: Message, recovery_epoch: int = 0) -> None:
+    def inject_replay(self, message: Message, recovery_epoch: int) -> None:
         """The recovery process's special call: feed one published
         message to a recovering process, bypassing links (§4.7).
 
@@ -698,7 +675,7 @@ class MessageKernel:
             return
         self._enqueue(pcb, message)
 
-    def finish_recovery(self, pid: ProcessId, recovery_epoch: int = 0) -> None:
+    def finish_recovery(self, pid: ProcessId, recovery_epoch: int) -> None:
         """Replay complete: append held live traffic and go live."""
         pcb = self.processes.get(pid)
         if pcb is None or pcb.state is not ProcessState.RECOVERING:
@@ -706,12 +683,12 @@ class MessageKernel:
         if recovery_epoch != pcb.recovery_epoch:
             return
         pcb.state = ProcessState.RUNNING
-        for message in self._held_live.pop(pid, []):
+        for message in pcb.held_live or ():
             if message.deliver_to_kernel:
                 self._execute_dtk(message)
             else:
                 pcb.queue.append(message)
-        self._marker_seen.pop(pid, None)
+        pcb.held_live = None
         self.events.emit("recovery", pid, event="live")
         self._pump(pcb)
 

@@ -99,23 +99,23 @@ class Node:
             pid=ProcessId(*control["pid"]),
             image=control["image"],
             args=tuple(control["args"]),
-            initial_links=tuple(control.get("initial_links", ())),
-            checkpoint=control.get("checkpoint"),
+            initial_links=tuple(control["initial_links"]),
+            checkpoint=control["checkpoint"],
             suppress_send_through=control["suppress_send_through"],
-            recoverable=control.get("recoverable", True),
-            state_pages=control.get("state_pages", 4),
-            recovery_epoch=control.get("epoch", 0),
+            recoverable=control["recoverable"],
+            state_pages=control["state_pages"],
+            recovery_epoch=control["epoch"],
         )
         self.kernel.send_control(src_node, Control("recreate_ok", {
             "pid": control["pid"], "node": self.node_id,
         }))
 
     def _on_replay(self, control: Control, src_node: int) -> None:
-        self.kernel.inject_replay(control["message"], control.get("epoch", 0))
+        self.kernel.inject_replay(control["message"], control["epoch"])
 
     def _on_recovery_done(self, control: Control, src_node: int) -> None:
         self.kernel.finish_recovery(ProcessId(*control["pid"]),
-                                    control.get("epoch", 0))
+                                    control["epoch"])
 
     def _on_gossip_pull(self, control: Control, src_node: int) -> None:
         """Epidemic pull backup: supply any requested message this

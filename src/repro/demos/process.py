@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link, LinkTable
-from repro.demos.messages import DeliveredMessage
+from repro.demos.messages import DeliveredMessage, Message
 from repro.demos.queue import MessageQueue
 from repro.errors import ProcessError
 
@@ -240,6 +240,9 @@ class ProcessControlRecord:
     recovery_epoch: int = 0           # which recovery incarnation this is:
     # stale replay traffic from a superseded recovery process (§3.5)
     # carries an older epoch and is discarded.
+    held_live: Optional[List[Message]] = None   # §4.7 hand-back: None until
+    # this epoch's marker passes (live traffic is discarded), then the
+    # live traffic held for appending at recovery_done.
     # -- accounting for the §3.2.3 recovery-time model --------------------
     exec_ms_since_checkpoint: float = 0.0
     replay_bytes_since_checkpoint: int = 0

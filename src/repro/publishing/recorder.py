@@ -412,7 +412,7 @@ class Recorder:
                             uid=("rec", self.config.node_id, control.uid),
                             guaranteed=guaranteed)
 
-    def make_marker(self, pid: ProcessId, epoch: int = 0) -> Message:
+    def make_marker(self, pid: ProcessId, epoch: int) -> Message:
         """Build the recovery hand-back marker for ``pid`` — an ordinary
         published message whose position in the log marks the point after
         which the recovering node holds live traffic. The epoch lets the

@@ -12,6 +12,7 @@ from repro.errors import ProcessError
 
 from conftest import (
     CounterProgram,
+    DriverProgram,
     expected_totals,
     register_test_programs,
     run_counter_scenario,
@@ -162,10 +163,12 @@ def test_crash_node_clears_everything(two_node_system):
     system = two_node_system
     system.spawn_program("test/counter", node=1)
     system.run(200)
-    system.nodes[1].crash()
     kernel = system.nodes[1].kernel
+    pcbs = list(kernel.processes.values())
+    system.nodes[1].crash()
     assert not kernel.up
     assert kernel.processes == {}
+    assert {pcb.state for pcb in pcbs} == {ProcessState.DEAD}
     assert kernel.transport.queue_depth == 0
 
 
@@ -188,9 +191,32 @@ def test_a_process_whose_node_crashed_before_it_started_never_starts(
     assert system.program_of(counter_pid).seen == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known gap (ROADMAP item 10): crash_node clears the process table, "
-    "but handler work already queued on the node's CPU still runs"))
+@pytest.mark.parametrize("boundary", [1, 6])
+def test_a_process_crashed_before_it_started_never_runs_setup(boundary):
+    """A process crash between ``create_process`` and the queued start
+    leaves the pcb CRASHED; its ``setup`` must not run (it used to, and
+    the driver's first send went out from a crashed process)."""
+    setup_states = []
+
+    class Driver(DriverProgram):
+        def setup(self, ctx):
+            setup_states.append(self._ctx_kernel.processes[ctx.pid].state)
+            super().setup(ctx)
+
+    system = System(SystemConfig(nodes=2))
+    register_test_programs(system)
+    system.registry.register("test/driver", Driver)
+    system.boot()
+    counter_pid = system.spawn_program("test/counter", node=2)
+    driver_pid = system.spawn_program(
+        "test/driver", args=(tuple(counter_pid), 20), node=1)
+    system.engine.run(max_events=boundary)
+    system.crash_process(driver_pid)
+    system.run(120_000)
+    assert setup_states                 # the recovered driver did start
+    assert ProcessState.CRASHED not in setup_states
+
+
 def test_a_crashed_nodes_queued_handlers_do_not_run():
     system = System(SystemConfig(nodes=1))
     handled = []                  # (time, node up) per on_message

@@ -368,15 +368,15 @@ SURFACE_PINS = {
     ("broadcast", False):
         "db4e3f45c5c93666979a70591c378e3088b2a89c00e9c5c9decf0afc4a783804",
     ("csma_ethernet", False):
-        "984c6054d550ea5db1eb1d3fc25d10a38c1b3ef9a340d4a3e16b8c2f281488e7",
+        "4e755ca3915ec7b0979fe38c3a2e1e0dc52c980d226dc3211de595f736e0afb4",
     ("acking_ethernet", False):
         "db0911ef00da3cb4d6b964755359997b741dffc673c4d32577960dbd494ba0bb",
     ("token_ring", False):
         "164f294d00884230b304cc1367cb77a6bf9c211237cfa58437acb529643eb4f9",
     ("star", False):
-        "520444f8e4fc070853d95aa108ce241067c00ef1cd9b7140e9dc9ffec6ef0f8a",
+        "2b8dbac30bcb5141a34881248063a59a5aaee909575732022f52b97f83c9dc81",
     ("csma_ethernet", True):
-        "25ffde037ac35aaf004e488935fe086af5735cb9dbb491d080f53f00289958a0",
+        "5db4106d478b6a3f5d1b4f1cdde2767158c6ad6c8fe95252750d85e718bf0da4",
     # the ring's gossip hooks were inert before the media shared one rule
     ("token_ring", True):
         "9525a129f50efeb65b9345da80da091f0b884b28ddfcec872e796b9f9a994f72",
