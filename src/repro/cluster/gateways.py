@@ -54,7 +54,7 @@ from repro.errors import NetworkError
 from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import Observability, merge_event_streams, merge_snapshots
-from repro.sim.engine import Engine, EngineCore, PartitionChannel
+from repro.sim.engine import Engine, PartitionChannel
 from repro.system import System, SystemConfig, check_config, recorder_count
 
 #: First gateway/interface id; each gateway consumes two ids (near and
@@ -75,10 +75,10 @@ TOPOLOGIES = ("mesh", "ring")
 
 #: engine -> next standalone gateway id (ids are per-engine, not
 #: process-global, so construction history elsewhere cannot skew them)
-_engine_gateway_ids: "WeakKeyDictionary[EngineCore, int]" = WeakKeyDictionary()
+_engine_gateway_ids: "WeakKeyDictionary[Engine, int]" = WeakKeyDictionary()
 
 
-def _allocate_gateway_id(engine: EngineCore) -> int:
+def _allocate_gateway_id(engine: Engine) -> int:
     next_id = _engine_gateway_ids.get(engine, GATEWAY_ID_BASE)
     _engine_gateway_ids[engine] = next_id + 2
     return next_id
@@ -149,7 +149,7 @@ class GatewayForwarder:
     partition scheduler.
     """
 
-    def __init__(self, engine: EngineCore, far: Medium, gateway_id: int,
+    def __init__(self, engine: Engine, far: Medium, gateway_id: int,
                  retry_ms: float = GATEWAY_RETRY_MS,
                  max_retries: int = GATEWAY_MAX_RETRIES,
                  service_ms: float = 0.0,
@@ -273,7 +273,7 @@ class GatewayTap:
     """The near half: claims far-bound frames and stamps their
     forwarding time into a channel."""
 
-    def __init__(self, engine: EngineCore, near: Medium,
+    def __init__(self, engine: Engine, near: Medium,
                  far_nodes: Callable[[int], bool], channel,
                  forward_delay_ms: float, gateway_id: int,
                  obs: Optional[Observability] = None):
@@ -319,7 +319,7 @@ class _DirectChannel:
 
     __slots__ = ("engine", "deliver")
 
-    def __init__(self, engine: EngineCore, deliver: Callable[[Frame], None]):
+    def __init__(self, engine: Engine, deliver: Callable[[Frame], None]):
         self.engine = engine
         self.deliver = deliver
 
@@ -338,7 +338,7 @@ class Gateway:
     *slice* that only owns one side).
     """
 
-    def __init__(self, engine: EngineCore, near: Medium, far: Medium,
+    def __init__(self, engine: Engine, near: Medium, far: Medium,
                  far_nodes: Callable[[int], bool],
                  forward_delay_ms: float = 5.0,
                  retry_ms: float = GATEWAY_RETRY_MS,

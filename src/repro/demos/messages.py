@@ -126,7 +126,7 @@ class Control:
     * ``process_crashed`` — trap report to the recovery manager (§3.3.2);
     * ``checkpoint`` — a process checkpoint bound for the recorder;
     * ``read_order`` — out-of-order channel-read advisory (§4.4.2);
-    * ``recreate`` / ``recreate_ok`` — recovery restart request (§4.7);
+    * ``recreate`` — recovery restart request (§4.7);
     * ``replay`` — one published message re-sent to a recovering process;
     * ``recovery_done`` — recovery process signing off;
     * ``state_query`` / ``state_reply`` — recorder restart protocol (§3.3.4),

@@ -106,9 +106,6 @@ class Node:
             state_pages=control["state_pages"],
             recovery_epoch=control["epoch"],
         )
-        self.kernel.send_control(src_node, Control("recreate_ok", {
-            "pid": control["pid"], "node": self.node_id,
-        }))
 
     def _on_replay(self, control: Control, src_node: int) -> None:
         self.kernel.inject_replay(control["message"], control["epoch"])

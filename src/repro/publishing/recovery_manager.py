@@ -100,7 +100,6 @@ class RecoveryManager:
         recorder.on_control("alive_reply", self._on_alive_reply)
         recorder.on_control("process_crashed", self._on_process_crashed)
         recorder.on_control("state_reply", self._on_state_reply)
-        recorder.on_control("recreate_ok", lambda c, s: None)
 
     # ------------------------------------------------------------------
     # lifecycle

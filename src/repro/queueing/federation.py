@@ -75,10 +75,6 @@ class FederationShape:
         raise QueueingModelError(
             f"unknown federation topology {self.topology!r}")
 
-    @property
-    def directed_edges(self) -> int:
-        return self.clusters * self.out_degree
-
 
 @dataclass
 class FederationCapacityModel:

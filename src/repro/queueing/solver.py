@@ -28,10 +28,6 @@ class StationSolution:
     mean_wait_ms: float           # W, time in system
     saturated: bool
 
-    def queue_bytes(self, mean_message_bytes: float) -> float:
-        """Approximate buffer occupancy at this station."""
-        return self.mean_queue_length * mean_message_bytes
-
 
 def _erlang_c(servers: int, offered: float) -> float:
     """Erlang-C probability that an arrival waits (M/M/c)."""

@@ -8,7 +8,6 @@ drawn from named, seeded streams (:class:`~repro.sim.rng.RngStreams`).
 
 from repro.sim.engine import (
     Engine,
-    EngineCore,
     EventHandle,
     PartitionChannel,
     Signal,
@@ -17,7 +16,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "Engine",
-    "EngineCore",
     "EventHandle",
     "PartitionChannel",
     "Signal",

@@ -19,21 +19,18 @@ bit-identical. Components must draw randomness only from
 Hot-path layout (``tests/test_engine_equivalence.py`` pins the firing
 order against a naive reference implementation):
 
-* heap entries are ``(time, seq, handle)`` tuples, so ``heapq`` sifting
-  compares floats/ints in C instead of calling ``EventHandle.__lt__``;
-* fired and cancelled handles are recycled through a bounded free list
-  when the engine can prove (via the CPython reference count) that no
-  caller still holds them, so steady-state churn allocates no handles;
+* heap entries are ``(time, seq, handle)`` tuples with a unique ``seq``,
+  so ``heapq`` sifting compares floats/ints in C and never a handle;
+* each event is one :class:`EventHandle`, pushed by one method and
+  dispatched by one loop (:meth:`Engine.step` is ``run(max_events=1)``);
 * cancelled events are removed lazily, but when more than half of the
   heap is dead the engine compacts it in place, bounding both memory
   and the pop-side cleanup work.
 
-Partitioning: the heap/scheduling internals live in :class:`EngineCore`
-(:class:`Engine` adds the Signal/coroutine layer on top), so a
-federation can run one core per logical process (LP), each in its own
-OS process, advanced in safe windows by the pool master in
-:mod:`repro.parallel.des` — the conservative parallel-DES scheme where
-the only cross-LP edges are :class:`PartitionChannel`\\ s whose
+Partitioning: a federation can run one engine per logical process (LP),
+each in its own OS process, advanced in safe windows by the pool master
+in :mod:`repro.parallel.des` — the conservative parallel-DES scheme
+where the only cross-LP edges are :class:`PartitionChannel`\\ s whose
 ``lookahead_ms`` (a gateway's ``forward_delay_ms``, §6.2) bounds how far
 one LP's present can reach into another's future. See
 ``docs/PARALLEL_DES.md``.
@@ -41,7 +38,6 @@ one LP's present can reach into another's future. See
 
 from __future__ import annotations
 
-import sys
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -53,31 +49,18 @@ from repro.errors import SimulationError
 #: schedule into the past and still raises.
 NEGATIVE_DELAY_EPSILON_MS = 1e-9
 
-#: Free-list bound: enough to absorb any realistic in-flight burst
-#: without letting a pathological run hoard handles forever.
-_FREELIST_MAX = 1024
-
 #: Compact the heap only past this many dead entries (tiny heaps are
 #: cheaper to drain lazily than to rebuild).
 _COMPACT_MIN_CANCELLED = 64
 
-# CPython only; other implementations simply never recycle handles.
-_getrefcount = getattr(sys, "getrefcount", None)
-
 
 class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Handles are recycled through the engine's free list once the engine
-    proves no outside reference remains, so identity comparisons between
-    a fired handle and a later one are meaningless — hold the handle if
-    you intend to cancel it, and it will never be reused under you.
-    """
+    """A cancellable reference to a scheduled event."""
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_engine")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple, engine: Optional["EngineCore"] = None):
+                 args: tuple, engine: "Engine"):
         self.time = time
         self.seq = seq
         self.fn = fn
@@ -86,15 +69,13 @@ class EventHandle:
         self._engine = engine
 
     def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once."""
+        """Prevent the event from firing. Safe to call more than once,
+        and inert once the event has fired."""
         if not self.cancelled:
             self.cancelled = True
             engine = self._engine
             if engine is not None:
                 engine._note_cancel()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Signal:
@@ -122,14 +103,10 @@ class Signal:
         self._waiters.append(gen)
 
 
-class EngineCore:
-    """The heap/scheduling internals of the engine.
-
-    Everything a logical process needs to advance simulated time:
-    schedule / cancel / run / step over the ``(time, seq, handle)``
-    heap. :class:`Engine` layers the Signal and coroutine-activity API
-    on top.
-    """
+class Engine:
+    """A deterministic discrete-event simulation engine: schedule /
+    cancel / run over the ``(time, seq, handle)`` heap, plus Signals and
+    coroutine activities."""
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -138,7 +115,6 @@ class EngineCore:
         #: sift comparisons in C; seq is unique so the handle never
         #: participates in a comparison
         self._heap: List[Tuple[float, int, EventHandle]] = []
-        self._free: List[EventHandle] = []
         self._cancelled = 0       # dead entries still sitting in the heap
         self._running = False
         self._events_fired = 0
@@ -167,22 +143,7 @@ class EngineCore:
             else:
                 raise SimulationError(
                     f"cannot schedule into the past (delay={delay})")
-        seq = self._seq + 1
-        self._seq = seq
-        time = self._now + delay
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.fn = fn
-            handle.args = args
-            handle.cancelled = False
-            handle._engine = self
-        else:
-            handle = EventHandle(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, handle))
-        return handle
+        return self._push(self._now + delay, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute time ``time``."""
@@ -201,29 +162,19 @@ class EngineCore:
                 raise SimulationError(
                     f"cannot schedule into the past (at={time}, now={self._now})")
             time = self._now
-        seq = self._seq + 1
-        self._seq = seq
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.fn = fn
-            handle.args = args
-            handle.cancelled = False
-            handle._engine = self
-        else:
-            handle = EventHandle(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, handle))
-        return handle
+        return self._push(time, fn, args)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
         return self.schedule(0.0, fn, *args)
 
-    # ------------------------------------------------------------------
-    # cancellation bookkeeping
-    # ------------------------------------------------------------------
+    def _push(self, time: float, fn: Callable[..., Any], args: tuple) -> EventHandle:
+        seq = self._seq + 1
+        self._seq = seq
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, handle))
+        return handle
+
     def _note_cancel(self) -> None:
         """One more heap entry went dead; compact when the heap is
         mostly corpses. The compaction mutates the list in place so
@@ -236,20 +187,6 @@ class EngineCore:
             heapify(heap)
             self._cancelled = 0
 
-    def _recycle(self, handle: EventHandle) -> None:
-        """A handle just left the heap. Recycle it if nobody else can
-        still see it (three refs: caller's local, our parameter, and
-        getrefcount's argument); otherwise detach it from the engine so
-        a late ``cancel()`` from whoever holds it cannot skew the
-        dead-entry accounting."""
-        if (_getrefcount is not None and len(self._free) < _FREELIST_MAX
-                and _getrefcount(handle) == 3):
-            handle.fn = None
-            handle.args = ()
-            self._free.append(handle)
-        else:
-            handle._engine = None
-
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -261,8 +198,6 @@ class EngineCore:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
         heap = self._heap       # compaction mutates in place; alias is safe
-        free = self._free
-        getrefcount = _getrefcount
         fired = 0
         try:
             while heap:
@@ -270,31 +205,16 @@ class EngineCore:
                 if handle.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
-                    if (getrefcount is not None and len(free) < _FREELIST_MAX
-                            and getrefcount(handle) == 2):
-                        handle.fn = None
-                        handle.args = ()
-                        free.append(handle)
                     continue
                 time = handle.time
                 if until is not None and time > until:
                     break
                 heappop(heap)
                 self._now = time
-                fn = handle.fn
-                args = handle.args
-                # Recycle before dispatch: the callback's own schedules
-                # can then reuse the handle. Anyone still holding it
-                # (refcount > 2) keeps it out of the free list, and is
-                # detached instead so a late cancel() stays inert.
-                if (getrefcount is not None and len(free) < _FREELIST_MAX
-                        and getrefcount(handle) == 2):
-                    handle.fn = None
-                    handle.args = ()
-                    free.append(handle)
-                else:
-                    handle._engine = None
-                fn(*args)
+                # detached before dispatch, so a late cancel() from
+                # whoever holds the handle cannot skew the dead count
+                handle._engine = None
+                handle.fn(*handle.args)
                 self._events_fired += 1
                 fired += 1
                 if max_events is not None and fired >= max_events:
@@ -307,21 +227,9 @@ class EngineCore:
 
     def step(self) -> bool:
         """Dispatch a single event. Returns False if none are pending."""
-        heap = self._heap
-        while heap:
-            _time, _seq, handle = heappop(heap)
-            if handle.cancelled:
-                self._cancelled -= 1
-                self._recycle(handle)
-                continue
-            self._now = handle.time
-            fn = handle.fn
-            args = handle.args
-            self._recycle(handle)
-            fn(*args)
-            self._events_fired += 1
-            return True
-        return False
+        fired = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired != fired
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the heap (O(1): the
@@ -336,25 +244,17 @@ class EngineCore:
         """
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            _time, _seq, handle = heappop(heap)
+            heappop(heap)
             self._cancelled -= 1
-            self._recycle(handle)
         return heap[0][0] if heap else None
 
-
-class Engine(EngineCore):
-    """A deterministic discrete-event simulation engine.
-
-    :class:`EngineCore` plus the Signal and coroutine-activity layer.
-    """
-
+    # ------------------------------------------------------------------
+    # signals and coroutine activities
+    # ------------------------------------------------------------------
     def signal(self, name: str = "") -> Signal:
         """Create a :class:`Signal` bound to this engine."""
         return Signal(self, name)
 
-    # ------------------------------------------------------------------
-    # coroutine activities
-    # ------------------------------------------------------------------
     def spawn(self, gen: Generator, delay: float = 0.0) -> EventHandle:
         """Start a coroutine activity after ``delay`` ms.
 

@@ -1,8 +1,8 @@
 """Differential tests: the optimized engine vs a naive reference heap.
 
 The reference implementation lives *here*, in the test — a deliberately
-dumb list-of-records heap with none of the optimized engine's free-list
-reuse, tuple entries, or lazy-deletion compaction — so a bug that crept
+dumb list-of-records heap with none of the optimized engine's tuple
+entries or lazy-deletion compaction — so a bug that crept
 into both the engine and its benchmark baseline would still be caught.
 
 Property-based schedules (seeded random mixes of schedule / cancel /

@@ -366,20 +366,20 @@ class TestLegacyStatsAreRegistryViews:
 #: broadcast federations).
 SURFACE_PINS = {
     ("broadcast", False):
-        "db4e3f45c5c93666979a70591c378e3088b2a89c00e9c5c9decf0afc4a783804",
+        "2e5497de9428463ddc2b6306b1beda14687df70cb702b1bd3f8a5a810f2a0895",
     ("csma_ethernet", False):
-        "4e755ca3915ec7b0979fe38c3a2e1e0dc52c980d226dc3211de595f736e0afb4",
+        "52be3b9800a3027439817902900a9bfcffc859232fea9f572cdf7db0dfe6ef6b",
     ("acking_ethernet", False):
-        "db0911ef00da3cb4d6b964755359997b741dffc673c4d32577960dbd494ba0bb",
+        "9c040df45bee4e30eac4b4b3e8e620de69810143bb75339ba0ccf5b68d3535d8",
     ("token_ring", False):
-        "164f294d00884230b304cc1367cb77a6bf9c211237cfa58437acb529643eb4f9",
+        "0eb4bd0b9846fea23fcf44a9f2d4ab42237eeb56c65226661990f97707abe0e7",
     ("star", False):
-        "2b8dbac30bcb5141a34881248063a59a5aaee909575732022f52b97f83c9dc81",
+        "9afceb68b86f069447262a9b320fc67775e257744d63f9ff524e490aa9249bd6",
     ("csma_ethernet", True):
-        "5db4106d478b6a3f5d1b4f1cdde2767158c6ad6c8fe95252750d85e718bf0da4",
+        "8eee53ebedc7eb5c211cf31c052f4b652aef598f810a6af9fd0709a6921ca209",
     # the ring's gossip hooks were inert before the media shared one rule
     ("token_ring", True):
-        "9525a129f50efeb65b9345da80da091f0b884b28ddfcec872e796b9f9a994f72",
+        "8dbb0aa79ca60de74d7ce8b740b632cab16354749a2a79dd11697529b7cc4971",
 }
 
 

@@ -217,7 +217,7 @@ class TestNodeCrash:
     @pytest.mark.parametrize("window", [
         1,
         pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 1 (ii): a restarted node's transport numbers "
+            "ROADMAP item 1 (i): a restarted node's transport numbers "
             "its streams from 0 while its peers keep _expected_seq, so "
             "with transport_window > 1 its fresh segments are acked and "
             "dropped as stale duplicates — 12 of 40 replies, total 78 of "

@@ -198,3 +198,21 @@ def test_max_events_limit():
         engine.schedule(float(i), fired.append, i)
     engine.run(max_events=3)
     assert fired == [0, 1, 2]
+
+
+def test_step_is_one_dispatch_of_run():
+    engine = Engine()
+    fired = []
+    dead = engine.schedule(1.0, fired.append, "dead")
+    engine.schedule(2.0, fired.append, "live")
+    later = engine.schedule(3.0, fired.append, "later")
+    dead.cancel()
+    assert engine.step() is True          # skips the cancelled head
+    assert fired == ["live"] and engine.now == 2.0
+    later.cancel()
+    assert engine.step() is False         # only a cancelled entry is left
+    assert engine.pending() == 0 and engine.now == 2.0
+
+    engine.schedule(1.0, engine.step)     # step() inside run() is reentry
+    with pytest.raises(SimulationError, match="not reentrant"):
+        engine.run()
