@@ -55,7 +55,8 @@ from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
 from repro.obs import Observability, merge_event_streams, merge_snapshots
 from repro.sim.engine import Engine, PartitionChannel
-from repro.system import System, SystemConfig, check_config, recorder_count
+from repro.system import (RECORDER_ID_OFFSET, System, SystemConfig,
+                          check_config, recorder_count)
 
 #: First gateway/interface id; each gateway consumes two ids (near and
 #: far side). Cluster node ranges stay far below this.
@@ -489,7 +490,6 @@ class ClusterFederation:
         # the cluster's stride block, so they stay globally unique at
         # any cluster count (the old ``90 + index`` scheme collided with
         # node ranges beyond ~10 clusters). Cluster 0 keeps id 90.
-        from repro.cluster.placement import RECORDER_ID_OFFSET
         self.configs: List[SystemConfig] = []
         self._node_sets: List[Set[int]] = []
         for index, size in enumerate(cluster_sizes):

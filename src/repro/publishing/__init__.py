@@ -55,7 +55,6 @@ _EXPORTS = {
     "Recorder": "recorder",
     "RecorderConfig": "recorder",
     "RecoveryManager": "recovery_manager",
-    "PriorityVectors": "multi_recorder",
     "MultiRecorderCoordinator": "multi_recorder",
 }
 

@@ -32,12 +32,12 @@ or ``quorum.unresolved`` events always fire (see docs/ADVERSARY.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.demos.messages import Control
 from repro.digest import fold
-from repro.errors import QuorumDivergenceError, RecordCorruptionError, RecoveryError
+from repro.errors import QuorumDivergenceError, RecordCorruptionError
 from repro.publishing.store import payload_digest
 from repro.sim.engine import Engine
 
@@ -48,36 +48,19 @@ ANSWER_TIMEOUT_MS = 800.0
 REQUERY_INTERVAL_MS = 4000.0
 
 
-@dataclass
-class PriorityVectors:
-    """V_i for every processing node: recorder node ids, highest first."""
-
-    vectors: Dict[int, List[int]] = field(default_factory=dict)
-
-    def for_node(self, node_id: int) -> List[int]:
-        try:
-            return self.vectors[node_id]
-        except KeyError:
-            raise RecoveryError(f"no priority vector for node {node_id}") from None
-
-    def higher_priority(self, node_id: int, recorder_id: int) -> List[int]:
-        """Recorders ranked above ``recorder_id`` for ``node_id``."""
-        vector = self.for_node(node_id)
-        if recorder_id not in vector:
-            return list(vector)
-        return vector[: vector.index(recorder_id)]
-
-
 class MultiRecorderCoordinator:
     """The per-recorder side of the §6.3 protocol.
 
     Wired to a :class:`RecoveryManager` through ``manager.coordinator``
     (:class:`~repro.system.System` does it for every recorder of a
     ``replica`` layout); the manager consults :meth:`claim` before
-    recovering a silent node.
+    recovering a silent node. ``vectors`` maps each processing node id
+    to its V_i, recorder node ids highest priority first; every
+    recorder of a cluster shares the one dict.
     """
 
-    def __init__(self, engine: Engine, manager, vectors: PriorityVectors):
+    def __init__(self, engine: Engine, manager,
+                 vectors: Dict[int, List[int]]):
         self.engine = engine
         self.manager = manager
         self.recorder = manager.recorder
@@ -103,7 +86,8 @@ class MultiRecorderCoordinator:
         negotiation activity is spawned and False is returned — the node
         will still be recovered, by whoever wins.
         """
-        higher = self.vectors.higher_priority(node_id, self.my_id)
+        vector = self.vectors[node_id]
+        higher = vector[:vector.index(self.my_id)]
         if not higher:
             return True
         if node_id not in self._negotiating:

@@ -100,7 +100,6 @@ class Recorder:
 
     def __init__(self, engine: Engine, medium: Medium,
                  config: Optional[RecorderConfig] = None,
-                 stable: Optional[StableStorage] = None,
                  obs: Optional[Observability] = None):
         self.engine = engine
         self.medium = medium
@@ -109,12 +108,9 @@ class Recorder:
         #: medium's, so recorder figures share the registry either way
         self.obs = obs if obs is not None else medium.obs
         self.events = self.obs.scope("recorder")
-        self.stable = stable or StableStorage()
-        db = self.stable.get("db")
-        if db is None:
-            db = RecorderDatabase(SegmentedLog(self.config.segment_records))
-            self.stable.put("db", db)
-        self.db: RecorderDatabase = db
+        self.stable = StableStorage(
+            RecorderDatabase(SegmentedLog(self.config.segment_records)))
+        self.db: RecorderDatabase = self.stable.db
         self.disks = DiskArray(engine)
         # Compaction passes charge their read/write traffic to this
         # recorder's modeled disks (§4.5).
@@ -133,10 +129,10 @@ class Recorder:
         #: the record path feeds the coordinator's gap tracker and
         #: gossip supplies are applied through :meth:`record_repair`.
         self.gossip = None
-        #: sharded-placement claim predicate (cluster.placement): maps a
-        #: destination node id to whether this recorder stores records
-        #: for it. None claims everything — the single-recorder §3.3
-        #: behaviour, byte-identical to the pre-sharding code path.
+        #: sharded-placement claim predicate (``Placement.claim_of``):
+        #: maps a destination node id to whether this recorder stores
+        #: records for it. None claims everything — the single-recorder
+        #: §3.3 behaviour, byte-identical to the pre-sharding code path.
         self.claim: Optional[Callable[[int], bool]] = None
         #: adversary stages (chaos.adversary), in the order armed: every
         #: record this recorder logs — a confirmed delivery or a gossip
@@ -454,7 +450,7 @@ class Recorder:
         restart_number = self.stable.begin_restart()
         self.up = True
         self.transport.restart()
-        self.db = self.stable.get("db")
+        self.db = self.stable.db
         self.db.log.attach_io(self.disks.submit)
         self.events.emit("restart", "recorder", restart_number=restart_number)
         return restart_number

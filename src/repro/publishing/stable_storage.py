@@ -2,64 +2,37 @@
 
 "Information is preserved across a crash in a non-volatile storage
 facility, that is, one that has low probability of being altered by the
-crash." The recorder keeps three durable things here:
+crash." The recorder keeps two durable things here:
 
-* the published message log and checkpoints (on the disk model);
+* its database — "just a summary of the information that appears on
+  disk": the published message log and checkpoints (§4.5);
 * the restart counter of §3.4, incremented on every recorder restart so
-  stale state replies can be recognised and ignored;
-* the battery-backed write buffer contents (§3.3.4's "solid state
-  memories ... powered for hours using inexpensive batteries").
+  stale state replies can be recognised and ignored.
 
-The Python objects in a :class:`StableStorage` deliberately survive
-``Recorder.crash()`` — that is the point of stable storage — while
-everything the recorder holds outside it is dropped.
+A :class:`StableStorage` deliberately survives ``Recorder.crash()`` —
+that is the point of stable storage — while everything the recorder
+holds outside it, the partly filled page buffer included, is dropped.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING
 
-from repro.errors import StorageError
+if TYPE_CHECKING:
+    from repro.publishing.database import RecorderDatabase
 
 
 class StableStorage:
-    """A durable key-value store with a restart counter."""
+    """The recorder's database and its restart counter."""
 
-    def __init__(self) -> None:
-        self._data: Dict[str, Any] = {}
-        self._restart_number = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------
-    def put(self, key: str, value: Any) -> None:
-        """Durably store ``value`` under ``key`` (overwriting)."""
-        self._data[key] = value
-        self.writes += 1
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Read a stored value."""
-        return self._data.get(key, default)
-
-    def delete(self, key: str) -> None:
-        """Remove a key if present."""
-        self._data.pop(key, None)
-
-    def keys(self, prefix: str = "") -> list:
-        """All stored keys with the given prefix, sorted."""
-        return sorted(k for k in self._data if k.startswith(prefix))
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    # ------------------------------------------------------------------
-    @property
-    def restart_number(self) -> int:
-        """The current restart epoch (§3.4)."""
-        return self._restart_number
+    def __init__(self, db: RecorderDatabase) -> None:
+        self.db = db
+        #: the current restart epoch (§3.4)
+        self.restart_number = 0
 
     def begin_restart(self) -> int:
         """Increment and return the restart counter — called at the start
         of every recorder restart, so responses belonging to a previous
         restart attempt carry a stale number and are discarded."""
-        self._restart_number += 1
-        return self._restart_number
+        self.restart_number += 1
+        return self.restart_number

@@ -6,8 +6,8 @@ gateway-bridged federation:
 * each cluster is the familiar three-station model — network, recorder
   CPU, recorder disks — at its share of the total user population, with
   the recorder's stations widened into **parallel servers** when the
-  cluster shards its recorder (``cluster.placement``): k claim-filtered
-  shards split the per-message CPU and disk work k ways;
+  cluster shards its recorder (:func:`repro.system.place`): k
+  claim-filtered shards split the per-message CPU and disk work k ways;
 * every directed **gateway edge** is one more single-server FIFO
   station whose service time is the uplink serialisation time
   (``GatewayForwarder.service_ms``) and whose arrival rate is the

@@ -36,7 +36,7 @@ from repro.demos.sysprocs import (
     NamedLinkServer,
     ProcessManager,
 )
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, PlacementError, ReproError
 from repro.net import MEDIA, build_medium, medium_class
 from repro.net.faults import FaultPlan
 from repro.net.frames import DeadLetter
@@ -71,15 +71,15 @@ class SystemConfig:
     #: a key of :data:`repro.net.MEDIA`
     medium: str = "broadcast"
     recorder_node_id: int = 99
-    #: recorders (cluster.placement): 1 keeps the single §3.3
-    #: recorder, byte-identical to the pre-sharding behaviour; >1
-    #: builds one recorder + recovery manager per placed shard, with
-    #: recorder j attached at ``recorder_node_id + j``
+    #: recorders (:func:`place`): 1 keeps the single §3.3 recorder,
+    #: byte-identical to the pre-sharding behaviour; >1 builds one
+    #: recorder + recovery manager per placed shard, with recorder j
+    #: attached at ``recorder_node_id + j``
     recorder_shards: int = 1
     #: recorder layout policy: "range" (that many claim-filtered
     #: recorders splitting the node range) or "replica" (§6.3: that
     #: many recorders each recording everything, priority-vector
-    #: takeover, majority replay from three up; see cluster.placement)
+    #: takeover, majority replay from three up)
     placement_policy: str = "range"
     master_seed: int = 1983
     publish_path: str = "media_tap"
@@ -122,11 +122,101 @@ class SystemConfig:
     gossip_loss_rate: float = 0.0
 
 
+#: a federated cluster's shard 0 sits at ``first_node_id +
+#: RECORDER_ID_OFFSET``, shard j at the next id up; with the federation
+#: node stride of 100 this keeps the single-recorder id 90 for cluster 0
+RECORDER_ID_OFFSET = 89
+
+
+@dataclass(frozen=True)
+class RecorderShard:
+    """One recorder: its network id and the node ids ``[lo, hi)`` whose
+    recoveries its manager watches."""
+
+    index: int      # 0 = the primary, the recorder kernels address
+    node_id: int
+    lo: int
+    hi: int
+
+
+@dataclass(frozen=True)
+class Placement:
+    """A cluster's recorder layout, pure data: every engine, worker
+    process and model that places one configuration gets an equal value.
+    """
+
+    #: §6.3: every recorder records (and may recover) every node
+    replicated: bool
+    first_node_id: int
+    nodes: int
+    shards: Tuple[RecorderShard, ...]
+
+    def shard_for(self, node_id: int) -> RecorderShard:
+        """The first shard whose range holds ``node_id``."""
+        for shard in self.shards:
+            if shard.lo <= node_id < shard.hi:
+                return shard
+        raise PlacementError(
+            f"node {node_id} is outside the placement "
+            f"[{self.first_node_id}, {self.first_node_id + self.nodes})")
+
+    def claim_of(self, shard_index: int) -> Optional[Callable[[int], bool]]:
+        """The claim predicate installed on shard ``shard_index``'s
+        recorder (:attr:`repro.publishing.recorder.Recorder.claim`);
+        None — claim everything — for a lone recorder and for replicas.
+
+        A shard claims destinations inside its own range; the primary
+        also claims every destination *outside* the cluster's node range
+        — gateway-bound cross-cluster traffic — so one recorder per
+        cluster holds the passive log a remote recovery replays.
+        """
+        if self.replicated or len(self.shards) == 1:
+            return None
+        shard = self.shards[shard_index]
+        lo, hi = shard.lo, shard.hi
+        if shard_index:
+            return lambda node_id: lo <= node_id < hi
+        first, limit = self.first_node_id, self.first_node_id + self.nodes
+        return lambda node_id: (lo <= node_id < hi
+                                or not first <= node_id < limit)
+
+
+def place(c: SystemConfig) -> Placement:
+    """The recorder layout of ``c``: ``recorder_shards`` recorders at
+    consecutive ids from ``recorder_node_id``.
+
+    "range" splits the node range into contiguous slices, shard j
+    taking ``[first + j*n//k, first + (j+1)*n//k)`` (widths differ by
+    at most one), and never places more shards than nodes. "replica"
+    gives every recorder the whole range; its count is the availability
+    wanted, so it is not capped: 2f+1 replicas outvote f Byzantine ones
+    on a two-node cluster.
+    """
+    if c.placement_policy not in ("range", "replica"):
+        raise PlacementError(f"unknown placement policy {c.placement_policy!r} "
+                             "(expected 'range' or 'replica')")
+    if c.recorder_shards < 1:
+        raise PlacementError("a cluster needs at least one recorder shard, "
+                             f"got {c.recorder_shards}")
+    if c.nodes < 1:
+        raise PlacementError("a cluster needs at least one node to place over")
+    first, nodes, base = c.first_node_id, c.nodes, c.recorder_node_id
+    replicated = c.placement_policy == "replica"
+    count = c.recorder_shards if replicated else min(c.recorder_shards, nodes)
+    if base < first + nodes and first < base + count:
+        raise PlacementError(
+            f"recorder ids [{base}, {base + count}) collide with the "
+            f"node range [{first}, {first + nodes})")
+    return Placement(replicated, first, nodes, tuple(
+        RecorderShard(j, base + j, first, first + nodes) if replicated else
+        RecorderShard(j, base + j, first + j * nodes // count,
+                      first + (j + 1) * nodes // count)
+        for j in range(count)))
+
+
 def recorder_count(c: SystemConfig) -> int:
     """How many recorders the configured layout places (0: none)."""
-    from repro.cluster.placement import policy_from_name
-    return policy_from_name(c.placement_policy, shards=c.recorder_shards
-                            ).shard_count(c.nodes) if c.publishing else 0
+    return len(place(c).shards) if c.publishing else 0
 
 
 #: The one table of what does not compose, checked before anything is
@@ -205,10 +295,10 @@ class System:
         self._partitions: List[object] = []
         self.recorder: Optional[Recorder] = None
         self.recovery: Optional[RecoveryManager] = None
-        #: the recorder layout (cluster.placement) and one recorder /
-        #: recovery manager per placed shard; ``recorder`` / ``recovery``
-        #: are the primary's (index 0)
-        self.placement = None
+        #: the recorder layout and one recorder / recovery manager per
+        #: placed shard; ``recorder`` / ``recovery`` are the primary's
+        #: (index 0)
+        self.placement = place(self.config)
         self.recorders: List[Recorder] = []
         self.recoveries: List[RecoveryManager] = []
         #: the replicas' shared majority vote (three or more replicas)
@@ -264,24 +354,18 @@ class System:
         )
 
     def _build_recorders(self) -> None:
-        """Place (cluster.placement), then build one recorder + recovery
-        manager per placed shard. A sharded layout claim-filters each
-        recorder to its slice and has shard 0, the primary — which
-        also claims cross-cluster traffic and receives the kernels'
-        crash reports — dispatch each report to the owning shard's
-        manager. A replicated layout (§6.3) leaves every recorder
-        recording everything and gives each manager a coordinator over
-        the placement's priority vectors; from three replicas up
-        (f >= 1) recoveries replay the cross-recorder majority."""
-        from repro.cluster.placement import (
-            placement_priority_vectors,
-            policy_from_name,
-        )
+        """Build one recorder + recovery manager per placed shard. A
+        sharded layout claim-filters each recorder to its slice and has
+        shard 0, the primary — which also claims cross-cluster traffic
+        and receives the kernels' crash reports — dispatch each report
+        to the owning shard's manager. A replicated layout (§6.3) leaves
+        every recorder recording everything and gives each manager a
+        coordinator over one shared table of priority vectors, V_i
+        ranking the replicas by index for every node; from three
+        replicas up (f >= 1) recoveries replay the cross-recorder
+        majority."""
         cfg = self.config
-        placement = self.placement = policy_from_name(
-            cfg.placement_policy, shards=cfg.recorder_shards).place(
-                cluster_index=0, first_node_id=cfg.first_node_id,
-                nodes=cfg.nodes, recorder_base=cfg.recorder_node_id)
+        placement = self.placement
         if not cfg.publishing:
             return
         for shard in placement.shards:
@@ -301,7 +385,9 @@ class System:
         if placement.replicated:
             from repro.publishing.multi_recorder import (
                 MultiRecorderCoordinator, QuorumReplay)
-            vectors = placement_priority_vectors(placement)
+            replicas = [shard.node_id for shard in placement.shards]
+            vectors = {node: list(replicas) for node in range(
+                cfg.first_node_id, cfg.first_node_id + cfg.nodes)}
             if len(self.recorders) >= 3:
                 self.quorum = QuorumReplay(self.recorders)
             for manager in self.recoveries:
@@ -324,7 +410,7 @@ class System:
         for shard in placement.shards:
             registry.gauge_fn(
                 f"recorder.placement.shard.{shard.node_id}.nodes",
-                lambda _s=shard: _s.width)
+                lambda _s=shard: _s.hi - _s.lo)
         # Every recorder and manager registered these on the one shared
         # registry and the last registration won; a cluster's figure is
         # the sum over its recorders.

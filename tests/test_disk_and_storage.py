@@ -116,23 +116,10 @@ class TestPageBuffer:
 
 
 class TestStableStorage:
-    def test_put_get_delete(self):
-        stable = StableStorage()
-        stable.put("k", [1, 2])
-        assert stable.get("k") == [1, 2]
-        assert "k" in stable
-        stable.delete("k")
-        assert stable.get("k", "gone") == "gone"
-
-    def test_keys_prefix(self):
-        stable = StableStorage()
-        stable.put("ckpt/1", "a")
-        stable.put("ckpt/2", "b")
-        stable.put("log/1", "c")
-        assert stable.keys("ckpt/") == ["ckpt/1", "ckpt/2"]
-
     def test_restart_counter_monotone(self):
-        stable = StableStorage()
+        db = object()
+        stable = StableStorage(db)
+        assert stable.db is db
         assert stable.restart_number == 0
         assert stable.begin_restart() == 1
         assert stable.begin_restart() == 2

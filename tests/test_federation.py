@@ -20,22 +20,17 @@ Three contracts pinned here:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import SystemConfig
+from repro import System, SystemConfig
 from repro.chaos import (
     GatewayPartition,
     InterclusterPartition,
     action_from_dict,
 )
 from repro.cluster import ClusterFederation
-from repro.cluster.placement import (
-    RECORDER_ID_OFFSET,
-    RangeShardPolicy,
-    placement_priority_vectors,
-    policy_from_name,
-)
 from repro.errors import ConfigError, PlacementError
 from repro.parallel.des import DesScenario, run_pooled, run_serial
 from repro.publishing.multi_recorder import process_state_digest
+from repro.system import RECORDER_ID_OFFSET, place
 
 from conftest import CounterProgram, DriverProgram
 
@@ -65,13 +60,18 @@ def wait_replies(fed, cluster, driver_pid, n, max_ms=240_000):
 # ----------------------------------------------------------------------
 # placement units
 # ----------------------------------------------------------------------
+def range_shards(shards, nodes, first_node_id=1, recorder_node_id=90):
+    return place(SystemConfig(nodes=nodes, first_node_id=first_node_id,
+                              recorder_node_id=recorder_node_id,
+                              recorder_shards=shards))
+
+
 class TestPlacementPolicies:
     def test_range_policy_splits_the_node_range_exactly(self):
-        placement = RangeShardPolicy(shards=3).place(
-            cluster_index=0, first_node_id=1, nodes=10, recorder_base=90)
+        placement = range_shards(3, nodes=10)
         assert [(s.lo, s.hi) for s in placement.shards] == \
             [(1, 4), (4, 7), (7, 11)]
-        assert placement.recorder_ids() == (90, 91, 92)
+        assert [s.node_id for s in placement.shards] == [90, 91, 92]
         for node in range(1, 11):
             shard = placement.shard_for(node)
             assert shard.lo <= node < shard.hi
@@ -80,38 +80,42 @@ class TestPlacementPolicies:
     def test_primary_shard_claims_foreign_nodes(self):
         """Cross-cluster traffic has no local owner; the primary claims
         it so remote recovery has a passive log to replay from."""
-        placement = RangeShardPolicy(shards=2).place(
-            cluster_index=0, first_node_id=1, nodes=4, recorder_base=90)
+        placement = range_shards(2, nodes=4)
         assert placement.claim_of(0)(101)        # primary: yes
         assert not placement.claim_of(1)(101)    # sibling: no
 
-    def test_policy_from_name_rejects_unknown(self):
+    @pytest.mark.parametrize("config", [
+        SystemConfig(placement_policy="hashring"),
+        SystemConfig(recorder_shards=0),
+        SystemConfig(nodes=0),
+    ], ids=["unknown_policy", "no_shard", "no_node"])
+    def test_an_incoherent_layout_is_rejected(self, config):
         with pytest.raises(PlacementError):
-            policy_from_name("hashring")
+            place(config)
 
-    def test_colliding_recorder_ids_are_rejected(self):
+    @pytest.mark.parametrize("config", [
+        SystemConfig(nodes=8, recorder_node_id=4, recorder_shards=2),
+        # replica ids 4-7 around the whole node range 5-6
+        SystemConfig(nodes=2, first_node_id=5, recorder_node_id=4,
+                     recorder_shards=4, placement_policy="replica"),
+    ], ids=["end_inside", "around"])
+    def test_colliding_recorder_ids_are_rejected(self, config):
         with pytest.raises(PlacementError):
-            RangeShardPolicy(shards=2).place(
-                cluster_index=0, first_node_id=1, nodes=8, recorder_base=4)
-
-    def test_priority_vectors_rank_the_owning_shard_first(self):
-        placement = RangeShardPolicy(shards=2).place(
-            cluster_index=0, first_node_id=1, nodes=4, recorder_base=90)
-        vectors = placement_priority_vectors(placement)
-        assert vectors.for_node(1)[0] == 90      # nodes 1-2 -> shard 0
-        assert vectors.for_node(3)[0] == 91      # nodes 3-4 -> shard 1
+            place(config)
+        with pytest.raises(PlacementError):
+            System(config)
 
     @given(st.integers(1, 60), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_placement_is_byte_deterministic(self, nodes, shards):
-        place = lambda: RangeShardPolicy(shards=shards).place(
-            cluster_index=2, first_node_id=201, nodes=nodes,
-            recorder_base=201 + RECORDER_ID_OFFSET)
-        first, second = place(), place()
+        layout = lambda: range_shards(
+            shards, nodes, first_node_id=201,
+            recorder_node_id=201 + RECORDER_ID_OFFSET)
+        first, second = layout(), layout()
         assert first == second
         # every node is claimed by exactly one shard
         for node in range(201, 201 + nodes):
-            owners = [s.index for s in first.shards if s.claims_node(node)]
+            owners = [s.index for s in first.shards if s.lo <= node < s.hi]
             assert len(owners) == 1
 
 

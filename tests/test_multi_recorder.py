@@ -1,27 +1,23 @@
 """Multi-recorder configurations (§6.3): all-recorder acknowledgement,
 priority-vector recovery coordination, and takeover on recorder death."""
 
-import pytest
-
 from repro import System, SystemConfig
-from repro.publishing.multi_recorder import PriorityVectors
-from repro.errors import RecoveryError
 
 from conftest import expected_totals, register_test_programs
 
 
 def build_dual_recorder_system(recorders=2, node_2_ranks=(91, 90)):
     """Replicated recorders (90, 91, ...), two nodes (1, 2), full
-    publishing — through the one builder. The placement ranks the
-    recorders by index for every node; node 2's vector is overridden
+    publishing — through the one builder. System ranks the recorders
+    by index for every node; node 2's vector is overridden
     unless ``node_2_ranks`` is None (the coordinators share the one
-    vectors object)."""
+    vectors dict)."""
     system = System(SystemConfig(nodes=2, recorder_node_id=90,
                                  recorder_shards=recorders,
                                  placement_policy="replica"))
     register_test_programs(system)
     if node_2_ranks is not None:
-        system.recovery.coordinator.vectors.vectors[2] = list(node_2_ranks)
+        system.recovery.coordinator.vectors[2] = list(node_2_ranks)
     system.boot()
     return system
 
@@ -39,22 +35,6 @@ def run_until(system, done, deadline_ms):
     deadline = system.engine.now + deadline_ms
     while system.engine.now < deadline and not done():
         system.run(1000)
-
-
-class TestPriorityVectors:
-    def test_higher_priority_list(self):
-        vectors = PriorityVectors({1: [90, 91, 92]})
-        assert vectors.higher_priority(1, 90) == []
-        assert vectors.higher_priority(1, 91) == [90]
-        assert vectors.higher_priority(1, 92) == [90, 91]
-
-    def test_unknown_node_raises(self):
-        with pytest.raises(RecoveryError):
-            PriorityVectors({}).for_node(5)
-
-    def test_recorder_not_in_vector_defers_to_all(self):
-        vectors = PriorityVectors({1: [90, 91]})
-        assert vectors.higher_priority(1, 99) == [90, 91]
 
 
 class TestDualRecorders:
@@ -106,7 +86,7 @@ class TestDualRecorders:
         lands exactly."""
         system = build_dual_recorder_system(recorders=3, node_2_ranks=None)
         vectors = system.recovery.coordinator.vectors
-        assert vectors.for_node(2) == [90, 91, 92]
+        assert vectors[2] == [90, 91, 92]
         managers = system.recoveries
         counter_pid, driver_pid = spawn_pair(system, n=40)
         system.run(600)

@@ -28,8 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the ``repro`` modules of ``System(SystemConfig())`` booted and run
 DEFAULT_RUN = {
-    "repro", "repro.cluster", "repro.cluster.gateways",
-    "repro.cluster.placement", "repro.costs", "repro.demos",
+    "repro", "repro.costs", "repro.demos",
     "repro.demos.ids", "repro.demos.kernel", "repro.demos.kernel_process",
     "repro.demos.links", "repro.demos.messages", "repro.demos.node",
     "repro.demos.process", "repro.demos.queue", "repro.demos.sysprocs",
@@ -90,6 +89,8 @@ def test_a_default_run_loads_its_pinned_modules_and_no_openssl():
      {"repro.publishing.multi_recorder", "repro.digest"}),
     ("", "import repro.queueing.workload",
      {"repro.queueing", "repro.queueing.workload"}),
+    ("", "from repro.cluster import ClusterFederation",
+     {"repro.cluster", "repro.cluster.gateways"}),
 ])
 def test_each_configuration_delta_adds_exactly_its_own_modules(
         config, then, added):

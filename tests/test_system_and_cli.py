@@ -167,7 +167,7 @@ class TestCheckpointPolicyConfig:
 class TestRecorderLayouts:
     def test_one_recorder_is_the_paper_as_published(self):
         system = System(SystemConfig(nodes=2))
-        assert system.placement.recorder_ids() == (99,)
+        assert [s.node_id for s in system.placement.shards] == [99]
         assert system.recorders == [system.recorder]
         assert system.recorder.claim is None
         assert system.recovery.coordinator is None and system.quorum is None
@@ -178,14 +178,14 @@ class TestRecorderLayouts:
         system = System(SystemConfig(nodes=2, recorder_node_id=90,
                                      recorder_shards=3,
                                      placement_policy="replica"))
-        assert system.placement.recorder_ids() == (90, 91, 92)
+        assert [s.node_id for s in system.placement.shards] == [90, 91, 92]
         assert [r.claim for r in system.recorders] == [None] * 3
         assert [m.node_ids for m in system.recoveries] == [[1, 2]] * 3
         vectors = system.recovery.coordinator.vectors
         assert all(m.coordinator.vectors is vectors
                    and m.coordinator.quorum is system.quorum
                    for m in system.recoveries)
-        assert vectors.for_node(1) == vectors.for_node(2) == [90, 91, 92]
+        assert vectors == {1: [90, 91, 92], 2: [90, 91, 92]}
         assert system.quorum.f == 1
         assert system.metrics_snapshot()["recorder.placement.shards"] == 3
 
