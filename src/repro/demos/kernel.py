@@ -29,8 +29,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import costs
 from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
 from repro.demos.links import Link, LinkTable
-from repro.demos.messages import (DEFAULT_BODY_BYTES, Control,
-                                  DeliveredMessage, Message)
+from repro.demos.messages import (DEFAULT_BODY_BYTES, Checkpoint, Control,
+                                  DeliveredMessage, Message, ProcessCreated,
+                                  ProcessCrashed, ProcessDestroyed, ReadOrder)
 from repro.demos.process import (
     ProcessControlRecord,
     ProcessState,
@@ -179,7 +180,8 @@ class MessageKernel:
                            f"kernel.{node_id}.cpu")
         self.processes: Dict[ProcessId, ProcessControlRecord] = {}
         self._control_seq = 0
-        self.control_handlers: Dict[str, Callable[[Control, int], None]] = {}
+        #: control record class -> handler(record, src_node)
+        self.control_handlers: Dict[type, Callable[[tuple, int], None]] = {}
         #: handler for DELIVERTOKERNEL messages, set by the kernel process
         self.dtk_handler: Optional[Callable[[Message], None]] = None
         self.up = True
@@ -231,12 +233,9 @@ class MessageKernel:
                             state_pages)
         self.events.emit("process", pid, event="created", image=image)
         if self.config.publishing:
-            self.send_control_to_recorder(Control("process_created", {
-                "pid": pid, "image": image, "args": args,
-                "initial_links": tuple(initial_links),
-                "recoverable": recoverable, "state_pages": state_pages,
-                "node": self.node_id,
-            }))
+            self.send_control_to_recorder(ProcessCreated(
+                pid, self.node_id, image, args, tuple(initial_links),
+                recoverable, state_pages))
         ctx = ProcessContext(self, pcb)
         self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
                      self._start_program, pcb, ctx)
@@ -258,8 +257,7 @@ class MessageKernel:
         self.cpu.charge(costs.DESTROY_PROCESS_CPU_MS)
         self.events.emit("process", pid, event="destroyed")
         if notify_recorder and self.config.publishing:
-            self.send_control_to_recorder(Control("process_destroyed",
-                                                  {"pid": pid, "node": self.node_id}))
+            self.send_control_to_recorder(ProcessDestroyed(pid, self.node_id))
 
     # ------------------------------------------------------------------
     # kernel calls
@@ -361,7 +359,7 @@ class MessageKernel:
             return False        # §6.6.1: don't pay for the unrecoverable
         return True
 
-    def send_control(self, dst_node: int, control: Control,
+    def send_control(self, dst_node: int, control: tuple,
                      guaranteed: bool = True, size_bytes: int = 64) -> None:
         """Send a kernel-level control datagram to another node."""
         self._control_seq += 1
@@ -369,7 +367,7 @@ class MessageKernel:
                             uid=("ctl", self.node_id, self._control_seq),
                             guaranteed=guaranteed)
 
-    def send_control_to_recorder(self, control: Control,
+    def send_control_to_recorder(self, control: tuple,
                                  guaranteed: bool = True,
                                  size_bytes: int = 64) -> None:
         """Send a control to the recorder node, if one is configured."""
@@ -391,12 +389,12 @@ class MessageKernel:
             self.cpu.charge(costs.NET_PROTOCOL_RECV_CPU_MS
                             if self.config.publishing else 0.0)
             self.deliver_local(body)
-        elif isinstance(body, Control):
-            handler = self.control_handlers.get(body.kind)
+        else:
+            handler = self.control_handlers.get(type(body))
             if handler is not None:
                 handler(body, segment.src_node)
-        else:
-            raise KernelError(f"unroutable segment body: {body!r}")
+            elif not isinstance(body, Control):
+                raise KernelError(f"unroutable segment body: {body!r}")
 
     def deliver_local(self, message: Message) -> None:
         """Hand an arriving message to its destination on this node."""
@@ -466,11 +464,9 @@ class MessageKernel:
             # tell the recorder which message was read and which was at
             # the head of the queue.
             head = pcb.queue.head()
-            self.send_control_to_recorder(Control("read_order", {
-                "pid": pcb.pid,
-                "read": message.msg_id,
-                "head": head.msg_id if head is not None else None,
-            }))
+            self.send_control_to_recorder(ReadOrder(
+                pcb.pid, message.msg_id,
+                head.msg_id if head is not None else None))
         pcb.busy = True
         self.cpu.run(costs.RECV_CPU_MS, self._invoke_handler, pcb, message)
 
@@ -571,11 +567,8 @@ class MessageKernel:
         self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * pages)
         size = pages * costs.CHECKPOINT_PAGE_BYTES
         self.send_control_to_recorder(
-            Control("checkpoint", {
-                "pid": pid, "data": checkpoint, "consumed": pcb.consumed,
-                "dtk_processed": pcb.dtk_processed,
-                "send_seq": pcb.send_seq, "pages": pages,
-            }),
+            Checkpoint(pid, checkpoint, pcb.consumed, pcb.dtk_processed,
+                       pcb.send_seq, pages),
             size_bytes=min(size, costs.CHECKPOINT_PAGE_BYTES))
         pcb.exec_ms_since_checkpoint = 0.0
         pcb.replay_bytes_since_checkpoint = 0
@@ -595,9 +588,8 @@ class MessageKernel:
         pcb.state = ProcessState.CRASHED
         pcb.queue.clear()
         self.events.emit("crash", pid, scope="process")
-        self.send_control_to_recorder(Control("process_crashed", {
-            "pid": pid, "node": self.node_id, "error": "fault",
-        }))
+        self.send_control_to_recorder(
+            ProcessCrashed(pid, self.node_id, "fault"))
 
     def crash_node(self) -> None:
         """The whole processor fails: every process and all volatile

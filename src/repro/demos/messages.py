@@ -6,20 +6,39 @@ information needed to route the message to the correct process. These
 fields are obtained from the link over which the message is sent"
 (§4.2.2.3).
 
-A :class:`Control` is not a DEMOS message: it is kernel↔kernel /
-kernel↔recorder protocol (watchdog pings, creation notices, checkpoints,
-recreate and replay traffic). Controls ride the same transport but are
-handled below the process level and — except where noted — are not
-published.
+A control datagram is not a DEMOS message: it is kernel↔kernel /
+kernel↔recorder protocol, one record class per kind (docs/PROTOCOLS.md,
+"Control datagrams", has the table):
+
+* :class:`AreYouAlive` / :class:`AliveReply` — watchdog protocol (§4.6);
+* :class:`ProcessCreated` / :class:`ProcessDestroyed` — recorder
+  notices (§4.5);
+* :class:`ProcessCrashed` — trap report to the recovery manager (§3.3.2);
+* :class:`Checkpoint` — a process checkpoint bound for the recorder;
+* :class:`ReadOrder` — out-of-order channel-read advisory (§4.4.2);
+* :class:`Recreate` — recovery restart request (§4.7);
+* :class:`Replay` — one published message re-sent to a recovering
+  process;
+* :class:`RecoveryDone` — recovery process signing off;
+* :class:`StateQuery` / :class:`StateReply` — recorder restart protocol
+  (§3.3.4), stamped with the restart number so stale replies are
+  ignored (§3.4);
+* :class:`RecoverOffer` / :class:`RecoverAnswer` — multi-recorder
+  coordination (§6.3);
+* :class:`GossipPull` / :class:`GossipSupply` — epidemic repair
+  (docs/GOSSIP.md).
+
+Controls ride the same transport but are handled below the process
+level and are not published. :data:`Control` is the tuple of the record
+classes.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import MessageId, ProcessId
@@ -111,40 +130,166 @@ class DeliveredMessage(NamedTuple):
     passed_link_id: Optional[int] = None
 
 
-_control_counter = itertools.count(1)
+# ----------------------------------------------------------------------
+# control datagrams
+# ----------------------------------------------------------------------
+# One record class per kind, registered under its kind name. A record is
+# built per send and read once by its handler, so a ``NamedTuple``:
+# built in C, read by name, walked as a tuple. Field values are wire
+# payload like :attr:`Message.body` and take the same types; a ``pid``
+# field holds the :class:`ProcessId` itself.
+
+@register_payload("are_you_alive")
+class AreYouAlive(NamedTuple):
+    """Watchdog -> node: the §4.6 "are you alive" request."""
 
 
-@register_payload("ctl")
-@_frozen()
-class Control:
-    """A kernel-level protocol datagram.
+@register_payload("alive_reply")
+class AliveReply(NamedTuple):
+    """Node -> watchdog: the answer to :class:`AreYouAlive`."""
 
-    ``kind`` values used across the system:
+    node: int
 
-    * ``are_you_alive`` / ``alive_reply`` — watchdog protocol (§4.6);
-    * ``process_created`` / ``process_destroyed`` — recorder notices (§4.5);
-    * ``process_crashed`` — trap report to the recovery manager (§3.3.2);
-    * ``checkpoint`` — a process checkpoint bound for the recorder;
-    * ``read_order`` — out-of-order channel-read advisory (§4.4.2);
-    * ``recreate`` — recovery restart request (§4.7);
-    * ``replay`` — one published message re-sent to a recovering process;
-    * ``recovery_done`` — recovery process signing off;
-    * ``state_query`` / ``state_reply`` — recorder restart protocol (§3.3.4),
-      stamped with the restart number so stale replies are ignored (§3.4);
-    * ``recover_offer`` / ``recover_answer`` — multi-recorder coordination
-      (§6.3).
 
-    ``fields`` values are wire payload like :attr:`Message.body` and take
-    the same types; the order the keys were inserted in does not reach
-    the frame checksum.
-    """
+@register_payload("process_created")
+class ProcessCreated(NamedTuple):
+    """Kernel -> recorder: a process was created (§4.5)."""
 
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_control_counter))
+    pid: ProcessId
+    node: int
+    image: str
+    args: Tuple
+    initial_links: Tuple[Link, ...] = ()
+    recoverable: bool = True
+    state_pages: int = 4
 
-    def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
+@register_payload("process_destroyed")
+class ProcessDestroyed(NamedTuple):
+    """Kernel -> recorder: a process was destroyed (§4.5)."""
+
+    pid: ProcessId
+    node: int
+
+
+@register_payload("process_crashed")
+class ProcessCrashed(NamedTuple):
+    """Kernel -> recovery manager: a trapped process fault (§3.3.2)."""
+
+    pid: ProcessId
+    node: int
+    error: str
+
+
+@register_payload("read_order")
+class ReadOrder(NamedTuple):
+    """Kernel -> recorder: ``read`` was read while ``head`` was at the
+    head of the queue, out of arrival order (§4.4.2)."""
+
+    pid: ProcessId
+    read: MessageId
+    head: Optional[MessageId]
+
+
+@register_payload("checkpoint")
+class Checkpoint(NamedTuple):
+    """Kernel -> recorder: a process checkpoint (§3.3.1)."""
+
+    pid: ProcessId
+    data: Dict[str, Any]
+    consumed: int
+    dtk_processed: int
+    send_seq: int
+    pages: int
+
+
+@register_payload("recreate")
+class Recreate(NamedTuple):
+    """Recovery process -> node: rebuild ``pid`` in the recovering
+    state from its checkpoint (§4.7)."""
+
+    pid: ProcessId
+    image: str
+    args: Tuple
+    initial_links: Tuple[Link, ...]
+    checkpoint: Optional[Dict[str, Any]]
+    suppress_send_through: int
+    recoverable: bool
+    state_pages: int
+    epoch: int
+
+
+@register_payload("replay")
+class Replay(NamedTuple):
+    """Recovery process -> node: one published message re-sent to the
+    recovering process ``message.dst`` (§4.7)."""
+
+    message: Message
+    epoch: int
+
+
+@register_payload("recovery_done")
+class RecoveryDone(NamedTuple):
+    """Recovery process -> node: the recovery signs off (§4.7)."""
+
+    pid: ProcessId
+    epoch: int
+
+
+@register_payload("state_query")
+class StateQuery(NamedTuple):
+    """Restarted recorder -> node: report your processes (§3.3.4),
+    stamped with the restart number (§3.4)."""
+
+    restart_number: int
+
+
+@register_payload("state_reply")
+class StateReply(NamedTuple):
+    """Node -> recorder: pid -> state name, echoing the restart number
+    so stale replies are ignored (§3.4)."""
+
+    node: int
+    restart_number: int
+    states: Dict[ProcessId, str]
+
+
+@register_payload("recover_offer")
+class RecoverOffer(NamedTuple):
+    """Recorder -> higher-priority recorder: will you recover ``node``?
+    (§6.3)."""
+
+    node: int
+    offerer: int
+
+
+@register_payload("recover_answer")
+class RecoverAnswer(NamedTuple):
+    """Recorder -> offerer: the answer to :class:`RecoverOffer` (§6.3)."""
+
+    node: int
+    recorder: int
+    accept: bool
+
+
+@register_payload("gossip_pull")
+class GossipPull(NamedTuple):
+    """Recorder -> node: supply these per-sender ``(sender, lo, hi)``
+    sequence ranges from your gossip buffer (docs/GOSSIP.md)."""
+
+    ranges: List[tuple]
+
+
+@register_payload("gossip_supply")
+class GossipSupply(NamedTuple):
+    """Node -> recorder: one message a :class:`GossipPull` asked for."""
+
+    message: Message
+
+
+#: Every control record class: ``isinstance(x, Control)`` asks whether
+#: ``x`` is a control datagram. Handlers are keyed by the class.
+Control = (AreYouAlive, AliveReply, ProcessCreated, ProcessDestroyed,
+           ProcessCrashed, ReadOrder, Checkpoint, Recreate, Replay,
+           RecoveryDone, StateQuery, StateReply, RecoverOffer,
+           RecoverAnswer, GossipPull, GossipSupply)

@@ -13,13 +13,15 @@ that operate *below* the process level:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import MessageId, ProcessId, kernel_pid
 from repro.demos.kernel import KernelConfig, MessageKernel
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE
-from repro.demos.messages import Control
+from repro.demos.messages import (AliveReply, AreYouAlive, GossipPull,
+                                  GossipSupply, Recreate, RecoveryDone,
+                                  Replay, StateQuery, StateReply)
 from repro.demos.process import ProgramRegistry
 from repro.net.media import Medium
 from repro.obs import Observability
@@ -72,49 +74,44 @@ class Node:
     # ------------------------------------------------------------------
     def _register_handlers(self) -> None:
         handlers = self.kernel.control_handlers
-        handlers["are_you_alive"] = self._on_are_you_alive
-        handlers["state_query"] = self._on_state_query
-        handlers["recreate"] = self._on_recreate
-        handlers["replay"] = self._on_replay
-        handlers["recovery_done"] = self._on_recovery_done
-        handlers["gossip_pull"] = self._on_gossip_pull
+        handlers[AreYouAlive] = self._on_are_you_alive
+        handlers[StateQuery] = self._on_state_query
+        handlers[Recreate] = self._on_recreate
+        handlers[Replay] = self._on_replay
+        handlers[RecoveryDone] = self._on_recovery_done
+        handlers[GossipPull] = self._on_gossip_pull
 
-    def _on_are_you_alive(self, control: Control, src_node: int) -> None:
-        self.kernel.send_control(src_node, Control("alive_reply", {
-            "node": self.node_id, "nonce": control.get("nonce"),
-        }), guaranteed=False)
+    def _on_are_you_alive(self, control: AreYouAlive, src_node: int) -> None:
+        self.kernel.send_control(src_node, AliveReply(self.node_id),
+                                 guaranteed=False)
 
-    def _on_state_query(self, control: Control, src_node: int) -> None:
+    def _on_state_query(self, control: StateQuery, src_node: int) -> None:
         # §3.4: echo the restart number so the recorder can discard
         # replies that belong to an earlier restart attempt.
-        self.kernel.send_control(src_node, Control("state_reply", {
-            "node": self.node_id,
-            "restart_number": control.get("restart_number"),
-            "states": {tuple(pid): state
-                       for pid, state in self.kernel.process_states().items()},
-        }))
+        self.kernel.send_control(src_node, StateReply(
+            self.node_id, control.restart_number,
+            self.kernel.process_states()))
 
-    def _on_recreate(self, control: Control, src_node: int) -> None:
+    def _on_recreate(self, control: Recreate, src_node: int) -> None:
         self.kernel.recreate_process(
-            pid=ProcessId(*control["pid"]),
-            image=control["image"],
-            args=tuple(control["args"]),
-            initial_links=tuple(control["initial_links"]),
-            checkpoint=control["checkpoint"],
-            suppress_send_through=control["suppress_send_through"],
-            recoverable=control["recoverable"],
-            state_pages=control["state_pages"],
-            recovery_epoch=control["epoch"],
+            pid=control.pid,
+            image=control.image,
+            args=tuple(control.args),
+            initial_links=tuple(control.initial_links),
+            checkpoint=control.checkpoint,
+            suppress_send_through=control.suppress_send_through,
+            recoverable=control.recoverable,
+            state_pages=control.state_pages,
+            recovery_epoch=control.epoch,
         )
 
-    def _on_replay(self, control: Control, src_node: int) -> None:
-        self.kernel.inject_replay(control["message"], control["epoch"])
+    def _on_replay(self, control: Replay, src_node: int) -> None:
+        self.kernel.inject_replay(control.message, control.epoch)
 
-    def _on_recovery_done(self, control: Control, src_node: int) -> None:
-        self.kernel.finish_recovery(ProcessId(*control["pid"]),
-                                    control["epoch"])
+    def _on_recovery_done(self, control: RecoveryDone, src_node: int) -> None:
+        self.kernel.finish_recovery(control.pid, control.epoch)
 
-    def _on_gossip_pull(self, control: Control, src_node: int) -> None:
+    def _on_gossip_pull(self, control: GossipPull, src_node: int) -> None:
         """Epidemic pull backup: supply any requested message this
         node's bounded buffer still holds. Supplies are unguaranteed —
         the recorder's next round retries whatever is still missing.
@@ -123,12 +120,12 @@ class Node:
         buffer = self.gossip_buffer
         if buffer is None:
             return
-        for sender, lo, hi in control["ranges"]:
+        for sender, lo, hi in control.ranges:
             for seq in range(lo, hi):
                 message = buffer.get(MessageId(ProcessId(*sender), seq))
                 if message is not None:
                     self.kernel.send_control(
                         src_node,
-                        Control("gossip_supply", {"message": message}),
+                        GossipSupply(message),
                         guaranteed=False,
                         size_bytes=message.size_bytes + costs.HEADER_BYTES)

@@ -91,9 +91,9 @@ _FIRST = itemgetter(0)
 #: node ids, channels, codes and most sequence numbers: nine ints in ten
 #: on the wire are below 256, and a lookup is half the cost of a format
 _SMALL_INTS = tuple(b"i%d;" % n for n in range(256))
-#: encoded ``str`` dict keys. Control field names and checkpoint keys
-#: are a few dozen strings written over and over; past the bound a new
-#: key is simply encoded each time.
+#: encoded ``str`` dict keys. Checkpoint and program-state keys are a
+#: few dozen strings written over and over; past the bound a new key is
+#: simply encoded each time.
 _KEY_IMAGES: Dict[str, bytes] = {}
 _KEY_MEMO_SIZE = 256
 _keep_image = object.__setattr__        # past a frozen dataclass's own
@@ -115,9 +115,11 @@ class WireImage:
     the image lives in it and a pickle carries it along — the bytes of
     an equal message, so still the right ones.)
 
-    Only :class:`~repro.demos.messages.Message` opts in. ``Segment`` and
-    ``Control`` keep no image: a Control holds a dict and is built per
-    send, and a Segment is read a second time only by a retransmission.
+    Only :class:`~repro.demos.messages.Message` opts in. A ``Segment``
+    and a control record (:data:`repro.demos.messages.Control`) keep no
+    image: both are ``NamedTuple`` records with no slot to hold one, a
+    control record is built per send, and a Segment is read a second
+    time only by a retransmission.
     """
 
     __slots__ = ("_wire_image",) if sys.version_info >= (3, 10) else ()
@@ -341,10 +343,10 @@ class Frame:
     bit rot by flipping the stored checksum **and** drops the cache, so a
     corrupted frame always fails :meth:`checksum_ok` by recomputation —
     the cache can never mask injected rot. The recomputation walks the
-    ``Segment`` or ``Control`` the frame carries and splices in the image
-    of a message inside it (:class:`WireImage`), which is the bytes of
-    that very object: a frame given another message, however similar,
-    reads another image or walks.
+    ``Segment`` or control record the frame carries and splices in the
+    image of a message inside it (:class:`WireImage`), which is the
+    bytes of that very object: a frame given another message, however
+    similar, reads another image or walks.
     """
 
     __slots__ = ("kind", "src_node", "dst_node", "payload", "size_bytes",
@@ -374,7 +376,7 @@ class Frame:
         """The CRC of the payload's canonical encoding, computed once."""
         crc = self._payload_crc
         if crc is None:
-            # a frame carries a Segment, a Control or a bare value: none
+            # a frame carries a Segment, a control or a bare value: none
             # of them keeps an image for canonical_bytes to look up
             crc = self._payload_crc = crc16(_walk(self.payload, 0)[0])
         return crc

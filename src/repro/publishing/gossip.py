@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.demos.ids import MessageId, ProcessId
-from repro.demos.messages import Control, Message
+from repro.demos.messages import GossipPull, GossipSupply, Message
 from repro.net.frames import Frame
 from repro.net.transport import guaranteed_body
 
@@ -270,7 +270,7 @@ class GossipCoordinator:
         medium.gossip_backup = True
         medium.gossip_tap = self.observe_wire
         system.recorder.gossip = self
-        system.recorder.on_control("gossip_supply", self._on_supply)
+        system.recorder.on_control(GossipSupply, self._on_supply)
         for node in system.nodes.values():
             self.attach_node(node)
         self.engine.spawn(self._round_loop())
@@ -378,7 +378,7 @@ class GossipCoordinator:
                 self._pull_bytes.inc(size_bytes)
                 recorder.send_control(
                     peer.node_id,
-                    Control("gossip_pull", {"ranges": ranges}),
+                    GossipPull(ranges),
                     guaranteed=False,
                     size_bytes=size_bytes)
         self.events.emit("round", "recorder", missing=len(wanted),
@@ -393,12 +393,12 @@ class GossipCoordinator:
     # ------------------------------------------------------------------
     # supplies (pull backup)
     # ------------------------------------------------------------------
-    def _on_supply(self, control: Control, src_node: int) -> None:
+    def _on_supply(self, control: GossipSupply, src_node: int) -> None:
         self._supplies_received.inc()
         if self.loss is not None and self.loss.lose_control():
             self._supplies_lost.inc()
             return
-        message = control["message"]
+        message = control.message
         if not isinstance(message, Message):
             return
         recorder = self.system.recorder

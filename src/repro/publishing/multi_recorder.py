@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.demos.messages import Control
+from repro.demos.messages import RecoverAnswer, RecoverOffer
 from repro.digest import fold
 from repro.errors import QuorumDivergenceError, RecordCorruptionError
 from repro.publishing.store import payload_digest
@@ -75,8 +75,8 @@ class MultiRecorderCoordinator:
         self.offers_received = 0
         self.offers_sent = 0
         self.takeovers = 0
-        self.recorder.on_control("recover_offer", self._on_offer)
-        self.recorder.on_control("recover_answer", self._on_answer)
+        self.recorder.on_control(RecoverOffer, self._on_offer)
+        self.recorder.on_control(RecoverAnswer, self._on_answer)
 
     # ------------------------------------------------------------------
     def claim(self, node_id: int) -> bool:
@@ -99,9 +99,9 @@ class MultiRecorderCoordinator:
         self._accepts[node_id] = set()
         for recorder_id in higher:
             self.offers_sent += 1
-            self.recorder.send_control(recorder_id, Control("recover_offer", {
-                "node": node_id, "from": self.my_id,
-            }), guaranteed=False)
+            self.recorder.send_control(
+                recorder_id, RecoverOffer(node_id, self.my_id),
+                guaranteed=False)
         yield ANSWER_TIMEOUT_MS
         accepted = self._accepts.get(node_id, set())
         if not accepted & set(higher):
@@ -125,15 +125,15 @@ class MultiRecorderCoordinator:
         return (self.engine.now - dog._last_reply) > dog.timeout_ms
 
     # ------------------------------------------------------------------
-    def _on_offer(self, control: Control, src_node: int) -> None:
+    def _on_offer(self, control: RecoverOffer, src_node: int) -> None:
         """A lower-priority recorder asks us to recover a node."""
         self.offers_received += 1
         if not self.recorder.up:
             return
-        node_id = control["node"]
-        self.recorder.send_control(control["from"], Control("recover_answer", {
-            "node": node_id, "recorder": self.my_id, "accept": True,
-        }), guaranteed=False)
+        node_id = control.node
+        self.recorder.send_control(
+            control.offerer, RecoverAnswer(node_id, self.my_id, True),
+            guaranteed=False)
         # An offer can reach *several* live recorders (with 2f+1 in the
         # vector, every recorder below the offerer gets one); only the
         # highest-priority live recorder may act on it directly, or two
@@ -148,9 +148,9 @@ class MultiRecorderCoordinator:
             return
         self.manager.recover_node(node_id)
 
-    def _on_answer(self, control: Control, src_node: int) -> None:
-        if control.get("accept"):
-            self._accepts.setdefault(control["node"], set()).add(control["recorder"])
+    def _on_answer(self, control: RecoverAnswer, src_node: int) -> None:
+        if control.accept:
+            self._accepts.setdefault(control.node, set()).add(control.recorder)
 
 
 # ----------------------------------------------------------------------

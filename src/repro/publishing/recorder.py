@@ -36,7 +36,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import MessageId, ProcessId
-from repro.demos.messages import Control, Message
+from repro.demos.messages import (Checkpoint, Message, ProcessCreated,
+                                  ProcessDestroyed, ReadOrder)
 from repro.errors import ConfigError
 from repro.net.frames import Frame
 from repro.net.media import Medium
@@ -55,8 +56,8 @@ from repro.publishing.store import SegmentedLog
 from repro.sim.engine import Engine, Signal
 
 #: Database notices (creation, destruction, checkpoint, read order) the
-#: passive tap remembers by sender and uid, oldest forgotten first: only
-#: a retransmission inside this horizon is known to be one.
+#: passive tap remembers by segment uid, oldest forgotten first: only a
+#: retransmission inside this horizon is known to be one.
 CONTROL_DEDUP_HORIZON = 8192
 
 
@@ -75,12 +76,13 @@ class RecorderConfig:
 class Recorder:
     """The publishing recorder node."""
 
-    #: Database-updating control kinds learned by passive listening, so
-    #: every recorder on the medium — not just the addressed one — keeps
-    #: a complete database (§6.3 multi-recorder requirement).
-    DB_CONTROL_KINDS = frozenset({
-        "process_created", "process_destroyed", "checkpoint", "read_order",
-    })
+    #: Database-updating control records learned by passive listening,
+    #: so every recorder on the medium — not just the addressed one —
+    #: keeps a complete database (§6.3 multi-recorder requirement).
+    DB_CONTROL_KINDS = (ProcessCreated, ProcessDestroyed, Checkpoint,
+                        ReadOrder)
+    #: what the passive tap opens a guaranteed segment for
+    _HEARD = (Message, *DB_CONTROL_KINDS)
 
     #: The computed ``recorder.<name>`` gauges, by how each is read off
     #: a recorder — through ``recorder.db``, so a restart rebinding it
@@ -123,7 +125,8 @@ class Recorder:
         self.duplicates_ignored = registry.counter("recorder.duplicates_ignored")
         for name, read in self.GAUGES.items():
             registry.gauge_fn(f"recorder.{name}", lambda _r=read: _r(self))
-        self._control_handlers: Dict[str, Callable[[Control, int], None]] = {}
+        #: control record class -> handler(record, src_node)
+        self._control_handlers: Dict[type, Callable[[tuple, int], None]] = {}
         self._arrival_signals: Dict[ProcessId, Signal] = {}
         #: epidemic repair back-reference (publishing.gossip): when set,
         #: the record path feeds the coordinator's gap tracker and
@@ -141,7 +144,10 @@ class Recorder:
         #: Empty: an honest recorder. Recovery markers are exempt — a
         #: marker is the recovery protocol's own traffic.
         self.stages: List[Any] = []
-        self._seen_control_uids: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._seen_control_uids: "OrderedDict[Tuple, None]" = OrderedDict()
+        #: numbers this recorder's control sends; never reset, so a
+        #: restarted recorder reuses no uid a receiver may still hold
+        self._control_seq = 0
         self._marker_seq = itertools.count(1)
         # Resolved once: the per-message CPU charge is fixed by the
         # configured software path, and record_message is the hottest
@@ -175,27 +181,26 @@ class Recorder:
         regardless of which recorder it was addressed to."""
         if not self.up:
             return
-        body = guaranteed_body(frame, (Message, Control))
+        body = guaranteed_body(frame, self._HEARD)
         if isinstance(body, Message):
             self.record_message(body)
-        elif body is not None and body.kind in self.DB_CONTROL_KINDS:
+        elif body is not None:
             # The tap fires before transport dedup, so retransmitted
             # notices must be filtered here (a duplicate read_order
-            # advisory would corrupt the consumption simulation).
-            key = (frame.src_node, body.uid)
+            # advisory would corrupt the consumption simulation). A
+            # segment uid is unique per send and shared by its
+            # retransmissions.
+            key = frame.payload.uid
             if key in self._seen_control_uids:
                 return
             self._seen_control_uids[key] = None
             while len(self._seen_control_uids) > CONTROL_DEDUP_HORIZON:
                 self._seen_control_uids.popitem(last=False)
-            if self.claim is not None and \
-                    not self.claim(ProcessId(*body["pid"]).node):
+            if self.claim is not None and not self.claim(body.pid.node):
                 # Sharded placement: database notices for processes in
                 # another shard's range are that shard's to absorb.
                 return
-            handler = self._control_handlers.get(body.kind)
-            if handler is not None:
-                handler(body, frame.src_node)
+            self._control_handlers[type(body)](body, frame.src_node)
 
     def _admit(self, message: Message) -> Optional[ProcessRecord]:
         """What hearing a message costs, whichever way it was heard:
@@ -316,36 +321,38 @@ class Recorder:
     def _on_segment(self, segment: Segment) -> None:
         if not self.up:
             return
-        body = segment.body
-        if isinstance(body, Control):
-            if body.kind in self.DB_CONTROL_KINDS:
-                return   # already absorbed via the passive tap
-            handler = self._control_handlers.get(body.kind)
-            if handler is not None:
-                handler(body, segment.src_node)
+        kind = type(segment.body)
+        if kind in self.DB_CONTROL_KINDS:
+            return   # already absorbed via the passive tap
+        handler = self._control_handlers.get(kind)
+        if handler is not None:
+            handler(segment.body, segment.src_node)
 
-    def on_control(self, kind: str,
-                   handler: Callable[[Control, int], None]) -> None:
-        """Register a handler for a control kind (recovery manager etc.)."""
+    def on_control(self, kind: type,
+                   handler: Callable[[tuple, int], None]) -> None:
+        """Register a handler for a control record class (recovery
+        manager etc.)."""
         self._control_handlers[kind] = handler
 
     def _register_builtin_handlers(self) -> None:
-        self.on_control("process_created", self._on_process_created)
-        self.on_control("process_destroyed", self._on_process_destroyed)
-        self.on_control("checkpoint", self._on_checkpoint)
-        self.on_control("read_order", self._on_read_order)
+        self.on_control(ProcessCreated, self._on_process_created)
+        self.on_control(ProcessDestroyed, self._on_process_destroyed)
+        self.on_control(Checkpoint, self._on_checkpoint)
+        self.on_control(ReadOrder, self._on_read_order)
 
-    def _on_process_created(self, control: Control, src_node: int) -> None:
-        pid = ProcessId(*control["pid"])
-        self.db.create(pid, node=control["node"], image=control["image"],
-                       args=control["args"],
-                       initial_links=control.get("initial_links", ()),
-                       recoverable=control.get("recoverable", True),
-                       state_pages=control.get("state_pages", 4))
+    def _on_process_created(self, control: ProcessCreated,
+                            src_node: int) -> None:
+        pid = control.pid
+        self.db.create(pid, node=control.node, image=control.image,
+                       args=control.args,
+                       initial_links=control.initial_links,
+                       recoverable=control.recoverable,
+                       state_pages=control.state_pages)
         self.events.emit("recorder", pid, event="created_notice")
 
-    def _on_process_destroyed(self, control: Control, src_node: int) -> None:
-        pid = ProcessId(*control["pid"])
+    def _on_process_destroyed(self, control: ProcessDestroyed,
+                              src_node: int) -> None:
+        pid = control.pid
         record = self.db.get(pid)
         if record is None:
             return
@@ -356,17 +363,16 @@ class Recorder:
         record.invalidate_all()
         self.events.emit("recorder", pid, event="destroyed_notice")
 
-    def _on_checkpoint(self, control: Control, src_node: int) -> None:
-        pid = ProcessId(*control["pid"])
-        record = self.db.get(pid)
+    def _on_checkpoint(self, control: Checkpoint, src_node: int) -> None:
+        record = self.db.get(control.pid)
         if record is None or record.destroyed:
             return
         entry = CheckpointEntry(
-            data=control["data"],
-            consumed=control["consumed"],
-            dtk_processed=control.get("dtk_processed", 0),
-            send_seq=control["send_seq"],
-            pages=control["pages"],
+            data=control.data,
+            consumed=control.consumed,
+            dtk_processed=control.dtk_processed,
+            send_seq=control.send_seq,
+            pages=control.pages,
             stored_at=self.engine.now,
         )
         size_bytes = entry.pages * costs.CHECKPOINT_PAGE_BYTES
@@ -382,30 +388,21 @@ class Recorder:
         self.events.emit("recorder", record.pid, event="checkpoint_stored",
                          invalidated=invalidated)
 
-    def _on_read_order(self, control: Control, src_node: int) -> None:
-        record = self.db.get(ProcessId(*control["pid"]))
-        if record is None:
+    def _on_read_order(self, control: ReadOrder, src_node: int) -> None:
+        record = self.db.get(control.pid)
+        if record is None or control.head is None:
             return
-        read, head = control["read"], control["head"]
-        if head is None:
-            return
-        record.add_advisory(self._as_msg_id(read), self._as_msg_id(head))
-
-    @staticmethod
-    def _as_msg_id(value) -> MessageId:
-        if isinstance(value, MessageId):
-            return value
-        sender, seq = value
-        return MessageId(ProcessId(*sender), seq)
+        record.add_advisory(control.read, control.head)
 
     # ------------------------------------------------------------------
     # messaging helpers for the recovery side
     # ------------------------------------------------------------------
-    def send_control(self, dst_node: int, control: Control,
+    def send_control(self, dst_node: int, control: tuple,
                      guaranteed: bool = True, size_bytes: int = 64) -> None:
         """Send a control datagram from the recorder node."""
+        self._control_seq += 1
         self.transport.send(dst_node, control, size_bytes=size_bytes,
-                            uid=("rec", self.config.node_id, control.uid),
+                            uid=("rec", self.config.node_id, self._control_seq),
                             guaranteed=guaranteed)
 
     def make_marker(self, pid: ProcessId, epoch: int) -> Message:

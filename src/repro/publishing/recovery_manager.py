@@ -33,11 +33,13 @@ recovering / unknown).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro import costs
 from repro.demos.ids import ProcessId, kernel_pid
-from repro.demos.messages import Control
+from repro.demos.messages import (AliveReply, ProcessCrashed, Recreate,
+                                  RecoveryDone, Replay, StateQuery,
+                                  StateReply)
 from repro.errors import RecordCorruptionError
 from repro.publishing.database import ProcessRecord
 from repro.publishing.recorder import Recorder
@@ -97,9 +99,9 @@ class RecoveryManager:
         #: to converge before streaming the replay
         self.gossip = None
         self._completion_signals: Dict[ProcessId, object] = {}
-        recorder.on_control("alive_reply", self._on_alive_reply)
-        recorder.on_control("process_crashed", self._on_process_crashed)
-        recorder.on_control("state_reply", self._on_state_reply)
+        recorder.on_control(AliveReply, self._on_alive_reply)
+        recorder.on_control(ProcessCrashed, self._on_process_crashed)
+        recorder.on_control(StateReply, self._on_state_reply)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -127,15 +129,16 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # crash notifications
     # ------------------------------------------------------------------
-    def _on_alive_reply(self, control: Control, src_node: int) -> None:
-        dog = self.watchdogs.get(control.get("node"))
+    def _on_alive_reply(self, control: AliveReply, src_node: int) -> None:
+        dog = self.watchdogs.get(control.node)
         if dog is not None:
             dog.note_reply(control)
 
-    def _on_process_crashed(self, control: Control, src_node: int) -> None:
+    def _on_process_crashed(self, control: ProcessCrashed,
+                            src_node: int) -> None:
         """A node kernel trapped a single-process fault (§3.3.2)."""
         self.stats.process_crash_reports += 1
-        record = self.recorder.db.get(ProcessId(*control["pid"]))
+        record = self.recorder.db.get(control.pid)
         if record is not None:
             self.start_recovery(record)
 
@@ -224,15 +227,11 @@ class RecoveryManager:
             checkpoint_data = entry.data
 
         # 2. Recreate the process in the recovering state.
-        rec.send_control(node, Control("recreate", {
-            "pid": tuple(pid), "image": record.image, "args": record.args,
-            "initial_links": record.initial_links,
-            "checkpoint": checkpoint_data,
-            "suppress_send_through": suppress,
-            "recoverable": record.recoverable,
-            "state_pages": record.state_pages,
-            "epoch": epoch,
-        }), size_bytes=max(64, (record.checkpoint.pages * page_bytes
+        rec.send_control(node, Recreate(
+            pid, record.image, record.args, record.initial_links,
+            checkpoint_data, suppress, record.recoverable,
+            record.state_pages, epoch),
+            size_bytes=max(64, (record.checkpoint.pages * page_bytes
                                 if record.checkpoint else 64)))
 
         # 2.5 Epidemic repair: if the gossip layer knows of log holes
@@ -285,9 +284,8 @@ class RecoveryManager:
                     yield done_at - engine.now
                 if self._superseded(record, epoch):
                     return
-                rec.send_control(node, Control("replay", {
-                    "pid": tuple(pid), "message": message, "epoch": epoch,
-                }), size_bytes=message.size_bytes)
+                rec.send_control(node, Replay(message, epoch),
+                                 size_bytes=message.size_bytes)
                 self.stats.messages_replayed += 1
                 replayed += 1
             else:
@@ -296,8 +294,7 @@ class RecoveryManager:
                     rec.send_marker(marker)
                 yield rec.arrival_signal(pid)
 
-        rec.send_control(node, Control("recovery_done", {"pid": tuple(pid),
-                                                          "epoch": epoch}))
+        rec.send_control(node, RecoveryDone(pid, epoch))
         record.recovering = False
         record.node = node
         self.stats.recoveries_completed += 1
@@ -324,21 +321,17 @@ class RecoveryManager:
         for node_id in self.node_ids:
             self._arm_watchdog(node_id)
         for node_id in self.node_ids:
-            self.recorder.send_control(node_id, Control("state_query", {
-                "restart_number": restart_number,
-            }))
+            self.recorder.send_control(node_id, StateQuery(restart_number))
         return restart_number
 
-    def _on_state_reply(self, control: Control, src_node: int) -> None:
+    def _on_state_reply(self, control: StateReply, src_node: int) -> None:
         # §3.4: "All state responses containing different numbers are
         # ignored."
-        if control.get("restart_number") != self.recorder.stable.restart_number:
+        if control.restart_number != self.recorder.stable.restart_number:
             self.stats.stale_state_replies += 1
             return
-        states: Dict[Tuple, str] = {tuple(ProcessId(*p)): s
-                                    for p, s in control["states"].items()}
         for record in self.recorder.db.processes_on(src_node):
-            reported = states.get(tuple(record.pid), "unknown")
+            reported = control.states.get(record.pid, "unknown")
             if reported in ("running", "stopped"):
                 record.recovering = False
                 continue                       # functioning: no action

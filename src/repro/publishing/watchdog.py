@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.demos.messages import Control
+from repro.demos.messages import AliveReply, AreYouAlive
 from repro.obs import Observability
 from repro.sim.engine import Engine, EventHandle
 
@@ -29,7 +29,7 @@ class Watchdog:
     """
 
     def __init__(self, engine: Engine, node_id: int,
-                 send_ping: Callable[[int, Control], None],
+                 send_ping: Callable[[int, AreYouAlive], None],
                  on_crash: Callable[[int], None],
                  ping_interval_ms: float = 500.0,
                  timeout_ms: float = 1500.0,
@@ -40,7 +40,6 @@ class Watchdog:
         self._on_crash = on_crash
         self.ping_interval_ms = ping_interval_ms
         self.timeout_ms = timeout_ms
-        self._nonce = 0
         self._last_reply = engine.now
         self._running = False
         self._fired = False
@@ -74,9 +73,9 @@ class Watchdog:
         self.start()
 
     # ------------------------------------------------------------------
-    def note_reply(self, control: Control) -> None:
+    def note_reply(self, control: AliveReply) -> None:
         """Called when an alive_reply from our node arrives."""
-        if control.get("node") != self.node_id:
+        if control.node != self.node_id:
             return
         self._last_reply = self.engine.now
         self.replies_seen.inc()
@@ -85,11 +84,8 @@ class Watchdog:
     def _tick(self) -> None:
         if not self._running:
             return
-        self._nonce += 1
         self.pings_sent.inc()
-        self._send_ping(self.node_id, Control("are_you_alive", {
-            "nonce": self._nonce, "watched": self.node_id,
-        }))
+        self._send_ping(self.node_id, AreYouAlive())
         silent_for = self.engine.now - self._last_reply
         if silent_for > self.timeout_ms and not self._fired:
             self._fired = True

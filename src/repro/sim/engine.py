@@ -21,8 +21,11 @@ order against a naive reference implementation):
 
 * heap entries are ``(time, seq, handle)`` tuples with a unique ``seq``,
   so ``heapq`` sifting compares floats/ints in C and never a handle;
-* each event is one :class:`EventHandle`, pushed by one method and
-  dispatched by one loop (:meth:`Engine.step` is ``run(max_events=1)``);
+* each event is one :class:`EventHandle`, pushed where it is scheduled
+  (no helper frame) and dispatched by one loop (:meth:`Engine.step` is
+  ``run(max_events=1)``);
+* the clock is a plain attribute, :attr:`Engine.now`, which only
+  :meth:`Engine.run` writes;
 * cancelled events are removed lazily, but when more than half of the
   heap is dead the engine compacts it in place, bounding both memory
   and the pop-side cleanup work.
@@ -109,7 +112,9 @@ class Engine:
     coroutine activities."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in milliseconds. Read-only: only
+        #: :meth:`run` advances it.
+        self.now = 0.0
         self._seq = 0
         #: heap of ``(time, seq, handle)`` — the tuple prefix keeps all
         #: sift comparisons in C; seq is unique so the handle never
@@ -118,14 +123,6 @@ class Engine:
         self._cancelled = 0       # dead entries still sitting in the heap
         self._running = False
         self._events_fired = 0
-
-    # ------------------------------------------------------------------
-    # time
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -143,11 +140,15 @@ class Engine:
             else:
                 raise SimulationError(
                     f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, fn, args)
+        time = self.now + delay
+        seq = self._seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute time ``time``."""
-        return self.schedule(time - self._now, fn, *args)
+        return self.schedule(time - self.now, fn, *args)
 
     def schedule_abs(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the *exact* absolute timestamp.
@@ -157,23 +158,19 @@ class Engine:
         fire time bit-identical to the one the sending LP stamped, so
         channel delivery uses this primitive instead.
         """
-        if time < self._now:
-            if time < self._now - NEGATIVE_DELAY_EPSILON_MS:
+        if time < self.now:
+            if time < self.now - NEGATIVE_DELAY_EPSILON_MS:
                 raise SimulationError(
-                    f"cannot schedule into the past (at={time}, now={self._now})")
-            time = self._now
-        return self._push(time, fn, args)
+                    f"cannot schedule into the past (at={time}, now={self.now})")
+            time = self.now
+        seq = self._seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the current time, after pending events."""
         return self.schedule(0.0, fn, *args)
-
-    def _push(self, time: float, fn: Callable[..., Any], args: tuple) -> EventHandle:
-        seq = self._seq + 1
-        self._seq = seq
-        handle = EventHandle(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, handle))
-        return handle
 
     def _note_cancel(self) -> None:
         """One more heap entry went dead; compact when the heap is
@@ -210,7 +207,7 @@ class Engine:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                self._now = time
+                self.now = time
                 # detached before dispatch, so a late cancel() from
                 # whoever holds the handle cannot skew the dead count
                 handle._engine = None
@@ -221,9 +218,9 @@ class Engine:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Dispatch a single event. Returns False if none are pending."""

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.kernel import KernelConfig
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE, KernelProcessProgram
+from repro.demos.messages import ProcessCrashed
 from repro.demos.node import Node
 from repro.demos.process import ProgramRegistry
 from repro.demos.sysprocs import (
@@ -397,13 +398,12 @@ class System:
         else:
             # Kernels address crash reports to the primary shard's node
             # id; route each to the manager owning the crashed pid.
-            def _route_process_crashed(control, src_node: int) -> None:
-                pid = ProcessId(*control["pid"])
-                shard = placement.shard_for(pid.node)
+            def _route_process_crashed(control: ProcessCrashed,
+                                       src_node: int) -> None:
+                shard = placement.shard_for(control.pid.node)
                 self.recoveries[shard.index]._on_process_crashed(
                     control, src_node)
-            self.recorder.on_control("process_crashed",
-                                     _route_process_crashed)
+            self.recorder.on_control(ProcessCrashed, _route_process_crashed)
         registry = self.obs.registry
         registry.gauge_fn("recorder.placement.shards",
                           lambda: len(self.recorders))
@@ -498,6 +498,10 @@ class System:
             return old
         self.medium.detach(old.kernel.transport.iface)
         spare = self._build_node(node_id)
+        # The spare's controls continue the failed kernel's numbering:
+        # a receiver still remembering the old node's segment uids must
+        # not take the spare's first controls for retransmissions.
+        spare.kernel._control_seq = old.kernel._control_seq
         self.nodes[node_id] = spare
         spare.booted = True
         if self.gossip is not None:

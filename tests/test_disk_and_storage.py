@@ -3,7 +3,7 @@ watchdog."""
 
 import pytest
 
-from repro.demos.messages import Control
+from repro.demos.messages import AliveReply
 from repro.errors import StorageError
 from repro.publishing.disk import DiskArray, DiskModel, PageBuffer
 from repro.publishing.stable_storage import StableStorage
@@ -141,7 +141,7 @@ class TestWatchdog:
         dog.start()
         # Keep the dog fed so no crash fires.
         def feed():
-            dog.note_reply(Control("alive_reply", {"node": 7}))
+            dog.note_reply(AliveReply(7))
             engine.schedule(400.0, feed)
         engine.schedule(100.0, feed)
         engine.run(until=2600.0)
@@ -161,7 +161,7 @@ class TestWatchdog:
         dog.start()
         engine.run(until=2100.0)
         assert crashes == [7]
-        dog.note_reply(Control("alive_reply", {"node": 7}))
+        dog.note_reply(AliveReply(7))
         engine.run(until=4500.0)
         assert crashes == [7, 7]        # silent again: fires again
 
@@ -170,7 +170,7 @@ class TestWatchdog:
         dog, pings, crashes = self.make(engine)
         dog.start()
         def wrong():
-            dog.note_reply(Control("alive_reply", {"node": 8}))
+            dog.note_reply(AliveReply(8))
             engine.schedule(300.0, wrong)
         engine.schedule(100.0, wrong)
         engine.run(until=2500.0)

@@ -16,7 +16,7 @@ from repro.chaos import (
     run_scenario,
 )
 from repro.demos.ids import MessageId, ProcessId
-from repro.demos.messages import Control, Message
+from repro.demos.messages import Message, ProcessCreated, ProcessDestroyed
 from repro.publishing.gossip import GapTracker, GossipBuffer, pull_ranges
 
 from conftest import (
@@ -442,12 +442,9 @@ def notify_recreated(system, pid, recoverable):
     """The recorder is told ``pid`` was destroyed and created again
     (the notices a kernel sends; the process itself runs on)."""
     kernel = system.nodes[1].kernel
-    kernel.send_control_to_recorder(Control(
-        "process_destroyed", {"pid": pid, "node": pid.node}))
-    kernel.send_control_to_recorder(Control("process_created", {
-        "pid": pid, "image": "test/counter", "args": (),
-        "initial_links": (), "recoverable": recoverable,
-        "state_pages": 4, "node": pid.node}))
+    kernel.send_control_to_recorder(ProcessDestroyed(pid, pid.node))
+    kernel.send_control_to_recorder(ProcessCreated(
+        pid, pid.node, "test/counter", (), recoverable=recoverable))
 
 
 def witnessed_system(seed, medium, loss, depth, n=60):

@@ -20,7 +20,27 @@ import repro.net.frames
 import repro.net.transport
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
-from repro.demos.messages import Control, DeliveredMessage, Message
+from repro.demos.messages import (
+    AliveReply,
+    AreYouAlive,
+    Checkpoint,
+    Control,
+    DeliveredMessage,
+    GossipPull,
+    GossipSupply,
+    Message,
+    ProcessCreated,
+    ProcessCrashed,
+    ProcessDestroyed,
+    ReadOrder,
+    RecoverAnswer,
+    RecoverOffer,
+    Recreate,
+    RecoveryDone,
+    Replay,
+    StateQuery,
+    StateReply,
+)
 from repro.errors import EncodingError, RecordCorruptionError, ReproError
 from repro.net.frames import (
     BROADCAST,
@@ -224,8 +244,8 @@ def _containers(inner):
             | st.builds(Message, _mids, _pids, _pids, _ints, _ints, inner,
                         st.none() | _links, st.integers(1, 1024),
                         st.booleans(), st.booleans())
-            | st.builds(Control, _text,
-                        st.dictionaries(_text, inner, max_size=4), _ints)
+            | st.one_of([st.builds(record, *[inner] * len(record._fields))
+                         for record in Control])
             | st.builds(Segment, inner, _ints, _ints, inner, st.booleans(),
                         st.none() | _ints))
 
@@ -382,8 +402,8 @@ class TestCanonicalBytes:
                               and hasattr(cls, "_fields")):
                     candidates.add(cls)
         registered = set(payload_classes())
-        assert registered == {Segment, Message, Control, Link, ProcessId,
-                              MessageId}
+        assert registered == {Segment, Message, Link, ProcessId, MessageId,
+                              *Control}
         assert not registered & never_crosses_the_wire
         assert candidates == registered | never_crosses_the_wire
 
@@ -421,7 +441,7 @@ class TestCanonicalBytes:
     @given(_messages)
     def test_a_message_has_one_encoding_however_it_is_first_met(
             self, message):
-        """Alone, nested in a Segment or a Control, unpickled or
+        """Alone, nested in a Segment or a Replay, unpickled or
         ``replace``d: the same bytes, spliced whole where the message is
         nested, and an image that is kept equals a fresh walk."""
         def fresh():                    # ``message`` itself is never walked
@@ -432,8 +452,7 @@ class TestCanonicalBytes:
         alone, segmented, controlled = fresh(), fresh(), fresh()
         image = canonical_bytes(alone)
         assert image in canonical_bytes(in_segment(segmented))
-        assert image in canonical_bytes(
-            Control("replay", {"message": controlled, "epoch": 1}, 7))
+        assert image in canonical_bytes(Replay(controlled, 1))
         unpickled = pickle.loads(pickle.dumps(alone))
         replaced = dataclasses.replace(alone)
         assert image_of(replaced) is None
@@ -531,10 +550,11 @@ class TestCanonicalBytes:
 
     def test_a_64_page_checkpoint_is_well_inside_the_bound(self):
         pages = [list(range(page, page + 128)) for page in range(64)]
-        checkpoint = Control("checkpoint", {
-            "pid": ProcessId(2, 1), "pages": 64, "send_seq": 9,
-            "data": {"program_state": {"pages": pages, "seen": set(range(99))},
-                     "links": {1: Link(ProcessId(1, 1))}, "channels": None}})
+        checkpoint = Checkpoint(
+            ProcessId(2, 1),
+            {"program_state": {"pages": pages, "seen": set(range(99))},
+             "links": {1: Link(ProcessId(1, 1))}, "channels": None},
+            consumed=0, dtk_processed=0, send_seq=9, pages=64)
         assert 64 * 128 < MAX_WIRE_VALUES // 4
         assert make_frame(in_segment(checkpoint)).checksum_ok()
         deep = None
@@ -614,14 +634,11 @@ class TestWalkedOnce:
         """(first frame, then: retransmission, record digest, verified
         replay read, the replay control's frame)."""
         message = make_message(body)
-        canonical_bytes(Control("replay", {"pid": 0, "message": 0,
-                                           "epoch": 0}))   # key memo warm
         first = count_calls(lambda: make_frame(in_segment(message)),
                             within=repro.net.frames)
         record = logged(message)
         cursor = record.replay_cursor(verify=True)
-        replay = Control("replay", {"pid": (2, 1), "message": message,
-                                    "epoch": 1})
+        replay = Replay(message, 1)
         return first, [
             count_calls(fn, within=repro.net.frames) for fn in (
                 lambda: make_frame(in_segment(message)),
@@ -632,7 +649,7 @@ class TestWalkedOnce:
     def test_an_immutable_body_is_walked_once(self):
         first, later = self.costs(tuple(f"word {i}" for i in range(200)))
         assert first > 400
-        assert max(later) < 40              # 10, 3, 3, 24; before: > 400 each
+        assert max(later) < 40              # 10, 3, 3, 10; before: > 400 each
         assert self.costs(tuple(f"word {i}" for i in range(800)))[1] == later
 
     def test_a_list_body_is_walked_at_every_checksum(self):
@@ -646,8 +663,7 @@ class TestWalkedOnce:
         monkeypatch.setattr(
             repro.net.frames, "_walk",
             lambda payload, depth: depths.append(depth) or walk(payload, depth))
-        canonical_bytes(Control("state_reply",
-                                {f"field_{i}": i for i in range(8)}, 1))
+        canonical_bytes({f"field_{i}": i for i in range(8)})
         assert depths == [0]
         canonical_bytes({(i,): i for i in range(8)})    # the contrast
         assert depths == [0] + [0] + [1] * 8
@@ -667,15 +683,16 @@ class TestSegmentRecord:
         "stamped": Segment((1, 2, 7), 1, 2, ("req", 1, 2.5, b"\x00\xff"),
                            True, 41),
         "message": Segment(tuple(MESSAGE.msg_id), 1, 2, MESSAGE),
-        "control": Segment(("ctl", 2, 1), 2, 99, Control(
-            "checkpoint", {"pid": P2, "data": {"k": [1, 2]}, "pages": 4},
-            uid=12)),
+        "control": Segment(("ctl", 2, 1), 2, 99, Checkpoint(
+            P2, {"k": [1, 2]}, consumed=0, dtk_processed=0, send_seq=0,
+            pages=4)),
         "containers": Segment((300, -1), 256, 0,
                               {"s": frozenset({1, 2}), "l": [True, None]},
                               False, 0),
     }
     #: canonical_bytes of each shape at the commit where Segment was
-    #: still a frozen dataclass
+    #: still a frozen dataclass; "control" re-pinned when a control
+    #: became one record class per kind
     PINNED = {
         "bare": b'@seg;(2:i1;i2;s1:xTNs5:probei1;',
         "unguaranteed_broadcast": b'@seg;(3:i3;i-1;NFNs3:ctli3;i9;',
@@ -684,8 +701,8 @@ class TestSegmentRecord:
         "message": b'@seg;(2:i1;i2;@msg;@mid;@pid;@pid;i3;i4;(2:@link;i128;'
                    b'FF@pid;i7;i1;i2;i2;i1;s3:addi5;@pid;i0;i1;Fi1;i2;i1;'
                    b'i2;TN@pid;i7;i1;i2;',
-        "control": b'@seg;(3:i2;i99;@ctl;TNs3:ctli2;i1;s10:checkpoint{3:'
-                   b's3:pids4:datas5:pagesi12;@pid;{1:s1:ki4;i2;i1;[2:i1;i2;',
+        "control": b'@seg;(3:i2;i99;@checkpoint;TNs3:ctli2;i1;@pid;{1:s1:k'
+                   b'i0;i0;i0;i4;i2;i1;[2:i1;i2;',
         "containers": b'@seg;(2:i256;i0;{2:s1:ls1:sFi0;i300;i-1;[2:#2:i1;i2;'
                       b'TN',
     }
@@ -717,6 +734,77 @@ class TestSegmentRecord:
         assert segment._replace(stream_seq=3).stream_seq == 3
         with pytest.raises(AttributeError):
             segment.body = "other"
+
+
+class TestControlRecords:
+    """One record class per control kind: each is on the wire as its
+    kind name and its fields in declaration order."""
+
+    P1, P2 = TestSegmentRecord.P1, TestSegmentRecord.P2
+    MESSAGE = TestSegmentRecord.MESSAGE
+    RECORDS = {
+        "AreYouAlive": AreYouAlive(),
+        "AliveReply": AliveReply(2),
+        "ProcessCreated": ProcessCreated(P2, 2, "test/counter", (5,)),
+        "ProcessDestroyed": ProcessDestroyed(P2, 2),
+        "ProcessCrashed": ProcessCrashed(P2, 2, "fault"),
+        "ReadOrder": ReadOrder(P2, MessageId(P1, 7), MessageId(P1, 6)),
+        "Checkpoint": Checkpoint(P2, {"consumed": 3}, 3, 0, 1, 2),
+        "Recreate": Recreate(P2, "test/counter", (5,), (Link(P1),), None,
+                             4, True, 4, 2),
+        "Replay": Replay(MESSAGE, 2),
+        "RecoveryDone": RecoveryDone(P2, 2),
+        "StateQuery": StateQuery(3),
+        "StateReply": StateReply(2, 3, {P2: "running"}),
+        "RecoverOffer": RecoverOffer(2, 91),
+        "RecoverAnswer": RecoverAnswer(2, 90, True),
+        "GossipPull": GossipPull([((1, 2), 4, 7)]),
+        "GossipSupply": GossipSupply(MESSAGE),
+    }
+    PINNED = {
+        "AliveReply": b'@alive_reply;i2;',
+        "AreYouAlive": b'@are_you_alive;',
+        "Checkpoint": b'@checkpoint;@pid;{1:s8:consumedi3;i0;i1;i2;i2;i1;i3;',
+        "GossipPull": b'@gossip_pull;[1:(3:(2:i4;i7;i1;i2;',
+        "GossipSupply": b'@gossip_supply;@msg;@mid;@pid;@pid;i3;i4;(2:@lin'
+                        b'k;i128;FF@pid;i7;i1;i2;i2;i1;s3:addi5;@pid;i0;i1'
+                        b';Fi1;i2;i1;i2;',
+        "ProcessCrashed": b'@process_crashed;@pid;i2;s5:faulti2;i1;',
+        "ProcessCreated": b'@process_created;@pid;i2;s12:test/counter(1:(0'
+                          b':Ti4;i2;i1;i5;',
+        "ProcessDestroyed": b'@process_destroyed;@pid;i2;i2;i1;',
+        "ReadOrder": b'@read_order;@pid;@mid;@mid;i2;i1;@pid;i7;@pid;i6;i1'
+                     b';i2;i1;i2;',
+        "RecoverAnswer": b'@recover_answer;i2;i90;T',
+        "RecoverOffer": b'@recover_offer;i2;i91;',
+        "RecoveryDone": b'@recovery_done;@pid;i2;i2;i1;',
+        "Recreate": b'@recreate;@pid;s12:test/counter(1:(1:Ni4;Ti4;i2;i2;i'
+                    b'1;i5;@link;@pid;i0;i0;Fi1;i2;',
+        "Replay": b'@replay;@msg;@mid;@pid;@pid;i3;i4;(2:@link;i128;FF@pid'
+                  b';i7;i1;i2;i2;i1;s3:addi5;@pid;i0;i1;Fi1;i2;i1;i2;i2;',
+        "StateQuery": b'@state_query;i3;',
+        "StateReply": b'@state_reply;i2;i3;{1:@pid;i2;i1;s7:running',
+    }
+
+    def test_one_example_per_record_class(self):
+        assert sorted(self.RECORDS) == sorted(cls.__name__ for cls in Control)
+        assert all(type(record).__name__ == name
+                   for name, record in self.RECORDS.items())
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_bytes_are_pinned(self, name):
+        assert canonical_bytes(self.RECORDS[name]) == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_survives_pickle_and_the_pool_wire(self, name):
+        record = self.RECORDS[name]
+        twin = pickle.loads(pickle.dumps(record))
+        assert type(twin) is type(record) and twin == record
+        frame = Frame(FrameKind.DATA, 1, 2, in_segment(record), 160)
+        (_, _, _, landed, _), = decode_frame_batch(
+            encode_frame_batch([(1.5, "gw", 3, frame, 1)]))
+        assert type(landed.payload.body) is type(record) and landed == frame
+        assert landed.checksum_ok()
 
 
 _RECEIVERS = st.integers(1, 4)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GeneratorProgram, Program, ProgramRegistry, Recv
-from repro.demos.messages import Control, DeliveredMessage
+from repro.demos.messages import Control, DeliveredMessage, ProcessCreated
 from repro.demos.ids import ProcessId
 from repro.demos.process import ProgramBase
 from repro.errors import ProcessError
@@ -165,13 +165,13 @@ class TestBaseClassContracts:
 
 class TestControl:
     def test_field_access(self):
-        control = Control("checkpoint", {"pid": (1, 2), "pages": 4})
-        assert control["pid"] == (1, 2)
-        assert control.get("pages") == 4
-        assert control.get("missing", "d") == "d"
-
-    def test_uids_unique(self):
-        assert Control("a").uid != Control("a").uid
+        control = ProcessCreated(ProcessId(1, 2), 1, "test/counter", ())
+        assert isinstance(control, Control)
+        assert control.pid == ProcessId(1, 2) and control.image == "test/counter"
+        assert (control.initial_links, control.recoverable,
+                control.state_pages) == ((), True, 4)
+        with pytest.raises(AttributeError):
+            control.pid = ProcessId(1, 3)
 
 
 class TestEngineIntrospection:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import System, SystemConfig
-from repro.demos.messages import Control
+from repro.demos.messages import StateQuery, StateReply
 
 from conftest import (
     expected_totals,
@@ -123,11 +123,23 @@ class TestRecorderCrash:
         system.crash_recorder()
         system.restart_recorder()
         # Forge a reply stamped with the previous restart number.
-        stale = Control("state_reply", {
-            "node": 1, "restart_number": 0, "states": {},
-        })
+        stale = StateReply(node=1, restart_number=0, states={})
         system.recovery._on_state_reply(stale, 1)
         assert system.recovery.stats.stale_state_replies == 1
+
+    def test_control_uids_are_not_reused_after_a_restart(self, two_node_system):
+        """A restarted recorder numbers its controls on from where it
+        stopped: a node's dedup window may still hold the old uids."""
+        system = two_node_system
+        transport, uids = system.recorder.transport, []
+        send = transport.send
+        transport.send = lambda dst, body, **kw: (
+            uids.append(kw["uid"]) or send(dst, body, **kw))
+        system.recorder.send_control(1, StateQuery(0))
+        system.crash_recorder()
+        system.restart_recorder()              # queries every node
+        system.recorder.send_control(1, StateQuery(1))
+        assert len(uids) >= 4 and len(set(uids)) == len(uids)
 
 
 class TestRecorderObservability:

@@ -4,7 +4,7 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.demos.ids import ProcessId, kernel_pid
-from repro.demos.messages import Control
+from repro.demos.messages import AliveReply, ProcessCrashed
 
 from conftest import register_test_programs, run_counter_scenario
 
@@ -78,7 +78,7 @@ class TestControlRouting:
         system.run(300)
         before = system.recovery.stats.recoveries_started
         system.recovery._on_process_crashed(
-            Control("process_crashed", {"pid": (9, 9), "node": 9}), 9)
+            ProcessCrashed(ProcessId(9, 9), 9, "fault"), 9)
         assert system.recovery.stats.recoveries_started == before
         assert system.recovery.stats.process_crash_reports == 1
 
@@ -87,7 +87,7 @@ class TestControlRouting:
         dog1 = system.recovery.watchdogs[1]
         seen_before = dog1.replies_seen.value
         system.recovery._on_alive_reply(
-            Control("alive_reply", {"node": 1}), 1)
+            AliveReply(1), 1)
         assert dog1.replies_seen.value == seen_before + 1
 
     def test_completion_signal_is_cached(self, system):

@@ -40,6 +40,22 @@ class TestSpareTakeover:
         counter = system.program_of(counter_pid)
         assert counter.seen == list(range(1, 41))
 
+    def test_spare_notices_reach_the_recorder(self):
+        """The spare continues the failed kernel's control numbering, so
+        the recorder's notice dedup, keyed by segment uid, does not take
+        its first notices for the old node's retransmissions."""
+        system = self.build()
+        run_counter_scenario(system, n=5)
+        system.run(2000)
+        old_seq = system.nodes[2].kernel._control_seq
+        system.crash_node(2)
+        while kernel_pid(2) not in system.nodes[2].kernel.processes:
+            system.run(10)
+        assert system.nodes[2].kernel._control_seq > old_seq
+        echo = system.spawn_program("test/echo", node=2)
+        system.run(1000)
+        assert system.recorder.db.get(echo).image == "test/echo"
+
     def test_old_interface_is_dead(self):
         system = self.build()
         counter_pid, driver_pid = run_counter_scenario(system, n=30)
