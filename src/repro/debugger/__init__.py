@@ -1,5 +1,5 @@
 """Replay debugging from published histories (§6.5)."""
 
-from repro.debugger.replay import DebugContext, ReplayDebugger, ReplayStep
+from repro.debugger.replay import ReplayDebugger, ReplayStep
 
-__all__ = ["DebugContext", "ReplayDebugger", "ReplayStep"]
+__all__ = ["ReplayDebugger", "ReplayStep"]

@@ -8,77 +8,32 @@ a debug mode so that the programmer could step through its previous
 execution and watch what happens."
 
 :class:`ReplayDebugger` re-executes a process *offline* from the
-recorder's database: it instantiates the program from its registered
-image (or restores a checkpoint), then feeds it its published messages
-one at a time through a :class:`DebugContext` that captures every send.
-Because programs are deterministic upon their inputs, the replayed
-execution is the real one — breakpoints, single-stepping, and state
-inspection all work on history.
+recorder's database, the way recovery rebuilds it (§4.7): it is the
+kernel of that one process. It recreates the process from its record's
+image, arguments and initial links, restores the checkpoint or starts
+the image, and feeds it the records recovery would replay, one delivery
+per :meth:`~ReplayDebugger.step`, through the message kernel's own
+calls and receive path (:class:`~repro.demos.kernel.ProcessHost`).
+Each send is kept as the :class:`~repro.demos.messages.Message` the
+live kernel built for it. Because programs are deterministic upon their
+inputs, the replayed execution is the real one — breakpoints,
+single-stepping, and state inspection all work on history.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.demos.ids import ProcessId
-from repro.demos.messages import DEFAULT_BODY_BYTES, DeliveredMessage, Message
-from repro.demos.process import ProgramBase, ProgramRegistry
-from repro.demos.queue import MessageQueue
+from repro.demos.ids import MessageId, ProcessId
+from repro.demos.kernel import KernelConfig, NodeCpu, ProcessHost
+from repro.demos.links import Link
+from repro.demos.messages import Message
+from repro.demos.process import ProcessControlRecord, ProgramRegistry
 from repro.errors import ReproError
+from repro.obs import Observability
 from repro.publishing.database import ProcessRecord
-
-
-class DebugContext:
-    """A stand-in for the kernel context: records effects, grants links.
-
-    Link ids are handed out sequentially exactly as the kernel would, so
-    a replayed program observes identical ids.
-    """
-
-    def __init__(self, pid: ProcessId):
-        self.pid = pid
-        self.node = pid.node
-        self._next_link = 1
-        self.links: Dict[int, Tuple] = {}
-        self.sent: List[Tuple[int, Any]] = []     # (link_id, body)
-        self.exited = False
-        self.log_lines: List[str] = []
-
-    def create_link(self, channel: int = 0, code: int = 0) -> int:
-        link_id = self._next_link
-        self._next_link += 1
-        self.links[link_id] = ("self", channel, code)
-        return link_id
-
-    def destroy_link(self, link_id: int) -> bool:
-        return self.links.pop(link_id, None) is not None
-
-    def link_target(self, link_id: int):
-        return self.pid if link_id in self.links else None
-
-    def send(self, link_id: int, body: Any, pass_link_id: Optional[int] = None,
-             size_bytes: int = DEFAULT_BODY_BYTES, keep_link: bool = False) -> bool:
-        self.sent.append((link_id, body))
-        if pass_link_id is not None and not keep_link:
-            self.links.pop(pass_link_id, None)
-        return True
-
-    def set_channels(self, *channels: int) -> None:
-        pass   # the debugger honours the program's wants() directly
-
-    def exit(self) -> None:
-        self.exited = True
-
-    def log(self, text: str, **detail: Any) -> None:
-        self.log_lines.append(text)
-
-    def _grant_incoming_link(self) -> int:
-        link_id = self._next_link
-        self._next_link += 1
-        self.links[link_id] = ("incoming",)
-        return link_id
+from repro.sim.engine import Engine
 
 
 @dataclass
@@ -87,75 +42,96 @@ class ReplayStep:
 
     step: int
     message: Message
-    sends: List[Tuple[int, Any]]
+    sends: List[Message]
     state_after: Optional[Any]
 
 
-class ReplayDebugger:
-    """Steps a process through its published history."""
+class ReplayDebugger(ProcessHost):
+    """Steps a process through its published history.
 
-    def __init__(self, record: ProcessRecord, registry: ProgramRegistry,
-                 from_checkpoint: bool = False):
+    ``pcb`` is the rebuilt process and ``program`` its program; ``sent``
+    holds every send since the rebuild. Programs that bind their kernel
+    (``attach_kernel``) get this debugger, whose ``processes`` and
+    ``forge_link`` are the kernel's. A record that fails its checksum
+    raises :class:`~repro.errors.RecordCorruptionError`.
+    """
+
+    def __init__(self, record: ProcessRecord, registry: ProgramRegistry):
         if record.image == "":
             raise ReproError(f"no image recorded for {record.pid}; cannot replay")
         self.record = record
-        self.registry = registry
         self.pid = record.pid
-        self.program: ProgramBase = registry.instantiate(record.image, record.args)
-        self.ctx = DebugContext(record.pid)
-        self.queue = MessageQueue()
+        self.registry = registry
+        self.node_id = record.node
+        self.config = KernelConfig(publishing=False)
+        self.engine = Engine()
+        self.obs = Observability(lambda: self.engine.now)
+        self.events = self.obs.scope("replay")
+        self.cpu = NodeCpu(self.engine, self.obs.registry, "replay.cpu")
+        self.messages_delivered = self.obs.registry.counter(
+            "replay.messages_delivered")
+        self.processes: Dict[ProcessId, ProcessControlRecord] = {}
+        self.sent: List[Message] = []
         self.steps: List[ReplayStep] = []
-        self._pending: List[Message] = []
-        if from_checkpoint:
-            if record.checkpoint is None:
-                raise ReproError(f"{record.pid} has no checkpoint")
-            self.program.restore(record.checkpoint.data["program_state"])
-            stream = record.messages_to_replay()
-        else:
-            # Full history: every recorded message, valid or invalidated.
-            self.program.start(self.ctx)
-            stream = [lm for lm in self.record.arrivals if not lm.is_marker]
-        self._pending = [lm.message for lm in stream
-                         if not lm.is_marker and not lm.is_control]
+        self._cursor = record.replay_cursor(verify=True)
+        self._caught_up = False
+        self._delivered: Optional[Message] = None
+        checkpoint = record.checkpoint
+        self.recreate_process(
+            record.pid, record.image, tuple(record.args),
+            tuple(record.initial_links),
+            checkpoint.data if checkpoint is not None else None,
+            suppress_send_through=0, recoverable=record.recoverable,
+            state_pages=record.state_pages, recovery_epoch=0)
+        self.engine.run()           # the image's start, when there was one
+        self.pcb = self.processes[record.pid]
+        self.program = self.pcb.program
+
+    def _send_from(self, pcb: ProcessControlRecord, dst: ProcessId,
+                   channel: int, code: int, body: Any,
+                   passed_link: Optional[Link], size_bytes: int,
+                   deliver_to_kernel: bool) -> None:
+        pcb.send_seq += 1
+        self.sent.append(Message(
+            msg_id=MessageId(pcb.pid, pcb.send_seq), src=pcb.pid, dst=dst,
+            channel=channel, code=code, body=body, passed_link=passed_link,
+            size_bytes=size_bytes, deliver_to_kernel=deliver_to_kernel))
+
+    def _invoke_handler(self, pcb: ProcessControlRecord,
+                        message: Message) -> None:
+        self._delivered = message
+        super()._invoke_handler(pcb, message)
 
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return self.ctx.exited or (not self._pending and not self.queue)
+        return not self.pcb.alive() or (self._caught_up and not self.pcb.queue)
 
     def step(self) -> Optional[ReplayStep]:
         """Deliver the next message the process would have consumed.
 
-        Returns the :class:`ReplayStep`, or None when the history is
-        exhausted or the program stopped receiving.
+        Records are fed in the order recovery replays them — invalid
+        (checkpoint-covered) records and markers skipped, a
+        DELIVERTOKERNEL record counted on the pcb and not delivered —
+        until the process takes one. Returns the :class:`ReplayStep`,
+        or None when the history is exhausted or the process exited.
         """
-        if self.ctx.exited:
-            return None
-        ready, channels = self.program.wants()
-        if not ready:
-            return None
-        # Refill the simulated queue until something matches, exactly as
-        # arrivals would have.
-        while self.queue.peek_matching(channels) is None:
-            if not self._pending:
+        pcb = self.pcb
+        consumed, sends_before = pcb.consumed, len(self.sent)
+        while pcb.consumed == consumed:
+            if not pcb.alive():
                 return None
-            self.queue.append(self._pending.pop(0))
-        message, _was_head = self.queue.take_next(channels)
-        assert message is not None
-        sends_before = len(self.ctx.sent)
-        passed_link_id = None
-        if message.passed_link is not None:
-            passed_link_id = self.ctx._grant_incoming_link()
-        delivered = DeliveredMessage(code=message.code, channel=message.channel,
-                                     body=message.body, src=message.src,
-                                     passed_link_id=passed_link_id)
-        self.program.deliver(self.ctx, delivered)
-        step = ReplayStep(
-            step=len(self.steps),
-            message=message,
-            sends=self.ctx.sent[sends_before:],
-            state_after=self.program.snapshot(),
-        )
+            if self.engine.step():
+                continue
+            logged = self._cursor.next()
+            self._caught_up = logged is None
+            if logged is None:
+                return None
+            if not (logged.invalid or logged.is_marker):
+                self.inject_replay(logged.message, 0)
+        step = ReplayStep(step=len(self.steps), message=self._delivered,
+                          sends=self.sent[sends_before:],
+                          state_after=self.program.snapshot())
         self.steps.append(step)
         return step
 

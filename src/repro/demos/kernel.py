@@ -16,9 +16,11 @@ the publishing hooks:
   protocol: recreate requests, replay injection, suppression of
   regenerated sends, and the hand-back to live traffic.
 
-CPU time is charged to the node per kernel call according to the
-Chapter 5's kernel costs in :mod:`repro.costs`, which is what makes the
-Figure 5.7/5.8 measurement programs reproducible.
+The kernel calls, the receive path and the §4.7 rebuild are
+:class:`ProcessHost`; the replay debugger runs a process through the
+same code. CPU time is charged to the node per kernel call according
+to the Chapter 5's kernel costs in :mod:`repro.costs`, which is what
+makes the Figure 5.7/5.8 measurement programs reproducible.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class NodeCpu:
 class ProcessContext:
     """The API surface a program sees. Every method is a kernel call."""
 
-    def __init__(self, kernel: "MessageKernel", pcb: ProcessControlRecord):
+    def __init__(self, kernel: "ProcessHost", pcb: ProcessControlRecord):
         self._kernel = kernel
         self._pcb = pcb
 
@@ -161,45 +163,22 @@ class ProcessContext:
         self._kernel.events.emit("program", self.pid, text=text, **detail)
 
 
-class MessageKernel:
-    """The message kernel of one DEMOS/MP node."""
+class ProcessHost:
+    """The kernel calls (§4.2.2), the receive path and §4.7's rebuild of
+    a process, defined once for both kernels that run programs: the
+    :class:`MessageKernel` and the replay debugger, the kernel of one
+    offline process. A host provides ``registry``, ``node_id``,
+    ``engine``, ``cpu``, ``config``, ``events``, ``processes`` and
+    ``messages_delivered``, and ``_send_from``, which takes a sequenced
+    send off the process; with ``config.publishing`` it also provides
+    ``send_control_to_recorder``.
+    """
 
-    def __init__(self, engine: Engine, node_id: int, medium: Medium,
-                 config: KernelConfig, registry: ProgramRegistry,
-                 obs: Optional[Observability] = None):
-        self.engine = engine
-        self.node_id = node_id
-        self.config = config
-        self.registry = registry
-        #: instrumentation spine: shared when the System provides one,
-        #: otherwise rides the medium's (so standalone kernels still
-        #: land on the same registry as their medium and transport)
-        self.obs = obs if obs is not None else medium.obs
-        self.events = self.obs.scope(f"kernel.{node_id}")
-        self.cpu = NodeCpu(engine, self.obs.registry,
-                           f"kernel.{node_id}.cpu")
-        self.processes: Dict[ProcessId, ProcessControlRecord] = {}
-        self._control_seq = 0
-        #: control record class -> handler(record, src_node)
-        self.control_handlers: Dict[type, Callable[[tuple, int], None]] = {}
-        #: handler for DELIVERTOKERNEL messages, set by the kernel process
-        self.dtk_handler: Optional[Callable[[Message], None]] = None
-        self.up = True
-        #: invoked after each delivery; the checkpoint policy hooks in here
-        self.after_delivery: Optional[Callable[[ProcessControlRecord], None]] = None
-        #: invoked on process crash reports, creation, destruction
-        self.transport = Transport(engine, medium, node_id, self._on_segment,
-                                   config.transport, obs=self.obs)
-        self.messages_sent = self.obs.registry.counter(
-            f"kernel.{node_id}.messages_sent")
-        self.messages_delivered = self.obs.registry.counter(
-            f"kernel.{node_id}.messages_delivered")
-        self.obs.registry.gauge_fn(
-            f"kernel.{node_id}.processes", lambda: len(self.processes))
+    #: invoked after each delivery; the checkpoint policy hooks in here
+    after_delivery: Optional[Callable[[ProcessControlRecord], None]] = None
+    #: handler for DELIVERTOKERNEL messages, set by the kernel process
+    dtk_handler: Optional[Callable[[Message], None]] = None
 
-    # ------------------------------------------------------------------
-    # process lifetime (primitives used by the kernel process)
-    # ------------------------------------------------------------------
     def _new_pcb(self, pid: ProcessId, image: str, args: Tuple,
                  initial_links: Tuple[Link, ...], recoverable: bool,
                  state_pages: int) -> ProcessControlRecord:
@@ -221,26 +200,6 @@ class MessageKernel:
         self.processes[pid] = pcb
         return pcb
 
-    def create_process(self, image: str, pid: ProcessId, args: Tuple = (),
-                       initial_links: Tuple[Link, ...] = (),
-                       recoverable: bool = True,
-                       state_pages: int = 4) -> ProcessId:
-        """Start a new process named ``pid``, which the node's kernel
-        process allocated (§4.3.1)."""
-        if pid in self.processes and self.processes[pid].state is not ProcessState.DEAD:
-            raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
-        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
-                            state_pages)
-        self.events.emit("process", pid, event="created", image=image)
-        if self.config.publishing:
-            self.send_control_to_recorder(ProcessCreated(
-                pid, self.node_id, image, args, tuple(initial_links),
-                recoverable, state_pages))
-        ctx = ProcessContext(self, pcb)
-        self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
-                     self._start_program, pcb, ctx)
-        return pid
-
     def _start_program(self, pcb: ProcessControlRecord, ctx: ProcessContext) -> None:
         if pcb.state in (ProcessState.DEAD, ProcessState.CRASHED):
             return     # destroyed, crashed or its node crashed before it started
@@ -259,9 +218,7 @@ class MessageKernel:
         if notify_recorder and self.config.publishing:
             self.send_control_to_recorder(ProcessDestroyed(pid, self.node_id))
 
-    # ------------------------------------------------------------------
-    # kernel calls
-    # ------------------------------------------------------------------
+    # -- kernel calls -----------------------------------------------------
     def syscall_create_link(self, pcb: ProcessControlRecord,
                             channel: int, code: int) -> int:
         self.cpu.charge(costs.LINK_CALL_CPU_MS)
@@ -296,6 +253,180 @@ class MessageKernel:
 
     def syscall_exit(self, pcb: ProcessControlRecord) -> None:
         self.destroy_process(pcb.pid)
+
+    def forge_link(self, pcb: ProcessControlRecord, link: Link) -> int:
+        """Insert an arbitrary link into a process's table.
+
+        Only the kernel process uses this — it manufactures the
+        DELIVERTOKERNEL control links returned from process creation and
+        the initial links of new processes. User programs cannot forge
+        links; they only create links to themselves (§4.2.2.1).
+        """
+        return pcb.links.insert(link)
+
+    # -- receive path -----------------------------------------------------
+    def _execute_dtk(self, message: Message) -> None:
+        pcb = self.processes.get(message.dst)
+        if pcb is not None:
+            pcb.dtk_processed += 1
+        if self.dtk_handler is not None:
+            self.dtk_handler(message)
+
+    def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
+        pcb.queue.append(message)
+        self._pump(pcb)
+
+    def _pump(self, pcb: ProcessControlRecord) -> None:
+        """Deliver the next acceptable message to the program, if any."""
+        if pcb.busy or not pcb.alive():
+            return
+        ready, channels = pcb.program.wants()
+        if not ready:
+            return
+        message, was_head = pcb.queue.take_next(channels)
+        if message is None:
+            return
+        if not was_head and self.config.publishing and pcb.recoverable:
+            # §4.4.2: channels read this message out of arrival order;
+            # tell the recorder which message was read and which was at
+            # the head of the queue.
+            head = pcb.queue.head()
+            self.send_control_to_recorder(ReadOrder(
+                pcb.pid, message.msg_id,
+                head.msg_id if head is not None else None))
+        pcb.busy = True
+        self.cpu.run(costs.RECV_CPU_MS, self._invoke_handler, pcb, message)
+
+    def _invoke_handler(self, pcb: ProcessControlRecord, message: Message) -> None:
+        if not pcb.alive():
+            return
+        passed_link_id: Optional[int] = None
+        if message.passed_link is not None:
+            passed_link_id = pcb.links.insert(message.passed_link)
+        delivered = DeliveredMessage(message.code, message.channel,
+                                     message.body, message.src, passed_link_id)
+        pcb.consumed += 1
+        pcb.msgs_since_checkpoint += 1
+        pcb.replay_bytes_since_checkpoint += message.size_bytes
+        user_cost = pcb.program.handler_cpu_ms
+        pcb.exec_ms_since_checkpoint += user_cost
+        ctx = ProcessContext(self, pcb)
+        self.messages_delivered.inc()
+        self.cpu.charge(user_cost, user=True)
+        try:
+            pcb.program.deliver(ctx, delivered)
+        finally:
+            pcb.busy = False
+        if self.after_delivery is not None and pcb.alive():
+            self.after_delivery(pcb)
+        if pcb.alive():
+            self.engine.call_soon(self._pump, pcb)
+
+    # -- recovery (§4.7) --------------------------------------------------
+    def recreate_process(self, pid: ProcessId, image: str, args: Tuple,
+                         initial_links: Tuple[Link, ...],
+                         checkpoint: Optional[Dict[str, Any]],
+                         suppress_send_through: int,
+                         recoverable: bool, state_pages: int,
+                         recovery_epoch: int) -> None:
+        """§4.7's recreate request: (re)build the process in the
+        recovering state. If it already exists, it is destroyed first."""
+        self.destroy_process(pid, notify_recorder=False)
+        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
+                            state_pages)
+        pcb.state = ProcessState.RECOVERING
+        pcb.suppress_send_through = suppress_send_through
+        pcb.recovery_epoch = recovery_epoch
+        if checkpoint is not None:
+            pcb.restore(checkpoint)
+            if hasattr(pcb.program, "attach_kernel"):
+                pcb.program.attach_kernel(self)   # restore clears the ref
+            self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * state_pages)
+        else:
+            # Restart from the initial image (binary) and let replay do
+            # the rest — the thesis's initial implementation.
+            self.cpu.run(costs.CREATE_PROCESS_CPU_MS, self._start_program,
+                         pcb, ProcessContext(self, pcb))
+        self.events.emit("recovery", pid, event="recreated",
+                         from_checkpoint=checkpoint is not None)
+
+    def inject_replay(self, message: Message, recovery_epoch: int) -> None:
+        """The recovery process's special call: feed one published
+        message to a recovering process, bypassing links (§4.7).
+
+        Replay traffic from a superseded recovery process (§3.5) carries
+        a stale epoch and is dropped — without this, controls already in
+        flight when a recursive crash restarted recovery would leak into
+        the new incarnation's stream.
+        """
+        pcb = self.processes.get(message.dst)
+        if pcb is None or pcb.state is not ProcessState.RECOVERING:
+            return
+        if recovery_epoch != pcb.recovery_epoch:
+            self.events.emit("recovery", message.dst,
+                             event="stale_replay_dropped")
+            return
+        if message.deliver_to_kernel:
+            # Replayed process-control traffic executes at the kernel
+            # level, "just like all other messages" in stream order.
+            self._execute_dtk(message)
+            return
+        self._enqueue(pcb, message)
+
+
+class MessageKernel(ProcessHost):
+    """The message kernel of one DEMOS/MP node."""
+
+    def __init__(self, engine: Engine, node_id: int, medium: Medium,
+                 config: KernelConfig, registry: ProgramRegistry,
+                 obs: Optional[Observability] = None):
+        self.engine = engine
+        self.node_id = node_id
+        self.config = config
+        self.registry = registry
+        #: instrumentation spine: shared when the System provides one,
+        #: otherwise rides the medium's (so standalone kernels still
+        #: land on the same registry as their medium and transport)
+        self.obs = obs if obs is not None else medium.obs
+        self.events = self.obs.scope(f"kernel.{node_id}")
+        self.cpu = NodeCpu(engine, self.obs.registry,
+                           f"kernel.{node_id}.cpu")
+        self.processes: Dict[ProcessId, ProcessControlRecord] = {}
+        self._control_seq = 0
+        #: control record class -> handler(record, src_node)
+        self.control_handlers: Dict[type, Callable[[tuple, int], None]] = {}
+        self.up = True
+        self.transport = Transport(engine, medium, node_id, self._on_segment,
+                                   config.transport, obs=self.obs)
+        self.messages_sent = self.obs.registry.counter(
+            f"kernel.{node_id}.messages_sent")
+        self.messages_delivered = self.obs.registry.counter(
+            f"kernel.{node_id}.messages_delivered")
+        self.obs.registry.gauge_fn(
+            f"kernel.{node_id}.processes", lambda: len(self.processes))
+
+    # ------------------------------------------------------------------
+    # process lifetime (primitives used by the kernel process)
+    # ------------------------------------------------------------------
+    def create_process(self, image: str, pid: ProcessId, args: Tuple = (),
+                       initial_links: Tuple[Link, ...] = (),
+                       recoverable: bool = True,
+                       state_pages: int = 4) -> ProcessId:
+        """Start a new process named ``pid``, which the node's kernel
+        process allocated (§4.3.1)."""
+        if pid in self.processes and self.processes[pid].state is not ProcessState.DEAD:
+            raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
+        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
+                            state_pages)
+        self.events.emit("process", pid, event="created", image=image)
+        if self.config.publishing:
+            self.send_control_to_recorder(ProcessCreated(
+                pid, self.node_id, image, args, tuple(initial_links),
+                recoverable, state_pages))
+        ctx = ProcessContext(self, pcb)
+        self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
+                     self._start_program, pcb, ctx)
+        return pid
 
     # ------------------------------------------------------------------
     # message routing
@@ -418,13 +549,6 @@ class MessageKernel:
             return   # stale marker from a finished recovery; ignore
         self._enqueue(pcb, message)
 
-    def _execute_dtk(self, message: Message) -> None:
-        pcb = self.processes.get(message.dst)
-        if pcb is not None:
-            pcb.dtk_processed += 1
-        if self.dtk_handler is not None:
-            self.dtk_handler(message)
-
     def _live_message_while_recovering(self, pcb: ProcessControlRecord,
                                        message: Message) -> None:
         """§4.7: live traffic for a recovering process is discarded (the
@@ -445,69 +569,9 @@ class MessageKernel:
             self.events.emit("recovery", pcb.pid, event="discarded_live",
                              msg=message.msg_id)
 
-    def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
-        pcb.queue.append(message)
-        self._pump(pcb)
-
-    def _pump(self, pcb: ProcessControlRecord) -> None:
-        """Deliver the next acceptable message to the program, if any."""
-        if pcb.busy or not pcb.alive():
-            return
-        ready, channels = pcb.program.wants()
-        if not ready:
-            return
-        message, was_head = pcb.queue.take_next(channels)
-        if message is None:
-            return
-        if not was_head and self.config.publishing and pcb.recoverable:
-            # §4.4.2: channels read this message out of arrival order;
-            # tell the recorder which message was read and which was at
-            # the head of the queue.
-            head = pcb.queue.head()
-            self.send_control_to_recorder(ReadOrder(
-                pcb.pid, message.msg_id,
-                head.msg_id if head is not None else None))
-        pcb.busy = True
-        self.cpu.run(costs.RECV_CPU_MS, self._invoke_handler, pcb, message)
-
-    def _invoke_handler(self, pcb: ProcessControlRecord, message: Message) -> None:
-        if not pcb.alive():
-            return
-        passed_link_id: Optional[int] = None
-        if message.passed_link is not None:
-            passed_link_id = pcb.links.insert(message.passed_link)
-        delivered = DeliveredMessage(message.code, message.channel,
-                                     message.body, message.src, passed_link_id)
-        pcb.consumed += 1
-        pcb.msgs_since_checkpoint += 1
-        pcb.replay_bytes_since_checkpoint += message.size_bytes
-        user_cost = pcb.program.handler_cpu_ms
-        pcb.exec_ms_since_checkpoint += user_cost
-        ctx = ProcessContext(self, pcb)
-        self.messages_delivered.inc()
-        self.cpu.charge(user_cost, user=True)
-        try:
-            pcb.program.deliver(ctx, delivered)
-        finally:
-            pcb.busy = False
-        if self.after_delivery is not None and pcb.alive():
-            self.after_delivery(pcb)
-        if pcb.alive():
-            self.engine.call_soon(self._pump, pcb)
-
     # ------------------------------------------------------------------
     # privileged operations (kernel process only)
     # ------------------------------------------------------------------
-    def forge_link(self, pcb: ProcessControlRecord, link: Link) -> int:
-        """Insert an arbitrary link into a process's table.
-
-        Only the kernel process uses this — it manufactures the
-        DELIVERTOKERNEL control links returned from process creation and
-        the initial links of new processes. User programs cannot forge
-        links; they only create links to themselves (§4.2.2.1).
-        """
-        return pcb.links.insert(link)
-
     def send_as(self, pcb: ProcessControlRecord, dst: ProcessId, body: Any,
                 channel: int = 0, code: int = 0,
                 passed_link: Optional[Link] = None,
@@ -552,17 +616,9 @@ class MessageKernel:
         pcb = self.processes.get(pid)
         if pcb is None or pcb.state is not ProcessState.RUNNING:
             return False
-        program_state = pcb.program.snapshot()
-        if program_state is None:
+        checkpoint = pcb.snapshot()
+        if checkpoint is None:
             return False
-        checkpoint = {
-            "program_state": program_state,
-            "links": pcb.links.snapshot(),
-            "send_seq": pcb.send_seq,
-            "consumed": pcb.consumed,
-            "dtk_processed": pcb.dtk_processed,
-            "channels": getattr(pcb.program, "_channels", None),
-        }
         pages = pcb.state_pages
         self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * pages)
         size = pages * costs.CHECKPOINT_PAGE_BYTES
@@ -609,63 +665,6 @@ class MessageKernel:
         self.up = True
         self.transport.restart()
         self.events.emit("restart", f"node{self.node_id}")
-
-    def recreate_process(self, pid: ProcessId, image: str, args: Tuple,
-                         initial_links: Tuple[Link, ...],
-                         checkpoint: Optional[Dict[str, Any]],
-                         suppress_send_through: int,
-                         recoverable: bool, state_pages: int,
-                         recovery_epoch: int) -> None:
-        """§4.7's recreate request: (re)build the process in the
-        recovering state. If it already exists, it is destroyed first."""
-        self.destroy_process(pid, notify_recorder=False)
-        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
-                            state_pages)
-        pcb.state = ProcessState.RECOVERING
-        pcb.suppress_send_through = suppress_send_through
-        pcb.recovery_epoch = recovery_epoch
-        ctx = ProcessContext(self, pcb)
-        if checkpoint is not None:
-            pcb.program.restore(checkpoint["program_state"])
-            if hasattr(pcb.program, "attach_kernel"):
-                pcb.program.attach_kernel(self)   # restore clears the ref
-            pcb.links.restore(checkpoint["links"])
-            pcb.send_seq = checkpoint["send_seq"]
-            pcb.consumed = checkpoint["consumed"]
-            pcb.dtk_processed = checkpoint.get("dtk_processed", 0)
-            if checkpoint.get("channels") is not None:
-                pcb.program._channels = checkpoint["channels"]
-            self.cpu.charge(costs.CHECKPOINT_CPU_PER_PAGE_MS * state_pages)
-        else:
-            # Restart from the initial image (binary) and let replay do
-            # the rest — the thesis's initial implementation.
-            self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
-                         self._start_program, pcb, ctx)
-        self.events.emit("recovery", pid, event="recreated",
-                         from_checkpoint=checkpoint is not None)
-
-    def inject_replay(self, message: Message, recovery_epoch: int) -> None:
-        """The recovery process's special call: feed one published
-        message to a recovering process, bypassing links (§4.7).
-
-        Replay traffic from a superseded recovery process (§3.5) carries
-        a stale epoch and is dropped — without this, controls already in
-        flight when a recursive crash restarted recovery would leak into
-        the new incarnation's stream.
-        """
-        pcb = self.processes.get(message.dst)
-        if pcb is None or pcb.state is not ProcessState.RECOVERING:
-            return
-        if recovery_epoch != pcb.recovery_epoch:
-            self.events.emit("recovery", message.dst,
-                             event="stale_replay_dropped")
-            return
-        if message.deliver_to_kernel:
-            # Replayed process-control traffic executes at the kernel
-            # level, "just like all other messages" in stream order.
-            self._execute_dtk(message)
-            return
-        self._enqueue(pcb, message)
 
     def finish_recovery(self, pid: ProcessId, recovery_epoch: int) -> None:
         """Replay complete: append held live traffic and go live."""

@@ -253,3 +253,28 @@ class ProcessControlRecord:
 
     def alive(self) -> bool:
         return self.state in (ProcessState.RUNNING, ProcessState.RECOVERING)
+
+    def snapshot(self) -> Optional[Dict[str, Any]]:
+        """The checkpoint (§3.3.1): program state plus the kernel state a
+        replay continues from; None if the program cannot be snapshotted."""
+        program_state = self.program.snapshot()
+        if program_state is None:
+            return None
+        return {
+            "program_state": program_state,
+            "links": self.links.snapshot(),
+            "send_seq": self.send_seq,
+            "consumed": self.consumed,
+            "dtk_processed": self.dtk_processed,
+            "channels": getattr(self.program, "_channels", None),
+        }
+
+    def restore(self, checkpoint: Dict[str, Any]) -> None:
+        """Reinstate what :meth:`snapshot` captured."""
+        self.program.restore(checkpoint["program_state"])
+        self.links.restore(checkpoint["links"])
+        self.send_seq = checkpoint["send_seq"]
+        self.consumed = checkpoint["consumed"]
+        self.dtk_processed = checkpoint["dtk_processed"]
+        if checkpoint["channels"] is not None:
+            self.program._channels = checkpoint["channels"]

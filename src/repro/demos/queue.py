@@ -15,7 +15,7 @@ selected message was the queue head.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple
 
 from repro.demos.messages import Message
 
@@ -29,14 +29,6 @@ class MessageQueue:
     def append(self, message: Message) -> None:
         """Enqueue at the tail (arrival order)."""
         self._queue.append(message)
-
-    def peek_matching(self, channels: Optional[Iterable[int]]) -> Optional[Message]:
-        """The next message on one of ``channels`` (None = any), unread."""
-        allowed = None if channels is None else set(channels)
-        for msg in self._queue:
-            if allowed is None or msg.channel in allowed:
-                return msg
-        return None
 
     def take_next(self, channels: Optional[Iterable[int]]) -> Tuple[Optional[Message], bool]:
         """Remove and return the next matching message.

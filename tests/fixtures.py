@@ -19,6 +19,7 @@ import sys
 from typing import Any, List, Optional, Tuple
 
 from repro import Program, System
+from repro.debugger import ReplayDebugger
 from repro.demos.ids import ProcessId
 from repro.demos.links import Link
 from repro.errors import RecorderError
@@ -354,6 +355,43 @@ def wire_driver(system: System, driver_pid: ProcessId,
     pcb.program.target_link = node.kernel.forge_link(pcb, Link(dst=target_pid))
     kick = node.kernel.forge_link(pcb, Link(dst=driver_pid))
     node.kernel.syscall_send(pcb, kick, ("kick",), None, 32)
+
+
+class Unrecorded(AssertionError):
+    """A process :func:`assert_log_reproduces` cannot replay: no live
+    pcb holds it, or the recorder holds no image for it. ROADMAP item 1
+    (v): a process whose creation never reached the recorder vanishes
+    with its node."""
+
+
+class Diverged(AssertionError):
+    """A live process that differs from the replay of its own log."""
+
+
+def assert_log_reproduces(system: System, pids) -> None:
+    """The recorder's log is the oracle (§6.5): each process of ``pids``
+    equals its replay. The process is rebuilt offline from its record,
+    the way recovery rebuilds it (checkpoint or image, then the valid
+    records), and run to the end of its log; its program's
+    ``snapshot()`` must equal the live one and its send count the live
+    pcb's ``send_seq``. Raises :class:`Unrecorded` or :class:`Diverged`.
+    """
+    for pid in pids:
+        pcb = next((node.kernel.processes[pid]
+                    for node in system.nodes.values()
+                    if pid in node.kernel.processes), None)
+        record = system.recorder.db.get(pid)
+        if pcb is None or not pcb.alive() or record is None or not record.image:
+            raise Unrecorded(
+                f"{pid}: live pcb {pcb is not None and pcb.alive()}, recorded "
+                f"image {bool(record and record.image)} (ROADMAP item 1 (v))")
+        replay = ReplayDebugger(record, system.registry)
+        replay.run_all()
+        live, replayed = pcb.program.snapshot(), replay.program.snapshot()
+        if live != replayed or pcb.send_seq != replay.pcb.send_seq:
+            raise Diverged(
+                f"{pid}: live {live} after {pcb.send_seq} sends, replayed "
+                f"{replayed} after {replay.pcb.send_seq}")
 
 
 def expected_totals(n: int):

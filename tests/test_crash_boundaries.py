@@ -4,20 +4,27 @@ The simulation is a pure function of (config, seed, fault schedule), so
 a fault can be placed at an event boundary instead of a sampled
 instant: run the world for ``k`` events, apply one crash, run 120 s
 more. The world is the two-node counter/driver pair (20 calls, counter
-on node 2, driver on node 1).
+on node 2, driver on node 1, transport window 1).
 
-The oracle is program ownership: every ``setup`` and ``on_message``
-runs in a program that its kernel's process table holds, in a pcb that
-is alive. A crash kills the pcbs it takes with it, so no work queued
-before the crash may run afterwards in their name. Reply counts are not
-checked here.
+Each run is checked by two oracles:
+
+* program ownership: every ``setup`` and ``on_message`` runs in a
+  program that its kernel's process table holds, in a pcb that is
+  alive. A crash kills the pcbs it takes with it, so no work queued
+  before the crash may run afterwards in their name;
+* the recorder's log (``fixtures.assert_log_reproduces``): the counter
+  and the driver each equal the replay of their own log. The points
+  where one does not are the strict table ``KNOWN_LOG_FAILURES``.
+
+Reply counts are not checked here.
 """
 
 import pytest
 
 from repro import System, SystemConfig
 
-from fixtures import CounterProgram, DriverProgram
+from fixtures import (CounterProgram, Diverged, DriverProgram, Unrecorded,
+                      assert_log_reproduces)
 
 #: medium → the event boundaries the cell crashes at
 BOUNDARIES = {
@@ -26,6 +33,21 @@ BOUNDARIES = {
 }
 
 CRASHES = ("counter process", "driver process", "counter node", "driver node")
+
+#: (medium, crash, failure class) → the boundaries of the cell at which
+#: a process differs from its own log. The table is strict: a row that
+#: passes fails the cell, and so does a failure with no row.
+#: - Unrecorded, ROADMAP item 1 (v): the node crashed before the
+#:   recorder held the process's creation, and the process is gone.
+#: - Diverged, ROADMAP item 1: the recovered driver holds 21 replies,
+#:   ('total', 91) twice, where its log holds 20.
+KNOWN_LOG_FAILURES = {
+    ("broadcast", "counter node", Unrecorded): (1, 6, 11),
+    ("broadcast", "driver node", Unrecorded): (1, 6, 11, 16),
+    ("csma_ethernet", "counter node", Unrecorded): (1, 26, 51, 76, 101),
+    ("csma_ethernet", "driver node", Unrecorded): (1, 26, 51, 76),
+    ("csma_ethernet", "driver node", Diverged): (351,),
+}
 
 
 class _Owned:
@@ -50,9 +72,10 @@ class _Owned:
         super().on_message(ctx, m)
 
 
-def escapes_after_crash(medium, boundary, crash):
-    """The handlers that ran outside their pcb after ``crash`` at
-    event ``boundary``."""
+def crash_at(medium, boundary, crash):
+    """Run the world with ``crash`` at event ``boundary``. Returns the
+    handlers that ran outside their pcb, and the class of the log
+    check's failure (None when both processes equal their logs)."""
     escapes = []
     system = System(SystemConfig(nodes=2, medium=medium))
     owned = {"escapes": escapes}
@@ -74,11 +97,30 @@ def escapes_after_crash(medium, boundary, crash):
     else:
         system.crash_node(driver_pid.node)
     system.run(120_000)
-    return escapes
+    try:
+        assert_log_reproduces(system, (counter_pid, driver_pid))
+    except (Unrecorded, Diverged) as failure:
+        return escapes, type(failure)
+    return escapes, None
 
 
-@pytest.mark.parametrize("medium", sorted(BOUNDARIES))
-def test_no_handler_runs_outside_its_pcb_after_a_crash(medium):
-    failing = [(k, crash) for k in BOUNDARIES[medium] for crash in CRASHES
-               if escapes_after_crash(medium, k, crash)]
-    assert failing == []
+@pytest.fixture(scope="module", params=sorted(BOUNDARIES))
+def cell(request):
+    medium = request.param
+    return medium, {(k, crash): crash_at(medium, k, crash)
+                    for k in BOUNDARIES[medium] for crash in CRASHES}
+
+
+def test_no_handler_runs_outside_its_pcb_after_a_crash(cell):
+    _, runs = cell
+    assert [point for point, (escapes, _) in runs.items() if escapes] == []
+
+
+def test_every_process_equals_its_log_but_the_known_rows(cell):
+    medium, runs = cell
+    failing = {(crash, failure, k) for (k, crash), (_, failure) in runs.items()
+               if failure is not None}
+    known = {(crash, failure, k)
+             for (row_medium, crash, failure), ks in KNOWN_LOG_FAILURES.items()
+             if row_medium == medium for k in ks}
+    assert failing == known

@@ -102,12 +102,6 @@ class TestMessageQueue:
         assert taken is None and was_head
         assert len(q) == 1
 
-    def test_peek_does_not_consume(self):
-        q = MessageQueue()
-        q.append(msg(1))
-        assert q.peek_matching(None).msg_id.seq == 1
-        assert len(q) == 1
-
     def test_head(self):
         q = MessageQueue()
         assert q.head() is None
