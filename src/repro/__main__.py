@@ -8,9 +8,10 @@ lists the commands).
 * Rigs: one subcommand per entry of :data:`repro.rigs.RIGS`,
   plus ``sweep --kind <rig>``, which shards a rig's grid over worker
   processes. This module knows the report protocol, not the rigs: a
-  rig's flags come from its declaration, and ``--json`` / ``--output``
-  / ``--verify-determinism`` / ``--check`` and the exit code are
-  handled once, below (``docs/PERFORMANCE.md``, "Rigs").
+  rig's flags come from its declaration, every payload prints through
+  ``repro.rigs.render``, and ``--json`` / ``--output`` /
+  ``--verify-determinism`` / ``--check`` and the exit code are handled
+  once, below (``docs/PERFORMANCE.md``, "Rigs").
 """
 
 from __future__ import annotations
@@ -163,20 +164,16 @@ def _given(args: argparse.Namespace, params) -> dict:
 def _cmd_rig(args: argparse.Namespace) -> int:
     """The CLI driver: run the rig, re-prove determinism if asked."""
     from repro.digest import digest_of
-    from repro.rigs import RIGS
+    from repro.rigs import RIGS, render
 
     rig = RIGS[args.command]
     params = _given(args, rig.params)
     report = rig(**params)
-    text = rig.render(report)
-    ok = rig.ok(report)
-    if getattr(args, "verify_determinism", False):
+    if args.verify_determinism:
         identical = digest_of(rig(**params)) == digest_of(report)
-        report["replay_identical"] = identical
-        text += ("\n  replay: second run "
-                 + ("bit-identical" if identical else "DIVERGED"))
-        ok = ok and identical
-    return _emit(report, text, ok, args)
+        report.update(replay_identical=identical,
+                      ok=report["ok"] and identical)
+    return _emit(report, render(report), report["ok"], args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -184,10 +181,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ``--check``, pass iff every shard's payload does."""
     from repro.rigs import RIGS, run_sweep
 
-    rig = RIGS[args.kind]
     merged = run_sweep(args.kind, max_workers=args.parallel,
-                       check=args.check, **_given(args, rig.params))
-    ok = all(rig.ok(shard["payload"]) for shard in merged["shards"])
+                       check=args.check,
+                       **_given(args, RIGS[args.kind].params))
+    ok = all(shard["payload"].get("ok", True) for shard in merged["shards"])
     lines = [f"sweep {args.kind}: {merged['count']} shards, "
              f"workers={merged['workers'] or 'auto'}, "
              f"digest {merged['digest'][:16]}"]
@@ -219,8 +216,7 @@ def _add_params(parser, params, face: str) -> None:
                 str if p.default is None else type(p.default)))
             if p.repeat:
                 kwargs.update(action="append", metavar="N")
-        parser.add_argument(p.flag or "--" + p.name.replace("_", "-"),
-                            **kwargs)
+        parser.add_argument(p.option, **kwargs)
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -259,7 +255,8 @@ def build_parser(argv) -> argparse.ArgumentParser:
         "facts", help="run every rig's deterministic facts, compare them "
                       "exactly against BENCH_publishing.json")
     facts.add_argument("--smoke", action="store_true",
-                       help="small sizes (seconds, for CI)")
+                       help="each rig at its smoke parameters (seconds, "
+                            "for CI)")
     facts.add_argument("--seed", type=int, default=1983,
                        help="master seed for every rig")
     # no choices=: the names are the table's, which a plain command does
@@ -279,18 +276,16 @@ def build_parser(argv) -> argparse.ArgumentParser:
     # the report protocol's flags, declared once for every rig and sweep
     protocol = argparse.ArgumentParser(add_help=False)
     protocol.add_argument("--json", action="store_true",
-                          help="print the report as JSON instead of text")
+                          help="print the report as JSON instead of "
+                               "path/value lines")
     protocol.add_argument("--output", default=None, metavar="FILE",
                           help="also write the JSON report to this file")
     for rig in RIGS.values():
-        if rig.render is None:
-            continue
         cmd = sub.add_parser(rig.name, help=rig.help, parents=[protocol])
         _add_params(cmd, rig.params, "run")
-        if rig.replay:
-            cmd.add_argument("--verify-determinism", action="store_true",
-                             help="run twice and require identical payload "
-                                  "digests (event stream's sha-256 included)")
+        cmd.add_argument("--verify-determinism", action="store_true",
+                         help="run twice and require identical payload "
+                              "digests")
         cmd.set_defaults(fn=_cmd_rig)
 
     # sweep accepts exactly the flags of its --kind, so the parser that

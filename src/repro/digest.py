@@ -4,13 +4,14 @@ Every committed digest (``BENCH_publishing.json``, a sweep's shard
 records, the partitioned DES's per-cluster digests) is one of these
 over some value; the byte layouts are frozen. The message checksum,
 ``repro.publishing.store.payload_digest``, lives with the store.
-:func:`leaf_diff` is how a committed value is held against a fresh one.
+:func:`leaf_diff` is how a committed value is held against a fresh one,
+and :func:`leaves` names a value's leaves the same way.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, List
+from typing import Any, List, Tuple
 
 from repro.sim.rng import sha256
 
@@ -38,6 +39,18 @@ def fold(digest: int, value: int) -> int:
     """``digest`` (0 to start) with ``value`` folded in: an
     order-sensitive polynomial hash modulo a Mersenne prime."""
     return (digest * 1000003 + value) % _HASH_MOD
+
+
+def leaves(value: Any, path: str = "") -> List[Tuple[str, Any]]:
+    """``(path, leaf)`` for every leaf under ``value``, each named as
+    :func:`leaf_diff` names it; an empty dict or list is a leaf."""
+    if isinstance(value, dict) and value:
+        return [leaf for key, child in value.items() for leaf in leaves(
+            child, f"{path}.{key}" if path else str(key))]
+    if isinstance(value, list) and value:
+        return [leaf for index, child in enumerate(value)
+                for leaf in leaves(child, f"{path}[{index}]")]
+    return [(path, value)]
 
 
 def leaf_diff(path: str, committed: Any, current: Any) -> List[str]:

@@ -150,9 +150,8 @@ def cluster_digest(system: System) -> str:
     The event stream is hashed as two sub-streams — medium-side scopes,
     then ``=recorder=``, then recorder-side scopes
     (:func:`recorder_side_prefixes`) — each in bus order. The byte
-    layout is frozen: every ``*_digest`` committed under
-    ``parallel_des``, ``des_scaling`` and ``federation_scaling`` in
-    ``BENCH_publishing.json`` is built on it.
+    layout is frozen: every DES digest the ``des`` and ``federation``
+    rigs commit in ``BENCH_publishing.json`` is built on it.
     """
     snapshot = {key: value for key, value in system.metrics_snapshot().items()
                 if key not in DES_VOLATILE_METRICS}
@@ -645,7 +644,7 @@ def equivalence_report(scenario: DesScenario,
     report is pure facts), the reference digest, and ``equivalent`` —
     True iff every run produced byte-identical per-cluster digests and
     a correct workload outcome. The one pooled-vs-serial gate: the
-    ``des`` / ``federation`` rigs and their workloads go through it.
+    ``des`` / ``federation`` rigs go through it.
     """
     runs = [run_serial(scenario)]
     for count in worker_counts:

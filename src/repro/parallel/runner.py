@@ -87,10 +87,9 @@ def execute_task(task: ShardTask) -> Dict[str, Any]:
     from repro.rigs import RIGS     # the table imports this module
 
     rig = RIGS.get(task.kind)
-    if rig is None or rig.run is None:     # a facts-only rig has no shard
-        known = sorted(name for name, rig in RIGS.items() if rig.run)
+    if rig is None:
         raise ReproError(f"unknown shard kind {task.kind!r} "
-                         f"(known: {', '.join(known)})")
+                         f"(known: {', '.join(sorted(RIGS))})")
     params = dict(task.params)
     try:
         payload = rig.run(params)

@@ -153,7 +153,7 @@ class FederationCapacityModel:
 
     def knee_report(self) -> Dict[str, object]:
         """The knee, its per-station utilisations, and the saturating
-        station — what the federation_scaling workload records."""
+        station — what the ``federation`` rig records."""
         knee = self.capacity_in_users()
         probe = max(knee, 1)
         return {

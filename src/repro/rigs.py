@@ -3,18 +3,20 @@
 A *rig* is one of the repo's measurement programs — the §5.1 capacity
 table, the Figure 5.5 grid, the Figure 5.7 pair, a chaos campaign, the
 gossip / adversary / DES / federation acceptance scenarios, the media
-storms, the recorder store. :data:`RIGS` declares each once
-(:class:`Rig`); what *drives* a rig knows that protocol and not the
-rigs: the CLI (one subcommand per entry with a ``render``,
-``repro.__main__``), the sweep driver (:func:`run_sweep` — a shard is
-one ``run`` call), the determinism gate (``python -m repro facts``:
-:func:`facts_report` is every rig's ``facts``, keyed by rig, and
-:func:`compare_facts` holds it against ``BENCH_publishing.json``), and
-CI with ``tests/test_rigs.py`` (:func:`ci_commands`).
-
-A payload, and a rig's ``facts(seed, smoke)``, is a JSON-able dict of
-deterministic facts: no rig reads a clock, so two runs must agree on
+storms, the recorder pipeline and store. :data:`RIGS` declares each
+once (:class:`Rig`): its parameters and its one scenario, ``run(params)
+-> payload``. A payload is a JSON-able dict of deterministic facts with
+an ``ok`` verdict: no rig reads a clock, so two runs must agree on
 ``digest_of(payload)``.
+
+What *drives* a rig knows that protocol and not the rigs: the CLI (one
+subcommand per rig, ``repro.__main__``, which prints any payload with
+:func:`render`), the sweep driver (:func:`run_sweep` — a shard is one
+``run`` call), the determinism gate (``python -m repro facts``:
+:func:`facts_report` is every rig at its ``smoke`` parameters, and
+:func:`compare_facts` holds it against ``BENCH_publishing.json``), and
+CI with ``tests/test_rigs.py`` (:func:`ci_commands`). So a rig's
+subcommand at its smoke flags prints exactly the leaves the gate pins.
 
 Nothing the table imports imports it back at module level:
 ``runner.execute_task`` looks a rig up when it is called.
@@ -22,20 +24,17 @@ Nothing the table imports imports it back at module level:
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass
-from functools import partial
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.chaos import (
     CHAOS_COUNTER_IMAGE,
     CHAOS_DRIVER_IMAGE,
-    ByzantineRecorder,
     ChaosCampaign,
-    CrashNode,
-    CrashRecorder,
-    RestartRecorder,
+    ScenarioResult,
     expected_total,
     feed_record,
     load_campaign,
@@ -44,10 +43,10 @@ from repro.chaos import (
     run_quorum_scenario,
     run_scenario,
 )
-from repro.chaos.campaign import demo_campaign, format_report
+from repro.chaos.campaign import demo_campaign
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
-from repro.digest import digest_of, fold, leaf_diff, text_digest
+from repro.digest import fold, leaf_diff, leaves, text_digest
 from repro.errors import ReproError
 from repro.metrics import measure_send_to_self
 from repro.net import MEDIA, build_medium
@@ -79,8 +78,8 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.system import System, SystemConfig
 
-#: ``BENCH_publishing.json``'s layout: rig name -> that rig's facts
-FACTS_SCHEMA = 2
+#: ``BENCH_publishing.json``'s layout: rig name -> that rig's payload
+FACTS_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -104,45 +103,44 @@ class Param:
     #: ``"run"``: the subcommand only; ``"grid"``: the sweep only
     on: str = "both"
 
+    @property
+    def option(self) -> str:
+        """The CLI flag."""
+        return self.flag or "--" + self.name.replace("_", "-")
+
 
 @dataclass(frozen=True)
 class Rig:
     name: str
     help: str
-    params: Tuple[Param, ...] = ()
-    #: params -> payload; one shard of a sweep is one call; ``None``:
-    #: the rig has facts and nothing else
-    run: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
-    #: (seed, smoke) -> the facts ``BENCH_publishing.json`` commits under
-    #: the rig's name; ``None``: it commits none
-    facts: Optional[Callable[[int, bool], Dict[str, Any]]] = None
-    #: payload -> terminal text; ``None``: no subcommand
-    render: Optional[Callable[[Dict[str, Any]], str]] = None
-    #: payload -> did the rig's acceptance condition hold
-    ok: Callable[[Dict[str, Any]], bool] = lambda payload: payload.get(
-        "ok", True)
+    params: Tuple[Param, ...]
+    #: params -> payload: the rig's one scenario; one shard of a sweep
+    #: is one call
+    run: Callable[[Dict[str, Any]], Dict[str, Any]]
+    #: the parameter overrides the determinism gate pins; the full size
+    #: is the declared defaults, which nothing commits
+    smoke: Mapping[str, Any] = field(default_factory=dict)
     #: grid builder: keywords named after params -> shard tasks
     grid: Optional[Callable[..., List[ShardTask]]] = None
-    #: the unit is one grid cell, so the subcommand runs the whole grid
-    #: (one worker) and ``render`` gets the merged sweep report
+    #: ``run`` is one grid cell, so the rig's payload is its whole grid
+    #: (run in this process), each cell under its shard name
     table: bool = False
-    #: the payload carries ``event_digest`` (sha-256 of the event stream),
-    #: so equal payload digests prove a bit-identical replay: the rig
-    #: takes ``--verify-determinism``
-    replay: bool = False
-    #: argv of the rig's CI cell, after the subcommand / after
-    #: ``sweep --kind <name>``
-    ci: Tuple[str, ...] = ()
+    #: argv of the rig's sweep CI cell, after ``sweep --kind <name>``
     ci_grid: Tuple[str, ...] = ()
 
     def __call__(self, **overrides: Any) -> Dict[str, Any]:
-        """The rig's report at the declared defaults, with ``overrides``:
-        one ``run`` — for a table rig, its grid on one worker."""
+        """The rig's payload at the declared defaults, with
+        ``overrides``, as its JSON reads (tuples come back as lists) and
+        with its ``ok`` verdict (true where ``run`` states none)."""
         params = {p.name: p.default for p in self.params if p.on != "grid"}
         params.update(overrides)
         if self.table:
-            return run_sweep(self.name, max_workers=1, **params)
-        return self.run(params)
+            payload = {"cells": {task.name: self.run(dict(task.params))
+                                 for task in self.grid(**params)}}
+        else:
+            payload = self.run(params)
+        return json.loads(json.dumps(dict(payload,
+                                          ok=payload.get("ok", True))))
 
 
 def _csv(kind: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
@@ -150,47 +148,18 @@ def _csv(kind: Callable[[str], Any]) -> Callable[[str], Tuple[Any, ...]]:
                               for part in text.split(",") if part.strip())
 
 
-def _rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
-    return [shard["payload"] for shard in merged["shards"]]
-
-
 class FactDivergence(ReproError):
-    """A rig's facts describe a run that failed its own expectation, so
-    the determinism gate fails instead of committing them."""
+    """A rig's payload at its smoke parameters failed its own ``ok``, so
+    the determinism gate fails instead of committing it."""
 
 
-def _gated(label: str, rig: str, sharded: bool = False,
-           **params: Any) -> Dict[str, Any]:
-    """Rig ``rig``'s report at ``params`` — or, ``sharded``, its grid's
-    merged report, run on two workers beside the serial re-run. Raises
-    unless every payload passed the rig's own ``ok`` and every shard
-    matched its serial digest: no committed leaf describes a run that
-    failed or diverged."""
-    declared = RIGS[rig]
-    if sharded:
-        report = run_sweep(rig, max_workers=2, check=True, **params)
-        shards = report["shards"]
-        failures = list(report["serial_check"]["mismatches"])
-    else:
-        report = declared(**params)
-        shards = [{"name": rig, "payload": report}]
-        failures = []
-    # the rig's text names what failed: a campaign's broken invariant,
-    # each DES run's workers, digest and verdict
-    failures += [f"{shard['name']}:\n{declared.render(shard['payload'])}"
-                 for shard in shards if not declared.ok(shard["payload"])]
-    if failures:
-        raise FactDivergence(f"{label}: the {rig} rig's gate failed\n"
-                             + "\n".join(failures))
-    return report
-
-
-def _parts(**workloads: Callable[[int, bool], Dict[str, Any]]
-           ) -> Callable[[int, bool], Dict[str, Any]]:
-    """A rig's facts made of named workloads, each ``(seed, smoke) ->
-    dict`` that starts with ``ops``, ``events`` and ``sim_ms``."""
-    return lambda seed, smoke: {name: workload(seed, smoke)
-                                for name, workload in workloads.items()}
+def render(payload: Dict[str, Any]) -> str:
+    """Any payload for the terminal: one ``path value`` line per leaf,
+    each path as :func:`~repro.digest.leaf_diff` names it, then the
+    verdict."""
+    return "\n".join([f"{path} {json.dumps(value)}"
+                      for path, value in leaves(payload)]
+                     + [f"result: {'PASS' if payload['ok'] else 'FAIL'}"])
 
 
 # ----------------------------------------------------------------------
@@ -223,15 +192,6 @@ def capacity_tasks(points: Optional[Iterable[str]] = None,
             for point in names for d in disks]
 
 
-def render_capacity(merged: Dict[str, Any]) -> str:
-    lines = [f"{'operating point':<18} {'max users':>9} {'nodes':>6} "
-             f"{'bottleneck':>10}"]
-    for p in _rows(merged):
-        lines.append(f"{p['point']:<18} {p['users']:>9} {p['nodes']:>6.2f} "
-                     f"{p['bottleneck']:>10}")
-    return "\n".join(lines)
-
-
 def run_utilization(params: Dict[str, Any]) -> Dict[str, Any]:
     """One Figure 5.5 grid cell: station utilizations at a
     (point, disks, nodes) configuration."""
@@ -257,22 +217,6 @@ def utilization_tasks(point: str = "mean",
             for d in disks for n in nodes]
 
 
-def render_utilization(merged: Dict[str, Any]) -> str:
-    rows = _rows(merged)
-    point = rows[0]["point"]
-    lines = [f"operating point: {point} "
-             f"({OPERATING_POINTS[point].users_per_node} users/node)",
-             f"{'disks':>5} {'nodes':>5} {'network':>8} {'cpu':>8} "
-             f"{'disk':>8}"]
-    for p in rows:
-        u = p["utilizations"]
-        flag = "  SATURATED" if not p["stable"] else ""
-        lines.append(
-            f"{p['disks']:>5} {p['nodes']:>5} {100 * u['network']:>7.1f}% "
-            f"{100 * u['cpu']:>7.1f}% {100 * u['disk']:>7.1f}%{flag}")
-    return "\n".join(lines)
-
-
 def run_figure57(params: Dict[str, Any]) -> Dict[str, Any]:
     """One Figure 5.7 measurement (with or without publishing). All
     figures are simulated time, so the payload is fully deterministic."""
@@ -281,25 +225,24 @@ def run_figure57(params: Dict[str, Any]) -> Dict[str, Any]:
     return {key: round(value, 9) for key, value in measured.items()}
 
 
-def figure57_tasks(iterations: int = 256) -> List[ShardTask]:
-    """The Figure 5.7 pair: with and without publishing."""
+def figure57_tasks(iterations: int = 512) -> List[ShardTask]:
+    """The Figure 5.7 pair: with and without publishing, at the
+    thesis's 512 iterations of the Figure 5.6 program."""
     return [make_task("figure57", f"figure57/{label}",
                       publishing=publishing, iterations=iterations)
             for label, publishing in (("publishing", True),
                                       ("bare", False))]
 
 
-def render_figure57(merged: Dict[str, Any]) -> str:
-    return "\n".join(
-        f"{label}: real {r['real_ms_per_iter']:6.2f} ms/iter, "
-        f"kernel CPU {r['kernel_cpu_ms_per_iter']:6.2f} ms/iter"
-        for label, r in zip(("with publishing   ", "without publishing"),
-                            _rows(merged)))
-
-
 # ----------------------------------------------------------------------
 # chaos: one seeded fault campaign; its grid is the seed matrix
 # ----------------------------------------------------------------------
+#: simulated ms a chaos run settles after its campaign's last action
+#: before the invariants are judged: a short horizon can cut a campaign
+#: right after a late fault (ROADMAP item 16 replaces the fixed tail)
+CHAOS_SETTLE_MS = 8_000.0
+
+
 def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
     """One fault campaign against the counter/driver workload: an
     explicit spec (dict or JSON file), the fixed demo campaign, or —
@@ -313,16 +256,11 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
         campaign = monkey_campaign(RngStreams(seed),
                                    list(range(1, nodes + 1)),
                                    duration_ms=params["duration_ms"])
-    if params.get("save_campaign"):
-        campaign.save(params["save_campaign"])
-    # a matrix cell carries its builder's settle time; a single run
-    # takes run_scenario's
-    settle = ({"settle_ms": params["settle_ms"]}
-              if "settle_ms" in params else {})
     config = SystemConfig(nodes=nodes, master_seed=seed,
                           medium=params["medium"], checkpoint_policy="storage")
     result = run_scenario(campaign, config, pairs=params["pairs"],
-                          messages=params["messages"], **settle)
+                          messages=params["messages"],
+                          settle_ms=CHAOS_SETTLE_MS)
     return {
         "ok": result.ok,
         "totals": result.totals,
@@ -334,141 +272,49 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def chaos_matrix_tasks(root_seed: int = 1983, runs: int = 9,
+def chaos_matrix_tasks(seed: int = 1983, runs: int = 9,
                        nodes: int = 3, pairs: int = 2, messages: int = 20,
                        medium: str = "broadcast",
                        duration_ms: float = 4000.0,
-                       settle_ms: float = 6000.0,
                        campaign: Any = None) -> List[ShardTask]:
     """``runs`` seeded chaos scenarios. Every shard's master seed is
-    ``shard_seed(root_seed, name)`` — pure name derivation, so the
-    matrix lands on identical seeds however it is scheduled. With a
+    ``shard_seed(seed, name)`` — pure name derivation, so the matrix
+    lands on identical seeds however it is scheduled. With a
     ``campaign`` (spec dict or file) the same campaign replays under
     each derived seed's workload; without one each shard runs its own
     monkey."""
-    return [make_task("chaos", name, seed=shard_seed(root_seed, name),
+    return [make_task("chaos", name, seed=shard_seed(seed, name),
                       nodes=nodes, pairs=pairs, messages=messages,
                       medium=medium, duration_ms=duration_ms,
-                      settle_ms=settle_ms, campaign=campaign)
+                      campaign=campaign)
             for name in (f"chaos/{k:03d}" for k in range(runs))]
 
 
-def chaos_campaign(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The ``chaos`` rig at a seeded monkey campaign against the counter
-    workload — the heaviest integration path: faults, retries, replays,
-    watchdogs."""
-    messages = 10 if smoke else 30
-    horizon = 4_000.0 if smoke else 10_000.0
-    # A short horizon can cut the campaign right after a late fault;
-    # give recoveries room to settle before the invariants are judged.
-    payload = _gated("chaos.campaign", "chaos", scenario="monkey",
-                     seed=seed, nodes=3, pairs=2, messages=messages,
-                     duration_ms=horizon, settle_ms=8_000.0)
-    return {
-        "ops": 2 * messages,
-        "events": payload["events_fired"],
-        "sim_ms": payload["sim_ms"],
-        "actions": len(payload["report"]["fired"]),
-        "recoveries": payload["report"]["figures"]["recoveries_completed"],
-    }
-
-
-def sweep_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The ``chaos`` rig's seed matrix, sharded over two workers beside
-    its serial re-run: the two digest chains must be identical and every
-    scenario must pass its campaign invariants."""
-    runs, messages = (6, 8) if smoke else (16, 12)   # scenarios, per pair
-    merged = _gated("chaos.sweep", "chaos", sharded=True, root_seed=seed,
-                    runs=runs, pairs=1, messages=messages,
-                    duration_ms=2500.0, settle_ms=6000.0)
-    payloads = _rows(merged)
-    return {
-        "ops": runs,
-        "events": sum(payload["events_fired"] for payload in payloads),
-        # parallel shards overlap in simulated time; report the longest
-        "sim_ms": max(payload["sim_ms"] for payload in payloads),
-        "sweep_digest": merged["digest"][:16],
-    }
-
-
 # ----------------------------------------------------------------------
-# gossip: the epidemic-repair acceptance scenario (docs/GOSSIP.md)
+# gossip: the epidemic repair path's reliability frontier (docs/GOSSIP.md)
 # ----------------------------------------------------------------------
-def run_gossip(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Crash the recorder mid-traffic, restart it into a log with
-    holes, then crash a counter node so recovery must replay across the
-    gap. With gossip the holes heal by peer pull and the workload lands
-    exactly; the contrast arm (same faults, gossip off, tight retry
-    budget) dead-letters instead — the reliability gap the repair path
-    closes."""
-    outage, nodes = params["outage"], params["nodes"]
-
-    def arm(gossip: bool):
-        # Traffic spans roughly 0.7-2.8 s simulated; the outage window
-        # sits inside it and the node crash lands after the restart.
-        campaign = ChaosCampaign(
-            [CrashRecorder(1000.0), RestartRecorder(1000.0 + outage),
-             CrashNode(1000.0 + outage + 1400.0, node=nodes)],
-            name="gossip_repair")
-        # Node recovery replays the whole log through the recorder's
-        # disk path; give the settle phase room for it.
-        config = SystemConfig(nodes=nodes, master_seed=params["seed"],
-                              checkpoint_policy="storage", gossip=gossip,
-                              transport_max_retries=6)
-        return run_scenario(campaign, config, pairs=1,
-                            messages=params["messages"], settle_ms=8000.0)
-
-    result = arm(True)
-    payload = result.report.to_dict()
-    payload.update(
-        totals=result.totals, expected_total=result.expected,
-        gossip={key.split(".", 1)[1]: value for key, value
-                in sorted(result.system.metrics_snapshot().items())
-                if key.startswith("gossip.")},
-        event_digest=text_digest(result.event_stream()))
-    if not params["no_contrast"]:
-        contrast = arm(False)
-        payload["contrast"] = {
-            "ok": contrast.ok,
-            "totals": contrast.totals,
-            "dead_letters": len(contrast.system.dead_letters),
-        }
-    return payload
-
-
-def render_gossip(payload: Dict[str, Any]) -> str:
-    gossip = payload["gossip"]
-    lines = [format_report(payload),
-             f"  gossip: flagged={gossip.get('gaps_flagged', 0)} "
-             f"repaired={gossip.get('messages_repaired', 0)} "
-             f"rounds={gossip.get('rounds', 0)} "
-             f"gave_up={gossip.get('gave_up', 0)}"]
-    contrast = payload.get("contrast")
-    if contrast is not None:
-        lines.append(
-            f"  without gossip: ok={contrast['ok']} "
-            f"dead_letters={contrast['dead_letters']} "
-            f"totals={contrast['totals']} "
-            f"(expected {payload['expected_total']})")
-    return "\n".join(lines)
-
-
-#: frontier cells: (mode, recording-path loss rate, gossip buffer depth)
-_GOSSIP_FULL = (
-    ("recorder", 0.0, 0),
-    ("recorder", 0.1, 0),
-    ("recorder", 0.25, 0),
-    ("gossip", 0.1, 128),
-    ("gossip", 0.25, 128),
-    ("gossip", 0.25, 8),
-    ("gossip", 0.4, 128),
-)
-_GOSSIP_SMOKE = (
+#: the frontier's cells: (mode, recording-path loss rate, gossip buffer
+#: depth, 0 for the default 256)
+GOSSIP_CELLS = (
     ("recorder", 0.0, 0),
     ("recorder", 0.15, 0),
     ("gossip", 0.15, 64),
     ("gossip", 0.3, 16),
 )
+
+
+def gossip_cell(seed: int, mode: str, loss_rate: float, depth: int,
+                messages: int) -> ScenarioResult:
+    """One frontier cell: the counter workload, no faults, with
+    ``loss_rate`` of the recorder's receptions lost and repaired by
+    sender retransmission (``recorder``) or by gossip pull."""
+    config = SystemConfig(
+        nodes=2, master_seed=seed, gossip=mode == "gossip",
+        gossip_loss_rate=loss_rate, gossip_round_ms=120.0,
+        gossip_max_retries=6, gossip_buffer_depth=depth or 256)
+    return run_scenario(
+        ChaosCampaign([], name=f"gossip_{mode}_{loss_rate}"), config,
+        pairs=1, messages=messages, settle_ms=4000.0)
 
 
 def _recorded_set_digest(system) -> int:
@@ -486,31 +332,21 @@ def _recorded_set_digest(system) -> int:
     return digest
 
 
-def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
+def run_gossip(params: Dict[str, Any]) -> Dict[str, Any]:
     """The reliability-vs-overhead frontier of the epidemic repair path
-    (docs/GOSSIP.md): the counter workload under seed-pure loss on the
-    recording path, repaired by sender retransmission (``recorder``
-    cells) or by pull from bounded peer buffers (``gossip`` cells).
-    Every cell's recorded-set digest folds into ``replay_digest``."""
-    cells = _GOSSIP_SMOKE if smoke else _GOSSIP_FULL
-    messages = 8 if smoke else 18
+    over :data:`GOSSIP_CELLS`. Every cell's recorded-set digest folds
+    into ``replay_digest``. It passes when every cell's campaign
+    invariants hold and every gossip cell that gave nothing up recorded
+    the lossless cell's sets."""
+    messages = params["messages"]
     frontier: List[Dict[str, Any]] = []
-    digest = 0
-    events = 0
+    digest = events = 0
     sim_ms = 0.0
+    ok = True
     lossless_digest = None
-    for mode, loss_rate, depth in cells:
-        config = SystemConfig(
-            nodes=2, master_seed=seed, gossip=mode == "gossip",
-            gossip_loss_rate=loss_rate, gossip_round_ms=120.0,
-            gossip_max_retries=6, gossip_buffer_depth=depth or 256)
-        result = run_scenario(
-            ChaosCampaign([], name=f"gossip_{mode}_{loss_rate}"), config,
-            pairs=1, messages=messages, settle_ms=4000.0)
-        if not result.ok:
-            raise FactDivergence(
-                f"gossip[{mode} loss={loss_rate}]: invariants failed:\n"
-                + result.report.format())
+    for mode, loss_rate, depth in GOSSIP_CELLS:
+        result = gossip_cell(params["seed"], mode, loss_rate, depth,
+                             messages)
         system = result.system
         snap = system.metrics_snapshot()
         retrans = sum(v for k, v in snap.items()
@@ -521,6 +357,9 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
         if mode == "recorder" and loss_rate == 0.0:
             lossless_digest = cell_digest
         gave_up = int(snap.get("gossip.gave_up", 0))
+        matches = cell_digest == lossless_digest
+        ok = ok and result.ok and (mode != "gossip" or gave_up > 0
+                                   or matches)
         frontier.append({
             "mode": mode,
             "loss_rate": loss_rate,
@@ -531,25 +370,18 @@ def gossip_repair(seed: int, smoke: bool) -> Dict[str, Any]:
             "pulls_sent": int(snap.get("gossip.pulls_sent", 0)),
             "supplies_received": int(snap.get("gossip.supplies_received", 0)),
             "gave_up": gave_up,
-            "set_matches_lossless": (lossless_digest is not None
-                                     and cell_digest == lossless_digest),
+            "set_matches_lossless": matches,
         })
-        if (mode == "gossip" and gave_up == 0
-                and lossless_digest is not None
-                and cell_digest != lossless_digest):
-            raise FactDivergence(
-                f"gossip[{mode} loss={loss_rate}]: repair converged "
-                f"(gave_up=0) but the recorded set diverged from the "
-                f"lossless run")
         events += system.engine.events_fired
         sim_ms += system.engine.now
     return {
-        "ops": 2 * messages * len(cells),
+        "ops": 2 * messages * len(GOSSIP_CELLS),
         "events": events,
         "sim_ms": round(sim_ms, 6),
         "replay_digest": digest,
-        "cells": len(cells),
+        "cells": len(GOSSIP_CELLS),
         "frontier": frontier,
+        "ok": ok,
     }
 
 
@@ -571,130 +403,14 @@ def run_adversary(params: Dict[str, Any]) -> Dict[str, Any]:
     return dict(report, event_digest=text_digest(system.obs.bus.to_jsonl()))
 
 
-def render_adversary(r: Dict[str, Any]) -> str:
-    lines = [
-        f"adversary quorum — {'PASS' if r['ok'] else 'FAIL'} "
-        f"(f={r['f']}, {r['byzantine']}/{r['recorders']} byzantine, "
-        f"seed {r['seed']})",
-        f"  workload: total={r['total']} expected={r['expected']} "
-        f"exact={r['exact']}",
-        f"  faults injected: {r['faults_injected']} "
-        f"(modes {','.join(r['modes'])} at rate {r['rate']})",
-        f"  quorum: replays={r['quorum_replays']} "
-        f"divergences={r['quorum_divergences']} "
-        f"unresolved={r['quorum_unresolved']} "
-        f"outvoted={r['outvoted']}",
-    ]
-    if r["flagged_honest"]:
-        lines.append(f"  FLAGGED HONEST RECORDERS: {r['flagged_honest']}")
-    return "\n".join(lines)
-
-
-def adversary_quorum(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Quorum replay against Byzantine recorder logs: each cell feeds one
-    message stream into 2f+1 recorder databases, the last ``faulty``
-    through a seed-pure ``ByzantineRecorder`` stage, and takes the
-    majority vote. The majority must digest to the fault-free state and
-    only faulty recorders may be flagged; the flagged set folds into the
-    digest too. A final cell is the ``adversary`` rig's own scenario,
-    whose engine supplies the event and simulated-time figures."""
-    from repro.publishing.multi_recorder import (process_state_digest,
-                                                 quorum_replay_stream)
-
-    src, dst = ProcessId(1, 5), ProcessId(2, 9)
-
-    def message(i: int) -> Message:
-        return Message(msg_id=MessageId(src, i), src=src, dst=dst,
-                       channel=0, code=1, body=("add", i, i * i),
-                       size_bytes=24)
-
-    def build(messages: int, stage=None):
-        db = RecorderDatabase()
-        record = db.create(dst, node=dst.node, image="perf/counter")
-        for i in range(1, messages + 1):
-            feed_record(record, db, message(i), stage=stage)
-        return record
-
-    # (recorders 2f+1, faulty, messages per log)
-    cells = (((3, 1, 60), (5, 2, 60)) if smoke else
-             ((3, 1, 400), (5, 2, 400), (7, 3, 300), (5, 2, 1200)))
-    rows: List[Dict[str, Any]] = []
-    digest = 0
-    ops = 0
-    for index, (recorders, faulty, messages) in enumerate(cells):
-        f = (recorders - 1) // 2
-        truth = process_state_digest(build(messages).arrivals)
-        records = []
-        for k in range(recorders):
-            stage = None
-            if k >= recorders - faulty:
-                stage = ByzantineRecorder(
-                    random.Random(fold(seed, index * 131 + k)), rate=0.3)
-            records.append((90 + k, build(messages, stage)))
-        verdict = quorum_replay_stream(records, f=f)
-        majority = process_state_digest(verdict.stream)
-        flagged = sorted(verdict.divergent)
-        honest_flagged = [rid for rid in flagged
-                          if rid < 90 + recorders - faulty]
-        if faulty <= f and (majority != truth or honest_flagged
-                            or verdict.unresolved):
-            raise FactDivergence(
-                f"adversary[{recorders}r/{faulty}b]: <=f replay "
-                f"diverged (digest match {majority == truth}, honest "
-                f"flagged {honest_flagged}, unresolved "
-                f"{verdict.unresolved})")
-        ops += verdict.replayed
-        digest = fold(digest, majority)
-        for rid in flagged:
-            digest = fold(digest, rid)
-        digest = fold(digest, verdict.unresolved)
-        rows.append({
-            "recorders": recorders,
-            "faulty": faulty,
-            "messages": messages,
-            "replayed": verdict.replayed,
-            "flagged": flagged,
-            "stale_skips": verdict.stale_skips,
-            "unresolved": verdict.unresolved,
-        })
-    rig, report = run_quorum_scenario(f=1, byzantine=1,
-                                      messages=8 if smoke else 30,
-                                      master_seed=seed)
-    if not report["ok"]:
-        raise FactDivergence(
-            "adversary rig cell: scenario invariants failed "
-            f"(total {report['total']} expected {report['expected']}, "
-            f"flagged honest {report['flagged_honest']})")
-    digest = fold(digest, report["total"])
-    for rid in report["outvoted"]:
-        digest = fold(digest, rid)
-    rows.append({
-        "recorders": report["recorders"],
-        "faulty": report["byzantine"],
-        "messages": report["messages"],
-        "replayed": report["messages_replayed"],
-        "flagged": list(report["outvoted"]),
-        "stale_skips": report["quorum_stale_skips"],
-        "unresolved": report["quorum_unresolved"],
-        "mode": "rig",
-    })
-    return {
-        "ops": ops + report["messages_replayed"],
-        "events": rig.engine.events_fired,
-        "sim_ms": round(report["sim_ms"], 6),
-        "replay_digest": digest,
-        "cells": len(cells) + 1,
-        "frontier": rows,
-    }
-
-
 # ----------------------------------------------------------------------
 # des / federation: one federation, serial reference vs pooled proof
 # ----------------------------------------------------------------------
 def run_des(params: Dict[str, Any]) -> Dict[str, Any]:
     """One federation run serially and on a process pool per worker
     count; the payload is :func:`~repro.parallel.des.equivalence_report`
-    — the one pooled-vs-serial gate."""
+    — the one pooled-vs-serial gate — and passes iff it is
+    ``equivalent``."""
     scenario = DesScenario(
         clusters=params["clusters"], cluster_size=params["cluster_size"],
         recorder_shards=params.get("recorder_shards", 1),
@@ -702,86 +418,9 @@ def run_des(params: Dict[str, Any]) -> Dict[str, Any]:
         topology=params["topology"], master_seed=params["seed"],
         forward_delays=(spread_forward_delays(params["clusters"])
                         if params["spread_delays"] else None))
-    return equivalence_report(scenario,
-                              worker_counts=tuple(params["des_workers"]))
-
-
-def render_des(report: Dict[str, Any]) -> str:
-    scenario = report["scenario"]
-    lines = [f"parallel DES: {scenario['clusters']} clusters "
-             f"({scenario['topology']}), {scenario['messages']} msg/driver, "
-             f"{scenario['duration_ms']:.0f}ms sim"]
-    for run in report["runs"]:
-        label = run["mode"]
-        if run["partitions"]:
-            label += f"({run['partitions']})"
-        lines.append(
-            f"  {label:<12} digest {run['digest'][:16]} "
-            f"barriers {run['barriers']:<6} "
-            f"workload {'ok' if run['workload_ok'] else 'INCOMPLETE'}")
-    lines.append("equivalence: "
-                 + ("byte-identical across all runs"
-                    if report["equivalent"] else "DIVERGED"))
-    return "\n".join(lines)
-
-
-_DES_SMOKE = (6, 4, 1500.0)     # clusters, messages, duration_ms
-_DES_FULL = (32, 6, 3000.0)
-_DES_WORKER_COUNTS = (1, 2, 4)
-
-
-def _exchange(run: Dict[str, Any]) -> Dict[str, int]:
-    """The facts of the promise protocol one pooled run commits."""
-    return {key: run[key] for key in ("barriers", "messages_exchanged")}
-
-
-def parallel_des(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The ``des`` rig at one federation, serial against a pool of
-    1, 2 and 4 workers (docs/PARALLEL_DES.md): every run's per-cluster
-    digests must match, and each worker count's barrier and exchange
-    counts are facts of the promise protocol, not of the machine."""
-    clusters, messages, duration_ms = _DES_SMOKE if smoke else _DES_FULL
-    serial, *pooled = _gated(
-        "des.partitioned", "des", clusters=clusters, messages=messages,
-        duration_ms=duration_ms, seed=seed,
-        des_workers=_DES_WORKER_COUNTS)["runs"]
-    return {
-        "ops": clusters * messages,     # completed request/reply pairs
-        "events": serial["frames_forwarded"],
-        "sim_ms": round(serial["sim_ms"], 6),
-        "workers": {str(run["workers"]): _exchange(run) for run in pooled},
-        "des_digest": serial["digest"][:16],
-        "event_digest": serial["digest"],
-    }
-
-
-def des_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The ``des`` rig over a clusters × workers grid with heterogeneous
-    per-channel lookaheads: every cell must reproduce the serial digest
-    exactly, and its barrier count shows how few grants the promises
-    need."""
-    cluster_counts, messages, duration_ms, worker_counts = (
-        ((6,), 4, 3000.0, (1, 2)) if smoke
-        else ((8, 16), 6, 6000.0, (1, 2, 4, 8)))
-    grid: Dict[str, Any] = {}
-    digests: Dict[str, str] = {}
-    events = 0
-    for clusters in cluster_counts:
-        serial, *pooled = _gated(
-            f"des.scaling[{clusters}]", "des", clusters=clusters,
-            messages=messages, duration_ms=duration_ms, seed=seed,
-            des_workers=worker_counts, spread_delays=True)["runs"]
-        events += serial["frames_forwarded"]
-        digests[str(clusters)] = serial["digest"]
-        grid[str(clusters)] = {str(run["workers"]): {"promise": _exchange(run)}
-                               for run in pooled}
-    return {
-        "ops": sum(cluster_counts) * messages,
-        "events": events,
-        "sim_ms": round(500.0 + duration_ms, 6),
-        "grid": grid,
-        "event_digest": digest_of(digests),
-    }
+    report = equivalence_report(scenario,
+                                worker_counts=tuple(params["des_workers"]))
+    return dict(report, ok=report["equivalent"])
 
 
 def run_federation(params: Dict[str, Any]) -> Dict[str, Any]:
@@ -823,110 +462,34 @@ def run_federation(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def render_federation(report: Dict[str, Any]) -> str:
-    cells = report["cells"]
-    lines = [f"federation scaling ({report['topology']}, "
-             f"{cells[0]['recorder_shards']} recorder shard(s)/cluster):"]
-    for cell in cells:
-        verdict = ("MATCH" if cell["digests_match"]
-                   else f"DIVERGED (pooled {cell['pooled_digest'][:16]})")
-        lines.append(
-            f"  {cell['clusters']:>4} clusters "
-            f"digest {cell['digest'][:16]} "
-            f"pooled barriers {cell['pooled_barriers']:<5} {verdict}"
-            + ("" if cell["workload_ok"] else " workload INCOMPLETE"))
-    for topology, knee in report["capacity"].items():
-        lines.append(f"  capacity[{topology}]: knee {knee['knee_users']} "
-                     f"users, bottleneck {knee['bottleneck']}")
-    gateway = report["gateway_knee"]
-    err = gateway.get("relative_error")
-    lines.append(
-        f"  gateway knee: modeled {gateway['modeled_knee_per_s']:.0f}/s "
-        f"measured {gateway['measured_knee_per_s']}/s "
-        f"relative error {err if err is not None else 'n/a'}")
-    lines.append(f"result: {'PASS' if report['ok'] else 'FAIL'}")
-    return "\n".join(lines)
-
-
-#: federation_scaling knobs:
-#: (cluster counts, cluster_size, recorder_shards, messages, duration_ms)
-_FEDERATION_FULL = ((4, 16, 32, 64, 100), 2, 2, 3, 2000.0)
-#: smoke still climbs to 64 clusters: the committed curve must keep
-#: >=3 cells with the largest federation at planet scale
-_FEDERATION_SMOKE = ((4, 16, 64), 2, 2, 3, 2000.0)
-
-
-def federation_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The ``federation`` rig over the cluster-count curve
-    (docs/FEDERATION.md): each cell's serial reference supplies its
-    facts and its pooled proof ``pooled_barriers``, and the capacity
-    section pairs each topology's modeled knee with the driven
-    gateway's measured one."""
-    counts, cluster_size, shards, messages, duration_ms = (
-        _FEDERATION_SMOKE if smoke else _FEDERATION_FULL)
-    report = _gated(
-        "federation", "federation", clusters=counts,
-        cluster_size=cluster_size, recorder_shards=shards,
-        messages=messages, duration_ms=duration_ms, seed=seed)
-    cells = report["cells"]
-    gateway = report["gateway_knee"]
-    capacity = {
-        topology: {
-            "model": knee,
-            "measured_gateway_knee_per_s": gateway["measured_knee_per_s"],
-            "modeled_gateway_knee_per_s": gateway["modeled_knee_per_s"],
-            "relative_error": gateway.get("relative_error"),
-        } for topology, knee in report["capacity"].items()}
-    return {
-        "ops": sum(cell["clusters"] * messages for cell in cells),
-        "events": sum(cell["frames_forwarded"] for cell in cells),
-        "sim_ms": round(500.0 + duration_ms, 6),
-        "largest_federation": max(counts),
-        "grid": {str(cell["clusters"]): {
-            "nodes": cell["nodes"],
-            "recorder_shards": cell["recorder_shards"],
-            "frames_forwarded": cell["frames_forwarded"],
-            "dead_letters": cell["dead_letters"],
-            "pooled_barriers": cell["pooled_barriers"],
-            "digest": cell["digest"][:16],
-        } for cell in cells},
-        "capacity": capacity,
-        "gateway_probes": gateway["probes"],
-        "event_digest": digest_of({str(cell["clusters"]): cell["digest"]
-                                   for cell in cells}),
-    }
-
-
 # ----------------------------------------------------------------------
-# media: one message storm per contending medium model (facts only)
+# media: one message storm per contending medium model
 # ----------------------------------------------------------------------
-def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
-    """N stations exchange guaranteed messages over one medium model
-    until every message is acknowledged and the event heap drains."""
-    stations, msgs = 5, 30 if smoke else 240
+_STORM_STATIONS = 5
+
+
+def _storm(medium_name: str, seed: int, messages: int) -> Dict[str, Any]:
+    """``_STORM_STATIONS`` stations each send ``messages`` guaranteed
+    messages over one medium model until every one is acknowledged and
+    the event heap drains; ``ops`` counts the deliveries."""
     engine = Engine()
     rng = RngStreams(seed)
     medium = build_medium(medium_name, engine, rng)
     received: List[Any] = []      # every segment handed up, in order
     config = TransportConfig()
     transports = [Transport(engine, medium, node, received.append, config)
-                  for node in range(1, stations + 1)]
+                  for node in range(1, _STORM_STATIONS + 1)]
     spacing = rng.stream("perf/storm")
     for index, transport in enumerate(transports):
-        dst = (index + 1) % stations + 1
+        dst = (index + 1) % _STORM_STATIONS + 1
         at = 0.0
-        for k in range(msgs):
+        for k in range(messages):
             at += spacing.uniform(0.05, 2.0)
             engine.schedule(at, transport.send, dst, ("m", index, k),
                             128, (index + 1, k))
     engine.run()
-    expected = stations * msgs
-    if len(received) != expected:
-        raise FactDivergence(
-            f"media[{medium_name}]: delivered {len(received)} of "
-            f"{expected} guaranteed messages")
     return {
-        "ops": expected, "events": engine.events_fired,
+        "ops": len(received), "events": engine.events_fired,
         "sim_ms": round(engine.now, 6),
         "retransmissions": sum(t.stats.retransmissions.value
                                for t in transports),
@@ -937,17 +500,29 @@ def _storm(medium_name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     }
 
 
+def run_media(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The same storm over the contending CSMA/CD Ethernet (§6.1.1), the
+    Acknowledging Ethernet's reserved slots and the token ring (§6.1.2);
+    it passes when every storm delivered every message."""
+    storms = {medium: _storm(medium, params["seed"], params["messages"])
+              for medium in ("csma_ethernet", "acking_ethernet",
+                             "token_ring")}
+    return dict(storms, ok=all(
+        storm["ops"] == _STORM_STATIONS * params["messages"]
+        for storm in storms.values()))
+
+
 # ----------------------------------------------------------------------
-# store: the recorder's publish + checkpoint + replay pipeline, and its
-# log-structured store over a grid (facts only)
+# pipeline: the recorder's publish + checkpoint + replay path
 # ----------------------------------------------------------------------
-def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
-    """Drive the full publishing path: a counter/driver workload whose
+def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Drive the full publishing path: two counter/driver pairs whose
     every message is recorded, then cluster-wide checkpoints, then a
-    node crash recovered by replaying the recorded stream."""
-    pairs = 2 if smoke else 3
-    messages = 12 if smoke else 60
-    system = System(SystemConfig(nodes=3, master_seed=seed,
+    node crash recovered by replaying the recorded stream. It passes
+    when the drivers finish and both counters recover to the exact
+    total."""
+    pairs, messages = 2, params["messages"]
+    system = System(SystemConfig(nodes=3, master_seed=params["seed"],
                                  medium="broadcast"))
     register_chaos_programs(system)
     system.boot()
@@ -964,23 +539,30 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
 
     phases: Dict[str, Dict[str, Any]] = {}
 
-    def phase(name: str, body: Callable[[], None]) -> None:
+    def phase(name: str, body: Callable[[], bool]) -> bool:
         before_events = system.engine.events_fired
         before_ms = system.engine.now
-        body()
+        done = body()
         phases[name] = {
             "events": system.engine.events_fired - before_events,
             "sim_ms": round(system.engine.now - before_ms, 6),
         }
+        return done
 
-    def publish_until(count: int) -> None:
+    def publish_until(count: int) -> bool:
         deadline = system.engine.now + 120_000.0
         while not drivers_at(count) and system.engine.now < deadline:
             system.run(250)
-        if not drivers_at(count):
-            raise FactDivergence("store.pipeline: workload stalled")
+        return drivers_at(count)
 
-    def recovery_phase() -> None:
+    checkpoints = []
+
+    def checkpoint() -> bool:
+        checkpoints.append(system.checkpoint_all())
+        system.run(1_000)
+        return True
+
+    def recovery_phase() -> bool:
         # Crash a counter node and let the watchdog notice, the reboot
         # policy restart it, and the recovery manager replay its
         # processes from checkpoint + recorded stream (§3.3, §4.7).
@@ -991,27 +573,17 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
             system.run(500)
             programs = [system.program_of(c) for _, c in spawned]
             if all(p is not None and p.total == want for p in programs):
-                return
-        totals = [p.total if p is not None else -1 for p in programs]
-        raise FactDivergence(
-            f"store.pipeline: counters ended at {totals}, "
-            f"never recovered to {want}")
+                return True
+        return False
 
     # Checkpoint mid-stream so the post-crash recovery genuinely mixes
     # checkpoint restoration with replay of the messages consumed after
     # it — the §3.1 recovery recipe, not a checkpoint-only restore.
-    phase("publish", lambda: publish_until(messages // 2))
-
-    checkpoints = {}
-
-    def checkpoint_body() -> None:
-        checkpoints["count"] = system.checkpoint_all()
-        system.run(1_000)
-
-    phase("checkpoint", checkpoint_body)
-    phase("publish_tail", lambda: publish_until(messages))
-    phase("replay_recovery", recovery_phase)
-    phases["checkpoint"]["checkpoints"] = checkpoints["count"]
+    ok = phase("publish", lambda: publish_until(messages // 2))
+    phase("checkpoint", checkpoint)
+    ok = phase("publish_tail", lambda: publish_until(messages)) and ok
+    ok = phase("replay_recovery", recovery_phase) and ok
+    phases["checkpoint"]["checkpoints"] = checkpoints[0]
 
     recorder = system.recorder
     return {
@@ -1022,12 +594,15 @@ def recorder_pipeline(seed: int, smoke: bool) -> Dict[str, Any]:
         "messages_recorded": recorder.messages_recorded.value,
         "recoveries": system.recovery.stats.recoveries_completed,
         "messages_replayed": system.recovery.stats.messages_replayed,
+        "ok": ok,
     }
 
 
+# ----------------------------------------------------------------------
+# store: the recorder's log-structured store over a grid
+# ----------------------------------------------------------------------
 #: (processes, messages per process) grid points
-_RECORDER_GRID_FULL = ((4, 300), (8, 600), (16, 1200))
-_RECORDER_GRID_SMOKE = ((2, 150), (4, 400))
+_RECORDER_GRID = ((2, 150), (4, 400))
 
 #: post-drain catch-up replay sweeps (a recovery re-walks the log as it
 #: catches up with live traffic; see recovery_manager)
@@ -1171,12 +746,13 @@ def _page_buffer_contrast(sizes: List[int]
     return out, events, sim_ms
 
 
-def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
-    """The log-structured recorder store over a processes × message-rate
-    grid, plus the batched vs unbatched disk-path contrast. The replay
-    order and consumed-id set at every query point fold into
+def recorder_scaling(seed: int,
+                     grid: Sequence[Tuple[int, int]] = _RECORDER_GRID
+                     ) -> Dict[str, Any]:
+    """The log-structured recorder store over a processes × messages
+    ``grid``, plus the batched vs unbatched disk-path contrast. The
+    replay order and consumed-id set at every query point fold into
     ``replay_digest``."""
-    grid = _RECORDER_GRID_SMOKE if smoke else _RECORDER_GRID_FULL
     grid_out: Dict[str, Dict[str, Any]] = {}
     total_messages = 0
     digest = 0
@@ -1203,7 +779,6 @@ def recorder_scaling(seed: int, smoke: bool) -> Dict[str, Any]:
 # the table
 # ----------------------------------------------------------------------
 _SEED = Param("seed", 1983, "master seed")
-_MESSAGES = Param("messages", 30, "request/reply round trips")
 _TOPOLOGY = Param("topology", "ring", choices=("ring", "mesh"))
 _DURATION_HELP = "simulated run length after settle (ms)"
 
@@ -1213,16 +788,15 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
     Rig("capacity", "§5.1 capacity table", table=True,
         params=(Param("disks", parse=_csv(int), on="grid",
                       help="comma-separated disk counts"),),
-        run=run_capacity, render=render_capacity, grid=capacity_tasks),
+        run=run_capacity, grid=capacity_tasks),
     Rig("utilization", "Figure 5.5 sweep", table=True,
         params=(Param("point", "mean", "operating point",
                       choices=sorted(OPERATING_POINTS)),),
-        run=run_utilization, render=render_utilization,
-        grid=utilization_tasks),
+        run=run_utilization, grid=utilization_tasks),
     Rig("figure57", "Figure 5.7 measurement", table=True,
         params=(Param("iterations", parse=int, on="grid",
                       help="send-to-self iterations"),),
-        run=run_figure57, render=render_figure57, grid=figure57_tasks),
+        run=run_figure57, grid=figure57_tasks),
     Rig("chaos", "run a fault campaign and print the report",
         params=(
             Param("scenario", "demo", choices=("demo", "monkey"), on="run",
@@ -1232,12 +806,10 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                   help="load the campaign from this JSON file (overrides "
                        "--scenario; a sweep replays it in every shard "
                        "instead of per-shard monkeys)"),
-            Param("seed", 1983, on="run",
+            Param("seed", 1983,
                   help="master seed (drives both the workload and the "
-                       "monkey)"),
-            Param("root_seed", flag="--seed", parse=int, on="grid",
-                  help="root seed: each shard's master seed derives "
-                       "from it by shard name"),
+                       "monkey); a sweep's root seed, from which each "
+                       "shard's derives by shard name"),
             Param("runs", parse=int, on="grid",
                   help="scenarios in the seed matrix"),
             Param("nodes", 3),
@@ -1245,33 +817,24 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
             Param("messages", 40, "request/reply round trips per pair"),
             Param("medium", "broadcast", choices=tuple(MEDIA)),
             Param("duration_ms", 10_000.0, flag="--duration",
-                  help="monkey campaign horizon (simulated ms)"),
-            Param("save_campaign", on="run",
-                  help="also write the campaign's action list to this "
-                       "JSON file")),
-        run=run_chaos, grid=chaos_matrix_tasks, replay=True,
-        facts=_parts(campaign=chaos_campaign, sweep=sweep_scaling),
-        render=lambda payload: format_report(payload["report"]),
-        ci=("--seed", "1983", "--messages", "25", "--verify-determinism"),
+                  help="monkey campaign horizon (simulated ms)")),
+        run=run_chaos, grid=chaos_matrix_tasks,
+        smoke={"scenario": "monkey", "nodes": 3, "pairs": 2,
+               "messages": 10, "duration_ms": 4000.0},
         ci_grid=("--runs", "6", "--messages", "10", "--duration", "3000")),
-    Rig("gossip", "epidemic-repair acceptance scenario: recorder outage "
-                  "mid-traffic, holes healed by peer pull "
+    Rig("gossip", "epidemic-repair frontier: recording-path loss healed "
+                  "by sender retransmission or by peer pull "
                   "(docs/GOSSIP.md)",
-        params=(_SEED, Param("nodes", 2), _MESSAGES,
-                Param("outage", 1200.0,
-                      "recorder outage length (simulated ms)"),
-                Param("no_contrast", False,
-                      "skip the gossip-off contrast arm")),
-        run=run_gossip, render=render_gossip, replay=True,
-        facts=gossip_repair,
-        ci=("--verify-determinism",)),
+        params=(_SEED, Param("messages", 18,
+                             "request/reply round trips per cell")),
+        run=run_gossip, smoke={"messages": 8}),
     Rig("adversary", "Byzantine-recorder quorum acceptance scenario: "
                      "2f+1 recorders outvote faulty logs during replay "
                      "(docs/ADVERSARY.md)",
         params=(_SEED,
                 Param("f", 1, "fault tolerance: 2f+1 recorders run"),
                 Param("byzantine", 1, "how many recorders turn Byzantine"),
-                _MESSAGES,
+                Param("messages", 30, "request/reply round trips"),
                 Param("modes", ("drop", "corrupt", "duplicate", "reorder"),
                       parse=_csv(str),
                       help="comma-separated Byzantine fault modes"),
@@ -1279,9 +842,7 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                 Param("equivocate", False,
                       "faulty recorders also log shared divergent "
                       "payloads")),
-        run=run_adversary, render=render_adversary, replay=True,
-        facts=adversary_quorum,
-        ci=("--verify-determinism",)),
+        run=run_adversary, smoke={"messages": 8}),
     Rig("des", "run one federation serially and on a process pool "
                "(conservative parallel DES) and compare digests",
         params=(Param("clusters", 8, "clusters in the federation"),
@@ -1295,11 +856,9 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                 Param("spread_delays", False,
                       "assign heterogeneous per-edge gateway delays "
                       "instead of one uniform lookahead")),
-        run=run_des, render=render_des,
-        facts=_parts(partitioned=parallel_des, scaling=des_scaling),
-        ok=lambda report: report["equivalent"],
-        ci=("--clusters", "6", "--messages", "4", "--duration", "1500",
-            "--des-workers", "2", "--spread-delays")),
+        run=run_des,
+        smoke={"clusters": 6, "messages": 4, "duration_ms": 1500.0,
+               "des_workers": (1, 2, 4)}),
     Rig("federation", "sharded-recorder federation scaling cells, each "
                       "digest-gated serial vs pooled, and the "
                       "capacity-model knee (docs/FEDERATION.md)",
@@ -1317,27 +876,47 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                 Param("service_ms", 2.0,
                       "gateway uplink serialisation time for the capacity "
                       "section")),
-        run=run_federation, render=render_federation,
-        facts=federation_scaling,
-        ci=("--clusters", "4", "--clusters", "8")),
-    # the same storm over the contending CSMA/CD Ethernet (§6.1.1), the
-    # Acknowledging Ethernet's reserved slots, the token ring (§6.1.2)
+        # the committed curve climbs to a 64-cluster federation
+        run=run_federation, smoke={"clusters": (4, 16, 64)}),
     Rig("media", "guaranteed-message storms over three medium models",
-        facts=_parts(**{medium: partial(_storm, medium) for medium in (
-            "csma_ethernet", "acking_ethernet", "token_ring")})),
-    Rig("store", "the recorder's publish/checkpoint/replay pipeline and "
-                 "its log-structured store",
-        facts=_parts(pipeline=recorder_pipeline, scaling=recorder_scaling)),
+        params=(_SEED, Param("messages", 240, "messages per station")),
+        run=run_media, smoke={"messages": 30}),
+    Rig("pipeline", "the recorder's publish / checkpoint / replay path",
+        params=(_SEED, Param("messages", 60,
+                             "request/reply round trips per pair")),
+        run=run_pipeline, smoke={"messages": 12}),
+    Rig("store", "the recorder's log-structured store over a grid",
+        params=(_SEED,),
+        run=lambda params: recorder_scaling(params["seed"])),
 )}
 
 
+def smoke_argv(rig: Rig) -> List[str]:
+    """The subcommand's flags for ``rig.smoke``: its run at them prints
+    exactly the rig's committed facts."""
+    params = {p.name: p for p in rig.params}
+    argv: List[str] = []
+    for name, value in rig.smoke.items():
+        option = params[name].option
+        if isinstance(value, bool):
+            argv += [option] if value else []
+        elif params[name].repeat:
+            argv += [arg for item in value for arg in (option, str(item))]
+        elif isinstance(value, (list, tuple)):
+            argv += [option, ",".join(map(str, value))]
+        else:
+            argv += [option, str(value)]
+    return argv
+
+
 def ci_commands() -> List[Tuple[str, List[str]]]:
-    """``(report name, argv)`` of every rig's CI cell: its subcommand
-    at ``ci`` and its grid at ``ci_grid``, sharded over two workers
-    with the serial check. ``tests/test_rigs.py`` runs each in-process
-    on every interpreter; CI loops over them to write the artifacts."""
+    """``(report name, argv)`` of every rig's CI cells: its subcommand
+    at its smoke flags, and its grid at ``ci_grid``, sharded over two
+    workers with the serial check. ``tests/test_rigs.py`` runs each
+    in-process on every interpreter; CI loops over them to write the
+    artifacts."""
     rigs = RIGS.values()
-    return ([(rig.name, [rig.name, *rig.ci]) for rig in rigs if rig.render]
+    return ([(rig.name, [rig.name, *smoke_argv(rig)]) for rig in rigs]
             + [(f"sweep_{rig.name}",
                 ["sweep", "--kind", rig.name, *rig.ci_grid,
                  "--parallel", "2", "--check"])
@@ -1375,17 +954,29 @@ def run_sweep(kind: str, max_workers: Optional[int] = None,
 
 def facts_report(seed: int = 1983, smoke: bool = False,
                  names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-    """The named rigs' facts in ``BENCH_publishing.json``'s layout —
-    every rig that has facts, in table order, when ``names`` is empty."""
-    known = [name for name, rig in RIGS.items() if rig.facts]
-    unknown = [name for name in names or () if name not in known]
+    """The named rigs' payloads in ``BENCH_publishing.json``'s layout —
+    every rig, in table order, when ``names`` is empty. A rig's facts
+    are its payload at its declared defaults, with ``smoke``'s overrides
+    when asked for and ``seed`` where it takes one; a payload that fails
+    its own ``ok`` raises :class:`FactDivergence` instead."""
+    unknown = [name for name in names or () if name not in RIGS]
     if unknown:
         raise ReproError(f"unknown rig(s): {', '.join(unknown)}\n"
-                         f"available: {', '.join(known)}")
+                         f"available: {', '.join(RIGS)}")
+    facts = {}
+    for name in names or RIGS:
+        rig = RIGS[name]
+        params = dict(rig.smoke) if smoke else {}
+        if any(p.name == "seed" for p in rig.params):
+            params["seed"] = seed
+        payload = rig(**params)
+        if not payload["ok"]:
+            raise FactDivergence(f"the {name} rig failed at {params}:\n"
+                                 + render(payload))
+        facts[name] = payload
     return {"schema_version": FACTS_SCHEMA,
             "meta": {"seed": seed, "mode": "smoke" if smoke else "full"},
-            "rigs": {name: RIGS[name].facts(seed, smoke)
-                     for name in names or known}}
+            "rigs": facts}
 
 
 def compare_facts(current: Dict[str, Any], committed: Dict[str, Any],

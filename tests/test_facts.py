@@ -1,6 +1,7 @@
 """The determinism gate is the rig table: ``python -m repro facts``
 reproduces the committed ``BENCH_publishing.json`` exactly, keyed by
-rig; comparison is exact equality; and nothing in ``src/repro`` — bar
+rig, each rig's facts its payload at its smoke parameters; comparison
+is exact equality; and nothing in ``src/repro`` — bar
 ``parallel/des.py`` — or in tier-1 — bar one named hang guard — reads a
 clock.
 """
@@ -15,11 +16,12 @@ import pytest
 import repro
 import repro.rigs as rigs
 from repro.__main__ import main
+from repro.digest import leaves
 from repro.errors import ReproError
 from repro.rigs import FACTS_SCHEMA, RIGS, compare_facts, facts_report
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_publishing.json"
-FACT_RIGS = [name for name, rig in RIGS.items() if rig.facts]
+FACT_RIGS = list(RIGS)
 
 
 @pytest.fixture(scope="module")
@@ -29,20 +31,9 @@ def smoke_report():
     return facts_report(seed=1983, smoke=True)
 
 
-def workloads(report):
-    """``(path, facts)`` of every workload in a report: a rig's facts,
-    or each named part of them."""
-    for name, facts in report["rigs"].items():
-        if "ops" in facts:
-            yield name, facts
-        else:
-            yield from ((f"{name}.{part}", value)
-                        for part, value in facts.items())
-
-
 def test_smoke_run_reproduces_committed_baseline(smoke_report):
     """The determinism gate, on whichever interpreter runs tier-1 (CI:
-    3.9, 3.11, 3.12). Every digest is computed over the explicit wire
+    3.9, 3.11, 3.12, 3.13). Every digest is computed over the explicit wire
     encoding (``repro.net.frames.canonical_bytes``), not over ``repr``,
     so the committed facts must hold on each. On 3.9 ``Message`` is not
     slotted and the image it keeps of its own encoding lives in the
@@ -56,30 +47,35 @@ def test_smoke_run_reproduces_committed_baseline(smoke_report):
 
 
 def test_report_schema(smoke_report):
-    assert smoke_report["schema_version"] == FACTS_SCHEMA == 2
+    assert smoke_report["schema_version"] == FACTS_SCHEMA == 3
     assert smoke_report["meta"] == {"seed": 1983, "mode": "smoke"}
     assert list(smoke_report["rigs"]) == FACT_RIGS == [
-        "chaos", "gossip", "adversary", "des", "federation", "media",
-        "store"]
-    assert [path for path, _ in workloads(smoke_report)] == [
-        "chaos.campaign", "chaos.sweep", "gossip", "adversary",
-        "des.partitioned", "des.scaling", "federation",
-        "media.csma_ethernet", "media.acking_ethernet", "media.token_ring",
-        "store.pipeline", "store.scaling"]
-    for _, facts in workloads(smoke_report):
-        assert facts["ops"] > 0
-        assert facts["events"] > 0
-        assert facts["sim_ms"] > 0
+        "capacity", "utilization", "figure57", "chaos", "gossip",
+        "adversary", "des", "federation", "media", "pipeline", "store"]
+    for name, facts in smoke_report["rigs"].items():
+        assert facts["ok"] is True, name
 
 
-def test_facts_only_rigs_add_no_command_and_no_sweep_kind():
+def test_the_paper_numbers_are_facts(smoke_report):
+    """§5.1's capacity at the mean point and Figure 5.7's per-message
+    costs (EXPERIMENTS.md) are pinned by the gate, not only by
+    ``benchmarks/``."""
+    rigs = smoke_report["rigs"]
+    mean = rigs["capacity"]["cells"]["capacity/mean/disks1"]
+    assert (mean["users"], mean["bottleneck"]) == (114, "cpu")
+    figure = rigs["figure57"]["cells"]
+    assert [(round(figure[f"figure57/{label}"]["real_ms_per_iter"], 2),
+             round(figure[f"figure57/{label}"]["kernel_cpu_ms_per_iter"], 2))
+            for label in ("publishing", "bare")] == [(38.09, 35.01),
+                                                     (10.06, 9.01)]
+
+
+def test_facts_rigs_are_commands_but_not_sweep_kinds():
     from repro.__main__ import build_parser
 
     commands = build_parser([])._subparsers._group_actions[0].choices
-    for name in ("media", "store"):
-        rig = RIGS[name]
-        assert rig.facts and not (rig.run or rig.render or rig.grid)
-        assert name not in commands
+    for name in ("media", "pipeline", "store"):
+        assert name in commands and RIGS[name].grid is None
         with pytest.raises(SystemExit):
             build_parser(["sweep", "--kind", name]).parse_args(
                 ["sweep", "--kind", name])
@@ -93,7 +89,7 @@ def test_report_is_json_serializable_and_round_trips(smoke_report):
 
 
 def test_recorder_pipeline_phases_cover_the_recovery_recipe(smoke_report):
-    pipeline = smoke_report["rigs"]["store"]["pipeline"]
+    pipeline = smoke_report["rigs"]["pipeline"]
     phases = pipeline["phases"]
     assert {"publish", "checkpoint", "publish_tail",
             "replay_recovery"} <= set(phases)
@@ -111,28 +107,29 @@ def test_deterministic_figures_identical_across_runs(smoke_report):
 
 
 def test_different_seed_changes_the_workload():
-    first = RIGS["media"].facts(1, True)
-    second = RIGS["media"].facts(2, True)
+    first = RIGS["media"](seed=1, **RIGS["media"].smoke)
+    second = RIGS["media"](seed=2, **RIGS["media"].smoke)
     assert first["csma_ethernet"]["sim_ms"] != second["csma_ethernet"]["sim_ms"]
 
 
 def test_smoke_mode_stays_under_simulated_ceiling(smoke_report):
-    """Smoke mode exists for CI: every workload must cover a bounded
+    """Smoke mode exists for CI: every run must cover a bounded
     stretch of simulated time (the wall-clock follows from it)."""
-    for path, facts in workloads(smoke_report):
-        assert facts["sim_ms"] <= 60_000, (
-            f"{path} simulated {facts['sim_ms']}ms in smoke mode")
+    sim_ms = [(path, value) for path, value in leaves(smoke_report["rigs"])
+              if path.endswith("sim_ms")]
+    assert len(sim_ms) >= 10
+    for path, value in sim_ms:
+        assert 0 <= value <= 60_000, (
+            f"{path} simulated {value}ms in smoke mode")
 
 
 def test_unknown_rig_rejected():
     with pytest.raises(ReproError):
         facts_report(smoke=True, names=["no_such_rig"])
-    with pytest.raises(ReproError):     # a rig, but one without facts
-        facts_report(smoke=True, names=["capacity"])
 
 
 COMPARED = {
-    "schema_version": 2,
+    "schema_version": 3,
     "meta": {"seed": 1983, "mode": "smoke"},
     "rigs": {
         "a": {"ops": 10, "events": 20, "sim_ms": 1.5,
@@ -166,7 +163,7 @@ def test_compare_facts_flags_only_real_regressions():
     # a file of the old layout is no match for any run
     assert compare_facts(committed, {"schema_version": 1,
                                      "meta": committed["meta"]}) == [
-        "schema_version: 1 -> 2", "a: not in the committed file",
+        "schema_version: 1 -> 3", "a: not in the committed file",
         "b: not in the committed file"]
 
 
@@ -213,7 +210,7 @@ def test_cli_gate_fails_a_run_that_lost_or_gained_a_rig(tmp_path, capsys,
     makes, or without one of a rig's parts, fails a full run."""
     monkeypatch.setattr(rigs, "RIGS", {
         "media": RIGS["media"],
-        "tiny": rigs.Rig("tiny", "", facts=lambda seed, smoke: {"ops": 1})})
+        "tiny": rigs.Rig("tiny", "", (), run=lambda params: {"ops": 1})})
     base = tmp_path / "committed.json"
     assert main(["facts", "--smoke", "--output", str(base)]) == 0
     committed = json.loads(base.read_text())

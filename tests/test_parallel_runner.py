@@ -91,8 +91,8 @@ class TestSeedDerivation:
     def test_task_seeds_are_order_independent(self):
         """The 5th shard of a 9-task matrix has the same seed as the
         5th shard of a 5-task matrix: derivation is by name only."""
-        nine = chaos_matrix_tasks(root_seed=11, runs=9)
-        five = chaos_matrix_tasks(root_seed=11, runs=5)
+        nine = chaos_matrix_tasks(seed=11, runs=9)
+        five = chaos_matrix_tasks(seed=11, runs=5)
         assert dict(nine[4].params)["seed"] == dict(five[4].params)["seed"]
 
 
@@ -131,7 +131,7 @@ class TestRunTasks:
 # ----------------------------------------------------------------------
 class TestSerialParallelEquality:
     def test_nine_point_chaos_sweep_matches_serial(self):
-        tasks = chaos_matrix_tasks(root_seed=1983, runs=9, pairs=1,
+        tasks = chaos_matrix_tasks(seed=1983, runs=9, pairs=1,
                                    messages=8, duration_ms=2500.0)
         serial = run_tasks(tasks, max_workers=1)
         parallel = run_tasks(tasks, max_workers=3)
@@ -164,10 +164,10 @@ class TestSerialParallelEquality:
         assert merged["digest"] == merged["serial_check"]["serial_digest"]
 
     def test_chaos_shard_payload_is_deterministic(self):
-        """A chaos shard — the kind the ``chaos.sweep`` facts run — gives
+        """A chaos shard — the kind ``sweep --kind chaos`` runs — gives
         the same whole record, digest included, when one process runs it
         twice: no state of one run leaks into the next."""
-        task = chaos_matrix_tasks(root_seed=1983, runs=1, pairs=1,
+        task = chaos_matrix_tasks(seed=1983, runs=1, pairs=1,
                                   messages=8, duration_ms=2500.0)[0]
         first = execute_task(task)
         assert first["payload"]["events_fired"] > 0

@@ -3,11 +3,13 @@
 Every acceptance rig is declared once in ``repro.rigs.RIGS``;
 the CLI, the sweep runner, the determinism gate and CI are drivers over
 that table. These tests are parametrised over it, so a new rig is
-covered by adding its entry: its CI cell must pass in-process on every
-interpreter, its flags must be exactly its declaration, and every
-command line the docs show must parse.
+covered by adding its entry: its subcommand at its smoke flags must
+print exactly its committed facts, its sweep cell must pass in-process
+on every interpreter, its flags must be exactly its declaration, and
+every command line the docs show must parse.
 """
 
+import copy
 import dataclasses
 import json
 import os
@@ -21,14 +23,18 @@ import pytest
 
 import repro.parallel.des as des
 from repro.__main__ import build_parser, main
+from repro.digest import leaf_diff, leaves
 from repro.errors import ReproError
 from repro.parallel import execute_task, make_task
 from repro.rigs import RIGS, Rig, ci_commands
 
 ROOT = Path(__file__).resolve().parents[1]
+COMMITTED = json.loads((ROOT / "BENCH_publishing.json").read_text())
 GRID_RIGS = sorted(name for name, rig in RIGS.items() if rig.grid)
-CLI_RIGS = sorted(name for name, rig in RIGS.items() if rig.render)
+CLI_RIGS = sorted(RIGS)
 CI_CELLS = ci_commands()
+SMOKE_CELLS = [(name, argv) for name, argv in CI_CELLS if argv[0] != "sweep"]
+SWEEP_CELLS = [(name, argv) for name, argv in CI_CELLS if argv[0] == "sweep"]
 
 
 def parse(argv):
@@ -47,28 +53,56 @@ def flags_of(parser):
 
 
 def declared_flags(rig, face):
-    return {p.flag or "--" + p.name.replace("_", "-")
-            for p in rig.params if p.on in ("both", face)}
+    return {p.option for p in rig.params if p.on in ("both", face)}
 
 
 # ----------------------------------------------------------------------
-# every rig at its CI parameters
+# every rig at its smoke parameters, every grid at its CI parameters
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name,argv", CI_CELLS,
-                         ids=[name for name, _ in CI_CELLS])
-def test_ci_cell_passes(name, argv, tmp_path, capsys):
+@pytest.mark.parametrize("name,argv", SMOKE_CELLS,
+                         ids=[name for name, _ in SMOKE_CELLS])
+def test_smoke_cell_prints_the_committed_facts(name, argv, tmp_path,
+                                               capsys):
+    """What a user runs is what the gate pins: the subcommand at the
+    rig's smoke flags prints, as JSON, exactly the rig's leaves in
+    ``BENCH_publishing.json``, and passes."""
+    out = tmp_path / f"{name}_report.json"
+    assert main(argv + ["--json", "--output", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == report
+    assert report == COMMITTED["rigs"][name]
+    assert report["ok"] is True
+
+
+def test_a_moved_payload_leaf_fails_the_smoke_cell(monkeypatch, capsys):
+    """The comparison above is over every leaf: one changed payload
+    value, deep in the report, no longer equals the committed facts."""
+    rig = RIGS["gossip"]
+
+    def moved(params):
+        payload = copy.deepcopy(rig.run(params))
+        payload["frontier"][2]["repaired"] += 1
+        return payload
+
+    monkeypatch.setitem(RIGS, "gossip", dataclasses.replace(rig, run=moved))
+    argv = dict(SMOKE_CELLS)["gossip"]
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report != COMMITTED["rigs"]["gossip"]
+    assert leaf_diff("gossip", COMMITTED["rigs"]["gossip"], report) == [
+        "gossip.frontier[2].repaired: 3 -> 4"]
+
+
+@pytest.mark.parametrize("name,argv", SWEEP_CELLS,
+                         ids=[name for name, _ in SWEEP_CELLS])
+def test_sweep_cell_passes(name, argv, tmp_path, capsys):
     out = tmp_path / f"{name}_report.json"
     assert main(argv + ["--json", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert json.loads(capsys.readouterr().out) == report
     assert report["ok"] is True
-    for verdict in ("equivalent", "replay_identical"):
-        assert report.get(verdict, True) is True
-    if "--verify-determinism" in argv:
-        assert report["replay_identical"] is True
-    if argv[0] == "sweep":
-        assert report["serial_check"]["matches"]
-        assert report["serial_check"]["serial_digest"] == report["digest"]
+    assert report["serial_check"]["matches"]
+    assert report["serial_check"]["serial_digest"] == report["digest"]
 
 
 def test_ci_cells_cover_every_rig_and_every_grid():
@@ -76,6 +110,22 @@ def test_ci_cells_cover_every_rig_and_every_grid():
     assert len(names) == len(set(names))
     assert set(names) == (set(CLI_RIGS)
                           | {f"sweep_{name}" for name in GRID_RIGS})
+
+
+def test_every_rig_is_one_scenario_with_no_per_rig_printer():
+    """A rig is its parameters, one ``run`` and the overrides the gate
+    pins; no printer, verdict or second scenario rides beside them."""
+    assert [f.name for f in dataclasses.fields(Rig)] == [
+        "name", "help", "params", "run", "smoke", "grid", "table",
+        "ci_grid"]
+    for rig in RIGS.values():
+        names = [p.name for p in rig.params]
+        assert set(rig.smoke) <= set(names), rig.name
+
+
+def test_the_table_declares_no_more_parameters():
+    """Aim 2's knob count for the rigs: a new parameter replaces one."""
+    assert sum(len(rig.params) for rig in RIGS.values()) <= 43
 
 
 def test_monkey_chaos_report_has_the_shard_payload_shape(capsys):
@@ -89,10 +139,17 @@ def test_monkey_chaos_report_has_the_shard_payload_shape(capsys):
 
 
 def test_output_is_json_and_stdout_stays_text_without_json(tmp_path, capsys):
+    """Without ``--json`` stdout is the one renderer's ``path value``
+    lines, the paths ``leaf_diff`` would name, then the verdict."""
     out = tmp_path / "adversary.json"
     assert main(["adversary", "--messages", "6", "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["ok"] is True
-    assert capsys.readouterr().out.startswith("adversary quorum — PASS")
+    report = json.loads(out.read_text())
+    assert report["ok"] is True
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "result: PASS"
+    assert "messages 6" in lines and "faulty_ids[0] 92" in lines
+    assert dict(line.split(" ", 1) for line in lines[:-1])["ok"] == "true"
+    assert len(lines) - 1 == len(leaves(report))
 
 
 def run_probe(probe):
@@ -137,35 +194,39 @@ def test_the_pool_package_does_not_import_the_table():
 # ----------------------------------------------------------------------
 # flags come from the declaration
 # ----------------------------------------------------------------------
+#: the report protocol's flags, which every rig's subcommand takes
+PROTOCOL = {"--json", "--output", "--verify-determinism"}
+
+
 @pytest.mark.parametrize("name", CLI_RIGS)
 def test_subcommand_flags_are_the_declaration(name):
-    rig = RIGS[name]
-    expected = (declared_flags(rig, "run") | {"--json", "--output"}
-                | ({"--verify-determinism"} if rig.replay else set()))
+    expected = declared_flags(RIGS[name], "run") | PROTOCOL
     assert flags_of(subparser([name])) == expected
 
 
-#: every flag each command took before the rig table existed (PR 18),
-#: minus the ones this refactor removed on purpose
-FLAGS_BEFORE = {
+#: every flag each command takes besides the report protocol's. A
+#: change here is a change at the command line, declared in CHANGES.md:
+#: the table landed with the flags of PR 18; one scenario per rig took
+#: ``--outage``, ``--no-contrast`` and ``--nodes`` off ``gossip`` and
+#: ``--save-campaign`` off ``chaos``, and gave every rig
+#: ``--verify-determinism``
+FLAGS = {
     "capacity": set(),
     "utilization": {"--point"},
     "figure57": set(),
     "chaos": {"--scenario", "--file", "--seed", "--nodes", "--pairs",
-              "--messages", "--medium", "--duration", "--save-campaign",
-              "--verify-determinism", "--json", "--output"},
-    "gossip": {"--seed", "--nodes", "--messages", "--outage",
-               "--no-contrast", "--verify-determinism", "--json",
-               "--output"},
+              "--messages", "--medium", "--duration"},
+    "gossip": {"--seed", "--messages"},
     "adversary": {"--seed", "--f", "--byzantine", "--messages", "--modes",
-                  "--rate", "--equivocate", "--verify-determinism",
-                  "--json", "--output"},
+                  "--rate", "--equivocate"},
     "des": {"--clusters", "--cluster-size", "--messages", "--duration",
-            "--topology", "--seed", "--des-workers", "--spread-delays",
-            "--json", "--output"},
+            "--topology", "--seed", "--des-workers", "--spread-delays"},
     "federation": {"--clusters", "--cluster-size", "--shards", "--topology",
                    "--messages", "--duration", "--seed", "--workers",
-                   "--service-ms", "--json", "--output"},
+                   "--service-ms"},
+    "media": {"--seed", "--messages"},
+    "pipeline": {"--seed", "--messages"},
+    "store": {"--seed"},
     "sweep": {"--kind", "--parallel", "--check", "--seed", "--runs",
               "--nodes", "--pairs", "--messages", "--medium", "--duration",
               "--file", "--disks", "--point", "--iterations", "--json",
@@ -176,17 +237,13 @@ FLAGS_BEFORE = {
 @pytest.mark.parametrize("name", CLI_RIGS)
 def test_the_table_adds_no_option_to_a_subcommand(name):
     """The table is not a second front door: a grid parameter
-    (``--disks``, ``--iterations``, ``--runs``) stays on ``sweep``. The
-    one declared addition is the report protocol's ``--json`` /
-    ``--output`` on the three queueing tables, which had neither."""
-    assert flags_of(subparser([name])) == (
-        FLAGS_BEFORE[name] | {"--json", "--output"})
+    (``--disks``, ``--iterations``, ``--runs``) stays on ``sweep``."""
+    assert flags_of(subparser([name])) == FLAGS[name] | PROTOCOL
 
 
 @pytest.mark.parametrize("kind", GRID_RIGS)
 def test_the_table_adds_no_option_to_sweep(kind):
-    assert flags_of(subparser(["sweep", "--kind", kind])) \
-        <= FLAGS_BEFORE["sweep"]
+    assert flags_of(subparser(["sweep", "--kind", kind])) <= FLAGS["sweep"]
 
 
 def test_grid_parameters_are_sweep_only(capsys):
@@ -243,7 +300,11 @@ def test_removed_flags_are_gone():
                  ["capacity", "--parallel", "2"],
                  ["utilization", "--parallel", "2"],
                  ["des", "--check"], ["federation", "--check"],
-                 ["sweep", "--kind", "federation"]):
+                 ["sweep", "--kind", "federation"],
+                 ["gossip", "--outage", "900"], ["gossip", "--no-contrast"],
+                 ["gossip", "--nodes", "3"],
+                 ["chaos", "--save-campaign", "c.json"],
+                 ["sweep", "--kind", "store"]):
         with pytest.raises(SystemExit):
             parse(argv)
 
@@ -332,20 +393,23 @@ def test_readme_and_help_list_every_command():
 # ----------------------------------------------------------------------
 # one negative per driver
 # ----------------------------------------------------------------------
-def test_cli_driver_fails_a_rig_whose_second_run_differs(monkeypatch, capsys):
-    rig = RIGS["adversary"]
+@pytest.mark.parametrize("name", ["adversary", "store"])
+def test_cli_driver_fails_a_rig_whose_second_run_differs(name, monkeypatch,
+                                                         capsys):
+    rig = RIGS[name]
     calls = []
 
     def drifting(params):
         calls.append(params)
-        return dict(rig.run(params), event_digest=f"run-{len(calls)}")
+        return dict(rig.run(params), drift=len(calls))
 
-    monkeypatch.setitem(RIGS, "adversary",
-                        dataclasses.replace(rig, run=drifting))
-    assert main(["adversary", "--messages", "6"]) == 0
-    assert main(["adversary", "--messages", "6",
-                 "--verify-determinism"]) == 1
-    assert "DIVERGED" in capsys.readouterr().out
+    monkeypatch.setitem(RIGS, name, dataclasses.replace(rig, run=drifting))
+    argv = [name] + (["--messages", "6"] if name == "adversary" else [])
+    assert main(argv) == 0
+    assert main(argv + ["--verify-determinism"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "ok false" in lines and "replay_identical false" in lines
+    assert lines[-1] == "result: FAIL"
 
 
 def test_des_exits_1_on_divergence_with_no_flag(monkeypatch, capsys):
@@ -392,30 +456,38 @@ def test_a_task_missing_a_parameter_is_a_typed_error_naming_the_shard():
 # ----------------------------------------------------------------------
 # the determinism gate is a driver too
 # ----------------------------------------------------------------------
-def test_a_failed_gate_names_the_leg_the_workers_and_both_digests(
+def test_the_gate_fails_a_pooled_divergence_naming_workers_and_digests(
         monkeypatch):
-    import repro.rigs as rigs
-    from repro.rigs import FactDivergence
+    """A payload that fails its own ``ok`` is never committed: the gate
+    raises with the rendered payload, which names each DES run's mode,
+    worker count, digest and workload verdict."""
+    from repro.rigs import FactDivergence, facts_report
 
     real_serial, real_pooled = des.run_serial, des.run_pooled
-    monkeypatch.setattr(rigs, "_DES_SMOKE", (2, 1, 300.0))
-    monkeypatch.setattr(rigs, "_DES_WORKER_COUNTS", (2,))
-    monkeypatch.setattr(rigs, "_FEDERATION_SMOKE",
-                        ((2,), 2, 2, 1, 400.0))
+    for name, smoke in (("des", {"clusters": 2, "messages": 1,
+                                 "duration_ms": 300.0, "des_workers": (2,)}),
+                        ("federation", {"clusters": (2,), "messages": 1,
+                                        "duration_ms": 400.0})):
+        monkeypatch.setitem(RIGS, name, dataclasses.replace(
+            RIGS[name], smoke=smoke))
     monkeypatch.setattr(
         des, "run_pooled", lambda scenario, workers: dict(
             real_pooled(scenario, workers), digest="0" * 64))
     with pytest.raises(FactDivergence) as error:
-        rigs.parallel_des(seed=1983, smoke=True)
-    text = str(error.value)
+        facts_report(names=["des"], smoke=True)
+    lines = str(error.value).splitlines()
     reference = real_serial(des.DesScenario(
         clusters=2, messages=1, duration_ms=300.0))["digest"]
-    assert "des.partitioned" in text and "pooled(2)" in text
-    assert "0" * 16 in text and reference[:16] in text
-    assert "INCOMPLETE" not in text
+    assert lines[0].startswith("the des rig failed at {'clusters': 2")
+    assert lines[-1] == "result: FAIL"
+    assert {"equivalent false", "runs[1].mode \"pooled\"",
+            "runs[1].partitions 2", f"runs[0].digest \"{reference}\"",
+            f"runs[1].digest \"{'0' * 64}\"",
+            f"mismatches[0].digest \"{'0' * 64}\"",
+            "runs[0].workload_ok true"} <= set(lines)
     with pytest.raises(FactDivergence) as error:
-        rigs.federation_scaling(seed=1983, smoke=True)
-    assert "DIVERGED (pooled " + "0" * 16 in str(error.value)
+        facts_report(names=["federation"], smoke=True)
+    assert "cells[0].digests_match false" in str(error.value)
 
     # an incomplete serial run reads differently from a pooled divergence
     monkeypatch.setattr(des, "run_pooled", real_pooled)
@@ -423,16 +495,16 @@ def test_a_failed_gate_names_the_leg_the_workers_and_both_digests(
         des, "run_serial", lambda scenario: dict(
             real_serial(scenario), workload_ok=False))
     with pytest.raises(FactDivergence) as error:
-        rigs.parallel_des(seed=1983, smoke=True)
-    serial_line = next(line for line in str(error.value).splitlines()
-                       if line.lstrip().startswith("serial"))
-    assert "INCOMPLETE" in serial_line and "DIVERGED" in str(error.value)
+        facts_report(names=["des"], smoke=True)
+    lines = set(str(error.value).splitlines())
+    assert {"runs[0].workload_ok false", "runs[1].workload_ok true",
+            "mismatches []", "equivalent false"} <= lines
 
 
-def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
+def test_the_gate_fails_a_broken_campaign(monkeypatch):
     import repro.rigs as rigs
     from repro.chaos.campaign import InvariantCheck
-    from repro.rigs import FactDivergence
+    from repro.rigs import FactDivergence, facts_report
 
     real = rigs.run_scenario
 
@@ -444,58 +516,41 @@ def test_the_gate_fails_a_broken_campaign_and_a_divergent_shard(monkeypatch):
 
     monkeypatch.setattr(rigs, "run_scenario", breaking)
     with pytest.raises(FactDivergence) as error:
-        rigs.chaos_campaign(seed=1983, smoke=True)
+        facts_report(names=["chaos"], smoke=True)
     text = str(error.value)
-    assert text.startswith("chaos.campaign:")
-    # the chaos rig's own rendered report, not a summary of it
-    assert "chaos campaign 'monkey' — FAIL" in text
-    assert "[FAIL] injected" in text and "patched in by the test" in text
-    assert "[ok] workload_exact" in text
-
-    # pool workers are forked, so they inherit the patched table; the
-    # pid makes every pooled shard differ from its serial re-run
-    monkeypatch.setitem(RIGS, "chaos", dataclasses.replace(
-        RIGS["chaos"], run=lambda params: {"ok": True, "pid": os.getpid()}))
-    with pytest.raises(FactDivergence) as error:
-        rigs.sweep_scaling(seed=1983, smoke=True)
-    text = str(error.value)
-    assert text.startswith("chaos.sweep:")
-    assert "chaos/000: parallel " in text and "chaos/005: parallel " in text
+    assert text.startswith("the chaos rig failed at {'scenario': 'monkey'")
+    # the campaign report's every check, by path, the injected one too
+    lines = text.splitlines()
+    assert "report.ok false" in lines and "ok false" in lines
+    names = {line.split(" ", 1)[1] for line in lines
+             if line.startswith("report.invariants[")
+             and ".name " in line}
+    assert {'"injected"', '"workload_exact"'} <= names
+    assert 'report.invariants[' in text and '"patched in by the test"' in text
 
 
-def test_facts_reach_the_table_through_the_gate_and_nowhere_else():
-    """A facts workload runs a rig only through ``_gated``, so no
-    committed leaf describes a run that failed the rig's own ``ok``: in
-    ``rigs.py`` the table — ``RIGS``, ``run_sweep`` and every rig's
-    ``run`` — is named by the table's own machinery (and the federation
-    rig, which runs the des rig), and ``_gated`` by facts workloads only."""
+def test_nothing_but_the_gate_reads_the_smoke_size():
+    """The eleven ``if smoke`` / ``_SMOKE`` / ``_FULL`` switches are
+    gone: in ``rigs.py`` the word ``smoke`` is the ``Rig`` field, the
+    table's declarations, and the gate (``facts_report``) and
+    ``smoke_argv`` reading them — no scenario branches on a size."""
     import ast
 
     import repro.rigs as rigs
-
-    table = {"RIGS", "run_sweep", "_gated"} | {
-        rig.run.__name__ for rig in RIGS.values() if rig.run}
-    users = {}
-    for node in ast.walk(ast.parse(Path(rigs.__file__).read_text())):
-        if isinstance(node, ast.FunctionDef):
-            for name in ast.walk(node):
-                if isinstance(name, ast.Name) and name.id in table:
-                    users.setdefault(name.id, set()).add(node.name)
-    assert users == {
-        "RIGS": {"_gated", "run_federation", "ci_commands", "run_sweep",
-                 "facts_report"},
-        "run_sweep": {"__call__", "_gated"},
-        "_gated": {"chaos_campaign", "sweep_scaling", "parallel_des",
-                   "des_scaling", "federation_scaling"},
-    }
+    tree = ast.parse(Path(rigs.__file__).read_text())
+    readers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               for name in ast.walk(node)
+               if (isinstance(name, ast.Name) and name.id == "smoke")
+               or (isinstance(name, ast.Attribute) and name.attr == "smoke")}
+    assert readers == {"facts_report", "smoke_argv"}
+    assert not [node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and ("SMOKE" in node.id or "FULL" in node.id)]
 
 
-def test_federation_scaling_runs_each_leg_once_per_cluster_count(monkeypatch):
-    import repro.rigs as rigs
-
+def test_federation_runs_each_leg_once_per_cluster_count(monkeypatch):
     counts = (2, 3)
-    monkeypatch.setattr(rigs, "_FEDERATION_SMOKE",
-                        (counts, 2, 2, 1, 400.0))
     calls = {"serial": [], "pooled": []}
     real_serial, real_pooled = des.run_serial, des.run_pooled
 
@@ -509,10 +564,11 @@ def test_federation_scaling_runs_each_leg_once_per_cluster_count(monkeypatch):
 
     monkeypatch.setattr(des, "run_serial", spy_serial)
     monkeypatch.setattr(des, "run_pooled", spy_pooled)
-    facts = rigs.federation_scaling(seed=1983, smoke=True)
+    report = RIGS["federation"](clusters=counts, messages=1,
+                                duration_ms=400.0)
     assert calls["serial"] == list(counts)
     assert calls["pooled"] == [(count, 2) for count in counts]
-    assert sorted(facts["grid"]) == [str(count) for count in counts]
+    assert [cell["clusters"] for cell in report["cells"]] == list(counts)
 
 
 # ----------------------------------------------------------------------

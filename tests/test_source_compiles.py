@@ -9,9 +9,16 @@ compiler reports as a ``SyntaxWarning``. An invalid escape sequence in
 a string is a ``SyntaxWarning`` from Python 3.12 and a
 ``DeprecationWarning`` before, so both are errors here. Nothing is
 written: the source is compiled in memory and thrown away.
+
+The compiler's symbol tables (``symtable``) add F82: a name a scope
+reads that no enclosing function binds, that the module does not bind
+(by assignment, import, ``def``, ``class`` or a ``global`` statement)
+and that is not a builtin is undefined.
 """
 
+import builtins
 import os
+import symtable
 import warnings
 
 import pytest
@@ -62,3 +69,68 @@ def test_a_warning_is_an_error():
         with pytest.raises(SyntaxError):
             compile("def f():\n    pass\nreturn 1\n", "<return>", "exec",
                     dont_inherit=True)
+
+
+#: names every module has without binding them
+MODULE_NAMES = {"__file__", "__name__", "__doc__", "__spec__", "__loader__",
+                "__package__", "__builtins__", "__path__", "__annotations__"}
+
+
+def tables(table):
+    yield table
+    for child in table.get_children():
+        yield from tables(child)
+
+
+def undefined_names(source, path):
+    """``(scope, line, name)`` of every name a scope of ``source`` reads
+    that resolves to nothing: not bound in the scope or an enclosing
+    function (symtable resolves those), nor in the module, nor a
+    builtin. A class body's names are its own: a method that reads one
+    bare reads a global."""
+    module = symtable.symtable(source, path, "exec")
+    bound = set(dir(builtins)) | MODULE_NAMES
+    for table in tables(module):
+        for symbol in table.get_symbols():
+            if table is module and (symbol.is_assigned()
+                                    or symbol.is_imported()):
+                bound.add(symbol.get_name())
+            elif symbol.is_declared_global() and symbol.is_assigned():
+                bound.add(symbol.get_name())
+    return [(table.get_name(), table.get_lineno(), symbol.get_name())
+            for table in tables(module) for symbol in table.get_symbols()
+            if symbol.is_referenced() and not symbol.is_free()
+            and (table is module or symbol.is_global())
+            and symbol.get_name() not in bound]
+
+
+def test_no_file_reads_an_undefined_name():
+    found = []
+    for path in python_files():
+        with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+            found += [(path, *name)
+                      for name in undefined_names(handle.read(), path)]
+    assert found == []
+
+
+def test_an_undefined_name_is_found_in_a_function_and_a_class_body():
+    source = ("import os\n"
+              "COUNT = 1\n"
+              "def uses(arg):\n"
+              "    global LATER\n"
+              "    LATER = arg\n"
+              "    return os.sep, COUNT, len(arg), missing_in_function\n"
+              "class Table:\n"
+              "    size = COUNT + LATER\n"
+              "    rows = [missing_in_class]\n"
+              "    def read(self):\n"
+              "        return size\n"
+              "def outer():\n"
+              "    kept = 1\n"
+              "    def inner():\n"
+              "        return kept, __file__\n"
+              "    return inner\n")
+    assert undefined_names(source, "<snippet>") == [
+        ("uses", 3, "missing_in_function"),
+        ("Table", 7, "missing_in_class"),
+        ("read", 10, "size")]

@@ -103,7 +103,8 @@ class TestCli:
     def test_utilization(self, capsys):
         assert cli_main(["utilization", "--point", "mean"]) == 0
         out = capsys.readouterr().out
-        assert "SATURATED" not in out.split("max_message_rate")[0]
+        # every Figure 5.5 cell at the mean point is stable
+        assert out.count("stable true") == 15 and "stable false" not in out
 
     def test_demo_round_trips(self, capsys):
         assert cli_main(["demo"]) == 0
