@@ -2,18 +2,18 @@
 
 "The greatest steady state cost incurred by publishing messages is the
 routing of intranode messages onto the network." Treating the node as
-one deterministic unit removes that cost at the price of doubling the
-extranode message count (one receipt report per extranode input).
+one deterministic unit would remove that cost, at the price of one
+receipt report to the recorder per extranode input.
 
-Two views: the kernel-level cost of broadcasting intranode messages
-(process-grain publishing) vs keeping them local, and the deterministic
-node model's wire-message accounting.
+This is the kernel-level half of the ablation: what an intranode
+message costs when it is published (process-grain recovery) against
+when it is kept local, both on the real DEMOS/MP kernel. The node-grain
+mode itself is not built (EXPERIMENTS.md, §6.6.2).
 """
 
 import pytest
 
 from repro.metrics import measure_send_to_self
-from repro.publishing.node_recovery import DeterministicNode, NodeRecorder
 
 from conftest import once, print_table
 
@@ -37,107 +37,3 @@ def test_intranode_broadcast_cost(benchmark):
     print(f"CPU saved per intranode message: {saved:.1f} ms "
           f"(paper: the protocol's ~26 ms)")
     assert saved == pytest.approx(26.0, abs=1.0)
-
-
-def test_wire_message_tradeoff(benchmark):
-    """"We are willing to double the number of extranode messages if
-    that will allow us not to put intranode messages onto the network."
-    Count both kinds of traffic for a token workload."""
-    def run():
-        wire = {"ext_sends": 0, "receipt_reports": 0}
-        recorder = NodeRecorder()
-
-        def on_ext(dst, payload):
-            wire["ext_sends"] += 1
-            recorder.note_ext_send()
-
-        def report(event):
-            wire["receipt_reports"] += 1
-            recorder.report_receipt(event)
-
-        node = DeterministicNode(quantum=2, on_extranode_send=on_ext,
-                                 on_receipt_report=report)
-
-        def relay(state, msg):
-            state = dict(state)
-            state["seen"] = state.get("seen", 0) + 1
-            hops = msg[1]
-            if len(hops) < 8:
-                return state, [(state["next"], ("t", hops + [state["name"]]))]
-            return state, [(("ext", "out"), ("done", hops))]
-
-        node.add_process("a", relay, {"name": "a", "next": "b"})
-        node.add_process("b", relay, {"name": "b", "next": "a"})
-        intranode = [0]
-        original_send_local = node.send_local
-
-        def counting_send_local(name, payload):
-            intranode[0] += 1
-            original_send_local(name, payload)
-
-        node.send_local = counting_send_local
-        for i in range(10):
-            node.receive_extranode("a", ("t", []))
-        node.run()
-        return {"intranode": intranode[0], **wire}
-
-    result = once(benchmark, run)
-    print_table("§6.6.2 — wire traffic for 10 token workloads",
-                ["message class", "count", "on the wire?"],
-                [["intranode relays", result["intranode"], "no"],
-                 ["extranode results", result["ext_sends"], "yes"],
-                 ["receipt reports to recorder",
-                  result["receipt_reports"], "yes"]])
-    # Node-grain: wire messages = extranode in + out + reports, while
-    # the intranode relays (the bulk) stay off the network.
-    assert result["intranode"] > result["ext_sends"] + result["receipt_reports"]
-    assert result["receipt_reports"] == 10
-
-
-def test_node_grain_recovery_correctness(benchmark):
-    """The ablation is only admissible if node-grain recovery still
-    reproduces the exact pre-crash behaviour."""
-    def run():
-        recorder = NodeRecorder()
-        out = []
-
-        def on_ext(dst, payload):
-            out.append(payload)
-            recorder.note_ext_send()
-
-        node = DeterministicNode(quantum=3, on_extranode_send=on_ext,
-                                 on_receipt_report=recorder.report_receipt)
-
-        def accumulator(state, msg):
-            state = dict(state)
-            state["sum"] = state.get("sum", 0) + msg
-            if state["sum"] % 7 == 0:
-                return state, [(("ext", "log"), ("sum", state["sum"]))]
-            return state, []
-
-        node.add_process("acc", accumulator, {})
-        for i in range(1, 15):
-            node.receive_extranode("acc", i)
-            node.run()
-        recorder.store_checkpoint(node.checkpoint())
-        for i in range(15, 30):
-            node.receive_extranode("acc", i)
-            node.run()
-        state_before = dict(node.processes["acc"].state)
-        sends_before = list(out)
-        # Crash and recover the whole node as a unit.
-        node.processes["acc"].state = {}
-        node.processes["acc"].inbox.clear()
-        recorder.recover(node)
-        node.run()
-        return (state_before, sends_before,
-                dict(node.processes["acc"].state), list(out))
-
-    before_state, before_sends, after_state, after_sends = once(benchmark, run)
-    print_table("§6.6.2 — node-grain recovery fidelity",
-                ["check", "result"],
-                [["state reproduced", after_state == before_state],
-                 ["no duplicate extranode sends",
-                  after_sends == before_sends]])
-    assert after_state == before_state
-    assert after_sends == before_sends

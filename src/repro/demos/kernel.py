@@ -265,16 +265,27 @@ class ProcessHost:
         return pcb.links.insert(link)
 
     # -- receive path -----------------------------------------------------
-    def _execute_dtk(self, message: Message) -> None:
-        pcb = self.processes.get(message.dst)
-        if pcb is not None:
-            pcb.dtk_processed += 1
-        if self.dtk_handler is not None:
-            self.dtk_handler(message)
+    def _admit(self, pcb: Optional[ProcessControlRecord], message: Message,
+               pump: bool = True) -> None:
+        """The one door from a message to its process ``pcb`` (None only
+        for DELIVERTOKERNEL traffic to a pid this node does not hold),
+        for live, replayed and held-back messages alike.
 
-    def _enqueue(self, pcb: ProcessControlRecord, message: Message) -> None:
+        DELIVERTOKERNEL: "it passes the message, not to the process to
+        which it is addressed, but to the kernel process residing on its
+        node" (§4.4.3), in stream order like all other messages. Any
+        other message joins the queue, and the process is pumped unless
+        the caller pumps once after a batch.
+        """
+        if message.deliver_to_kernel:
+            if pcb is not None:
+                pcb.dtk_processed += 1
+            if self.dtk_handler is not None:
+                self.dtk_handler(message)
+            return
         pcb.queue.append(message)
-        self._pump(pcb)
+        if pump:
+            self._pump(pcb)
 
     def _pump(self, pcb: ProcessControlRecord) -> None:
         """Deliver the next acceptable message to the program, if any."""
@@ -366,12 +377,7 @@ class ProcessHost:
             self.events.emit("recovery", message.dst,
                              event="stale_replay_dropped")
             return
-        if message.deliver_to_kernel:
-            # Replayed process-control traffic executes at the kernel
-            # level, "just like all other messages" in stream order.
-            self._execute_dtk(message)
-            return
-        self._enqueue(pcb, message)
+        self._admit(pcb, message)
 
 
 class MessageKernel(ProcessHost):
@@ -536,18 +542,14 @@ class MessageKernel(ProcessHost):
             # replays it in stream order.
             self._live_message_while_recovering(pcb, message)
             return
-        if message.deliver_to_kernel:
-            # DELIVERTOKERNEL: "it passes the message, not to the process
-            # to which it is addressed, but to the kernel process
-            # residing on its node" (§4.4.3).
-            self._execute_dtk(message)
-            return
-        if pcb is None or pcb.state is ProcessState.DEAD:
-            self.events.emit("kernel", message.dst, event="drop_no_process")
-            return
-        if message.recovery_marker:
-            return   # stale marker from a finished recovery; ignore
-        self._enqueue(pcb, message)
+        if not message.deliver_to_kernel:
+            if pcb is None or pcb.state is ProcessState.DEAD:
+                self.events.emit("kernel", message.dst,
+                                 event="drop_no_process")
+                return
+            if message.recovery_marker:
+                return   # stale marker from a finished recovery; ignore
+        self._admit(pcb, message)
 
     def _live_message_while_recovering(self, pcb: ProcessControlRecord,
                                        message: Message) -> None:
@@ -675,10 +677,7 @@ class MessageKernel(ProcessHost):
             return
         pcb.state = ProcessState.RUNNING
         for message in pcb.held_live or ():
-            if message.deliver_to_kernel:
-                self._execute_dtk(message)
-            else:
-                pcb.queue.append(message)
+            self._admit(pcb, message, pump=False)
         pcb.held_live = None
         self.events.emit("recovery", pid, event="live")
         self._pump(pcb)

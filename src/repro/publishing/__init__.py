@@ -14,8 +14,6 @@
 * :mod:`repro.publishing.recovery_time` — the §3.2.3 t_max model;
 * :mod:`repro.publishing.multi_recorder` — priority-vector coordination
   of several recorders (§6.3);
-* :mod:`repro.publishing.node_recovery` — node-as-unit recovery with a
-  deterministic scheduler (§6.6.2);
 * :mod:`repro.publishing.gossip` — epidemic repair: bounded peer
   buffers, gap tracking, and pull-based hole repair on top of the
   passive recorder (see ``docs/GOSSIP.md``).

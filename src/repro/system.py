@@ -84,8 +84,7 @@ class SystemConfig:
     placement_policy: str = "range"
     master_seed: int = 1983
     publish_path: str = "media_tap"
-    #: start NLS / process manager / memory scheduler on this node
-    boot_system_processes: bool = True
+    #: boot starts NLS / process manager / memory scheduler on this node
     services_node: int = 1
     #: what happens when the watchdog declares a node dead (§4.6's
     #: operator choices): "restart" reboots the same processor; "spare"
@@ -517,18 +516,15 @@ class System:
         """Boot every node's kernel process and the system processes,
         start the watchdogs, then let the engine settle."""
         cfg = self.config
-        nls_pid: Optional[Tuple[int, int]] = None
-        services_specs: Tuple = ()
-        if cfg.boot_system_processes and cfg.services_node in self.nodes:
-            node_order = tuple(sorted(self.nodes))
-            # Boot order fixes the local ids: NLS=(n,1), PM=(n,2), MS=(n,3).
-            services_specs = (
-                (NLS_IMAGE, (), (), True, 2),
-                (PM_IMAGE, (), (("proc", 2),), True, 2),
-                (MS_IMAGE, (node_order,),
-                 tuple(("kp", n) for n in node_order), True, 2),
-            )
-            nls_pid = (cfg.services_node, 1)
+        node_order = tuple(sorted(self.nodes))
+        # Boot order fixes the local ids: NLS=(n,1), PM=(n,2), MS=(n,3).
+        services_specs = (
+            (NLS_IMAGE, (), (), True, 2),
+            (PM_IMAGE, (), (("proc", 2),), True, 2),
+            (MS_IMAGE, (node_order,),
+             tuple(("kp", n) for n in node_order), True, 2),
+        )
+        nls_pid = (cfg.services_node, 1)
         for node_id, node in self.nodes.items():
             specs = services_specs if node_id == cfg.services_node else ()
             node.boot(boot_specs=specs, nls_pid=nls_pid)

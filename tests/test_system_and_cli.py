@@ -46,13 +46,6 @@ class TestSystemConfig:
         assert system.config is not config
         assert asdict(config) == before and config.services_node == 1
 
-    def test_boot_without_system_processes(self):
-        system = System(SystemConfig(nodes=1, boot_system_processes=False))
-        system.boot()
-        # Only the kernel process exists.
-        assert list(system.nodes[1].kernel.processes) == [
-            __import__("repro").kernel_pid(1)]
-
     def test_spawn_requires_booted_node(self):
         system = System(SystemConfig(nodes=1))
         register_test_programs(system)
