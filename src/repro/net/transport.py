@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro import costs
 from repro.errors import NetworkError
@@ -40,6 +39,12 @@ from repro.sim.engine import Engine, EventHandle
 #: Guaranteed-message uids a receiver remembers for duplicate
 #: suppression, oldest forgotten first: the dedup horizon.
 DEDUP_HORIZON = 4096
+#: Adaptive retransmission (§4.3.3's "network failures are temporary"):
+#: retry *k* waits ``retransmit_timeout_ms * BACKOFF_FACTOR**(k-1)`` ms,
+#: capped at ``BACKOFF_MAX_MS``, so a long outage (a rebooting node, a
+#: crashed recorder) is probed at a decaying rate, not a fixed drumbeat.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_MS = 2000.0
 
 
 @register_payload("seg")
@@ -76,14 +81,6 @@ class TransportConfig:
     """Tunables for one node's transport layer."""
 
     retransmit_timeout_ms: float = 100.0
-    #: adaptive retransmission (§4.3.3's "network failures are
-    #: temporary"): each unacknowledged retry waits
-    #: ``timeout * backoff_factor**(attempt-1)`` ms, capped at
-    #: ``backoff_max_ms``, so a long outage (a rebooting node, a crashed
-    #: recorder) is probed at a decaying rate instead of a fixed drumbeat.
-    #: A factor of 1.0 restores the fixed timer.
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 2000.0
     max_retries: int = 1000
     #: With window > 1 the sender stamps each guaranteed segment with a
     #: per-destination stream sequence and the receiver buffers
@@ -142,20 +139,19 @@ class _Lane:
 class _Outstanding:
     """A guaranteed message awaiting acknowledgement.
 
-    ``stamp`` identifies the message's *latest* retry arming: the
-    coalesced timer wheel leaves superseded heap entries in place and
-    recognises them as stale because their tick no longer matches.
-    ``lane`` is where it queued, and whose slot it holds once started.
+    ``lane`` is where it queued, and whose slot it holds once started;
+    ``timer`` is its pending retry deadline, an engine event, while it
+    is in flight.
     """
 
-    __slots__ = ("segment", "size_bytes", "lane", "attempts", "stamp")
+    __slots__ = ("segment", "size_bytes", "lane", "attempts", "timer")
 
     def __init__(self, segment: Segment, size_bytes: int, lane: _Lane):
         self.segment = segment
         self.size_bytes = size_bytes
         self.lane = lane
         self.attempts = 0
-        self.stamp = 0
+        self.timer: Optional[EventHandle] = None
 
 
 class Transport:
@@ -192,17 +188,6 @@ class Transport:
         self._lanes: Dict[int, _Lane] = {}
         self._queued = 0          # messages waiting in lanes, all told
         self._in_flight: Dict[Tuple, _Outstanding] = {}
-        #: coalesced retransmission timer wheel: all retry deadlines live
-        #: in this local heap of ``(deadline, tick, out)`` and a single
-        #: engine event (``_wheel``) covers the earliest of them, instead
-        #: of one engine timer per in-flight message. Entries are never
-        #: removed eagerly — acks and re-arms leave stale entries behind,
-        #: recognised on pop because the message left ``_in_flight`` or
-        #: its ``stamp`` moved on.
-        self._timers: List[Tuple[float, int, _Outstanding]] = []
-        self._timer_tick = 0
-        self._wheel: Optional[EventHandle] = None
-        self._wheel_deadline = 0.0
         self._dedup: "OrderedDict[Tuple, None]" = OrderedDict()
         #: sender side: next stream sequence per destination node
         self._next_stream_seq: Dict[int, int] = {}
@@ -269,8 +254,10 @@ class Transport:
             if superseded is not None:
                 # A regenerated send of a uid still awaiting its ack
                 # takes over the entry: the ack will complete `out`, so
-                # the message it replaces gives its slot back.
+                # the message it replaces gives its slot and its
+                # retry timer back.
                 superseded.lane.busy -= 1
+                superseded.timer.cancel()
             in_flight[uid] = out
             lane.busy += 1
             self._transmit(out)
@@ -280,68 +267,19 @@ class Transport:
     def _retry_delay_ms(self, attempts: int) -> float:
         """The wait before declaring attempt ``attempts`` unacknowledged:
         exponential backoff with a cap."""
-        cfg = self.config
-        delay = cfg.retransmit_timeout_ms
-        if cfg.backoff_factor > 1.0 and attempts > 1:
-            delay = min(cfg.backoff_max_ms,
-                        delay * cfg.backoff_factor ** (attempts - 1))
+        delay = self.config.retransmit_timeout_ms
+        if attempts > 1:
+            delay = min(BACKOFF_MAX_MS,
+                        delay * BACKOFF_FACTOR ** (attempts - 1))
         self._backoff_ms.observe(delay)
         return delay
 
     def _arm_retry(self, out: _Outstanding) -> None:
-        """(Re)arm the retry deadline for ``out`` on the timer wheel."""
-        deadline = self.engine.now + self._retry_delay_ms(out.attempts)
-        tick = self._timer_tick + 1
-        self._timer_tick = tick
-        out.stamp = tick
-        heappush(self._timers, (deadline, tick, out))
-        self._rearm_wheel()
-
-    def _entry_live(self, entry: Tuple[float, int, _Outstanding]) -> bool:
-        """Is this wheel entry still the current deadline for a message
-        that is still awaiting acknowledgement?"""
-        out = entry[2]
-        return (self._in_flight.get(out.segment.uid) is out
-                and out.stamp == entry[1])
-
-    def _rearm_wheel(self) -> None:
-        """Point the single engine timer at the earliest live deadline
-        (pruning stale heap heads), or cancel it if none remain."""
-        timers = self._timers
-        while timers and not self._entry_live(timers[0]):
-            heappop(timers)
-        if not timers:
-            if self._wheel is not None:
-                self._wheel.cancel()
-                self._wheel = None
-            return
-        earliest = timers[0][0]
-        if self._wheel is not None:
-            if self._wheel_deadline <= earliest:
-                return
-            self._wheel.cancel()
-        self._wheel = self.engine.schedule(earliest - self.engine.now,
-                                           self._on_wheel)
-        self._wheel_deadline = earliest
-
-    def _on_wheel(self) -> None:
-        """The wheel fired: time out every message whose deadline is due,
-        in arming order, then re-aim at the next deadline."""
-        self._wheel = None
-        timers = self._timers
-        now = self.engine.now
-        due: List[_Outstanding] = []
-        while timers and timers[0][0] <= now:
-            entry = heappop(timers)
-            if self._entry_live(entry):
-                due.append(entry[2])
-        for out in due:
-            # Re-check: an earlier timeout in this batch can give up and
-            # pump fresh sends, but never silently complete this one —
-            # still, only act on messages that remain in flight.
-            if self._in_flight.get(out.segment.uid) is out:
-                self._on_timeout(out)
-        self._rearm_wheel()
+        """(Re)arm the retry deadline for ``out``."""
+        if out.timer is not None:
+            out.timer.cancel()
+        out.timer = self.engine.schedule(self._retry_delay_ms(out.attempts),
+                                         self._on_timeout, out)
 
     def _transmit(self, out: _Outstanding) -> None:
         if not self.iface.up:
@@ -362,7 +300,8 @@ class Transport:
         self._arm_retry(out)
 
     def _on_timeout(self, out: _Outstanding) -> None:
-        if out.segment.uid not in self._in_flight:
+        out.timer = None
+        if self._in_flight.get(out.segment.uid) is not out:
             return
         if out.attempts >= self.config.max_retries:
             # Give up; guaranteed delivery holds only for temporary
@@ -388,11 +327,9 @@ class Transport:
         if out is None:
             return
         out.lane.busy -= 1
+        out.timer.cancel()
         self._queue_depth.update(self.queue_depth)
         self._pump(out.lane)
-        # The acked message's wheel entry is now stale; re-aiming prunes
-        # it when it is the head, so a drained transport stops waking up.
-        self._rearm_wheel()
 
     # ------------------------------------------------------------------
     # receiving
@@ -502,8 +439,7 @@ class Transport:
             # until the recorder successfully records the message"
             # (§4.4.1). The full timeout is used so the retry budget
             # spans realistic outages (a node reboot, a recorder
-            # restart) rather than burning out in seconds. Re-arming
-            # bumps the stamp, so the superseded wheel entry goes stale.
+            # restart) rather than burning out in seconds.
             self._arm_retry(out)
 
     # ------------------------------------------------------------------
@@ -512,10 +448,8 @@ class Transport:
     def crash(self) -> None:
         """Drop all volatile transport state and detach from the medium."""
         self.iface.up = False
-        self._timers.clear()
-        if self._wheel is not None:
-            self._wheel.cancel()
-            self._wheel = None
+        for out in self._in_flight.values():
+            out.timer.cancel()
         self._in_flight.clear()
         self._lanes.clear()
         if self._lane is not None:

@@ -514,7 +514,7 @@ class TestQuorumScenario:
         assert (r["total"], r["outvoted"], r["messages_replayed"],
                 r["quorum_stale_skips"], r["quorum_unresolved"]) \
             == (465, [92], 30, 1, 0)
-        assert system.engine.events_fired == 776
+        assert system.engine.events_fired == 770
         assert r["sim_ms"] == 8950.0
 
     def test_equivocating_recorder_outvoted(self):

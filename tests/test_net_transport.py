@@ -185,8 +185,7 @@ def test_permanently_dead_interface_reaches_dead_letter_hook():
     the skipped transmissions consume the retry budget and the message
     ends in the `on_gave_up` dead-letter hook."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, backoff_factor=1.0,
-                          max_retries=4)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=4)
     _, t1, t2, got = build_pair(engine, config=cfg)
     dead = []
     t1.on_gave_up = lambda segment, attempts: dead.append(
@@ -202,18 +201,10 @@ def test_permanently_dead_interface_reaches_dead_letter_hook():
 
 def test_retry_delays_back_off_exponentially_and_cap():
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, backoff_factor=2.0,
-                          backoff_max_ms=40.0)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0)
     _, t1, _, _ = build_pair(engine, config=cfg)
-    assert [t1._retry_delay_ms(k) for k in range(1, 6)] == \
-        [10.0, 20.0, 40.0, 40.0, 40.0]
-
-
-def test_backoff_factor_one_restores_fixed_timer():
-    engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=25.0, backoff_factor=1.0)
-    _, t1, _, _ = build_pair(engine, config=cfg)
-    assert [t1._retry_delay_ms(k) for k in range(1, 5)] == [25.0] * 4
+    assert [t1._retry_delay_ms(k) for k in range(1, 11)] == \
+        [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0, 2000.0, 2000.0]
 
 
 def test_per_destination_pump_is_linear_in_queue_depth():

@@ -366,20 +366,20 @@ class TestLegacyStatsAreRegistryViews:
 #: broadcast federations).
 SURFACE_PINS = {
     ("broadcast", False):
-        "2e5497de9428463ddc2b6306b1beda14687df70cb702b1bd3f8a5a810f2a0895",
+        "f4e72c7451947262c4aa5ac22cf9b28bba74da1b39387f4e3b5f16d8882bb9ee",
     ("csma_ethernet", False):
-        "52be3b9800a3027439817902900a9bfcffc859232fea9f572cdf7db0dfe6ef6b",
+        "1f434dcea5710cb4f0d84653085c4ed2cdbbb592bd2377acbb70f3ed8b1f40ed",
     ("acking_ethernet", False):
-        "9c040df45bee4e30eac4b4b3e8e620de69810143bb75339ba0ccf5b68d3535d8",
+        "8c9b1656957fb7b0f0fc43f0ed5091e67c009bf153217756760a148e45fe1259",
     ("token_ring", False):
-        "0eb4bd0b9846fea23fcf44a9f2d4ab42237eeb56c65226661990f97707abe0e7",
+        "65196760937e45000a65e6a7f735615566c128365e3a4d1fbb3fb401970d46d9",
     ("star", False):
-        "9afceb68b86f069447262a9b320fc67775e257744d63f9ff524e490aa9249bd6",
+        "4b64ae614a34efddf1d908541a9b19a64746adaf0be6d4a62353791c1b3ed39d",
     ("csma_ethernet", True):
-        "8eee53ebedc7eb5c211cf31c052f4b652aef598f810a6af9fd0709a6921ca209",
+        "3af176e0fcc25241801f78121499e14ed14174f22f002b35b90c10808fd054f1",
     # the ring's gossip hooks were inert before the media shared one rule
     ("token_ring", True):
-        "8dbb0aa79ca60de74d7ce8b740b632cab16354749a2a79dd11697529b7cc4971",
+        "e36c7158bfe7860d2198525eae1f0c28c3f314105fd4bf192486470cc69f9bc9",
 }
 
 

@@ -1,12 +1,10 @@
-"""The coalesced retransmission timer wheel must be observationally
-equivalent to the one-engine-timer-per-message scheme it replaced.
-
-Equivalence is checked against a reference model computed in the test
-from ``TransportConfig`` (the cumulative backoff schedule a dedicated
-per-message timer would follow), plus regression cases for behaviours
-the per-message implementation guaranteed: retry counts, backoff
-histograms, dead-letter timing, crash cleanup, and the PR 2 wedged-retry
-case where the sender's own interface drops mid-retry.
+"""Each guaranteed message in flight has its own engine timer, and its
+retries follow the per-message backoff schedule computed in the test
+from ``TransportConfig`` and the module's backoff constants: retry
+counts, backoff histograms, dead-letter timing, crash cleanup, the
+superseding send, and the wedged-retry case where the sender's own
+interface drops mid-retry. What the engine holds is the witness: a
+drained or crashed transport leaves no event pending.
 
 The same for the sender's queue: per-lane FIFOs must start what the
 whole-queue pump they replaced started, in the same order (the oracle
@@ -37,11 +35,10 @@ def build_pair(engine, config=None, medium=None, faults=None):
 
 def test_retry_times_match_per_message_timer_model():
     """With the receiver dead, retries must fire at exactly the
-    cumulative backoff offsets a dedicated per-message timer would use,
-    and the dead letter must drop at the end of that schedule."""
+    cumulative backoff offsets, up to and along the cap, and the dead
+    letter must drop at the end of that schedule."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, backoff_factor=2.0,
-                          backoff_max_ms=40.0, max_retries=4)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=10)
     _, t1, t2, got = build_pair(engine, config=cfg)
     dead = []
     t1.on_gave_up = lambda seg, attempts: dead.append((engine.now, attempts))
@@ -55,9 +52,10 @@ def test_retry_times_match_per_message_timer_model():
     # Attempt k is followed by a _retry_delay_ms(k) wait; after the
     # max_retries'th wait the timeout declares the dead letter.
     schedule = [t1._retry_delay_ms(k) for k in range(1, cfg.max_retries + 1)]
-    assert schedule == [10.0, 20.0, 40.0, 40.0]
+    assert schedule == [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0,
+                        1280.0, 2000.0, 2000.0]
     assert dead == [(sum(schedule), cfg.max_retries)]
-    # The wheel observed exactly the model's delays, in histogram terms.
+    # The timers observed exactly the model's delays, in histogram terms.
     assert observed == (len(schedule), sum(schedule),
                         min(schedule), max(schedule))
     assert t1.queue_depth == 0
@@ -65,14 +63,16 @@ def test_retry_times_match_per_message_timer_model():
 
 
 def test_concurrent_messages_keep_independent_schedules():
-    """Several in-flight messages share one wheel; each must still give
-    up after its own full backoff schedule, not a coalesced one."""
+    """Several messages in flight at once: each must give up after its
+    own full backoff schedule, and the last dead letter leaves the
+    engine with nothing pending."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, backoff_factor=2.0,
-                          backoff_max_ms=40.0, max_retries=3,
+    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=10,
                           window=4, per_destination=True)
     medium = PerfectBroadcast(engine)
     t1 = Transport(engine, medium, 1, lambda s: None, cfg)
+    schedule_ms = sum(t1._retry_delay_ms(k)
+                      for k in range(1, cfg.max_retries + 1))
     dead = []
     t1.on_gave_up = lambda seg, attempts: dead.append(
         (seg.body, engine.now, attempts))
@@ -80,38 +80,64 @@ def test_concurrent_messages_keep_independent_schedules():
     offsets = [0.0, 3.0, 11.0]
     for i, offset in enumerate(offsets):
         engine.schedule(offset, t1.send, 2 + i, f"m{i}", 128, ("p", i))
-    engine.run()
-    schedule_ms = sum(t1._retry_delay_ms(k)
-                      for k in range(1, cfg.max_retries + 1))
+    engine.run(until=offsets[-1] + schedule_ms)
     assert sorted(dead) == [(f"m{i}", offset + schedule_ms, cfg.max_retries)
                             for i, offset in enumerate(offsets)]
     assert t1.stats.gave_up.value == 3
-    assert not t1._timers and t1._wheel is None
+    assert engine.pending() == 0
 
 
-def test_ack_leaves_stale_wheel_entry_without_extra_retry():
+def test_ack_before_the_deadline_cancels_the_retry():
     """An ack arriving before the retry deadline must suppress the
-    retransmission even though the wheel entry is only lazily removed."""
+    retransmission and take the message's timer off the engine."""
     engine = Engine()
     faults = FaultPlan()
     faults.lose_next(lambda f, node: node == 2, count=1)
     _, t1, t2, got = build_pair(engine, faults=faults)
     t1.send(2, "once", 128, uid=("p", 1))
-    engine.run()
+    # the retry goes out at 100 ms and is acknowledged at once; its own
+    # deadline would be 200 ms later
+    engine.run(until=150.0)
     assert got[2] == ["once"]
     assert t1.stats.retransmissions.value == 1   # the one real loss, no ghosts
     assert t1.stats.sent.value == 2              # original + that single retry
-    # Drained transport: no live wheel, engine fully idle (a leaked
-    # wheel timer would have kept `run()` spinning through empty pops).
-    assert t1._wheel is None
     assert engine.pending() == 0
 
 
-def test_wedged_retry_regression_with_shared_wheel():
-    """PR 2 regression, rerun against the coalesced wheel: the sender's
-    own interface dropping between a timeout and the retransmission must
-    not strand the message in `_in_flight` with no timer — even when the
-    wheel also tracks other destinations' messages."""
+def test_superseding_send_cancels_the_old_retry_timer():
+    """A regenerated send of a uid still in flight takes the entry over:
+    exactly one retry timer stays live, and retransmissions follow the
+    new entry's schedule, not the old one's."""
+    engine = Engine()
+    medium = HeldAckMedium(engine)
+    t1 = Transport(engine, medium, 1, lambda s: None,
+                   TransportConfig(retransmit_timeout_ms=10.0, window=2))
+    t1.send(2, "old", 64, uid=("p", 1))
+    engine.schedule(3.0, t1.send, 2, "new", 64, ("p", 1))
+    engine.run(until=5.0)
+    assert engine.pending() == 1
+    # the old entry's deadlines were 10 and 30 ms, the new one's 13 and 33
+    engine.run(until=12.0)
+    assert t1.stats.retransmissions.value == 0
+    engine.run(until=13.0)
+    assert t1.stats.retransmissions.value == 1
+    engine.run(until=32.0)
+    assert t1.stats.retransmissions.value == 1
+    engine.run(until=33.0)
+    assert t1.stats.retransmissions.value == 2
+    assert engine.pending() == 1
+    assert [f.payload.body for f in medium.offered] == \
+        ["old", "new", "new", "new"]
+    medium.ack(medium.offered[-1])
+    assert t1.queue_depth == 0
+    assert engine.pending() == 0
+
+
+def test_wedged_retry_regression_with_concurrent_timers():
+    """Regression: the sender's own interface dropping between a
+    timeout and the retransmission must not strand the message in
+    `_in_flight` with no timer — even with other destinations' messages
+    in flight beside it."""
     engine = Engine()
     cfg = TransportConfig(window=4, per_destination=True)
     medium = PerfectBroadcast(engine)
@@ -127,24 +153,25 @@ def test_wedged_retry_regression_with_shared_wheel():
     t1.iface.up = False                    # NIC outage hits mid-retry
     engine.run(until=450.0)                # retries fire while down
     assert t1.queue_depth == 1             # still tracked, not abandoned
+    assert engine.pending() > 0            # its retry timer among them
     t1.iface.up = True
     t2.restart()
     engine.run(until=20_000.0)
     assert got[2] == ["survivor"]
     assert t1.queue_depth == 0
-    assert not t1._timers and t1._wheel is None
+    assert engine.pending() == 0
 
 
-def test_crash_discards_wheel_and_restart_rearms_cleanly():
+def test_crash_cancels_every_retry_timer_and_restart_rearms_cleanly():
     engine = Engine()
     _, t1, t2, got = build_pair(engine)
     t2.iface.up = False
     for i in range(4):
         t1.send(2, f"pre{i}", 128, uid=("p", i))
-    engine.run(until=30.0)                 # retries pending on the wheel
-    assert t1._timers
+    engine.run(until=30.0)                 # retries pending on the engine
+    assert engine.pending() > 0
     t1.crash()
-    assert not t1._timers and t1._wheel is None
+    assert engine.pending() == 0
     engine.run(until=2_000.0)              # nothing left to fire for t1
     t1.restart()
     t2.restart()
@@ -155,9 +182,9 @@ def test_crash_discards_wheel_and_restart_rearms_cleanly():
 
 
 def test_lossy_run_retry_stats_are_deterministic():
-    """Identical seeded lossy runs must agree on every retry figure the
-    old per-message timers produced: retransmission counts, backoff
-    histogram, delivery order, and total engine events."""
+    """Identical seeded lossy runs must agree on every retry figure:
+    retransmission counts, backoff histogram, delivery order, and total
+    engine events."""
 
     def run_once(seed):
         engine = Engine()
@@ -173,8 +200,7 @@ def test_lossy_run_retry_stats_are_deterministic():
             return counter[0] in drops
 
         faults.lose_next(should_drop, count=len(drops))
-        cfg = TransportConfig(retransmit_timeout_ms=20.0,
-                              backoff_factor=2.0, backoff_max_ms=160.0)
+        cfg = TransportConfig(retransmit_timeout_ms=20.0)
         medium, t1, t2, got = build_pair(engine, config=cfg, faults=faults)
         for i in range(25):
             engine.schedule(i * 7.0, t1.send, 2, ("m", i), 128, ("p", i))
