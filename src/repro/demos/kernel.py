@@ -41,6 +41,7 @@ from repro.demos.process import (
     ProgramRegistry,
 )
 from repro.errors import KernelError, ProcessError
+from repro.net.frames import canonical_bytes
 from repro.net.media import Medium
 from repro.net.transport import Segment, Transport, TransportConfig
 from repro.obs import MetricsRegistry, Observability
@@ -479,6 +480,10 @@ class MessageKernel(ProcessHost):
             # Unpublished intranode message: straight to the queue.
             self.deliver_local(message)
             return
+        # The body enters the network here: one without a wire encoding
+        # raises now, and the walk leaves the image every later checksum
+        # of the message reads (the frames carrying it encode nothing).
+        canonical_bytes(message)
         self.transport.send(message.dst.node, message,
                             size_bytes=message.size_bytes,
                             uid=tuple(message.msg_id))
@@ -498,7 +503,13 @@ class MessageKernel(ProcessHost):
 
     def send_control(self, dst_node: int, control: tuple,
                      guaranteed: bool = True, size_bytes: int = 64) -> None:
-        """Send a kernel-level control datagram to another node."""
+        """Send a kernel-level control datagram to another node.
+
+        Program values ride in some controls — the state in a
+        ``Checkpoint``, the spawn args in ``ProcessCreated`` — so one
+        without a wire encoding raises here, on the caller's stack.
+        """
+        canonical_bytes(control)
         self._control_seq += 1
         self.transport.send(dst_node, control, size_bytes=size_bytes,
                             uid=("ctl", self.node_id, self._control_seq),

@@ -71,17 +71,18 @@ class Message(WireImage):
     ``bytes``, ``tuple``, ``list``, ``dict``, ``set``/``frozenset`` and
     registered payload classes (:class:`ProcessId`, :class:`Link`, ...),
     nested freely. Anything else raises
-    :class:`~repro.errors.EncodingError` when the sender's frame is
-    built. To send a record type of your own, make it a dataclass or a
-    ``NamedTuple`` and decorate it with
+    :class:`~repro.errors.EncodingError` where the sender's kernel puts
+    the message on the network. To send a record type of your own, make
+    it a dataclass or a ``NamedTuple`` and decorate it with
     ``@repro.net.frames.register_payload("tag")`` in the module that
     defines it.
 
-    A message is checksummed at every hop: each transmission attempt,
-    the recorder's append, the verified replay read, the ``replay``
-    control. A body built from scalars, tuples, frozensets and frozen
-    registered classes cannot change, so it is walked once and the
-    message carries its encoding from then on
+    A message is encoded where it enters the network and checksummed at
+    the recorder's append, the verified replay read, and every frame
+    that carries it and is checked by recomputation. A body built from
+    scalars, tuples, frozensets and frozen registered classes cannot
+    change, so it is walked once and the message carries its encoding
+    from then on
     (:class:`~repro.net.frames.WireImage`). A body holding a ``list``,
     a ``dict`` or a ``set`` at any depth is just as legal and is walked
     again at every checksum — which is how a container changed after

@@ -3,9 +3,11 @@
 The DEMOS/MP link layer "wraps all messages with a rotating checksum and
 checks the message type for validity. Any messages with an incorrect
 checksum are discarded" (§4.3.3). We model that literally: every frame
-carries a CRC computed over a canonical encoding of its payload, and the
-receiving link layer recomputes and compares it. Fault injection corrupts
-the stored CRC, which is indistinguishable from bit rot on the wire.
+carries a CRC over a canonical encoding of its payload, and the
+receiving link layer discards a frame whose CRC does not match. Fault
+injection corrupts the carried CRC, which is indistinguishable from bit
+rot on the wire. A frame nothing touched carries its payload's CRC by
+definition and computes it only when something reads it (:class:`Frame`).
 
 A checksum only helps if two processes compute the same value from the
 same payload, so the encoding is explicit: :func:`canonical_bytes` walks
@@ -19,9 +21,13 @@ same encoding.
 A message is stored once and read back byte for byte (§3.2.3, §4.4.3),
 so its encoding is computed once as well: a :class:`WireImage` instance
 (a ``Message``) that holds nothing that can change keeps its bytes, and
-its frames, its record digest and its replays all read them.
+its frames, its record digest and its replays all read them. The first
+walk is the kernel's, where a program's message enters the network
+(:meth:`repro.demos.kernel.MessageKernel._submit`): that is also where
+a value with no encoding raises.
 
-The CRC runs on every frame send *and* every receive, so it runs in C:
+The CRC runs on every frame whose checksum is read or checked by
+recomputation, so it runs in C:
 :func:`crc16` is ``binascii.crc_hqx`` (CRC-16/CCITT, initial value
 ``0xFFFF``). ``tests/fixtures.py`` keeps the bit-at-a-time loop as the
 oracle and ``tests/test_net_frames.py`` pins the two to identical
@@ -336,21 +342,24 @@ class Frame:
     stored the frame; link layers at receivers that require publishing drop
     data frames without it (§6.1).
 
-    Frames are allocated per transmission attempt and checksummed at both
-    ends, so the class is slotted and the payload's canonical encoding /
-    CRC is computed once and cached (``_payload_crc``). The cache belongs
-    to the *payload*, not the stored ``checksum``: :meth:`corrupt` models
-    bit rot by flipping the stored checksum **and** drops the cache, so a
-    corrupted frame always fails :meth:`checksum_ok` by recomputation —
-    the cache can never mask injected rot. The recomputation walks the
-    ``Segment`` or control record the frame carries and splices in the
-    image of a message inside it (:class:`WireImage`), which is the
-    bytes of that very object: a frame given another message, however
-    similar, reads another image or walks.
+    Frames are allocated per transmission attempt, so the class is
+    slotted and building one encodes nothing: a frame built without a
+    ``checksum`` carries its payload's CRC by definition, passes
+    :meth:`checksum_ok` without a walk, and computes the CRC (once, into
+    ``_payload_crc``) only when something reads it — :attr:`checksum`,
+    :meth:`corrupt`, the DES wire codec, ``==`` or ``repr``. A frame
+    given a ``checksum`` (the DES wire decode, a forged frame) or
+    flipped by :meth:`corrupt` is checked by recomputation, and
+    :meth:`corrupt` drops the cache, so the cache can never mask
+    injected rot. The recomputation walks the ``Segment`` or control
+    record the frame carries and splices in the image of a message inside
+    it (:class:`WireImage`), which is the bytes of that very object: a
+    frame given another message, however similar, reads another image or
+    walks.
     """
 
     __slots__ = ("kind", "src_node", "dst_node", "payload", "size_bytes",
-                 "frame_id", "checksum", "recorder_acked", "_payload_crc")
+                 "frame_id", "_checksum", "recorder_acked", "_payload_crc")
 
     def __init__(self, kind: FrameKind, src_node: int, dst_node: int,
                  payload: Any, size_bytes: int,
@@ -367,10 +376,15 @@ class Frame:
         self.frame_id = (next(_frame_counter) if frame_id is None
                          else frame_id)
         self.recorder_acked = recorder_acked
+        #: None: the payload's CRC, by definition
+        self._checksum = checksum
         self._payload_crc: Optional[int] = None
-        if checksum is None:
-            checksum = self.payload_crc()
-        self.checksum = checksum
+
+    @property
+    def checksum(self) -> int:
+        """The CRC this frame carries on the wire."""
+        checksum = self._checksum
+        return self.payload_crc() if checksum is None else checksum
 
     def payload_crc(self) -> int:
         """The CRC of the payload's canonical encoding, computed once."""
@@ -382,23 +396,27 @@ class Frame:
         return crc
 
     def checksum_ok(self) -> bool:
-        """Compare the payload's CRC with the stored one."""
-        return self.checksum == self.payload_crc()
+        """Compare the payload's CRC with the checksum carried; only a
+        frame whose checksum was given or corrupted has one to compare."""
+        checksum = self._checksum
+        return checksum is None or checksum == self.payload_crc()
 
     def corrupt(self) -> None:
         """Simulate bit rot: flip a checksum bit so validation fails."""
-        self.checksum ^= 0x0001
+        self._checksum = self.checksum ^ 0x0001
         self._payload_crc = None
 
     def clone_for(self, dst_node: int) -> "Frame":
-        """A copy of this frame addressed to ``dst_node`` (hub forwarding)."""
+        """A copy of this frame addressed to ``dst_node`` (the fault
+        plan's corrupted copy, the gateway's forwarded frame), carrying
+        whatever of its checksum is computed so far."""
         clone = Frame(
             kind=self.kind,
             src_node=self.src_node,
             dst_node=dst_node,
             payload=self.payload,
             size_bytes=self.size_bytes,
-            checksum=self.checksum,
+            checksum=self._checksum,
             recorder_acked=self.recorder_acked,
         )
         clone._payload_crc = self._payload_crc

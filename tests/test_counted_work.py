@@ -4,51 +4,57 @@ One process on a two-node cluster takes 60 requests, crashes, and is
 recovered (§4.7): the recovery process re-sends every published message
 to it as a ``Replay`` control while the watchdogs keep pinging (§4.6).
 The ledger is the Python ``call`` events whose code lives under
-``src/repro`` from the crash to the end of the window, divided by the
-messages replayed and split by top-level package. Comprehensions and
-lambdas (names starting with ``<``) are skipped: Python 3.12 inlines
-comprehensions (PEP 709), and the count must not depend on that. The
-count is the same on every interpreter of the CI matrix; the bound
-still leaves 2 % for one that differs.
+``src/repro`` from the crash to the end of the window, split by
+top-level package. Comprehensions and lambdas (names starting with
+``<``) are skipped: Python 3.12 inlines comprehensions (PEP 709), and
+the count must not depend on that. The count is the same on every
+interpreter of the CI matrix, so each package's total is pinned
+exactly: one extra call per message fails it.
 
 A second row counts a small lossy world where retry timers fire: the
 same counter and driver on CSMA/CD with 1 % frame loss and a transport
-window of 4, from the first request to the last reply, per request.
+window of 4, from the first request to the last reply.
 
-Run as a script to print the ledger::
+Run as a script to print the ledger; it needs no pytest, so it runs on
+any interpreter that can import ``repro``::
 
     PYTHONPATH=src python tests/test_counted_work.py
 """
 
 import collections
+import functools
 import os
 import sys
 from typing import Callable, Counter, Tuple
 
-import pytest
-
 import repro
 from repro import System, SystemConfig
+from repro.demos.ids import MessageId, ProcessId
+from repro.demos.messages import Message
+from repro.net import frames
+from repro.net.frames import Frame, FrameKind
+from repro.net.transport import Segment
 
-from fixtures import register_test_programs, run_counter_scenario
+from fixtures import count_calls, register_test_programs, run_counter_scenario
 
 #: requests the driver sends before the crash, all of them replayed
 MESSAGES = 60
-#: Python calls into src/repro per replayed message when the ledger was
-#: pinned: ``sim`` 17.6, ``net`` 75.7, ``demos`` 31.6, ``publishing``
-#: 15.4, ``obs`` 22.2, other 1.0. A change that lowers the count lowers
-#: this figure with it.
-CALLS_PER_REPLAYED = 163.5
-#: headroom for an interpreter whose count differs
-SLACK = 0.02
+#: Python calls into src/repro over the replay window, by package: per
+#: replayed message ``sim`` 17.6, ``net`` 65.0, ``demos`` 31.6,
+#: ``publishing`` 15.4, ``obs`` 22.2, other 1.0 — 152.8 in all. A
+#: change that lowers the count lowers these figures with it.
+CALLS_REPLAYED = {"sim": 1053, "net": 3901, "demos": 1896,
+                  "publishing": 923, "obs": 1331, "other": 61}
 #: engine events the whole world fires, boot to the window's end
 EVENTS_FIRED = 1068
 #: requests of the lossy row
 LOSSY_MESSAGES = 60
-#: Python calls into src/repro per request of the lossy row: ``sim``
-#: 58.3, ``net`` 220.4, ``demos`` 80.1, ``publishing`` 48.8, ``obs``
-#: 66.1, other 1.8.
-CALLS_PER_LOSSY_REQUEST = 475.4
+#: Python calls into src/repro from the first request to the last reply
+#: of the lossy row, by package: per request ``sim`` 58.3, ``net``
+#: 189.2, ``demos`` 80.1, ``publishing`` 48.8, ``obs`` 66.1, other 1.8
+#: — 444.2 in all.
+CALLS_LOSSY = {"sim": 3497, "net": 11351, "demos": 4806,
+               "publishing": 2925, "obs": 3964, "other": 107}
 #: engine events the lossy world fires, boot to the last reply
 LOSSY_EVENTS_FIRED = 1437
 PACKAGES = ("sim", "net", "demos", "publishing", "obs")
@@ -75,9 +81,18 @@ def calls_by_package(fn: Callable[[], None]) -> Counter:
     return calls
 
 
+def fresh_key_memo() -> None:
+    """Empty the wire encoding's process-wide memo of dict keys: once it
+    is full, every key it lacks costs a call, so a count taken after
+    other tests filled it would depend on which ran first."""
+    frames._KEY_IMAGES.clear()
+
+
+@functools.lru_cache(maxsize=None)
 def replay_ledger() -> Tuple[int, Counter, int]:
     """Build the world, crash the counter, count the replay window.
     Returns (messages replayed, calls by package, engine events fired)."""
+    fresh_key_memo()
     system = System(SystemConfig(nodes=2))
     register_test_programs(system)
     system.boot()
@@ -91,10 +106,12 @@ def replay_ledger() -> Tuple[int, Counter, int]:
     return stats.messages_replayed, calls, system.engine.events_fired
 
 
+@functools.lru_cache(maxsize=None)
 def lossy_ledger() -> Tuple[Counter, int, int]:
     """Build the lossy world and count it from the first request to the
     last reply. Returns (calls by package, engine events fired,
     retransmissions)."""
+    fresh_key_memo()
     system = System(SystemConfig(nodes=2, medium="csma_ethernet",
                                  loss_rate=0.01, transport_window=4))
     register_test_programs(system)
@@ -119,41 +136,48 @@ def lossy_ledger() -> Tuple[Counter, int, int]:
 def format_ledger(what: str, count: int, calls: Counter) -> str:
     split = "  ".join(f"{name} {calls[name] / count:.1f}"
                       for name in (*PACKAGES, "other"))
-    return (f"Python calls per {what}: "
-            f"{sum(calls.values()) / count:.1f}  ({split}; {count})")
+    total = sum(calls.values())
+    return (f"Python calls per {what}: {total / count:.1f}  ({split}; "
+            f"{total} calls / {count})")
 
 
-@pytest.fixture(scope="module")
-def ledger():
-    return replay_ledger()
-
-
-@pytest.fixture(scope="module")
-def lossy():
-    return lossy_ledger()
-
-
-def test_calls_per_replayed_message_stay_under_the_pinned_bound(ledger):
-    replayed, calls, _ = ledger
+def test_calls_per_replayed_message_are_the_pinned_ledger():
+    replayed, calls, _ = replay_ledger()
     print(format_ledger("replayed message", replayed, calls))
-    assert replayed >= 50
-    assert sum(calls.values()) / replayed <= CALLS_PER_REPLAYED * (1 + SLACK)
+    assert replayed == MESSAGES
+    assert dict(calls) == CALLS_REPLAYED
 
 
-def test_the_world_fires_the_pinned_events(ledger):
-    assert ledger[2] == EVENTS_FIRED
+def test_the_world_fires_the_pinned_events():
+    assert replay_ledger()[2] == EVENTS_FIRED
 
 
-def test_calls_per_lossy_request_stay_under_the_pinned_bound(lossy):
-    calls, _, retransmissions = lossy
+def test_calls_per_lossy_request_are_the_pinned_ledger():
+    calls, _, retransmissions = lossy_ledger()
     print(format_ledger("lossy request", LOSSY_MESSAGES, calls))
     assert retransmissions > 0          # the retry timers really fired
-    assert sum(calls.values()) / LOSSY_MESSAGES <= \
-        CALLS_PER_LOSSY_REQUEST * (1 + SLACK)
+    assert dict(calls) == CALLS_LOSSY
 
 
-def test_the_lossy_world_fires_the_pinned_events(lossy):
-    assert lossy[1] == LOSSY_EVENTS_FIRED
+def test_the_lossy_world_fires_the_pinned_events():
+    assert lossy_ledger()[1] == LOSSY_EVENTS_FIRED
+
+
+def test_building_a_frame_walks_and_checksums_nothing():
+    """A frame carries its payload's CRC by definition: building one
+    encodes nothing, and only reading the checksum walks and sums."""
+    pid = ProcessId(1, 2)
+    message = Message(MessageId(pid, 1), pid, ProcessId(2, 1), 0, 0,
+                      ("add", 1))
+    segment = Segment(tuple(message.msg_id), 1, 2, message)
+    encoding = (frames._walk, frames.crc16)
+    built = []
+    assert count_calls(lambda: built.append(
+        Frame(FrameKind.DATA, 1, 2, segment, 160)), within=encoding) == 0
+    frame, = built
+    assert frame.checksum_ok()
+    # the segment, the message walked whole inside it, the CRC
+    assert count_calls(lambda: frame.checksum, within=encoding) == 3
 
 
 if __name__ == "__main__":

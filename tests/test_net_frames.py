@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import traceback
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,6 +19,7 @@ import repro.demos.links
 import repro.demos.messages
 import repro.net.frames
 import repro.net.transport
+from repro import Program, System, SystemConfig
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.links import Link
 from repro.demos.messages import (
@@ -94,6 +96,55 @@ def logged(message):
     record.record_message(message, 0)
     assert record.replay_cursor(verify=True).next().message is message
     return record
+
+
+class Sender(Program):
+    """Keeps its context and a link to itself, so a test can make it send
+    any body; ``note`` is its state (``_ctx`` stays out of checkpoints)."""
+
+    def __init__(self, note=None):
+        super().__init__()
+        self.note = note
+
+    def setup(self, ctx):
+        self._ctx = ctx
+        self.link = ctx.create_link()
+
+
+def sender_world():
+    """A booted one-node world running a :class:`Sender`: (system, pid)."""
+    system = System(SystemConfig(nodes=1))
+    system.registry.register("test/sender", Sender)
+    system.boot()
+    pid = system.spawn_program("test/sender", node=1)
+    system.run(1000)
+    return system, pid
+
+
+def encoder_of(exc):
+    """The function whose ``canonical_bytes`` call raised ``exc``."""
+    names = [entry.name for entry in traceback.extract_tb(exc.tb)]
+    return names[names.index("canonical_bytes") - 1]
+
+
+def refused_send(body):
+    """A program sends ``body``: the EncodingError its kernel raised
+    where it puts the message on the network."""
+    system, pid = sender_world()
+    sender = system.program_of(pid)
+    sender._ctx.send(sender.link, body)
+    with pytest.raises(EncodingError) as exc:
+        system.run(1000)
+    assert encoder_of(exc) == "_submit"
+    return exc.value
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """A live kernel, for its network send door: ``_submit`` encodes a
+    message before the transport sees it, so a refused one changes
+    nothing and the kernel serves every test of the module."""
+    return sender_world()[0].nodes[1].kernel
 
 
 @contextlib.contextmanager
@@ -180,24 +231,31 @@ class TestFrame:
         with pytest.raises(AttributeError):
             make_frame().not_a_field = 1
 
-    def test_unencodable_payload_is_rejected_at_construction(self):
-        """No silent ``repr`` fallback: the sender's ``Frame(...)`` call
-        raises, typed, whatever depth the stray value sits at."""
+    def test_unencodable_payload_is_rejected_where_it_is_encoded(self):
+        """No silent ``repr`` fallback: building the frame encodes
+        nothing, and reading its checksum raises, typed, whatever depth
+        the stray value sits at; sent by a program, the same value
+        raises in its kernel's send."""
         class Local:
             pass
 
         for stray in (object(), Local(), lambda: None):
             for payload in (stray, ("ok", [1, {"k": stray}]),
                             Segment(("u", 1), 1, 2, body=stray)):
+                frame = make_frame(payload)
                 with pytest.raises(EncodingError) as exc:
-                    make_frame(payload)
-                assert isinstance(exc.value, ReproError)
-                assert isinstance(exc.value, TypeError)
-                assert type(stray).__qualname__ in str(exc.value)
+                    frame.checksum
+                sent = refused_send(payload)
+                for error in (exc.value, sent):
+                    assert isinstance(error, ReproError)
+                    assert isinstance(error, TypeError)
+                    assert type(stray).__qualname__ in str(error)
 
-    def test_unencodable_value_inside_a_message_leaves_no_image(self):
+    def test_unencodable_value_inside_a_message_leaves_no_image(
+            self, kernel):
         """The image is written when the walk ends, so a walk that
-        raises — from ``Frame(...)``, at any depth — leaves none."""
+        raises — the kernel's send-time encode, at any depth — leaves
+        none."""
         for stray in (object(), lambda: None):
             for body in (stray, ("ok", (stray,)), ("ok", [1, {"k": stray}]),
                          frozenset({("ok", stray)})):
@@ -205,7 +263,7 @@ class TestFrame:
                 outer = make_message(("forwarded", inner), seq=2)
                 for message in (inner, outer):
                     with pytest.raises(EncodingError) as exc:
-                        make_frame(in_segment(message))
+                        kernel._submit(message, published=True)
                     assert type(stray).__qualname__ in str(exc.value)
                 assert image_of(inner) is None and image_of(outer) is None
 
@@ -213,10 +271,11 @@ class TestFrame:
         class Celsius(int):
             pass
 
-        with pytest.raises(EncodingError):
-            make_frame(Celsius(3))
-        with pytest.raises(EncodingError):
-            make_frame(DeliveredMessage(0, 0, None, ProcessId(1, 1)))
+        for value in (Celsius(3), DeliveredMessage(0, 0, None, ProcessId(1, 1))):
+            frame = make_frame(value)
+            with pytest.raises(EncodingError):
+                frame.checksum
+            refused_send(value)
 
 
 # Text and ints drawn from the encoding's own delimiters and digits, so
@@ -498,6 +557,7 @@ class TestCanonicalBytes:
         container = empty()
         with registered("holder", Holder), registered("cell", Cell):
             message = make_message(wrap(container))
+            canonical_bytes(message)        # the sender kernel's encode
             assert make_frame(in_segment(message)).checksum_ok()
             record = logged(message)
             assert image_of(message) is None
@@ -518,19 +578,23 @@ class TestCanonicalBytes:
             assert canonical_bytes(message) != before
 
     @pytest.mark.parametrize("kind", sorted(_self_containing()))
-    def test_a_payload_that_contains_itself_is_a_typed_error(self, kind):
+    def test_a_payload_that_contains_itself_is_a_typed_error(
+            self, kind, kernel):
         """Bugfix regression: the walk used to queue such a payload's
-        members for ever; inside a message the error surfaces from
-        ``Frame(...)``, on the sender's stack."""
+        members for ever; inside a message the error surfaces from the
+        kernel's send-time encode, on the sender's stack."""
         payload = _self_containing()[kind]
         with pytest.raises(EncodingError, match="contains itself"):
             canonical_bytes(payload)
         message = make_message(payload)
         with pytest.raises(EncodingError, match="contains itself"):
-            make_frame(in_segment(message))
+            kernel._submit(message, published=True)
+        with pytest.raises(EncodingError, match="contains itself"):
+            make_frame(in_segment(message)).checksum
         assert image_of(message) is None
 
-    def test_cycles_through_whole_value_encodings_are_typed_errors(self):
+    def test_cycles_through_whole_value_encodings_are_typed_errors(
+            self, kernel):
         """A message in its own body, two messages in each other's, a
         record in its own set: each turn of these is a nested walk, not
         a longer queue."""
@@ -545,8 +609,10 @@ class TestCanonicalBytes:
             keyed = Cell(None)
             keyed.value = {(keyed,): 1}
             for payload in (own_body, first_body, cell, keyed):
+                message = make_message(payload)
                 with pytest.raises(EncodingError, match="contains itself"):
-                    make_frame(in_segment(make_message(payload)))
+                    kernel._submit(message, published=True)
+                assert image_of(message) is None
 
     def test_a_64_page_checkpoint_is_well_inside_the_bound(self):
         pages = [list(range(page, page + 128)) for page in range(64)]
@@ -556,7 +622,7 @@ class TestCanonicalBytes:
              "links": {1: Link(ProcessId(1, 1))}, "channels": None},
             consumed=0, dtk_processed=0, send_seq=9, pages=64)
         assert 64 * 128 < MAX_WIRE_VALUES // 4
-        assert make_frame(in_segment(checkpoint)).checksum_ok()
+        canonical_bytes(checkpoint)         # the kernel's send_control encode
         deep = None
         for _ in range(2000):               # depth alone is no obstacle
             deep = [deep]
@@ -604,6 +670,7 @@ class TestChecksumCache:
 
     def test_a_warm_message_image_never_masks_rot(self):
         message = make_message(("add", 3), passed_link=Link(ProcessId(1, 2)))
+        canonical_bytes(message)            # the sender kernel's encode
         frame = make_frame(in_segment(message))
         assert frame.checksum_ok() and image_of(message) is not None
         frame.corrupt()
@@ -631,10 +698,11 @@ class TestWalkedOnce:
 
     @staticmethod
     def costs(body):
-        """(first frame, then: retransmission, record digest, verified
-        replay read, the replay control's frame)."""
+        """(the send's encode, then: a frame build — any transmission
+        attempt —, a frame's checksum read, record digest, verified
+        replay read, the replay control's frame read)."""
         message = make_message(body)
-        first = count_calls(lambda: make_frame(in_segment(message)),
+        first = count_calls(lambda: canonical_bytes(message),
                             within=repro.net.frames)
         record = logged(message)
         cursor = record.replay_cursor(verify=True)
@@ -642,21 +710,24 @@ class TestWalkedOnce:
         return first, [
             count_calls(fn, within=repro.net.frames) for fn in (
                 lambda: make_frame(in_segment(message)),
+                lambda: make_frame(in_segment(message)).checksum,
                 lambda: payload_digest(message),
                 cursor.next,
-                lambda: make_frame(in_segment(replay)))]
+                lambda: make_frame(in_segment(replay)).checksum)]
 
     def test_an_immutable_body_is_walked_once(self):
         first, later = self.costs(tuple(f"word {i}" for i in range(200)))
         assert first > 400
-        assert max(later) < 40              # 10, 3, 3, 10; before: > 400 each
+        assert later[0] == 2                # __init__ and the id counter
+        assert max(later) < 40              # 2, 11, 3, 3, 11; before: > 400 each
         assert self.costs(tuple(f"word {i}" for i in range(800)))[1] == later
 
     def test_a_list_body_is_walked_at_every_checksum(self):
         _, short = self.costs([f"word {i}" for i in range(200)])
         _, long = self.costs([f"word {i}" for i in range(800)])
-        assert min(short) > 400
-        assert all(b - a >= 2 * 600 for a, b in zip(short, long))
+        assert short[0] == long[0] == 2     # ... but never by a frame build
+        assert min(short[1:]) > 400
+        assert all(b - a >= 2 * 600 for a, b in zip(short[1:], long[1:]))
 
     def test_string_keys_cost_no_nested_walk(self, monkeypatch):
         walk, depths = repro.net.frames._walk, []
@@ -667,6 +738,53 @@ class TestWalkedOnce:
         assert depths == [0]
         canonical_bytes({(i,): i for i in range(8)})    # the contrast
         assert depths == [0] + [0] + [1] * 8
+
+
+class TestKernelDoors:
+    """A frame encodes nothing when it is built, so a program value with
+    no wire encoding is refused where the kernel takes it in: a message
+    body where the kernel puts the message on the network, spawn args
+    and checkpoint state where it sends their control."""
+
+    class Stray:
+        """Neither a builtin value nor a registered payload class."""
+
+    def test_a_body_raises_where_the_kernel_submits_it(self):
+        assert "Stray" in str(refused_send(self.Stray()))
+
+    def test_a_body_queued_behind_a_busy_lane_raises_at_its_submit(self):
+        """Window 1: the first message's frame is lost, so the message
+        waits for its retry, and the second queues behind it. The
+        second's frame is built only when the first is acked; its
+        refusal may not wait for that."""
+        def carries_first(frame, node):
+            body = getattr(frame.payload, "body", None)
+            return isinstance(body, Message) and body.body == "first"
+
+        system, pid = sender_world()
+        sender = system.program_of(pid)
+        system.faults.lose_next(carries_first)
+        sender._ctx.send(sender.link, "first")
+        sender._ctx.send(sender.link, self.Stray())
+        transport = system.nodes[1].kernel.transport
+        with pytest.raises(EncodingError) as exc:
+            system.run(1000)
+        assert encoder_of(exc) == "_submit"
+        assert list(transport._in_flight) == [(pid, 1)]     # "first"
+        assert transport.stats.retransmissions.value == 0
+
+    def test_spawn_args_raise_where_the_kernel_creates_the_process(self):
+        system, _ = sender_world()
+        with pytest.raises(EncodingError) as exc:
+            system.spawn_program("test/sender", args=(self.Stray(),))
+        assert encoder_of(exc) == "send_control"
+
+    def test_checkpoint_state_raises_where_the_kernel_sends_it(self):
+        system, pid = sender_world()
+        system.program_of(pid).note = {"clock": self.Stray()}
+        with pytest.raises(EncodingError) as exc:
+            system.checkpoint(pid)
+        assert encoder_of(exc) == "send_control"
 
 
 class TestSegmentRecord:
