@@ -27,7 +27,7 @@ def run_policy(name, policy):
     system.boot()
     if policy is not None:
         for node in system.nodes.values():
-            install_policy(node.kernel, policy)
+            install_policy(node, policy)
     counter_pid, driver_pid = run_counter_scenario(system, n=150)
     deadline = system.engine.now + 300_000
     while system.engine.now < deadline:
@@ -36,7 +36,7 @@ def run_policy(name, policy):
             break
         system.run(1000)
     record = system.recorder.db.get(counter_pid)
-    pcb = system.nodes[2].kernel.processes[counter_pid]
+    pcb = system.nodes[2].processes[counter_pid]
     estimator = RecoveryTimeBoundPolicy()
     return {
         "policy": name,

@@ -24,8 +24,7 @@ STATIONS = 5
 def run_ring(with_recorder, messages=40, recorder_miss_every=0):
     engine = Engine()
     faults = FaultPlan()
-    ring = TokenRing(engine, faults=faults,
-                     enforce_recorder_ack=with_recorder)
+    ring = TokenRing(engine, faults=faults)
     received = [0]
 
     def count(frame):

@@ -31,7 +31,7 @@ def run_medium(medium, **faults):
         if driver is not None and len(driver.replies) >= N:
             break
         system.run(500)
-    retx = sum(node.kernel.transport.stats.retransmissions.value
+    retx = sum(node.transport.stats.retransmissions.value
                for node in system.nodes.values())
     return {
         "medium": medium,

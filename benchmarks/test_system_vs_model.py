@@ -50,7 +50,7 @@ def drive_full_system(point):
     # per (user, class), exactly the model's arrival process.
     def source(user, size_bytes, rate_per_s, stream):
         node = system.nodes[1 + user % 2]
-        kernel = node.kernel
+        kernel = node
         sender = kernel.processes[kernel_pid(node.node_id)]
         target = sinks[user]
         link = kernel.forge_link(sender, Link(dst=target))

@@ -47,13 +47,13 @@ def test_young_policy_interval_honoured_live(benchmark):
         # T_s is Figure 3.1's 10 ms/page
         policy = YoungIntervalPolicy(mtbf_ms=8_000.0)
         for node in system.nodes.values():
-            install_policy(node.kernel, policy)
+            install_policy(node, policy)
         counter_pid, _ = run_counter_scenario(system, n=200)
         system.run(30_000)
         times = [r.time for r in system.obs.bus.select("checkpoint",
                                                        str(counter_pid))]
         gaps = [b - a for a, b in zip(times, times[1:])]
-        pcb = system.nodes[2].kernel.processes[counter_pid]
+        pcb = system.nodes[2].processes[counter_pid]
         return policy.interval_ms(pcb), gaps
 
     interval, gaps = once(benchmark, run)

@@ -235,8 +235,8 @@ def check_invariants(system) -> List[InvariantCheck]:
     # (outbound + in-flight) must have drained to zero.
     depths: Dict[str, int] = {}
     for node_id, node in sorted(system.nodes.items()):
-        if node.up and node.kernel.transport.queue_depth:
-            depths[f"node{node_id}"] = node.kernel.transport.queue_depth
+        if node.up and node.transport.queue_depth:
+            depths[f"node{node_id}"] = node.transport.queue_depth
     for label, recorder in recorders.items():
         if recorder.up and recorder.transport.queue_depth:
             depths[label] = recorder.transport.queue_depth

@@ -220,7 +220,6 @@ class GatewayForwarder:
         # The gateway takes custody: it is the frame-level source on the
         # far medium, so the far medium's hardware ack comes back here.
         clone.src_node = self.far_iface.node_id
-        clone.recorder_acked = False
         self._awaiting[clone.frame_id] = attempt
         self._originals[clone.frame_id] = frame
         self.frames_forwarded.inc()

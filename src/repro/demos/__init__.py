@@ -37,7 +37,6 @@ from repro.demos.sysprocs import (
     NamedLinkServer,
     ProcessManager,
 )
-from repro.demos.node import Node
 
 __all__ = [
     "KERNEL_LOCAL_ID",
@@ -67,5 +66,4 @@ __all__ = [
     "MemoryScheduler",
     "NamedLinkServer",
     "ProcessManager",
-    "Node",
 ]

@@ -16,6 +16,12 @@ the publishing hooks:
   protocol: recreate requests, replay injection, suppression of
   regenerated sends, and the hand-back to live traffic.
 
+A node *is* its kernel: the kernel answers the controls that operate
+below the process level itself — the watchdog's "are you alive" (§4.6),
+the recorder's restart-time state query with its echoed restart number
+(§3.3.4, §3.4), the recovery controls (§4.7) and the gossip layer's
+pull requests.
+
 The kernel calls, the receive path and the §4.7 rebuild are
 :class:`ProcessHost`; the replay debugger runs a process through the
 same code. CPU time is charged to the node per kernel call according
@@ -30,10 +36,15 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import costs
 from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
+from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE
 from repro.demos.links import Link, LinkTable
-from repro.demos.messages import (DEFAULT_BODY_BYTES, Checkpoint, Control,
-                                  DeliveredMessage, Message, ProcessCreated,
-                                  ProcessCrashed, ProcessDestroyed, ReadOrder)
+from repro.demos.messages import (DEFAULT_BODY_BYTES, AliveReply, AreYouAlive,
+                                  Checkpoint, Control, DeliveredMessage,
+                                  GossipPull, GossipSupply, Message,
+                                  ProcessCreated, ProcessCrashed,
+                                  ProcessDestroyed, ReadOrder, Recreate,
+                                  RecoveryDone, Replay, StateQuery,
+                                  StateReply)
 from repro.demos.process import (
     ProcessControlRecord,
     ProcessState,
@@ -131,12 +142,6 @@ class ProcessContext:
         """Destroy a link in this process's table."""
         return self._kernel.syscall_destroy_link(self._pcb, link_id)
 
-    def link_target(self, link_id: int) -> Optional[ProcessId]:
-        """Peek at where a held link points (diagnostic; read-only)."""
-        if not self._pcb.links.has(link_id):
-            return None
-        return self._pcb.links.get(link_id).dst
-
     # -- messaging ---------------------------------------------------------
     def send(self, link_id: int, body: Any, pass_link_id: Optional[int] = None,
              size_bytes: int = DEFAULT_BODY_BYTES,
@@ -183,7 +188,8 @@ class ProcessHost:
     def _new_pcb(self, pid: ProcessId, image: str, args: Tuple,
                  initial_links: Tuple[Link, ...], recoverable: bool,
                  state_pages: int) -> ProcessControlRecord:
-        """Instantiate ``image``'s program and enter its pcb in the table.
+        """Instantiate ``image``'s program in a pcb the caller enters in
+        the table.
 
         ``initial_links`` are inserted into the new process's table
         before it runs ("the creating process may insert a number of
@@ -198,7 +204,6 @@ class ProcessHost:
         pcb.last_checkpoint_time = self.engine.now
         for link in initial_links:
             pcb.links.insert(link)
-        self.processes[pid] = pcb
         return pcb
 
     def _start_program(self, pcb: ProcessControlRecord, ctx: ProcessContext) -> None:
@@ -344,8 +349,8 @@ class ProcessHost:
         """§4.7's recreate request: (re)build the process in the
         recovering state. If it already exists, it is destroyed first."""
         self.destroy_process(pid, notify_recorder=False)
-        pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
-                            state_pages)
+        pcb = self.processes[pid] = self._new_pcb(
+            pid, image, args, initial_links, recoverable, state_pages)
         pcb.state = ProcessState.RECOVERING
         pcb.suppress_send_through = suppress_send_through
         pcb.recovery_epoch = recovery_epoch
@@ -382,7 +387,7 @@ class ProcessHost:
 
 
 class MessageKernel(ProcessHost):
-    """The message kernel of one DEMOS/MP node."""
+    """The message kernel of one DEMOS/MP node — the node itself."""
 
     def __init__(self, engine: Engine, node_id: int, medium: Medium,
                  config: KernelConfig, registry: ProgramRegistry,
@@ -401,7 +406,17 @@ class MessageKernel(ProcessHost):
         self.processes: Dict[ProcessId, ProcessControlRecord] = {}
         self._control_seq = 0
         #: control record class -> handler(record, src_node)
-        self.control_handlers: Dict[type, Callable[[tuple, int], None]] = {}
+        self.control_handlers: Dict[type, Callable[[tuple, int], None]] = {
+            AreYouAlive: self._on_are_you_alive,
+            StateQuery: self._on_state_query,
+            Recreate: self._on_recreate,
+            Replay: self._on_replay,
+            RecoveryDone: self._on_recovery_done,
+            GossipPull: self._on_gossip_pull,
+        }
+        #: bounded ring of recently published messages — attached by
+        #: the gossip coordinator (publishing.gossip), None otherwise
+        self.gossip_buffer = None
         self.up = True
         self.transport = Transport(engine, medium, node_id, self._on_segment,
                                    config.transport, obs=self.obs)
@@ -411,6 +426,13 @@ class MessageKernel(ProcessHost):
             f"kernel.{node_id}.messages_delivered")
         self.obs.registry.gauge_fn(
             f"kernel.{node_id}.processes", lambda: len(self.processes))
+
+    def boot(self, boot_specs: Tuple = (), nls_pid: Optional[Tuple] = None) -> None:
+        """Start the kernel process, which starts the system processes."""
+        self.create_process(image=KERNEL_PROCESS_IMAGE,
+                            args=(boot_specs, nls_pid),
+                            pid=kernel_pid(self.node_id),
+                            recoverable=True, state_pages=2)
 
     # ------------------------------------------------------------------
     # process lifetime (primitives used by the kernel process)
@@ -425,11 +447,14 @@ class MessageKernel(ProcessHost):
             raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
         pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
                             state_pages)
-        self.events.emit("process", pid, event="created", image=image)
         if self.config.publishing:
+            # spawn args with no wire encoding raise here, before the
+            # pcb is in the table
             self.send_control_to_recorder(ProcessCreated(
                 pid, self.node_id, image, args, tuple(initial_links),
                 recoverable, state_pages))
+        self.processes[pid] = pcb
+        self.events.emit("process", pid, event="created", image=image)
         ctx = ProcessContext(self, pcb)
         self.cpu.run(costs.CREATE_PROCESS_CPU_MS,
                      self._start_program, pcb, ctx)
@@ -660,10 +685,13 @@ class MessageKernel(ProcessHost):
         self.send_control_to_recorder(
             ProcessCrashed(pid, self.node_id, "fault"))
 
-    def crash_node(self) -> None:
+    def crash(self) -> None:
         """The whole processor fails: every process and all volatile
-        kernel state is lost (§1.1.2 "rounding up"). Each pcb dies with
-        it, so CPU work already queued for one returns without running."""
+        kernel state, the gossip buffer too, is lost (§1.1.2 "rounding
+        up"). Each pcb dies with it, so CPU work already queued for one
+        returns without running."""
+        if self.gossip_buffer is not None:
+            self.gossip_buffer.clear()
         self.up = False
         for pcb in self.processes.values():
             pcb.state = ProcessState.DEAD
@@ -672,7 +700,7 @@ class MessageKernel(ProcessHost):
         self.cpu.reset()
         self.events.emit("crash", f"node{self.node_id}", scope="node")
 
-    def restart_node(self) -> None:
+    def restart(self) -> None:
         """The processor reboots with an empty kernel; the recovery
         manager will repopulate it."""
         self.up = True
@@ -698,3 +726,51 @@ class MessageKernel(ProcessHost):
         """pid → state name, for the recorder's restart queries (§3.3.4)."""
         return {pid: pcb.state.value for pid, pcb in self.processes.items()
                 if pcb.state is not ProcessState.DEAD}
+
+    # ------------------------------------------------------------------
+    # controls below the process level (§3.3.4, §4.6, §4.7)
+    # ------------------------------------------------------------------
+    def _on_are_you_alive(self, control: AreYouAlive, src_node: int) -> None:
+        self.send_control(src_node, AliveReply(self.node_id), guaranteed=False)
+
+    def _on_state_query(self, control: StateQuery, src_node: int) -> None:
+        # §3.4: echo the restart number so the recorder can discard
+        # replies that belong to an earlier restart attempt.
+        self.send_control(src_node, StateReply(
+            self.node_id, control.restart_number, self.process_states()))
+
+    def _on_recreate(self, control: Recreate, src_node: int) -> None:
+        self.recreate_process(
+            pid=control.pid,
+            image=control.image,
+            args=tuple(control.args),
+            initial_links=tuple(control.initial_links),
+            checkpoint=control.checkpoint,
+            suppress_send_through=control.suppress_send_through,
+            recoverable=control.recoverable,
+            state_pages=control.state_pages,
+            recovery_epoch=control.epoch,
+        )
+
+    def _on_replay(self, control: Replay, src_node: int) -> None:
+        self.inject_replay(control.message, control.epoch)
+
+    def _on_recovery_done(self, control: RecoveryDone, src_node: int) -> None:
+        self.finish_recovery(control.pid, control.epoch)
+
+    def _on_gossip_pull(self, control: GossipPull, src_node: int) -> None:
+        """Epidemic pull backup: supply any requested message this
+        node's bounded buffer still holds. Supplies are unguaranteed —
+        the recorder's next round retries whatever is still missing.
+        Requests arrive as per-sender ``[lo, hi)`` sequence ranges
+        (``gossip.pull_ranges``)."""
+        buffer = self.gossip_buffer
+        if buffer is None:
+            return
+        for sender, lo, hi in control.ranges:
+            for seq in range(lo, hi):
+                message = buffer.get(MessageId(ProcessId(*sender), seq))
+                if message is not None:
+                    self.send_control(
+                        src_node, GossipSupply(message), guaranteed=False,
+                        size_bytes=message.size_bytes + costs.HEADER_BYTES)

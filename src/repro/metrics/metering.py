@@ -135,7 +135,7 @@ def measure_send_to_self(publishing: bool, iterations: int = 512,
         system = System(SystemConfig(nodes=1, publishing=publishing))
         system.registry.register("metrics/send_to_self", SendToSelfProgram)
         system.boot()
-    meter = KernelMeter(system.nodes[1].kernel)
+    meter = KernelMeter(system.nodes[1])
     before = meter.read()
     pid = system.spawn_program("metrics/send_to_self", args=(iterations,), node=1)
     program = system.program_of(pid)
@@ -160,7 +160,7 @@ def measure_create_destroy(publishing: bool, iterations: int = 25
     system.registry.register("metrics/null", NullProgram)
     system.registry.register("metrics/create_destroy", CreateDestroyProgram)
     system.boot()
-    meter = KernelMeter(system.nodes[1].kernel)
+    meter = KernelMeter(system.nodes[1])
     before = meter.read()
     pid = system.spawn_program("metrics/create_destroy", args=(iterations,), node=1)
     program = system.program_of(pid)

@@ -336,11 +336,9 @@ class FrameKind(Enum):
 
 
 class Frame:
-    """One transmission on the medium.
-
-    ``recorder_acked`` is set by the medium when the recorder successfully
-    stored the frame; link layers at receivers that require publishing drop
-    data frames without it (§6.1).
+    """One transmission on the medium. Whether the recorders stored it
+    is the medium's decision (:mod:`repro.net.media`), taken before any
+    station is handed a copy, so a frame carries no mark of it.
 
     Frames are allocated per transmission attempt, so the class is
     slotted and building one encodes nothing: a frame built without a
@@ -359,13 +357,12 @@ class Frame:
     """
 
     __slots__ = ("kind", "src_node", "dst_node", "payload", "size_bytes",
-                 "frame_id", "_checksum", "recorder_acked", "_payload_crc")
+                 "frame_id", "_checksum", "_payload_crc")
 
     def __init__(self, kind: FrameKind, src_node: int, dst_node: int,
                  payload: Any, size_bytes: int,
                  frame_id: Optional[int] = None,
-                 checksum: Optional[int] = None,
-                 recorder_acked: bool = False):
+                 checksum: Optional[int] = None):
         if size_bytes <= 0:
             raise ConfigError(f"frame size must be positive, got {size_bytes}")
         self.kind = kind
@@ -375,7 +372,6 @@ class Frame:
         self.size_bytes = size_bytes
         self.frame_id = (next(_frame_counter) if frame_id is None
                          else frame_id)
-        self.recorder_acked = recorder_acked
         #: None: the payload's CRC, by definition
         self._checksum = checksum
         self._payload_crc: Optional[int] = None
@@ -417,15 +413,13 @@ class Frame:
             payload=self.payload,
             size_bytes=self.size_bytes,
             checksum=self._checksum,
-            recorder_acked=self.recorder_acked,
         )
         clone._payload_crc = self._payload_crc
         return clone
 
     def _fields(self):
         return (self.kind, self.src_node, self.dst_node, self.payload,
-                self.size_bytes, self.frame_id, self.checksum,
-                self.recorder_acked)
+                self.size_bytes, self.frame_id, self.checksum)
 
     def __eq__(self, other):
         if other.__class__ is not Frame:
@@ -436,5 +430,4 @@ class Frame:
         return (f"Frame(kind={self.kind!r}, src_node={self.src_node!r}, "
                 f"dst_node={self.dst_node!r}, payload={self.payload!r}, "
                 f"size_bytes={self.size_bytes!r}, "
-                f"frame_id={self.frame_id!r}, checksum={self.checksum!r}, "
-                f"recorder_acked={self.recorder_acked!r})")
+                f"frame_id={self.frame_id!r}, checksum={self.checksum!r})")

@@ -131,11 +131,9 @@ class Medium:
 
     def __init__(self, engine: Engine,
                  faults: Optional[FaultPlan] = None,
-                 enforce_recorder_ack: bool = False,
                  obs: Optional[Observability] = None):
         self.engine = engine
         self.faults = faults or FaultPlan()
-        self.enforce_recorder_ack = enforce_recorder_ack
         self.interfaces: List[NetworkInterface] = []
         #: what the per-frame paths read instead of scanning the bus,
         #: kept by attach/detach: every interface by its (unique) node
@@ -258,10 +256,10 @@ class Medium:
     def _withhold(self, frame: Frame, recorder_ok: bool) -> bool:
         """The miss policy, decided and counted once per frame: must the
         stations be kept from reading a data frame the recorders did not
-        store? Tolerated under ``gossip_backup`` (see ``__init__``),
-        withheld under ``enforce_recorder_ack`` — the sender re-sends it.
-        A data frame that goes ahead also feeds the gossip buffers (the
-        broadcast *is* the push phase)."""
+        store? Withheld whenever a recorder is attached — the sender
+        re-sends it — unless ``gossip_backup`` tolerates the miss (see
+        ``__init__``). A data frame that goes ahead also feeds the
+        gossip buffers (the broadcast *is* the push phase)."""
         if frame.kind is not FrameKind.DATA:
             return False
         if not recorder_ok:
@@ -270,7 +268,7 @@ class Medium:
                 self.events.emit("recorder_miss", f"node{frame.src_node}",
                                  dst=frame.dst_node, bytes=frame.size_bytes,
                                  tolerated=True)
-            elif self.enforce_recorder_ack:
+            else:
                 self.stats.recorder_misses.inc()
                 self.events.emit("recorder_miss", f"node{frame.src_node}",
                                  dst=frame.dst_node, bytes=frame.size_bytes)
@@ -308,16 +306,14 @@ class Medium:
                                         and iface.accept_extra(dst))
 
     def _hand(self, iface: NetworkInterface, frame: Frame,
-              recorder_ok: bool, heard: bool = True) -> bool:
-        """Give one station its copy — what the fault plan leaves of it,
-        stamped with the recorders' acknowledgement. True only for a
-        copy that passes its checksum, which is also the moment the
-        recorders learn the reception order (§4.4.1) — unless no
-        recorder ``heard`` the frame."""
+              heard: bool = True) -> bool:
+        """Give one station its copy — what the fault plan leaves of it.
+        True only for a copy that passes its checksum, which is also the
+        moment the recorders learn the reception order (§4.4.1) — unless
+        no recorder ``heard`` the frame."""
         seen = self.faults.apply(frame, iface.node_id)
         if seen is None:
             return False
-        seen.recorder_acked = recorder_ok
         iface.on_frame(seen)
         if not seen.checksum_ok():
             return False
@@ -350,7 +346,7 @@ class Medium:
         if not self._withhold(frame, recorder_ok):
             for iface in self._candidates(frame):
                 if self._takes(iface, frame) and self._hand(
-                        iface, frame, recorder_ok, heard):
+                        iface, frame, heard):
                     delivered = True
         self._settle(frame, delivered, recorder_ok)
 

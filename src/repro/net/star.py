@@ -8,10 +8,10 @@ Model: every station has a point-to-point link to the hub; each link is
 serialized independently. A frame travels station → hub, the hub (a
 recorder interface) reads it and, after the recording node's packet
 time (Figure 5.2, :mod:`repro.costs`), sends a copy down the link of
-every station that takes it. The hub is the only path, so the
-publishing rule is not a setting here: what the hub did not store goes
-nowhere. What reading, taking and telling the sender mean is
-:class:`~repro.net.media.Medium`'s; this module is the timing.
+every station that takes it. The hub is the only path: what the hub
+did not store goes nowhere, whatever its kind. What reading, taking and
+telling the sender mean is :class:`~repro.net.media.Medium`'s; this
+module is the timing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class StarHub(Medium):
 
     def __init__(self, engine: Engine, **kwargs):
         super().__init__(engine, **kwargs)
-        self.enforce_recorder_ack = True    # structural, see the module doc
         self.hub: Optional[NetworkInterface] = None
         self._link_busy_until: Dict[int, float] = {}
 
@@ -96,7 +95,7 @@ class StarHub(Medium):
                            fate: List) -> None:
         # still up, still attached: a spare that took the id over since
         # is another machine and does not get this copy
-        if self._takes(iface, frame) and self._hand(iface, frame, True):
+        if self._takes(iface, frame) and self._hand(iface, frame):
             fate[1] = True
         fate[0] -= 1
         if not fate[0]:

@@ -75,9 +75,9 @@ class TokenRing(Medium):
         self.stats.busy_time_ms.inc(serialization + HOP_TIME_MS * len(ring))
         # The slot. ``ack`` is its acknowledge field: None while empty
         # (without a recorder on the ring it has nothing to wait for),
-        # then what the recorders made of the frame, stamped on every
-        # copy read. ``heard`` turns False for a frame lost before any
-        # recorder, ``invalidated`` True once its checksum is complemented.
+        # then what the recorders made of the frame. ``heard`` turns
+        # False for a frame lost before any recorder, ``invalidated``
+        # True once its checksum is complemented.
         # ``served`` holds the stations that have an intact copy — none is
         # handed a second on the second pass — and ``skipped`` says a
         # taker saw the field still empty.
@@ -126,6 +126,6 @@ class TokenRing(Medium):
                 and self._takes(station, frame)):
             if slot.ack is None:
                 slot.skipped = True     # empty ack field: ignore the slot
-            elif self._hand(station, frame, slot.ack, slot.heard):
+            elif self._hand(station, frame, slot.heard):
                 slot.served.append(station)
         self.engine.schedule(HOP_TIME_MS, self._visit_cb, slot, index + 1)

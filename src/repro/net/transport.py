@@ -11,10 +11,11 @@ Provides, per node:
 * **in-order delivery** — "message ordering between processors is
   currently preserved by allowing only one unacknowledged message to be
   in transit from each processor", modelled literally with a window of 1
-  (a wider window is the windowing scheme the thesis anticipates);
-* the publishing rule — a received data frame lacking the recorder's
-  acknowledgement is discarded "exactly as if it had received a bad
-  packet" and is later re-sent by the sender (§6.1.1).
+  (a wider window is the windowing scheme the thesis anticipates).
+
+The publishing rule is the medium's (:mod:`repro.net.media`): an
+unrecorded data frame reaches this layer only when gossip tolerates the
+miss; otherwise the sender's retransmission timer re-sends it (§6.1.1).
 
 On media that provide hardware delivery acknowledgement (the
 Acknowledging Ethernet's reserved slot, the ring's ack field, the star
@@ -100,7 +101,6 @@ class TransportConfig:
     #: recreate bound for a still-rebooting node does not
     #: head-of-line-block replay streams to healthy nodes.
     per_destination: bool = False
-    require_recorder_ack: bool = False
 
 
 class TransportStats:
@@ -119,8 +119,6 @@ class TransportStats:
             f"{prefix}.duplicates_suppressed")
         self.dropped_bad_checksum = registry.counter(
             f"{prefix}.dropped_bad_checksum")
-        self.dropped_no_recorder_ack = registry.counter(
-            f"{prefix}.dropped_no_recorder_ack")
         self.acks_sent = registry.counter(f"{prefix}.acks_sent")
         self.gave_up = registry.counter(f"{prefix}.gave_up")
 
@@ -350,10 +348,6 @@ class Transport:
             return
         segment: Segment = frame.payload
         if segment.dst_node not in (self.node_id, BROADCAST):
-            return
-        if (self.config.require_recorder_ack and not frame.recorder_acked
-                and not self.iface.is_recorder):
-            self.stats.dropped_no_recorder_ack.inc()
             return
         if segment.guaranteed:
             if segment.uid in self._dedup:

@@ -239,7 +239,7 @@ def spawn_workload(fed: ClusterFederation, scenario: DesScenario) -> None:
 def _programs_of(system: System, cls) -> List[Any]:
     out = []
     for node_id in sorted(system.nodes):
-        kernel = system.nodes[node_id].kernel
+        kernel = system.nodes[node_id]
         for pid in sorted(kernel.processes):
             program = kernel.processes[pid].program
             if isinstance(program, cls):

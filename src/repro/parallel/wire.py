@@ -43,8 +43,8 @@ RoutedFrame = Tuple[float, str, int, Frame, int]
 _MAGIC = b"RBF1"
 #: fire_time f64, key index u16, channel seq u32, dst LP i32,
 #: kind u8, src_node i32, dst_node i32 (BROADCAST is -1),
-#: size_bytes u32, frame_id u64, checksum u16, recorder_acked u8
-_RECORD = struct.Struct("<dHIiBiiIQHB")
+#: size_bytes u32, frame_id u64, checksum u16
+_RECORD = struct.Struct("<dHIiBiiIQH")
 _HEAD = struct.Struct("<4sIH")
 _KEYLEN = struct.Struct("<H")
 
@@ -67,7 +67,7 @@ def encode_frame_batch(items: List[RoutedFrame]) -> bytes:
         records += pack(fire_time, index, seq, dst,
                         _KIND_CODE[frame.kind], frame.src_node,
                         frame.dst_node, frame.size_bytes, frame.frame_id,
-                        frame.checksum, 1 if frame.recorder_acked else 0)
+                        frame.checksum)
         payloads.append(frame.payload)
     head = _HEAD.pack(_MAGIC, len(items), len(keys))
     table = bytearray()
@@ -102,8 +102,8 @@ def decode_frame_batch(data: bytes) -> List[RoutedFrame]:
     kinds = _KINDS
     for index, record in enumerate(_RECORD.iter_unpack(data[offset:body])):
         (fire_time, key_idx, seq, dst, kind, src_node, dst_node,
-         size_bytes, frame_id, checksum, recorder_acked) = record
+         size_bytes, frame_id, checksum) = record
         frame = Frame(kinds[kind], src_node, dst_node, payloads[index],
-                      size_bytes, frame_id, checksum, recorder_acked == 1)
+                      size_bytes, frame_id, checksum)
         append((fire_time, keys[key_idx], seq, frame, dst))
     return items

@@ -290,12 +290,12 @@ class GossipCoordinator:
         if body is None or body.recovery_marker:
             return
         for node in self.system.nodes.values():
-            buffer = getattr(node, "gossip_buffer", None)
+            buffer = node.gossip_buffer
             if buffer is not None and node.up:
                 buffer.note(body)
 
     def _buffered_total(self) -> int:
-        return sum(len(getattr(node, "gossip_buffer", None) or ())
+        return sum(len(node.gossip_buffer or ())
                    for node in self.system.nodes.values())
 
     # ------------------------------------------------------------------
@@ -323,7 +323,7 @@ class GossipCoordinator:
         db = self.system.recorder.db
         tracker = self.tracker
         for node in self.system.nodes.values():
-            buffer = getattr(node, "gossip_buffer", None)
+            buffer = node.gossip_buffer
             if buffer is None or not node.up:
                 continue
             for msg_id, message in buffer.take_sightings().items():
@@ -364,7 +364,7 @@ class GossipCoordinator:
         self._rounds.inc()
         batch = wanted[:PULL_BATCH]
         peers = [node for node in self.system.nodes.values()
-                 if node.up and getattr(node, "gossip_buffer", None)]
+                 if node.up and node.gossip_buffer]
         if peers:
             k = min(FANOUT, len(peers))
             chosen = self._fanout_rng.sample(peers, k)

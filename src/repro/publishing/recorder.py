@@ -85,10 +85,9 @@ class Recorder:
     _HEARD = (Message, *DB_CONTROL_KINDS)
 
     #: The computed ``recorder.<name>`` gauges, by how each is read off
-    #: a recorder — through ``recorder.db``, so a restart rebinding it
-    #: to the stable-storage copy is followed. A recorder registers
-    #: these; a :class:`~repro.system.System` of several registers their
-    #: sums over the same table.
+    #: a recorder. A recorder registers these; a
+    #: :class:`~repro.system.System` of several registers their sums
+    #: over the same table.
     GAUGES: Dict[str, Callable[["Recorder"], float]] = {
         "log_bytes": lambda r: r.db.log.log_bytes,
         "live_bytes": lambda r: r.db.log.live_bytes,
@@ -447,8 +446,6 @@ class Recorder:
         restart_number = self.stable.begin_restart()
         self.up = True
         self.transport.restart()
-        self.db = self.stable.db
-        self.db.log.attach_io(self.disks.submit)
         self.events.emit("restart", "recorder", restart_number=restart_number)
         return restart_number
 

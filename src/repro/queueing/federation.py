@@ -204,8 +204,8 @@ def measure_gateway_knee(service_ms: float,
     measured: Optional[float] = None
     for rate in rates_per_s:
         engine = Engine()
-        near = PerfectBroadcast(engine, enforce_recorder_ack=False)
-        far = PerfectBroadcast(engine, enforce_recorder_ack=False)
+        near = PerfectBroadcast(engine)
+        far = PerfectBroadcast(engine)
         src_id, dst_id = 1, 2
         delivered = [0]
         src_iface = near.attach(NetworkInterface(src_id, lambda frame: None))

@@ -24,10 +24,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.demos.ids import ProcessId, kernel_pid
-from repro.demos.kernel import KernelConfig
+from repro.demos.kernel import KernelConfig, MessageKernel
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE, KernelProcessProgram
 from repro.demos.messages import ProcessCrashed
-from repro.demos.node import Node
 from repro.demos.process import ProgramRegistry
 from repro.demos.sysprocs import (
     MS_IMAGE,
@@ -285,7 +284,7 @@ class System:
                                 registry=self.obs.registry)
         self.medium = build_medium(
             self.config.medium, self.engine, self.rng, faults=self.faults,
-            enforce_recorder_ack=self.config.publishing, obs=self.obs)
+            obs=self.obs)
         #: dead letters: one :class:`DeadLetter` (origin node, segment,
         #: attempts) for every guaranteed message some transport
         #: finally gave up on — same shape as the federation-level
@@ -304,7 +303,7 @@ class System:
         #: the replicas' shared majority vote (three or more replicas)
         self.quorum: Optional[QuorumReplay] = None
         self._build_recorders()
-        self.nodes: Dict[int, Node] = {}
+        self.nodes: Dict[int, MessageKernel] = {}
         first = self.config.first_node_id
         for node_id in range(first, first + self.config.nodes):
             self.nodes[node_id] = self._build_node(node_id)
@@ -420,7 +419,7 @@ class System:
             registry.gauge_fn(f"recorder.{name}", lambda _r=read: sum(
                 _r(r) for r in self.recorders))
 
-    def _build_node(self, node_id: int) -> Node:
+    def _build_node(self, node_id: int) -> MessageKernel:
         cfg = self.config
         kernel_config = KernelConfig(
             publishing=cfg.publishing,
@@ -428,15 +427,11 @@ class System:
             transport=TransportConfig(
                 retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
                 max_retries=cfg.transport_max_retries,
-                # With the epidemic repair layer on, receivers keep
-                # frames the recorder missed: the gossip pull closes
-                # the log hole instead of a sender retransmission.
-                require_recorder_ack=cfg.publishing and not cfg.gossip,
                 window=cfg.transport_window),
         )
-        node = Node(self.engine, node_id, self.medium, kernel_config,
-                    self.registry, obs=self.obs)
-        node.kernel.transport.on_gave_up = (
+        node = MessageKernel(self.engine, node_id, self.medium,
+                             kernel_config, self.registry, obs=self.obs)
+        node.transport.on_gave_up = (
             lambda segment, attempts, _n=node_id:
             self._note_dead_letter(_n, segment, attempts))
         return node
@@ -479,7 +474,7 @@ class System:
         else:
             self.engine.schedule(REBOOT_DELAY_MS, node.restart)
 
-    def spare_takeover(self, node_id: int) -> "Node":
+    def spare_takeover(self, node_id: int) -> MessageKernel:
         """Replace a failed processor with a spare that assumes its
         identity (§3.3.3: "it would be best to have one or more spare
         processors on the network that could assume the identities of
@@ -495,14 +490,13 @@ class System:
             raise ReproError(f"no node {node_id} to replace")
         if old.up:
             return old
-        self.medium.detach(old.kernel.transport.iface)
+        self.medium.detach(old.transport.iface)
         spare = self._build_node(node_id)
         # The spare's controls continue the failed kernel's numbering:
         # a receiver still remembering the old node's segment uids must
         # not take the spare's first controls for retransmissions.
-        spare.kernel._control_seq = old.kernel._control_seq
+        spare._control_seq = old._control_seq
         self.nodes[node_id] = spare
-        spare.booted = True
         if self.gossip is not None:
             # The spare starts with an empty (not absent) gossip buffer.
             self.gossip.attach_node(spare)
@@ -561,7 +555,7 @@ class System:
                 f"unknown checkpoint policy {name!r}; "
                 f"choose young, bound, or storage")
         for node in self.nodes.values():
-            install_policy(node.kernel, policy)
+            install_policy(node, policy)
         self.checkpoint_policy = policy
         return policy
 
@@ -596,7 +590,7 @@ class System:
         kernel process's allocator state changes outside a message, so
         it is immediately re-checkpointed to keep its recovery sound.
         """
-        kernel = self.nodes[node].kernel
+        kernel = self.nodes[node]
         kp_pcb = kernel.processes.get(kernel_pid(node))
         if kp_pcb is None:
             raise ReproError(f"node {node} is not booted")
@@ -615,19 +609,19 @@ class System:
         for node in self.nodes.values():
             if not node.up:
                 continue
-            for pid in list(node.kernel.processes):
-                if node.kernel.checkpoint_process(pid):
+            for pid in list(node.processes):
+                if node.checkpoint_process(pid):
                     count += 1
         return count
 
     def checkpoint(self, pid: ProcessId) -> bool:
         """Checkpoint one process."""
-        return self.nodes[pid_node(pid, self)].kernel.checkpoint_process(pid)
+        return self.nodes[pid_node(pid, self)].checkpoint_process(pid)
 
     def process_state(self, pid: ProcessId) -> Optional[str]:
         """The state name of a process, wherever it lives, or None."""
         for node in self.nodes.values():
-            pcb = node.kernel.processes.get(pid)
+            pcb = node.processes.get(pid)
             if pcb is not None:
                 return pcb.state.value
         return None
@@ -635,7 +629,7 @@ class System:
     def program_of(self, pid: ProcessId):
         """The live program instance behind a pid (tests peek at state)."""
         for node in self.nodes.values():
-            pcb = node.kernel.processes.get(pid)
+            pcb = node.processes.get(pid)
             if pcb is not None:
                 return pcb.program
         return None
@@ -646,8 +640,8 @@ class System:
     def crash_process(self, pid: ProcessId) -> None:
         """Halt one process; the crash is reported and recovery begins."""
         for node in self.nodes.values():
-            if pid in node.kernel.processes:
-                node.kernel.crash_process(pid)
+            if pid in node.processes:
+                node.crash_process(pid)
                 return
         raise ReproError(f"no such process {pid}")
 
@@ -724,6 +718,6 @@ class System:
 def pid_node(pid: ProcessId, system: System) -> int:
     """The node a pid currently lives on (falls back to its birth node)."""
     for node_id, node in system.nodes.items():
-        if pid in node.kernel.processes:
+        if pid in node.processes:
             return node_id
     return pid.node

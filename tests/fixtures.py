@@ -351,10 +351,10 @@ def wire_driver(system: System, driver_pid: ProcessId,
                 target_pid: ProcessId) -> None:
     """Forge the driver→target link and kick the driver into action."""
     node = system.nodes[driver_pid.node]
-    pcb = node.kernel.processes[driver_pid]
-    pcb.program.target_link = node.kernel.forge_link(pcb, Link(dst=target_pid))
-    kick = node.kernel.forge_link(pcb, Link(dst=driver_pid))
-    node.kernel.syscall_send(pcb, kick, ("kick",), None, 32)
+    pcb = node.processes[driver_pid]
+    pcb.program.target_link = node.forge_link(pcb, Link(dst=target_pid))
+    kick = node.forge_link(pcb, Link(dst=driver_pid))
+    node.syscall_send(pcb, kick, ("kick",), None, 32)
 
 
 class Unrecorded(AssertionError):
@@ -377,9 +377,9 @@ def assert_log_reproduces(system: System, pids) -> None:
     pcb's ``send_seq``. Raises :class:`Unrecorded` or :class:`Diverged`.
     """
     for pid in pids:
-        pcb = next((node.kernel.processes[pid]
+        pcb = next((node.processes[pid]
                     for node in system.nodes.values()
-                    if pid in node.kernel.processes), None)
+                    if pid in node.processes), None)
         record = system.recorder.db.get(pid)
         if pcb is None or not pcb.alive() or record is None or not record.image:
             raise Unrecorded(

@@ -41,9 +41,9 @@ def build():
 
 
 def senders(system, pid):
-    k1 = system.nodes[1].kernel
+    k1 = system.nodes[1]
     a = k1.processes[kernel_pid(1)]
-    k2 = system.nodes[2].kernel
+    k2 = system.nodes[2]
     b = k2.processes[kernel_pid(2)]        # a second source, intranode
     link_a = k1.forge_link(a, Link(dst=pid))
     link_b = k2.forge_link(b, Link(dst=pid))
@@ -95,7 +95,7 @@ def test_staged_but_undelivered_message_not_suppressed():
     k1.syscall_send(a, link_a, ("item", "X1"), None, 64)
     system.run(2000)
     record = system.recorder.db.get(kernel_pid(1))
-    sent_seq = system.nodes[1].kernel.processes[kernel_pid(1)].send_seq
+    sent_seq = system.nodes[1].processes[kernel_pid(1)].send_seq
     # Everything delivered so far is confirmed.
     assert record.confirmed_prefix == sent_seq
     # Now a send that is recorded but never delivered (receiver drops

@@ -89,7 +89,7 @@ class TestPoliciesInSystem:
         register_test_programs(system)
         system.boot()
         for node in system.nodes.values():
-            install_policy(node.kernel, policy)
+            install_policy(node, policy)
         return system
 
     def test_young_policy_checkpoints_periodically(self):
@@ -113,7 +113,7 @@ class TestPoliciesInSystem:
         system = self.make_system(policy)
         counter_pid, _ = run_counter_scenario(system, n=60)
         system.run(20_000)
-        pcb = system.nodes[2].kernel.processes[counter_pid]
+        pcb = system.nodes[2].processes[counter_pid]
         # Right after any delivery the policy may briefly exceed, but
         # having just checkpointed it must sit at/below the bound plus
         # one message's worth of slack.
@@ -126,7 +126,7 @@ class TestPoliciesInSystem:
         system = System(SystemConfig(nodes=1))
         register_test_programs(system)
         system.boot()
-        install_policy(system.nodes[1].kernel, policy,
+        install_policy(system.nodes[1], policy,
                        only=lambda pcb: False)
         counter_pid, _ = run_counter_scenario(system, n=20,
                                               counter_node=1, driver_node=1)

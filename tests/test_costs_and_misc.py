@@ -85,8 +85,8 @@ class TestKernelEdgeCases:
         system = two_node_system
         pid = system.spawn_program("test/counter", node=2)
         system.run(300)
-        system.nodes[2].kernel.destroy_process(pid)
-        k1 = system.nodes[1].kernel
+        system.nodes[2].destroy_process(pid)
+        k1 = system.nodes[1]
         sender = k1.processes[kernel_pid(1)]
         link = k1.forge_link(sender, Link(dst=pid))
         k1.syscall_send(sender, link, ("add", 1), None, 64)
@@ -97,8 +97,8 @@ class TestKernelEdgeCases:
         system = two_node_system
         pid = system.spawn_program("test/echo", node=1)
         system.run(300)
-        kernel = system.nodes[1].kernel
-        pcb = system.nodes[1].kernel.processes[pid]
+        kernel = system.nodes[1]
+        pcb = system.nodes[1].processes[pid]
         before = len(pcb.links)
         target = kernel.forge_link(pcb, Link(dst=pid))
         gift = kernel.forge_link(pcb, Link(dst=pid, code=5))
@@ -111,7 +111,7 @@ class TestKernelEdgeCases:
         system = two_node_system
         pid = system.spawn_program("test/counter", node=1)
         system.run(300)
-        kernel = system.nodes[1].kernel
+        kernel = system.nodes[1]
         pcb = kernel.processes[pid]
         link = kernel.forge_link(pcb, Link(dst=pid))
         ok = kernel.syscall_send(pcb, link, ("x",), 999, 64)
@@ -133,10 +133,10 @@ class TestProcessManagerJobs:
         system = two_node_system
         services = system.config.services_node
         pm_pid = ProcessId(services, 2)
-        pm = system.nodes[services].kernel.processes[pm_pid].program
+        pm = system.nodes[services].processes[pm_pid].program
         requester = ProcessId(1, 77)
         pm.jobs[tuple(requester)] = 3
-        kernel = system.nodes[1].kernel
+        kernel = system.nodes[1]
         sender = kernel.processes[kernel_pid(1)]
         # Impersonate the requester's job_done (tests drive it directly).
         from repro.demos.messages import DeliveredMessage

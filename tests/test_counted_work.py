@@ -128,7 +128,7 @@ def lossy_ledger() -> Tuple[Counter, int, int]:
 
     calls = calls_by_package(serve)
     assert len(system.program_of(driver).replies) == LOSSY_MESSAGES
-    retransmissions = sum(node.kernel.transport.stats.retransmissions.value
+    retransmissions = sum(node.transport.stats.retransmissions.value
                           for node in system.nodes.values())
     return calls, system.engine.events_fired, retransmissions
 

@@ -57,8 +57,8 @@ def test_send_requires_held_link(two_node_system):
     system = two_node_system
     pid = system.spawn_program("test/counter", node=1)
     system.run(100)
-    pcb = system.nodes[1].kernel.processes[pid]
-    ok = system.nodes[1].kernel.syscall_send(pcb, link_id=999, body="x",
+    pcb = system.nodes[1].processes[pid]
+    ok = system.nodes[1].syscall_send(pcb, link_id=999, body="x",
                                              pass_link_id=None, size_bytes=32)
     assert ok is False
 
@@ -129,8 +129,8 @@ def test_exit_destroys_process():
     system.boot()
     pid = system.spawn_program("test/oneshot", node=1)
     system.run(100)
-    pcb = system.nodes[1].kernel.processes[pid]
-    kernel = system.nodes[1].kernel
+    pcb = system.nodes[1].processes[pid]
+    kernel = system.nodes[1]
     link = kernel.forge_link(pcb, Link(dst=pid))
     kernel.syscall_send(pcb, link, ("die",), None, 32)
     system.run(1000)
@@ -143,15 +143,15 @@ def test_duplicate_pid_rejected():
     system.boot()
     pid = system.spawn_program("test/counter", node=1)
     with pytest.raises(ProcessError):
-        system.nodes[1].kernel.create_process("test/counter", pid=pid)
+        system.nodes[1].create_process("test/counter", pid=pid)
 
 
 def test_crash_process_reports_to_recorder(two_node_system):
     system = two_node_system
     pid = system.spawn_program("test/counter", node=1)
     system.run(200)
-    system.nodes[1].kernel.crash_process(pid)
-    assert system.nodes[1].kernel.processes[pid].state is ProcessState.CRASHED
+    system.nodes[1].crash_process(pid)
+    assert system.nodes[1].processes[pid].state is ProcessState.CRASHED
     system.run(20_000)
     # The crash report reached the recovery manager, which recovered it.
     assert system.recovery.stats.process_crash_reports == 1
@@ -163,7 +163,7 @@ def test_crash_node_clears_everything(two_node_system):
     system = two_node_system
     system.spawn_program("test/counter", node=1)
     system.run(200)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     pcbs = list(kernel.processes.values())
     system.nodes[1].crash()
     assert not kernel.up
@@ -229,7 +229,7 @@ def test_a_crashed_nodes_queued_handlers_do_not_run():
     system.boot()
     pid = system.spawn_program("test/sink", node=1)
     system.run(200)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     sender = kernel.processes[kernel_pid(1)]
     link = kernel.forge_link(sender, Link(dst=pid))
     for i in range(10):
@@ -245,7 +245,7 @@ def test_cpu_accounting_separates_kernel_and_user(two_node_system):
     system = two_node_system
     counter_pid, _ = run_counter_scenario(system, n=5)
     system.run(5000)
-    cpu = system.nodes[2].kernel.cpu
+    cpu = system.nodes[2].cpu
     assert cpu.kernel_ms.value > 0
     assert cpu.user_ms.value > 0
     assert cpu.total_ms == cpu.kernel_ms.value + cpu.user_ms.value
@@ -255,7 +255,7 @@ def test_stop_and_resume_process(two_node_system):
     system = two_node_system
     counter_pid, driver_pid = run_counter_scenario(system, n=10)
     system.run(500)
-    kernel = system.nodes[2].kernel
+    kernel = system.nodes[2]
     kernel.stop_process(counter_pid)
     snapshot_total = system.program_of(counter_pid).total
     system.run(2000)
@@ -273,7 +273,7 @@ def test_checkpoint_includes_counters(two_node_system):
     system.run(1000)
     record = system.recorder.db.get(counter_pid)
     assert record.checkpoint is not None
-    assert record.checkpoint.consumed == system.nodes[2].kernel.processes[counter_pid].consumed
+    assert record.checkpoint.consumed == system.nodes[2].processes[counter_pid].consumed
     assert record.checkpoint.data["program_state"]["total"] == 15
 
 
@@ -288,7 +288,7 @@ def test_generator_program_not_checkpointable(two_node_system):
     system.registry.register("test/gen", Gen)
     pid = system.spawn_program("test/gen", node=1)
     system.run(100)
-    assert system.nodes[1].kernel.checkpoint_process(pid) is False
+    assert system.nodes[1].checkpoint_process(pid) is False
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_suppressed_send_does_everything_but_build_the_message(
     system = two_node_system
     pid = system.spawn_program("test/counter", node=1)
     system.run(100)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     pcb = kernel.processes[pid]
     remote = ProcessId(2, 1)
     to = kernel.forge_link(pcb, Link(dst=remote, channel=3, code=4))
@@ -360,7 +360,7 @@ def test_replay_builds_no_message_for_the_replies_it_suppresses(
     counter_pid, driver_pid = run_counter_scenario(system, n=n)
     system.run(6000)
     assert system.program_of(driver_pid).replies == expected_totals(n)
-    kernel = system.nodes[2].kernel
+    kernel = system.nodes[2]
     sent = kernel.messages_sent.value
     del built_messages[:]
     system.crash_process(counter_pid)

@@ -441,7 +441,7 @@ class SweepWitness:
 def notify_recreated(system, pid, recoverable):
     """The recorder is told ``pid`` was destroyed and created again
     (the notices a kernel sends; the process itself runs on)."""
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     kernel.send_control_to_recorder(ProcessDestroyed(pid, pid.node))
     kernel.send_control_to_recorder(ProcessCreated(
         pid, pid.node, "test/counter", (), recoverable=recoverable))

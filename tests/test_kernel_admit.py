@@ -43,7 +43,7 @@ def node():
     system.boot()
     pid = system.spawn_program("test/counter", node=1)
     system.run(100)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     kernel.dtk_handler = (dtk := []).append
     return system, kernel, kernel.processes[pid], dtk
 
@@ -249,7 +249,7 @@ def test_boot_starts_the_system_processes_on_the_services_node(services_node):
                                  services_node=services_node))
     system.boot()
     for node_id, node in system.nodes.items():
-        images = {pid: pcb.image for pid, pcb in node.kernel.processes.items()
+        images = {pid: pcb.image for pid, pcb in node.processes.items()
                   if pid != kernel_pid(node_id)}
         if node_id == services_node:
             assert images == {ProcessId(node_id, 1): NLS_IMAGE,
@@ -257,4 +257,4 @@ def test_boot_starts_the_system_processes_on_the_services_node(services_node):
                               ProcessId(node_id, 3): MS_IMAGE}
         else:
             assert images == {}
-        assert node.kernel.processes[kernel_pid(node_id)].alive()
+        assert node.processes[kernel_pid(node_id)].alive()

@@ -55,7 +55,7 @@ def system():
 def spawn_creator(system, node=1):
     pid = system.spawn_program("test/creator", node=node)
     # Give the creator a link to its local kernel process as link id 2.
-    kernel = system.nodes[node].kernel
+    kernel = system.nodes[node]
     pcb = kernel.processes[pid]
     assert kernel.forge_link(pcb, Link(dst=kernel_pid(node))) == 2
     return pid
@@ -75,7 +75,7 @@ def test_created_child_holds_nls_link(system):
     pid = spawn_creator(system)
     system.run(5000)
     child_pid = ProcessId(*system.program_of(pid).child)
-    child_pcb = system.nodes[1].kernel.processes[child_pid]
+    child_pcb = system.nodes[1].processes[child_pid]
     assert child_pcb.links.has(1)
     nls_pid = ProcessId(system.config.services_node, 1)
     assert child_pcb.links.get(1).dst == nls_pid
@@ -86,14 +86,14 @@ def test_movelink_exchange_installs_link_in_child(system):
     pid = spawn_creator(system)
     system.run(5000)
     child_pid = ProcessId(*system.program_of(pid).child)
-    child_pcb = system.nodes[1].kernel.processes[child_pid]
+    child_pcb = system.nodes[1].processes[child_pid]
     # Child's table: 1 = NLS, 2 = the moved link to the creator.
     assert child_pcb.links.has(2)
     moved = child_pcb.links.get(2)
     assert moved.dst == pid
     assert moved.code == 123
     # And the link left the creator's table.
-    creator_pcb = system.nodes[1].kernel.processes[pid]
+    creator_pcb = system.nodes[1].processes[pid]
     assert all(link.code != 123 for _, link in creator_pcb.links)
 
 
@@ -104,7 +104,7 @@ def test_movelink_across_nodes(system):
     program = system.program_of(pid)
     child_pid = ProcessId(*program.child)
     assert child_pid.node == 2
-    child_pcb = system.nodes[2].kernel.processes[child_pid]
+    child_pcb = system.nodes[2].processes[child_pid]
     assert child_pcb.links.has(2)
     assert child_pcb.links.get(2).dst == pid
 
@@ -113,7 +113,7 @@ def test_destroy_via_control_link(system):
     pid = spawn_creator(system)
     system.run(5000)
     child_pid = ProcessId(*system.program_of(pid).child)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     pcb = kernel.processes[pid]
     poke = kernel.forge_link(pcb, Link(dst=pid, channel=9))
     kernel.syscall_send(pcb, poke, ("destroy-child",), None, 32)
@@ -127,7 +127,7 @@ def test_givelink_one_message_variant(system):
     pid = spawn_creator(system)
     system.run(5000)
     child_pid = ProcessId(*system.program_of(pid).child)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     pcb = kernel.processes[pid]
     gift = kernel.forge_link(pcb, Link(dst=pid, code=777))
     control = kernel.forge_link(pcb, Link(dst=child_pid,
@@ -143,7 +143,7 @@ def test_stop_resume_via_control_link(system):
     pid = spawn_creator(system)
     system.run(5000)
     child_pid = ProcessId(*system.program_of(pid).child)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     pcb = kernel.processes[pid]
     control = kernel.forge_link(pcb, Link(dst=child_pid,
                                           deliver_to_kernel=True))
@@ -173,9 +173,9 @@ def test_kernel_process_allocations_survive_checkpoint(system):
     state; recovery must not re-issue pids."""
     pid = spawn_creator(system)
     system.run(5000)
-    kp_pcb = system.nodes[1].kernel.processes[kernel_pid(1)]
+    kp_pcb = system.nodes[1].processes[kernel_pid(1)]
     next_before = kp_pcb.program.next_local_id
-    assert system.nodes[1].kernel.checkpoint_process(kernel_pid(1))
+    assert system.nodes[1].checkpoint_process(kernel_pid(1))
     system.run(500)
     record = system.recorder.db.get(kernel_pid(1))
     state = record.checkpoint.data["program_state"]

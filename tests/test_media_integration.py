@@ -88,7 +88,7 @@ def _random_loss_masked(medium, loss):
     counter_pid, driver_pid = run_counter_scenario(system, n=20)
     driver = drive(system, driver_pid, 20)
     assert driver.replies == expected_totals(20)
-    assert system.nodes[1].kernel.transport.stats.retransmissions.value > 0
+    assert system.nodes[1].transport.stats.retransmissions.value > 0
     return system
 
 
@@ -142,7 +142,7 @@ class TestLossyNetworks:
         its checksum at the destination."""
         system = _random_corruption_masked(medium)
         assert not system.dead_letters
-        assert sum(node.kernel.transport.stats.dropped_bad_checksum.value
+        assert sum(node.transport.stats.dropped_bad_checksum.value
                    for node in system.nodes.values()) > 0
 
     @pytest.mark.parametrize("medium", OTHER_MEDIA)

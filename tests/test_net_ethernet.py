@@ -117,8 +117,7 @@ class TestAckingEthernet:
         engine = Engine()
         faults = FaultPlan()
         faults.corrupt_next(lambda f, node: node == 99)
-        ether = AckingEthernet(engine, RngStreams(1), faults=faults,
-                               enforce_recorder_ack=True)
+        ether = AckingEthernet(engine, RngStreams(1), faults=faults)
         inboxes = attach_stations(ether, (1, 2))
         recorded = []
         ether.attach(NetworkInterface(99, recorded.append, is_recorder=True))
@@ -129,8 +128,7 @@ class TestAckingEthernet:
 
 class TestTokenRing:
     def build(self, engine, stations=(1, 2, 3), recorder=True, faults=None):
-        ring = TokenRing(engine, faults=faults or FaultPlan(),
-                         enforce_recorder_ack=recorder)
+        ring = TokenRing(engine, faults=faults or FaultPlan())
         inboxes = attach_stations(ring, stations)
         recorded = []
         if recorder:
@@ -160,7 +158,7 @@ class TestTokenRing:
         empty ack field on the first pass and must ignore the slot; the
         message circulates again with the field filled and is read."""
         engine = Engine()
-        ring = TokenRing(engine, enforce_recorder_ack=True)
+        ring = TokenRing(engine)
         boxes = attach_stations(ring, (1, 2))
         recorded = []
         # Ring order from sender 1: station 2, then the recorder.
@@ -171,7 +169,6 @@ class TestTokenRing:
         engine.run()
         assert len(recorded) == 1
         assert len(boxes[2]) == 1
-        assert boxes[2][0].recorder_acked
         assert delivered == [True]
 
     def test_recorder_invalidates_bad_frame(self):
@@ -212,7 +209,6 @@ class TestStarHub:
         engine.run()
         assert len(inboxes[2]) == 1
         assert len(recorded) == 1
-        assert inboxes[2][0].recorder_acked
 
     def test_bad_frame_not_passed_on(self):
         """"Any messages received incorrectly by the recorder are not

@@ -144,7 +144,7 @@ def kernel():
     """A live kernel, for its network send door: ``_submit`` encodes a
     message before the transport sees it, so a refused one changes
     nothing and the kernel serves every test of the module."""
-    return sender_world()[0].nodes[1].kernel
+    return sender_world()[0].nodes[1]
 
 
 @contextlib.contextmanager
@@ -766,7 +766,7 @@ class TestKernelDoors:
         system.faults.lose_next(carries_first)
         sender._ctx.send(sender.link, "first")
         sender._ctx.send(sender.link, self.Stray())
-        transport = system.nodes[1].kernel.transport
+        transport = system.nodes[1].transport
         with pytest.raises(EncodingError) as exc:
             system.run(1000)
         assert encoder_of(exc) == "_submit"
@@ -774,10 +774,18 @@ class TestKernelDoors:
         assert transport.stats.retransmissions.value == 0
 
     def test_spawn_args_raise_where_the_kernel_creates_the_process(self):
+        """... and before the pcb enters the node's table: a refused
+        spawn leaves no pid behind, "running" but never started and
+        unknown to the recorder."""
         system, _ = sender_world()
+        table = system.nodes[1].processes
+        before = set(table)
         with pytest.raises(EncodingError) as exc:
             system.spawn_program("test/sender", args=(self.Stray(),))
         assert encoder_of(exc) == "send_control"
+        assert set(table) == before
+        system.run(5000)
+        assert set(table) == before
 
     def test_checkpoint_state_raises_where_the_kernel_sends_it(self):
         system, pid = sender_world()

@@ -15,6 +15,7 @@ from repro.net.frames import BROADCAST, Frame, FrameKind
 from repro.net.media import NetworkInterface, PerfectBroadcast
 from repro.net.star import StarHub
 from repro.net.token_ring import TokenRing
+from repro.net.transport import Transport, TransportConfig
 from repro.sim import Engine, RngStreams
 
 from fixtures import count_calls, scan_takers
@@ -32,11 +33,10 @@ OTHER_MEDIA = [name for name in MEDIA if name != "broadcast"]
 BUS_AND_RING = [name for name in OTHER_MEDIA if name != "star"]
 
 
-def build_bus(engine, node_ids=(1, 2), with_recorder=False, enforce=False,
-              faults=None, medium="broadcast"):
+def build_bus(engine, node_ids=(1, 2), with_recorder=False, faults=None,
+              medium="broadcast"):
     bus = build_medium(medium, engine, RngStreams(1),
-                       faults=faults or FaultPlan(),
-                       enforce_recorder_ack=enforce)
+                       faults=faults or FaultPlan())
     inboxes = {}
     for node in node_ids:
         inboxes[node] = []
@@ -100,8 +100,7 @@ def _recorder_miss_blocks_data_frame(medium):
     faults = FaultPlan()
     faults.corrupt_next(lambda f, node: node == 99)
     bus, inboxes, recorded = build_bus(engine, (1, 2), with_recorder=True,
-                                       enforce=True, faults=faults,
-                                       medium=medium)
+                                       faults=faults, medium=medium)
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert inboxes[2] == []
@@ -118,10 +117,41 @@ def test_recorder_miss_blocks_data_frame_when_enforced_on(medium):
     _recorder_miss_blocks_data_frame(medium)
 
 
+def test_a_frame_the_recorder_missed_reaches_the_receiver_once_resent():
+    """The rule end to end on CSMA/CD, where the transport acknowledges
+    with frames of its own and holds no copy of the rule: the recorder's
+    copy of the first transmission is corrupted, so the medium hands the
+    receiver nothing of it and no ack comes back; the sender's timer
+    re-sends the message, the recorder stores it, and it is delivered
+    exactly once (§6.1.1)."""
+    engine = Engine()
+    faults = FaultPlan()
+    faults.corrupt_next(lambda f, node: node == 99)
+    bus = build_medium("csma_ethernet", engine, RngStreams(2), faults=faults)
+    config = TransportConfig(retransmit_timeout_ms=20.0)
+    sender = Transport(engine, bus, 1, lambda s: None, config)
+    got = []
+    receiver = Transport(engine, bus, 2, lambda s: got.append(s.body), config)
+    bus.attach(NetworkInterface(99, lambda f: None, is_recorder=True))
+    sent, seen = [], []
+    sender_send = sender.iface.send
+    sender.iface.send = lambda f: (sent.append(f), sender_send(f))
+    receiver_on_frame = receiver.iface.on_frame
+    receiver.iface.on_frame = lambda f: (seen.append(f), receiver_on_frame(f))
+    sender.send(2, "needs-recorder", 128, uid=("p", 1))
+    engine.run(until=2000)
+    data = [f.frame_id for f in sent if f.kind is FrameKind.DATA]
+    assert len(data) == 2 and sender.stats.retransmissions.value == 1
+    assert data[0] not in [f.frame_id for f in seen]
+    assert bus.stats.recorder_misses.value == 1
+    assert got == ["needs-recorder"]
+    assert receiver.stats.delivered_up.value == 1
+
+
 def _downed_recorder_stalls_all_data(medium):
     engine = Engine()
     bus, inboxes, recorded = build_bus(engine, (1, 2), with_recorder=True,
-                                       enforce=True, medium=medium)
+                                       medium=medium)
     recorder_iface = bus.recorders()[0]
     recorder_iface.up = False
     bus.interfaces[0].send(data_frame(1, 2))
@@ -140,7 +170,7 @@ def test_downed_recorder_stalls_all_data_on(medium):
 
 def _no_recorder_attached_means_no_gating(medium):
     engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), enforce=True, medium=medium)
+    bus, inboxes, _ = build_bus(engine, (1, 2), medium=medium)
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert len(inboxes[2]) == 1
@@ -153,24 +183,6 @@ def test_no_recorder_attached_means_no_gating():
 @pytest.mark.parametrize("medium", BUS_AND_RING)
 def test_no_recorder_attached_means_no_gating_on(medium):
     _no_recorder_attached_means_no_gating(medium)
-
-
-def _delivered_frames_carry_recorder_ack_flag(medium):
-    engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), with_recorder=True,
-                                enforce=True, medium=medium)
-    bus.interfaces[0].send(data_frame(1, 2))
-    engine.run()
-    assert inboxes[2][0].recorder_acked
-
-
-def test_delivered_frames_carry_recorder_ack_flag():
-    _delivered_frames_carry_recorder_ack_flag("broadcast")
-
-
-@pytest.mark.parametrize("medium", OTHER_MEDIA)
-def test_delivered_frames_carry_recorder_ack_flag_on(medium):
-    _delivered_frames_carry_recorder_ack_flag(medium)
 
 
 def _sender_hears(medium, receiver_up):
@@ -234,7 +246,7 @@ def test_accept_extra_is_fixed_while_the_station_is_attached():
 
 def _multi_recorder_requires_all_healthy_recorders(medium):
     engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), enforce=True, medium=medium)
+    bus, inboxes, _ = build_bus(engine, (1, 2), medium=medium)
     rec_a, rec_b = [], []
     bus.attach(NetworkInterface(90, rec_a.append, is_recorder=True))
     bus.attach(NetworkInterface(91, rec_b.append, is_recorder=True))
@@ -264,7 +276,7 @@ def test_multi_recorder_requires_all_healthy_recorders_on(medium):
 
 def _down_recorder_ack_supplied_by_survivor(medium):
     engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), enforce=True, medium=medium)
+    bus, inboxes, _ = build_bus(engine, (1, 2), medium=medium)
     rec_a, rec_b = [], []
     a = NetworkInterface(90, rec_a.append, is_recorder=True)
     b = NetworkInterface(91, rec_b.append, is_recorder=True)
@@ -295,7 +307,7 @@ def test_a_corrupted_copy_is_not_a_delivery(medium):
     faults = FaultPlan()
     faults.corrupt_next(lambda f, node: node == 2)
     bus, inboxes, _ = build_bus(engine, (1, 2), with_recorder=True,
-                                enforce=True, faults=faults, medium=medium)
+                                faults=faults, medium=medium)
     acks, told = [], []
     bus.interfaces[0].on_delivered = lambda f, ok: acks.append(ok)
     bus.recorders()[0].on_delivery = told.append
@@ -322,7 +334,7 @@ def test_down_recorder_copy_is_counted_and_surfaced():
     a silent ``continue`` — the survivor still acks (§6.3), but the log
     hole is counted and flagged as a ``recorder_copy_missed`` event."""
     engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), enforce=True)
+    bus, inboxes, _ = build_bus(engine, (1, 2))
     rec_a, rec_b = [], []
     a = NetworkInterface(90, rec_a.append, is_recorder=True)
     b = NetworkInterface(91, rec_b.append, is_recorder=True)
@@ -343,7 +355,7 @@ def test_all_recorders_down_still_stalls_without_counting_as_acked():
     """With every recorder down the frame must stall (the §3.3.4
     suspension), and the misses are still tallied per copy."""
     engine = Engine()
-    bus, inboxes, _ = build_bus(engine, (1, 2), enforce=True)
+    bus, inboxes, _ = build_bus(engine, (1, 2))
     a = NetworkInterface(90, [].append, is_recorder=True)
     b = NetworkInterface(91, [].append, is_recorder=True)
     bus.attach(a)
@@ -378,10 +390,11 @@ def test_a_frame_lost_to_the_recorders_is_not_reported_delivered_later():
         99, lambda f: heard.append(f.payload), is_recorder=True))
     recorder.on_delivery = lambda f: told.append(f.payload)
     bus.recorder_loss = lambda frame: frame.payload == 1
+    bus.gossip_backup = True        # the one way past a total miss
     sender.send(data_frame(1, 2, payload=1))
     sender.send(data_frame(1, 2, payload=2))
     engine.run()
-    assert got == [1, 2]            # no ack rule enforced: both arrive
+    assert got == [1, 2]            # the miss is tolerated: both arrive
     assert heard == [2]
     assert told == [2]              # was [1, 2]
 
@@ -470,7 +483,7 @@ def test_ring_and_star_hand_frames_to_whom_the_scan_does(medium, ops):
     upstream of the ring's recorder or down it — is handed the frame
     exactly once and the sender hears whether anyone got it."""
     engine = Engine()
-    bus = medium(engine, enforce_recorder_ack=True)
+    bus = medium(engine)
     if medium is StarHub:                   # its one hub, fixed and up
         bus.attach(NetworkInterface(99, lambda frame: None, is_recorder=True))
     made, got, acked = [], [], []
@@ -551,9 +564,8 @@ def test_frame_and_attach_cost_do_not_grow_with_the_bus():
 # ----------------------------------------------------------------------
 def _rule_sites():
     """Where ``src/repro/net/`` applies the fault plan to a frame, calls
-    a station, stamps the recorders' acknowledgement, counts a delivery
-    or a miss, reports a reception or tells a sender — as a multiset of
-    ``(what, module, function)``."""
+    a station, counts a delivery or a miss, reports a reception or tells
+    a sender — as a multiset of ``(what, module, function)``."""
     sites = Counter()
 
     def visit(node, module, function):
@@ -573,11 +585,6 @@ def _rule_sites():
             elif attr == "inc" and owner_attr in (
                     "frames_delivered", "bytes_delivered", "recorder_misses"):
                 what = f"{owner_attr}.inc"
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Attribute) and t.attr == "recorder_acked"
-                and not (isinstance(t.value, ast.Name) and t.value.id == "self")
-                for t in node.targets):
-            what = "recorder_acked ="
         if what is not None:
             sites[what, module, function] += 1
         for child in ast.iter_child_nodes(node):
@@ -600,7 +607,6 @@ def test_the_publishing_rule_is_written_once():
         ("recorder_misses.inc", "media.py", "_withhold"): 2,  # tolerated, withheld
         ("gossip_tap", "media.py", "_withhold"): 1,
         ("faults.apply", "media.py", "_hand"): 1,
-        ("recorder_acked =", "media.py", "_hand"): 1,
         ("on_frame", "media.py", "_hand"): 1,
         ("_notify_recorders_of_delivery", "media.py", "_hand"): 1,
         ("on_delivery", "media.py", "_notify_recorders_of_delivery"): 1,

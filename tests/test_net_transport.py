@@ -11,7 +11,7 @@ from fixtures import (
 from repro import System, SystemConfig
 from repro.net import transport
 from repro.net.faults import FaultPlan
-from repro.net.media import NetworkInterface, PerfectBroadcast
+from repro.net.media import PerfectBroadcast
 from repro.net.ethernet import CsmaEthernet
 from repro.net.transport import Transport, TransportConfig
 from repro.errors import NetworkError
@@ -278,26 +278,6 @@ def test_per_destination_window_preserves_order_per_destination():
     assert got == ["a", "b", "c"]
 
 
-def test_require_recorder_ack_drops_unrecorded_frames():
-    """On a medium with explicit end-to-end acks, a receiver discards a
-    data frame the recorder missed "exactly as if it had received a bad
-    packet" and withholds the ack, so the sender retransmits (§6.1.1)."""
-    engine = Engine()
-    medium = CsmaEthernet(engine, RngStreams(2), enforce_recorder_ack=False)
-    got = []
-    cfg = TransportConfig(require_recorder_ack=True,
-                          retransmit_timeout_ms=20.0)
-    t1 = Transport(engine, medium, 1, lambda s: None, cfg)
-    t2 = Transport(engine, medium, 2, lambda s: got.append(s.body), cfg)
-    recorded = []
-    medium.attach(NetworkInterface(99, recorded.append, is_recorder=True))
-    medium.faults.corrupt_next(lambda f, node: node == 99, count=1)
-    t1.send(2, "needs-recorder", 128, uid=("p", 1))
-    engine.run(until=2000)
-    assert t2.stats.dropped_no_recorder_ack.value >= 1
-    assert got == ["needs-recorder"]     # retransmission recovered it
-
-
 def test_tap_sees_all_valid_frames():
     engine = Engine()
     medium = PerfectBroadcast(engine)
@@ -466,7 +446,7 @@ class TestWindowedFullStack:
                 break
             system.run(1000)
         # the crash landed where the regenerated send is a duplicate
-        assert sum(node.kernel.transport.stats.duplicates_suppressed.value
+        assert sum(node.transport.stats.duplicates_suppressed.value
                    for node in system.nodes.values()) >= 1
         assert system.program_of(driver_pid).replies == expected_totals(40)
         assert system.dead_letters == []

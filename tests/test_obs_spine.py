@@ -334,10 +334,10 @@ class TestLegacyStatsAreRegistryViews:
             medium.stats.frames_delivered.value
         assert snap["recorder.messages_recorded"] == \
             system.recorder.messages_recorded.value
-        t1 = system.nodes[1].kernel.transport
+        t1 = system.nodes[1].transport
         assert snap["transport.1.sent"] == t1.stats.sent.value
         assert snap["kernel.1.cpu.kernel_ms"] == \
-            system.nodes[1].kernel.cpu.kernel_ms.value
+            system.nodes[1].cpu.kernel_ms.value
         assert snap["recovery.recoveries_completed"] == \
             system.recovery.stats.recoveries_completed
         assert snap["sim.events_fired"] == system.engine.events_fired
@@ -366,20 +366,20 @@ class TestLegacyStatsAreRegistryViews:
 #: broadcast federations).
 SURFACE_PINS = {
     ("broadcast", False):
-        "f4e72c7451947262c4aa5ac22cf9b28bba74da1b39387f4e3b5f16d8882bb9ee",
+        "7d316283f08dfa1375dfaddbe12a587d67aaa22d2252adcdbc09aaf01202e2b0",
     ("csma_ethernet", False):
-        "1f434dcea5710cb4f0d84653085c4ed2cdbbb592bd2377acbb70f3ed8b1f40ed",
+        "0d533a9125e0656812b0db5e000f59dc5012f72a3a956d75a30e391f6e5f0179",
     ("acking_ethernet", False):
-        "8c9b1656957fb7b0f0fc43f0ed5091e67c009bf153217756760a148e45fe1259",
+        "fe827b6ba1d4b860e143fbe597cba85cfa11d4f09afe094bf99a6995a644b809",
     ("token_ring", False):
-        "65196760937e45000a65e6a7f735615566c128365e3a4d1fbb3fb401970d46d9",
+        "0c62c12a0267c833b084f954d07b5b6412f4204e82cce406f355af9cd05f529f",
     ("star", False):
-        "4b64ae614a34efddf1d908541a9b19a64746adaf0be6d4a62353791c1b3ed39d",
+        "b7ac5568d8f4454f379c30d20b087aea8e1d01b6fbe76d6ea01af3bf98a30187",
     ("csma_ethernet", True):
-        "3af176e0fcc25241801f78121499e14ed14174f22f002b35b90c10808fd054f1",
+        "79f053b4816e29f8facf2d02b66591cffeadcfa0d26f00e13bffd7502887698d",
     # the ring's gossip hooks were inert before the media shared one rule
     ("token_ring", True):
-        "e36c7158bfe7860d2198525eae1f0c28c3f314105fd4bf192486470cc69f9bc9",
+        "8703722c6f7c7e186d87ab3bd2ee8d7581212263a2f7a63ca6a4309f71e3670c",
 }
 
 

@@ -7,7 +7,6 @@ import re
 
 from repro.demos.kernel import MessageKernel
 from repro.demos.messages import Control
-from repro.demos.node import Node
 from repro.publishing.gossip import GossipCoordinator
 from repro.publishing.multi_recorder import MultiRecorderCoordinator
 from repro.publishing.recorder import Recorder
@@ -17,7 +16,7 @@ from repro.publishing.watchdog import Watchdog
 DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                    "PROTOCOLS.md")
 OWNERS = {cls.__name__: cls for cls in (
-    MessageKernel, Node, GossipCoordinator, MultiRecorderCoordinator,
+    MessageKernel, GossipCoordinator, MultiRecorderCoordinator,
     Recorder, RecoveryManager, Watchdog)}
 
 

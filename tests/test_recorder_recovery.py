@@ -86,7 +86,7 @@ class TestRecorderCrash:
         system.crash_recorder()
         system.run(500)
         # The crash report goes nowhere (recorder down, retried later).
-        system.nodes[2].kernel.crash_process(counter_pid)
+        system.nodes[2].crash_process(counter_pid)
         system.run(3000)
         system.restart_recorder()
         driver = drive_to_completion(system, driver_pid, 60)
@@ -183,7 +183,7 @@ class TestRecorderObservability:
         system = two_node_system
         counter_pid, driver_pid = run_counter_scenario(system, n=5)
         system.run(5000)
-        kernel = system.nodes[2].kernel
+        kernel = system.nodes[2]
         kernel.destroy_process(counter_pid)
         system.run(1000)
         record = system.recorder.db.get(counter_pid)

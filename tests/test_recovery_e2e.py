@@ -102,7 +102,7 @@ class TestProcessCrash:
         system.run(1200)
         system.crash_process(counter_pid)
         # Immediately push extra traffic from a second client.
-        kernel = system.nodes[1].kernel
+        kernel = system.nodes[1]
         dpcb = kernel.processes[driver_pid]
         extra = kernel.forge_link(dpcb, Link(dst=counter_pid))
         counter, driver = finish(system, counter_pid, driver_pid)
@@ -132,12 +132,12 @@ class TestProcessCrash:
         # Step until the recreate lands and the process is recovering,
         # then crash it again mid-replay.
         for _ in range(2000):
-            pcb = system.nodes[2].kernel.processes.get(counter_pid)
+            pcb = system.nodes[2].processes.get(counter_pid)
             if pcb is not None and pcb.state is ProcessState.RECOVERING:
                 break
             system.run(5)
         assert pcb is not None and pcb.state is ProcessState.RECOVERING
-        system.nodes[2].kernel.crash_process(counter_pid)
+        system.nodes[2].crash_process(counter_pid)
         counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver)
         assert system.recovery.stats.recoveries_started >= 2
@@ -183,7 +183,7 @@ class TestNodeCrash:
         system.crash_node(2)
         finish(system, counter_pid, driver_pid, n=20)
         assert wait_recovered(system, kernel_pid(2))
-        kp = system.nodes[2].kernel.processes.get(kernel_pid(2))
+        kp = system.nodes[2].processes.get(kernel_pid(2))
         assert kp is not None and kp.state is ProcessState.RUNNING
 
     def test_node_crash_of_services_node(self):
@@ -265,7 +265,7 @@ class TestChannelsAndRecovery:
         system.boot()
         pid = system.spawn_program("test/priority", node=2)
         system.run(200)
-        k1 = system.nodes[1].kernel
+        k1 = system.nodes[1]
         sender_pcb = k1.processes[kernel_pid(1)]
         normal = k1.forge_link(sender_pcb, Link(dst=pid, channel=0))
         urgent = k1.forge_link(sender_pcb, Link(dst=pid, channel=9))
@@ -299,7 +299,7 @@ class TestChannelsAndRecovery:
         system.boot()
         pid = system.spawn_program("test/priority", node=2)
         system.run(200)
-        k1 = system.nodes[1].kernel
+        k1 = system.nodes[1]
         sender_pcb = k1.processes[kernel_pid(1)]
         normal = k1.forge_link(sender_pcb, Link(dst=pid, channel=0))
         urgent = k1.forge_link(sender_pcb, Link(dst=pid, channel=9))
@@ -362,7 +362,7 @@ class TestRecoveryMechanics:
         system = two_node_system
         counter_pid, driver_pid = run_counter_scenario(system, n=N)
         system.run(2500)
-        consumed_at_ckpt = system.nodes[2].kernel.processes[counter_pid].consumed
+        consumed_at_ckpt = system.nodes[2].processes[counter_pid].consumed
         assert system.checkpoint(counter_pid)
         system.run(500)
         system.crash_process(counter_pid)

@@ -95,7 +95,7 @@ def test_generator_with_channels_recovers_identically(crash_at, seed):
     system.boot()
     pid = system.spawn_program("prop/summer", node=2)
     system.run(200)
-    k1 = system.nodes[1].kernel
+    k1 = system.nodes[1]
     sender = k1.processes[kernel_pid(1)]
     normal = k1.forge_link(sender, Link(dst=pid, channel=0))
     urgent = k1.forge_link(sender, Link(dst=pid, channel=9))
@@ -112,7 +112,7 @@ def test_generator_with_channels_recovers_identically(crash_at, seed):
     system2.boot()
     pid2 = system2.spawn_program("prop/summer", node=2)
     system2.run(200)
-    k1b = system2.nodes[1].kernel
+    k1b = system2.nodes[1]
     sender_b = k1b.processes[kernel_pid(1)]
     normal_b = k1b.forge_link(sender_b, Link(dst=pid2, channel=0))
     urgent_b = k1b.forge_link(sender_b, Link(dst=pid2, channel=9))

@@ -44,7 +44,7 @@ def test_debugger_replay_equals_live_execution(script):
     system.boot()
     pid = system.spawn_program("prop/machine", node=1)
     system.run(200)
-    kernel = system.nodes[1].kernel
+    kernel = system.nodes[1]
     sender = kernel.processes[kernel_pid(1)]
     link = kernel.forge_link(sender, Link(dst=pid))
     for op in script:
@@ -73,7 +73,7 @@ def test_recovered_state_equals_live_state(script, crash_after):
         system.boot()
         pid = system.spawn_program("prop/machine", node=1)
         system.run(200)
-        kernel = system.nodes[1].kernel
+        kernel = system.nodes[1]
         sender = kernel.processes[kernel_pid(1)]
         link = kernel.forge_link(sender, Link(dst=pid))
         for op in script:

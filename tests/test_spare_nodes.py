@@ -34,7 +34,7 @@ class TestSpareTakeover:
         system.crash_node(2)
         driver = drive(system, driver_pid, 40)
         assert driver.replies == expected_totals(40)
-        # A different Node object now answers to node id 2.
+        # A different kernel now answers to node id 2.
         assert system.nodes[2] is not old_node
         assert system.nodes[2].up
         counter = system.program_of(counter_pid)
@@ -47,11 +47,11 @@ class TestSpareTakeover:
         system = self.build()
         run_counter_scenario(system, n=5)
         system.run(2000)
-        old_seq = system.nodes[2].kernel._control_seq
+        old_seq = system.nodes[2]._control_seq
         system.crash_node(2)
-        while kernel_pid(2) not in system.nodes[2].kernel.processes:
+        while kernel_pid(2) not in system.nodes[2].processes:
             system.run(10)
-        assert system.nodes[2].kernel._control_seq > old_seq
+        assert system.nodes[2]._control_seq > old_seq
         echo = system.spawn_program("test/echo", node=2)
         system.run(1000)
         assert system.recorder.db.get(echo).image == "test/echo"
@@ -60,7 +60,7 @@ class TestSpareTakeover:
         system = self.build()
         counter_pid, driver_pid = run_counter_scenario(system, n=30)
         system.run(1200)
-        old_iface = system.nodes[2].kernel.transport.iface
+        old_iface = system.nodes[2].transport.iface
         system.crash_node(2)
         drive(system, driver_pid, 30)
         assert old_iface.medium is None

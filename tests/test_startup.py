@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_RUN = {
     "repro", "repro.costs", "repro.demos",
     "repro.demos.ids", "repro.demos.kernel", "repro.demos.kernel_process",
-    "repro.demos.links", "repro.demos.messages", "repro.demos.node",
+    "repro.demos.links", "repro.demos.messages",
     "repro.demos.process", "repro.demos.queue", "repro.demos.sysprocs",
     "repro.errors", "repro.net", "repro.net.faults",
     "repro.net.frames", "repro.net.media", "repro.net.transport",

@@ -140,7 +140,7 @@ class TestProcessManagerChain:
         # Shrink the PM's job limit directly.
         services = sys_.config.services_node
         pm_pid = ProcessId(services, 2)
-        sys_.nodes[services].kernel.processes[pm_pid].program.job_limit = 2
+        sys_.nodes[services].processes[pm_pid].program.job_limit = 2
         pid = sys_.spawn_program("test/spawner", args=(4,), node=1)
         sys_.run(30000)
         program = sys_.program_of(pid)

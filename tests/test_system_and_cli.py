@@ -283,7 +283,7 @@ def test_clusters_are_built_in_system_and_nowhere_else():
     import repro
 
     builders = {"Recorder", "RecoveryManager", "MultiRecorderCoordinator",
-                "Node"}
+                "MessageKernel"}
     calls = set()
     root = Path(repro.__file__).parent
     for path in sorted(root.rglob("*.py")):

@@ -227,7 +227,7 @@ def test_system_level_retry_behaviour_unchanged():
            and system.engine.now < deadline):
         system.run(500)
     assert system.program_of(counter_pid).total == 15 * 16 // 2
-    retrans = sum(node.kernel.transport.stats.retransmissions.value
+    retrans = sum(node.transport.stats.retransmissions.value
                   for node in system.nodes.values())
     assert retrans > 0
 
