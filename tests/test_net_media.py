@@ -185,6 +185,32 @@ def test_no_recorder_attached_means_no_gating_on(medium):
     _no_recorder_attached_means_no_gating(medium)
 
 
+def _a_delivered_frame_is_one_the_recorders_stored(medium):
+    """What a delivery says about the recorders: the frame a station is
+    handed is already in the recorder's log when the station takes it —
+    on a ring too, where a destination upstream of the recorder reads
+    it on the second pass."""
+    engine = Engine()
+    bus, inboxes, recorded = build_bus(engine, (1, 2), with_recorder=True,
+                                       medium=medium)
+    stored_when_taken = []
+    bus.interfaces[1].on_frame = lambda f: stored_when_taken.append(
+        (f.frame_id, [r.frame_id for r in recorded]))
+    frame = data_frame(1, 2)
+    bus.interfaces[0].send(frame)
+    engine.run()
+    assert stored_when_taken == [(frame.frame_id, [frame.frame_id])]
+
+
+def test_a_delivered_frame_is_one_the_recorders_stored():
+    _a_delivered_frame_is_one_the_recorders_stored("broadcast")
+
+
+@pytest.mark.parametrize("medium", OTHER_MEDIA)
+def test_a_delivered_frame_is_one_the_recorders_stored_on(medium):
+    _a_delivered_frame_is_one_the_recorders_stored(medium)
+
+
 def _sender_hears(medium, receiver_up):
     """What the sender's ``on_delivered`` was told about one frame, and
     what a medium with a hardware acknowledgement to give must say."""
