@@ -29,12 +29,6 @@ from repro.net import MEDIA
 from repro.publishing.recovery_time import figure_3_1_example
 
 
-def _build_demo_campaign(nodes: int):
-    """``chaos --scenario demo``'s campaign (tests import this name)."""
-    from repro.chaos.campaign import demo_campaign
-    return demo_campaign(nodes)
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     # the counter/driver request-reply pair the chaos campaigns break
     from repro.chaos import workload as chaos

@@ -1,15 +1,13 @@
 """repro.chaos — deterministic fault-campaign engine.
 
 Schedule timed faults (crashes, outages, partitions, disk stalls,
-Byzantine recorders) against a running :class:`~repro.System`, or let
-the seed-determined monkey pick them; then assert the thesis's
-reliability promises held. See ``docs/CHAOS.md`` and
-``docs/ADVERSARY.md``.
+recording-path loss, Byzantine recorders) against a running
+:class:`~repro.System`, or let the seed-determined monkey pick them;
+then assert the thesis's reliability promises held. See
+``docs/CHAOS.md`` and ``docs/ADVERSARY.md``.
 """
 
 from repro.chaos.actions import (
-    ACTION_KINDS,
-    BoundRecorderBuffers,
     ByzantineRecorderFault,
     ChaosAction,
     CrashNode,
@@ -17,24 +15,14 @@ from repro.chaos.actions import (
     CrashRecorder,
     DiskSlowdown,
     DiskStall,
-    EquivocateSender,
-    GatewayCrash,
-    GatewayPartition,
-    GatewayRestart,
     GossipLoss,
-    Heal,
-    InterclusterPartition,
     Partition,
     RestartNode,
     RestartRecorder,
-    action_from_dict,
 )
 from repro.chaos.adversary import (
     BYZANTINE_MODES,
-    BoundedBufferRecorder,
     ByzantineRecorder,
-    EquivocatingSender,
-    EquivocationPlan,
     feed_record,
     run_quorum_scenario,
 )
@@ -45,7 +33,6 @@ from repro.chaos.campaign import (
     InvariantCheck,
     build_report,
     check_invariants,
-    load_campaign,
     monkey_campaign,
 )
 from repro.chaos.workload import (
@@ -60,12 +47,9 @@ from repro.chaos.workload import (
 )
 
 __all__ = [
-    "ACTION_KINDS",
     "BYZANTINE_MODES",
     "CHAOS_COUNTER_IMAGE",
     "CHAOS_DRIVER_IMAGE",
-    "BoundRecorderBuffers",
-    "BoundedBufferRecorder",
     "ByzantineRecorder",
     "ByzantineRecorderFault",
     "CampaignReport",
@@ -78,27 +62,17 @@ __all__ = [
     "CrashRecorder",
     "DiskSlowdown",
     "DiskStall",
-    "EquivocateSender",
-    "EquivocatingSender",
-    "EquivocationPlan",
-    "GatewayCrash",
-    "GatewayPartition",
-    "GatewayRestart",
     "GossipLoss",
-    "Heal",
-    "InterclusterPartition",
     "InvariantCheck",
     "MONKEY_KINDS",
     "Partition",
     "RestartNode",
     "RestartRecorder",
     "ScenarioResult",
-    "action_from_dict",
     "build_report",
     "check_invariants",
     "expected_total",
     "feed_record",
-    "load_campaign",
     "monkey_campaign",
     "register_chaos_programs",
     "run_quorum_scenario",

@@ -1,23 +1,15 @@
 """Deterministic adversarial actors for the publishing recorder.
 
 The 1983 paper assumes recorders fail only by crashing; this module
-supplies the fault classes it never faced, in the spirit of the
-Byzantine Reliable Broadcast literature:
+supplies the fault class it never faced, in the spirit of the Byzantine
+Reliable Broadcast literature: :class:`ByzantineRecorder`, an
+interception stage that silently drops, reorders, duplicates,
+bit-corrupts in place, or rewrites the records one recorder logs, while
+the recorder keeps acknowledging normally (the dangerous part: nothing
+upstream can tell).
 
-- :class:`ByzantineRecorder` — an interception stage that silently
-  drops, reorders, duplicates, bit-corrupts in place, or rewrites the
-  records one recorder logs, while the recorder keeps acknowledging
-  normally (the dangerous part: nothing upstream can tell).
-- :class:`EquivocatingSender` — divergent payloads published under one
-  message id. Stages sharing an :class:`EquivocationPlan` log the *same*
-  wrong body, modeling colluding recorders rather than random noise.
-- :class:`BoundedBufferRecorder` — a hard cap on the recorder's log, as
-  in the bounded-model impossibility papers: the oldest live records
-  are evicted (principled omission faults) and a backpressure advisory
-  fires on the ``adversary`` trace scope when the log nears the cap.
-
-Every stage draws all randomness from one :mod:`random.Random` handed
-in by the caller (a named :class:`~repro.sim.rng.RngStreams` stream in
+A stage draws all randomness from one :mod:`random.Random` handed in by
+the caller (a named :class:`~repro.sim.rng.RngStreams` stream in
 simulations), so campaigns stay seed-pure: two same-seed runs inject
 byte-identical faults. A stage is armed by appending it to
 ``Recorder.stages``; :meth:`repro.publishing.database.RecorderDatabase.deliver`
@@ -40,26 +32,24 @@ forcing a recovery through the vote.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.errors import ConfigError
 
 
 class AdversaryConfigError(ConfigError):
     """An adversary stage or the quorum rig was given a value outside
-    its domain (an unknown Byzantine mode, a non-positive cap, f < 1,
-    more faulty recorders than recorders)."""
+    its domain (an unknown Byzantine mode, f < 1, more faulty recorders
+    than recorders)."""
 
 
 #: the fault repertoire of a ByzantineRecorder stage
 BYZANTINE_MODES = ("drop", "duplicate", "corrupt", "reorder", "bitrot")
 
-#: every adversary figure, keyed by the event a stage emits: its
-#: registry counter and its campaign-report figure
+#: every adversary figure, keyed by the fault mode: its registry
+#: counter and its campaign-report figure
 #: (:func:`repro.chaos.campaign.build_report`), in report order
 COUNTERS = {
     "drop": ("adversary.drops", "adversary_drops"),
@@ -67,43 +57,7 @@ COUNTERS = {
     "corrupt": ("adversary.corruptions", "adversary_corruptions"),
     "reorder": ("adversary.reorders", "adversary_reorders"),
     "bitrot": ("adversary.bitrot", "adversary_bitrot"),
-    "equivocate": ("adversary.equivocations", "adversary_equivocations"),
-    "evict": ("adversary.evictions", "adversary_evictions"),
-    "backpressure": ("adversary.backpressure_advisories",
-                     "adversary_backpressure"),
 }
-
-
-class _StageObs:
-    """Shared counter/event plumbing for the adversary stages."""
-
-    def __init__(self, obs, recorder_id: Optional[int]):
-        self.recorder_id = recorder_id
-        self.subject = (f"recorder{recorder_id}"
-                        if recorder_id is not None else "recorder")
-        if obs is not None:
-            self._registry = obs.registry
-            self._faults = obs.registry.counter("adversary.faults_injected")
-            self.events = obs.scope("adversary")
-        else:
-            self._registry = None
-            self._faults = None
-            self.events = None
-
-    def note(self, mode: str, msg_id) -> None:
-        if self._registry is None:
-            return
-        self._faults.inc()
-        # Looked up per fault on purpose: a mode's counter first appears
-        # in the snapshot when that mode first fires, and the snapshot's
-        # key set is hashed into every committed digest.
-        self._registry.counter(COUNTERS[mode][0]).inc()
-        self.events.emit(mode, self.subject, msg=msg_id)
-
-    def counter(self, event: str):
-        if self._registry is None:
-            return None
-        return self._registry.counter(COUNTERS[event][0])
 
 
 class ByzantineRecorder:
@@ -139,7 +93,22 @@ class ByzantineRecorder:
         self.faults_injected = 0
         self._held: Optional[Message] = None
         self._bitrot_pending: set = set()
-        self._obs = _StageObs(obs, recorder_id)
+        self.subject = (f"recorder{recorder_id}"
+                        if recorder_id is not None else "recorder")
+        self._registry = None if obs is None else obs.registry
+        if obs is not None:
+            self._faults = obs.registry.counter("adversary.faults_injected")
+            self._events = obs.scope("adversary")
+
+    def _note(self, mode: str, msg_id) -> None:
+        if self._registry is None:
+            return
+        self._faults.inc()
+        # Looked up per fault on purpose: a mode's counter first appears
+        # in the snapshot when that mode first fires, and the snapshot's
+        # key set is hashed into every committed digest.
+        self._registry.counter(COUNTERS[mode][0]).inc()
+        self._events.emit(mode, self.subject, msg=msg_id)
 
     def set_rate(self, rate: float) -> None:
         self.rate = rate
@@ -151,7 +120,7 @@ class ByzantineRecorder:
             mode = self.modes[self.rng.randrange(len(self.modes))]
         if mode is not None:
             self.faults_injected += 1
-            self._obs.note(mode, message.msg_id)
+            self._note(mode, message.msg_id)
         if mode == "reorder" and self._held is None:
             self._held = message
             return []
@@ -187,119 +156,6 @@ class ByzantineRecorder:
                                  body=("bitrot", lm.message.body))
 
 
-class EquivocationPlan:
-    """One divergent-payload decision per message id, shared by every
-    colluding stage — so the faulty recorders agree with *each other*
-    and only a cross-recorder quorum can outvote them."""
-
-    def __init__(self, rng: random.Random, rate: float = 0.5,
-                 sender: Optional[Tuple[int, int]] = None):
-        self.rng = rng
-        self.rate = rate
-        self.sender = ProcessId(*sender) if sender is not None else None
-        self._decisions: Dict[MessageId, Optional[Message]] = {}
-        self.equivocations = 0
-
-    def variant(self, message: Message) -> Optional[Message]:
-        """The divergent copy to log instead, or None to stay honest."""
-        if message.recovery_marker:
-            return None
-        if self.sender is not None and message.src != self.sender:
-            return None
-        if message.msg_id not in self._decisions:
-            divergent = None
-            if self.rate > 0.0 and self.rng.random() < self.rate:
-                salt = self.rng.randrange(1 << 16)
-                divergent = replace(message,
-                                    body=("equivocate", salt, message.body))
-                self.equivocations += 1
-            self._decisions[message.msg_id] = divergent
-        return self._decisions[message.msg_id]
-
-
-class EquivocatingSender:
-    """Stage half of an equivocation: log the plan's divergent copy."""
-
-    def __init__(self, plan: EquivocationPlan, obs=None,
-                 recorder_id: Optional[int] = None):
-        self.plan = plan
-        self._obs = _StageObs(obs, recorder_id)
-
-    def set_rate(self, rate: float) -> None:
-        self.plan.rate = rate
-
-    def deliveries(self, message: Message) -> List[Tuple[Message, bool]]:
-        divergent = self.plan.variant(message)
-        if divergent is None:
-            return [(message, False)]
-        self._obs.note("equivocate", message.msg_id)
-        return [(divergent, False)]
-
-    def note_confirmed(self, lm) -> None:
-        pass
-
-
-class BoundedBufferRecorder:
-    """A hard cap on one recorder's log (the bounded-model papers).
-
-    Records pass through unmodified; what changes is retention. When the
-    log's live record count crosses ``advisory_fraction * max_records``
-    a ``backpressure`` advisory fires once per episode, and above
-    ``max_records`` the oldest live data records this stage logged are
-    evicted (invalidated — principled omission faults that quorum replay
-    must survive). Markers and kernel-control records are never evicted.
-    """
-
-    def __init__(self, recorder, max_records: int,
-                 advisory_fraction: float = 0.8, obs=None):
-        if max_records < 1:
-            raise AdversaryConfigError("max_records must be >= 1")
-        self.recorder = recorder
-        self.max_records = max_records
-        self.advisory_fraction = advisory_fraction
-        self._fifo: Deque = deque()
-        self._advised = False
-        self.evictions = 0
-        self.advisories = 0
-        self._obs = _StageObs(obs, recorder.config.node_id)
-        self._evicted = self._obs.counter("evict")
-        self._backpressure = self._obs.counter("backpressure")
-
-    def deliveries(self, message: Message) -> List[Tuple[Message, bool]]:
-        return [(message, False)]
-
-    def note_confirmed(self, lm) -> None:
-        if not lm.is_marker and not lm.is_control:
-            self._fifo.append(lm)
-        log = self.recorder.db.log
-        threshold = self.advisory_fraction * self.max_records
-        if log.live_records >= threshold:
-            if not self._advised:
-                self._advised = True
-                self.advisories += 1
-                if self._backpressure is not None:
-                    self._backpressure.inc()
-                if self._obs.events is not None:
-                    self._obs.events.emit("backpressure", self._obs.subject,
-                                          live=log.live_records,
-                                          cap=self.max_records)
-        else:
-            self._advised = False
-        while log.live_records > self.max_records:
-            while self._fifo and self._fifo[0].invalid:
-                self._fifo.popleft()
-            if not self._fifo:
-                break                # nothing evictable left below the cap
-            victim = self._fifo.popleft()
-            victim.invalid = True
-            self.evictions += 1
-            if self._evicted is not None:
-                self._evicted.inc()
-            if self._obs.events is not None:
-                self._obs.events.emit("evict", self._obs.subject,
-                                      msg=victim.message.msg_id)
-
-
 # ----------------------------------------------------------------------
 # the offline half: feed records through stages without an engine
 # ----------------------------------------------------------------------
@@ -323,8 +179,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
                         master_seed: int = 1983,
                         modes: Sequence[str] = ("drop", "corrupt",
                                                 "duplicate", "reorder"),
-                        rate: float = 0.3, equivocate: bool = False,
-                        ) -> Tuple[Any, Dict[str, Any]]:
+                        rate: float = 0.3) -> Tuple[Any, Dict[str, Any]]:
     """Run the quorum acceptance scenario; returns the settled
     :class:`~repro.system.System` and the report dict.
 
@@ -343,7 +198,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
     silent wrong total.
     """
     from repro.chaos.actions import (ByzantineRecorderFault, ChaosAction,
-                                     CrashNode, EquivocateSender)
+                                     CrashNode)
     from repro.chaos.campaign import ChaosCampaign
     from repro.chaos.workload import run_scenario
     from repro.system import SystemConfig
@@ -361,9 +216,6 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
     if faulty:
         actions.append(ByzantineRecorderFault(
             900.0, recorders=faulty, modes=tuple(modes), rate=rate))
-        if equivocate:
-            actions.append(EquivocateSender(900.0, recorders=faulty,
-                                            rate=rate))
     actions.append(CrashNode(2800.0, node=2))
     result = run_scenario(ChaosCampaign(actions, name="adversary_quorum"),
                           config, pairs=1, messages=messages,
@@ -393,7 +245,6 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
         "messages": messages,
         "modes": list(modes),
         "rate": rate,
-        "equivocate": equivocate,
         "total": total_seen,
         "expected": expected,
         "exact": exact,

@@ -20,7 +20,6 @@ process stranded mid-recovery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,6 @@ from repro.chaos.actions import (
     DiskStall,
     Partition,
     RestartRecorder,
-    action_from_dict,
 )
 from repro.chaos.adversary import COUNTERS as ADVERSARY_COUNTERS
 from repro.errors import ReproError
@@ -92,40 +90,6 @@ class ChaosCampaign:
             self.skipped += 1
             self._scope.emit("skipped", action.subject(), kind=action.kind)
         self.fired.append((system.engine.now, action, applied))
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name,
-                "actions": [a.to_dict() for a in self.actions]}
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
-def load_campaign(source) -> ChaosCampaign:
-    """Build a campaign from a dict or a JSON file path.
-
-    The format (see ``docs/CHAOS.md``)::
-
-        {"name": "demo",
-         "actions": [
-           {"kind": "crash_node", "at_ms": 1000, "node": 2},
-           {"kind": "partition", "at_ms": 3000,
-            "groups": [[1], [2, 3]], "duration_ms": 1500}]}
-    """
-    if isinstance(source, ChaosCampaign):
-        return source
-    if not isinstance(source, dict):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    if not isinstance(source, dict) or "actions" not in source:
-        raise ReproError("campaign spec must be a dict with an 'actions' list")
-    actions = [action_from_dict(spec) for spec in source["actions"]]
-    return ChaosCampaign(actions, name=source.get("name", "campaign"))
 
 
 def demo_campaign(nodes: int) -> ChaosCampaign:
@@ -299,32 +263,6 @@ class CampaignReport:
             "invariants": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                            for c in self.invariants],
         }
-
-    def format(self) -> str:
-        return format_report(self.to_dict())
-
-
-def format_report(report: Dict[str, Any]) -> str:
-    """Render :meth:`CampaignReport.to_dict` for the terminal — from the
-    dict, so a report out of a shard or a JSON file prints the same."""
-    lines = [f"chaos campaign {report['name']!r} "
-             f"— {'PASS' if report['ok'] else 'FAIL'} "
-             f"at t={report['now_ms']:.1f}ms",
-             f"  faults injected: {report['faults_injected']}"
-             + (f" (+{report['faults_skipped']} skipped)"
-                if report['faults_skipped'] else "")]
-    for fired in report["fired"]:
-        mark = "*" if fired["applied"] else "-"
-        lines.append(f"    {mark} {fired['at_ms']:>9.1f}ms  "
-                     f"{fired['kind']:<16} {fired['subject']}")
-    lines.append("  figures:")
-    for key in sorted(report["figures"]):
-        lines.append(f"    {key:<24} {report['figures'][key]}")
-    lines.append("  invariants:")
-    for check in report["invariants"]:
-        lines.append(f"    [{'ok' if check['ok'] else 'FAIL'}] "
-                     f"{check['name']:<20} {check['detail']}")
-    return "\n".join(lines)
 
 
 def build_report(system, campaign: ChaosCampaign,

@@ -18,7 +18,7 @@ cross-cluster edges and therefore the natural cut line for partitioned
 * :class:`GatewayForwarder` sits on the **far** medium: it re-offers
   custody frames with itself as the frame-level source, retrying until
   the far side — including its recorder — accepts, and surfaces retry
-  exhaustion (or a crash of the gateway itself) as dead letters:
+  exhaustion as dead letters:
   ``gateway.<id>.frames_dropped`` on the far cluster's metrics spine
   plus a ``gateway.drop`` trace event, mirroring
   ``Transport.on_gave_up``.
@@ -45,7 +45,6 @@ so two federations built in one process get identical ids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
@@ -53,7 +52,7 @@ from weakref import WeakKeyDictionary
 from repro.errors import NetworkError
 from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
-from repro.obs import Observability, merge_event_streams, merge_snapshots
+from repro.obs import Observability, merge_snapshots
 from repro.sim.engine import Engine, PartitionChannel
 from repro.system import (RECORDER_ID_OFFSET, System, SystemConfig,
                           check_config, recorder_count)
@@ -170,7 +169,6 @@ class GatewayForwarder:
         self.service_ms = service_ms
         self._busy_until = 0.0
         self.on_drop = on_drop
-        self.up = True
         self._awaiting: Dict[int, int] = {}    # frame_id -> attempts
         self._originals: Dict[int, Frame] = {}  # frame_id -> original frame
         obs = obs or Observability(lambda: engine.now)
@@ -210,11 +208,8 @@ class GatewayForwarder:
         self.engine.schedule(done - now, self._forward, frame, 0)
 
     def _forward(self, frame: Frame, attempt: int) -> None:
-        if not self.up:
-            self._drop(frame, attempt, "gateway_down")
-            return
         if attempt >= self.max_retries:
-            self._drop(frame, attempt, "retries_exhausted")
+            self._drop(frame, attempt)
             return
         clone = frame.clone_for(frame.dst_node)
         # The gateway takes custody: it is the frame-level source on the
@@ -235,38 +230,14 @@ class GatewayForwarder:
         self.retries.inc()
         self.engine.schedule(self.retry_ms, self._forward, original, attempt + 1)
 
-    def _drop(self, frame: Frame, attempt: int, reason: str) -> None:
+    def _drop(self, frame: Frame, attempt: int) -> None:
         """Dead-letter a custody frame, mirroring ``Transport.on_gave_up``."""
         self.frames_dropped.inc()
         self.events.emit("drop", f"gateway{self.gateway_id}",
                          dst=frame.dst_node, attempts=attempt,
-                         reason=reason, bytes=frame.size_bytes)
+                         reason="retries_exhausted", bytes=frame.size_bytes)
         if self.on_drop is not None:
             self.on_drop(self.gateway_id, frame, attempt)
-
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Fail the far half: every frame in custody is lost and
-        dead-lettered. Custody loss is *permanent* — the near-side
-        sender's transport was satisfied when the near cluster's
-        recorder stored the frame, so nothing upstream retransmits; the
-        dead-letter ledger is how the loss surfaces. (Frames the tap
-        had not yet claimed are safe: their senders keep retrying at
-        the link level until the gateway is back.)"""
-        if not self.up:
-            return
-        self.up = False
-        self.far_iface.up = False
-        for frame_id, attempt in list(self._awaiting.items()):
-            original = self._originals.get(frame_id)
-            if original is not None:
-                self._drop(original, attempt, "gateway_crash")
-        self._awaiting.clear()
-        self._originals.clear()
-
-    def restart(self) -> None:
-        self.up = True
-        self.far_iface.up = True
 
 
 class GatewayTap:
@@ -283,7 +254,6 @@ class GatewayTap:
         self.channel = channel
         self.forward_delay_ms = forward_delay_ms
         self.gateway_id = gateway_id
-        self.up = True
         obs = obs or Observability(lambda: engine.now)
         self.frames_claimed = obs.registry.counter(
             f"gateway.{gateway_id}.frames_claimed")
@@ -292,8 +262,6 @@ class GatewayTap:
         near.attach(self.near_iface)
 
     def _on_near_frame(self, frame: Frame) -> None:
-        if not self.up:
-            return
         if frame.kind is not FrameKind.DATA:
             return
         if not self.far_nodes(frame.dst_node):
@@ -302,14 +270,6 @@ class GatewayTap:
             return   # the near sender's transport will retry
         self.frames_claimed.inc()
         self.channel.send(self.engine.now + self.forward_delay_ms, frame)
-
-    def crash(self) -> None:
-        self.up = False
-        self.near_iface.up = False
-
-    def restart(self) -> None:
-        self.up = True
-        self.near_iface.up = True
 
 
 class _DirectChannel:
@@ -388,25 +348,6 @@ class Gateway:
         gateway.tap = tap
         gateway.forwarder = forwarder
         return gateway
-
-    @property
-    def up(self) -> bool:
-        return ((self.tap is None or self.tap.up)
-                and (self.forwarder is None or self.forwarder.up))
-
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Fail both halves: claiming stops, custody frames are lost."""
-        if self.tap is not None:
-            self.tap.crash()
-        if self.forwarder is not None:
-            self.forwarder.crash()
-
-    def restart(self) -> None:
-        if self.tap is not None:
-            self.tap.restart()
-        if self.forwarder is not None:
-            self.forwarder.restart()
 
 
 class ClusterFederation:
@@ -512,7 +453,7 @@ class ClusterFederation:
                     f"cluster {index}: {shard_count} recorder shards "
                     f"do not fit in a node stride of {NODES_STRIDE}")
             # Routable across gateways: a remote cluster can address
-            # this cluster's recorders (cross-cluster recovery).
+            # this cluster's recorders.
             nodes |= set(range(config.recorder_node_id,
                                config.recorder_node_id + shard_count))
             self.configs.append(config)
@@ -578,13 +519,6 @@ class ClusterFederation:
                            attempts: int) -> None:
         self.dead_letters.append(DeadLetter(gateway_id, frame, attempts))
 
-    def gateway_edges(self) -> Dict[int, Tuple[int, int]]:
-        """``gateway_id -> (src_cluster, dst_cluster)`` for every
-        directed edge of the topology — including edges whose gateway
-        object lives on a remote slice."""
-        return {gid: (src, dst) for gid, src, dst in directed_gateways(
-            len(self.configs), self.topology)}
-
     @property
     def now(self) -> float:
         """Current federation time."""
@@ -616,89 +550,6 @@ class ClusterFederation:
                 return system
         raise NetworkError(f"node {node_id} is in no cluster")
 
-    # ------------------------------------------------------------------
-    # cross-cluster recovery (§6.2 autonomous control, sharded)
-    # ------------------------------------------------------------------
-    def neighbours_of(self, cluster_index: int) -> List[int]:
-        """Clusters sharing a gateway edge with ``cluster_index``."""
-        return sorted(
-            b if a == cluster_index else a
-            for a, b in federation_edges(len(self.configs), self.topology)
-            if cluster_index in (a, b))
-
-    def _pick_helper(self, home_index: int) -> int:
-        """The deterministic helper for a cross-cluster recovery: the
-        lowest-indexed gateway neighbour whose primary recorder is up
-        (the primary claims cross-cluster traffic, so it holds the
-        passive replay log a remote recovery replays from)."""
-        for index in self.neighbours_of(home_index):
-            system = self.systems.get(index)
-            if (system is not None and system.recorder is not None
-                    and system.recorder.up):
-                return index
-        raise NetworkError(
-            f"no gateway neighbour of cluster {home_index} has a live "
-            f"recorder to recover from")
-
-    def remote_recover(self, node_id: int,
-                       helper: Optional[int] = None) -> int:
-        """Recover every process on ``node_id`` by replaying from a
-        *remote* cluster's recorder, routed through the gateways.
-
-        The §6.2 escape hatch for a cluster whose own recorder shard is
-        down: a gateway neighbour's primary recorder passively recorded
-        the cross-cluster traffic (its tap claim doubles as the
-        delivery observation), so it holds a replay log for the
-        destination in its own medium's reception order. Process
-        metadata (image, args, links) is copied from the home shard's
-        stable-storage database — the publishing disk survives the
-        recorder crash (§4.5) — while the message log replayed is the
-        helper's own. The helper's recreate/replay/marker controls are
-        ordinary guaranteed traffic and cross the fabric through the
-        store-and-forward gateways.
-
-        Returns how many process recoveries were started.
-        """
-        home = self.cluster_of(node_id)
-        if helper is None:
-            helper = self._pick_helper(home.cluster_index)
-        helper_sys = self.systems.get(helper)
-        if helper_sys is None:
-            raise NetworkError(f"cluster {helper} is outside this slice")
-        recorder = helper_sys.recorder
-        manager = helper_sys.recovery
-        if recorder is None or not recorder.up or manager is None:
-            raise NetworkError(
-                f"cluster {helper} has no live recorder to replay from")
-        if not home.recorders:
-            raise NetworkError(
-                f"cluster {home.cluster_index} has no recorder database "
-                f"to read process metadata from")
-        # The home shard's database survives on stable storage even
-        # when the recorder process is down (§4.5).
-        home_recorder = home.recorders[
-            home.placement.shard_for(node_id).index]
-        home.restart_node(node_id)
-        started = 0
-        for record in home_recorder.db.processes_on(node_id):
-            if record.image == "" or record.recovering:
-                continue
-            # Fills a placeholder the helper created from passive
-            # message traffic before any metadata was known.
-            mine = recorder.db.create(
-                record.pid, node=record.node, image=record.image,
-                args=record.args, initial_links=record.initial_links,
-                recoverable=record.recoverable,
-                state_pages=record.state_pages)
-            if manager.start_recovery(mine, target_node=node_id):
-                started += 1
-        helper_sys.obs.registry.counter(
-            "recorder.placement.remote_recoveries").inc(started)
-        return started
-
-    # ------------------------------------------------------------------
-    # the merged observability spine
-    # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:
         """Every cluster's metrics in one snapshot, keys prefixed
         ``cluster.<index>.`` — the per-LP registries merged back into a
@@ -706,16 +557,3 @@ class ClusterFederation:
         return merge_snapshots(
             (f"cluster.{index}", self.systems[index].metrics_snapshot())
             for index in sorted(self.systems))
-
-    def merged_events(self) -> List[Dict[str, object]]:
-        """Every cluster's trace events as one time-ordered stream;
-        each record carries its ``cluster`` label. Ties on time keep
-        cluster-index order (per-cluster order is always preserved)."""
-        return merge_event_streams(
-            (f"cluster.{index}", self.systems[index].obs.bus)
-            for index in sorted(self.systems))
-
-    def event_stream(self) -> str:
-        """:meth:`merged_events` as JSON lines."""
-        return "\n".join(json.dumps(record, sort_keys=True)
-                         for record in self.merged_events())

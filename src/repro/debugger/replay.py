@@ -164,7 +164,3 @@ class ReplayDebugger(ProcessHost):
             if self.step() is None:
                 return self.steps
         raise ReproError("history longer than max_steps")
-
-    def state(self) -> Optional[Any]:
-        """The program's current (snapshot-able) state."""
-        return self.program.snapshot()

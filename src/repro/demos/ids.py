@@ -29,10 +29,6 @@ class ProcessId(NamedTuple):
     node: int
     local: int
 
-    def is_kernel_process(self) -> bool:
-        """True for the per-node kernel process pseudo-pid."""
-        return self.local == KERNEL_LOCAL_ID
-
     def __str__(self) -> str:
         return f"{self.node}.{self.local}"
 

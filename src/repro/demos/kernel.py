@@ -111,10 +111,6 @@ class NodeCpu:
         """Forget the busy horizon (node restart)."""
         self._busy_until = 0.0
 
-    @property
-    def total_ms(self) -> float:
-        return self.kernel_ms.value + self.user_ms.value
-
 
 class ProcessContext:
     """The API surface a program sees. Every method is a kernel call."""
@@ -163,10 +159,6 @@ class ProcessContext:
     def exit(self) -> None:
         """Terminate this process normally."""
         self._kernel.syscall_exit(self._pcb)
-
-    def log(self, text: str, **detail: Any) -> None:
-        """Emit a trace record attributed to this process."""
-        self._kernel.events.emit("program", self.pid, text=text, **detail)
 
 
 class ProcessHost:

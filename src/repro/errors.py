@@ -78,16 +78,8 @@ class QuorumDivergenceError(RecorderError):
     """Quorum replay could not reconcile the recorder streams."""
 
 
-class RecoveryError(ReproError):
-    """Process or recorder recovery could not make progress."""
-
-
 class StorageError(ReproError):
     """Stable storage or the disk model rejected an operation."""
-
-
-class TransactionError(ReproError):
-    """A published transaction was aborted or misused."""
 
 
 class QueueingModelError(ReproError):

@@ -425,9 +425,3 @@ class Frame:
         if other.__class__ is not Frame:
             return NotImplemented
         return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"Frame(kind={self.kind!r}, src_node={self.src_node!r}, "
-                f"dst_node={self.dst_node!r}, payload={self.payload!r}, "
-                f"size_bytes={self.size_bytes!r}, "
-                f"frame_id={self.frame_id!r}, checksum={self.checksum!r})")

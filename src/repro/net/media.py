@@ -114,10 +114,6 @@ class NetworkInterface:
             raise NetworkError(f"interface {self.node_id} is not attached")
         self.medium.transmit(self, frame)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        role = "recorder" if self.is_recorder else "station"
-        return f"<iface node={self.node_id} {role} {'up' if self.up else 'down'}>"
-
 
 class Medium:
     """Base class for all medium models."""

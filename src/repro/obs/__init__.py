@@ -16,7 +16,7 @@ and writes it with ``.emit()``; benches and the CLI read everything back
 through ``registry.snapshot()`` and ``obs.bus``.
 """
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.obs.events import Event, EventBus, Scope
 from repro.obs.metrics import (
@@ -60,24 +60,6 @@ def merge_snapshots(
     return dict(sorted(merged.items()))
 
 
-def merge_event_streams(
-        parts: Iterable[Tuple[str, EventBus]]) -> List[Dict[str, Any]]:
-    """Merge several labelled event buses into one time-ordered stream.
-
-    Each record gains a ``cluster`` field naming its source part. Ties
-    on time are broken by part order then intra-bus order, so each
-    bus's own total order is preserved and the merge is deterministic.
-    """
-    entries = []
-    for part_index, (label, bus) in enumerate(parts):
-        for position, event in enumerate(bus.events):
-            record = event.to_dict()
-            record["cluster"] = label
-            entries.append((event.time, part_index, position, record))
-    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-    return [record for _, _, _, record in entries]
-
-
 __all__ = [
     "Counter",
     "Event",
@@ -87,7 +69,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "Scope",
-    "merge_event_streams",
     "merge_snapshots",
     "TimeWeightedAverage",
 ]

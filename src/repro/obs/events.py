@@ -220,12 +220,3 @@ class EventBus:
         """The stream as JSON lines — one event per line, in order."""
         return "\n".join(json.dumps(e.to_dict(), sort_keys=True)
                          for e in self.events)
-
-    def export_json(self, path: str) -> int:
-        """Write the stream to ``path`` as JSON lines; returns the
-        number of events written."""
-        with open(path, "w", encoding="utf-8") as fp:
-            text = self.to_jsonl()
-            if text:
-                fp.write(text + "\n")
-        return len(self.events)

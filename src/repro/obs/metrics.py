@@ -7,8 +7,8 @@ Four instrument kinds cover everything the benchmark suite reads:
 
 * :class:`Counter` — monotonically increasing totals (frames, bytes,
   retransmissions, CPU milliseconds);
-* :class:`Gauge` — point-in-time values, either set directly or derived
-  from a callback at snapshot time (``sim.events_fired``);
+* :class:`Gauge` — point-in-time values derived from a callback at
+  snapshot time (``sim.events_fired``);
 * :class:`TimeWeightedAverage` — averages weighted by how long each
   value was held (transport queue depth);
 * :class:`Histogram` — count/sum/min/max plus optional bucket counts
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import MetricKindError
 
@@ -44,21 +44,17 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value, set directly or read from a callback."""
+    """A point-in-time value read from a callback."""
 
-    __slots__ = ("name", "_value", "_fn")
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str, fn: Optional[Callable[[], Any]] = None):
+    def __init__(self, name: str, fn: Callable[[], Any]):
         self.name = name
-        self._value: Any = 0
         self._fn = fn
-
-    def set(self, value: Any) -> None:
-        self._value = value
 
     @property
     def value(self) -> Any:
-        return self._fn() if self._fn is not None else self._value
+        return self._fn()
 
     def snapshot_value(self) -> Any:
         return self.value
@@ -134,9 +130,6 @@ class Histogram:
             # (overflow) bucket; bounds ascend
             self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def snapshot_value(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"count": self.count, "sum": self.total,
                                "min": self.min, "max": self.max}
@@ -173,9 +166,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter, lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
     def gauge_fn(self, name: str, fn: Callable[[], Any]) -> Gauge:
         """A gauge whose value is computed at snapshot time."""
         gauge = self._get_or_create(name, Gauge, lambda: Gauge(name, fn))
@@ -195,12 +185,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def get(self, name: str) -> Any:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
     def snapshot(self) -> Dict[str, Any]:
         """Every metric's current value, keyed by name, name-sorted.
 
@@ -213,9 +197,3 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def export_json(self, path: str) -> int:
-        """Write the snapshot to ``path``; returns the metric count."""
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(self.to_json() + "\n")
-        return len(self._metrics)

@@ -52,9 +52,6 @@ class CheckpointPolicy:
                           pcb: ProcessControlRecord) -> bool:
         raise NotImplementedError
 
-    def __call__(self, kernel: MessageKernel, pcb: ProcessControlRecord) -> bool:
-        return self.should_checkpoint(kernel, pcb)
-
 
 @dataclass
 class YoungIntervalPolicy(CheckpointPolicy):

@@ -101,10 +101,6 @@ class LoggedMessage:
     def is_marker(self) -> bool:
         return self.message.recovery_marker
 
-    def __repr__(self) -> str:    # pragma: no cover - debugging aid
-        return (f"LoggedMessage({self.message!r}, {self.arrival_index}, "
-                f"invalid={self._invalid})")
-
 
 class ReplayCursor:
     """Iterates one process's surviving records in arrival order.

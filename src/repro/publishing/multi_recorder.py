@@ -453,10 +453,6 @@ class QuorumVerdict:
     stale_skips: int
     replayed: int
 
-    @property
-    def clean(self) -> bool:
-        return not self.divergent and not self.unresolved
-
 
 def quorum_replay_stream(records: Sequence,
                          f: Optional[int] = None) -> QuorumVerdict:

@@ -162,10 +162,6 @@ class Recorder:
                                    self._on_segment, self.config.transport,
                                    is_recorder=True, tap=self.observe_frame,
                                    obs=self.obs)
-        # Graceful degradation: a guaranteed send that exhausts its
-        # retries (a node that never came back) is traced as a dead
-        # letter rather than silently dropped.
-        self.transport.on_gave_up = self._on_dead_letter
         # §4.4.1 ack tracing: the medium tells us when destinations
         # actually receive frames, fixing the log's reception order.
         self.transport.iface.on_delivery = self.observe_delivery
@@ -422,10 +418,6 @@ class Recorder:
                             size_bytes=marker.size_bytes,
                             uid=tuple(marker.msg_id))
 
-    def _on_dead_letter(self, segment: Segment, attempts: int) -> None:
-        self.events.emit("dead_letter", "recorder", dst=segment.dst_node,
-                         attempts=attempts)
-
     # ------------------------------------------------------------------
     # failure injection
     # ------------------------------------------------------------------
@@ -448,13 +440,3 @@ class Recorder:
         self.transport.restart()
         self.events.emit("restart", "recorder", restart_number=restart_number)
         return restart_number
-
-    # ------------------------------------------------------------------
-    def utilization(self, elapsed_ms: float) -> Dict[str, float]:
-        """CPU / disk utilisation snapshot (diagnostics)."""
-        if elapsed_ms <= 0:
-            return {"cpu": 0.0, "disk": 0.0}
-        return {
-            "cpu": min(1.0, self.cpu_busy_ms.value / elapsed_ms),
-            "disk": self.disks.utilization(elapsed_ms),
-        }

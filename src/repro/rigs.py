@@ -37,7 +37,6 @@ from repro.chaos import (
     ScenarioResult,
     expected_total,
     feed_record,
-    load_campaign,
     monkey_campaign,
     register_chaos_programs,
     run_quorum_scenario,
@@ -244,13 +243,11 @@ CHAOS_SETTLE_MS = 8_000.0
 
 
 def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One fault campaign against the counter/driver workload: an
-    explicit spec (dict or JSON file), the fixed demo campaign, or —
-    what a seed-matrix cell runs — the monkey its seed determines."""
+    """One fault campaign against the counter/driver workload: the
+    fixed demo campaign, or — what a seed-matrix cell runs — the monkey
+    its seed determines."""
     seed, nodes = params["seed"], params["nodes"]
-    if params["campaign"] is not None:
-        campaign = load_campaign(params["campaign"])
-    elif params.get("scenario") == "demo":
+    if params.get("scenario") == "demo":
         campaign = demo_campaign(nodes)
     else:
         campaign = monkey_campaign(RngStreams(seed),
@@ -275,18 +272,14 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
 def chaos_matrix_tasks(seed: int = 1983, runs: int = 9,
                        nodes: int = 3, pairs: int = 2, messages: int = 20,
                        medium: str = "broadcast",
-                       duration_ms: float = 4000.0,
-                       campaign: Any = None) -> List[ShardTask]:
-    """``runs`` seeded chaos scenarios. Every shard's master seed is
-    ``shard_seed(seed, name)`` — pure name derivation, so the matrix
-    lands on identical seeds however it is scheduled. With a
-    ``campaign`` (spec dict or file) the same campaign replays under
-    each derived seed's workload; without one each shard runs its own
-    monkey."""
+                       duration_ms: float = 4000.0) -> List[ShardTask]:
+    """``runs`` seeded chaos scenarios, each running its own monkey.
+    Every shard's master seed is ``shard_seed(seed, name)`` — pure name
+    derivation, so the matrix lands on identical seeds however it is
+    scheduled."""
     return [make_task("chaos", name, seed=shard_seed(seed, name),
                       nodes=nodes, pairs=pairs, messages=messages,
-                      medium=medium, duration_ms=duration_ms,
-                      campaign=campaign)
+                      medium=medium, duration_ms=duration_ms)
             for name in (f"chaos/{k:03d}" for k in range(runs))]
 
 
@@ -398,8 +391,7 @@ def run_adversary(params: Dict[str, Any]) -> Dict[str, Any]:
     system, report = run_quorum_scenario(
         f=params["f"], byzantine=params["byzantine"],
         messages=params["messages"], master_seed=params["seed"],
-        modes=tuple(params["modes"]), rate=params["rate"],
-        equivocate=params["equivocate"])
+        modes=tuple(params["modes"]), rate=params["rate"])
     return dict(report, event_digest=text_digest(system.obs.bus.to_jsonl()))
 
 
@@ -802,10 +794,6 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
             Param("scenario", "demo", choices=("demo", "monkey"), on="run",
                   help="demo: one fixed fault of each kind; monkey: "
                        "seed-determined random campaign"),
-            Param("campaign", flag="--file",
-                  help="load the campaign from this JSON file (overrides "
-                       "--scenario; a sweep replays it in every shard "
-                       "instead of per-shard monkeys)"),
             Param("seed", 1983,
                   help="master seed (drives both the workload and the "
                        "monkey); a sweep's root seed, from which each "
@@ -838,10 +826,7 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                 Param("modes", ("drop", "corrupt", "duplicate", "reorder"),
                       parse=_csv(str),
                       help="comma-separated Byzantine fault modes"),
-                Param("rate", 0.3, "per-record fault probability"),
-                Param("equivocate", False,
-                      "faulty recorders also log shared divergent "
-                      "payloads")),
+                Param("rate", 0.3, "per-record fault probability")),
         run=run_adversary, smoke={"messages": 8}),
     Rig("des", "run one federation serially and on a process pool "
                "(conservative parallel DES) and compare digests",

@@ -265,7 +265,7 @@ class System:
         check_config(self.config)
         self.engine = engine or Engine()
         #: set by ClusterFederation when this cluster lives in one —
-        #: lets chaos actions reach federation-level subjects (gateways)
+        #: lets the chaos report count its gateways' dead letters
         self.federation = None
         self.cluster_index: Optional[int] = None
         self.rng = RngStreams(self.config.master_seed)
@@ -372,6 +372,9 @@ class System:
                                 self._recorder_config(shard.node_id),
                                 obs=self.obs)
             recorder.claim = placement.claim_of(shard.index)
+            recorder.transport.on_gave_up = (
+                lambda segment, attempts, _n=shard.node_id:
+                self._note_dead_letter(_n, segment, attempts))
             manager = RecoveryManager(
                 self.engine, recorder,
                 node_ids=list(range(shard.lo, shard.hi)))
@@ -569,14 +572,6 @@ class System:
     def metrics_snapshot(self) -> Dict[str, object]:
         """A name-sorted snapshot of every registered metric."""
         return self.obs.registry.snapshot()
-
-    def export_metrics(self, path: str) -> None:
-        """Write :meth:`metrics_snapshot` to ``path`` as JSON."""
-        self.obs.registry.export_json(path)
-
-    def export_trace(self, path: str) -> None:
-        """Write every recorded event to ``path`` as JSON lines."""
-        self.obs.bus.export_json(path)
 
     # ------------------------------------------------------------------
     # process management

@@ -250,7 +250,3 @@ class TxnClient(Program):
         if isinstance(body, tuple) and body and body[0] in ("committed", "aborted"):
             self.outcomes.append((body[0], body[1]))
             self._submit_next(ctx)
-
-    @property
-    def finished(self) -> bool:
-        return len(self.outcomes) >= len(self.script)

@@ -18,20 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.adversary import (
     BYZANTINE_MODES,
-    BoundedBufferRecorder,
     ByzantineRecorder,
-    EquivocatingSender,
-    EquivocationPlan,
     feed_record,
     run_quorum_scenario,
 )
-from repro.chaos.actions import (
-    BoundRecorderBuffers,
-    ByzantineRecorderFault,
-    EquivocateSender,
-    action_from_dict,
-)
-from repro.chaos.campaign import ChaosCampaign, load_campaign
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.errors import ReproError
@@ -72,25 +62,16 @@ def truth_digest(n, markers=()):
 # ----------------------------------------------------------------------
 # the tentpole property: <=f faulty of 2f+1 => digest-identical recovery
 # ----------------------------------------------------------------------
-def build_members(f, n, faulty, seed, modes, rate, collude, markers=()):
-    """2f+1 recorder logs; indices in ``faulty`` get adversary stages.
-
-    ``collude`` routes every faulty member through one shared
-    :class:`EquivocationPlan` (they agree with each other); otherwise
-    each gets an independent :class:`ByzantineRecorder`.
-    """
+def build_members(f, n, faulty, seed, modes, rate, markers=()):
+    """2f+1 recorder logs; each index in ``faulty`` gets an independent
+    :class:`ByzantineRecorder` stage."""
     total = 2 * f + 1
-    plan = EquivocationPlan(random.Random(seed), rate=rate)
     members = []
     for k in range(total):
         stage = None
         if k in faulty:
-            if collude:
-                stage = EquivocatingSender(plan)
-            else:
-                stage = ByzantineRecorder(
-                    random.Random(seed * 1000003 + k),
-                    modes=modes, rate=rate)
+            stage = ByzantineRecorder(random.Random(seed * 1000003 + k),
+                                      modes=modes, rate=rate)
         _, record = build_log(n, stage=stage, markers=markers)
         members.append((90 + k, record))
     return members
@@ -103,7 +84,6 @@ case_strategy = dict(
     modes=st.lists(st.sampled_from(BYZANTINE_MODES),
                    min_size=1, max_size=len(BYZANTINE_MODES), unique=True),
     rate=st.floats(0.05, 0.9),
-    collude=st.booleans(),
     data=st.data(),
 )
 
@@ -112,7 +92,7 @@ case_strategy = dict(
           suppress_health_check=[HealthCheck.too_slow])
 @given(**case_strategy)
 def test_at_most_f_faulty_recovers_digest_identical(
-        f, n, seed, modes, rate, collude, data):
+        f, n, seed, modes, rate, data):
     """The headline invariant: any <=f faulty subset — including the
     primary — leaves the quorum stream digest-identical to the
     fault-free run, with no unresolved votes and no honest recorder
@@ -121,7 +101,7 @@ def test_at_most_f_faulty_recovers_digest_identical(
     count = data.draw(st.integers(0, f), label="faulty_count")
     faulty = set(data.draw(
         st.permutations(range(total)), label="faulty_members")[:count])
-    members = build_members(f, n, faulty, seed, tuple(modes), rate, collude)
+    members = build_members(f, n, faulty, seed, tuple(modes), rate)
     verdict = quorum_replay_stream(members, f=f)
     assert process_state_digest(verdict.stream) == truth_digest(n)
     assert verdict.replayed == n
@@ -133,7 +113,7 @@ def test_at_most_f_faulty_recovers_digest_identical(
           suppress_health_check=[HealthCheck.too_slow])
 @given(**case_strategy)
 def test_beyond_f_faulty_is_flagged_never_silent(
-        f, n, seed, modes, rate, collude, data):
+        f, n, seed, modes, rate, data):
     """Past the design point the quorum may lose — but never silently:
     either the majority still rebuilt the true state, or divergence /
     unresolved flags fired. A wrong digest with a clean verdict is the
@@ -143,7 +123,7 @@ def test_beyond_f_faulty_is_flagged_never_silent(
     faulty = set(data.draw(
         st.permutations(range(total)), label="faulty_members")[:count])
     members = build_members(f, n, seed=seed, faulty=faulty,
-                            modes=tuple(modes), rate=rate, collude=collude)
+                            modes=tuple(modes), rate=rate)
     verdict = quorum_replay_stream(members, f=f)
     corrupted = process_state_digest(verdict.stream) != truth_digest(n)
     detected = bool(verdict.divergent) or verdict.unresolved > 0
@@ -151,7 +131,7 @@ def test_beyond_f_faulty_is_flagged_never_silent(
         "beyond-f corruption passed without a divergence flag"
 
 
-@pytest.mark.parametrize("fault", ["corrupt", "bitrot", "equivocate"])
+@pytest.mark.parametrize("fault", ["corrupt", "bitrot"])
 def test_warm_images_do_not_hide_a_faulty_recorder(fault):
     """On the medium every recorder hears the same ``Message`` object,
     and by replay time it carries its image: framed by the sender,
@@ -164,13 +144,10 @@ def test_warm_images_do_not_hide_a_faulty_recorder(fault):
     for m in messages:
         Frame(FrameKind.DATA, 1, 2,
               Segment(("m", m.msg_id.seq), 1, 2, m), m.size_bytes)
-    plan = EquivocationPlan(random.Random(5), rate=1.0)
     members = []
     for k in range(3):
         stage = None
-        if k == 2 and fault == "equivocate":
-            stage = EquivocatingSender(plan)
-        elif k == 2:
+        if k == 2:
             stage = ByzantineRecorder(random.Random(7), modes=(fault,),
                                       rate=1.0)
         db = RecorderDatabase()
@@ -197,7 +174,7 @@ def test_quorum_survives_markers_interleaved():
     faulty = {2}
     members = build_members(1, 10, faulty, seed=5,
                             modes=("corrupt", "drop"), rate=0.5,
-                            collude=False, markers=markers)
+                            markers=markers)
     verdict = quorum_replay_stream(members, f=1)
     assert process_state_digest(verdict.stream) == truth_digest(
         10, markers=markers)
@@ -224,41 +201,21 @@ def test_byzantine_stage_is_seed_pure():
     assert once() == once()
 
 
-def test_equivocation_plan_decides_once_per_message():
-    plan = EquivocationPlan(random.Random(3), rate=1.0)
-    m = make_message(1)
-    first = plan.variant(m)
-    assert first is not None and first.body[0] == "equivocate"
-    assert plan.variant(m) is first        # cached, no second draw
-    marker = make_message(2, marker=True)
-    assert plan.variant(marker) is None    # markers exempt
-
-
-def test_colluding_equivocators_log_identical_wrong_bodies():
-    plan = EquivocationPlan(random.Random(9), rate=1.0)
-    _, rec_a = build_log(8, stage=EquivocatingSender(plan))
-    _, rec_b = build_log(8, stage=EquivocatingSender(plan))
-    assert ([lm.message.body for lm in rec_a.arrivals]
-            == [lm.message.body for lm in rec_b.arrivals])
-    assert all(lm.message.body[0] == "equivocate"
-               for lm in rec_a.arrivals)
-
-
 def test_recorder_stages_chain_in_order():
     """Each armed stage transforms what the previous one passed on:
-    equivocated first, then doubled (the second copy forced past
+    corrupted first, then doubled (the second copy forced past
     dedup)."""
     recorder = make_recorder()
-    plan = EquivocationPlan(random.Random(4), rate=1.0)
-    recorder.stages.append(EquivocatingSender(plan))
+    recorder.stages.append(ByzantineRecorder(random.Random(4),
+                                             modes=("corrupt",), rate=1.0))
     recorder.stages.append(ByzantineRecorder(random.Random(8),
                                              modes=("duplicate",), rate=1.0))
     record = recorder.db.create(TARGET, node=TARGET.node, image="t")
     logged = list(recorder.db.deliver(make_message(1),
                                       lambda _message: record,
                                       recorder.stages))
-    assert len(logged) == 2                    # equivocated, then doubled
-    assert all(lm.message.body[0] == "equivocate" for lm in logged)
+    assert len(logged) == 2                    # corrupted, then doubled
+    assert all(lm.message.body[0] == "corrupt" for lm in logged)
     assert [lm.message for lm in record.arrivals] == [logged[0].message] * 2
 
 
@@ -300,6 +257,21 @@ def test_deliver_notifies_the_stage_after_its_caller_saw_the_record():
     assert lm.message.body == ("bitrot", message.body)
 
 
+def test_gossip_repairs_pass_the_stages():
+    """A repaired record enters the log through the same door as an
+    observed delivery, so an armed stage faults it too; a repair of a
+    record already logged is counted as a duplicate, not logged."""
+    recorder = make_recorder()
+    recorder.stages.append(ByzantineRecorder(random.Random(2),
+                                             modes=("corrupt",), rate=1.0))
+    assert recorder.record_repair(make_message(1))
+    record = recorder.db.get(TARGET)
+    assert [lm.message.body[0] for lm in record.arrivals] == ["corrupt"]
+    assert not recorder.record_repair(make_message(1))
+    assert recorder.duplicates_ignored.value == 1
+    assert len(record.arrivals) == 1
+
+
 def test_unknown_byzantine_mode_rejected():
     with pytest.raises(ValueError):
         ByzantineRecorder(random.Random(1), modes=("gaslight",))
@@ -307,10 +279,9 @@ def test_unknown_byzantine_mode_rejected():
 
 @pytest.mark.parametrize("build", [
     lambda: ByzantineRecorder(random.Random(1), modes=("gaslight",)),
-    lambda: BoundedBufferRecorder(make_recorder(), max_records=0),
     lambda: run_quorum_scenario(f=1, byzantine=4),
     lambda: run_quorum_scenario(f=0, byzantine=0),
-], ids=["unknown_mode", "zero_cap", "more_faulty_than_recorders",
+], ids=["unknown_mode", "more_faulty_than_recorders",
         "no_quorum_to_run"])
 def test_adversary_misconfiguration_is_a_typed_error(build):
     """In the library's tree (``except ReproError`` sees it) and still
@@ -320,9 +291,6 @@ def test_adversary_misconfiguration_is_a_typed_error(build):
     assert isinstance(error.value, ValueError)
 
 
-# ----------------------------------------------------------------------
-# bounded buffers: advisories fire, eviction spares markers/controls
-# ----------------------------------------------------------------------
 def make_recorder():
     from repro.net.media import PerfectBroadcast
     from repro.net.transport import TransportConfig
@@ -332,82 +300,6 @@ def make_recorder():
     medium = PerfectBroadcast(engine)
     return Recorder(engine, medium, RecorderConfig(
         node_id=90, transport=TransportConfig(per_destination=True)))
-
-
-class TestBoundedBufferRecorder:
-    def test_cap_evicts_oldest_and_advises(self):
-        recorder = make_recorder()
-        stage = BoundedBufferRecorder(recorder, max_records=10,
-                                      advisory_fraction=0.8,
-                                      obs=recorder.obs)
-        recorder.stages.append(stage)
-        db = recorder.db
-        record = db.create(TARGET, node=TARGET.node, image="t")
-        for i in range(1, 26):
-            feed_record(record, db, make_message(i), stage=stage)
-        assert db.log.live_records <= 10
-        assert stage.evictions == 15
-        assert stage.advisories >= 1
-        valid = [lm.message.msg_id.seq for lm in record.arrivals
-                 if not lm.invalid]
-        assert valid == list(range(16, 26))      # oldest went first
-        snap = recorder.obs.registry.snapshot()
-        assert snap["adversary.evictions"] == 15
-        assert snap["adversary.backpressure_advisories"] >= 1
-        backpressure = [e for e in recorder.obs.bus.events
-                        if e.scope == "adversary"
-                        and e.category == "backpressure"]
-        assert backpressure and backpressure[0].detail["cap"] == 10
-
-    def test_markers_survive_eviction(self):
-        recorder = make_recorder()
-        stage = BoundedBufferRecorder(recorder, max_records=6,
-                                      obs=recorder.obs)
-        recorder.stages.append(stage)
-        db = recorder.db
-        record = db.create(TARGET, node=TARGET.node, image="t")
-        for i in range(1, 5):
-            feed_record(record, db, make_message(i), stage=stage)
-            feed_record(record, db, make_message(100 + i, marker=True),
-                        stage=stage)
-        for i in range(5, 9):
-            feed_record(record, db, make_message(i), stage=stage)
-        markers = [lm for lm in record.arrivals if lm.is_marker]
-        assert markers and all(not lm.invalid for lm in markers)
-
-    def test_advisory_rearms_below_threshold(self):
-        recorder = make_recorder()
-        stage = BoundedBufferRecorder(recorder, max_records=100,
-                                      advisory_fraction=0.02)
-        db = recorder.db
-        record = db.create(TARGET, node=TARGET.node, image="t")
-        feed_record(record, db, make_message(1), stage=stage)
-        feed_record(record, db, make_message(2), stage=stage)
-        assert stage.advisories == 1             # once per episode
-        record.arrivals[0].invalid = True
-        record.arrivals[1].invalid = True
-        feed_record(record, db, make_message(3), stage=stage)
-        feed_record(record, db, make_message(4), stage=stage)
-        assert stage.advisories == 2             # re-armed after the dip
-
-    def test_gossip_repairs_pass_the_cap(self):
-        """A repaired record enters the log through the same door as an
-        observed delivery, so an armed cap holds it too."""
-        recorder = make_recorder()
-        cap = 6
-        stage = BoundedBufferRecorder(recorder, max_records=cap,
-                                      obs=recorder.obs)
-        recorder.stages.append(stage)
-        for i in range(1, cap + 6):
-            assert recorder.record_repair(make_message(i))
-        assert recorder.db.log.live_records <= cap
-        assert stage.evictions == 5
-        assert not recorder.record_repair(make_message(1))   # duplicate
-        assert recorder.duplicates_ignored.value == 1
-
-    def test_rejects_zero_cap(self):
-        with pytest.raises(ValueError):
-            BoundedBufferRecorder(make_recorder(), max_records=0)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +329,7 @@ def test_capped_gossip_buffer_converges_or_reports(depth):
     lossless recorded sets or the shortfall is *reported* (gave_up /
     outstanding) — a silent divergence is the only failure."""
     lossless = run_gossip(29, 10, None, depth)
-    assert lossless.ok, lossless.report.format()
+    assert lossless.ok, lossless.report.to_dict()
     lossy = run_gossip(29, 10, 0.25, depth)
     snap = lossy.system.metrics_snapshot()
     converged = (snap["gossip.outstanding"] == 0
@@ -448,40 +340,6 @@ def test_capped_gossip_buffer_converges_or_reports(depth):
     else:
         assert snap["gossip.gave_up"] > 0 or snap["gossip.outstanding"] > 0
     assert lossy.totals == [lossy.expected]      # delivery never corrupts
-
-
-# ----------------------------------------------------------------------
-# chaos action layer: declarative, JSON-round-trippable
-# ----------------------------------------------------------------------
-class TestAdversaryActions:
-    def test_round_trip(self):
-        actions = [
-            ByzantineRecorderFault(1200.0, rate=0.35, duration_ms=2600.0),
-            ByzantineRecorderFault(900.0, modes=("drop", "bitrot")),
-            EquivocateSender(1400.0, rate=0.5, sender=(1, 4)),
-            BoundRecorderBuffers(700.0, max_records=32),
-            ByzantineRecorderFault(900.0, rate=0.3, recorders=(91, 92)),
-            EquivocateSender(900.0, rate=0.3, recorders=(92,)),
-        ]
-        for action in actions:
-            assert action_from_dict(action.to_dict()) == action
-        campaign = ChaosCampaign(actions)
-        assert load_campaign(campaign.to_dict()).actions == campaign.actions
-
-    def test_modes_coerced_from_json_lists(self):
-        action = action_from_dict({
-            "kind": "byzantine_recorder", "at_ms": 10.0,
-            "modes": ["drop", "corrupt"], "rate": 0.1,
-            "duration_ms": None})
-        assert action.modes == ("drop", "corrupt")
-        for kind in ("byzantine_recorder", "equivocate_sender"):
-            targeted = action_from_dict({"kind": kind, "at_ms": 10.0,
-                                         "recorders": [91, 92]})
-            assert targeted.recorders == (91, 92)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ReproError):
-            action_from_dict({"kind": "lie_to_auditors", "at_ms": 1.0})
 
 
 # ----------------------------------------------------------------------
@@ -516,12 +374,6 @@ class TestQuorumScenario:
             == (465, [92], 30, 1, 0)
         assert system.engine.events_fired == 770
         assert r["sim_ms"] == 8950.0
-
-    def test_equivocating_recorder_outvoted(self):
-        system, r = run_quorum_scenario(f=1, byzantine=1, messages=20,
-                                        master_seed=11, equivocate=True)
-        assert r["ok"] and r["exact"], r
-        assert r["outvoted"] == [92]
 
     def test_beyond_f_detected_never_silent(self):
         system, r = run_quorum_scenario(f=1, byzantine=2, messages=20,

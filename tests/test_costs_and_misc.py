@@ -54,7 +54,7 @@ class TestNodeCpu:
         engine.run()
         # CPU idled from t=2 to t=10; next charge starts at now.
         assert cpu.charge(1.0) == 11.0
-        assert cpu.total_ms == 3.0
+        assert cpu.kernel_ms.value + cpu.user_ms.value == 3.0
 
     def test_kernel_and_user_buckets(self):
         cpu = NodeCpu(Engine())

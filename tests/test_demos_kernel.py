@@ -248,7 +248,6 @@ def test_cpu_accounting_separates_kernel_and_user(two_node_system):
     cpu = system.nodes[2].cpu
     assert cpu.kernel_ms.value > 0
     assert cpu.user_ms.value > 0
-    assert cpu.total_ms == cpu.kernel_ms.value + cpu.user_ms.value
 
 
 def test_stop_and_resume_process(two_node_system):

@@ -22,8 +22,6 @@ class TestIds:
 
     def test_kernel_pid(self):
         assert kernel_pid(4) == ProcessId(4, 0)
-        assert kernel_pid(4).is_kernel_process()
-        assert not ProcessId(4, 1).is_kernel_process()
 
     def test_message_id_ordering_fields(self):
         mid = MessageId(ProcessId(1, 2), 9)

@@ -1,35 +1,19 @@
-"""Planet-scale federation: sharded recorder placement, gateway
-partitions, and cross-cluster recovery (ISSUE 10).
+"""Planet-scale federation: sharded recorder placement across
+federated clusters.
 
-Three contracts pinned here:
-
-* **Placement determinism** — the same topology and policy always
-  produce byte-identical shard maps, and a sharded federation's event
-  stream hashes identically to the serial reference however the shards
-  are placed (hypothesis over random topologies).
-* **Partition tolerance** — a gateway or inter-cluster partition drops
-  frames *in flight* but dead-letters nothing: custody frames ride the
-  link-level retry budget across the outage, so a healed partition is
-  invisible to the workload.
-* **Cross-cluster recovery** — with a cluster's recorder shard down, a
-  process recovers by replaying from a *remote* cluster's passively
-  recorded log, routed through the gateways, and the replay digest is
-  identical to the no-crash run (the ISSUE 10 acceptance scenario).
+The contract pinned here is placement determinism: the same topology
+and policy always produce byte-identical shard maps, and a sharded
+federation's event stream hashes identically to the serial reference
+however the shards are placed (hypothesis over random topologies).
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import System, SystemConfig
-from repro.chaos import (
-    GatewayPartition,
-    InterclusterPartition,
-    action_from_dict,
-)
 from repro.cluster import ClusterFederation
 from repro.errors import ConfigError, PlacementError
 from repro.parallel.des import DesScenario, run_pooled, run_serial
-from repro.publishing.multi_recorder import process_state_digest
 from repro.system import RECORDER_ID_OFFSET, place
 
 from conftest import CounterProgram, DriverProgram
@@ -214,134 +198,3 @@ def test_a_medium_without_a_hardware_ack_cannot_be_federated():
     with pytest.raises(ConfigError, match="csma_ethernet"):
         ClusterFederation([1, 1], configs=[
             SystemConfig(nodes=1, medium="csma_ethernet") for _ in range(2)])
-
-
-# ----------------------------------------------------------------------
-# gateway partitions (chaos satellite)
-# ----------------------------------------------------------------------
-class TestGatewayPartitions:
-    def test_gateway_partition_drops_then_heals(self):
-        fed = build_federation((1, 1))
-        a, b = fed.clusters
-        counter = b.spawn_program("test/counter", node=101)
-        driver = a.spawn_program("test/driver",
-                                 args=(tuple(counter), 20), node=1)
-        fed.run(800)
-        gid = fed.gateways[0].gateway_id
-        action = GatewayPartition(at_ms=fed.now, gateway_id=gid,
-                                  duration_ms=1500.0)
-        assert action.apply(a)
-        assert not action.apply(a)               # state race: already cut
-        d = wait_replies(fed, a, driver, 20)
-        assert d.replies == [sum(range(1, k + 1)) for k in range(1, 21)]
-        assert fed.dead_letters == []            # retries rode it out
-        drops = sum(sys.metrics_snapshot()["faults.partition_drops"]
-                    for sys in fed.clusters)
-        assert drops > 0
-
-    def test_unknown_gateway_is_skipped(self):
-        fed = build_federation((1, 1))
-        assert not GatewayPartition(at_ms=0.0, gateway_id=424242).apply(
-            fed.clusters[0])
-
-    def test_intercluster_partition_cuts_both_directions(self):
-        fed = build_federation((1, 1, 1), topology="mesh")
-        edges = fed.gateway_edges()
-        action = InterclusterPartition(at_ms=0.0, cluster_a=0, cluster_b=1)
-        assert action.apply(fed.clusters[0])
-        cut = [gid for gid, edge in edges.items() if set(edge) == {0, 1}]
-        for gateway in fed.gateways:
-            rules = gateway.far.faults._rules
-            name = f"partition:gateway:{gateway.gateway_id}"
-            if gateway.gateway_id in cut:
-                assert any(r.name == name for r in rules)
-
-    def test_actions_round_trip_json(self):
-        for action in (GatewayPartition(at_ms=10.0, gateway_id=9000,
-                                        duration_ms=500.0),
-                       InterclusterPartition(at_ms=10.0, cluster_a=1,
-                                             cluster_b=2)):
-            assert action_from_dict(action.to_dict()) == action
-
-    def test_partition_soak_with_recorder_crash(self):
-        """The satellite-2 soak: an inter-cluster partition stands while
-        the far cluster's recorder crashes and restarts — the workload
-        still completes exactly, nothing is dead-lettered."""
-        fed = build_federation((1, 1))
-        a, b = fed.clusters
-        counter = b.spawn_program("test/counter", node=101)
-        driver = a.spawn_program("test/driver",
-                                 args=(tuple(counter), 30), node=1)
-        fed.run(800)
-        assert InterclusterPartition(at_ms=fed.now, cluster_a=0,
-                                     cluster_b=1,
-                                     duration_ms=2000.0).apply(a)
-        b.crash_recorder()
-        fed.run(1000)                            # crash inside the cut
-        b.restart_recorder()
-        d = wait_replies(fed, a, driver, 30)
-        assert d.replies == [sum(range(1, k + 1)) for k in range(1, 31)]
-        assert fed.dead_letters == []
-        assert b.metrics_snapshot()["faults.partition_drops"] > 0
-
-
-# ----------------------------------------------------------------------
-# cross-cluster recovery (the ISSUE 10 acceptance scenario)
-# ----------------------------------------------------------------------
-class TestCrossClusterRecovery:
-    N = 15
-
-    def _build(self):
-        configs = [SystemConfig(nodes=1),
-                   SystemConfig(nodes=2, recorder_shards=2)]
-        fed = build_federation((1, 2), configs=configs)
-        a, b = fed.clusters
-        counter = b.spawn_program("test/counter", node=101)
-        driver = a.spawn_program("test/driver",
-                                 args=(tuple(counter), self.N), node=1)
-        return fed, a, b, counter, driver
-
-    def test_recovery_replays_from_a_remote_recorder(self):
-        # Reference arm: no crash.
-        fed, a, b, counter, driver = self._build()
-        assert len(wait_replies(fed, a, driver, self.N).replies) == self.N
-        shard = b.placement.shard_for(101)
-        ref_digest = process_state_digest(
-            b.recorders[shard.index].db.get(counter).arrivals)
-        ref_state = b.program_of(counter).total
-
-        # Crash arm: the shard owning the counter's range goes down
-        # with the counter's node; recovery replays from cluster A's
-        # passively recorded log, through the gateways.
-        fed, a, b, counter, driver = self._build()
-        wait_replies(fed, a, driver, self.N)
-        shard = b.placement.shard_for(101)
-        b.crash_recorder(shard=shard.index)
-        b.crash_node(101)
-        fed.run(200)
-        started = fed.remote_recover(101)
-        assert started >= 1
-        deadline = fed.now + 240_000
-        while fed.now < deadline:
-            program = b.program_of(counter)
-            if program is not None and program.total == ref_state:
-                break
-            fed.run(1000)
-        program = b.program_of(counter)
-        assert program is not None and program.total == ref_state
-        # The replay digest is identical to the no-crash run: the
-        # helper's passive log rebuilds byte-for-byte the same state.
-        helper_digest = process_state_digest(
-            a.recorder.db.get(counter).arrivals)
-        assert helper_digest == ref_digest
-        assert a.metrics_snapshot()[
-            "recorder.placement.remote_recoveries"] >= 1
-
-    def test_remote_recover_requires_a_live_helper(self):
-        fed, a, b, counter, driver = self._build()
-        wait_replies(fed, a, driver, self.N)
-        a.crash_recorder()                       # the only neighbour
-        b.crash_node(101)
-        from repro.errors import NetworkError
-        with pytest.raises(NetworkError):
-            fed.remote_recover(101)

@@ -305,12 +305,6 @@ def test_gossip_loss_action_sets_and_restores_rate():
     assert snap["gossip.outstanding"] == 0
 
 
-def test_gossip_loss_action_round_trips_json():
-    from repro.chaos import action_from_dict
-    action = GossipLoss(500.0, rate=0.3, duration_ms=200.0)
-    assert action_from_dict(action.to_dict()) == action
-
-
 # ----------------------------------------------------------------------
 # satellite 4: the hypothesis differential — recorder-only lossless vs
 # recorder+gossip lossy converge to identical recorded sets whenever

@@ -196,7 +196,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.gauge_fn("x", lambda: 0)
 
     def test_gauge_fn_rebinds(self):
         reg = MetricsRegistry()
@@ -384,14 +384,14 @@ SURFACE_PINS = {
 
 
 def test_snapshot_and_stream_surface_is_pinned():
-    from repro.__main__ import _build_demo_campaign
+    from repro.chaos.campaign import demo_campaign
     from repro.chaos import run_scenario
     from repro.digest import canonical_json
 
     moved = []
     for (medium, gossip), pinned in sorted(SURFACE_PINS.items()):
         result = run_scenario(
-            _build_demo_campaign(3),
+            demo_campaign(3),
             SystemConfig(nodes=3, master_seed=1983, medium=medium,
                          checkpoint_policy="storage", gossip=gossip))
         assert result.ok, (medium, gossip)

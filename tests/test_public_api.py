@@ -66,8 +66,7 @@ def test_partitioned_des_exports_two_modes():
 def test_error_hierarchy():
     roots = [
         errors.SimulationError, errors.NetworkError, errors.KernelError,
-        errors.RecorderError, errors.RecoveryError, errors.StorageError,
-        errors.TransactionError, errors.QueueingModelError,
+        errors.RecorderError, errors.StorageError, errors.QueueingModelError,
         errors.EncodingError,
     ]
     for exc in roots:

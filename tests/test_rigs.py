@@ -209,16 +209,17 @@ def test_subcommand_flags_are_the_declaration(name):
 #: the table landed with the flags of PR 18; one scenario per rig took
 #: ``--outage``, ``--no-contrast`` and ``--nodes`` off ``gossip`` and
 #: ``--save-campaign`` off ``chaos``, and gave every rig
-#: ``--verify-determinism``
+#: ``--verify-determinism``; ``--file`` left ``chaos`` (and ``sweep``)
+#: with the campaign files, and ``--equivocate`` left ``adversary``
 FLAGS = {
     "capacity": set(),
     "utilization": {"--point"},
     "figure57": set(),
-    "chaos": {"--scenario", "--file", "--seed", "--nodes", "--pairs",
+    "chaos": {"--scenario", "--seed", "--nodes", "--pairs",
               "--messages", "--medium", "--duration"},
     "gossip": {"--seed", "--messages"},
     "adversary": {"--seed", "--f", "--byzantine", "--messages", "--modes",
-                  "--rate", "--equivocate"},
+                  "--rate"},
     "des": {"--clusters", "--cluster-size", "--messages", "--duration",
             "--topology", "--seed", "--des-workers", "--spread-delays"},
     "federation": {"--clusters", "--cluster-size", "--shards", "--topology",
@@ -229,7 +230,7 @@ FLAGS = {
     "store": {"--seed"},
     "sweep": {"--kind", "--parallel", "--check", "--seed", "--runs",
               "--nodes", "--pairs", "--messages", "--medium", "--duration",
-              "--file", "--disks", "--point", "--iterations", "--json",
+              "--disks", "--point", "--iterations", "--json",
               "--output"},
 }
 
@@ -304,6 +305,9 @@ def test_removed_flags_are_gone():
                  ["gossip", "--outage", "900"], ["gossip", "--no-contrast"],
                  ["gossip", "--nodes", "3"],
                  ["chaos", "--save-campaign", "c.json"],
+                 ["chaos", "--file", "c.json"],
+                 ["sweep", "--kind", "chaos", "--file", "c.json"],
+                 ["adversary", "--equivocate"],
                  ["sweep", "--kind", "store"]):
         with pytest.raises(SystemExit):
             parse(argv)

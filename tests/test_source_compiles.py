@@ -14,17 +14,25 @@ The compiler's symbol tables (``symtable``) add F82: a name a scope
 reads that no enclosing function binds, that the module does not bind
 (by assignment, import, ``def``, ``class`` or a ``global`` statement)
 and that is not a builtin is undefined.
+
+And a reach check no linter makes: every function and class of
+``src/`` is named somewhere a product path reads (``src/``, ``bench/``,
+``benchmarks/``, ``examples/``), or it is in ``TEST_ONLY`` with the
+reason it stays although only tests call it.
 """
 
+import ast
 import builtins
+import collections
 import os
+import re
 import symtable
 import warnings
 
 import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-TREES = ("src", "tests", "bench", "benchmarks", "examples")
+TREES = ("src", "tests", "bench", "benchmarks", "examples", "tools")
 
 
 def python_files():
@@ -134,3 +142,63 @@ def test_an_undefined_name_is_found_in_a_function_and_a_class_body():
         ("uses", 3, "missing_in_function"),
         ("Table", 7, "missing_in_class"),
         ("read", 10, "size")]
+
+
+#: the trees whose code a product path runs: the library, the
+#: benchmark, the paper-number benchmarks and the examples
+PRODUCT_TREES = ("src", "bench", "benchmarks", "examples")
+
+#: definitions in src/ whose name nothing but tests (and docs) names,
+#: each kept for the reason given; anything else that only tests reach
+#: is deleted instead
+TEST_ONLY = {
+    "cluster_of": "ClusterFederation's node-to-cluster lookup, pinned by "
+                  "tests/test_cluster.py",
+    "run_to": "ReplayDebugger's stepping API (§6.5), beside run_until",
+    "run_until": "ReplayDebugger's stepping API (§6.5), documented in "
+                 "docs/TUTORIAL.md",
+    "with_code": "a DEMOS link's per-resource copy (§4.2), the server "
+                 "idiom its docstring names",
+    "lose_next": "test fault injection: the targeted losses the transport "
+                 "tests script",
+    "payload_classes": "the read view of the closed wire registry that "
+                       "tests/test_net_frames.py checks",
+    "set_bound": "the bound checkpoint policy's per-process bound, "
+                 "documented in docs/TUTORIAL.md",
+    "completion_signal": "a program's wait on a recovery "
+                         "(tests/test_recovery_e2e.py)",
+    "t_max_for_messages": "§3.2.3's recovery-time bound in the thesis's "
+                          "per-message form",
+    "recorder_buffer_bytes": "§5.1's recorder buffer figure (at most 28 KB)",
+}
+
+
+def test_every_definition_in_src_is_named_by_a_product_tree():
+    """A function or class of ``src/`` whose name occurs nowhere in
+    ``src/``, ``bench/``, ``benchmarks/`` or ``examples/`` but on its
+    own ``def`` line is reached by tests alone. Dunder methods are the
+    interpreter's to call."""
+    words = collections.Counter()
+    sources = {}
+    for path in python_files():
+        if path.split(os.sep)[0] in PRODUCT_TREES:
+            with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+                sources[path] = handle.read()
+            words.update(re.findall(r"\w+", sources[path]))
+    unnamed = set()
+    for path, source in sources.items():
+        if not path.startswith("src"):
+            continue
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = re.findall(r"\w+", lines[node.lineno - 1]).count(name)
+            if words[name] == own:
+                unnamed.add(name)
+    assert unnamed - set(TEST_ONLY) == set()    # reached by tests alone
+    assert set(TEST_ONLY) - unnamed == set()    # named by a product now
