@@ -131,12 +131,13 @@ def test_beyond_f_faulty_is_flagged_never_silent(
         "beyond-f corruption passed without a divergence flag"
 
 
-@pytest.mark.parametrize("fault", ["corrupt", "bitrot"])
+@pytest.mark.parametrize("fault", ["corrupt", "bitrot", "reorder"])
 def test_warm_images_do_not_hide_a_faulty_recorder(fault):
     """On the medium every recorder hears the same ``Message`` object,
     and by replay time it carries its image: framed by the sender,
     digested at each append, verified by each cursor. The faulty
-    recorder's copy still loses the vote."""
+    recorder's copy still loses the vote, whether it rewrote a body or
+    the order of the log."""
     from repro.net.frames import Frame, FrameKind
     from repro.net.transport import Segment
     n = 12
@@ -279,9 +280,10 @@ def test_unknown_byzantine_mode_rejected():
 
 @pytest.mark.parametrize("build", [
     lambda: ByzantineRecorder(random.Random(1), modes=("gaslight",)),
+    lambda: ByzantineRecorder(random.Random(1), modes=()),
     lambda: run_quorum_scenario(f=1, byzantine=4),
     lambda: run_quorum_scenario(f=0, byzantine=0),
-], ids=["unknown_mode", "more_faulty_than_recorders",
+], ids=["unknown_mode", "no_modes", "more_faulty_than_recorders",
         "no_quorum_to_run"])
 def test_adversary_misconfiguration_is_a_typed_error(build):
     """In the library's tree (``except ReproError`` sees it) and still

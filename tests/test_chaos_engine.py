@@ -11,6 +11,7 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.chaos import (
+    ByzantineRecorderFault,
     ChaosCampaign,
     CrashNode,
     CrashRecorder,
@@ -71,6 +72,42 @@ def test_restart_node_reboots_a_node_the_policy_left_down():
     system.run(1000)
     assert system.nodes[2].up
     assert (campaign.injected, campaign.skipped) == (2, 0)
+
+
+def test_byzantine_window_closes_after_its_duration():
+    """``duration_ms`` closes the fault window (the stage's rate drops
+    to 0) while the stage stays armed, so no fault fires after it and
+    the tally survives for the report; the workload stays exact."""
+    campaign = ChaosCampaign([ByzantineRecorderFault(
+        1000.0, modes=("duplicate",), rate=1.0, duration_ms=1500.0)])
+    result = run_scenario(campaign, SystemConfig(nodes=2, master_seed=3),
+                          pairs=1, messages=40)
+    assert result.ok, result.report.to_dict()
+    stage, = result.system.recorder.stages
+    assert stage.rate == 0.0
+    faults = result.system.obs.bus.select(scope="adversary")
+    assert faults and len(faults) == stage.faults_injected
+    assert all(1000.0 <= e.time <= 2500.0 for e in faults)
+    assert result.report.figures["adversary_duplicates"] == len(faults)
+
+
+def test_byzantine_fault_targets_only_the_live_recorders_it_names():
+    """Named recorders that are up get a stage each, drawn from their
+    own stream; a fault whose every target is down is a skip."""
+    system = System(SystemConfig(nodes=2, recorder_shards=3,
+                                 placement_policy="replica"))
+    system.boot()
+    first, second, third = (r.config.node_id for r in system.recorders)
+    system.crash_recorder(2)
+    now = system.engine.now
+    campaign = ChaosCampaign([
+        ByzantineRecorderFault(now + 100.0, recorders=(second, third)),
+        ByzantineRecorderFault(now + 200.0, recorders=(third,)),
+    ]).arm(system)
+    system.run(500)
+    assert (campaign.injected, campaign.skipped) == (1, 1)
+    assert [len(r.stages) for r in system.recorders] == [0, 1, 0]
+    assert system.recorders[1].stages[0].subject == f"recorder{second}"
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +229,28 @@ def test_a_recorder_that_gives_up_leaves_dead_letters():
     check = next(c for c in check_invariants(system)
                  if c.name == "no_dead_letters")
     assert not check.ok
+
+
+def test_each_recorder_shard_files_its_own_dead_letters():
+    """With the recorder sharded, a give-up is filed under the node id
+    of the shard whose transport gave up, and the shards' letters add
+    up to their ``gave_up`` counters."""
+    system = System(SystemConfig(nodes=4, recorder_shards=2,
+                                 reboot_policy="none",
+                                 transport_max_retries=3))
+    system.boot()
+    system.run(2000)
+    for node in (2, 4):
+        system.nodes[node].crash()
+    system.run(120_000)
+    snapshot = system.metrics_snapshot()
+    by_origin = {}
+    for letter in system.dead_letters:
+        by_origin[letter.origin] = by_origin.get(letter.origin, 0) + 1
+    shards = [r.config.node_id for r in system.recorders]
+    assert set(by_origin) == set(shards)
+    assert by_origin == {node: snapshot[f"transport.{node}.gave_up"]
+                         for node in shards}
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.chaos import (
     ChaosCampaign,
     CrashNode,
     CrashRecorder,
+    DiskSlowdown,
     DiskStall,
     Partition,
     RestartRecorder,
@@ -144,6 +145,22 @@ CAMPAIGN_MATRIX = {
     "byzantine_recorder_mid_traffic": lambda: ChaosCampaign([
         ByzantineRecorderFault(1200.0, rate=0.35, duration_ms=2600.0),
     ], name="byzantine_recorder_mid_traffic"),
+    # Aging spindles: every disk operation takes six times as long, and
+    # the recorder dies and returns while the backlog is deep. Acks
+    # lag, nothing is lost, and the disks come back to full speed.
+    "disk_slowdown_recorder_crash": lambda: ChaosCampaign([
+        DiskSlowdown(1000.0, factor=6.0, duration_ms=3000.0),
+        CrashRecorder(2000.0),
+        RestartRecorder(3800.0),
+    ], name="disk_slowdown_recorder_crash"),
+    # The recorder crashes inside a standing partition: both outages
+    # overlap, then lift one after the other, and the retransmissions
+    # of both halves must still land every request once, in order.
+    "partition_with_recorder_outage": lambda: ChaosCampaign([
+        Partition(1500.0, groups=((1,), (2, 3)), duration_ms=2500.0),
+        CrashRecorder(2000.0),
+        RestartRecorder(3500.0),
+    ], name="partition_with_recorder_outage"),
 }
 
 

@@ -1,17 +1,27 @@
 """Planet-scale federation: sharded recorder placement across
 federated clusters.
 
-The contract pinned here is placement determinism: the same topology
-and policy always produce byte-identical shard maps, and a sharded
-federation's event stream hashes identically to the serial reference
-however the shards are placed (hypothesis over random topologies).
+Two contracts pinned here:
+
+* **Placement determinism** — the same topology and policy always
+  produce byte-identical shard maps, and a sharded federation's event
+  stream hashes identically to the serial reference however the shards
+  are placed (hypothesis over random topologies).
+* **Partition tolerance at a gateway** — a partition on the far medium
+  that cuts a forwarder off drops custody frames *in flight* but
+  dead-letters nothing while it is shorter than the forwarder's retry
+  budget: the frames ride the budget across the outage, so a healed
+  partition is invisible to the workload. One that outlasts the budget
+  ends in exactly one counted dead letter per frame, never silence.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import System, SystemConfig
+from repro.chaos import Partition
 from repro.cluster import ClusterFederation
+from repro.cluster.gateways import GATEWAY_MAX_RETRIES, GATEWAY_RETRY_MS
 from repro.errors import ConfigError, PlacementError
 from repro.parallel.des import DesScenario, run_pooled, run_serial
 from repro.system import RECORDER_ID_OFFSET, place
@@ -198,3 +208,78 @@ def test_a_medium_without_a_hardware_ack_cannot_be_federated():
     with pytest.raises(ConfigError, match="csma_ethernet"):
         ClusterFederation([1, 1], configs=[
             SystemConfig(nodes=1, medium="csma_ethernet") for _ in range(2)])
+
+
+# ----------------------------------------------------------------------
+# partitions at a gateway: custody rides the retry budget
+# ----------------------------------------------------------------------
+class TestGatewayPartitions:
+    @staticmethod
+    def federation():
+        """Two one-node clusters, a counter on B's node 101, and the
+        forwarder that carries A's requests onto B's medium."""
+        fed = build_federation((1, 1))
+        a, b = fed.clusters
+        counter = b.spawn_program("test/counter", node=101)
+        forwarder = next(g.forwarder for g in fed.gateways
+                         if g.far is b.medium)
+        return fed, a, b, counter, forwarder
+
+    @staticmethod
+    def cut(b, forwarder, duration_ms=None):
+        """Partition B's medium between the forwarder and node 101."""
+        return Partition(at_ms=b.engine.now,
+                         groups=((forwarder.far_iface.node_id,), (101,)),
+                         duration_ms=duration_ms).apply(b)
+
+    def test_gateway_partition_drops_then_heals(self):
+        fed, a, b, counter, forwarder = self.federation()
+        driver = a.spawn_program("test/driver",
+                                 args=(tuple(counter), 20), node=1)
+        fed.run(800)
+        assert self.cut(b, forwarder, duration_ms=1500.0)
+        d = wait_replies(fed, a, driver, 20)
+        assert d.replies == [sum(range(1, k + 1)) for k in range(1, 21)]
+        assert fed.dead_letters == []            # retries rode it out
+        drops = b.metrics_snapshot()["faults.partition_drops"]
+        assert drops > 0
+        assert forwarder.retries.value == drops  # one re-offer a refusal
+        assert b._partitions == []               # healed on schedule
+
+    def test_partition_soak_with_recorder_crash(self):
+        """The far cluster's recorder crashes and restarts while the
+        cut stands: the workload still completes exactly and nothing
+        is dead-lettered."""
+        fed, a, b, counter, forwarder = self.federation()
+        driver = a.spawn_program("test/driver",
+                                 args=(tuple(counter), 30), node=1)
+        fed.run(800)
+        assert self.cut(b, forwarder, duration_ms=2000.0)
+        b.crash_recorder()
+        fed.run(1000)                            # crash inside the cut
+        b.restart_recorder()
+        d = wait_replies(fed, a, driver, 30)
+        assert d.replies == [sum(range(1, k + 1)) for k in range(1, 31)]
+        assert fed.dead_letters == []
+        assert b.metrics_snapshot()["faults.partition_drops"] > 0
+
+    def test_a_partition_outlasting_the_retry_budget_dead_letters(self):
+        """A standing cut exhausts the forwarder's budget: the custody
+        frame it held is one dead letter after ``GATEWAY_MAX_RETRIES``
+        attempts, and the driver stalls where it lost it. Healed, the
+        gateway carries a fresh driver's traffic again."""
+        fed, a, b, counter, forwarder = self.federation()
+        assert self.cut(b, forwarder)
+        driver = a.spawn_program("test/driver",
+                                 args=(tuple(counter), 3), node=1)
+        fed.run(2 * GATEWAY_MAX_RETRIES * GATEWAY_RETRY_MS)
+        assert a.program_of(driver).replies == []
+        letter, = fed.dead_letters
+        assert letter.origin == forwarder.gateway_id
+        assert letter.attempts == GATEWAY_MAX_RETRIES
+        assert forwarder.frames_dropped.value == 1
+        assert forwarder.retries.value == GATEWAY_MAX_RETRIES
+        assert b.heal_partitions() == 1
+        second = a.spawn_program("test/driver",
+                                 args=(tuple(counter), 3), node=1)
+        assert wait_replies(fed, a, second, 3).replies == [1, 3, 6]

@@ -31,7 +31,8 @@ How the recorder stays complete:
 - each first-seen code object is appended to a per-process file at
   once, so a pool worker ended by SIGTERM still counts;
 - a code object is matched to its definition by (file, first line
-  counting decorators, qualified name).
+  counting decorators, name); the qualified name the notes carry is
+  for reading, and Python before 3.11 has none to give.
 
 A generated method (a dataclass ``__init__``) has no ``def`` in
 ``src/`` and is not listed; a lambda or comprehension is not a
@@ -201,7 +202,8 @@ def definitions():
 
 
 def entered(out: str):
-    """``{label: {(path, first line, qualname)}}`` from the notes."""
+    """``{label: {(path, first line, name)}}`` from the notes; the
+    name is qualified from Python 3.11 on."""
     notes = collections.defaultdict(set)
     for path in glob.glob(os.path.join(out, "*.notes")):
         label = os.path.basename(path).split(".")[0]
@@ -212,12 +214,24 @@ def entered(out: str):
     return notes
 
 
+def matching_key(key):
+    """``(path, first line, name)`` of a definition or a note. The
+    qualified name is cut to its last part, since Python before 3.11
+    notes the bare name; that part still tells a ``def`` from a lambda
+    or comprehension that starts on the same line."""
+    path, first, name = key
+    return path, first, name.rsplit(".", 1)[-1]
+
+
 def report(out: str) -> None:
     defs = definitions()
     notes = entered(out)
-    product, tests = notes["product"], notes["tests"]
-    never = [key for key in defs if key not in product and key not in tests]
-    only_tests = [key for key in defs if key in tests and key not in product]
+    product, tests = ({matching_key(key) for key in notes[label]}
+                      for label in ("product", "tests"))
+    never = [key for key in defs if matching_key(key) not in product
+             and matching_key(key) not in tests]
+    only_tests = [key for key in defs if matching_key(key) in tests
+                  and matching_key(key) not in product]
     print(f"src/: {len(defs)} function definitions, "
           f"{sum(defs.values())} lines")
     for title, keys in (("never entered", never),
