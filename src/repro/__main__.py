@@ -149,8 +149,8 @@ def _emit(report, text: str, ok: bool, args: argparse.Namespace) -> int:
 
 
 def _given(args: argparse.Namespace, params) -> dict:
-    """The rig parameters the command line set (a bool flag always is);
-    the rest keep the rig's, or its grid builder's, declared default."""
+    """The rig parameters the command line set; the rest keep the
+    rig's, or its grid builder's, declared default."""
     values = ((p.name, getattr(args, p.name, None)) for p in params)
     return {name: value for name, value in values if value is not None}
 
@@ -197,19 +197,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def _add_params(parser, params, face: str) -> None:
     """Declare the flags of one face (``"run"`` or ``"grid"``) of a
-    rig's parameters. No value flag carries an argparse default: absent
-    is ``None``, which ``_given`` leaves to the declaration."""
+    rig's parameters. No flag carries an argparse default: absent is
+    ``None``, which ``_given`` leaves to the declaration."""
     for p in params:
         if p.on not in ("both", face):
             continue
-        kwargs = {"dest": p.name, "help": p.help or None}
-        if isinstance(p.default, bool):
-            kwargs["action"] = "store_true"
-        else:
-            kwargs.update(choices=p.choices, type=p.parse or (
-                str if p.default is None else type(p.default)))
-            if p.repeat:
-                kwargs.update(action="append", metavar="N")
+        kwargs = {"dest": p.name, "help": p.help or None,
+                  "choices": p.choices, "type": p.parse or (
+                      str if p.default is None else type(p.default))}
+        if p.repeat:
+            kwargs.update(action="append", metavar="N")
         parser.add_argument(p.option, **kwargs)
 
 

@@ -10,6 +10,11 @@ tests.
 :class:`~repro.system.SystemConfig`, spawn the workload, arm the
 campaign, run until the workload completes (or a deadline), settle, and
 return the report. A scenario is a config plus a campaign.
+
+Beside the pair sit its variants that drive the paper's own mechanisms
+in the ``pipeline`` rig: a channel-selective counter (§4.4.2), and one
+that creates, re-links, stops and resumes its driver through its
+kernel process (§4.4.3, Figure 4.5).
 """
 
 from __future__ import annotations
@@ -24,13 +29,18 @@ from repro.chaos.campaign import (
     build_report,
     check_invariants,
 )
-from repro.demos.ids import ProcessId
+from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
 from repro.demos.process import Program
 from repro.system import System, SystemConfig
 
 CHAOS_COUNTER_IMAGE = "chaos/counter"
 CHAOS_DRIVER_IMAGE = "chaos/driver"
+URGENT_DRIVER_IMAGE = "chaos/urgent_driver"
+CHANNEL_WORKER_IMAGE = "chaos/channel_worker"
+CONTROLLER_IMAGE = "chaos/controller"
+#: the channel a :class:`ChannelWorker` reads first
+URGENT_CHANNEL = 9
 
 
 class ChaosCounter(Program):
@@ -56,6 +66,9 @@ class ChaosCounter(Program):
 class ChaosDriver(Program):
     """Sends 'add i' for i = 1..n, one per reply received."""
 
+    #: the target's channel the requests go on
+    channel = 0
+
     def __init__(self, target=None, n=10):
         super().__init__()
         self.target = tuple(target) if target is not None else None
@@ -72,7 +85,7 @@ class ChaosDriver(Program):
             return
         pcb = self._ctx_kernel.processes[ctx.pid]
         self.target_link = self._ctx_kernel.forge_link(
-            pcb, Link(dst=ProcessId(*self.target)))
+            pcb, Link(dst=ProcessId(*self.target), channel=self.channel))
         self._send_next(ctx)
 
     def _send_next(self, ctx):
@@ -87,12 +100,85 @@ class ChaosDriver(Program):
             self._send_next(ctx)
 
 
+class UrgentDriver(ChaosDriver):
+    """A :class:`ChaosDriver` that sends on :data:`URGENT_CHANNEL`."""
+
+    channel = URGENT_CHANNEL
+
+
+class ChannelWorker(ChaosCounter):
+    """A counter that reads only :data:`URGENT_CHANNEL` until it has
+    taken ``OPEN_AFTER`` requests, then every channel: each urgent
+    request is read past a request queued ahead of it (§4.4.2)."""
+
+    #: the requests taken before every channel opens
+    OPEN_AFTER = 2
+
+    def __init__(self):
+        super().__init__()
+        self._channels = (URGENT_CHANNEL,)
+
+    def on_message(self, ctx, m):
+        super().on_message(ctx, m)
+        if len(self.seen) == self.OPEN_AFTER:
+            ctx.set_channels()
+
+
+class ProcessController(ChaosCounter):
+    """A counter that asks its kernel process for a :class:`ChaosDriver`
+    child aimed back at itself, moves a link to itself into the child's
+    table (Figure 4.5's MOVELINK), and stops the child around its first
+    answer, so that the answer waits in a stopped queue. Each control
+    goes over the DELIVERTOKERNEL link the kernel process returned and
+    runs as the child (§4.4.3)."""
+
+    #: the code of the link MOVELINK moves
+    MOVED_CODE = 7
+    #: the requests the child driver sends
+    REQUESTS = 4
+
+    def __init__(self):
+        super().__init__()
+        self.child = None
+        self.control = None
+        self.stopped = False
+
+    def attach_kernel(self, kernel):
+        self._ctx_kernel = kernel
+
+    def setup(self, ctx):
+        kernel = self._ctx_kernel
+        to_kp = kernel.forge_link(kernel.processes[ctx.pid],
+                                  Link(dst=kernel_pid(ctx.node)))
+        ctx.send(to_kp, ("create", CHAOS_DRIVER_IMAGE,
+                         (tuple(ctx.pid), self.REQUESTS), True, 2),
+                 pass_link_id=ctx.create_link())
+
+    def on_message(self, ctx, m):
+        if m.body[0] == "created":
+            self.child, self.control = tuple(m.body[1]), m.passed_link_id
+            ctx.send(self.control, (
+                "movelink", ctx.create_link(code=self.MOVED_CODE),
+                tuple(ctx.pid)))
+            return
+        stop = self.control is not None and not self.stopped
+        if stop:
+            self.stopped = True
+            ctx.send(self.control, ("stop",))
+        super().on_message(ctx, m)
+        if stop:
+            ctx.send(self.control, ("resume",))
+
+
 def register_chaos_programs(system: System) -> None:
     """Make the chaos workload images spawnable on ``system``."""
-    if not system.registry.known(CHAOS_COUNTER_IMAGE):
-        system.registry.register(CHAOS_COUNTER_IMAGE, ChaosCounter)
-    if not system.registry.known(CHAOS_DRIVER_IMAGE):
-        system.registry.register(CHAOS_DRIVER_IMAGE, ChaosDriver)
+    for image, program in ((CHAOS_COUNTER_IMAGE, ChaosCounter),
+                           (CHAOS_DRIVER_IMAGE, ChaosDriver),
+                           (URGENT_DRIVER_IMAGE, UrgentDriver),
+                           (CHANNEL_WORKER_IMAGE, ChannelWorker),
+                           (CONTROLLER_IMAGE, ProcessController)):
+        if not system.registry.known(image):
+            system.registry.register(image, program)
 
 
 def expected_total(n: int) -> int:
@@ -166,9 +252,7 @@ def run_scenario(campaign: ChaosCampaign,
                 return False
         return True
 
-    deadline = system.engine.now + deadline_ms
-    while not drivers_done() and system.engine.now < deadline:
-        system.run(250)
+    system.wait_for(drivers_done, deadline_ms, step_ms=250)
     # A fast workload can finish before the campaign does; every
     # scheduled action must fire before the cluster is judged.
     if campaign.horizon_ms > system.engine.now:

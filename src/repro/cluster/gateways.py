@@ -52,7 +52,7 @@ from weakref import WeakKeyDictionary
 from repro.errors import NetworkError
 from repro.net.frames import DeadLetter, Frame, FrameKind
 from repro.net.media import Medium, NetworkInterface
-from repro.obs import Observability, merge_snapshots
+from repro.obs import Observability
 from repro.sim.engine import Engine, PartitionChannel
 from repro.system import (RECORDER_ID_OFFSET, System, SystemConfig,
                           check_config, recorder_count)
@@ -150,16 +150,12 @@ class GatewayForwarder:
     """
 
     def __init__(self, engine: Engine, far: Medium, gateway_id: int,
-                 retry_ms: float = GATEWAY_RETRY_MS,
-                 max_retries: int = GATEWAY_MAX_RETRIES,
                  service_ms: float = 0.0,
                  obs: Optional[Observability] = None,
                  on_drop: Optional[Callable[[int, Frame, int], None]] = None):
         self.engine = engine
         self.far = far
         self.gateway_id = gateway_id
-        self.retry_ms = retry_ms
-        self.max_retries = max_retries
         #: uplink serialisation time per custody frame: 0 (default)
         #: keeps the legacy infinite-server forwarder — frames re-offer
         #: the instant they arrive, digest-identical to earlier code.
@@ -208,7 +204,7 @@ class GatewayForwarder:
         self.engine.schedule(done - now, self._forward, frame, 0)
 
     def _forward(self, frame: Frame, attempt: int) -> None:
-        if attempt >= self.max_retries:
+        if attempt >= GATEWAY_MAX_RETRIES:
             self._drop(frame, attempt)
             return
         clone = frame.clone_for(frame.dst_node)
@@ -228,7 +224,8 @@ class GatewayForwarder:
         if ok or original is None:
             return
         self.retries.inc()
-        self.engine.schedule(self.retry_ms, self._forward, original, attempt + 1)
+        self.engine.schedule(GATEWAY_RETRY_MS, self._forward, original,
+                             attempt + 1)
 
     def _drop(self, frame: Frame, attempt: int) -> None:
         """Dead-letter a custody frame, mirroring ``Transport.on_gave_up``."""
@@ -301,8 +298,6 @@ class Gateway:
     def __init__(self, engine: Engine, near: Medium, far: Medium,
                  far_nodes: Callable[[int], bool],
                  forward_delay_ms: float = 5.0,
-                 retry_ms: float = GATEWAY_RETRY_MS,
-                 max_retries: int = GATEWAY_MAX_RETRIES,
                  service_ms: float = 0.0,
                  gateway_id: Optional[int] = None,
                  near_obs: Optional[Observability] = None,
@@ -313,17 +308,9 @@ class Gateway:
         shared: Optional[Observability] = None
         if near_obs is None or far_obs is None:
             shared = Observability(lambda: engine.now)
-        self.engine = engine
-        self.near = near
-        self.far = far
-        self.far_nodes = far_nodes
-        self.forward_delay_ms = forward_delay_ms
-        self.retry_ms = retry_ms
-        self.max_retries = max_retries
         self.gateway_id = gateway_id
         self.forwarder: Optional[GatewayForwarder] = GatewayForwarder(
-            engine, far, gateway_id, retry_ms=retry_ms,
-            max_retries=max_retries, service_ms=service_ms,
+            engine, far, gateway_id, service_ms=service_ms,
             obs=far_obs or shared, on_drop=on_drop)
         self.tap: Optional[GatewayTap] = GatewayTap(
             engine, near, far_nodes,
@@ -335,15 +322,6 @@ class Gateway:
                    forwarder: Optional[GatewayForwarder]) -> "Gateway":
         """Wrap pre-built halves (partitioned federations)."""
         gateway = cls.__new__(cls)
-        gateway.engine = (tap or forwarder).engine if (tap or forwarder) else None
-        gateway.near = tap.near if tap is not None else None
-        gateway.far = forwarder.far if forwarder is not None else None
-        gateway.far_nodes = tap.far_nodes if tap is not None else None
-        gateway.forward_delay_ms = (tap.forward_delay_ms
-                                    if tap is not None else None)
-        gateway.retry_ms = forwarder.retry_ms if forwarder is not None else None
-        gateway.max_retries = (forwarder.max_retries
-                               if forwarder is not None else None)
         gateway.gateway_id = gateway_id
         gateway.tap = tap
         gateway.forwarder = forwarder
@@ -380,8 +358,7 @@ class ClusterFederation:
                  configs: Optional[List[SystemConfig]] = None,
                  partitions: Optional[int] = None,
                  topology: str = "mesh",
-                 only_partition: Optional[int] = None,
-                 forward_delays: Optional[Dict[Tuple[int, int], float]] = None):
+                 only_partition: Optional[int] = None):
         if not cluster_sizes:
             raise NetworkError("a federation needs at least one cluster")
         count = len(cluster_sizes)
@@ -400,21 +377,6 @@ class ClusterFederation:
                 "partitions and only_partition go together: a partitioned "
                 "federation exists only as the slices its pool workers "
                 "build (see repro.parallel.des.run_pooled)")
-        self.topology = topology
-        self.forward_delay_ms = forward_delay_ms
-        #: directed (src_cluster, dst_cluster) -> forwarding delay;
-        #: edges not listed fall back to ``forward_delay_ms``. The delay
-        #: is both the gateway's store-and-forward latency and the
-        #: matching channel's lookahead, so a slow edge buys its
-        #: destination a *wider* safe window instead of throttling
-        #: everyone to the global minimum.
-        self.forward_delays: Dict[Tuple[int, int], float] = dict(
-            forward_delays or {})
-        for edge, delay in self.forward_delays.items():
-            if delay <= 0:
-                raise NetworkError(
-                    f"forward delay for edge {edge} must be positive, "
-                    f"got {delay}")
         self.partitions = (None if partitions is None
                            else min(partitions, count))
         lps = self.partitions or 1
@@ -439,7 +401,6 @@ class ClusterFederation:
                 config = SystemConfig(nodes=size)
             config.first_node_id = 1 + index * NODES_STRIDE
             config.recorder_node_id = config.first_node_id + RECORDER_ID_OFFSET
-            config.services_node = config.first_node_id
             check_config(config, federated=True)
             if config.nodes > RECORDER_ID_OFFSET:
                 raise NetworkError(
@@ -483,13 +444,12 @@ class ClusterFederation:
         self.channels: List[PartitionChannel] = []
         for gid, src, dst in directed_gateways(count, topology):
             src_local, dst_local = src in self.systems, dst in self.systems
-            delay = self.forward_delays.get((src, dst), forward_delay_ms)
             far_nodes = (lambda node, _far=self._node_sets[dst]: node in _far)
             if src_local and dst_local:
                 self.gateways.append(Gateway(
                     self.engine, self.systems[src].medium,
                     self.systems[dst].medium, far_nodes,
-                    forward_delay_ms=delay, gateway_id=gid,
+                    forward_delay_ms=forward_delay_ms, gateway_id=gid,
                     near_obs=self.systems[src].obs,
                     far_obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop))
@@ -498,7 +458,7 @@ class ClusterFederation:
                 continue
             channel = PartitionChannel(
                 f"gw{gid}", lp_of(src, lps, count), lp_of(dst, lps, count),
-                lookahead_ms=delay)
+                lookahead_ms=forward_delay_ms)
             forwarder = tap = None
             if dst_local:
                 forwarder = GatewayForwarder(
@@ -509,7 +469,7 @@ class ClusterFederation:
             else:
                 tap = GatewayTap(
                     self.engine, self.systems[src].medium,
-                    far_nodes, channel, delay, gid,
+                    far_nodes, channel, forward_delay_ms, gid,
                     obs=self.systems[src].obs)
             self.gateways.append(Gateway.from_parts(gid, tap, forwarder))
             self.channels.append(channel)
@@ -518,11 +478,6 @@ class ClusterFederation:
     def _note_gateway_drop(self, gateway_id: int, frame: Frame,
                            attempts: int) -> None:
         self.dead_letters.append(DeadLetter(gateway_id, frame, attempts))
-
-    @property
-    def now(self) -> float:
-        """Current federation time."""
-        return self.engine.now
 
     def boot(self, settle_ms: float = 500.0) -> None:
         for system in self.clusters:
@@ -538,22 +493,3 @@ class ClusterFederation:
                 "a federation slice is driven by its pool master, "
                 "not run() (see repro.parallel.des)")
         return self.engine.run(until=self.engine.now + duration_ms)
-
-    def cluster_of(self, node_id: int) -> System:
-        for index, nodes in enumerate(self._node_sets):
-            if node_id in nodes:
-                system = self.systems.get(index)
-                if system is None:
-                    raise NetworkError(
-                        f"node {node_id} belongs to cluster {index}, which "
-                        f"is outside this federation slice")
-                return system
-        raise NetworkError(f"node {node_id} is in no cluster")
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Every cluster's metrics in one snapshot, keys prefixed
-        ``cluster.<index>.`` — the per-LP registries merged back into a
-        single spine view."""
-        return merge_snapshots(
-            (f"cluster.{index}", self.systems[index].metrics_snapshot())
-            for index in sorted(self.systems))

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.demos.ids import MessageId, ProcessId
-from repro.demos.kernel import KernelConfig, NodeCpu, ProcessHost
+from repro.demos.kernel import NodeCpu, ProcessHost
+from repro.demos.kernel_process import KernelProcessProgram
 from repro.demos.links import Link
 from repro.demos.messages import Message
 from repro.demos.process import ProcessControlRecord, ProgramRegistry
@@ -63,7 +64,7 @@ class ReplayDebugger(ProcessHost):
         self.pid = record.pid
         self.registry = registry
         self.node_id = record.node
-        self.config = KernelConfig(publishing=False)
+        self.publishing = False
         self.engine = Engine()
         self.obs = Observability(lambda: self.engine.now)
         self.events = self.obs.scope("replay")
@@ -76,6 +77,9 @@ class ReplayDebugger(ProcessHost):
         self._cursor = record.replay_cursor(verify=True)
         self._caught_up = False
         self._delivered: Optional[Message] = None
+        # DELIVERTOKERNEL records run as the node's kernel process runs
+        # them, in the identity of the process they address (§4.4.3)
+        KernelProcessProgram().attach_kernel(self)
         checkpoint = record.checkpoint
         self.recreate_process(
             record.pid, record.image, tuple(record.args),
@@ -112,7 +116,7 @@ class ReplayDebugger(ProcessHost):
 
         Records are fed in the order recovery replays them — invalid
         (checkpoint-covered) records and markers skipped, a
-        DELIVERTOKERNEL record counted on the pcb and not delivered —
+        DELIVERTOKERNEL record run by the kernel process, not delivered —
         until the process takes one. Returns the :class:`ReplayStep`,
         or None when the history is exhausted or the process exited.
         """

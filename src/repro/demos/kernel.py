@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import costs
-from repro.demos.ids import KERNEL_LOCAL_ID, MessageId, ProcessId, kernel_pid
+from repro.demos.ids import MessageId, ProcessId, kernel_pid
 from repro.demos.kernel_process import KERNEL_PROCESS_IMAGE
-from repro.demos.links import Link, LinkTable
+from repro.demos.links import Link
 from repro.demos.messages import (DEFAULT_BODY_BYTES, AliveReply, AreYouAlive,
                                   Checkpoint, Control, DeliveredMessage,
                                   GossipPull, GossipSupply, Message,
@@ -48,7 +48,6 @@ from repro.demos.messages import (DEFAULT_BODY_BYTES, AliveReply, AreYouAlive,
 from repro.demos.process import (
     ProcessControlRecord,
     ProcessState,
-    ProgramBase,
     ProgramRegistry,
 )
 from repro.errors import KernelError, ProcessError
@@ -61,9 +60,9 @@ from repro.sim.engine import Engine
 
 @dataclass
 class KernelConfig:
-    """Per-node kernel configuration."""
+    """Per-node kernel configuration: publishing is on exactly when
+    there is a recorder to publish to."""
 
-    publishing: bool = True
     recorder_node: Optional[int] = None
     transport: TransportConfig = field(default_factory=TransportConfig)
 
@@ -166,9 +165,9 @@ class ProcessHost:
     a process, defined once for both kernels that run programs: the
     :class:`MessageKernel` and the replay debugger, the kernel of one
     offline process. A host provides ``registry``, ``node_id``,
-    ``engine``, ``cpu``, ``config``, ``events``, ``processes`` and
+    ``engine``, ``cpu``, ``publishing``, ``events``, ``processes`` and
     ``messages_delivered``, and ``_send_from``, which takes a sequenced
-    send off the process; with ``config.publishing`` it also provides
+    send off the process; with ``publishing`` it also provides
     ``send_control_to_recorder``.
     """
 
@@ -213,7 +212,7 @@ class ProcessHost:
         pcb.queue.clear()
         self.cpu.charge(costs.DESTROY_PROCESS_CPU_MS)
         self.events.emit("process", pid, event="destroyed")
-        if notify_recorder and self.config.publishing:
+        if notify_recorder and self.publishing:
             self.send_control_to_recorder(ProcessDestroyed(pid, self.node_id))
 
     # -- kernel calls -----------------------------------------------------
@@ -262,6 +261,39 @@ class ProcessHost:
         """
         return pcb.links.insert(link)
 
+    # -- process control (§4.4.3; the kernel process only) ---------------
+    def send_as(self, pcb: ProcessControlRecord, dst: ProcessId, body: Any,
+                channel: int = 0, code: int = 0,
+                passed_link: Optional[Link] = None,
+                deliver_to_kernel: bool = False,
+                size_bytes: int = DEFAULT_BODY_BYTES) -> None:
+        """Send a message attributed to ``pcb`` without using a link.
+
+        "While performing process control operations ... any messages it
+        sends are attributed to the controlled process" (§4.4.3). Using
+        the controlled process's send sequence keeps the suppression
+        rule correct if that process is ever recovered mid-exchange.
+        """
+        self._send_from(pcb, dst, channel, code, body, passed_link,
+                        size_bytes, deliver_to_kernel)
+
+    def stop_process(self, pid: ProcessId) -> bool:
+        """Stop a process; its queue keeps accumulating messages."""
+        pcb = self.processes.get(pid)
+        if pcb is None or pcb.state is not ProcessState.RUNNING:
+            return False
+        pcb.state = ProcessState.STOPPED
+        return True
+
+    def resume_process(self, pid: ProcessId) -> bool:
+        """Resume a stopped process and drain its queue."""
+        pcb = self.processes.get(pid)
+        if pcb is None or pcb.state is not ProcessState.STOPPED:
+            return False
+        pcb.state = ProcessState.RUNNING
+        self._pump(pcb)
+        return True
+
     # -- receive path -----------------------------------------------------
     def _admit(self, pcb: Optional[ProcessControlRecord], message: Message,
                pump: bool = True) -> None:
@@ -295,7 +327,7 @@ class ProcessHost:
         message, was_head = pcb.queue.take_next(channels)
         if message is None:
             return
-        if not was_head and self.config.publishing and pcb.recoverable:
+        if not was_head and self.publishing and pcb.recoverable:
             # §4.4.2: channels read this message out of arrival order;
             # tell the recorder which message was read and which was at
             # the head of the queue.
@@ -307,7 +339,10 @@ class ProcessHost:
         self.cpu.run(costs.RECV_CPU_MS, self._invoke_handler, pcb, message)
 
     def _invoke_handler(self, pcb: ProcessControlRecord, message: Message) -> None:
-        if not pcb.alive():
+        # A stop that lands while the handler waits for the CPU lets it
+        # finish: the message has left the queue, and ``_pump`` holds
+        # the next one until the resume.
+        if not (pcb.alive() or pcb.state is ProcessState.STOPPED):
             return
         passed_link_id: Optional[int] = None
         if message.passed_link is not None:
@@ -387,6 +422,8 @@ class MessageKernel(ProcessHost):
         self.engine = engine
         self.node_id = node_id
         self.config = config
+        #: publishing (§4.4.1) is on exactly when there is a recorder
+        self.publishing = config.recorder_node is not None
         self.registry = registry
         #: instrumentation spine: shared when the System provides one,
         #: otherwise rides the medium's (so standalone kernels still
@@ -439,7 +476,7 @@ class MessageKernel(ProcessHost):
             raise ProcessError(f"pid {pid} already exists on node {self.node_id}")
         pcb = self._new_pcb(pid, image, args, initial_links, recoverable,
                             state_pages)
-        if self.config.publishing:
+        if self.publishing:
             # spawn args with no wire encoding raise here, before the
             # pcb is in the table
             self.send_control_to_recorder(ProcessCreated(
@@ -509,7 +546,7 @@ class MessageKernel(ProcessHost):
         """Does a message to ``dst`` have to travel the network for the
         recorder? Not one to a non-recoverable process on this node
         (§6.6.1): it skips the network entirely."""
-        if not self.config.publishing:
+        if not self.publishing:
             return False
         if dst.node != self.node_id:
             return True
@@ -552,7 +589,7 @@ class MessageKernel(ProcessHost):
             # publishing's protocol tax; the receive call is charged
             # when the message is delivered
             self.cpu.charge(costs.NET_PROTOCOL_RECV_CPU_MS
-                            if self.config.publishing else 0.0)
+                            if self.publishing else 0.0)
             self.deliver_local(body)
         else:
             handler = self.control_handlers.get(type(body))
@@ -598,41 +635,6 @@ class MessageKernel(ProcessHost):
         else:
             self.events.emit("recovery", pcb.pid, event="discarded_live",
                              msg=message.msg_id)
-
-    # ------------------------------------------------------------------
-    # privileged operations (kernel process only)
-    # ------------------------------------------------------------------
-    def send_as(self, pcb: ProcessControlRecord, dst: ProcessId, body: Any,
-                channel: int = 0, code: int = 0,
-                passed_link: Optional[Link] = None,
-                deliver_to_kernel: bool = False,
-                size_bytes: int = DEFAULT_BODY_BYTES) -> None:
-        """Send a message attributed to ``pcb`` without using a link.
-
-        "While performing process control operations ... any messages it
-        sends are attributed to the controlled process" (§4.4.3). Using
-        the controlled process's send sequence keeps the suppression
-        rule correct if that process is ever recovered mid-exchange.
-        """
-        self._send_from(pcb, dst, channel, code, body, passed_link,
-                        size_bytes, deliver_to_kernel)
-
-    def stop_process(self, pid: ProcessId) -> bool:
-        """Stop a process; its queue keeps accumulating messages."""
-        pcb = self.processes.get(pid)
-        if pcb is None or pcb.state is not ProcessState.RUNNING:
-            return False
-        pcb.state = ProcessState.STOPPED
-        return True
-
-    def resume_process(self, pid: ProcessId) -> bool:
-        """Resume a stopped process and drain its queue."""
-        pcb = self.processes.get(pid)
-        if pcb is None or pcb.state is not ProcessState.STOPPED:
-            return False
-        pcb.state = ProcessState.RUNNING
-        self._pump(pcb)
-        return True
 
     # ------------------------------------------------------------------
     # checkpoints (§3.3.1)

@@ -30,7 +30,7 @@ Message protocol (bodies are plain tuples):
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link

@@ -16,8 +16,8 @@ operation while "assuming the identity" of the controlled process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Tuple
 
 from repro.demos.ids import ProcessId
 from repro.errors import LinkError

@@ -24,10 +24,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.demos.ids import ProcessId
-from repro.demos.links import Link, LinkTable
+from repro.demos.links import LinkTable
 from repro.demos.messages import DeliveredMessage, Message
 from repro.demos.queue import MessageQueue
 from repro.errors import ProcessError
@@ -210,9 +210,6 @@ class ProgramRegistry:
 
     def known(self, name: str) -> bool:
         return name in self._factories
-
-    def names(self) -> List[str]:
-        return sorted(self._factories)
 
 
 @dataclass

@@ -15,7 +15,7 @@ selected message was the queue head.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, Optional, Tuple
 
 from repro.demos.messages import Message
 
@@ -52,14 +52,6 @@ class MessageQueue:
     def clear(self) -> None:
         """Drop everything (process destruction)."""
         self._queue.clear()
-
-    def snapshot(self) -> List[Message]:
-        """The queued messages in order (messages are immutable)."""
-        return list(self._queue)
-
-    def restore(self, messages: Iterable[Message]) -> None:
-        """Replace contents from a snapshot."""
-        self._queue = deque(messages)
 
     def __len__(self) -> int:
         return len(self._queue)

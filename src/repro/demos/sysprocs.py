@@ -23,7 +23,7 @@ checkpoints capture separately.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.demos.messages import DeliveredMessage
 from repro.demos.process import Program

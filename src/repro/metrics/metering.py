@@ -16,9 +16,8 @@ milliseconds for that, and user milliseconds separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.demos.ids import ProcessId
 from repro.demos.kernel import MessageKernel
 from repro.demos.process import GeneratorProgram, Program, Recv
 from repro.errors import ReproError
@@ -113,13 +112,8 @@ class CreateDestroyProgram(GeneratorProgram):
                 self.failures += 1
 
 
-def _run_until(system: System, predicate, max_ms: float, step_ms: float = 50.0) -> None:
-    deadline = system.engine.now + max_ms
-    while system.engine.now < deadline:
-        if predicate():
-            return
-        system.run(step_ms)
-    if not predicate():
+def _measure_until(system: System, predicate, max_ms: float) -> None:
+    if not system.wait_for(predicate, max_ms, step_ms=50.0):
         raise ReproError("measurement did not complete in time")
 
 
@@ -139,7 +133,7 @@ def measure_send_to_self(publishing: bool, iterations: int = 512,
     before = meter.read()
     pid = system.spawn_program("metrics/send_to_self", args=(iterations,), node=1)
     program = system.program_of(pid)
-    _run_until(system, lambda: program.completed >= iterations,
+    _measure_until(system, lambda: program.completed >= iterations,
                max_ms=iterations * 100.0 + 5000.0)
     delta = meter.read().minus(before)
     return {
@@ -164,7 +158,7 @@ def measure_create_destroy(publishing: bool, iterations: int = 25
     before = meter.read()
     pid = system.spawn_program("metrics/create_destroy", args=(iterations,), node=1)
     program = system.program_of(pid)
-    _run_until(system, lambda: program.completed + program.failures >= iterations,
+    _measure_until(system, lambda: program.completed + program.failures >= iterations,
                max_ms=iterations * 2000.0 + 10_000.0)
     delta = meter.read().minus(before)
     return {
@@ -188,7 +182,7 @@ def measure_publishing_time(path: str, messages: int = 512) -> Dict[str, object]
     recorded_before = recorder.messages_recorded.value
     pid = system.spawn_program("metrics/send_to_self", args=(messages,), node=1)
     program = system.program_of(pid)
-    _run_until(system, lambda: program.completed >= messages,
+    _measure_until(system, lambda: program.completed >= messages,
                max_ms=messages * 150.0 + 5000.0)
     recorded = recorder.messages_recorded.value - recorded_before
     cpu = recorder.cpu_busy_ms.value - cpu_before

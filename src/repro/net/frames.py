@@ -331,7 +331,6 @@ class FrameKind(Enum):
 
     DATA = "data"
     ACK = "ack"             # end-to-end transport acknowledgement
-    RECORDER_ACK = "recorder_ack"  # medium-level recorder acknowledgement
     CONTROL = "control"     # watchdog pings, state queries, etc.
 
 

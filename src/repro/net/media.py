@@ -197,11 +197,6 @@ class Medium:
         return (size_bytes * 8.0 / costs.BANDWIDTH_BPS * 1000.0
                 + costs.INTERPACKET_DELAY_MS)
 
-    def recorders(self) -> List[NetworkInterface]:
-        """All attached recorder interfaces (healthy or not). The list
-        is the medium's cache — treat it as read-only."""
-        return self._recorder_ifaces
-
     # ------------------------------------------------------------------
     def _record_frame(self, frame: Frame) -> Optional[bool]:
         """Offer the frame to every healthy recorder.

@@ -46,6 +46,11 @@ DEDUP_HORIZON = 4096
 #: crashed recorder) is probed at a decaying rate, not a fixed drumbeat.
 BACKOFF_FACTOR = 2.0
 BACKOFF_MAX_MS = 2000.0
+#: Attempts before a guaranteed message becomes a dead letter. The
+#: thesis assumes "network failures are temporary" and retries for
+#: ever; a simulation needs the bound, and the dead-letter hook
+#: (``Transport.on_gave_up``) is what lies past it.
+MAX_RETRIES = 1000
 
 
 @register_payload("seg")
@@ -82,7 +87,6 @@ class TransportConfig:
     """Tunables for one node's transport layer."""
 
     retransmit_timeout_ms: float = 100.0
-    max_retries: int = 1000
     #: With window > 1 the sender stamps each guaranteed segment with a
     #: per-destination stream sequence and the receiver buffers
     #: out-of-order arrivals, releasing them in order — the windowing
@@ -170,7 +174,7 @@ class Transport:
         #: before destination filtering — the recorder's passive listener
         self.tap = tap
         #: dead-letter hook: called with ``(segment, attempts)`` when a
-        #: guaranteed message exhausts ``max_retries`` — graceful
+        #: guaranteed message exhausts :data:`MAX_RETRIES` — graceful
         #: degradation instead of a silent drop
         self.on_gave_up: Optional[Callable[[Segment, int], None]] = None
         #: instrumentation rides the medium's spine unless given its own
@@ -284,7 +288,7 @@ class Transport:
             # Interface down between timeout and retransmit (a transient
             # NIC outage, a detaching spare): keep the retry timer alive
             # so the message leaves `_in_flight` by delivery or by
-            # exhausting max_retries — never by wedging forever. The
+            # exhausting MAX_RETRIES — never by wedging forever. The
             # skipped transmission still consumes an attempt, so a
             # permanently dead interface ends in the dead-letter hook.
             out.attempts += 1
@@ -301,9 +305,9 @@ class Transport:
         out.timer = None
         if self._in_flight.get(out.segment.uid) is not out:
             return
-        if out.attempts >= self.config.max_retries:
+        if out.attempts >= MAX_RETRIES:
             # Give up; guaranteed delivery holds only for temporary
-            # failures, which max_retries bounds for simulation hygiene.
+            # failures, which MAX_RETRIES bounds for simulation hygiene.
             # The dead letter goes to `on_gave_up` instead of vanishing.
             del self._in_flight[out.segment.uid]
             out.lane.busy -= 1

@@ -16,7 +16,7 @@ and writes it with ``.emit()``; benches and the CLI read everything back
 through ``registry.snapshot()`` and ``obs.bus``.
 """
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.obs.events import Event, EventBus, Scope
 from repro.obs.metrics import (
@@ -39,26 +39,6 @@ class Observability:
         """Shorthand for ``bus.scope(name)``."""
         return self.bus.scope(name)
 
-    def snapshot(self):
-        """Shorthand for ``registry.snapshot()``."""
-        return self.registry.snapshot()
-
-
-def merge_snapshots(
-        parts: Iterable[Tuple[str, Dict[str, Any]]]) -> Dict[str, Any]:
-    """Merge several labelled metrics snapshots into one spine view.
-
-    Each part's keys are prefixed ``<label>.``; the merged snapshot is
-    key-sorted so it serializes canonically regardless of part order.
-    Used by partitioned federations to present per-LP registries as a
-    single snapshot.
-    """
-    merged: Dict[str, Any] = {}
-    for label, snapshot in parts:
-        for key, value in snapshot.items():
-            merged[f"{label}.{key}"] = value
-    return dict(sorted(merged.items()))
-
 
 __all__ = [
     "Counter",
@@ -69,6 +49,5 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "Scope",
-    "merge_snapshots",
     "TimeWeightedAverage",
 ]

@@ -35,12 +35,6 @@ class Event:
     scope = property(attrgetter("_scope"))
     category = property(attrgetter("_category"))
 
-    def __init__(self, time: float, scope: str, category: str,
-                 subject: Any, detail: Optional[Dict[str, Any]] = None):
-        detail = detail or {}
-        self._fill(time, scope, category, subject, tuple(detail),
-                   tuple(detail.values()))
-
     def _fill(self, *fields: Any) -> None:
         (self._time, self._scope, self._category, self._subject,
          self._keys, self._values) = fields
@@ -106,10 +100,6 @@ class Scope:
         self.name = name
         self._on = bus._scope_enabled(name)
 
-    @property
-    def enabled(self) -> bool:
-        return self._on
-
     def emit(self, category: str, subject: Any, **detail: Any) -> None:
         """Append an event stamped with the bus clock's current time."""
         if not self._on:
@@ -120,10 +110,6 @@ class Scope:
                     bus._detail_keys.setdefault(keys := tuple(detail), keys),
                     tuple(detail.values()))
         bus.events.append(event)
-
-    def child(self, suffix: str) -> "Scope":
-        """The scope ``<this>.<suffix>``."""
-        return self._bus.scope(f"{self.name}.{suffix}")
 
 
 class EventBus:

@@ -3,10 +3,8 @@
 A federation's gateways are its only cross-cluster edges, and every
 gateway imposes a fixed, positive ``forward_delay_ms`` before a claimed
 frame re-enters the world on the far medium. That delay is the
-*lookahead* of its channel — and each channel carries its **own**
-lookahead, so a slow edge widens its destination's safe window instead
-of throttling everyone to the global minimum. On top of the static
-lookaheads, every logical process (LP) reports a *next-event promise*
+*lookahead* of its channel. On top of the static lookahead, every
+logical process (LP) reports a *next-event promise*
 (the earliest simulated time anything can happen there), which the pool
 master relaxes over the channel graph (:class:`_PoolMaster` — the one
 place that knows how far an LP may safely run); that is what lets idle
@@ -86,10 +84,6 @@ class DesScenario:
     gateways. Driver start times are staggered per cluster
     (``stagger_ms``) so distinct channels never collide on exact event
     timestamps.
-
-    ``forward_delays`` gives per-directed-edge gateway delays as
-    ``(((src, dst), delay_ms), ...)``; unlisted edges fall back to
-    ``forward_delay_ms``. Each delay is that channel's lookahead.
     """
 
     clusters: int = 4
@@ -102,32 +96,14 @@ class DesScenario:
     topology: str = "ring"
     forward_delay_ms: float = 5.0
     master_seed: int = 1983
-    forward_delays: Optional[Tuple[Tuple[Tuple[int, int], float], ...]] = None
 
     def validate(self) -> None:
         if self.clusters < 2:
             raise ReproError("a DES scenario needs at least 2 clusters")
         if self.forward_delay_ms <= 0:
             raise ReproError("forward_delay_ms must be positive (lookahead)")
-        for edge, delay in (self.forward_delays or ()):
-            if delay <= 0:
-                raise ReproError(
-                    f"forward delay for edge {edge} must be positive, "
-                    f"got {delay}")
         if self.recorder_shards < 1:
             raise ReproError("recorder_shards must be >= 1")
-
-    def forward_delay_map(self) -> Dict[Tuple[int, int], float]:
-        return dict(self.forward_delays or ())
-
-
-def spread_forward_delays(
-        clusters: int) -> Tuple[Tuple[Tuple[int, int], float], ...]:
-    """A deterministic heterogeneous lookahead assignment: every third
-    ring edge gets a distinct delay so the per-channel lookahead path
-    (not just the uniform default) is what gets exercised."""
-    return tuple(((i, (i + 1) % clusters), 3.0 + (i % 5) * 2.0)
-                 for i in range(0, clusters, 3))
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +170,7 @@ def build_federation(scenario: DesScenario,
         topology=scenario.topology,
         configs=configs,
         partitions=partitions,
-        only_partition=only_partition,
-        forward_delays=scenario.forward_delay_map() or None)
+        only_partition=only_partition)
     for system in fed.clusters:
         register_chaos_programs(system)
     return fed
@@ -413,16 +388,15 @@ class _PoolMaster:
 
     def __init__(self, scenario: DesScenario, partitions: int):
         count = scenario.clusters
-        delays = scenario.forward_delay_map()
-        #: every cross-worker edge as (src_worker, dst_worker, lookahead_ms)
-        self.edges: List[Tuple[int, int, float]] = []
+        #: every edge's lookahead: the gateway forwarding delay
+        self.lookahead = scenario.forward_delay_ms
+        #: every cross-worker edge as (src_worker, dst_worker)
+        self.edges: List[Tuple[int, int]] = []
         for _gid, src, dst in directed_gateways(count, scenario.topology):
             src_lp = lp_of(src, partitions, count)
             dst_lp = lp_of(dst, partitions, count)
             if src_lp != dst_lp:
-                self.edges.append((
-                    src_lp, dst_lp,
-                    delays.get((src, dst), scenario.forward_delay_ms)))
+                self.edges.append((src_lp, dst_lp))
         workers = range(partitions)
         #: latest reported next-event bound per worker (inf = idle)
         self.bounds: Dict[int, float] = {w: 0.0 for w in workers}
@@ -447,8 +421,8 @@ class _PoolMaster:
                     node[dst] = fire_time
         for _ in range(len(node)):
             changed = False
-            for src, dst, delay in self.edges:
-                bound = node[src] + delay
+            for src, dst in self.edges:
+                bound = node[src] + self.lookahead
                 if bound < node[dst]:
                     node[dst] = bound
                     changed = True
@@ -463,8 +437,8 @@ class _PoolMaster:
         strictly positive)."""
         node = self.relaxed_bounds()
         out = {worker: until for worker in self.granted}
-        for src, dst, delay in self.edges:
-            bound = node[src] + delay
+        for src, dst in self.edges:
+            bound = node[src] + self.lookahead
             if bound < out[dst]:
                 out[dst] = bound
         return {worker: max(target, self.granted[worker])
@@ -658,8 +632,7 @@ def equivalence_report(scenario: DesScenario,
         for run in runs if run["digest"] != reference]
     equivalent = not mismatches and all(run["workload_ok"] for run in runs)
     return {
-        "scenario": dict(asdict(scenario),
-                         forward_delays=scenario.forward_delays or ()),
+        "scenario": asdict(scenario),
         "reference_digest": reference,
         "equivalent": equivalent,
         "mismatches": mismatches,

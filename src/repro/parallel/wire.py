@@ -11,7 +11,7 @@ This codec flattens a whole batch instead:
 
 * the numeric columns of every routed item — fire time, channel seq,
   destination LP, and the :class:`~repro.net.frames.Frame` shell
-  (kind, src/dst node, size, frame id, checksum, recorder ack) — are
+  (kind, src/dst node, size, frame id, checksum) — are
   packed as fixed-width ``struct`` records;
 * channel keys are deduplicated into a small string table (a batch
   touches few distinct channels, so each key is encoded once);

@@ -30,6 +30,10 @@ from repro.demos.process import ProcessControlRecord
 from repro.errors import ConfigError
 from repro.publishing.recovery_time import RecoveryTimeModel
 
+#: the mean time between failures a :class:`YoungIntervalPolicy` assumes
+#: when it is given none (a cluster's "young" policy)
+MTBF_MS = 60_000.0
+
 
 def young_interval(save_time: float, mtbf: float) -> float:
     """Young's first-order optimal checkpoint interval (§3.2.4).
@@ -61,7 +65,7 @@ class YoungIntervalPolicy(CheckpointPolicy):
     (Figure 3.1).
     """
 
-    mtbf_ms: float = 60_000.0
+    mtbf_ms: float = MTBF_MS
 
     def interval_ms(self, pcb: ProcessControlRecord) -> float:
         save_ms = costs.T_PAGE_MS * pcb.state_pages

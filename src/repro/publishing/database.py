@@ -31,8 +31,8 @@ view :attr:`ProcessRecord._live` — §4.5's "list of ids of messages
 received by the process" — which drops its dead entries wholesale once
 half of them are dead, so it holds at most 2× the live records. It is
 found by walking that view: :meth:`~ProcessRecord.messages_to_replay`,
-:attr:`~ProcessRecord.arrivals`, :meth:`~ProcessRecord.first_valid_id`
-and :class:`ReplayCursor` are reads of it, each O(records replayed).
+:attr:`~ProcessRecord.arrivals` and :class:`ReplayCursor` are reads
+of it, each O(records replayed).
 It gets there one way: :meth:`RecorderDatabase.deliver` takes a
 confirmed delivery to :meth:`ProcessRecord.record_message`. The shared
 :class:`~repro.publishing.store.SegmentedLog` numbers and checksums
@@ -412,13 +412,6 @@ class ProcessRecord:
         return sum(lm.message.size_bytes for lm in self._live
                    if not lm._invalid)
 
-    def first_valid_id(self) -> Optional[MessageId]:
-        """'The id of the first valid message' (§4.5)."""
-        for lm in self._live:
-            if not lm._invalid and not lm.is_marker:
-                return lm.message.msg_id
-        return None
-
 
 class RecorderDatabase:
     """pid → :class:`ProcessRecord`, plus global arrival numbering.
@@ -460,12 +453,6 @@ class RecorderDatabase:
 
     def get(self, pid: ProcessId) -> Optional[ProcessRecord]:
         return self.records.get(pid)
-
-    def require(self, pid: ProcessId) -> ProcessRecord:
-        record = self.records.get(pid)
-        if record is None:
-            raise RecorderError(f"no database entry for process {pid}")
-        return record
 
     def allocate_arrival_index(self) -> int:
         index = self.next_arrival_index

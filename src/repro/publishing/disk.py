@@ -94,16 +94,10 @@ class DiskModel:
 
     def utilization(self, elapsed_ms: float) -> float:
         """Fraction of elapsed time the disk spent servicing operations
-        (stall windows excluded — see :meth:`stalled_fraction`)."""
+        (stall windows excluded: ``stall_ms`` counts those)."""
         if elapsed_ms <= 0:
             return 0.0
         return min(1.0, self.busy_ms / elapsed_ms)
-
-    def stalled_fraction(self, elapsed_ms: float) -> float:
-        """Fraction of elapsed time covered by injected stall windows."""
-        if elapsed_ms <= 0:
-            return 0.0
-        return min(1.0, self.stall_ms / elapsed_ms)
 
 
 class DiskArray:
@@ -144,13 +138,6 @@ class DiskArray:
             return 0.0
         return sum(d.utilization(elapsed_ms) for d in self.disks) / len(self.disks)
 
-    def stalled_fraction(self, elapsed_ms: float) -> float:
-        """Mean stalled fraction across the spindles."""
-        if not self.disks:
-            return 0.0
-        return sum(d.stalled_fraction(elapsed_ms)
-                   for d in self.disks) / len(self.disks)
-
     @property
     def writes(self) -> int:
         return sum(d.writes for d in self.disks)
@@ -158,10 +145,6 @@ class DiskArray:
     @property
     def reads(self) -> int:
         return sum(d.reads for d in self.disks)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(d.bytes_written for d in self.disks)
 
     @property
     def busy_ms(self) -> float:

@@ -180,9 +180,6 @@ class GapTracker:
         self.missing[msg_id] = 0
         return True
 
-    def resolve(self, msg_id: MessageId) -> bool:
-        return self.missing.pop(msg_id, None) is not None
-
     def abandon(self, msg_id: MessageId) -> None:
         self.missing.pop(msg_id, None)
         self.gave_up.add(msg_id)

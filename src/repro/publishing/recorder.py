@@ -68,8 +68,6 @@ class RecorderConfig:
     node_id: int = 99
     #: recorder software path (§5.2.2): full_protocol | inlined | media_tap
     publish_path: str = "media_tap"
-    #: records per segment of the log-structured store
-    segment_records: int = 64
     transport: TransportConfig = field(default_factory=TransportConfig)
 
 
@@ -110,7 +108,7 @@ class Recorder:
         self.obs = obs if obs is not None else medium.obs
         self.events = self.obs.scope("recorder")
         self.stable = StableStorage(
-            RecorderDatabase(SegmentedLog(self.config.segment_records)))
+            RecorderDatabase(SegmentedLog()))
         self.db: RecorderDatabase = self.stable.db
         self.disks = DiskArray(engine)
         # Compaction passes charge their read/write traffic to this

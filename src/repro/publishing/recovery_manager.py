@@ -32,11 +32,11 @@ recovering / unknown).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro import costs
-from repro.demos.ids import ProcessId, kernel_pid
+from repro.demos.ids import ProcessId
 from repro.demos.messages import (AliveReply, ProcessCrashed, Recreate,
                                   RecoveryDone, Replay, StateQuery,
                                   StateReply)

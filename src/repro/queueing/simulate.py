@@ -12,8 +12,8 @@ Messages flow network → recorder CPU → disk, as in Figure 5.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro import costs
 from repro.queueing.model import (OpenQueueingModel, disk_ms_per_byte_buffered,

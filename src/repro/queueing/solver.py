@@ -10,9 +10,8 @@ behind the thesis's "at most 28 KB of buffer space" observation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import QueueingModelError
 from repro.queueing.model import OpenQueueingModel, StationLoad

@@ -55,9 +55,6 @@ class StateSizeDistribution:
         """Expected state size in KB."""
         return sum(kb * p for kb, p in self.TABLE)
 
-    def pmf(self) -> Dict[int, float]:
-        return dict(self.TABLE)
-
     def sample_kb(self, rng: RngStreams, stream: str = "state_sizes") -> int:
         """One draw from the distribution."""
         u = rng.stream(stream).random()

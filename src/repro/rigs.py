@@ -34,6 +34,7 @@ from repro.chaos import (
     CHAOS_COUNTER_IMAGE,
     CHAOS_DRIVER_IMAGE,
     ChaosCampaign,
+    CrashNode,
     ScenarioResult,
     expected_total,
     feed_record,
@@ -43,6 +44,12 @@ from repro.chaos import (
     run_scenario,
 )
 from repro.chaos.campaign import demo_campaign
+from repro.chaos.workload import (
+    CHANNEL_WORKER_IMAGE,
+    CONTROLLER_IMAGE,
+    URGENT_DRIVER_IMAGE,
+    ProcessController,
+)
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message
 from repro.digest import fold, leaf_diff, leaves, text_digest
@@ -50,11 +57,7 @@ from repro.errors import ReproError
 from repro.metrics import measure_send_to_self
 from repro.net import MEDIA, build_medium
 from repro.net.transport import Transport, TransportConfig
-from repro.parallel.des import (
-    DesScenario,
-    equivalence_report,
-    spread_forward_delays,
-)
+from repro.parallel.des import DesScenario, equivalence_report
 from repro.parallel.runner import (
     ShardTask,
     make_task,
@@ -407,9 +410,7 @@ def run_des(params: Dict[str, Any]) -> Dict[str, Any]:
         clusters=params["clusters"], cluster_size=params["cluster_size"],
         recorder_shards=params.get("recorder_shards", 1),
         messages=params["messages"], duration_ms=params["duration_ms"],
-        topology=params["topology"], master_seed=params["seed"],
-        forward_delays=(spread_forward_delays(params["clusters"])
-                        if params["spread_delays"] else None))
+        topology=params["topology"], master_seed=params["seed"])
     report = equivalence_report(scenario,
                                 worker_counts=tuple(params["des_workers"]))
     return dict(report, ok=report["equivalent"])
@@ -507,12 +508,17 @@ def run_media(params: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # pipeline: the recorder's publish + checkpoint + replay path
 # ----------------------------------------------------------------------
+#: the simulated time a pipeline phase may take before it fails
+_LIMIT_MS = 120_000.0
+
+
 def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
     """Drive the full publishing path: two counter/driver pairs whose
     every message is recorded, then cluster-wide checkpoints, then a
-    node crash recovered by replaying the recorded stream. It passes
-    when the drivers finish and both counters recover to the exact
-    total."""
+    node crash recovered by replaying the recorded stream; then, under
+    ``paper``, the paper's own mechanisms (:func:`paper_mechanisms`).
+    It passes when the drivers finish, both counters recover to the
+    exact total and every mechanism passes."""
     pairs, messages = 2, params["messages"]
     system = System(SystemConfig(nodes=3, master_seed=params["seed"],
                                  medium="broadcast"))
@@ -542,10 +548,8 @@ def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
         return done
 
     def publish_until(count: int) -> bool:
-        deadline = system.engine.now + 120_000.0
-        while not drivers_at(count) and system.engine.now < deadline:
-            system.run(250)
-        return drivers_at(count)
+        return system.wait_for(lambda: drivers_at(count), _LIMIT_MS,
+                                step_ms=250)
 
     checkpoints = []
 
@@ -559,14 +563,10 @@ def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
         # policy restart it, and the recovery manager replay its
         # processes from checkpoint + recorded stream (§3.3, §4.7).
         system.crash_node(2)
-        deadline = system.engine.now + 120_000.0
         want = expected_total(messages)
-        while system.engine.now < deadline:
-            system.run(500)
-            programs = [system.program_of(c) for _, c in spawned]
-            if all(p is not None and p.total == want for p in programs):
-                return True
-        return False
+        return system.wait_for(lambda: all(
+            getattr(system.program_of(c), "total", None) == want
+            for _, c in spawned), _LIMIT_MS, step_ms=500)
 
     # Checkpoint mid-stream so the post-crash recovery genuinely mixes
     # checkpoint restoration with replay of the messages consumed after
@@ -578,6 +578,8 @@ def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
     phases["checkpoint"]["checkpoints"] = checkpoints[0]
 
     recorder = system.recorder
+    paper = {name: facts for name, (_, _, facts)
+             in paper_mechanisms(params["seed"], messages).items()}
     return {
         "ops": pairs * messages,
         "events": system.engine.events_fired,
@@ -586,8 +588,93 @@ def run_pipeline(params: Dict[str, Any]) -> Dict[str, Any]:
         "messages_recorded": recorder.messages_recorded.value,
         "recoveries": system.recovery.stats.recoveries_completed,
         "messages_replayed": system.recovery.stats.messages_replayed,
-        "ok": ok,
+        "paper": paper,
+        "ok": ok and all(facts["ok"] for facts in paper.values()),
     }
+
+
+def _paper_system(seed: int) -> System:
+    system = System(SystemConfig(nodes=2, master_seed=seed))
+    register_chaos_programs(system)
+    system.boot()
+    return system
+
+
+def read_order_phase(seed: int):
+    """§4.4.2: a :class:`~repro.chaos.workload.ChannelWorker` reads two
+    urgent requests past a queued normal one, is checkpointed after the
+    first, and is crashed once both drivers are done. Its recovery must
+    take the requests in the live order, which only the kernel's
+    read-order advisories tell the recorder."""
+    system = _paper_system(seed)
+    worker = system.spawn_program(CHANNEL_WORKER_IMAGE, node=2)
+    drivers = [system.spawn_program(image, args=(tuple(worker), n), node=1)
+               for image, n in ((CHAOS_DRIVER_IMAGE, 3),
+                                (URGENT_DRIVER_IMAGE, 2))]
+    program = system.program_of(worker)
+    system.wait_for(lambda: program.seen, _LIMIT_MS)
+    checkpointed = system.checkpoint(worker)
+    system.wait_for(lambda: len(program.seen) == 5, _LIMIT_MS)
+    live = program.snapshot()
+    system.crash_process(worker)
+    recovered = system.wait_for(lambda: (
+        system.process_state(worker) == "running"
+        and system.program_of(worker).snapshot() == live), _LIMIT_MS)
+    return system, [worker, *drivers], {
+        "ok": checkpointed and recovered,
+        "consumed": len(live["seen"]),
+        "messages_replayed": system.recovery.stats.messages_replayed,
+    }
+
+
+def spare_phase(seed: int, messages: int):
+    """§3.3.3: the counter's processor fails mid-stream under
+    ``reboot_policy="spare"``; a spare assumes its identity, the
+    recovery manager repopulates it, and every reply is exact."""
+    result = run_scenario(
+        ChaosCampaign([CrashNode(1000.0, node=2)], name="spare"),
+        SystemConfig(nodes=2, master_seed=seed, reboot_policy="spare"),
+        pairs=1, messages=messages)
+    system = result.system
+    takeovers = system.obs.bus.count("spare")
+    return system, list(result.pairs[0]), {
+        "ok": result.ok and takeovers == 1,
+        "takeovers": takeovers,
+        "recoveries": system.recovery.stats.recoveries_completed,
+    }
+
+
+def process_control_phase(seed: int):
+    """§4.4.3 and Figure 4.5: a
+    :class:`~repro.chaos.workload.ProcessController` creates its driver
+    through its kernel process, moves a link to itself into the
+    driver's table, and stops and resumes the driver around an answer;
+    the driver finishes with the moved link in its table."""
+    system = _paper_system(seed)
+    controller = system.spawn_program(CONTROLLER_IMAGE, node=1)
+    program = system.program_of(controller)
+    done = system.wait_for(lambda: program.child and len(
+        system.program_of(ProcessId(*program.child)).replies)
+        == ProcessController.REQUESTS, _LIMIT_MS)
+    child = ProcessId(*program.child)
+    pcb = system.nodes[1].processes[child]
+    moved = [link.dst for _, link in pcb.links
+             if link.code == ProcessController.MOVED_CODE]
+    return system, [controller, child], {
+        "ok": done and program.stopped and moved == [controller],
+        "controls": pcb.dtk_processed,
+        "child_sends": pcb.send_seq,
+    }
+
+
+def paper_mechanisms(seed: int, messages: int) -> Dict[str, Tuple]:
+    """The paper's mechanisms the publish/checkpoint/replay path never
+    enters, each in a fresh two-node cluster on the broadcast medium at
+    window 1: name -> ``(system, pids of the processes it ran, facts)``,
+    the facts with an ``ok`` verdict."""
+    return {"read_order": read_order_phase(seed),
+            "spare": spare_phase(seed, messages),
+            "process_control": process_control_phase(seed)}
 
 
 # ----------------------------------------------------------------------
@@ -837,10 +924,7 @@ RIGS: Dict[str, Rig] = {rig.name: rig for rig in (
                       flag="--duration"),
                 _TOPOLOGY, _SEED,
                 Param("des_workers", (2,), parse=int, repeat=True,
-                      help="pool worker count to test (default 2)"),
-                Param("spread_delays", False,
-                      "assign heterogeneous per-edge gateway delays "
-                      "instead of one uniform lookahead")),
+                      help="pool worker count to test (default 2)")),
         run=run_des,
         smoke={"clusters": 6, "messages": 4, "duration_ms": 1500.0,
                "des_workers": (1, 2, 4)}),
@@ -883,9 +967,7 @@ def smoke_argv(rig: Rig) -> List[str]:
     argv: List[str] = []
     for name, value in rig.smoke.items():
         option = params[name].option
-        if isinstance(value, bool):
-            argv += [option] if value else []
-        elif params[name].repeat:
+        if params[name].repeat:
             argv += [arg for item in value for arg in (option, str(item))]
         elif isinstance(value, (list, tuple)):
             argv += [option, ",".join(map(str, value))]

@@ -228,11 +228,6 @@ class Engine:
         self.run(max_events=1)
         return self._events_fired != fired
 
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the heap (O(1): the
-        engine tracks how many heap entries are dead)."""
-        return len(self._heap) - self._cancelled
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the heap is empty.
 

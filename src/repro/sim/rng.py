@@ -59,11 +59,3 @@ class RngStreams:
     def exponential(self, name: str, mean: float) -> float:
         """One draw from an exponential distribution with the given mean."""
         return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        """One draw from Uniform(lo, hi)."""
-        return self.stream(name).uniform(lo, hi)
-
-    def choice(self, name: str, seq):
-        """One uniformly random element of ``seq``."""
-        return self.stream(name).choice(seq)

@@ -83,8 +83,6 @@ class SystemConfig:
     placement_policy: str = "range"
     master_seed: int = 1983
     publish_path: str = "media_tap"
-    #: boot starts NLS / process manager / memory scheduler on this node
-    services_node: int = 1
     #: what happens when the watchdog declares a node dead (§4.6's
     #: operator choices): "restart" reboots the same processor; "spare"
     #: swaps in a fresh processor that assumes the failed one's
@@ -98,13 +96,10 @@ class SystemConfig:
     transport_window: int = 1
     loss_rate: float = 0.0
     corruption_rate: float = 0.0
-    #: attempts before a guaranteed send becomes a dead letter
-    transport_max_retries: int = 1000
     #: automatic checkpoint policy installed on every node at boot:
     #: None, "young", "bound", or "storage" (§3.2.4 / §3.2.3 / §5.1)
     checkpoint_policy: Optional[str] = None
-    #: parameters for the chosen policy
-    checkpoint_mtbf_ms: float = 60_000.0
+    #: the "bound" policy's per-process recovery-time bound
     recovery_bound_ms: float = 2_000.0
     #: epidemic repair layer (publishing.gossip): nodes keep bounded
     #: buffers of recent publications, the medium tolerates recorder
@@ -226,6 +221,17 @@ UNSUPPORTED: Tuple[Tuple[Callable[[SystemConfig], bool], str, bool], ...] = (
     (lambda c: c.reboot_policy not in REBOOT_POLICIES,
      "unknown reboot policy {c.reboot_policy!r}; choose from "
      + ", ".join(REBOOT_POLICIES), False),
+    (lambda c: c.transport_window < 1,
+     "transport_window={c.transport_window}: a window holds at least one "
+     "message in flight (1 is the thesis's stop-and-wait)", False),
+    (lambda c: not c.gossip_round_ms > 0,
+     "gossip_round_ms={c.gossip_round_ms}: gossip rounds need a positive "
+     "period", False),
+    (lambda c: not all(0 <= rate <= 1 for rate in (
+        c.loss_rate, c.corruption_rate, c.gossip_loss_rate)),
+     "loss_rate={c.loss_rate}, corruption_rate={c.corruption_rate}, "
+     "gossip_loss_rate={c.gossip_loss_rate}: each is a probability, in "
+     "[0, 1]", False),
     (lambda c: c.medium == "star" and not c.publishing,
      "medium='star' needs publishing: its hub is the recorder (§4.1)", False),
     (lambda c: c.medium == "star" and recorder_count(c) > 1,
@@ -259,8 +265,7 @@ class System:
     def __init__(self, config: Optional[SystemConfig] = None,
                  registry: Optional[ProgramRegistry] = None,
                  engine: Optional[Engine] = None):
-        # A copy: resolving the layout below (``services_node``) must not
-        # write into the caller's object.
+        # A copy: the caller's object stays as it was given.
         self.config = replace(config) if config is not None else SystemConfig()
         check_config(self.config)
         self.engine = engine or Engine()
@@ -307,8 +312,6 @@ class System:
         first = self.config.first_node_id
         for node_id in range(first, first + self.config.nodes):
             self.nodes[node_id] = self._build_node(node_id)
-        if self.config.services_node not in self.nodes:
-            self.config.services_node = first
         for recovery in self.recoveries:
             recovery.node_restarter = self._restart_node_later
         #: epidemic repair layer (publishing.gossip) — built only when
@@ -348,7 +351,6 @@ class System:
             publish_path=cfg.publish_path,
             transport=TransportConfig(
                 retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
-                max_retries=cfg.transport_max_retries,
                 per_destination=True, window=1),
         )
 
@@ -425,11 +427,9 @@ class System:
     def _build_node(self, node_id: int) -> MessageKernel:
         cfg = self.config
         kernel_config = KernelConfig(
-            publishing=cfg.publishing,
             recorder_node=cfg.recorder_node_id if cfg.publishing else None,
             transport=TransportConfig(
                 retransmit_timeout_ms=RETRANSMIT_TIMEOUT_MS,
-                max_retries=cfg.transport_max_retries,
                 window=cfg.transport_window),
         )
         node = MessageKernel(self.engine, node_id, self.medium,
@@ -510,8 +510,9 @@ class System:
     # lifecycle
     # ------------------------------------------------------------------
     def boot(self, settle_ms: float = 500.0) -> None:
-        """Boot every node's kernel process and the system processes,
-        start the watchdogs, then let the engine settle."""
+        """Boot every node's kernel process and the system processes
+        (on the first node), start the watchdogs, then let the engine
+        settle."""
         cfg = self.config
         node_order = tuple(sorted(self.nodes))
         # Boot order fixes the local ids: NLS=(n,1), PM=(n,2), MS=(n,3).
@@ -521,9 +522,9 @@ class System:
             (MS_IMAGE, (node_order,),
              tuple(("kp", n) for n in node_order), True, 2),
         )
-        nls_pid = (cfg.services_node, 1)
+        nls_pid = (cfg.first_node_id, 1)
         for node_id, node in self.nodes.items():
-            specs = services_specs if node_id == cfg.services_node else ()
+            specs = services_specs if node_id == cfg.first_node_id else ()
             node.boot(boot_specs=specs, nls_pid=nls_pid)
         for recovery in self.recoveries:
             recovery.start()
@@ -546,8 +547,7 @@ class System:
             YoungIntervalPolicy,
         )
         if name == "young":
-            policy: CheckpointPolicy = YoungIntervalPolicy(
-                mtbf_ms=self.config.checkpoint_mtbf_ms)
+            policy: CheckpointPolicy = YoungIntervalPolicy()
         elif name == "bound":
             policy = RecoveryTimeBoundPolicy(
                 default_bound_ms=self.config.recovery_bound_ms)
@@ -565,6 +565,20 @@ class System:
     def run(self, duration_ms: float) -> float:
         """Advance the simulation ``duration_ms`` milliseconds."""
         return self.engine.run(until=self.engine.now + duration_ms)
+
+    def wait_for(self, done: Callable[[], bool], limit_ms: float,
+                  step_ms: Optional[float] = None) -> bool:
+        """Advance until ``done()`` holds or ``limit_ms`` of simulated
+        time has passed, ``step_ms`` at a time, or one event at a time
+        when it is None; returns ``done()``."""
+        engine = self.engine
+        deadline = engine.now + limit_ms
+        while not done() and engine.now < deadline:
+            if step_ms is not None:
+                engine.run(until=engine.now + step_ms)
+            elif not engine.step():
+                break
+        return done()
 
     # ------------------------------------------------------------------
     # observability

@@ -41,6 +41,13 @@ def crc16_bitwise(data: bytes) -> int:
     return crc
 
 
+def pending(engine) -> int:
+    """The engine's scheduled, not-yet-cancelled events, as its own
+    bookkeeping counts them: heap entries less the ones it knows are
+    dead (the count its lazy compaction runs on)."""
+    return len(engine._heap) - engine._cancelled
+
+
 def count_calls(fn, within=None) -> int:
     """Call events (Python and C) raised while ``fn()`` runs: the
     deterministic stand-in for host time that lets tier-1 assert how
@@ -229,12 +236,6 @@ class FlatProcessLog:
     def messages_to_replay(self) -> List[FlatLogged]:
         """Full rescan: every valid record, in arrival order."""
         return [lm for lm in self.arrivals if not lm.invalid]
-
-    def first_valid_id(self) -> Optional[Any]:
-        for lm in self.arrivals:
-            if not lm.invalid and not lm.message.recovery_marker:
-                return lm.message.msg_id
-        return None
 
     def valid_message_bytes(self) -> int:
         return sum(lm.message.size_bytes for lm in self.arrivals

@@ -25,6 +25,7 @@ from repro.chaos import (
 )
 from repro.errors import ReproError, StorageError
 from repro.net.faults import FaultPlan
+from repro.net import transport
 from repro.net.media import PerfectBroadcast
 from repro.net.transport import Transport
 from repro.publishing.disk import DiskArray
@@ -210,12 +211,12 @@ def test_invariants_judge_every_recorder_not_just_the_primary(
     assert checks["recorder_up"].detail == f"{label} down"
 
 
-def test_a_recorder_that_gives_up_leaves_dead_letters():
+def test_a_recorder_that_gives_up_leaves_dead_letters(monkeypatch):
     """The recorder's transport feeds the same ledger as the nodes':
     with node 2 down for good, every guaranteed send the recorder
     retries out is a dead letter, and ``no_dead_letters`` sees it."""
-    system = System(SystemConfig(nodes=2, reboot_policy="none",
-                                 transport_max_retries=3))
+    monkeypatch.setattr(transport, "MAX_RETRIES", 3)
+    system = System(SystemConfig(nodes=2, reboot_policy="none"))
     system.boot()
     system.run(2000)
     system.nodes[2].crash()
@@ -231,13 +232,13 @@ def test_a_recorder_that_gives_up_leaves_dead_letters():
     assert not check.ok
 
 
-def test_each_recorder_shard_files_its_own_dead_letters():
+def test_each_recorder_shard_files_its_own_dead_letters(monkeypatch):
     """With the recorder sharded, a give-up is filed under the node id
     of the shard whose transport gave up, and the shards' letters add
     up to their ``gave_up`` counters."""
+    monkeypatch.setattr(transport, "MAX_RETRIES", 3)
     system = System(SystemConfig(nodes=4, recorder_shards=2,
-                                 reboot_policy="none",
-                                 transport_max_retries=3))
+                                 reboot_policy="none"))
     system.boot()
     system.run(2000)
     for node in (2, 4):

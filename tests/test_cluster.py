@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Program
-from repro.cluster import ClusterFederation
+from repro.cluster import ClusterFederation, gateways
 from repro.errors import NetworkError
 
 from conftest import CounterProgram, DriverProgram
@@ -28,16 +28,16 @@ def wait_replies(fed, cluster, driver_pid, n, max_ms=240_000):
     return cluster.program_of(driver_pid)
 
 
-def gateway_give_up_federation(attempts=3):
+def gateway_give_up_federation(monkeypatch):
     """A two-cluster federation whose a→b forwarder gives up on the
     driver's first request: B's recorder misses the gateway's first
-    ``attempts`` transmissions, each one refused by B's medium, and the
-    forwarder stops after ``attempts``."""
+    three transmissions, each one refused by B's medium, and the
+    forwarders stop after three for the rest of the test."""
+    attempts = 3
+    monkeypatch.setattr(gateways, "GATEWAY_MAX_RETRIES", attempts)
     fed = build_federation((2, 1))
     a, b = fed.clusters
     counter_pid = b.spawn_program("test/counter", node=101)
-    gateway = next(g for g in fed.gateways if g.gateway_id == 9000)
-    gateway.forwarder.max_retries = attempts
     b.medium.faults.corrupt_next(
         lambda f, node: node == b.config.recorder_node_id
         and f.kind.value == "data" and f.src_node >= 9000, count=attempts)
@@ -53,13 +53,6 @@ class TestFederation:
         a, b = fed.clusters
         assert set(a.nodes) == {1, 2}
         assert set(b.nodes) == {101, 102}
-
-    def test_cluster_of_lookup(self):
-        fed = build_federation((1, 1))
-        assert fed.cluster_of(1) is fed.clusters[0]
-        assert fed.cluster_of(101) is fed.clusters[1]
-        with pytest.raises(NetworkError):
-            fed.cluster_of(999)
 
     def test_cross_cluster_request_reply(self):
         fed = build_federation()
@@ -153,7 +146,7 @@ class TestGatewayUnits:
         assert gateway.forwarder.frames_forwarded.value == 1
         assert [f.payload for f in got_far] == ["remote"]
 
-    def test_gateway_gives_up_after_max_retries(self):
+    def test_gateway_gives_up_after_max_retries(self, monkeypatch):
         from repro.cluster.gateways import Gateway
         from repro.net.media import PerfectBroadcast, NetworkInterface
         from repro.net.frames import Frame, FrameKind
@@ -166,14 +159,14 @@ class TestGatewayUnits:
         dead = NetworkInterface(101, lambda f: None)
         dead.up = False
         far.attach(dead)
-        gateway = Gateway(engine, near, far, far_nodes=lambda n: n >= 100,
-                          retry_ms=5.0, max_retries=4)
+        monkeypatch.setattr(gateways, "GATEWAY_MAX_RETRIES", 4)
+        gateway = Gateway(engine, near, far, far_nodes=lambda n: n >= 100)
         near.interfaces[0].send(Frame(kind=FrameKind.DATA, src_node=1,
                                       dst_node=101, payload="void",
                                       size_bytes=64))
         engine.run(until=10_000)
         # Four transmissions (attempt 0..3) each fail and schedule a
-        # retry; the fifth would exceed max_retries and is abandoned.
+        # retry; the fifth would exceed the bound and is abandoned.
         assert gateway.forwarder.retries.value == 4
         assert gateway.forwarder.frames_forwarded.value == 4
 
@@ -237,7 +230,7 @@ class TestFederationConfigs:
 
 
 class TestGatewayDeadLetters:
-    def _dead_far_setup(self):
+    def _dead_far_setup(self, monkeypatch):
         from repro.cluster.gateways import Gateway
         from repro.net.media import PerfectBroadcast, NetworkInterface
         from repro.obs import Observability
@@ -251,15 +244,15 @@ class TestGatewayDeadLetters:
         dead = NetworkInterface(101, lambda f: None)
         dead.up = False
         far.attach(dead)
+        monkeypatch.setattr(gateways, "GATEWAY_MAX_RETRIES", 4)
         gateway = Gateway(engine, near, far, far_nodes=lambda n: n >= 100,
-                          retry_ms=5.0, max_retries=4,
                           near_obs=obs, far_obs=obs)
         return engine, near, gateway, obs
 
-    def test_retry_exhaustion_is_dead_lettered(self):
+    def test_retry_exhaustion_is_dead_lettered(self, monkeypatch):
         from repro.net.frames import Frame, FrameKind
 
-        engine, near, gateway, obs = self._dead_far_setup()
+        engine, near, gateway, obs = self._dead_far_setup(monkeypatch)
         drops = []
         gateway.forwarder.on_drop = lambda gid, frame, attempts: \
             drops.append((gid, frame.dst_node, attempts))
@@ -271,7 +264,7 @@ class TestGatewayDeadLetters:
         assert gateway.forwarder.retries.value == 4
         assert gateway.forwarder.frames_dropped.value == 1
         assert drops == [(9000, 101, 4)]
-        snapshot = obs.snapshot()
+        snapshot = obs.registry.snapshot()
         assert snapshot["gateway.9000.frames_dropped"] == 1
         assert snapshot["gateway.9000.frames_forwarded"] == 4
         assert snapshot["gateway.9000.frames_claimed"] == 1
@@ -282,8 +275,9 @@ class TestGatewayDeadLetters:
         assert events[0].detail["reason"] == "retries_exhausted"
         assert events[0].detail["dst"] == 101
 
-    def test_federation_records_gateway_dead_letters(self):
-        fed, a, b, driver_pid, counter_pid = gateway_give_up_federation()
+    def test_federation_records_gateway_dead_letters(self, monkeypatch):
+        fed, a, b, driver_pid, counter_pid = gateway_give_up_federation(
+            monkeypatch)
         # Custody loss is permanent (the sender's transport was
         # satisfied when A's recorder stored the frame): the first
         # 'add' is gone and the driver stalls — which is precisely what
@@ -291,9 +285,10 @@ class TestGatewayDeadLetters:
         stalled = a.program_of(driver_pid)
         assert stalled.replies == []
         assert len(fed.dead_letters) == 1
-        snapshot = fed.metrics_snapshot()
-        dropped = sum(v for k, v in snapshot.items()
-                      if ".gateway." in k and k.endswith(".frames_dropped"))
+        dropped = sum(v for cluster in fed.clusters
+                      for k, v in cluster.metrics_snapshot().items()
+                      if k.startswith("gateway.")
+                      and k.endswith(".frames_dropped"))
         assert dropped == len(fed.dead_letters)
         # The gateway carries fresh traffic normally once the far
         # recorder hears it again.
@@ -318,13 +313,14 @@ class TestDeadLetterLedger:
         assert letter.origin == 9000 and letter.attempts == 7
         assert letter.payload is payload
 
-    def test_invariant_counts_gateway_custody_losses(self):
+    def test_invariant_counts_gateway_custody_losses(self, monkeypatch):
         """Bugfix regression: the chaos ``no_dead_letters`` invariant
         must see the federation's gateway ledger, not only the member
         systems' transport ledgers."""
         from repro.chaos import check_invariants
 
-        fed, a, b, driver_pid, counter_pid = gateway_give_up_federation()
+        fed, a, b, driver_pid, counter_pid = gateway_give_up_federation(
+            monkeypatch)
         assert len(fed.dead_letters) == 1
         assert a.dead_letters == []        # transports were satisfied
         check = next(c for c in check_invariants(a)

@@ -131,7 +131,7 @@ class TestKernelEdgeCases:
 class TestProcessManagerJobs:
     def test_job_done_decrements(self, two_node_system):
         system = two_node_system
-        services = system.config.services_node
+        services = system.config.first_node_id
         pm_pid = ProcessId(services, 2)
         pm = system.nodes[services].processes[pm_pid].program
         requester = ProcessId(1, 77)

@@ -106,15 +106,6 @@ class TestMessageQueue:
         q.append(msg(7))
         assert q.head().msg_id.seq == 7
 
-    def test_snapshot_restore(self):
-        q = MessageQueue()
-        q.append(msg(1))
-        q.append(msg(2))
-        snap = q.snapshot()
-        q2 = MessageQueue()
-        q2.restore(snap)
-        assert [m.msg_id.seq for m in q2.snapshot()] == [1, 2]
-
     def test_clear(self):
         q = MessageQueue()
         q.append(msg(1))

@@ -12,10 +12,9 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.parallel.des as des
-from repro.cluster.gateways import ClusterFederation, directed_gateways
+from repro.cluster.gateways import ClusterFederation
 from repro.errors import NetworkError, ReproError, SimulationError
 from repro.parallel.des import (
     DES_VOLATILE_METRICS,
@@ -27,7 +26,6 @@ from repro.parallel.des import (
     run_pooled,
     run_serial,
     spawn_workload,
-    spread_forward_delays,
 )
 from repro.parallel.runner import _mp_context
 from repro.sim.engine import PartitionChannel
@@ -89,47 +87,8 @@ class TestPooledEquivalence:
         assert pooled["digest"] == serial["digest"]
 
 
-class TestHeterogeneousLookahead:
-    """Per-channel lookaheads: each gateway edge carries its own delay,
-    and the pooled schedule must still replay the serial run
-    byte-for-byte — for any delay assignment, topology, cluster count
-    and worker count."""
-
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_random_lookahead_vectors_staged_matches_serial(self, data):
-        topology = data.draw(st.sampled_from(["ring", "mesh"]),
-                             label="topology")
-        clusters = data.draw(st.integers(3, 5), label="clusters")
-        edges = [(src, dst) for _gid, src, dst
-                 in directed_gateways(clusters, topology)]
-        delays = tuple(
-            (edge, data.draw(st.floats(0.5, 12.0, allow_nan=False,
-                                       allow_infinity=False),
-                             label=f"delay{edge}"))
-            for edge in edges)
-        scenario = DesScenario(
-            clusters=clusters, messages=3, duration_ms=800.0,
-            topology=topology, forward_delays=delays)
-        workers = data.draw(st.integers(2, clusters), label="workers")
-        serial = run_serial(scenario)
-        pooled = run_pooled(scenario, workers=workers)
-        assert serial["workload_ok"]
-        assert pooled["per_cluster"] == serial["per_cluster"]
-
-    def test_mixed_delays_pooled_matches_serial(self):
-        scenario = DesScenario(
-            clusters=4, messages=4, duration_ms=1500.0,
-            forward_delays=(((0, 1), 2.5), ((1, 2), 11.0), ((3, 0), 7.25)))
-        serial = run_serial(scenario)
-        pooled = run_pooled(scenario, workers=2)
-        assert serial["workload_ok"] and pooled["workload_ok"]
-        assert pooled["digest"] == serial["digest"]
-
-    def test_nonpositive_delay_rejected(self):
-        with pytest.raises(ReproError):
-            DesScenario(forward_delays=(((0, 1), 0.0),)).validate()
+class TestChannelLookahead:
+    """A gateway edge's delay is its channel's lookahead."""
 
     @pytest.mark.parametrize("lookahead_ms", [0.0, -1.0, float("nan")])
     def test_channel_lookahead_must_be_positive(self, lookahead_ms):
@@ -252,18 +211,6 @@ class TestLargeFederation:
             assert run["workload_ok"]
             assert run["replies"] == [6] * 32
             assert run["frames_dropped"] == 0
-
-    def test_32_clusters_all_knobs_enabled(self):
-        # Heterogeneous lookaheads at scale: serial == pooled,
-        # byte-for-byte.
-        scenario = DesScenario(
-            clusters=32, messages=6, duration_ms=3000.0,
-            forward_delays=spread_forward_delays(32))
-        report = equivalence_report(scenario, worker_counts=(4,))
-        assert report["equivalent"], report["mismatches"]
-        for run in report["runs"]:
-            assert run["workload_ok"]
-            assert run["replies"] == [6] * 32
 
 
 class TestDigestScope:

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
 
+from fixtures import pending
+
 
 class ReferenceEngine:
     """The simplest correct discrete-event loop: a heap of
@@ -108,7 +110,7 @@ def test_random_schedules_fire_identically(seed, ops):
     assert opt_trace == ref_trace
     assert opt.now == ref.now
     assert opt.events_fired == ref.events_fired
-    assert opt.pending() == ref.pending() == 0
+    assert pending(opt) == ref.pending() == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -127,10 +129,10 @@ def test_pending_counts_agree_mid_run(seed):
                         reverse=True):
         opt_handles.pop(index).cancel()
         ref.cancel(ref_records.pop(index))
-        assert opt.pending() == ref.pending()
+        assert pending(opt) == ref.pending()
     until = rng.uniform(0.0, 120.0)
     assert opt.run(until=until) == ref.run(until=until)
-    assert opt.pending() == ref.pending()
+    assert pending(opt) == ref.pending()
 
 
 def test_mass_cancellation_triggers_compaction_without_loss():
@@ -147,7 +149,7 @@ def test_mass_cancellation_triggers_compaction_without_loss():
         if k % 5 != 0:
             opt_handles[k].cancel()
             ref.cancel(ref_records[k])
-    assert opt.pending() == ref.pending() == 400
+    assert pending(opt) == ref.pending() == 400
     opt.run()
     ref.run()
     assert fired_opt == fired_ref
@@ -165,11 +167,11 @@ def test_cancel_after_fire_is_inert():
     engine.run()
     for handle in kept:
         handle.cancel()   # late: every event already fired
-    assert engine.pending() == 0
+    assert pending(engine) == 0
     engine.schedule(1.0, lambda: None)
-    assert engine.pending() == 1
+    assert pending(engine) == 1
     engine.run()
-    assert engine.pending() == 0
+    assert pending(engine) == 0
 
 
 def test_cancel_inside_callback_of_same_time_slot():

@@ -42,8 +42,8 @@ def build_federation(sizes=(1, 1), configs=None, topology="mesh"):
 
 
 def wait_replies(fed, cluster, driver_pid, n, max_ms=240_000):
-    deadline = fed.now + max_ms
-    while fed.now < deadline:
+    deadline = fed.engine.now + max_ms
+    while fed.engine.now < deadline:
         driver = cluster.program_of(driver_pid)
         if driver is not None and len(driver.replies) >= n:
             return driver
@@ -222,7 +222,7 @@ class TestGatewayPartitions:
         a, b = fed.clusters
         counter = b.spawn_program("test/counter", node=101)
         forwarder = next(g.forwarder for g in fed.gateways
-                         if g.far is b.medium)
+                         if g.forwarder.far is b.medium)
         return fed, a, b, counter, forwarder
 
     @staticmethod

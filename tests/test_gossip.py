@@ -4,6 +4,8 @@ convergence wait — and the set-convergence contract of docs/GOSSIP.md,
 pinned by a hypothesis differential against the lossless recorder.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import System, SystemConfig
@@ -17,6 +19,7 @@ from repro.chaos import (
 )
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import Message, ProcessCreated, ProcessDestroyed
+from repro.net import transport
 from repro.publishing.gossip import GapTracker, GossipBuffer, pull_ranges
 
 from conftest import (
@@ -225,10 +228,11 @@ def outage_campaign():
 
 def run_outage(gossip: bool):
     config = SystemConfig(nodes=2, master_seed=1983,
-                          checkpoint_policy="storage", gossip=gossip,
-                          transport_max_retries=6)
-    return run_scenario(outage_campaign(), config, pairs=1, messages=30,
-                        settle_ms=8000.0)
+                          checkpoint_policy="storage", gossip=gossip)
+    # six attempts: without gossip the outage outlasts the retry bound
+    with mock.patch.object(transport, "MAX_RETRIES", 6):
+        return run_scenario(outage_campaign(), config, pairs=1,
+                            messages=30, settle_ms=8000.0)
 
 
 def test_recorder_outage_heals_by_pull_and_recovery_is_exact():

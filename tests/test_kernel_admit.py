@@ -137,6 +137,21 @@ def test_a_stopped_process_queues_until_resumed(node):
     assert pcb.program.seen == [2, 3] and len(pcb.queue) == 0
 
 
+def test_a_stop_landing_while_a_handler_waits_lets_it_finish(node):
+    """The message has left the queue when the stop lands: its handler
+    still runs, and the next message waits for the resume."""
+    system, kernel, pcb, _ = node
+    kernel.deliver_local(message(pcb.pid, 1, ("add", 2)))
+    assert pcb.busy                         # on the CPU, not yet run
+    kernel.deliver_local(message(pcb.pid, 2, ("add", 3)))
+    assert kernel.stop_process(pcb.pid)
+    system.run(50)
+    assert pcb.program.seen == [2] and not pcb.busy and len(pcb.queue) == 1
+    assert kernel.resume_process(pcb.pid)
+    system.run(50)
+    assert pcb.program.seen == [2, 3] and len(pcb.queue) == 0
+
+
 def test_replayed_message_reaches_a_recovering_process(node):
     system, kernel, pcb, _ = node
     pcb = recreate(system, kernel, pcb, epoch=1)
@@ -243,15 +258,15 @@ def test_only_the_one_door_appends_to_a_process_queue():
     assert found == [("demos/kernel.py", "_admit")]
 
 
-@pytest.mark.parametrize("services_node", [1, 2])
-def test_boot_starts_the_system_processes_on_the_services_node(services_node):
+@pytest.mark.parametrize("first_node_id", [1, 50])
+def test_boot_starts_the_system_processes_on_the_first_node(first_node_id):
     system = System(SystemConfig(nodes=2, publishing=False,
-                                 services_node=services_node))
+                                 first_node_id=first_node_id))
     system.boot()
     for node_id, node in system.nodes.items():
         images = {pid: pcb.image for pid, pcb in node.processes.items()
                   if pid != kernel_pid(node_id)}
-        if node_id == services_node:
+        if node_id == first_node_id:
             assert images == {ProcessId(node_id, 1): NLS_IMAGE,
                               ProcessId(node_id, 2): PM_IMAGE,
                               ProcessId(node_id, 3): MS_IMAGE}

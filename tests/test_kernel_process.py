@@ -77,7 +77,7 @@ def test_created_child_holds_nls_link(system):
     child_pid = ProcessId(*system.program_of(pid).child)
     child_pcb = system.nodes[1].processes[child_pid]
     assert child_pcb.links.has(1)
-    nls_pid = ProcessId(system.config.services_node, 1)
+    nls_pid = ProcessId(system.config.first_node_id, 1)
     assert child_pcb.links.get(1).dst == nls_pid
 
 

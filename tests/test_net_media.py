@@ -152,7 +152,7 @@ def _downed_recorder_stalls_all_data(medium):
     engine = Engine()
     bus, inboxes, recorded = build_bus(engine, (1, 2), with_recorder=True,
                                        medium=medium)
-    recorder_iface = bus.recorders()[0]
+    recorder_iface = bus._recorder_ifaces[0]
     recorder_iface.up = False
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
@@ -336,7 +336,7 @@ def test_a_corrupted_copy_is_not_a_delivery(medium):
                                 faults=faults, medium=medium)
     acks, told = [], []
     bus.interfaces[0].on_delivered = lambda f, ok: acks.append(ok)
-    bus.recorders()[0].on_delivery = told.append
+    bus._recorder_ifaces[0].on_delivery = told.append
     bus.interfaces[0].send(data_frame(1, 2))
     engine.run()
     assert [f.checksum_ok() for f in inboxes[2]] == [False]
@@ -487,12 +487,12 @@ def test_station_table_hands_frames_to_whom_the_scan_did(ops):
             frame = Frame(kind, src, dst, "p", 64)
             takers, sender = scan_takers(bus, frame)
             ok = bool(takers) or any(r.node_id == dst and r.up
-                                     for r in bus.recorders())
+                                     for r in bus._recorder_ifaces)
             del got[:], acked[:]
             bus._deliver_to_receivers(frame, True)
             assert got == takers
             assert acked == ([(sender, ok)] if sender is not None else [])
-        assert bus.recorders() == [i for i in bus.interfaces if i.is_recorder]
+        assert bus._recorder_ifaces == [i for i in bus.interfaces if i.is_recorder]
 
 
 @settings(max_examples=150, deadline=None)
@@ -546,7 +546,7 @@ def test_ring_and_star_hand_frames_to_whom_the_scan_does(medium, ops):
                 continue
             frame = Frame(kind, src, dst, "p", 64)
             takers, sender = scan_takers(bus, frame)
-            recorders = bus.recorders()
+            recorders = bus._recorder_ifaces
             live = [r for r in recorders if r.up]
             if recorders and not live:
                 takers = []                 # nobody filled the field

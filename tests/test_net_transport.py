@@ -180,12 +180,13 @@ def test_sender_interface_down_during_retry_does_not_wedge():
     assert t1.queue_depth == 0
 
 
-def test_permanently_dead_interface_reaches_dead_letter_hook():
+def test_permanently_dead_interface_reaches_dead_letter_hook(monkeypatch):
     """A sender whose interface never comes back must not retry forever:
     the skipped transmissions consume the retry budget and the message
     ends in the `on_gave_up` dead-letter hook."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=4)
+    monkeypatch.setattr(transport, "MAX_RETRIES", 4)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0)
     _, t1, t2, got = build_pair(engine, config=cfg)
     dead = []
     t1.on_gave_up = lambda segment, attempts: dead.append(

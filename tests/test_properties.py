@@ -80,7 +80,9 @@ def test_queue_filter_preserves_relative_order(channels, mask):
     expected = [seq for seq, ch in enumerate(channels, start=1) if ch in mask]
     assert taken == expected
     # Non-matching messages remain, in order.
-    leftovers = [m.msg_id.seq for m in q.snapshot()]
+    leftovers = []
+    while q:
+        leftovers.append(q.take_next(None)[0].msg_id.seq)
     assert leftovers == [seq for seq, ch in enumerate(channels, start=1)
                          if ch not in mask]
 

@@ -57,7 +57,7 @@ class TestStateSizes:
 
     def test_skewed_small(self):
         dist = StateSizeDistribution()
-        pmf = dist.pmf()
+        pmf = dict(dist.TABLE)
         assert pmf[4] == max(pmf.values())
 
 

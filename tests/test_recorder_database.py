@@ -51,12 +51,6 @@ class TestRecording:
         assert not record.record_message(m, 1)
         assert len(record.arrivals) == 1
 
-    def test_first_valid_id(self):
-        record = make_record([make_message(1), make_message(2)])
-        assert record.first_valid_id() == MessageId(SENDER, 1)
-        record.arrivals[0].invalid = True
-        assert record.first_valid_id() == MessageId(SENDER, 2)
-
 
 class TestConsumedSimulation:
     def test_in_order_consumption(self):
@@ -199,8 +193,3 @@ class TestDatabase:
                           recoverable=False)
         on_1 = db.processes_on(1)
         assert [r.image for r in on_1] == ["a"]
-
-    def test_require_raises_for_unknown(self):
-        db = RecorderDatabase()
-        with pytest.raises(RecorderError):
-            db.require(PID)

@@ -486,13 +486,13 @@ class TestDiskStallAccounting:
         assert disk.busy_ms == pytest.approx(2 * service)
         assert disk.stall_wait_ms == pytest.approx(20.0)
 
-    def test_utilization_excludes_stall_and_stalled_fraction_reports_it(self):
+    def test_utilization_excludes_stall_and_stall_ms_holds_it(self):
         engine = Engine()
         disk = DiskModel(engine)
         disk.submit("write", 2000)           # 3 + 1 = 4 ms service
         disk.stall(16.0)
         assert disk.utilization(40.0) == pytest.approx(0.1)
-        assert disk.stalled_fraction(40.0) == pytest.approx(0.4)
+        assert disk.stall_ms == pytest.approx(16.0)
 
     def test_array_aggregates_the_split(self):
         engine = Engine()
@@ -502,7 +502,6 @@ class TestDiskStallAccounting:
         assert disks.stall_ms == pytest.approx(20.0)   # both spindles
         assert disks.stall_wait_ms == pytest.approx(10.0)
         assert disks.busy_ms == pytest.approx(4.0)
-        assert disks.stalled_fraction(40.0) == pytest.approx(0.25)
 
 
 class TestPageBufferGroupCommit:
@@ -573,19 +572,19 @@ class TestRecorderStorageGauges:
     def test_gauges_track_the_storage_engine(self):
         engine = Engine()
         medium = PerfectBroadcast(engine)
-        recorder = Recorder(engine, medium,
-                            RecorderConfig(segment_records=4))
+        recorder = Recorder(engine, medium, RecorderConfig())
+        seg = recorder.db.log.segment_records
         record = recorder.db.create(PID, node=2, image="img")
-        for i in range(6):
+        for i in range(seg + 2):
             record.record_message(make_message(i + 1, size=200),
                                   recorder.db.allocate_arrival_index())
         snap = recorder.obs.registry.snapshot()
         for name in self.GAUGES:
             assert name in snap, name
-        assert snap["recorder.log_bytes"] == 1200
-        assert snap["recorder.live_bytes"] == 1200
+        assert snap["recorder.log_bytes"] == (seg + 2) * 200
+        assert snap["recorder.live_bytes"] == (seg + 2) * 200
         assert snap["recorder.segments"] == 2
-        record.apply_checkpoint(ckpt(5))     # retires the first segment
+        record.apply_checkpoint(ckpt(seg + 1))   # retires the first segment
         snap = recorder.obs.registry.snapshot()
         assert snap["recorder.segments_retired"] == 1
         assert snap["recorder.live_bytes"] == 200
@@ -594,19 +593,19 @@ class TestRecorderStorageGauges:
     def test_compaction_io_lands_on_the_recorder_disks(self):
         engine = Engine()
         medium = PerfectBroadcast(engine)
-        recorder = Recorder(engine, medium,
-                            RecorderConfig(segment_records=4))
+        recorder = Recorder(engine, medium, RecorderConfig())
+        seg = recorder.db.log.segment_records
         record = recorder.db.create(PID, node=2, image="img")
-        for i in range(5):
+        for i in range(seg + 1):
             record.record_message(make_message(i + 1, size=200),
                                   recorder.db.allocate_arrival_index())
         reads_before = recorder.disks.reads
-        record.apply_checkpoint(ckpt(2))     # half-dead: compaction pass
+        record.apply_checkpoint(ckpt(seg // 2))   # half-dead: compaction
         assert recorder.db.log.compactions == 1
         assert recorder.disks.reads == reads_before + 1
-        # 2 of 4 sealed records died: 3 survivors total, 2 of them in
-        # the compacted segment — 400 bytes rewritten
-        assert recorder.db.log.compaction_written_bytes == 400
+        # half the sealed records died: the other half is what the
+        # compacted segment rewrites
+        assert recorder.db.log.compaction_written_bytes == seg // 2 * 200
 
 
 

@@ -196,7 +196,7 @@ class TestNodeCrash:
             system, n=20, counter_node=2, driver_node=2)
         system.run(1500)
         system.crash_node(1)             # services node
-        services = system.config.services_node
+        services = system.config.first_node_id
         for local in (1, 2, 3):
             assert wait_recovered(system, ProcessId(services, local))
         wait_counter_caught_up(system, counter_pid, 20)

@@ -221,7 +221,7 @@ FLAGS = {
     "adversary": {"--seed", "--f", "--byzantine", "--messages", "--modes",
                   "--rate"},
     "des": {"--clusters", "--cluster-size", "--messages", "--duration",
-            "--topology", "--seed", "--des-workers", "--spread-delays"},
+            "--topology", "--seed", "--des-workers"},
     "federation": {"--clusters", "--cluster-size", "--shards", "--topology",
                    "--messages", "--duration", "--seed", "--workers",
                    "--service-ms"},
@@ -280,17 +280,15 @@ def test_a_flag_of_another_kind_is_an_argparse_error(capsys):
     assert "--runs" in capsys.readouterr().err
 
 
-def test_an_absent_bool_flag_is_passed_as_false_not_left_to_the_builder():
-    """``des`` without ``--spread-delays`` passes ``False``, not the
-    absence the declaration would fill in."""
+def test_a_flag_left_out_is_left_to_the_declaration():
+    """Every rig flag takes a value (no rig declares a bool switch), and
+    one the command line leaves out is the declaration's to fill in."""
     from repro.__main__ import _given
 
-    des_params = RIGS["des"].params
-    assert _given(parse(["des", "--clusters", "4"]), des_params) == {
-        "clusters": 4, "spread_delays": False}
-    assert _given(parse(["des", "--spread-delays"]),
-                  des_params) == {"spread_delays": True}
-    # a value flag left out is left to the declaration
+    assert not [p.name for rig in RIGS.values() for p in rig.params
+                if isinstance(p.default, bool)]
+    assert _given(parse(["des", "--clusters", "4"]),
+                  RIGS["des"].params) == {"clusters": 4}
     assert _given(parse(["sweep", "--kind", "chaos", "--runs", "3"]),
                   RIGS["chaos"].params) == {"runs": 3}
     assert _given(parse(["utilization"]), RIGS["utilization"].params) == {}

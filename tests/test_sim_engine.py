@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Engine
 
+from fixtures import pending
+
 
 def test_events_fire_in_time_order():
     engine = Engine()
@@ -115,9 +117,9 @@ def test_pending_counts_live_events():
     engine = Engine()
     h1 = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
-    assert engine.pending() == 2
+    assert pending(engine) == 2
     h1.cancel()
-    assert engine.pending() == 1
+    assert pending(engine) == 1
 
 
 def test_activity_sleeps_for_yielded_delay():
@@ -211,7 +213,7 @@ def test_step_is_one_dispatch_of_run():
     assert fired == ["live"] and engine.now == 2.0
     later.cancel()
     assert engine.step() is False         # only a cancelled entry is left
-    assert engine.pending() == 0 and engine.now == 2.0
+    assert pending(engine) == 0 and engine.now == 2.0
 
     engine.schedule(1.0, engine.step)     # step() inside run() is reentry
     with pytest.raises(SimulationError, match="not reentrant"):

@@ -34,12 +34,3 @@ class TestRngStreams:
         mean = sum(draws) / len(draws)
         assert 9.0 < mean < 11.0
 
-    def test_uniform_in_bounds(self):
-        rng = RngStreams(42)
-        draws = [rng.uniform("u", 2.0, 5.0) for _ in range(100)]
-        assert all(2.0 <= d <= 5.0 for d in draws)
-
-    def test_choice_picks_members(self):
-        rng = RngStreams(42)
-        options = ["a", "b", "c"]
-        assert all(rng.choice("c", options) in options for _ in range(20))

@@ -152,8 +152,6 @@ PRODUCT_TREES = ("src", "bench", "benchmarks", "examples")
 #: each kept for the reason given; anything else that only tests reach
 #: is deleted instead
 TEST_ONLY = {
-    "cluster_of": "ClusterFederation's node-to-cluster lookup, pinned by "
-                  "tests/test_cluster.py",
     "run_to": "ReplayDebugger's stepping API (§6.5), beside run_until",
     "run_until": "ReplayDebugger's stepping API (§6.5), documented in "
                  "docs/TUTORIAL.md",

@@ -138,7 +138,7 @@ class TestProcessManagerChain:
         sys_.registry.register("test/spawner", SpawnerProgram)
         sys_.boot()
         # Shrink the PM's job limit directly.
-        services = sys_.config.services_node
+        services = sys_.config.first_node_id
         pm_pid = ProcessId(services, 2)
         sys_.nodes[services].processes[pm_pid].program.job_limit = 2
         pid = sys_.spawn_program("test/spawner", args=(4,), node=1)

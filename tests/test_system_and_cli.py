@@ -4,7 +4,8 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.__main__ import main as cli_main
-from repro.errors import ReproError
+from repro.errors import ConfigError, PlacementError, ReproError
+from repro.publishing.checkpoints import MTBF_MS
 
 from conftest import register_test_programs
 
@@ -27,24 +28,18 @@ class TestSystemConfig:
     def test_first_node_id_offsets_everything(self):
         system = System(SystemConfig(nodes=2, first_node_id=50))
         assert sorted(system.nodes) == [50, 51]
-        assert system.config.services_node == 50
         system.boot()
         assert system.process_state(
             __import__("repro").ProcessId(50, 1)) == "running"
-
-    def test_services_node_falls_back_into_range(self):
-        system = System(SystemConfig(nodes=2, first_node_id=10,
-                                     services_node=1))
-        assert system.config.services_node == 10
 
     def test_callers_config_is_left_as_it_was_given(self):
         from dataclasses import asdict
         config = SystemConfig(nodes=2, first_node_id=101)
         before = asdict(config)
         system = System(config)
-        assert system.config.services_node == 101
+        system.boot()
         assert system.config is not config
-        assert asdict(config) == before and config.services_node == 1
+        assert asdict(config) == before
 
     def test_spawn_requires_booted_node(self):
         system = System(SystemConfig(nodes=1))
@@ -146,10 +141,11 @@ class TestCheckpointPolicyConfig:
 
     def test_young_policy_via_config(self):
         from conftest import run_counter_scenario
-        system = System(SystemConfig(nodes=2, checkpoint_policy="young",
-                                     checkpoint_mtbf_ms=5_000.0))
+        system = System(SystemConfig(nodes=2, checkpoint_policy="young"))
         register_test_programs(system)
         system.boot()
+        assert system.checkpoint_policy.mtbf_ms == MTBF_MS
+        system.checkpoint_policy.mtbf_ms = 5_000.0   # a failure-prone site
         counter_pid, _ = run_counter_scenario(system, n=100)
         system.run(15_000)
         assert system.obs.bus.count("checkpoint", str(counter_pid)) >= 2
@@ -203,16 +199,23 @@ class TestRecorderLayouts:
         {"medium": "star", "recorder_shards": 3, "placement_policy": "replica"},
         {"medium": "star", "gossip": True},
         {"medium": "star", "publishing": False},
+        {"transport_window": 0},
+        {"gossip_round_ms": 0.0},
+        {"gossip_round_ms": -150.0},
+        {"loss_rate": 1.5},
+        {"corruption_rate": -0.1},
+        {"gossip_loss_rate": float("nan")},
     ], ids=["reboot_policy", "placement_policy", "zero_recorders",
             "shards_with_gossip", "replicas_with_gossip", "star_with_shards",
             "star_with_replicas", "star_with_gossip",
-            "star_without_publishing"])
+            "star_without_publishing", "zero_window", "zero_gossip_round",
+            "negative_gossip_round", "loss_above_one",
+            "negative_corruption", "nan_gossip_loss"])
     def test_mistyped_layouts_and_policies_are_rejected(self, overrides):
-        with pytest.raises(ReproError):
+        with pytest.raises((ConfigError, PlacementError)):
             System(SystemConfig(nodes=2, **overrides))
 
     def test_layout_names_are_checked_without_a_recorder_too(self):
-        from repro.errors import PlacementError
         with pytest.raises(PlacementError):
             System(SystemConfig(nodes=2, publishing=False,
                                 placement_policy="bogus"))
@@ -295,20 +298,34 @@ def test_clusters_are_built_in_system_and_nowhere_else():
     assert calls == {("system.py", name) for name in builders}
 
 
+#: fields no product caller turns that stay fields for a reason
+FIXED = {
+    "DesScenario.settle_ms": "a committed fact (des.scenario.settle_ms)",
+    "DesScenario.stagger_ms": "a committed fact (des.scenario.stagger_ms)",
+    "DesScenario.forward_delay_ms":
+        "a committed fact (des.scenario.forward_delay_ms)",
+}
+
+
 def test_every_system_config_field_is_set_by_some_caller():
-    """An option no caller turns is an option nothing exercises: every
-    field of ``SystemConfig`` and of the configs it builds is set to a
-    value other than its default somewhere outside its defining module.
+    """An option no product caller turns is an option nothing exercises:
+    every field of ``SystemConfig``, of the configs it builds and of
+    ``DesScenario`` is set to a value other than its default somewhere
+    in ``src``, ``bench``, ``benchmarks`` or ``examples`` outside its
+    defining module — tests do not count — or is in :data:`FIXED`.
     Set means a keyword to the config's constructor whose value is not
     the default written as a literal; for ``SystemConfig`` also a
-    keyword to ``dataclasses.replace``, a key of a dict in a module that
-    splats one into either, or a ``config.<field> =`` assignment."""
+    keyword to ``dataclasses.replace``, a ``config.<field> =``
+    assignment, and, in a module that splats a mapping into either, a
+    key of a dict there or a keyword to a function of the module whose
+    ``**`` parameter is what it splats."""
     import ast
     import dataclasses
     from pathlib import Path
 
     from repro.demos.kernel import KernelConfig
     from repro.net.transport import TransportConfig
+    from repro.parallel.des import DesScenario
     from repro.publishing.gossip import GossipConfig
     from repro.publishing.recorder import RecorderConfig
 
@@ -318,19 +335,23 @@ def test_every_system_config_field_is_set_by_some_caller():
              TransportConfig: src / "net" / "transport.py",
              KernelConfig: src / "demos" / "kernel.py",
              RecorderConfig: src / "publishing" / "recorder.py",
-             GossipConfig: src / "publishing" / "gossip.py"}
+             GossipConfig: src / "publishing" / "gossip.py",
+             DesScenario: src / "parallel" / "des.py"}
     defaults = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
                 for cls in table}
     found = {cls: set() for cls in table}
-    for top in ("src", "tests", "benchmarks", "examples", "bench"):
+    for top in ("src", "bench", "benchmarks", "examples"):
         for path in sorted((src.parents[1] / top).rglob("*.py")):
             owners = {cls.__name__: cls for cls, home in table.items()
                       if path != home}
-            splats, dict_keys = False, set()
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            splatted, dict_keys, passed = set(), set(), {}
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id",
                                    getattr(node.func, "attr", None))
+                    passed.setdefault(name, set()).update(
+                        k.arg for k in node.keywords if k.arg is not None)
                     if name == "replace":
                         name = "SystemConfig"
                     cls = owners.get(name)
@@ -341,8 +362,10 @@ def test_every_system_config_field_is_set_by_some_caller():
                                 isinstance(k.value, ast.Constant)
                                 and k.value.value == defaults[cls].get(
                                     k.arg, dataclasses.MISSING))}
-                        splats = splats or (cls is SystemConfig and any(
-                            k.arg is None for k in node.keywords))
+                        if cls is SystemConfig:
+                            splatted |= {getattr(k.value, "id", None)
+                                         for k in node.keywords
+                                         if k.arg is None}
                     elif name == "dict":
                         dict_keys |= {k.arg for k in node.keywords} - {None}
                 elif isinstance(node, ast.Dict):
@@ -358,8 +381,14 @@ def test_every_system_config_field_is_set_by_some_caller():
                                 owner, "id", getattr(owner, "attr", None))
                                 == "config"):
                             found[SystemConfig].add(target.attr)
-            if splats:
+            if splatted:
                 found[SystemConfig] |= dict_keys
+                for fn in ast.walk(tree):
+                    if (isinstance(fn, ast.FunctionDef) and fn.args.kwarg
+                            and fn.args.kwarg.arg in splatted):
+                        found[SystemConfig] |= passed.get(fn.name, set())
     unset = {f"{cls.__name__}.{name}" for cls in table
              for name in sorted(set(defaults[cls]) - found[cls])}
-    assert not unset, f"config fields no caller sets: {sorted(unset)}"
+    assert not unset - set(FIXED), \
+        f"config fields no product caller sets: {sorted(unset - set(FIXED))}"
+    assert set(FIXED) <= unset, "a FIXED field has a product caller now"

@@ -12,13 +12,15 @@ at the end of this file).
 """
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from fixtures import register_test_programs, run_counter_scenario
+from fixtures import pending, register_test_programs, run_counter_scenario
 from repro import System, SystemConfig
 from repro.net.faults import FaultPlan
 from repro.net.media import Medium, PerfectBroadcast
+from repro.net import transport as transport_module
 from repro.net.transport import Transport, TransportConfig
 from repro.sim import Engine, RngStreams
 
@@ -33,12 +35,13 @@ def build_pair(engine, config=None, medium=None, faults=None):
     return medium, t1, t2, got
 
 
-def test_retry_times_match_per_message_timer_model():
+def test_retry_times_match_per_message_timer_model(monkeypatch):
     """With the receiver dead, retries must fire at exactly the
     cumulative backoff offsets, up to and along the cap, and the dead
     letter must drop at the end of that schedule."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=10)
+    monkeypatch.setattr(transport_module, "MAX_RETRIES", 10)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0)
     _, t1, t2, got = build_pair(engine, config=cfg)
     dead = []
     t1.on_gave_up = lambda seg, attempts: dead.append((engine.now, attempts))
@@ -50,11 +53,11 @@ def test_retry_times_match_per_message_timer_model():
     observed = (t1._backoff_ms.count, t1._backoff_ms.total,
                 t1._backoff_ms.min, t1._backoff_ms.max)
     # Attempt k is followed by a _retry_delay_ms(k) wait; after the
-    # max_retries'th wait the timeout declares the dead letter.
-    schedule = [t1._retry_delay_ms(k) for k in range(1, cfg.max_retries + 1)]
+    # MAX_RETRIES'th wait the timeout declares the dead letter.
+    schedule = [t1._retry_delay_ms(k) for k in range(1, 11)]
     assert schedule == [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0,
                         1280.0, 2000.0, 2000.0]
-    assert dead == [(sum(schedule), cfg.max_retries)]
+    assert dead == [(sum(schedule), 10)]
     # The timers observed exactly the model's delays, in histogram terms.
     assert observed == (len(schedule), sum(schedule),
                         min(schedule), max(schedule))
@@ -62,17 +65,18 @@ def test_retry_times_match_per_message_timer_model():
     assert got[2] == []
 
 
-def test_concurrent_messages_keep_independent_schedules():
+def test_concurrent_messages_keep_independent_schedules(monkeypatch):
     """Several messages in flight at once: each must give up after its
     own full backoff schedule, and the last dead letter leaves the
     engine with nothing pending."""
     engine = Engine()
-    cfg = TransportConfig(retransmit_timeout_ms=10.0, max_retries=10,
-                          window=4, per_destination=True)
+    monkeypatch.setattr(transport_module, "MAX_RETRIES", 10)
+    cfg = TransportConfig(retransmit_timeout_ms=10.0, window=4,
+                          per_destination=True)
     medium = PerfectBroadcast(engine)
     t1 = Transport(engine, medium, 1, lambda s: None, cfg)
     schedule_ms = sum(t1._retry_delay_ms(k)
-                      for k in range(1, cfg.max_retries + 1))
+                      for k in range(1, 11))
     dead = []
     t1.on_gave_up = lambda seg, attempts: dead.append(
         (seg.body, engine.now, attempts))
@@ -81,10 +85,10 @@ def test_concurrent_messages_keep_independent_schedules():
     for i, offset in enumerate(offsets):
         engine.schedule(offset, t1.send, 2 + i, f"m{i}", 128, ("p", i))
     engine.run(until=offsets[-1] + schedule_ms)
-    assert sorted(dead) == [(f"m{i}", offset + schedule_ms, cfg.max_retries)
+    assert sorted(dead) == [(f"m{i}", offset + schedule_ms, 10)
                             for i, offset in enumerate(offsets)]
     assert t1.stats.gave_up.value == 3
-    assert engine.pending() == 0
+    assert pending(engine) == 0
 
 
 def test_ack_before_the_deadline_cancels_the_retry():
@@ -101,7 +105,7 @@ def test_ack_before_the_deadline_cancels_the_retry():
     assert got[2] == ["once"]
     assert t1.stats.retransmissions.value == 1   # the one real loss, no ghosts
     assert t1.stats.sent.value == 2              # original + that single retry
-    assert engine.pending() == 0
+    assert pending(engine) == 0
 
 
 def test_superseding_send_cancels_the_old_retry_timer():
@@ -115,7 +119,7 @@ def test_superseding_send_cancels_the_old_retry_timer():
     t1.send(2, "old", 64, uid=("p", 1))
     engine.schedule(3.0, t1.send, 2, "new", 64, ("p", 1))
     engine.run(until=5.0)
-    assert engine.pending() == 1
+    assert pending(engine) == 1
     # the old entry's deadlines were 10 and 30 ms, the new one's 13 and 33
     engine.run(until=12.0)
     assert t1.stats.retransmissions.value == 0
@@ -125,12 +129,12 @@ def test_superseding_send_cancels_the_old_retry_timer():
     assert t1.stats.retransmissions.value == 1
     engine.run(until=33.0)
     assert t1.stats.retransmissions.value == 2
-    assert engine.pending() == 1
+    assert pending(engine) == 1
     assert [f.payload.body for f in medium.offered] == \
         ["old", "new", "new", "new"]
     medium.ack(medium.offered[-1])
     assert t1.queue_depth == 0
-    assert engine.pending() == 0
+    assert pending(engine) == 0
 
 
 def test_wedged_retry_regression_with_concurrent_timers():
@@ -153,13 +157,13 @@ def test_wedged_retry_regression_with_concurrent_timers():
     t1.iface.up = False                    # NIC outage hits mid-retry
     engine.run(until=450.0)                # retries fire while down
     assert t1.queue_depth == 1             # still tracked, not abandoned
-    assert engine.pending() > 0            # its retry timer among them
+    assert pending(engine) > 0            # its retry timer among them
     t1.iface.up = True
     t2.restart()
     engine.run(until=20_000.0)
     assert got[2] == ["survivor"]
     assert t1.queue_depth == 0
-    assert engine.pending() == 0
+    assert pending(engine) == 0
 
 
 def test_crash_cancels_every_retry_timer_and_restart_rearms_cleanly():
@@ -169,9 +173,9 @@ def test_crash_cancels_every_retry_timer_and_restart_rearms_cleanly():
     for i in range(4):
         t1.send(2, f"pre{i}", 128, uid=("p", i))
     engine.run(until=30.0)                 # retries pending on the engine
-    assert engine.pending() > 0
+    assert pending(engine) > 0
     t1.crash()
-    assert engine.pending() == 0
+    assert pending(engine) == 0
     engine.run(until=2_000.0)              # nothing left to fire for t1
     t1.restart()
     t2.restart()
@@ -332,6 +336,9 @@ SENDER_OPS = st.one_of(
 @example(ops=[("send", 0, 2), ("send", 1, 3), ("send", 2, 3), ("send", 0, 2),
               ("send", 2, 3), ("send", 3, 3), ("ack", 1), ("ack", 0)],
          window=2, per_destination=True)   # uid 2 overwritten in flight
+# one attempt: a message is offered once and dies at its first timeout,
+# so every frame the medium sees is a start, not a retry
+@mock.patch.object(transport_module, "MAX_RETRIES", 1)
 def test_lanes_start_what_the_one_pass_pump_started(ops, window,
                                                     per_destination):
     """Sends over four destinations, acks in any order, give-ups with
@@ -340,10 +347,8 @@ def test_lanes_start_what_the_one_pass_pump_started(ops, window,
     order as the one-pass pump, and ends with every slot free."""
     engine = Engine()
     medium = HeldAckMedium(engine)
-    # max_retries=1: a message is offered once and dies at its first
-    # timeout, so every frame the medium sees is a start, not a retry
     transport = Transport(engine, medium, 1, lambda s: None, TransportConfig(
-        window=window, per_destination=per_destination, max_retries=1))
+        window=window, per_destination=per_destination))
     model = OnePassSender(window, per_destination)
     visible = []         # the model's starts while the interface is up
 
