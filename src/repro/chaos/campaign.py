@@ -210,7 +210,7 @@ def check_invariants(system) -> List[InvariantCheck]:
 
     # Losslessness spans both ledgers: transport give-ups on this
     # cluster *and* custody frames its federation's gateways dropped.
-    federation = getattr(system, "federation", None)
+    federation = system.federation
     gateway_dead = len(federation.dead_letters) if federation is not None else 0
     total_dead = len(system.dead_letters) + gateway_dead
     checks.append(InvariantCheck(
@@ -285,9 +285,8 @@ def build_report(system, campaign: ChaosCampaign,
         "gave_up": summed(".gave_up"),
         "dead_letters": len(system.dead_letters),
     }
-    federation = getattr(system, "federation", None)
-    if federation is not None:
-        figures["gateway_dead_letters"] = len(federation.dead_letters)
+    if system.federation is not None:
+        figures["gateway_dead_letters"] = len(system.federation.dead_letters)
     if system.gossip is not None:
         figures.update({
             "gossip_rounds": snapshot.get("gossip.rounds", 0),

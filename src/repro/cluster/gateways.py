@@ -46,7 +46,7 @@ so two federations built in one process get identical ids.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.errors import NetworkError
@@ -246,7 +246,6 @@ class GatewayTap:
                  forward_delay_ms: float, gateway_id: int,
                  obs: Optional[Observability] = None):
         self.engine = engine
-        self.near = near
         self.far_nodes = far_nodes
         self.channel = channel
         self.forward_delay_ms = forward_delay_ms
@@ -393,7 +392,7 @@ class ClusterFederation:
         # any cluster count (the old ``90 + index`` scheme collided with
         # node ranges beyond ~10 clusters). Cluster 0 keeps id 90.
         self.configs: List[SystemConfig] = []
-        self._node_sets: List[Set[int]] = []
+        self._node_ranges: List[range] = []
         for index, size in enumerate(cluster_sizes):
             if configs is not None:
                 config = replace(configs[index])
@@ -406,19 +405,15 @@ class ClusterFederation:
                 raise NetworkError(
                     f"cluster {index} has {config.nodes} nodes; the id "
                     f"layout fits at most {RECORDER_ID_OFFSET} per cluster")
-            nodes = set(range(
-                config.first_node_id, config.first_node_id + config.nodes))
             shard_count = recorder_count(config)
             if shard_count and RECORDER_ID_OFFSET + shard_count > NODES_STRIDE:
                 raise NetworkError(
                     f"cluster {index}: {shard_count} recorder shards "
                     f"do not fit in a node stride of {NODES_STRIDE}")
-            # Routable across gateways: a remote cluster can address
-            # this cluster's recorders.
-            nodes |= set(range(config.recorder_node_id,
-                               config.recorder_node_id + shard_count))
             self.configs.append(config)
-            self._node_sets.append(nodes)
+            # a gateway into this cluster carries frames for its nodes
+            self._node_ranges.append(range(
+                config.first_node_id, config.first_node_id + config.nodes))
 
         #: the one engine every local cluster runs on
         self.engine = Engine()
@@ -429,7 +424,6 @@ class ClusterFederation:
             if only_partition in (None, lp_of(index, lps, count)):
                 system = System(config, engine=self.engine)
                 system.federation = self
-                system.cluster_index = index
                 self.systems[index] = system
         self.clusters: List[System] = [self.systems[i]
                                        for i in sorted(self.systems)]
@@ -444,7 +438,7 @@ class ClusterFederation:
         self.channels: List[PartitionChannel] = []
         for gid, src, dst in directed_gateways(count, topology):
             src_local, dst_local = src in self.systems, dst in self.systems
-            far_nodes = (lambda node, _far=self._node_sets[dst]: node in _far)
+            far_nodes = self._node_ranges[dst].__contains__
             if src_local and dst_local:
                 self.gateways.append(Gateway(
                     self.engine, self.systems[src].medium,

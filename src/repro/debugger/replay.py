@@ -60,7 +60,6 @@ class ReplayDebugger(ProcessHost):
     def __init__(self, record: ProcessRecord, registry: ProgramRegistry):
         if record.image == "":
             raise ReproError(f"no image recorded for {record.pid}; cannot replay")
-        self.record = record
         self.pid = record.pid
         self.registry = registry
         self.node_id = record.node

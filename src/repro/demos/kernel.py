@@ -278,19 +278,35 @@ class ProcessHost:
                         size_bytes, deliver_to_kernel)
 
     def stop_process(self, pid: ProcessId) -> bool:
-        """Stop a process; its queue keeps accumulating messages."""
+        """Stop a process; its queue keeps accumulating messages.
+
+        A stop replayed to a recovering process (the control is logged
+        in the process's own stream, §4.4.3) takes effect once the
+        process has consumed every message replayed ahead of it — as a
+        live stop does when it finds the process caught up — and the
+        process is handed back stopped."""
         pcb = self.processes.get(pid)
-        if pcb is None or pcb.state is not ProcessState.RUNNING:
+        if pcb is None:
             return False
-        pcb.state = ProcessState.STOPPED
+        if pcb.state is ProcessState.RUNNING:
+            pcb.state = ProcessState.STOPPED
+        elif pcb.state is ProcessState.RECOVERING:
+            pcb.stop_at = pcb.consumed + pcb.busy + len(pcb.queue)
+        else:
+            return False
         return True
 
     def resume_process(self, pid: ProcessId) -> bool:
         """Resume a stopped process and drain its queue."""
         pcb = self.processes.get(pid)
-        if pcb is None or pcb.state is not ProcessState.STOPPED:
+        if pcb is None:
             return False
-        pcb.state = ProcessState.RUNNING
+        if pcb.state is ProcessState.STOPPED:
+            pcb.state = ProcessState.RUNNING
+        elif pcb.stop_at is not None:
+            pcb.stop_at = None
+        else:
+            return False
         self._pump(pcb)
         return True
 
@@ -320,6 +336,10 @@ class ProcessHost:
     def _pump(self, pcb: ProcessControlRecord) -> None:
         """Deliver the next acceptable message to the program, if any."""
         if pcb.busy or not pcb.alive():
+            return
+        if pcb.stop_at is not None and pcb.consumed >= pcb.stop_at:
+            if pcb.state is ProcessState.RUNNING:   # handed back: stop now
+                pcb.state, pcb.stop_at = ProcessState.STOPPED, None
             return
         ready, channels = pcb.program.wants()
         if not ready:
@@ -646,7 +666,8 @@ class MessageKernel(ProcessHost):
         recorder then retains the full message history instead).
         """
         pcb = self.processes.get(pid)
-        if pcb is None or pcb.state is not ProcessState.RUNNING:
+        if (pcb is None or pcb.state is not ProcessState.RUNNING
+                or pcb.stop_at is not None):   # its stop is still due
             return False
         checkpoint = pcb.snapshot()
         if checkpoint is None:
@@ -669,9 +690,11 @@ class MessageKernel(ProcessHost):
     # crash injection and recovery support (§4.6, §4.7)
     # ------------------------------------------------------------------
     def crash_process(self, pid: ProcessId) -> None:
-        """Halt one process on a detected fault and report the crash."""
+        """Halt one process on a detected fault and report the crash —
+        a stopped one too: its recovery replays the stop."""
         pcb = self.processes.get(pid)
-        if pcb is None or not pcb.alive():
+        if pcb is None or pcb.state in (ProcessState.CRASHED,
+                                        ProcessState.DEAD):
             return
         pcb.state = ProcessState.CRASHED
         pcb.queue.clear()
@@ -702,7 +725,8 @@ class MessageKernel(ProcessHost):
         self.events.emit("restart", f"node{self.node_id}")
 
     def finish_recovery(self, pid: ProcessId, recovery_epoch: int) -> None:
-        """Replay complete: append held live traffic and go live."""
+        """Replay complete: append held live traffic and go live — or
+        stopped, by a replayed stop, once ``_pump`` reaches it."""
         pcb = self.processes.get(pid)
         if pcb is None or pcb.state is not ProcessState.RECOVERING:
             return

@@ -73,6 +73,15 @@ POOL_REPLY_TIMEOUT_S = 120.0
 #: been told to (or terminated) before giving up on it.
 POOL_JOIN_TIMEOUT_S = 30.0
 
+#: Every DES scenario's fixed timing: the federation boots for
+#: ``SETTLE_MS`` before the workload, cluster i's driver starts at
+#: ``1 + i * STAGGER_MS`` so distinct channels never collide on exact
+#: event timestamps, and every gateway forwards after
+#: ``FORWARD_DELAY_MS`` — the lookahead of its channel.
+SETTLE_MS = 500.0
+STAGGER_MS = 7.3
+FORWARD_DELAY_MS = 5.0
+
 
 @dataclass(frozen=True)
 class DesScenario:
@@ -81,9 +90,8 @@ class DesScenario:
     Each cluster runs a :class:`~repro.chaos.workload.ChaosCounter` and
     a :class:`~repro.chaos.workload.ChaosDriver` targeting the *next*
     cluster's counter, so every add/total round trip crosses two
-    gateways. Driver start times are staggered per cluster
-    (``stagger_ms``) so distinct channels never collide on exact event
-    timestamps.
+    gateways. The timing every scenario shares is the module's
+    :data:`SETTLE_MS`, :data:`STAGGER_MS` and :data:`FORWARD_DELAY_MS`.
     """
 
     clusters: int = 4
@@ -91,17 +99,12 @@ class DesScenario:
     recorder_shards: int = 1
     messages: int = 6
     duration_ms: float = 3000.0
-    settle_ms: float = 500.0
-    stagger_ms: float = 7.3
     topology: str = "ring"
-    forward_delay_ms: float = 5.0
     master_seed: int = 1983
 
     def validate(self) -> None:
         if self.clusters < 2:
             raise ReproError("a DES scenario needs at least 2 clusters")
-        if self.forward_delay_ms <= 0:
-            raise ReproError("forward_delay_ms must be positive (lookahead)")
         if self.recorder_shards < 1:
             raise ReproError("recorder_shards must be >= 1")
 
@@ -166,7 +169,7 @@ def build_federation(scenario: DesScenario,
                for _ in range(scenario.clusters)]
     fed = ClusterFederation(
         [scenario.cluster_size] * scenario.clusters,
-        forward_delay_ms=scenario.forward_delay_ms,
+        forward_delay_ms=FORWARD_DELAY_MS,
         topology=scenario.topology,
         configs=configs,
         partitions=partitions,
@@ -206,7 +209,7 @@ def spawn_workload(fed: ClusterFederation, scenario: DesScenario) -> None:
         system = fed.systems[index]
         target_cluster = (index + 1) % scenario.clusters
         target = (fed.configs[target_cluster].first_node_id, counter_local)
-        delay = 1.0 + scenario.stagger_ms * index
+        delay = 1.0 + STAGGER_MS * index
         system.engine.schedule(delay, _spawn_driver, system, target,
                                scenario.messages)
 
@@ -286,7 +289,7 @@ def run_serial(scenario: DesScenario) -> Dict[str, Any]:
     """The reference execution: one engine, no windows."""
     started = time.perf_counter()
     fed = build_federation(scenario)
-    fed.boot(settle_ms=scenario.settle_ms)
+    fed.boot(settle_ms=SETTLE_MS)
     spawn_workload(fed, scenario)
     fed.run(scenario.duration_ms)
     result = _merge_collected([collect_local(fed, scenario)], scenario)
@@ -294,7 +297,7 @@ def run_serial(scenario: DesScenario) -> Dict[str, Any]:
         "mode": "serial",
         "partitions": 0,
         "clusters": scenario.clusters,
-        "sim_ms": scenario.settle_ms + scenario.duration_ms,
+        "sim_ms": SETTLE_MS + scenario.duration_ms,
         "wall_ms": (time.perf_counter() - started) * 1000.0,
         "barriers": 0,
         "messages_exchanged": 0,
@@ -389,7 +392,7 @@ class _PoolMaster:
     def __init__(self, scenario: DesScenario, partitions: int):
         count = scenario.clusters
         #: every edge's lookahead: the gateway forwarding delay
-        self.lookahead = scenario.forward_delay_ms
+        self.lookahead = FORWARD_DELAY_MS
         #: every cross-worker edge as (src_worker, dst_worker)
         self.edges: List[Tuple[int, int]] = []
         for _gid, src, dst in directed_gateways(count, scenario.topology):
@@ -570,7 +573,7 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
                     break
 
         broadcast(("boot",))
-        advance(scenario.settle_ms)
+        advance(SETTLE_MS)
         broadcast(("checkpoint",))
         broadcast(("spawn",))
         advance(scenario.duration_ms)
@@ -598,7 +601,7 @@ def run_pooled(scenario: DesScenario, workers: int) -> Dict[str, Any]:
         "partitions": partitions,
         "workers": workers,
         "clusters": scenario.clusters,
-        "sim_ms": scenario.settle_ms + scenario.duration_ms,
+        "sim_ms": SETTLE_MS + scenario.duration_ms,
         "wall_ms": (time.perf_counter() - started) * 1000.0,
         "barriers": barriers,
         "messages_exchanged": messages_exchanged,

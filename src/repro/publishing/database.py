@@ -65,13 +65,10 @@ class LoggedMessage:
     invalidation — once: a repeat is ignored, a re-validation refused.
     """
 
-    __slots__ = ("message", "arrival_index", "_invalid", "seq", "_record",
-                 "checksum")
+    __slots__ = ("message", "_invalid", "seq", "_record", "checksum")
 
-    def __init__(self, message: Message, arrival_index: int,
-                 invalid: bool = False):
+    def __init__(self, message: Message, invalid: bool = False):
         self.message = message
-        self.arrival_index = arrival_index
         self._invalid = invalid
         self.seq = -1
         self._record: Optional["ProcessRecord"] = None
@@ -252,7 +249,7 @@ class ProcessRecord:
         return list(self._live)
 
     # ------------------------------------------------------------------
-    def record_message(self, message: Message, arrival_index: int,
+    def record_message(self, message: Message,
                        forced: bool = False) -> Optional[LoggedMessage]:
         """The destination received this message: append it to the
         replay log in reception order (releasing its staged copy) and
@@ -267,7 +264,7 @@ class ProcessRecord:
         if message.msg_id in self.recorded_ids and not forced:
             return None
         self.recorded_ids.add(message.msg_id)
-        lm = LoggedMessage(message, arrival_index)
+        lm = LoggedMessage(message)
         lm._record = self
         lm.seq = self.log.append(lm)
         self._live.append(lm)
@@ -414,19 +411,18 @@ class ProcessRecord:
 
 
 class RecorderDatabase:
-    """pid → :class:`ProcessRecord`, plus global arrival numbering.
+    """pid → :class:`ProcessRecord`.
 
     "The process data base is just a summary of the information that
     appears on disk. If the recorder crashes, it is possible to rebuild
     the data base from the disk" (§4.5) — accordingly the database
     object itself lives inside the recorder's stable storage. All
-    records share one :class:`SegmentedLog`, so the arrival numbering
-    doubles as the log's append order.
+    records share one :class:`SegmentedLog`, whose sequence numbers
+    (``LoggedMessage.seq``) are the recorder's arrival order.
     """
 
     def __init__(self, log: Optional[SegmentedLog] = None) -> None:
         self.records: Dict[ProcessId, ProcessRecord] = {}
-        self.next_arrival_index = 0
         self.log = log if log is not None else SegmentedLog()
 
     def create(self, pid: ProcessId, node: int, image: str, args: Tuple = (),
@@ -453,11 +449,6 @@ class RecorderDatabase:
 
     def get(self, pid: ProcessId) -> Optional[ProcessRecord]:
         return self.records.get(pid)
-
-    def allocate_arrival_index(self) -> int:
-        index = self.next_arrival_index
-        self.next_arrival_index += 1
-        return index
 
     def deliver(self, message: Message,
                 record_for: Callable[[Message], Optional[ProcessRecord]],
@@ -491,8 +482,7 @@ class RecorderDatabase:
             record = record_for(replacement)
             if record is None:
                 continue
-            lm = record.record_message(
-                replacement, self.allocate_arrival_index(), forced)
+            lm = record.record_message(replacement, forced)
             if lm is not None:
                 yield lm
                 for stage in stages:

@@ -27,7 +27,7 @@ broadcast on top of the passive design:
   window.
 
 Convergence contract (see docs/GOSSIP.md): repaired messages append to
-the log at a fresh arrival index, *after* messages that arrived while
+the end of the log, *after* messages that arrived while
 they were missing. Replay interleave therefore differs from the
 original reception order; what converges is the per-process recorded
 **set**. Exact-state recovery holds for commutative workloads (and any

@@ -72,7 +72,6 @@ class MultiRecorderCoordinator:
         #: recoveries replay the cross-recorder majority stream instead
         #: of trusting its own log alone.
         self.quorum: Optional["QuorumReplay"] = None
-        self.offers_received = 0
         self.offers_sent = 0
         self.takeovers = 0
         self.recorder.on_control(RecoverOffer, self._on_offer)
@@ -127,7 +126,6 @@ class MultiRecorderCoordinator:
     # ------------------------------------------------------------------
     def _on_offer(self, control: RecoverOffer, src_node: int) -> None:
         """A lower-priority recorder asks us to recover a node."""
-        self.offers_received += 1
         if not self.recorder.up:
             return
         node_id = control.node
@@ -180,13 +178,12 @@ def process_state_digest(stream: Iterable) -> int:
 class _QuorumMember:
     """One recorder's view of a process's replay stream."""
 
-    __slots__ = ("index", "rid", "record", "cursor", "pending",
-                 "pending_key", "invalid_ids")
+    __slots__ = ("index", "rid", "cursor", "pending", "pending_key",
+                 "invalid_ids")
 
     def __init__(self, index: int, rid: int, record):
         self.index = index
         self.rid = rid
-        self.record = record
         self.cursor = (record.replay_cursor(verify=True)
                        if record is not None else None)
         self.pending = None

@@ -99,7 +99,7 @@ class Recorder:
 
     def __init__(self, engine: Engine, medium: Medium,
                  config: Optional[RecorderConfig] = None,
-                 obs: Optional[Observability] = None):
+                 obs: Optional[Observability] = None, *, claim: range):
         self.engine = engine
         self.medium = medium
         self.config = config or RecorderConfig()
@@ -129,11 +129,12 @@ class Recorder:
         #: the record path feeds the coordinator's gap tracker and
         #: gossip supplies are applied through :meth:`record_repair`.
         self.gossip = None
-        #: sharded-placement claim predicate (``Placement.claim_of``):
-        #: maps a destination node id to whether this recorder stores
-        #: records for it. None claims everything — the single-recorder
-        #: §3.3 behaviour, byte-identical to the pre-sharding code path.
-        self.claim: Optional[Callable[[int], bool]] = None
+        #: the node ids whose processes this recorder keeps records of:
+        #: its shard's range (:class:`~repro.system.RecorderShard`), the
+        #: whole cluster for a lone recorder or a replica. Traffic for
+        #: any other node is another shard's or another cluster's, whose
+        #: own recorder replays it.
+        self.claim = claim
         #: adversary stages (chaos.adversary), in the order armed: every
         #: record this recorder logs — a confirmed delivery or a gossip
         #: repair — passes them in :meth:`RecorderDatabase.deliver`,
@@ -189,10 +190,8 @@ class Recorder:
             self._seen_control_uids[key] = None
             while len(self._seen_control_uids) > CONTROL_DEDUP_HORIZON:
                 self._seen_control_uids.popitem(last=False)
-            if self.claim is not None and not self.claim(body.pid.node):
-                # Sharded placement: database notices for processes in
-                # another shard's range are that shard's to absorb.
-                return
+            if body.pid.node not in self.claim:
+                return   # another shard's notice, that shard absorbs it
             self._control_handlers[type(body)](body, frame.src_node)
 
     def _admit(self, message: Message) -> Optional[ProcessRecord]:
@@ -201,8 +200,8 @@ class Recorder:
         entry — created if no notice announced it yet — or None when the
         message is not this recorder's to store."""
         self.cpu_busy_ms.inc(self._publish_cost_ms)
-        if self.claim is not None and not self.claim(message.dst.node):
-            return None    # another shard of this cluster owns the range
+        if message.dst.node not in self.claim:
+            return None    # another shard's or another cluster's
         record = self.db.get(message.dst)
         if record is None:
             # Message overheard before (or without) a creation notice —
@@ -242,11 +241,12 @@ class Recorder:
     def _delivery_record(self, message: Message) -> Optional[ProcessRecord]:
         """The entry a confirmed delivery of ``message`` appends to, or
         None when this recorder does not log it."""
-        if self.claim is not None and not self.claim(message.dst.node):
-            # Not this shard's destination — but the delivery still
+        if message.dst.node not in self.claim:
+            # Not this recorder's destination — but the delivery still
             # confirms the *sender's* send, and the sender's record may
-            # live here; the confirmed prefix is the send-suppression
-            # horizon and must advance on every shard that tracks it.
+            # live here (a message to another shard, or one a gateway
+            # took for another cluster); the confirmed prefix is the
+            # send-suppression horizon and must advance here too.
             sender = self.db.get(message.src)
             if sender is not None:
                 sender.note_send_confirmed(message.msg_id.seq)
@@ -284,7 +284,7 @@ class Recorder:
         destination while the recorder's copy was lost, so the supply
         closes the log hole in one step.
 
-        Repaired messages append at a fresh arrival index — after
+        Repaired messages append at the end of the log — after
         everything that arrived while they were missing — so replay
         interleave differs from true reception order while the
         per-process recorded set converges (docs/GOSSIP.md). They enter

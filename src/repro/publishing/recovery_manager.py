@@ -170,28 +170,28 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # the recovery process
     # ------------------------------------------------------------------
-    def start_recovery(self, record: ProcessRecord,
-                       target_node: Optional[int] = None) -> bool:
-        """Spawn a recovery process for one crashed process (§4.7).
+    def start_recovery(self, record: ProcessRecord) -> bool:
+        """Spawn a recovery process for one crashed process (§4.7), on
+        the node its record names.
 
         Starting a recovery for an already-recovering process (a
         recursive crash, §3.5) strands the older recovery process via
         the epoch bump and begins afresh.
 
-        ``target_node`` must answer to the pid's node id (the thesis's
-        spare processors "assume the identities of failed processors";
-        see ``System.spare_takeover``). Recovering onto a node with a
-        *different* id would need the process-migration routing of
-        [Powell & Miller 83], which the thesis defers to future work
-        (§7.1) and so do we: message routing is by the pid's birth node.
+        A process recovers onto a node with its pid's node id (the
+        thesis's spare processors "assume the identities of failed
+        processors"; see ``System.spare_takeover``). Recovering onto a
+        node with a *different* id would need the process-migration
+        routing of [Powell & Miller 83], which the thesis defers to
+        future work (§7.1) and so do we: message routing is by the
+        pid's birth node.
         """
         if record.destroyed or not record.recoverable or record.image == "":
             return False
         record.recovery_epoch += 1
         record.recovering = True
         self.stats.recoveries_started += 1
-        node = target_node if target_node is not None else record.node
-        self.engine.spawn(self._recovery_process(record, record.recovery_epoch, node))
+        self.engine.spawn(self._recovery_process(record, record.recovery_epoch))
         return True
 
     def completion_signal(self, pid: ProcessId):
@@ -204,10 +204,11 @@ class RecoveryManager:
         return (not self.recorder.up or record.destroyed
                 or epoch != record.recovery_epoch)
 
-    def _recovery_process(self, record: ProcessRecord, epoch: int, node: int):
+    def _recovery_process(self, record: ProcessRecord, epoch: int):
         rec = self.recorder
         engine = self.engine
         pid = record.pid
+        node = record.node
 
         # 1. Read the checkpoint from the publishing disk.
         checkpoint_data = None
@@ -296,7 +297,6 @@ class RecoveryManager:
 
         rec.send_control(node, RecoveryDone(pid, epoch))
         record.recovering = False
-        record.node = node
         self.stats.recoveries_completed += 1
         self.events.emit("recovery", pid, event="complete",
                          replayed=replayed)

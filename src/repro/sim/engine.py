@@ -289,8 +289,7 @@ class PartitionChannel:
     must be strictly positive, or no LP could ever advance past another.
     """
 
-    __slots__ = ("key", "src", "dst", "lookahead_ms", "outbox", "deliver",
-                 "_seq")
+    __slots__ = ("key", "src", "dst", "outbox", "deliver", "_seq")
 
     def __init__(self, key: str, src: int, dst: int, lookahead_ms: float,
                  deliver: Optional[Callable[[Any], None]] = None):
@@ -301,7 +300,6 @@ class PartitionChannel:
         self.key = key
         self.src = src              # source LP index
         self.dst = dst              # destination LP index
-        self.lookahead_ms = lookahead_ms
         #: (fire_time, channel_seq, payload), in send order
         self.outbox: List[Tuple[float, int, Any]] = []
         #: destination-side sink, bound where the receiving half lives

@@ -76,8 +76,8 @@ class SystemConfig:
     #: recorder + recovery manager per placed shard, with recorder j
     #: attached at ``recorder_node_id + j``
     recorder_shards: int = 1
-    #: recorder layout policy: "range" (that many claim-filtered
-    #: recorders splitting the node range) or "replica" (§6.3: that
+    #: recorder layout policy: "range" (that many recorders splitting
+    #: the node range, each claiming its slice) or "replica" (§6.3: that
     #: many recorders each recording everything, priority-vector
     #: takeover, majority replay from three up)
     placement_policy: str = "range"
@@ -125,7 +125,7 @@ RECORDER_ID_OFFSET = 89
 @dataclass(frozen=True)
 class RecorderShard:
     """One recorder: its network id and the node ids ``[lo, hi)`` whose
-    recoveries its manager watches."""
+    processes it records and whose recoveries its manager watches."""
 
     index: int      # 0 = the primary, the recorder kernels address
     node_id: int
@@ -153,26 +153,6 @@ class Placement:
         raise PlacementError(
             f"node {node_id} is outside the placement "
             f"[{self.first_node_id}, {self.first_node_id + self.nodes})")
-
-    def claim_of(self, shard_index: int) -> Optional[Callable[[int], bool]]:
-        """The claim predicate installed on shard ``shard_index``'s
-        recorder (:attr:`repro.publishing.recorder.Recorder.claim`);
-        None — claim everything — for a lone recorder and for replicas.
-
-        A shard claims destinations inside its own range; the primary
-        also claims every destination *outside* the cluster's node range
-        — gateway-bound cross-cluster traffic — so one recorder per
-        cluster holds the passive log a remote recovery replays.
-        """
-        if self.replicated or len(self.shards) == 1:
-            return None
-        shard = self.shards[shard_index]
-        lo, hi = shard.lo, shard.hi
-        if shard_index:
-            return lambda node_id: lo <= node_id < hi
-        first, limit = self.first_node_id, self.first_node_id + self.nodes
-        return lambda node_id: (lo <= node_id < hi
-                                or not first <= node_id < limit)
 
 
 def place(c: SystemConfig) -> Placement:
@@ -272,7 +252,6 @@ class System:
         #: set by ClusterFederation when this cluster lives in one —
         #: lets the chaos report count its gateways' dead letters
         self.federation = None
-        self.cluster_index: Optional[int] = None
         self.rng = RngStreams(self.config.master_seed)
         #: one instrumentation spine (event bus + metrics registry)
         #: shared by every layer of the cluster
@@ -355,15 +334,16 @@ class System:
         )
 
     def _build_recorders(self) -> None:
-        """Build one recorder + recovery manager per placed shard. A
-        sharded layout claim-filters each recorder to its slice and has
-        shard 0, the primary — which also claims cross-cluster traffic
-        and receives the kernels' crash reports — dispatch each report
-        to the owning shard's manager. A replicated layout (§6.3) leaves
-        every recorder recording everything and gives each manager a
-        coordinator over one shared table of priority vectors, V_i
-        ranking the replicas by index for every node; from three
-        replicas up (f >= 1) recoveries replay the cross-recorder
+        """Build one recorder + recovery manager per placed shard. Every
+        recorder claims its shard's node range, ``range(shard.lo,
+        shard.hi)``: it stores the records of those nodes' processes and
+        no others (a lone recorder's and a replica's shard is the whole
+        cluster). A sharded layout has shard 0, the primary — which
+        receives the kernels' crash reports — dispatch each report to
+        the owning shard's manager. A replicated layout (§6.3) gives
+        each manager a coordinator over one shared table of priority
+        vectors, V_i ranking the replicas by index for every node; from
+        three replicas up (f >= 1) recoveries replay the cross-recorder
         majority."""
         cfg = self.config
         placement = self.placement
@@ -372,8 +352,8 @@ class System:
         for shard in placement.shards:
             recorder = Recorder(self.engine, self.medium,
                                 self._recorder_config(shard.node_id),
-                                obs=self.obs)
-            recorder.claim = placement.claim_of(shard.index)
+                                obs=self.obs,
+                                claim=range(shard.lo, shard.hi))
             recorder.transport.on_gave_up = (
                 lambda segment, attempts, _n=shard.node_id:
                 self._note_dead_letter(_n, segment, attempts))

@@ -140,11 +140,10 @@ def reference_apply(plan, frame, receiver_node):
 class FlatLogged:
     """One logged message in the naive store: a plain mutable record."""
 
-    __slots__ = ("message", "arrival_index", "invalid")
+    __slots__ = ("message", "invalid")
 
-    def __init__(self, message: Any, arrival_index: int):
+    def __init__(self, message: Any):
         self.message = message
-        self.arrival_index = arrival_index
         self.invalid = False
 
 
@@ -174,8 +173,8 @@ class FlatProcessLog:
         self.covered_consumed = 0
         self.covered_controls = 0
 
-    def record_message(self, message: Any, arrival_index: int) -> FlatLogged:
-        lm = FlatLogged(message, arrival_index)
+    def record_message(self, message: Any) -> FlatLogged:
+        lm = FlatLogged(message)
         self.arrivals.append(lm)
         self._cover()
         return lm

@@ -301,7 +301,8 @@ def make_recorder():
     engine = Engine()
     medium = PerfectBroadcast(engine)
     return Recorder(engine, medium, RecorderConfig(
-        node_id=90, transport=TransportConfig(per_destination=True)))
+        node_id=90, transport=TransportConfig(per_destination=True)),
+        claim=range(TARGET.node, TARGET.node + 1))
 
 
 # ----------------------------------------------------------------------

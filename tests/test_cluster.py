@@ -71,10 +71,30 @@ class TestFederation:
                                      args=(tuple(counter_pid), 5), node=1)
         wait_replies(fed, a, driver_pid, 5)
         # Cluster B's recorder holds the counter's stream; cluster A's
-        # recorder has no entry for a foreign pid beyond placeholders.
+        # recorder has no entry for a foreign pid.
         assert len(b.recorder.db.get(counter_pid).arrivals) == 5
-        a_record = a.recorder.db.get(counter_pid)
-        assert a_record is None or a_record.image == ""
+        assert a.recorder.db.get(counter_pid) is None
+
+    def test_near_node_crash_replays_cross_cluster_calls_exactly(self):
+        """The driver's node in the near cluster crashes mid-run. Its
+        recovery re-sends only what no delivery confirmed: cluster A's
+        recorder logs none of the driver's requests (the counter is B's)
+        but credits each one the gateway took, so the far counter
+        consumes every request once and the replies are exact."""
+        fed = build_federation((2, 1))
+        a, b = fed.clusters
+        counter_pid = b.spawn_program("test/counter", node=101)
+        driver_pid = a.spawn_program("test/driver",
+                                     args=(tuple(counter_pid), 30), node=2)
+        fed.run(1500)
+        assert 0 < len(a.program_of(driver_pid).replies) < 30
+        a.crash_node(2)
+        driver = wait_replies(fed, a, driver_pid, 30)
+        assert driver.replies == [sum(range(1, k + 1)) for k in range(1, 31)]
+        assert b.program_of(counter_pid).seen == list(range(1, 31))
+        assert a.recovery.stats.recoveries_completed >= 1
+        assert a.recorder.db.get(counter_pid) is None
+        assert a.recorder.db.get(driver_pid).confirmed_prefix == 30
 
     def test_remote_cluster_recovers_its_own_node(self):
         fed = build_federation()

@@ -106,7 +106,8 @@ class TestPromiseFastForward:
 
     def test_pooled_barriers_track_traffic_not_windows(self):
         pooled = run_pooled(SMALL, workers=2)
-        windows = (SMALL.settle_ms + SMALL.duration_ms) / SMALL.forward_delay_ms
+        windows = ((des.SETTLE_MS + SMALL.duration_ms)
+                   / des.FORWARD_DELAY_MS)
         assert pooled["digest"] == run_serial(SMALL)["digest"]
         assert pooled["barriers"] < windows / 4, (
             f"{pooled['barriers']} barriers for {windows:.0f} min-lookahead "
@@ -248,7 +249,7 @@ class TestSliceConstruction:
                                    only_partition=shard)
             for system in fed.clusters:
                 system.boot(settle_ms=0.0)
-            fed.engine.run(until=SMALL.settle_ms)
+            fed.engine.run(until=des.SETTLE_MS)
             spawn_workload(fed, SMALL)
 
     def test_partitions_without_a_slice_has_no_runner(self):

@@ -66,17 +66,13 @@ class TestPlacementPolicies:
         assert [(s.lo, s.hi) for s in placement.shards] == \
             [(1, 4), (4, 7), (7, 11)]
         assert [s.node_id for s in placement.shards] == [90, 91, 92]
+        system = System(SystemConfig(nodes=10, recorder_node_id=90,
+                                     recorder_shards=3))
         for node in range(1, 11):
             shard = placement.shard_for(node)
             assert shard.lo <= node < shard.hi
-            assert placement.claim_of(shard.index)(node)
-
-    def test_primary_shard_claims_foreign_nodes(self):
-        """Cross-cluster traffic has no local owner; the primary claims
-        it so remote recovery has a passive log to replay from."""
-        placement = range_shards(2, nodes=4)
-        assert placement.claim_of(0)(101)        # primary: yes
-        assert not placement.claim_of(1)(101)    # sibling: no
+            assert [node in r.claim for r in system.recorders] == [
+                s is shard for s in placement.shards]
 
     @pytest.mark.parametrize("config", [
         SystemConfig(placement_policy="hashring"),
@@ -171,6 +167,47 @@ def test_sharded_snapshot_sums_every_shard():
 def test_replicated_snapshot_sums_every_replica():
     _assert_snapshot_sums_every_recorder(
         {"recorder_shards": 3, "placement_policy": "replica"})
+
+
+# ----------------------------------------------------------------------
+# every recorder keeps its own shard's records (§6.2: each cluster
+# recovers its own processes)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("layout", [
+    {},
+    {"recorder_shards": 2},
+    {"recorder_shards": 2, "placement_policy": "replica"},
+], ids=["lone", "range", "replica"])
+def test_no_recorder_records_a_pid_outside_its_shard(layout):
+    """Three clusters of two nodes in a ring, each cluster's driver on
+    its second node calling the next cluster's counter: every recorder
+    claims its shard's node range and holds no record for a pid outside
+    it, and each driver's record in its own cluster has every send
+    confirmed — the gateway's hardware ack confirms a cross-cluster
+    send on a recorder that does not log it."""
+    fed = build_federation((2, 2, 2), topology="ring", configs=[
+        SystemConfig(nodes=2, **layout) for _ in range(3)])
+    drivers = []
+    for index, cluster in enumerate(fed.clusters):
+        far = fed.clusters[(index + 1) % 3]
+        counter = far.spawn_program("test/counter",
+                                    node=far.config.first_node_id)
+        drivers.append(cluster.spawn_program(
+            "test/driver", args=(tuple(counter), 5),
+            node=cluster.config.first_node_id + 1))
+    for cluster, driver_pid in zip(fed.clusters, drivers):
+        driver = wait_replies(fed, cluster, driver_pid, 5)
+        assert driver.replies == [sum(range(1, k + 1)) for k in range(1, 6)]
+    for cluster, driver_pid in zip(fed.clusters, drivers):
+        assert [recorder.claim for recorder in cluster.recorders] == [
+            range(shard.lo, shard.hi) for shard in cluster.placement.shards]
+        for recorder in cluster.recorders:
+            assert recorder.db.records
+            assert all(pid.node in recorder.claim
+                       for pid in recorder.db.records)
+        owners = [r for r in cluster.recorders if driver_pid.node in r.claim]
+        assert owners and all(
+            r.db.get(driver_pid).confirmed_prefix == 5 for r in owners)
 
 
 # ----------------------------------------------------------------------

@@ -170,6 +170,28 @@ def test_replayed_deliver_to_kernel_is_counted_on_the_recovering_pcb(node):
     assert len(pcb.queue) == 0
 
 
+def test_a_replayed_stop_lets_what_was_replayed_ahead_of_it_in(node):
+    """A replayed stop counts the messages replayed ahead of it, even
+    those waiting for the CPU; the process consumes exactly those, so a
+    hand-back that comes first leaves it running until it has, then
+    stopped with what was replayed after the stop still queued."""
+    system, kernel, pcb, _ = node
+    pcb = recreate(system, kernel, pcb, epoch=1)
+    kernel.inject_replay(message(pcb.pid, 1, ("add", 1)), recovery_epoch=1)
+    kernel.inject_replay(message(pcb.pid, 2, ("add", 2)), recovery_epoch=1)
+    assert pcb.busy and len(pcb.queue) == 1
+    assert kernel.stop_process(pcb.pid)
+    kernel.inject_replay(message(pcb.pid, 3, ("add", 3)), recovery_epoch=1)
+    kernel.finish_recovery(pcb.pid, recovery_epoch=1)
+    assert pcb.state is ProcessState.RUNNING     # the stop is not due yet
+    system.run(50)
+    assert pcb.state is ProcessState.STOPPED and pcb.program.seen == [1, 2]
+    assert not kernel.checkpoint_process(pcb.pid)
+    assert kernel.resume_process(pcb.pid)
+    system.run(50)
+    assert pcb.program.seen == [1, 2, 3]
+
+
 def test_replay_from_a_superseded_recovery_is_dropped(node):
     system, kernel, pcb, dtk = node
     pcb = recreate(system, kernel, pcb, epoch=2)

@@ -93,7 +93,7 @@ def logged(message):
     """A process record holding ``message``, appended and verified."""
     record = ProcessRecord(pid=message.dst, node=2, image="img",
                            log=SegmentedLog(4))
-    record.record_message(message, 0)
+    record.record_message(message)
     assert record.replay_cursor(verify=True).next().message is message
     return record
 

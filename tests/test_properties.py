@@ -132,8 +132,8 @@ def test_consumed_reconstruction_matches_ground_truth(channels, data):
     record = ProcessRecord(pid=PID, node=2, image="img")
     messages = [queue_message(seq, ch)
                 for seq, ch in enumerate(channels, start=1)]
-    for index, message in enumerate(messages):
-        record.record_message(message, index)
+    for message in messages:
+        record.record_message(message)
 
     # Ground truth: simulate a process doing channel-selective reads.
     queue = list(messages)

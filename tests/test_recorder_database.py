@@ -24,8 +24,8 @@ def make_message(seq, channel=0, dtk=False, marker=False):
 
 def make_record(messages=()):
     record = ProcessRecord(pid=PID, node=2, image="img")
-    for index, message in enumerate(messages):
-        record.record_message(message, index)
+    for message in messages:
+        record.record_message(message)
     return record
 
 
@@ -47,8 +47,8 @@ class TestRecording:
     def test_duplicates_rejected(self):
         record = make_record()
         m = make_message(1)
-        assert record.record_message(m, 0)
-        assert not record.record_message(m, 1)
+        assert record.record_message(m)
+        assert not record.record_message(m)
         assert len(record.arrivals) == 1
 
 
@@ -175,7 +175,7 @@ class TestDatabase:
         fills in all six metadata fields through ``create`` — once."""
         db = RecorderDatabase()
         placeholder = db.create(PID, node=PID.node, image="")
-        placeholder.record_message(make_message(1), 0)
+        placeholder.record_message(make_message(1))
         record = db.create(PID, node=7, image="img", args=[1],
                            initial_links=[], recoverable=False,
                            state_pages=9)

@@ -32,7 +32,7 @@ def make_message(seq, size=100, control=False, marker=False):
 
 
 def make_logged(seq, size=100):
-    return LoggedMessage(make_message(seq, size=size), arrival_index=seq)
+    return LoggedMessage(make_message(seq, size=size))
 
 
 def fill_log(log, count, size=100):
@@ -146,7 +146,7 @@ def make_record(count=0, segment_records=4):
     record = ProcessRecord(pid=PID, node=2, image="img",
                            log=SegmentedLog(segment_records))
     for i in range(count):
-        record.record_message(make_message(i + 1), i)
+        record.record_message(make_message(i + 1))
     return record
 
 
@@ -173,7 +173,7 @@ class TestReplayCursor:
         record = make_record(3)
         cursor = record.replay_cursor()
         assert cursor.next().message.msg_id.seq == 1
-        record.record_message(make_message(4), 3)
+        record.record_message(make_message(4))
         seen = []
         while (lm := cursor.next()) is not None:
             seen.append(lm.message.msg_id.seq)
@@ -205,7 +205,7 @@ class TestReplayCursor:
         # cursor's feet (its _last_seq points into the dead segment)
         record.apply_checkpoint(ckpt(4))
         assert record.log.segments_retired == 1
-        record.record_message(make_message(9), 8)   # catch-up arrival
+        record.record_message(make_message(9))   # catch-up arrival
         while (lm := cursor.next()) is not None:
             if not lm.invalid:
                 seen.append(lm.message.msg_id.seq)
@@ -236,7 +236,7 @@ class TestReplayCursor:
         for seq in range(2, 7):
             record._live[seq - 1].invalid = True
         assert record.log.segments_retired == 0
-        record.record_message(make_message(9), 8)
+        record.record_message(make_message(9))
         survivors = []
         while (lm := cursor.next()) is not None:
             if not lm.invalid:
@@ -310,7 +310,7 @@ class TestVerifiedReplay:
         from repro.errors import RecordCorruptionError
         record = make_record()
         record.record_message(
-            replace(make_message(1), passed_link=Link(SENDER, code=7)), 0)
+            replace(make_message(1), passed_link=Link(SENDER, code=7)))
         lm = record._live[0]
         lm.message = replace(lm.message, passed_link=None)  # link-less twin
         with pytest.raises(RecordCorruptionError):
@@ -331,7 +331,7 @@ class TestVerifiedReplay:
                               passed_link=Link(SENDER, code=seq))
             Frame(FrameKind.DATA, 1, 2, Segment(("m", seq), 1, 2, message),
                   message.size_bytes)
-            record.record_message(message, seq)
+            record.record_message(message)
         cursor = record.replay_cursor(verify=True)
         originals = [cursor.next().message for _ in range(6)]
         assert all(m._wire_image for m in originals)
@@ -401,7 +401,7 @@ class TestRecordLoggedUnderItsCheckpoint:
         record = make_record(3)
         record.apply_checkpoint(ckpt(5))
         for seq in (4, 5):
-            record.record_message(make_message(seq), seq - 1)
+            record.record_message(make_message(seq))
         record.apply_checkpoint(ckpt(6))
         assert record.messages_to_replay() == []
 
@@ -410,12 +410,12 @@ class TestRecordLoggedUnderItsCheckpoint:
         DELIVERTOKERNEL messages, but only the first is logged when it
         is stored. The other two are covered the moment they arrive."""
         record = make_record()
-        record.record_message(make_message(1, control=True), 0)
+        record.record_message(make_message(1, control=True))
         assert record.apply_checkpoint(ckpt(0, dtk=3)) == 1
-        late = [record.record_message(make_message(seq, control=True), seq - 1)
+        late = [record.record_message(make_message(seq, control=True))
                 for seq in (2, 3)]
         assert all(lm.invalid for lm in late)
-        fresh = record.record_message(make_message(4, control=True), 3)
+        fresh = record.record_message(make_message(4, control=True))
         assert record.messages_to_replay() == [fresh]
         assert record.apply_checkpoint(ckpt(0, dtk=4)) == 1
         assert record.messages_to_replay() == []
@@ -448,8 +448,8 @@ class TestLogBytesBound:
         consumed = 0
         for round_no in range(10):
             for _ in range(120):
-                record.record_message(make_message(seq, size=64 + (seq % 5) * 240),
-                                      arrival)
+                record.record_message(
+                    make_message(seq, size=64 + (seq % 5) * 240))
                 seq += 1
                 arrival += 1
             consumed += 100                  # leave a live tail each round
@@ -572,12 +572,12 @@ class TestRecorderStorageGauges:
     def test_gauges_track_the_storage_engine(self):
         engine = Engine()
         medium = PerfectBroadcast(engine)
-        recorder = Recorder(engine, medium, RecorderConfig())
+        recorder = Recorder(engine, medium, RecorderConfig(),
+                            claim=range(1, 3))
         seg = recorder.db.log.segment_records
         record = recorder.db.create(PID, node=2, image="img")
         for i in range(seg + 2):
-            record.record_message(make_message(i + 1, size=200),
-                                  recorder.db.allocate_arrival_index())
+            record.record_message(make_message(i + 1, size=200))
         snap = recorder.obs.registry.snapshot()
         for name in self.GAUGES:
             assert name in snap, name
@@ -593,12 +593,12 @@ class TestRecorderStorageGauges:
     def test_compaction_io_lands_on_the_recorder_disks(self):
         engine = Engine()
         medium = PerfectBroadcast(engine)
-        recorder = Recorder(engine, medium, RecorderConfig())
+        recorder = Recorder(engine, medium, RecorderConfig(),
+                            claim=range(1, 3))
         seg = recorder.db.log.segment_records
         record = recorder.db.create(PID, node=2, image="img")
         for i in range(seg + 1):
-            record.record_message(make_message(i + 1, size=200),
-                                  recorder.db.allocate_arrival_index())
+            record.record_message(make_message(i + 1, size=200))
         reads_before = recorder.disks.reads
         record.apply_checkpoint(ckpt(seg // 2))   # half-dead: compaction
         assert recorder.db.log.compactions == 1
@@ -608,22 +608,22 @@ class TestRecorderStorageGauges:
         assert recorder.db.log.compaction_written_bytes == seg // 2 * 200
 
 
-
-def test_only_the_database_allocates_arrival_indices():
+def test_only_the_database_appends_to_a_process_record():
     """One door into the log: every record in ``src/`` enters through
-    ``RecorderDatabase.deliver``, so no other module numbers arrivals
-    itself (a direct ``record_message(m, db.allocate_arrival_index())``
-    would bypass the recorder's adversary stages)."""
+    ``RecorderDatabase.deliver``, the one caller of
+    ``ProcessRecord.record_message`` (a direct call anywhere else would
+    bypass the recorder's adversary stages). ``Recorder.record_message``,
+    a recorder staging what it heard, is only called on ``self``."""
     import ast
     import pathlib
     import repro
     root = pathlib.Path(repro.__file__).parent
-    naming = set()
+    callers = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            name = (node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.FunctionDef)
-                    else node.id if isinstance(node, ast.Name) else None)
-            if name == "allocate_arrival_index":
-                naming.add(path.relative_to(root).as_posix())
-    assert naming == {"publishing/database.py"}
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record_message"
+                    and getattr(node.func.value, "id", None) != "self"):
+                callers.add(path.relative_to(root).as_posix())
+    assert callers == {"publishing/database.py"}

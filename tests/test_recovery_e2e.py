@@ -19,6 +19,7 @@ from conftest import (
     run_counter_scenario,
     wire_driver,
 )
+from fixtures import assert_log_reproduces
 
 
 N = 60
@@ -436,3 +437,76 @@ class TestRecoveryMechanics:
         system.run(20_000)
         assert system.process_state(pid) == "crashed"
         assert system.recovery.stats.recoveries_started == 0
+
+
+class TestStoppedProcessRecovery:
+    """§4.4.3: a process-control message is logged in the controlled
+    process's own stream, so a recovery replays a stop like any other
+    message: the process comes back stopped, its held messages queued."""
+
+    REQUESTS = 5
+
+    def stopped_counter(self):
+        """A counter on node 2 with two drivers on node 1, stopped from
+        node 1 through a DELIVERTOKERNEL link once each driver has two
+        replies; each driver's third request then waits in the stopped
+        queue. Returns the system, the pids and the control sender."""
+        system = System(SystemConfig(nodes=2))
+        register_test_programs(system)
+        system.boot()
+        counter = system.spawn_program("test/counter", node=2)
+        drivers = [system.spawn_program(
+            "test/driver", args=(tuple(counter), self.REQUESTS), node=1)
+            for _ in range(2)]
+        assert system.wait_for(lambda: all(
+            len(system.program_of(d).replies) >= 2 for d in drivers),
+            20_000, step_ms=1.0)
+        kernel = system.nodes[1]
+        holder = kernel.processes[system.spawn_program("test/echo", node=1)]
+
+        def control(op):
+            link = kernel.forge_link(holder, Link(dst=counter,
+                                                  deliver_to_kernel=True))
+            kernel.syscall_send(holder, link, (op,), None, 32)
+
+        control("stop")
+        system.run(1000)
+        assert system.process_state(counter) == "stopped"
+        assert len(system.nodes[2].processes[counter].queue) == 2
+        return system, counter, drivers, control
+
+    def resume_and_check(self, system, counter, drivers, control, seen):
+        """The recovered counter is stopped with the two held requests
+        queued and ``seen`` consumed; a resume lets every request in
+        once, and the log reproduces every process."""
+        assert system.process_state(counter) == "stopped"
+        pcb = system.nodes[2].processes[counter]
+        assert len(pcb.queue) == 2 and pcb.program.seen == seen
+        control("resume")
+        assert system.wait_for(lambda: all(
+            len(system.program_of(d).replies) == self.REQUESTS
+            for d in drivers), 20_000, step_ms=100.0)
+        assert sorted(system.program_of(counter).seen) == sorted(
+            2 * list(range(1, self.REQUESTS + 1)))
+        assert system.program_of(counter).total == 2 * sum(
+            range(1, self.REQUESTS + 1))
+        assert_log_reproduces(system, [counter, *drivers])
+
+    def test_a_node_crash_recovers_a_stopped_process_stopped(self):
+        system, counter, drivers, control = self.stopped_counter()
+        seen = list(system.program_of(counter).seen)
+        system.crash_node(2)
+        system.run(20_000)
+        assert system.recovery.stats.node_crashes_detected == 1
+        self.resume_and_check(system, counter, drivers, control, seen)
+
+    def test_a_stopped_process_crashes_and_recovers_stopped(self):
+        system, counter, drivers, control = self.stopped_counter()
+        seen = list(system.program_of(counter).seen)
+        system.crash_process(counter)
+        assert system.process_state(counter) == "crashed"
+        assert system.obs.bus.count("crash", str(counter)) == 1
+        system.run(20_000)
+        assert system.recovery.stats.process_crash_reports == 1
+        assert system.recovery.stats.recoveries_completed == 1
+        self.resume_and_check(system, counter, drivers, control, seen)

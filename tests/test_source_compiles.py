@@ -15,10 +15,12 @@ reads that no enclosing function binds, that the module does not bind
 (by assignment, import, ``def``, ``class`` or a ``global`` statement)
 and that is not a builtin is undefined.
 
-And a reach check no linter makes: every function and class of
+And two reach checks no linter makes: every function and class of
 ``src/`` is named somewhere a product path reads (``src/``, ``bench/``,
 ``benchmarks/``, ``examples/``), or it is in ``TEST_ONLY`` with the
-reason it stays although only tests call it.
+reason it stays although only tests call it; and every attribute that
+``src/`` stores on ``self`` is read somewhere in the six trees, or it
+is in ``UNREAD`` with the reason it stays although nothing reads it.
 """
 
 import ast
@@ -200,3 +202,92 @@ def test_every_definition_in_src_is_named_by_a_product_tree():
                 unnamed.add(name)
     assert unnamed - set(TEST_ONLY) == set()    # reached by tests alone
     assert set(TEST_ONLY) - unnamed == set()    # named by a product now
+
+
+#: classes whose attributes are a process's state: a program's snapshot
+#: is its instance dict, so each attribute it stores is what a
+#: checkpoint holds and a recovery restores, read or not
+PROGRAM_BASES = {"ProgramBase"}
+
+#: attributes src/ stores on ``self`` that nothing reads, each kept for
+#: the reason given; any other such store is deleted instead
+UNREAD = {}
+
+
+def attribute_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def unread_stores(sources):
+    """Of ``{path: source}``, the attributes that a class of ``src/``
+    stores on ``self`` and no file loads, as ``{attr: [(path, line)]}``.
+    A load is an ``x.attr`` read or a ``getattr`` / ``attrgetter``
+    string; a ``__slots__`` string or a docstring is none. The classes
+    derived from :data:`PROGRAM_BASES` are left out."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    src = [path for path in trees if path.split(os.sep)[0] == "src"]
+    bases = {node.name: {attribute_name(base) for base in node.bases}
+             for path in src for node in ast.walk(trees[path])
+             if isinstance(node, ast.ClassDef)}
+
+    def program(name, seen=()):
+        return name in PROGRAM_BASES or any(
+            program(base, seen + (name,)) for base in bases.get(name, ())
+            if base not in seen)
+
+    loads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loads.add(node.attr)
+            elif (isinstance(node, ast.Call) and attribute_name(node.func)
+                    in ("getattr", "attrgetter")):
+                loads.update(part for arg in node.args
+                             if isinstance(arg, ast.Constant)
+                             and isinstance(arg.value, str)
+                             for part in arg.value.split("."))
+    stores = collections.defaultdict(list)
+    for path in src:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef) or program(cls.name):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and attribute_name(node.value) == "self"
+                        and node.attr not in loads):
+                    stores[node.attr].append((path, node.lineno))
+    return dict(stores)
+
+
+def test_every_attribute_src_stores_is_read():
+    sources = {}
+    for path in python_files():
+        with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+            sources[path] = handle.read()
+    unread = unread_stores(sources)
+    assert {attr: unread[attr] for attr in set(unread) - set(UNREAD)} == {}
+    assert set(UNREAD) - set(unread) == set()   # read by something now
+
+
+def test_an_unread_store_is_found_and_a_read_one_is_not():
+    module = os.path.join("src", "sample.py")
+    sources = {
+        module: ("class Base:\n"
+                 "    __slots__ = ('unread', 'slot')\n"
+                 "    def __init__(self):\n"
+                 "        '''sets unread'''\n"
+                 "        self.read = self.slot = 1\n"
+                 "        self.unread = 0\n"
+                 "        self.named, self.dotted = 2, 3\n"
+                 "    def use(self):\n"
+                 "        return self.read, getattr(self, 'named')\n"
+                 "class Kept(Base, ProgramBase):\n"
+                 "    def setup(self):\n"
+                 "        self.checkpointed = 4\n"),
+        os.path.join("tests", "sample.py"):
+            "import operator\nread = operator.attrgetter('x.dotted')\n",
+    }
+    assert unread_stores(sources) == {"unread": [(module, 6)],
+                                      "slot": [(module, 5)]}

@@ -50,10 +50,10 @@ def checkpoint(consumed, dtk=0):
                            send_seq=0, pages=1, stored_at=0.0)
 
 
-def record_both(record, flat, message, arrival_index):
-    seg_lm = record.record_message(message, arrival_index)
+def record_both(record, flat, message):
+    seg_lm = record.record_message(message)
     assert seg_lm
-    flat_lm = flat.record_message(message, arrival_index)
+    flat_lm = flat.record_message(message)
     return seg_lm, flat_lm
 
 
@@ -95,7 +95,6 @@ def _run_pair(seed, ops):
     controls_seen = 0
     dtk_done = 0
     next_seq = 1
-    arrival = 0
     advisories_ok = True      # cleared after a jump-ahead checkpoint
 
     for _ in range(ops):
@@ -111,8 +110,7 @@ def _run_pair(seed, ops):
                 next_seq, size=rng.choice((64, 128, 256, 1024)),
                 control=kind < 0.10, marker=0.10 <= kind < 0.15)
             next_seq += 1
-            seg_lm, flat_lm = record_both(record, flat, message, arrival)
-            arrival += 1
+            seg_lm, flat_lm = record_both(record, flat, message)
             seg_lms.append(seg_lm)
             flat_lms.append(flat_lm)
             if message.deliver_to_kernel:
@@ -185,8 +183,8 @@ class TestAdvisoryMismatch:
     def test_both_raise_and_both_recover(self):
         record, flat = make_pair()
         m1, m2, m3 = (make_message(i) for i in (1, 2, 3))
-        record_both(record, flat, m1, 0)
-        record_both(record, flat, m2, 1)
+        record_both(record, flat, m1)
+        record_both(record, flat, m2)
         # advisory claims m3 was read past head m1 — but m3 not arrived
         record.add_advisory(m3.msg_id, m1.msg_id)
         flat.add_advisory(m3.msg_id, m1.msg_id)
@@ -199,7 +197,7 @@ class TestAdvisoryMismatch:
             record.apply_checkpoint(checkpoint(1))
         # ...and resolves once the missing message arrives: it is the
         # first consumption, under the count, so covered on arrival
-        seg_m3, flat_m3 = record_both(record, flat, m3, 2)
+        seg_m3, flat_m3 = record_both(record, flat, m3)
         assert seg_m3.invalid and flat_m3.invalid
         assert record.apply_checkpoint(checkpoint(2)) \
             == flat.apply_checkpoint(2) == 1
@@ -212,7 +210,7 @@ class TestCoveredCountIsTheLargest:
     def test_regressing_checkpoint_is_inert_on_both(self):
         record, flat = make_pair()
         for i in range(1, 7):
-            record_both(record, flat, make_message(i), i - 1)
+            record_both(record, flat, make_message(i))
         assert record.apply_checkpoint(checkpoint(4)) \
             == flat.apply_checkpoint(4) == 4
         # a later, smaller checkpoint covers nothing new
@@ -230,7 +228,7 @@ class TestCompactionTransparency:
     def test_replay_unchanged_across_forced_compaction(self):
         record, flat = make_pair(segment_records=4)
         for i in range(1, 41):
-            record_both(record, flat, make_message(i), i - 1)
+            record_both(record, flat, make_message(i))
         segments_before = record.log.segments
         # invalidate a long prefix: whole segments retire, the boundary
         # segment compacts, and the answers must not move

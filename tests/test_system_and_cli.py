@@ -159,7 +159,7 @@ class TestRecorderLayouts:
         system = System(SystemConfig(nodes=2))
         assert [s.node_id for s in system.placement.shards] == [99]
         assert system.recorders == [system.recorder]
-        assert system.recorder.claim is None
+        assert system.recorder.claim == range(1, 3)   # the cluster's nodes
         assert system.recovery.coordinator is None and system.quorum is None
         assert not [name for name in system.metrics_snapshot()
                     if name.startswith(("recorder.placement.", "quorum."))]
@@ -169,7 +169,7 @@ class TestRecorderLayouts:
                                      recorder_shards=3,
                                      placement_policy="replica"))
         assert [s.node_id for s in system.placement.shards] == [90, 91, 92]
-        assert [r.claim for r in system.recorders] == [None] * 3
+        assert [r.claim for r in system.recorders] == [range(1, 3)] * 3
         assert [m.node_ids for m in system.recoveries] == [[1, 2]] * 3
         vectors = system.recovery.coordinator.vectors
         assert all(m.coordinator.vectors is vectors
@@ -298,21 +298,12 @@ def test_clusters_are_built_in_system_and_nowhere_else():
     assert calls == {("system.py", name) for name in builders}
 
 
-#: fields no product caller turns that stay fields for a reason
-FIXED = {
-    "DesScenario.settle_ms": "a committed fact (des.scenario.settle_ms)",
-    "DesScenario.stagger_ms": "a committed fact (des.scenario.stagger_ms)",
-    "DesScenario.forward_delay_ms":
-        "a committed fact (des.scenario.forward_delay_ms)",
-}
-
-
 def test_every_system_config_field_is_set_by_some_caller():
     """An option no product caller turns is an option nothing exercises:
     every field of ``SystemConfig``, of the configs it builds and of
     ``DesScenario`` is set to a value other than its default somewhere
     in ``src``, ``bench``, ``benchmarks`` or ``examples`` outside its
-    defining module — tests do not count — or is in :data:`FIXED`.
+    defining module — tests do not count.
     Set means a keyword to the config's constructor whose value is not
     the default written as a literal; for ``SystemConfig`` also a
     keyword to ``dataclasses.replace``, a ``config.<field> =``
@@ -389,6 +380,4 @@ def test_every_system_config_field_is_set_by_some_caller():
                         found[SystemConfig] |= passed.get(fn.name, set())
     unset = {f"{cls.__name__}.{name}" for cls in table
              for name in sorted(set(defaults[cls]) - found[cls])}
-    assert not unset - set(FIXED), \
-        f"config fields no product caller sets: {sorted(unset - set(FIXED))}"
-    assert set(FIXED) <= unset, "a FIXED field has a product caller now"
+    assert not unset, f"config fields no product caller sets: {sorted(unset)}"
