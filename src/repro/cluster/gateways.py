@@ -13,8 +13,9 @@ cross-cluster edges and therefore the natural cut line for partitioned
 * :class:`GatewayTap` sits on the **near** medium and claims frames
   whose destination lives on the far side (the near medium's hardware
   ack completes the original sender's transmission — the gateway takes
-  custody). It stamps each claimed frame with its absolute forwarding
-  time (``now + forward_delay_ms``) and hands it to a channel.
+  custody). It hands each claimed frame to a channel, which stamps it
+  with its absolute forwarding time (``now +
+  GATEWAY_FORWARD_DELAY_MS``).
 * :class:`GatewayForwarder` sits on the **far** medium: it re-offers
   custody frames with itself as the frame-level source, retrying until
   the far side — including its recorder — accepts, and surfaces retry
@@ -27,7 +28,8 @@ cross-cluster edges and therefore the natural cut line for partitioned
 joined by a same-engine channel — and keeps the original one-object
 API. In a partitioned federation the halves live on *different*
 engines, joined by a :class:`~repro.sim.engine.PartitionChannel` whose
-lookahead is exactly ``forward_delay_ms`` (see ``docs/PARALLEL_DES.md``).
+lookahead is exactly :data:`GATEWAY_FORWARD_DELAY_MS` (see
+``docs/PARALLEL_DES.md``).
 
 :class:`ClusterFederation` builds N :class:`repro.system.System`
 clusters with disjoint node-id ranges and gateway routing over a
@@ -69,6 +71,10 @@ NODES_STRIDE = 100
 #: attempts.
 GATEWAY_RETRY_MS = 50.0
 GATEWAY_MAX_RETRIES = 100
+
+#: A gateway forwards a claimed frame this long after claiming it; it
+#: is also every cross-partition channel's lookahead (the parallel DES).
+GATEWAY_FORWARD_DELAY_MS = 5.0
 
 #: Federation gateway topologies.
 TOPOLOGIES = ("mesh", "ring")
@@ -238,17 +244,15 @@ class GatewayForwarder:
 
 
 class GatewayTap:
-    """The near half: claims far-bound frames and stamps their
-    forwarding time into a channel."""
+    """The near half: claims far-bound frames and hands them, with
+    their claim time, to a channel that stamps the forwarding time."""
 
     def __init__(self, engine: Engine, near: Medium,
                  far_nodes: Callable[[int], bool], channel,
-                 forward_delay_ms: float, gateway_id: int,
-                 obs: Optional[Observability] = None):
+                 gateway_id: int, obs: Optional[Observability] = None):
         self.engine = engine
         self.far_nodes = far_nodes
         self.channel = channel
-        self.forward_delay_ms = forward_delay_ms
         self.gateway_id = gateway_id
         obs = obs or Observability(lambda: engine.now)
         self.frames_claimed = obs.registry.counter(
@@ -265,13 +269,14 @@ class GatewayTap:
         if not frame.checksum_ok():
             return   # the near sender's transport will retry
         self.frames_claimed.inc()
-        self.channel.send(self.engine.now + self.forward_delay_ms, frame)
+        self.channel.send(self.engine.now, frame)
 
 
 class _DirectChannel:
-    """A same-engine gateway edge: schedule delivery at the exact
-    stamped time (``schedule_abs`` — the same float ``schedule(delay)``
-    would compute, so serial and partitioned fire times are identical)."""
+    """A same-engine gateway edge: schedule delivery at the claim time
+    plus :data:`GATEWAY_FORWARD_DELAY_MS` (``schedule_abs`` of the sum
+    a :class:`~repro.sim.engine.PartitionChannel` stamps, so serial and
+    partitioned fire times are identical)."""
 
     __slots__ = ("engine", "deliver")
 
@@ -279,8 +284,9 @@ class _DirectChannel:
         self.engine = engine
         self.deliver = deliver
 
-    def send(self, fire_time: float, frame: Frame) -> None:
-        self.engine.schedule_abs(fire_time, self.deliver, frame)
+    def send(self, claim_time: float, frame: Frame) -> None:
+        self.engine.schedule_abs(claim_time + GATEWAY_FORWARD_DELAY_MS,
+                                 self.deliver, frame)
 
 
 class Gateway:
@@ -296,7 +302,6 @@ class Gateway:
 
     def __init__(self, engine: Engine, near: Medium, far: Medium,
                  far_nodes: Callable[[int], bool],
-                 forward_delay_ms: float = 5.0,
                  service_ms: float = 0.0,
                  gateway_id: Optional[int] = None,
                  near_obs: Optional[Observability] = None,
@@ -314,7 +319,7 @@ class Gateway:
         self.tap: Optional[GatewayTap] = GatewayTap(
             engine, near, far_nodes,
             _DirectChannel(engine, self.forwarder.accept),
-            forward_delay_ms, gateway_id, obs=near_obs or shared)
+            gateway_id, obs=near_obs or shared)
 
     @classmethod
     def from_parts(cls, gateway_id: int, tap: Optional[GatewayTap],
@@ -353,7 +358,6 @@ class ClusterFederation:
     """
 
     def __init__(self, cluster_sizes: List[int],
-                 forward_delay_ms: float = 5.0,
                  configs: Optional[List[SystemConfig]] = None,
                  partitions: Optional[int] = None,
                  topology: str = "mesh",
@@ -442,8 +446,7 @@ class ClusterFederation:
             if src_local and dst_local:
                 self.gateways.append(Gateway(
                     self.engine, self.systems[src].medium,
-                    self.systems[dst].medium, far_nodes,
-                    forward_delay_ms=forward_delay_ms, gateway_id=gid,
+                    self.systems[dst].medium, far_nodes, gateway_id=gid,
                     near_obs=self.systems[src].obs,
                     far_obs=self.systems[dst].obs,
                     on_drop=self._note_gateway_drop))
@@ -452,7 +455,7 @@ class ClusterFederation:
                 continue
             channel = PartitionChannel(
                 f"gw{gid}", lp_of(src, lps, count), lp_of(dst, lps, count),
-                lookahead_ms=forward_delay_ms)
+                lookahead_ms=GATEWAY_FORWARD_DELAY_MS)
             forwarder = tap = None
             if dst_local:
                 forwarder = GatewayForwarder(
@@ -463,7 +466,7 @@ class ClusterFederation:
             else:
                 tap = GatewayTap(
                     self.engine, self.systems[src].medium,
-                    far_nodes, channel, forward_delay_ms, gid,
+                    far_nodes, channel, gid,
                     obs=self.systems[src].obs)
             self.gateways.append(Gateway.from_parts(gid, tap, forwarder))
             self.channels.append(channel)

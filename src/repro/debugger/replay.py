@@ -85,7 +85,8 @@ class ReplayDebugger(ProcessHost):
             tuple(record.initial_links),
             checkpoint.data if checkpoint is not None else None,
             suppress_send_through=0, recoverable=record.recoverable,
-            state_pages=record.state_pages, recovery_epoch=0)
+            state_pages=record.state_pages, recovery_epoch=0,
+            stop_points=tuple(record.stop_points.values()))
         self.engine.run()           # the image's start, when there was one
         self.pcb = self.processes[record.pid]
         self.program = self.pcb.program

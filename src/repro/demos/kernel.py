@@ -44,7 +44,7 @@ from repro.demos.messages import (DEFAULT_BODY_BYTES, AliveReply, AreYouAlive,
                                   ProcessCreated, ProcessCrashed,
                                   ProcessDestroyed, ReadOrder, Recreate,
                                   RecoveryDone, Replay, StateQuery,
-                                  StateReply)
+                                  StateReply, StopPoint)
 from repro.demos.process import (
     ProcessControlRecord,
     ProcessState,
@@ -277,21 +277,32 @@ class ProcessHost:
         self._send_from(pcb, dst, channel, code, body, passed_link,
                         size_bytes, deliver_to_kernel)
 
-    def stop_process(self, pid: ProcessId) -> bool:
+    def stop_process(self, pid: ProcessId,
+                     stop: Optional[MessageId] = None) -> bool:
         """Stop a process; its queue keeps accumulating messages.
 
-        A stop replayed to a recovering process (the control is logged
-        in the process's own stream, §4.4.3) takes effect once the
-        process has consumed every message replayed ahead of it — as a
-        live stop does when it finds the process caught up — and the
-        process is handed back stopped."""
+        A live stop lets the handler already on the CPU finish and tells
+        the recorder how many messages the process has then consumed
+        (a :class:`StopPoint` for the stop message ``stop``). The stop
+        is logged in the process's own stream (§4.4.3), so a recovery
+        replays it; the recovering process learns the counts from its
+        ``Recreate`` and consumes no message past one until the stop
+        and its resume have replayed, however much replay has queued by
+        then. It is handed back stopped if no resume followed. A
+        replayed stop with no count (the report died with its node)
+        takes effect after every message replayed ahead of it."""
         pcb = self.processes.get(pid)
         if pcb is None:
             return False
         if pcb.state is ProcessState.RUNNING:
             pcb.state = ProcessState.STOPPED
-        elif pcb.state is ProcessState.RECOVERING:
-            pcb.stop_at = pcb.consumed + pcb.busy + len(pcb.queue)
+            if stop is not None and self.publishing and pcb.recoverable:
+                self.send_control_to_recorder(
+                    StopPoint(pid, stop, pcb.consumed + pcb.busy))
+        elif pcb.state is ProcessState.RECOVERING and not pcb.replay_stopped:
+            pcb.replay_stopped = True
+            if pcb.stop_at is None:
+                pcb.stop_at = pcb.consumed + pcb.busy + len(pcb.queue)
         else:
             return False
         return True
@@ -303,8 +314,10 @@ class ProcessHost:
             return False
         if pcb.state is ProcessState.STOPPED:
             pcb.state = ProcessState.RUNNING
-        elif pcb.stop_at is not None:
-            pcb.stop_at = None
+        elif pcb.replay_stopped:     # recovering, or handed back early
+            pcb.replay_stopped = False
+            pcb.stop_at = pcb.stop_points[0] if pcb.stop_points else None
+            pcb.stop_points = pcb.stop_points[1:]
         else:
             return False
         self._pump(pcb)
@@ -340,6 +353,7 @@ class ProcessHost:
         if pcb.stop_at is not None and pcb.consumed >= pcb.stop_at:
             if pcb.state is ProcessState.RUNNING:   # handed back: stop now
                 pcb.state, pcb.stop_at = ProcessState.STOPPED, None
+                pcb.replay_stopped = False
             return
         ready, channels = pcb.program.wants()
         if not ready:
@@ -392,15 +406,20 @@ class ProcessHost:
                          checkpoint: Optional[Dict[str, Any]],
                          suppress_send_through: int,
                          recoverable: bool, state_pages: int,
-                         recovery_epoch: int) -> None:
+                         recovery_epoch: int,
+                         stop_points: Tuple[int, ...] = ()) -> None:
         """§4.7's recreate request: (re)build the process in the
-        recovering state. If it already exists, it is destroyed first."""
+        recovering state. If it already exists, it is destroyed first.
+        ``stop_points`` are the counts at which its logged stops took
+        effect (see :meth:`stop_process`)."""
         self.destroy_process(pid, notify_recorder=False)
         pcb = self.processes[pid] = self._new_pcb(
             pid, image, args, initial_links, recoverable, state_pages)
         pcb.state = ProcessState.RECOVERING
         pcb.suppress_send_through = suppress_send_through
         pcb.recovery_epoch = recovery_epoch
+        if stop_points:
+            pcb.stop_at, pcb.stop_points = stop_points[0], stop_points[1:]
         if checkpoint is not None:
             pcb.restore(checkpoint)
             if hasattr(pcb.program, "attach_kernel"):
@@ -768,6 +787,7 @@ class MessageKernel(ProcessHost):
             recoverable=control.recoverable,
             state_pages=control.state_pages,
             recovery_epoch=control.epoch,
+            stop_points=tuple(control.stop_points),
         )
 
     def _on_replay(self, control: Replay, src_node: int) -> None:

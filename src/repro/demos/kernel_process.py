@@ -161,7 +161,7 @@ class KernelProcessProgram(Program):
         if op == "destroy":
             kernel.destroy_process(message.dst)
         elif op == "stop":
-            kernel.stop_process(message.dst)
+            kernel.stop_process(message.dst, message.msg_id)
         elif op == "resume":
             kernel.resume_process(message.dst)
         elif op == "movelink" and controlled is not None:

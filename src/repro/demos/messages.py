@@ -16,6 +16,7 @@ kernel↔recorder protocol, one record class per kind (docs/PROTOCOLS.md,
 * :class:`ProcessCrashed` — trap report to the recovery manager (§3.3.2);
 * :class:`Checkpoint` — a process checkpoint bound for the recorder;
 * :class:`ReadOrder` — out-of-order channel-read advisory (§4.4.2);
+* :class:`StopPoint` — where a stop took effect (§4.4.3);
 * :class:`Recreate` — recovery restart request (§4.7);
 * :class:`Replay` — one published message re-sent to a recovering
   process;
@@ -192,6 +193,17 @@ class ReadOrder(NamedTuple):
     head: Optional[MessageId]
 
 
+@register_payload("stop_point")
+class StopPoint(NamedTuple):
+    """Kernel -> recorder: the stop message ``stop`` took effect once
+    the process had consumed ``consumed`` messages (§4.4.3). A recovery
+    stops the process at that count, wherever replay has queued it."""
+
+    pid: ProcessId
+    stop: MessageId
+    consumed: int
+
+
 @register_payload("checkpoint")
 class Checkpoint(NamedTuple):
     """Kernel -> recorder: a process checkpoint (§3.3.1)."""
@@ -218,6 +230,9 @@ class Recreate(NamedTuple):
     recoverable: bool
     state_pages: int
     epoch: int
+    #: the counts at which the live process's stops not yet covered by
+    #: ``checkpoint`` took effect, in stream order (:class:`StopPoint`)
+    stop_points: Tuple[int, ...]
 
 
 @register_payload("replay")
@@ -291,6 +306,6 @@ class GossipSupply(NamedTuple):
 #: Every control record class: ``isinstance(x, Control)`` asks whether
 #: ``x`` is a control datagram. Handlers are keyed by the class.
 Control = (AreYouAlive, AliveReply, ProcessCreated, ProcessDestroyed,
-           ProcessCrashed, ReadOrder, Checkpoint, Recreate, Replay,
-           RecoveryDone, StateQuery, StateReply, RecoverOffer,
+           ProcessCrashed, ReadOrder, StopPoint, Checkpoint, Recreate,
+           Replay, RecoveryDone, StateQuery, StateReply, RecoverOffer,
            RecoverAnswer, GossipPull, GossipSupply)

@@ -240,9 +240,11 @@ class ProcessControlRecord:
     held_live: Optional[List[Message]] = None   # §4.7 hand-back: None until
     # this epoch's marker passes (live traffic is discarded), then the
     # live traffic held for appending at recovery_done.
-    stop_at: Optional[int] = None     # a replayed stop (§4.4.3): the
-    # process stops once it has consumed this many messages, the ones
-    # replayed ahead of the stop.
+    stop_at: Optional[int] = None     # a stop (§4.4.3) due while
+    # recovering: the process consumes no more than this many messages
+    stop_points: Tuple[int, ...] = ()   # the counts at which the
+    # recovering process's later stops took effect, in stream order
+    replay_stopped: bool = False      # a stop has replayed, no resume yet
     # -- accounting for the §3.2.3 recovery-time model --------------------
     exec_ms_since_checkpoint: float = 0.0
     replay_bytes_since_checkpoint: int = 0

@@ -1,7 +1,7 @@
 """Conservative parallel DES over cluster federations.
 
 A federation's gateways are its only cross-cluster edges, and every
-gateway imposes a fixed, positive ``forward_delay_ms`` before a claimed
+gateway imposes a fixed, positive ``GATEWAY_FORWARD_DELAY_MS`` before a claimed
 frame re-enters the world on the far medium. That delay is the
 *lookahead* of its channel. On top of the static lookahead, every
 logical process (LP) reports a *next-event promise*
@@ -49,6 +49,7 @@ from repro.chaos.workload import (
     register_chaos_programs,
 )
 from repro.cluster.gateways import (
+    GATEWAY_FORWARD_DELAY_MS,
     ClusterFederation,
     directed_gateways,
     lp_of,
@@ -74,13 +75,13 @@ POOL_REPLY_TIMEOUT_S = 120.0
 POOL_JOIN_TIMEOUT_S = 30.0
 
 #: Every DES scenario's fixed timing: the federation boots for
-#: ``SETTLE_MS`` before the workload, cluster i's driver starts at
+#: ``SETTLE_MS`` before the workload, and cluster i's driver starts at
 #: ``1 + i * STAGGER_MS`` so distinct channels never collide on exact
-#: event timestamps, and every gateway forwards after
-#: ``FORWARD_DELAY_MS`` — the lookahead of its channel.
+#: event timestamps. Every gateway forwards after
+#: :data:`~repro.cluster.gateways.GATEWAY_FORWARD_DELAY_MS`, the
+#: lookahead of its channel.
 SETTLE_MS = 500.0
 STAGGER_MS = 7.3
-FORWARD_DELAY_MS = 5.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class DesScenario:
     a :class:`~repro.chaos.workload.ChaosDriver` targeting the *next*
     cluster's counter, so every add/total round trip crosses two
     gateways. The timing every scenario shares is the module's
-    :data:`SETTLE_MS`, :data:`STAGGER_MS` and :data:`FORWARD_DELAY_MS`.
+    :data:`SETTLE_MS` and :data:`STAGGER_MS`.
     """
 
     clusters: int = 4
@@ -169,7 +170,6 @@ def build_federation(scenario: DesScenario,
                for _ in range(scenario.clusters)]
     fed = ClusterFederation(
         [scenario.cluster_size] * scenario.clusters,
-        forward_delay_ms=FORWARD_DELAY_MS,
         topology=scenario.topology,
         configs=configs,
         partitions=partitions,
@@ -392,7 +392,7 @@ class _PoolMaster:
     def __init__(self, scenario: DesScenario, partitions: int):
         count = scenario.clusters
         #: every edge's lookahead: the gateway forwarding delay
-        self.lookahead = FORWARD_DELAY_MS
+        self.lookahead = GATEWAY_FORWARD_DELAY_MS
         #: every cross-worker edge as (src_worker, dst_worker)
         self.edges: List[Tuple[int, int]] = []
         for _gid, src, dst in directed_gateways(count, scenario.topology):

@@ -196,6 +196,10 @@ class ProcessRecord:
     #: checkpoints do not cover yet are held
     advisories: Deque[Tuple[MessageId, MessageId]] = field(
         default_factory=deque)
+    #: stop message id -> the consumed count at which that stop took
+    #: effect (§4.4.3), for the stops no checkpoint covers yet, in
+    #: stream order; a recovery hands the counts to the kernel
+    stop_points: Dict[MessageId, int] = field(default_factory=dict)
     checkpoint: Optional[CheckpointEntry] = None
     recovering: bool = False
     recovery_epoch: int = 0    # bumped to cancel a superseded recovery (§3.5)
@@ -249,7 +253,7 @@ class ProcessRecord:
         return list(self._live)
 
     # ------------------------------------------------------------------
-    def record_message(self, message: Message,
+    def record_message(self, message: Message, _ignored: Any = None, *,
                        forced: bool = False) -> Optional[LoggedMessage]:
         """The destination received this message: append it to the
         replay log in reception order (releasing its staged copy) and
@@ -258,7 +262,10 @@ class ProcessRecord:
 
         ``forced`` appends even a duplicate. Only an adversary stage's
         verdict, carried here by :meth:`RecorderDatabase.deliver`, may
-        pass it: it models a Byzantine recorder that double-logs.
+        pass it: it models a Byzantine recorder that double-logs. It is
+        keyword-only, and the positional slot before it is ignored: it
+        held the arrival index, which the ``store_records`` probe of
+        ``bench/probes.py`` still passes.
         """
         self.staged.pop(message.msg_id, None)
         if message.msg_id in self.recorded_ids and not forced:
@@ -352,6 +359,7 @@ class ProcessRecord:
         while self._controls_walked < self._covered_controls and controls:
             lm = controls.popleft()
             self._controls_walked += 1
+            self.stop_points.pop(lm.message.msg_id, None)
             if not lm._invalid:
                 lm.invalid = True
                 invalidated += 1
@@ -482,7 +490,7 @@ class RecorderDatabase:
             record = record_for(replacement)
             if record is None:
                 continue
-            lm = record.record_message(replacement, forced)
+            lm = record.record_message(replacement, forced=forced)
             if lm is not None:
                 yield lm
                 for stage in stages:

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import costs
 from repro.demos.ids import MessageId, ProcessId
 from repro.demos.messages import (Checkpoint, Message, ProcessCreated,
-                                  ProcessDestroyed, ReadOrder)
+                                  ProcessDestroyed, ReadOrder, StopPoint)
 from repro.errors import ConfigError
 from repro.net.frames import Frame
 from repro.net.media import Medium
@@ -78,7 +78,7 @@ class Recorder:
     #: so every recorder on the medium — not just the addressed one —
     #: keeps a complete database (§6.3 multi-recorder requirement).
     DB_CONTROL_KINDS = (ProcessCreated, ProcessDestroyed, Checkpoint,
-                        ReadOrder)
+                        ReadOrder, StopPoint)
     #: what the passive tap opens a guaranteed segment for
     _HEARD = (Message, *DB_CONTROL_KINDS)
 
@@ -332,6 +332,7 @@ class Recorder:
         self.on_control(ProcessDestroyed, self._on_process_destroyed)
         self.on_control(Checkpoint, self._on_checkpoint)
         self.on_control(ReadOrder, self._on_read_order)
+        self.on_control(StopPoint, self._on_stop_point)
 
     def _on_process_created(self, control: ProcessCreated,
                             src_node: int) -> None:
@@ -386,6 +387,11 @@ class Recorder:
         if record is None or control.head is None:
             return
         record.add_advisory(control.read, control.head)
+
+    def _on_stop_point(self, control: StopPoint, src_node: int) -> None:
+        record = self.db.get(control.pid)
+        if record is not None:
+            record.stop_points[control.stop] = control.consumed
 
     # ------------------------------------------------------------------
     # messaging helpers for the recovery side

@@ -231,7 +231,7 @@ class RecoveryManager:
         rec.send_control(node, Recreate(
             pid, record.image, record.args, record.initial_links,
             checkpoint_data, suppress, record.recoverable,
-            record.state_pages, epoch),
+            record.state_pages, epoch, tuple(record.stop_points.values())),
             size_bytes=max(64, (record.checkpoint.pages * page_bytes
                                 if record.checkpoint else 64)))
 

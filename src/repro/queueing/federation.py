@@ -180,7 +180,6 @@ def measure_gateway_knee(service_ms: float,
                          rates_per_s: Tuple[float, ...] = (
                              100.0, 200.0, 400.0, 800.0),
                          window_ms: float = 1000.0,
-                         forward_delay_ms: float = 5.0,
                          threshold: float = 0.95) -> Dict[str, object]:
     """Drive a *real* gateway at increasing offered rates and find the
     measured knee: the smallest probed rate whose delivered-by-deadline
@@ -195,7 +194,7 @@ def measure_gateway_knee(service_ms: float,
     ``capacity/rate``. Fully deterministic: no RNG draws, pure event
     counting.
     """
-    from repro.cluster.gateways import Gateway
+    from repro.cluster.gateways import GATEWAY_FORWARD_DELAY_MS, Gateway
     from repro.net.frames import Frame, FrameKind
     from repro.net.media import NetworkInterface, PerfectBroadcast
     from repro.sim.engine import Engine
@@ -213,7 +212,6 @@ def measure_gateway_knee(service_ms: float,
             dst_id, lambda frame: delivered.__setitem__(0, delivered[0] + 1)))
         gateway = Gateway(engine, near, far,
                           far_nodes=lambda n: n == dst_id,
-                          forward_delay_ms=forward_delay_ms,
                           service_ms=service_ms)
         interval = 1000.0 / rate
         offered = int(rate * window_ms / 1000.0)
@@ -224,7 +222,7 @@ def measure_gateway_knee(service_ms: float,
                               size_bytes=costs.SHORT_MSG_BYTES))
         for i in range(offered):
             engine.schedule(i * interval, send_one)
-        engine.run(until=window_ms + forward_delay_ms + service_ms)
+        engine.run(until=window_ms + GATEWAY_FORWARD_DELAY_MS + service_ms)
         fraction = delivered[0] / offered if offered else 1.0
         probes.append({"rate_per_s": rate, "offered": offered,
                        "delivered": delivered[0],

@@ -34,7 +34,7 @@ Partitioning: a federation can run one engine per logical process (LP),
 each in its own OS process, advanced in safe windows by the pool master
 in :mod:`repro.parallel.des` — the conservative parallel-DES scheme
 where the only cross-LP edges are :class:`PartitionChannel`\\ s whose
-``lookahead_ms`` (a gateway's ``forward_delay_ms``, §6.2) bounds how far
+``lookahead_ms`` (a gateway's forwarding delay, §6.2) bounds how far
 one LP's present can reach into another's future. See
 ``docs/PARALLEL_DES.md``.
 """
@@ -279,8 +279,9 @@ class Engine:
 class PartitionChannel:
     """One directed cross-partition edge with a fixed lookahead.
 
-    The sending LP stamps each message with its absolute fire time
-    (``claim time + lookahead_ms``) and appends it to the outbox; whoever
+    The channel stamps each message the sending LP hands it with its
+    absolute fire time (``claim time + lookahead_ms``) and appends it to
+    the outbox; whoever
     drives the LPs drains outboxes at every barrier and injects the
     messages into the destination LP at their exact stamped times. A
     message claimed while the source is at time ``t`` fires at
@@ -289,7 +290,8 @@ class PartitionChannel:
     must be strictly positive, or no LP could ever advance past another.
     """
 
-    __slots__ = ("key", "src", "dst", "outbox", "deliver", "_seq")
+    __slots__ = ("key", "src", "dst", "lookahead_ms", "outbox", "deliver",
+                 "_seq")
 
     def __init__(self, key: str, src: int, dst: int, lookahead_ms: float,
                  deliver: Optional[Callable[[Any], None]] = None):
@@ -300,16 +302,19 @@ class PartitionChannel:
         self.key = key
         self.src = src              # source LP index
         self.dst = dst              # destination LP index
+        self.lookahead_ms = lookahead_ms
         #: (fire_time, channel_seq, payload), in send order
         self.outbox: List[Tuple[float, int, Any]] = []
         #: destination-side sink, bound where the receiving half lives
         self.deliver = deliver
         self._seq = 0
 
-    def send(self, fire_time: float, payload: Any) -> None:
-        """Queue ``payload`` to fire at ``fire_time`` on the far side."""
+    def send(self, claim_time: float, payload: Any) -> None:
+        """Queue ``payload``, claimed at ``claim_time``, to fire one
+        lookahead later on the far side."""
         self._seq += 1
-        self.outbox.append((fire_time, self._seq, payload))
+        self.outbox.append((claim_time + self.lookahead_ms, self._seq,
+                            payload))
 
     def drain(self) -> List[Tuple[float, int, Any]]:
         """Take every queued message (called at window barriers)."""

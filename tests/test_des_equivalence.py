@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 import repro.parallel.des as des
-from repro.cluster.gateways import ClusterFederation
+from repro.cluster.gateways import GATEWAY_FORWARD_DELAY_MS, ClusterFederation
 from repro.errors import NetworkError, ReproError, SimulationError
 from repro.parallel.des import (
     DES_VOLATILE_METRICS,
@@ -107,7 +107,7 @@ class TestPromiseFastForward:
     def test_pooled_barriers_track_traffic_not_windows(self):
         pooled = run_pooled(SMALL, workers=2)
         windows = ((des.SETTLE_MS + SMALL.duration_ms)
-                   / des.FORWARD_DELAY_MS)
+                   / GATEWAY_FORWARD_DELAY_MS)
         assert pooled["digest"] == run_serial(SMALL)["digest"]
         assert pooled["barriers"] < windows / 4, (
             f"{pooled['barriers']} barriers for {windows:.0f} min-lookahead "

@@ -42,6 +42,7 @@ from repro.demos.messages import (
     Replay,
     StateQuery,
     StateReply,
+    StopPoint,
 )
 from repro.errors import EncodingError, RecordCorruptionError, ReproError
 from repro.net.frames import (
@@ -875,9 +876,10 @@ class TestControlRecords:
         "ProcessDestroyed": ProcessDestroyed(P2, 2),
         "ProcessCrashed": ProcessCrashed(P2, 2, "fault"),
         "ReadOrder": ReadOrder(P2, MessageId(P1, 7), MessageId(P1, 6)),
+        "StopPoint": StopPoint(P2, MessageId(P1, 7), 3),
         "Checkpoint": Checkpoint(P2, {"consumed": 3}, 3, 0, 1, 2),
         "Recreate": Recreate(P2, "test/counter", (5,), (Link(P1),), None,
-                             4, True, 4, 2),
+                             4, True, 4, 2, (3,)),
         "Replay": Replay(MESSAGE, 2),
         "RecoveryDone": RecoveryDone(P2, 2),
         "StateQuery": StateQuery(3),
@@ -904,11 +906,12 @@ class TestControlRecords:
         "RecoverAnswer": b'@recover_answer;i2;i90;T',
         "RecoverOffer": b'@recover_offer;i2;i91;',
         "RecoveryDone": b'@recovery_done;@pid;i2;i2;i1;',
-        "Recreate": b'@recreate;@pid;s12:test/counter(1:(1:Ni4;Ti4;i2;i2;i'
-                    b'1;i5;@link;@pid;i0;i0;Fi1;i2;',
+        "Recreate": b'@recreate;@pid;s12:test/counter(1:(1:Ni4;Ti4;i2;(1:i'
+                    b'2;i1;i5;@link;i3;@pid;i0;i0;Fi1;i2;',
         "Replay": b'@replay;@msg;@mid;@pid;@pid;i3;i4;(2:@link;i128;FF@pid'
                   b';i7;i1;i2;i2;i1;s3:addi5;@pid;i0;i1;Fi1;i2;i1;i2;i2;',
         "StateQuery": b'@state_query;i3;',
+        "StopPoint": b'@stop_point;@pid;@mid;i3;i2;i1;@pid;i7;i1;i2;',
         "StateReply": b'@state_reply;i2;i3;{1:@pid;i2;i1;s7:running',
     }
 

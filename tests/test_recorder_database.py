@@ -51,6 +51,16 @@ class TestRecording:
         assert not record.record_message(m)
         assert len(record.arrivals) == 1
 
+    def test_only_the_keyword_forces_a_duplicate(self):
+        # a stale positional argument (the old arrival index) lands in
+        # the ignored slot, not in ``forced``
+        record = make_record()
+        m = make_message(1)
+        assert record.record_message(m, 0)
+        assert not record.record_message(m, 7)
+        assert record.record_message(m, forced=True)
+        assert len(record.arrivals) == 2
+
 
 class TestConsumedSimulation:
     def test_in_order_consumption(self):

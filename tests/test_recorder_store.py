@@ -443,7 +443,6 @@ class TestLogBytesBound:
         record = make_record(segment_records=8)
         log = record.log
         head_slack = 8 * 1024               # one unsealed segment, max size
-        arrival = 0
         seq = 1
         consumed = 0
         for round_no in range(10):
@@ -451,7 +450,6 @@ class TestLogBytesBound:
                 record.record_message(
                     make_message(seq, size=64 + (seq % 5) * 240))
                 seq += 1
-                arrival += 1
             consumed += 100                  # leave a live tail each round
             record.apply_checkpoint(ckpt(consumed))
             assert log.log_bytes <= 2 * log.live_bytes + head_slack, \

@@ -11,6 +11,8 @@ import pytest
 from repro import GeneratorProgram, Program, Recv, System, SystemConfig
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
+from repro.chaos.workload import (CHANNEL_WORKER_IMAGE, URGENT_CHANNEL,
+                                  register_chaos_programs)
 from repro.demos.process import ProcessState
 
 from conftest import (
@@ -442,22 +444,25 @@ class TestRecoveryMechanics:
 class TestStoppedProcessRecovery:
     """§4.4.3: a process-control message is logged in the controlled
     process's own stream, so a recovery replays a stop like any other
-    message: the process comes back stopped, its held messages queued."""
+    message: the process comes back stopped at the count the live stop
+    took effect at, its held messages queued."""
 
     REQUESTS = 5
 
-    def stopped_counter(self):
-        """A counter on node 2 with two drivers on node 1, stopped from
-        node 1 through a DELIVERTOKERNEL link once each driver has two
-        replies; each driver's third request then waits in the stopped
-        queue. Returns the system, the pids and the control sender."""
+    def stopped_counter(self, driver_count=2):
+        """A counter on node 2 with ``driver_count`` drivers on node 1,
+        stopped from node 1 through a DELIVERTOKERNEL link once each
+        driver has two replies; each driver's next request then waits in
+        the stopped queue. Returns the system, the pids and the control
+        sender, and keeps in ``queued_at_stop`` the queue the stop
+        found."""
         system = System(SystemConfig(nodes=2))
         register_test_programs(system)
         system.boot()
         counter = system.spawn_program("test/counter", node=2)
         drivers = [system.spawn_program(
             "test/driver", args=(tuple(counter), self.REQUESTS), node=1)
-            for _ in range(2)]
+            for _ in range(driver_count)]
         assert system.wait_for(lambda: all(
             len(system.program_of(d).replies) >= 2 for d in drivers),
             20_000, step_ms=1.0)
@@ -470,25 +475,29 @@ class TestStoppedProcessRecovery:
             kernel.syscall_send(holder, link, (op,), None, 32)
 
         control("stop")
+        assert system.wait_for(
+            lambda: system.process_state(counter) == "stopped",
+            1000, step_ms=0.05)
+        self.queued_at_stop = len(system.nodes[2].processes[counter].queue)
         system.run(1000)
         assert system.process_state(counter) == "stopped"
-        assert len(system.nodes[2].processes[counter].queue) == 2
+        assert len(system.nodes[2].processes[counter].queue) == driver_count
         return system, counter, drivers, control
 
     def resume_and_check(self, system, counter, drivers, control, seen):
-        """The recovered counter is stopped with the two held requests
-        queued and ``seen`` consumed; a resume lets every request in
-        once, and the log reproduces every process."""
+        """The recovered counter is stopped with one held request per
+        driver queued and ``seen`` consumed; a resume lets every request
+        in once, and the log reproduces every process."""
         assert system.process_state(counter) == "stopped"
         pcb = system.nodes[2].processes[counter]
-        assert len(pcb.queue) == 2 and pcb.program.seen == seen
+        assert len(pcb.queue) == len(drivers) and pcb.program.seen == seen
         control("resume")
         assert system.wait_for(lambda: all(
             len(system.program_of(d).replies) == self.REQUESTS
             for d in drivers), 20_000, step_ms=100.0)
         assert sorted(system.program_of(counter).seen) == sorted(
-            2 * list(range(1, self.REQUESTS + 1)))
-        assert system.program_of(counter).total == 2 * sum(
+            len(drivers) * list(range(1, self.REQUESTS + 1)))
+        assert system.program_of(counter).total == len(drivers) * sum(
             range(1, self.REQUESTS + 1))
         assert_log_reproduces(system, [counter, *drivers])
 
@@ -510,3 +519,53 @@ class TestStoppedProcessRecovery:
         assert system.recovery.stats.process_crash_reports == 1
         assert system.recovery.stats.recoveries_completed == 1
         self.resume_and_check(system, counter, drivers, control, seen)
+
+    def test_a_stop_that_found_a_backlog_recovers_at_the_same_count(self):
+        # with four drivers a request was queued when the stop landed:
+        # replay queues it ahead of the stop, and still must not read it
+        system, counter, drivers, control = self.stopped_counter(4)
+        assert self.queued_at_stop == 1
+        seen = list(system.program_of(counter).seen)
+        system.crash_node(2)
+        system.run(20_000)
+        assert system.recovery.stats.node_crashes_detected == 1
+        self.resume_and_check(system, counter, drivers, control, seen)
+
+    def test_a_channel_selective_process_recovers_stopped(self):
+        """A §4.4.2 worker stopped with a request queued on a channel it
+        has not opened never consumes that request while recovering, so
+        it has to stop at the count it had read, not after the queue."""
+        system = System(SystemConfig(nodes=2))
+        register_test_programs(system)
+        register_chaos_programs(system)
+        system.boot()
+        worker = system.spawn_program(CHANNEL_WORKER_IMAGE, node=2)
+        kernel = system.nodes[1]
+        holder = kernel.processes[system.spawn_program("test/echo", node=1)]
+
+        def send(body, **link):
+            link_id = kernel.forge_link(holder, Link(dst=worker, **link))
+            kernel.syscall_send(holder, link_id, body, None, 32)
+
+        def assert_stopped_after_one():
+            pcb = system.nodes[2].processes[worker]
+            assert system.process_state(worker) == "stopped"
+            assert pcb.program.seen == [1] and len(pcb.queue) == 2
+
+        system.run(200)
+        send(("add", 100))                          # channel 0: closed
+        send(("add", 1), channel=URGENT_CHANNEL)
+        system.run(1000)
+        send(("stop",), deliver_to_kernel=True)
+        system.run(1000)
+        send(("add", 2), channel=URGENT_CHANNEL)    # held by the stop
+        system.run(1000)
+        assert_stopped_after_one()
+        system.crash_node(2)
+        system.run(20_000)
+        assert system.recovery.stats.node_crashes_detected == 1
+        assert_stopped_after_one()
+        send(("resume",), deliver_to_kernel=True)
+        system.run(1000)
+        assert system.program_of(worker).seen == [1, 2, 100]
+        assert_log_reproduces(system, [worker])
