@@ -218,8 +218,7 @@ def run_quorum_scenario(f: int = 1, byzantine: int = 1, messages: int = 30,
             900.0, recorders=faulty, modes=tuple(modes), rate=rate))
     actions.append(CrashNode(2800.0, node=2))
     result = run_scenario(ChaosCampaign(actions, name="adversary_quorum"),
-                          config, pairs=1, messages=messages,
-                          deadline_ms=240_000.0, settle_ms=6000.0)
+                          config, pairs=1, messages=messages)
     system = result.system
 
     # -- judge ----------------------------------------------------------

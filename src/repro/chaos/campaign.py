@@ -12,10 +12,11 @@ instrumentation spine *before* the fault lands, so the chaos event
 precedes the cascade it causes in the total event order.
 
 :func:`check_invariants` and :class:`CampaignReport` close the loop:
-after the campaign and a settle period, the report asserts the
+once the campaign is over and the system has settled
+(:meth:`~repro.system.System.settle`), the report asserts the
 reliability properties the thesis promises — no guaranteed message
-permanently undelivered, no transport wedged with queued traffic, no
-process stranded mid-recovery.
+permanently undelivered, no transport wedged with queued or held
+traffic, no process stranded mid-recovery.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ChaosCampaign:
         """When the last action fires (0 for an empty campaign).
 
         Actions with their own windows (partitions, slowdowns) may keep
-        side effects running past this; give the system settle time.
+        side effects running past this.
         """
         if not self.actions:
             return 0.0
@@ -174,39 +175,22 @@ class InvariantCheck:
 
 
 def check_invariants(system) -> List[InvariantCheck]:
-    """The reliability properties a settled cluster must satisfy."""
-    checks: List[InvariantCheck] = []
+    """The reliability properties a settled cluster must satisfy. The
+    liveness rows read :meth:`~repro.system.System.unquiet`, and a
+    failing row names each state that keeps its clause from holding."""
+    unquiet: Dict[str, List[str]] = {}
+    for clause, what in system.unquiet():
+        unquiet.setdefault(clause, []).append(what)
 
-    down = sorted(n for n, node in system.nodes.items() if not node.up)
-    checks.append(InvariantCheck(
-        "nodes_up", not down,
-        f"down: {down}" if down else "all processing nodes up"))
+    def row(name: str, quiet: str) -> InvariantCheck:
+        states = unquiet.get(name)
+        return InvariantCheck(name, not states,
+                              "; ".join(states) if states else quiet)
 
-    # Every recorder of the layout is judged, not just the primary; a
-    # lone recorder keeps its bare label.
-    recorders = {
-        ("recorder" if len(system.recorders) == 1
-         else f"recorder{recorder.config.node_id}"): recorder
-        for recorder in system.recorders}
-    if recorders:
-        down = [label for label, recorder in recorders.items()
-                if not recorder.up]
-        checks.append(InvariantCheck(
-            "recorder_up", not down,
-            ", ".join(f"{label} down" for label in down) or "recorder up"))
-
-    # No transport may be wedged: with traffic quiesced, every queue
-    # (outbound + in-flight) must have drained to zero.
-    depths: Dict[str, int] = {}
-    for node_id, node in sorted(system.nodes.items()):
-        if node.up and node.transport.queue_depth:
-            depths[f"node{node_id}"] = node.transport.queue_depth
-    for label, recorder in recorders.items():
-        if recorder.up and recorder.transport.queue_depth:
-            depths[label] = recorder.transport.queue_depth
-    checks.append(InvariantCheck(
-        "transports_drained", not depths,
-        f"stuck queues: {depths}" if depths else "all queues empty"))
+    checks = [row("nodes_up", "all processing nodes up")]
+    if system.recorders:
+        checks.append(row("recorder_up", "recorder up"))
+    checks.append(row("transports_drained", "all queues empty"))
 
     # Losslessness spans both ledgers: transport give-ups on this
     # cluster *and* custody frames its federation's gateways dropped.
@@ -219,19 +203,9 @@ def check_invariants(system) -> List[InvariantCheck]:
          + (f" ({gateway_dead} gateway custody losses)" if gateway_dead else "")
          if total_dead else "every guaranteed message delivered")))
 
-    if recorders:
-        stuck = sorted({str(r.pid) for recorder in recorders.values()
-                        for r in recorder.db.live_records() if r.recovering})
-        checks.append(InvariantCheck(
-            "recoveries_settled", not stuck,
-            (f"still recovering: {stuck}" if stuck
-             else "no process mid-recovery")))
-
-    checks.append(InvariantCheck(
-        "partitions_healed", not system._partitions,
-        (f"{len(system._partitions)} partitions standing"
-         if system._partitions else "network whole")))
-
+    if system.recorders:
+        checks.append(row("recoveries_settled", "no process mid-recovery"))
+    checks.append(row("partitions_healed", "network whole"))
     return checks
 
 

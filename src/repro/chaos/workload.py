@@ -8,8 +8,8 @@ tests.
 
 :func:`run_scenario` is the one-call driver: build a system from a
 :class:`~repro.system.SystemConfig`, spawn the workload, arm the
-campaign, run until the workload completes (or a deadline), settle, and
-return the report. A scenario is a config plus a campaign.
+campaign, run to its last action, settle, and return the report. A
+scenario is a config plus a campaign.
 
 Beside the pair sit its variants that drive the paper's own mechanisms
 in the ``pipeline`` rig: a channel-selective counter (§4.4.2), and one
@@ -32,6 +32,7 @@ from repro.chaos.campaign import (
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.links import Link
 from repro.demos.process import Program
+from repro.errors import SettleError
 from repro.system import System, SystemConfig
 
 CHAOS_COUNTER_IMAGE = "chaos/counter"
@@ -211,18 +212,16 @@ def run_scenario(campaign: ChaosCampaign,
                  config: SystemConfig,
                  pairs: int = 3,
                  messages: int = 40,
-                 deadline_ms: float = 120_000.0,
-                 settle_ms: float = 3_000.0,
                  ) -> ScenarioResult:
     """Run one campaign against a counter/driver workload on a system
     built from ``config``.
 
     Drivers live on the first node, counters spread over the remaining
     nodes (so node crashes hit counters and partitions cut request
-    paths). Runs in 250 ms slices until every driver has its
-    ``messages`` replies or ``deadline_ms`` simulated time elapses, runs
-    on to the campaign's last action, then settles, heals any partition
-    the campaign left standing, and reports.
+    paths). Runs to the campaign's last action, then settles
+    (:meth:`~repro.system.System.settle`) and reports. A run that does
+    not settle fails the report's ``settled`` row and the rows of the
+    state it names.
 
     The workload-correctness invariant — every counter ended at
     1+2+...+n exactly once — is appended to the report's checks.
@@ -244,27 +243,13 @@ def run_scenario(campaign: ChaosCampaign,
     system.run(200)
 
     campaign.arm(system)
-
-    def drivers_done() -> bool:
-        for driver_pid, _ in spawned:
-            program = system.program_of(driver_pid)
-            if program is None or len(program.replies) < messages:
-                return False
-        return True
-
-    system.wait_for(drivers_done, deadline_ms, step_ms=250)
-    # A fast workload can finish before the campaign does; every
-    # scheduled action must fire before the cluster is judged.
     if campaign.horizon_ms > system.engine.now:
         system.run(campaign.horizon_ms - system.engine.now)
-    # Let in-flight traffic, replays and watchdog-driven restarts land;
-    # any partition the campaign never healed would wedge the drain, so
-    # lift leftovers first (a campaign bug, and the report will still
-    # show it if the workload fell short).
-    system.run(max(settle_ms, 1.0))
-    if system._partitions:
-        system.heal_partitions()
-        system.run(max(settle_ms, 1.0))
+    try:
+        system.settle()
+        unsettled = None
+    except SettleError as error:
+        unsettled = InvariantCheck("settled", False, f"not quiet: {error}")
 
     totals: List[int] = []
     for _, counter_pid in spawned:
@@ -272,6 +257,8 @@ def run_scenario(campaign: ChaosCampaign,
         totals.append(program.total if program is not None else -1)
     want = expected_total(messages)
     checks = check_invariants(system)
+    if unsettled is not None:
+        checks.append(unsettled)
     bad = [i for i, total in enumerate(totals) if total != want]
     checks.append(InvariantCheck(
         "workload_exact", not bad,

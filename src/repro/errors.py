@@ -89,3 +89,8 @@ class QueueingModelError(ReproError):
 class PlacementError(ReproError):
     """A recorder placement was configured incoherently (overlapping
     ranges, recorder ids colliding with node ids, zero-node clusters)."""
+
+
+class SettleError(ReproError):
+    """:meth:`repro.System.settle` gave up: the system was not quiet
+    within its bound. The message names the first state that was not."""

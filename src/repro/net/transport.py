@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import costs
 from repro.errors import NetworkError
@@ -464,6 +464,11 @@ class Transport:
         """Come back up with empty queues (volatile state was lost)."""
         self.iface.up = True
         self.events.emit("restart", f"node{self.node_id}")
+
+    def held_for_reorder(self) -> Dict[int, List[int]]:
+        """Stream numbers held for an earlier one, per source node."""
+        return {src: sorted(held) for src, held in self._reorder.items()
+                if held}
 
     @property
     def queue_depth(self) -> int:

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro import costs
-from repro.demos.ids import ProcessId
 from repro.demos.messages import (AliveReply, ProcessCrashed, Recreate,
                                   RecoveryDone, Replay, StateQuery,
                                   StateReply)
@@ -98,7 +97,6 @@ class RecoveryManager:
         #: recovery whose log has known holes waits for the pull rounds
         #: to converge before streaming the replay
         self.gossip = None
-        self._completion_signals: Dict[ProcessId, object] = {}
         recorder.on_control(AliveReply, self._on_alive_reply)
         recorder.on_control(ProcessCrashed, self._on_process_crashed)
         recorder.on_control(StateReply, self._on_state_reply)
@@ -193,12 +191,6 @@ class RecoveryManager:
         self.stats.recoveries_started += 1
         self.engine.spawn(self._recovery_process(record, record.recovery_epoch))
         return True
-
-    def completion_signal(self, pid: ProcessId):
-        """A signal fired when recovery for ``pid`` completes."""
-        if pid not in self._completion_signals:
-            self._completion_signals[pid] = self.engine.signal(f"recovered/{pid}")
-        return self._completion_signals[pid]
 
     def _superseded(self, record: ProcessRecord, epoch: int) -> bool:
         return (not self.recorder.up or record.destroyed
@@ -300,9 +292,6 @@ class RecoveryManager:
         self.stats.recoveries_completed += 1
         self.events.emit("recovery", pid, event="complete",
                          replayed=replayed)
-        signal = self._completion_signals.get(pid)
-        if signal is not None:
-            signal.fire(pid)
 
     # ------------------------------------------------------------------
     # recorder restart protocol (§3.3.4, §3.4)

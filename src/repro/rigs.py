@@ -239,12 +239,6 @@ def figure57_tasks(iterations: int = 512) -> List[ShardTask]:
 # ----------------------------------------------------------------------
 # chaos: one seeded fault campaign; its grid is the seed matrix
 # ----------------------------------------------------------------------
-#: simulated ms a chaos run settles after its campaign's last action
-#: before the invariants are judged: a short horizon can cut a campaign
-#: right after a late fault (ROADMAP item 16 replaces the fixed tail)
-CHAOS_SETTLE_MS = 8_000.0
-
-
 def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
     """One fault campaign against the counter/driver workload: the
     fixed demo campaign, or — what a seed-matrix cell runs — the monkey
@@ -259,8 +253,7 @@ def run_chaos(params: Dict[str, Any]) -> Dict[str, Any]:
     config = SystemConfig(nodes=nodes, master_seed=seed,
                           medium=params["medium"], checkpoint_policy="storage")
     result = run_scenario(campaign, config, pairs=params["pairs"],
-                          messages=params["messages"],
-                          settle_ms=CHAOS_SETTLE_MS)
+                          messages=params["messages"])
     return {
         "ok": result.ok,
         "totals": result.totals,
@@ -310,7 +303,7 @@ def gossip_cell(seed: int, mode: str, loss_rate: float, depth: int,
         gossip_max_retries=6, gossip_buffer_depth=depth or 256)
     return run_scenario(
         ChaosCampaign([], name=f"gossip_{mode}_{loss_rate}"), config,
-        pairs=1, messages=messages, settle_ms=4000.0)
+        pairs=1, messages=messages)
 
 
 def _recorded_set_digest(system) -> int:

@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.demos.ids import ProcessId, kernel_pid
 from repro.demos.kernel import KernelConfig, MessageKernel
@@ -36,7 +36,7 @@ from repro.demos.sysprocs import (
     NamedLinkServer,
     ProcessManager,
 )
-from repro.errors import ConfigError, PlacementError, ReproError
+from repro.errors import ConfigError, PlacementError, ReproError, SettleError
 from repro.net import MEDIA, build_medium, medium_class
 from repro.net.faults import FaultPlan
 from repro.net.frames import DeadLetter
@@ -57,6 +57,8 @@ REBOOT_POLICIES = ("restart", "spare", "none")
 #: default is 100 ms) and the wait before a dead node reboots
 RETRANSMIT_TIMEOUT_MS = 50.0
 REBOOT_DELAY_MS = 1000.0
+#: simulated ms :meth:`System.settle` waits for the system to go quiet
+SETTLE_BOUND_MS = 120_000.0
 
 
 @dataclass
@@ -560,6 +562,58 @@ class System:
                 break
         return done()
 
+    def unquiet(self) -> Iterator[Tuple[str, str]]:
+        """Each state that keeps the system from being quiet, lazily, as
+        ``(clause, what)``: a node or recorder down; a live transport
+        with messages queued, in flight or held for reorder; a live
+        kernel's CPU busy; a recovery outstanding; a gossip hole open; a
+        partition standing. Periodic timers may still be pending. A
+        clause is named after its chaos report row, where it has one."""
+        now = self.engine.now
+        lone = len(self.recorders) == 1
+        recorders = [("recorder" if lone else f"recorder{r.config.node_id}", r)
+                     for r in self.recorders]
+        hosts = [("nodes_up", f"node{node_id}", node)
+                 for node_id, node in self.nodes.items()]
+        hosts += [("recorder_up", label, r) for label, r in recorders]
+        for clause, label, host in hosts:
+            if not host.up:
+                yield clause, f"{label} down"
+        for _, label, host in hosts:
+            if not host.up:
+                continue
+            transport = host.transport
+            if transport.queue_depth:
+                yield ("transports_drained", f"{label} has "
+                       f"{transport.queue_depth} messages queued or in flight")
+            for src, seqs in transport.held_for_reorder().items():
+                yield ("transports_drained", f"{label} holds stream seq "
+                       f"{seqs} from node{src} for reorder")
+        for node_id, node in self.nodes.items():
+            if node.up and node.cpu.busy_until > now:
+                yield "cpus_idle", f"node{node_id} CPU busy"
+        for label, recorder in recorders:
+            for record in recorder.db.live_records():
+                if record.recovering:
+                    yield ("recoveries_settled",
+                           f"{label} recovering {record.pid}")
+        if self.gossip is not None and self.gossip.outstanding_count():
+            yield ("gossip_closed",
+                   f"{self.gossip.outstanding_count()} log holes open")
+        if self._partitions:
+            yield ("partitions_healed",
+                   f"{len(self._partitions)} partitions standing")
+
+    def settle(self) -> None:
+        """Run until the system is quiet (:meth:`unquiet`), checking
+        after each event the engine fires, so a settled run's events are
+        a prefix of any longer run's. Raises :class:`SettleError` naming
+        the first state that is not quiet if :data:`SETTLE_BOUND_MS`
+        passes first."""
+        if not self.wait_for(lambda: next(self.unquiet(), None) is None,
+                             SETTLE_BOUND_MS):
+            raise SettleError(next(self.unquiet())[1])
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -647,7 +701,7 @@ class System:
 
     def partition(self, *groups) -> object:
         """Cut the network into node groups: frames crossing the cut are
-        dropped until :meth:`heal_partitions` (or ``heal(rule)``). Nodes
+        dropped until ``heal(rule)``. Nodes
         named in no group — the recorder, typically — remain reachable,
         so the §4.3.3 "temporary network failure" hits node↔node traffic
         while publishing continues to observe whatever still flows."""
@@ -663,14 +717,6 @@ class System:
         if rule in self._partitions:
             self._partitions.remove(rule)
         self.events.emit("partition_healed", "net")
-
-    def heal_partitions(self) -> int:
-        """Lift every active partition; returns how many were healed."""
-        healed = 0
-        for rule in list(self._partitions):
-            self.heal(rule)
-            healed += 1
-        return healed
 
     def stall_disks(self, duration_ms: float) -> float:
         """Freeze the recorder's disk array (controller stall); returns

@@ -318,7 +318,7 @@ def run_gossip(seed, n, loss_rate, depth):
                           gossip_buffer_depth=depth, gossip_round_ms=100.0,
                           gossip_max_retries=16)
     return run_scenario(ChaosCampaign([], name="bounded_gossip"), config,
-                        pairs=1, messages=n, settle_ms=4000.0)
+                        pairs=1, messages=n)
 
 
 def gossip_recorded_sets(system):
@@ -375,8 +375,8 @@ class TestQuorumScenario:
         assert (r["total"], r["outvoted"], r["messages_replayed"],
                 r["quorum_stale_skips"], r["quorum_unresolved"]) \
             == (465, [92], 30, 1, 0)
-        assert system.engine.events_fired == 770
-        assert r["sim_ms"] == 8950.0
+        assert system.engine.events_fired == 687
+        assert r["sim_ms"] == 7000.0
 
     def test_beyond_f_detected_never_silent(self):
         system, r = run_quorum_scenario(f=1, byzantine=2, messages=20,

@@ -6,6 +6,7 @@ invariant checks.
 """
 
 import json
+import re
 
 import pytest
 
@@ -23,11 +24,12 @@ from repro.chaos import (
     monkey_campaign,
     run_scenario,
 )
-from repro.errors import ReproError, StorageError
+from repro.errors import ReproError, SettleError, StorageError
 from repro.net.faults import FaultPlan
 from repro.net import transport
+from repro.net.frames import Frame, FrameKind
 from repro.net.media import PerfectBroadcast
-from repro.net.transport import Transport
+from repro.net.transport import Segment, Transport
 from repro.publishing.disk import DiskArray
 from repro.sim import Engine, RngStreams
 
@@ -310,23 +312,46 @@ def test_scenario_with_faults_passes_and_replays_bit_identically():
 
 
 def test_report_flags_missing_workload_and_json_shape():
-    """A campaign that wedges the workload must FAIL the report."""
-    campaign = ChaosCampaign([Partition(1000.0, groups=((1,), (2,)))],
-                             name="never-healed")
-    # Tiny deadline: the partition is still standing when we give up,
-    # but run_scenario heals leftovers before reporting — the workload
-    # shortfall is what must flag the failure.
+    """A campaign that leaves a state ``settle`` cannot finish must FAIL
+    the report: under ``reboot_policy="none"`` the crashed counter node
+    stays down, the workload falls short, and the report names the
+    node."""
+    campaign = ChaosCampaign([CrashNode(1000.0, node=2)],
+                             name="never-rebooted")
     result = run_scenario(campaign,
                           SystemConfig(nodes=2, master_seed=3,
-                                       checkpoint_policy="storage"),
-                          pairs=1, messages=30, deadline_ms=2000.0,
-                          settle_ms=1.0)
+                                       checkpoint_policy="storage",
+                                       reboot_policy="none"),
+                          pairs=1, messages=30)
     assert not result.ok
     payload = result.report.to_dict()
     assert payload["ok"] is False
-    names = [c["name"] for c in payload["invariants"]]
-    assert "workload_exact" in names
+    rows = {c["name"]: (c["ok"], c["detail"]) for c in payload["invariants"]}
+    assert not rows["workload_exact"][0]
+    assert rows["nodes_up"] == (False, "node2 down")
+    assert rows["settled"] == (False, "not quiet: node2 down")
     json.dumps(payload)                  # report must be JSON-serialisable
+
+
+def test_a_stuck_reorder_buffer_fails_settle_and_the_report_by_name():
+    """A window-4 transport handed stream seq 1 from a peer that never
+    sends seq 0 holds it for ever: ``settle`` raises naming that
+    transport and the source node, and ``transports_drained`` fails
+    with the same words."""
+    system = System(SystemConfig(nodes=2, transport_window=4))
+    system.boot()
+    system.settle()
+    held = Segment(("stuck", 1), src_node=2, dst_node=1, body="held",
+                   guaranteed=True, stream_seq=1)
+    system.nodes[1].transport.iface.on_frame(Frame(
+        kind=FrameKind.DATA, src_node=2, dst_node=1, payload=held,
+        size_bytes=64))
+    stuck = "node1 holds stream seq [1] from node2 for reorder"
+    with pytest.raises(SettleError, match=re.escape(stuck)):
+        system.settle()
+    check = next(c for c in check_invariants(system)
+                 if c.name == "transports_drained")
+    assert (check.ok, check.detail) == (False, stuck)
 
 
 def test_chaos_events_ride_the_spine_in_order():

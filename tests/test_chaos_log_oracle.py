@@ -21,7 +21,7 @@ import pytest
 from repro import SystemConfig
 from repro.chaos import monkey_campaign, run_scenario
 from repro.parallel.runner import shard_seed
-from repro.rigs import CHAOS_SETTLE_MS, GOSSIP_CELLS, RIGS, gossip_cell
+from repro.rigs import GOSSIP_CELLS, RIGS, gossip_cell
 from repro.sim.rng import RngStreams
 
 from fixtures import Diverged, assert_log_reproduces
@@ -37,8 +37,7 @@ def monkey_run(seed, gossip, window):
     config = SystemConfig(nodes=3, master_seed=seed,
                           checkpoint_policy="storage",
                           transport_window=window, gossip=gossip)
-    return run_scenario(campaign, config, pairs=1, messages=8,
-                        settle_ms=CHAOS_SETTLE_MS)
+    return run_scenario(campaign, config, pairs=1, messages=8)
 
 
 def test_every_monkey_run_equals_its_log():

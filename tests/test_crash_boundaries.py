@@ -2,9 +2,10 @@
 
 The simulation is a pure function of (config, seed, fault schedule), so
 a fault can be placed at an event boundary instead of a sampled
-instant: run the world for ``k`` events, apply one crash, run 120 s
-more. The world is the two-node counter/driver pair (20 calls, counter
-on node 2, driver on node 1, transport window 1).
+instant: run the world for ``k`` events, apply one crash, then settle
+(``System.settle``: run until the system is quiet). The world is the
+two-node counter/driver pair (20 calls, counter on node 2, driver on
+node 1, transport window 1).
 
 Each run is checked by two oracles:
 
@@ -16,12 +17,14 @@ Each run is checked by two oracles:
   and the driver each equal the replay of their own log. The points
   where one does not are the strict table ``KNOWN_LOG_FAILURES``.
 
+A run that does not settle is recorded with the state ``settle`` names.
 Reply counts are not checked here.
 """
 
 import pytest
 
 from repro import System, SystemConfig
+from repro.errors import SettleError
 
 from fixtures import (CounterProgram, Diverged, DriverProgram, Unrecorded,
                       assert_log_reproduces)
@@ -74,8 +77,9 @@ class _Owned:
 
 def crash_at(medium, boundary, crash):
     """Run the world with ``crash`` at event ``boundary``. Returns the
-    handlers that ran outside their pcb, and the class of the log
-    check's failure (None when both processes equal their logs)."""
+    handlers that ran outside their pcb, the class of the log check's
+    failure (None when both processes equal their logs), and the state
+    that kept the run from settling (None when it settled)."""
     escapes = []
     system = System(SystemConfig(nodes=2, medium=medium))
     owned = {"escapes": escapes}
@@ -96,12 +100,16 @@ def crash_at(medium, boundary, crash):
         system.crash_node(counter_pid.node)
     else:
         system.crash_node(driver_pid.node)
-    system.run(120_000)
+    try:
+        system.settle()
+        unsettled = None
+    except SettleError as error:
+        unsettled = str(error)
     try:
         assert_log_reproduces(system, (counter_pid, driver_pid))
     except (Unrecorded, Diverged) as failure:
-        return escapes, type(failure)
-    return escapes, None
+        return escapes, type(failure), unsettled
+    return escapes, None, unsettled
 
 
 @pytest.fixture(scope="module", params=sorted(BOUNDARIES))
@@ -113,12 +121,19 @@ def cell(request):
 
 def test_no_handler_runs_outside_its_pcb_after_a_crash(cell):
     _, runs = cell
-    assert [point for point, (escapes, _) in runs.items() if escapes] == []
+    assert [point for point, (escapes, _, _) in runs.items() if escapes] == []
+
+
+def test_every_run_settles(cell):
+    _, runs = cell
+    assert {point: state for point, (_, _, state) in runs.items()
+            if state is not None} == {}
 
 
 def test_every_process_equals_its_log_but_the_known_rows(cell):
     medium, runs = cell
-    failing = {(crash, failure, k) for (k, crash), (_, failure) in runs.items()
+    failing = {(crash, failure, k)
+               for (k, crash), (_, failure, _) in runs.items()
                if failure is not None}
     known = {(crash, failure, k)
              for (row_medium, crash, failure), ks in KNOWN_LOG_FAILURES.items()

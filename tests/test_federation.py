@@ -316,7 +316,8 @@ class TestGatewayPartitions:
         assert letter.attempts == GATEWAY_MAX_RETRIES
         assert forwarder.frames_dropped.value == 1
         assert forwarder.retries.value == GATEWAY_MAX_RETRIES
-        assert b.heal_partitions() == 1
+        rule, = b._partitions
+        b.heal(rule)
         second = a.spawn_program("test/driver",
                                  args=(tuple(counter), 3), node=1)
         assert wait_replies(fed, a, second, 3).replies == [1, 3, 6]

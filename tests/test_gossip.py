@@ -232,7 +232,7 @@ def run_outage(gossip: bool):
     # six attempts: without gossip the outage outlasts the retry bound
     with mock.patch.object(transport, "MAX_RETRIES", 6):
         return run_scenario(outage_campaign(), config, pairs=1,
-                            messages=30, settle_ms=8000.0)
+                            messages=30)
 
 
 def test_recorder_outage_heals_by_pull_and_recovery_is_exact():
@@ -298,8 +298,7 @@ def test_gossip_loss_action_sets_and_restores_rate():
                              name="loss_window")
     config = SystemConfig(nodes=2, master_seed=5,
                           checkpoint_policy="storage", gossip=True)
-    result = run_scenario(campaign, config, pairs=1, messages=25,
-                          settle_ms=6000.0)
+    result = run_scenario(campaign, config, pairs=1, messages=25)
     assert result.ok, result.report.format()
     system = result.system
     assert system.reception_loss is not None
@@ -321,8 +320,7 @@ def run_plain(seed, n, loss_rate, depth):
                           gossip_loss_rate=loss_rate or 0.0,
                           gossip_buffer_depth=depth, gossip_round_ms=100.0,
                           gossip_max_retries=16)
-    return run_scenario(campaign, config, pairs=1, messages=n,
-                        settle_ms=4000.0)
+    return run_scenario(campaign, config, pairs=1, messages=n)
 
 
 @settings(max_examples=8, deadline=None,

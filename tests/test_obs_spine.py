@@ -368,20 +368,20 @@ class TestLegacyStatsAreRegistryViews:
 #: broadcast federations).
 SURFACE_PINS = {
     ("broadcast", False):
-        "7d316283f08dfa1375dfaddbe12a587d67aaa22d2252adcdbc09aaf01202e2b0",
+        "1fee4d7873d6f152df4e2eefe0f0c817791fe0c3a46d83c87f106278f0dabd9b",
     ("csma_ethernet", False):
-        "0d533a9125e0656812b0db5e000f59dc5012f72a3a956d75a30e391f6e5f0179",
+        "43a2f9e1a0a59eeb1a26d1cbd2c3a14ca7d7c2010abcffb9eda5c83b744bc0a3",
     ("acking_ethernet", False):
-        "fe827b6ba1d4b860e143fbe597cba85cfa11d4f09afe094bf99a6995a644b809",
+        "f760063d1f595c65e9982860f4791d53a13fdc614458fe8769367bdba19bcba0",
     ("token_ring", False):
-        "0c62c12a0267c833b084f954d07b5b6412f4204e82cce406f355af9cd05f529f",
+        "0f266f4208b7490ce123b30af744722c89a44c930ca9445f7ebf5a0faa21c09c",
     ("star", False):
-        "b7ac5568d8f4454f379c30d20b087aea8e1d01b6fbe76d6ea01af3bf98a30187",
+        "6f9f3ad4b17a758c9f7c610d871cca6651bbf8424e32a1cb35a6f30c9ea6aff9",
     ("csma_ethernet", True):
-        "79f053b4816e29f8facf2d02b66591cffeadcfa0d26f00e13bffd7502887698d",
+        "97ea9acbb7a494cabe8a98e005bd03cc9858b3a82b848addedc11e97987ecbd9",
     # the ring's gossip hooks were inert before the media shared one rule
     ("token_ring", True):
-        "8703722c6f7c7e186d87ab3bd2ee8d7581212263a2f7a63ca6a4309f71e3670c",
+        "1f296e06b9642460d6df759bd558e8a20a408656d324b069bf42449cfe467cae",
 }
 
 

@@ -14,6 +14,7 @@ from repro.demos.links import Link
 from repro.chaos.workload import (CHANNEL_WORKER_IMAGE, URGENT_CHANNEL,
                                   register_chaos_programs)
 from repro.demos.process import ProcessState
+from repro.errors import SettleError
 
 from conftest import (
     expected_totals,
@@ -27,39 +28,17 @@ from fixtures import assert_log_reproduces
 N = 60
 
 
-def finish(system, counter_pid, driver_pid, n=N, max_ms=240_000):
-    """Run until the driver got all replies (or time out).
-
-    Re-fetches the program objects every iteration: recovery replaces
-    them, and a crashed node has none at all for a while.
-    """
-    deadline = system.engine.now + max_ms
-    while system.engine.now < deadline:
-        driver = system.program_of(driver_pid)
-        if driver is not None and len(driver.replies) >= n:
-            break
-        system.run(1000)
+def finish(system, counter_pid, driver_pid):
+    """Settle the system — every recovery done, every message delivered —
+    and return the counter and driver programs (recovery replaces them)."""
+    system.settle()
     return system.program_of(counter_pid), system.program_of(driver_pid)
 
 
-def wait_recovered(system, pid, max_ms=120_000):
-    """Run until ``pid`` is running again (post-crash)."""
-    deadline = system.engine.now + max_ms
-    while system.engine.now < deadline:
-        if system.process_state(pid) == "running":
-            return True
-        system.run(500)
+def wait_recovered(system, pid):
+    """Settle the system; whether ``pid`` is running again."""
+    system.settle()
     return system.process_state(pid) == "running"
-
-
-def wait_counter_caught_up(system, pid, n, max_ms=120_000):
-    """Run until the (recovered) counter has re-seen all n inputs."""
-    deadline = system.engine.now + max_ms
-    while system.engine.now < deadline:
-        program = system.program_of(pid)
-        if program is not None and len(program.seen) >= n:
-            return
-        system.run(500)
 
 
 def assert_exact(counter, driver, n=N):
@@ -94,7 +73,7 @@ class TestProcessCrash:
         original = system.program_of(counter_pid)
         system.crash_process(counter_pid)
         assert wait_recovered(system, counter_pid)
-        counter, driver = finish(system, counter_pid, driver_pid, n=10)
+        counter, driver = finish(system, counter_pid, driver_pid)
         assert counter is not original
 
     def test_messages_during_recovery_are_not_lost(self, two_node_system):
@@ -116,11 +95,8 @@ class TestProcessCrash:
         counter_pid, driver_pid = run_counter_scenario(system, n=N)
         system.run(1200)
         system.crash_process(counter_pid)
-        system.run(15_000)
-        assert system.process_state(counter_pid) == "running"
-        system.crash_process(counter_pid)
         assert wait_recovered(system, counter_pid)
-        wait_counter_caught_up(system, counter_pid, N)
+        system.crash_process(counter_pid)
         counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver)
         assert system.recovery.stats.recoveries_completed == 2
@@ -162,7 +138,7 @@ class TestProcessCrash:
         counter_pid, driver_pid = run_counter_scenario(system, n=N)
         system.run(1000)
         system.crash_process(counter_pid)
-        system.run(12_000)
+        system.settle()
         system.crash_process(driver_pid)
         counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver)
@@ -184,7 +160,7 @@ class TestNodeCrash:
         counter_pid, driver_pid = run_counter_scenario(system, n=20)
         system.run(1500)
         system.crash_node(2)
-        finish(system, counter_pid, driver_pid, n=20)
+        finish(system, counter_pid, driver_pid)
         assert wait_recovered(system, kernel_pid(2))
         kp = system.nodes[2].processes.get(kernel_pid(2))
         assert kp is not None and kp.state is ProcessState.RUNNING
@@ -200,10 +176,7 @@ class TestNodeCrash:
         system.run(1500)
         system.crash_node(1)             # services node
         services = system.config.first_node_id
-        for local in (1, 2, 3):
-            assert wait_recovered(system, ProcessId(services, local))
-        wait_counter_caught_up(system, counter_pid, 20)
-        counter, driver = finish(system, counter_pid, driver_pid, n=20)
+        counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver, n=20)
         for local in (1, 2, 3):
             assert system.process_state(ProcessId(services, local)) == "running"
@@ -214,17 +187,19 @@ class TestNodeCrash:
         system.run(1500)
         system.crash_node(1)
         system.crash_node(2)
-        counter, driver = finish(system, counter_pid, driver_pid, n=30)
+        counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver, n=30)
 
     @pytest.mark.parametrize("window", [
         1,
-        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 1 (i): a restarted node's transport numbers "
-            "its streams from 0 while its peers keep _expected_seq, so "
-            "with transport_window > 1 its fresh segments are acked and "
-            "dropped as stale duplicates — 12 of 40 replies, total 78 of "
-            "820, no dead letter, no counter"))),
+        pytest.param(4, marks=pytest.mark.xfail(
+            strict=True, raises=SettleError, reason=(
+                "ROADMAP item 1 (i): a restarted node's transport numbers "
+                "its streams from 0 while its peers keep _expected_seq, so "
+                "with transport_window > 1 its fresh segments are acked "
+                "and dropped as stale duplicates — 12 of 40 replies, no "
+                "dead letter, and node 1 holds stream seq [11] from node 2 "
+                "for reorder for ever, which settle names"))),
     ])
     def test_sender_node_crash_loses_nothing_at_any_window(self, window):
         """In-order delivery per processor and transparent node recovery
@@ -235,9 +210,7 @@ class TestNodeCrash:
         counter_pid, driver_pid = run_counter_scenario(system, n=40)
         system.run(700)
         system.crash_node(1)
-        system.run(60_000)
-        counter = system.program_of(counter_pid)
-        driver = system.program_of(driver_pid)
+        counter, driver = finish(system, counter_pid, driver_pid)
         assert system.obs.bus.count("dead_letter") == 0
         assert_exact(counter, driver, n=40)
         assert counter.total == 820
@@ -290,7 +263,7 @@ class TestChannelsAndRecovery:
             (0, ("n", 0)), (0, ("n", 1)), (0, ("n", 2)),
         ]
         system.crash_process(pid)
-        system.run(60_000)
+        system.settle()
         assert system.process_state(pid) == "running"
         assert system.program_of(pid).handled == handled_before
 
@@ -318,7 +291,7 @@ class TestChannelsAndRecovery:
         system.run(3000)
         handled_before = list(system.program_of(pid).handled)
         system.crash_process(pid)
-        system.run(60_000)
+        system.settle()
         assert system.program_of(pid).handled == handled_before
         # The replay skipped the pre-checkpoint consumptions.
         assert system.recovery.stats.messages_replayed <= 4
@@ -352,10 +325,7 @@ class TestGeneratorRecovery:
                                           args=(tuple(summer_pid), 30), node=1)
         system.run(1500)
         system.crash_process(summer_pid)
-        deadline = system.engine.now + 120_000
-        while (system.engine.now < deadline
-               and len(system.program_of(driver_pid).replies) < 30):
-            system.run(1000)
+        system.settle()
         assert system.program_of(driver_pid).replies == expected_totals(30)
         assert system.program_of(summer_pid).sums[-1] == expected_totals(30)[-1]
 
@@ -399,7 +369,7 @@ class TestRecoveryMechanics:
         system.crash_process(counter_pid)
         assert wait_recovered(system, counter_pid)
         assert ("read", pages * 2048) in ops
-        counter, driver = finish(system, counter_pid, driver_pid, n=20)
+        counter, driver = finish(system, counter_pid, driver_pid)
         assert_exact(counter, driver, n=20)
 
     def test_marker_hand_back_loses_nothing_under_live_traffic(
@@ -415,28 +385,27 @@ class TestRecoveryMechanics:
         marker_events = system.obs.bus.count("recovery", str(counter_pid))
         assert marker_events > 0
 
-    def test_recovery_completion_signal_fires(self, two_node_system):
+    def test_recovery_completes_before_the_system_settles(
+            self, two_node_system):
+        """``settle`` returns only when no recovery is outstanding: the
+        crashed counter's one recovery has completed and it runs."""
         system = two_node_system
         counter_pid, driver_pid = run_counter_scenario(system, n=10)
         system.run(1000)
-        fired = []
-
-        def waiter():
-            value = yield system.recovery.completion_signal(counter_pid)
-            fired.append(value)
-
-        system.engine.spawn(waiter())
         system.crash_process(counter_pid)
-        assert wait_recovered(system, counter_pid)
-        system.run(2000)
-        assert fired == [counter_pid]
+        system.settle()
+        assert system.process_state(counter_pid) == "running"
+        events = system.obs.bus.select("recovery", str(counter_pid),
+                                       "recovery")
+        assert len([e for e in events if e.detail["event"] == "complete"]) == 1
+        assert system.recovery.stats.recoveries_completed == 1
 
     def test_unrecoverable_process_not_recovered(self, two_node_system):
         system = two_node_system
         pid = system.spawn_program("test/counter", node=2, recoverable=False)
         system.run(500)
         system.crash_process(pid)
-        system.run(20_000)
+        system.settle()
         assert system.process_state(pid) == "crashed"
         assert system.recovery.stats.recoveries_started == 0
 
@@ -505,7 +474,7 @@ class TestStoppedProcessRecovery:
         system, counter, drivers, control = self.stopped_counter()
         seen = list(system.program_of(counter).seen)
         system.crash_node(2)
-        system.run(20_000)
+        system.settle()
         assert system.recovery.stats.node_crashes_detected == 1
         self.resume_and_check(system, counter, drivers, control, seen)
 
@@ -515,7 +484,7 @@ class TestStoppedProcessRecovery:
         system.crash_process(counter)
         assert system.process_state(counter) == "crashed"
         assert system.obs.bus.count("crash", str(counter)) == 1
-        system.run(20_000)
+        system.settle()
         assert system.recovery.stats.process_crash_reports == 1
         assert system.recovery.stats.recoveries_completed == 1
         self.resume_and_check(system, counter, drivers, control, seen)
@@ -527,7 +496,7 @@ class TestStoppedProcessRecovery:
         assert self.queued_at_stop == 1
         seen = list(system.program_of(counter).seen)
         system.crash_node(2)
-        system.run(20_000)
+        system.settle()
         assert system.recovery.stats.node_crashes_detected == 1
         self.resume_and_check(system, counter, drivers, control, seen)
 
@@ -562,7 +531,7 @@ class TestStoppedProcessRecovery:
         system.run(1000)
         assert_stopped_after_one()
         system.crash_node(2)
-        system.run(20_000)
+        system.settle()
         assert system.recovery.stats.node_crashes_detected == 1
         assert_stopped_after_one()
         send(("resume",), deliver_to_kernel=True)

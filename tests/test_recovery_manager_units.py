@@ -89,8 +89,3 @@ class TestControlRouting:
         system.recovery._on_alive_reply(
             AliveReply(1), 1)
         assert dog1.replies_seen.value == seen_before + 1
-
-    def test_completion_signal_is_cached(self, system):
-        pid = ProcessId(1, 3)
-        first = system.recovery.completion_signal(pid)
-        assert system.recovery.completion_signal(pid) is first

@@ -165,8 +165,6 @@ TEST_ONLY = {
                        "tests/test_net_frames.py checks",
     "set_bound": "the bound checkpoint policy's per-process bound, "
                  "documented in docs/TUTORIAL.md",
-    "completion_signal": "a program's wait on a recovery "
-                         "(tests/test_recovery_e2e.py)",
     "t_max_for_messages": "§3.2.3's recovery-time bound in the thesis's "
                           "per-message form",
     "recorder_buffer_bytes": "§5.1's recorder buffer figure (at most 28 KB)",
